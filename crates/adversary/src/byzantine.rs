@@ -6,11 +6,11 @@
 //! replica validates and commits — but keeps a handle on the gossip
 //! network so that, after the run drains, it can read back *every*
 //! replica's ledger bytes. An attack schedule
-//! ([`AdversaryConfig`](fabriccrdt_fabric::config::AdversaryConfig) on
+//! ([`AdversaryConfig`] on
 //! the pipeline config) makes the network's adversary seam inject
 //! forged block variants at chosen heights; the honest ingress screen
 //! rejects them and the run's
-//! [`AdversaryMetrics`](fabriccrdt_fabric::metrics::AdversaryMetrics)
+//! [`AdversaryMetrics`]
 //! count what was caught.
 //!
 //! The delivery layer is [`ChannelDelivery`] over a one-lane shared
@@ -22,13 +22,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fabriccrdt::fabriccrdt_simulation_with_delivery;
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, PipelineConfig, TamperMode};
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, RunMetrics};
 use fabriccrdt_fabric::peer::PeerSnapshot;
-use fabriccrdt_fabric::simulation::TxRequest;
+use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_gossip::{ChannelDelivery, GossipNetwork};
 use fabriccrdt_sim::gen::Gen;
 use fabriccrdt_sim::time::SimTime;
@@ -82,7 +81,7 @@ pub fn run_adversarial_pipeline(
         CrdtValidator::new,
     )));
     let delivery = Box::new(ChannelDelivery::new(network.clone(), 0));
-    let mut sim = fabriccrdt_simulation_with_delivery(config, registry, delivery);
+    let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery);
     for (key, value) in seeds {
         sim.seed_state(key.clone(), value.clone());
     }

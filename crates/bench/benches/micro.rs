@@ -221,40 +221,6 @@ fn main() {
         );
     }
 
-    {
-        use fabriccrdt_jsoncrdt::text::TextDoc;
-        bench.run("rga/type-500-chars", Some(500), None, || {
-            let mut doc = TextDoc::new(ReplicaId(1));
-            for i in 0..500 {
-                doc.insert(i, "x");
-            }
-            doc.text()
-        });
-        let mut source = TextDoc::new(ReplicaId(1));
-        let mut ops = Vec::new();
-        for i in 0..500 {
-            ops.extend(source.insert(i, "x"));
-        }
-        bench.run("rga/replicate-500-ops", Some(500), None, || {
-            let mut replica = TextDoc::new(ReplicaId(2));
-            for op in &ops {
-                replica.apply(op.clone());
-            }
-            replica.len()
-        });
-    }
-
-    {
-        use fabriccrdt_jsoncrdt::Editor;
-        bench.run("editor/100-assigns", Some(100), None, || {
-            let mut ed = Editor::new(ReplicaId(1));
-            for i in 0..100 {
-                ed.assign(&["section", "field"], format!("v{i}")).unwrap();
-            }
-            ed.document().applied_len()
-        });
-    }
-
     for n in [25usize, 400] {
         // A mixed batch: writers on a hot key plus readers of it — the
         // workload the Fabric++ baseline reorders profitably.

@@ -38,10 +38,10 @@
 
 use std::sync::Arc;
 
-use fabriccrdt::{fabric_reordering_simulation, fabric_simulation, fabriccrdt_simulation};
+use fabriccrdt::{fabric_simulation, fabriccrdt_simulation};
 use fabriccrdt_bench::HarnessOptions;
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeRegistry};
-use fabriccrdt_fabric::config::PipelineConfig;
+use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig, RetryPolicy};
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_sim::time::SimTime;
@@ -131,7 +131,10 @@ fn main() {
         rows.push(row("Fabric", workload, &sim.run(schedule_for(&name))));
         // Fabric++ reordering (block size 400).
         let (reg, name) = registry(false);
-        let mut sim = fabric_reordering_simulation(PipelineConfig::paper(400, seed), reg);
+        let mut sim = fabric_simulation(
+            PipelineConfig::paper(400, seed).with_ordering_policy(OrderingPolicy::Reorder),
+            reg,
+        );
         sim.seed_state("hot", br#"{"readings":[]}"#.to_vec());
         rows.push(row("Fabric++", workload, &sim.run(schedule_for(&name))));
         // FabricCRDT (block size 25).
@@ -253,7 +256,7 @@ fn main() {
     ] {
         let (reg, name) = registry(false);
         let mut sim = fabric_simulation(
-            PipelineConfig::paper(25, seed).with_client_retries(retries),
+            PipelineConfig::paper(25, seed).with_retry_policy(RetryPolicy::immediate(retries)),
             reg,
         );
         sim.seed_state("hot", br#"{"readings":[]}"#.to_vec());

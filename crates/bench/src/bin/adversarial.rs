@@ -25,7 +25,6 @@
 //!
 //! Run with: `cargo run --release --bin adversarial -- [--txs N] [--seed S]`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -33,14 +32,13 @@ use fabriccrdt_adversary::{
     apply_identically, hostile_ops, merge_storm_report, offline_rejoin, run_adversarial_pipeline,
     AdversarialRun,
 };
-use fabriccrdt_bench::HarnessOptions;
+use fabriccrdt_bench::{obj, report, HarnessOptions};
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{
     AdversaryConfig, AttackSpec, CrashSpec, FaultConfig, PipelineConfig, TamperMode,
 };
 use fabriccrdt_fabric::metrics::AdversaryMetrics;
 use fabriccrdt_fabric::simulation::TxRequest;
-use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_sim::gen;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::offline::{offline_payloads, rejoin_schedule};
@@ -238,66 +236,56 @@ fn main() {
     );
 
     // ---- BENCH_adversarial.json ------------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"adversarial\",");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"total_txs\": {txs},");
-    let _ = writeln!(json, "  \"block_size\": {BLOCK_SIZE},");
-    let _ = writeln!(
-        json,
-        "  \"forged_blocks_injected\": {},",
-        adv.forged_blocks_injected
-    );
-    let _ = writeln!(json, "  \"tampered_rejected\": {},", adv.tampered_rejected);
-    let _ = writeln!(json, "  \"forged_rejected\": {},", adv.forged_rejected);
-    let _ = writeln!(
-        json,
-        "  \"equivocations_detected\": {},",
-        adv.equivocations_detected
-    );
-    let _ = writeln!(json, "  \"quarantined_peers\": {},", adv.quarantined_peers);
-    let _ = writeln!(json, "  \"quarantine_drops\": {},", adv.quarantine_drops);
-    let _ = writeln!(json, "  \"honest_replicas_converged\": {converged},");
-    let _ = writeln!(json, "  \"byzantine_wall_ms\": {byz_wall_ms:.3},");
-    let _ = writeln!(json, "  \"fuzz_streams\": 100,");
-    let _ = writeln!(json, "  \"fuzz_applied\": {fuzz_applied},");
-    let _ = writeln!(json, "  \"fuzz_buffered\": {fuzz_buffered},");
-    let _ = writeln!(json, "  \"fuzz_rejected\": {fuzz_rejected},");
-    let _ = writeln!(json, "  \"offline_edits\": {},", storm.offline_edits);
-    let _ = writeln!(
-        json,
-        "  \"incremental_merge_ops\": {},",
-        storm.incremental_ops
-    );
-    let _ = writeln!(json, "  \"full_replay_ops\": {},", storm.full_replay_ops);
-    let _ = writeln!(
-        json,
-        "  \"offline_rejoin_reconverged\": {},",
-        storm.reconverged
-    );
-    let _ = writeln!(
-        json,
-        "  \"merge_storm_catch_up_secs\": {:.6},",
-        episode.catch_up_secs
-    );
-    let _ = writeln!(
-        json,
-        "  \"merge_storm_bytes_shipped\": {},",
-        episode.bytes_shipped
-    );
-    let _ = writeln!(
-        json,
-        "  \"merge_storm_used_snapshot\": {}",
-        episode.used_snapshot
-    );
-    json.push_str("}\n");
-    std::fs::write("BENCH_adversarial.json", &json).expect("write BENCH_adversarial.json");
-
-    // Self-validate with the repo's own JSON parser.
-    let parsed = Value::from_bytes(json.as_bytes()).expect("emitted JSON is well-formed");
-    assert_eq!(
-        parsed.get("bench").and_then(Value::as_str),
-        Some("adversarial")
+    let json = obj([
+        ("bench", "adversarial".into()),
+        ("seed", (seed as f64).into()),
+        ("total_txs", (txs as f64).into()),
+        ("block_size", (BLOCK_SIZE as f64).into()),
+        (
+            "forged_blocks_injected",
+            (adv.forged_blocks_injected as f64).into(),
+        ),
+        ("tampered_rejected", (adv.tampered_rejected as f64).into()),
+        ("forged_rejected", (adv.forged_rejected as f64).into()),
+        (
+            "equivocations_detected",
+            (adv.equivocations_detected as f64).into(),
+        ),
+        ("quarantined_peers", (adv.quarantined_peers as f64).into()),
+        ("quarantine_drops", (adv.quarantine_drops as f64).into()),
+        ("honest_replicas_converged", converged.into()),
+        ("byzantine_wall_ms", byz_wall_ms.into()),
+        ("fuzz_streams", 100.0.into()),
+        ("fuzz_applied", (fuzz_applied as f64).into()),
+        ("fuzz_buffered", (fuzz_buffered as f64).into()),
+        ("fuzz_rejected", (fuzz_rejected as f64).into()),
+        ("offline_edits", (storm.offline_edits as f64).into()),
+        (
+            "incremental_merge_ops",
+            (storm.incremental_ops as f64).into(),
+        ),
+        ("full_replay_ops", (storm.full_replay_ops as f64).into()),
+        ("offline_rejoin_reconverged", storm.reconverged.into()),
+        ("merge_storm_catch_up_secs", episode.catch_up_secs.into()),
+        (
+            "merge_storm_bytes_shipped",
+            (episode.bytes_shipped as f64).into(),
+        ),
+        ("merge_storm_used_snapshot", episode.used_snapshot.into()),
+    ]);
+    report(
+        "BENCH_adversarial.json",
+        &json,
+        &[
+            "equivocations_detected",
+            "tampered_rejected",
+            "forged_rejected",
+            "honest_replicas_converged",
+            "incremental_merge_ops",
+            "full_replay_ops",
+            "merge_storm_catch_up_secs",
+            "offline_rejoin_reconverged",
+        ],
     );
     println!("wrote BENCH_adversarial.json");
 }

@@ -5,7 +5,7 @@
 //! whole stream is published. Without durable storage the anti-entropy
 //! layer can only replay the missing block suffix — cost linear in
 //! chain length *and* transaction size. With durable storage, helpers
-//! hold periodic [`LedgerSnapshot`]s, and the catch-up negotiation
+//! hold periodic `LedgerSnapshot`s, and the catch-up negotiation
 //! ships `(snapshot, frontier delta, post-snapshot suffix)` whenever
 //! that is strictly cheaper in bytes. For a CRDT workload the merged
 //! document grows far slower than the endorsed transaction log, so the
@@ -30,11 +30,10 @@
 //!
 //! Run with: `cargo run --release --bin catchup_storage -- [--txs N] [--seed S]`
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_bench::HarnessOptions;
+use fabriccrdt_bench::{obj, report, HarnessOptions};
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::config::{CrashSpec, FaultConfig, PipelineConfig, Topology};
 use fabriccrdt_fabric::metrics::CatchUpEpisode;
@@ -277,52 +276,40 @@ fn main() {
     println!("append-only-file backend byte-identical to memory at {longest} blocks");
 
     // ---- BENCH_catchup_storage.json --------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"catchup_storage\",");
-    let _ = writeln!(json, "  \"seed\": {},", options.seed);
-    let _ = writeln!(json, "  \"txs_per_block\": {per_block},");
-    let _ = writeln!(json, "  \"snapshot_interval\": {SNAPSHOT_INTERVAL},");
-    let _ = writeln!(json, "  \"crashed_peer\": {CRASHED_PEER},");
-    let _ = writeln!(
-        json,
-        "  \"snapshot_saving_at_100_blocks\": {:.3},",
-        1.0 - at_100.saving_ratio
+    let cells_json = cells.iter().map(|c| {
+        obj([
+            ("blocks", (c.blocks as f64).into()),
+            ("txs", (c.txs as f64).into()),
+            ("replay_bytes", (c.replay_bytes as f64).into()),
+            ("replay_ms", c.replay_ms.into()),
+            ("snapshot_bytes", (c.snapshot_bytes as f64).into()),
+            ("snapshot_ms", c.snapshot_ms.into()),
+            ("used_snapshot", c.used_snapshot.into()),
+            ("bytes_ratio", c.saving_ratio.into()),
+        ])
+    });
+    let json = obj([
+        ("bench", "catchup_storage".into()),
+        ("seed", (options.seed as f64).into()),
+        ("txs_per_block", (per_block as f64).into()),
+        ("snapshot_interval", (SNAPSHOT_INTERVAL as f64).into()),
+        ("crashed_peer", (CRASHED_PEER as f64).into()),
+        (
+            "snapshot_saving_at_100_blocks",
+            (1.0 - at_100.saving_ratio).into(),
+        ),
+        ("cells", Value::list(cells_json)),
+    ]);
+    let last_cell = cells.len() - 1;
+    report(
+        "BENCH_catchup_storage.json",
+        &json,
+        &[
+            "snapshot_saving_at_100_blocks",
+            "cells.0.replay_bytes",
+            "cells.0.snapshot_bytes",
+            &format!("cells.{last_cell}.used_snapshot"),
+        ],
     );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"blocks\": {}, \"txs\": {}, \"replay_bytes\": {}, \
-             \"replay_ms\": {:.3}, \"snapshot_bytes\": {}, \"snapshot_ms\": {:.3}, \
-             \"used_snapshot\": {}, \"bytes_ratio\": {:.3}}}{}",
-            c.blocks,
-            c.txs,
-            c.replay_bytes,
-            c.replay_ms,
-            c.snapshot_bytes,
-            c.snapshot_ms,
-            c.used_snapshot,
-            c.saving_ratio,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_catchup_storage.json", &json).expect("write BENCH_catchup_storage.json");
-
-    // Self-validate with the repo's own JSON parser.
-    let parsed = Value::from_bytes(json.as_bytes()).expect("emitted JSON is well-formed");
-    let cell_count = parsed
-        .get("cells")
-        .and_then(|c| c.as_list().map(<[Value]>::len))
-        .expect("cells array present");
-    assert_eq!(cell_count, cells.len());
-    assert!(parsed.get("snapshot_saving_at_100_blocks").is_some());
-    let first_cell = parsed
-        .get("cells")
-        .and_then(|c| c.as_list())
-        .and_then(<[Value]>::first)
-        .expect("at least one cell");
-    assert!(first_cell.get("replay_bytes").is_some());
-    assert!(first_cell.get("snapshot_bytes").is_some());
-    println!("wrote BENCH_catchup_storage.json ({cell_count} cells)");
+    println!("wrote BENCH_catchup_storage.json ({} cells)", cells.len());
 }

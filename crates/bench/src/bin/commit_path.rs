@@ -23,31 +23,26 @@
 //! 4. Emit `BENCH_commit_path.json` — sequential baseline, per-cell
 //!    wall seconds/throughput/speedup plus per-stage timings
 //!    (pre-validate vs finalize vs their measured overlap window, from
-//!    [`StagedBlock::timings`] stage spans), the
+//!    `StagedBlock::timings` stage spans), the
 //!    `finalize_speedup_at_4_workers` and
 //!    `pipelined_speedup_at_4_workers` headlines, the pipelined run's
 //!    overlap counters (`blocks_overlapped`, speculative read-check
-//!    tallies), and the machine's available parallelism — then
-//!    re-parse the file with the repo's own JSON parser to prove it is
-//!    well-formed.
+//!    tallies), and the machine's available parallelism — through
+//!    [`fabriccrdt_bench::report`], which re-parses what it wrote.
 //!
-//! The ≥2× speedup targets at 4 workers (overall, and finalize-stage
-//! on this disjoint-key workload) are asserted only when the machine
-//! actually has ≥4 hardware threads (`hardware_limited` is recorded in
-//! the JSON otherwise — a single-core container cannot exhibit
-//! wall-clock parallel speedup, only equivalence, so there the bench
-//! instead asserts parallel and pipelined cells stay within 10% of
-//! sequential: neither the persistent pool nor the cross-block overlap
-//! machinery may regress single-thread throughput).
+//! Host time is measured and recorded, never asserted on:
+//! `hardware_limited` marks artifacts from machines with fewer than 4
+//! hardware threads (which cannot exhibit wall-clock parallel speedup,
+//! only equivalence), and whether a timing moved is decided by `perf/`
+//! and its paired runs.
 //!
 //! Run with: `cargo run --release --bin commit_path -- [--txs N] [--seed S]`
 
 use std::collections::{HashSet, VecDeque};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_bench::HarnessOptions;
+use fabriccrdt_bench::{obj, report, HarnessOptions};
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::metrics::PipelineMetrics;
 use fabriccrdt_fabric::peer::PreparedBlock;
@@ -80,16 +75,10 @@ fn policy() -> EndorsementPolicy {
 /// `readings` list entries (the document-size knob).
 fn endorsed_tx(nonce: u64, readings: usize) -> Transaction {
     let client = Identity::new("client", "org1");
-    let mut doc = String::from(r#"{"readings":["#);
-    for j in 0..readings {
-        if j > 0 {
-            doc.push(',');
-        }
-        let _ = write!(doc, r#""r{nonce}-{j}-{READING_PAD}""#);
-    }
-    doc.push_str("]}");
+    let readings = (0..readings).map(|j| Value::string(format!("r{nonce}-{j}-{READING_PAD}")));
+    let doc = obj([("readings", Value::list(readings))]);
     let mut rwset = ReadWriteSet::new();
-    rwset.writes.put_crdt(format!("k{nonce}"), doc.into_bytes());
+    rwset.writes.put_crdt(format!("k{nonce}"), doc.to_bytes());
     let mut tx = Transaction {
         id: TxId::derive(&client, nonce, "cc"),
         client,
@@ -468,104 +457,84 @@ fn main() {
     );
 
     // ---- BENCH_commit_path.json -----------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"commit_path\",");
-    let _ = writeln!(json, "  \"seed\": {},", options.seed);
-    let _ = writeln!(json, "  \"txs\": {txs},");
-    let _ = writeln!(json, "  \"blocks\": {blocks},");
-    let _ = writeln!(json, "  \"block_size\": {BLOCK_SIZE},");
-    let _ = writeln!(json, "  \"endorsements_per_tx\": {},", ENDORSING_ORGS.len());
-    let _ = writeln!(json, "  \"repeats\": {REPEATS},");
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"hardware_limited\": {hardware_limited},");
-    let _ = writeln!(json, "  \"default_doc_readings\": {default_doc},");
-    let _ = writeln!(
-        json,
-        "  \"sequential_baseline_wall_secs\": {:.6},",
-        baseline_at_default
+    let cells_json = cells.iter().map(|c| {
+        obj([
+            ("doc_readings", (c.doc_readings as f64).into()),
+            ("pipeline", c.label.as_str().into()),
+            ("workers", (c.workers as f64).into()),
+            ("wall_secs", c.wall_secs.into()),
+            ("pre_validate_secs", c.pre_validate_secs.into()),
+            ("finalize_secs", c.finalize_secs.into()),
+            ("overlap_secs", c.overlap_secs.into()),
+            ("tps", c.tps.into()),
+            ("speedup", c.speedup.into()),
+            ("finalize_speedup", c.finalize_speedup.into()),
+            ("max_ahead_depth", (c.max_ahead_depth as f64).into()),
+        ])
+    });
+    let json = obj([
+        ("bench", "commit_path".into()),
+        ("seed", (options.seed as f64).into()),
+        ("txs", (txs as f64).into()),
+        ("blocks", (blocks as f64).into()),
+        ("block_size", (BLOCK_SIZE as f64).into()),
+        ("endorsements_per_tx", (ENDORSING_ORGS.len() as f64).into()),
+        ("repeats", (REPEATS as f64).into()),
+        ("available_parallelism", (cores as f64).into()),
+        ("hardware_limited", hardware_limited.into()),
+        ("default_doc_readings", (default_doc as f64).into()),
+        ("sequential_baseline_wall_secs", baseline_at_default.into()),
+        (
+            "sequential_baseline_tps",
+            (txs as f64 / baseline_at_default).into(),
+        ),
+        ("speedup_at_4_workers", speedup_at_4.into()),
+        (
+            "finalize_speedup_at_4_workers",
+            finalize_speedup_at_4.into(),
+        ),
+        (
+            "pipelined_speedup_at_4_workers",
+            pipelined_speedup_at_4.into(),
+        ),
+        (
+            "blocks_overlapped",
+            (counters_at_4.blocks_overlapped as f64).into(),
+        ),
+        (
+            "speculative_reads_checked",
+            (counters_at_4.speculative_reads_checked as f64).into(),
+        ),
+        (
+            "speculation_confirmed",
+            (counters_at_4.speculation_confirmed as f64).into(),
+        ),
+        (
+            "speculation_overturned",
+            (counters_at_4.speculation_overturned as f64).into(),
+        ),
+        ("cells", Value::list(cells_json)),
+    ]);
+    let last_cell = cells.len() - 1;
+    report(
+        "BENCH_commit_path.json",
+        &json,
+        &[
+            "sequential_baseline_tps",
+            "speedup_at_4_workers",
+            "finalize_speedup_at_4_workers",
+            "pipelined_speedup_at_4_workers",
+            "blocks_overlapped",
+            "speculative_reads_checked",
+            "cells.0.pipeline",
+            "cells.0.pre_validate_secs",
+            "cells.0.finalize_secs",
+            "cells.0.overlap_secs",
+            "cells.0.max_ahead_depth",
+            &format!("cells.{last_cell}.tps"),
+        ],
     );
-    let _ = writeln!(
-        json,
-        "  \"sequential_baseline_tps\": {:.1},",
-        txs as f64 / baseline_at_default
-    );
-    let _ = writeln!(json, "  \"speedup_at_4_workers\": {speedup_at_4:.3},");
-    let _ = writeln!(
-        json,
-        "  \"finalize_speedup_at_4_workers\": {finalize_speedup_at_4:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"pipelined_speedup_at_4_workers\": {pipelined_speedup_at_4:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"blocks_overlapped\": {},",
-        counters_at_4.blocks_overlapped
-    );
-    let _ = writeln!(
-        json,
-        "  \"speculative_reads_checked\": {},",
-        counters_at_4.speculative_reads_checked
-    );
-    let _ = writeln!(
-        json,
-        "  \"speculation_confirmed\": {},",
-        counters_at_4.speculation_confirmed
-    );
-    let _ = writeln!(
-        json,
-        "  \"speculation_overturned\": {},",
-        counters_at_4.speculation_overturned
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"doc_readings\": {}, \"pipeline\": \"{}\", \"workers\": {}, \
-             \"wall_secs\": {:.6}, \"pre_validate_secs\": {:.6}, \
-             \"finalize_secs\": {:.6}, \"overlap_secs\": {:.6}, \
-             \"tps\": {:.1}, \"speedup\": {:.3}, \
-             \"finalize_speedup\": {:.3}, \"max_ahead_depth\": {}}}{}",
-            c.doc_readings,
-            c.label,
-            c.workers,
-            c.wall_secs,
-            c.pre_validate_secs,
-            c.finalize_secs,
-            c.overlap_secs,
-            c.tps,
-            c.speedup,
-            c.finalize_speedup,
-            c.max_ahead_depth,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_commit_path.json", &json).expect("write BENCH_commit_path.json");
-
-    // Self-validate: the emitted file must parse with the repo's own
-    // JSON parser and carry the expected shape.
-    let parsed = Value::from_bytes(json.as_bytes()).expect("emitted JSON is well-formed");
-    let cell_count = parsed
-        .get("cells")
-        .and_then(|c| c.as_list().map(<[Value]>::len))
-        .expect("cells array present");
-    assert_eq!(cell_count, cells.len());
-    assert!(parsed.get("sequential_baseline_tps").is_some());
-    assert!(parsed.get("finalize_speedup_at_4_workers").is_some());
-    assert!(parsed.get("pipelined_speedup_at_4_workers").is_some());
-    assert!(parsed.get("blocks_overlapped").is_some());
-    let first_cell = parsed
-        .get("cells")
-        .and_then(|c| c.as_list())
-        .and_then(<[Value]>::first)
-        .expect("at least one cell");
-    assert!(first_cell.get("pre_validate_secs").is_some());
-    assert!(first_cell.get("finalize_secs").is_some());
-    assert!(first_cell.get("overlap_secs").is_some());
-    assert!(first_cell.get("max_ahead_depth").is_some());
-    println!("wrote BENCH_commit_path.json ({cell_count} cells)");
+    println!("wrote BENCH_commit_path.json ({} cells)", cells.len());
 
     // The pipelined driver overlapped every block after the first with
     // its predecessor's finalize — the counter proves the overlap
@@ -575,47 +544,4 @@ fn main() {
         blocks as u64 - 1,
         "pipelined(4) replay did not overlap every chained block"
     );
-
-    if !hardware_limited && txs >= 2_000 {
-        assert!(
-            speedup_at_4 >= 2.0,
-            "expected >= 2x wall-clock speedup at 4 workers on the default \
-             workload, measured {speedup_at_4:.2}x"
-        );
-        assert!(
-            finalize_speedup_at_4 >= 2.0,
-            "expected >= 2x finalize-stage speedup at 4 workers on this \
-             disjoint-key workload, measured {finalize_speedup_at_4:.2}x"
-        );
-        // Pipelining adds cross-block overlap on top of the parallel
-        // pre-validation stage, so at minimum it must hold the
-        // parallel speedup floor.
-        assert!(
-            pipelined_speedup_at_4 >= 2.0,
-            "expected >= 2x wall-clock speedup from pipelined(4) on the \
-             default workload, measured {pipelined_speedup_at_4:.2}x"
-        );
-    }
-    if hardware_limited && txs >= 500 {
-        // Single-thread machines cannot speed up (the pool clamps to
-        // the calling thread and overlapped pre-validation degrades to
-        // a deferred join), but neither the conflict-graph finalize
-        // path nor the cross-block overlap machinery may slow the
-        // commit path down. Structural overhead measures 1–2%; the
-        // gate sits at 0.90 because best-of-3 wall clocks on shared
-        // runners carry a few percent of scheduler noise on top.
-        for c in cells
-            .iter()
-            .filter(|c| c.label.starts_with("parallel") || c.label.starts_with("pipelined"))
-        {
-            assert!(
-                c.speedup >= 0.90,
-                "{} readings, {}: replay regressed to \
-                 {:.2}x of sequential on a hardware-limited machine",
-                c.doc_readings,
-                c.label,
-                c.speedup
-            );
-        }
-    }
 }

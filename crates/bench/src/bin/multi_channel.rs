@@ -20,26 +20,23 @@
 //! 4. The cross-channel transfer primitive commits clean handoffs and
 //!    aborts an injected endorsement failure.
 //!
-//! Wall-clock overhead asserts are hardware-gated (`hardware_limited`
-//! is recorded in the JSON): the driver interleaves channels on one
-//! thread, so we only bound per-transaction overhead growth, and only
-//! on machines with ≥4 hardware threads.
+//! Per-cell wall time is recorded (with `hardware_limited` and the
+//! available parallelism) but never asserted on: the driver interleaves
+//! channels on one thread, and verdicts on host time belong to `perf/`.
 //!
 //! Emits `BENCH_multi_channel.json`.
 //!
 //! Run with: `cargo run --release --bin multi_channel -- [--txs N] [--seed S]`
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_bench::HarnessOptions;
-use fabriccrdt_channel::fabriccrdt_multi_channel;
+use fabriccrdt_bench::{obj, report, HarnessOptions};
+use fabriccrdt_channel::{assemble, fabriccrdt_multi_channel};
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::{ChannelId, MultiChannelConfig, TransferOutcome, TransferSpec};
 use fabriccrdt_fabric::config::PipelineConfig;
-use fabriccrdt_gossip::GossipDelivery;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_workload::generator::shaped_payload;
 use fabriccrdt_workload::{ChannelWorkload, IotChaincode, JsonShape};
@@ -128,11 +125,7 @@ fn assert_single_channel_identity(clients: usize, txs_per_client: usize, seed: u
         .into_bytes();
 
     let base = PipelineConfig::paper(BLOCK_SIZE, seed).with_gossip();
-    let mut single = fabriccrdt::fabriccrdt_simulation_with_delivery(
-        base.clone(),
-        registry(),
-        Box::new(GossipDelivery::new(&base, CrdtValidator::new)),
-    );
+    let mut single = assemble(base.clone(), registry(), CrdtValidator::new);
     for key in &generated[0].seed_keys {
         single.seed_state(key.clone(), seed_value.clone());
     }
@@ -264,25 +257,6 @@ fn main() {
     );
     println!("aggregate TPS scaling at {clients} clients/channel: {speedup:.2}x (4 channels vs 1)");
 
-    // Hardware-gated wall-clock bound: interleaving 4 channels on one
-    // thread must not blow up per-transaction cost.
-    let wall_per_tx = |n: usize| {
-        let c = cells
-            .iter()
-            .find(|c| c.channels == n && c.clients == clients)
-            .expect("sweep cell ran");
-        c.wall_ms / c.total_txs as f64
-    };
-    if !hardware_limited && txs_per_client >= 50 {
-        let overhead = wall_per_tx(4) / wall_per_tx(1);
-        assert!(
-            overhead < 3.0,
-            "per-tx wall cost grew {overhead:.2}x from 1 to 4 channels"
-        );
-    } else {
-        println!("hardware-limited ({cores} threads) or short run: skipping wall-clock bound");
-    }
-
     let (committed, aborted) = run_transfers(
         *CHANNEL_COUNTS.last().unwrap(),
         2,
@@ -292,50 +266,45 @@ fn main() {
     println!("cross-channel transfers after the workload: {committed} committed, {aborted} aborted (injected)");
 
     // ---- BENCH_multi_channel.json ----------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"multi_channel\",");
-    let _ = writeln!(json, "  \"seed\": {},", options.seed);
-    let _ = writeln!(json, "  \"txs_per_client\": {txs_per_client},");
-    let _ = writeln!(json, "  \"rate_tps_per_client\": 75.0,");
-    let _ = writeln!(json, "  \"block_size\": {BLOCK_SIZE},");
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(json, "  \"hardware_limited\": {hardware_limited},");
-    let _ = writeln!(json, "  \"single_channel_identity\": true,");
-    let _ = writeln!(json, "  \"aggregate_tps_speedup_4ch\": {speedup:.3},");
-    let _ = writeln!(json, "  \"transfers_committed\": {committed},");
-    let _ = writeln!(json, "  \"transfers_aborted\": {aborted},");
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"channels\": {}, \"clients_per_channel\": {}, \"total_txs\": {}, \
-             \"successful\": {}, \"aggregate_tps\": {:.3}, \"min_channel_tps\": {:.3}, \
-             \"max_channel_tps\": {:.3}, \"sim_secs\": {:.3}, \"wall_ms\": {:.3}}}{}",
-            c.channels,
-            c.clients,
-            c.total_txs,
-            c.successful,
-            c.aggregate_tps,
-            c.min_channel_tps,
-            c.max_channel_tps,
-            c.end_time_secs,
-            c.wall_ms,
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_multi_channel.json", &json).expect("write BENCH_multi_channel.json");
-
-    // Self-validate with the repo's own JSON parser.
-    let parsed = Value::from_bytes(json.as_bytes()).expect("emitted JSON is well-formed");
-    assert!(parsed.get("aggregate_tps_speedup_4ch").is_some());
-    let cell_list = parsed
-        .get("cells")
-        .and_then(|c| c.as_list())
-        .expect("cells array present");
-    assert_eq!(cell_list.len(), cells.len());
-    let first = cell_list.first().expect("at least one cell");
-    assert!(first.get("channels").is_some());
-    assert!(first.get("aggregate_tps").is_some());
-    println!("wrote BENCH_multi_channel.json ({} cells)", cell_list.len());
+    let cells_json = cells.iter().map(|c| {
+        obj([
+            ("channels", (c.channels as f64).into()),
+            ("clients_per_channel", (c.clients as f64).into()),
+            ("total_txs", (c.total_txs as f64).into()),
+            ("successful", (c.successful as f64).into()),
+            ("aggregate_tps", c.aggregate_tps.into()),
+            ("min_channel_tps", c.min_channel_tps.into()),
+            ("max_channel_tps", c.max_channel_tps.into()),
+            ("sim_secs", c.end_time_secs.into()),
+            ("wall_ms", c.wall_ms.into()),
+        ])
+    });
+    let json = obj([
+        ("bench", "multi_channel".into()),
+        ("seed", (options.seed as f64).into()),
+        ("txs_per_client", (txs_per_client as f64).into()),
+        ("rate_tps_per_client", 75.0.into()),
+        ("block_size", (BLOCK_SIZE as f64).into()),
+        ("available_parallelism", (cores as f64).into()),
+        ("hardware_limited", hardware_limited.into()),
+        ("single_channel_identity", true.into()),
+        ("aggregate_tps_speedup_4ch", speedup.into()),
+        ("transfers_committed", (committed as f64).into()),
+        ("transfers_aborted", (aborted as f64).into()),
+        ("cells", Value::list(cells_json)),
+    ]);
+    let last_cell = cells.len() - 1;
+    report(
+        "BENCH_multi_channel.json",
+        &json,
+        &[
+            "aggregate_tps_speedup_4ch",
+            "single_channel_identity",
+            "transfers_committed",
+            "cells.0.channels",
+            "cells.0.clients_per_channel",
+            &format!("cells.{last_cell}.aggregate_tps"),
+        ],
+    );
+    println!("wrote BENCH_multi_channel.json ({} cells)", cells.len());
 }

@@ -31,16 +31,12 @@
 //! Not a paper figure — clearly an extension; reported separately in
 //! EXPERIMENTS.md.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fabriccrdt::{
-    fabric_adaptive_simulation, fabric_reordering_simulation, fabric_simulation,
-    fabriccrdt_simulation,
-};
-use fabriccrdt_bench::HarnessOptions;
+use fabriccrdt::{fabric_simulation, fabriccrdt_simulation};
+use fabriccrdt_bench::{obj, report, HarnessOptions};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeRegistry};
-use fabriccrdt_fabric::config::{PipelineConfig, RetryPolicy};
+use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig, RetryPolicy};
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::Simulation;
 use fabriccrdt_fabric::validator::BlockValidator;
@@ -123,10 +119,13 @@ fn run_cell(strategy: Strategy, skew: f64, budget: usize, options: &HarnessOptio
     let name = chaincode.name().to_owned();
     registry.deploy(chaincode);
 
-    let mut config = PipelineConfig::paper(block_cut, options.seed);
-    if budget > 0 {
-        config = config.with_retry_policy(RetryPolicy::calibrated(budget));
-    }
+    let config = PipelineConfig::paper(block_cut, options.seed)
+        .with_retry_policy(RetryPolicy::calibrated(budget));
+    let config = match strategy {
+        Strategy::ReorderAbort => config.with_ordering_policy(OrderingPolicy::Reorder),
+        Strategy::Adaptive => config.with_adaptive_ordering(),
+        Strategy::MergeCommit | Strategy::AbortRetry => config,
+    };
     let workload = ZipfWorkload {
         chaincode: name,
         total_txs: options.total_txs,
@@ -135,7 +134,7 @@ fn run_cell(strategy: Strategy, skew: f64, budget: usize, options: &HarnessOptio
         rate_tps,
         seed: options.seed,
     };
-    // The two validator types give the match arms different `Simulation`
+    // The two validator types give the arms different `Simulation`
     // types; the generic driver reunifies them.
     fn drive<V: BlockValidator>(
         mut sim: Simulation<V>,
@@ -147,19 +146,10 @@ fn run_cell(strategy: Strategy, skew: f64, budget: usize, options: &HarnessOptio
         }
         sim.run(workload.schedule())
     }
-    match strategy {
-        Strategy::MergeCommit => drive(fabriccrdt_simulation(config, registry), keys, &workload),
-        Strategy::AbortRetry => drive(fabric_simulation(config, registry), keys, &workload),
-        Strategy::ReorderAbort => drive(
-            fabric_reordering_simulation(config, registry),
-            keys,
-            &workload,
-        ),
-        Strategy::Adaptive => drive(
-            fabric_adaptive_simulation(config, registry),
-            keys,
-            &workload,
-        ),
+    if strategy == Strategy::MergeCommit {
+        drive(fabriccrdt_simulation(config, registry), keys, &workload)
+    } else {
+        drive(fabric_simulation(config, registry), keys, &workload)
     }
 }
 
@@ -240,85 +230,74 @@ fn main() {
     );
 
     // ---- BENCH_zipf_conflict.json ---------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"zipf_conflict\",");
-    let _ = writeln!(json, "  \"txs\": {},", options.total_txs);
-    let _ = writeln!(json, "  \"seed\": {},", options.seed);
-    let _ = writeln!(json, "  \"keys\": {keys},");
-    let _ = writeln!(json, "  \"rate_tps\": {rate_tps:.1},");
-    let _ = writeln!(json, "  \"skews\": [0.0, 0.6, 0.9, 1.2],");
-    let _ = writeln!(json, "  \"retry_budgets\": [0, 2],");
-    let _ = writeln!(
-        json,
-        "  \"crdt_block_cut\": {},",
-        options
-            .block_cut
-            .unwrap_or(Strategy::MergeCommit.default_block_cut())
-    );
-    let _ = writeln!(
-        json,
-        "  \"fabric_block_cut\": {},",
-        options
-            .block_cut
-            .unwrap_or(Strategy::AbortRetry.default_block_cut())
-    );
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
+    let seconds = |s: Option<f64>| s.map_or(Value::Null, Value::from);
+    let cells_json = cells.iter().map(|c| {
         let m = &c.metrics;
         let latency = m.latency_summary();
-        let policy = c.metrics.conflict_policy.as_ref();
-        let _ = writeln!(
-            json,
-            "    {{\"strategy\": \"{}\", \"skew\": {:.1}, \"retry_budget\": {}, \
-             \"goodput_tps\": {:.1}, \"committed\": {}, \"failed\": {}, \
-             \"retries\": {}, \"retry_success\": {}, \
-             \"wasted_validation_work\": {}, \
-             \"early_aborts\": {}, \"batches_reordered\": {}, \
-             \"latency_p50_secs\": {}, \"latency_p95_secs\": {}, \
-             \"latency_max_secs\": {}}}{}",
-            c.strategy.label(),
-            c.skew,
-            c.retry_budget,
-            m.successful_throughput_tps(),
-            m.successful(),
-            m.failed(),
-            m.retry.retries,
-            m.retry.retry_success,
-            m.retry.wasted_validation_work,
-            policy.map_or(0, |p| p.early_aborts()),
-            policy.map_or(0, |p| p.batches_reordered),
-            latency
-                .percentile(50.0)
-                .map_or_else(|| "null".to_owned(), |s| format!("{s:.6}")),
-            latency
-                .percentile(95.0)
-                .map_or_else(|| "null".to_owned(), |s| format!("{s:.6}")),
-            latency
-                .max()
-                .map_or_else(|| "null".to_owned(), |s| format!("{s:.6}")),
-            if i + 1 < cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_zipf_conflict.json", &json).expect("write BENCH_zipf_conflict.json");
-
-    // Self-validate: the emitted file must parse with the repo's own
-    // JSON parser and carry the expected shape.
-    let parsed = Value::from_bytes(json.as_bytes()).expect("emitted JSON is well-formed");
-    let cell_count = parsed
-        .get("cells")
-        .and_then(|c| c.as_list().map(<[Value]>::len))
-        .expect("cells array present");
-    assert_eq!(cell_count, cells.len());
-    let first_cell = parsed
-        .get("cells")
-        .and_then(|c| c.as_list())
-        .and_then(<[Value]>::first)
-        .expect("at least one cell");
-    assert!(first_cell.get("goodput_tps").is_some());
-    assert!(first_cell.get("retries").is_some());
-    assert!(first_cell.get("wasted_validation_work").is_some());
-    println!("wrote BENCH_zipf_conflict.json ({cell_count} cells)");
+        let policy = m.conflict_policy.as_ref();
+        obj([
+            ("strategy", c.strategy.label().into()),
+            ("skew", c.skew.into()),
+            ("retry_budget", (c.retry_budget as f64).into()),
+            ("goodput_tps", m.successful_throughput_tps().into()),
+            ("committed", (m.successful() as f64).into()),
+            ("failed", (m.failed() as f64).into()),
+            ("retries", (m.retry.retries as f64).into()),
+            ("retry_success", (m.retry.retry_success as f64).into()),
+            (
+                "wasted_validation_work",
+                (m.retry.wasted_validation_work as f64).into(),
+            ),
+            (
+                "early_aborts",
+                (policy.map_or(0, |p| p.early_aborts()) as f64).into(),
+            ),
+            (
+                "batches_reordered",
+                (policy.map_or(0, |p| p.batches_reordered) as f64).into(),
+            ),
+            ("latency_p50_secs", seconds(latency.percentile(50.0))),
+            ("latency_p95_secs", seconds(latency.percentile(95.0))),
+            ("latency_max_secs", seconds(latency.max())),
+        ])
+    });
+    let block_cut_of =
+        |strategy: Strategy| options.block_cut.unwrap_or(strategy.default_block_cut()) as f64;
+    let json = obj([
+        ("bench", "zipf_conflict".into()),
+        ("txs", (options.total_txs as f64).into()),
+        ("seed", (options.seed as f64).into()),
+        ("keys", (keys as f64).into()),
+        ("rate_tps", rate_tps.into()),
+        ("skews", SKEWS.iter().map(|&s| Value::from(s)).collect()),
+        (
+            "retry_budgets",
+            RETRY_BUDGETS
+                .iter()
+                .map(|&b| Value::from(b as f64))
+                .collect(),
+        ),
+        ("crdt_block_cut", block_cut_of(Strategy::MergeCommit).into()),
+        (
+            "fabric_block_cut",
+            block_cut_of(Strategy::AbortRetry).into(),
+        ),
+        ("cells", Value::list(cells_json)),
+    ]);
+    let last_cell = cells.len() - 1;
+    report(
+        "BENCH_zipf_conflict.json",
+        &json,
+        &[
+            "cells.0.strategy",
+            "cells.0.skew",
+            "cells.0.goodput_tps",
+            "cells.0.retries",
+            "cells.0.wasted_validation_work",
+            &format!("cells.{last_cell}.goodput_tps"),
+        ],
+    );
+    println!("wrote BENCH_zipf_conflict.json ({} cells)", cells.len());
 
     // ---- Acceptance self-checks -----------------------------------
     let goodput = |strategy: Strategy, skew: f64, budget: usize| {

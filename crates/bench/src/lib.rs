@@ -12,6 +12,7 @@
 //!   count; lower for a quick look),
 //! - `--seed S` — PRNG seed (default 42).
 
+use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_workload::experiment::{ExperimentConfig, ExperimentResult, SystemKind};
 use fabriccrdt_workload::report::{figure_headers, figure_row, render_table};
 
@@ -168,6 +169,41 @@ where
     }
 }
 
+/// A JSON object from `(field, value)` pairs — the building block of
+/// the `BENCH_*.json` artifacts handed to [`report`].
+pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    fields
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value))
+        .collect()
+}
+
+/// Writes a bench artifact: serializes `value` to `path` with the repo's
+/// own JSON serializer, re-parses the text with the repo's own parser,
+/// and checks that every `required` path resolves in what came back.
+/// Paths are dot-separated; a numeric segment indexes a list
+/// (`cells.0.tps`).
+///
+/// # Panics
+///
+/// Panics if the file cannot be written, the text does not re-parse,
+/// or a required path is missing — a malformed artifact fails the run
+/// that produced it.
+pub fn report(path: &str, value: &Value, required: &[&str]) {
+    let text = value.to_pretty_string() + "\n";
+    std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    let parsed = Value::parse(&text).unwrap_or_else(|e| panic!("{path} is malformed: {e}"));
+    for field in required {
+        let found = field
+            .split('.')
+            .try_fold(&parsed, |node, segment| match node {
+                Value::List(items) => items.get(segment.parse::<usize>().ok()?),
+                _ => node.get(segment),
+            });
+        assert!(found.is_some(), "{path}: required field {field} is missing");
+    }
+}
+
 /// Convenience: run one cell.
 pub fn run_cell(config: ExperimentConfig) -> ExperimentResult {
     config.run()
@@ -182,6 +218,22 @@ mod tests {
         let o = HarnessOptions::default();
         assert_eq!(o.total_txs, 10_000);
         assert_eq!(o.seed, 42);
+    }
+
+    #[test]
+    fn report_writes_reparses_and_checks_paths() {
+        let path = std::env::temp_dir().join(format!("bench-report-{}.json", std::process::id()));
+        let path = path.to_str().expect("utf-8 temp path");
+        let value = obj([
+            ("bench", "demo".into()),
+            ("cells", Value::list([obj([("tps", 1.5.into())])])),
+        ]);
+        report(path, &value, &["bench", "cells.0.tps"]);
+        let on_disk = std::fs::read_to_string(path).expect("artifact written");
+        assert_eq!(on_disk.parse::<Value>().expect("parses"), value);
+        let missing = std::panic::catch_unwind(|| report(path, &value, &["cells.1.tps"]));
+        assert!(missing.is_err(), "a missing required path must panic");
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

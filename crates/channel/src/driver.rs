@@ -2,8 +2,8 @@
 //! network, with the cross-channel transfer protocol on top.
 //!
 //! Each channel is a full [`Simulation`] — its own ordering service
-//! ([`SingleOrderer`] or the Raft cluster, per the channel's
-//! [`ChannelSpec`] override), committing peer, world state and durable
+//! (single orderer or the Raft cluster, per the channel's
+//! `ChannelSpec` override), committing peer, world state and durable
 //! ledger — whose block dissemination runs through a
 //! [`ChannelDelivery`] lane of one shared [`GossipNetwork`]. The
 //! shared network applies the base config's crash / restart /
@@ -26,13 +26,13 @@ use fabriccrdt_fabric::channel::{
     ChannelRunMetrics, MultiChannelConfig, MultiChannelMetrics, TransferId, TransferOutcome,
     TransferReport, TransferSpec,
 };
-use fabriccrdt_fabric::simulation::{OrderingBackend, Simulation, SingleOrderer, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_gossip::network::GossipNetwork;
 use fabriccrdt_gossip::ChannelDelivery;
-use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::time::SimTime;
 
+use crate::assemble::ordering_backend;
 use crate::xfer::{XferChaincode, XFER_CHAINCODE};
 
 /// Gap between consecutive transfer-phase submissions on a channel.
@@ -90,11 +90,7 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
                     .unwrap_or_else(|| network.borrow().observed_on(c));
                 let delivery =
                     Box::new(ChannelDelivery::new(network.clone(), c).with_observed(observed));
-                let ordering: Box<dyn OrderingBackend> = if pipeline.ordering.is_some() {
-                    Box::new(RaftOrderingBackend::new(&pipeline))
-                } else {
-                    Box::new(SingleOrderer::from_config(&pipeline))
-                };
+                let ordering = ordering_backend(&pipeline);
                 Simulation::with_layers(
                     pipeline,
                     make_validator(),

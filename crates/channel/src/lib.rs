@@ -1,4 +1,6 @@
-//! Multi-channel sharded deployments for the FabricCRDT reproduction.
+//! Whole deployments for the FabricCRDT reproduction: the single
+//! config-honouring pipeline constructor, [`assemble()`], and
+//! multi-channel sharded networks on top of the same layer selection.
 //!
 //! Hyperledger Fabric scales horizontally by running many *channels* —
 //! independent ledgers with their own ordering service and world
@@ -32,8 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod assemble;
 pub mod driver;
 pub mod xfer;
 
+pub use assemble::assemble;
 pub use driver::{fabriccrdt_multi_channel, MultiChannelNetwork};
 pub use xfer::{hex_decode, hex_encode, XferChaincode, XFER_CHAINCODE};

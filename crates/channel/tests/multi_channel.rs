@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_channel::{fabriccrdt_multi_channel, XferChaincode};
+use fabriccrdt_channel::{assemble, fabriccrdt_multi_channel, XferChaincode};
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::{ChannelId, MultiChannelConfig, TransferOutcome, TransferSpec};
 use fabriccrdt_fabric::config::{
@@ -15,7 +15,6 @@ use fabriccrdt_fabric::config::{
 };
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_fabric::storage::StorageConfig;
-use fabriccrdt_gossip::GossipDelivery;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
@@ -67,11 +66,7 @@ fn one_channel_run_matches_the_seed_gossip_pipeline() {
     let schedule = channel_schedule(0, 60);
 
     // The seed pipeline: the single-channel gossip delivery layer.
-    let mut single = fabriccrdt::fabriccrdt_simulation_with_delivery(
-        base.clone(),
-        iot_registry(),
-        Box::new(GossipDelivery::new(&base, CrdtValidator::new)),
-    );
+    let mut single = assemble(base.clone(), iot_registry(), CrdtValidator::new);
     for k in 0..4 {
         single.seed_state(format!("ch0-k{k}"), br#"{"readings":[]}"#.to_vec());
     }

@@ -13,9 +13,9 @@
 //!   (`ValidateMergeBlock`): collect and merge all CRDT write values per
 //!   key across the block, run MVCC only on non-CRDT reads, rewrite every
 //!   CRDT write with the converged value, commit.
-//! - [`network`] offers convenience constructors for complete simulated
-//!   FabricCRDT and Fabric networks sharing one configuration, which is
-//!   how the paper's head-to-head experiments are run.
+//! - [`network`] builds complete simulated FabricCRDT and Fabric
+//!   networks from one shared configuration, which is how the paper's
+//!   head-to-head experiments are run.
 //!
 //! The chaincode programming model is unchanged except for one shim call:
 //! [`put_crdt`](fabriccrdt_fabric::ChaincodeStub::put_crdt) flags a value
@@ -65,10 +65,6 @@ pub mod network;
 pub mod types;
 pub mod validator;
 
-pub use network::{
-    fabric_adaptive_simulation, fabric_reordering_simulation, fabric_simulation,
-    fabric_simulation_with_delivery, fabric_simulation_with_ordering, fabriccrdt_simulation,
-    fabriccrdt_simulation_with_delivery, fabriccrdt_simulation_with_ordering,
-};
+pub use network::{fabric_simulation, fabriccrdt_simulation};
 pub use types::{TypedCrdt, TypedCrdtError};
 pub use validator::CrdtValidator;

@@ -1,13 +1,15 @@
-//! Convenience constructors for complete simulated networks.
+//! Constructors for the paper's two systems.
 //!
 //! The paper's experiments run the *same* workload against a FabricCRDT
 //! network and a vanilla Fabric network (§7.2: identical topology, only
 //! the commit path differs). These helpers build both from one
-//! configuration.
+//! configuration over the ideal FIFO delivery and single orderer the
+//! paper figures use; `fabriccrdt_channel::assemble` builds either
+//! system over whatever gossip / Raft layers the configuration names.
 
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::PipelineConfig;
-use fabriccrdt_fabric::simulation::{DeliveryLayer, OrderingBackend, Simulation};
+use fabriccrdt_fabric::simulation::Simulation;
 use fabriccrdt_fabric::validator::FabricValidator;
 
 use crate::validator::CrdtValidator;
@@ -43,79 +45,6 @@ pub fn fabric_simulation(
     registry: ChaincodeRegistry,
 ) -> Simulation<FabricValidator> {
     Simulation::new(config, FabricValidator::new(), registry)
-}
-
-/// Builds a FabricCRDT network with an explicit block-dissemination
-/// layer — e.g. the `fabriccrdt-gossip` crate's `GossipDelivery`, which
-/// models Fabric's leader-pull/push-gossip/anti-entropy dissemination
-/// (§4.4) with fault injection. [`fabriccrdt_simulation`] uses the
-/// ideal FIFO layer.
-pub fn fabriccrdt_simulation_with_delivery(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-    delivery: Box<dyn DeliveryLayer>,
-) -> Simulation<CrdtValidator> {
-    Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery)
-}
-
-/// Builds a vanilla Fabric network with an explicit block-dissemination
-/// layer (see [`fabriccrdt_simulation_with_delivery`]).
-pub fn fabric_simulation_with_delivery(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-    delivery: Box<dyn DeliveryLayer>,
-) -> Simulation<FabricValidator> {
-    Simulation::with_delivery(config, FabricValidator::new(), registry, delivery)
-}
-
-/// Builds a FabricCRDT network with an explicit ordering backend —
-/// e.g. the `fabriccrdt-ordering` crate's `RaftOrderingBackend`, which
-/// replicates the block cutter across a crash-fault-tolerant Raft
-/// cluster with fault injection. [`fabriccrdt_simulation`] uses the
-/// single in-process orderer.
-pub fn fabriccrdt_simulation_with_ordering(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-    ordering: Box<dyn OrderingBackend>,
-) -> Simulation<CrdtValidator> {
-    Simulation::with_ordering(config, CrdtValidator::new(), registry, ordering)
-}
-
-/// Builds a vanilla Fabric network with an explicit ordering backend
-/// (see [`fabriccrdt_simulation_with_ordering`]).
-pub fn fabric_simulation_with_ordering(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-    ordering: Box<dyn OrderingBackend>,
-) -> Simulation<FabricValidator> {
-    Simulation::with_ordering(config, FabricValidator::new(), registry, ordering)
-}
-
-/// Builds a Fabric network with Fabric++-style orderer reordering and
-/// early abort — the transaction-reordering baseline the paper's
-/// related work (§8) compares against: it *decreases* conflict failures
-/// but, unlike FabricCRDT, cannot eliminate them.
-pub fn fabric_reordering_simulation(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-) -> Simulation<FabricValidator> {
-    Simulation::new(config.with_reordering(), FabricValidator::new(), registry)
-}
-
-/// Builds a Fabric network with the conflict-aware *adaptive* ordering
-/// policy: the orderer tracks per-key conflict heat from finalize
-/// feedback and applies dependency-graph reordering only to batches
-/// whose conflict density crosses the calibrated threshold — cold
-/// traffic skips the Tarjan/Kahn cost entirely.
-pub fn fabric_adaptive_simulation(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-) -> Simulation<FabricValidator> {
-    Simulation::new(
-        config.with_adaptive_ordering(),
-        FabricValidator::new(),
-        registry,
-    )
 }
 
 #[cfg(test)]

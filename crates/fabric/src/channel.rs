@@ -10,7 +10,7 @@
 //! configuration layer of the repository's channel subsystem:
 //!
 //! - [`ChannelId`] names a channel and is threaded through
-//!   [`PipelineConfig`], [`RunMetrics`](crate::metrics::RunMetrics),
+//!   [`PipelineConfig`], [`RunMetrics`],
 //!   [`Peer`](crate::peer::Peer) and durable-storage file naming, so
 //!   every artifact a run produces is attributable to its channel.
 //! - [`ChannelSpec`] + [`MultiChannelConfig`] describe an N-channel
@@ -24,7 +24,7 @@
 //!   or abort on the destination, reconciled at finalize) that the
 //!   `fabriccrdt-channel` driver crate orchestrates.
 //! - [`ChannelRunMetrics`] / [`MultiChannelMetrics`] roll up one
-//!   [`RunMetrics`](crate::metrics::RunMetrics) per channel into
+//!   [`RunMetrics`] per channel into
 //!   aggregate throughput over the whole sharded deployment.
 
 use std::fmt;

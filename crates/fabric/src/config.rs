@@ -245,8 +245,8 @@ pub enum OrderingPolicy {
     #[default]
     Fifo,
     /// Fabric++-style dependency-graph reordering with cycle early
-    /// aborts on every batch (see [`crate::reorder`]) — equivalent to
-    /// the legacy [`PipelineConfig::reorder`] flag.
+    /// aborts on every batch (see [`crate::reorder`]) — the baseline of
+    /// the paper's §8.
     Reorder,
     /// Conflict-aware routing: reorder only batches whose measured
     /// conflict density crosses the configured threshold; cut cold
@@ -256,15 +256,6 @@ pub enum OrderingPolicy {
 }
 
 impl OrderingPolicy {
-    /// The policy the legacy `reorder: bool` flag denotes.
-    pub fn from_legacy(reorder: bool) -> Self {
-        if reorder {
-            OrderingPolicy::Reorder
-        } else {
-            OrderingPolicy::Fifo
-        }
-    }
-
     /// Whether this policy ever consults finalize feedback.
     pub fn is_adaptive(&self) -> bool {
         matches!(self, OrderingPolicy::Adaptive(_))
@@ -272,16 +263,19 @@ impl OrderingPolicy {
 }
 
 /// Client-side abort-and-retry tuning: how failed (MVCC-conflicted or
-/// early-aborted) transactions are re-submitted.
+/// early-aborted) transactions are re-submitted (§1: "the only option
+/// for clients is to create a new transaction and resubmit"). Each
+/// retry re-executes, re-endorses and re-orders — the
+/// development-complexity and load cost FabricCRDT eliminates.
 ///
-/// The legacy [`PipelineConfig::client_retries`] knob retries
-/// immediately after the failure notification; this policy adds the
-/// deterministic seeded exponential backoff real deployments use, so
-/// retry storms on a hot key spread out instead of re-colliding in the
-/// next block.
+/// [`RetryPolicy::immediate`] retries right after the failure
+/// notification; [`RetryPolicy::calibrated`] adds the deterministic
+/// seeded exponential backoff real deployments use, so retry storms on
+/// a hot key spread out instead of re-colliding in the next block.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Maximum resubmissions per transaction (the retry budget).
+    /// Maximum resubmissions per transaction (the retry budget). 0 = no
+    /// retries (the paper's experiments).
     pub budget: usize,
     /// Base backoff before the first retry; doubles per attempt
     /// (capped at `base << 6`).
@@ -293,6 +287,18 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// Up to `budget` resubmissions with no backoff: zero delay and —
+    /// because [`RetryPolicy::backoff_delay`] only samples when
+    /// `jitter > 0` — zero PRNG draws. `immediate(0)` is the default:
+    /// no retries.
+    pub fn immediate(budget: usize) -> Self {
+        RetryPolicy {
+            budget,
+            backoff_base: SimTime::ZERO,
+            jitter: 0.0,
+        }
+    }
+
     /// Calibrated defaults for a given budget: 50 ms base, 50% jitter.
     pub fn calibrated(budget: usize) -> Self {
         RetryPolicy {
@@ -516,43 +522,26 @@ pub struct PipelineConfig {
     /// Root PRNG seed; every run with the same seed and inputs is
     /// bit-identical.
     pub seed: u64,
-    /// Enable Fabric++-style dependency-graph reordering (and early
-    /// abort) at the orderer — the baseline of the paper's §8.
-    ///
-    /// Legacy flag, equivalent to `ordering_policy:
-    /// OrderingPolicy::Reorder`; see
-    /// [`PipelineConfig::effective_ordering_policy`] for how the two
-    /// compose.
-    pub reorder: bool,
     /// How the orderer treats each batch at block cut. The default,
-    /// [`OrderingPolicy::Fifo`], is byte-for-byte the seed pipeline;
-    /// the legacy [`PipelineConfig::reorder`] flag maps onto
-    /// [`OrderingPolicy::Reorder`].
+    /// [`OrderingPolicy::Fifo`], is byte-for-byte the seed pipeline.
     pub ordering_policy: OrderingPolicy,
-    /// Client-side abort-and-retry policy with deterministic seeded
-    /// backoff. `None` (the default everywhere) keeps the legacy
-    /// immediate-retry behaviour of
-    /// [`PipelineConfig::client_retries`], byte-for-byte.
-    pub retry: Option<RetryPolicy>,
-    /// How many times clients resubmit a transaction that failed MVCC
-    /// validation (§1: "the only option for clients is to create a new
-    /// transaction and resubmit"). 0 = no retries (the paper's
-    /// experiments). Each retry re-executes, re-endorses and re-orders —
-    /// the development-complexity and load cost FabricCRDT eliminates.
-    pub client_retries: usize,
+    /// Client-side abort-and-retry policy. The default,
+    /// [`RetryPolicy::immediate`]`(0)`, never resubmits (the paper's
+    /// experiments).
+    pub retry: RetryPolicy,
     /// Gossip dissemination parameters. `None` (the default everywhere)
     /// keeps the ideal FIFO block delivery all the paper figures use;
-    /// `Some` asks gossip-aware constructors (the `fabriccrdt-gossip`
-    /// crate) to route blocks through the gossip layer instead.
+    /// `Some` makes `fabriccrdt_channel::assemble` route blocks
+    /// through the `fabriccrdt-gossip` layer instead.
     pub gossip: Option<GossipConfig>,
     /// Fault injection applied by the gossip layer. Ignored under ideal
     /// FIFO delivery.
     pub faults: FaultConfig,
     /// Raft ordering-service parameters. `None` (the default
     /// everywhere) keeps the single in-process orderer all the paper
-    /// figures use; `Some` asks Raft-aware constructors (the
-    /// `fabriccrdt-ordering` crate) to replicate the orderer across a
-    /// consensus cluster instead.
+    /// figures use; `Some` makes `fabriccrdt_channel::assemble`
+    /// replicate the orderer across a `fabriccrdt-ordering` consensus
+    /// cluster instead.
     pub ordering: Option<RaftConfig>,
     /// Durable-storage configuration for gossip-layer peers. `None`
     /// (the default everywhere) keeps ledgers purely in memory with no
@@ -596,10 +585,8 @@ impl PipelineConfig {
             block_cut: BlockCutConfig::with_max_tx(max_tx_per_block),
             latency: LatencyConfig::calibrated(),
             seed,
-            reorder: false,
             ordering_policy: OrderingPolicy::Fifo,
-            retry: None,
-            client_retries: 0,
+            retry: RetryPolicy::immediate(0),
             gossip: None,
             faults: FaultConfig::none(),
             ordering: None,
@@ -618,7 +605,8 @@ impl PipelineConfig {
     }
 
     /// Attaches durable peer storage (takes effect only with gossip
-    /// delivery; see [`PipelineConfig::storage`]).
+    /// delivery, i.e. when `fabriccrdt_channel::assemble` sees
+    /// [`PipelineConfig::gossip`] set; see [`PipelineConfig::storage`]).
     pub fn with_storage(mut self, storage: crate::storage::StorageConfig) -> Self {
         self.storage = Some(storage);
         self
@@ -651,57 +639,48 @@ impl PipelineConfig {
     }
 
     /// Routes block dissemination through the gossip layer with the
-    /// calibrated defaults for this topology.
+    /// calibrated defaults for this topology (honoured by
+    /// `fabriccrdt_channel::assemble`).
     pub fn with_gossip(mut self) -> Self {
         self.gossip = Some(GossipConfig::calibrated(&self.topology));
         self
     }
 
     /// Routes block dissemination through the gossip layer with explicit
-    /// parameters.
+    /// parameters (honoured by `fabriccrdt_channel::assemble`).
     pub fn with_gossip_config(mut self, gossip: GossipConfig) -> Self {
         self.gossip = Some(gossip);
         self
     }
 
     /// Sets the fault-injection schedule (takes effect only with
-    /// gossip delivery).
+    /// gossip delivery, i.e. when `fabriccrdt_channel::assemble` sees
+    /// [`PipelineConfig::gossip`] set).
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
         self
     }
 
     /// Replicates the ordering service across a Raft cluster with the
-    /// calibrated defaults (5 nodes, node 0 pre-elected).
+    /// calibrated defaults (5 nodes, node 0 pre-elected; honoured by
+    /// `fabriccrdt_channel::assemble`).
     pub fn with_raft_ordering(mut self) -> Self {
         self.ordering = Some(RaftConfig::calibrated(5));
         self
     }
 
     /// Replicates the ordering service across a Raft cluster with
-    /// explicit parameters.
+    /// explicit parameters (honoured by `fabriccrdt_channel::assemble`).
     pub fn with_raft_config(mut self, raft: RaftConfig) -> Self {
         self.ordering = Some(raft);
         self
     }
 
     /// Installs a byzantine-adversary schedule (takes effect only with
-    /// gossip delivery; see [`PipelineConfig::adversary`]).
+    /// gossip delivery, i.e. when `fabriccrdt_channel::assemble` sees
+    /// [`PipelineConfig::gossip`] set; see [`PipelineConfig::adversary`]).
     pub fn with_adversary(mut self, adversary: AdversaryConfig) -> Self {
         self.adversary = Some(adversary);
-        self
-    }
-
-    /// Enables orderer-side reordering (the Fabric++ baseline).
-    pub fn with_reordering(mut self) -> Self {
-        self.reorder = true;
-        self
-    }
-
-    /// Enables client-side resubmission of MVCC-failed transactions,
-    /// up to `retries` attempts per transaction.
-    pub fn with_client_retries(mut self, retries: usize) -> Self {
-        self.client_retries = retries;
         self
     }
 
@@ -718,31 +697,18 @@ impl PipelineConfig {
         self
     }
 
-    /// Enables client-side abort-and-retry with deterministic seeded
-    /// backoff. Overrides [`PipelineConfig::client_retries`] as the
-    /// retry budget.
+    /// Enables client-side abort-and-retry (see [`RetryPolicy`]).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
+        self.retry = retry;
         self
     }
 
-    /// The ordering policy this configuration denotes: the explicit
-    /// [`PipelineConfig::ordering_policy`] when set, otherwise the
-    /// legacy [`PipelineConfig::reorder`] flag mapped onto
-    /// [`OrderingPolicy::Reorder`]/[`OrderingPolicy::Fifo`]. An
-    /// explicit non-FIFO policy wins over the flag.
+    /// Plain getter of [`PipelineConfig::ordering_policy`]. It has
+    /// nothing left to reconcile since the `reorder` flag it used to
+    /// fold in is gone; the name survives because the benchmark
+    /// package `perf/` calls it.
     pub fn effective_ordering_policy(&self) -> OrderingPolicy {
-        match self.ordering_policy {
-            OrderingPolicy::Fifo => OrderingPolicy::from_legacy(self.reorder),
-            policy => policy,
-        }
-    }
-
-    /// The client retry budget: the [`RetryPolicy`] budget when one is
-    /// configured, otherwise the legacy
-    /// [`PipelineConfig::client_retries`].
-    pub fn retry_budget(&self) -> usize {
-        self.retry.map_or(self.client_retries, |r| r.budget)
+        self.ordering_policy
     }
 }
 
@@ -841,32 +807,31 @@ mod tests {
     }
 
     #[test]
-    fn ordering_policy_resolution() {
+    fn ordering_and_retry_defaults_and_builders() {
         let cfg = PipelineConfig::paper(25, 1);
         assert_eq!(cfg.effective_ordering_policy(), OrderingPolicy::Fifo);
-        // Legacy flag maps onto the Reorder policy.
-        let legacy = PipelineConfig::paper(25, 1).with_reordering();
-        assert_eq!(legacy.effective_ordering_policy(), OrderingPolicy::Reorder);
-        // Explicit policy wins over the flag.
-        let adaptive = PipelineConfig::paper(25, 1)
-            .with_reordering()
-            .with_adaptive_ordering();
-        assert!(adaptive.effective_ordering_policy().is_adaptive());
-        // Explicit FIFO alongside the flag still honours the flag (an
-        // unset enum must not silently disable a requested reorder).
-        let both = PipelineConfig::paper(25, 1)
-            .with_ordering_policy(OrderingPolicy::Fifo)
-            .with_reordering();
-        assert_eq!(both.effective_ordering_policy(), OrderingPolicy::Reorder);
+        assert_eq!(cfg.retry, RetryPolicy::immediate(0));
+        let cfg = cfg
+            .with_ordering_policy(OrderingPolicy::Reorder)
+            .with_retry_policy(RetryPolicy::calibrated(5));
+        assert_eq!(cfg.effective_ordering_policy(), OrderingPolicy::Reorder);
+        assert_eq!(cfg.retry.budget, 5);
+        assert!(cfg
+            .with_adaptive_ordering()
+            .effective_ordering_policy()
+            .is_adaptive());
     }
 
     #[test]
-    fn retry_budget_resolution() {
-        let cfg = PipelineConfig::paper(25, 1).with_client_retries(3);
-        assert_eq!(cfg.retry_budget(), 3);
-        assert!(cfg.retry.is_none());
-        let cfg = cfg.with_retry_policy(RetryPolicy::calibrated(5));
-        assert_eq!(cfg.retry_budget(), 5);
+    fn immediate_retry_draws_nothing_and_adds_no_delay() {
+        use fabriccrdt_sim::rng::SimRng;
+        let mut rng = SimRng::seed_from(7);
+        let mut untouched = SimRng::seed_from(7);
+        for attempt in 1..=10 {
+            let delay = RetryPolicy::immediate(50).backoff_delay(attempt, &mut rng);
+            assert_eq!(delay, SimTime::ZERO);
+        }
+        assert_eq!(rng.next_u64(), untouched.next_u64());
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl Orderer {
         Orderer::with_policy(config, OrderingPolicy::Fifo)
     }
 
-    /// Creates an orderer that reorders each batch by its conflict
-    /// dependency graph and early-aborts unsalvageable cycles — the
-    /// Fabric++ baseline (paper §8, Sharma et al.).
-    pub fn with_reordering(config: BlockCutConfig) -> Self {
-        Orderer::with_policy(config, OrderingPolicy::Reorder)
-    }
-
     /// Creates an orderer with an explicit [`OrderingPolicy`].
     pub fn with_policy(config: BlockCutConfig, policy: OrderingPolicy) -> Self {
         assert!(config.max_tx_count > 0, "block size must be positive");
@@ -109,36 +102,15 @@ impl Orderer {
     /// chain position: the next cut block gets `next_block_number` and
     /// chains onto `previous_hash`. A freshly elected Raft leader uses
     /// this to continue numbering and hash-chaining from the tail of
-    /// its replicated log.
+    /// its replicated log; under the adaptive policy it pairs this with
+    /// [`Orderer::install_tracker`] to inherit the cluster's replicated
+    /// conflict heat.
     ///
     /// # Panics
     ///
     /// Panics if `config.max_tx_count` is zero or `next_block_number`
     /// is zero (block 0 is the genesis block).
     pub fn resuming(
-        config: BlockCutConfig,
-        reorder: bool,
-        next_block_number: u64,
-        previous_hash: Digest,
-    ) -> Self {
-        Orderer::resuming_with_policy(
-            config,
-            OrderingPolicy::from_legacy(reorder),
-            next_block_number,
-            previous_hash,
-        )
-    }
-
-    /// [`Orderer::resuming`] with an explicit [`OrderingPolicy`]. A
-    /// freshly elected Raft leader running the adaptive policy pairs
-    /// this with [`Orderer::install_tracker`] to inherit the cluster's
-    /// replicated conflict heat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.max_tx_count` is zero or `next_block_number`
-    /// is zero (block 0 is the genesis block).
-    pub fn resuming_with_policy(
         config: BlockCutConfig,
         policy: OrderingPolicy,
         next_block_number: u64,
@@ -492,7 +464,7 @@ mod tests {
         let (b1, _) = first.receive(tx(1), SimTime::ZERO);
         let b1 = b1.unwrap();
         // A successor (new Raft leader) resumes from the log tail.
-        let mut second = Orderer::resuming(cfg(1), false, 2, b1.hash());
+        let mut second = Orderer::resuming(cfg(1), OrderingPolicy::Fifo, 2, b1.hash());
         let (b2, _) = second.receive(tx(2), SimTime::from_millis(1));
         let b2 = b2.unwrap();
         assert_eq!(b2.header.number, 2);
@@ -507,7 +479,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "genesis")]
     fn resuming_at_genesis_number_panics() {
-        Orderer::resuming(cfg(1), false, 0, Block::genesis().hash());
+        Orderer::resuming(cfg(1), OrderingPolicy::Fifo, 0, Block::genesis().hash());
     }
 
     fn rmw(n: u64, key: &str) -> Transaction {
@@ -630,7 +602,7 @@ mod tests {
         }
         // Failover: the successor inherits the tracker and keeps the
         // density gate open without relearning.
-        let mut second = Orderer::resuming_with_policy(
+        let mut second = Orderer::resuming(
             cfg(3),
             OrderingPolicy::Adaptive(cfg_a),
             5,

@@ -174,7 +174,7 @@ pub trait OrderingBackend {
 
     /// Feeds a committed block's validation outcome back to the
     /// ordering service's conflict tracker. Only called when the run's
-    /// effective policy is [`crate::config::OrderingPolicy::Adaptive`];
+    /// policy is [`crate::config::OrderingPolicy::Adaptive`];
     /// backends without a tracker ignore it.
     fn observe_finalized(&mut self, _feedback: &BlockFeedback) {}
 
@@ -201,12 +201,11 @@ impl SingleOrderer {
     }
 
     /// Builds the backend a pipeline configuration asks for (honoring
-    /// [`PipelineConfig::effective_ordering_policy`], which folds the
-    /// legacy `config.reorder` flag in).
+    /// [`PipelineConfig::ordering_policy`]).
     pub fn from_config(config: &PipelineConfig) -> Self {
         SingleOrderer::new(Orderer::with_policy(
             config.block_cut,
-            config.effective_ordering_policy(),
+            config.ordering_policy,
         ))
     }
 }
@@ -611,7 +610,7 @@ impl<V: BlockValidator> Simulation<V> {
                     .peer
                     .commit(staged)
                     .expect("orderer blocks extend the chain in order");
-                let adaptive = self.config.effective_ordering_policy().is_adaptive();
+                let adaptive = self.config.ordering_policy.is_adaptive();
                 let feedback = adaptive.then(|| BlockFeedback::from_block(tip));
                 let updates: Vec<(usize, _, u64)> = tip
                     .transactions
@@ -781,7 +780,7 @@ impl<V: BlockValidator> Simulation<V> {
             code,
             ValidationCode::MvccConflict | ValidationCode::EarlyAborted
         );
-        if !retryable || self.attempts[idx] >= self.config.retry_budget() {
+        if !retryable || self.attempts[idx] >= self.config.retry.budget {
             return;
         }
         self.attempts[idx] += 1;
@@ -792,14 +791,10 @@ impl<V: BlockValidator> Simulation<V> {
         self.records[idx].code = None;
         let notify = self.config.latency.peer_to_client.sample(&mut self.rng);
         let resubmit = self.config.latency.client_to_peer.sample(&mut self.rng);
-        // Seeded exponential backoff when a retry policy is configured.
-        // The legacy `client_retries` path resubmits immediately and
-        // draws nothing extra from the rng, so pre-policy runs stay
-        // byte-identical.
-        let backoff = match &self.config.retry {
-            Some(policy) => policy.backoff_delay(self.attempts[idx], &mut self.rng),
-            None => SimTime::ZERO,
-        };
+        let backoff = self
+            .config
+            .retry
+            .backoff_delay(self.attempts[idx], &mut self.rng);
         self.queue
             .schedule(now + notify + backoff + resubmit, Event::Endorse(idx));
     }

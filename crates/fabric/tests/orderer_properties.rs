@@ -5,7 +5,7 @@
 //! deterministic in-repo generator (`fabriccrdt_sim::gen`).
 
 use fabriccrdt_crypto::Identity;
-use fabriccrdt_fabric::config::BlockCutConfig;
+use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy};
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::Blockchain;
@@ -69,11 +69,12 @@ fn orderer_conserves_transactions() {
             (read, g.range(0, 4) as u8)
         });
         let config = BlockCutConfig::with_max_tx(max_tx);
-        let mut orderer = if reorder {
-            Orderer::with_reordering(config)
+        let policy = if reorder {
+            OrderingPolicy::Reorder
         } else {
-            Orderer::new(config)
+            OrderingPolicy::Fifo
         };
+        let mut orderer = Orderer::with_policy(config, policy);
         let txs: Vec<Transaction> = (0..n)
             .map(|i| {
                 let (read, write) = keys[i % keys.len()];

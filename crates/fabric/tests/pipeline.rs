@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
-use fabriccrdt_fabric::config::{BlockCutConfig, PipelineConfig};
+use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy, PipelineConfig, RetryPolicy};
 use fabriccrdt_fabric::latency::LatencyConfig;
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
@@ -348,7 +348,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     // With a generous retry budget: clients grind the workload through,
     // at the cost of many resubmissions and far higher latency.
     let mut sim = Simulation::new(
-        config(25, 31).with_client_retries(50),
+        config(25, 31).with_retry_policy(RetryPolicy::immediate(50)),
         FabricValidator::new(),
         registry(),
     );
@@ -364,6 +364,26 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     assert!(
         with_retries.avg_latency_secs().unwrap() > no_retries.avg_latency_secs().unwrap(),
         "retry latency spans multiple pipeline rounds"
+    );
+
+    // Golden recorded from this schedule under the removed
+    // `client_retries = 50` knob (immediate resubmission, no PRNG
+    // draw): `immediate` must add no delay and draw nothing, or every
+    // later latency sample (and with it the ledger) shifts.
+    let snapshot = sim.peer().snapshot();
+    let ledger = fabriccrdt_crypto::digest(&[snapshot.state, snapshot.chain].concat());
+    assert_eq!(
+        (
+            with_retries.submitted(),
+            with_retries.successful(),
+            with_retries.resubmissions,
+            with_retries.end_time.as_micros(),
+        ),
+        (120, 65, 4466, 15_313_924)
+    );
+    assert_eq!(
+        fabriccrdt_crypto::hex::encode(&ledger),
+        "1c1a14a69e3747b19faaf7118d1dc31f21705f2651f2a1203389c8ee31f4fef4"
     );
 }
 
@@ -415,7 +435,7 @@ fn reordering_network_end_to_end() {
     let vanilla_metrics = vanilla.run(build_sched());
 
     let mut reordering = Simulation::new(
-        config(50, 12).with_reordering(),
+        config(50, 12).with_ordering_policy(OrderingPolicy::Reorder),
         FabricValidator::new(),
         registry(),
     );

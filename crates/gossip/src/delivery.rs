@@ -1,7 +1,7 @@
 //! Plugging the gossip network into the transaction pipeline.
 //!
 //! [`GossipDelivery`] implements the pipeline's
-//! [`DeliveryLayer`](fabriccrdt_fabric::simulation::DeliveryLayer):
+//! [`DeliveryLayer`]:
 //! every block the orderer cuts is published into an internal
 //! [`GossipNetwork`] and becomes available to the pipeline's committing
 //! peer once the *observed* replica (default: the last follower, the
@@ -20,12 +20,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{GossipConfig, PipelineConfig};
 use fabriccrdt_fabric::latency::LatencyConfig;
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, DisseminationMetrics};
-use fabriccrdt_fabric::simulation::{DeliveryLayer, Simulation};
-use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
+use fabriccrdt_fabric::simulation::DeliveryLayer;
+use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
@@ -182,17 +181,4 @@ impl<V: BlockValidator> DeliveryLayer for ChannelDelivery<V> {
         network.drain_on(self.channel);
         network.take_adversary_on(self.channel)
     }
-}
-
-/// Builds a vanilla-Fabric pipeline whose block dissemination runs
-/// through the gossip layer (honoring `config.gossip` and
-/// `config.faults`). The FabricCRDT twin lives in the umbrella crate
-/// (`fabriccrdt_repro::fabriccrdt_gossip_simulation`), which can name
-/// the CRDT validator.
-pub fn fabric_gossip_simulation(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-) -> Simulation<FabricValidator> {
-    let delivery = Box::new(GossipDelivery::new(&config, FabricValidator::new));
-    Simulation::with_delivery(config, FabricValidator::new(), registry, delivery)
 }

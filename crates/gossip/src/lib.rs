@@ -66,5 +66,5 @@ mod adversary;
 pub mod delivery;
 pub mod network;
 
-pub use delivery::{fabric_gossip_simulation, ChannelDelivery, GossipDelivery};
+pub use delivery::{ChannelDelivery, GossipDelivery};
 pub use network::GossipNetwork;

@@ -6,7 +6,7 @@
 //! `o * peers_per_org + p` is peer `p` of org `o`, and the
 //! lowest-indexed member of each org on a channel is its leader there.
 //! Every member peer hosts a full
-//! [`Peer`](fabriccrdt_fabric::peer::Peer) replica per channel; a
+//! [`Peer`] replica per channel; a
 //! block a replica sees for the first time is buffered (blocks can
 //! arrive out of order), forwarded to `fanout` random peers, and
 //! committed as soon as all its predecessors are in. Lagging replicas
@@ -23,7 +23,7 @@
 //! acknowledgement frontier, metrics and deterministic PRNG stream
 //! (forked per channel from the base seed, channel 0 first so a
 //! 1-channel network is draw-for-draw identical to the historical
-//! single-channel one). Every queued [`GossipEvent`] carries its
+//! single-channel one). Every queued `GossipEvent` carries its
 //! channel tag, and the configured per-peer crash/restart times and
 //! partition windows are applied on every lane a peer is a member of
 //! — the same peer goes down at the same simulated time on all its

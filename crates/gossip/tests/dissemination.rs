@@ -13,7 +13,7 @@ use fabriccrdt_fabric::config::{
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
-use fabriccrdt_gossip::{fabric_gossip_simulation, GossipNetwork};
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
@@ -428,7 +428,10 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
     ideal.seed_state("hot", b"0".to_vec());
     let ideal_metrics = ideal.run(rmw_schedule(150));
 
-    let mut gossip = fabric_gossip_simulation(config.with_gossip(), rmw_registry());
+    let config = config.with_gossip();
+    let delivery = Box::new(GossipDelivery::new(&config, FabricValidator::new));
+    let mut gossip =
+        Simulation::with_delivery(config, FabricValidator::new(), rmw_registry(), delivery);
     gossip.seed_state("hot", b"0".to_vec());
     let gossip_metrics = gossip.run(rmw_schedule(150));
 

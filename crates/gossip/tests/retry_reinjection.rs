@@ -10,8 +10,9 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{PipelineConfig, RetryPolicy};
-use fabriccrdt_fabric::simulation::TxRequest;
-use fabriccrdt_gossip::fabric_gossip_simulation;
+use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::validator::FabricValidator;
+use fabriccrdt_gossip::GossipDelivery;
 use fabriccrdt_sim::time::SimTime;
 
 /// Read-modify-write chaincode: args = [key, value].
@@ -33,6 +34,12 @@ fn registry() -> ChaincodeRegistry {
     let mut reg = ChaincodeRegistry::new();
     reg.deploy(Arc::new(Rmw));
     reg
+}
+
+/// A vanilla-Fabric pipeline over this crate's gossip delivery layer.
+fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
+    let delivery = Box::new(GossipDelivery::new(&config, FabricValidator::new));
+    Simulation::with_delivery(config, FabricValidator::new(), registry(), delivery)
 }
 
 /// Hot-key contention: bursts of RMWs on one key guarantee MVCC
@@ -58,7 +65,7 @@ fn retries_reinject_through_gossip_delivery() {
     let config = PipelineConfig::paper(10, 31)
         .with_gossip()
         .with_retry_policy(RetryPolicy::calibrated(2));
-    let mut sim = fabric_gossip_simulation(config, registry());
+    let mut sim = gossip_simulation(config);
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(contended_schedule(120));
 
@@ -91,7 +98,7 @@ fn retries_reinject_through_gossip_delivery() {
 #[test]
 fn no_retry_policy_keeps_counters_silent() {
     let config = PipelineConfig::paper(10, 31).with_gossip();
-    let mut sim = fabric_gossip_simulation(config, registry());
+    let mut sim = gossip_simulation(config);
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(contended_schedule(120));
 

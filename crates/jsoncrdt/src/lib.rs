@@ -1,5 +1,4 @@
-//! JSON CRDTs and companion conflict-free replicated datatypes for the
-//! FabricCRDT reproduction.
+//! The JSON CRDT of the FabricCRDT reproduction.
 //!
 //! This crate implements the datatype layer of *FabricCRDT* (Middleware
 //! 2019):
@@ -17,9 +16,7 @@
 //!   operation application and **Algorithm 2** of the paper
 //!   ([`JsonCrdt::merge_value`]), which folds a plain JSON object into the
 //!   CRDT, plus the metadata-stripping conversion back to plain JSON.
-//! - [`crdts`]: the additional CRDTs the paper lists as future work —
-//!   G-Counter, PN-Counter, G-Set, OR-Set and LWW-Register — each with the
-//!   usual join-semilattice `merge`.
+//! - [`op_codec`]: the versioned, total wire encoding of operations.
 //! - [`cache`]: a process-wide memo of decoded MergeTx payloads, so the
 //!   N committing peers of a simulated network parse each distinct
 //!   payload once instead of N times.
@@ -47,18 +44,13 @@
 
 pub mod cache;
 pub mod clock;
-pub mod crdts;
 pub mod doc;
-pub mod editor;
 pub mod json;
 pub mod op;
 pub mod op_codec;
-pub mod text;
 pub mod work;
 
 pub use clock::{LamportClock, OpId, ReplicaId, VersionVector};
-pub use crdts::{GCounter, GSet, LwwRegister, OrSet, PnCounter};
 pub use doc::JsonCrdt;
-pub use editor::Editor;
 pub use op::{Cursor, Deps, Mutation, Operation};
 pub use work::WorkStats;

@@ -189,9 +189,9 @@ impl fmt::Display for Mutation {
 
 /// Causal dependencies of an operation.
 ///
-/// The dependency chains [`crate::JsonCrdt::merge_value`] and
-/// [`crate::Editor`] generate are transitively reduced, so in practice
-/// every operation has zero or one dependency. Those cases are inlined
+/// The dependency chains [`crate::JsonCrdt::merge_value`] generates
+/// are transitively reduced, so in practice every operation has zero
+/// or one dependency. Those cases are inlined
 /// here — the seed code built a `Vec<OpId>` per emitted operation, one
 /// heap allocation per node of every merged document. `Deps` derefs to
 /// `&[OpId]`, so iteration and indexing read exactly like the old

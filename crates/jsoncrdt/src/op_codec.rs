@@ -1,7 +1,8 @@
 //! Binary encoding of operations.
 //!
-//! Replicas exchanging [`Operation`]s over a network (the [`crate::editor`]
-//! model) need a wire format. Same discipline as the ledger codec:
+//! Replicas exchanging [`Operation`]s over a network (for example a
+//! [`crate::JsonCrdt::delta_since`] suffix at an offline client's
+//! rejoin) need a wire format. Same discipline as the ledger codec:
 //! versioned, length-prefixed, total decoding — arbitrary bytes produce
 //! `Ok` or a structured error, never a panic.
 
@@ -261,19 +262,23 @@ mod tests {
 
     #[test]
     fn editors_can_sync_over_the_wire() {
-        use crate::editor::Editor;
-        let mut alice = Editor::new(ReplicaId(1));
-        let mut bob = Editor::new(ReplicaId(2));
-        let wire: Vec<Vec<u8>> = [
-            alice.assign(&["title"], "Spec").unwrap(),
-            alice.assign(&["body"], "…").unwrap(),
-        ]
-        .iter()
-        .map(encode_op)
-        .collect();
+        use crate::doc::JsonCrdt;
+        let mut alice = JsonCrdt::with_history(ReplicaId(1));
+        let mut bob = JsonCrdt::new(ReplicaId(2));
+        let edit: Value = r#"{"title":"Spec","body":"…"}"#.parse().unwrap();
+        alice.merge_value(&edit).unwrap();
+        // Alice ships what Bob's frontier has not seen, as wire frames.
+        let wire: Vec<Vec<u8>> = alice
+            .delta_since(bob.frontier())
+            .unwrap()
+            .iter()
+            .map(encode_op)
+            .collect();
+        assert!(!wire.is_empty());
         for frame in wire {
-            bob.deliver(decode_op(&frame).unwrap()).unwrap();
+            bob.apply(decode_op(&frame).unwrap()).unwrap();
         }
-        assert_eq!(alice.document().to_value(), bob.document().to_value());
+        assert_eq!(alice.to_value(), bob.to_value());
+        assert_eq!(bob.to_value(), edit);
     }
 }

@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use fabriccrdt_jsoncrdt::cache;
-use fabriccrdt_jsoncrdt::crdts::{GCounter, GSet, LwwRegister, OrSet, PnCounter};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::op::{Cursor, CursorElement, ItemKey, Mutation, Operation};
 use fabriccrdt_jsoncrdt::op_codec;
@@ -325,247 +324,5 @@ fn op_decode_is_total() {
     gen::cases(256, |g| {
         let bytes = g.bytes(0, 200);
         let _ = op_codec::decode_op(&bytes);
-    });
-}
-
-/// Collaborative text: two replicas make arbitrary concurrent edit
-/// scripts, exchange all operations, and converge to the same text with
-/// no character of either replica's insertions lost unless explicitly
-/// deleted.
-#[test]
-fn text_replicas_converge() {
-    use fabriccrdt_jsoncrdt::text::TextDoc;
-    gen::cases(64, |g| {
-        let script =
-            |g: &mut Gen| g.vec(1, 9, |g| (g.range(0, 20) as usize, g.ident(1, 3), g.flip()));
-        let script_a = script(g);
-        let script_b = script(g);
-        let mut a = TextDoc::new(ReplicaId(1));
-        let mut b = TextDoc::new(ReplicaId(2));
-        let mut ops_a = Vec::new();
-        for (pos, text, insert) in &script_a {
-            if *insert {
-                ops_a.extend(a.insert(*pos, text));
-            } else {
-                ops_a.extend(a.delete(*pos, text.len()));
-            }
-        }
-        let mut ops_b = Vec::new();
-        for (pos, text, insert) in &script_b {
-            if *insert {
-                ops_b.extend(b.insert(*pos, text));
-            } else {
-                ops_b.extend(b.delete(*pos, text.len()));
-            }
-        }
-        for op in ops_b {
-            a.apply(op);
-        }
-        for op in ops_a {
-            b.apply(op);
-        }
-        assert_eq!(a.text(), b.text());
-    });
-}
-
-/// RGA sequences converge under arbitrary delivery orders.
-#[test]
-fn rga_converges_under_shuffled_delivery() {
-    use fabriccrdt_jsoncrdt::crdts::Rga;
-    gen::cases(64, |g| {
-        let inserts = g.vec(1, 11, |g| {
-            (
-                g.range(0, 8),
-                char::from_u32(g.range(0x20, 0x7f) as u32).unwrap(),
-            )
-        });
-        // Build a causally valid op list: each insert's parent is HEAD or
-        // a previously inserted element.
-        let mut ops: Vec<(OpId, OpId, char)> = Vec::new();
-        for (i, (parent_choice, ch)) in inserts.iter().enumerate() {
-            let id = OpId::new(i as u64 + 1, ReplicaId(1 + (i as u64 % 3)));
-            let parent = if ops.is_empty() || *parent_choice == 0 {
-                Rga::<char>::HEAD
-            } else {
-                ops[(*parent_choice as usize - 1) % ops.len()].1
-            };
-            ops.push((parent, id, *ch));
-        }
-        let reference = {
-            let mut rga = Rga::new();
-            for &(p, id, ch) in &ops {
-                rga.insert_after(p, id, ch);
-            }
-            rga.to_text()
-        };
-        // Deliver in a deterministic shuffle.
-        let mut shuffled = ops.clone();
-        g.rng().shuffle(&mut shuffled);
-        let mut rga = Rga::new();
-        for (p, id, ch) in shuffled {
-            rga.insert_after(p, id, ch);
-        }
-        assert_eq!(rga.pending_len(), 0);
-        assert_eq!(rga.to_text(), reference);
-    });
-}
-
-/// Add-wins graph merge laws (commutative, idempotent).
-#[test]
-fn graph_merge_laws() {
-    use fabriccrdt_jsoncrdt::crdts::{Edge, GraphCrdt};
-    gen::cases(64, |g| {
-        let script = |g: &mut Gen| g.vec(0, 9, |g| (g.range(0, 4), g.range(0, 4), g.flip()));
-        let build = |script: &[(u64, u64, bool)], replica: u64| {
-            let mut graph = GraphCrdt::new();
-            for (i, (from, to, add_edge)) in script.iter().enumerate() {
-                let tag = OpId::new(i as u64 + 1, ReplicaId(replica));
-                if *add_edge {
-                    graph.add_vertex(format!("v{from}"), tag);
-                    graph.add_edge(Edge::new(format!("v{from}"), format!("v{to}")), tag);
-                } else {
-                    graph.add_vertex(format!("v{to}"), tag);
-                }
-            }
-            graph
-        };
-        let a = build(&script(g), 1);
-        let b = build(&script(g), 2);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(&ab, &ba);
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(&aa, &a);
-    });
-}
-
-/// G-Counter semilattice laws.
-#[test]
-fn gcounter_laws() {
-    gen::cases(64, |g| {
-        let ops = |g: &mut Gen| g.vec(0, 8, |g| (g.range(0, 4), g.range(1, 10)));
-        let build = |ops: &[(u64, u64)]| {
-            let mut c = GCounter::new();
-            for &(r, n) in ops {
-                c.increment(ReplicaId(r), n);
-            }
-            c
-        };
-        let (a, b, c) = (build(&ops(g)), build(&ops(g)), build(&ops(g)));
-        // Commutativity.
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(&ab, &ba);
-        // Associativity.
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(&ab_c, &a_bc);
-        // Idempotence.
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(&aa, &a);
-    });
-}
-
-/// PN-Counter merge preserves the value of independent updates.
-#[test]
-fn pncounter_merge_sums_disjoint_replicas() {
-    gen::cases(128, |g| {
-        let inc = g.range(0, 1000);
-        let dec = g.range(0, 1000);
-        let mut a = PnCounter::new();
-        a.increment(ReplicaId(1), inc);
-        let mut b = PnCounter::new();
-        b.decrement(ReplicaId(2), dec);
-        a.merge(&b);
-        assert_eq!(a.value(), inc as i64 - dec as i64);
-    });
-}
-
-/// OR-Set: merge is commutative and idempotent over random scripts.
-#[test]
-fn orset_laws() {
-    gen::cases(64, |g| {
-        let script = |g: &mut Gen| g.vec(0, 12, |g| (g.string_of("abc", 1, 1), g.flip()));
-        let build = |script: &[(String, bool)], replica: u64| {
-            let mut s = OrSet::new();
-            for (i, (elem, add)) in script.iter().enumerate() {
-                if *add {
-                    s.insert(elem.clone(), OpId::new(i as u64 + 1, ReplicaId(replica)));
-                } else {
-                    s.remove(elem);
-                }
-            }
-            s
-        };
-        let a = build(&script(g), 1);
-        let b = build(&script(g), 2);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(&ab, &ba);
-        let mut aa = a.clone();
-        aa.merge(&a);
-        assert_eq!(&aa, &a);
-    });
-}
-
-/// GSet merge equals plain set union.
-#[test]
-fn gset_merge_is_union() {
-    gen::cases(64, |g| {
-        let xs: std::collections::BTreeSet<String> =
-            g.vec(0, 10, |g| g.ident(1, 4)).into_iter().collect();
-        let ys: std::collections::BTreeSet<String> =
-            g.vec(0, 10, |g| g.ident(1, 4)).into_iter().collect();
-        let mut a = GSet::new();
-        for x in &xs {
-            a.insert(x.clone());
-        }
-        let mut b = GSet::new();
-        for y in &ys {
-            b.insert(y.clone());
-        }
-        a.merge(&b);
-        let union: std::collections::BTreeSet<_> = xs.union(&ys).cloned().collect();
-        assert_eq!(a.len(), union.len());
-        for e in &union {
-            assert!(a.contains(e));
-        }
-    });
-}
-
-/// LWW register: merge result is the max-stamp write, regardless of
-/// order.
-#[test]
-fn lww_merge_picks_max_stamp() {
-    gen::cases(128, |g| {
-        let stamps = g.vec(1, 5, |g| (g.range(1, 100), g.range(1, 5)));
-        let regs: Vec<LwwRegister<usize>> = stamps
-            .iter()
-            .enumerate()
-            .map(|(i, &(c, r))| LwwRegister::new(i, OpId::new(c, ReplicaId(r))))
-            .collect();
-        let mut forward = regs[0].clone();
-        for r in &regs[1..] {
-            forward.merge(r);
-        }
-        let mut backward = regs.last().unwrap().clone();
-        for r in regs.iter().rev().skip(1) {
-            backward.merge(r);
-        }
-        assert_eq!(forward.stamp(), backward.stamp());
-        let max = regs.iter().map(LwwRegister::stamp).max().unwrap();
-        assert_eq!(forward.stamp(), max);
     });
 }

@@ -1,14 +1,11 @@
 //! The [`OrderingBackend`] adapter plugging [`RaftCluster`] into the
-//! pipeline's trait seam, plus convenience constructors mirroring the
-//! gossip crate's.
+//! pipeline's trait seam.
 
-use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig};
 use fabriccrdt_fabric::conflict::BlockFeedback;
 use fabriccrdt_fabric::metrics::{ConflictPolicyMetrics, OrderingMetrics};
 use fabriccrdt_fabric::orderer::TimeoutRequest;
-use fabriccrdt_fabric::simulation::{OrderingBackend, OrderingOutcome, Simulation};
-use fabriccrdt_fabric::validator::FabricValidator;
+use fabriccrdt_fabric::simulation::{OrderingBackend, OrderingOutcome};
 use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_sim::time::SimTime;
 
@@ -83,15 +80,4 @@ impl OrderingBackend for RaftOrderingBackend {
             _ => Some(self.cluster.take_policy_metrics()),
         }
     }
-}
-
-/// A vanilla-Fabric pipeline whose ordering runs on the Raft cluster
-/// described by `config.ordering` (the calibrated 5-node cluster when
-/// unset). Mirrors `fabric_gossip_simulation` in the gossip crate.
-pub fn fabric_raft_simulation(
-    config: PipelineConfig,
-    registry: ChaincodeRegistry,
-) -> Simulation<FabricValidator> {
-    let backend = Box::new(RaftOrderingBackend::new(&config));
-    Simulation::with_ordering(config, FabricValidator::new(), registry, backend)
 }

@@ -288,7 +288,7 @@ impl RaftCluster {
         }
         assert!(raft.faults.link.drop < 1.0, "links drop every message");
 
-        let policy = config.effective_ordering_policy();
+        let policy = config.ordering_policy;
         let tracker = match policy {
             OrderingPolicy::Adaptive(cfg) => ConflictTracker::new(cfg.decay),
             _ => {
@@ -1197,5 +1197,5 @@ fn make_orderer(block_cut: BlockCutConfig, policy: OrderingPolicy, log: &[LogEnt
             previous_hash = block.hash();
         }
     }
-    Orderer::resuming_with_policy(block_cut, policy, number, previous_hash)
+    Orderer::resuming(block_cut, policy, number, previous_hash)
 }

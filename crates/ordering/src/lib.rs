@@ -40,5 +40,5 @@
 pub mod backend;
 pub mod cluster;
 
-pub use backend::{fabric_raft_simulation, RaftOrderingBackend};
+pub use backend::RaftOrderingBackend;
 pub use cluster::{LeadershipEvent, LogEntry, NodeStatus, RaftCluster, Role};

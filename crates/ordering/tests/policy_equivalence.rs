@@ -1,8 +1,7 @@
 //! Ordering-policy equivalence and early-abort failover semantics:
 //!
-//! - 50-seed sweep: `OrderingPolicy::Fifo` is byte-identical to the
-//!   seed pipeline (no policy configured) and `OrderingPolicy::Reorder`
-//!   is byte-identical to the legacy `with_reordering()` switch — on
+//! - 50-seed sweep: `OrderingPolicy::Reorder` is byte-identical to the
+//!   removed legacy reorder flag — pinned by golden ledger digests on
 //!   both the single-orderer and Raft backends, under random Raft
 //!   crash/failover schedules.
 //! - Directed regression: early aborts from a Raft leader that crashes
@@ -16,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use fabriccrdt_crypto::Identity;
+use fabriccrdt_crypto::{hex, Identity, Sha256};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{CrashSpec, OrderingPolicy, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::metrics::RunMetrics;
@@ -119,64 +118,42 @@ fn run_raft(
     (metrics, snapshot)
 }
 
-fn assert_bitwise(
-    label: &str,
-    seed: u64,
-    a: &(RunMetrics, PeerSnapshot),
-    b: &(RunMetrics, PeerSnapshot),
-) {
-    assert_eq!(a.0, b.0, "seed {seed}: {label}: metrics diverged");
-    assert_eq!(
-        a.1.state, b.1.state,
-        "seed {seed}: {label}: world state diverged"
-    );
-    assert_eq!(a.1.chain, b.1.chain, "seed {seed}: {label}: chain diverged");
-}
-
-/// 50-seed sweep (acceptance gate): the explicit `Fifo` policy replays
-/// the seed pipeline bit for bit, and the explicit `Reorder` policy
-/// replays the legacy `with_reordering()` switch bit for bit — on both
-/// backends, with Raft fault schedules in the mix.
+/// 50-seed sweep (acceptance gate): `OrderingPolicy::Reorder` replays
+/// the removed boolean reorder flag bit for bit on both backends, with
+/// Raft fault schedules in the mix. The flag's own runs are gone with
+/// it, so each backend's 50 ledgers (state then chain bytes, in case
+/// order) are folded into one SHA-256 and pinned against the digest
+/// the flag produced on the last commit that had it.
 #[test]
-fn fifo_and_reorder_policies_match_legacy_bitwise() {
+fn reorder_policy_matches_the_legacy_flag_goldens() {
+    let mut single = Sha256::new();
+    let mut raft = Sha256::new();
     gen::cases(50, |g| {
         let seed = g.u64();
         let schedule = arb_mixed_schedule(g);
         let block_size = g.size(5, 15);
-        let base = PipelineConfig::paper(block_size, seed);
-        let raft = arb_raft(g);
+        let base =
+            PipelineConfig::paper(block_size, seed).with_ordering_policy(OrderingPolicy::Reorder);
+        let raft_config = arb_raft(g);
 
-        // Single orderer.
-        let legacy_fifo = run_single(base.clone(), &schedule);
-        let policy_fifo = run_single(
-            base.clone().with_ordering_policy(OrderingPolicy::Fifo),
-            &schedule,
-        );
-        assert_bitwise("single/fifo", seed, &legacy_fifo, &policy_fifo);
+        let (_, ledger) = run_single(base.clone(), &schedule);
+        single.update(&ledger.state);
+        single.update(&ledger.chain);
 
-        let legacy_reorder = run_single(base.clone().with_reordering(), &schedule);
-        let policy_reorder = run_single(
-            base.clone().with_ordering_policy(OrderingPolicy::Reorder),
-            &schedule,
-        );
-        assert_bitwise("single/reorder", seed, &legacy_reorder, &policy_reorder);
-
-        // Raft backend under the (possibly faulty) schedule.
-        let raft_base = base.with_raft_config(raft);
-        let legacy_fifo = run_raft(raft_base.clone(), &schedule);
-        let policy_fifo = run_raft(
-            raft_base.clone().with_ordering_policy(OrderingPolicy::Fifo),
-            &schedule,
-        );
-        assert_bitwise("raft/fifo", seed, &legacy_fifo, &policy_fifo);
-
-        let legacy_reorder = run_raft(raft_base.clone().with_reordering(), &schedule);
-        let policy_reorder = run_raft(
-            raft_base.with_ordering_policy(OrderingPolicy::Reorder),
-            &schedule,
-        );
-        assert_bitwise("raft/reorder", seed, &legacy_reorder, &policy_reorder);
+        let (_, ledger) = run_raft(base.with_raft_config(raft_config), &schedule);
+        raft.update(&ledger.state);
+        raft.update(&ledger.chain);
     });
+    assert_eq!(
+        hex::encode(&single.finalize()),
+        "4d249a4f931a452a13416ea26268b845742792a700f8bda71c7b6b7dc96b47ba",
+        "single orderer: Reorder diverged from the legacy flag"
+    );
+    assert_eq!(
+        hex::encode(&raft.finalize()),
+        "2bc5a4f48f26406f7eb8df5cc41966ec463a0762160203d37f747cb7cf6996c0",
+        "raft: Reorder diverged from the legacy flag"
+    );
 }
 
 fn rmw_tx(nonce: u64, key: &str) -> Transaction {

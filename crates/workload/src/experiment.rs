@@ -7,9 +7,9 @@
 //! knobs: block size, submission rate, read/write key counts, JSON
 //! shape, and the percentage of conflicting transactions.
 
-use fabriccrdt::{fabric_reordering_simulation, fabric_simulation, fabriccrdt_simulation};
+use fabriccrdt::{fabric_simulation, fabriccrdt_simulation};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeRegistry};
-use fabriccrdt_fabric::config::PipelineConfig;
+use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig};
 use fabriccrdt_fabric::metrics::{DecodeCacheMetrics, RunMetrics};
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_sim::arrivals::{ArrivalKind, ArrivalProcess};
@@ -123,7 +123,10 @@ impl ExperimentConfig {
         let mut registry = ChaincodeRegistry::new();
         registry.deploy(Arc::new(chaincode));
 
-        let pipeline = PipelineConfig::paper(self.block_size, self.seed);
+        let mut pipeline = PipelineConfig::paper(self.block_size, self.seed);
+        if self.system == SystemKind::FabricReordering {
+            pipeline = pipeline.with_ordering_policy(OrderingPolicy::Reorder);
+        }
 
         // Arrival schedule: Caliper's fixed-rate open loop.
         let mut rng = SimRng::seed_from(self.seed ^ 0x9e37_79b9);
@@ -164,15 +167,8 @@ impl ExperimentConfig {
         // §7.2: populate the ledger with the keys read during the run.
         let seed_value = shaped_payload(self.shape, "seed", usize::MAX).to_compact_string();
         let metrics = match self.system {
-            SystemKind::Fabric => {
+            SystemKind::Fabric | SystemKind::FabricReordering => {
                 let mut sim = fabric_simulation(pipeline, registry);
-                for key in &seed_keys {
-                    sim.seed_state(key.clone(), seed_value.clone().into_bytes());
-                }
-                sim.run(schedule)
-            }
-            SystemKind::FabricReordering => {
-                let mut sim = fabric_reordering_simulation(pipeline, registry);
                 for key in &seed_keys {
                     sim.seed_state(key.clone(), seed_value.clone().into_bytes());
                 }

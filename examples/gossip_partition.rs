@@ -24,12 +24,13 @@
 
 use std::sync::Arc;
 
+use fabriccrdt_repro::channel::assemble;
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::{
     CrashSpec, FaultConfig, LinkFaults, PartitionSpec, PipelineConfig,
 };
 use fabriccrdt_repro::fabric::simulation::TxRequest;
-use fabriccrdt_repro::fabriccrdt_gossip_simulation;
+use fabriccrdt_repro::fabriccrdt::CrdtValidator;
 use fabriccrdt_repro::sim::latency::LatencyModel;
 use fabriccrdt_repro::sim::time::SimTime;
 use fabriccrdt_repro::workload::iot::IotChaincode;
@@ -64,7 +65,7 @@ fn main() {
 
     let mut registry = ChaincodeRegistry::new();
     registry.deploy(Arc::new(IotChaincode::crdt()));
-    let mut sim = fabriccrdt_gossip_simulation(config, registry);
+    let mut sim = assemble(config, registry, CrdtValidator::new);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
 
     // 250 all-conflicting CRDT transactions on one hot key at 300 tx/s.

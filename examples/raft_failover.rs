@@ -21,10 +21,11 @@
 
 use std::sync::Arc;
 
+use fabriccrdt_repro::channel::assemble;
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
 use fabriccrdt_repro::fabric::simulation::TxRequest;
-use fabriccrdt_repro::fabriccrdt_raft_simulation;
+use fabriccrdt_repro::fabriccrdt::CrdtValidator;
 use fabriccrdt_repro::sim::time::SimTime;
 use fabriccrdt_repro::workload::iot::IotChaincode;
 
@@ -38,12 +39,11 @@ fn main() {
         at: SimTime::from_millis(500),
         restart_at: SimTime::from_millis(1_500),
     });
-    let mut config = PipelineConfig::paper(25, 11);
-    config.ordering = Some(raft);
+    let config = PipelineConfig::paper(25, 11).with_raft_config(raft);
 
     let mut registry = ChaincodeRegistry::new();
     registry.deploy(Arc::new(IotChaincode::crdt()));
-    let mut sim = fabriccrdt_raft_simulation(config, registry);
+    let mut sim = assemble(config, registry, CrdtValidator::new);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
 
     // 400 all-conflicting CRDT transactions on one hot key at 300 tx/s

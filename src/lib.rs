@@ -5,8 +5,10 @@
 //! downstream user can depend on a single crate.
 //!
 //! Start with [`fabriccrdt`] (the paper's contribution) and
-//! [`fabriccrdt_fabric`] (the Fabric-like substrate). See `README.md` for a
-//! guided tour and `DESIGN.md` for the architecture.
+//! [`fabriccrdt_fabric`] (the Fabric-like substrate);
+//! [`channel::assemble()`] builds either system over whatever gossip /
+//! Raft layers a `PipelineConfig` names. See `README.md` for a guided
+//! tour and `DESIGN.md` for the architecture.
 
 #![forbid(unsafe_code)]
 
@@ -20,32 +22,3 @@ pub use fabriccrdt_ledger as ledger;
 pub use fabriccrdt_ordering as ordering;
 pub use fabriccrdt_sim as sim;
 pub use fabriccrdt_workload as workload;
-
-/// Builds a FabricCRDT network whose block dissemination runs through
-/// the simulated gossip layer (leader pull, push gossip, anti-entropy —
-/// Fabric §4.4), honoring `config.gossip` and `config.faults`. The
-/// vanilla-Fabric twin is
-/// [`fabriccrdt_gossip::fabric_gossip_simulation`].
-pub fn fabriccrdt_gossip_simulation(
-    config: fabric::config::PipelineConfig,
-    registry: fabric::chaincode::ChaincodeRegistry,
-) -> fabric::simulation::Simulation<fabriccrdt::CrdtValidator> {
-    let delivery = Box::new(gossip::GossipDelivery::new(
-        &config,
-        fabriccrdt::CrdtValidator::new,
-    ));
-    fabriccrdt::fabriccrdt_simulation_with_delivery(config, registry, delivery)
-}
-
-/// Builds a FabricCRDT network whose ordering tier runs on the
-/// simulated Raft cluster (leader election, log replication,
-/// crash-failover — Fabric's pluggable consensus), honoring
-/// `config.ordering` and its fault schedule. The vanilla-Fabric twin
-/// is [`fabriccrdt_ordering::fabric_raft_simulation`].
-pub fn fabriccrdt_raft_simulation(
-    config: fabric::config::PipelineConfig,
-    registry: fabric::chaincode::ChaincodeRegistry,
-) -> fabric::simulation::Simulation<fabriccrdt::CrdtValidator> {
-    let backend = Box::new(ordering::RaftOrderingBackend::new(&config));
-    fabriccrdt::fabriccrdt_simulation_with_ordering(config, registry, backend)
-}
