@@ -13,11 +13,10 @@
 //! [`AdversaryMetrics`]
 //! count what was caught.
 //!
-//! The delivery layer is [`ChannelDelivery`] over a one-lane shared
-//! network, which is draw-for-draw identical to the plain
-//! [`GossipDelivery`](fabriccrdt_gossip::GossipDelivery) — so an empty
-//! attack schedule reproduces the honest gossip run bit-for-bit, and
-//! any divergence under attack is the adversary's doing alone.
+//! The delivery layer is the same [`GossipDelivery`] on lane 0 the
+//! honest pipelines use — so an empty attack schedule reproduces the
+//! honest gossip run bit-for-bit, and any divergence under attack is
+//! the adversary's doing alone.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -28,7 +27,7 @@ use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, PipelineConfig, Tam
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, RunMetrics};
 use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
-use fabriccrdt_gossip::{ChannelDelivery, GossipNetwork};
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::gen::Gen;
 use fabriccrdt_sim::time::SimTime;
 
@@ -80,7 +79,7 @@ pub fn run_adversarial_pipeline(
         &config,
         CrdtValidator::new,
     )));
-    let delivery = Box::new(ChannelDelivery::new(network.clone(), 0));
+    let delivery = Box::new(GossipDelivery::new(network.clone(), 0));
     let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery);
     for (key, value) in seeds {
         sim.seed_state(key.clone(), value.clone());
@@ -90,7 +89,7 @@ pub fn run_adversarial_pipeline(
         let mut network = network.borrow_mut();
         network.drain();
         (0..network.peer_count())
-            .map(|peer| network.snapshot(peer))
+            .map(|peer| network.snapshot_on(0, peer))
             .collect()
     };
     AdversarialRun { metrics, snapshots }

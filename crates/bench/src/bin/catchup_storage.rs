@@ -133,10 +133,10 @@ fn run(
     assert!(
         network.fully_converged(),
         "heights: {:?}",
-        network.committed_heights()
+        network.committed_heights_on(0)
     );
     let episode = network
-        .metrics()
+        .metrics_on(0)
         .catch_up
         .iter()
         .find(|e| e.peer == CRASHED_PEER && e.completed_at().is_some())
@@ -200,7 +200,7 @@ fn main() {
 
         for network in [&replay_network, &stored_network] {
             for i in 0..network.peer_count() {
-                let snap = network.snapshot(i).expect("peer up after drain");
+                let snap = network.snapshot_on(0, i).expect("peer up after drain");
                 assert_eq!(snap.state, reference, "peer {i} state diverged");
             }
         }
@@ -267,8 +267,8 @@ fn main() {
     let (mem_network, _) = run(&mem_config, &blocks);
     for i in 0..aof_network.peer_count() {
         assert_eq!(
-            aof_network.snapshot(i).expect("aof peer up"),
-            mem_network.snapshot(i).expect("mem peer up"),
+            aof_network.snapshot_on(0, i).expect("aof peer up"),
+            mem_network.snapshot_on(0, i).expect("mem peer up"),
             "peer {i}: AOF and memory backends diverged"
         );
     }

@@ -4,20 +4,19 @@
 //! derived from work counters; this one measures real elapsed time
 //! (`std::time::Instant`) of the commit path itself — the
 //! [`Peer::process_block`] + [`Peer::commit`] loop — because the
-//! parallel pre-validation stage is value-neutral by construction and
-//! therefore invisible to simulated time. Protocol:
+//! pooled commit path is value-neutral by construction and therefore
+//! invisible to simulated time. Protocol:
 //!
 //! 1. Build an endorsed CRDT block stream once per document size
 //!    (readings per MergeTx payload scale the signature, decode and
 //!    merge costs together).
 //! 2. Replay it through a fresh `Peer<CrdtValidator>` under
-//!    `Sequential`, under `Parallel {{ 1, 2, 4, 8 }}` workers, and
-//!    under `Pipelined {{ 1, 2, 4, 8 }}` (cross-block: block N+1
-//!    pre-validates on the pool while block N finalizes, reading the
-//!    lockless state snapshot), best-of-`REPEATS` timing, decode cache
-//!    cleared before every timed run so each variant pays the same
-//!    parse bill.
-//! 3. Assert every parallel and pipelined replay's ledger snapshot is
+//!    `Sequential` and under `Pipelined {{ 1, 2, 4, 8 }}` workers
+//!    (cross-block: block N+1 pre-validates on the pool while block N
+//!    finalizes, reading the lockless state snapshot),
+//!    best-of-`REPEATS` timing, decode cache cleared before every
+//!    timed run so each variant pays the same parse bill.
+//! 3. Assert every pipelined replay's ledger snapshot is
 //!    byte-identical to the sequential baseline (the correctness half
 //!    runs on every machine, every time).
 //! 4. Emit `BENCH_commit_path.json` — sequential baseline, per-cell
@@ -38,14 +37,12 @@
 //!
 //! Run with: `cargo run --release --bin commit_path -- [--txs N] [--seed S]`
 
-use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
 
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_bench::{obj, report, HarnessOptions};
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::metrics::PipelineMetrics;
-use fabriccrdt_fabric::peer::PreparedBlock;
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot, StageTimings};
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
@@ -59,9 +56,6 @@ use fabriccrdt_workload::report::render_table;
 const BLOCK_SIZE: usize = 25;
 const ENDORSING_ORGS: [&str; 4] = ["org1", "org2", "org3", "org4"];
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Run-ahead depths for the deep-pipelined driver (depth 1 is the
-/// chained `finish_block_with_next` driver above).
-const AHEAD_DEPTHS: [usize; 2] = [2, 4];
 const REPEATS: usize = 3;
 /// Padding appended to every reading so payload bytes scale linearly
 /// with the reading count (≈40 B per reading).
@@ -170,63 +164,6 @@ fn replay_once(
     (peer.snapshot(), wall, stages, counters)
 }
 
-/// One timed replay with run-ahead depth `depth` > 1: a window of up
-/// to `depth` blocks pre-validates ahead (each against the union of
-/// every in-flight predecessor's transaction ids, exactly like the
-/// simulation's pipelined event driver) while the window's head
-/// finalizes and commits. Returns the deepest window observed.
-fn replay_depth_once(
-    workers: usize,
-    depth: usize,
-    blocks: &[Block],
-) -> (PeerSnapshot, f64, StageTotals, u64) {
-    cache::clear();
-    let mut peer = Peer::new(CrdtValidator::new(), policy())
-        .with_pipeline(ValidationPipeline::pipelined(workers));
-    let mut stages = StageTotals::default();
-    let mut window: VecDeque<PreparedBlock> = VecDeque::new();
-    let mut max_ahead = 0u64;
-    let start = Instant::now();
-    let mut stream = blocks.iter();
-    loop {
-        while window.len() < depth {
-            let Some(block) = stream.next() else { break };
-            let extra: HashSet<TxId> = window.iter().flat_map(PreparedBlock::tx_ids).collect();
-            window.push_back(peer.prevalidate_ahead(block.clone(), &extra));
-            max_ahead = max_ahead.max(window.len() as u64);
-        }
-        let Some(prep) = window.pop_front() else {
-            break;
-        };
-        let staged = peer.finish_block(prep);
-        stages.accumulate(&staged.timings);
-        peer.commit(staged).expect("blocks arrive in chain order");
-    }
-    let wall = start.elapsed().as_secs_f64();
-    let _ = peer.take_pipeline_metrics();
-    (peer.snapshot(), wall, stages, max_ahead)
-}
-
-/// Best-of-`REPEATS` depth replay; snapshots of every repeat must
-/// agree.
-fn replay_depth(
-    workers: usize,
-    depth: usize,
-    blocks: &[Block],
-) -> (PeerSnapshot, f64, StageTotals, u64) {
-    let (snapshot, mut best, mut stages, max_ahead) = replay_depth_once(workers, depth, blocks);
-    for _ in 1..REPEATS {
-        let (again, wall, repeat_stages, repeat_ahead) = replay_depth_once(workers, depth, blocks);
-        assert_eq!(again, snapshot, "depth-{depth} replay not deterministic");
-        assert_eq!(repeat_ahead, max_ahead);
-        if wall < best {
-            best = wall;
-            stages = repeat_stages;
-        }
-    }
-    (snapshot, best, stages, max_ahead)
-}
-
 /// Best-of-`REPEATS` replay; snapshots of every repeat must agree.
 /// Stage timings are taken from the best run so the per-stage split is
 /// consistent with the reported wall time. Overlap counters are
@@ -263,10 +200,6 @@ struct Cell {
     tps: f64,
     speedup: f64,
     finalize_speedup: f64,
-    /// Deepest pre-validated run-ahead window the driver reached: 0
-    /// for non-pipelined drivers, 1 for the chained pipelined driver,
-    /// up to the configured depth for the deep drivers.
-    max_ahead_depth: u64,
 }
 
 fn main() {
@@ -278,7 +211,7 @@ fn main() {
     let doc_sizes: &[usize] = if txs < 500 { &[4, 32] } else { &[4, 32, 128] };
     let default_doc = doc_sizes[doc_sizes.len() - 1];
 
-    println!("Commit-path wall-clock: sequential vs parallel vs pipelined validation");
+    println!("Commit-path wall-clock: sequential vs pipelined validation");
     println!(
         "workload: {txs} CRDT txs in {blocks} blocks of {BLOCK_SIZE}, \
          {} endorsements/tx, doc sizes {doc_sizes:?} readings, \
@@ -307,18 +240,9 @@ fn main() {
             tps: txs as f64 / seq_wall,
             speedup: 1.0,
             finalize_speedup: 1.0,
-            max_ahead_depth: 0,
         });
-        let variants = WORKER_COUNTS
-            .iter()
-            .map(|&w| ValidationPipeline::parallel(w))
-            .chain(
-                WORKER_COUNTS
-                    .iter()
-                    .map(|&w| ValidationPipeline::pipelined(w)),
-            );
-        for pipeline in variants {
-            let workers = pipeline.workers();
+        for workers in WORKER_COUNTS {
+            let pipeline = ValidationPipeline::pipelined(workers);
             let (snapshot, wall, stages, counters) = replay(pipeline, &stream);
             assert_eq!(
                 snapshot.state,
@@ -332,7 +256,7 @@ fn main() {
                 "{readings} readings, {}: chain diverged",
                 pipeline.label()
             );
-            if pipeline.is_pipelined() && readings == default_doc && workers == 4 {
+            if readings == default_doc && workers == 4 {
                 counters_at_4 = counters;
             }
             cells.push(Cell {
@@ -350,47 +274,7 @@ fn main() {
                 } else {
                     1.0
                 },
-                max_ahead_depth: u64::from(pipeline.is_pipelined()),
             });
-        }
-        if readings == default_doc {
-            // Deep run-ahead cells (ROADMAP item 3 residual): the
-            // window driver pre-validates up to D blocks ahead at 4
-            // workers; outcomes must stay byte-identical regardless of
-            // depth.
-            for &depth in &AHEAD_DEPTHS {
-                let (snapshot, wall, stages, max_ahead) = replay_depth(4, depth, &stream);
-                assert_eq!(
-                    snapshot.state, seq_snapshot.state,
-                    "{readings} readings, ahead-depth {depth}: world state diverged"
-                );
-                assert_eq!(
-                    snapshot.chain, seq_snapshot.chain,
-                    "{readings} readings, ahead-depth {depth}: chain diverged"
-                );
-                assert_eq!(
-                    max_ahead,
-                    depth.min(blocks) as u64,
-                    "window driver never filled its run-ahead depth"
-                );
-                cells.push(Cell {
-                    doc_readings: readings,
-                    label: format!("pipelined-ahead{depth}(4w)"),
-                    workers: 4,
-                    wall_secs: wall,
-                    pre_validate_secs: stages.pre_validate_secs,
-                    finalize_secs: stages.finalize_secs,
-                    overlap_secs: stages.overlap_secs,
-                    tps: txs as f64 / wall,
-                    speedup: seq_wall / wall,
-                    finalize_speedup: if stages.finalize_secs > 0.0 {
-                        seq_stages.finalize_secs / stages.finalize_secs
-                    } else {
-                        1.0
-                    },
-                    max_ahead_depth: max_ahead,
-                });
-            }
         }
     }
 
@@ -407,7 +291,6 @@ fn main() {
                 format!("{:.0}", c.tps),
                 format!("{:.2}x", c.speedup),
                 format!("{:.2}x", c.finalize_speedup),
-                c.max_ahead_depth.to_string(),
             ]
         })
         .collect();
@@ -425,28 +308,22 @@ fn main() {
                 "tps",
                 "speedup",
                 "fin-speedup",
-                "ahead",
             ],
             &rows
         )
     );
 
-    let cell_at_4 = cells.iter().find(|c| {
-        c.doc_readings == default_doc && c.workers == 4 && c.label.starts_with("parallel")
-    });
-    let speedup_at_4 = cell_at_4.map_or(0.0, |c| c.speedup);
-    let finalize_speedup_at_4 = cell_at_4.map_or(0.0, |c| c.finalize_speedup);
-    let pipelined_at_4 = cells.iter().find(|c| {
-        c.doc_readings == default_doc && c.workers == 4 && c.label.starts_with("pipelined")
-    });
+    let pipelined_at_4 = cells
+        .iter()
+        .find(|c| c.doc_readings == default_doc && c.workers == 4);
+    let finalize_speedup_at_4 = pipelined_at_4.map_or(0.0, |c| c.finalize_speedup);
     let pipelined_speedup_at_4 = pipelined_at_4.map_or(0.0, |c| c.speedup);
     let overlap_at_4 = pipelined_at_4.map_or(0.0, |c| c.overlap_secs);
     let hardware_limited = cores < 4;
     println!(
         "default workload ({default_doc} readings/doc): sequential baseline {:.1} ms, \
-         speedup at 4 workers {speedup_at_4:.2}x \
-         (finalize stage {finalize_speedup_at_4:.2}x, \
-         pipelined {pipelined_speedup_at_4:.2}x with {:.1} ms overlapped){}",
+         pipelined at 4 workers {pipelined_speedup_at_4:.2}x \
+         (finalize stage {finalize_speedup_at_4:.2}x, {:.1} ms overlapped){}",
         baseline_at_default * 1e3,
         overlap_at_4 * 1e3,
         if hardware_limited {
@@ -469,7 +346,6 @@ fn main() {
             ("tps", c.tps.into()),
             ("speedup", c.speedup.into()),
             ("finalize_speedup", c.finalize_speedup.into()),
-            ("max_ahead_depth", (c.max_ahead_depth as f64).into()),
         ])
     });
     let json = obj([
@@ -488,7 +364,6 @@ fn main() {
             "sequential_baseline_tps",
             (txs as f64 / baseline_at_default).into(),
         ),
-        ("speedup_at_4_workers", speedup_at_4.into()),
         (
             "finalize_speedup_at_4_workers",
             finalize_speedup_at_4.into(),
@@ -521,7 +396,6 @@ fn main() {
         &json,
         &[
             "sequential_baseline_tps",
-            "speedup_at_4_workers",
             "finalize_speedup_at_4_workers",
             "pipelined_speedup_at_4_workers",
             "blocks_overlapped",
@@ -530,7 +404,6 @@ fn main() {
             "cells.0.pre_validate_secs",
             "cells.0.finalize_secs",
             "cells.0.overlap_secs",
-            "cells.0.max_ahead_depth",
             &format!("cells.{last_cell}.tps"),
         ],
     );

@@ -72,7 +72,7 @@ fn replay(
         network.publish(*cut_at, block.clone());
     }
     network.drain();
-    let metrics = network.take_metrics();
+    let metrics = network.take_metrics_on(0);
     (network, metrics)
 }
 
@@ -122,8 +122,8 @@ fn report(label: &str, network: &GossipNetwork<CrdtValidator>, metrics: &Dissemi
     }
     println!(
         "  committed heights: {:?} (published {})",
-        network.committed_heights(),
-        network.published_count(),
+        network.committed_heights_on(0),
+        network.published_count_on(0),
     );
 }
 
@@ -136,7 +136,9 @@ fn assert_byte_identical(
 ) {
     assert!(network.fully_converged(), "{label}: not converged");
     for index in 0..network.peer_count() {
-        let snapshot = network.snapshot(index).expect("peer is up after drain");
+        let snapshot = network
+            .snapshot_on(0, index)
+            .expect("peer is up after drain");
         assert_eq!(
             snapshot.state, reference.state,
             "{label}: peer {index} world state diverged"

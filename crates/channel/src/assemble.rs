@@ -6,13 +6,16 @@
 //! first that sees both, so the selection is written here once and
 //! shared with [`MultiChannelNetwork`](crate::MultiChannelNetwork).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::PipelineConfig;
 use fabriccrdt_fabric::simulation::{
     DeliveryLayer, IdealFifoDelivery, OrderingBackend, Simulation, SingleOrderer,
 };
 use fabriccrdt_fabric::validator::BlockValidator;
-use fabriccrdt_gossip::GossipDelivery;
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_ordering::RaftOrderingBackend;
 
 /// The ordering backend `config` asks for: the Raft cluster iff
@@ -58,7 +61,8 @@ pub fn assemble<V: BlockValidator>(
     let validator = make_validator();
     let ordering = ordering_backend(&config);
     let delivery: Box<dyn DeliveryLayer> = if config.gossip.is_some() {
-        Box::new(GossipDelivery::new(&config, make_validator))
+        let network = GossipNetwork::new(&config, make_validator);
+        Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0))
     } else {
         Box::new(IdealFifoDelivery::new())
     };

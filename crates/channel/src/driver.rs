@@ -5,7 +5,7 @@
 //! (single orderer or the Raft cluster, per the channel's
 //! `ChannelSpec` override), committing peer, world state and durable
 //! ledger — whose block dissemination runs through a
-//! [`ChannelDelivery`] lane of one shared [`GossipNetwork`]. The
+//! [`GossipDelivery`] lane of one shared [`GossipNetwork`]. The
 //! shared network applies the base config's crash / restart /
 //! partition schedule to every channel a faulted peer is a member of,
 //! at the same simulated times, so cross-channel runs see correlated
@@ -29,7 +29,7 @@ use fabriccrdt_fabric::channel::{
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_gossip::network::GossipNetwork;
-use fabriccrdt_gossip::ChannelDelivery;
+use fabriccrdt_gossip::GossipDelivery;
 use fabriccrdt_sim::time::SimTime;
 
 use crate::assemble::ordering_backend;
@@ -89,7 +89,7 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
                     .observed_peer
                     .unwrap_or_else(|| network.borrow().observed_on(c));
                 let delivery =
-                    Box::new(ChannelDelivery::new(network.clone(), c).with_observed(observed));
+                    Box::new(GossipDelivery::new(network.clone(), c).with_observed(observed));
                 let ordering = ordering_backend(&pipeline);
                 Simulation::with_layers(
                     pipeline,
@@ -294,11 +294,14 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
             .collect()
     }
 
-    /// Asserts every channel's gossip replicas hold ledgers
-    /// byte-identical to the channel's pipeline peer — the
-    /// multi-channel reconvergence check. Call after runs and
-    /// transfers have drained (every [`MultiChannelNetwork::run`] /
-    /// phase drains its channels' lanes).
+    /// Asserts every channel's gossip replicas converged on the
+    /// channel's pipeline peer: same world state, same chain height,
+    /// same tip hash — the multi-channel reconvergence check.
+    /// Chain *bytes* are not compared: a replica that caught up by
+    /// snapshot install legitimately resumes its chain at the snapshot
+    /// tip, and the tip hash already commits to every block below it.
+    /// Call after runs and transfers have drained (every
+    /// [`MultiChannelNetwork::run`] / phase drains its channels' lanes).
     ///
     /// # Panics
     ///
@@ -306,13 +309,15 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
     pub fn verify_converged(&self) {
         let network = self.network.borrow();
         for (c, spec) in self.config.channels.iter().enumerate() {
-            let reference = self.sims[c].peer().snapshot();
+            let reference = self.sims[c].peer();
             for &member in &spec.members {
                 let replica = network
-                    .snapshot_on(c, member)
+                    .peer_on(c, member)
                     .unwrap_or_else(|| panic!("{}: replica {member} is down", spec.id));
                 assert!(
-                    replica == reference,
+                    replica.chain().height() == reference.chain().height()
+                        && replica.chain().tip_hash() == reference.chain().tip_hash()
+                        && replica.state() == reference.state(),
                     "{}: replica {member}'s ledger diverged from the pipeline peer",
                     spec.id
                 );
@@ -347,4 +352,34 @@ pub fn fabriccrdt_multi_channel(
     registry: ChaincodeRegistry,
 ) -> MultiChannelNetwork<CrdtValidator> {
     MultiChannelNetwork::new(config, registry, CrdtValidator::new)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fabriccrdt_fabric::config::PipelineConfig;
+
+    /// The other half of the convergence contract (the healthy
+    /// snapshot-recovered case lives in `tests/multi_channel.rs`): a
+    /// replica whose world state really differs from the pipeline
+    /// peer's still fails the check.
+    #[test]
+    fn verify_converged_rejects_a_replica_whose_state_differs() {
+        let base = PipelineConfig::paper(25, 1).with_gossip();
+        let config = MultiChannelConfig::uniform(base, 2);
+        let net = fabriccrdt_multi_channel(config, ChaincodeRegistry::new());
+        net.verify_converged();
+
+        // A key only channel 1's replicas hold.
+        net.network.borrow_mut().seed_state_on(1, "rogue", b"x");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            net.verify_converged();
+        }))
+        .expect_err("diverged replicas must fail the check");
+        let message = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            message.contains("ch1: replica") && message.contains("diverged"),
+            "{message}"
+        );
+    }
 }

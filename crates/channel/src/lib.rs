@@ -24,8 +24,9 @@
 //! Determinism carries over from the single-channel system: channel 0
 //! runs under the base seed and reproduces the seed gossip pipeline
 //! bit-for-bit (ledger bytes and metrics), and every channel's gossip
-//! replicas reconverge to ledgers byte-identical to their channel's
-//! pipeline peer ([`MultiChannelNetwork::verify_converged`]).
+//! replicas reconverge on their channel's pipeline peer — same world
+//! state, height and tip hash
+//! ([`MultiChannelNetwork::verify_converged`]).
 //!
 //! The `multi_channel` bench binary (`crates/bench`) sweeps channel
 //! count × clients-per-channel over this driver and reports aggregate
@@ -40,4 +41,4 @@ pub mod xfer;
 
 pub use assemble::assemble;
 pub use driver::{fabriccrdt_multi_channel, MultiChannelNetwork};
-pub use xfer::{hex_decode, hex_encode, XferChaincode, XFER_CHAINCODE};
+pub use xfer::{XferChaincode, XFER_CHAINCODE};

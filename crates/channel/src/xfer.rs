@@ -29,6 +29,7 @@
 //! Values are hex-encoded inside records so arbitrary bytes survive
 //! the trip through the JSON-text argument layout.
 
+use fabriccrdt_crypto::hex;
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeStub};
 use fabriccrdt_fabric::channel::TransferId;
 use fabriccrdt_jsoncrdt::json::Value;
@@ -76,31 +77,6 @@ impl XferChaincode {
     }
 }
 
-/// Hex-encodes arbitrary bytes (lowercase).
-pub fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(char::from_digit((b >> 4) as u32, 16).expect("nibble"));
-        out.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble"));
-    }
-    out
-}
-
-/// Decodes a lowercase/uppercase hex string; `None` on malformed
-/// input.
-pub fn hex_decode(hex: &str) -> Option<Vec<u8>> {
-    if !hex.len().is_multiple_of(2) {
-        return None;
-    }
-    let digits: Vec<u32> = hex.chars().map(|c| c.to_digit(16)).collect::<Option<_>>()?;
-    Some(
-        digits
-            .chunks(2)
-            .map(|pair| ((pair[0] << 4) | pair[1]) as u8)
-            .collect(),
-    )
-}
-
 fn parse_id(arg: &str) -> Result<TransferId, ChaincodeError> {
     arg.parse::<u64>()
         .map(TransferId)
@@ -129,7 +105,7 @@ impl Chaincode for XferChaincode {
                 // MVCC conflict with the first instead of a second
                 // escrow.
                 stub.get_state(&id.prepare_key());
-                stub.put_state(&id.prepare_key(), hex_encode(&value).into_bytes());
+                stub.put_state(&id.prepare_key(), hex::encode(&value).into_bytes());
                 stub.put_state(key, XferChaincode::escrow_marker(id));
                 Ok(())
             }
@@ -139,7 +115,7 @@ impl Chaincode for XferChaincode {
                 };
                 let id = parse_id(id)?;
                 let value =
-                    hex_decode(escrow_hex).ok_or_else(|| ChaincodeError::new("malformed hex"))?;
+                    hex::decode(escrow_hex).map_err(|_| ChaincodeError::new("malformed hex"))?;
                 stub.get_state(&id.commit_key());
                 stub.get_state(key);
                 if Value::from_bytes(&value).is_ok() {
@@ -158,7 +134,7 @@ impl Chaincode for XferChaincode {
                 };
                 let id = parse_id(id)?;
                 let value =
-                    hex_decode(escrow_hex).ok_or_else(|| ChaincodeError::new("malformed hex"))?;
+                    hex::decode(escrow_hex).map_err(|_| ChaincodeError::new("malformed hex"))?;
                 stub.get_state(&id.abort_key());
                 stub.get_state(key);
                 stub.put_state(key, value);
@@ -175,15 +151,22 @@ impl Chaincode for XferChaincode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fabriccrdt_ledger::worldstate::WorldState;
 
     #[test]
-    fn hex_round_trips() {
-        let bytes: Vec<u8> = (0u8..=255).collect();
-        assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
-        assert_eq!(hex_decode("zz"), None);
-        assert_eq!(hex_decode("abc"), None);
-        assert_eq!(hex_encode(b""), "");
-        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
+    fn malformed_hex_in_transfer_args_is_a_chaincode_error() {
+        let state = WorldState::new();
+        for escrow in ["zz", "abc"] {
+            for args in [
+                XferChaincode::commit_args(TransferId(1), "k", escrow),
+                XferChaincode::abort_args(TransferId(1), "k", escrow),
+            ] {
+                let err = XferChaincode
+                    .invoke(&mut ChaincodeStub::new(&state), &args)
+                    .expect_err("malformed escrow payload");
+                assert!(err.to_string().contains("malformed hex"), "{err}");
+            }
+        }
     }
 
     #[test]

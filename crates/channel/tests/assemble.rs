@@ -16,7 +16,7 @@ use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::simulation::{
     DeliveryLayer, IdealFifoDelivery, OrderingBackend, Simulation, SingleOrderer, TxRequest,
 };
-use fabriccrdt_gossip::{ChannelDelivery, GossipDelivery, GossipNetwork};
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
@@ -87,7 +87,8 @@ fn assembler_is_bit_identical_to_hand_built_layers_on_all_four_shapes() {
     for config in shapes() {
         let shape = (config.gossip.is_some(), config.ordering.is_some());
         let delivery: Box<dyn DeliveryLayer> = if shape.0 {
-            Box::new(GossipDelivery::new(&config, CrdtValidator::new))
+            let network = GossipNetwork::new(&config, CrdtValidator::new);
+            Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0))
         } else {
             Box::new(IdealFifoDelivery::new())
         };
@@ -137,9 +138,8 @@ fn gossip_plus_raft_commits_everything_and_converges() {
         "the crashed peer catches up after its restart"
     );
 
-    // The same deployment over a gossip network the test can inspect
-    // (`ChannelDelivery` on lane 0 draws exactly like `GossipDelivery`):
-    // every replica ends on the assembled pipeline's ledger.
+    // The same deployment over a gossip network the test keeps a handle
+    // on: every replica ends on the assembled pipeline's ledger.
     let network = Rc::new(RefCell::new(GossipNetwork::new(
         &config,
         CrdtValidator::new,
@@ -148,7 +148,7 @@ fn gossip_plus_raft_commits_everything_and_converges() {
         config.clone(),
         CrdtValidator::new(),
         registry(),
-        Box::new(ChannelDelivery::new(network.clone(), 0)),
+        Box::new(GossipDelivery::new(network.clone(), 0)),
         Box::new(RaftOrderingBackend::new(&config)),
     ));
     assert_eq!(twin.0, metrics);
@@ -156,7 +156,7 @@ fn gossip_plus_raft_commits_everything_and_converges() {
     network.drain();
     for peer in 0..network.peer_count() {
         assert!(
-            network.snapshot(peer).as_ref() == Some(&ledger),
+            network.snapshot_on(0, peer).as_ref() == Some(&ledger),
             "replica {peer} diverged from the pipeline peer"
         );
     }

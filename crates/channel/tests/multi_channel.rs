@@ -165,6 +165,51 @@ fn per_channel_raft_ordering_backend() {
     net.verify_converged();
 }
 
+/// Regression: a replica that caught up by snapshot install resumes its
+/// chain at the snapshot tip, so its chain *bytes* legitimately differ
+/// from the pipeline peer's full chain. `verify_converged` used to
+/// compare those bytes and panic "ledger diverged" on this healthy
+/// deployment; convergence is world state, height and tip hash.
+#[test]
+fn verify_converged_accepts_a_snapshot_recovered_replica() {
+    // Blocks of 4 every 80 ms; peer 3 is down for ~40 of them, so the
+    // helper's snapshot plus suffix is far cheaper than a full replay.
+    let faults = FaultConfig {
+        crashes: vec![CrashSpec {
+            peer: 3,
+            at: SimTime::from_millis(150),
+            restart_at: SimTime::from_millis(3500),
+        }],
+        ..FaultConfig::none()
+    };
+    let base = PipelineConfig::paper(4, 31)
+        .with_gossip()
+        .with_faults(faults)
+        .with_storage(StorageConfig::memory().with_snapshot_interval(5));
+    let mut net = fabriccrdt_multi_channel(MultiChannelConfig::uniform(base, 2), iot_registry());
+    for c in 0..2 {
+        seed_channel_keys(&mut net, c);
+    }
+    let rollup = net.run((0..2).map(|c| channel_schedule(c, 200)).collect());
+    assert_eq!(rollup.total_successful(), 400);
+
+    for (c, channel) in rollup.channels.iter().enumerate() {
+        let dissemination = channel.metrics.dissemination.as_ref().expect("gossip ran");
+        assert!(
+            dissemination.snapshot_transfers >= 1,
+            "channel {c}: anti-entropy never picked the snapshot"
+        );
+        let network = net.network();
+        let recovered = network.peer_on(c, 3).expect("peer 3 is back up");
+        assert!(
+            recovered.chain().base_number() > 0,
+            "channel {c}: the recovered chain resumes at the snapshot tip, \
+             so its bytes differ from the pipeline peer's full chain"
+        );
+    }
+    net.verify_converged();
+}
+
 // ------------------------------------------------------- transfers
 
 fn json(bytes: &[u8]) -> Value {

@@ -565,10 +565,11 @@ pub struct PipelineConfig {
     pub channel: ChannelId,
     /// Committing-peer validation pipeline. The default,
     /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
-    /// commit path; `Parallel { workers }` fans endorsement/signature
+    /// commit path; `Pipelined { workers }` fans endorsement/signature
     /// checks per transaction and MVCC/merge finalize per conflict
-    /// chain over a persistent worker pool with order-preserving joins
-    /// — value-identical results, less wall-clock time. Simulated time
+    /// chain over a persistent worker pool with order-preserving joins,
+    /// and overlaps consecutive blocks — value-identical results, less
+    /// wall-clock time. Simulated time
     /// is unaffected either way (costs come from work counters, which
     /// are identical under every pipeline).
     pub validation: ValidationPipeline,
@@ -613,20 +614,13 @@ impl PipelineConfig {
     }
 
     /// Fans committing-peer validation out over a persistent pool of
-    /// `workers` threads (clamped to at least 1): pre-validation per
-    /// transaction, finalize per conflict chain. Value-identical to the
-    /// default sequential pipeline — see `crates/fabric/src/pipeline.rs`
-    /// for the determinism argument.
-    pub fn with_parallel_validation(mut self, workers: usize) -> Self {
-        self.validation = ValidationPipeline::parallel(workers);
-        self
-    }
-
-    /// Everything [`PipelineConfig::with_parallel_validation`] does,
-    /// plus cross-block overlap: block N+1's pure pre-validation runs
-    /// on the pool while block N's finalize commits, with lockless
-    /// snapshot reads and an authoritative MVCC recheck at finalize.
-    /// Value-identical to sequential; only host wall-clock changes.
+    /// `workers` threads (clamped to at least 1) — pre-validation per
+    /// transaction, finalize per conflict chain — and overlaps blocks:
+    /// block N+1's pure pre-validation runs on the pool while block
+    /// N's finalize commits, with lockless snapshot reads and an
+    /// authoritative MVCC recheck at finalize. Value-identical to the
+    /// default sequential pipeline (see `crates/fabric/src/pipeline.rs`
+    /// for the determinism argument); only host wall-clock changes.
     pub fn with_pipelined_validation(mut self, workers: usize) -> Self {
         self.validation = ValidationPipeline::pipelined(workers);
         self
@@ -643,13 +637,6 @@ impl PipelineConfig {
     /// `fabriccrdt_channel::assemble`).
     pub fn with_gossip(mut self) -> Self {
         self.gossip = Some(GossipConfig::calibrated(&self.topology));
-        self
-    }
-
-    /// Routes block dissemination through the gossip layer with explicit
-    /// parameters (honoured by `fabriccrdt_channel::assemble`).
-    pub fn with_gossip_config(mut self, gossip: GossipConfig) -> Self {
-        self.gossip = Some(gossip);
         self
     }
 

@@ -31,9 +31,9 @@
 //!   [`validator::FabricValidator`] is vanilla Fabric MVCC. (FabricCRDT's
 //!   merging validator lives in the `fabriccrdt` core crate.)
 //! - [`pipeline`]: the commit-path validation pipeline seam —
-//!   sequential (seed-identical) or pool-backed parallel execution with
-//!   an order-preserving join.
-//! - [`pool`]: the persistent worker pool behind parallel pipelines
+//!   sequential (seed-identical) or pool-backed pipelined execution
+//!   with an order-preserving join.
+//! - [`pool`]: the persistent worker pool behind pipelined peers
 //!   (threads spawned once per peer, parked between blocks).
 //! - [`schedule`]: the conflict-graph scheduler bucketing a block's
 //!   transactions into key-disjoint chains for the parallel finalize

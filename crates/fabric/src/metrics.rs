@@ -278,8 +278,8 @@ impl AdversaryMetrics {
 
 /// Counters of the cross-block commit pipeline
 /// ([`crate::pipeline::ValidationPipeline::Pipelined`]). Only
-/// populated for pipelined runs; sequential and per-block-parallel
-/// runs report `None` in [`RunMetrics::pipelined`].
+/// populated for pipelined runs; sequential runs report `None` in
+/// [`RunMetrics::pipelined`].
 ///
 /// Excluded from [`RunMetrics`] equality, like
 /// [`RunMetrics::decode_cache`]: the equivalence sweeps compare a

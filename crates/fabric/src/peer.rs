@@ -15,13 +15,14 @@
 //!
 //! # Cross-block pipelining and the lockless read path
 //!
-//! Under [`ValidationPipeline::Pipelined`], processing further splits
-//! into [`Peer::prevalidate_ahead`] (submit block N+1's pure
-//! per-transaction stage to the worker pool) and [`Peer::finish_block`]
-//! (join it, then run the conflict-chain finalize) — so N+1's
-//! signature checking runs on pool threads *while* N's finalize commits
-//! on the calling thread ([`Peer::finish_block_with_next`] chains the
-//! two). The world state lives behind an `Arc` pointer that
+//! [`Peer::process_block`] is [`Peer::prevalidate`] joined at once by
+//! [`Peer::finish_block`]. A driver that wants cross-block overlap
+//! under [`ValidationPipeline::Pipelined`] instead chains
+//! [`Peer::finish_block_with_next`]: it joins block N's pre-validation,
+//! submits block N+1's pure per-transaction stage to the worker pool,
+//! then runs N's conflict-chain finalize — so N+1's signature checking
+//! runs on pool threads *while* N's finalize commits on the calling
+//! thread. The world state lives behind an `Arc` pointer that
 //! [`Peer::commit`] swaps ([`Peer::state`] is the published epoch), so
 //! the overlapped stage — including the advisory
 //! [`BlockValidator::speculative_read_check`] — reads plain `BTreeMap`
@@ -29,7 +30,7 @@
 //! authoritative MVCC recheck at finalize catches any read that raced a
 //! commit. Every stage stays a pure function of (transaction,
 //! committed-id context), so pipelined runs are value-identical to
-//! sequential ones — only wall-clock changes.
+//! sequential ones under either driver — only wall-clock changes.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -98,7 +99,7 @@ pub struct StageTimings {
     pub finalize_end: f64,
     /// Seconds this block's pre-validation span overlapped the
     /// *previous* block's finalize span — zero whenever stages ran
-    /// back-to-back (sequential and plain-parallel modes).
+    /// back-to-back (every [`Peer::process_block`] driver).
     pub overlap_secs: f64,
 }
 
@@ -118,11 +119,11 @@ pub struct StagedBlock {
 
 impl StagedBlock {
     /// Ids of every transaction in the staged block — the duplicate
-    /// context a pipelined driver must thread into
-    /// [`Peer::prevalidate_ahead`] for blocks prepared while this one
-    /// is still in flight ([`Peer::commit`] will extend the committed
-    /// set with *all* of them, valid and failed alike).
-    pub fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
+    /// context a pipelined driver must thread into the pre-validation
+    /// of blocks prepared while this one is still in flight
+    /// ([`Peer::commit`] will extend the committed set with *all* of
+    /// them, valid and failed alike).
+    pub(crate) fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
         self.block.transactions.iter().map(|t| t.id)
     }
 }
@@ -153,7 +154,7 @@ pub struct PreparedBlock {
 impl PreparedBlock {
     /// Ids of every transaction in the prepared block (see
     /// [`StagedBlock::tx_ids`] — same duplicate-context contract).
-    pub fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
+    pub(crate) fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
         // Exactly one of the two is nonempty: `block.transactions`
         // for tampered blocks, the shared `Arc` otherwise.
         self.block
@@ -284,27 +285,16 @@ impl<V: BlockValidator> Peer<V> {
         self
     }
 
-    /// Re-labels this replica's channel in place (used when a restored
-    /// or recovered peer re-joins its channel).
-    pub fn set_channel(&mut self, channel: ChannelId) {
-        self.channel = channel;
-    }
-
-    /// Selects the validation pipeline (builder style). The default,
-    /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
-    /// commit path; `Parallel` is value-identical (see
+    /// Selects the validation pipeline (builder style), re-binding the
+    /// worker pool (a replaced pool's threads join on drop). The
+    /// default, [`ValidationPipeline::Sequential`], is byte-for-byte the
+    /// seed commit path; `Pipelined` is value-identical (see
     /// `crates/fabric/src/pipeline.rs` for the determinism argument) and
-    /// only changes wall-clock time. Parallel runners spawn their
+    /// only changes wall-clock time. Pooled runners spawn their
     /// persistent worker pool here, once per peer.
     pub fn with_pipeline(mut self, pipeline: ValidationPipeline) -> Self {
-        self.set_pipeline(pipeline);
-        self
-    }
-
-    /// Replaces the validation pipeline in place, re-binding the worker
-    /// pool (the old pool's threads join on drop).
-    pub fn set_pipeline(&mut self, pipeline: ValidationPipeline) {
         self.runner = PipelineRunner::new(pipeline);
+        self
     }
 
     /// The active validation pipeline.
@@ -544,12 +534,11 @@ impl<V: BlockValidator> Peer<V> {
 
     /// Starts the pure pre-validation stage of a block *ahead of* its
     /// predecessors' finalize — the overlap window of
-    /// [`ValidationPipeline::Pipelined`]. Under a pipelined runner the
-    /// per-transaction work is submitted to the worker pool and runs
-    /// concurrently with whatever the caller does next (block N's
-    /// finalize); on other runners (or single-thread hardware) it is
-    /// deferred to the join inside [`Peer::finish_block`] —
-    /// value-identical either way.
+    /// [`ValidationPipeline::Pipelined`]. With a free pool the
+    /// per-transaction work is submitted to it and runs concurrently
+    /// with whatever the caller does next (block N's finalize);
+    /// otherwise it is deferred to the join inside
+    /// [`Peer::finish_block`] — value-identical either way.
     ///
     /// `extra_ids` must hold the ids of **every** transaction of every
     /// in-flight block (staged or prepared, valid and failed alike):
@@ -558,7 +547,11 @@ impl<V: BlockValidator> Peer<V> {
     /// had the predecessors already committed. With that, duplicate
     /// verdicts — and therefore `sigs_verified` and the simulated
     /// block cost — are identical to the sequential schedule.
-    pub fn prevalidate_ahead(&mut self, block: Block, extra_ids: &HashSet<TxId>) -> PreparedBlock {
+    pub(crate) fn prevalidate_ahead(
+        &mut self,
+        block: Block,
+        extra_ids: &HashSet<TxId>,
+    ) -> PreparedBlock {
         self.prepare_block(block, extra_ids, true)
     }
 
@@ -576,8 +569,7 @@ impl<V: BlockValidator> Peer<V> {
     /// the pool, then runs `prep`'s finalize on the calling thread —
     /// so `next`'s signature checking proceeds concurrently with the
     /// finalize. The duplicate context for `next` (the ids of `prep`'s
-    /// transactions) is threaded automatically; callers with deeper
-    /// in-flight queues use [`Peer::prevalidate_ahead`] directly.
+    /// transactions) is threaded automatically.
     pub fn finish_block_with_next(
         &mut self,
         prep: PreparedBlock,
@@ -833,7 +825,7 @@ impl<V: BlockValidator> Peer<V> {
     /// Sequential runners (and blocks whose conflict graph is a single
     /// chain) take the reference path — the untouched seed
     /// [`BlockValidator::validate_and_commit`] over a cloned
-    /// `WorldState`. Parallel runners instead bucket the block into
+    /// `WorldState`. Pooled runners instead bucket the block into
     /// key-disjoint conflict chains ([`conflict_chains`]), finalize the
     /// chains concurrently against a [`ShardedState`], and reassemble
     /// codes, write-value rewrites and work counters in block order —
@@ -868,9 +860,12 @@ impl<V: BlockValidator> Peer<V> {
         let validator = Arc::clone(&self.validator);
         let job_txs = Arc::clone(&transactions);
         let job_state = Arc::clone(&sharded);
-        let outcomes: Vec<ChainOutcome> = self.runner.map_ordered(&chains, move |_, chain| {
+        // Submitted and joined at once: on the pool when it is free,
+        // on this thread when an overlapped pre-validation owns it.
+        let pending = self.runner.map_ordered_bg(&chains, move |_, chain| {
             validator.finalize_chain(number, &job_txs, chain, &job_state)
         });
+        let outcomes: Vec<ChainOutcome> = self.runner.join(pending);
 
         // Reassemble block order. Chains partition the undecided
         // transactions, so exactly one outcome decides each of them.
@@ -1175,54 +1170,62 @@ mod tests {
         assert!(p.state().value("k").is_none());
     }
 
+    /// The contract that replaces a separate intra-block-parallel
+    /// mode: a `Pipelined` peer driven only by `process_block` joins
+    /// every batch at once, so it ends byte-identical to `Sequential`
+    /// and overlaps nothing.
     #[test]
-    fn parallel_finalize_matches_sequential() {
-        // Mixed block: a hot-key chain, disjoint singleton chains, an
-        // in-block duplicate and a policy failure — exercising the
-        // conflict-graph path, pre-decided exclusion and reassembly.
+    fn pipelined_peer_driven_by_process_block_matches_sequential_without_overlap() {
+        // Mixed blocks: a hot-key chain, disjoint singleton chains, an
+        // in-block and a cross-block duplicate and a policy failure —
+        // exercising the conflict-graph path, pre-decided exclusion and
+        // reassembly.
         let dup = tx(1, "a", &["org1", "org2"]);
-        let txs = vec![
-            dup.clone(),
-            tx(2, "hot", &["org1", "org2"]),
-            tx(3, "hot", &["org1", "org2"]),
-            dup,
-            tx(4, "b", &["org1"]),
-            tx(5, "c", &["org1", "org2"]),
+        let streams = vec![
+            vec![
+                dup.clone(),
+                tx(2, "hot", &["org1", "org2"]),
+                tx(3, "hot", &["org1", "org2"]),
+                dup.clone(),
+                tx(4, "b", &["org1"]),
+                tx(5, "c", &["org1", "org2"]),
+            ],
+            vec![
+                tx(6, "hot", &["org1", "org2"]),
+                dup,
+                tx(7, "d", &["org1", "org2"]),
+            ],
         ];
         let mut seq = peer();
-        let mut par = peer().with_pipeline(ValidationPipeline::parallel(4));
-        for p in [&mut seq, &mut par] {
+        let mut pip = peer().with_pipeline(ValidationPipeline::pipelined(4));
+        assert_eq!(pip.pipeline(), ValidationPipeline::pipelined(4));
+        for p in [&mut seq, &mut pip] {
             p.seed_state("hot", b"seed".to_vec());
         }
-        let block = next_block(&seq, txs);
-        let staged_seq = seq.process_block(block.clone());
-        let staged_par = par.process_block(block);
+        for txs in streams {
+            let block = next_block(&seq, txs);
+            let staged_seq = seq.process_block(block.clone());
+            let staged_pip = pip.process_block(block);
+            assert_eq!(
+                staged_pip.block.validation_codes,
+                staged_seq.block.validation_codes
+            );
+            assert_eq!(
+                staged_pip.block.header.data_hash,
+                staged_seq.block.header.data_hash
+            );
+            assert_eq!(staged_pip.new_state, staged_seq.new_state);
+            assert_eq!(staged_pip.work, staged_seq.work);
+            assert_eq!(staged_pip.timings.overlap_secs, 0.0);
+            seq.commit(staged_seq).unwrap();
+            pip.commit(staged_pip).unwrap();
+        }
+        assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
         assert_eq!(
-            staged_par.block.validation_codes,
-            staged_seq.block.validation_codes
+            pip.take_pipeline_metrics(),
+            PipelineMetrics::default(),
+            "process_block never overlaps blocks or speculates"
         );
-        assert_eq!(
-            staged_par.block.header.data_hash,
-            staged_seq.block.header.data_hash
-        );
-        assert_eq!(staged_par.new_state, staged_seq.new_state);
-        assert_eq!(staged_par.work, staged_seq.work);
-        seq.commit(staged_seq).unwrap();
-        par.commit(staged_par).unwrap();
-        assert_eq!(seq.snapshot(), par.snapshot(), "byte-identical ledgers");
-    }
-
-    #[test]
-    fn set_pipeline_swaps_the_runner() {
-        let mut p = peer();
-        assert_eq!(p.pipeline(), ValidationPipeline::Sequential);
-        p.set_pipeline(ValidationPipeline::parallel(2));
-        assert_eq!(p.pipeline(), ValidationPipeline::parallel(2));
-        let block = next_block(&p, vec![tx(1, "k", &["org1", "org2"])]);
-        let staged = p.process_block(block);
-        assert_eq!(staged.block.validation_codes, vec![ValidationCode::Valid]);
-        assert!(staged.timings.pre_validate_secs >= 0.0);
-        assert!(staged.timings.finalize_secs >= 0.0);
     }
 
     fn reading_tx(

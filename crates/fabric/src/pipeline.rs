@@ -16,11 +16,24 @@
 //! [`OrderingBackend`](crate::simulation::OrderingBackend) pattern:
 //! the default [`ValidationPipeline::Sequential`] reproduces the seed
 //! commit path instruction-for-instruction, while
-//! [`ValidationPipeline::Parallel`] fans the same per-item closure out
+//! [`ValidationPipeline::Pipelined`] fans the same per-item closure out
 //! over a persistent [`WorkerPool`] (threads spawned once per peer, not
 //! once per block — the per-block `std::thread::scope` of the first
 //! parallel pipeline cost 15–20% at small document sizes).
 //! [`PipelineRunner`] binds the configuration to its pool.
+//!
+//! # One primitive: submit, then join
+//!
+//! There is one way to run a batch on the pool:
+//! [`PipelineRunner::map_ordered_bg`] starts it and
+//! [`PipelineRunner::join`] collects it. The overlapped commit path
+//! does other work between the two calls (block N's finalize while
+//! block N+1 pre-validates — the lockless overlapped validation of
+//! Meir et al., arXiv 1911.12711); a synchronous batch is the same two
+//! calls back to back. A `Pipelined` peer driven only through
+//! [`Peer::process_block`](crate::peer::Peer::process_block) therefore
+//! *is* the intra-block-parallel peer: every batch is joined at once
+//! and no block overlaps another.
 //!
 //! # Determinism argument
 //!
@@ -32,16 +45,16 @@
 //!    scheduling order, so each per-index result is identical no matter
 //!    which worker computes it or when.
 //! 2. **Ordered join** — every result lands in its index's slot and
-//!    [`PipelineRunner::map_ordered`] reassembles the output vector in
-//!    index order, so downstream consumers (the conflict-chain finalize
+//!    [`PipelineRunner::join`] reassembles the output vector in index
+//!    order, so downstream consumers (the conflict-chain finalize
 //!    stage, the work counters that drive the cost model) see exactly
 //!    the sequence a sequential map would have produced.
 //!
-//! Hence `Parallel { workers }` is value-identical to `Sequential` for
-//! every `workers >= 1` — asserted by the seed sweeps in
-//! `crates/fabric/tests/parallel_validation.rs` and
+//! Hence `Pipelined { workers }` is value-identical to `Sequential` for
+//! every `workers >= 1` and under either driver — asserted by the seed
+//! sweeps in `crates/fabric/tests/parallel_validation.rs` and
 //! `crates/fabric/tests/finalize_schedule.rs` — and only the
-//! *wall-clock* time of `process_block` changes.
+//! *wall-clock* time of the commit path changes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -59,19 +72,18 @@ pub enum ValidationPipeline {
     /// Fan work out over a persistent pool of `workers` threads;
     /// results are joined in item order (see the module-level
     /// determinism argument). `workers == 1` still runs on the calling
-    /// thread.
-    Parallel {
-        /// Total worker parallelism (clamped to at least 1).
-        workers: usize,
-    },
-    /// Everything `Parallel` does, plus *cross-block* overlap: the
-    /// pure pre-validation stage of block N+1 may be submitted to the
-    /// pool asynchronously ([`PipelineRunner::map_ordered_bg`]) while
-    /// block N's finalize runs on the calling thread. Reads during the
-    /// overlapped stage go through the peer's immutable `Arc` state
-    /// epoch (see [`crate::peer::Peer::state`]), never a lock; the MVCC
-    /// recheck at finalize catches any read that raced a commit.
-    /// Value-identical to `Sequential` — only wall-clock changes.
+    /// thread. Driven through
+    /// [`Peer::process_block`](crate::peer::Peer::process_block) that
+    /// is all it does; a driver that chains
+    /// [`Peer::finish_block_with_next`](crate::peer::Peer::finish_block_with_next)
+    /// also gets *cross-block* overlap: the pure pre-validation stage
+    /// of block N+1 is submitted to the pool
+    /// ([`PipelineRunner::map_ordered_bg`]) while block N's finalize
+    /// runs on the calling thread. Reads during the overlapped stage go
+    /// through the peer's immutable `Arc` state epoch (see
+    /// [`crate::peer::Peer::state`]), never a lock; the MVCC recheck at
+    /// finalize catches any read that raced a commit. Value-identical
+    /// to `Sequential` — only wall-clock changes.
     Pipelined {
         /// Total worker parallelism (clamped to at least 1).
         workers: usize,
@@ -79,15 +91,8 @@ pub enum ValidationPipeline {
 }
 
 impl ValidationPipeline {
-    /// A parallel pipeline with `workers` threads (at least 1).
-    pub fn parallel(workers: usize) -> Self {
-        ValidationPipeline::Parallel {
-            workers: workers.max(1),
-        }
-    }
-
-    /// A cross-block pipelined pipeline with `workers` threads (at
-    /// least 1).
+    /// A pooled, cross-block pipelined pipeline with `workers` threads
+    /// (at least 1).
     pub fn pipelined(workers: usize) -> Self {
         ValidationPipeline::Pipelined {
             workers: workers.max(1),
@@ -104,26 +109,14 @@ impl ValidationPipeline {
     pub fn workers(&self) -> usize {
         match *self {
             ValidationPipeline::Sequential => 1,
-            ValidationPipeline::Parallel { workers }
-            | ValidationPipeline::Pipelined { workers } => workers.max(1),
+            ValidationPipeline::Pipelined { workers } => workers.max(1),
         }
     }
 
-    /// Worker threads this pipeline would use for `items` work items.
-    pub fn effective_workers(&self, items: usize) -> usize {
-        match *self {
-            ValidationPipeline::Sequential => 1,
-            ValidationPipeline::Parallel { workers }
-            | ValidationPipeline::Pipelined { workers } => workers.max(1).min(items.max(1)),
-        }
-    }
-
-    /// Short name for reports ("sequential", "parallel(4)",
-    /// "pipelined(4)").
+    /// Short name for reports ("sequential", "pipelined(4)").
     pub fn label(&self) -> String {
         match *self {
             ValidationPipeline::Sequential => "sequential".to_string(),
-            ValidationPipeline::Parallel { workers } => format!("parallel({workers})"),
             ValidationPipeline::Pipelined { workers } => format!("pipelined({workers})"),
         }
     }
@@ -136,16 +129,15 @@ impl ValidationPipeline {
 pub struct PipelineRunner {
     mode: ValidationPipeline,
     pool: Option<WorkerPool>,
-    /// Whether a background batch ([`PipelineRunner::map_ordered_bg`])
-    /// currently owns the pool. While set, synchronous maps evaluate
-    /// on the calling thread (value-identical by purity + ordered
-    /// join) instead of contending for the pool.
+    /// Whether an unjoined batch ([`PipelineRunner::map_ordered_bg`])
+    /// currently owns the pool. While set, further maps are deferred
+    /// to their join on the calling thread (value-identical by purity
+    /// and ordered join) instead of contending for the pool.
     busy: AtomicBool,
 }
 
-/// An in-flight ordered map started by
-/// [`PipelineRunner::map_ordered_bg`]. Redeem with
-/// [`PipelineRunner::join`] to get the results in item order.
+/// An ordered map started by [`PipelineRunner::map_ordered_bg`]. Redeem
+/// with [`PipelineRunner::join`] to get the results in item order.
 ///
 /// Two shapes, indistinguishable by value:
 ///
@@ -180,14 +172,6 @@ impl<U> std::fmt::Debug for PendingMap<U> {
     }
 }
 
-impl<U> PendingMap<U> {
-    /// Whether the map is actually running on the pool right now (as
-    /// opposed to deferred to join time).
-    pub fn is_concurrent(&self) -> bool {
-        matches!(self.inner, PendingInner::Pool { .. })
-    }
-}
-
 impl PipelineRunner {
     /// Builds a runner for `mode`, spawning the worker pool up front
     /// when `mode` asks for real parallelism. Spawned threads are
@@ -195,14 +179,11 @@ impl PipelineRunner {
     /// the hardware can only add context-switch overhead, never
     /// speedup, and results are thread-count-independent by the
     /// determinism argument above — so on a single-core machine
-    /// `Parallel {{ workers: N }}` runs on the calling thread while
+    /// `Pipelined {{ workers: N }}` runs on the calling thread while
     /// still taking the parallel (conflict-chain) code path.
     pub fn new(mode: ValidationPipeline) -> Self {
         let pool = match mode {
-            ValidationPipeline::Parallel { workers }
-            | ValidationPipeline::Pipelined { workers }
-                if workers >= 2 =>
-            {
+            ValidationPipeline::Pipelined { workers } if workers >= 2 => {
                 let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
                 let spawn = workers.min(hardware);
                 (spawn >= 2).then(|| WorkerPool::new(spawn))
@@ -221,93 +202,32 @@ impl PipelineRunner {
         self.mode
     }
 
-    /// Whether this runner actually executes work concurrently (a pool
-    /// was spawned — i.e. `mode` asked for ≥2 workers *and* the machine
-    /// has ≥2 hardware threads).
-    pub fn is_parallel(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Whether the finalize stage should use the conflict-chain
     /// schedule. Keyed on the *configuration*, not the spawned pool, so
     /// the chain-partitioned path (and its byte-identity machinery) is
     /// exercised even on machines where the pool is clamped to the
     /// calling thread.
     pub fn parallel_finalize(&self) -> bool {
-        matches!(
-            self.mode,
-            ValidationPipeline::Parallel { workers } | ValidationPipeline::Pipelined { workers }
-                if workers >= 2
-        )
+        matches!(self.mode, ValidationPipeline::Pipelined { workers } if workers >= 2)
     }
 
-    /// Whether this runner overlaps blocks (see
-    /// [`ValidationPipeline::Pipelined`]).
-    pub fn is_pipelined(&self) -> bool {
-        self.mode.is_pipelined()
-    }
-
-    /// Maps `f` over `items`, returning results in item order.
+    /// Starts mapping `f` over `items` and returns a [`PendingMap`] to
+    /// redeem with [`PipelineRunner::join`] — at once for a synchronous
+    /// map, or after the caller has done other work for an overlapped
+    /// one.
     ///
     /// `f(i, &items[i])` must be pure per item — it may read shared
-    /// context but must not depend on evaluation order. Sequential
-    /// runners evaluate left to right on the calling thread, exactly
-    /// like `iter().map()`; parallel runners dispatch to the pool,
-    /// workers pull indices from a shared cursor, and each result lands
-    /// in its index's slot, so the joined vector is independent of
-    /// thread scheduling.
+    /// context but must not depend on evaluation order. With a free
+    /// pool the batch is submitted to it: workers pull indices from a
+    /// shared cursor and each result lands in its index's slot, so the
+    /// joined vector is independent of thread scheduling. Otherwise (no
+    /// pool on this hardware or in this mode, an unjoined batch already
+    /// owns the pool, or ≤1 item) the map is deferred and evaluated
+    /// left to right on the calling thread at join time, exactly like
+    /// `iter().map()` — byte-identical either way.
     ///
     /// `items` is taken by `Arc` because pool workers are `'static`;
     /// the caller keeps its reference and no item is ever cloned.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `f` (the batch drains first, so the pool
-    /// survives).
-    pub fn map_ordered<T, U, F>(&self, items: &Arc<Vec<T>>, f: F) -> Vec<U>
-    where
-        T: Send + Sync + 'static,
-        U: Send + Sync + 'static,
-        F: Fn(usize, &T) -> U + Send + Sync + 'static,
-    {
-        let Some(pool) = &self.pool else {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        };
-        // A background batch owns the pool (the pipelined overlap
-        // window): evaluate locally rather than corrupt the in-flight
-        // batch. Purity + ordered join make this value-identical.
-        if items.len() <= 1 || self.busy.load(Ordering::Acquire) {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        }
-        let slots: Arc<Vec<OnceLock<U>>> =
-            Arc::new((0..items.len()).map(|_| OnceLock::new()).collect());
-        let job_items = items.clone();
-        let job_slots = slots.clone();
-        pool.run(
-            items.len(),
-            Arc::new(move |i| {
-                let result = f(i, &job_items[i]);
-                if job_slots[i].set(result).is_err() {
-                    unreachable!("index {i} mapped twice");
-                }
-            }),
-        );
-        Arc::try_unwrap(slots)
-            .unwrap_or_else(|_| unreachable!("pool released its job clones"))
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index mapped exactly once"))
-            .collect()
-    }
-
-    /// Starts mapping `f` over `items` *in the background* and returns
-    /// a [`PendingMap`] to redeem later with [`PipelineRunner::join`].
-    ///
-    /// Same purity contract as [`PipelineRunner::map_ordered`], and the
-    /// joined result is byte-identical to what `map_ordered` would have
-    /// returned — whether the batch actually ran concurrently on the
-    /// pool or was deferred to join time (no pool on this hardware,
-    /// pool already busy, or ≤1 item). Only one background batch may
-    /// own the pool at a time; a second one is deferred.
     pub fn map_ordered_bg<T, U, F>(&self, items: &Arc<Vec<T>>, f: F) -> PendingMap<U>
     where
         T: Send + Sync + 'static,
@@ -351,8 +271,8 @@ impl PipelineRunner {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from the mapped closure, exactly like
-    /// [`PipelineRunner::map_ordered`].
+    /// Propagates a panic from the mapped closure (the batch drains
+    /// first and the pool is released, so the runner survives).
     pub fn join<U>(&self, pending: PendingMap<U>) -> Vec<U>
     where
         U: Send + Sync + 'static,
@@ -384,13 +304,27 @@ impl PipelineRunner {
 mod tests {
     use super::*;
 
+    /// The synchronous form: a map joined as soon as it is started.
+    fn map_now<T, U, F>(runner: &PipelineRunner, items: &Arc<Vec<T>>, f: F) -> Vec<U>
+    where
+        T: Send + Sync + 'static,
+        U: Send + Sync + 'static,
+        F: Fn(usize, &T) -> U + Send + Sync + 'static,
+    {
+        runner.join(runner.map_ordered_bg(items, f))
+    }
+
     fn run<T, U, F>(mode: ValidationPipeline, items: Vec<T>, f: F) -> Vec<U>
     where
         T: Send + Sync + 'static,
         U: Send + Sync + 'static,
         F: Fn(usize, &T) -> U + Send + Sync + 'static,
     {
-        PipelineRunner::new(mode).map_ordered(&Arc::new(items), f)
+        map_now(&PipelineRunner::new(mode), &Arc::new(items), f)
+    }
+
+    fn is_pooled<U>(pending: &PendingMap<U>) -> bool {
+        matches!(pending.inner, PendingInner::Pool { .. })
     }
 
     #[test]
@@ -402,12 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_preserves_order_for_every_worker_count() {
+    fn pooled_map_preserves_order_for_every_worker_count() {
         let items: Vec<u64> = (0..101).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for workers in 1..=8 {
             let got = run(
-                ValidationPipeline::parallel(workers),
+                ValidationPipeline::pipelined(workers),
                 items.clone(),
                 |_, x| x * 3 + 1,
             );
@@ -416,21 +350,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_handles_empty_and_single_item() {
-        let runner = PipelineRunner::new(ValidationPipeline::parallel(4));
-        assert!(runner
-            .map_ordered(&Arc::new(Vec::<u64>::new()), |_, x| *x)
-            .is_empty());
-        assert_eq!(
-            runner.map_ordered(&Arc::new(vec![7u64]), |_, x| *x),
-            vec![7]
-        );
+    fn pooled_map_handles_empty_and_single_item() {
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
+        assert!(map_now(&runner, &Arc::new(Vec::<u64>::new()), |_, x| *x).is_empty());
+        assert_eq!(map_now(&runner, &Arc::new(vec![7u64]), |_, x| *x), vec![7]);
     }
 
     #[test]
     fn index_argument_matches_position() {
         let items = vec!["a", "b", "c", "d"];
-        let got = run(ValidationPipeline::parallel(3), items, |i, s| {
+        let got = run(ValidationPipeline::pipelined(3), items, |i, s| {
             format!("{i}{s}")
         });
         assert_eq!(got, vec!["0a", "1b", "2c", "3d"]);
@@ -438,11 +367,11 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        assert_eq!(ValidationPipeline::parallel(0).effective_workers(10), 1);
-        let runner = PipelineRunner::new(ValidationPipeline::parallel(0));
-        assert!(!runner.is_parallel());
+        assert_eq!(ValidationPipeline::pipelined(0).workers(), 1);
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(0));
+        assert!(runner.pool.is_none());
         assert_eq!(
-            runner.map_ordered(&Arc::new(vec![1u8, 2]), |_, x| *x),
+            map_now(&runner, &Arc::new(vec![1u8, 2]), |_, x| *x),
             vec![1, 2]
         );
     }
@@ -450,24 +379,24 @@ mod tests {
     #[test]
     fn pool_threads_are_clamped_to_hardware() {
         let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let runner = PipelineRunner::new(ValidationPipeline::parallel(8));
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(8));
         assert_eq!(
-            runner.is_parallel(),
+            runner.pool.is_some(),
             hardware >= 2,
             "a pool is spawned exactly when the machine can run it"
         );
         assert!(runner.parallel_finalize());
-        assert!(!PipelineRunner::new(ValidationPipeline::parallel(1)).parallel_finalize());
+        assert!(!PipelineRunner::new(ValidationPipeline::pipelined(1)).parallel_finalize());
         assert!(!PipelineRunner::new(ValidationPipeline::Sequential).parallel_finalize());
     }
 
     #[test]
     fn runner_reuses_one_pool_across_batches() {
-        let runner = PipelineRunner::new(ValidationPipeline::parallel(4));
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         assert!(runner.parallel_finalize());
         for round in 0..20u64 {
             let items: Vec<u64> = (0..50).collect();
-            let got = runner.map_ordered(&Arc::new(items), move |_, x| x + round);
+            let got = map_now(&runner, &Arc::new(items), move |_, x| x + round);
             assert_eq!(got.len(), 50);
             assert_eq!(got[49], 49 + round);
         }
@@ -476,69 +405,75 @@ mod tests {
     #[test]
     fn caller_keeps_its_items_reference() {
         let items = Arc::new(vec![1u32, 2, 3]);
-        let runner = PipelineRunner::new(ValidationPipeline::parallel(2));
-        let got = runner.map_ordered(&items, |_, x| x * 2);
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(2));
+        let got = map_now(&runner, &items, |_, x| x * 2);
         assert_eq!(got, vec![2, 4, 6]);
         assert_eq!(Arc::strong_count(&items), 1, "job clone released");
     }
 
     #[test]
-    fn background_map_matches_foreground_for_every_worker_count() {
-        let items: Vec<u64> = (0..101).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * 7 + 2).collect();
-        for workers in 1..=8 {
-            let runner = PipelineRunner::new(ValidationPipeline::pipelined(workers));
-            let pending = runner.map_ordered_bg(&Arc::new(items.clone()), |_, x| x * 7 + 2);
-            assert_eq!(runner.join(pending), expect, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn foreground_map_during_background_batch_evaluates_locally() {
+    fn map_started_while_a_batch_is_unjoined_evaluates_locally() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         let ahead: Vec<u64> = (0..64).collect();
         let pending = runner.map_ordered_bg(&Arc::new(ahead.clone()), |_, x| x + 1);
-        // While the background batch owns the pool, a synchronous map
+        // While the unjoined batch owns the pool, a synchronous map
         // (block N's finalize) must still produce ordered results.
         let now: Vec<u64> = (100..140).collect();
-        let got = runner.map_ordered(&Arc::new(now.clone()), |_, x| x * 2);
+        let got = map_now(&runner, &Arc::new(now.clone()), |_, x| x * 2);
         assert_eq!(got, now.iter().map(|x| x * 2).collect::<Vec<_>>());
         let joined = runner.join(pending);
         assert_eq!(joined, ahead.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 
     #[test]
-    fn second_background_batch_is_deferred_not_lost() {
+    fn second_unjoined_batch_is_deferred_not_lost() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         let a = runner.map_ordered_bg(&Arc::new((0..32u64).collect::<Vec<_>>()), |_, x| x + 1);
         let b = runner.map_ordered_bg(&Arc::new((0..16u64).collect::<Vec<_>>()), |_, x| x + 2);
-        assert!(
-            !b.is_concurrent(),
-            "the pool admits one background batch at a time"
-        );
+        assert!(!is_pooled(&b), "the pool admits one batch at a time");
         assert_eq!(runner.join(a), (1..33u64).collect::<Vec<_>>());
         assert_eq!(runner.join(b), (2..18u64).collect::<Vec<_>>());
-        // With the pool released, background batches pool again (when
-        // the hardware spawned one at all).
+        // With the pool released, batches pool again (when the
+        // hardware spawned one at all).
         let c = runner.map_ordered_bg(&Arc::new((0..8u64).collect::<Vec<_>>()), |_, x| *x);
-        assert_eq!(c.is_concurrent(), runner.is_parallel());
+        assert_eq!(is_pooled(&c), runner.pool.is_some());
         assert_eq!(runner.join(c), (0..8u64).collect::<Vec<_>>());
+    }
+
+    /// The pool's panic policy on the one remaining path: a job that
+    /// panics inside `join(map_ordered_bg(..))` re-raises at the join,
+    /// the runner releases `busy`, and the next batch runs on the pool
+    /// again instead of being deferred forever.
+    #[test]
+    fn panic_in_a_joined_map_propagates_and_releases_the_pool() {
+        let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
+        let items = Arc::new((0..32u64).collect::<Vec<_>>());
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map_now(&runner, &items, |i, x| {
+                assert_ne!(i, 17, "boom at {i}");
+                *x
+            })
+        }));
+        assert!(raised.is_err(), "the job's panic reaches the joiner");
+        assert!(!runner.busy.load(Ordering::Acquire), "pool released");
+
+        let next = runner.map_ordered_bg(&items, |_, x| x + 1);
+        assert_eq!(is_pooled(&next), runner.pool.is_some());
+        assert_eq!(runner.join(next), (1..33u64).collect::<Vec<_>>());
+        assert_eq!(Arc::strong_count(&items), 1, "job clones released");
     }
 
     #[test]
     fn pipelined_mode_flags() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
-        assert!(runner.is_pipelined());
+        assert!(runner.mode().is_pipelined());
         assert!(runner.parallel_finalize());
-        assert!(ValidationPipeline::pipelined(0).effective_workers(10) == 1);
-        assert!(!PipelineRunner::new(ValidationPipeline::parallel(4)).is_pipelined());
-        assert!(!PipelineRunner::new(ValidationPipeline::Sequential).is_pipelined());
+        assert!(!ValidationPipeline::Sequential.is_pipelined());
     }
 
     #[test]
     fn labels() {
         assert_eq!(ValidationPipeline::Sequential.label(), "sequential");
-        assert_eq!(ValidationPipeline::parallel(4).label(), "parallel(4)");
         assert_eq!(ValidationPipeline::pipelined(4).label(), "pipelined(4)");
         assert_eq!(
             ValidationPipeline::default(),

@@ -11,10 +11,13 @@
 //!
 //! A batch is a closure run once per index `0..len`; workers pull
 //! indices from a shared atomic cursor (same work-stealing-by-cursor
-//! scheme the scoped version used). The *submitting* thread participates
-//! in the pull loop, so a pool built for `workers` parallelism spawns
-//! only `workers - 1` threads and total concurrency matches the old
-//! scoped behaviour exactly.
+//! scheme the scoped version used). There is one way to run a batch:
+//! [`WorkerPool::submit`] installs it and returns a [`BatchTicket`],
+//! [`WorkerPool::wait`] redeems the ticket. A synchronous batch is the
+//! same two calls back to back — sync is async joined at once. The
+//! *submitting* thread joins the pull loop inside `wait`, so a pool
+//! built for `workers` parallelism spawns only `workers - 1` threads and
+//! total concurrency matches the old scoped behaviour exactly.
 //!
 //! Everything is safely `'static`: the job is an
 //! `Arc<dyn Fn(usize) + Send + Sync>` whose captures (transactions,
@@ -167,53 +170,6 @@ impl WorkerPool {
         self.handles.len() + 1
     }
 
-    /// Runs `job(i)` exactly once for every `i < len`, blocking until
-    /// the whole batch is done. The caller's thread works too.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from `job` ("validation worker panicked" if it
-    /// happened on a pool thread).
-    pub fn run(&self, len: usize, job: Job) {
-        if len == 0 {
-            return;
-        }
-        let cursor = Arc::new(AtomicUsize::new(0));
-        {
-            let mut state = self.shared.state.lock().expect("worker pool poisoned");
-            state.epoch += 1;
-            state.batch = Some(Batch {
-                epoch: state.epoch,
-                job: job.clone(),
-                cursor: cursor.clone(),
-                len,
-            });
-            state.active = self.handles.len();
-            state.panicked = false;
-            self.shared.work_ready.notify_all();
-        }
-        let own_panic = catch_unwind(AssertUnwindSafe(|| run_indices(&job, &cursor, len))).err();
-        let worker_panicked = {
-            let mut state = self.shared.state.lock().expect("worker pool poisoned");
-            while state.active > 0 {
-                state = self
-                    .shared
-                    .work_done
-                    .wait(state)
-                    .expect("worker pool poisoned");
-            }
-            // Clear the batch so its job/cursor clones are gone and the
-            // caller can `Arc::try_unwrap` the job captures.
-            state.batch = None;
-            state.panicked
-        };
-        drop(job);
-        if let Some(payload) = own_panic {
-            std::panic::resume_unwind(payload);
-        }
-        assert!(!worker_panicked, "validation worker panicked");
-    }
-
     /// Installs a batch and returns immediately: the spawned workers
     /// start pulling indices while the submitting thread is free to do
     /// other work (the pipelined commit path runs the previous block's
@@ -245,7 +201,12 @@ impl WorkerPool {
 
     /// Joins a batch installed by [`WorkerPool::submit`]: the calling
     /// thread pulls remaining indices, then blocks until every worker
-    /// has drained. Same panic policy as [`WorkerPool::run`].
+    /// has drained.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from `job` ("validation worker panicked" if it
+    /// happened on a pool thread).
     pub fn wait(&self, ticket: BatchTicket) {
         let BatchTicket { job, cursor, len } = ticket;
         if len == 0 {
@@ -290,6 +251,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// The synchronous form: a batch joined as soon as it is submitted
+    /// (the spawned workers may already be pulling, or done, by then).
+    fn submit_and_wait(pool: &WorkerPool, len: usize, job: Job) {
+        pool.wait(pool.submit(len, job));
+    }
+
     #[test]
     fn every_index_runs_exactly_once() {
         let pool = WorkerPool::new(4);
@@ -297,7 +264,8 @@ mod tests {
             let counts: Arc<Vec<AtomicU64>> =
                 Arc::new((0..len).map(|_| AtomicU64::new(0)).collect());
             let captured = counts.clone();
-            pool.run(
+            submit_and_wait(
+                &pool,
                 len,
                 Arc::new(move |i| {
                     captured[i].fetch_add(1, Ordering::Relaxed);
@@ -315,7 +283,8 @@ mod tests {
         let total = Arc::new(AtomicU64::new(0));
         for _ in 0..50 {
             let captured = total.clone();
-            pool.run(
+            submit_and_wait(
+                &pool,
                 10,
                 Arc::new(move |_| {
                     captured.fetch_add(1, Ordering::Relaxed);
@@ -332,7 +301,8 @@ mod tests {
         let caller = std::thread::current().id();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let captured = seen.clone();
-        pool.run(
+        submit_and_wait(
+            &pool,
             5,
             Arc::new(move |i| {
                 captured
@@ -347,11 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn job_captures_are_released_after_run() {
+    fn job_captures_are_released_after_wait() {
         let pool = WorkerPool::new(4);
         let payload = Arc::new(vec![1u8, 2, 3]);
         let captured = payload.clone();
-        pool.run(
+        submit_and_wait(
+            &pool,
             8,
             Arc::new(move |_| {
                 let _ = captured.len();
@@ -359,14 +330,15 @@ mod tests {
         );
         // Both the pool's batch slot and the workers' clones are gone.
         assert_eq!(Arc::strong_count(&payload), 1);
-        Arc::try_unwrap(payload).expect("sole owner after run");
+        Arc::try_unwrap(payload).expect("sole owner after wait");
     }
 
     #[test]
     fn panic_in_job_propagates_and_pool_survives() {
         let pool = WorkerPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(
+            submit_and_wait(
+                &pool,
                 4,
                 Arc::new(|i| {
                     if i == 2 {
@@ -379,7 +351,8 @@ mod tests {
         // The pool keeps working after a panicked batch.
         let total = Arc::new(AtomicU64::new(0));
         let captured = total.clone();
-        pool.run(
+        submit_and_wait(
+            &pool,
             3,
             Arc::new(move |_| {
                 captured.fetch_add(1, Ordering::Relaxed);
@@ -391,80 +364,28 @@ mod tests {
     #[test]
     fn drop_joins_idle_workers() {
         let pool = WorkerPool::new(8);
-        pool.run(2, Arc::new(|_| {}));
+        submit_and_wait(&pool, 2, Arc::new(|_| {}));
         drop(pool); // must not hang
     }
 
+    /// The asynchronous half of the contract: spawned workers start on
+    /// a submitted batch without the submitter, which is free to do
+    /// other work (here: block on the first result) before it waits.
     #[test]
-    fn submit_then_wait_matches_run() {
-        let pool = WorkerPool::new(4);
-        for len in [0usize, 1, 2, 7, 100] {
-            let counts: Arc<Vec<AtomicU64>> =
-                Arc::new((0..len).map(|_| AtomicU64::new(0)).collect());
-            let captured = counts.clone();
-            let ticket = pool.submit(
-                len,
-                Arc::new(move |i| {
-                    captured[i].fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-            // The submitter overlaps other work here; the spawned
-            // workers may already be (or have finished) pulling.
-            pool.wait(ticket);
-            for (i, count) in counts.iter().enumerate() {
-                assert_eq!(count.load(Ordering::Relaxed), 1, "len={len}, index {i}");
-            }
-        }
-        // The pool is immediately reusable for synchronous batches.
-        let total = Arc::new(AtomicU64::new(0));
-        let captured = total.clone();
-        pool.run(
-            5,
-            Arc::new(move |_| {
-                captured.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        assert_eq!(total.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn submitted_job_captures_are_released_after_wait() {
-        let pool = WorkerPool::new(3);
-        let payload = Arc::new(vec![9u8; 16]);
-        let captured = payload.clone();
+    fn submitted_batch_starts_before_the_submitter_waits() {
+        let pool = WorkerPool::new(2);
+        let (done, first_done) = std::sync::mpsc::channel();
+        let done = Mutex::new(done);
         let ticket = pool.submit(
             8,
-            Arc::new(move |_| {
-                let _ = captured.len();
+            Arc::new(move |i| {
+                done.lock().unwrap().send(i).unwrap();
             }),
         );
+        // Only a pool thread can have produced this: the submitter has
+        // not pulled an index yet.
+        first_done.recv().expect("a worker ran an index");
         pool.wait(ticket);
-        assert_eq!(Arc::strong_count(&payload), 1);
-    }
-
-    #[test]
-    fn panic_in_submitted_batch_propagates_and_pool_survives() {
-        let pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let ticket = pool.submit(
-                4,
-                Arc::new(|i| {
-                    if i == 1 {
-                        panic!("boom at {i}");
-                    }
-                }),
-            );
-            pool.wait(ticket);
-        }));
-        assert!(result.is_err());
-        let total = Arc::new(AtomicU64::new(0));
-        let captured = total.clone();
-        pool.run(
-            3,
-            Arc::new(move |_| {
-                captured.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        assert_eq!(total.load(Ordering::Relaxed), 3);
+        assert_eq!(first_done.try_iter().count(), 7, "the other indices");
     }
 }

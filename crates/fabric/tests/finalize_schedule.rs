@@ -78,7 +78,7 @@ fn replay(
 fn assert_parallel_matches_sequential(blocks: &[Block]) {
     let (seq_snapshot, seq_codes) = replay(ValidationPipeline::Sequential, blocks);
     for workers in 2..=8 {
-        let (snapshot, codes) = replay(ValidationPipeline::parallel(workers), blocks);
+        let (snapshot, codes) = replay(ValidationPipeline::pipelined(workers), blocks);
         assert_eq!(
             snapshot.state, seq_snapshot.state,
             "{workers} workers: world state diverged"

@@ -1,11 +1,14 @@
 //! Equivalence sweep for the [`ValidationPipeline`] seam.
 //!
-//! The parallel pre-validation stage may only change wall-clock time,
-//! never outcomes: for every workload, every fault/corruption mix and
-//! every worker count, `Parallel { workers }` must produce
-//! byte-identical ledgers (serialized world state *and* chain) and
-//! identical [`RunMetrics`] — including the work-derived simulated
-//! timestamps — as the seed's `Sequential` path. The sweep reuses the
+//! The pooled commit path may only change wall-clock time, never
+//! outcomes: for every workload, every fault/corruption mix and every
+//! worker count, `Pipelined { workers }` must produce byte-identical
+//! ledgers (serialized world state *and* chain) and identical
+//! [`RunMetrics`] — including the work-derived simulated timestamps —
+//! as the seed's `Sequential` path, under both drivers: the
+//! simulation's cross-block overlapped one and the peer-level
+//! `process_block` loop that joins every batch at once. The sweep
+//! reuses the
 //! deterministic in-repo generator (`fabriccrdt_sim::gen`), the same
 //! harness style as the `raft_safety` sweep.
 
@@ -111,47 +114,29 @@ fn parallel_validation_matches_sequential_over_seeded_sweep() {
         let schedule = arb_schedule(g);
         let (seq_metrics, seq_snapshot) =
             run_with(ValidationPipeline::Sequential, block_size, seed, &schedule);
+        // The simulation drives a pipelined peer through the
+        // cross-block overlapped driver (pre-validate block N+1 while
+        // block N finalizes, with lockless snapshot reads).
         for workers in 1..=8 {
-            let (par_metrics, par_snapshot) = run_with(
-                ValidationPipeline::parallel(workers),
+            let (pip_metrics, pip_snapshot) = run_with(
+                ValidationPipeline::pipelined(workers),
                 block_size,
                 seed,
                 &schedule,
             );
             assert_eq!(
-                seq_snapshot.state, par_snapshot.state,
+                seq_snapshot.state, pip_snapshot.state,
                 "seed {seed}: world state diverged at {workers} workers"
             );
             assert_eq!(
-                seq_snapshot.chain, par_snapshot.chain,
+                seq_snapshot.chain, pip_snapshot.chain,
                 "seed {seed}: chain diverged at {workers} workers"
             );
             assert_eq!(
-                seq_metrics, par_metrics,
+                seq_metrics, pip_metrics,
                 "seed {seed}: metrics diverged at {workers} workers"
             );
         }
-        // Cross-block pipelining must be equally invisible (the
-        // simulation drives prevalidate_ahead/finish_block instead of
-        // process_block, with lockless snapshot reads).
-        let (pip_metrics, pip_snapshot) = run_with(
-            ValidationPipeline::pipelined(4),
-            block_size,
-            seed,
-            &schedule,
-        );
-        assert_eq!(
-            seq_snapshot.state, pip_snapshot.state,
-            "seed {seed}: world state diverged under pipelining"
-        );
-        assert_eq!(
-            seq_snapshot.chain, pip_snapshot.chain,
-            "seed {seed}: chain diverged under pipelining"
-        );
-        assert_eq!(
-            seq_metrics, pip_metrics,
-            "seed {seed}: metrics diverged under pipelining"
-        );
     });
 }
 
@@ -210,7 +195,7 @@ fn replay(
 
 /// Duplicate-id short-circuiting must not drift between pipelines:
 /// the seed skips signature verification for duplicates, and the
-/// work counters drive simulated time, so a parallel path that
+/// work counters drive simulated time, so a pooled path that
 /// verified them anyway would silently change every timestamp.
 #[test]
 fn duplicates_and_policy_failures_identical_across_worker_counts() {
@@ -241,14 +226,10 @@ fn duplicates_and_policy_failures_identical_across_worker_counts() {
     // Duplicates skip signature verification entirely.
     assert_eq!(seq_sigs, vec![2, 2]);
     for workers in 1..=8 {
-        let (snap, codes, sigs) = replay(ValidationPipeline::parallel(workers), &blocks);
+        let (snap, codes, sigs) = replay(ValidationPipeline::pipelined(workers), &blocks);
         assert_eq!(snap, seq_snap, "{workers} workers: snapshot diverged");
         assert_eq!(codes, seq_codes, "{workers} workers: codes diverged");
         assert_eq!(sigs, seq_sigs, "{workers} workers: work diverged");
-        let (snap, codes, sigs) = replay(ValidationPipeline::pipelined(workers), &blocks);
-        assert_eq!(snap, seq_snap, "{workers} pipelined: snapshot diverged");
-        assert_eq!(codes, seq_codes, "{workers} pipelined: codes diverged");
-        assert_eq!(sigs, seq_sigs, "{workers} pipelined: work diverged");
     }
 }
 
@@ -267,7 +248,6 @@ fn tampered_blocks_identical_across_worker_counts() {
     let seq = run(ValidationPipeline::Sequential);
     assert_eq!(seq, vec![ValidationCode::TamperedBlock; 2]);
     for workers in 1..=8 {
-        assert_eq!(run(ValidationPipeline::parallel(workers)), seq);
         assert_eq!(run(ValidationPipeline::pipelined(workers)), seq);
     }
 }

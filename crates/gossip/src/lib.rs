@@ -22,13 +22,13 @@
 //!   and network partitions with heal. Crashed peers restore their
 //!   persisted ledger ([`Peer::snapshot`](fabriccrdt_fabric::peer::Peer)
 //!   / `restore`) and catch up via anti-entropy block replay.
-//! - [`GossipDelivery`] — plugs the network into the transaction
-//!   pipeline as a
+//! - [`GossipDelivery`] — plugs one lane of a shared network into the
+//!   transaction pipeline as a
 //!   [`DeliveryLayer`](fabriccrdt_fabric::simulation::DeliveryLayer):
-//!   every orderer-cut block is published into an internal
-//!   `GossipNetwork` and becomes available to the committing peer when
-//!   the *observed* replica (by default the last follower) has committed
-//!   it. With a quiescent fault config this delivers the very same
+//!   every orderer-cut block is published into the lane and becomes
+//!   available to the committing peer when the *observed* replica (by
+//!   default the last follower) has committed it. Single-channel is
+//!   lane 0. With a quiescent fault config this delivers the very same
 //!   blocks in the same order as the default ideal FIFO layer, so
 //!   transaction outcomes are unchanged; under faults, commit latency
 //!   stretches and the dissemination metrics
@@ -66,5 +66,5 @@ mod adversary;
 pub mod delivery;
 pub mod network;
 
-pub use delivery::{ChannelDelivery, GossipDelivery};
+pub use delivery::GossipDelivery;
 pub use network::GossipNetwork;

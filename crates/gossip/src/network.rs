@@ -27,8 +27,8 @@
 //! channel tag, and the configured per-peer crash/restart times and
 //! partition windows are applied on every lane a peer is a member of
 //! — the same peer goes down at the same simulated time on all its
-//! channels. The single-channel constructors and accessors operate on
-//! channel 0, so existing callers are unchanged.
+//! channels. The API is lane-indexed (`foo_on(ch, ..)`); a
+//! single-channel network ([`GossipNetwork::new`]) is lane 0.
 //!
 //! # Durable storage and snapshot catch-up
 //!
@@ -411,14 +411,14 @@ impl<V: BlockValidator> GossipNetwork<V> {
         &self.lanes[ch].members
     }
 
-    /// Seeds a key into every channel-0 replica's world state (mirror
-    /// of `Simulation::seed_state`). Call before any event is
-    /// processed.
+    /// [`GossipNetwork::seed_state_on`] lane 0; kept for `perf/`.
     pub fn seed_state(&mut self, key: &str, value: &[u8]) {
         self.seed_state_on(0, key, value);
     }
 
-    /// Seeds a key into every replica of channel `ch`.
+    /// Seeds a key into the world state of every replica of channel
+    /// `ch` (mirror of `Simulation::seed_state`). Call before any event
+    /// is processed.
     pub fn seed_state_on(&mut self, ch: usize, key: &str, value: &[u8]) {
         let lane = &mut self.lanes[ch];
         lane.seeds.push((key.to_string(), value.to_vec()));
@@ -434,12 +434,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
         self.shared.topology.total_peers()
     }
 
-    /// The channel-0 replica of global peer `index`, or `None` while
-    /// it is crashed.
-    pub fn peer(&self, index: usize) -> Option<&Peer<V>> {
-        self.peer_on(0, index)
-    }
-
     /// The channel-`ch` replica of global peer `index`, or `None`
     /// while it is crashed.
     ///
@@ -451,12 +445,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
         lane.slots[lane.pos(index)].peer.as_ref()
     }
 
-    /// Committed (post-genesis) block count of each channel-0 member,
-    /// in member order; crashed replicas report 0.
-    pub fn committed_heights(&self) -> Vec<u64> {
-        self.committed_heights_on(0)
-    }
-
     /// Committed (post-genesis) block count of each channel-`ch`
     /// member, in member order; crashed replicas report 0.
     pub fn committed_heights_on(&self, ch: usize) -> Vec<u64> {
@@ -464,18 +452,12 @@ impl<V: BlockValidator> GossipNetwork<V> {
         (0..lane.slots.len()).map(|i| lane.committed(i)).collect()
     }
 
-    /// Blocks published by channel 0's ordering service so far.
-    pub fn published_count(&self) -> u64 {
-        self.published_count_on(0)
-    }
-
     /// Blocks published by channel `ch`'s ordering service so far.
     pub fn published_count_on(&self, ch: usize) -> u64 {
         self.lanes[ch].published.len() as u64
     }
 
-    /// Whether every channel-0 replica is up and has committed every
-    /// published block.
+    /// [`GossipNetwork::fully_converged_on`] lane 0; kept for `perf/`.
     pub fn fully_converged(&self) -> bool {
         self.fully_converged_on(0)
     }
@@ -488,25 +470,14 @@ impl<V: BlockValidator> GossipNetwork<V> {
         (0..lane.slots.len()).all(|i| lane.slots[i].peer.is_some() && lane.committed(i) == expected)
     }
 
-    /// Time of the last processed channel-0 event.
-    pub fn clock(&self) -> SimTime {
-        self.clock_on(0)
-    }
-
     /// Time of the last processed event on channel `ch`.
     pub fn clock_on(&self, ch: usize) -> SimTime {
         self.lanes[ch].clock
     }
 
-    /// Channel 0's dissemination metrics accumulated so far.
-    pub fn metrics(&self) -> &DisseminationMetrics {
-        &self.lanes[0].metrics
-    }
-
-    /// Takes (and resets) channel 0's accumulated dissemination
-    /// metrics.
-    pub fn take_metrics(&mut self) -> DisseminationMetrics {
-        self.take_metrics_on(0)
+    /// Channel `ch`'s dissemination metrics accumulated so far.
+    pub fn metrics_on(&self, ch: usize) -> &DisseminationMetrics {
+        &self.lanes[ch].metrics
     }
 
     /// Takes (and resets) channel `ch`'s accumulated dissemination
@@ -515,15 +486,10 @@ impl<V: BlockValidator> GossipNetwork<V> {
         std::mem::take(&mut self.lanes[ch].metrics)
     }
 
-    /// Takes (and resets) channel 0's byzantine-screen detection
-    /// counters; `None` when the run configured no adversary.
-    pub fn take_adversary(&mut self) -> Option<AdversaryMetrics> {
-        self.take_adversary_on(0)
-    }
-
     /// Takes (and resets) channel `ch`'s byzantine-screen detection
-    /// counters. The canonical-digest registry, equivocation evidence
-    /// and quarantine set persist across takes.
+    /// counters; `None` when the run configured no adversary. The
+    /// canonical-digest registry, equivocation evidence and quarantine
+    /// set persist across takes.
     pub fn take_adversary_on(&mut self, ch: usize) -> Option<AdversaryMetrics> {
         self.lanes[ch]
             .adversary
@@ -531,28 +497,17 @@ impl<V: BlockValidator> GossipNetwork<V> {
             .map(LaneAdversary::take_metrics)
     }
 
-    /// Channel 0's GC floor: the minimum block height every member has
-    /// acknowledged committing (0 without durable storage, or before
-    /// every member has acknowledged anything).
-    pub fn acked_floor(&self) -> u64 {
-        self.acked_floor_on(0)
-    }
-
-    /// Channel `ch`'s GC floor.
+    /// Channel `ch`'s GC floor: the minimum block height every member
+    /// has acknowledged committing (0 without durable storage, or
+    /// before every member has acknowledged anything).
     pub fn acked_floor_on(&self, ch: usize) -> u64 {
         let lane = &self.lanes[ch];
         lane.acked.min_acked(lane.slots.len())
     }
 
-    /// The latest snapshot in the channel-0 replica's durable store,
-    /// or `None` while crashed / without storage / before the first
-    /// snapshot.
-    pub fn durable_snapshot(&self, index: usize) -> Option<&LedgerSnapshot> {
-        self.durable_snapshot_on(0, index)
-    }
-
     /// The latest snapshot in the channel-`ch` replica's durable
-    /// store.
+    /// store, or `None` while crashed / without storage / before the
+    /// first snapshot.
     pub fn durable_snapshot_on(&self, ch: usize, index: usize) -> Option<&LedgerSnapshot> {
         let lane = &self.lanes[ch];
         lane.slots[lane.pos(index)]
@@ -561,47 +516,42 @@ impl<V: BlockValidator> GossipNetwork<V> {
             .and_then(DurableLedger::latest_snapshot)
     }
 
-    /// Serialized ledger of the channel-0 replica at `index` (state +
-    /// chain bytes), or `None` while it is crashed. Byte-equal
+    /// Serialized ledger of the channel-`ch` replica at `index` (state
+    /// and chain bytes), or `None` while it is crashed. Byte-equal
     /// snapshots mean byte-equal ledgers — the reconvergence check.
-    pub fn snapshot(&self, index: usize) -> Option<PeerSnapshot> {
-        self.snapshot_on(0, index)
-    }
-
-    /// Serialized ledger of the channel-`ch` replica at `index`.
     pub fn snapshot_on(&self, ch: usize, index: usize) -> Option<PeerSnapshot> {
         self.peer_on(ch, index).map(Peer::snapshot)
     }
 
-    /// Publishes an orderer-cut block into channel 0, sampling the
-    /// orderer→leader hop from the lane's own PRNG. Blocks must be
-    /// published in order, numbered from 1.
+    /// [`GossipNetwork::publish_on`] lane 0; kept for `perf/`.
     pub fn publish(&mut self, cut_at: SimTime, block: Block) {
         self.publish_on(0, cut_at, block);
     }
 
-    /// Publishes an orderer-cut block into channel `ch`.
+    /// Publishes an orderer-cut block into channel `ch`, sampling the
+    /// orderer→leader hop from the lane's own PRNG. Blocks must be
+    /// published in order, numbered from 1.
     pub fn publish_on(&mut self, ch: usize, cut_at: SimTime, block: Block) {
         let lane = &mut self.lanes[ch];
         let hop = self.shared.orderer_hop.sample(&mut lane.rng);
         lane.publish_with_hop(&self.shared, cut_at, hop, block);
     }
 
-    /// Publishes into channel 0 with an explicit orderer→leader hop
+    /// Publishes into channel `ch` with an explicit orderer→leader hop
     /// (used by [`crate::GossipDelivery`], which samples the hop from
     /// the pipeline's PRNG to stay draw-for-draw compatible with ideal
     /// FIFO delivery).
-    pub fn publish_with_hop(&mut self, cut_at: SimTime, hop: SimTime, block: Block) {
-        self.publish_with_hop_on(0, cut_at, hop, block);
-    }
-
-    /// Publishes into channel `ch` with an explicit orderer→leader
-    /// hop.
     pub fn publish_with_hop_on(&mut self, ch: usize, cut_at: SimTime, hop: SimTime, block: Block) {
         self.lanes[ch].publish_with_hop(&self.shared, cut_at, hop, block);
     }
 
-    /// Processes channel-0 events until the replica of global peer
+    /// [`GossipNetwork::run_until_committed_on`] lane 0; kept for
+    /// `perf/`.
+    pub fn run_until_committed(&mut self, peer: usize, number: u64) -> SimTime {
+        self.run_until_committed_on(0, peer, number)
+    }
+
+    /// Processes channel-`ch` events until the replica of global peer
     /// `peer` has committed block `number`, returning the time that
     /// happened. Events already past that point stay queued for later
     /// calls.
@@ -611,16 +561,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// Panics if the lane's event queue drains first — a fault
     /// schedule that never lets the peer recover (e.g. a partition
     /// without heal).
-    pub fn run_until_committed(&mut self, peer: usize, number: u64) -> SimTime {
-        self.run_until_committed_on(0, peer, number)
-    }
-
-    /// Processes channel-`ch` events until the replica of global peer
-    /// `peer` has committed block `number`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane's event queue drains first.
     pub fn run_until_committed_on(&mut self, ch: usize, peer: usize, number: u64) -> SimTime {
         let lane = &mut self.lanes[ch];
         let pos = lane.pos(peer);
@@ -637,9 +577,9 @@ impl<V: BlockValidator> GossipNetwork<V> {
         lane.clock
     }
 
-    /// Processes every remaining event on every lane (fault windows
-    /// close, stragglers catch up, timers expire) and returns the
-    /// latest lane clock.
+    /// [`GossipNetwork::drain_on`] for every lane (fault windows
+    /// close, stragglers catch up, timers expire), returning the latest
+    /// lane clock; kept for `perf/`.
     pub fn drain(&mut self) -> SimTime {
         (0..self.lanes.len())
             .map(|ch| self.drain_on(ch))
@@ -1098,10 +1038,10 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
         self.acked.join(&frontier);
         if self.committed(to) < snapshot.last_block {
-            let mut peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
-                .expect("a donor snapshot restores cleanly");
-            peer.set_pipeline(shared.validation);
-            peer.set_channel(self.id);
+            let peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
+                .expect("a donor snapshot restores cleanly")
+                .with_pipeline(shared.validation)
+                .with_channel(self.id);
             let slot = &mut self.slots[to];
             slot.peer = Some(peer);
             slot.buffer
@@ -1259,7 +1199,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn restart(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, p: usize) {
-        let mut peer = if self.slots[p].store.is_some() {
+        let peer = if self.slots[p].store.is_some() {
             let seeds = self.seeds.clone();
             let recovery = self.slots[p]
                 .store
@@ -1281,9 +1221,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             Peer::restore(mk(), shared.policy.clone(), &snapshot)
                 .expect("a peer's own snapshot restores cleanly")
         };
-        peer.set_pipeline(shared.validation);
-        peer.set_channel(self.id);
-        self.slots[p].peer = Some(peer);
+        self.slots[p].peer = Some(peer.with_pipeline(shared.validation).with_channel(self.id));
         self.begin_catch_up(now, p);
     }
 

@@ -2,10 +2,12 @@
 //! convergence under every fault class, determinism, and pipeline
 //! equivalence with the default ideal-FIFO delivery at zero faults.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_crypto::{hex, Identity, KeyPair, Sha256};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{
     CrashSpec, FaultConfig, LinkFaults, PartitionSpec, PipelineConfig, Topology,
@@ -101,11 +103,11 @@ fn assert_all_match_reference(network: &GossipNetwork<CrdtValidator>, blocks: &[
     assert!(
         network.fully_converged(),
         "heights: {:?}",
-        network.committed_heights()
+        network.committed_heights_on(0)
     );
     let reference = reference_snapshot(blocks);
     for i in 0..network.peer_count() {
-        let snap = network.snapshot(i).expect("peer up after drain");
+        let snap = network.snapshot_on(0, i).expect("peer up after drain");
         assert_eq!(snap.state, reference.state, "peer {i} state diverged");
         assert_eq!(snap.chain, reference.chain, "peer {i} chain diverged");
     }
@@ -119,7 +121,7 @@ fn zero_fault_network_converges_byte_identically() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics();
+    let metrics = network.metrics_on(0);
     // Every (block, peer) pair gets exactly one propagation sample.
     assert_eq!(metrics.propagation.len(), 8 * network.peer_count());
     assert_eq!(metrics.messages_dropped, 0);
@@ -154,9 +156,9 @@ fn identical_configs_replay_identical_runs() {
         let mut network = seeded_network(&config);
         run_stream(&mut network, &blocks);
         let snapshots: Vec<_> = (0..network.peer_count())
-            .map(|i| network.snapshot(i).unwrap())
+            .map(|i| network.snapshot_on(0, i).unwrap())
             .collect();
-        (network.take_metrics(), snapshots)
+        (network.take_metrics_on(0), snapshots)
     };
     assert_eq!(run(), run());
 }
@@ -179,7 +181,7 @@ fn link_faults_recovered_by_anti_entropy() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics();
+    let metrics = network.metrics_on(0);
     assert!(metrics.messages_dropped > 0, "40% drop rate must bite");
     assert!(metrics.messages_duplicated > 0);
     // Regression: the ratio must stay a sane fraction under heavy loss
@@ -206,7 +208,7 @@ fn crashed_peer_restores_ledger_and_catches_up() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics();
+    let metrics = network.metrics_on(0);
     let episode = metrics
         .catch_up
         .iter()
@@ -241,7 +243,7 @@ fn partition_heals_into_byte_identical_ledgers() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics();
+    let metrics = network.metrics_on(0);
     for peer in [4usize, 5] {
         let episode = metrics
             .catch_up
@@ -273,10 +275,12 @@ fn any_fault_schedule_converges_to_ideal_state() {
     });
 }
 
-/// Satellite property: the parallel validation pipeline is
+/// Satellite property: the pooled validation pipeline is
 /// value-identical to the sequential seed path on the *CRDT merge*
 /// workload too, across random fault schedules — every converged
 /// peer's snapshot matches the sequential reference byte for byte.
+/// (Replicas drain consecutive buffered blocks through the chained
+/// driver, a lone block through `process_block`.)
 #[test]
 fn parallel_validation_matches_sequential_under_fault_schedules() {
     gen::cases(16, |g| {
@@ -285,7 +289,7 @@ fn parallel_validation_matches_sequential_under_fault_schedules() {
         let config = PipelineConfig::paper(25, g.u64())
             .with_gossip()
             .with_faults(arb_faults(g))
-            .with_parallel_validation(workers);
+            .with_pipelined_validation(workers);
         let mut network = seeded_network(&config);
         run_stream(&mut network, &blocks);
         // The reference replay inside runs the sequential default.
@@ -309,7 +313,7 @@ fn parallel_finalize_matches_sequential_over_fault_sweep() {
         let config = PipelineConfig::paper(25, g.u64())
             .with_gossip()
             .with_faults(arb_faults(g))
-            .with_parallel_validation(workers);
+            .with_pipelined_validation(workers);
         let mut network = seeded_network(&config);
         run_stream(&mut network, &blocks);
         // The reference replay inside runs the sequential default.
@@ -380,6 +384,13 @@ fn arb_faults(g: &mut Gen) -> FaultConfig {
     faults
 }
 
+/// A vanilla-Fabric pipeline over lane 0 of its own gossip network.
+fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
+    let network = GossipNetwork::new(&config, FabricValidator::new);
+    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
+    Simulation::with_delivery(config, FabricValidator::new(), rmw_registry(), delivery)
+}
+
 /// Read-modify-write chaincode with plain (conflicting) writes — the
 /// workload where validation outcomes are sensitive to block formation.
 struct Rmw;
@@ -428,10 +439,7 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
     ideal.seed_state("hot", b"0".to_vec());
     let ideal_metrics = ideal.run(rmw_schedule(150));
 
-    let config = config.with_gossip();
-    let delivery = Box::new(GossipDelivery::new(&config, FabricValidator::new));
-    let mut gossip =
-        Simulation::with_delivery(config, FabricValidator::new(), rmw_registry(), delivery);
+    let mut gossip = gossip_simulation(config.with_gossip());
     gossip.seed_state("hot", b"0".to_vec());
     let gossip_metrics = gossip.run(rmw_schedule(150));
 
@@ -453,4 +461,51 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
     );
     // Gossip can only add latency over the ideal single hop.
     assert!(gossip_metrics.end_time >= ideal_metrics.end_time);
+}
+
+/// Golden for the single-channel adapter this crate used to carry
+/// beside the lane-indexed one (it owned its network and read the
+/// observed peer from the config). Recorded with that adapter on the
+/// last commit that had it, for the pipeline test's config under lossy
+/// links and a crash of the observed replica; the lane-0 adapter must
+/// reproduce the run — same draws, same delivery times, same ledger.
+#[test]
+fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
+    let faults = FaultConfig {
+        link: LinkFaults {
+            drop: 0.25,
+            duplicate: 0.15,
+            extra_delay: LatencyModel::Exponential { mean_secs: 0.002 },
+        },
+        crashes: vec![CrashSpec {
+            peer: 5,
+            at: SimTime::from_millis(150),
+            restart_at: SimTime::from_millis(350),
+        }],
+        partitions: Vec::new(),
+    };
+    let config = PipelineConfig::paper(25, 42)
+        .with_gossip()
+        .with_faults(faults);
+    let mut sim = gossip_simulation(config);
+    sim.seed_state("hot", b"0".to_vec());
+    let metrics = sim.run(rmw_schedule(150));
+
+    assert_eq!(metrics.submitted(), 150);
+    assert_eq!(metrics.successful(), 3);
+    assert_eq!(metrics.blocks_committed, 6);
+    assert_eq!(metrics.end_time.as_micros(), 602_700);
+    let dissemination = metrics.dissemination.expect("gossip reports metrics");
+    assert_eq!(dissemination.messages_sent, 105);
+    assert_eq!(dissemination.messages_dropped, 25);
+    assert_eq!(dissemination.catch_up.len(), 1);
+
+    let ledger = sim.peer().snapshot();
+    let mut digest = Sha256::new();
+    digest.update(&ledger.state);
+    digest.update(&ledger.chain);
+    assert_eq!(
+        hex::encode(&digest.finalize()),
+        "fa272e434dfe7401712799a7183bcf45cd1ecbe933f6034f82c958a4efce316a"
+    );
 }

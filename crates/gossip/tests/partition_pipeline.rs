@@ -5,6 +5,8 @@
 //! CRDT transaction must still commit, and the dissemination metrics
 //! must show the faults actually happened and were repaired.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
@@ -14,7 +16,7 @@ use fabriccrdt_fabric::config::{
 };
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
-use fabriccrdt_gossip::GossipDelivery;
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::latency::LatencyModel;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
@@ -51,7 +53,8 @@ fn run(seed: u64) -> RunMetrics {
         .with_faults(faults());
     let mut registry = ChaincodeRegistry::new();
     registry.deploy(Arc::new(IotChaincode::crdt()));
-    let delivery = Box::new(GossipDelivery::new(&config, CrdtValidator::new));
+    let network = GossipNetwork::new(&config, CrdtValidator::new);
+    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
     let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
 

@@ -25,7 +25,7 @@ use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
-use fabriccrdt_gossip::{ChannelDelivery, GossipNetwork};
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
@@ -133,7 +133,7 @@ fn run_with(
         &config,
         CrdtValidator::new,
     )));
-    let delivery = Box::new(ChannelDelivery::new(network.clone(), 0));
+    let delivery = Box::new(GossipDelivery::new(network.clone(), 0));
     let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry(), delivery);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
     sim.seed_state("hot", b"0".to_vec());
@@ -142,7 +142,7 @@ fn run_with(
         let mut network = network.borrow_mut();
         network.drain();
         (0..network.peer_count())
-            .map(|peer| network.snapshot(peer))
+            .map(|peer| network.snapshot_on(0, peer))
             .collect()
     };
     (metrics, snapshots)

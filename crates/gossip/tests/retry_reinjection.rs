@@ -6,13 +6,15 @@
 //! every transaction ends with exactly one verdict, and the retry
 //! counters stay silent when no policy is configured.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{PipelineConfig, RetryPolicy};
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
-use fabriccrdt_gossip::GossipDelivery;
+use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::time::SimTime;
 
 /// Read-modify-write chaincode: args = [key, value].
@@ -38,7 +40,8 @@ fn registry() -> ChaincodeRegistry {
 
 /// A vanilla-Fabric pipeline over this crate's gossip delivery layer.
 fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
-    let delivery = Box::new(GossipDelivery::new(&config, FabricValidator::new));
+    let network = GossipNetwork::new(&config, FabricValidator::new);
+    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
     Simulation::with_delivery(config, FabricValidator::new(), registry(), delivery)
 }
 

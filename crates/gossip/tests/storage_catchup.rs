@@ -98,11 +98,11 @@ fn assert_states_match_reference(network: &GossipNetwork<CrdtValidator>, blocks:
     assert!(
         network.fully_converged(),
         "heights: {:?}",
-        network.committed_heights()
+        network.committed_heights_on(0)
     );
     let reference = reference_snapshot(blocks);
     for i in 0..network.peer_count() {
-        let snap = network.snapshot(i).expect("peer up after drain");
+        let snap = network.snapshot_on(0, i).expect("peer up after drain");
         assert_eq!(snap.state, reference.state, "peer {i} state diverged");
     }
 }
@@ -153,7 +153,7 @@ fn crash_mid_catch_up_records_abandoned_episode() {
     run_stream(&mut network, &blocks);
     assert_states_match_reference(&network, &blocks);
 
-    let metrics = network.metrics();
+    let metrics = network.metrics_on(0);
     let abandoned: Vec<_> = metrics
         .catch_up
         .iter()
@@ -203,15 +203,15 @@ fn memory_storage_fault_sweep_matches_no_storage_baseline() {
         // two runs consume the PRNG identically and land on the same
         // message totals and per-peer states.
         assert_eq!(
-            baseline.metrics().messages_sent,
-            stored.metrics().messages_sent,
+            baseline.metrics_on(0).messages_sent,
+            stored.metrics_on(0).messages_sent,
             "storage must not perturb the PRNG draw sequence"
         );
         for i in 0..stored.peer_count() {
-            let a = baseline.snapshot(i).expect("baseline peer up");
-            let b = stored.snapshot(i).expect("stored peer up");
+            let a = baseline.snapshot_on(0, i).expect("baseline peer up");
+            let b = stored.snapshot_on(0, i).expect("stored peer up");
             assert_eq!(a.state, b.state, "peer {i} state diverged");
-            if stored.metrics().snapshot_transfers == 0 {
+            if stored.metrics_on(0).snapshot_transfers == 0 {
                 assert_eq!(a.chain, b.chain, "peer {i} chain diverged");
             }
         }
@@ -252,8 +252,8 @@ fn aof_and_memory_backends_converge_identically_under_crashes() {
         assert_states_match_reference(&aof, &blocks);
         for i in 0..aof.peer_count() {
             assert_eq!(
-                aof.snapshot(i).expect("aof peer up"),
-                mem.snapshot(i).expect("mem peer up"),
+                aof.snapshot_on(0, i).expect("aof peer up"),
+                mem.snapshot_on(0, i).expect("mem peer up"),
                 "peer {i}: AOF and memory backends diverged"
             );
         }
@@ -279,7 +279,7 @@ fn snapshot_catch_up_ships_fewer_bytes_than_replay() {
     let mut replay_run = seeded_network(&base);
     run_stream(&mut replay_run, &blocks);
     let replay_episode = replay_run
-        .metrics()
+        .metrics_on(0)
         .catch_up
         .iter()
         .find(|e| e.peer == 3 && e.completed_at().is_some())
@@ -295,7 +295,7 @@ fn snapshot_catch_up_ships_fewer_bytes_than_replay() {
     run_stream(&mut stored, &blocks);
     assert_states_match_reference(&stored, &blocks);
 
-    let metrics = stored.metrics();
+    let metrics = stored.metrics_on(0);
     assert!(metrics.snapshot_transfers >= 1, "no snapshot was served");
     assert!(metrics.snapshot_bytes > 0);
     let episode = metrics
@@ -315,7 +315,7 @@ fn snapshot_catch_up_ships_fewer_bytes_than_replay() {
     );
     // The restarted peer adopted the donor snapshot into its own store.
     let adopted = stored
-        .durable_snapshot(3)
+        .durable_snapshot_on(0, 3)
         .expect("peer 3 holds a durable snapshot");
     assert!(adopted.last_block >= 5);
 }
@@ -340,7 +340,7 @@ fn gc_sweep_prunes_at_the_acknowledged_floor_without_divergence() {
         assert_states_match_reference(&network, &blocks);
         // Fully converged and fully acknowledged: the floor is the
         // whole published chain.
-        assert_eq!(network.acked_floor(), network.published_count());
+        assert_eq!(network.acked_floor_on(0), network.published_count_on(0));
     });
 }
 
@@ -440,7 +440,7 @@ fn snapshot_recovered_helper_serves_replay_from_its_store() {
     // The wedge actually existed: the helper's chain was rebased onto
     // its own snap(8), so blocks 3..8 could only have come from its
     // store.
-    let helper = network.peer(3).expect("helper up after drain");
+    let helper = network.peer_on(0, 3).expect("helper up after drain");
     assert!(
         helper.chain().block(8).is_none(),
         "helper chain was not truncated; the scenario lost its wedge"
@@ -448,7 +448,7 @@ fn snapshot_recovered_helper_serves_replay_from_its_store() {
     assert!(helper.chain().block(9).is_some());
 
     let episode = network
-        .metrics()
+        .metrics_on(0)
         .catch_up
         .iter()
         .find(|e| e.peer == 5 && e.completed_at().is_some())

@@ -212,23 +212,11 @@ fn parallel_finalize_matches_sequential_under_raft_faults() {
         };
 
         let (seq_metrics, seq_snapshot) = run(ValidationPipeline::Sequential);
-        let (par_metrics, par_snapshot) = run(ValidationPipeline::parallel(workers));
-        assert_eq!(
-            seq_metrics, par_metrics,
-            "seed {seed}: metrics diverged at {workers} workers"
-        );
-        assert_eq!(
-            seq_snapshot.state, par_snapshot.state,
-            "seed {seed}: world state diverged at {workers} workers"
-        );
-        assert_eq!(
-            seq_snapshot.chain, par_snapshot.chain,
-            "seed {seed}: chain diverged at {workers} workers"
-        );
         // The cross-block pipelined path (pre-validate block N+1 while
-        // block N finalizes) must be equally invisible under ordering
-        // faults: failovers reshuffle block boundaries, and pipelined
-        // pre-validation must still land on the same codes and times.
+        // block N finalizes, conflict-chain finalize on the pool) must
+        // be invisible under ordering faults: failovers reshuffle block
+        // boundaries, and pipelined pre-validation must still land on
+        // the same codes and times.
         let (pip_metrics, pip_snapshot) = run(ValidationPipeline::pipelined(workers));
         assert_eq!(
             seq_metrics, pip_metrics,
