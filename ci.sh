@@ -19,11 +19,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+# One module may say `unsafe`: the SHA-NI kernel and its dispatch
+# (DESIGN.md §4.17). Eleven crates `forbid` it; this catches the twelfth
+# growing a second `#[allow(unsafe_code)]`.
+echo "==> unsafe boundary (exactly one .rs file under crates/ and src/ contains the word)"
+test "$(grep -rlw --include='*.rs' unsafe crates src)" = crates/crypto/src/sha256/shani.rs
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test"
 cargo test -q --workspace
+
+# The hashing kernel as the benchmark builds it: `target_feature`
+# inlining differs between the debug build above and `--release`.
+echo "==> cargo test --release (crypto: both SHA-256 kernels, optimised)"
+cargo test -q --release -p fabriccrdt-crypto
 
 # Smoke-run the experiment binaries with tiny configs: they assert
 # their own invariants (convergence, byte-identical ledgers, failover

@@ -16,7 +16,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use fabriccrdt::validator::CrdtValidator;
-use fabriccrdt_crypto::{sha256, Identity, MerkleTree};
+use fabriccrdt_crypto::{merkle, sha256, Identity};
 use fabriccrdt_fabric::config::BlockCutConfig;
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
@@ -153,17 +153,49 @@ fn seeded_state() -> WorldState {
 fn main() {
     let bench = Bench::from_env();
 
-    for size in [64usize, 1024, 16 * 1024] {
+    // Both compression kernels side by side; on a CPU without the SHA
+    // extensions the two rows of a size measure the same code.
+    println!("sha256 kernel: {}", sha256::kernel());
+    for size in [64usize, 1024, 65536] {
         let data = vec![0xabu8; size];
-        bench.run(&format!("sha256/{size}"), None, Some(size as u64), || {
-            sha256::digest(&data)
-        });
+        bench.run(
+            &format!("sha256/{size}/{}", sha256::kernel()),
+            None,
+            Some(size as u64),
+            || sha256::digest(&data),
+        );
+        bench.run(
+            &format!("sha256/{size}/portable-forced"),
+            None,
+            Some(size as u64),
+            || sha256::digest_portable(&data),
+        );
     }
 
     let leaves: Vec<Vec<u8>> = (0..256).map(|i| format!("tx-{i}").into_bytes()).collect();
-    bench.run("merkle/build-256-leaves", Some(256), None, || {
-        MerkleTree::from_leaves(&leaves).root()
+    bench.run("merkle/root-256-leaves", Some(256), None, || {
+        merkle::root(leaves.iter().map(|l| merkle::leaf(l)).collect())
     });
+
+    // The block FabricCRDT re-seals on `hotkey-merge`: 400 transactions
+    // whose merged write brings each to 1 777 canonical bytes.
+    {
+        let mut txs: Vec<Transaction> = (0..400).map(|i| crdt_tx(i, true)).collect();
+        for tx in &mut txs {
+            let padding = 1777 - tx.to_bytes().len();
+            let mut value = tx.rwset.writes.get("hot").expect("written").value.clone();
+            value.resize(value.len() + padding, b' ');
+            tx.rwset.writes.update_value("hot", value);
+        }
+        let bytes: usize = txs.iter().map(|tx| tx.to_bytes().len()).sum();
+        assert_eq!(bytes, 400 * 1777);
+        bench.run(
+            "merkle/data-hash-400x1777B",
+            Some(400),
+            Some(bytes as u64),
+            || Block::compute_data_hash(&txs),
+        );
+    }
 
     let text = payload(7);
     bench.run(

@@ -26,7 +26,8 @@
 //!    `finalize_speedup_at_4_workers` and
 //!    `pipelined_speedup_at_4_workers` headlines, the pipelined run's
 //!    overlap counters (`blocks_overlapped`, speculative read-check
-//!    tallies), and the machine's available parallelism — through
+//!    tallies), the machine's available parallelism and the SHA-256
+//!    kernel the run hashed with (`sha256_kernel`) — through
 //!    [`fabriccrdt_bench::report`], which re-parses what it wrote.
 //!
 //! Host time is measured and recorded, never asserted on:
@@ -41,7 +42,7 @@ use std::time::Instant;
 
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_bench::{obj, report, HarnessOptions};
-use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 use fabriccrdt_fabric::metrics::PipelineMetrics;
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot, StageTimings};
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
@@ -358,6 +359,9 @@ fn main() {
         ("repeats", (REPEATS as f64).into()),
         ("available_parallelism", (cores as f64).into()),
         ("hardware_limited", hardware_limited.into()),
+        // Every wall time below ran on this SHA-256 kernel; an artifact
+        // from the other one is a different measurement.
+        ("sha256_kernel", sha256::kernel().into()),
         ("default_doc_readings", (default_doc as f64).into()),
         ("sequential_baseline_wall_secs", baseline_at_default.into()),
         (
@@ -395,6 +399,7 @@ fn main() {
         "BENCH_commit_path.json",
         &json,
         &[
+            "sha256_kernel",
             "sequential_baseline_tps",
             "finalize_speedup_at_4_workers",
             "pipelined_speedup_at_4_workers",

@@ -1,0 +1,165 @@
+//! The commit path hashes each block fewer times than it used to
+//! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
+//! headers asserted here were recorded before that change.
+//!
+//! Two blocks go through a FabricCRDT peer — one whose CRDT writes merge
+//! (Algorithm 1 line 22 rewrites them, so the peer re-seals the data
+//! hash) and one of plain writes (nothing rewritten, but it must re-link
+//! to the re-sealed tip) — once through `process_block`, once through
+//! `prevalidate` / `finish_block`. The same plain block through a
+//! vanilla-Fabric peer keeps the orderer's seal untouched.
+//!
+//! That the ingress and append checks still recompute the data hash from
+//! the transactions in hand is shown elsewhere and left untouched:
+//! `tampered_block_rejected_wholesale` (`crates/fabric/src/peer.rs`) and
+//! the gossip forgery tests.
+
+use fabriccrdt::validator::CrdtValidator;
+use fabriccrdt_crypto::{hex, Identity, KeyPair};
+use fabriccrdt_fabric::peer::Peer;
+use fabriccrdt_fabric::policy::EndorsementPolicy;
+use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
+use fabriccrdt_ledger::block::{Block, BlockHeader, ValidationCode};
+use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+
+fn endorsed(nonce: u64, write: impl FnOnce(&mut ReadWriteSet)) -> Transaction {
+    let client = Identity::new("client", "org1");
+    let mut rwset = ReadWriteSet::new();
+    write(&mut rwset);
+    let mut tx = Transaction {
+        id: TxId::derive(&client, nonce, "iot"),
+        client,
+        chaincode: "iot".into(),
+        rwset,
+        endorsements: Vec::new(),
+    };
+    let payload = tx.response_payload();
+    for org in ["org1", "org2"] {
+        let kp = KeyPair::derive(Identity::new("peer0", org));
+        tx.endorsements.push(Endorsement {
+            endorser: kp.identity().clone(),
+            signature: kp.sign(&payload),
+        });
+    }
+    tx
+}
+
+/// Block 1: five CRDT documents merging into one hot key.
+fn merging_block(previous_hash: [u8; 32]) -> Block {
+    let txs = (0..5)
+        .map(|i| {
+            endorsed(i, |rwset| {
+                rwset.reads.record("hot", None);
+                let json = format!(r#"{{"deviceID":"d1","readings":["r{i}"]}}"#);
+                rwset.writes.put_crdt("hot", json.into_bytes());
+            })
+        })
+        .collect();
+    Block::assemble(1, previous_hash, txs)
+}
+
+/// Three plain writes to distinct keys: nothing for a validator to
+/// rewrite.
+fn plain_block(number: u64, previous_hash: [u8; 32]) -> Block {
+    let txs = (0..3)
+        .map(|i| {
+            endorsed(100 + i, |rwset| {
+                rwset.writes.put(format!("k{i}"), vec![b'v', i as u8]);
+            })
+        })
+        .collect();
+    Block::assemble(number, previous_hash, txs)
+}
+
+fn policy() -> EndorsementPolicy {
+    EndorsementPolicy::all_of(["org1", "org2"])
+}
+
+const GENESIS_HASH: &str = "756e2e87f46e31bd3a5841cd74d9588e1aadc5ae4af750ef6cf3b8269614e1a5";
+/// Data hash of [`plain_block`], the same under either validator.
+const PLAIN_DATA_HASH: &str = "ed4e35ab22100eec683efde428156765b7a04b52703e4c1394172850114b396d";
+
+fn assert_header(header: &BlockHeader, previous_hash: &str, data_hash: &str) {
+    assert_eq!(
+        hex::encode(&header.previous_hash),
+        previous_hash,
+        "previous_hash of block {}",
+        header.number
+    );
+    assert_eq!(
+        hex::encode(&header.data_hash),
+        data_hash,
+        "data_hash of block {}",
+        header.number
+    );
+}
+
+/// Commits `block` through `process_block` or through the staged halves.
+fn commit<V: BlockValidator>(peer: &mut Peer<V>, block: Block, staged_halves: bool) {
+    let staged = if staged_halves {
+        let prepared = peer.prevalidate(block);
+        peer.finish_block(prepared)
+    } else {
+        peer.process_block(block)
+    };
+    peer.commit(staged).expect("block extends the chain");
+}
+
+#[test]
+fn fabriccrdt_peer_seals_the_recorded_headers() {
+    for staged_halves in [false, true] {
+        let mut peer = Peer::new(CrdtValidator::new(), policy());
+        let genesis_hash = peer.chain().tip_hash();
+
+        let ordered = merging_block(genesis_hash);
+        let sealed_by_orderer = ordered.header.data_hash;
+        let orderer_tip = ordered.hash();
+        commit(&mut peer, ordered, staged_halves);
+        let tip = peer.chain().tip().expect("committed");
+        assert_eq!(
+            tip.validation_codes,
+            [ValidationCode::ValidMerged; 5],
+            "all five documents merge"
+        );
+        assert_ne!(
+            tip.header.data_hash, sealed_by_orderer,
+            "merged writes were rewritten, so the peer re-sealed"
+        );
+        assert_header(
+            &tip.header,
+            GENESIS_HASH,
+            "a0d1a0377f23d69e453b621df5ee37889b1c5285abd204314feff31f2da41060",
+        );
+
+        // The orderer chains to *its* block 1; the peer re-links to the
+        // re-sealed one and keeps the data hash, which nothing changed.
+        let ordered = plain_block(2, orderer_tip);
+        let sealed_by_orderer = ordered.header.data_hash;
+        commit(&mut peer, ordered, staged_halves);
+        let tip = peer.chain().tip().expect("committed");
+        assert_eq!(tip.validation_codes, [ValidationCode::Valid; 3]);
+        assert_eq!(tip.header.data_hash, sealed_by_orderer);
+        assert_header(
+            &tip.header,
+            "90a2145b630b05522cc61e09bc1a51944f03200f2c516982e5d09cd12e4941e7",
+            PLAIN_DATA_HASH,
+        );
+
+        assert_eq!(peer.chain().verify_integrity(), Ok(()));
+    }
+}
+
+#[test]
+fn vanilla_peer_keeps_the_orderers_seal() {
+    for staged_halves in [false, true] {
+        let mut peer = Peer::new(FabricValidator::new(), policy());
+        let ordered = plain_block(1, peer.chain().tip_hash());
+        let sealed = ordered.header.clone();
+        commit(&mut peer, ordered, staged_halves);
+        let tip = peer.chain().tip().expect("committed");
+        assert_eq!(tip.header, sealed);
+        assert_header(&tip.header, GENESIS_HASH, PLAIN_DATA_HASH);
+        assert_eq!(peer.chain().verify_integrity(), Ok(()));
+    }
+}

@@ -1,8 +1,11 @@
-//! Binary Merkle trees over transaction hashes.
+//! Binary Merkle roots over transaction bytes.
 //!
 //! Fabric computes a block's data hash over the serialized transactions;
-//! we use a conventional binary Merkle tree (odd nodes promoted) so that
-//! the harness can also produce membership proofs in tests and examples.
+//! we use a conventional binary Merkle tree (odd nodes promoted) and keep
+//! only what the ledger reads from it — the root. A caller hashes each
+//! leaf with [`leaf`] (so it can serialize every transaction into one
+//! reused buffer) and hands the digests to [`root`], which folds them
+//! pairwise in place.
 
 use crate::sha256::{self, Digest};
 
@@ -11,143 +14,64 @@ use crate::sha256::{self, Digest};
 const LEAF_PREFIX: u8 = 0x00;
 const NODE_PREFIX: u8 = 0x01;
 
-/// A binary Merkle tree built over a list of byte strings.
+/// The digest of one leaf: `SHA-256(0x00 ‖ data)`.
+pub fn leaf(data: &[u8]) -> Digest {
+    let mut h = sha256::Sha256::new();
+    h.update(&[LEAF_PREFIX]);
+    h.update(data);
+    h.finalize()
+}
+
+/// The digest of an interior node: `SHA-256(0x01 ‖ left ‖ right)`.
+fn node(left: &Digest, right: &Digest) -> Digest {
+    let mut bytes = [NODE_PREFIX; 65];
+    bytes[1..33].copy_from_slice(left);
+    bytes[33..].copy_from_slice(right);
+    sha256::digest(&bytes)
+}
+
+/// The Merkle root over [`leaf`] digests, in order. A level's last node
+/// is promoted unchanged when it has no sibling; an empty leaf set
+/// produces the digest of the empty string.
 ///
 /// # Examples
 ///
 /// ```
-/// use fabriccrdt_crypto::MerkleTree;
+/// use fabriccrdt_crypto::merkle;
 ///
-/// let tree = MerkleTree::from_leaves([b"tx1".as_slice(), b"tx2".as_slice()]);
-/// let proof = tree.proof(0).expect("index in range");
-/// assert!(MerkleTree::verify(tree.root(), b"tx1", 0, &proof));
-/// assert!(!MerkleTree::verify(tree.root(), b"tx2", 0, &proof));
+/// let one = merkle::root(vec![merkle::leaf(b"tx1")]);
+/// assert_eq!(one, merkle::leaf(b"tx1"));
+/// let two = merkle::root(vec![merkle::leaf(b"tx1"), merkle::leaf(b"tx2")]);
+/// assert_ne!(two, one);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MerkleTree {
-    /// `levels[0]` holds the leaf digests; the last level holds the root.
-    levels: Vec<Vec<Digest>>,
-}
-
-impl MerkleTree {
-    /// Builds a tree from leaf payloads. An empty leaf set produces the
-    /// digest of the empty string as root.
-    pub fn from_leaves<I, B>(leaves: I) -> Self
-    where
-        I: IntoIterator<Item = B>,
-        B: AsRef<[u8]>,
-    {
-        let leaf_digests: Vec<Digest> = leaves
-            .into_iter()
-            .map(|l| Self::hash_leaf(l.as_ref()))
-            .collect();
-        if leaf_digests.is_empty() {
-            return MerkleTree {
-                levels: vec![vec![sha256::digest(b"")]],
-            };
+pub fn root(mut level: Vec<Digest>) -> Digest {
+    if level.is_empty() {
+        return sha256::digest(b"");
+    }
+    // Each pass overwrites the front of the level with its parents: slot
+    // `i` is written only after slots `2i` and `2i + 1` were read.
+    let mut len = level.len();
+    while len > 1 {
+        let pairs = len / 2;
+        for i in 0..pairs {
+            level[i] = node(&level[2 * i], &level[2 * i + 1]);
         }
-        let mut levels = vec![leaf_digests];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            for pair in prev.chunks(2) {
-                if pair.len() == 2 {
-                    next.push(Self::hash_node(&pair[0], &pair[1]));
-                } else {
-                    // Odd node: promote unchanged.
-                    next.push(pair[0]);
-                }
-            }
-            levels.push(next);
+        if len % 2 == 1 {
+            level[pairs] = level[len - 1];
         }
-        MerkleTree { levels }
+        len = len.div_ceil(2);
     }
-
-    /// The Merkle root.
-    pub fn root(&self) -> Digest {
-        self.levels.last().expect("tree always has a root")[0]
-    }
-
-    /// Number of leaves.
-    pub fn len(&self) -> usize {
-        self.levels[0].len()
-    }
-
-    /// Whether the tree was built from zero leaves.
-    pub fn is_empty(&self) -> bool {
-        // An empty tree is represented by the single sentinel root level.
-        self.levels.len() == 1
-            && self.levels[0].len() == 1
-            && self.levels[0][0] == sha256::digest(b"")
-    }
-
-    /// Produces an inclusion proof (sibling path) for the leaf at `index`,
-    /// or `None` if the index is out of range.
-    pub fn proof(&self, index: usize) -> Option<Vec<ProofStep>> {
-        if index >= self.len() || self.is_empty() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sibling = idx ^ 1;
-            if sibling < level.len() {
-                path.push(ProofStep {
-                    sibling: level[sibling],
-                    sibling_on_left: sibling < idx,
-                });
-            }
-            idx /= 2;
-        }
-        Some(path)
-    }
-
-    /// Verifies that `leaf` at position `index` is included in a tree with
-    /// the given `root`, using a proof from [`MerkleTree::proof`].
-    pub fn verify(root: Digest, leaf: &[u8], index: usize, proof: &[ProofStep]) -> bool {
-        let mut acc = Self::hash_leaf(leaf);
-        let mut idx = index;
-        for step in proof {
-            acc = if step.sibling_on_left {
-                Self::hash_node(&step.sibling, &acc)
-            } else {
-                Self::hash_node(&acc, &step.sibling)
-            };
-            idx /= 2;
-        }
-        let _ = idx;
-        acc == root
-    }
-
-    fn hash_leaf(data: &[u8]) -> Digest {
-        let mut h = sha256::Sha256::new();
-        h.update(&[LEAF_PREFIX]);
-        h.update(data);
-        h.finalize()
-    }
-
-    fn hash_node(left: &Digest, right: &Digest) -> Digest {
-        let mut h = sha256::Sha256::new();
-        h.update(&[NODE_PREFIX]);
-        h.update(left);
-        h.update(right);
-        h.finalize()
-    }
-}
-
-/// One step in a Merkle inclusion proof: the sibling digest and which side
-/// it sits on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProofStep {
-    /// Digest of the sibling node.
-    pub sibling: Digest,
-    /// `true` when the sibling is the left child.
-    pub sibling_on_left: bool,
+    level[0]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hex;
+
+    fn root_of<B: AsRef<[u8]>>(leaves: impl IntoIterator<Item = B>) -> Digest {
+        root(leaves.into_iter().map(|l| leaf(l.as_ref())).collect())
+    }
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("tx-{i}").into_bytes()).collect()
@@ -155,80 +79,74 @@ mod tests {
 
     #[test]
     fn empty_tree_has_sentinel_root() {
-        let t = MerkleTree::from_leaves(Vec::<Vec<u8>>::new());
-        assert!(t.is_empty());
-        assert_eq!(t.root(), sha256::digest(b""));
-        assert_eq!(t.proof(0), None);
+        assert_eq!(root(Vec::new()), sha256::digest(b""));
     }
 
     #[test]
     fn single_leaf_root_is_leaf_hash() {
-        let t = MerkleTree::from_leaves([b"only".as_slice()]);
-        assert_eq!(t.len(), 1);
-        let proof = t.proof(0).unwrap();
-        assert!(proof.is_empty());
-        assert!(MerkleTree::verify(t.root(), b"only", 0, &proof));
+        assert_eq!(root_of([b"only"]), leaf(b"only"));
     }
 
+    /// Roots of `leaves(n)` recorded before the tree was reduced to a
+    /// root fold: the fold must not move a ledger byte.
     #[test]
-    fn proofs_verify_for_all_leaves_all_sizes() {
-        for n in 1..=17 {
-            let data = leaves(n);
-            let t = MerkleTree::from_leaves(&data);
-            for (i, leaf) in data.iter().enumerate() {
-                let proof = t.proof(i).unwrap();
-                assert!(
-                    MerkleTree::verify(t.root(), leaf, i, &proof),
-                    "n={n} leaf={i}"
-                );
-            }
+    fn golden_roots() {
+        for (n, expect) in [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "9ed0fc0110425b37c04d982fc41cc9573716173f95ad9404b1cc6399c0e31780",
+            ),
+            (
+                2,
+                "10555b9ebbe7151188355576176c15bdd621e7c8a65be4430c86abbd72ef6a0d",
+            ),
+            (
+                3,
+                "a0feb586b7560f169566c6cf028371908065915184871962c82c3d9de9789900",
+            ),
+            (
+                400,
+                "62d3219d67bf8349b7e346f26c44c9e1bf9bc04d09b38b48eec2717c90803aaa",
+            ),
+        ] {
+            assert_eq!(hex::encode(&root_of(leaves(n))), expect, "{n} leaves");
         }
     }
 
     #[test]
-    fn wrong_leaf_fails_verification() {
-        let data = leaves(8);
-        let t = MerkleTree::from_leaves(&data);
-        let proof = t.proof(3).unwrap();
-        assert!(!MerkleTree::verify(t.root(), b"tx-4", 3, &proof));
-    }
-
-    #[test]
-    fn tampered_proof_fails_verification() {
-        let data = leaves(8);
-        let t = MerkleTree::from_leaves(&data);
-        let mut proof = t.proof(3).unwrap();
-        proof[0].sibling[0] ^= 0xff;
-        assert!(!MerkleTree::verify(t.root(), &data[3], 3, &proof));
+    fn odd_node_is_promoted_unchanged() {
+        let [a, b, c, d, e] = [b"a", b"b", b"c", b"d", b"e"].map(|l| leaf(l));
+        assert_eq!(root(vec![a, b, c]), node(&node(&a, &b), &c));
+        // Five leaves: `e` rises two levels before it meets a sibling.
+        assert_eq!(
+            root(vec![a, b, c, d, e]),
+            node(&node(&node(&a, &b), &node(&c, &d)), &e)
+        );
     }
 
     #[test]
     fn root_changes_when_any_leaf_changes() {
-        let a = MerkleTree::from_leaves(leaves(6));
         let mut modified = leaves(6);
         modified[5] = b"tx-5-tampered".to_vec();
-        let b = MerkleTree::from_leaves(modified);
-        assert_ne!(a.root(), b.root());
+        assert_ne!(root_of(leaves(6)), root_of(modified));
     }
 
     #[test]
     fn root_depends_on_leaf_order() {
-        let a = MerkleTree::from_leaves([b"a".as_slice(), b"b".as_slice()]);
-        let b = MerkleTree::from_leaves([b"b".as_slice(), b"a".as_slice()]);
-        assert_ne!(a.root(), b.root());
+        assert_ne!(root_of([b"a", b"b"]), root_of([b"b", b"a"]));
     }
 
     #[test]
     fn leaf_and_node_domains_are_separated() {
         // The root of a 2-leaf tree must differ from a leaf whose content is
         // the concatenation of the two leaf digests.
-        let t = MerkleTree::from_leaves([b"a".as_slice(), b"b".as_slice()]);
-        let la = MerkleTree::from_leaves([b"a".as_slice()]).root();
-        let lb = MerkleTree::from_leaves([b"b".as_slice()]).root();
         let mut concat = Vec::new();
-        concat.extend_from_slice(&la);
-        concat.extend_from_slice(&lb);
-        let fake = MerkleTree::from_leaves([concat.as_slice()]).root();
-        assert_ne!(t.root(), fake);
+        concat.extend_from_slice(&leaf(b"a"));
+        concat.extend_from_slice(&leaf(b"b"));
+        assert_ne!(root_of([b"a", b"b"]), root_of([concat.as_slice()]));
     }
 }

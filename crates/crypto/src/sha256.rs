@@ -1,9 +1,15 @@
 //! A from-scratch implementation of SHA-256 (FIPS 180-4).
 //!
-//! Used for block hashing and transaction identifiers in the ledger
-//! substrate. The implementation is a straightforward, allocation-free
-//! streaming hasher; correctness is asserted against the NIST test vectors
-//! in the unit tests below.
+//! Used for block hashing, transaction identifiers and endorsement MACs
+//! in the ledger substrate. An allocation-free streaming hasher over one
+//! compression function with two bodies: the portable FIPS 180-4 rounds,
+//! and the x86-64 SHA-extension kernel in the private `shani` module —
+//! the one module of the workspace under `allow(unsafe_code)` — taken
+//! whenever the CPU reports the extensions at run time. The NIST vectors
+//! run against each body, and the hardware body is differential-tested
+//! against the portable one in the unit tests below (DESIGN.md §4.17).
+
+mod shani;
 
 /// A 32-byte SHA-256 digest.
 pub type Digest = [u8; 32];
@@ -108,7 +114,7 @@ pub struct Sha256 {
     state: [u32; 8],
     /// Partially filled message block.
     buffer: [u8; 64],
-    /// Number of valid bytes in `buffer`.
+    /// Number of valid bytes in `buffer`; always below 64.
     buffered: usize,
     /// Total message length in bytes.
     length: u64,
@@ -133,6 +139,20 @@ impl Sha256 {
 
     /// Feeds `data` into the hash computation.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress_blocks, data);
+    }
+
+    /// Completes the computation and returns the digest, consuming the
+    /// hasher.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`Sha256::update`] over an explicit compression kernel. Whole
+    /// blocks go to the kernel straight from the caller's slice; only a
+    /// trailing partial block is copied.
+    #[inline]
+    fn update_with(&mut self, compress: impl Fn(&mut [u32; 8], &[u8]), data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
@@ -140,62 +160,62 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let (whole, tail) = input.split_at(input.len() - input.len() % 64);
+        if !whole.is_empty() {
+            compress(&mut self.state, whole);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
     }
 
-    /// Completes the computation and returns the digest, consuming the
-    /// hasher.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.length.wrapping_mul(8);
-        // Append the 0x80 terminator and zero padding up to 56 mod 64.
-        self.update_padding(0x80);
-        while self.buffered != 56 {
-            self.update_padding(0x00);
+    /// [`Sha256::finalize`] over an explicit compression kernel: pads in
+    /// place — the 0x80 terminator, zeroes, and the bit length in the
+    /// last eight bytes of the final block.
+    #[inline]
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> Digest {
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            // No room left for the length: it goes in a block of its own.
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        let len_bytes = bit_len.to_be_bytes();
-        self.buffer[56..64].copy_from_slice(&len_bytes);
-        let block = self.buffer;
-        self.compress(&block);
+        let bit_len = self.length.wrapping_mul(8);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Appends a single padding byte without counting it toward the message
-    /// length.
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffered] = byte;
-        self.buffered += 1;
-        if self.buffered == 64 {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffered = 0;
-        }
+/// Folds `blocks` (a whole number of 64-byte blocks) into `state` with
+/// the fastest kernel this CPU has. Both kernels compute the same
+/// function, so nothing selects between them but the hardware.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    if !shani::compress_blocks(state, blocks) {
+        compress_blocks_portable(state, blocks);
     }
+}
 
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The FIPS 180-4 rounds in plain Rust: the kernel of every CPU without
+/// the x86 SHA extensions, and the oracle the hardware kernel is
+/// differential-tested against.
+fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -206,7 +226,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -228,14 +248,21 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// Which compression kernel this process hashes with: `"sha-ni"` on an
+/// x86-64 CPU with the SHA extensions, `"portable"` everywhere else. For
+/// reports only — a host-time artifact that does not say which kernel
+/// produced it cannot be compared with another.
+pub fn kernel() -> &'static str {
+    if shani::available() {
+        "sha-ni"
+    } else {
+        "portable"
     }
 }
 
@@ -256,57 +283,161 @@ pub fn digest(data: &[u8]) -> Digest {
     hasher.finalize()
 }
 
+/// [`digest`] through the portable kernel whatever the CPU offers, so a
+/// micro-benchmark can report both kernels side by side. Nothing on a
+/// commit path calls it.
+pub fn digest_portable(data: &[u8]) -> Digest {
+    let mut hasher = Sha256::new();
+    hasher.update_with(compress_blocks_portable, data);
+    hasher.finalize_with(compress_blocks_portable)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex;
 
-    fn hex_digest(data: &[u8]) -> String {
-        hex::encode(&digest(data))
+    type Kernel = fn(&mut [u32; 8], &[u8]);
+
+    /// The hardware kernel, or `None` (after saying so) on a CPU without
+    /// it — a skipped half must not read as a passed one.
+    fn hardware_kernel(test: &str) -> Option<Kernel> {
+        if !shani::available() {
+            eprintln!("{test}: SKIPPED for the sha-ni kernel, this CPU lacks the SHA extensions");
+            return None;
+        }
+        Some(|state, blocks| assert!(shani::compress_blocks(state, blocks)))
+    }
+
+    /// Both bodies by name, not through the run-time switch.
+    fn kernels(test: &str) -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&str, Kernel)> = vec![("portable", compress_blocks_portable)];
+        all.extend(hardware_kernel(test).map(|k| ("sha-ni", k)));
+        all
+    }
+
+    fn digest_chunked(kernel: Kernel, data: &[u8], chunk: usize) -> Digest {
+        let mut h = Sha256::new();
+        for piece in data.chunks(chunk) {
+            h.update_with(kernel, piece);
+        }
+        h.finalize_with(kernel)
+    }
+
+    fn lcg_bytes(len: usize) -> Vec<u8> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
     }
 
     #[test]
-    fn nist_vector_empty() {
-        assert_eq!(
-            hex_digest(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-    }
-
-    #[test]
-    fn nist_vector_abc() {
-        assert_eq!(
-            hex_digest(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn nist_vector_448_bits() {
-        assert_eq!(
-            hex_digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn nist_vector_896_bits() {
-        assert_eq!(
-            hex_digest(
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
-                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+    fn nist_vectors_on_each_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             ),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn\
+                  hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for (name, kernel) in kernels("nist_vectors_on_each_kernel") {
+            for (message, expect) in vectors {
+                let got = digest_chunked(kernel, message, usize::MAX);
+                assert_eq!(hex::encode(&got), expect, "{name}, {} bytes", message.len());
+            }
+        }
+        // The public entry points agree with whichever kernel they chose.
+        for (message, expect) in vectors {
+            assert_eq!(hex::encode(&digest(message)), expect);
+            assert_eq!(hex::encode(&digest_portable(message)), expect);
+        }
     }
 
     #[test]
-    fn nist_vector_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex::encode(&digest(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn kernels_agree_on_raw_state() {
+        let Some(hardware) = hardware_kernel("kernels_agree_on_raw_state") else {
+            return;
+        };
+        let data = lcg_bytes(64 * 9);
+        for blocks in 0..=9 {
+            // From the initial state and from an arbitrary one.
+            for start in [H0, [0xdead_beef; 8]] {
+                let (mut a, mut b) = (start, start);
+                compress_blocks_portable(&mut a, &data[..64 * blocks]);
+                hardware(&mut b, &data[..64 * blocks]);
+                assert_eq!(a, b, "{blocks} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_at_every_length_and_split() {
+        let Some(hardware) = hardware_kernel("kernels_agree_at_every_length_and_split") else {
+            return;
+        };
+        let data = lcg_bytes(260);
+        for len in 0..=259 {
+            let message = &data[..len];
+            let expect = digest_chunked(compress_blocks_portable, message, usize::MAX);
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update_with(hardware, &message[..split]);
+                h.update_with(hardware, &message[split..]);
+                assert_eq!(h.finalize_with(hardware), expect, "len {len} split {split}");
+            }
+        }
+    }
+
+    #[test]
+    fn padding_boundaries_match_one_byte_at_a_time_on_each_kernel() {
+        // 55 is the longest message whose padding fits its own block, 56
+        // the shortest that needs a second; 119 / 120 are the same edge
+        // one block on.
+        let data = lcg_bytes(128);
+        for (name, kernel) in kernels("padding_boundaries") {
+            for len in [55, 56, 57, 63, 64, 65, 119, 120, 128] {
+                let oneshot = digest_chunked(kernel, &data[..len], usize::MAX);
+                let bytewise = digest_chunked(compress_blocks_portable, &data[..len], 1);
+                assert_eq!(oneshot, bytewise, "{name}, len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_mib_in_uneven_updates_on_each_kernel() {
+        let data = lcg_bytes(1 << 20);
+        let expect = digest_chunked(compress_blocks_portable, &data, usize::MAX);
+        for (name, kernel) in kernels("one_mib_in_uneven_updates_on_each_kernel") {
+            for chunk in [1, 63, 64, 65, 4096] {
+                assert_eq!(
+                    digest_chunked(kernel, &data, chunk),
+                    expect,
+                    "{name}, {chunk}-byte updates"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,11 +32,11 @@
 //! committed-id context), so pipelined runs are value-identical to
 //! sequential ones under either driver — only wall-clock changes.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fabriccrdt_crypto::KeyPair;
+use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_jsoncrdt::clock::{OpId, ReplicaId, VersionVector};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
@@ -204,6 +204,13 @@ pub struct Peer<V> {
     // workers; sequential peers never clone it.
     validator: Arc<V>,
     policy: EndorsementPolicy,
+    /// The verification key of every endorser a delivered block has
+    /// named, derived on first sight in the sequential stage of
+    /// `prepare_block` — never per endorsement. Pre-validation workers
+    /// read it through the `Arc` without a lock. It holds no identity
+    /// the chain does not also store, so it grows no faster than the
+    /// ledger.
+    endorser_keys: Arc<HashMap<Identity, KeyPair>>,
     runner: PipelineRunner,
     /// Which channel this replica serves; [`ChannelId::DEFAULT`] for
     /// single-channel runs. Purely a label — validation logic is
@@ -266,6 +273,7 @@ impl<V: BlockValidator> Peer<V> {
             merge_frontiers: BTreeMap::new(),
             validator: Arc::new(validator),
             policy,
+            endorser_keys: Arc::new(HashMap::new()),
             runner: PipelineRunner::new(ValidationPipeline::Sequential),
             channel: ChannelId::DEFAULT,
             epoch: Instant::now(),
@@ -380,6 +388,7 @@ impl<V: BlockValidator> Peer<V> {
             merge_frontiers,
             validator: Arc::new(validator),
             policy,
+            endorser_keys: Arc::new(HashMap::new()),
             runner: PipelineRunner::new(ValidationPipeline::Sequential),
             channel: ChannelId::DEFAULT,
             epoch: Instant::now(),
@@ -442,6 +451,7 @@ impl<V: BlockValidator> Peer<V> {
             merge_frontiers,
             validator: Arc::new(validator),
             policy,
+            endorser_keys: Arc::new(HashMap::new()),
             runner: PipelineRunner::new(ValidationPipeline::Sequential),
             channel: ChannelId::DEFAULT,
             epoch: Instant::now(),
@@ -630,6 +640,13 @@ impl<V: BlockValidator> Peer<V> {
                     || !seen_in_block.insert(tx.id)
             })
             .collect();
+        for endorsement in block.transactions.iter().flat_map(|tx| &tx.endorsements) {
+            if !self.endorser_keys.contains_key(&endorsement.endorser) {
+                let keypair = KeyPair::derive(endorsement.endorser.clone());
+                Arc::make_mut(&mut self.endorser_keys)
+                    .insert(endorsement.endorser.clone(), keypair);
+            }
+        }
 
         // Stage 2 (pipeline fan-out): endorsement validation — every
         // signature must verify and the endorsing organizations must
@@ -644,6 +661,7 @@ impl<V: BlockValidator> Peer<V> {
         let transactions = Arc::new(std::mem::take(&mut block.transactions));
         let validator = Arc::clone(&self.validator);
         let policy = self.policy.clone();
+        let endorser_keys = Arc::clone(&self.endorser_keys);
         let pending = self.runner.map_ordered_bg(&transactions, move |i, tx| {
             if duplicate[i] {
                 return (Some(ValidationCode::DuplicateTxId), 0);
@@ -656,7 +674,9 @@ impl<V: BlockValidator> Peer<V> {
             let mut valid_orgs = Vec::new();
             for endorsement in &tx.endorsements {
                 sigs += 1;
-                let keypair = KeyPair::derive(endorsement.endorser.clone());
+                let keypair = endorser_keys
+                    .get(&endorsement.endorser)
+                    .expect("stage 1 derived the key of every endorser in this block");
                 if keypair.verify(&payload, &endorsement.signature).is_ok() {
                     valid_orgs.push(endorsement.endorser.org.clone());
                 }
@@ -772,9 +792,13 @@ impl<V: BlockValidator> Peer<V> {
         // one block is re-sealed, every later block must re-link to the
         // peer's tip. All peers merge deterministically in block order, so
         // every replica re-seals identically and chains stay consistent.
-        if !block.data_hash_is_valid() || block.header.previous_hash != self.chain.tip_hash() {
-            block.header.previous_hash = self.chain.tip_hash();
-            block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        // One pass over the transactions as finalize left them serves both
+        // the comparison and the re-seal.
+        let data_hash = Block::compute_data_hash(&block.transactions);
+        let tip_hash = self.chain.tip_hash();
+        if data_hash != block.header.data_hash || block.header.previous_hash != tip_hash {
+            block.header.previous_hash = tip_hash;
+            block.header.data_hash = data_hash;
         }
 
         // Reconcile speculative verdicts against the state this

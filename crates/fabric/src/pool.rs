@@ -22,8 +22,7 @@
 //! Everything is safely `'static`: the job is an
 //! `Arc<dyn Fn(usize) + Send + Sync>` whose captures (transactions,
 //! result slots, validator) are `Arc`ed by the caller — no lifetime
-//! erasure, no unsafe code (the crate-level `forbid(unsafe_code)`
-//! stands).
+//! erasure, and the crate-level `forbid(unsafe_code)` stands.
 //!
 //! # Panic policy
 //!

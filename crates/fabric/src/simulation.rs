@@ -318,6 +318,10 @@ pub struct Simulation<V: BlockValidator> {
     records: Vec<TxRecord>,
     endorsed: Vec<Option<Transaction>>,
     index_by_id: HashMap<TxId, usize>,
+    /// Signing keys of the endorsing peers by (position of the org in the
+    /// policy, peer index within the org), each derived the first time
+    /// that peer endorses — during the run, not at construction.
+    endorser_keys: HashMap<(usize, usize), KeyPair>,
     /// Resubmissions performed per request (client retries).
     attempts: Vec<usize>,
     /// Chaincode event emitted at endorsement, pending commit.
@@ -420,6 +424,7 @@ impl<V: BlockValidator> Simulation<V> {
             records: Vec::new(),
             endorsed: Vec::new(),
             index_by_id: HashMap::new(),
+            endorser_keys: HashMap::new(),
             attempts: Vec::new(),
             pending_events: Vec::new(),
             committed_events: Vec::new(),
@@ -700,10 +705,14 @@ impl<V: BlockValidator> Simulation<V> {
         // waits for the slowest response.
         let payload = tx.response_payload();
         let mut slowest_return = SimTime::ZERO;
-        for org in self.config.policy.orgs() {
-            let peer_index =
-                (i / self.config.topology.clients) % self.config.topology.peers_per_org;
-            let keypair = KeyPair::derive(Identity::new(format!("peer{peer_index}"), org.clone()));
+        let peer_index = (i / self.config.topology.clients) % self.config.topology.peers_per_org;
+        for (org_index, org) in self.config.policy.orgs().iter().enumerate() {
+            let keypair = self
+                .endorser_keys
+                .entry((org_index, peer_index))
+                .or_insert_with(|| {
+                    KeyPair::derive(Identity::new(format!("peer{peer_index}"), org.clone()))
+                });
             tx.endorsements.push(Endorsement {
                 endorser: keypair.identity().clone(),
                 signature: keypair.sign(&payload),

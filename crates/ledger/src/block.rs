@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use fabriccrdt_crypto::{sha256, Digest, MerkleTree};
+use fabriccrdt_crypto::{merkle, sha256, Digest};
 
 use crate::transaction::Transaction;
 
@@ -114,9 +114,18 @@ impl Block {
         }
     }
 
-    /// Merkle root over the transactions' canonical bytes.
+    /// Merkle root over the transactions' canonical bytes. Always
+    /// computed from the transactions in hand, never remembered: `Block`'s
+    /// fields are public and a delivery layer may hand over a mutated
+    /// block, so a stored digest could vouch for bytes it never covered.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        MerkleTree::from_leaves(transactions.iter().map(Transaction::to_bytes)).root()
+        let mut bytes = Vec::new();
+        let leaves = transactions.iter().map(|tx| {
+            bytes.clear();
+            tx.write_bytes(&mut bytes);
+            merkle::leaf(&bytes)
+        });
+        merkle::root(leaves.collect())
     }
 
     /// The block hash (header hash).

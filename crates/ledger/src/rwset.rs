@@ -184,13 +184,19 @@ impl ReadWriteSet {
     /// signatures. Length-prefixed fields; unambiguous.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Appends [`ReadWriteSet::to_bytes`] to `out`.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
         let put_str = |out: &mut Vec<u8>, s: &str| {
             out.extend_from_slice(&(s.len() as u64).to_be_bytes());
             out.extend_from_slice(s.as_bytes());
         };
         out.extend_from_slice(&(self.reads.len() as u64).to_be_bytes());
         for (key, entry) in self.reads.iter() {
-            put_str(&mut out, key);
+            put_str(out, key);
             match entry.version {
                 Some(height) => {
                     out.push(1);
@@ -201,12 +207,11 @@ impl ReadWriteSet {
         }
         out.extend_from_slice(&(self.writes.len() as u64).to_be_bytes());
         for (key, entry) in self.writes.iter() {
-            put_str(&mut out, key);
+            put_str(out, key);
             out.push(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
             out.extend_from_slice(&(entry.value.len() as u64).to_be_bytes());
             out.extend_from_slice(&entry.value);
         }
-        out
     }
 }
 

@@ -5,6 +5,7 @@
 //! metadata, then submits it to the ordering service (§2.1, step 2).
 
 use std::fmt;
+use std::io::Write;
 
 use fabriccrdt_crypto::{sha256, Identity, Signature};
 
@@ -66,24 +67,35 @@ impl Transaction {
     /// signatures (the proposal response payload).
     pub fn response_payload(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_response_payload(&mut out);
+        out
+    }
+
+    fn write_response_payload(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.id.0);
         out.extend_from_slice(self.chaincode.as_bytes());
         out.push(0);
-        out.extend_from_slice(&self.rwset.to_bytes());
-        out
+        self.rwset.write_bytes(out);
     }
 
     /// Canonical bytes of the whole transaction, input to block data
     /// hashes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = self.response_payload();
+        let mut out = Vec::new();
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Appends [`Transaction::to_bytes`] to `out`, so a caller hashing
+    /// many transactions can reuse one buffer.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.write_response_payload(out);
         out.extend_from_slice(&(self.endorsements.len() as u64).to_be_bytes());
         for e in &self.endorsements {
-            out.extend_from_slice(e.endorser.to_string().as_bytes());
+            write!(out, "{}", e.endorser).expect("writing to a Vec cannot fail");
             out.push(0);
             out.extend_from_slice(&e.signature.0);
         }
-        out
     }
 
     /// Whether any write-set entry is CRDT-flagged — a "CRDT transaction"
