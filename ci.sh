@@ -36,6 +36,12 @@ cargo test -q --workspace
 echo "==> cargo test --release (crypto: both SHA-256 kernels, optimised)"
 cargo test -q --release -p fabriccrdt-crypto
 
+# The world-state map as the benchmark builds it, against its
+# `BTreeMap` oracle at full count (the debug run above covers a sixth
+# of the seeds).
+echo "==> cargo test --release (ledger: world-state differential, full count)"
+cargo test -q --release -p fabriccrdt-ledger
+
 # Smoke-run the experiment binaries with tiny configs: they assert
 # their own invariants (convergence, byte-identical ledgers, failover
 # recovery), so a panic here fails the gate.

@@ -2,7 +2,10 @@
 //! Merkle hashing (block sealing), JSON parse/serialize (chaincode
 //! payloads), JSON-CRDT merging at several block sizes (the mechanism
 //! behind Figure 3's block-size penalty), MVCC validation, the
-//! FabricCRDT merge-validate path, and orderer block cutting.
+//! FabricCRDT merge-validate path, orderer block cutting, and the
+//! world state across three decades of size (every `worldstate/*`
+//! operation beside a `BTreeMap` baseline where one exists, and a whole
+//! block processed and committed by a peer seeded with that many keys).
 //!
 //! The harness is self-contained (no criterion) so the workspace builds
 //! offline: each benchmark is warmed up, then timed over enough
@@ -12,22 +15,27 @@
 //! Run with: `cargo bench` (or `cargo bench -- <filter>`), and
 //! `BENCH_QUICK=1 cargo bench` for a fast smoke pass.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use fabriccrdt::validator::CrdtValidator;
-use fabriccrdt_crypto::{merkle, sha256, Identity};
+use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
 use fabriccrdt_fabric::config::BlockCutConfig;
 use fabriccrdt_fabric::orderer::Orderer;
+use fabriccrdt_fabric::peer::Peer;
+use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
-use fabriccrdt_ledger::transaction::{Transaction, TxId};
+use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
-use fabriccrdt_ledger::worldstate::WorldState;
+use fabriccrdt_ledger::worldstate::{VersionedValue, WorldState};
+use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
+use fabriccrdt_workload::zipf::ZipfWorkload;
 
 /// Times `f` and prints one report line. `elements`/`bytes` drive the
 /// optional throughput columns.
@@ -58,6 +66,13 @@ impl Bench {
         }
     }
 
+    /// Whether the command-line filter (if any) selects `name`.
+    fn wants(&self, name: &str) -> bool {
+        self.filter
+            .as_ref()
+            .is_none_or(|f| name.contains(f.as_str()))
+    }
+
     fn run<T>(
         &self,
         name: &str,
@@ -65,10 +80,8 @@ impl Bench {
         bytes: Option<u64>,
         mut f: impl FnMut() -> T,
     ) {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return;
-            }
+        if !self.wants(name) {
+            return;
         }
         // Warm up and estimate the per-iteration cost.
         let warm_start = Instant::now();
@@ -85,21 +98,44 @@ impl Bench {
         for _ in 0..iters {
             black_box(f());
         }
-        let elapsed = start.elapsed();
-        let ns = elapsed.as_nanos() as f64 / iters as f64;
-        let mut line = format!("{name:<40} {ns:>14.1} ns/iter  ({iters} iters)");
-        let secs = ns / 1e9;
-        if let Some(n) = elements {
-            line.push_str(&format!("  {:>10.0} elem/s", n as f64 / secs));
-        }
-        if let Some(b) = bytes {
-            line.push_str(&format!(
-                "  {:>8.1} MiB/s",
-                b as f64 / secs / (1024.0 * 1024.0)
-            ));
-        }
-        println!("{line}");
+        report(name, start.elapsed(), iters, elements, bytes);
     }
+
+    /// Like [`Bench::run`] for a body with untimed set-up: `f` times
+    /// the part that counts itself and returns that span (one clock
+    /// read pair per iteration, so not for nanosecond bodies).
+    fn run_timed(&self, name: &str, elements: Option<u64>, mut f: impl FnMut() -> Duration) {
+        if !self.wants(name) {
+            return;
+        }
+        let mut spend = |budget: Duration| {
+            let (mut spent, mut iters) = (Duration::ZERO, 0u64);
+            while spent < budget || iters == 0 {
+                spent += f();
+                iters += 1;
+            }
+            (spent, iters)
+        };
+        spend(self.warmup);
+        let (spent, iters) = spend(self.window);
+        report(name, spent, iters, elements, None);
+    }
+}
+
+fn report(name: &str, elapsed: Duration, iters: u64, elements: Option<u64>, bytes: Option<u64>) {
+    let ns = elapsed.as_nanos() as f64 / iters as f64;
+    let mut line = format!("{name:<40} {ns:>14.1} ns/iter  ({iters} iters)");
+    let secs = ns / 1e9;
+    if let Some(n) = elements {
+        line.push_str(&format!("  {:>10.0} elem/s", n as f64 / secs));
+    }
+    if let Some(b) = bytes {
+        line.push_str(&format!(
+            "  {:>8.1} MiB/s",
+            b as f64 / secs / (1024.0 * 1024.0)
+        ));
+    }
+    println!("{line}");
 }
 
 fn payload(i: usize) -> String {
@@ -148,6 +184,164 @@ fn seeded_state() -> WorldState {
     let mut state = WorldState::new();
     state.put("hot".into(), payload(0).into_bytes(), Height::new(1, 0));
     state
+}
+
+/// A 1 400-byte CRDT document written to `key`, endorsed by `endorser`.
+fn document_tx(nonce: u64, key: &str, endorser: &KeyPair) -> Transaction {
+    let client = Identity::new("client", "org1");
+    let mut doc = format!(r#"{{"deviceID":"{key}","readings":[""#);
+    doc.push_str(&"7".repeat(1400 - doc.len() - 3));
+    doc.push_str(r#""]}"#);
+    let mut rwset = ReadWriteSet::new();
+    rwset.writes.put_crdt(key, doc.into_bytes());
+    let mut tx = Transaction {
+        id: TxId::derive(&client, nonce, "iot"),
+        client,
+        chaincode: "iot".into(),
+        rwset,
+        endorsements: Vec::new(),
+    };
+    tx.endorsements.push(Endorsement {
+        endorser: endorser.identity().clone(),
+        signature: endorser.sign(&tx.response_payload()),
+    });
+    tx
+}
+
+/// The state-size sweep: every world-state operation, and one whole
+/// block through a peer, at 1k / 10k / 100k / 1M seeded keys. Keys and
+/// seed documents are `perf/`'s (`device-N`, inserted in numeric
+/// order); probes are 1 024 uniformly drawn live keys. A flat `clone`,
+/// `put-shared` and `peer/block` column is the point; `seed` and `get`
+/// sit beside the `BTreeMap` they replaced.
+fn state_size_sweep(bench: &Bench) {
+    if !bench.wants("worldstate/") && !bench.wants("peer/block") {
+        return;
+    }
+    let endorser = KeyPair::derive(Identity::new("peer0", "org1"));
+    for (label, keys) in [
+        ("1k", 1_000usize),
+        ("10k", 10_000),
+        ("100k", 100_000),
+        ("1M", 1_000_000),
+    ] {
+        let seeds: Vec<(String, Vec<u8>)> = (0..keys)
+            .map(|k| (ZipfWorkload::key(k), ZipfWorkload::seed_doc()))
+            .collect();
+        let mut rng = SimRng::seed_from(keys as u64);
+        let probes: Vec<&String> = (0..1024)
+            .map(|_| &seeds[rng.gen_range(0, keys as u64) as usize].0)
+            .collect();
+        let seed_state = || {
+            let mut state = WorldState::new();
+            for (key, value) in &seeds {
+                state.put(key.clone(), value.clone(), Height::genesis());
+            }
+            state
+        };
+        let seed_btreemap = || {
+            let mut map = BTreeMap::new();
+            for (key, value) in &seeds {
+                let entry = VersionedValue {
+                    value: value.clone(),
+                    version: Height::genesis(),
+                };
+                map.insert(key.clone(), entry);
+            }
+            map
+        };
+        let n = Some(keys as u64);
+        bench.run(&format!("worldstate/seed/{label}"), n, None, seed_state);
+        bench.run(
+            &format!("worldstate/seed/{label}/btreemap"),
+            n,
+            None,
+            seed_btreemap,
+        );
+
+        let mut state = seed_state();
+        let (height, nodes) = state.audit();
+        println!("worldstate/{label}: height {height}, {} nodes", nodes.len());
+        {
+            let map = seed_btreemap();
+            bench.run(&format!("worldstate/get/{label}"), Some(1024), None, || {
+                probes.iter().filter_map(|key| state.get(key)).count()
+            });
+            bench.run(
+                &format!("worldstate/get/{label}/btreemap"),
+                Some(1024),
+                None,
+                || {
+                    probes
+                        .iter()
+                        .filter_map(|key| map.get(key.as_str()))
+                        .count()
+                },
+            );
+        }
+        let value = ZipfWorkload::seed_doc();
+        bench.run(
+            &format!("worldstate/put-unique/{label}"),
+            Some(1024),
+            None,
+            || {
+                for key in &probes {
+                    state.put((*key).clone(), value.clone(), Height::new(1, 0));
+                }
+            },
+        );
+        let mut turn = 0;
+        bench.run(
+            &format!("worldstate/put-shared/{label}"),
+            None,
+            None,
+            || {
+                // Clone, one write through the shared root, drop: the
+                // path copy and its release.
+                turn += 1;
+                let mut next = state.clone();
+                next.put(
+                    probes[turn % 1024].clone(),
+                    value.clone(),
+                    Height::new(1, 0),
+                );
+                next
+            },
+        );
+        bench.run(&format!("worldstate/clone/{label}"), None, None, || {
+            state.clone()
+        });
+        bench.run(&format!("worldstate/iter/{label}"), n, None, || {
+            state
+                .iter()
+                .map(|(key, entry)| key.len() + entry.value.len())
+                .sum::<usize>()
+        });
+        drop(state);
+
+        let name = format!("peer/block-25tx-1400B@{label}-keys");
+        if !bench.wants(&name) {
+            continue;
+        }
+        let mut peer = Peer::new(CrdtValidator::new(), EndorsementPolicy::any_of(["org1"]));
+        for (key, value) in &seeds {
+            peer.seed_state(key.clone(), value.clone());
+        }
+        let mut nonce = 0;
+        bench.run_timed(&name, Some(25), || {
+            let txs = (0..25)
+                .map(|_| {
+                    nonce += 1;
+                    document_tx(nonce, probes[nonce as usize % 1024], &endorser)
+                })
+                .collect();
+            let block = Block::assemble(peer.chain().height(), peer.chain().tip_hash(), txs);
+            let start = Instant::now();
+            let staged = peer.process_block(block);
+            peer.commit(staged).expect("the block extends the chain");
+            start.elapsed()
+        });
+    }
 }
 
 fn main() {
@@ -293,4 +487,6 @@ fn main() {
             cut
         });
     }
+
+    state_size_sweep(&bench);
 }

@@ -22,11 +22,12 @@
 //! submits block N+1's pure per-transaction stage to the worker pool,
 //! then runs N's conflict-chain finalize — so N+1's signature checking
 //! runs on pool threads *while* N's finalize commits on the calling
-//! thread. The world state lives behind an `Arc` pointer that
-//! [`Peer::commit`] swaps ([`Peer::state`] is the published epoch), so
-//! the overlapped stage — including the advisory
-//! [`BlockValidator::speculative_read_check`] — reads plain `BTreeMap`
-//! lookups through the pointer and never takes a lock; the
+//! thread. The world state is a persistent map: finalize writes the
+//! block into a clone that shares every untouched node with
+//! [`Peer::state`], and [`Peer::commit`] replaces the one with the
+//! other, so the overlapped stage — including the advisory
+//! [`BlockValidator::speculative_read_check`] — does plain map lookups
+//! on a root nothing ever mutates and never takes a lock; the
 //! authoritative MVCC recheck at finalize catches any read that raced a
 //! commit. Every stage stays a pure function of (transaction,
 //! committed-id context), so pipelined runs are value-identical to
@@ -187,11 +188,11 @@ struct JoinedBlock {
 #[derive(Debug)]
 pub struct Peer<V> {
     /// The committed world state, published as an immutable epoch:
-    /// [`Peer::commit`] swaps the pointer, it never mutates in place,
-    /// so overlapped pre-validation reads the `Arc` without any lock
-    /// and a clone of the pointer stays valid (and byte-stable) for as
+    /// [`Peer::commit`] replaces it with the staged successor, which
+    /// shares every node the block did not write. A clone costs one
+    /// reference-count bump and stays valid (and byte-stable) for as
     /// long as a reader holds it.
-    state: Arc<WorldState>,
+    state: WorldState,
     chain: Blockchain,
     history: HistoryDb,
     committed_ids: HashSet<TxId>,
@@ -266,7 +267,7 @@ impl<V: BlockValidator> Peer<V> {
             .append(Block::genesis())
             .expect("genesis extends the empty chain");
         Peer {
-            state: Arc::new(WorldState::new()),
+            state: WorldState::new(),
             chain,
             history: HistoryDb::new(),
             committed_ids: HashSet::new(),
@@ -311,9 +312,9 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// The current world state (committed blocks only). This is the
-    /// published read epoch: the returned reference points at an
-    /// immutable `Arc`'d snapshot that [`Peer::commit`] replaces
-    /// wholesale, so reads through it never contend with a commit.
+    /// published read epoch: [`Peer::commit`] replaces it wholesale and
+    /// never writes through it, so a clone taken here is a stable
+    /// snapshot for one reference-count bump.
     pub fn state(&self) -> &WorldState {
         &self.state
     }
@@ -345,7 +346,7 @@ impl<V: BlockValidator> Peer<V> {
     /// §7.2: "we start with an empty ledger and populate the ledger with
     /// keys that are read during the experiment".
     pub fn seed_state(&mut self, key: impl Into<String>, value: Vec<u8>) {
-        Arc::make_mut(&mut self.state).put(key.into(), value, Height::genesis());
+        self.state.put(key.into(), value, Height::genesis());
     }
 
     /// Serializes the peer's ledger (state + chain) for persistence or
@@ -381,7 +382,7 @@ impl<V: BlockValidator> Peer<V> {
             absorb_frontiers(&mut merge_frontiers, block);
         }
         Ok(Peer {
-            state: Arc::new(state),
+            state,
             chain,
             history,
             committed_ids,
@@ -444,7 +445,7 @@ impl<V: BlockValidator> Peer<V> {
         let ids = codec::decode_txids(&snapshot.committed_ids)?;
         let merge_frontiers = crate::storage::decode_frontiers(&snapshot.frontiers)?;
         Ok(Peer {
-            state: Arc::new(state),
+            state,
             chain: Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
             history,
             committed_ids: ids.into_iter().collect(),
@@ -496,7 +497,7 @@ impl<V: BlockValidator> Peer<V> {
         if block.validation_codes.len() != block.transactions.len() {
             return Err(ChainError::MissingValidationCodes);
         }
-        let state = Arc::make_mut(&mut self.state);
+        let state = &mut self.state;
         for (tx_num, (tx, code)) in block
             .transactions
             .iter()
@@ -688,7 +689,7 @@ impl<V: BlockValidator> Peer<V> {
         });
 
         // Lockless speculative read check (overlapped prepares only):
-        // plain map lookups through the published `Arc` epoch, running
+        // plain map lookups on the published epoch, running
         // on the calling thread while the pool verifies signatures. The
         // verdicts are advisory — the authoritative MVCC check at
         // finalize re-runs against the committed state — so they feed
@@ -777,7 +778,7 @@ impl<V: BlockValidator> Peer<V> {
             block.header.data_hash = Block::compute_data_hash(&block.transactions);
             return StagedBlock {
                 block,
-                new_state: (*self.state).clone(),
+                new_state: self.state.clone(),
                 work: ValidationWork::default(),
                 timings: StageTimings::default(),
             };
@@ -848,8 +849,9 @@ impl<V: BlockValidator> Peer<V> {
     ///
     /// Sequential runners (and blocks whose conflict graph is a single
     /// chain) take the reference path — the untouched seed
-    /// [`BlockValidator::validate_and_commit`] over a cloned
-    /// `WorldState`. Pooled runners instead bucket the block into
+    /// [`BlockValidator::validate_and_commit`] over a clone of the
+    /// `WorldState` (which shares its tree). Pooled runners instead
+    /// bucket the block into
     /// key-disjoint conflict chains ([`conflict_chains`]), finalize the
     /// chains concurrently against a [`ShardedState`], and reassemble
     /// codes, write-value rewrites and work counters in block order —
@@ -865,7 +867,7 @@ impl<V: BlockValidator> Peer<V> {
         if !self.runner.parallel_finalize() || chains.len() <= 1 {
             block.transactions =
                 Arc::try_unwrap(transactions).expect("pre-validation released its clones");
-            let mut new_state = (*self.state).clone();
+            let mut new_state = self.state.clone();
             let work = self
                 .validator
                 .validate_and_commit(block, &mut new_state, pre);
@@ -876,10 +878,9 @@ impl<V: BlockValidator> Peer<V> {
         let shadow_txs: Vec<Transaction> = transactions.as_ref().clone();
 
         let number = block.header.number;
-        // Borrow the published epoch as the sharded base — zero clones
-        // here; `into_world` below clones (the epoch stays shared with
-        // `self.state` and any overlapped readers).
-        let sharded = Arc::new(ShardedState::from_shared(Arc::clone(&self.state)));
+        // The published epoch is the sharded base; `into_world` below
+        // copies only the paths the block writes.
+        let sharded = Arc::new(ShardedState::from_world(&self.state));
         let chains = Arc::new(chains);
         let validator = Arc::clone(&self.validator);
         let job_txs = Arc::clone(&transactions);
@@ -924,7 +925,7 @@ impl<V: BlockValidator> Peer<V> {
             let mut shadow_block = block.clone();
             shadow_block.transactions = shadow_txs;
             shadow_block.validation_codes = Vec::new();
-            let mut shadow_state = (*self.state).clone();
+            let mut shadow_state = self.state.clone();
             let shadow_work =
                 self.validator
                     .validate_and_commit(&mut shadow_block, &mut shadow_state, pre);
@@ -953,9 +954,9 @@ impl<V: BlockValidator> Peer<V> {
         let tip = self.chain.tip().expect("chain nonempty after append");
         self.history.record_block(tip);
         absorb_frontiers(&mut self.merge_frontiers, tip);
-        // Epoch swap: readers holding the old `Arc` keep a consistent
-        // pre-block snapshot; new reads see the committed state.
-        self.state = Arc::new(new_state);
+        // Epoch swap: readers holding a clone of the old state keep a
+        // consistent pre-block snapshot; new reads see the committed one.
+        self.state = new_state;
         self.committed_ids.extend(ids);
         Ok(self.chain.tip().expect("chain nonempty after append"))
     }

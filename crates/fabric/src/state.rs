@@ -1,33 +1,32 @@
 //! Key-hash sharded world state for the parallel finalize stage.
 //!
-//! The sequential commit path owns a single [`WorldState`] `BTreeMap`;
-//! parallel conflict chains instead commit through a [`ShardedState`]:
-//! a copy-on-write overlay over the pre-block state, with the overlay
+//! The sequential commit path writes a block into a clone of the
+//! peer's [`WorldState`]; parallel conflict chains instead commit
+//! through a [`ShardedState`]: an overlay over the pre-block state,
 //! split into [`SHARDS`] independently locked hash buckets so chains
 //! touching disjoint keys never contend (the key-disjointness insight
 //! of Meir et al., *Lockless Transaction Isolation in Hyperledger
 //! Fabric*). Reads fall through the overlay to the immutable base;
-//! writes and deletes land only in the overlay, so constructing a
-//! `ShardedState` costs one bulk `BTreeMap` clone — the same clone the
-//! sequential path pays — instead of re-inserting every entry into hash
-//! buckets (the first sharded design did exactly that, and its two
-//! full-map rebuilds per block cost ~30% of the finalize stage at small
-//! document sizes). Because the conflict-graph scheduler (see
-//! [`crate::schedule`]) routes every key to exactly one chain, two
-//! threads never race on a key — the per-shard mutexes only arbitrate
-//! *map* structure, and each lock is held for single `put` / `delete` /
-//! `version` calls, never across a wait.
+//! writes and deletes land only in the overlay. The base is a clone of
+//! the caller's state, and a `WorldState` clone shares the whole tree
+//! (one reference-count bump), so constructing a `ShardedState` costs
+//! the same at twenty keys and at a million. Because the conflict-graph
+//! scheduler (see [`crate::schedule`]) routes every key to exactly one
+//! chain, two threads never race on a key — the per-shard mutexes only
+//! arbitrate *map* structure, and each lock is held for single `put` /
+//! `delete` / `version` calls, never across a wait.
 //!
 //! After the block's chains complete, [`ShardedState::into_world`]
-//! folds the overlay back into the base `BTreeMap`. Each key lives in
-//! exactly one shard, so the fold order across shards is immaterial and
-//! the canonical sorted form — hence the byte encoding
-//! ([`fabriccrdt_ledger::codec`]) — is independent of shard layout and
-//! thread interleaving: part of the determinism argument in DESIGN.md
-//! §4.10.
+//! writes the overlay into the base, which copies only the tree paths
+//! those writes touch; whoever still holds the pre-block state keeps
+//! seeing it. Each key lives in exactly one shard, so the fold order
+//! across shards is immaterial and the canonical sorted form — hence
+//! the byte encoding ([`fabriccrdt_ledger::codec`]) — is independent of
+//! shard layout and thread interleaving: part of the determinism
+//! argument in DESIGN.md §4.10.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use fabriccrdt_jsoncrdt::op::fnv1a;
 use fabriccrdt_ledger::mvcc::ChainState;
@@ -46,7 +45,7 @@ type OverlayEntry = Option<VersionedValue>;
 /// docs).
 #[derive(Debug)]
 pub struct ShardedState {
-    base: Arc<WorldState>,
+    base: WorldState,
     shards: Vec<Mutex<HashMap<String, OverlayEntry>>>,
 }
 
@@ -55,23 +54,13 @@ fn shard_of(key: &str) -> usize {
 }
 
 impl ShardedState {
-    /// Snapshots `world` as the immutable read base (one bulk clone;
-    /// overlays start empty).
+    /// Takes `world` as the immutable read base — a clone of it, which
+    /// shares its tree — with empty overlays. `world` itself is never
+    /// written: this is how the pipelined peer finalizes against the
+    /// very epoch its lockless pre-validation reads.
     pub fn from_world(world: &WorldState) -> Self {
-        Self::from_shared(Arc::new(world.clone()))
-    }
-
-    /// Uses an already-shared state epoch as the immutable read base —
-    /// *zero* clones up front. This is the pipelined peer's path: its
-    /// world state lives behind an `Arc` pointer that commits swap
-    /// (see [`crate::peer::Peer`]), so finalize borrows the same epoch
-    /// the lockless pre-validation snapshots point at. The bulk clone
-    /// that [`ShardedState::from_world`] pays on entry moves to
-    /// [`ShardedState::into_world`] (which clones only if the `Arc` is
-    /// still shared); total cost per block is unchanged.
-    pub fn from_shared(base: Arc<WorldState>) -> Self {
         ShardedState {
-            base,
+            base: world.clone(),
             shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
         }
     }
@@ -82,7 +71,7 @@ impl ShardedState {
     /// [`fabriccrdt_ledger::codec::encode_state`] — is independent of
     /// shard layout.
     pub fn into_world(self) -> WorldState {
-        let mut world = Arc::try_unwrap(self.base).unwrap_or_else(|shared| (*shared).clone());
+        let mut world = self.base;
         for shard in self.shards {
             let entries = shard.into_inner().expect("state shard poisoned");
             for (key, entry) in entries {
@@ -173,20 +162,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_base_roundtrips_without_disturbing_the_epoch() {
-        let epoch = Arc::new(seeded_world(50));
-        let sharded = ShardedState::from_shared(epoch.clone());
+    fn the_base_roundtrips_without_disturbing_the_epoch() {
+        let epoch = seeded_world(50);
+        let sharded = ShardedState::from_world(&epoch);
         sharded.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
         sharded.delete("key-7");
         let world = sharded.into_world();
-        // The caller's epoch pointer still sees the pre-block state...
+        // The caller's epoch still sees the pre-block state...
         assert_eq!(epoch.version("key-3"), Some(Height::new(1, 3)));
         assert_eq!(epoch.len(), 50);
-        // ...while the folded result matches the from_world path.
-        let reference = ShardedState::from_world(&epoch);
-        reference.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
-        reference.delete("key-7");
-        assert_eq!(world, reference.into_world());
+        // ...while the folded result is the epoch plus the two writes.
+        let mut expect = seeded_world(50);
+        expect.put("key-3".into(), b"updated".to_vec(), Height::new(2, 0));
+        expect.delete("key-7");
+        assert_eq!(world, expect);
         assert_eq!(world.len(), 49);
     }
 

@@ -38,6 +38,7 @@ pub mod chain;
 pub mod codec;
 pub mod history;
 pub mod mvcc;
+mod pmap;
 pub mod rwset;
 pub mod store;
 pub mod transaction;

@@ -5,9 +5,15 @@
 //! database (CouchDB in the paper's deployment). The reproduction keeps
 //! it in memory: MVCC validation and chaincode execution only need
 //! `key → (value, version)` lookups and batched writes.
+//!
+//! A peer commits a block by cloning the state, applying the block's
+//! write sets to the clone and publishing it, while readers keep the
+//! pre-block one. That is only affordable when a clone does not copy,
+//! so the entries live in a persistent ordered map (`pmap`, DESIGN.md
+//! §4.18): a clone shares every node, a write copies the root-to-leaf
+//! path it changes — or nothing, when no clone is looking.
 
-use std::collections::BTreeMap;
-
+use crate::pmap::PMap;
 use crate::version::Height;
 
 /// A value together with the height of the transaction that wrote it.
@@ -21,8 +27,12 @@ pub struct VersionedValue {
 
 /// The world state: a versioned key-value store.
 ///
-/// Backed by a `BTreeMap` for deterministic iteration (range scans in
-/// examples, stable debugging output).
+/// Iteration is in key order ([`crate::codec::encode_state`], range
+/// scans and every ledger hash depend on it), [`Clone`] is one
+/// reference-count bump whatever the size, and `==` compares entries,
+/// never layout: two states holding the same entries are equal however
+/// they were built, and comparing states that share structure costs
+/// their difference.
 ///
 /// # Examples
 ///
@@ -36,7 +46,7 @@ pub struct VersionedValue {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorldState {
-    entries: BTreeMap<String, VersionedValue>,
+    entries: PMap,
 }
 
 impl WorldState {
@@ -78,7 +88,7 @@ impl WorldState {
 
     /// Whether the state is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterates `(key, entry)` pairs in key order.
@@ -87,13 +97,25 @@ impl WorldState {
     }
 
     /// Range scan over keys in `[start, end)` — Fabric's
-    /// `GetStateByRange` equivalent, used by examples.
+    /// `GetStateByRange` equivalent, used by examples. Empty when
+    /// `start >= end`.
     pub fn range<'a>(
         &'a self,
         start: &str,
-        end: &str,
+        end: &'a str,
     ) -> impl Iterator<Item = (&'a String, &'a VersionedValue)> {
-        self.entries.range(start.to_owned()..end.to_owned())
+        self.entries
+            .iter_from(start)
+            .take_while(move |(key, _)| key.as_str() < end)
+    }
+
+    /// Test support: walks the whole tree, panics if a structural
+    /// invariant of the map is broken, and returns its height (an empty
+    /// state has height 1) and the address of every node, root first —
+    /// what a test needs to count the nodes two states do not share.
+    #[doc(hidden)]
+    pub fn audit(&self) -> (usize, Vec<usize>) {
+        self.entries.audit()
     }
 }
 
