@@ -26,7 +26,6 @@
 //! Run with: `cargo run --release --bin adversarial -- [--txs N] [--seed S]`
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use fabriccrdt_adversary::{
     apply_identically, hostile_ops, merge_storm_report, offline_rejoin, run_adversarial_pipeline,
@@ -104,13 +103,11 @@ fn attack_schedule() -> AdversaryConfig {
     }
 }
 
-fn run_byzantine(txs: usize, seed: u64) -> (AdversarialRun, f64) {
+fn run_byzantine(txs: usize, seed: u64) -> AdversarialRun {
     let config = PipelineConfig::paper(BLOCK_SIZE, seed)
         .with_gossip()
         .with_adversary(attack_schedule());
-    let started = Instant::now();
-    let run = run_adversarial_pipeline(config, registry(), &seeds(), schedule(txs));
-    (run, started.elapsed().as_secs_f64() * 1e3)
+    run_adversarial_pipeline(config, registry(), &seeds(), schedule(txs))
 }
 
 /// Network-scale merge storm: peer 3 is offline (crashed) for the
@@ -157,7 +154,7 @@ fn main() {
 
     // ---- 1. byzantine attack schedule ------------------------------
     print!("byzantine schedule (5 tamper modes)... ");
-    let (byz, byz_wall_ms) = run_byzantine(txs, seed);
+    let byz = run_byzantine(txs, seed);
     let adv: AdversaryMetrics = byz.adversary();
     let converged = byz.honest_replicas_identical();
     assert_eq!(
@@ -177,13 +174,12 @@ fn main() {
     );
     println!(
         "ok — injected {}, tampered rejected {}, forged rejected {}, \
-         equivocations {}, quarantined peers {}, wall {:.0} ms",
+         equivocations {}, quarantined peers {}",
         adv.forged_blocks_injected,
         adv.tampered_rejected,
         adv.forged_rejected,
         adv.equivocations_detected,
         adv.quarantined_peers,
-        byz_wall_ms,
     );
 
     // ---- 2. hostile op fuzzing -------------------------------------
@@ -254,7 +250,6 @@ fn main() {
         ("quarantined_peers", (adv.quarantined_peers as f64).into()),
         ("quarantine_drops", (adv.quarantine_drops as f64).into()),
         ("honest_replicas_converged", converged.into()),
-        ("byzantine_wall_ms", byz_wall_ms.into()),
         ("fuzz_streams", 100.0.into()),
         ("fuzz_applied", (fuzz_applied as f64).into()),
         ("fuzz_buffered", (fuzz_buffered as f64).into()),

@@ -20,16 +20,14 @@
 //! 4. The cross-channel transfer primitive commits clean handoffs and
 //!    aborts an injected endorsement failure.
 //!
-//! Per-cell wall time is recorded (with `hardware_limited` and the
-//! available parallelism) but never asserted on: the driver interleaves
-//! channels on one thread, and verdicts on host time belong to `perf/`.
+//! Every figure is simulated time; host time for this stack is `perf/`'s
+//! `replicated-durable` workload.
 //!
 //! Emits `BENCH_multi_channel.json`.
 //!
 //! Run with: `cargo run --release --bin multi_channel -- [--txs N] [--seed S]`
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_bench::{obj, report, HarnessOptions};
@@ -69,7 +67,6 @@ struct Cell {
     min_channel_tps: f64,
     max_channel_tps: f64,
     end_time_secs: f64,
-    wall_ms: f64,
 }
 
 /// Runs one sweep cell and checks convergence of every channel's
@@ -87,9 +84,7 @@ fn run_cell(workload: &ChannelWorkload, seed: u64) -> Cell {
             net.seed_state(channel_schedule.channel, key.clone(), seed_value.clone());
         }
     }
-    let started = Instant::now();
     let rollup = net.run(generated.into_iter().map(|s| s.schedule).collect());
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     net.verify_converged();
 
     assert_eq!(
@@ -111,7 +106,6 @@ fn run_cell(workload: &ChannelWorkload, seed: u64) -> Cell {
         min_channel_tps: per_channel.iter().copied().fold(f64::INFINITY, f64::min),
         max_channel_tps: per_channel.iter().copied().fold(0.0, f64::max),
         end_time_secs: rollup.end_time().as_secs_f64(),
-        wall_ms,
     }
 }
 
@@ -199,13 +193,11 @@ fn run_transfers(
 fn main() {
     let options = HarnessOptions::from_args();
     let txs_per_client = (options.total_txs / 100).clamp(10, 100);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let hardware_limited = cores < 4;
 
     println!("Multi-channel scaling: aggregate TPS over a shared gossip network");
     println!(
         "workload: per-channel all-conflicting CRDT hot key, {txs_per_client} txs/client \
-         at 75 tx/s each, block size {BLOCK_SIZE}, seed {} ({cores} hardware threads)",
+         at 75 tx/s each, block size {BLOCK_SIZE}, seed {}",
         options.seed
     );
 
@@ -214,8 +206,8 @@ fn main() {
     println!("ok");
 
     println!(
-        "{:>9} {:>8} {:>7} {:>10} {:>13} {:>10} {:>9}",
-        "channels", "clients", "txs", "sim secs", "aggregate tps", "ch tps", "wall ms"
+        "{:>9} {:>8} {:>7} {:>10} {:>13} {:>10}",
+        "channels", "clients", "txs", "sim secs", "aggregate tps", "ch tps"
     );
     let mut cells: Vec<Cell> = Vec::new();
     for &channels in &CHANNEL_COUNTS {
@@ -225,14 +217,13 @@ fn main() {
                 options.seed,
             );
             println!(
-                "{:>9} {:>8} {:>7} {:>10.2} {:>13.1} {:>10.1} {:>9.1}",
+                "{:>9} {:>8} {:>7} {:>10.2} {:>13.1} {:>10.1}",
                 cell.channels,
                 cell.clients,
                 cell.total_txs,
                 cell.end_time_secs,
                 cell.aggregate_tps,
                 cell.max_channel_tps,
-                cell.wall_ms,
             );
             cells.push(cell);
         }
@@ -276,7 +267,6 @@ fn main() {
             ("min_channel_tps", c.min_channel_tps.into()),
             ("max_channel_tps", c.max_channel_tps.into()),
             ("sim_secs", c.end_time_secs.into()),
-            ("wall_ms", c.wall_ms.into()),
         ])
     });
     let json = obj([
@@ -285,8 +275,6 @@ fn main() {
         ("txs_per_client", (txs_per_client as f64).into()),
         ("rate_tps_per_client", 75.0.into()),
         ("block_size", (BLOCK_SIZE as f64).into()),
-        ("available_parallelism", (cores as f64).into()),
-        ("hardware_limited", hardware_limited.into()),
         ("single_channel_identity", true.into()),
         ("aggregate_tps_speedup_4ch", speedup.into()),
         ("transfers_committed", (committed as f64).into()),

@@ -13,7 +13,7 @@
 //! - `--seed S` — PRNG seed (default 42).
 
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_workload::experiment::{ExperimentConfig, ExperimentResult, SystemKind};
+use fabriccrdt_workload::experiment::{ExperimentConfig, SystemKind};
 use fabriccrdt_workload::report::{figure_headers, figure_row, render_table};
 
 /// Command-line options shared by the figure binaries.
@@ -64,6 +64,7 @@ impl HarnessOptions {
                     options.total_txs = args
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
+                        .filter(|&n| n > 0)
                         .expect("--txs requires a positive integer");
                     i += 2;
                 }
@@ -80,11 +81,11 @@ impl HarnessOptions {
                     i += 2;
                 }
                 "--rate" => {
-                    let rate: f64 = args
+                    let rate = args
                         .get(i + 1)
                         .and_then(|v| v.parse().ok())
+                        .filter(|&r: &f64| r.is_finite() && r > 0.0)
                         .expect("--rate requires a positive number (tps)");
-                    assert!(rate > 0.0, "--rate requires a positive number (tps)");
                     options.rate_tps = Some(rate);
                     i += 2;
                 }
@@ -92,6 +93,7 @@ impl HarnessOptions {
                     options.block_cut = Some(
                         args.get(i + 1)
                             .and_then(|v| v.parse().ok())
+                            .filter(|&n| n > 0)
                             .expect("--block-cut requires a positive integer"),
                     );
                     i += 2;
@@ -100,6 +102,7 @@ impl HarnessOptions {
                     options.keys = Some(
                         args.get(i + 1)
                             .and_then(|v| v.parse().ok())
+                            .filter(|&n| n > 0)
                             .expect("--keys requires a positive integer"),
                     );
                     i += 2;
@@ -202,11 +205,6 @@ pub fn report(path: &str, value: &Value, required: &[&str]) {
             });
         assert!(found.is_some(), "{path}: required field {field} is missing");
     }
-}
-
-/// Convenience: run one cell.
-pub fn run_cell(config: ExperimentConfig) -> ExperimentResult {
-    config.run()
 }
 
 #[cfg(test)]

@@ -297,15 +297,6 @@ pub mod envelope {
         TypedCrdt::GCounter(counts.clone()).to_value()
     }
 
-    /// A pn-counter state.
-    pub fn pn_counter(inc: &BTreeMap<String, u64>, dec: &BTreeMap<String, u64>) -> Value {
-        TypedCrdt::PnCounter {
-            inc: inc.clone(),
-            dec: dec.clone(),
-        }
-        .to_value()
-    }
-
     /// A g-set state.
     pub fn g_set<I: IntoIterator<Item = String>>(elements: I) -> Value {
         TypedCrdt::GSet(elements.into_iter().collect()).to_value()

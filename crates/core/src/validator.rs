@@ -297,21 +297,6 @@ impl BlockValidator for CrdtValidator {
         }
     }
 
-    /// FabricCRDT's merge path exempts CRDT transactions from MVCC
-    /// wholesale (§4.3): any transaction carrying a CRDT write commits
-    /// regardless of read-set staleness, so the speculative verdict for
-    /// those is always "valid". Non-CRDT transactions validate exactly
-    /// as on Fabric.
-    fn speculative_read_check(&self, tx: &Transaction, state: &WorldState) -> bool {
-        if tx.rwset.writes.has_crdt_writes() {
-            return true;
-        }
-        tx.rwset
-            .reads
-            .iter()
-            .all(|(key, entry)| state.version(key) == entry.version)
-    }
-
     fn decode_cache_stats(&self) -> Option<DecodeCacheMetrics> {
         let stats = cache::stats();
         Some(DecodeCacheMetrics {

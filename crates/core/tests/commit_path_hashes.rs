@@ -13,10 +13,17 @@
 //! the transactions in hand is shown elsewhere and left untouched:
 //! `tampered_block_rejected_wholesale` (`crates/fabric/src/peer.rs`) and
 //! the gossip forgery tests.
+//!
+//! The last test drives a FabricCRDT peer through the chained
+//! `prevalidate` / `finish_block_with_next` / `finish_block` driver over
+//! many-chain CRDT blocks at several worker counts and byte-compares the
+//! ledgers with a sequential peer's.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{hex, Identity, KeyPair};
+use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
+use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_ledger::block::{Block, BlockHeader, ValidationCode};
@@ -161,5 +168,88 @@ fn vanilla_peer_keeps_the_orderers_seal() {
         assert_eq!(tip.header, sealed);
         assert_header(&tip.header, GENESIS_HASH, PLAIN_DATA_HASH);
         assert_eq!(peer.chain().verify_integrity(), Ok(()));
+    }
+}
+
+/// `readings` list entries per document: the document-size knob.
+fn document(nonce: u64, readings: usize) -> Vec<u8> {
+    let readings: Vec<String> = (0..readings)
+        .map(|j| format!(r#""r{nonce}-{j}-0123456789abcdef""#))
+        .collect();
+    format!(r#"{{"readings":[{}]}}"#, readings.join(",")).into_bytes()
+}
+
+#[test]
+fn chained_driver_matches_sequential_on_many_chain_crdt_blocks() {
+    const BLOCKS: u64 = 8;
+    const PER_BLOCK: u64 = 25;
+    for readings in [4, 32, 128] {
+        // Per block: transactions 0 and 1 merge into one key (a
+        // two-member chain whose converged value is neither input, so a
+        // lost rewrite changes the chain bytes), the other 23 write keys
+        // of their own (singleton chains).
+        let blocks: Vec<Block> = (1..=BLOCKS)
+            .map(|number| {
+                let txs = (0..PER_BLOCK)
+                    .map(|i| {
+                        let nonce = number * PER_BLOCK + i;
+                        let key = if i < 2 {
+                            "pair".to_owned()
+                        } else {
+                            format!("k{nonce}")
+                        };
+                        endorsed(nonce, |rwset| {
+                            rwset.writes.put_crdt(key, document(nonce, readings));
+                        })
+                    })
+                    .collect();
+                Block::assemble(number, [0; 32], txs)
+            })
+            .collect();
+
+        let mut sequential = Peer::new(CrdtValidator::new(), policy());
+        let expected_work: Vec<ValidationWork> = blocks
+            .iter()
+            .map(|block| {
+                let staged = sequential.process_block(block.clone());
+                let work = staged.work;
+                sequential.commit(staged).expect("block extends the chain");
+                work
+            })
+            .collect();
+        let converged = sequential.state().value("pair").expect("pair committed");
+        for i in 0..2 {
+            assert_ne!(converged, document(BLOCKS * PER_BLOCK + i, readings));
+        }
+
+        for workers in [1, 2, 4, 8] {
+            let pipeline = ValidationPipeline::pipelined(workers);
+            let mut peer = Peer::new(CrdtValidator::new(), policy()).with_pipeline(pipeline);
+            let mut work = Vec::new();
+            let mut stream = blocks.iter().cloned();
+            let mut prepared = peer.prevalidate(stream.next().expect("eight blocks"));
+            for next in stream {
+                let (staged, next_prepared) = peer.finish_block_with_next(prepared, next);
+                work.push(staged.work);
+                peer.commit(staged).expect("block extends the chain");
+                prepared = next_prepared;
+            }
+            let staged = peer.finish_block(prepared);
+            work.push(staged.work);
+            peer.commit(staged).expect("block extends the chain");
+
+            let cell = format!("{readings} readings, {}", pipeline.label());
+            // Not `assert_eq!`: a failure would print both ledgers.
+            assert!(
+                peer.snapshot() == sequential.snapshot(),
+                "{cell}: ledger bytes differ from the sequential peer's"
+            );
+            assert_eq!(work, expected_work, "{cell}: work per block");
+            assert_eq!(
+                peer.take_pipeline_metrics().blocks_overlapped,
+                BLOCKS - 1,
+                "{cell}: every chained block overlapped its predecessor"
+            );
+        }
     }
 }

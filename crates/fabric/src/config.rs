@@ -617,8 +617,8 @@ impl PipelineConfig {
     /// `workers` threads (clamped to at least 1) — pre-validation per
     /// transaction, finalize per conflict chain — and overlaps blocks:
     /// block N+1's pure pre-validation runs on the pool while block
-    /// N's finalize commits, with lockless snapshot reads and an
-    /// authoritative MVCC recheck at finalize. Value-identical to the
+    /// N's finalize commits; the MVCC check runs at finalize, after
+    /// block N committed. Value-identical to the
     /// default sequential pipeline (see `crates/fabric/src/pipeline.rs`
     /// for the determinism argument); only host wall-clock changes.
     pub fn with_pipelined_validation(mut self, workers: usize) -> Self {

@@ -294,19 +294,6 @@ pub struct PipelineMetrics {
     /// Blocks that arrived while the pipeline was idle: nothing to
     /// overlap with, so they took the plain two-stage path.
     pub blocks_stalled: u64,
-    /// Deepest run-ahead observed (number of blocks pre-validated but
-    /// not yet finalized, at its maximum).
-    pub max_ahead_depth: u64,
-    /// MVCC read versions checked locklessly against the published
-    /// state snapshot during overlapped pre-validation.
-    pub speculative_reads_checked: u64,
-    /// Overlapped transactions whose speculative read verdict was
-    /// confirmed by the authoritative MVCC check at finalize.
-    pub speculation_confirmed: u64,
-    /// Overlapped transactions whose speculative verdict was
-    /// overturned at finalize — a read raced a commit between the
-    /// snapshot and the finalize epoch, and the recheck caught it.
-    pub speculation_overturned: u64,
 }
 
 /// Metrics of the replicated (Raft) ordering service. Only populated
@@ -407,14 +394,6 @@ pub struct RetryMetrics {
     /// Early-aborted transactions contribute nothing — they never
     /// reach validation, which is exactly the point of early abort.
     pub wasted_validation_work: u64,
-}
-
-impl RetryMetrics {
-    /// Distribution of retry-success latencies (for percentile
-    /// reporting).
-    pub fn retry_latency_summary(&self) -> Summary {
-        Summary::from_times(&self.retry_latency)
-    }
 }
 
 /// Metrics for one experiment run.

@@ -13,7 +13,7 @@
 //! `start + cost`, and endorsements arriving in between correctly observe
 //! the pre-block state.
 //!
-//! # Cross-block pipelining and the lockless read path
+//! # Cross-block pipelining
 //!
 //! [`Peer::process_block`] is [`Peer::prevalidate`] joined at once by
 //! [`Peer::finish_block`]. A driver that wants cross-block overlap
@@ -25,13 +25,13 @@
 //! thread. The world state is a persistent map: finalize writes the
 //! block into a clone that shares every untouched node with
 //! [`Peer::state`], and [`Peer::commit`] replaces the one with the
-//! other, so the overlapped stage — including the advisory
-//! [`BlockValidator::speculative_read_check`] — does plain map lookups
-//! on a root nothing ever mutates and never takes a lock; the
-//! authoritative MVCC recheck at finalize catches any read that raced a
-//! commit. Every stage stays a pure function of (transaction,
-//! committed-id context), so pipelined runs are value-identical to
-//! sequential ones under either driver — only wall-clock changes.
+//! other. The overlapped stage reads no world state at all, so the MVCC
+//! check at finalize — against the committed state, after block N's
+//! commit — is the only read verdict there is, and it catches any read
+//! that raced a commit. Every stage stays a pure function of
+//! (transaction, committed-id context), so pipelined runs are
+//! value-identical to sequential ones under either driver — only
+//! wall-clock changes.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -67,41 +67,24 @@ use crate::schedule::conflict_chains;
 use crate::state::ShardedState;
 use crate::validator::{BlockValidator, ChainOutcome};
 
-/// Host wall-clock spans of the two `process_block` stages, used by
-/// the commit-path benchmark to attribute speedup per stage. Timings
-/// never feed the cost model or any validation outcome, so they cannot
-/// perturb simulation determinism.
+/// Host wall-clock durations of the two `process_block` stages, read by
+/// the benchmark package (`perf/`) to attribute block time per stage.
+/// Timings never feed the cost model or any validation outcome, so they
+/// cannot perturb simulation determinism.
 ///
-/// Each stage is recorded as a *span* — start and end offsets (seconds
-/// since the peer was constructed) — rather than a bare duration,
-/// because under [`ValidationPipeline::Pipelined`] the stages of
-/// consecutive blocks are **not disjoint**: block N+1's pre-validation
-/// runs concurrently with block N's finalize, so summing durations
-/// double-counts the overlapped window. [`StageTimings::overlap_secs`]
-/// reports that window explicitly (the intersection of this block's
-/// pre-validation span with the previous block's finalize span), so
-/// consumers can derive busy wall time as
-/// `pre_validate_secs + finalize_secs - overlap_secs`.
+/// Under [`ValidationPipeline::Pipelined`] the stages of consecutive
+/// blocks are **not disjoint** — block N+1's pre-validation runs
+/// concurrently with block N's finalize — so the two durations do not
+/// sum to wall time there.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Duplicate detection + endorsement verification (pipeline
-    /// fan-out stage): `pre_end - pre_start`.
+    /// fan-out stage), from the start of the prepare to the end of the
+    /// join.
     pub pre_validate_secs: f64,
     /// MVCC/merge validation, state commit and re-seal (conflict-chain
-    /// stage): `finalize_end - finalize_start`.
+    /// stage).
     pub finalize_secs: f64,
-    /// Pre-validation span start, seconds since peer construction.
-    pub pre_start: f64,
-    /// Pre-validation span end (the join, under pipelining).
-    pub pre_end: f64,
-    /// Finalize span start, seconds since peer construction.
-    pub finalize_start: f64,
-    /// Finalize span end.
-    pub finalize_end: f64,
-    /// Seconds this block's pre-validation span overlapped the
-    /// *previous* block's finalize span — zero whenever stages ran
-    /// back-to-back (every [`Peer::process_block`] driver).
-    pub overlap_secs: f64,
 }
 
 /// A fully validated block plus the world state it produces, awaiting
@@ -142,14 +125,8 @@ pub struct PreparedBlock {
     transactions: Arc<Vec<Transaction>>,
     /// The in-flight endorsement map; `None` marks a tampered block.
     pending: Option<PendingMap<(Option<ValidationCode>, u64)>>,
-    /// Advisory lockless read-check verdicts against the state epoch
-    /// published when this block was prepared (overlapped prepares
-    /// only); reconciled at finalize into
-    /// [`PipelineMetrics::speculation_confirmed`] /
-    /// [`PipelineMetrics::speculation_overturned`].
-    speculation: Option<Vec<bool>>,
-    /// Pre-validation span start (seconds since peer construction).
-    pre_start: f64,
+    /// When pre-validation started.
+    pre_start: Instant,
 }
 
 impl PreparedBlock {
@@ -174,9 +151,7 @@ struct JoinedBlock {
     pre: Vec<Option<ValidationCode>>,
     sigs_verified: u64,
     tampered: bool,
-    speculation: Option<Vec<bool>>,
-    pre_start: f64,
-    pre_end: f64,
+    pre_validate_secs: f64,
 }
 
 /// A committing peer.
@@ -218,14 +193,8 @@ pub struct Peer<V> {
     /// channel-agnostic — but it keeps multi-channel replicas
     /// attributable in debug output and assertions.
     channel: ChannelId,
-    /// Wall-clock origin for [`StageTimings`] span offsets.
-    epoch: Instant,
-    /// Finalize span of the most recently finished block, for
-    /// computing [`StageTimings::overlap_secs`] of the next one.
-    prev_finalize_span: Option<(f64, f64)>,
-    /// Overlap/speculation counters, drained by
-    /// [`Peer::take_pipeline_metrics`]. Scheduling-descriptive only —
-    /// never feeds a validation outcome.
+    /// Overlap counters, drained by [`Peer::take_pipeline_metrics`].
+    /// Scheduling-descriptive only — never feeds a validation outcome.
     stats: PipelineMetrics,
 }
 
@@ -266,19 +235,40 @@ impl<V: BlockValidator> Peer<V> {
         chain
             .append(Block::genesis())
             .expect("genesis extends the empty chain");
-        Peer {
-            state: WorldState::new(),
+        Peer::from_parts(
+            validator,
+            policy,
+            WorldState::new(),
             chain,
-            history: HistoryDb::new(),
-            committed_ids: HashSet::new(),
-            merge_frontiers: BTreeMap::new(),
+            HistoryDb::new(),
+            HashSet::new(),
+            BTreeMap::new(),
+        )
+    }
+
+    /// A sequential, default-channel peer over the given ledger parts —
+    /// what [`Peer::new`], [`Peer::restore`] and
+    /// [`Peer::restore_from_snapshot`] differ in.
+    fn from_parts(
+        validator: V,
+        policy: EndorsementPolicy,
+        state: WorldState,
+        chain: Blockchain,
+        history: HistoryDb,
+        committed_ids: HashSet<TxId>,
+        merge_frontiers: BTreeMap<String, VersionVector>,
+    ) -> Self {
+        Peer {
+            state,
+            chain,
+            history,
+            committed_ids,
+            merge_frontiers,
             validator: Arc::new(validator),
             policy,
             endorser_keys: Arc::new(HashMap::new()),
             runner: PipelineRunner::new(ValidationPipeline::Sequential),
             channel: ChannelId::DEFAULT,
-            epoch: Instant::now(),
-            prev_finalize_span: None,
             stats: PipelineMetrics::default(),
         }
     }
@@ -319,8 +309,8 @@ impl<V: BlockValidator> Peer<V> {
         &self.state
     }
 
-    /// Drains the overlap/speculation counters accumulated since the
-    /// last call (or construction). Scheduling-descriptive only;
+    /// Drains the overlap counters accumulated since the last call (or
+    /// construction). Scheduling-descriptive only;
     /// excluded from [`crate::metrics::RunMetrics`] equality.
     pub fn take_pipeline_metrics(&mut self) -> PipelineMetrics {
         std::mem::take(&mut self.stats)
@@ -381,21 +371,15 @@ impl<V: BlockValidator> Peer<V> {
             history.record_block(block);
             absorb_frontiers(&mut merge_frontiers, block);
         }
-        Ok(Peer {
+        Ok(Peer::from_parts(
+            validator,
+            policy,
             state,
             chain,
             history,
             committed_ids,
             merge_frontiers,
-            validator: Arc::new(validator),
-            policy,
-            endorser_keys: Arc::new(HashMap::new()),
-            runner: PipelineRunner::new(ValidationPipeline::Sequential),
-            channel: ChannelId::DEFAULT,
-            epoch: Instant::now(),
-            prev_finalize_span: None,
-            stats: PipelineMetrics::default(),
-        })
+        ))
     }
 
     /// The per-key CRDT merge frontiers ([`VersionVector`] per key):
@@ -444,21 +428,15 @@ impl<V: BlockValidator> Peer<V> {
         let history = codec::decode_history(&snapshot.history)?;
         let ids = codec::decode_txids(&snapshot.committed_ids)?;
         let merge_frontiers = crate::storage::decode_frontiers(&snapshot.frontiers)?;
-        Ok(Peer {
-            state,
-            chain: Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
-            history,
-            committed_ids: ids.into_iter().collect(),
-            merge_frontiers,
-            validator: Arc::new(validator),
+        Ok(Peer::from_parts(
+            validator,
             policy,
-            endorser_keys: Arc::new(HashMap::new()),
-            runner: PipelineRunner::new(ValidationPipeline::Sequential),
-            channel: ChannelId::DEFAULT,
-            epoch: Instant::now(),
-            prev_finalize_span: None,
-            stats: PipelineMetrics::default(),
-        })
+            state,
+            Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
+            history,
+            ids.into_iter().collect(),
+            merge_frontiers,
+        ))
     }
 
     /// Garbage-collects operation history at or below `block_num`
@@ -619,11 +597,11 @@ impl<V: BlockValidator> Peer<V> {
                 block,
                 transactions: Arc::new(Vec::new()),
                 pending: None,
-                speculation: None,
-                pre_start: 0.0,
+                // Never read: a tampered block reports default timings.
+                pre_start: Instant::now(),
             };
         }
-        let pre_start = self.offset_of(Instant::now());
+        let pre_start = Instant::now();
 
         // Stage 1 (sequential, cheap): duplicate-id detection. This is
         // the one cross-transaction dependency in pre-validation — a
@@ -688,29 +666,14 @@ impl<V: BlockValidator> Peer<V> {
             (None, sigs)
         });
 
-        // Lockless speculative read check (overlapped prepares only):
-        // plain map lookups on the published epoch, running
-        // on the calling thread while the pool verifies signatures. The
-        // verdicts are advisory — the authoritative MVCC check at
-        // finalize re-runs against the committed state — so they feed
-        // counters, never validation codes.
-        let speculation = if overlapped {
+        if overlapped {
             self.stats.blocks_overlapped += 1;
-            let mut verdicts = Vec::with_capacity(transactions.len());
-            for tx in transactions.iter() {
-                self.stats.speculative_reads_checked += tx.rwset.reads.len() as u64;
-                verdicts.push(self.validator.speculative_read_check(tx, &self.state));
-            }
-            Some(verdicts)
-        } else {
-            None
-        };
+        }
 
         PreparedBlock {
             block,
             transactions,
             pending: Some(pending),
-            speculation,
             pre_start,
         }
     }
@@ -721,7 +684,6 @@ impl<V: BlockValidator> Peer<V> {
             block,
             transactions,
             pending,
-            speculation,
             pre_start,
         } = prep;
         let Some(pending) = pending else {
@@ -731,9 +693,7 @@ impl<V: BlockValidator> Peer<V> {
                 pre: Vec::new(),
                 sigs_verified: 0,
                 tampered: true,
-                speculation: None,
-                pre_start,
-                pre_end: pre_start,
+                pre_validate_secs: 0.0,
             };
         };
         let endorsed = self.runner.join(pending);
@@ -745,32 +705,26 @@ impl<V: BlockValidator> Peer<V> {
                 code
             })
             .collect();
-        let pre_end = self.offset_of(Instant::now());
         JoinedBlock {
             block,
             transactions,
             pre,
             sigs_verified,
             tampered: false,
-            speculation,
-            pre_start,
-            pre_end,
+            pre_validate_secs: pre_start.elapsed().as_secs_f64(),
         }
     }
 
     /// The finalize half: conflict-chain (or sequential) validation and
-    /// state commit, re-seal, speculation reconciliation and span
-    /// accounting.
-    fn finalize_joined(&mut self, joined: JoinedBlock) -> StagedBlock {
+    /// state commit, then the re-seal.
+    fn finalize_joined(&self, joined: JoinedBlock) -> StagedBlock {
         let JoinedBlock {
             mut block,
             transactions,
             pre,
             sigs_verified,
             tampered,
-            speculation,
-            pre_start,
-            pre_end,
+            pre_validate_secs,
         } = joined;
         if tampered {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
@@ -783,7 +737,7 @@ impl<V: BlockValidator> Peer<V> {
                 timings: StageTimings::default(),
             };
         }
-        let finalize_start = self.offset_of(Instant::now());
+        let finalize_start = Instant::now();
         let (new_state, mut work) = self.finalize(&mut block, transactions, &pre);
         work.sigs_verified = sigs_verified;
 
@@ -802,47 +756,15 @@ impl<V: BlockValidator> Peer<V> {
             block.header.data_hash = data_hash;
         }
 
-        // Reconcile speculative verdicts against the state this
-        // finalize actually validated on (reads are never rewritten, so
-        // the post-finalize transactions carry the original read sets).
-        if let Some(spec) = speculation {
-            for (tx, predicted) in block.transactions.iter().zip(&spec) {
-                if self.validator.speculative_read_check(tx, &self.state) == *predicted {
-                    self.stats.speculation_confirmed += 1;
-                } else {
-                    self.stats.speculation_overturned += 1;
-                }
-            }
-        }
-
-        let finalize_end = self.offset_of(Instant::now());
-        let overlap_secs = match self.prev_finalize_span {
-            Some((prev_start, prev_end)) => {
-                (pre_end.min(prev_end) - pre_start.max(prev_start)).max(0.0)
-            }
-            None => 0.0,
-        };
-        self.prev_finalize_span = Some((finalize_start, finalize_end));
-
         StagedBlock {
             block,
             new_state,
             work,
             timings: StageTimings {
-                pre_validate_secs: pre_end - pre_start,
-                finalize_secs: finalize_end - finalize_start,
-                pre_start,
-                pre_end,
-                finalize_start,
-                finalize_end,
-                overlap_secs,
+                pre_validate_secs,
+                finalize_secs: finalize_start.elapsed().as_secs_f64(),
             },
         }
-    }
-
-    /// Seconds since this peer was constructed, for span offsets.
-    fn offset_of(&self, instant: Instant) -> f64 {
-        instant.duration_since(self.epoch).as_secs_f64()
     }
 
     /// The finalize stage: MVCC/merge validation and state commit.
@@ -1241,7 +1163,6 @@ mod tests {
             );
             assert_eq!(staged_pip.new_state, staged_seq.new_state);
             assert_eq!(staged_pip.work, staged_seq.work);
-            assert_eq!(staged_pip.timings.overlap_secs, 0.0);
             seq.commit(staged_seq).unwrap();
             pip.commit(staged_pip).unwrap();
         }
@@ -1249,7 +1170,7 @@ mod tests {
         assert_eq!(
             pip.take_pipeline_metrics(),
             PipelineMetrics::default(),
-            "process_block never overlaps blocks or speculates"
+            "process_block never overlaps blocks"
         );
     }
 
@@ -1340,11 +1261,10 @@ mod tests {
     #[test]
     fn overlapped_read_racing_a_commit_is_caught_at_finalize() {
         // Directed race: block 1 writes "k"; block 2 reads "k" at the
-        // seeded version. Block 2's lockless pre-validation runs
-        // against the pre-commit epoch (where the read still looks
-        // fresh); the authoritative MVCC recheck at finalize — after
-        // block 1 committed — must flag the conflict, exactly as the
-        // sequential path does.
+        // seeded version. Block 2's pre-validation starts before
+        // block 1 commits (when the read still looks fresh); the MVCC
+        // check at finalize — after block 1 committed — must flag the
+        // conflict, exactly as the sequential path does.
         let write = tx(1, "k", &["org1", "org2"]);
         let read = reading_tx(2, "other", "k", Some(Height::genesis()), &["org1", "org2"]);
 
@@ -1377,12 +1297,6 @@ mod tests {
         assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
         let stats = pip.take_pipeline_metrics();
         assert_eq!(stats.blocks_overlapped, 1);
-        assert_eq!(
-            stats.speculation_overturned, 1,
-            "the speculative verdict raced block 1's commit and was overturned"
-        );
-        assert_eq!(stats.speculation_confirmed, 0);
-        assert!(stats.speculative_reads_checked >= 1);
     }
 
     #[test]

@@ -342,8 +342,6 @@ pub struct Simulation<V: BlockValidator> {
     /// Pipelined runs: blocks that arrived with the peer idle (no
     /// in-flight block to overlap with).
     stalls: u64,
-    /// Pipelined runs: deepest `prepared` queue observed.
-    max_ahead_depth: u64,
     delivery: Box<dyn DeliveryLayer>,
     /// Orderer-cut blocks in cut order, recorded when enabled via
     /// [`Simulation::enable_block_log`].
@@ -434,7 +432,6 @@ impl<V: BlockValidator> Simulation<V> {
             staged: None,
             prepared: VecDeque::new(),
             stalls: 0,
-            max_ahead_depth: 0,
             delivery,
             block_log: None,
             blocks_committed: 0,
@@ -497,7 +494,6 @@ impl<V: BlockValidator> Simulation<V> {
         self.armed_wakeups.clear();
         self.prepared.clear();
         self.stalls = 0;
-        self.max_ahead_depth = 0;
         for (i, (at, request)) in schedule.into_iter().enumerate() {
             self.requests.push(request);
             self.records.push(TxRecord::default());
@@ -532,7 +528,6 @@ impl<V: BlockValidator> Simulation<V> {
         let pipelined = self.config.validation.is_pipelined().then(|| {
             let mut stats = self.peer.take_pipeline_metrics();
             stats.blocks_stalled = self.stalls;
-            stats.max_ahead_depth = self.max_ahead_depth;
             stats
         });
 
@@ -596,7 +591,6 @@ impl<V: BlockValidator> Simulation<V> {
                     }
                     let prep = self.peer.prevalidate_ahead(block, &extra);
                     self.prepared.push_back(prep);
-                    self.max_ahead_depth = self.max_ahead_depth.max(self.prepared.len() as u64);
                 } else {
                     if pipelined {
                         // Nothing in flight to overlap with: the

@@ -56,8 +56,8 @@ fn shard_of(key: &str) -> usize {
 impl ShardedState {
     /// Takes `world` as the immutable read base — a clone of it, which
     /// shares its tree — with empty overlays. `world` itself is never
-    /// written: this is how the pipelined peer finalizes against the
-    /// very epoch its lockless pre-validation reads.
+    /// written: the peer finalizes against its published epoch without
+    /// copying it.
     pub fn from_world(world: &WorldState) -> Self {
         ShardedState {
             base: world.clone(),

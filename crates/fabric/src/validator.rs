@@ -101,24 +101,10 @@ pub trait BlockValidator: Send + Sync + 'static {
         }
     }
 
-    /// Speculative MVCC read check against an immutable state snapshot
-    /// — the lockless read path of the cross-block pipeline
-    /// ([`crate::pipeline::ValidationPipeline::Pipelined`]).
-    ///
-    /// Called during the *overlapped* pre-validation of block N+1,
-    /// reading a published [`WorldState`] epoch (plain `BTreeMap`
-    /// lookups through an `Arc` pointer — no lock anywhere on the
-    /// path). Returns whether every read-set version still matches the
-    /// snapshot. The verdict is advisory only: the authoritative MVCC
-    /// check at finalize re-runs against the committed state and
-    /// decides the validation code, so a read that raced block N's
-    /// commit is caught there (counted as
-    /// [`crate::metrics::PipelineMetrics::speculation_overturned`]).
-    ///
-    /// The default mirrors vanilla Fabric's read predicate. Validators
-    /// whose MVCC stage exempts some transactions (FabricCRDT's merge
-    /// path exempts CRDT transactions wholesale, §4.3) should override
-    /// to predict what *their* finalize would conclude.
+    /// Whether every read-set version of `tx` still matches `state`
+    /// (vanilla Fabric's read predicate). No production caller in the
+    /// workspace: declared only because `perf/`'s `TracedValidator`
+    /// overrides it (DESIGN.md §4.16).
     fn speculative_read_check(&self, tx: &Transaction, state: &WorldState) -> bool {
         tx.rwset
             .reads

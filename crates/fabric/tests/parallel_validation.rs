@@ -116,7 +116,7 @@ fn parallel_validation_matches_sequential_over_seeded_sweep() {
             run_with(ValidationPipeline::Sequential, block_size, seed, &schedule);
         // The simulation drives a pipelined peer through the
         // cross-block overlapped driver (pre-validate block N+1 while
-        // block N finalizes, with lockless snapshot reads).
+        // block N finalizes).
         for workers in 1..=8 {
             let (pip_metrics, pip_snapshot) = run_with(
                 ValidationPipeline::pipelined(workers),

@@ -1072,11 +1072,11 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Under a [`ValidationPipeline::Pipelined`] peer the drain
     /// overlaps stages across consecutive buffered blocks: while block
     /// N finalizes on the replica thread, block N+1's pure
-    /// pre-validation runs on the worker pool against the lockless
-    /// state snapshot (see `fabriccrdt_fabric::peer`). Outcomes are
-    /// byte-identical to the sequential drain — in-flight duplicate
-    /// ids are threaded through and MVCC re-checks at finalize settle
-    /// any read that raced the predecessor's commit.
+    /// pre-validation runs on the worker pool (see
+    /// `fabriccrdt_fabric::peer`). Outcomes are byte-identical to the
+    /// sequential drain — in-flight duplicate ids are threaded through
+    /// and the MVCC check at finalize settles any read that raced the
+    /// predecessor's commit.
     ///
     /// [`ValidationPipeline::Pipelined`]: fabriccrdt_fabric::pipeline::ValidationPipeline::Pipelined
     fn commit_buffered(&mut self, i: usize) {

@@ -1,8 +1,8 @@
 //! Pipelined-validation equivalence over gossip fault schedules.
 //!
 //! The cross-block pipelined commit path (pre-validate block N+1 on
-//! the worker pool while block N finalizes; lockless snapshot reads
-//! reconciled by MVCC at finalize) may only change wall-clock time,
+//! the worker pool while block N finalizes; reads settled by the MVCC
+//! check at finalize) may only change wall-clock time,
 //! never outcomes. This sweep drives the full gossip network — lossy
 //! links, crash/restart windows, healing partitions — over 50 seeded
 //! fault schedules and asserts that a `Pipelined { workers: 4 }` run
@@ -31,9 +31,8 @@ use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
 
 /// Read-modify-write chaincode: args = [key, value]. Non-CRDT reads
-/// on a contended key make MVCC outcomes — and therefore the
-/// speculative read checks the pipelined path must reconcile —
-/// sensitive to block formation.
+/// on a contended key make MVCC outcomes sensitive to block
+/// formation.
 struct Rmw;
 
 impl Chaincode for Rmw {

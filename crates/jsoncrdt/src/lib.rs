@@ -16,7 +16,6 @@
 //!   operation application and **Algorithm 2** of the paper
 //!   ([`JsonCrdt::merge_value`]), which folds a plain JSON object into the
 //!   CRDT, plus the metadata-stripping conversion back to plain JSON.
-//! - [`op_codec`]: the versioned, total wire encoding of operations.
 //! - [`cache`]: a process-wide memo of decoded MergeTx payloads, so the
 //!   N committing peers of a simulated network parse each distinct
 //!   payload once instead of N times.
@@ -47,7 +46,6 @@ pub mod clock;
 pub mod doc;
 pub mod json;
 pub mod op;
-pub mod op_codec;
 pub mod work;
 
 pub use clock::{LamportClock, OpId, ReplicaId, VersionVector};

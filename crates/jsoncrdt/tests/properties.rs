@@ -6,34 +6,8 @@ use std::collections::BTreeMap;
 
 use fabriccrdt_jsoncrdt::cache;
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_jsoncrdt::op::{Cursor, CursorElement, ItemKey, Mutation, Operation};
-use fabriccrdt_jsoncrdt::op_codec;
-use fabriccrdt_jsoncrdt::{JsonCrdt, OpId, ReplicaId};
+use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_sim::gen::{self, Gen};
-
-/// An arbitrary operation.
-fn arb_operation(g: &mut Gen) -> Operation {
-    let mut arb_id = |g: &mut Gen| OpId::new(g.range(1, 1000), ReplicaId(g.range(0, 8)));
-    let id = arb_id(g);
-    let deps = g.vec(0, 3, &mut arb_id);
-    let elements = g.vec(0, 4, |g| {
-        if g.flip() {
-            CursorElement::Key(g.ident(1, 6).into())
-        } else {
-            CursorElement::ListItem(ItemKey {
-                index: g.range(0, 16),
-                hash: g.u64(),
-            })
-        }
-    });
-    let mutation = match g.range(0, 4) {
-        0 => Mutation::Assign(g.string_of("abcdefgXYZ0123456789 ", 0, 16)),
-        1 => Mutation::MakeMap,
-        2 => Mutation::MakeList,
-        _ => Mutation::Delete,
-    };
-    Operation::new(id, deps, Cursor::from_elements(elements), mutation)
-}
 
 /// An arbitrary JSON value (strings at the leaves, as in the paper's
 /// programming model, but also numbers/bools/null for the parser).
@@ -305,24 +279,5 @@ fn from_bytes_is_total() {
     gen::cases(256, |g| {
         let bytes = g.bytes(0, 200);
         let _ = Value::from_bytes(&bytes);
-    });
-}
-
-/// Operation codec roundtrips.
-#[test]
-fn op_codec_roundtrip() {
-    gen::cases(128, |g| {
-        let op = arb_operation(g);
-        let decoded = op_codec::decode_op(&op_codec::encode_op(&op)).unwrap();
-        assert_eq!(decoded, op);
-    });
-}
-
-/// Operation decoding is total.
-#[test]
-fn op_decode_is_total() {
-    gen::cases(256, |g| {
-        let bytes = g.bytes(0, 200);
-        let _ = op_codec::decode_op(&bytes);
     });
 }

@@ -62,22 +62,6 @@ pub struct LogEntry {
     pub aborted: Vec<Transaction>,
 }
 
-/// A point-in-time view of one consenter, for tests and failover
-/// diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeStatus {
-    /// Whether the node is running.
-    pub up: bool,
-    /// Current role.
-    pub role: Role,
-    /// Current term.
-    pub term: u64,
-    /// Log length (committed prefix plus any uncommitted tail).
-    pub log_len: usize,
-    /// Committed entries.
-    pub commit_index: u64,
-}
-
 /// A leadership transition, for the at-most-one-leader-per-term safety
 /// check and failover diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -480,18 +464,6 @@ impl RaftCluster {
     /// Transactions submitted but not yet committed (or early-aborted).
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// A point-in-time view of node `i`.
-    pub fn node_status(&self, i: usize) -> NodeStatus {
-        let n = &self.nodes[i];
-        NodeStatus {
-            up: n.up,
-            role: n.role,
-            term: n.term,
-            log_len: n.log.len(),
-            commit_index: n.commit_index,
-        }
     }
 
     /// The up node with the highest leader term, if any.

@@ -41,4 +41,4 @@ pub mod backend;
 pub mod cluster;
 
 pub use backend::RaftOrderingBackend;
-pub use cluster::{LeadershipEvent, LogEntry, NodeStatus, RaftCluster, Role};
+pub use cluster::{LeadershipEvent, LogEntry, RaftCluster, Role};

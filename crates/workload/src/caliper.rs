@@ -130,7 +130,7 @@ impl BenchmarkReport {
                     format!("{}", r.config.rate_tps as u64),
                     format!("{:.1}", r.throughput_tps),
                     latency_cell(r.avg_latency_secs),
-                    format!("{:.3}", r.p95_latency_secs),
+                    latency_cell(r.p95_latency_secs),
                     r.successful.to_string(),
                     r.failed.to_string(),
                     cache_cell(r.decode_cache),

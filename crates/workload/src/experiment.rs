@@ -201,8 +201,9 @@ pub struct ExperimentResult {
     /// Average latency of successful transactions, seconds (panel b);
     /// `None` when the run committed nothing.
     pub avg_latency_secs: Option<f64>,
-    /// 95th-percentile latency, seconds.
-    pub p95_latency_secs: f64,
+    /// 95th-percentile latency of successful transactions, seconds;
+    /// `None` when the run committed nothing.
+    pub p95_latency_secs: Option<f64>,
     /// Blocks committed.
     pub blocks: u64,
     /// Total simulated duration, seconds.
@@ -239,7 +240,7 @@ impl ExperimentResult {
             failed: metrics.failed(),
             throughput_tps: metrics.successful_throughput_tps(),
             avg_latency_secs: metrics.avg_latency_secs(),
-            p95_latency_secs: latency.percentile(95.0).unwrap_or(0.0),
+            p95_latency_secs: latency.percentile(95.0),
             blocks: metrics.blocks_committed,
             duration_secs: metrics.end_time.as_secs_f64(),
             decode_cache: metrics.decode_cache,
@@ -296,6 +297,18 @@ mod tests {
         // half commits too (first per epoch).
         assert!(result.successful >= 150);
         assert!(result.failed > 50);
+    }
+
+    #[test]
+    fn a_run_that_commits_nothing_has_no_latencies() {
+        let result = ExperimentConfig {
+            total_txs: 0,
+            ..small(SystemKind::Fabric)
+        }
+        .run();
+        assert_eq!(result.successful, 0);
+        assert_eq!(result.avg_latency_secs, None);
+        assert_eq!(result.p95_latency_secs, None, "not a perfect 0.0 s");
     }
 
     #[test]

@@ -34,6 +34,7 @@ use fabriccrdt_repro::workload::caliper::Benchmark;
 use fabriccrdt_repro::workload::experiment::{ExperimentConfig, SystemKind};
 use fabriccrdt_repro::workload::generator::JsonShape;
 use fabriccrdt_repro::workload::iot::IotChaincode;
+use fabriccrdt_repro::workload::report::latency_cell;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,18 +69,27 @@ commands:
 ";
 
 /// Tiny flag parser: `--key value` pairs plus positional arguments.
+/// Each command names the flags it accepts; anything else is an error,
+/// so a typo never silently runs with a default.
 struct Flags {
     positional: Vec<String>,
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
         let mut positional = Vec::new();
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             if let Some(key) = args[i].strip_prefix("--") {
+                if !accepted.contains(&key) {
+                    let accepted = match accepted {
+                        [] => "none".to_owned(),
+                        flags => format!("--{}", flags.join(", --")),
+                    };
+                    return Err(format!("unknown flag --{key}; accepted: {accepted}"));
+                }
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} requires a value"))?;
@@ -122,8 +132,30 @@ fn parse_system(name: &str) -> Result<SystemKind, String> {
     }
 }
 
+/// `0.123 s`, or `n/a` with the reason when nothing committed.
+fn latency_text(latency: Option<f64>) -> String {
+    match latency {
+        Some(_) => format!("{} s", latency_cell(latency)),
+        None => "n/a (no successful transactions)".to_owned(),
+    }
+}
+
 fn cmd_experiment(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "system",
+            "block-size",
+            "rate",
+            "txs",
+            "reads",
+            "writes",
+            "json-keys",
+            "json-depth",
+            "conflicts",
+            "seed",
+        ],
+    )?;
     let system = parse_system(flags.get("system").unwrap_or("fabriccrdt"))?;
     let config = ExperimentConfig {
         system,
@@ -136,6 +168,26 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
         conflict_pct: flags.num("conflicts", 100)?,
         seed: flags.num("seed", 42)?,
     };
+    // The library asserts these; input from outside gets an error
+    // instead of a panic.
+    if config.block_size < 1 {
+        return Err("--block-size must be at least 1".into());
+    }
+    if !(config.rate_tps.is_finite() && config.rate_tps > 0.0) {
+        return Err(format!(
+            "--rate must be a finite number above 0, got {}",
+            config.rate_tps
+        ));
+    }
+    if config.write_keys < 1 {
+        return Err("--writes must be at least 1".into());
+    }
+    if config.conflict_pct > 100 {
+        return Err(format!(
+            "--conflicts is a percentage (0-100), got {}",
+            config.conflict_pct
+        ));
+    }
     let result = config.run();
     println!("system      : {}", config.system.label());
     println!("block size  : {}", config.block_size);
@@ -146,18 +198,15 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     println!("successful  : {}", result.successful);
     println!("failed      : {}", result.failed);
     println!("throughput  : {:.1} tx/s", result.throughput_tps);
-    match result.avg_latency_secs {
-        Some(secs) => println!("avg latency : {secs:.3} s"),
-        None => println!("avg latency : n/a (no successful transactions)"),
-    }
-    println!("p95 latency : {:.3} s", result.p95_latency_secs);
+    println!("avg latency : {}", latency_text(result.avg_latency_secs));
+    println!("p95 latency : {}", latency_text(result.p95_latency_secs));
     println!("blocks      : {}", result.blocks);
     println!("duration    : {:.1} s (simulated)", result.duration_secs);
     Ok(())
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["txs", "seed"])?;
     let base = ExperimentConfig {
         total_txs: flags.num("txs", 2_000)?,
         seed: flags.num("seed", 42)?,
@@ -194,7 +243,7 @@ fn run_small_crdt_workload(txs: usize, seed: u64) -> fabriccrdt_repro::ledger::B
 }
 
 fn cmd_export_chain(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &["txs", "seed"])?;
     let path = flags
         .positional
         .first()
@@ -214,7 +263,7 @@ fn cmd_export_chain(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify_chain(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &[])?;
     let path = flags
         .positional
         .first()

@@ -69,6 +69,55 @@ fn experiment_rejects_bad_number() {
     assert!(stderr.contains("expects a number"));
 }
 
+/// Bad input from outside the program is an `error:` line and a
+/// non-zero exit, never a panic from a library precondition.
+fn assert_clean_error(args: &[&str], expected: &str) {
+    let (ok, stdout, stderr) = run(args);
+    assert!(!ok, "{args:?} must fail, printed {stdout}");
+    assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn typoed_flag_is_rejected_with_the_accepted_list() {
+    assert_clean_error(&["experiment", "--blok-size", "10"], "--block-size");
+    assert_clean_error(&["compare", "--tsx", "10"], "accepted: --txs, --seed");
+    assert_clean_error(&["verify-chain", "x", "--txs", "1"], "accepted: none");
+}
+
+#[test]
+fn experiment_rejects_out_of_range_values() {
+    for (flag, value) in [
+        ("--block-size", "0"),
+        ("--rate", "0"),
+        ("--rate", "-5"),
+        ("--rate", "nan"),
+        ("--rate", "inf"),
+        ("--conflicts", "101"),
+        ("--writes", "0"),
+    ] {
+        assert_clean_error(&["experiment", "--txs", "10", flag, value], flag);
+    }
+}
+
+#[test]
+fn compare_with_no_transactions_prints_na_latencies() {
+    let (ok, stdout, stderr) = run(&["compare", "--txs", "0"]);
+    assert!(ok, "{stderr}");
+    // One row per system: round, system, rate, tput, avg-lat, p95-lat, …
+    let rows: Vec<&str> = stdout.lines().filter(|l| l.contains(" 300 ")).collect();
+    assert_eq!(rows.len(), 3, "{stdout}");
+    for row in rows {
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(
+            &cells[4..6],
+            ["n/a", "n/a"],
+            "avg and p95 of nothing: {row}"
+        );
+    }
+}
+
 #[test]
 fn compare_prints_all_three_systems() {
     let (ok, stdout, _) = run(&["compare", "--txs", "300"]);
