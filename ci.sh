@@ -56,11 +56,29 @@ cargo test -q --release -p fabriccrdt-ledger
 
 # Smoke-run the experiment binaries with tiny configs: they assert
 # their own invariants (convergence, byte-identical ledgers, failover
-# recovery), so a panic here fails the gate.
-echo "==> experiment smoke runs"
-cargo run --release -q -p fabriccrdt-bench --bin partition_heal
-cargo run --release -q -p fabriccrdt-bench --bin orderer_failover -- --txs 300
-cargo run --release -q -p fabriccrdt-bench --bin ablation -- --txs 200
+# recovery), so a panic here fails the gate. Their stdout is a pure
+# function of the seed (simulated time only), so each run is also held
+# to the SHA-256 recorded in tests/golden/bin_stdout.sha256: "every
+# table bit-identical to the parent" is checked here, not by hand. A PR
+# that legitimately changes a table re-records its line (the failure
+# message prints it) and says so in CHANGES.md.
+smoke() { # <bin> [args...]
+    local bin=$1 out line
+    shift
+    out=$(mktemp)
+    cargo run --release -q -p fabriccrdt-bench --bin "$bin" -- "$@" | tee "$out"
+    line="$(sha256sum <"$out" | cut -d' ' -f1)  $bin${*:+ $*}"
+    rm -f "$out"
+    if ! grep -qxF -- "$line" tests/golden/bin_stdout.sha256; then
+        echo "stdout changed: tests/golden/bin_stdout.sha256 has no line '$line'" >&2
+        exit 1
+    fi
+}
+
+echo "==> experiment smoke runs (stdout digests against tests/golden/bin_stdout.sha256)"
+smoke partition_heal
+smoke orderer_failover --txs 300
+smoke ablation --txs 200
 
 # Each bench bin below asserts its own invariants and hands its artifact
 # to `fabriccrdt_bench::report`, which re-parses the JSON it wrote and
@@ -71,7 +89,7 @@ cargo run --release -q -p fabriccrdt-bench --bin ablation -- --txs 200
 # is byte-identical to the in-memory one.
 echo "==> catchup_storage smoke run + artifact check"
 rm -f BENCH_catchup_storage.json
-cargo run --release -q -p fabriccrdt-bench --bin catchup_storage -- --txs 300
+smoke catchup_storage --txs 300
 test -s BENCH_catchup_storage.json
 
 # The multi-channel bench asserts 1-channel bit-identity to the seed
@@ -79,7 +97,7 @@ test -s BENCH_catchup_storage.json
 # scaling and transfer exactly-once internally.
 echo "==> multi_channel smoke run + artifact check"
 rm -f BENCH_multi_channel.json
-cargo run --release -q -p fabriccrdt-bench --bin multi_channel -- --txs 2000
+smoke multi_channel --txs 2000
 test -s BENCH_multi_channel.json
 
 # The conflict-strategy bench sweeps CRDT merge-commit vs
@@ -88,7 +106,7 @@ test -s BENCH_multi_channel.json
 # (FabricCRDT >= all at s=1.2, adaptive >= reorder at s=0.0).
 echo "==> zipf_conflict smoke run + artifact check"
 rm -f BENCH_zipf_conflict.json
-cargo run --release -q -p fabriccrdt-bench --bin zipf -- --txs 600
+smoke zipf --txs 600
 test -s BENCH_zipf_conflict.json
 
 # The adversarial bench runs the byzantine attack schedule, 100 hostile
@@ -97,7 +115,7 @@ test -s BENCH_zipf_conflict.json
 # internally.
 echo "==> adversarial smoke run + artifact check"
 rm -f BENCH_adversarial.json
-cargo run --release -q -p fabriccrdt-bench --bin adversarial -- --txs 1500
+smoke adversarial --txs 1500
 test -s BENCH_adversarial.json
 
 # The benchmark package compiles against the workspace's public API

@@ -5,7 +5,9 @@
 //! FabricCRDT merge-validate path, orderer block cutting, and the
 //! world state across three decades of size (every `worldstate/*`
 //! operation beside a `BTreeMap` baseline where one exists, and a whole
-//! block processed and committed by a peer seeded with that many keys).
+//! block processed and committed by a peer seeded with that many keys),
+//! and the two replication layers per 25-transaction block (6-peer
+//! gossip dissemination, 3-node Raft replication).
 //!
 //! The harness is self-contained (no criterion) so the workspace builds
 //! offline: each benchmark is warmed up, then timed over enough
@@ -21,11 +23,12 @@ use std::time::{Duration, Instant};
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
-use fabriccrdt_fabric::config::BlockCutConfig;
+use fabriccrdt_fabric::config::{BlockCutConfig, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
+use fabriccrdt_gossip::GossipNetwork;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::Block;
@@ -33,6 +36,7 @@ use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::{VersionedValue, WorldState};
+use fabriccrdt_ordering::RaftCluster;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::zipf::ZipfWorkload;
@@ -186,6 +190,19 @@ fn seeded_state() -> WorldState {
     state
 }
 
+/// Signs `tx`'s response payload with every endorser's key.
+fn endorse(mut tx: Transaction, endorsers: &[KeyPair]) -> Transaction {
+    let payload = tx.response_payload();
+    tx.endorsements = endorsers
+        .iter()
+        .map(|endorser| Endorsement {
+            endorser: endorser.identity().clone(),
+            signature: endorser.sign(&payload),
+        })
+        .collect();
+    tx
+}
+
 /// A 1 400-byte CRDT document written to `key`, endorsed by `endorser`.
 fn document_tx(nonce: u64, key: &str, endorser: &KeyPair) -> Transaction {
     let client = Identity::new("client", "org1");
@@ -194,18 +211,14 @@ fn document_tx(nonce: u64, key: &str, endorser: &KeyPair) -> Transaction {
     doc.push_str(r#""]}"#);
     let mut rwset = ReadWriteSet::new();
     rwset.writes.put_crdt(key, doc.into_bytes());
-    let mut tx = Transaction {
+    let tx = Transaction {
         id: TxId::derive(&client, nonce, "iot"),
         client,
         chaincode: "iot".into(),
         rwset,
         endorsements: Vec::new(),
     };
-    tx.endorsements.push(Endorsement {
-        endorser: endorser.identity().clone(),
-        signature: endorser.sign(&tx.response_payload()),
-    });
-    tx
+    endorse(tx, std::slice::from_ref(endorser))
 }
 
 /// The state-size sweep: every world-state operation, and one whole
@@ -342,6 +355,86 @@ fn state_size_sweep(bench: &Bench) {
             start.elapsed()
         });
     }
+}
+
+/// The two replication layers on the benchmark's block shape: an
+/// eight-block stream of 25 blind writes, each endorsed by the paper's
+/// three organizations, through a fresh 6-peer gossip lane and a fresh
+/// 3-node Raft cluster per iteration (so neither log grows with the
+/// iteration count). `FabricValidator` replicas keep merge cost out of
+/// the gossip row; what is left is moving the block and one MVCC commit
+/// per replica.
+fn replication_layers(bench: &Bench) {
+    const STREAM: u64 = 8;
+    let gossip = "gossip/disseminate-25tx-block/6-peers";
+    let raft = "raft/replicate-25tx-block/3-nodes";
+    if !bench.wants(gossip) && !bench.wants(raft) {
+        return;
+    }
+    let client = Identity::new("client", "org1");
+    let endorsers =
+        ["org1", "org2", "org3"].map(|org| KeyPair::derive(Identity::new("peer0", org)));
+    let stream: Vec<Block> = (1..=STREAM)
+        .map(|number| {
+            let txs = (0..25)
+                .map(|i| {
+                    let nonce = number * 25 + i;
+                    let mut rwset = ReadWriteSet::new();
+                    rwset
+                        .writes
+                        .put(format!("k{nonce}"), payload(nonce as usize).into_bytes());
+                    let tx = Transaction {
+                        id: TxId::derive(&client, nonce, "iot"),
+                        client: client.clone(),
+                        chaincode: "iot".into(),
+                        rwset,
+                        endorsements: Vec::new(),
+                    };
+                    endorse(tx, &endorsers)
+                })
+                .collect();
+            Block::assemble(number, [0; 32], txs)
+        })
+        .collect();
+
+    let config = PipelineConfig::paper(25, 42).with_gossip();
+    bench.run_timed(gossip, Some(STREAM), || {
+        let mut network = GossipNetwork::new(&config, FabricValidator::new);
+        let observed = network.observed_on(0);
+        let blocks = stream.clone();
+        let start = Instant::now();
+        for block in blocks {
+            let number = block.header.number;
+            network.publish_on(0, SimTime::from_millis(100 * number), block);
+            network.run_until_committed_on(0, observed, number);
+        }
+        // The pushes still in flight to the other replicas belong to
+        // these blocks too.
+        network.drain_on(0);
+        start.elapsed()
+    });
+
+    let config = PipelineConfig::paper(25, 42).with_raft_config(RaftConfig::calibrated(3));
+    bench.run_timed(raft, Some(STREAM), || {
+        let mut cluster = RaftCluster::new(&config);
+        let blocks = stream.clone();
+        let start = Instant::now();
+        for block in blocks {
+            // 25 submissions fill the leader's batch; the cut block is
+            // released once a follower has acknowledged it.
+            let now = cluster.clock();
+            for tx in block.transactions {
+                cluster.enqueue(now, tx);
+            }
+            let mut committed = cluster.advance(now);
+            while committed.is_empty() {
+                let next = cluster.next_event_time().expect("a block is in flight");
+                committed = cluster.advance(next);
+            }
+            black_box(committed);
+        }
+        start.elapsed()
+    });
 }
 
 fn main() {
@@ -488,5 +581,6 @@ fn main() {
         });
     }
 
+    replication_layers(&bench);
     state_size_sweep(&bench);
 }

@@ -650,14 +650,14 @@ impl<V: BlockValidator> Peer<V> {
             validator.prepare(tx);
             let payload = tx.response_payload();
             let mut sigs = 0u64;
-            let mut valid_orgs = Vec::new();
+            let mut valid_orgs: Vec<&str> = Vec::new();
             for endorsement in &tx.endorsements {
                 sigs += 1;
                 let keypair = endorser_keys
                     .get(&endorsement.endorser)
                     .expect("stage 1 derived the key of every endorser in this block");
                 if keypair.verify(&payload, &endorsement.signature).is_ok() {
-                    valid_orgs.push(endorsement.endorser.org.clone());
+                    valid_orgs.push(&endorsement.endorser.org);
                 }
             }
             if !policy.is_satisfied_by(&valid_orgs) {

@@ -92,6 +92,8 @@ impl<V: BlockValidator> DeliveryLayer for GossipDelivery<V> {
         // sample) is unchanged by switching delivery layers.
         let hop = latency.orderer_to_peer.sample(rng);
         let mut network = self.network.borrow_mut();
+        // `DeliveryLayer::deliver` lends `&Block`: this copy becomes the
+        // lane's one shared allocation.
         network.publish_with_hop_on(self.channel, now, hop, block.clone());
         let committed_at =
             network.run_until_committed_on(self.channel, self.observed, block.header.number);

@@ -62,6 +62,7 @@
 //! channel has already merged past.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fabriccrdt_fabric::channel::{ChannelId, ChannelSpec, MultiChannelConfig};
 use fabriccrdt_fabric::config::{FaultConfig, GossipConfig, PipelineConfig, Topology};
@@ -83,6 +84,11 @@ use fabriccrdt_sim::time::SimTime;
 
 use crate::adversary::LaneAdversary;
 
+/// A block as the ordering service sealed it: immutable, allocated once
+/// at publish and shared by the `published` log, every delivery in
+/// flight and every gap buffer (DESIGN.md §4.7, *Block ownership*).
+type Sealed = Arc<Block>;
+
 /// One queued network event, tagged with the channel lane it belongs
 /// to. Peer fields are member *positions* within that lane.
 #[derive(Debug)]
@@ -98,7 +104,7 @@ enum EventKind {
     RawBlock {
         to: usize,
         from: Option<usize>,
-        block: Block,
+        block: Sealed,
     },
     /// Committed blocks arrive at a pulling peer (anti-entropy).
     Transfer { to: usize, blocks: Vec<Block> },
@@ -139,7 +145,7 @@ struct Slot<V> {
     /// without durable storage; with a store, restarts recover from it.
     saved: Option<PeerSnapshot>,
     /// Raw blocks received but not yet committable (gaps below them).
-    buffer: BTreeMap<u64, Block>,
+    buffer: BTreeMap<u64, Sealed>,
     /// Outstanding `Tick` events for this replica.
     ticks_pending: u32,
     /// Active catch-up episode, if any.
@@ -150,6 +156,14 @@ struct Slot<V> {
     persisted: u64,
     /// Highest frontier floor this replica has GC'd up to.
     gc_floor: u64,
+}
+
+/// Takes block `number` out of a gap buffer as the replica's own
+/// `Block` — the one deep copy a replica makes of a sealed block.
+/// Algorithm 1 line 22 rewrites merged write values in place and the
+/// peer re-seals, so it cannot commit the shared allocation.
+fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Block> {
+    buffer.remove(&number).map(Arc::unwrap_or_clone)
 }
 
 /// Configuration shared by every channel lane: the topology, fault
@@ -196,7 +210,7 @@ struct ChannelLane<V> {
     slots: Vec<Slot<V>>,
     /// The channel's ordering-service log: `(cut time, block)`,
     /// numbers `1..`.
-    published: Vec<(SimTime, Block)>,
+    published: Vec<(SimTime, Sealed)>,
     /// Seeded genesis-height state, replayed on durable recovery (it
     /// lives in no block).
     seeds: Vec<(String, Vec<u8>)>,
@@ -662,7 +676,8 @@ impl<V: BlockValidator> ChannelLane<V> {
             self.published.len() as u64 + 1,
             "blocks must be published in order, numbered from 1"
         );
-        self.published.push((cut_at, block.clone()));
+        let block = Arc::new(block);
+        self.published.push((cut_at, Arc::clone(&block)));
         let ppo = shared.topology.peers_per_org;
         for org in 0..shared.topology.orgs {
             // The channel leader of an org is its lowest-indexed
@@ -678,7 +693,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                     EventKind::RawBlock {
                         to: leader,
                         from: None,
-                        block: block.clone(),
+                        block: Arc::clone(&block),
                     },
                 );
             }
@@ -705,7 +720,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                 EventKind::RawBlock {
                     to: victim,
                     from: via,
-                    block: forged,
+                    block: Arc::new(forged),
                 },
             );
         }
@@ -740,7 +755,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         now: SimTime,
         to: usize,
         from: Option<usize>,
-        block: Block,
+        block: Sealed,
     ) {
         if self.slots[to].peer.is_none() {
             return; // down: the message is lost
@@ -761,8 +776,8 @@ impl<V: BlockValidator> ChannelLane<V> {
             return;
         }
         self.record_arrival(now, number);
-        self.slots[to].buffer.insert(number, block.clone());
         self.forward(shared, now, to, from, &block);
+        self.slots[to].buffer.insert(number, block);
         self.commit_buffered(to);
         self.check_catch_up(now, to);
     }
@@ -775,7 +790,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         now: SimTime,
         i: usize,
         sender: Option<usize>,
-        block: &Block,
+        block: &Sealed,
     ) {
         let mut candidates: Vec<usize> = (0..self.slots.len())
             .filter(|&j| j != i && Some(j) != sender)
@@ -787,7 +802,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
-    fn send_raw(&mut self, shared: &Shared, now: SimTime, from: usize, to: usize, block: &Block) {
+    fn send_raw(&mut self, shared: &Shared, now: SimTime, from: usize, to: usize, block: &Sealed) {
         if shared.partitioned(now, self.members[from], self.members[to]) {
             return;
         }
@@ -802,7 +817,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             EventKind::RawBlock {
                 to,
                 from: Some(from),
-                block: block.clone(),
+                block: Arc::clone(block),
             },
         );
         if self.rng.gen_bool(shared.faults.link.duplicate) {
@@ -813,7 +828,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                 EventKind::RawBlock {
                     to,
                     from: Some(from),
-                    block: block.clone(),
+                    block: Arc::clone(block),
                 },
             );
         }
@@ -854,6 +869,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             }
         }
         for block in peer.chain().iter().filter(|b| b.header.number > above) {
+            // Committed blocks: the chain owns plain `Block`s (DESIGN.md §4.7).
             merged.insert(block.header.number, block.clone());
         }
         let mut suffix = Vec::with_capacity(merged.len());
@@ -973,9 +989,9 @@ impl<V: BlockValidator> ChannelLane<V> {
         } else if mine < published && shared.orderer_reachable(now, self.members[i]) {
             // No peer can help (all behind or unreachable): reconnect to
             // the deliver service and re-request what's missing.
-            let missing: Vec<Block> = (mine + 1..=published)
+            let missing: Vec<Sealed> = (mine + 1..=published)
                 .filter(|n| !self.has_block(i, *n))
-                .map(|n| self.published[n as usize - 1].1.clone())
+                .map(|n| Arc::clone(&self.published[n as usize - 1].1))
                 .collect();
             for block in missing {
                 let hop = shared.orderer_hop.sample(&mut self.rng);
@@ -1089,7 +1105,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         } else {
             loop {
                 let next = self.committed(i) + 1;
-                let Some(block) = self.slots[i].buffer.remove(&next) else {
+                let Some(block) = take_buffered(&mut self.slots[i].buffer, next) else {
                     break;
                 };
                 let peer = self.slots[i].peer.as_mut().expect("caller checked");
@@ -1108,14 +1124,14 @@ impl<V: BlockValidator> ChannelLane<V> {
     fn commit_buffered_pipelined(&mut self, i: usize) {
         let mut next = self.committed(i) + 1;
         let slot = &mut self.slots[i];
-        let Some(first) = slot.buffer.remove(&next) else {
+        let Some(first) = take_buffered(&mut slot.buffer, next) else {
             return;
         };
         let peer = slot.peer.as_mut().expect("caller checked");
         let mut prep = peer.prevalidate(first);
         loop {
             next += 1;
-            match slot.buffer.remove(&next) {
+            match take_buffered(&mut slot.buffer, next) {
                 Some(follow) => {
                     let (staged, follow_prep) = peer.finish_block_with_next(prep, follow);
                     peer.commit(staged)
@@ -1302,3 +1318,6 @@ impl<V: BlockValidator> ChannelLane<V> {
         self.metrics.propagation.push(now.saturating_sub(cut_at));
     }
 }
+
+#[cfg(test)]
+mod tests;

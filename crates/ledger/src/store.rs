@@ -417,13 +417,12 @@ fn scan_records(data: &[u8]) -> Result<(Vec<RawRecord>, usize), StoreError> {
     Ok((records, pos))
 }
 
-fn encode_record(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
+fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    out.reserve(HEADER_LEN + payload.len() + FOOTER_LEN);
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&digest(payload)[..FOOTER_LEN]);
-    out
 }
 
 /// The append-only-file backend: one file of self-validating records.
@@ -521,7 +520,8 @@ impl AofStore {
     }
 
     fn append_record(&mut self, kind: u8, marker: u64, payload: Vec<u8>) -> Result<(), StoreError> {
-        let record = encode_record(kind, &payload);
+        let mut record = Vec::new();
+        encode_record(&mut record, kind, &payload);
         self.file
             .write_all(&record)
             .map_err(|e| io_err("append", e))?;
@@ -566,30 +566,30 @@ impl LedgerStore for AofStore {
             .max_by_key(|(i, (_, marker, _))| (*marker, *i))
             .map(|(i, _)| i)
             .expect("snapshot exists");
-        let mut kept = Vec::with_capacity(self.records.len());
+        let keep = |i: usize, (kind, marker, _): &(u8, u64, Vec<u8>)| match *kind {
+            KIND_SNAPSHOT => i == latest_snapshot_index,
+            _ => *marker > floor,
+        };
+        if self.records.iter().enumerate().all(|(i, r)| keep(i, r)) {
+            return Ok(0);
+        }
+        // The new file's bytes, framed in place: `self.records` describes
+        // the old file until the new one is renamed over it and reopened.
+        let mut image = Vec::new();
         let mut dropped_blocks = 0u64;
         for (i, record) in self.records.iter().enumerate() {
-            let keep = match record.0 {
-                KIND_SNAPSHOT => i == latest_snapshot_index,
-                _ => record.1 > floor,
-            };
-            if keep {
-                kept.push(record.clone());
+            if keep(i, record) {
+                encode_record(&mut image, record.0, &record.2);
             } else if record.0 == KIND_BLOCK {
                 dropped_blocks += 1;
             }
-        }
-        if kept.len() == self.records.len() {
-            return Ok(0);
         }
         // Rewrite through a temp file + rename so a crash mid-compaction
         // leaves either the old or the new file, never a hybrid.
         let tmp_path = self.path.with_extension("compact-tmp");
         let mut tmp = fs::File::create(&tmp_path).map_err(|e| io_err("compact-create", e))?;
-        for (kind, _, payload) in &kept {
-            tmp.write_all(&encode_record(*kind, payload))
-                .map_err(|e| io_err("compact-write", e))?;
-        }
+        tmp.write_all(&image)
+            .map_err(|e| io_err("compact-write", e))?;
         tmp.flush().map_err(|e| io_err("compact-flush", e))?;
         if self.fsync {
             tmp.sync_all().map_err(|e| io_err("compact-fsync", e))?;
@@ -604,7 +604,11 @@ impl LedgerStore for AofStore {
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("compact-seek", e))?;
         self.file = file;
-        self.records = kept;
+        let mut next = 0;
+        self.records.retain(|record| {
+            next += 1;
+            keep(next - 1, record)
+        });
         Ok(dropped_blocks)
     }
 
@@ -894,6 +898,29 @@ mod tests {
         let loaded = reopened.load().unwrap();
         assert_eq!(loaded.snapshot.unwrap().last_block, 4);
         assert_eq!(loaded.blocks, blocks[5..].to_vec());
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
+        let path = temp_path("compact-fails");
+        let blocks = chained_blocks(5);
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks[..4] {
+            store.append_block(block).unwrap();
+        }
+        store.put_snapshot(&sample_snapshot(2)).unwrap();
+        let before = store.load().unwrap();
+        // A directory squatting on the temp path fails the rewrite.
+        let squatter = path.with_extension("compact-tmp");
+        fs::create_dir(&squatter).unwrap();
+        assert!(store.compact_up_to(2).is_err());
+        assert_eq!(store.load().unwrap(), before);
+        // ... and the handle still appends after its last record.
+        store.append_block(&blocks[4]).unwrap();
+        let reopened = AofStore::open(&path).unwrap().load().unwrap();
+        assert_eq!(reopened.blocks, blocks);
+        fs::remove_dir(&squatter).unwrap();
         fs::remove_file(&path).unwrap();
     }
 

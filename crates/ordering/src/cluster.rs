@@ -18,6 +18,7 @@
 //! so a `(config, workload)` pair replays bit-identically.
 
 use std::collections::{HashSet, VecDeque};
+use std::sync::Arc;
 
 use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::conflict::{BlockFeedback, ConflictTracker};
@@ -44,6 +45,9 @@ pub enum Role {
 /// a fresh leader appends to force commitment of prior-term entries
 /// (Raft §5.4.2: a leader may only count replicas for entries of its
 /// own term).
+/// Immutable once appended; a clone copies two pointers, so every
+/// log, every message in flight and [`RaftCluster::emitted`] hold the
+/// one block the leader sealed.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     /// Term of the leader that appended the entry.
@@ -52,14 +56,14 @@ pub struct LogEntry {
     /// from here.
     pub sealed_at: SimTime,
     /// The block, or `None` for a barrier no-op.
-    pub block: Option<Block>,
+    pub block: Option<Arc<Block>>,
     /// Transactions the cut policy early-aborted while sealing this
     /// block. They ride in the entry and surface only when the entry
     /// *commits*: a deposed leader's uncommitted cuts are truncated
     /// away, and truncating the entry drops its aborts with it — the
     /// transactions stay pending and get a fresh verdict from the next
     /// leader, never a duplicate or lost one.
-    pub aborted: Vec<Transaction>,
+    pub aborted: Arc<[Transaction]>,
 }
 
 /// A leadership transition, for the at-most-one-leader-per-term safety
@@ -208,7 +212,7 @@ pub struct RaftCluster {
     outstanding_submissions: usize,
     retry_armed: bool,
     /// Every committed block with its commit time, in commit order.
-    emitted: Vec<(SimTime, Block)>,
+    emitted: Vec<(SimTime, Arc<Block>)>,
     /// Start of the not-yet-drained suffix of `emitted`.
     outbox_cursor: usize,
     /// Log entries (blocks and no-ops) already surfaced from the
@@ -477,7 +481,7 @@ impl RaftCluster {
     }
 
     /// Every committed block with its commit time, in commit order.
-    pub fn emitted(&self) -> &[(SimTime, Block)] {
+    pub fn emitted(&self) -> &[(SimTime, Arc<Block>)] {
         &self.emitted
     }
 
@@ -490,12 +494,12 @@ impl RaftCluster {
     /// Node `i`'s committed blocks — the non-barrier entries of its
     /// committed log prefix. Replica convergence means these agree
     /// across nodes (uncommitted log tails may differ; Raft only
-    /// truncates them on conflict).
+    /// truncates them on conflict). Deep copies, for tests.
     pub fn committed_blocks(&self, i: usize) -> Vec<Block> {
         let node = &self.nodes[i];
         node.log[..node.commit_index as usize]
             .iter()
-            .filter_map(|e| e.block.clone())
+            .filter_map(|e| e.block.as_deref().cloned())
             .collect()
     }
 
@@ -553,7 +557,11 @@ impl RaftCluster {
     }
 
     fn drain_outbox(&mut self) -> Vec<(SimTime, Block)> {
-        let fresh = self.emitted[self.outbox_cursor..].to_vec();
+        // The one copy on this side: `OrderingOutcome::blocks` is owned.
+        let fresh = self.emitted[self.outbox_cursor..]
+            .iter()
+            .map(|(at, block)| (*at, Block::clone(block)))
+            .collect();
         self.outbox_cursor = self.emitted.len();
         fresh
     }
@@ -680,8 +688,8 @@ impl RaftCluster {
         self.nodes[leader].log.push(LogEntry {
             term,
             sealed_at: now,
-            block: Some(block),
-            aborted,
+            block: Some(Arc::new(block)),
+            aborted: aborted.into(),
         });
         for peer in 0..self.nodes.len() {
             if peer != leader {
@@ -808,7 +816,7 @@ impl RaftCluster {
                 term,
                 sealed_at: now,
                 block: None,
-                aborted: Vec::new(),
+                aborted: Arc::from([]),
             });
             node.match_index[i] = node.log.len();
         }
@@ -1110,11 +1118,11 @@ impl RaftCluster {
             // entry, so its aborts never reach this point and the
             // transactions get re-delivered instead.
             if !aborted.is_empty() {
-                for tx in &aborted {
+                for tx in aborted.iter() {
                     self.pending_ids.remove(&tx.id);
                 }
                 self.pending.retain(|tx| self.pending_ids.contains(&tx.id));
-                self.early_aborted.extend(aborted);
+                self.early_aborted.extend(aborted.iter().cloned());
             }
             if let Some(block) = block {
                 self.metrics
@@ -1171,3 +1179,6 @@ fn make_orderer(block_cut: BlockCutConfig, policy: OrderingPolicy, log: &[LogEnt
     }
     Orderer::resuming(block_cut, policy, number, previous_hash)
 }
+
+#[cfg(test)]
+mod tests;

@@ -158,7 +158,11 @@ fn safety_over_seeded_fault_schedules() {
 
         // (b) No loss, no duplication: every submitted transaction is
         // ordered exactly once.
-        let emitted: Vec<Block> = cluster.emitted().iter().map(|(_, b)| b.clone()).collect();
+        let emitted: Vec<Block> = cluster
+            .emitted()
+            .iter()
+            .map(|(_, b)| Block::clone(b))
+            .collect();
         let mut seen = HashSet::new();
         for block in &emitted {
             for tx in &block.transactions {
