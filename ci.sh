@@ -32,10 +32,13 @@ echo "==> host-clock boundary (exactly two .rs files under crates/ and src/ name
 test "$(grep -rlw --include='*.rs' Instant crates src | sort)" = "crates/bench/benches/micro.rs
 crates/fabric/src/peer.rs"
 
-# The figure every CHANGES.md entry quotes (ROADMAP's command). Printed,
-# not gated.
-echo "==> non-test lines"
+# The figure every CHANGES.md entry quotes (ROADMAP's command), then the
+# same files cut at their first `#[cfg(test)]`: the first still counts
+# in-module test code, the second does not. Printed, not gated.
+echo "==> non-test lines (ROADMAP's command; then without in-module tests)"
 find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | xargs cat | wc -l
+find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' |
+    xargs awk 'FNR == 1 { cut = 0 } /#\[cfg\(test\)\]/ { cut = 1 } !cut' | wc -l
 
 echo "==> cargo build --release"
 cargo build --release --workspace

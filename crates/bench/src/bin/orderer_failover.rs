@@ -38,18 +38,7 @@ const RATE_TPS: f64 = 300.0;
 const BUCKET_MS: u64 = 100;
 
 fn schedule(txs: usize) -> Vec<(SimTime, TxRequest)> {
-    (0..txs)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / RATE_TPS),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect()
+    IotChaincode::hot_key_schedule("device1", txs, RATE_TPS)
 }
 
 fn run(config: PipelineConfig, txs: usize) -> RunMetrics {

@@ -46,18 +46,7 @@ fn pipeline_config() -> PipelineConfig {
 }
 
 fn schedule() -> Vec<(SimTime, TxRequest)> {
-    (0..TXS)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / 300.0),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect()
+    IotChaincode::hot_key_schedule("device1", TXS, 300.0)
 }
 
 /// Replays the logged block stream through a gossip network built from

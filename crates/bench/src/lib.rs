@@ -14,6 +14,7 @@
 
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_workload::experiment::{ExperimentConfig, SystemKind};
+use fabriccrdt_workload::flags::Flags;
 use fabriccrdt_workload::report::{figure_headers, figure_row, render_table};
 
 /// Command-line options shared by the figure binaries.
@@ -49,73 +50,39 @@ impl Default for HarnessOptions {
 
 impl HarnessOptions {
     /// Parses `--txs N`, `--seed S`, `--csv PATH`, `--rate TPS`,
-    /// `--block-cut N` and `--keys N` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// `--block-cut N` and `--keys N` from the process arguments. On an
+    /// unknown flag or an unusable value it prints `error: …` and exits
+    /// with status 1, like the `fabriccrdt-repro` CLI.
     pub fn from_args() -> Self {
-        let mut options = HarnessOptions::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--txs" => {
-                    options.total_txs = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .expect("--txs requires a positive integer");
-                    i += 2;
-                }
-                "--seed" => {
-                    options.seed = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--seed requires an integer");
-                    i += 2;
-                }
-                "--csv" => {
-                    options.csv =
-                        Some(args.get(i + 1).expect("--csv requires a file path").clone());
-                    i += 2;
-                }
-                "--rate" => {
-                    let rate = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&r: &f64| r.is_finite() && r > 0.0)
-                        .expect("--rate requires a positive number (tps)");
-                    options.rate_tps = Some(rate);
-                    i += 2;
-                }
-                "--block-cut" => {
-                    options.block_cut = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .expect("--block-cut requires a positive integer"),
-                    );
-                    i += 2;
-                }
-                "--keys" => {
-                    options.keys = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n| n > 0)
-                            .expect("--keys requires a positive integer"),
-                    );
-                    i += 2;
-                }
-                other => {
-                    panic!(
-                        "unknown argument {other:?}; supported: --txs N, --seed S, --csv PATH, \
-                         --rate TPS, --block-cut N, --keys N"
-                    )
-                }
-            }
+        Self::parse(&args).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(1)
+        })
+    }
+
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let flags = Flags::parse(args, &["txs", "seed", "csv", "rate", "block-cut", "keys"])?;
+        if let Some(stray) = flags.positional.first() {
+            return Err(format!("unexpected argument {stray:?}"));
         }
-        options
+        let positive = |key: &str| match flags.opt::<usize>(key)? {
+            Some(0) => Err(format!("--{key} must be at least 1")),
+            count => Ok(count),
+        };
+        let defaults = HarnessOptions::default();
+        let rate_tps = flags.opt::<f64>("rate")?;
+        if rate_tps.is_some_and(|r| !(r.is_finite() && r > 0.0)) {
+            return Err("--rate must be a finite number above 0".into());
+        }
+        Ok(HarnessOptions {
+            total_txs: positive("txs")?.unwrap_or(defaults.total_txs),
+            seed: flags.num("seed", defaults.seed)?,
+            csv: flags.get("csv").map(str::to_owned),
+            rate_tps,
+            block_cut: positive("block-cut")?,
+            keys: positive("keys")?,
+        })
     }
 
     /// The base experiment configuration under these options.

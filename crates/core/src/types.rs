@@ -297,11 +297,6 @@ pub mod envelope {
         TypedCrdt::GCounter(counts.clone()).to_value()
     }
 
-    /// A g-set state.
-    pub fn g_set<I: IntoIterator<Item = String>>(elements: I) -> Value {
-        TypedCrdt::GSet(elements.into_iter().collect()).to_value()
-    }
-
     /// An LWW register write.
     pub fn lww(value: impl Into<String>, stamp: u64) -> Value {
         TypedCrdt::Lww {
@@ -438,9 +433,6 @@ mod tests {
         let built = envelope::g_counter(&counts);
         let parsed = TypedCrdt::parse(&built).unwrap().unwrap();
         assert_eq!(parsed.counter_value(), Some(7));
-
-        let built = envelope::g_set(vec!["a".to_owned()]);
-        assert!(TypedCrdt::parse(&built).unwrap().is_ok());
 
         let built = envelope::lww("v", 3);
         assert!(TypedCrdt::parse(&built).unwrap().is_ok());

@@ -208,26 +208,18 @@ pub struct AdaptiveConfig {
     /// below it the batch is cut FIFO and the Tarjan/Kahn pass is
     /// skipped entirely (the cold-traffic hot-path win).
     pub density_threshold: f64,
-    /// `Some(t)`: on FIFO-cut batches, early-abort every
-    /// read-modify-write transaction beyond the first on any key whose
-    /// conflict score is at least `t` (predicted doomed by history —
-    /// they would fail MVCC or be cycle-aborted anyway). `None`
-    /// disables predictive aborts.
-    pub predict_abort_threshold: Option<f64>,
 }
 
 impl AdaptiveConfig {
     /// Calibrated defaults: decay 0.8 (~5-block memory), hot at half a
     /// conflict/block (uniform-but-contended traffic — a few collisions
     /// per key per block — must keep the gate open, not just single-key
-    /// hotspots), reorder at 10% hot transactions, no predictive
-    /// aborts.
+    /// hotspots), reorder at 10% hot transactions.
     pub fn calibrated() -> Self {
         AdaptiveConfig {
             decay: 0.8,
             hot_key_threshold: 0.5,
             density_threshold: 0.1,
-            predict_abort_threshold: None,
         }
     }
 }
@@ -499,6 +491,38 @@ impl FaultConfig {
             && self.link.extra_delay == LatencyModel::zero()
             && self.crashes.is_empty()
             && self.partitions.is_empty()
+    }
+
+    /// Checks the schedule against a cluster of `n` members; `what`
+    /// names a member in the messages (`"peer"` for gossip, `"node"`
+    /// for Raft).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range member index, a restart before its
+    /// crash, a heal before its partition, a partition isolating every
+    /// member, or a link drop probability of 1.0 (which would
+    /// disconnect the cluster for good).
+    pub fn validate(&self, n: usize, what: &str) {
+        for crash in &self.crashes {
+            assert!(crash.peer < n, "crash {what} out of range");
+            assert!(crash.restart_at >= crash.at, "restart before crash");
+        }
+        for partition in &self.partitions {
+            assert!(partition.heal_at >= partition.at, "heal before partition");
+            assert!(
+                partition.minority.iter().all(|p| *p < n),
+                "partition {what} out of range"
+            );
+            assert!(
+                partition.minority.len() < n,
+                "partition must leave a majority side"
+            );
+        }
+        assert!(
+            self.link.drop < 1.0,
+            "drop probability 1.0 disconnects every {what}"
+        );
     }
 }
 

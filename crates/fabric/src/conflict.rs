@@ -194,38 +194,6 @@ impl ConflictTracker {
             .count();
         hot as f64 / batch.len() as f64
     }
-
-    /// Transactions of `batch` predicted doomed by history: for every
-    /// key with a conflict score at or above `threshold`, all but the
-    /// first read-modify-write transaction on that key are marked (the
-    /// first can still commit; the rest form the conflict clique that
-    /// reordering would abort anyway — this catches them in one linear
-    /// pass). Returns batch indices in ascending order.
-    pub fn predicted_doomed(&self, batch: &[Transaction], threshold: f64) -> Vec<usize> {
-        let mut first_rmw: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut doomed = Vec::new();
-        for (i, tx) in batch.iter().enumerate() {
-            let mut is_doomed = false;
-            for (key, _) in tx.rwset.reads.iter() {
-                if tx.rwset.writes.get(key).is_none() {
-                    continue; // not a read-modify-write on this key
-                }
-                if self.heat(key).conflicts < threshold {
-                    continue;
-                }
-                match first_rmw.get(key as &str) {
-                    None => {
-                        first_rmw.insert(key, i);
-                    }
-                    Some(_) => is_doomed = true,
-                }
-            }
-            if is_doomed {
-                doomed.push(i);
-            }
-        }
-        doomed
-    }
 }
 
 #[cfg(test)]
@@ -311,27 +279,6 @@ mod tests {
             0.0
         );
         assert_eq!(tracker.batch_conflict_density(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn predicted_doomed_keeps_first_rmw_per_hot_key() {
-        let mut tracker = ConflictTracker::new(0.5);
-        for _ in 0..8 {
-            tracker.observe(&BlockFeedback {
-                writes: Vec::new(),
-                conflicts: vec!["hot".into()],
-            });
-        }
-        let batch = vec![
-            tx(0, &["hot"], &["hot"]),   // first RMW: survives
-            tx(1, &["hot"], &["p"]),     // pure reader: not doomed
-            tx(2, &["hot"], &["hot"]),   // second RMW: doomed
-            tx(3, &["cold"], &["cold"]), // cold key: untouched
-            tx(4, &["hot"], &["hot"]),   // third RMW: doomed
-        ];
-        assert_eq!(tracker.predicted_doomed(&batch, 0.9), vec![2, 4]);
-        // Below-threshold history dooms nothing.
-        assert!(tracker.predicted_doomed(&batch, 10.0).is_empty());
     }
 
     #[test]

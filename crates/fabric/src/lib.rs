@@ -14,8 +14,7 @@
 //! - [`config`]: network topology and block-cutting parameters.
 //! - [`conflict`]: the decayed per-key conflict tracker behind
 //!   [`config::OrderingPolicy::Adaptive`] — hot-key EWMA fed back from
-//!   finalize results, batch conflict-density scoring and
-//!   predicted-doomed detection.
+//!   finalize results and batch conflict-density scoring.
 //! - [`channel`]: multi-channel sharding — channel identities,
 //!   per-channel pipeline derivation, cross-channel transfer records
 //!   and per-channel metric rollups.

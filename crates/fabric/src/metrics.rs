@@ -348,10 +348,6 @@ pub struct ConflictPolicyMetrics {
     /// Transactions early-aborted as conflict-cycle members by the
     /// reordering pass.
     pub cycle_aborts: u64,
-    /// Transactions early-aborted as predicted-doomed by the conflict
-    /// tracker (hot-key read-modify-write duplicates on FIFO-cut
-    /// batches).
-    pub predicted_aborts: u64,
     /// Keys the conflict tracker held when the run ended.
     pub tracked_keys: u64,
 }
@@ -363,13 +359,12 @@ impl ConflictPolicyMetrics {
         self.batches_reordered += other.batches_reordered;
         self.batches_fifo += other.batches_fifo;
         self.cycle_aborts += other.cycle_aborts;
-        self.predicted_aborts += other.predicted_aborts;
         self.tracked_keys = self.tracked_keys.max(other.tracked_keys);
     }
 
     /// Total early aborts the ordering policy performed.
     pub fn early_aborts(&self) -> u64 {
-        self.cycle_aborts + self.predicted_aborts
+        self.cycle_aborts
     }
 }
 

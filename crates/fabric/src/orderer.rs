@@ -229,26 +229,6 @@ impl Orderer {
                 self.early_aborted.extend(outcome.aborted);
             }
             OrderingPolicy::Adaptive(cfg) => {
-                if let Some(threshold) = cfg.predict_abort_threshold {
-                    let doomed = self.tracker.predicted_doomed(&transactions, threshold);
-                    if !doomed.is_empty() {
-                        self.stats.predicted_aborts += doomed.len() as u64;
-                        let mut next = doomed.iter().copied().peekable();
-                        let mut kept = Vec::with_capacity(transactions.len() - doomed.len());
-                        let mut aborted = Vec::with_capacity(doomed.len());
-                        for (i, tx) in transactions.into_iter().enumerate() {
-                            if next.peek() == Some(&i) {
-                                next.next();
-                                aborted.push(tx);
-                            } else {
-                                kept.push(tx);
-                            }
-                        }
-                        transactions = kept;
-                        self.tracker.observe_aborts(&aborted);
-                        self.early_aborted.extend(aborted);
-                    }
-                }
                 // Until the first finalize feedback arrives the tracker
                 // cannot distinguish cold traffic from hot, so the
                 // bootstrap batches pay the reordering cost rather than
@@ -554,28 +534,6 @@ mod tests {
         let stats = o.policy_stats();
         assert_eq!(stats.batches_reordered, 1);
         assert_eq!(stats.cycle_aborts, 2);
-    }
-
-    #[test]
-    fn adaptive_predictive_abort_drops_doomed_rmws() {
-        let mut cfg_a = adaptive();
-        cfg_a.predict_abort_threshold = Some(1.0);
-        let mut o = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive(cfg_a));
-        for _ in 0..6 {
-            o.observe_finalized(&BlockFeedback {
-                writes: vec![],
-                conflicts: vec!["hot".into(), "hot".into()],
-            });
-        }
-        let _ = o.receive(rmw(1, "hot"), SimTime::ZERO);
-        let _ = o.receive(rmw(2, "hot"), SimTime::ZERO);
-        let (block, _) = o.receive(rmw(3, "hot"), SimTime::ZERO);
-        // The predictive pass keeps the first RMW and drops the rest
-        // before the (now trivially acyclic) batch even reaches the
-        // density gate.
-        assert_eq!(block.unwrap().len(), 1);
-        assert_eq!(o.take_early_aborted().len(), 2);
-        assert_eq!(o.policy_stats().predicted_aborts, 2);
     }
 
     #[test]

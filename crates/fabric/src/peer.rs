@@ -467,15 +467,18 @@ impl<V: BlockValidator> Peer<V> {
     /// deterministically by every committing peer) is the integrity
     /// anchor instead.
     ///
+    /// The successor state is built on a clone that shares the committed
+    /// tree and installed by [`Peer::commit`], like any staged block.
+    ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the block does not extend this peer's
-    /// chain or its validation codes are missing.
+    /// chain or its validation codes are missing; the peer is unchanged.
     pub fn replay_block(&mut self, block: Block) -> Result<(), ChainError> {
         if block.validation_codes.len() != block.transactions.len() {
             return Err(ChainError::MissingValidationCodes);
         }
-        let state = &mut self.state;
+        let mut state = self.state.clone();
         for (tx_num, (tx, code)) in block
             .transactions
             .iter()
@@ -494,13 +497,13 @@ impl<V: BlockValidator> Peer<V> {
                 }
             }
         }
-        let ids: Vec<TxId> = block.transactions.iter().map(|t| t.id).collect();
-        self.chain.append(block)?;
-        let tip = self.chain.tip().expect("chain nonempty");
-        self.history.record_block(tip);
-        absorb_frontiers(&mut self.merge_frontiers, tip);
-        self.committed_ids.extend(ids);
-        Ok(())
+        let staged = StagedBlock {
+            block,
+            new_state: state,
+            work: ValidationWork::default(),
+            timings: StageTimings::default(),
+        };
+        self.commit(staged).map(drop)
     }
 
     /// Validates a block against the current state without committing.
@@ -785,8 +788,14 @@ impl<V: BlockValidator> Peer<V> {
         transactions: Arc<Vec<Transaction>>,
         pre: &[Option<ValidationCode>],
     ) -> (WorldState, ValidationWork) {
-        let chains = conflict_chains(&transactions, pre);
-        if !self.runner.parallel_finalize() || chains.len() <= 1 {
+        // Only a pooled runner can use conflict chains; a sequential
+        // one does not build them.
+        let chains = if self.runner.parallel_finalize() {
+            conflict_chains(&transactions, pre)
+        } else {
+            Vec::new()
+        };
+        if chains.len() <= 1 {
             block.transactions =
                 Arc::try_unwrap(transactions).expect("pre-validation released its clones");
             let mut new_state = self.state.clone();

@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use fabriccrdt_jsoncrdt::clock::{OpId, ReplicaId, VersionVector};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::ChainError;
-use fabriccrdt_ledger::codec::DecodeError;
+use fabriccrdt_ledger::codec::{DecodeError, Reader, Writer};
 use fabriccrdt_ledger::store::{
     blocks_by_number, AofStore, LedgerSnapshot, LedgerStore, MemoryStore, StoreError,
 };
@@ -270,15 +270,7 @@ impl DurableLedger {
                 Box::new(AofStore::open_with_fsync(dir.join(file), config.fsync)?)
             }
         };
-        let stored = store.load()?;
-        let latest_snapshot = stored.snapshot;
-        let appended_tip = stored
-            .blocks
-            .iter()
-            .map(|b| b.header.number)
-            .max()
-            .unwrap_or(0)
-            .max(latest_snapshot.as_ref().map_or(0, |s| s.last_block));
+        let (appended_tip, latest_snapshot) = store.head()?;
         Ok(DurableLedger {
             store,
             snapshot_interval: config.snapshot_interval,
@@ -495,8 +487,8 @@ impl DurableLedger {
 /// ever needing them again.
 ///
 /// Internally a [`VersionVector`] whose "replica" is the peer index
-/// and whose counter is the acknowledged height, so joins are the
-/// CRDT pointwise max and acknowledgements commute.
+/// and whose counter is the acknowledged height, so acknowledgements
+/// commute and stale ones are no-ops.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AckFrontier {
     acked: VersionVector,
@@ -528,21 +520,10 @@ impl AckFrontier {
         (0..peers).map(|p| self.acked(p)).min().unwrap_or(0)
     }
 
-    /// Merges another frontier in (pointwise max) — how gossiped
-    /// acknowledgement deltas combine.
-    pub fn join(&mut self, other: &AckFrontier) {
-        self.acked.join(&other.acked);
-    }
-
-    /// Serializes the frontier (the version-vector byte layout).
+    /// Serializes the frontier (the version-vector byte layout) — what
+    /// a snapshot transfer is charged for shipping it.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.acked.to_bytes()
-    }
-
-    /// Parses a frontier serialized by [`AckFrontier::to_bytes`];
-    /// `None` for malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<AckFrontier> {
-        VersionVector::from_bytes(bytes).map(|acked| AckFrontier { acked })
     }
 }
 
@@ -555,33 +536,14 @@ impl AckFrontier {
 /// [`VersionVector::to_bytes`] payload. Keys iterate in sorted order,
 /// so the encoding is deterministic.
 pub fn encode_frontiers(frontiers: &BTreeMap<String, VersionVector>) -> Vec<u8> {
-    let mut out = vec![FRONTIER_FORMAT_VERSION];
-    out.extend_from_slice(&(frontiers.len() as u64).to_be_bytes());
+    let mut w = Writer::new();
+    w.u8(FRONTIER_FORMAT_VERSION);
+    w.u64(frontiers.len() as u64);
     for (key, frontier) in frontiers {
-        out.extend_from_slice(&(key.len() as u64).to_be_bytes());
-        out.extend_from_slice(key.as_bytes());
-        let vv = frontier.to_bytes();
-        out.extend_from_slice(&(vv.len() as u64).to_be_bytes());
-        out.extend_from_slice(&vv);
+        w.str(key);
+        w.bytes(&frontier.to_bytes());
     }
-    out
-}
-
-fn take<'a>(
-    data: &'a [u8],
-    pos: &mut usize,
-    n: usize,
-    what: &'static str,
-) -> Result<&'a [u8], DecodeError> {
-    let end = pos.checked_add(n).ok_or(DecodeError::new(what, *pos))?;
-    let slice = data.get(*pos..end).ok_or(DecodeError::new(what, *pos))?;
-    *pos = end;
-    Ok(slice)
-}
-
-fn take_u64(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, DecodeError> {
-    let slice = take(data, pos, 8, what)?;
-    Ok(u64::from_be_bytes(slice.try_into().expect("8 bytes")))
+    w.buf
 }
 
 /// Decodes a frontier table written by [`encode_frontiers`]. Total on
@@ -593,37 +555,24 @@ fn take_u64(data: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, Dec
 /// Returns a [`DecodeError`] with byte-offset context for any
 /// malformed input.
 pub fn decode_frontiers(data: &[u8]) -> Result<BTreeMap<String, VersionVector>, DecodeError> {
-    let mut pos = 0;
-    let version = take(data, &mut pos, 1, "truncated frontier table")?[0];
-    if version != FRONTIER_FORMAT_VERSION {
+    let mut r = Reader::new(data);
+    if r.u8()? != FRONTIER_FORMAT_VERSION {
         return Err(DecodeError::new("unsupported frontier format version", 0));
     }
-    let count = take_u64(data, &mut pos, "truncated frontier table")?;
-    // Each entry takes at least two length prefixes; reject counts no
-    // input of this size could hold before allocating.
-    if count > (data.len() / 16 + 1) as u64 {
-        return Err(DecodeError::new("implausible frontier count", pos - 8));
-    }
+    // Each entry takes at least two length prefixes; `len` rejects
+    // counts no input of this size could hold before anything allocates.
     let mut out = BTreeMap::new();
-    for _ in 0..count {
-        let key_len = take_u64(data, &mut pos, "truncated frontier key")? as usize;
-        let key_at = pos;
-        let key_bytes = take(data, &mut pos, key_len, "frontier key exceeds input")?;
-        let key = std::str::from_utf8(key_bytes)
-            .map_err(|_| DecodeError::new("frontier key not UTF-8", key_at))?
-            .to_string();
-        let vv_len = take_u64(data, &mut pos, "truncated frontier vector")? as usize;
-        let vv_at = pos;
-        let vv_bytes = take(data, &mut pos, vv_len, "frontier vector exceeds input")?;
-        let frontier = VersionVector::from_bytes(vv_bytes)
+    for _ in 0..r.len(16)? {
+        let key_at = r.pos();
+        let key = r.str()?;
+        let vv_at = r.pos();
+        let frontier = VersionVector::from_bytes(&r.bytes()?)
             .ok_or(DecodeError::new("malformed frontier vector", vv_at))?;
         if out.insert(key, frontier).is_some() {
             return Err(DecodeError::new("duplicate frontier key", key_at));
         }
     }
-    if pos != data.len() {
-        return Err(DecodeError::new("trailing bytes after frontier table", pos));
-    }
+    r.finish()?;
     Ok(out)
 }
 
@@ -742,7 +691,7 @@ mod tests {
     }
 
     #[test]
-    fn ack_frontier_floor_join_and_bytes() {
+    fn ack_frontier_floor() {
         let mut a = AckFrontier::new();
         a.ack(0, 5);
         a.ack(1, 3);
@@ -751,17 +700,6 @@ mod tests {
         assert_eq!(a.acked(1), 3);
         assert_eq!(a.min_acked(2), 3);
         assert_eq!(a.min_acked(3), 0, "silent peer pins the floor");
-
-        let mut b = AckFrontier::new();
-        b.ack(1, 7);
-        b.ack(2, 4);
-        a.join(&b);
-        assert_eq!(a.acked(1), 7);
-        assert_eq!(a.min_acked(3), 4);
-
-        let restored = AckFrontier::from_bytes(&a.to_bytes()).unwrap();
-        assert_eq!(restored, a);
-        assert!(AckFrontier::from_bytes(&[1, 2, 3]).is_none());
     }
 
     #[test]

@@ -124,7 +124,9 @@ fn snapshot_and_replay_bootstrap_match_the_veteran() {
 }
 
 /// Replay rejects a block whose chain linkage does not fit — a
-/// late-joining peer cannot be fed a forged continuation.
+/// late-joining peer cannot be fed a forged continuation — and a
+/// rejected block leaves the peer exactly as it was: state, chain,
+/// history, committed ids and frontiers.
 #[test]
 fn replay_rejects_out_of_sequence_blocks() {
     let mut sim = Simulation::new(
@@ -133,15 +135,33 @@ fn replay_rejects_out_of_sequence_blocks() {
         registry(),
     );
     let metrics = sim.run(schedule(40));
-    assert!(metrics.blocks_committed >= 2);
+    assert!(metrics.blocks_committed >= 3);
 
     let snapshot = sim.peer().snapshot();
     let chain = codec::decode_chain(&snapshot.chain).expect("chain decodes");
     let mut replica: Peer<FabricValidator> =
         Peer::new(FabricValidator::new(), Topology::paper().default_policy());
-    // Skipping block 1 breaks the hash chain.
-    let out_of_order = chain.block(2).expect("block 2 exists").clone();
     replica
-        .replay_block(out_of_order)
-        .expect_err("gap in the chain is rejected");
+        .replay_block(chain.block(1).expect("block 1 exists").clone())
+        .expect("block 1 extends genesis");
+
+    // Both carry recorded codes and successful writes: a wrong number
+    // (block 2 skipped), and the right number on a forged predecessor.
+    let skipped = chain.block(3).expect("block 3 exists").clone();
+    let mut relinked = chain.block(2).expect("block 2 exists").clone();
+    relinked.header.previous_hash[0] ^= 0xff;
+    for forged in [skipped, relinked] {
+        assert!(forged.successful_count() > 0, "the block would write");
+        let before = (replica.state().clone(), replica.ledger_snapshot());
+        replica
+            .replay_block(forged)
+            .expect_err("a block that does not extend the chain is rejected");
+        assert_eq!(replica.state(), &before.0);
+        assert_eq!(
+            replica.ledger_snapshot(),
+            before.1,
+            "history, ids, frontiers"
+        );
+        assert_eq!(replica.chain().height(), 2);
+    }
 }

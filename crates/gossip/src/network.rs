@@ -36,14 +36,15 @@
 //! commits into a [`DurableLedger`] (in-memory or append-only file,
 //! one file per channel × peer), writes a [`LedgerSnapshot`] every
 //! `snapshot_interval` blocks, and restarts by recovering from that
-//! store instead of from an in-memory saved ledger. Anti-entropy then
-//! negotiates by byte cost: when a helper's latest snapshot plus the
-//! post-snapshot block suffix is cheaper to ship than replaying the
-//! full missing suffix, the lagging peer installs the snapshot (plus
-//! the helper's acknowledgement-frontier delta) and replays only the
-//! suffix — recorded as a [`CatchUpOutcome::Snapshot`] episode with
-//! bytes accounted. Ties go to replay, which keeps the recovered
-//! ledger byte-identical to one that never fell behind.
+//! store; without one a crashed replica is parked untouched until its
+//! restart. Anti-entropy then negotiates by byte cost: when a helper's
+//! latest snapshot plus the post-snapshot block suffix is cheaper to
+//! ship than replaying the full missing suffix, the lagging peer
+//! installs the snapshot (charged with the bytes of an
+//! acknowledgement-frontier delta) and replays only the suffix —
+//! recorded as a [`CatchUpOutcome::Snapshot`] episode with bytes
+//! accounted. Ties go to replay, which keeps the recovered ledger
+//! byte-identical to one that never fell behind.
 //!
 //! Replay serving reads from the helper's in-memory chain *and* its
 //! durable store: a helper whose chain base moved up (snapshot-path
@@ -108,12 +109,11 @@ enum EventKind {
     },
     /// Committed blocks arrive at a pulling peer (anti-entropy).
     Transfer { to: usize, blocks: Vec<Block> },
-    /// A snapshot, the helper's acknowledgement frontier, and the
-    /// post-snapshot block suffix arrive at a catching-up peer.
+    /// A snapshot and the post-snapshot block suffix arrive at a
+    /// catching-up peer.
     SnapshotTransfer {
         to: usize,
         snapshot: LedgerSnapshot,
-        frontier: AckFrontier,
         suffix: Vec<Block>,
     },
     /// Per-peer anti-entropy timer.
@@ -141,9 +141,10 @@ struct ActiveCatchUp {
 struct Slot<V> {
     /// The live replica; `None` while crashed.
     peer: Option<Peer<V>>,
-    /// Ledger persisted at crash time, consumed by restart. Only used
-    /// without durable storage; with a store, restarts recover from it.
-    saved: Option<PeerSnapshot>,
+    /// The replica while it is crashed *without* a durable store: its
+    /// ledger survives by being set aside untouched until restart. With
+    /// a store, restarts recover from the store instead.
+    parked: Option<Peer<V>>,
     /// Raw blocks received but not yet committable (gaps below them).
     buffer: BTreeMap<u64, Sealed>,
     /// Outstanding `Tick` events for this replica.
@@ -152,8 +153,6 @@ struct Slot<V> {
     catch_up: Option<ActiveCatchUp>,
     /// The replica's durable store, when storage is configured.
     store: Option<DurableLedger>,
-    /// Highest block number appended to `store`.
-    persisted: u64,
     /// Highest frontier floor this replica has GC'd up to.
     gc_floor: u64,
 }
@@ -268,11 +267,8 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// # Panics
     ///
     /// Panics on an invalid deployment ([`MultiChannelConfig::validate`])
-    /// or inconsistent fault schedules: out-of-range peer indices, a
-    /// restart before its crash, a heal before its partition, a
-    /// partition isolating every peer, or a link drop probability of
-    /// 1.0 (which would disconnect the mesh for good). Also panics if
-    /// a configured storage backend cannot be opened.
+    /// or an inconsistent fault schedule ([`FaultConfig::validate`]).
+    /// Also panics if a configured storage backend cannot be opened.
     pub fn new_multi(multi: &MultiChannelConfig, make_validator: impl Fn() -> V + 'static) -> Self {
         multi.validate();
         let config = &multi.base;
@@ -280,25 +276,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
         let n_peers = topology.total_peers();
         assert!(n_peers > 0, "topology has no peers");
         let faults = config.faults.clone();
-        for crash in &faults.crashes {
-            assert!(crash.peer < n_peers, "crash peer out of range");
-            assert!(crash.restart_at >= crash.at, "restart before crash");
-        }
-        for partition in &faults.partitions {
-            assert!(partition.heal_at >= partition.at, "heal before partition");
-            assert!(
-                partition.minority.iter().all(|p| *p < n_peers),
-                "partition peer out of range"
-            );
-            assert!(
-                partition.minority.len() < n_peers,
-                "partition must leave a majority side"
-            );
-        }
-        assert!(
-            faults.link.drop < 1.0,
-            "drop probability 1.0 disconnects the gossip mesh"
-        );
+        faults.validate(n_peers, "peer");
         if let Some(adversary) = &config.adversary {
             for attack in &adversary.attacks {
                 assert!(attack.height >= 1, "blocks are numbered from 1");
@@ -342,7 +320,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
                                 .with_pipeline(config.validation)
                                 .with_channel(spec.id),
                         ),
-                        saved: None,
+                        parked: None,
                         buffer: BTreeMap::new(),
                         ticks_pending: 0,
                         catch_up: None,
@@ -350,7 +328,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
                             DurableLedger::open_channel(cfg, spec.id, global)
                                 .expect("peer storage opens")
                         }),
-                        persisted: 0,
                         gc_floor: 0,
                     })
                     .collect();
@@ -739,9 +716,8 @@ impl<V: BlockValidator> ChannelLane<V> {
             EventKind::SnapshotTransfer {
                 to,
                 snapshot,
-                frontier,
                 suffix,
-            } => self.snapshot_transfer(shared, mk, now, to, snapshot, frontier, suffix),
+            } => self.snapshot_transfer(shared, mk, now, to, snapshot, suffix),
             EventKind::Tick { peer } => self.tick(shared, now, peer),
             EventKind::Crash { peer } => self.crash(now, peer),
             EventKind::Restart { peer } => self.restart(shared, mk, now, peer),
@@ -853,22 +829,29 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     /// The contiguous block run starting at `above + 1` that helper
-    /// `j` can ship, merged from its durable store and its in-memory
-    /// chain (chain copies win; both re-seal identically). Empty when
-    /// the helper holds neither source for `above + 1`.
+    /// `j` can ship. Its in-memory chain is contiguous from base to tip
+    /// and its store only ever holds blocks that chain committed, so a
+    /// chain that holds `above + 1` is the whole answer; only a helper
+    /// whose chain base moved past `above + 1` reads its durable store
+    /// back, for the prefix (chain copies win above it; both re-seal
+    /// identically). Empty when the helper holds neither source for
+    /// `above + 1`.
     fn replay_suffix(&self, j: usize, above: u64) -> Vec<Block> {
         let slot = &self.slots[j];
-        let peer = slot.peer.as_ref().expect("helper is up");
+        let chain = slot.peer.as_ref().expect("helper is up").chain();
         let mut merged: BTreeMap<u64, Block> = BTreeMap::new();
-        if let Some(store) = slot.store.as_ref() {
-            let retained = store.retained_blocks().expect("helper store reads back");
-            for block in retained {
-                if block.header.number > above {
-                    merged.insert(block.header.number, block);
-                }
+        if chain.block(above + 1).is_none() {
+            if let Some(store) = slot.store.as_ref() {
+                let retained = store.retained_blocks().expect("helper store reads back");
+                merged.extend(
+                    retained
+                        .into_iter()
+                        .filter(|b| b.header.number > above)
+                        .map(|b| (b.header.number, b)),
+                );
             }
         }
-        for block in peer.chain().iter().filter(|b| b.header.number > above) {
+        for block in chain.iter().filter(|b| b.header.number > above) {
             // Committed blocks: the chain owns plain `Block`s (DESIGN.md §4.7).
             merged.insert(block.header.number, block.clone());
         }
@@ -922,8 +905,8 @@ impl<V: BlockValidator> ChannelLane<V> {
             let replay_suffix = self.replay_suffix(j, mine);
             let replay_bytes =
                 (!replay_suffix.is_empty()).then(|| Self::suffix_bytes(&replay_suffix));
-            // Snapshot cost: the encoded snapshot, the frontier delta,
-            // and the post-snapshot block suffix.
+            // Snapshot cost: the encoded snapshot, a frontier delta's
+            // worth of bytes, and the post-snapshot block suffix.
             let snapshot_plan = self.snapshot_offer(j, mine).map(|snapshot| {
                 let snapshot_bytes =
                     snapshot.encoded_len() as u64 + self.acked.to_bytes().len() as u64;
@@ -966,7 +949,6 @@ impl<V: BlockValidator> ChannelLane<V> {
                     EventKind::SnapshotTransfer {
                         to: i,
                         snapshot,
-                        frontier: self.acked.clone(),
                         suffix,
                     },
                 );
@@ -1036,9 +1018,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     /// Installs a donor snapshot on a catching-up peer (unless it
-    /// raced ahead on its own), merges the shipped frontier delta, and
-    /// replays the post-snapshot suffix.
-    #[allow(clippy::too_many_arguments)]
+    /// raced ahead on its own) and replays the post-snapshot suffix.
     fn snapshot_transfer(
         &mut self,
         shared: &Shared,
@@ -1046,13 +1026,11 @@ impl<V: BlockValidator> ChannelLane<V> {
         now: SimTime,
         to: usize,
         snapshot: LedgerSnapshot,
-        frontier: AckFrontier,
         suffix: Vec<Block>,
     ) {
         if self.slots[to].peer.is_none() {
             return;
         }
-        self.acked.join(&frontier);
         if self.committed(to) < snapshot.last_block {
             let peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
                 .expect("a donor snapshot restores cleanly")
@@ -1077,7 +1055,6 @@ impl<V: BlockValidator> ChannelLane<V> {
                         .expect("local store compacts");
                 }
             }
-            slot.persisted = slot.persisted.max(snapshot.last_block);
         }
         self.transfer(now, to, suffix);
     }
@@ -1161,14 +1138,13 @@ impl<V: BlockValidator> ChannelLane<V> {
         };
         let height = peer.chain().height() - 1;
         if let Some(store) = slot.store.as_mut() {
-            for number in slot.persisted + 1..=height {
+            for number in store.finalized_tip() + 1..=height {
                 let block = peer
                     .chain()
                     .block(number)
-                    .expect("committed blocks above the persisted mark are in the chain");
+                    .expect("committed blocks above the store's tip are in the chain");
                 store.append_block(block).expect("store append succeeds");
             }
-            slot.persisted = height;
             if store.snapshot_due(height) {
                 store
                     .put_snapshot(peer.ledger_snapshot())
@@ -1195,10 +1171,10 @@ impl<V: BlockValidator> ChannelLane<V> {
         let Some(peer) = slot.peer.take() else {
             return;
         };
-        // Without a durable store the ledger "persists" as an in-memory
-        // snapshot; with one, the store itself survives the crash.
+        // Without a durable store the ledger "persists" by parking the
+        // replica; with one, the store itself survives the crash.
         if slot.store.is_none() {
-            slot.saved = Some(peer.snapshot());
+            slot.parked = Some(peer);
         }
         slot.buffer.clear();
         // A crash mid-catch-up ends the episode without reaching the
@@ -1215,29 +1191,26 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn restart(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, p: usize) {
-        let peer = if self.slots[p].store.is_some() {
-            let seeds = self.seeds.clone();
-            let recovery = self.slots[p]
-                .store
-                .as_ref()
-                .expect("checked above")
-                .recover_seeded(mk(), shared.policy.clone(), move |peer| {
-                    for (key, value) in seeds {
-                        peer.seed_state(key, value);
-                    }
-                })
-                .expect("a peer's own durable store recovers cleanly");
-            self.slots[p].persisted = recovery.peer.chain().height() - 1;
-            recovery.peer
-        } else {
-            let snapshot = self.slots[p]
-                .saved
+        let peer = match self.slots[p].store.as_ref() {
+            Some(store) => {
+                let seeds = self.seeds.clone();
+                store
+                    .recover_seeded(mk(), shared.policy.clone(), move |peer| {
+                        for (key, value) in seeds {
+                            peer.seed_state(key, value);
+                        }
+                    })
+                    .expect("a peer's own durable store recovers cleanly")
+                    .peer
+                    .with_pipeline(shared.validation)
+                    .with_channel(self.id)
+            }
+            None => self.slots[p]
+                .parked
                 .take()
-                .expect("restart follows a crash with a saved ledger");
-            Peer::restore(mk(), shared.policy.clone(), &snapshot)
-                .expect("a peer's own snapshot restores cleanly")
+                .expect("restart follows a crash that parked the replica"),
         };
-        self.slots[p].peer = Some(peer.with_pipeline(shared.validation).with_channel(self.id));
+        self.slots[p].peer = Some(peer);
         self.begin_catch_up(now, p);
     }
 

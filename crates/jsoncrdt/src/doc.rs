@@ -290,11 +290,6 @@ impl JsonCrdt {
         self.history.as_deref()
     }
 
-    /// Returns and resets the accumulated work counters.
-    pub fn take_work(&mut self) -> WorkStats {
-        std::mem::take(&mut self.work)
-    }
-
     /// The operations of this document's history a peer whose causal
     /// frontier is `frontier` has not yet observed, in application
     /// order — the incremental delta an offline-first client ships at
@@ -1003,14 +998,6 @@ mod tests {
             .unwrap()
             .units();
         assert!(big > small);
-    }
-
-    #[test]
-    fn take_work_resets() {
-        let mut doc = JsonCrdt::new(ReplicaId(1));
-        doc.merge_value(&v(r#"{"a":"1"}"#)).unwrap();
-        assert!(doc.take_work().units() > 0);
-        assert_eq!(doc.work().units(), 0);
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl Cursor {
         Cursor::default()
     }
 
-    /// Builds a cursor from elements.
-    pub fn from_elements(elements: Vec<CursorElement>) -> Self {
-        Cursor { elements }
-    }
-
     /// Appends a map-key step. Accepts `&str`, `String` or a shared
     /// `Arc<str>` (pass an interned key on hot paths to avoid the
     /// allocation).

@@ -55,71 +55,98 @@ impl Error for DecodeError {}
 
 // ---------------------------------------------------------------- writer
 
-pub(crate) struct Writer {
-    pub(crate) buf: Vec<u8>,
+/// The write half of the ledger's one byte cursor: big-endian `u64`s,
+/// `u64`-length-prefixed byte strings. Public so formats layered on
+/// ledger bytes (the fabric layer's frontier table inside a
+/// [`LedgerSnapshot`](crate::store::LedgerSnapshot)) are written by the
+/// same code as blocks and snapshots.
+#[derive(Debug, Default)]
+pub struct Writer {
+    /// Everything written so far.
+    pub buf: Vec<u8>,
 }
 
 impl Writer {
-    pub(crate) fn new() -> Self {
-        Writer { buf: Vec::new() }
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Appends a big-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub(crate) fn bytes(&mut self, v: &[u8]) {
+    /// Appends a `u64` length, then the bytes.
+    pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
         self.buf.extend_from_slice(v);
     }
 
-    pub(crate) fn str(&mut self, v: &str) {
+    /// Appends a string as its UTF-8 [`Writer::bytes`].
+    pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 
-    pub(crate) fn digest(&mut self, v: &[u8; 32]) {
+    /// Appends a 32-byte digest, unprefixed.
+    pub fn digest(&mut self, v: &[u8; 32]) {
         self.buf.extend_from_slice(v);
     }
 }
 
 // ---------------------------------------------------------------- reader
 
-pub(crate) struct Reader<'a> {
+/// The read half: every method is total on hostile input — it returns
+/// a [`DecodeError`] carrying the offset it stopped at, never panics,
+/// and never allocates more than the input it was handed.
+#[derive(Debug)]
+pub struct Reader<'a> {
     data: &'a [u8],
-    pub(crate) pos: usize,
+    pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
+    /// A reader at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
         Reader { data, pos: 0 }
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, DecodeError> {
-        let b = *self
-            .data
-            .get(self.pos)
-            .ok_or(DecodeError::new("unexpected end of input", self.pos))?;
-        self.pos += 1;
-        Ok(b)
+    /// Offset of the next unread byte — the context a caller's own
+    /// [`DecodeError`] should carry.
+    pub fn pos(&self) -> usize {
+        self.pos
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
-        let end = self.pos + 8;
+    /// The next `n` bytes, borrowed.
+    fn take(&mut self, n: usize, what: &'static str, at: usize) -> Result<&'a [u8], DecodeError> {
         let slice = self
-            .data
-            .get(self.pos..end)
-            .ok_or(DecodeError::new("unexpected end of input", self.pos))?;
-        self.pos = end;
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.data.get(self.pos..end))
+            .ok_or(DecodeError::new(what, at))?;
+        self.pos += n;
+        Ok(slice)
+    }
+
+    /// Reads one byte.
+    pub fn u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1, "unexpected end of input", self.pos)?[0])
+    }
+
+    /// Reads a big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, DecodeError> {
+        let slice = self.take(8, "unexpected end of input", self.pos)?;
         Ok(u64::from_be_bytes(slice.try_into().expect("8 bytes")))
     }
 
     /// Length read for a collection; bounded by remaining input so a
     /// corrupt length cannot trigger huge allocations.
-    pub(crate) fn len(&mut self, min_item_size: usize) -> Result<usize, DecodeError> {
+    pub fn len(&mut self, min_item_size: usize) -> Result<usize, DecodeError> {
         let at = self.pos;
         let n = self.u64()? as usize;
         let remaining = self.data.len() - self.pos;
@@ -129,34 +156,27 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    /// Reads a `u64`-length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let at = self.pos;
         let n = self.u64()? as usize;
-        let end = self.pos + n;
-        let slice = self
-            .data
-            .get(self.pos..end)
-            .ok_or(DecodeError::new("byte string exceeds input", at))?;
-        self.pos = end;
-        Ok(slice.to_vec())
+        Ok(self.take(n, "byte string exceeds input", at)?.to_vec())
     }
 
-    pub(crate) fn str(&mut self) -> Result<String, DecodeError> {
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn str(&mut self) -> Result<String, DecodeError> {
         let at = self.pos;
         String::from_utf8(self.bytes()?).map_err(|_| DecodeError::new("invalid UTF-8", at))
     }
 
-    pub(crate) fn digest(&mut self) -> Result<[u8; 32], DecodeError> {
-        let end = self.pos + 32;
-        let slice = self
-            .data
-            .get(self.pos..end)
-            .ok_or(DecodeError::new("unexpected end of input", self.pos))?;
-        self.pos = end;
+    /// Reads an unprefixed 32-byte digest.
+    pub fn digest(&mut self) -> Result<[u8; 32], DecodeError> {
+        let slice = self.take(32, "unexpected end of input", self.pos)?;
         Ok(slice.try_into().expect("32 bytes"))
     }
 
-    pub(crate) fn finish(&self) -> Result<(), DecodeError> {
+    /// Succeeds only at the end of the input.
+    pub fn finish(&self) -> Result<(), DecodeError> {
         if self.pos != self.data.len() {
             return Err(DecodeError::new("trailing bytes after value", self.pos));
         }
@@ -277,7 +297,7 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<ReadWriteSet, DecodeError> {
         let version = match r.u8()? {
             0 => None,
             1 => Some(Height::new(r.u64()?, r.u64()?)),
-            _ => return Err(DecodeError::new("invalid version marker", r.pos - 1)),
+            _ => return Err(DecodeError::new("invalid version marker", r.pos() - 1)),
         };
         rwset.reads.record(key, version);
     }
@@ -286,7 +306,7 @@ fn read_rwset(r: &mut Reader<'_>) -> Result<ReadWriteSet, DecodeError> {
         let key = r.str()?;
         let flags = r.u8()?;
         if flags > 3 {
-            return Err(DecodeError::new("invalid write flags", r.pos - 1));
+            return Err(DecodeError::new("invalid write flags", r.pos() - 1));
         }
         let value = r.bytes()?;
         let entry_is_crdt = flags & 1 != 0;
@@ -342,7 +362,7 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
 fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     let version = r.u8()?;
     if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos - 1));
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let number = r.u64()?;
     let previous_hash = r.digest()?;
@@ -355,7 +375,7 @@ fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     let code_count = r.len(1)?;
     let mut validation_codes = Vec::with_capacity(code_count);
     for _ in 0..code_count {
-        let at = r.pos;
+        let at = r.pos();
         validation_codes.push(code_from_byte(r.u8()?, at)?);
     }
     Ok(Block {
@@ -393,7 +413,7 @@ pub fn decode_state(data: &[u8]) -> Result<crate::worldstate::WorldState, Decode
     let mut r = Reader::new(data);
     let version = r.u8()?;
     if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos - 1));
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let count = r.len(25)?;
     let mut state = crate::worldstate::WorldState::new();
@@ -418,20 +438,20 @@ pub fn decode_chain(data: &[u8]) -> Result<Blockchain, DecodeError> {
     let mut r = Reader::new(data);
     let version = r.u8()?;
     if version != CHAIN_FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos - 1));
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let base_number = r.u64()?;
     let base_hash = r.digest()?;
     if base_number == 0 && base_hash != Blockchain::GENESIS_PREVIOUS_HASH {
         return Err(DecodeError::new(
             "non-genesis anchor at height 0",
-            r.pos - 32,
+            r.pos() - 32,
         ));
     }
     let count = r.len(80)?;
     let mut chain = Blockchain::resume(base_number, base_hash);
     for _ in 0..count {
-        let at = r.pos;
+        let at = r.pos();
         let block_bytes = r.bytes()?;
         let block = decode_block(&block_bytes)?;
         chain
@@ -475,7 +495,7 @@ pub fn decode_history(data: &[u8]) -> Result<crate::history::HistoryDb, DecodeEr
     let mut r = Reader::new(data);
     let version = r.u8()?;
     if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos - 1));
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let key_count = r.len(25)?;
     let mut history = crate::history::HistoryDb::new();
@@ -488,12 +508,12 @@ pub fn decode_history(data: &[u8]) -> Result<crate::history::HistoryDb, DecodeEr
             let value = match r.u8()? {
                 0 => None,
                 1 => Some(r.bytes()?),
-                _ => return Err(DecodeError::new("invalid value marker", r.pos - 1)),
+                _ => return Err(DecodeError::new("invalid value marker", r.pos() - 1)),
             };
             entries.push(crate::history::HistoryEntry { height, value });
         }
         if entries.is_empty() {
-            return Err(DecodeError::new("history key without entries", r.pos));
+            return Err(DecodeError::new("history key without entries", r.pos()));
         }
         history.insert_entries(key, entries);
     }
@@ -523,7 +543,7 @@ pub fn decode_txids(data: &[u8]) -> Result<Vec<TxId>, DecodeError> {
     let mut r = Reader::new(data);
     let version = r.u8()?;
     if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos - 1));
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let count = r.len(32)?;
     let mut ids = Vec::with_capacity(count);

@@ -87,11 +87,6 @@ impl HistoryDb {
         self.entries.len()
     }
 
-    /// Total modifications recorded.
-    pub fn total_entries(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
-    }
-
     /// Iterates `(key, entries)` in key order (for snapshot encoding).
     pub fn iter(&self) -> impl Iterator<Item = (&String, &[HistoryEntry])> {
         self.entries.iter().map(|(k, v)| (k, v.as_slice()))
@@ -176,7 +171,6 @@ mod tests {
         block.validation_codes = vec![ValidationCode::Valid, ValidationCode::MvccConflict];
         db.record_block(&block);
         assert_eq!(db.history("k").len(), 1);
-        assert_eq!(db.total_entries(), 1);
     }
 
     #[test]

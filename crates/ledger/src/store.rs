@@ -4,10 +4,10 @@
 //! and rebuild the state and history indexes by replay (Androulaki et
 //! al. §4.4). This module provides the equivalent seam for the
 //! simulated peers: a [`LedgerStore`] trait with two backends —
-//! [`MemoryStore`] (the status quo, now behind the trait) and
-//! [`AofStore`], a real append-only file with length-prefixed records,
-//! a content-hash footer per record, and truncate-on-torn-tail
-//! recovery.
+//! [`MemoryStore`], one in-memory record log, and [`AofStore`], that
+//! same log mirrored to a real append-only file with length-prefixed
+//! records, a content-hash footer per record, and
+//! truncate-on-torn-tail recovery.
 //!
 //! A store holds two record kinds:
 //!
@@ -245,30 +245,36 @@ pub trait LedgerStore: Send {
     /// Returns a [`StoreError`] when records cannot be read back.
     fn load(&self) -> Result<StoredLedger, StoreError>;
 
-    /// Whether the store retains a block record numbered `number`.
-    /// Backends answer this from their in-memory record index, so
-    /// callers (e.g. gossip anti-entropy candidate selection) can probe
-    /// cheaply without decoding the whole store.
-    fn has_block(&self, number: u64) -> bool {
-        self.load()
-            .map(|stored| stored.blocks.iter().any(|b| b.header.number == number))
-            .unwrap_or(false)
-    }
+    /// Whether the store retains a block record numbered `number`,
+    /// answered from the record index without decoding anything — how
+    /// gossip anti-entropy picks helpers cheaply.
+    fn has_block(&self, number: u64) -> bool;
+
+    /// The store's head, answered from the record index without
+    /// decoding a block: the highest block number any record names (a
+    /// block record's number or a snapshot's `last_block`; 0 for an
+    /// empty store) and the latest snapshot. Compaction never lowers
+    /// the number — it always keeps the latest snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StoreError`] when the snapshot cannot be read back.
+    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError>;
 }
 
 // ------------------------------------------------------------- memory
 
-/// The in-memory backend: record bytes held in vectors. This is the
-/// pre-existing "everything lives in memory" behaviour behind the
-/// [`LedgerStore`] seam — records are still *encoded*, so both backends
+/// One indexed record: kind tag, marker (a block's number or a
+/// snapshot's `last_block`) and the encoded payload.
+type Record = (u8, u64, Vec<u8>);
+
+/// The in-memory backend, and the record index of [`AofStore`]: every
+/// record in append order. Records are held *encoded*, so both backends
 /// exercise the same codec path and [`LedgerStore::load`] is equally
-/// lossy-or-faithful for both.
+/// faithful for both.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    /// `(block number, encoded block)` in append order.
-    blocks: Vec<(u64, Vec<u8>)>,
-    /// `(last_block, encoded snapshot)` in append order.
-    snapshots: Vec<(u64, Vec<u8>)>,
+    records: Vec<Record>,
 }
 
 impl MemoryStore {
@@ -276,67 +282,101 @@ impl MemoryStore {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-fn latest_snapshot(snapshots: &[(u64, Vec<u8>)]) -> Option<&(u64, Vec<u8>)> {
-    snapshots
-        .iter()
-        .enumerate()
-        .max_by_key(|(i, (last_block, _))| (*last_block, *i))
-        .map(|(_, entry)| entry)
+    /// Index of the latest snapshot record: highest `last_block`,
+    /// append order breaking ties.
+    fn latest_snapshot(&self) -> Option<usize> {
+        self.records
+            .iter()
+            .enumerate()
+            .filter(|(_, (kind, _, _))| *kind == KIND_SNAPSHOT)
+            .max_by_key(|(i, (_, marker, _))| (*marker, *i))
+            .map(|(i, _)| i)
+    }
+
+    /// Which records `compact_up_to(block_num)` keeps, by position: the
+    /// latest snapshot and every block above the floor (`block_num`
+    /// clamped to that snapshot). `None` when there is no snapshot or
+    /// nothing to drop.
+    fn keep_set(&self, block_num: u64) -> Option<Vec<bool>> {
+        let latest = self.latest_snapshot()?;
+        let floor = block_num.min(self.records[latest].1);
+        let keep: Vec<bool> = self
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, (kind, marker, _))| match *kind {
+                KIND_SNAPSHOT => i == latest,
+                _ => *marker > floor,
+            })
+            .collect();
+        keep.contains(&false).then_some(keep)
+    }
+
+    /// Drops the records `keep` marks false, returning how many of them
+    /// were blocks.
+    fn retain(&mut self, keep: &[bool]) -> u64 {
+        let mut dropped_blocks = 0;
+        let mut flags = keep.iter();
+        self.records.retain(|(kind, _, _)| {
+            let keep = *flags.next().expect("one flag per record");
+            dropped_blocks += u64::from(!keep && *kind == KIND_BLOCK);
+            keep
+        });
+        dropped_blocks
+    }
 }
 
 impl LedgerStore for MemoryStore {
     fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
-        self.blocks
-            .push((block.header.number, codec::encode_block(block)));
+        let payload = codec::encode_block(block);
+        self.records
+            .push((KIND_BLOCK, block.header.number, payload));
         Ok(())
     }
 
     fn put_snapshot(&mut self, snapshot: &LedgerSnapshot) -> Result<(), StoreError> {
-        self.snapshots
-            .push((snapshot.last_block, snapshot.to_bytes()));
+        self.records
+            .push((KIND_SNAPSHOT, snapshot.last_block, snapshot.to_bytes()));
         Ok(())
     }
 
     fn compact_up_to(&mut self, block_num: u64) -> Result<u64, StoreError> {
-        let Some(&(snapshot_block, _)) = latest_snapshot(&self.snapshots) else {
-            return Ok(0);
-        };
-        let floor = block_num.min(snapshot_block);
-        let before = self.blocks.len();
-        self.blocks.retain(|(number, _)| *number > floor);
-        if self.snapshots.len() > 1 {
-            let keep = latest_snapshot(&self.snapshots).expect("non-empty").clone();
-            self.snapshots = vec![keep];
-        }
-        Ok((before - self.blocks.len()) as u64)
+        Ok(self
+            .keep_set(block_num)
+            .map_or(0, |keep| self.retain(&keep)))
     }
 
     fn load(&self) -> Result<StoredLedger, StoreError> {
-        let snapshot = latest_snapshot(&self.snapshots)
-            .map(|(_, bytes)| LedgerSnapshot::from_bytes(bytes))
-            .transpose()?;
         let blocks = self
-            .blocks
+            .records
             .iter()
-            .map(|(_, bytes)| codec::decode_block(bytes))
+            .filter(|(kind, _, _)| *kind == KIND_BLOCK)
+            .map(|(_, _, payload)| codec::decode_block(payload))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(StoredLedger { snapshot, blocks })
+        Ok(StoredLedger {
+            snapshot: self.head()?.1,
+            blocks,
+        })
     }
 
     fn has_block(&self, number: u64) -> bool {
-        self.blocks.iter().any(|(n, _)| *n == number)
+        self.records
+            .iter()
+            .any(|(kind, marker, _)| *kind == KIND_BLOCK && *marker == number)
+    }
+
+    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError> {
+        let tip = self.records.iter().map(|r| r.1).max().unwrap_or(0);
+        let snapshot = self
+            .latest_snapshot()
+            .map(|i| LedgerSnapshot::from_bytes(&self.records[i].2))
+            .transpose()?;
+        Ok((tip, snapshot))
     }
 }
 
 // ------------------------------------------------------------ aof file
-
-/// One structurally valid record scanned out of an append-only file.
-struct RawRecord {
-    kind: u8,
-    payload: Vec<u8>,
-}
 
 /// The total frame length the record header at `pos` claims, when the
 /// header itself is plausible (valid kind tag, in-range length) and
@@ -370,7 +410,8 @@ fn frame_at(data: &[u8], pos: usize) -> Option<usize> {
 }
 
 /// Scans `data` as a sequence of records, returning the decodable
-/// prefix and its byte length. Anything after the first short, corrupt
+/// prefix (each record with the marker its one decode yields) and its
+/// byte length. Anything after the first short, corrupt
 /// or undecodable record is a torn tail — *unless* a structurally
 /// valid record follows the bad one, which a crashed append cannot
 /// produce: that is in-place corruption and comes back as
@@ -378,7 +419,7 @@ fn frame_at(data: &[u8], pos: usize) -> Option<usize> {
 /// discarded. (Corruption that destroys the record *header* leaves no
 /// trustworthy claimed length to probe past, so it still recovers as
 /// a torn tail.)
-fn scan_records(data: &[u8]) -> Result<(Vec<RawRecord>, usize), StoreError> {
+fn scan_records(data: &[u8]) -> Result<(Vec<Record>, usize), StoreError> {
     let mut records = Vec::new();
     let mut pos = 0;
     while pos < data.len() {
@@ -398,20 +439,17 @@ fn scan_records(data: &[u8]) -> Result<(Vec<RawRecord>, usize), StoreError> {
         // Structural checks passed; the payload must also decode, so a
         // record written by a buggy or mismatched writer is treated as
         // the torn tail rather than poisoning recovery later.
-        let decodes = match kind {
-            KIND_BLOCK => codec::decode_block(payload).is_ok(),
-            _ => LedgerSnapshot::from_bytes(payload).is_ok(),
+        let marker = match kind {
+            KIND_BLOCK => codec::decode_block(payload).map(|b| b.header.number),
+            _ => LedgerSnapshot::from_bytes(payload).map(|s| s.last_block),
         };
-        if !decodes {
+        let Ok(marker) = marker else {
             if frame_at(data, pos + total).is_some() {
                 return Err(StoreError::CorruptRecord { offset: pos as u64 });
             }
             break;
-        }
-        records.push(RawRecord {
-            kind,
-            payload: payload.to_vec(),
-        });
+        };
+        records.push((kind, marker, payload.to_vec()));
         pos += total;
     }
     Ok((records, pos))
@@ -425,7 +463,12 @@ fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(&digest(payload)[..FOOTER_LEN]);
 }
 
-/// The append-only-file backend: one file of self-validating records.
+/// The append-only-file backend: a [`MemoryStore`] with one file of
+/// self-validating records behind it. Every record is written to the
+/// file before it enters the in-memory log, and the log is rebuilt from
+/// the file at open — so reads ([`LedgerStore::load`],
+/// [`LedgerStore::has_block`], [`LedgerStore::head`]) never touch the
+/// file, at the price of holding every retained payload in RAM.
 ///
 /// See the [module docs](self) for the record layout and the
 /// durability model.
@@ -433,10 +476,8 @@ fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
 pub struct AofStore {
     path: PathBuf,
     file: fs::File,
-    /// `(block number, byte offset in records)` index rebuilt at open
-    /// and maintained on append — compaction and load never rescan for
-    /// structure, only re-read payloads.
-    records: Vec<(u8, u64, Vec<u8>)>,
+    /// What the file holds, record for record.
+    log: MemoryStore,
     /// When set, every append (and every compaction rewrite) is
     /// `fsync`ed before the call returns.
     fsync: bool,
@@ -475,36 +516,17 @@ impl AofStore {
             .map_err(|e| io_err("open", e))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data).map_err(|e| io_err("read", e))?;
-        let (raw, valid_len) = scan_records(&data)?;
+        let (records, valid_len) = scan_records(&data)?;
         if valid_len < data.len() {
             file.set_len(valid_len as u64)
                 .map_err(|e| io_err("truncate", e))?;
         }
         file.seek(SeekFrom::Start(valid_len as u64))
             .map_err(|e| io_err("seek", e))?;
-        let records = raw
-            .into_iter()
-            .map(|r| {
-                let marker = match r.kind {
-                    KIND_BLOCK => {
-                        codec::decode_block(&r.payload)
-                            .expect("scan validated payload")
-                            .header
-                            .number
-                    }
-                    _ => {
-                        LedgerSnapshot::from_bytes(&r.payload)
-                            .expect("scan validated payload")
-                            .last_block
-                    }
-                };
-                (r.kind, marker, r.payload)
-            })
-            .collect();
         Ok(AofStore {
             path,
             file,
-            records,
+            log: MemoryStore { records },
             fsync,
         })
     }
@@ -529,16 +551,8 @@ impl AofStore {
         if self.fsync {
             self.file.sync_data().map_err(|e| io_err("fsync", e))?;
         }
-        self.records.push((kind, marker, payload));
+        self.log.records.push((kind, marker, payload));
         Ok(())
-    }
-
-    fn latest_snapshot_block(&self) -> Option<u64> {
-        self.records
-            .iter()
-            .filter(|(kind, _, _)| *kind == KIND_SNAPSHOT)
-            .map(|(_, marker, _)| *marker)
-            .max()
     }
 }
 
@@ -552,37 +566,14 @@ impl LedgerStore for AofStore {
     }
 
     fn compact_up_to(&mut self, block_num: u64) -> Result<u64, StoreError> {
-        let Some(snapshot_block) = self.latest_snapshot_block() else {
+        let Some(keep) = self.log.keep_set(block_num) else {
             return Ok(0);
         };
-        let floor = block_num.min(snapshot_block);
-        // Keep the latest snapshot record and every block above the
-        // floor, preserving append order.
-        let latest_snapshot_index = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, (kind, _, _))| *kind == KIND_SNAPSHOT)
-            .max_by_key(|(i, (_, marker, _))| (*marker, *i))
-            .map(|(i, _)| i)
-            .expect("snapshot exists");
-        let keep = |i: usize, (kind, marker, _): &(u8, u64, Vec<u8>)| match *kind {
-            KIND_SNAPSHOT => i == latest_snapshot_index,
-            _ => *marker > floor,
-        };
-        if self.records.iter().enumerate().all(|(i, r)| keep(i, r)) {
-            return Ok(0);
-        }
-        // The new file's bytes, framed in place: `self.records` describes
-        // the old file until the new one is renamed over it and reopened.
+        // The new file's bytes, framed in place: the log describes the
+        // old file until the new one is renamed over it and reopened.
         let mut image = Vec::new();
-        let mut dropped_blocks = 0u64;
-        for (i, record) in self.records.iter().enumerate() {
-            if keep(i, record) {
-                encode_record(&mut image, record.0, &record.2);
-            } else if record.0 == KIND_BLOCK {
-                dropped_blocks += 1;
-            }
+        for ((kind, _, payload), _) in self.log.records.iter().zip(&keep).filter(|(_, k)| **k) {
+            encode_record(&mut image, *kind, payload);
         }
         // Rewrite through a temp file + rename so a crash mid-compaction
         // leaves either the old or the new file, never a hybrid.
@@ -604,39 +595,19 @@ impl LedgerStore for AofStore {
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("compact-seek", e))?;
         self.file = file;
-        let mut next = 0;
-        self.records.retain(|record| {
-            next += 1;
-            keep(next - 1, record)
-        });
-        Ok(dropped_blocks)
+        Ok(self.log.retain(&keep))
     }
 
     fn load(&self) -> Result<StoredLedger, StoreError> {
-        let latest = self
-            .records
-            .iter()
-            .enumerate()
-            .filter(|(_, (kind, _, _))| *kind == KIND_SNAPSHOT)
-            .max_by_key(|(i, (_, marker, _))| (*marker, *i))
-            .map(|(_, (_, _, payload))| LedgerSnapshot::from_bytes(payload))
-            .transpose()?;
-        let blocks = self
-            .records
-            .iter()
-            .filter(|(kind, _, _)| *kind == KIND_BLOCK)
-            .map(|(_, _, payload)| codec::decode_block(payload))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StoredLedger {
-            snapshot: latest,
-            blocks,
-        })
+        self.log.load()
     }
 
     fn has_block(&self, number: u64) -> bool {
-        self.records
-            .iter()
-            .any(|(kind, marker, _)| *kind == KIND_BLOCK && *marker == number)
+        self.log.has_block(number)
+    }
+
+    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError> {
+        self.log.head()
     }
 }
 
@@ -652,360 +623,4 @@ pub fn blocks_by_number(blocks: Vec<Block>) -> BTreeMap<u64, Block> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::chain::Blockchain;
-    use crate::rwset::ReadWriteSet;
-    use crate::transaction::{Transaction, TxId};
-    use fabriccrdt_crypto::Identity;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_path(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "fabriccrdt-store-{}-{tag}-{unique}.aof",
-            std::process::id()
-        ))
-    }
-
-    fn tx(n: u64) -> Transaction {
-        let client = Identity::new("client", "org1");
-        let mut rwset = ReadWriteSet::new();
-        rwset.writes.put(format!("k{n}"), vec![n as u8; 4]);
-        Transaction {
-            id: TxId::derive(&client, n, "cc"),
-            client,
-            chaincode: "cc".into(),
-            rwset,
-            endorsements: Vec::new(),
-        }
-    }
-
-    /// A small, properly chained block sequence (numbers 0..count).
-    fn chained_blocks(count: u64) -> Vec<Block> {
-        let mut chain = Blockchain::new();
-        for n in 0..count {
-            let block = Block::assemble(n, chain.tip_hash(), vec![tx(n + 1)]);
-            chain.append(block).unwrap();
-        }
-        chain.iter().cloned().collect()
-    }
-
-    fn sample_snapshot(last_block: u64) -> LedgerSnapshot {
-        LedgerSnapshot {
-            last_block,
-            tip_hash: [last_block as u8; 32],
-            state: vec![1, 2, 3],
-            history: vec![4, 5],
-            committed_ids: vec![6],
-            frontiers: vec![7, 8, 9, 10],
-        }
-    }
-
-    #[test]
-    fn snapshot_byte_roundtrip() {
-        let snapshot = sample_snapshot(42);
-        let bytes = snapshot.to_bytes();
-        assert_eq!(bytes.len(), snapshot.encoded_len());
-        assert_eq!(LedgerSnapshot::from_bytes(&bytes).unwrap(), snapshot);
-        for cut in 0..bytes.len() {
-            assert!(LedgerSnapshot::from_bytes(&bytes[..cut]).is_err());
-        }
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 99;
-        assert!(LedgerSnapshot::from_bytes(&wrong_version).is_err());
-    }
-
-    #[test]
-    fn memory_store_roundtrip_and_compaction() {
-        let mut store = MemoryStore::new();
-        let blocks = chained_blocks(6);
-        for block in &blocks {
-            store.append_block(block).unwrap();
-        }
-        // No snapshot yet: compaction refuses to drop anything.
-        assert_eq!(store.compact_up_to(100).unwrap(), 0);
-        assert_eq!(store.load().unwrap().blocks, blocks);
-
-        store.put_snapshot(&sample_snapshot(3)).unwrap();
-        // Clamped to the snapshot even when asked for more.
-        assert_eq!(store.compact_up_to(100).unwrap(), 4);
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.snapshot.unwrap().last_block, 3);
-        assert_eq!(loaded.blocks, blocks[4..].to_vec());
-    }
-
-    #[test]
-    fn latest_snapshot_wins() {
-        let mut store = MemoryStore::new();
-        store.put_snapshot(&sample_snapshot(2)).unwrap();
-        store.put_snapshot(&sample_snapshot(5)).unwrap();
-        store.put_snapshot(&sample_snapshot(4)).unwrap();
-        assert_eq!(store.load().unwrap().snapshot.unwrap().last_block, 5);
-    }
-
-    #[test]
-    fn aof_roundtrip_across_reopen() {
-        let path = temp_path("roundtrip");
-        let blocks = chained_blocks(4);
-        {
-            let mut store = AofStore::open(&path).unwrap();
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-            store.put_snapshot(&sample_snapshot(1)).unwrap();
-        }
-        let store = AofStore::open(&path).unwrap();
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.blocks, blocks);
-        assert_eq!(loaded.snapshot.unwrap(), sample_snapshot(1));
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_truncates_torn_tail_and_stays_appendable() {
-        let path = temp_path("torn");
-        let blocks = chained_blocks(3);
-        {
-            let mut store = AofStore::open(&path).unwrap();
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-        }
-        // Simulate a crash mid-append: chop bytes off the last record.
-        let full = fs::read(&path).unwrap();
-        fs::write(&path, &full[..full.len() - 5]).unwrap();
-        {
-            let mut store = AofStore::open(&path).unwrap();
-            let loaded = store.load().unwrap();
-            assert_eq!(loaded.blocks, blocks[..2].to_vec());
-            // The torn bytes are gone from disk, and appends resume
-            // cleanly at the truncation point.
-            store.append_block(&blocks[2]).unwrap();
-        }
-        let store = AofStore::open(&path).unwrap();
-        assert_eq!(store.load().unwrap().blocks, blocks);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_rejects_flipped_footer_bytes() {
-        let path = temp_path("footer");
-        let blocks = chained_blocks(2);
-        {
-            let mut store = AofStore::open(&path).unwrap();
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-        }
-        let mut bytes = fs::read(&path).unwrap();
-        // Flip a payload byte of the *last* record: its footer no
-        // longer matches, so recovery truncates that record away.
-        let len = bytes.len();
-        bytes[len - FOOTER_LEN - 1] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        let store = AofStore::open(&path).unwrap();
-        assert_eq!(store.load().unwrap().blocks, blocks[..1].to_vec());
-        assert_eq!(
-            fs::metadata(&path).unwrap().len() as usize,
-            bytes.len() - (HEADER_LEN + codec::encode_block(&blocks[1]).len() + FOOTER_LEN)
-        );
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_mid_file_corruption_is_a_typed_error_not_truncation() {
-        let path = temp_path("midfile");
-        let blocks = chained_blocks(3);
-        {
-            let mut store = AofStore::open(&path).unwrap();
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-        }
-        let pristine = fs::read(&path).unwrap();
-        let first_frame = HEADER_LEN + codec::encode_block(&blocks[0]).len() + FOOTER_LEN;
-
-        // Flip a payload byte of the *first* record: two intact
-        // records still follow, so this is in-place corruption and
-        // open must refuse rather than truncate the whole file away.
-        let mut bytes = pristine.clone();
-        bytes[HEADER_LEN] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(
-            AofStore::open(&path).unwrap_err(),
-            StoreError::CorruptRecord { offset: 0 }
-        );
-        // The failed open left the file untouched for forensics.
-        assert_eq!(fs::read(&path).unwrap(), bytes);
-
-        // Same for a corrupt *middle* record — the error names its
-        // byte offset.
-        let mut bytes = pristine.clone();
-        bytes[first_frame + HEADER_LEN] ^= 0xff;
-        fs::write(&path, &bytes).unwrap();
-        assert_eq!(
-            AofStore::open(&path).unwrap_err(),
-            StoreError::CorruptRecord {
-                offset: first_frame as u64
-            }
-        );
-
-        // The pristine file still opens to all three blocks.
-        fs::write(&path, &pristine).unwrap();
-        assert_eq!(
-            AofStore::open(&path).unwrap().load().unwrap().blocks,
-            blocks
-        );
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_garbage_file_recovers_to_empty() {
-        let path = temp_path("garbage");
-        fs::write(&path, b"this was never an aof").unwrap();
-        let mut store = AofStore::open(&path).unwrap();
-        assert_eq!(store.load().unwrap().blocks, Vec::<Block>::new());
-        assert_eq!(fs::metadata(&path).unwrap().len(), 0);
-        // Still usable after recovery.
-        let blocks = chained_blocks(1);
-        store.append_block(&blocks[0]).unwrap();
-        assert_eq!(store.load().unwrap().blocks, blocks);
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_compaction_drops_covered_blocks() {
-        let path = temp_path("compact");
-        let blocks = chained_blocks(6);
-        let mut store = AofStore::open(&path).unwrap();
-        for block in &blocks {
-            store.append_block(block).unwrap();
-        }
-        assert_eq!(store.compact_up_to(100).unwrap(), 0, "no snapshot yet");
-        store.put_snapshot(&sample_snapshot(2)).unwrap();
-        store.put_snapshot(&sample_snapshot(4)).unwrap();
-        let before = fs::metadata(&path).unwrap().len();
-        assert_eq!(store.compact_up_to(4).unwrap(), 5);
-        assert!(fs::metadata(&path).unwrap().len() < before);
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.snapshot.unwrap().last_block, 4);
-        assert_eq!(loaded.blocks, blocks[5..].to_vec());
-        drop(store);
-        // The compacted file reopens to the same contents.
-        let reopened = AofStore::open(&path).unwrap();
-        let loaded = reopened.load().unwrap();
-        assert_eq!(loaded.snapshot.unwrap().last_block, 4);
-        assert_eq!(loaded.blocks, blocks[5..].to_vec());
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
-        let path = temp_path("compact-fails");
-        let blocks = chained_blocks(5);
-        let mut store = AofStore::open(&path).unwrap();
-        for block in &blocks[..4] {
-            store.append_block(block).unwrap();
-        }
-        store.put_snapshot(&sample_snapshot(2)).unwrap();
-        let before = store.load().unwrap();
-        // A directory squatting on the temp path fails the rewrite.
-        let squatter = path.with_extension("compact-tmp");
-        fs::create_dir(&squatter).unwrap();
-        assert!(store.compact_up_to(2).is_err());
-        assert_eq!(store.load().unwrap(), before);
-        // ... and the handle still appends after its last record.
-        store.append_block(&blocks[4]).unwrap();
-        let reopened = AofStore::open(&path).unwrap().load().unwrap();
-        assert_eq!(reopened.blocks, blocks);
-        fs::remove_dir(&squatter).unwrap();
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_fsync_mode_survives_simulated_crash_reopen() {
-        let path = temp_path("fsync");
-        let blocks = chained_blocks(5);
-        {
-            let mut store = AofStore::open_with_fsync(&path, true).unwrap();
-            assert!(store.fsync_enabled());
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-            store.put_snapshot(&sample_snapshot(2)).unwrap();
-            assert_eq!(store.compact_up_to(2).unwrap(), 3);
-            // Simulated crash: drop the handle with no clean shutdown.
-        }
-        let store = AofStore::open(&path).unwrap();
-        let loaded = store.load().unwrap();
-        assert_eq!(loaded.snapshot.unwrap().last_block, 2);
-        assert_eq!(loaded.blocks, blocks[3..].to_vec());
-        // The fsynced file is byte-for-byte what the non-fsync mode
-        // writes — the flag changes durability, not the format.
-        let other = temp_path("fsync-mirror");
-        {
-            let mut store = AofStore::open(&other).unwrap();
-            for block in &blocks {
-                store.append_block(block).unwrap();
-            }
-            store.put_snapshot(&sample_snapshot(2)).unwrap();
-            store.compact_up_to(2).unwrap();
-        }
-        assert_eq!(fs::read(&path).unwrap(), fs::read(&other).unwrap());
-        fs::remove_file(&path).unwrap();
-        fs::remove_file(&other).unwrap();
-    }
-
-    #[test]
-    fn has_block_probes_record_index() {
-        let path = temp_path("hasblock");
-        let blocks = chained_blocks(4);
-        let mut aof = AofStore::open(&path).unwrap();
-        let mut memory = MemoryStore::new();
-        for block in &blocks {
-            aof.append_block(block).unwrap();
-            memory.append_block(block).unwrap();
-        }
-        aof.put_snapshot(&sample_snapshot(1)).unwrap();
-        memory.put_snapshot(&sample_snapshot(1)).unwrap();
-        aof.compact_up_to(1).unwrap();
-        memory.compact_up_to(1).unwrap();
-        for n in 0..5 {
-            assert_eq!(aof.has_block(n), (2..=3).contains(&n), "aof block {n}");
-            assert_eq!(aof.has_block(n), memory.has_block(n), "backends agree");
-        }
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn aof_and_memory_agree() {
-        let path = temp_path("agree");
-        let blocks = chained_blocks(5);
-        let mut aof = AofStore::open(&path).unwrap();
-        let mut memory = MemoryStore::new();
-        for block in &blocks {
-            aof.append_block(block).unwrap();
-            memory.append_block(block).unwrap();
-        }
-        aof.put_snapshot(&sample_snapshot(2)).unwrap();
-        memory.put_snapshot(&sample_snapshot(2)).unwrap();
-        assert_eq!(
-            aof.compact_up_to(2).unwrap(),
-            memory.compact_up_to(2).unwrap()
-        );
-        assert_eq!(aof.load().unwrap(), memory.load().unwrap());
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn blocks_by_number_dedups_last_wins() {
-        let blocks = chained_blocks(3);
-        let mut doubled = blocks.clone();
-        doubled.extend(blocks.iter().cloned());
-        let by_number = blocks_by_number(doubled);
-        assert_eq!(by_number.len(), 3);
-        assert_eq!(by_number.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
-    }
-}
+mod tests;

@@ -1,0 +1,425 @@
+use super::*;
+use crate::chain::Blockchain;
+use crate::rwset::ReadWriteSet;
+use crate::transaction::{Transaction, TxId};
+use fabriccrdt_crypto::Identity;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+fn temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "fabriccrdt-store-{}-{tag}-{unique}.aof",
+        std::process::id()
+    ))
+}
+
+fn tx(n: u64) -> Transaction {
+    let client = Identity::new("client", "org1");
+    let mut rwset = ReadWriteSet::new();
+    rwset.writes.put(format!("k{n}"), vec![n as u8; 4]);
+    Transaction {
+        id: TxId::derive(&client, n, "cc"),
+        client,
+        chaincode: "cc".into(),
+        rwset,
+        endorsements: Vec::new(),
+    }
+}
+
+/// A small, properly chained block sequence (numbers 0..count).
+fn chained_blocks(count: u64) -> Vec<Block> {
+    let mut chain = Blockchain::new();
+    for n in 0..count {
+        let block = Block::assemble(n, chain.tip_hash(), vec![tx(n + 1)]);
+        chain.append(block).unwrap();
+    }
+    chain.iter().cloned().collect()
+}
+
+fn sample_snapshot(last_block: u64) -> LedgerSnapshot {
+    LedgerSnapshot {
+        last_block,
+        tip_hash: [last_block as u8; 32],
+        state: vec![1, 2, 3],
+        history: vec![4, 5],
+        committed_ids: vec![6],
+        frontiers: vec![7, 8, 9, 10],
+    }
+}
+
+#[test]
+fn snapshot_byte_roundtrip() {
+    let snapshot = sample_snapshot(42);
+    let bytes = snapshot.to_bytes();
+    assert_eq!(bytes.len(), snapshot.encoded_len());
+    assert_eq!(LedgerSnapshot::from_bytes(&bytes).unwrap(), snapshot);
+    for cut in 0..bytes.len() {
+        assert!(LedgerSnapshot::from_bytes(&bytes[..cut]).is_err());
+    }
+    let mut wrong_version = bytes.clone();
+    wrong_version[0] = 99;
+    assert!(LedgerSnapshot::from_bytes(&wrong_version).is_err());
+}
+
+#[test]
+fn memory_store_roundtrip_and_compaction() {
+    let mut store = MemoryStore::new();
+    assert_eq!(store.head().unwrap(), (0, None));
+    let blocks = chained_blocks(6);
+    for block in &blocks {
+        store.append_block(block).unwrap();
+    }
+    // No snapshot yet: compaction refuses to drop anything.
+    assert_eq!(store.compact_up_to(100).unwrap(), 0);
+    assert_eq!(store.load().unwrap().blocks, blocks);
+
+    store.put_snapshot(&sample_snapshot(3)).unwrap();
+    // Clamped to the snapshot even when asked for more.
+    assert_eq!(store.compact_up_to(100).unwrap(), 4);
+    let loaded = store.load().unwrap();
+    assert_eq!(loaded.snapshot.unwrap().last_block, 3);
+    assert_eq!(loaded.blocks, blocks[4..].to_vec());
+    // The head comes from the index: highest number any record names.
+    assert_eq!(store.head().unwrap(), (5, Some(sample_snapshot(3))));
+}
+
+#[test]
+fn latest_snapshot_wins() {
+    let mut store = MemoryStore::new();
+    store.put_snapshot(&sample_snapshot(2)).unwrap();
+    store.put_snapshot(&sample_snapshot(5)).unwrap();
+    store.put_snapshot(&sample_snapshot(4)).unwrap();
+    assert_eq!(store.load().unwrap().snapshot.unwrap().last_block, 5);
+    // A store of snapshots alone still has a head: the covered height.
+    assert_eq!(store.head().unwrap(), (5, Some(sample_snapshot(5))));
+}
+
+#[test]
+fn aof_roundtrip_across_reopen() {
+    let path = temp_path("roundtrip");
+    let blocks = chained_blocks(4);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+        store.put_snapshot(&sample_snapshot(1)).unwrap();
+    }
+    let store = AofStore::open(&path).unwrap();
+    let loaded = store.load().unwrap();
+    assert_eq!(loaded.blocks, blocks);
+    assert_eq!(loaded.snapshot.unwrap(), sample_snapshot(1));
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_truncates_torn_tail_and_stays_appendable() {
+    let path = temp_path("torn");
+    let blocks = chained_blocks(3);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+    }
+    // Simulate a crash mid-append: chop bytes off the last record.
+    let full = fs::read(&path).unwrap();
+    fs::write(&path, &full[..full.len() - 5]).unwrap();
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        let loaded = store.load().unwrap();
+        assert_eq!(loaded.blocks, blocks[..2].to_vec());
+        // The torn bytes are gone from disk, and appends resume
+        // cleanly at the truncation point.
+        store.append_block(&blocks[2]).unwrap();
+    }
+    let store = AofStore::open(&path).unwrap();
+    assert_eq!(store.load().unwrap().blocks, blocks);
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_rejects_flipped_footer_bytes() {
+    let path = temp_path("footer");
+    let blocks = chained_blocks(2);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+    }
+    let mut bytes = fs::read(&path).unwrap();
+    // Flip a payload byte of the *last* record: its footer no
+    // longer matches, so recovery truncates that record away.
+    let len = bytes.len();
+    bytes[len - FOOTER_LEN - 1] ^= 0xff;
+    fs::write(&path, &bytes).unwrap();
+    let store = AofStore::open(&path).unwrap();
+    assert_eq!(store.load().unwrap().blocks, blocks[..1].to_vec());
+    assert_eq!(
+        fs::metadata(&path).unwrap().len() as usize,
+        bytes.len() - (HEADER_LEN + codec::encode_block(&blocks[1]).len() + FOOTER_LEN)
+    );
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_mid_file_corruption_is_a_typed_error_not_truncation() {
+    let path = temp_path("midfile");
+    let blocks = chained_blocks(3);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+    }
+    let pristine = fs::read(&path).unwrap();
+    let first_frame = HEADER_LEN + codec::encode_block(&blocks[0]).len() + FOOTER_LEN;
+
+    // Flip a payload byte of the *first* record: two intact
+    // records still follow, so this is in-place corruption and
+    // open must refuse rather than truncate the whole file away.
+    let mut bytes = pristine.clone();
+    bytes[HEADER_LEN] ^= 0xff;
+    fs::write(&path, &bytes).unwrap();
+    assert_eq!(
+        AofStore::open(&path).unwrap_err(),
+        StoreError::CorruptRecord { offset: 0 }
+    );
+    // The failed open left the file untouched for forensics.
+    assert_eq!(fs::read(&path).unwrap(), bytes);
+
+    // Same for a corrupt *middle* record — the error names its
+    // byte offset.
+    let mut bytes = pristine.clone();
+    bytes[first_frame + HEADER_LEN] ^= 0xff;
+    fs::write(&path, &bytes).unwrap();
+    assert_eq!(
+        AofStore::open(&path).unwrap_err(),
+        StoreError::CorruptRecord {
+            offset: first_frame as u64
+        }
+    );
+
+    // The pristine file still opens to all three blocks.
+    fs::write(&path, &pristine).unwrap();
+    assert_eq!(
+        AofStore::open(&path).unwrap().load().unwrap().blocks,
+        blocks
+    );
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_garbage_file_recovers_to_empty() {
+    let path = temp_path("garbage");
+    fs::write(&path, b"this was never an aof").unwrap();
+    let mut store = AofStore::open(&path).unwrap();
+    assert_eq!(store.load().unwrap().blocks, Vec::<Block>::new());
+    assert_eq!(fs::metadata(&path).unwrap().len(), 0);
+    // Still usable after recovery.
+    let blocks = chained_blocks(1);
+    store.append_block(&blocks[0]).unwrap();
+    assert_eq!(store.load().unwrap().blocks, blocks);
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_compaction_drops_covered_blocks() {
+    let path = temp_path("compact");
+    let blocks = chained_blocks(6);
+    let mut store = AofStore::open(&path).unwrap();
+    for block in &blocks {
+        store.append_block(block).unwrap();
+    }
+    assert_eq!(store.compact_up_to(100).unwrap(), 0, "no snapshot yet");
+    store.put_snapshot(&sample_snapshot(2)).unwrap();
+    store.put_snapshot(&sample_snapshot(4)).unwrap();
+    let before = fs::metadata(&path).unwrap().len();
+    assert_eq!(store.compact_up_to(4).unwrap(), 5);
+    assert!(fs::metadata(&path).unwrap().len() < before);
+    let loaded = store.load().unwrap();
+    assert_eq!(loaded.snapshot.unwrap().last_block, 4);
+    assert_eq!(loaded.blocks, blocks[5..].to_vec());
+    drop(store);
+    // The compacted file reopens to the same contents.
+    let reopened = AofStore::open(&path).unwrap();
+    let loaded = reopened.load().unwrap();
+    assert_eq!(loaded.snapshot.unwrap().last_block, 4);
+    assert_eq!(loaded.blocks, blocks[5..].to_vec());
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
+    let path = temp_path("compact-fails");
+    let blocks = chained_blocks(5);
+    let mut store = AofStore::open(&path).unwrap();
+    for block in &blocks[..4] {
+        store.append_block(block).unwrap();
+    }
+    store.put_snapshot(&sample_snapshot(2)).unwrap();
+    let before = store.load().unwrap();
+    // A directory squatting on the temp path fails the rewrite.
+    let squatter = path.with_extension("compact-tmp");
+    fs::create_dir(&squatter).unwrap();
+    assert!(store.compact_up_to(2).is_err());
+    assert_eq!(store.load().unwrap(), before);
+    // ... and the handle still appends after its last record.
+    store.append_block(&blocks[4]).unwrap();
+    let reopened = AofStore::open(&path).unwrap().load().unwrap();
+    assert_eq!(reopened.blocks, blocks);
+    fs::remove_dir(&squatter).unwrap();
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_fsync_mode_survives_simulated_crash_reopen() {
+    let path = temp_path("fsync");
+    let blocks = chained_blocks(5);
+    {
+        let mut store = AofStore::open_with_fsync(&path, true).unwrap();
+        assert!(store.fsync_enabled());
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+        store.put_snapshot(&sample_snapshot(2)).unwrap();
+        assert_eq!(store.compact_up_to(2).unwrap(), 3);
+        // Simulated crash: drop the handle with no clean shutdown.
+    }
+    let store = AofStore::open(&path).unwrap();
+    let loaded = store.load().unwrap();
+    assert_eq!(loaded.snapshot.unwrap().last_block, 2);
+    assert_eq!(loaded.blocks, blocks[3..].to_vec());
+    // The fsynced file is byte-for-byte what the non-fsync mode
+    // writes — the flag changes durability, not the format.
+    let other = temp_path("fsync-mirror");
+    {
+        let mut store = AofStore::open(&other).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+        store.put_snapshot(&sample_snapshot(2)).unwrap();
+        store.compact_up_to(2).unwrap();
+    }
+    assert_eq!(fs::read(&path).unwrap(), fs::read(&other).unwrap());
+    fs::remove_file(&path).unwrap();
+    fs::remove_file(&other).unwrap();
+}
+
+#[test]
+fn has_block_probes_record_index() {
+    let path = temp_path("hasblock");
+    let blocks = chained_blocks(4);
+    let mut aof = AofStore::open(&path).unwrap();
+    let mut memory = MemoryStore::new();
+    for block in &blocks {
+        aof.append_block(block).unwrap();
+        memory.append_block(block).unwrap();
+    }
+    aof.put_snapshot(&sample_snapshot(1)).unwrap();
+    memory.put_snapshot(&sample_snapshot(1)).unwrap();
+    aof.compact_up_to(1).unwrap();
+    memory.compact_up_to(1).unwrap();
+    for n in 0..5 {
+        assert_eq!(aof.has_block(n), (2..=3).contains(&n), "aof block {n}");
+        assert_eq!(aof.has_block(n), memory.has_block(n), "backends agree");
+    }
+    fs::remove_file(&path).unwrap();
+}
+
+/// One step of a store's life, applied to both backends alike.
+#[derive(Debug)]
+enum Step {
+    Append(usize),
+    Snapshot(u64),
+    Compact(u64),
+    Reopen,
+}
+
+/// Applies `steps` to an [`AofStore`] and a [`MemoryStore`] side by
+/// side; after every step the two must answer every query alike.
+fn assert_backends_agree(tag: &str, blocks: &[Block], steps: &[Step]) {
+    let path = temp_path(tag);
+    let mut aof = AofStore::open(&path).unwrap();
+    let mut memory = MemoryStore::new();
+    for (n, step) in steps.iter().enumerate() {
+        match step {
+            Step::Append(i) => {
+                aof.append_block(&blocks[*i]).unwrap();
+                memory.append_block(&blocks[*i]).unwrap();
+            }
+            Step::Snapshot(at) => {
+                aof.put_snapshot(&sample_snapshot(*at)).unwrap();
+                memory.put_snapshot(&sample_snapshot(*at)).unwrap();
+            }
+            Step::Compact(up_to) => assert_eq!(
+                aof.compact_up_to(*up_to).unwrap(),
+                memory.compact_up_to(*up_to).unwrap(),
+                "step {n} {step:?}: dropped-block counts"
+            ),
+            Step::Reopen => {
+                drop(aof);
+                aof = AofStore::open(&path).unwrap();
+            }
+        }
+        assert_eq!(
+            aof.load().unwrap(),
+            memory.load().unwrap(),
+            "step {n} {step:?}"
+        );
+        assert_eq!(
+            aof.head().unwrap(),
+            memory.head().unwrap(),
+            "step {n} {step:?}"
+        );
+        for number in 0..=blocks.len() as u64 {
+            assert_eq!(
+                aof.has_block(number),
+                memory.has_block(number),
+                "step {n} {step:?}: has_block({number})"
+            );
+        }
+    }
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn aof_and_memory_agree() {
+    let blocks = chained_blocks(12);
+    let mut fixed: Vec<Step> = (0..5).map(Step::Append).collect();
+    fixed.extend([Step::Snapshot(2), Step::Compact(2), Step::Reopen]);
+    assert_backends_agree("agree", &blocks, &fixed);
+
+    // Seeded streams: appends in order (a block may repeat, as a
+    // re-persisted suffix would), snapshots at or below the appended
+    // height (so superseded and tied ones occur), compactions anywhere,
+    // reopens anywhere.
+    fabriccrdt_sim::gen::cases(24, |g| {
+        let mut appended = 0usize;
+        let steps: Vec<Step> = (0..g.size(4, 40))
+            .map(|_| match g.range(0, 8) {
+                0..=3 if appended < blocks.len() => {
+                    appended += 1;
+                    Step::Append(appended - 1)
+                }
+                0..=3 => Step::Append(g.range(0, blocks.len() as u64) as usize),
+                4..=5 => Step::Snapshot(g.range(0, appended as u64 + 1)),
+                6 => Step::Compact(g.range(0, blocks.len() as u64 + 2)),
+                _ => Step::Reopen,
+            })
+            .collect();
+        assert_backends_agree("agree-seeded", &blocks, &steps);
+    });
+}
+
+#[test]
+fn blocks_by_number_dedups_last_wins() {
+    let blocks = chained_blocks(3);
+    let mut doubled = blocks.clone();
+    doubled.extend(blocks.iter().cloned());
+    let by_number = blocks_by_number(doubled);
+    assert_eq!(by_number.len(), 3);
+    assert_eq!(by_number.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
+}

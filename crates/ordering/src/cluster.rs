@@ -237,9 +237,8 @@ impl RaftCluster {
     /// Panics on inconsistent configuration: zero nodes, a zero or
     /// inverted election-timeout window, a heartbeat period at or above
     /// the minimum election timeout, an out-of-range pre-elected
-    /// leader, out-of-range fault indices, a restart before its crash,
-    /// a heal before its partition, a partition isolating every node,
-    /// or a link drop probability of 1.0.
+    /// leader, or an inconsistent fault schedule
+    /// ([`FaultConfig::validate`](fabriccrdt_fabric::config::FaultConfig::validate)).
     pub fn new(config: &PipelineConfig) -> Self {
         let raft = config
             .ordering
@@ -259,22 +258,7 @@ impl RaftCluster {
         if let Some(leader) = raft.preelected_leader {
             assert!(leader < n, "pre-elected leader {leader} out of range");
         }
-        for crash in &raft.faults.crashes {
-            assert!(crash.peer < n, "crash node out of range");
-            assert!(crash.restart_at >= crash.at, "restart before crash");
-        }
-        for partition in &raft.faults.partitions {
-            assert!(partition.heal_at >= partition.at, "heal before partition");
-            assert!(
-                partition.minority.iter().all(|p| *p < n),
-                "partition node out of range"
-            );
-            assert!(
-                partition.minority.len() < n,
-                "partition isolates every node"
-            );
-        }
-        assert!(raft.faults.link.drop < 1.0, "links drop every message");
+        raft.faults.validate(n, "node");
 
         let policy = config.ordering_policy;
         let tracker = match policy {

@@ -19,6 +19,8 @@
 //! (the Fabric baseline, where conflicting writes MVCC-fail).
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeStub};
+use fabriccrdt_fabric::simulation::TxRequest;
+use fabriccrdt_sim::time::SimTime;
 
 /// The IoT readings chaincode.
 #[derive(Debug, Clone, Copy)]
@@ -45,6 +47,23 @@ impl IotChaincode {
     /// Builds the argument vector for an invocation.
     pub fn args(read_keys: &[String], write_keys: &[String], json: &str) -> Vec<String> {
         vec![read_keys.join(","), write_keys.join(","), json.to_owned()]
+    }
+
+    /// The all-conflicting demo schedule the CLI, the fault benches and
+    /// the examples share: `txs` invocations of the CRDT variant at a
+    /// fixed `rate_tps`, transaction `i` read-modify-writing the one
+    /// hot key `device` with reading `r{i}`.
+    pub fn hot_key_schedule(device: &str, txs: usize, rate_tps: f64) -> Vec<(SimTime, TxRequest)> {
+        let keys = [device.to_owned()];
+        (0..txs)
+            .map(|i| {
+                let json = format!(r#"{{"deviceID":"{device}","readings":["r{i}"]}}"#);
+                (
+                    SimTime::from_secs_f64(i as f64 / rate_tps),
+                    TxRequest::new("iot-crdt", IotChaincode::args(&keys, &keys, &json)),
+                )
+            })
+            .collect()
     }
 }
 

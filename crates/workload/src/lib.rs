@@ -18,6 +18,8 @@
 //!   against either system, returning the three metrics every figure
 //!   plots.
 //! - [`report`]: plain-text tables for the figure/bench binaries.
+//! - [`flags`]: the `--key value` parser both front ends (the CLI and
+//!   the bench binaries) read their arguments with.
 //!
 //! # Examples
 //!
@@ -39,6 +41,7 @@
 pub mod caliper;
 pub mod channels;
 pub mod experiment;
+pub mod flags;
 pub mod generator;
 pub mod iot;
 pub mod offline;

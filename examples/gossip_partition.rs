@@ -29,7 +29,6 @@ use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::{
     CrashSpec, FaultConfig, LinkFaults, PartitionSpec, PipelineConfig,
 };
-use fabriccrdt_repro::fabric::simulation::TxRequest;
 use fabriccrdt_repro::fabriccrdt::CrdtValidator;
 use fabriccrdt_repro::sim::latency::LatencyModel;
 use fabriccrdt_repro::sim::time::SimTime;
@@ -69,18 +68,7 @@ fn main() {
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
 
     // 250 all-conflicting CRDT transactions on one hot key at 300 tx/s.
-    let schedule: Vec<(SimTime, TxRequest)> = (0..250)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / 300.0),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect();
+    let schedule = IotChaincode::hot_key_schedule("device1", 250, 300.0);
 
     let metrics = sim.run(schedule);
     println!(

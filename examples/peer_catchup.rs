@@ -18,10 +18,8 @@ use std::sync::Arc;
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::{PipelineConfig, Topology};
 use fabriccrdt_repro::fabric::peer::Peer;
-use fabriccrdt_repro::fabric::simulation::TxRequest;
 use fabriccrdt_repro::fabriccrdt::{fabriccrdt_simulation, CrdtValidator};
 use fabriccrdt_repro::ledger::codec;
-use fabriccrdt_repro::sim::time::SimTime;
 use fabriccrdt_repro::workload::iot::IotChaincode;
 
 fn main() {
@@ -30,18 +28,7 @@ fn main() {
     registry.deploy(Arc::new(IotChaincode::crdt()));
     let mut sim = fabriccrdt_simulation(PipelineConfig::paper(25, 29), registry);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
-    let schedule: Vec<(SimTime, TxRequest)> = (0..200)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / 300.0),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect();
+    let schedule = IotChaincode::hot_key_schedule("device1", 200, 300.0);
     let metrics = sim.run(schedule);
     println!(
         "running network: {} committed over {} blocks",

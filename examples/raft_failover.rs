@@ -24,7 +24,6 @@ use std::sync::Arc;
 use fabriccrdt_repro::channel::assemble;
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
-use fabriccrdt_repro::fabric::simulation::TxRequest;
 use fabriccrdt_repro::fabriccrdt::CrdtValidator;
 use fabriccrdt_repro::sim::time::SimTime;
 use fabriccrdt_repro::workload::iot::IotChaincode;
@@ -48,18 +47,7 @@ fn main() {
 
     // 400 all-conflicting CRDT transactions on one hot key at 300 tx/s
     // — the kill lands mid-stream.
-    let schedule: Vec<(SimTime, TxRequest)> = (0..400)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / 300.0),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect();
+    let schedule = IotChaincode::hot_key_schedule("device1", 400, 300.0);
 
     let metrics = sim.run(schedule);
     println!(

@@ -26,12 +26,11 @@ use std::sync::Arc;
 
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::PipelineConfig;
-use fabriccrdt_repro::fabric::simulation::TxRequest;
 use fabriccrdt_repro::fabriccrdt::fabriccrdt_simulation;
 use fabriccrdt_repro::ledger::codec;
-use fabriccrdt_repro::sim::time::SimTime;
 use fabriccrdt_repro::workload::caliper::Benchmark;
 use fabriccrdt_repro::workload::experiment::{ExperimentConfig, SystemKind};
+use fabriccrdt_repro::workload::flags::Flags;
 use fabriccrdt_repro::workload::generator::JsonShape;
 use fabriccrdt_repro::workload::iot::IotChaincode;
 use fabriccrdt_repro::workload::report::latency_cell;
@@ -67,59 +66,6 @@ commands:
   export-chain  run a workload and write the blockchain to a file
   verify-chain  decode a chain file and verify its integrity
 ";
-
-/// Tiny flag parser: `--key value` pairs plus positional arguments.
-/// Each command names the flags it accepts; anything else is an error,
-/// so a typo never silently runs with a default.
-struct Flags {
-    positional: Vec<String>,
-    pairs: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
-        let mut positional = Vec::new();
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if let Some(key) = args[i].strip_prefix("--") {
-                if !accepted.contains(&key) {
-                    let accepted = match accepted {
-                        [] => "none".to_owned(),
-                        flags => format!("--{}", flags.join(", --")),
-                    };
-                    return Err(format!("unknown flag --{key}; accepted: {accepted}"));
-                }
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{key} requires a value"))?;
-                pairs.push((key.to_owned(), value.clone()));
-                i += 2;
-            } else {
-                positional.push(args[i].clone());
-                i += 1;
-            }
-        }
-        Ok(Flags { positional, pairs })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{key} expects a number, got {v:?}")),
-        }
-    }
-}
 
 fn parse_system(name: &str) -> Result<SystemKind, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -226,18 +172,7 @@ fn run_small_crdt_workload(txs: usize, seed: u64) -> fabriccrdt_repro::ledger::B
     registry.deploy(Arc::new(IotChaincode::crdt()));
     let mut sim = fabriccrdt_simulation(PipelineConfig::paper(25, seed), registry);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
-    let schedule: Vec<(SimTime, TxRequest)> = (0..txs)
-        .map(|i| {
-            let json = format!(r#"{{"deviceID":"device1","readings":["r{i}"]}}"#);
-            (
-                SimTime::from_secs_f64(i as f64 / 300.0),
-                TxRequest::new(
-                    "iot-crdt",
-                    IotChaincode::args(&["device1".into()], &["device1".into()], &json),
-                ),
-            )
-        })
-        .collect();
+    let schedule = IotChaincode::hot_key_schedule("device1", txs, 300.0);
     sim.run(schedule);
     sim.peer().chain().clone()
 }
