@@ -32,6 +32,21 @@ echo "==> host-clock boundary (exactly two .rs files under crates/ and src/ name
 test "$(grep -rlw --include='*.rs' Instant crates src | sort)" = "crates/bench/benches/micro.rs
 crates/fabric/src/peer.rs"
 
+# A peer hashes a block when it arrives and when Algorithm 1 has
+# rewritten it, and both passes live behind `ledger` constructors
+# (`EncodedTransactions::verify`, `SealedBlock::{seal, verify}`;
+# DESIGN.md §4.17). These are the files that name the pass underneath
+# them; `fabric/src/peer.rs` is not one, so a third pass on the commit
+# path cannot come back without this list changing.
+echo "==> hashing boundary (the .rs files under crates/ and src/ that name a data-hash pass)"
+test "$(grep -rlE --include='*.rs' 'compute_data_hash|data_hash_is_valid' crates src | LC_ALL=C sort)" = "crates/bench/benches/micro.rs
+crates/core/tests/hashing_doors.rs
+crates/gossip/src/adversary.rs
+crates/gossip/src/network/tests/mod.rs
+crates/ledger/src/block.rs
+crates/ledger/src/chain.rs
+crates/ledger/tests/properties.rs"
+
 # The figure every CHANGES.md entry quotes (ROADMAP's command), then the
 # same files cut at their first `#[cfg(test)]`: the first still counts
 # in-module test code, the second does not. Printed, not gated.
@@ -48,8 +63,11 @@ cargo test -q --workspace
 
 # The hashing kernel as the benchmark builds it: `target_feature`
 # inlining differs between the debug build above and `--release`.
+# `--nocapture` shows which kernel the run exercised; a CPU that lists
+# `sha_ni` while the hardware half of a test skipped fails
+# `detection_agrees_with_cpuinfo` instead of passing quietly.
 echo "==> cargo test --release (crypto: both SHA-256 kernels, optimised)"
-cargo test -q --release -p fabriccrdt-crypto
+cargo test -q --release -p fabriccrdt-crypto -- --nocapture
 
 # The world-state map as the benchmark builds it, against its
 # `BTreeMap` oracle at full count (the debug run above covers a sixth

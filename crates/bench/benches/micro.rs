@@ -31,7 +31,8 @@ use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_gossip::GossipNetwork;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
-use fabriccrdt_ledger::block::Block;
+use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock};
+use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
@@ -107,14 +108,16 @@ impl Bench {
 
     /// Like [`Bench::run`] for a body with untimed set-up: `f` times
     /// the part that counts itself and returns that span (one clock
-    /// read pair per iteration, so not for nanosecond bodies).
+    /// read pair per iteration, so not for nanosecond bodies; a body
+    /// far shorter than its set-up stops at 5 000 iterations instead of
+    /// filling the window).
     fn run_timed(&self, name: &str, elements: Option<u64>, mut f: impl FnMut() -> Duration) {
         if !self.wants(name) {
             return;
         }
         let mut spend = |budget: Duration| {
             let (mut spent, mut iters) = (Duration::ZERO, 0u64);
-            while spent < budget || iters == 0 {
+            while (spent < budget && iters < 5_000) || iters == 0 {
                 spent += f();
                 iters += 1;
             }
@@ -188,6 +191,24 @@ fn seeded_state() -> WorldState {
     let mut state = WorldState::new();
     state.put("hot".into(), payload(0).into_bytes(), Height::new(1, 0));
     state
+}
+
+/// 400 CRDT transactions on one hot key with the paper's three
+/// endorsements, each write padded so the transaction is `size`
+/// canonical bytes.
+fn padded_txs(size: usize) -> Vec<Transaction> {
+    let endorsers =
+        ["org1", "org2", "org3"].map(|org| KeyPair::derive(Identity::new("peer0", org)));
+    let pad = |mut tx: Transaction| {
+        let padding = size - endorse(tx.clone(), &endorsers).to_bytes().len();
+        let mut value = tx.rwset.writes.get("hot").expect("written").value.clone();
+        value.resize(value.len() + padding, b' ');
+        tx.rwset.writes.update_value("hot", value);
+        let tx = endorse(tx, &endorsers);
+        assert_eq!(tx.to_bytes().len(), size);
+        tx
+    };
+    (0..400).map(|i| pad(crdt_tx(i, true))).collect()
 }
 
 /// Signs `tx`'s response payload with every endorser's key.
@@ -464,24 +485,58 @@ fn main() {
         merkle::root(leaves.iter().map(|l| merkle::leaf(l)).collect())
     });
 
-    // The block FabricCRDT re-seals on `hotkey-merge`: 400 transactions
-    // whose merged write brings each to 1 777 canonical bytes.
     {
-        let mut txs: Vec<Transaction> = (0..400).map(|i| crdt_tx(i, true)).collect();
-        for tx in &mut txs {
-            let padding = 1777 - tx.to_bytes().len();
-            let mut value = tx.rwset.writes.get("hot").expect("written").value.clone();
-            value.resize(value.len() + padding, b' ');
-            tx.rwset.writes.update_value("hot", value);
-        }
-        let bytes: usize = txs.iter().map(|tx| tx.to_bytes().len()).sum();
-        assert_eq!(bytes, 400 * 1777);
+        // The block FabricCRDT re-seals on `hotkey-merge`: 400 transactions
+        // whose merged write brings each to 1 777 canonical bytes.
+        let rewritten = padded_txs(1777);
         bench.run(
             "merkle/data-hash-400x1777B",
             Some(400),
-            Some(bytes as u64),
-            || Block::compute_data_hash(&txs),
+            Some(400 * 1777),
+            || Block::compute_data_hash(&rewritten),
         );
+
+        // The hashing passes a peer makes per block, each at the size it
+        // runs at on `hotkey-merge`: the ingress tamper check on the block
+        // as delivered (one encode that also serves the endorsement MACs),
+        // the re-seal of the block as Algorithm 1 left it, and the append —
+        // by type, beside the recomputing append untrusted routes keep.
+        let genesis_hash = Block::genesis().hash();
+        let delivered = Block::assemble(1, genesis_hash, padded_txs(370));
+        bench.run("block/verify-400x370B", Some(400), Some(400 * 370), || {
+            EncodedTransactions::verify(&delivered).expect("as assembled")
+        });
+        let block = Block::assemble(1, genesis_hash, rewritten);
+        bench.run_timed("block/seal-400x1777B", Some(400), || {
+            let block = block.clone();
+            let start = Instant::now();
+            let sealed = SealedBlock::seal(block, genesis_hash);
+            let spent = start.elapsed();
+            black_box(sealed);
+            spent
+        });
+        let sealed = SealedBlock::seal(block.clone(), genesis_hash);
+        let fresh_chain = || {
+            let mut chain = Blockchain::new();
+            chain.append(Block::genesis()).expect("genesis");
+            chain
+        };
+        bench.run_timed("chain/append-sealed-400x1777B", Some(400), || {
+            let (mut chain, sealed) = (fresh_chain(), sealed.clone());
+            let start = Instant::now();
+            chain.append_sealed(sealed).expect("extends genesis");
+            let spent = start.elapsed();
+            black_box(chain);
+            spent
+        });
+        bench.run_timed("chain/append-verify-400x1777B", Some(400), || {
+            let (mut chain, block) = (fresh_chain(), block.clone());
+            let start = Instant::now();
+            chain.append(block).expect("extends genesis");
+            let spent = start.elapsed();
+            black_box(chain);
+            spent
+        });
     }
 
     let text = payload(7);
@@ -569,15 +624,19 @@ fn main() {
 
     {
         let txs: Vec<Transaction> = (0..400).map(plain_tx).collect();
-        bench.run("orderer/cut-400-tx-blocks", Some(400), None, || {
+        // Cloning the batch is most of an iteration and swings with
+        // the allocator's state, so only `receive` and the cut are timed.
+        bench.run_timed("orderer/cut-400-tx-blocks", Some(400), || {
             let mut orderer = Orderer::new(BlockCutConfig::with_max_tx(400));
-            let mut cut = 0;
-            for tx in txs.clone() {
-                if orderer.receive(tx, SimTime::ZERO).0.is_some() {
-                    cut += 1;
-                }
-            }
-            cut
+            let batch = txs.clone();
+            let start = Instant::now();
+            let blocks: Vec<Block> = batch
+                .into_iter()
+                .filter_map(|tx| orderer.receive(tx, SimTime::ZERO).0)
+                .collect();
+            let spent = start.elapsed();
+            assert_eq!(blocks.len(), 1);
+            spent
         });
     }
 

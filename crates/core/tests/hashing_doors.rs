@@ -1,0 +1,286 @@
+//! Every door into a peer's chain still hashes what comes through it.
+//!
+//! Since `Peer::commit` appends a `SealedBlock` without recomputing its
+//! data hash (DESIGN.md §4.17), "nothing enters the chain unverified"
+//! rests on the routes that build one: the ingress check on a delivered
+//! block, the re-seal, `Peer::replay_block` and `codec::decode_chain`.
+//! Each test here fails if its route stops hashing: the same one-byte
+//! mutation of one write value is offered at every door, and a seeded
+//! sweep recomputes every committed header from scratch.
+
+use fabriccrdt::validator::CrdtValidator;
+use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
+use fabriccrdt_fabric::pipeline::ValidationPipeline;
+use fabriccrdt_fabric::policy::EndorsementPolicy;
+use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
+use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::chain::ChainError;
+use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+use fabriccrdt_sim::gen::{self, Gen};
+
+const PIPELINES: [ValidationPipeline; 4] = [
+    ValidationPipeline::Sequential,
+    ValidationPipeline::Pipelined { workers: 1 },
+    ValidationPipeline::Pipelined { workers: 2 },
+    ValidationPipeline::Pipelined { workers: 4 },
+];
+
+fn policy() -> EndorsementPolicy {
+    EndorsementPolicy::all_of(["org1", "org2"])
+}
+
+/// A transaction endorsed by one peer of each of `orgs`.
+fn endorsed(nonce: u64, orgs: &[&str], write: impl FnOnce(&mut ReadWriteSet)) -> Transaction {
+    let client = Identity::new("client", "org1");
+    let mut rwset = ReadWriteSet::new();
+    write(&mut rwset);
+    let mut tx = Transaction {
+        id: TxId::derive(&client, nonce, "iot"),
+        client,
+        chaincode: "iot".into(),
+        rwset,
+        endorsements: Vec::new(),
+    };
+    let payload = tx.response_payload();
+    for org in orgs {
+        let kp = KeyPair::derive(Identity::new("peer0", *org));
+        tx.endorsements.push(Endorsement {
+            endorser: kp.identity().clone(),
+            signature: kp.sign(&payload),
+        });
+    }
+    tx
+}
+
+/// Flips one bit of the first byte of the first written value.
+fn flip_one_write_byte(block: &mut Block) {
+    let writes = &mut block.transactions[0].rwset.writes;
+    let (key, entry) = writes.iter().next().expect("the transaction writes");
+    let (key, mut value) = (key.clone(), entry.value.clone());
+    value[0] ^= 0x01;
+    assert!(writes.update_value(&key, value));
+}
+
+/// Three plain writes of a value no other byte string in an encoded
+/// chain resembles.
+fn plain_block(number: u64, previous_hash: [u8; 32]) -> Block {
+    let txs = (0..3)
+        .map(|i| {
+            endorsed(number * 10 + i, &["org1", "org2"], |rwset| {
+                rwset.writes.put(format!("k{number}-{i}"), NEEDLE.to_vec());
+            })
+        })
+        .collect();
+    Block::assemble(number, previous_hash, txs)
+}
+
+const NEEDLE: &[u8] = b"needle-value-0123456789";
+
+/// A peer that committed two plain blocks, and the two as committed.
+fn veteran() -> (Peer<FabricValidator>, Vec<Block>) {
+    let mut peer = Peer::new(FabricValidator::new(), policy());
+    for number in 1..=2 {
+        let staged = peer.process_block(plain_block(number, peer.chain().tip_hash()));
+        assert_eq!(staged.block.successful_count(), 3);
+        peer.commit(staged).expect("extends the chain");
+    }
+    let committed = peer.chain().iter().skip(1).cloned().collect();
+    (peer, committed)
+}
+
+#[test]
+fn ingress_rejects_a_flipped_write_byte_under_every_pipeline_and_validator() {
+    fn check<V: BlockValidator>(make: impl Fn() -> V) {
+        for pipeline in PIPELINES {
+            let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
+            let mut delivered = plain_block(1, peer.chain().tip_hash());
+            flip_one_write_byte(&mut delivered);
+            let staged = peer.process_block(delivered);
+            assert_eq!(
+                staged.block.validation_codes,
+                [ValidationCode::TamperedBlock; 3],
+                "{}",
+                pipeline.label()
+            );
+            assert_eq!(staged.work.sigs_verified, 0);
+            peer.commit(staged).expect("the rejection is on the record");
+            assert!(peer.state().is_empty(), "nothing committed");
+            assert_eq!(peer.chain().verify_integrity(), Ok(()));
+        }
+    }
+    check(FabricValidator::new);
+    check(CrdtValidator::new);
+}
+
+#[test]
+fn replay_rejects_the_same_mutation_and_reports_the_cheapest_failed_check() {
+    let (_, committed) = veteran();
+    let mut replica = Peer::new(FabricValidator::new(), policy());
+    replica
+        .replay_block(committed[0].clone())
+        .expect("block 1 extends genesis");
+
+    let mut forged = committed[1].clone();
+    flip_one_write_byte(&mut forged);
+    let mut misnumbered = forged.clone();
+    misnumbered.header.number = 7;
+    let mut relinked = forged.clone();
+    relinked.header.previous_hash[0] ^= 0xff;
+    let mut uncoded = forged.clone();
+    uncoded.validation_codes.clear();
+
+    let before = (replica.state().clone(), replica.ledger_snapshot());
+    for (block, expected) in [
+        (forged, ChainError::BadDataHash),
+        (
+            misnumbered,
+            ChainError::WrongNumber {
+                expected: 2,
+                got: 7,
+            },
+        ),
+        (relinked, ChainError::BrokenHashChain),
+        (uncoded, ChainError::MissingValidationCodes),
+    ] {
+        assert_eq!(replica.replay_block(block), Err(expected));
+        assert_eq!(replica.state(), &before.0);
+        assert_eq!(replica.ledger_snapshot(), before.1, "peer untouched");
+    }
+    replica
+        .replay_block(committed[1].clone())
+        .expect("the block as committed still replays");
+}
+
+#[test]
+fn decode_chain_and_restore_reject_the_same_mutation() {
+    let (peer, _) = veteran();
+    let snapshot = peer.snapshot();
+    Peer::restore(FabricValidator::new(), policy(), &snapshot).expect("intact snapshot restores");
+
+    // The first stored copy of the needle is block 1's first write.
+    let at = snapshot
+        .chain
+        .windows(NEEDLE.len())
+        .position(|window| window == NEEDLE)
+        .expect("the written value is stored verbatim");
+    let mut chain = snapshot.chain.clone();
+    chain[at] ^= 0x01;
+    let error = fabriccrdt_ledger::codec::decode_chain(&chain).expect_err("hash no longer covers");
+    assert!(
+        error.to_string().starts_with("chain integrity violation"),
+        "{error}"
+    );
+    let forged = PeerSnapshot {
+        chain,
+        state: snapshot.state,
+    };
+    assert!(Peer::restore(FabricValidator::new(), policy(), &forged).is_err());
+}
+
+/// One block of the sweep: CRDT merges into a few hot keys, plain
+/// read-modify-writes that conflict on theirs, under-endorsed
+/// transactions, an in-block duplicate and a forged signature.
+fn mixed_block(g: &mut Gen, number: u64) -> Block {
+    let mut txs: Vec<Transaction> = (0..g.size(6, 14) as u64)
+        .map(|i| {
+            let nonce = number * 100 + i;
+            let key = format!("k{}", g.range(0, 4));
+            match g.range(0, 4) {
+                0 | 1 => endorsed(nonce, &["org1", "org2"], |rwset| {
+                    let doc = format!(r#"{{"deviceID":"{key}","readings":["r{nonce}"]}}"#);
+                    rwset
+                        .writes
+                        .put_crdt(format!("hot-{key}"), doc.into_bytes());
+                }),
+                2 => endorsed(nonce, &["org1", "org2"], |rwset| {
+                    rwset.reads.record(key.clone(), None);
+                    rwset.writes.put(key, nonce.to_be_bytes().to_vec());
+                }),
+                _ => endorsed(nonce, &["org1"], |rwset| {
+                    rwset.writes.put(key, b"under-endorsed".to_vec());
+                }),
+            }
+        })
+        .collect();
+    let duplicate = txs[g.range(0, txs.len() as u64) as usize].clone();
+    txs.push(duplicate);
+    let mut forged_signature = endorsed(number * 100 + 99, &["org1", "org2"], |rwset| {
+        rwset.writes.put("forged", b"x".to_vec());
+    });
+    forged_signature.endorsements[1].signature.0[0] ^= 0xff;
+    txs.push(forged_signature);
+    Block::assemble(number, [0; 32], txs)
+}
+
+/// Drives `blocks` through a peer — block by block, or through the
+/// chained pipelined driver — and returns it.
+fn run<V: BlockValidator>(
+    validator: V,
+    pipeline: ValidationPipeline,
+    chained: bool,
+    blocks: &[Block],
+) -> Peer<V> {
+    let mut peer = Peer::new(validator, policy()).with_pipeline(pipeline);
+    if chained {
+        let mut stream = blocks.iter().cloned();
+        let mut prepared = peer.prevalidate(stream.next().expect("blocks"));
+        for next in stream {
+            let (staged, next_prepared) = peer.finish_block_with_next(prepared, next);
+            peer.commit(staged).expect("extends the chain");
+            prepared = next_prepared;
+        }
+        let staged = peer.finish_block(prepared);
+        peer.commit(staged).expect("extends the chain");
+    } else {
+        for block in blocks {
+            let staged = peer.process_block(block.clone());
+            peer.commit(staged).expect("extends the chain");
+        }
+    }
+    peer
+}
+
+#[test]
+fn every_committed_header_equals_a_from_scratch_hash() {
+    fn sweep<V: BlockValidator>(make: impl Fn() -> V, blocks: &[Block], tampered: u64) {
+        let reference = run(make(), ValidationPipeline::Sequential, false, blocks);
+        for pipeline in PIPELINES {
+            for chained in [false, true] {
+                let peer = run(make(), pipeline, chained, blocks);
+                let cell = format!("{}, chained: {chained}", pipeline.label());
+                assert_eq!(peer.chain().verify_integrity(), Ok(()), "{cell}");
+                let mut previous = Block::genesis().hash();
+                for block in peer.chain().iter().skip(1) {
+                    let number = block.header.number;
+                    assert_eq!(
+                        block.header.data_hash,
+                        Block::compute_data_hash(&block.transactions),
+                        "{cell}: data hash of block {number}"
+                    );
+                    assert_eq!(block.header.previous_hash, previous, "{cell}: {number}");
+                    assert_eq!(
+                        block
+                            .validation_codes
+                            .contains(&ValidationCode::TamperedBlock),
+                        number == tampered,
+                        "{cell}: exactly block {tampered} is rejected wholesale"
+                    );
+                    previous = block.hash();
+                }
+                assert!(
+                    peer.snapshot() == reference.snapshot(),
+                    "{cell}: ledger bytes differ from the sequential peer's"
+                );
+            }
+        }
+    }
+    gen::cases(6, |g| {
+        let mut blocks: Vec<Block> = (1..=5).map(|number| mixed_block(g, number)).collect();
+        let tampered = g.range(1, 6);
+        flip_one_write_byte(&mut blocks[tampered as usize - 1]);
+        sweep(FabricValidator::new, &blocks, tampered);
+        sweep(CrdtValidator::new, &blocks, tampered);
+    });
+}

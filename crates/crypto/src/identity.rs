@@ -33,6 +33,13 @@ impl Identity {
             org: org.into(),
         }
     }
+
+    /// The `Display` form (`name@org`) as the byte slices it is made
+    /// of, for the canonical encoders and id hashers, which run per
+    /// endorsement per pass and must not go through `core::fmt`.
+    pub fn display_parts(&self) -> [&[u8]; 3] {
+        [self.name.as_bytes(), b"@", self.org.as_bytes()]
+    }
 }
 
 impl fmt::Display for Identity {
@@ -177,5 +184,13 @@ mod tests {
     #[test]
     fn identity_display() {
         assert_eq!(Identity::new("peer0", "org1").to_string(), "peer0@org1");
+    }
+
+    #[test]
+    fn display_parts_concatenate_to_the_display_form() {
+        for (name, org) in [("peer0", "org1"), ("", ""), ("a@b", "c"), ("ünï", "ørg")] {
+            let id = Identity::new(name, org);
+            assert_eq!(id.display_parts().concat(), id.to_string().into_bytes());
+        }
     }
 }

@@ -336,6 +336,19 @@ mod tests {
             .collect()
     }
 
+    /// Where the OS lists the SHA extensions, detection must find them:
+    /// otherwise every hardware half below skips and the run still
+    /// passes. Prints the kernel so `ci.sh` shows which one it tested.
+    #[test]
+    fn detection_agrees_with_cpuinfo() {
+        println!("sha256 kernel: {}", kernel());
+        let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") else {
+            return;
+        };
+        let listed = cpuinfo.split_whitespace().any(|flag| flag == "sha_ni");
+        assert_eq!(shani::available(), listed, "/proc/cpuinfo lists sha_ni");
+    }
+
     #[test]
     fn nist_vectors_on_each_kernel() {
         let million_a = vec![b'a'; 1_000_000];

@@ -192,7 +192,8 @@ impl Orderer {
         now: SimTime,
     ) -> (Option<Block>, Option<TimeoutRequest>) {
         let started_batch = self.pending.is_empty();
-        self.pending_bytes += tx.to_bytes().len();
+        // A `usize` sink counts: the canonical length, nothing encoded.
+        tx.write_bytes(&mut self.pending_bytes);
         self.pending.push(tx);
 
         let timeout = started_batch.then(|| TimeoutRequest {
@@ -376,6 +377,26 @@ mod tests {
         }
         let (i, len) = cut_at.expect("byte limit should cut");
         assert!(len >= 1 && len as u64 == i + 1);
+    }
+
+    /// The byte rule weighs exactly the canonical encoding: a limit
+    /// equal to the first three transactions' `to_bytes()` cuts at the
+    /// third, one byte more cuts at the fourth, and the count restarts
+    /// with the next batch.
+    #[test]
+    fn byte_limit_weighs_the_canonical_encoding() {
+        let first_three: usize = (1..=3).map(|n| tx(n).to_bytes().len()).sum();
+        for (max_bytes, cut_at) in [(first_three, 3), (first_three + 1, 4)] {
+            let mut config = cfg(1000);
+            config.max_bytes = max_bytes;
+            let mut o = Orderer::new(config);
+            for round in 0..2 {
+                for n in 1..=cut_at {
+                    let (block, _) = o.receive(tx(round * 4 + n), SimTime::ZERO);
+                    assert_eq!(block.is_some(), n == cut_at, "limit {max_bytes}, tx {n}");
+                }
+            }
+        }
     }
 
     #[test]

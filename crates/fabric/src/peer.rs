@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_jsoncrdt::clock::{OpId, ReplicaId, VersionVector};
-use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::history::HistoryDb;
@@ -91,8 +91,8 @@ pub struct StageTimings {
 /// [`Peer::commit`].
 #[derive(Debug)]
 pub struct StagedBlock {
-    /// The block with validation codes filled in.
-    pub block: Block,
+    /// The block with validation codes filled in, re-sealed.
+    pub block: SealedBlock,
     /// World state after applying the valid write sets.
     pub new_state: WorldState,
     /// Work performed (drives the cost model).
@@ -457,7 +457,7 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// Replays an already-validated block during catch-up: verifies the
-    /// hash chain and data hash, then applies the write sets of the
+    /// hash chain and data hash first, then applies the write sets of the
     /// transactions whose *recorded* validation codes are successful —
     /// exactly §2.1's "executing all valid transactions included in the
     /// blockchain starting from the genesis block results in the current
@@ -478,6 +478,7 @@ impl<V: BlockValidator> Peer<V> {
         if block.validation_codes.len() != block.transactions.len() {
             return Err(ChainError::MissingValidationCodes);
         }
+        let block = self.chain.verify_next(block)?;
         let mut state = self.state.clone();
         for (tx_num, (tx, code)) in block
             .transactions
@@ -594,8 +595,9 @@ impl<V: BlockValidator> Peer<V> {
         // any validator-driven rewrite — means tampering in transit;
         // the whole block is rejected and nothing commits. (The later
         // re-seal only legitimizes the peer's *own* deterministic
-        // merge rewrites.)
-        if !block.data_hash_is_valid() {
+        // merge rewrites.) The endorsement MACs below read their
+        // payloads from the encoding hashed here.
+        let Some(encoded) = EncodedTransactions::verify(&block) else {
             return PreparedBlock {
                 block,
                 transactions: Arc::new(Vec::new()),
@@ -603,7 +605,7 @@ impl<V: BlockValidator> Peer<V> {
                 // Never read: a tampered block reports default timings.
                 pre_start: Instant::now(),
             };
-        }
+        };
         let pre_start = Instant::now();
 
         // Stage 1 (sequential, cheap): duplicate-id detection. This is
@@ -651,7 +653,7 @@ impl<V: BlockValidator> Peer<V> {
             // Warm validator-side caches (e.g. CRDT payload decode)
             // off the sequential critical path; value-neutral.
             validator.prepare(tx);
-            let payload = tx.response_payload();
+            let payload = encoded.response_payload(i);
             let mut sigs = 0u64;
             let mut valid_orgs: Vec<&str> = Vec::new();
             for endorsement in &tx.endorsements {
@@ -659,7 +661,7 @@ impl<V: BlockValidator> Peer<V> {
                 let keypair = endorser_keys
                     .get(&endorsement.endorser)
                     .expect("stage 1 derived the key of every endorser in this block");
-                if keypair.verify(&payload, &endorsement.signature).is_ok() {
+                if keypair.verify(payload, &endorsement.signature).is_ok() {
                     valid_orgs.push(&endorsement.endorser.org);
                 }
             }
@@ -731,10 +733,8 @@ impl<V: BlockValidator> Peer<V> {
         } = joined;
         if tampered {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
-            block.header.previous_hash = self.chain.tip_hash();
-            block.header.data_hash = Block::compute_data_hash(&block.transactions);
             return StagedBlock {
-                block,
+                block: SealedBlock::seal(block, self.chain.tip_hash()),
                 new_state: self.state.clone(),
                 work: ValidationWork::default(),
                 timings: StageTimings::default(),
@@ -744,20 +744,13 @@ impl<V: BlockValidator> Peer<V> {
         let (new_state, mut work) = self.finalize(&mut block, transactions, &pre);
         work.sigs_verified = sigs_verified;
 
-        // Re-seal when needed. FabricCRDT's Algorithm 1 (line 22) rewrites
-        // CRDT write-set values with the merged result, which changes the
-        // block's data hash relative to what the orderer sealed; and once
-        // one block is re-sealed, every later block must re-link to the
-        // peer's tip. All peers merge deterministically in block order, so
-        // every replica re-seals identically and chains stay consistent.
-        // One pass over the transactions as finalize left them serves both
-        // the comparison and the re-seal.
-        let data_hash = Block::compute_data_hash(&block.transactions);
-        let tip_hash = self.chain.tip_hash();
-        if data_hash != block.header.data_hash || block.header.previous_hash != tip_hash {
-            block.header.previous_hash = tip_hash;
-            block.header.data_hash = data_hash;
-        }
+        // Re-seal: Algorithm 1 (line 22) rewrote CRDT write values with
+        // the merged result, and once one block is re-sealed every later
+        // block must re-link to the peer's tip. All peers merge
+        // deterministically in block order, so every replica re-seals
+        // identically. This is the last pass over the block: `commit`
+        // appends it sealed, without hashing it again.
+        let block = SealedBlock::seal(block, self.chain.tip_hash());
 
         StagedBlock {
             block,
@@ -879,17 +872,16 @@ impl<V: BlockValidator> Peer<V> {
         let StagedBlock {
             block, new_state, ..
         } = staged;
-        // Record ids before moving the block into the chain.
-        let ids: Vec<TxId> = block.transactions.iter().map(|t| t.id).collect();
-        self.chain.append(block)?;
+        self.chain.append_sealed(block)?;
         let tip = self.chain.tip().expect("chain nonempty after append");
         self.history.record_block(tip);
         absorb_frontiers(&mut self.merge_frontiers, tip);
         // Epoch swap: readers holding a clone of the old state keep a
         // consistent pre-block snapshot; new reads see the committed one.
         self.state = new_state;
-        self.committed_ids.extend(ids);
-        Ok(self.chain.tip().expect("chain nonempty after append"))
+        self.committed_ids
+            .extend(tip.transactions.iter().map(|t| t.id));
+        Ok(tip)
     }
 }
 

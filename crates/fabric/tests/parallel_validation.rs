@@ -243,7 +243,7 @@ fn tampered_blocks_identical_across_worker_counts() {
         let mut peer = Peer::new(FabricValidator::new(), policy()).with_pipeline(pipeline);
         let staged = peer.process_block(block.clone());
         assert_eq!(staged.work.sigs_verified, 0);
-        staged.block.validation_codes
+        staged.block.validation_codes.clone()
     };
     let seq = run(ValidationPipeline::Sequential);
     assert_eq!(seq, vec![ValidationCode::TamperedBlock; 2]);

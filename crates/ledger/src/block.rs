@@ -5,6 +5,7 @@
 //! valid transactions update the world state (§2.1, step 3).
 
 use std::fmt;
+use std::ops::{Deref, Range};
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
@@ -155,6 +156,85 @@ impl Block {
             .iter()
             .filter(|c| c.is_success())
             .count()
+    }
+}
+
+/// A block whose data hash this process computed over the transactions
+/// it holds: built only by [`SealedBlock::seal`] or
+/// [`SealedBlock::verify`] and read-only afterwards, so
+/// [`Blockchain::append_sealed`](crate::chain::Blockchain::append_sealed)
+/// need not hash it again. A [`Block`] itself remembers nothing.
+///
+/// ```compile_fail,E0596
+/// # use fabriccrdt_ledger::block::{Block, SealedBlock};
+/// SealedBlock::seal(Block::genesis(), [0; 32]).transactions.clear(); // no `DerefMut`
+/// ```
+/// ```compile_fail,E0423
+/// # use fabriccrdt_ledger::block::{Block, SealedBlock};
+/// SealedBlock(Block::genesis()); // the field is private
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedBlock(Block);
+
+impl SealedBlock {
+    /// Links `block` to `previous_hash` and computes its data hash over
+    /// the transactions in hand — the committing peer's re-seal after
+    /// Algorithm 1 (line 22) rewrote the merged write values.
+    pub fn seal(mut block: Block, previous_hash: Digest) -> Self {
+        block.header.previous_hash = previous_hash;
+        block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        SealedBlock(block)
+    }
+
+    /// Admits a block from anywhere else (a file, another replica) by
+    /// recomputing its data hash; `None` when it does not match.
+    pub fn verify(block: Block) -> Option<Self> {
+        block.data_hash_is_valid().then_some(SealedBlock(block))
+    }
+
+    /// Gives up the seal.
+    pub fn into_block(self) -> Block {
+        self.0
+    }
+}
+
+impl Deref for SealedBlock {
+    type Target = Block;
+
+    fn deref(&self) -> &Block {
+        &self.0
+    }
+}
+
+/// The canonical bytes of a delivered block's transactions, encoded
+/// once at ingress: the tamper check hashes them, then endorsement
+/// verification MACs their response-payload prefixes.
+#[derive(Debug)]
+pub struct EncodedTransactions {
+    bytes: Vec<u8>,
+    /// Where each transaction's response payload lies in `bytes`.
+    payloads: Vec<Range<usize>>,
+}
+
+impl EncodedTransactions {
+    /// Encodes `block`'s transactions back to back, hashing each as it
+    /// lands; `None` when the header's data hash does not cover them.
+    pub fn verify(block: &Block) -> Option<Self> {
+        let (mut bytes, mut payloads) = (Vec::new(), Vec::new());
+        let leaves = block.transactions.iter().map(|tx| {
+            let start = bytes.len();
+            tx.write_response_payload(&mut bytes);
+            payloads.push(start..bytes.len());
+            tx.write_endorsements(&mut bytes);
+            merkle::leaf(&bytes[start..])
+        });
+        let covered = merkle::root(leaves.collect()) == block.header.data_hash;
+        covered.then_some(EncodedTransactions { bytes, payloads })
+    }
+
+    /// [`Transaction::response_payload`] of transaction `index`.
+    pub fn response_payload(&self, index: usize) -> &[u8] {
+        &self.bytes[self.payloads[index].clone()]
     }
 }
 

@@ -5,7 +5,7 @@ use std::fmt;
 
 use fabriccrdt_crypto::Digest;
 
-use crate::block::Block;
+use crate::block::{Block, SealedBlock};
 
 /// Error returned when appending a block that does not extend the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,27 +156,33 @@ impl Blockchain {
         drop
     }
 
-    /// Appends a block after verifying number, hash chain and data hash.
+    /// Appends a block from an untrusted source:
+    /// [`Blockchain::verify_next`], then [`Blockchain::append_sealed`].
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] when the block does not correctly extend
     /// the chain; the chain is left unchanged.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
-        let expected = self.height();
-        if block.header.number != expected {
-            return Err(ChainError::WrongNumber {
-                expected,
-                got: block.header.number,
-            });
-        }
-        if block.header.previous_hash != self.tip_hash() {
-            return Err(ChainError::BrokenHashChain);
-        }
-        if !block.data_hash_is_valid() {
-            return Err(ChainError::BadDataHash);
-        }
-        self.blocks.push(block);
+        let sealed = self.verify_next(block)?;
+        self.append_sealed(sealed)
+    }
+
+    /// Checks, without appending, that `block` extends the chain:
+    /// number, previous hash, then (the expensive one, last) a
+    /// recomputed data hash. The error is the first check that failed.
+    pub fn verify_next(&self, block: Block) -> Result<SealedBlock, ChainError> {
+        check_link(&block, self.height(), self.tip_hash())?;
+        SealedBlock::verify(block).ok_or(ChainError::BadDataHash)
+    }
+
+    /// Appends a block this process hashed itself, checking only number
+    /// and previous hash: the type proves the data hash (debug builds
+    /// recompute it anyway). On error the chain is left unchanged.
+    pub fn append_sealed(&mut self, block: SealedBlock) -> Result<(), ChainError> {
+        check_link(&block, self.height(), self.tip_hash())?;
+        debug_assert!(block.data_hash_is_valid(), "a sealed block was hashed");
+        self.blocks.push(block.into_block());
         Ok(())
     }
 
@@ -185,16 +191,7 @@ impl Blockchain {
     pub fn verify_integrity(&self) -> Result<(), ChainError> {
         let mut previous = self.base_hash;
         for (i, block) in self.blocks.iter().enumerate() {
-            let expected = self.base_number + i as u64;
-            if block.header.number != expected {
-                return Err(ChainError::WrongNumber {
-                    expected,
-                    got: block.header.number,
-                });
-            }
-            if block.header.previous_hash != previous {
-                return Err(ChainError::BrokenHashChain);
-            }
+            check_link(block, self.base_number + i as u64, previous)?;
             if !block.data_hash_is_valid() {
                 return Err(ChainError::BadDataHash);
             }
@@ -207,6 +204,20 @@ impl Blockchain {
     pub fn total_transactions(&self) -> usize {
         self.blocks.iter().map(Block::len).sum()
     }
+}
+
+/// The cheap checks: `block` is number `expected` and chains to `previous`.
+fn check_link(block: &Block, expected: u64, previous: Digest) -> Result<(), ChainError> {
+    if block.header.number != expected {
+        return Err(ChainError::WrongNumber {
+            expected,
+            got: block.header.number,
+        });
+    }
+    if block.header.previous_hash != previous {
+        return Err(ChainError::BrokenHashChain);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -282,6 +293,57 @@ mod tests {
         assert_eq!(chain.append(block).unwrap_err(), ChainError::BadDataHash);
     }
 
+    /// Cheap checks first: a block wrong in every way reports its
+    /// number, then its link, and only then its data hash — through
+    /// `append` and `verify_next` alike.
+    #[test]
+    fn the_first_failed_check_is_reported() {
+        let mut chain = Blockchain::new();
+        extend(&mut chain, vec![]);
+        let mut block = Block::assemble(5, [9; 32], vec![tx(1)]);
+        block.header.data_hash = [0xAA; 32];
+        let wrong_number = ChainError::WrongNumber {
+            expected: 1,
+            got: 5,
+        };
+        assert_eq!(chain.verify_next(block.clone()), Err(wrong_number.clone()));
+        assert_eq!(chain.append(block.clone()), Err(wrong_number));
+        block.header.number = 1;
+        assert_eq!(
+            chain.append(block.clone()),
+            Err(ChainError::BrokenHashChain)
+        );
+        block.header.previous_hash = chain.tip_hash();
+        assert_eq!(chain.append(block.clone()), Err(ChainError::BadDataHash));
+        assert_eq!(chain.height(), 1, "a rejected block leaves the chain alone");
+        block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        assert_eq!(chain.append(block), Ok(()));
+    }
+
+    #[test]
+    fn sealed_append_still_checks_number_and_link() {
+        let mut chain = Blockchain::new();
+        extend(&mut chain, vec![]);
+        let block = Block::assemble(1, chain.tip_hash(), vec![tx(1)]);
+        let misnumbered = SealedBlock::verify(Block::assemble(2, chain.tip_hash(), vec![tx(1)]));
+        assert_eq!(
+            chain.append_sealed(misnumbered.expect("hash covers")),
+            Err(ChainError::WrongNumber {
+                expected: 1,
+                got: 2
+            })
+        );
+        let unlinked = SealedBlock::seal(block.clone(), [9; 32]);
+        assert_eq!(
+            chain.append_sealed(unlinked),
+            Err(ChainError::BrokenHashChain)
+        );
+        assert_eq!(chain.height(), 1);
+        let sealed = SealedBlock::seal(block, chain.tip_hash());
+        assert_eq!(chain.append_sealed(sealed), Ok(()));
+        chain.verify_integrity().unwrap();
+    }
+
     #[test]
     fn verify_detects_mid_chain_tampering() {
         let mut chain = Blockchain::new();
@@ -297,6 +359,9 @@ mod tests {
             chain.verify_integrity().unwrap_err(),
             ChainError::BadDataHash
         );
+        // The same chain through the codec: decoding re-verifies.
+        let error = crate::codec::decode_chain(&crate::codec::encode_chain(&chain)).unwrap_err();
+        assert!(error.to_string().starts_with("chain integrity violation"));
     }
 
     #[test]

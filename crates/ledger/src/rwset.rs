@@ -189,29 +189,48 @@ impl ReadWriteSet {
     }
 
     /// Appends [`ReadWriteSet::to_bytes`] to `out`.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u64).to_be_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
-        out.extend_from_slice(&(self.reads.len() as u64).to_be_bytes());
+    pub fn write_bytes(&self, out: &mut impl ByteSink) {
+        fn put_len(out: &mut impl ByteSink, bytes: &[u8]) {
+            out.put(&(bytes.len() as u64).to_be_bytes());
+            out.put(bytes);
+        }
+        out.put(&(self.reads.len() as u64).to_be_bytes());
         for (key, entry) in self.reads.iter() {
-            put_str(out, key);
+            put_len(out, key.as_bytes());
             match entry.version {
                 Some(height) => {
-                    out.push(1);
-                    out.extend_from_slice(&height.to_bytes());
+                    out.put(&[1]);
+                    out.put(&height.to_bytes());
                 }
-                None => out.push(0),
+                None => out.put(&[0]),
             }
         }
-        out.extend_from_slice(&(self.writes.len() as u64).to_be_bytes());
+        out.put(&(self.writes.len() as u64).to_be_bytes());
         for (key, entry) in self.writes.iter() {
-            put_str(out, key);
-            out.push(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
-            out.extend_from_slice(&(entry.value.len() as u64).to_be_bytes());
-            out.extend_from_slice(&entry.value);
+            put_len(out, key.as_bytes());
+            out.put(&[u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1)]);
+            put_len(out, &entry.value);
         }
+    }
+}
+
+/// Where the canonical encoders write: a `Vec<u8>` keeps the bytes, a
+/// `usize` only counts them — one description of the format weighs a
+/// transaction for a block cut without encoding it.
+pub trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl ByteSink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
     }
 }
 

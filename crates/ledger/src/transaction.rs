@@ -5,11 +5,10 @@
 //! metadata, then submits it to the ordering service (§2.1, step 2).
 
 use std::fmt;
-use std::io::Write;
 
 use fabriccrdt_crypto::{sha256, Identity, Signature};
 
-use crate::rwset::ReadWriteSet;
+use crate::rwset::{ByteSink, ReadWriteSet};
 
 /// A transaction identifier: SHA-256 over the client identity, a client
 /// nonce and the chaincode name.
@@ -20,7 +19,9 @@ impl TxId {
     /// Derives a transaction id.
     pub fn derive(client: &Identity, nonce: u64, chaincode: &str) -> Self {
         let mut h = sha256::Sha256::new();
-        h.update(client.to_string().as_bytes());
+        for part in client.display_parts() {
+            h.update(part);
+        }
         h.update(&nonce.to_be_bytes());
         h.update(chaincode.as_bytes());
         TxId(h.finalize())
@@ -71,10 +72,12 @@ impl Transaction {
         out
     }
 
-    fn write_response_payload(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.id.0);
-        out.extend_from_slice(self.chaincode.as_bytes());
-        out.push(0);
+    /// Appends [`Transaction::response_payload`] to `out`: by
+    /// construction the prefix of [`Transaction::write_bytes`].
+    pub(crate) fn write_response_payload(&self, out: &mut impl ByteSink) {
+        out.put(&self.id.0);
+        out.put(self.chaincode.as_bytes());
+        out.put(&[0]);
         self.rwset.write_bytes(out);
     }
 
@@ -88,13 +91,20 @@ impl Transaction {
 
     /// Appends [`Transaction::to_bytes`] to `out`, so a caller hashing
     /// many transactions can reuse one buffer.
-    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+    pub fn write_bytes(&self, out: &mut impl ByteSink) {
         self.write_response_payload(out);
-        out.extend_from_slice(&(self.endorsements.len() as u64).to_be_bytes());
+        self.write_endorsements(out);
+    }
+
+    /// What [`Transaction::write_bytes`] adds to the response payload.
+    pub(crate) fn write_endorsements(&self, out: &mut impl ByteSink) {
+        out.put(&(self.endorsements.len() as u64).to_be_bytes());
         for e in &self.endorsements {
-            write!(out, "{}", e.endorser).expect("writing to a Vec cannot fail");
-            out.push(0);
-            out.extend_from_slice(&e.signature.0);
+            for part in e.endorser.display_parts() {
+                out.put(part);
+            }
+            out.put(&[0]);
+            out.put(&e.signature.0);
         }
     }
 

@@ -3,7 +3,7 @@
 //! generator (`fabriccrdt_sim::gen`).
 
 use fabriccrdt_crypto::{Identity, Signature};
-use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -123,6 +123,57 @@ fn rwset_bytes_distinguish() {
         let b = arb_rwset(g);
         if a.to_bytes() == b.to_bytes() {
             assert_eq!(a, b);
+        }
+    });
+}
+
+/// The counting sink walks the same format as the byte sink: what the
+/// orderer weighs is what the data hash covers, and the response
+/// payload is its prefix.
+#[test]
+fn counted_length_equals_encoded_length() {
+    gen::cases(256, |g| {
+        let tx = arb_transaction(g);
+        let mut counted = 0usize;
+        tx.write_bytes(&mut counted);
+        assert_eq!(counted, tx.to_bytes().len());
+        let mut counted = 0usize;
+        tx.rwset.write_bytes(&mut counted);
+        assert_eq!(counted, tx.rwset.to_bytes().len());
+        assert!(tx.to_bytes().starts_with(&tx.response_payload()));
+    });
+}
+
+/// The ingress encoding and the sealed constructors agree with the
+/// streaming data hash — on blocks as assembled and with one byte of
+/// one written value flipped — and hand out the payloads endorsers
+/// signed.
+#[test]
+fn hashing_constructors_agree_with_the_streaming_hash() {
+    gen::cases(128, |g| {
+        let mut block = arb_block(g);
+        let encoded = EncodedTransactions::verify(&block).expect("as assembled");
+        for (i, tx) in block.transactions.iter().enumerate() {
+            assert_eq!(encoded.response_payload(i), tx.response_payload());
+        }
+        let sealed = SealedBlock::seal(block.clone(), block.header.previous_hash);
+        assert_eq!(*sealed, block, "sealing an assembled block changes nothing");
+        assert_eq!(SealedBlock::verify(block.clone()), Some(sealed));
+
+        let written = block.transactions.iter_mut().find_map(|tx| {
+            let (key, entry) = tx.rwset.writes.iter().find(|(_, e)| !e.value.is_empty())?;
+            let (key, value) = (key.clone(), entry.value.clone());
+            Some((tx, key, value))
+        });
+        if let Some((tx, key, mut value)) = written {
+            value[0] ^= 0x01;
+            tx.rwset.writes.update_value(&key, value);
+            assert!(!block.data_hash_is_valid());
+            assert!(EncodedTransactions::verify(&block).is_none());
+            assert_eq!(SealedBlock::verify(block.clone()), None);
+            let resealed = SealedBlock::seal(block, [7; 32]);
+            assert!(resealed.data_hash_is_valid());
+            assert_eq!(resealed.header.previous_hash, [7; 32]);
         }
     });
 }
