@@ -49,11 +49,17 @@ crates/ledger/tests/properties.rs"
 
 # The figure every CHANGES.md entry quotes (ROADMAP's command), then the
 # same files cut at their first `#[cfg(test)]`: the first still counts
-# in-module test code, the second does not. Printed, not gated.
-echo "==> non-test lines (ROADMAP's command; then without in-module tests)"
+# in-module test code, the second does not. Printed, not gated. Third,
+# ROADMAP item 5's panic-site count over the second figure's lines
+# outside crates/bench: it may fall, never rise.
+cut_at_tests() { xargs awk 'FNR == 1 { cut = 0 } /#\[cfg\(test\)\]/ { cut = 1 } !cut'; }
+echo "==> non-test lines (ROADMAP's command; then without in-module tests; then panic sites)"
 find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | xargs cat | wc -l
-find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' |
-    xargs awk 'FNR == 1 { cut = 0 } /#\[cfg\(test\)\]/ { cut = 1 } !cut' | wc -l
+find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | cut_at_tests | wc -l
+panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/bench/*' |
+    cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
+echo "$panic_sites"
+test "$panic_sites" -le 95
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -75,20 +81,19 @@ cargo test -q --release -p fabriccrdt-crypto -- --nocapture
 echo "==> cargo test --release (ledger: world-state differential, full count)"
 cargo test -q --release -p fabriccrdt-ledger
 
-# Smoke-run the experiment binaries with tiny configs: they assert
-# their own invariants (convergence, byte-identical ledgers, failover
-# recovery), so a panic here fails the gate. Their stdout is a pure
-# function of the seed (simulated time only), so each run is also held
-# to the SHA-256 recorded in tests/golden/bin_stdout.sha256: "every
+# Smoke-run the experiments of the one `bench` binary with tiny configs:
+# they assert their own invariants (convergence, byte-identical ledgers,
+# failover recovery), so a panic here fails the gate. Their stdout is a
+# pure function of the seed (simulated time only), so each run is also
+# held to the SHA-256 recorded in tests/golden/bin_stdout.sha256: "every
 # table bit-identical to the parent" is checked here, not by hand. A PR
 # that legitimately changes a table re-records its line (the failure
 # message prints it) and says so in CHANGES.md.
-smoke() { # <bin> [args...]
-    local bin=$1 out line
-    shift
+smoke() { # <experiment> [args...]
+    local out line
     out=$(mktemp)
-    cargo run --release -q -p fabriccrdt-bench --bin "$bin" -- "$@" | tee "$out"
-    line="$(sha256sum <"$out" | cut -d' ' -f1)  $bin${*:+ $*}"
+    cargo run --release -q -p fabriccrdt-bench --bin bench -- "$@" | tee "$out"
+    line="$(sha256sum <"$out" | cut -d' ' -f1)  $*"
     rm -f "$out"
     if ! grep -qxF -- "$line" tests/golden/bin_stdout.sha256; then
         echo "stdout changed: tests/golden/bin_stdout.sha256 has no line '$line'" >&2
@@ -96,12 +101,19 @@ smoke() { # <bin> [args...]
     fi
 }
 
-echo "==> experiment smoke runs (stdout digests against tests/golden/bin_stdout.sha256)"
+# Tables 1-5 / Figures 3-7: the simulated-time numbers ROADMAP aim 1
+# says must not move.
+echo "==> paper tables (stdout digests against tests/golden/bin_stdout.sha256)"
+for experiment in fig3 fig4 fig5 fig6 fig7 tables; do
+    smoke "$experiment" --txs 300
+done
+
+echo "==> extension smoke runs (stdout digests against tests/golden/bin_stdout.sha256)"
 smoke partition_heal
 smoke orderer_failover --txs 300
 smoke ablation --txs 200
 
-# Each bench bin below asserts its own invariants and hands its artifact
+# Each experiment below asserts its own invariants and hands its artifact
 # to `fabriccrdt_bench::report`, which re-parses the JSON it wrote and
 # checks the required fields; the gate only checks the file landed.
 #

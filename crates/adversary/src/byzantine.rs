@@ -26,7 +26,7 @@ use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, PipelineConfig, TamperMode};
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, RunMetrics};
 use fabriccrdt_fabric::peer::PeerSnapshot;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::gen::Gen;
 use fabriccrdt_sim::time::SimTime;
@@ -80,7 +80,9 @@ pub fn run_adversarial_pipeline(
         CrdtValidator::new,
     )));
     let delivery = Box::new(GossipDelivery::new(network.clone(), 0));
-    let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery);
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    let mut sim =
+        Simulation::with_layers(config, CrdtValidator::new(), registry, delivery, ordering);
     for (key, value) in seeds {
         sim.seed_state(key.clone(), value.clone());
     }

@@ -109,8 +109,7 @@ fn row(system: &str, workload: &str, metrics: &RunMetrics) -> Vec<String> {
     ]
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let n = options.total_txs.min(4000); // ablations need no 10k cells
     let seed = options.seed;
 

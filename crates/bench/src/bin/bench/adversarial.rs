@@ -22,8 +22,6 @@
 //!    measures gossip catch-up (the storm's reconvergence time).
 //!
 //! Emits `BENCH_adversarial.json`.
-//!
-//! Run with: `cargo run --release --bin adversarial -- [--txs N] [--seed S]`
 
 use std::sync::Arc;
 
@@ -142,8 +140,7 @@ fn run_merge_storm(txs: usize, seed: u64) -> (AdversarialRun, usize) {
     )
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let txs = (options.total_txs / 25).clamp(40, 400);
     let seed = options.seed;
 

@@ -27,8 +27,6 @@
 //!    same per-peer ledgers as the in-memory backend.
 //!
 //! Emits `BENCH_catchup_storage.json`.
-//!
-//! Run with: `cargo run --release --bin catchup_storage -- [--txs N] [--seed S]`
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -120,7 +118,7 @@ fn faults(chain: usize) -> FaultConfig {
 
 /// Runs the stream through a network built from `config` and returns
 /// the restarted peer's completed catch-up episode plus the network.
-fn run(
+fn run_stream(
     config: &PipelineConfig,
     blocks: &[Block],
 ) -> (GossipNetwork<CrdtValidator>, CatchUpEpisode) {
@@ -168,8 +166,7 @@ struct Cell {
     saving_ratio: f64,
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let per_block = (options.total_txs / 100).clamp(2, 10);
 
     println!("Catch-up cost: full block replay vs durable snapshot transfer");
@@ -192,11 +189,11 @@ fn main() {
             .with_gossip()
             .with_faults(faults(chain));
 
-        let (replay_network, replay_episode) = run(&base, &blocks);
+        let (replay_network, replay_episode) = run_stream(&base, &blocks);
         let stored_config = base
             .clone()
             .with_storage(StorageConfig::memory().with_snapshot_interval(SNAPSHOT_INTERVAL));
-        let (stored_network, stored_episode) = run(&stored_config, &blocks);
+        let (stored_network, stored_episode) = run_stream(&stored_config, &blocks);
 
         for network in [&replay_network, &stored_network] {
             for i in 0..network.peer_count() {
@@ -261,10 +258,10 @@ fn main() {
     let aof_config = base
         .clone()
         .with_storage(StorageConfig::append_only(&dir).with_snapshot_interval(SNAPSHOT_INTERVAL));
-    let (aof_network, _) = run(&aof_config, &blocks);
+    let (aof_network, _) = run_stream(&aof_config, &blocks);
     let mem_config =
         base.with_storage(StorageConfig::memory().with_snapshot_interval(SNAPSHOT_INTERVAL));
-    let (mem_network, _) = run(&mem_config, &blocks);
+    let (mem_network, _) = run_stream(&mem_config, &blocks);
     for i in 0..aof_network.peer_count() {
         assert_eq!(
             aof_network.snapshot_on(0, i).expect("aof peer up"),

@@ -24,8 +24,6 @@
 //! `replicated-durable` workload.
 //!
 //! Emits `BENCH_multi_channel.json`.
-//!
-//! Run with: `cargo run --release --bin multi_channel -- [--txs N] [--seed S]`
 
 use std::sync::Arc;
 
@@ -190,8 +188,7 @@ fn run_transfers(
     (committed, aborted)
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let txs_per_client = (options.total_txs / 100).clamp(10, 100);
 
     println!("Multi-channel scaling: aggregate TPS over a shared gossip network");

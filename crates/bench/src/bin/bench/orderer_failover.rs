@@ -18,18 +18,16 @@
 //!    (elections, leader changes, client retries, message loss).
 //! 4. Assert: every transaction still commits exactly once, and at
 //!    least one re-election happened.
-//!
-//! Run with: `cargo run --release --bin orderer_failover -- [--txs N] [--seed S] [--csv PATH]`
 
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_bench::HarnessOptions;
+use fabriccrdt_bench::{write_csv, HarnessOptions};
+use fabriccrdt_channel::assemble;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::metrics::RunMetrics;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
-use fabriccrdt_ordering::RaftOrderingBackend;
+use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
 
@@ -41,16 +39,10 @@ fn schedule(txs: usize) -> Vec<(SimTime, TxRequest)> {
     IotChaincode::hot_key_schedule("device1", txs, RATE_TPS)
 }
 
-fn run(config: PipelineConfig, txs: usize) -> RunMetrics {
+fn run_pipeline(config: PipelineConfig, txs: usize) -> RunMetrics {
     let mut registry = ChaincodeRegistry::new();
     registry.deploy(Arc::new(IotChaincode::crdt()));
-    let mut sim = match config.ordering.clone() {
-        Some(_) => {
-            let backend = Box::new(RaftOrderingBackend::new(&config));
-            Simulation::with_ordering(config, CrdtValidator::new(), registry, backend)
-        }
-        None => Simulation::new(config, CrdtValidator::new(), registry),
-    };
+    let mut sim = assemble(config, registry, CrdtValidator::new);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
     sim.run(schedule(txs))
 }
@@ -97,8 +89,7 @@ fn report_run(label: &str, metrics: &RunMetrics) {
     );
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let txs = options.total_txs.min(10_000);
     let nominal = SimTime::from_secs_f64(txs as f64 / RATE_TPS);
     let crash_at = SimTime::from_micros(nominal.as_micros() * 2 / 5);
@@ -113,7 +104,7 @@ fn main() {
     );
 
     // 1. Baseline: the default single orderer.
-    let baseline = run(PipelineConfig::paper(25, options.seed), txs);
+    let baseline = run_pipeline(PipelineConfig::paper(25, options.seed), txs);
     report_run("single orderer (baseline)", &baseline);
     println!();
 
@@ -126,7 +117,7 @@ fn main() {
     });
     let mut config = PipelineConfig::paper(25, options.seed);
     config.ordering = Some(raft);
-    let failover = run(config, txs);
+    let failover = run_pipeline(config, txs);
     report_run("raft ordering, leader killed", &failover);
 
     let ordering = failover
@@ -191,14 +182,11 @@ fn main() {
     }
 
     if let Some(path) = &options.csv {
-        let mut csv = String::from("bucket_ms,commits\n");
-        for (i, count) in series.counts().iter().enumerate() {
-            csv.push_str(&format!("{},{count}\n", i as u64 * BUCKET_MS));
-        }
-        match std::fs::write(path, csv) {
-            Ok(()) => eprintln!("wrote CSV to {path}"),
-            Err(e) => eprintln!("could not write CSV to {path}: {e}"),
-        }
+        let rows: Vec<Vec<String>> = (0u64..)
+            .zip(series.counts())
+            .map(|(i, count)| vec![(i * BUCKET_MS).to_string(), count.to_string()])
+            .collect();
+        write_csv(path, &["bucket_ms", "commits"], &rows);
     }
 
     // 4. The failover invariants.

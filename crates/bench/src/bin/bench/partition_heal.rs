@@ -21,8 +21,6 @@
 //!    are byte-identical to each other *and* to the pipeline's peer.
 //! 4. Report dissemination metrics: propagation percentiles, redundancy
 //!    ratio, and the catch-up episodes the heal triggered.
-//!
-//! Run with: `cargo run --release --bin partition_heal`
 
 use std::sync::Arc;
 
@@ -143,7 +141,7 @@ fn assert_byte_identical(
     );
 }
 
-fn main() {
+pub fn run() {
     println!("Partition-and-heal: gossip dissemination under FabricCRDT");
     println!(
         "workload: {TXS} conflicting CRDT txs on one key; partition peers [4, 5] \

@@ -153,8 +153,7 @@ fn run_cell(strategy: Strategy, skew: f64, budget: usize, options: &HarnessOptio
     }
 }
 
-fn main() {
-    let options = HarnessOptions::from_args();
+pub fn run(options: &HarnessOptions) {
     let keys = options.keys.unwrap_or(KEYS);
     let rate_tps = options.rate_tps.unwrap_or(RATE_TPS);
     println!(
@@ -166,7 +165,7 @@ fn main() {
     for strategy in Strategy::ALL {
         for &budget in strategy.budgets() {
             for &skew in &SKEWS {
-                let metrics = run_cell(strategy, skew, budget, &options);
+                let metrics = run_cell(strategy, skew, budget, options);
                 eprintln!(
                     "  done: {} s={skew} budget={budget} -> {:.1} tps goodput, \
                      {} ok, {} retries",

@@ -1,68 +1,41 @@
-//! Shared harness for the figure-regeneration binaries.
-//!
-//! One binary per figure of the paper's evaluation (`fig3` … `fig7`,
-//! plus `tables`); each prints the same series the corresponding figure
-//! plots — throughput of successful transactions (panel a), average
-//! latency of successful transactions (panel b), and number of
-//! successful transactions (panel c) — for both FabricCRDT and Fabric.
-//!
-//! Every binary accepts:
-//!
-//! - `--txs N` — transactions per cell (default 10 000, the paper's
-//!   count; lower for a quick look),
-//! - `--seed S` — PRNG seed (default 42).
+//! What the experiments of the one `bench` binary share: the parsed
+//! command line ([`HarnessOptions`]) and the two artifact writers
+//! ([`report`] for `BENCH_*.json`, [`write_csv`] for `--csv`).
 
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_workload::experiment::{ExperimentConfig, SystemKind};
+use fabriccrdt_workload::experiment::ExperimentConfig;
 use fabriccrdt_workload::flags::Flags;
-use fabriccrdt_workload::report::{figure_headers, figure_row, render_table};
 
-/// Command-line options shared by the figure binaries.
+/// Command-line options of an experiment. Each experiment names the
+/// flags it reads; a field whose flag it does not accept stays at its
+/// default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HarnessOptions {
-    /// Transactions per experiment cell.
+    /// `--txs N`: transactions per cell (default 10 000, the paper's).
     pub total_txs: usize,
-    /// PRNG seed.
+    /// `--seed S`: PRNG seed (default 42).
     pub seed: u64,
-    /// Optional CSV output path for plotting pipelines.
+    /// `--csv PATH`: optional CSV output for plotting pipelines.
     pub csv: Option<String>,
-    /// Arrival rate override in transactions per second (binaries that
-    /// hardcode a rate use this instead when set).
+    /// `--rate TPS`: arrival rate override in transactions per second.
     pub rate_tps: Option<f64>,
-    /// Block-cut size override (max transactions per block).
+    /// `--block-cut N`: max transactions per block, overriding each arm's.
     pub block_cut: Option<usize>,
-    /// Key-space size override for contention sweeps.
+    /// `--keys N`: key-space size override for contention sweeps.
     pub keys: Option<usize>,
 }
 
-impl Default for HarnessOptions {
-    fn default() -> Self {
-        HarnessOptions {
-            total_txs: 10_000,
-            seed: 42,
-            csv: None,
-            rate_tps: None,
-            block_cut: None,
-            keys: None,
-        }
-    }
-}
-
 impl HarnessOptions {
-    /// Parses `--txs N`, `--seed S`, `--csv PATH`, `--rate TPS`,
-    /// `--block-cut N` and `--keys N` from the process arguments. On an
-    /// unknown flag or an unusable value it prints `error: …` and exits
-    /// with status 1, like the `fabriccrdt-repro` CLI.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse(&args).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(1)
-        })
-    }
-
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let flags = Flags::parse(args, &["txs", "seed", "csv", "rate", "block-cut", "keys"])?;
+    /// Parses an experiment's arguments, accepting only the flags it
+    /// reads (`accepted`, without their `--`).
+    ///
+    /// # Errors
+    ///
+    /// Returns the message the binary prints as `error: …` (exit 1, like
+    /// the `fabriccrdt-repro` CLI) on a flag outside `accepted`, a stray
+    /// argument or an unusable value.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<Self, String> {
+        let flags = Flags::parse(args, accepted)?;
         if let Some(stray) = flags.positional.first() {
             return Err(format!("unexpected argument {stray:?}"));
         }
@@ -70,14 +43,13 @@ impl HarnessOptions {
             Some(0) => Err(format!("--{key} must be at least 1")),
             count => Ok(count),
         };
-        let defaults = HarnessOptions::default();
         let rate_tps = flags.opt::<f64>("rate")?;
         if rate_tps.is_some_and(|r| !(r.is_finite() && r > 0.0)) {
             return Err("--rate must be a finite number above 0".into());
         }
         Ok(HarnessOptions {
-            total_txs: positive("txs")?.unwrap_or(defaults.total_txs),
-            seed: flags.num("seed", defaults.seed)?,
+            total_txs: positive("txs")?.unwrap_or(10_000),
+            seed: flags.num("seed", 42)?,
             csv: flags.get("csv").map(str::to_owned),
             rate_tps,
             block_cut: positive("block-cut")?,
@@ -95,48 +67,19 @@ impl HarnessOptions {
     }
 }
 
-/// Runs a sweep for both systems and prints the standard figure table.
-///
-/// `cells` yields `(x-label, config-for-that-x)` given a base config for
-/// the system; rows print incrementally so long sweeps show progress.
-pub fn run_figure<F>(title: &str, options: &HarnessOptions, systems: &[SystemKind], cells: F)
-where
-    F: Fn(SystemKind) -> Vec<(String, ExperimentConfig)>,
-{
-    println!("=== {title} ===");
-    println!(
-        "(10k-tx paper setup; running {} txs/cell, seed {})\n",
-        options.total_txs, options.seed
-    );
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for &system in systems {
-        for (label, config) in cells(system) {
-            let result = config.run();
-            let row = figure_row(&label, &result);
-            eprintln!(
-                "  done: {} x={} -> {:.1} tps, {} ok",
-                system.label(),
-                label,
-                result.throughput_tps,
-                result.successful
-            );
-            rows.push(row);
-        }
-    }
-    println!("{}", render_table(&figure_headers(), &rows));
-
-    if let Some(path) = &options.csv {
-        let mut csv = figure_headers().join(",");
+/// Writes `headers` and `rows` to `path` as CSV. An artifact that was
+/// asked for and cannot be written fails the run: `error: …`, exit 1.
+pub fn write_csv(path: &str, headers: &[&str], rows: &[Vec<String>]) {
+    let mut csv = headers.join(",") + "\n";
+    for row in rows {
+        csv.push_str(&row.join(","));
         csv.push('\n');
-        for row in &rows {
-            csv.push_str(&row.join(","));
-            csv.push('\n');
-        }
-        match std::fs::write(path, csv) {
-            Ok(()) => eprintln!("wrote CSV to {path}"),
-            Err(e) => eprintln!("could not write CSV to {path}: {e}"),
-        }
     }
+    if let Err(e) = std::fs::write(path, csv) {
+        eprintln!("error: could not write CSV to {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote CSV to {path}");
 }
 
 /// A JSON object from `(field, value)` pairs — the building block of
@@ -180,7 +123,7 @@ mod tests {
 
     #[test]
     fn default_options_match_paper() {
-        let o = HarnessOptions::default();
+        let o = HarnessOptions::parse(&[], &[]).expect("no arguments parse");
         assert_eq!(o.total_txs, 10_000);
         assert_eq!(o.seed, 42);
     }
@@ -203,13 +146,12 @@ mod tests {
 
     #[test]
     fn base_config_threads_options() {
-        let o = HarnessOptions {
-            total_txs: 123,
-            seed: 9,
-            ..HarnessOptions::default()
-        };
+        let args = ["--txs", "123", "--seed", "9"].map(str::to_owned);
+        let o = HarnessOptions::parse(&args, &["txs", "seed"]).expect("both accepted");
         let cfg = o.base_config();
         assert_eq!(cfg.total_txs, 123);
         assert_eq!(cfg.seed, 9);
+        let refused = HarnessOptions::parse(&args, &["seed"]).expect_err("--txs not accepted");
+        assert!(refused.contains("unknown flag --txs; accepted: --seed"));
     }
 }

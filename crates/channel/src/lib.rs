@@ -28,7 +28,7 @@
 //! state, height and tip hash
 //! ([`MultiChannelNetwork::verify_converged`]).
 //!
-//! The `multi_channel` bench binary (`crates/bench`) sweeps channel
+//! The `multi_channel` experiment (`crates/bench`) sweeps channel
 //! count × clients-per-channel over this driver and reports aggregate
 //! TPS; see EXPERIMENTS.md.
 

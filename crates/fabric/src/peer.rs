@@ -13,25 +13,20 @@
 //! `start + cost`, and endorsements arriving in between correctly observe
 //! the pre-block state.
 //!
-//! # Cross-block pipelining
+//! # Chained blocks
 //!
 //! [`Peer::process_block`] is [`Peer::prevalidate`] joined at once by
-//! [`Peer::finish_block`]. A driver that wants cross-block overlap
-//! under [`ValidationPipeline::Pipelined`] instead chains
-//! [`Peer::finish_block_with_next`]: it joins block N's pre-validation,
-//! submits block N+1's pure per-transaction stage to the worker pool,
-//! then runs N's conflict-chain finalize — so N+1's signature checking
-//! runs on pool threads *while* N's finalize commits on the calling
-//! thread. The world state is a persistent map: finalize writes the
-//! block into a clone that shares every untouched node with
-//! [`Peer::state`], and [`Peer::commit`] replaces the one with the
-//! other. The overlapped stage reads no world state at all, so the MVCC
-//! check at finalize — against the committed state, after block N's
-//! commit — is the only read verdict there is, and it catches any read
-//! that raced a commit. Every stage stays a pure function of
-//! (transaction, committed-id context), so pipelined runs are
-//! value-identical to sequential ones under either driver — only
-//! wall-clock changes.
+//! [`Peer::finish_block`]. The drivers (`Simulation`, the gossip lanes)
+//! chain instead: [`Peer::finish_block_with_next`] joins block N's
+//! pre-validation, starts block N+1's pure per-transaction stage, then
+//! runs N's finalize. Under [`ValidationPipeline::Pipelined`] N+1's
+//! signature checking runs on pool threads *while* N finalizes on the
+//! calling thread; under `Sequential` it is deferred to N+1's own join.
+//! The started stage reads no world state, so the MVCC check at
+//! finalize — against the committed state, after block N's commit — is
+//! the only read verdict there is, and every stage is a pure function
+//! of (transaction, committed-id context): the two pipelines are
+//! value-identical and only wall-clock differs (DESIGN.md §4.9).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -101,17 +96,6 @@ pub struct StagedBlock {
     pub timings: StageTimings,
 }
 
-impl StagedBlock {
-    /// Ids of every transaction in the staged block — the duplicate
-    /// context a pipelined driver must thread into the pre-validation
-    /// of blocks prepared while this one is still in flight
-    /// ([`Peer::commit`] will extend the committed set with *all* of
-    /// them, valid and failed alike).
-    pub(crate) fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
-        self.block.transactions.iter().map(|t| t.id)
-    }
-}
-
 /// Block N+1 mid-flight: its pure pre-validation stage has been
 /// started (possibly on the worker pool, concurrently with block N's
 /// finalize) but not yet joined. Redeem with [`Peer::finish_block`] —
@@ -127,20 +111,6 @@ pub struct PreparedBlock {
     pending: Option<PendingMap<(Option<ValidationCode>, u64)>>,
     /// When pre-validation started.
     pre_start: Instant,
-}
-
-impl PreparedBlock {
-    /// Ids of every transaction in the prepared block (see
-    /// [`StagedBlock::tx_ids`] — same duplicate-context contract).
-    pub(crate) fn tx_ids(&self) -> impl Iterator<Item = TxId> + '_ {
-        // Exactly one of the two is nonempty: `block.transactions`
-        // for tampered blocks, the shared `Arc` otherwise.
-        self.block
-            .transactions
-            .iter()
-            .chain(self.transactions.iter())
-            .map(|t| t.id)
-    }
 }
 
 /// A [`PreparedBlock`] whose pre-validation has been joined; input to
@@ -671,7 +641,7 @@ impl<V: BlockValidator> Peer<V> {
             (None, sigs)
         });
 
-        if overlapped {
+        if overlapped && self.runner.mode().is_pipelined() {
             self.stats.blocks_overlapped += 1;
         }
 
@@ -773,7 +743,7 @@ impl<V: BlockValidator> Peer<V> {
     /// key-disjoint conflict chains ([`conflict_chains`]), finalize the
     /// chains concurrently against a [`ShardedState`], and reassemble
     /// codes, write-value rewrites and work counters in block order —
-    /// value-identical by construction (DESIGN.md §4.10), and asserted
+    /// value-identical by construction (DESIGN.md §4.9), and asserted
     /// against a sequential shadow run in debug builds.
     fn finalize(
         &self,

@@ -72,18 +72,14 @@ pub enum ValidationPipeline {
     /// Fan work out over a persistent pool of `workers` threads;
     /// results are joined in item order (see the module-level
     /// determinism argument). `workers == 1` still runs on the calling
-    /// thread. Driven through
-    /// [`Peer::process_block`](crate::peer::Peer::process_block) that
-    /// is all it does; a driver that chains
-    /// [`Peer::finish_block_with_next`](crate::peer::Peer::finish_block_with_next)
-    /// also gets *cross-block* overlap: the pure pre-validation stage
-    /// of block N+1 is submitted to the pool
+    /// thread. Under the chained drivers
+    /// ([`Peer::finish_block_with_next`](crate::peer::Peer::finish_block_with_next))
+    /// the pure pre-validation stage of block N+1 rides the pool
     /// ([`PipelineRunner::map_ordered_bg`]) while block N's finalize
-    /// runs on the calling thread. Reads during the overlapped stage go
-    /// through the peer's immutable `Arc` state epoch (see
-    /// [`crate::peer::Peer::state`]), never a lock; the MVCC recheck at
-    /// finalize catches any read that raced a commit. Value-identical
-    /// to `Sequential` — only wall-clock changes.
+    /// runs on the calling thread; a caller of
+    /// [`Peer::process_block`](crate::peer::Peer::process_block) gets
+    /// the intra-block fan-out only. Value-identical to `Sequential` —
+    /// only wall-clock changes.
     Pipelined {
         /// Total worker parallelism (clamped to at least 1).
         workers: usize,

@@ -9,7 +9,7 @@
 //! not aim for the total elimination of failures, as FabricCRDT does."*
 //!
 //! This module implements that baseline so the two approaches can be
-//! compared head-to-head (see the `ablation` bench binary):
+//! compared head-to-head (see the `ablation` experiment of `bench`):
 //!
 //! 1. Build the intra-batch conflict graph: an edge `R → W` whenever
 //!    transaction `R` reads a key that transaction `W` writes — `R` must

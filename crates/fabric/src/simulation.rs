@@ -333,14 +333,18 @@ pub struct Simulation<V: BlockValidator> {
     resubmissions: u64,
     /// Abort-and-retry accounting (reported via [`RunMetrics::retry`]).
     retry: RetryMetrics,
-    pending_blocks: VecDeque<Block>,
+    /// The block being committed, until its `CommitDone`.
     staged: Option<StagedBlock>,
-    /// Blocks whose pre-validation was started ahead of the in-flight
-    /// block's commit ([`crate::pipeline::ValidationPipeline::Pipelined`]
-    /// only), in arrival order.
+    /// Delivered blocks behind it, pre-validation started, in arrival
+    /// order.
     prepared: VecDeque<PreparedBlock>,
-    /// Pipelined runs: blocks that arrived with the peer idle (no
-    /// in-flight block to overlap with).
+    /// Ids of every transaction of `staged` and `prepared`, valid and
+    /// failed alike: [`Peer::commit`] extends the peer's duplicate set
+    /// with all of them, so this is the context a block prepared ahead
+    /// of them must be screened against.
+    in_flight_ids: HashSet<TxId>,
+    /// Blocks that arrived with the peer idle (no in-flight block to
+    /// overlap with); reported for pipelined runs.
     stalls: u64,
     delivery: Box<dyn DeliveryLayer>,
     /// Orderer-cut blocks in cut order, recorded when enabled via
@@ -357,48 +361,16 @@ impl<V: BlockValidator> Simulation<V> {
     /// Builds a simulation from a configuration, a validator and the
     /// deployed chaincodes.
     pub fn new(config: PipelineConfig, validator: V, registry: ChaincodeRegistry) -> Self {
-        Simulation::with_delivery(
-            config,
-            validator,
-            registry,
-            Box::new(IdealFifoDelivery::new()),
-        )
-    }
-
-    /// Builds a simulation with an explicit block-dissemination layer
-    /// (see [`DeliveryLayer`]). [`Simulation::new`] uses
-    /// [`IdealFifoDelivery`].
-    pub fn with_delivery(
-        config: PipelineConfig,
-        validator: V,
-        registry: ChaincodeRegistry,
-        delivery: Box<dyn DeliveryLayer>,
-    ) -> Self {
+        let delivery = Box::new(IdealFifoDelivery::new());
         let ordering = Box::new(SingleOrderer::from_config(&config));
         Simulation::with_layers(config, validator, registry, delivery, ordering)
     }
 
-    /// Builds a simulation with an explicit ordering backend (see
-    /// [`OrderingBackend`]) and the default ideal FIFO delivery.
-    /// [`Simulation::new`] uses [`SingleOrderer`].
-    pub fn with_ordering(
-        config: PipelineConfig,
-        validator: V,
-        registry: ChaincodeRegistry,
-        ordering: Box<dyn OrderingBackend>,
-    ) -> Self {
-        Simulation::with_layers(
-            config,
-            validator,
-            registry,
-            Box::new(IdealFifoDelivery::new()),
-            ordering,
-        )
-    }
-
-    /// Builds a simulation with explicit dissemination *and* ordering
-    /// layers — the fully general constructor the other three delegate
-    /// to.
+    /// Builds a simulation with explicit dissemination and ordering
+    /// layers (see [`DeliveryLayer`], [`OrderingBackend`]).
+    /// [`Simulation::new`] uses [`IdealFifoDelivery`] and
+    /// [`SingleOrderer`]; `fabriccrdt_channel::assemble` picks both from
+    /// the configuration.
     pub fn with_layers(
         config: PipelineConfig,
         validator: V,
@@ -428,9 +400,9 @@ impl<V: BlockValidator> Simulation<V> {
             committed_events: Vec::new(),
             resubmissions: 0,
             retry: RetryMetrics::default(),
-            pending_blocks: VecDeque::new(),
             staged: None,
             prepared: VecDeque::new(),
+            in_flight_ids: HashSet::new(),
             stalls: 0,
             delivery,
             block_log: None,
@@ -493,6 +465,7 @@ impl<V: BlockValidator> Simulation<V> {
         self.end_time = SimTime::ZERO;
         self.armed_wakeups.clear();
         self.prepared.clear();
+        self.in_flight_ids.clear();
         self.stalls = 0;
         for (i, (at, request)) in schedule.into_iter().enumerate() {
             self.requests.push(request);
@@ -573,33 +546,23 @@ impl<V: BlockValidator> Simulation<V> {
                 self.apply_ordering(now, outcome);
             }
             Event::DeliverBlock(block) => {
-                // Pipelined mode: a block arriving while another is in
-                // flight starts its pure pre-validation immediately
-                // (on the worker pool), overlapping the in-flight
-                // block's finalize/commit. The duplicate context is the
-                // union of every in-flight block's transaction ids —
-                // exactly what `committed_ids` will hold by the time
-                // this block's own finalize runs.
-                let pipelined = self.config.validation.is_pipelined();
-                if pipelined && (self.staged.is_some() || !self.prepared.is_empty()) {
-                    let mut extra: HashSet<TxId> = HashSet::new();
-                    if let Some(staged) = &self.staged {
-                        extra.extend(staged.tx_ids());
-                    }
-                    for prep in &self.prepared {
-                        extra.extend(prep.tx_ids());
-                    }
-                    let prep = self.peer.prevalidate_ahead(block, &extra);
-                    self.prepared.push_back(prep);
+                // Pre-validation starts on arrival, ahead of any in-flight
+                // block's commit: on the worker pool of a `Pipelined`
+                // peer; deferred to this block's own join on a
+                // `Sequential` one, whose schedule is therefore the
+                // sequential one value for value. The duplicate context
+                // is `in_flight_ids` — what `committed_ids` will hold when
+                // this block finalizes.
+                let ids: Vec<TxId> = block.transactions.iter().map(|tx| tx.id).collect();
+                let prep = if self.staged.is_some() || !self.prepared.is_empty() {
+                    self.peer.prevalidate_ahead(block, &self.in_flight_ids)
                 } else {
-                    if pipelined {
-                        // Nothing in flight to overlap with: the
-                        // pipeline stalls and this block runs like a
-                        // sequential one.
-                        self.stalls += 1;
-                    }
-                    self.pending_blocks.push_back(block);
-                }
+                    // Nothing in flight to overlap with: a stall.
+                    self.stalls += 1;
+                    self.peer.prevalidate(block)
+                };
+                self.in_flight_ids.extend(ids);
+                self.prepared.push_back(prep);
                 self.maybe_start_processing(now);
             }
             Event::CommitDone => {
@@ -609,6 +572,9 @@ impl<V: BlockValidator> Simulation<V> {
                     .peer
                     .commit(staged)
                     .expect("orderer blocks extend the chain in order");
+                for tx in &tip.transactions {
+                    self.in_flight_ids.remove(&tx.id);
+                }
                 let adaptive = self.config.ordering_policy.is_adaptive();
                 let feedback = adaptive.then(|| BlockFeedback::from_block(tip));
                 let updates: Vec<(usize, _, u64)> = tip
@@ -814,23 +780,18 @@ impl<V: BlockValidator> Simulation<V> {
         self.queue.schedule(at, Event::DeliverBlock(block));
     }
 
-    /// Starts processing the next queued block if the peer is idle.
-    /// Pre-validated (pipelined) blocks finish first; they always
-    /// precede anything still in `pending_blocks`, so arrival order is
-    /// preserved. The simulated cost derives from the work counters,
-    /// which are value-identical under every pipeline — so commit
-    /// times, and hence every simulation outcome, are too.
+    /// Joins and finalizes the next delivered block if the peer is idle.
+    /// The simulated cost derives from the work counters, which are
+    /// value-identical under every pipeline — so commit times, and hence
+    /// every simulation outcome, are too.
     fn maybe_start_processing(&mut self, now: SimTime) {
         if self.staged.is_some() {
             return;
         }
-        let staged = if let Some(prep) = self.prepared.pop_front() {
-            self.peer.finish_block(prep)
-        } else if let Some(block) = self.pending_blocks.pop_front() {
-            self.peer.process_block(block)
-        } else {
+        let Some(prep) = self.prepared.pop_front() else {
             return;
         };
+        let staged = self.peer.finish_block(prep);
         let cost = self.config.latency.cost.block_cost(&staged.work);
         self.staged = Some(staged);
         self.queue.schedule(now + cost, Event::CommitDone);

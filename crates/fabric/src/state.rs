@@ -23,7 +23,7 @@
 //! across shards is immaterial and the canonical sorted form — hence
 //! the byte encoding ([`fabriccrdt_ledger::codec`]) — is independent of
 //! shard layout and thread interleaving: part of the determinism
-//! argument in DESIGN.md §4.10.
+//! argument in DESIGN.md §4.9.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

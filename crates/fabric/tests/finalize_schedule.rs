@@ -1,5 +1,5 @@
 //! Directed tests for the conflict-graph finalize schedule (DESIGN.md
-//! §4.10): the two extreme workloads the scheduler must degenerate
+//! §4.9): the two extreme workloads the scheduler must degenerate
 //! gracefully on.
 //!
 //! - **Hot key**: every transaction reads and writes the same key, so

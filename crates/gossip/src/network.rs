@@ -1062,67 +1062,33 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Commits buffered raw blocks as long as the next one is present,
     /// then persists, acknowledges, and GCs (see [`Self::note_commit`]).
     ///
-    /// Under a [`ValidationPipeline::Pipelined`] peer the drain
-    /// overlaps stages across consecutive buffered blocks: while block
-    /// N finalizes on the replica thread, block N+1's pure
-    /// pre-validation runs on the worker pool (see
-    /// `fabriccrdt_fabric::peer`). Outcomes are byte-identical to the
-    /// sequential drain — in-flight duplicate ids are threaded through
-    /// and the MVCC check at finalize settles any read that raced the
-    /// predecessor's commit.
-    ///
-    /// [`ValidationPipeline::Pipelined`]: fabriccrdt_fabric::pipeline::ValidationPipeline::Pipelined
+    /// Each successor is pulled from the buffer *before* its predecessor
+    /// finalizes: a pipelined peer pre-validates it on the worker pool
+    /// during the predecessor's finalize, a sequential peer at its own
+    /// join, byte-identically (`fabriccrdt_fabric::peer`, "Chained
+    /// blocks").
     fn commit_buffered(&mut self, i: usize) {
-        let pipelined = self.slots[i]
-            .peer
-            .as_ref()
-            .is_some_and(|peer| peer.pipeline().is_pipelined());
-        if pipelined {
-            self.commit_buffered_pipelined(i);
-        } else {
-            loop {
-                let next = self.committed(i) + 1;
-                let Some(block) = take_buffered(&mut self.slots[i].buffer, next) else {
-                    break;
-                };
-                let peer = self.slots[i].peer.as_mut().expect("caller checked");
-                let staged = peer.process_block(block);
-                peer.commit(staged)
-                    .expect("buffered blocks extend the chain in order");
-            }
-        }
-        self.note_commit(i);
-    }
-
-    /// The overlapped drain behind [`Self::commit_buffered`]: each
-    /// successor block is pulled from the buffer *before* its
-    /// predecessor finalizes, so its pre-validation rides the worker
-    /// pool during the predecessor's conflict-chain commit.
-    fn commit_buffered_pipelined(&mut self, i: usize) {
         let mut next = self.committed(i) + 1;
         let slot = &mut self.slots[i];
-        let Some(first) = take_buffered(&mut slot.buffer, next) else {
-            return;
-        };
         let peer = slot.peer.as_mut().expect("caller checked");
-        let mut prep = peer.prevalidate(first);
-        loop {
+        let mut prep = take_buffered(&mut slot.buffer, next).map(|first| peer.prevalidate(first));
+        while let Some(current) = prep {
             next += 1;
-            match take_buffered(&mut slot.buffer, next) {
+            let staged = match take_buffered(&mut slot.buffer, next) {
                 Some(follow) => {
-                    let (staged, follow_prep) = peer.finish_block_with_next(prep, follow);
-                    peer.commit(staged)
-                        .expect("buffered blocks extend the chain in order");
-                    prep = follow_prep;
+                    let (staged, follow_prep) = peer.finish_block_with_next(current, follow);
+                    prep = Some(follow_prep);
+                    staged
                 }
                 None => {
-                    let staged = peer.finish_block(prep);
-                    peer.commit(staged)
-                        .expect("buffered blocks extend the chain in order");
-                    break;
+                    prep = None;
+                    peer.finish_block(current)
                 }
-            }
+            };
+            peer.commit(staged)
+                .expect("buffered blocks extend the chain in order");
         }
+        self.note_commit(i);
     }
 
     /// Post-commit bookkeeping for slot `i`: mirror newly committed

@@ -13,7 +13,7 @@ use fabriccrdt_fabric::config::{
     CrashSpec, FaultConfig, LinkFaults, PartitionSpec, PipelineConfig, Topology,
 };
 use fabriccrdt_fabric::peer::Peer;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_ledger::block::Block;
@@ -388,7 +388,14 @@ fn arb_faults(g: &mut Gen) -> FaultConfig {
 fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
     let network = GossipNetwork::new(&config, FabricValidator::new);
     let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
-    Simulation::with_delivery(config, FabricValidator::new(), rmw_registry(), delivery)
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    Simulation::with_layers(
+        config,
+        FabricValidator::new(),
+        rmw_registry(),
+        delivery,
+        ordering,
+    )
 }
 
 /// Read-modify-write chaincode with plain (conflicting) writes — the

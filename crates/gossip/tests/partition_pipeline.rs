@@ -15,7 +15,7 @@ use fabriccrdt_fabric::config::{
     CrashSpec, FaultConfig, LinkFaults, PartitionSpec, PipelineConfig,
 };
 use fabriccrdt_fabric::metrics::RunMetrics;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::latency::LatencyModel;
 use fabriccrdt_sim::time::SimTime;
@@ -55,7 +55,9 @@ fn run(seed: u64) -> RunMetrics {
     registry.deploy(Arc::new(IotChaincode::crdt()));
     let network = GossipNetwork::new(&config, CrdtValidator::new);
     let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
-    let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry, delivery);
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    let mut sim =
+        Simulation::with_layers(config, CrdtValidator::new(), registry, delivery, ordering);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
 
     // All-conflicting CRDT transactions on one hot key.

@@ -24,7 +24,7 @@ use fabriccrdt_fabric::config::{CrashSpec, FaultConfig, PartitionSpec, PipelineC
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::time::SimTime;
@@ -133,7 +133,9 @@ fn run_with(
         CrdtValidator::new,
     )));
     let delivery = Box::new(GossipDelivery::new(network.clone(), 0));
-    let mut sim = Simulation::with_delivery(config, CrdtValidator::new(), registry(), delivery);
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    let mut sim =
+        Simulation::with_layers(config, CrdtValidator::new(), registry(), delivery, ordering);
     sim.seed_state("device1", br#"{"readings":[]}"#.to_vec());
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(schedule.to_vec());

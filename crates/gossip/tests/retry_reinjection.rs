@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{PipelineConfig, RetryPolicy};
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_gossip::{GossipDelivery, GossipNetwork};
 use fabriccrdt_sim::time::SimTime;
@@ -42,7 +42,14 @@ fn registry() -> ChaincodeRegistry {
 fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
     let network = GossipNetwork::new(&config, FabricValidator::new);
     let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
-    Simulation::with_delivery(config, FabricValidator::new(), registry(), delivery)
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    Simulation::with_layers(
+        config,
+        FabricValidator::new(),
+        registry(),
+        delivery,
+        ordering,
+    )
 }
 
 /// Hot-key contention: bursts of RMWs on one key guarantee MVCC

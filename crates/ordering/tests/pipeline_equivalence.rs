@@ -16,7 +16,9 @@ use fabriccrdt_fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
-use fabriccrdt_fabric::simulation::{Simulation, SingleOrderer, TxRequest};
+use fabriccrdt_fabric::simulation::{
+    IdealFifoDelivery, OrderingBackend, Simulation, SingleOrderer, TxRequest,
+};
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::gen::{self, Gen};
@@ -61,6 +63,22 @@ fn registry() -> ChaincodeRegistry {
     reg
 }
 
+/// A vanilla-Fabric pipeline over ideal FIFO delivery, ordered by
+/// `backend`.
+fn ordered_by(
+    config: PipelineConfig,
+    backend: Box<dyn OrderingBackend>,
+) -> Simulation<FabricValidator> {
+    let delivery = Box::new(IdealFifoDelivery::new());
+    Simulation::with_layers(
+        config,
+        FabricValidator::new(),
+        registry(),
+        delivery,
+        backend,
+    )
+}
+
 fn schedule(n: usize, rate_tps: f64) -> Vec<(SimTime, TxRequest)> {
     (0..n)
         .map(|i| {
@@ -80,8 +98,7 @@ fn explicit_single_orderer_matches_default_bitwise() {
     let default_metrics = default_sim.run(schedule(120, 250.0));
 
     let backend = Box::new(SingleOrderer::from_config(&config));
-    let mut seam_sim =
-        Simulation::with_ordering(config, FabricValidator::new(), registry(), backend);
+    let mut seam_sim = ordered_by(config, backend);
     let seam_metrics = seam_sim.run(schedule(120, 250.0));
 
     assert_eq!(default_metrics.records, seam_metrics.records);
@@ -111,8 +128,7 @@ fn faultless_raft_matches_single_orderer_bitwise() {
     let reference_metrics = reference.run(schedule(150, 300.0));
 
     let backend = Box::new(RaftOrderingBackend::new(&config));
-    let mut raft_sim =
-        Simulation::with_ordering(config, FabricValidator::new(), registry(), backend);
+    let mut raft_sim = ordered_by(config, backend);
     let raft_metrics = raft_sim.run(schedule(150, 300.0));
 
     assert_eq!(reference_metrics.records, raft_metrics.records);
@@ -149,7 +165,7 @@ fn leader_kill_recovers_without_losing_transactions() {
     config.ordering = Some(raft);
 
     let backend = Box::new(RaftOrderingBackend::new(&config));
-    let mut sim = Simulation::with_ordering(config, FabricValidator::new(), registry(), backend);
+    let mut sim = ordered_by(config, backend);
     let metrics = sim.run(schedule(300, 300.0));
 
     assert_eq!(metrics.submitted(), 300);
@@ -203,8 +219,7 @@ fn parallel_finalize_matches_sequential_under_raft_faults() {
         let run = |pipeline: ValidationPipeline| -> (RunMetrics, PeerSnapshot) {
             let cfg = config.clone().with_validation(pipeline);
             let backend = Box::new(RaftOrderingBackend::new(&cfg));
-            let mut sim =
-                Simulation::with_ordering(cfg, FabricValidator::new(), registry(), backend);
+            let mut sim = ordered_by(cfg, backend);
             sim.seed_state("hot", b"0".to_vec());
             let metrics = sim.run(schedule.clone());
             let snapshot = sim.peer().snapshot();

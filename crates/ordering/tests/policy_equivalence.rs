@@ -20,7 +20,7 @@ use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry,
 use fabriccrdt_fabric::config::{CrashSpec, OrderingPolicy, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::peer::PeerSnapshot;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::simulation::{IdealFifoDelivery, OrderingBackend, Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
@@ -63,6 +63,22 @@ fn registry() -> ChaincodeRegistry {
     reg.deploy(Arc::new(WriteOnly));
     reg.deploy(Arc::new(Rmw));
     reg
+}
+
+/// A vanilla-Fabric pipeline over ideal FIFO delivery, ordered by
+/// `backend`.
+fn ordered_by(
+    config: PipelineConfig,
+    backend: Box<dyn OrderingBackend>,
+) -> Simulation<FabricValidator> {
+    let delivery = Box::new(IdealFifoDelivery::new());
+    Simulation::with_layers(
+        config,
+        FabricValidator::new(),
+        registry(),
+        delivery,
+        backend,
+    )
 }
 
 /// Hot-key RMW conflicts mixed with disjoint writes, at a random rate.
@@ -111,7 +127,7 @@ fn run_raft(
     schedule: &[(SimTime, TxRequest)],
 ) -> (RunMetrics, PeerSnapshot) {
     let backend = Box::new(RaftOrderingBackend::new(&config));
-    let mut sim = Simulation::with_ordering(config, FabricValidator::new(), registry(), backend);
+    let mut sim = ordered_by(config, backend);
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(schedule.to_vec());
     let snapshot = sim.peer().snapshot();
@@ -289,7 +305,7 @@ fn adaptive_policy_survives_failover() {
         .collect();
 
     let backend = Box::new(RaftOrderingBackend::new(&config));
-    let mut sim = Simulation::with_ordering(config, FabricValidator::new(), registry(), backend);
+    let mut sim = ordered_by(config, backend);
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(schedule);
 

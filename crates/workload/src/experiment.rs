@@ -248,6 +248,147 @@ impl ExperimentResult {
     }
 }
 
+/// One cell of a sweep: the x label a figure prints and the
+/// configuration that runs there.
+pub type Cell = (String, ExperimentConfig);
+
+/// The one [`ExperimentConfig`] field a sweep varies, with its x values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Axis {
+    /// Nothing varies: the base cell alone.
+    Base,
+    /// Maximum transactions per block.
+    BlockSize(&'static [usize]),
+    /// (keys read, keys written) per transaction.
+    Keys(&'static [(usize, usize)]),
+    /// "k-k complexity" of the written JSON object (§7.5).
+    Complexity(&'static [usize]),
+    /// Aggregate submission rate, tx/s.
+    Rate(&'static [f64]),
+    /// Percentage of conflicting transactions.
+    Conflicts(&'static [u8]),
+}
+
+impl Axis {
+    /// The cells along this axis, in x order: the label a figure prints
+    /// and `base` with that x set.
+    pub fn cells(self, base: ExperimentConfig) -> Vec<Cell> {
+        fn along<X: Copy>(xs: &[X], cell: impl Fn(X) -> Cell) -> Vec<Cell> {
+            xs.iter().map(|&x| cell(x)).collect()
+        }
+        let with = |set: &dyn Fn(&mut ExperimentConfig)| {
+            let mut config = base;
+            set(&mut config);
+            config
+        };
+        match self {
+            Axis::Base => vec![("base".to_owned(), base)],
+            Axis::BlockSize(xs) => along(xs, |x| (x.to_string(), with(&|c| c.block_size = x))),
+            Axis::Keys(xs) => along(xs, |(r, w)| {
+                let config = with(&|c| (c.read_keys, c.write_keys) = (r, w));
+                (format!("{r}r-{w}w"), config)
+            }),
+            Axis::Complexity(xs) => along(xs, |k| {
+                let shape = JsonShape::complexity(k, k);
+                (format!("{k}-{k}"), with(&|c| c.shape = shape))
+            }),
+            Axis::Rate(xs) => along(xs, |x| (format!("{x:.0}"), with(&|c| c.rate_tps = x))),
+            Axis::Conflicts(xs) => along(xs, |x| (format!("{x}%"), with(&|c| c.conflict_pct = x))),
+        }
+    }
+}
+
+/// One experiment of the paper's evaluation (§7.3–7.7): a configuration
+/// table, the figure plotted from it, and the axis it sweeps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Sweep {
+    /// Name of the regenerating experiment (`bench fig3`).
+    pub figure: &'static str,
+    /// Heading of the regenerated figure.
+    pub title: &'static str,
+    /// The paper's configuration table for this experiment.
+    pub table: &'static str,
+    /// Parameters the table holds fixed.
+    pub fixed: &'static str,
+    /// The swept parameter and its range, as the table states it.
+    pub range: &'static str,
+    /// The swept parameter and its values.
+    pub axis: Axis,
+}
+
+/// The two systems every paper figure compares, in print order.
+pub const PAPER_SYSTEMS: [SystemKind; 2] = [SystemKind::FabricCrdt, SystemKind::Fabric];
+
+/// Tables 1–5 / Figures 3–7. Each system runs at its best block size
+/// (§7.3) except where block size is the swept value.
+pub const PAPER_SWEEPS: [Sweep; 5] = [
+    Sweep {
+        figure: "fig3",
+        title: "Figure 3 / Table 1: effect of block size (all transactions conflicting)",
+        table: "Table 1 (block size, Fig 3)",
+        fixed: "rate=300/s, reads=1, writes=1, JSON keys=2, conflicts=100%",
+        range: "block size in {25..1000}",
+        axis: Axis::BlockSize(&[25, 50, 100, 200, 400, 1000]),
+    },
+    Sweep {
+        figure: "fig4",
+        title: "Figure 4 / Table 2: effect of read/write key counts",
+        table: "Table 2 (read/write keys, Fig 4)",
+        fixed: "rate=300/s, JSON keys=2, conflicts=100%",
+        range: "reads, writes in {1,3,5}",
+        axis: Axis::Keys(&[
+            (1, 1),
+            (1, 3),
+            (1, 5),
+            (3, 1),
+            (3, 3),
+            (3, 5),
+            (5, 1),
+            (5, 3),
+            (5, 5),
+        ]),
+    },
+    Sweep {
+        figure: "fig5",
+        title: "Figure 5 / Table 3: impact of JSON complexity (k-d objects)",
+        table: "Table 3 (JSON complexity, Fig 5)",
+        fixed: "rate=300/s, reads=1, writes=1, conflicts=100%",
+        range: "k-d in {1-1..5-5}",
+        axis: Axis::Complexity(&[1, 2, 3, 4, 5]),
+    },
+    Sweep {
+        figure: "fig6",
+        title: "Figure 6 / Table 4: impact of transaction arrival rate",
+        table: "Table 4 (arrival rate, Fig 6)",
+        fixed: "reads=1, writes=1, JSON keys=2, conflicts=100%",
+        range: "rate in {100..500}/s",
+        axis: Axis::Rate(&[100.0, 200.0, 300.0, 400.0, 500.0]),
+    },
+    Sweep {
+        figure: "fig7",
+        title: "Figure 7 / Table 5: impact of conflicting-transaction percentage",
+        table: "Table 5 (conflict %, Fig 7)",
+        fixed: "rate=300/s, reads=1, writes=1, JSON keys=2",
+        range: "conflicts in {0..100}%",
+        axis: Axis::Conflicts(&[0, 25, 50, 75, 100]),
+    },
+];
+
+/// Runs `axis` on every system, system-major (the order the figures
+/// print), yielding each cell's x label and result as it completes.
+/// `base` supplies everything the axis does not set; each system runs
+/// at its own best block size ([`ExperimentConfig::for_system`]).
+pub fn run_sweep(
+    systems: &[SystemKind],
+    axis: Axis,
+    base: ExperimentConfig,
+) -> impl Iterator<Item = (String, ExperimentResult)> + '_ {
+    systems
+        .iter()
+        .flat_map(move |&system| axis.cells(base.for_system(system)))
+        .map(|(label, config)| (label, config.run()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +498,49 @@ mod tests {
         assert!(cache.hits + cache.misses > 0, "payloads were looked up");
         let fabric = small(SystemKind::Fabric).run();
         assert!(fabric.decode_cache.is_none(), "plain MVCC never decodes");
+    }
+
+    /// DESIGN.md §3's "Workload & sweep" column, row by row.
+    #[test]
+    fn paper_sweeps_match_the_experiment_index() {
+        let expected: [(&str, &[&str]); 5] = [
+            ("fig3", &["25", "50", "100", "200", "400", "1000"]),
+            (
+                "fig4",
+                &[
+                    "1r-1w", "1r-3w", "1r-5w", "3r-1w", "3r-3w", "3r-5w", "5r-1w", "5r-3w", "5r-5w",
+                ],
+            ),
+            ("fig5", &["1-1", "2-2", "3-3", "4-4", "5-5"]),
+            ("fig6", &["100", "200", "300", "400", "500"]),
+            ("fig7", &["0%", "25%", "50%", "75%", "100%"]),
+        ];
+        let base = ExperimentConfig::paper_defaults();
+        for (sweep, (figure, labels)) in PAPER_SWEEPS.iter().zip(expected) {
+            assert_eq!(sweep.figure, figure);
+            let cells = sweep.axis.cells(base);
+            let got: Vec<&str> = cells.iter().map(|(label, _)| label.as_str()).collect();
+            assert_eq!(got, labels, "{figure}");
+        }
+        assert_eq!(Axis::Base.cells(base), [("base".to_owned(), base)]);
+    }
+
+    #[test]
+    fn run_sweep_is_system_major_at_each_best_block_size() {
+        let base = ExperimentConfig {
+            total_txs: 60,
+            ..ExperimentConfig::paper_defaults()
+        };
+        let seen: Vec<String> = run_sweep(&PAPER_SYSTEMS, Axis::Conflicts(&[0, 100]), base)
+            .map(|(x, r)| format!("{x} {} {}", r.config.system.label(), r.config.block_size))
+            .collect();
+        let expected = [
+            "0% FabricCRDT 25",
+            "100% FabricCRDT 25",
+            "0% Fabric 400",
+            "100% Fabric 400",
+        ];
+        assert_eq!(seen, expected);
     }
 
     #[test]

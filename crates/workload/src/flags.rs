@@ -1,6 +1,6 @@
 //! The one command-line flag parser: `--key value` pairs plus
 //! positional arguments, shared by the `fabriccrdt-repro` CLI and the
-//! bench binaries so both reject bad input the same way — an `Err` the
+//! `bench` binary so both reject bad input the same way — an `Err` the
 //! front end prints as `error: …` with exit status 1, never a panic.
 
 /// Parsed `--key value` pairs and positional arguments. Each caller

@@ -12,14 +12,16 @@
 //! - [`offline`]: offline-first client edit sequences and rejoin-burst
 //!   schedules, for the merge-storm probes of `fabriccrdt-adversary`.
 //! - [`zipf`]: Zipf-skewed read-modify-write schedules for the
-//!   conflict-strategy comparison bench (`bench --bin zipf`).
+//!   conflict-strategy comparison experiment (`bench zipf`).
 //! - [`experiment`]: one-call experiment execution — topology, block
 //!   size, rate, read/write key counts, JSON shape, conflict percentage —
 //!   against either system, returning the three metrics every figure
-//!   plots.
-//! - [`report`]: plain-text tables for the figure/bench binaries.
+//!   plots; the paper's five sweeps as one table
+//!   ([`experiment::PAPER_SWEEPS`]) and the runner every front end
+//!   drives them with ([`experiment::run_sweep`]).
+//! - [`report`]: plain-text tables for the CLI and the `bench` binary.
 //! - [`flags`]: the `--key value` parser both front ends (the CLI and
-//!   the bench binaries) read their arguments with.
+//!   the `bench` binary) read their arguments with.
 //!
 //! # Examples
 //!
@@ -38,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod caliper;
 pub mod channels;
 pub mod experiment;
 pub mod flags;
@@ -49,7 +50,6 @@ pub mod report;
 pub mod smallbank;
 pub mod zipf;
 
-pub use caliper::{Benchmark, BenchmarkReport};
 pub use channels::{ChannelSchedule, ChannelWorkload};
 pub use experiment::{ExperimentConfig, ExperimentResult, SystemKind};
 pub use generator::JsonShape;

@@ -1,4 +1,4 @@
-//! Plain-text tables for the figure and bench binaries.
+//! Plain-text tables for the CLI and the `bench` binary.
 
 use crate::experiment::ExperimentResult;
 

@@ -3,7 +3,7 @@
 //! The paper's Figure 7 controls contention with a fixed percentage of
 //! transactions on one shared key; real workloads skew smoothly — key
 //! popularity follows a Zipf law. This module generates the
-//! read-modify-write IoT schedules the `bench --bin zipf` three-way
+//! read-modify-write IoT schedules the `bench zipf` three-way
 //! comparison (CRDT merge-commit vs abort-and-retry vs
 //! reorder+early-abort) runs: every transaction reads its device
 //! document and writes new readings back, so two transactions on the

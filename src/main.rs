@@ -10,7 +10,7 @@
 //!
 //! fabriccrdt-repro compare [--txs N] [--seed S]
 //!     Run the paper's base workload on all three systems and print a
-//!     Caliper-style report.
+//!     Caliper-style report, one round per system.
 //!
 //! fabriccrdt-repro export-chain <path> [--txs N] [--seed S]
 //!     Run a small FabricCRDT workload and write the resulting
@@ -28,12 +28,11 @@ use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::PipelineConfig;
 use fabriccrdt_repro::fabriccrdt::fabriccrdt_simulation;
 use fabriccrdt_repro::ledger::codec;
-use fabriccrdt_repro::workload::caliper::Benchmark;
-use fabriccrdt_repro::workload::experiment::{ExperimentConfig, SystemKind};
+use fabriccrdt_repro::workload::experiment::{run_sweep, Axis, ExperimentConfig, SystemKind};
 use fabriccrdt_repro::workload::flags::Flags;
 use fabriccrdt_repro::workload::generator::JsonShape;
 use fabriccrdt_repro::workload::iot::IotChaincode;
-use fabriccrdt_repro::workload::report::latency_cell;
+use fabriccrdt_repro::workload::report::{cache_cell, latency_cell, render_table};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,12 +157,39 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         seed: flags.num("seed", 42)?,
         ..ExperimentConfig::paper_defaults()
     };
-    let report = Benchmark::new("paper base workload (all transactions conflicting)")
-        .round("fabric", base.for_system(SystemKind::Fabric))
-        .round("fabric++", base.for_system(SystemKind::FabricReordering))
-        .round("fabriccrdt", base.for_system(SystemKind::FabricCrdt))
-        .run();
-    println!("{}", report.render());
+    let systems = [
+        SystemKind::Fabric,
+        SystemKind::FabricReordering,
+        SystemKind::FabricCrdt,
+    ];
+    let rows: Vec<Vec<String>> = run_sweep(&systems, Axis::Base, base)
+        .map(|(_, r)| {
+            vec![
+                r.config.system.label().to_lowercase(),
+                r.config.system.label().to_owned(),
+                format!("{}", r.config.rate_tps as u64),
+                format!("{:.1}", r.throughput_tps),
+                latency_cell(r.avg_latency_secs),
+                latency_cell(r.p95_latency_secs),
+                r.successful.to_string(),
+                r.failed.to_string(),
+                cache_cell(r.decode_cache),
+            ]
+        })
+        .collect();
+    println!("benchmark: paper base workload (all transactions conflicting)");
+    let headers = [
+        "round",
+        "system",
+        "rate",
+        "tput(tps)",
+        "avg-lat(s)",
+        "p95-lat(s)",
+        "ok",
+        "failed",
+        "cache-hit%",
+    ];
+    println!("{}", render_table(&headers, &rows));
     Ok(())
 }
 
