@@ -81,6 +81,11 @@ cargo test -q --release -p fabriccrdt-crypto -- --nocapture
 echo "==> cargo test --release (ledger: world-state differential, full count)"
 cargo test -q --release -p fabriccrdt-ledger
 
+# Algorithm 2's lockstep walk as the benchmark builds it, against the
+# operation engine it replaced, at full count (likewise a sixth above).
+echo "==> cargo test --release (jsoncrdt: merge differential, full count)"
+cargo test -q --release -p fabriccrdt-jsoncrdt
+
 # Smoke-run the experiments of the one `bench` binary with tiny configs:
 # they assert their own invariants (convergence, byte-identical ledgers,
 # failover recovery), so a panic here fails the gate. Their stdout is a

@@ -40,6 +40,7 @@ use fabriccrdt_ledger::worldstate::{VersionedValue, WorldState};
 use fabriccrdt_ordering::RaftCluster;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
+use fabriccrdt_workload::generator::iot_payload;
 use fabriccrdt_workload::zipf::ZipfWorkload;
 
 /// Times `f` and prints one report line. `elements`/`bytes` drive the
@@ -565,6 +566,49 @@ fn main() {
                 doc.to_value()
             },
         );
+    }
+
+    {
+        // The two merges `perf/` times, at its sizes: `bigstate-pipelined`
+        // folds one document (`deviceID` + 32 readings of 40 B) into an
+        // empty CRDT per key, `hotkey-merge` folds 400 documents of 47 B
+        // into one; then each converged document back to the bytes
+        // Algorithm 1 line 20 writes into the block.
+        let readings: Vec<String> = (0..32)
+            .map(|j| format!(r#""r7-{j}-0123456789abcdef0123456789abcdef""#))
+            .collect();
+        let text = format!(
+            r#"{{"deviceID":"device-123","readings":[{}]}}"#,
+            readings.join(",")
+        );
+        let big = [Value::parse(&text).unwrap()];
+        let bytes = Some(text.len() as u64);
+        bench.run("json/parse-1400B", None, bytes, || {
+            Value::parse(&text).unwrap()
+        });
+        bench.run("json/serialize-1400B", None, bytes, || big[0].to_bytes());
+        let hot: Vec<Value> = (0..400)
+            .map(|i| iot_payload("ch0-hot-key0", i, 1))
+            .collect();
+        let merged = |documents: &[Value]| {
+            let mut doc = JsonCrdt::new(ReplicaId(1));
+            for document in documents {
+                doc.merge_value(document).unwrap();
+            }
+            doc
+        };
+        bench.run("jsoncrdt/merge-1x1400B", Some(1), None, || merged(&big));
+        bench.run("jsoncrdt/merge-400x47B-one-key", Some(400), None, || {
+            merged(&hot)
+        });
+        let converged = |doc: &JsonCrdt| {
+            let mut bytes = Vec::new();
+            doc.write_bytes(&mut bytes);
+            bytes
+        };
+        let (big, hot) = (merged(&big), merged(&hot));
+        bench.run("jsoncrdt/convert-1400B", None, None, || converged(&big));
+        bench.run("jsoncrdt/convert-400x47B", None, None, || converged(&hot));
     }
 
     for n in [25usize, 400] {

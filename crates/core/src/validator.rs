@@ -51,7 +51,9 @@ impl KeyMerger {
             KeyMerger::Json(doc) => {
                 // Conversion walks the whole document once.
                 *extra_units += doc.applied_len() as u64;
-                doc.to_value().to_bytes()
+                let mut bytes = Vec::new();
+                doc.write_bytes(&mut bytes);
+                bytes
             }
             KeyMerger::Typed(state) => {
                 *extra_units += state.work_units();

@@ -1,13 +1,14 @@
 //! The JSON CRDT document.
 //!
-//! A [`JsonCrdt`] is a tree of map, list and register nodes, mutated only
-//! through [`Operation`]s (dependency-checked, idempotent, commutative for
-//! concurrent operations). [`JsonCrdt::merge_value`] implements
-//! **Algorithm 2** of the FabricCRDT paper: it folds a plain JSON object
-//! into the document by generating and applying one operation per node of
-//! the source value. [`JsonCrdt::to_value`] implements the paper's
-//! `ConvertCRDTToDataType`: it strips all CRDT metadata and returns plain
-//! JSON (Algorithm 1, lines 20–21).
+//! A [`JsonCrdt`] is a tree of map, list and register nodes whose unit
+//! of change is the [`Operation`] (dependency-checked, idempotent,
+//! commutative for concurrent operations). [`JsonCrdt::merge_value`]
+//! implements **Algorithm 2** of the FabricCRDT paper: it folds a plain
+//! JSON object into the document, one operation per node of the source
+//! value — minted and applied at the tree entry in hand, in one walk
+//! over both. [`JsonCrdt::to_value`] and [`JsonCrdt::write_bytes`]
+//! implement the paper's `ConvertCRDTToDataType`: they strip all CRDT
+//! metadata and return plain JSON (Algorithm 1, lines 20–21).
 //!
 //! # Conflict semantics
 //!
@@ -33,6 +34,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::clock::{LamportClock, OpId, ReplicaId, VersionVector};
+use crate::json::ser::{self, Sink};
 use crate::json::Value;
 use crate::op::{Cursor, CursorElement, Deps, ItemKey, Mutation, Operation};
 use crate::work::WorkStats;
@@ -40,43 +42,51 @@ use crate::work::WorkStats;
 /// An entry in a map (under a string key) or in a list (under an
 /// [`ItemKey`]). Kleppmann-style: the entry holds one branch per possible
 /// type so that concurrently written types never clobber each other.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct Entry {
-    /// Multi-value register: concurrent leaf assignments accumulate.
-    reg: BTreeMap<OpId, String>,
+    /// Multi-value register: concurrent leaf assignments accumulate, in
+    /// arrival order. Almost every register is a leaf written once, so
+    /// the first assignment is inline and only later ones allocate.
+    reg: Option<(OpId, String)>,
+    reg_more: Vec<(OpId, String)>,
     /// Map branch.
     map: Option<MapNode>,
     /// List branch.
     list: Option<ListNode>,
-    /// Ids of operations that touched this entry.
-    presence: BTreeSet<OpId>,
-    /// Ids whose effect was deleted.
-    tombstones: BTreeSet<OpId>,
+    /// Size of the paper's presence set, the operations that touched
+    /// this entry: each is applied once and its path meets an entry
+    /// once, so nothing ever asks which ids they were.
+    present: u64,
+    /// Size of the tombstone set. A delete tombstones everything present
+    /// when it arrives: always the first `tombstoned` operations to have
+    /// touched the entry, and the first `reg_tombstoned` of `reg`.
+    tombstoned: u64,
+    reg_tombstoned: usize,
 }
 
 /// Map children are keyed by shared `Arc<str>` so that the descent in
 /// [`descend`] can do an `entry(key.clone())` lookup with a refcount
-/// bump instead of allocating a fresh `String` per step (the merge hot
-/// path descends once per operation, i.e. once per node of every
-/// merged document).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// bump instead of allocating a fresh `String` per step.
+#[derive(Debug, Clone, Default)]
 struct MapNode {
     children: BTreeMap<Arc<str>, Entry>,
 }
 
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct ListNode {
     items: BTreeMap<ItemKey, Entry>,
 }
 
 impl Entry {
+    /// Whether some operation present here is not tombstoned.
     fn is_visible(&self) -> bool {
-        self.presence.difference(&self.tombstones).next().is_some()
+        self.present > self.tombstoned
     }
 
     /// Tombstones every operation currently present in this subtree.
     fn tombstone_all(&mut self) {
-        self.tombstones.extend(self.presence.iter().copied());
+        self.tombstoned = self.present;
+        self.reg_tombstoned = self.reg.iter().len() + self.reg_more.len();
         if let Some(map) = &mut self.map {
             for child in map.children.values_mut() {
                 child.tombstone_all();
@@ -89,6 +99,23 @@ impl Entry {
         }
     }
 
+    fn assign(&mut self, id: OpId, text: String) {
+        match self.reg {
+            None => self.reg = Some((id, text)),
+            Some(_) => self.reg_more.push((id, text)),
+        }
+    }
+
+    /// The newest live register assignment.
+    fn live_register(&self) -> Option<&str> {
+        let live = self
+            .reg
+            .iter()
+            .chain(&self.reg_more)
+            .skip(self.reg_tombstoned);
+        live.max_by_key(|(id, _)| id).map(|(_, v)| &**v)
+    }
+
     /// Converts to plain JSON. Precedence on type conflicts:
     /// map > list > register.
     fn to_value(&self) -> Option<Value> {
@@ -96,27 +123,88 @@ impl Entry {
             return None;
         }
         if let Some(map) = &self.map {
-            let converted: BTreeMap<String, Value> = map
-                .children
-                .iter()
-                .filter_map(|(k, e)| e.to_value().map(|v| (k.to_string(), v)))
-                .collect();
-            if !converted.is_empty() || self.reg.is_empty() && self.list.is_none() {
+            let converted = map.to_value();
+            if !converted.is_empty() || self.reg.is_none() && self.list.is_none() {
                 return Some(Value::Map(converted));
             }
         }
         if let Some(list) = &self.list {
             let converted: Vec<Value> = list.items.values().filter_map(Entry::to_value).collect();
-            if !converted.is_empty() || self.reg.is_empty() {
+            if !converted.is_empty() || self.reg.is_none() {
                 return Some(Value::List(converted));
             }
         }
-        // Register: newest live assignment wins.
-        self.reg
-            .iter()
-            .rfind(|(id, _)| !self.tombstones.contains(id))
-            .map(|(_, v)| Value::String(v.clone()))
+        self.live_register().map(Value::string)
     }
+
+    /// Appends the canonical bytes of [`Entry::to_value`] to `out` and
+    /// says whether there were any: the same precedence, decided by
+    /// writing a branch and taking it back if it came out empty.
+    fn write_bytes(&self, out: &mut Vec<u8>) -> bool {
+        if !self.is_visible() {
+            return false;
+        }
+        let start = out.len();
+        if let Some(map) = &self.map {
+            if map.write_bytes(out) || self.reg.is_none() && self.list.is_none() {
+                return true;
+            }
+            out.truncate(start);
+        }
+        if let Some(list) = &self.list {
+            out.put("[");
+            for item in list.items.values() {
+                if item.write_bytes(out) {
+                    out.put(",");
+                }
+            }
+            if close(out, start, "]") || self.reg.is_none() {
+                return true;
+            }
+            out.truncate(start);
+        }
+        self.live_register()
+            .map(|text| ser::write_string(out, text))
+            .is_some()
+    }
+}
+
+impl MapNode {
+    fn to_value(&self) -> BTreeMap<String, Value> {
+        self.children
+            .iter()
+            .filter_map(|(k, e)| e.to_value().map(|v| (k.to_string(), v)))
+            .collect()
+    }
+
+    /// Appends the canonical bytes of [`MapNode::to_value`] to `out`
+    /// and says whether any child converted (`{}` is written if none).
+    fn write_bytes(&self, out: &mut Vec<u8>) -> bool {
+        let start = out.len();
+        out.put("{");
+        for (key, child) in &self.children {
+            let before_key = out.len();
+            ser::write_string(out, key);
+            out.put(":");
+            if child.write_bytes(out) {
+                out.put(",");
+            } else {
+                out.truncate(before_key);
+            }
+        }
+        close(out, start, "}")
+    }
+}
+
+/// Ends the container opened at `start` (the separator after its last
+/// element becomes the bracket) and says whether it has elements.
+fn close(out: &mut Vec<u8>, start: usize, bracket: &str) -> bool {
+    let filled = out.len() > start + 1;
+    if filled {
+        out.pop();
+    }
+    out.put(bracket);
+    filled
 }
 
 /// Errors from applying operations or merging values.
@@ -162,6 +250,49 @@ pub enum ApplyOutcome {
     AlreadyApplied,
 }
 
+/// What a document records about the operations that took effect —
+/// apart from the tree, so the merge walk can hold both at once.
+#[derive(Debug, Clone)]
+struct Log {
+    clock: LamportClock,
+    /// Causal frontier: per-replica high-water mark over contiguously
+    /// applied counters.
+    frontier: VersionVector,
+    /// Whether `frontier` covers the applied set *exactly* (every
+    /// applied op was observed contiguously). A counter gap — possible
+    /// only for hand-fed foreign operations, never for merge chains —
+    /// clears this, and `merge` then falls back to full replay.
+    frontier_exact: bool,
+    /// The applied ids the frontier cannot say: those that arrived
+    /// across a counter gap, and counter 0.
+    beyond_frontier: BTreeSet<OpId>,
+    /// Number of operations applied.
+    applied: usize,
+    work: WorkStats,
+    /// Applied operations in application order, kept only for documents
+    /// built by [`JsonCrdt::with_history`] (it is what `merge` replays).
+    history: Option<Vec<Operation>>,
+}
+
+impl Log {
+    /// Whether `id` has been applied.
+    fn seen(&self, id: OpId) -> bool {
+        (id.counter > 0 && self.frontier.contains(id)) || self.beyond_frontier.contains(&id)
+    }
+
+    /// Counts `id` as applied.
+    fn finish(&mut self, id: OpId) {
+        let contiguous = self.frontier.observe(id);
+        self.frontier_exact &= contiguous;
+        if !contiguous || id.counter == 0 {
+            self.beyond_frontier.insert(id);
+        }
+        self.applied += 1;
+        self.clock.observe(id);
+        self.work.ops_applied += 1;
+    }
+}
+
 /// A JSON CRDT document (paper §5.2).
 ///
 /// # Examples
@@ -187,28 +318,8 @@ pub enum ApplyOutcome {
 #[derive(Debug, Clone)]
 pub struct JsonCrdt {
     root: MapNode,
-    clock: LamportClock,
-    applied: BTreeSet<OpId>,
+    log: Log,
     pending: Vec<Operation>,
-    work: WorkStats,
-    /// Key interner: one shared `Arc<str>` per distinct map key ever
-    /// merged, so repeated merges of the same schema ("readings",
-    /// "deviceID", …) reuse the allocation across operations.
-    interned: BTreeSet<Arc<str>>,
-    /// Causal frontier: per-replica high-water mark over the applied
-    /// set. Checked before the exact `applied` set on the apply hot
-    /// path, and used by [`JsonCrdt::merge`] to skip the prefix of the
-    /// source history this document has already applied.
-    frontier: VersionVector,
-    /// Whether `frontier` covers the applied set *exactly* (every
-    /// applied op was observed contiguously). A counter gap — possible
-    /// only for hand-fed foreign operations, never for merge chains —
-    /// clears this, and `merge` then falls back to full replay.
-    frontier_exact: bool,
-    /// Applied operations in application order, kept only for documents
-    /// built by [`JsonCrdt::with_history`] (it is what `merge` replays).
-    /// `None` avoids the per-op clone on the block-validation hot path.
-    history: Option<Vec<Operation>>,
 }
 
 impl JsonCrdt {
@@ -217,14 +328,16 @@ impl JsonCrdt {
     pub fn new(replica: ReplicaId) -> Self {
         JsonCrdt {
             root: MapNode::default(),
-            clock: LamportClock::new(replica),
-            applied: BTreeSet::new(),
+            log: Log {
+                clock: LamportClock::new(replica),
+                frontier: VersionVector::new(),
+                frontier_exact: true,
+                beyond_frontier: BTreeSet::new(),
+                applied: 0,
+                work: WorkStats::new(),
+                history: None,
+            },
             pending: Vec::new(),
-            work: WorkStats::new(),
-            interned: BTreeSet::new(),
-            frontier: VersionVector::new(),
-            frontier_exact: true,
-            history: None,
         }
     }
 
@@ -232,10 +345,9 @@ impl JsonCrdt {
     /// applied operation in application order, making it a valid source
     /// for [`JsonCrdt::merge`].
     pub fn with_history(replica: ReplicaId) -> Self {
-        JsonCrdt {
-            history: Some(Vec::new()),
-            ..JsonCrdt::new(replica)
-        }
+        let mut doc = JsonCrdt::new(replica);
+        doc.log.history = Some(Vec::new());
+        doc
     }
 
     /// Creates a document hydrated from an existing plain JSON value (for
@@ -252,12 +364,12 @@ impl JsonCrdt {
 
     /// The document's Lamport clock.
     pub fn clock(&self) -> &LamportClock {
-        &self.clock
+        &self.log.clock
     }
 
     /// Number of operations applied so far.
     pub fn applied_len(&self) -> usize {
-        self.applied.len()
+        self.log.applied
     }
 
     /// Number of operations buffered waiting for dependencies.
@@ -267,13 +379,13 @@ impl JsonCrdt {
 
     /// Accumulated work counters (see [`WorkStats`]).
     pub fn work(&self) -> WorkStats {
-        self.work
+        self.log.work
     }
 
     /// The document's causal frontier (per-replica high-water marks
     /// over contiguously applied operation counters).
     pub fn frontier(&self) -> &VersionVector {
-        &self.frontier
+        &self.log.frontier
     }
 
     /// Whether the frontier covers the applied set exactly. While true,
@@ -281,13 +393,13 @@ impl JsonCrdt {
     /// comparison alone; once false it replays full histories (still
     /// correct — application is idempotent).
     pub fn frontier_is_exact(&self) -> bool {
-        self.frontier_exact
+        self.log.frontier_exact
     }
 
     /// Applied operations in application order, if this document records
     /// them (see [`JsonCrdt::with_history`]).
     pub fn history(&self) -> Option<&[Operation]> {
-        self.history.as_deref()
+        self.log.history.as_deref()
     }
 
     /// The operations of this document's history a peer whose causal
@@ -302,7 +414,7 @@ impl JsonCrdt {
     /// Returns [`DocError::MissingHistory`] if this document was not
     /// built with [`JsonCrdt::with_history`].
     pub fn delta_since(&self, frontier: &VersionVector) -> Result<Vec<Operation>, DocError> {
-        let log = self.history.as_deref().ok_or(DocError::MissingHistory)?;
+        let log = self.history().ok_or(DocError::MissingHistory)?;
         Ok(log
             .iter()
             .filter(|op| !(frontier.contains(op.id) && op.id.counter > 0))
@@ -318,27 +430,16 @@ impl JsonCrdt {
     /// Returns [`DocError::MutationAtHead`] for a non-`MakeMap`/`Delete`
     /// mutation with an empty cursor.
     pub fn apply(&mut self, op: Operation) -> Result<ApplyOutcome, DocError> {
-        // Frontier first: for the merge-chain hot path (one replica,
-        // contiguous counters) this replaces the `BTreeSet` probes with
-        // an O(1) integer compare. The frontier is a sound lower bound
-        // of the applied set, so falling through to the exact set is
-        // only ever needed above the high-water mark.
-        if self.seen(op.id) {
+        if self.log.seen(op.id) {
             return Ok(ApplyOutcome::AlreadyApplied);
         }
-        if !op.deps.iter().all(|d| self.seen(*d)) {
+        if !op.deps.iter().all(|d| self.log.seen(*d)) {
             self.pending.push(op);
             return Ok(ApplyOutcome::Buffered);
         }
         self.apply_ready(op)?;
         self.drain_pending()?;
         Ok(ApplyOutcome::Applied)
-    }
-
-    /// Whether `id` has been applied (frontier fast path, exact set as
-    /// fallback).
-    fn seen(&self, id: OpId) -> bool {
-        (id.counter > 0 && self.frontier.contains(id)) || self.applied.contains(&id)
     }
 
     /// Merges another document into this one by replaying its operation
@@ -356,18 +457,15 @@ impl JsonCrdt {
     /// with [`JsonCrdt::with_history`], or propagates the first
     /// application error.
     pub fn merge(&mut self, other: &JsonCrdt) -> Result<WorkStats, DocError> {
-        let log = other.history.as_deref().ok_or(DocError::MissingHistory)?;
-        let before = self.work;
+        let log = other.history().ok_or(DocError::MissingHistory)?;
+        let before = self.log.work;
         for op in log {
-            if self.frontier_exact && self.frontier.contains(op.id) && op.id.counter > 0 {
+            if self.log.frontier_exact && self.log.frontier.contains(op.id) && op.id.counter > 0 {
                 continue;
             }
             self.apply(op.clone())?;
         }
-        Ok(WorkStats {
-            ops_applied: self.work.ops_applied - before.ops_applied,
-            nodes_visited: self.work.nodes_visited - before.nodes_visited,
-        })
+        Ok(self.work_since(before))
     }
 
     /// Merges a plain JSON object into the document — **Algorithm 2** of
@@ -382,99 +480,80 @@ impl JsonCrdt {
     /// Returns [`DocError::RootNotMap`] if `json` is not a JSON map.
     pub fn merge_value(&mut self, json: &Value) -> Result<WorkStats, DocError> {
         let map = json.as_map().ok_or(DocError::RootNotMap)?;
-        let before = self.work;
-        // Algorithm 2, lines 2–21: one cursor and dependency chain per
-        // top-level key; recursion mirrors the list/map cases.
+        let before = self.log.work;
+        if self.log.history.is_none() && self.pending.is_empty() {
+            merge_map(&mut self.log, &mut self.root, map, 1);
+            return Ok(self.work_since(before));
+        }
+        // Somebody reads the operations: a history records them, or
+        // buffered ones wait on their ids and, released, move the clock
+        // and the tree mid-merge. Algorithm 2 as stated, lines 2–21: one
+        // cursor and dependency chain per top-level key.
         let mut cursor = Cursor::new();
         for (key, value) in map {
-            let mut last_dep: Option<OpId> = None;
-            let key = self.intern(key);
-            cursor.push_key(key);
-            self.merge_at(&mut cursor, value, &mut last_dep)?;
+            cursor.push_key(key.as_str());
+            self.merge_by_operations(&mut cursor, value, &mut None)?;
             cursor.pop();
         }
-        Ok(WorkStats {
-            ops_applied: self.work.ops_applied - before.ops_applied,
-            nodes_visited: self.work.nodes_visited - before.nodes_visited,
-        })
+        Ok(self.work_since(before))
     }
 
     /// Converts the document to plain JSON, stripping all CRDT metadata
     /// (paper Algorithm 1 line 20, `ConvertCRDTToDataType`).
     pub fn to_value(&self) -> Value {
-        let converted: BTreeMap<String, Value> = self
-            .root
-            .children
-            .iter()
-            .filter_map(|(k, e)| e.to_value().map(|v| (k.to_string(), v)))
-            .collect();
-        Value::Map(converted)
+        Value::Map(self.root.to_value())
     }
 
-    /// Returns the shared interned form of a map key, allocating it on
-    /// first sight.
-    fn intern(&mut self, key: &str) -> Arc<str> {
-        if let Some(existing) = self.interned.get(key) {
-            return existing.clone();
+    /// Appends `self.to_value().to_bytes()` to `out` — the converged
+    /// write value of Algorithm 1 line 20 — without building the
+    /// [`Value`] in between.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        self.root.write_bytes(out);
+    }
+
+    fn work_since(&self, before: WorkStats) -> WorkStats {
+        WorkStats {
+            ops_applied: self.log.work.ops_applied - before.ops_applied,
+            nodes_visited: self.log.work.nodes_visited - before.nodes_visited,
         }
-        let shared: Arc<str> = Arc::from(key);
-        self.interned.insert(shared.clone());
-        shared
     }
 
-    /// Generates, applies and chains one operation.
-    fn emit(
-        &mut self,
-        cursor: &Cursor,
-        mutation: Mutation,
-        last_dep: &mut Option<OpId>,
-    ) -> Result<(), DocError> {
-        let id = self.clock.tick();
-        // `Deps` inlines the 0/1-dependency cases — no per-op Vec.
-        let op = Operation::new(id, Deps::from(*last_dep), cursor.clone(), mutation);
-        // Dependencies are generated in order, so this never buffers.
-        let outcome = self.apply(op)?;
-        debug_assert_eq!(outcome, ApplyOutcome::Applied);
-        *last_dep = Some(id);
-        Ok(())
-    }
-
-    /// Recursive body of Algorithm 2: the cursor already ends at the
-    /// element for `value`.
-    fn merge_at(
+    /// Mints the operation for `value`, whose element `cursor` already
+    /// ends at, applies it through [`JsonCrdt::apply`], and recurses.
+    fn merge_by_operations(
         &mut self,
         cursor: &mut Cursor,
         value: &Value,
         last_dep: &mut Option<OpId>,
     ) -> Result<(), DocError> {
+        let id = self.log.clock.tick();
+        let op = Operation::new(
+            id,
+            Deps::from(*last_dep),
+            cursor.clone(),
+            mutation_for(value),
+        );
+        // Dependencies are generated in order, so this never buffers.
+        self.apply(op)?;
+        *last_dep = Some(id);
         match value {
-            // Lines 5–11: leaf values become assignments.
-            Value::String(s) => self.emit(cursor, Mutation::Assign(s.clone()), last_dep),
-            Value::Number(n) => self.emit(cursor, Mutation::Assign(n.to_string()), last_dep),
-            Value::Bool(b) => self.emit(cursor, Mutation::Assign(b.to_string()), last_dep),
-            Value::Null => self.emit(cursor, Mutation::Assign("null".to_owned()), last_dep),
-            // Lines 12–16: lists recurse per element.
             Value::List(items) => {
-                self.emit(cursor, Mutation::MakeList, last_dep)?;
                 for (index, item) in items.iter().enumerate() {
                     cursor.push_item(ItemKey::derive(index, item));
-                    self.merge_at(cursor, item, last_dep)?;
+                    self.merge_by_operations(cursor, item, last_dep)?;
                     cursor.pop();
                 }
-                Ok(())
             }
-            // Lines 17–21: maps recurse per key.
             Value::Map(map) => {
-                self.emit(cursor, Mutation::MakeMap, last_dep)?;
                 for (key, item) in map {
-                    let key = self.intern(key);
-                    cursor.push_key(key);
-                    self.merge_at(cursor, item, last_dep)?;
+                    cursor.push_key(key.as_str());
+                    self.merge_by_operations(cursor, item, last_dep)?;
                     cursor.pop();
                 }
-                Ok(())
             }
+            _ => {}
         }
+        Ok(())
     }
 
     /// Applies an operation whose dependencies are satisfied.
@@ -484,22 +563,17 @@ impl JsonCrdt {
         }
         // Past the only failure point: the operation will take effect,
         // so it belongs to the replayable history (if recorded).
-        if let Some(history) = &mut self.history {
+        if let Some(history) = &mut self.log.history {
             history.push(op.clone());
         }
         if op.cursor.is_empty() {
-            match op.mutation {
-                Mutation::MakeMap => {
-                    // The head is always a map; materializing it is a no-op.
+            // The head is always a map; materializing it is a no-op.
+            if op.mutation == Mutation::Delete {
+                for child in self.root.children.values_mut() {
+                    child.tombstone_all();
                 }
-                Mutation::Delete => {
-                    for child in self.root.children.values_mut() {
-                        child.tombstone_all();
-                    }
-                }
-                _ => unreachable!("checked above"),
             }
-            self.finish_apply(op.id);
+            self.log.finish(op.id);
             return Ok(());
         }
 
@@ -507,73 +581,102 @@ impl JsonCrdt {
         // presence (paper §5.2: "For every node in the cursor, if the node
         // already exists, we add the identifier of the current operation
         // to the node...").
-        let mut visited = 0u64;
-        let target = descend(&mut self.root, op.cursor.elements(), op.id, &mut visited);
-        self.work.nodes_visited += visited;
+        let target = descend(&mut self.root, op.cursor.elements());
+        self.log.work.nodes_visited += op.cursor.len() as u64;
 
-        match &op.mutation {
-            Mutation::Assign(value) => {
-                target.reg.insert(op.id, value.clone());
-            }
+        match op.mutation {
+            Mutation::Assign(value) => target.assign(op.id, value),
             Mutation::MakeMap => {
                 target.map.get_or_insert_with(MapNode::default);
             }
             Mutation::MakeList => {
                 target.list.get_or_insert_with(ListNode::default);
             }
-            Mutation::Delete => {
-                target.tombstone_all();
-                // The delete itself keeps the entry invisible: its id is in
-                // presence (added during descent), so tombstone it too.
-                target.tombstones.insert(op.id);
-            }
+            // The delete itself is present since the descent, so it is
+            // tombstoned with the rest and keeps the entry invisible.
+            Mutation::Delete => target.tombstone_all(),
         }
-        self.finish_apply(op.id);
+        self.log.finish(op.id);
         Ok(())
-    }
-
-    fn finish_apply(&mut self, id: OpId) {
-        self.applied.insert(id);
-        if !self.frontier.observe(id) {
-            // A counter gap: the frontier no longer mirrors the applied
-            // set exactly, so merges fall back to full replay.
-            self.frontier_exact = false;
-        }
-        self.clock.observe(id);
-        self.work.ops_applied += 1;
     }
 
     /// Applies buffered operations whose dependencies have become
     /// satisfied, to fixpoint.
     fn drain_pending(&mut self) -> Result<(), DocError> {
         loop {
-            let ready_idx = self
-                .pending
-                .iter()
-                .position(|op| op.deps.iter().all(|d| self.applied.contains(d)));
-            match ready_idx {
-                Some(i) => {
-                    let op = self.pending.swap_remove(i);
-                    if !self.applied.contains(&op.id) {
-                        self.apply_ready(op)?;
-                    }
-                }
-                None => return Ok(()),
+            let log = &self.log;
+            let ready = |op: &Operation| op.deps.iter().all(|d| log.seen(*d));
+            let Some(at) = self.pending.iter().position(ready) else {
+                return Ok(());
+            };
+            let op = self.pending.swap_remove(at);
+            if !self.log.seen(op.id) {
+                self.apply_ready(op)?;
             }
         }
     }
 }
 
+/// The mutation Algorithm 2 generates for one node of a source value
+/// (lines 5–11: a leaf becomes an assignment of its string form).
+fn mutation_for(value: &Value) -> Mutation {
+    match value {
+        Value::List(_) => Mutation::MakeList,
+        Value::Map(_) => Mutation::MakeMap,
+        Value::String(s) => Mutation::Assign(s.clone()),
+        Value::Number(n) => Mutation::Assign(n.to_string()),
+        Value::Bool(b) => Mutation::Assign(b.to_string()),
+        Value::Null => Mutation::Assign("null".to_owned()),
+    }
+}
+
+/// Algorithm 2 on a document nobody reads operations from, as one walk
+/// over the source and the tree in lockstep: [`merge_node`] for every
+/// value of `map`, at the child of `node` under its key.
+fn merge_map(log: &mut Log, node: &mut MapNode, map: &BTreeMap<String, Value>, depth: u64) {
+    for (key, value) in map {
+        let child = match node.children.get_mut(key.as_str()) {
+            Some(child) => child,
+            None => node.children.entry(Arc::from(key.as_str())).or_default(),
+        };
+        merge_node(log, child, value, depth);
+    }
+}
+
+/// Merges `value` at `entry`, `depth` steps below the head: what
+/// [`JsonCrdt::apply`] does for the operation of this node and of every
+/// node beneath it, without leaving the subtree.
+fn merge_node(log: &mut Log, entry: &mut Entry, value: &Value, depth: u64) {
+    let id = log.clock.tick();
+    log.work.nodes_visited += depth;
+    log.finish(id);
+    match value {
+        Value::List(items) => {
+            let list = entry.list.get_or_insert_with(ListNode::default);
+            for (index, item) in items.iter().enumerate() {
+                let child = list.items.entry(ItemKey::derive(index, item)).or_default();
+                merge_node(log, child, item, depth + 1);
+            }
+        }
+        Value::Map(map) => {
+            let node = entry.map.get_or_insert_with(MapNode::default);
+            merge_map(log, node, map, depth + 1);
+        }
+        leaf => {
+            if let Mutation::Assign(text) = mutation_for(leaf) {
+                entry.assign(id, text);
+            }
+        }
+    }
+    // Every id minted since `id` belongs to this subtree, and each of
+    // those operations passes through this entry.
+    entry.present += log.clock.current() - id.counter + 1;
+}
+
 /// Walks `elements` from the document root, creating intermediate nodes on
-/// demand, inserting `id` into the presence set of every entry on the path,
-/// and returning the target entry. `visited` counts the steps for work
-/// accounting.
-fn descend<'a>(
-    root: &'a mut MapNode,
-    elements: &[CursorElement],
-    id: OpId,
-    visited: &mut u64,
-) -> &'a mut Entry {
+/// demand, counting the operation present at every entry on the path, and
+/// returning the target entry.
+fn descend<'a>(root: &'a mut MapNode, elements: &[CursorElement]) -> &'a mut Entry {
     enum Container<'c> {
         Map(&'c mut MapNode),
         List(&'c mut ListNode),
@@ -581,7 +684,6 @@ fn descend<'a>(
     let mut container = Container::Map(root);
     let last = elements.len() - 1;
     for (i, elem) in elements.iter().enumerate() {
-        *visited += 1;
         let entry = match (container, elem) {
             (Container::Map(map), CursorElement::Key(k)) => {
                 map.children.entry(k.clone()).or_default()
@@ -604,7 +706,7 @@ fn descend<'a>(
                 })
                 .or_default(),
         };
-        entry.presence.insert(id);
+        entry.present += 1;
         if i == last {
             return entry;
         }

@@ -9,7 +9,7 @@
 //! downstream hash, merge and simulation) is deterministic.
 
 mod parse;
-mod ser;
+pub(crate) mod ser;
 
 pub use parse::ParseError;
 

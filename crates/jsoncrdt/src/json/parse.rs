@@ -46,27 +46,24 @@ impl Error for ParseError {}
 
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { input, pos: 0 };
     p.skip_ws();
     let value = p.parse_value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(ParseError::new("trailing characters after value", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -118,7 +115,7 @@ impl<'a> Parser<'a> {
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, ParseError> {
         let start = self.pos;
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.input.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(value)
         } else {
@@ -186,73 +183,72 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Up to the next quote, backslash or control character the
+            // text moves as one slice; all three are ASCII, so it ends
+            // on a character boundary.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            let run = &self.input[start..self.pos];
             match self.bump() {
                 None => return Err(ParseError::new("unterminated string", self.pos)),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.parse_hex4()?;
-                        let ch = if (0xD800..=0xDBFF).contains(&cp) {
-                            // High surrogate: a low surrogate must follow.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(ParseError::new(
-                                    "high surrogate not followed by \\u escape",
-                                    self.pos,
-                                ));
-                            }
-                            let low = self.parse_hex4()?;
-                            if !(0xDC00..=0xDFFF).contains(&low) {
-                                return Err(ParseError::new("invalid low surrogate", self.pos));
-                            }
-                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined).ok_or_else(|| {
-                                ParseError::new("invalid surrogate pair", self.pos)
-                            })?
-                        } else if (0xDC00..=0xDFFF).contains(&cp) {
-                            return Err(ParseError::new("unexpected low surrogate", self.pos));
-                        } else {
-                            char::from_u32(cp)
-                                .ok_or_else(|| ParseError::new("invalid codepoint", self.pos))?
-                        };
-                        out.push(ch);
-                    }
-                    _ => {
-                        return Err(ParseError::new(
-                            "invalid escape sequence",
-                            self.pos.saturating_sub(1),
-                        ))
-                    }
-                },
-                Some(b) if b < 0x20 => {
+                Some(b'"') => {
+                    out.push_str(run);
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(run);
+                    out.push(self.parse_escape()?);
+                }
+                Some(_) => {
                     return Err(ParseError::new(
                         "unescaped control character in string",
                         self.pos - 1,
                     ))
                 }
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: re-decode from the source slice.
-                    let width = utf8_width(b)
-                        .ok_or_else(|| ParseError::new("invalid UTF-8 start byte", self.pos - 1))?;
-                    let start = self.pos - 1;
-                    let end = start + width;
-                    if end > self.bytes.len() {
-                        return Err(ParseError::new("truncated UTF-8 sequence", start));
+            }
+        }
+    }
+
+    /// The character an escape stands for, its backslash consumed.
+    fn parse_escape(&mut self) -> Result<char, ParseError> {
+        match self.bump() {
+            Some(b'"') => Ok('"'),
+            Some(b'\\') => Ok('\\'),
+            Some(b'/') => Ok('/'),
+            Some(b'b') => Ok('\u{0008}'),
+            Some(b'f') => Ok('\u{000C}'),
+            Some(b'n') => Ok('\n'),
+            Some(b'r') => Ok('\r'),
+            Some(b't') => Ok('\t'),
+            Some(b'u') => {
+                let cp = self.parse_hex4()?;
+                if (0xD800..=0xDBFF).contains(&cp) {
+                    // High surrogate: a low surrogate must follow.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(ParseError::new(
+                            "high surrogate not followed by \\u escape",
+                            self.pos,
+                        ));
                     }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| ParseError::new("invalid UTF-8 sequence", start))?;
-                    out.push_str(s);
-                    self.pos = end;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..=0xDFFF).contains(&low) {
+                        return Err(ParseError::new("invalid low surrogate", self.pos));
+                    }
+                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(combined)
+                        .ok_or_else(|| ParseError::new("invalid surrogate pair", self.pos))
+                } else if (0xDC00..=0xDFFF).contains(&cp) {
+                    Err(ParseError::new("unexpected low surrogate", self.pos))
+                } else {
+                    char::from_u32(cp).ok_or_else(|| ParseError::new("invalid codepoint", self.pos))
                 }
             }
+            _ => Err(ParseError::new(
+                "invalid escape sequence",
+                self.pos.saturating_sub(1),
+            )),
         }
     }
 
@@ -313,21 +309,10 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        let parsed: f64 = text
+        let parsed: f64 = self.input[start..self.pos]
             .parse()
             .map_err(|_| ParseError::new("number out of range", start))?;
         Ok(Value::Number(Number::new(parsed)))
-    }
-}
-
-fn utf8_width(first: u8) -> Option<usize> {
-    match first {
-        0xC2..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF4 => Some(4),
-        _ => None,
     }
 }
 

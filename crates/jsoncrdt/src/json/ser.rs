@@ -2,12 +2,36 @@
 
 use super::Value;
 
+/// Where the serializers write: a `String` or `Vec<u8>` keeps the text,
+/// [`crate::op::ItemKey::derive`]'s FNV-1a state only hashes it.
+pub(crate) trait Sink {
+    /// Appends `text`.
+    fn put(&mut self, text: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
 /// Serializes to compact canonical JSON: no whitespace, sorted map keys
 /// (guaranteed by the `BTreeMap` backing).
 pub fn to_compact(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, value, None, 0);
+    write_compact(&mut out, value);
     out
+}
+
+/// Appends [`to_compact`]'s text to `out`.
+pub(crate) fn write_compact(out: &mut impl Sink, value: &Value) {
+    write_value(out, value, None, 0);
 }
 
 /// Serializes to pretty JSON with two-space indentation.
@@ -17,80 +41,81 @@ pub fn to_pretty(value: &Value) -> String {
     out
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
+fn write_value(out: &mut impl Sink, value: &Value, indent: Option<usize>, level: usize) {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Null => out.put("null"),
+        Value::Bool(true) => out.put("true"),
+        Value::Bool(false) => out.put("false"),
+        Value::Number(n) => out.put(&n.to_string()),
         Value::String(s) => write_string(out, s),
         Value::List(items) => {
             if items.is_empty() {
-                out.push_str("[]");
+                out.put("[]");
                 return;
             }
-            out.push('[');
+            out.put("[");
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.put(",");
                 }
                 newline_indent(out, indent, level + 1);
                 write_value(out, item, indent, level + 1);
             }
             newline_indent(out, indent, level);
-            out.push(']');
+            out.put("]");
         }
         Value::Map(map) => {
             if map.is_empty() {
-                out.push_str("{}");
+                out.put("{}");
                 return;
             }
-            out.push('{');
+            out.put("{");
             for (i, (key, item)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.put(",");
                 }
                 newline_indent(out, indent, level + 1);
                 write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
+                out.put(if indent.is_some() { ": " } else { ":" });
                 write_value(out, item, indent, level + 1);
             }
             newline_indent(out, indent, level);
-            out.push('}');
+            out.put("}");
         }
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
+fn newline_indent(out: &mut impl Sink, indent: Option<usize>, level: usize) {
     if let Some(width) = indent {
-        out.push('\n');
+        out.put("\n");
         for _ in 0..width * level {
-            out.push(' ');
+            out.put(" ");
         }
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `s` as a JSON string literal. Every byte that needs an escape
+/// is ASCII, so the text between two of them moves as one slice.
+pub(crate) fn write_string(out: &mut impl Sink, s: &str) {
+    out.put("\"");
+    let escaped = |b: u8| b < 0x20 || b == b'"' || b == b'\\';
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(escaped) {
+        out.put(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            0x08 => out.put("\\b"),
+            0x0c => out.put("\\f"),
+            control => out.put(&format!("\\u{control:04x}")),
         }
+        rest = &rest[at + 1..];
     }
-    out.push('"');
+    out.put(rest);
+    out.put("\"");
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! [`Mutation`] itself.
 
 use crate::clock::OpId;
+use crate::json::ser::{self, Sink};
 use crate::json::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -34,11 +35,14 @@ pub struct ItemKey {
 }
 
 impl ItemKey {
-    /// Derives the key for the element at `index` with content `value`.
+    /// Derives the key for the element at `index` with content `value`;
+    /// the compact serializer writes straight into the hash.
     pub fn derive(index: usize, value: &Value) -> Self {
+        let mut hash = Fnv1a(FNV_OFFSET_BASIS);
+        ser::write_compact(&mut hash, value);
         ItemKey {
             index: index as u64,
-            hash: fnv1a(value.to_compact_string().as_bytes()),
+            hash: hash.0,
         }
     }
 }
@@ -51,22 +55,35 @@ impl fmt::Display for ItemKey {
 
 /// 64-bit FNV-1a hash; content addressing for list elements.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a(FNV_OFFSET_BASIS);
+    hash.put_bytes(bytes);
+    hash.0
+}
+
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// A running [`fnv1a`]: hashes the serializer's text as it is written.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
-    hash
+}
+
+impl Sink for Fnv1a {
+    fn put(&mut self, text: &str) {
+        self.put_bytes(text.as_bytes());
+    }
 }
 
 /// One step of a cursor path.
 ///
-/// Map keys are shared `Arc<str>`s rather than owned `String`s: the
-/// merge hot path (`JsonCrdt::merge_at`) clones the cursor once per
-/// generated operation, and a block full of MergeTxs repeats the same
-/// handful of keys ("readings", "deviceID", …) thousands of times.
-/// Interning turns every one of those clones into a reference-count
-/// bump instead of a heap allocation + memcpy.
+/// Map keys are shared `Arc<str>`s rather than owned `String`s: every
+/// operation beneath a key carries a clone of the cursor that leads to
+/// it, and each of those is a reference-count bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CursorElement {
     /// Descend into the map child with this key.
@@ -111,8 +128,7 @@ impl Cursor {
     }
 
     /// Appends a map-key step. Accepts `&str`, `String` or a shared
-    /// `Arc<str>` (pass an interned key on hot paths to avoid the
-    /// allocation).
+    /// `Arc<str>`.
     pub fn push_key(&mut self, key: impl Into<Arc<str>>) {
         self.elements.push(CursorElement::Key(key.into()));
     }
@@ -186,11 +202,8 @@ impl fmt::Display for Mutation {
 ///
 /// The dependency chains [`crate::JsonCrdt::merge_value`] generates
 /// are transitively reduced, so in practice every operation has zero
-/// or one dependency. Those cases are inlined
-/// here — the seed code built a `Vec<OpId>` per emitted operation, one
-/// heap allocation per node of every merged document. `Deps` derefs to
-/// `&[OpId]`, so iteration and indexing read exactly like the old
-/// `Vec`.
+/// or one dependency; those cases are inline. `Deps` derefs to
+/// `&[OpId]`, so iteration and indexing read like a `Vec`'s.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Deps {
     /// No dependencies (the first operation of a chain).

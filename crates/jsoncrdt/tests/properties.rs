@@ -6,6 +6,7 @@ use std::collections::BTreeMap;
 
 use fabriccrdt_jsoncrdt::cache;
 use fabriccrdt_jsoncrdt::json::Value;
+use fabriccrdt_jsoncrdt::op::{fnv1a, ItemKey};
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_sim::gen::{self, Gen};
 
@@ -280,4 +281,121 @@ fn from_bytes_is_total() {
         let bytes = g.bytes(0, 200);
         let _ = Value::from_bytes(&bytes);
     });
+}
+
+/// Text the other generators never draw: quotes, backslashes, control
+/// characters and multi-byte characters next to one another, where a
+/// run of plain bytes ends in the middle of the string.
+fn arb_hostile_text(g: &mut Gen) -> String {
+    let alphabet = "\"\\/\u{8}\u{c}\n\r\t\u{1}\u{1f}\u{7f} abu\u{e9}\u{65e5}\u{1f600}\u{10ffff}";
+    g.string_of(alphabet, 0, 16)
+}
+
+/// Any string survives compact and pretty serialisation and `to_bytes`,
+/// alone, as a map key and inside a list, and `ItemKey` hashes exactly
+/// the compact text (the serialiser writes into the hash; no `String`
+/// in between).
+#[test]
+fn hostile_strings_roundtrip_and_hash_as_their_compact_text() {
+    gen::cases(256, |g| {
+        let text = arb_hostile_text(g);
+        let nested: Value = [(arb_hostile_text(g), Value::list([Value::string(&text)]))]
+            .into_iter()
+            .collect();
+        for v in [Value::string(&text), nested, arb_value(g, 3)] {
+            assert_eq!(v.to_compact_string().parse::<Value>().unwrap(), v);
+            assert_eq!(v.to_pretty_string().parse::<Value>().unwrap(), v);
+            assert_eq!(Value::from_bytes(&v.to_bytes()).unwrap(), v);
+            let index = g.size(0, 9);
+            let key = ItemKey::derive(index, &v);
+            assert_eq!(key.index, index as u64);
+            assert_eq!(key.hash, fnv1a(v.to_compact_string().as_bytes()));
+        }
+    });
+}
+
+/// Escapes, `\u` escapes and surrogate pairs beside raw multi-byte
+/// text: what each parses to, what it serialises back to, and every
+/// error with its byte offset — recorded from the byte-at-a-time parser
+/// this one replaced.
+#[test]
+fn string_escapes_parse_serialise_and_fail_where_they_did() {
+    let parsed = [
+        (
+            r#""a\"b\\c\/d\b\f\n\r\t""#,
+            "a\"b\\c/d\u{8}\u{c}\n\r\t",
+            r#""a\"b\\c/d\b\f\n\r\t""#,
+        ),
+        (
+            "\"\u{e9}\\n\u{1f600}\\\"x\"",
+            "\u{e9}\n\u{1f600}\"x",
+            "\"\u{e9}\\n\u{1f600}\\\"x\"",
+        ),
+        (
+            r#""\u00e9\ud83d\ude00""#,
+            "\u{e9}\u{1f600}",
+            "\"\u{e9}\u{1f600}\"",
+        ),
+        (
+            r#""\ud800\udc00\udbff\udfff\uffff""#,
+            "\u{10000}\u{10ffff}\u{ffff}",
+            "\"\u{10000}\u{10ffff}\u{ffff}\"",
+        ),
+        (
+            r#""\u0000\u001f\u007f""#,
+            "\0\u{1f}\u{7f}",
+            "\"\\u0000\\u001f\u{7f}\"",
+        ),
+        (
+            "\"\u{65e5}\u{672c}\\\"\u{30c6}\\\\\u{30b9}\"",
+            "\u{65e5}\u{672c}\"\u{30c6}\\\u{30b9}",
+            "\"\u{65e5}\u{672c}\\\"\u{30c6}\\\\\u{30b9}\"",
+        ),
+    ];
+    for (input, text, compact) in parsed {
+        let value: Value = input.parse().unwrap();
+        assert_eq!(value.as_str(), Some(text), "{input}");
+        assert_eq!(value.to_compact_string(), compact, "{input}");
+    }
+    let key: Value = "{\"k\\n\u{e9}\":\"v\\t\"}".parse().unwrap();
+    assert_eq!(key.to_pretty_string(), "{\n  \"k\\n\u{e9}\": \"v\\t\"\n}");
+
+    let failures = [
+        (
+            r#""x\ud83d""#,
+            "high surrogate not followed by \\u escape at byte 9",
+        ),
+        (
+            r#""x\ud83dzz""#,
+            "high surrogate not followed by \\u escape at byte 9",
+        ),
+        (r#""\ud83d\u0041""#, "invalid low surrogate at byte 13"),
+        (r#""\ude00""#, "unexpected low surrogate at byte 7"),
+        (r#""ab\x""#, "invalid escape sequence at byte 4"),
+        (r#""ab\"#, "invalid escape sequence at byte 3"),
+        ("{\"a\":\"\u{e9}\\", "invalid escape sequence at byte 8"),
+        (r#""ab"#, "unterminated string at byte 3"),
+        ("\"\u{e9}\u{1f600}", "unterminated string at byte 7"),
+        (
+            "\"a\u{1}b\"",
+            "unescaped control character in string at byte 2",
+        ),
+        (
+            "\"\u{e9}\nb\"",
+            "unescaped control character in string at byte 3",
+        ),
+        (
+            "\"tab\there\"",
+            "unescaped control character in string at byte 4",
+        ),
+        (r#""\u12g4""#, "invalid hex digit in \\u escape at byte 5"),
+        (r#""\u12"#, "truncated \\u escape at byte 5"),
+        ("[true, xalse]", "unexpected character 'x' at byte 7"),
+    ];
+    for (input, message) in failures {
+        let error = input.parse::<Value>().unwrap_err();
+        assert_eq!(error.to_string(), message, "{input:?}");
+    }
+    let not_utf8 = Value::from_bytes(b"\"\xc3\"").unwrap_err();
+    assert_eq!(not_utf8.to_string(), "input is not valid UTF-8 at byte 0");
 }
