@@ -38,7 +38,7 @@ use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::{VersionedValue, WorldState};
 use fabriccrdt_ordering::RaftCluster;
-use fabriccrdt_sim::rng::SimRng;
+use fabriccrdt_sim::rng::{SimRng, ZipfSampler};
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::generator::iot_payload;
 use fabriccrdt_workload::zipf::ZipfWorkload;
@@ -639,31 +639,59 @@ fn main() {
         );
     }
 
-    for n in [25usize, 400] {
+    {
+        /// A batch of `n` from each transaction's (reads, writes).
+        fn batch_of(
+            n: u64,
+            mut access: impl FnMut(u64) -> (Vec<String>, Vec<String>),
+        ) -> Vec<Transaction> {
+            let client = Identity::new("client", "org1");
+            (0..n)
+                .map(|i| {
+                    let (reads, writes) = access(i);
+                    let mut rwset = ReadWriteSet::new();
+                    for key in reads {
+                        rwset.reads.record(key, Some(Height::new(1, 0)));
+                    }
+                    for key in writes {
+                        rwset.writes.put(key, vec![i as u8]);
+                    }
+                    Transaction {
+                        id: TxId::derive(&client, i, "cc"),
+                        client: client.clone(),
+                        chaincode: "cc".into(),
+                        rwset,
+                        endorsements: Vec::new(),
+                    }
+                })
+                .collect()
+        }
         // A mixed batch: writers on a hot key plus readers of it — the
         // workload the Fabric++ baseline reorders profitably.
-        let client = Identity::new("client", "org1");
-        let batch: Vec<Transaction> = (0..n as u64)
-            .map(|i| {
-                let mut rwset = ReadWriteSet::new();
-                if i % 2 == 0 {
-                    rwset.writes.put("hot", vec![i as u8]);
-                } else {
-                    rwset.reads.record("hot", Some(Height::new(1, 0)));
-                    rwset.writes.put(format!("priv-{i}"), vec![i as u8]);
-                }
-                Transaction {
-                    id: TxId::derive(&client, i, "cc"),
-                    client: client.clone(),
-                    chaincode: "cc".into(),
-                    rwset,
-                    endorsements: Vec::new(),
-                }
-            })
-            .collect();
-        bench.run(&format!("reorder/batch/{n}"), Some(n as u64), None, || {
-            fabriccrdt_fabric::reorder::reorder_batch(batch.clone())
-        });
+        let mixed = |i: u64| match i % 2 {
+            0 => (vec![], vec!["hot".to_string()]),
+            _ => (vec!["hot".to_string()], vec![format!("priv-{i}")]),
+        };
+        // `mvcc-reorder-retry`'s batch: each transaction reads and
+        // writes one Zipf(0.9) key out of 2 000.
+        let zipf = ZipfSampler::new(2_000, 0.9);
+        let mut rng = SimRng::seed_from(42);
+        let zipf_rmw = |_| {
+            let key = ZipfWorkload::key(zipf.sample(&mut rng));
+            (vec![key.clone()], vec![key])
+        };
+        // The paper's all-conflicting batch (Ablation A): one clique.
+        let one_key_rmw = |_| (vec!["hot".to_string()], vec!["hot".to_string()]);
+        for (name, n, batch) in [
+            ("batch", 25, batch_of(25, mixed)),
+            ("batch", 400, batch_of(400, mixed)),
+            ("zipf0.9-rmw", 400, batch_of(400, zipf_rmw)),
+            ("one-key-rmw", 400, batch_of(400, one_key_rmw)),
+        ] {
+            bench.run(&format!("reorder/{name}/{n}"), Some(n), None, || {
+                fabriccrdt_fabric::reorder::reorder_batch(batch.clone())
+            });
+        }
     }
 
     {

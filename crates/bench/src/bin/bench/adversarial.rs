@@ -278,6 +278,7 @@ pub fn run(options: &HarnessOptions) {
             "merge_storm_catch_up_secs",
             "offline_rejoin_reconverged",
         ],
-    );
+    )
+    .unwrap_or_else(|message| crate::fail(message));
     println!("wrote BENCH_adversarial.json");
 }

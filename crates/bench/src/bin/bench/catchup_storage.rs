@@ -307,6 +307,7 @@ pub fn run(options: &HarnessOptions) {
             "cells.0.snapshot_bytes",
             &format!("cells.{last_cell}.used_snapshot"),
         ],
-    );
+    )
+    .unwrap_or_else(|message| crate::fail(message));
     println!("wrote BENCH_catchup_storage.json ({} cells)", cells.len());
 }

@@ -45,10 +45,14 @@ const EXPERIMENTS: [Experiment; 8] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(message) = dispatch(&args) {
-        eprintln!("error: {message}");
-        std::process::exit(1);
-    }
+    dispatch(&args).unwrap_or_else(|message| fail(message));
+}
+
+/// How every failed run ends, a bad flag or an artifact that could not
+/// be written: `error: …`, exit 1.
+fn fail(message: String) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1)
 }
 
 fn dispatch(args: &[String]) -> Result<(), String> {

@@ -290,6 +290,7 @@ pub fn run(options: &HarnessOptions) {
             "cells.0.clients_per_channel",
             &format!("cells.{last_cell}.aggregate_tps"),
         ],
-    );
+    )
+    .unwrap_or_else(|message| crate::fail(message));
     println!("wrote BENCH_multi_channel.json ({} cells)", cells.len());
 }

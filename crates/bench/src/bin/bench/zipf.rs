@@ -295,7 +295,8 @@ pub fn run(options: &HarnessOptions) {
             "cells.0.wasted_validation_work",
             &format!("cells.{last_cell}.goodput_tps"),
         ],
-    );
+    )
+    .unwrap_or_else(|message| crate::fail(message));
     println!("wrote BENCH_zipf_conflict.json ({} cells)", cells.len());
 
     // ---- Acceptance self-checks -----------------------------------

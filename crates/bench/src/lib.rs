@@ -97,24 +97,25 @@ pub fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
 /// Paths are dot-separated; a numeric segment indexes a list
 /// (`cells.0.tps`).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the file cannot be written, the text does not re-parse,
-/// or a required path is missing — a malformed artifact fails the run
-/// that produced it.
-pub fn report(path: &str, value: &Value, required: &[&str]) {
+/// Returns the message the binary prints as `error: …` (exit 1) if the
+/// file cannot be written, the text does not re-parse, or a required
+/// path is missing — a malformed artifact fails the run that produced it.
+pub fn report(path: &str, value: &Value, required: &[&str]) -> Result<(), String> {
     let text = value.to_pretty_string() + "\n";
-    std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    let parsed = Value::parse(&text).unwrap_or_else(|e| panic!("{path} is malformed: {e}"));
+    std::fs::write(path, &text).map_err(|e| format!("could not write {path}: {e}"))?;
+    let parsed = Value::parse(&text).map_err(|e| format!("{path} is malformed: {e}"))?;
     for field in required {
-        let found = field
+        field
             .split('.')
             .try_fold(&parsed, |node, segment| match node {
                 Value::List(items) => items.get(segment.parse::<usize>().ok()?),
                 _ => node.get(segment),
-            });
-        assert!(found.is_some(), "{path}: required field {field} is missing");
+            })
+            .ok_or_else(|| format!("{path}: required field {field} is missing"))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -136,11 +137,11 @@ mod tests {
             ("bench", "demo".into()),
             ("cells", Value::list([obj([("tps", 1.5.into())])])),
         ]);
-        report(path, &value, &["bench", "cells.0.tps"]);
+        report(path, &value, &["bench", "cells.0.tps"]).expect("written and complete");
         let on_disk = std::fs::read_to_string(path).expect("artifact written");
         assert_eq!(on_disk.parse::<Value>().expect("parses"), value);
-        let missing = std::panic::catch_unwind(|| report(path, &value, &["cells.1.tps"]));
-        assert!(missing.is_err(), "a missing required path must panic");
+        let missing = report(path, &value, &["cells.1.tps"]).expect_err("no second cell");
+        assert!(missing.ends_with("required field cells.1.tps is missing"));
         std::fs::remove_file(path).ok();
     }
 

@@ -58,3 +58,24 @@ fn an_unwritable_csv_path_fails_the_run() {
     let last = stderr.lines().last().unwrap_or_default();
     assert!(last.starts_with("error: could not write CSV"), "{stderr}");
 }
+
+/// A directory where the artifact should go: a path no user can write,
+/// root included.
+#[test]
+fn an_unwritable_artifact_path_fails_the_run() {
+    let dir = std::env::temp_dir().join(format!("bench-artifact-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("BENCH_catchup_storage.json")).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_bench"))
+        .args(["catchup_storage", "--txs", "100"])
+        .current_dir(&dir)
+        .output()
+        .expect("bench spawns");
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let last = stderr.lines().last().unwrap_or_default();
+    assert!(
+        last.starts_with("error: could not write BENCH_catchup_storage.json"),
+        "{stderr}"
+    );
+}

@@ -11,20 +11,28 @@
 //! This module implements that baseline so the two approaches can be
 //! compared head-to-head (see the `ablation` experiment of `bench`):
 //!
-//! 1. Build the intra-batch conflict graph: an edge `R → W` whenever
-//!    transaction `R` reads a key that transaction `W` writes — `R` must
-//!    be ordered *before* `W` for both to pass MVCC validation.
+//! 1. Build the intra-batch conflict graph: a transaction that reads a
+//!    key must be ordered *before* every other transaction that writes
+//!    it for both to pass MVCC validation. A key's readers and writers
+//!    form a complete bipartite block, so the key is a node of its own,
+//!    `reader → key → writer`: one edge per read and per write, not one
+//!    per (reader, writer) pair.
 //! 2. Transactions on a dependency cycle can never all commit; break
-//!    cycles by **early-aborting** every member of a non-trivial
-//!    strongly connected component except its smallest-index
-//!    representative (read-modify-write transactions on a hot key form
-//!    exactly such cliques, which is why reordering cannot rescue the
-//!    paper's all-conflicting workload — FabricCRDT can).
-//! 3. Emit the survivors in a topological order of the condensed graph
-//!    (deterministic: Kahn's algorithm with an index-ordered frontier).
+//!    cycles by **early-aborting** every transaction of a strongly
+//!    connected component except the one with the smallest index
+//!    (read-modify-write transactions on a hot key form exactly such
+//!    cliques, which is why reordering cannot rescue the paper's
+//!    all-conflicting workload — FabricCRDT can). Key nodes never
+//!    count: a lone read-modify-write, `t → key → t`, survives.
+//! 3. Emit the survivors in a topological order (deterministic: Kahn's
+//!    algorithm with an index-ordered frontier). A key counts down its
+//!    unemitted readers and lets a writer go once the readers *other
+//!    than that writer* are out: at zero, or at one when the reader left
+//!    is the writer itself. After step 2 at most one survivor both reads
+//!    and writes a key (two would be a cycle), so no case is left.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BinaryHeap, HashMap};
 
 use fabriccrdt_ledger::transaction::Transaction;
 
@@ -41,171 +49,161 @@ pub struct ReorderOutcome {
 /// Reorders a batch of transactions to minimize intra-block MVCC
 /// conflicts, early-aborting unsalvageable cycles.
 pub fn reorder_batch(transactions: Vec<Transaction>) -> ReorderOutcome {
-    let n = transactions.len();
-    if n <= 1 {
-        return ReorderOutcome {
-            ordered: transactions,
-            aborted: Vec::new(),
-        };
-    }
+    let txs = transactions.len();
+    let (offsets, targets) = conflict_graph(&transactions);
+    let successors = |node: usize| &targets[offsets[node]..offsets[node + 1]];
+    let aborted = cycle_aborts(txs, &offsets, &targets);
+    let survivors = || (0..txs).filter(|&t| !aborted[t]);
 
-    // Key → reader/writer transaction indices.
-    let mut readers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    let mut writers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, tx) in transactions.iter().enumerate() {
-        for (key, _) in tx.rwset.reads.iter() {
-            readers.entry(key).or_default().push(i);
-        }
-        for (key, _) in tx.rwset.writes.iter() {
-            writers.entry(key).or_default().push(i);
+    // Per key, its surviving readers not yet emitted: how many, and the
+    // sum of their indices — at one, the sum names the reader.
+    let mut readers = vec![(0usize, 0usize); offsets.len() - 1];
+    for t in survivors() {
+        for &key in successors(t) {
+            readers[key] = (readers[key].0 + 1, readers[key].1 + t);
         }
     }
-
-    // Dependency edges: reader → writer (reader first).
-    let mut successors: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (key, reader_list) in &readers {
-        if let Some(writer_list) = writers.get(key) {
-            for &r in reader_list {
-                for &w in writer_list {
-                    if r != w {
-                        successors[r].insert(w);
+    // Per survivor, the keys it writes that have yet to let it go.
+    let mut held_by = vec![0usize; txs];
+    for (key, &(count, sum)) in readers.iter().enumerate().skip(txs) {
+        for &w in successors(key) {
+            if !aborted[w] && (count > 1 || (count == 1 && sum != w)) {
+                held_by[w] += 1;
+            }
+        }
+    }
+    // Kahn's algorithm over the survivors, smallest index first for
+    // determinism.
+    let mut frontier = BinaryHeap::new();
+    frontier.extend(survivors().filter(|&t| held_by[t] == 0).map(Reverse));
+    let mut order = Vec::with_capacity(txs);
+    while let Some(Reverse(t)) = frontier.pop() {
+        order.push(t);
+        for &key in successors(t) {
+            readers[key] = (readers[key].0 - 1, readers[key].1 - t);
+            let (count, last) = readers[key];
+            if count > 1 {
+                continue;
+            }
+            // At one the key lets go of the reader left, if it writes;
+            // at zero of every writer but `t`, which went at one.
+            for &w in successors(key) {
+                let goes = if count == 1 { w == last } else { w != t };
+                if goes && !aborted[w] {
+                    held_by[w] -= 1;
+                    if held_by[w] == 0 {
+                        frontier.push(Reverse(w));
                     }
                 }
             }
         }
     }
+    debug_assert_eq!(order.len(), survivors().count(), "survivors are acyclic");
 
-    // Strongly connected components (iterative Tarjan).
-    let components = tarjan_scc(&successors);
-
-    // Abort all but the smallest-index member of each non-trivial SCC.
-    // A single node with a self-loop cannot occur (edges exclude r == w).
-    let mut aborted_flags = vec![false; n];
-    for component in &components {
-        if component.len() > 1 {
-            let keep = *component.iter().min().expect("nonempty SCC");
-            for &member in component {
-                if member != keep {
-                    aborted_flags[member] = true;
-                }
-            }
-        }
-    }
-
-    // Kahn's algorithm over the surviving subgraph, smallest index first
-    // for determinism.
-    let mut indegree = vec![0usize; n];
-    for (from, succs) in successors.iter().enumerate() {
-        if aborted_flags[from] {
-            continue;
-        }
-        for &to in succs {
-            if !aborted_flags[to] {
-                indegree[to] += 1;
-            }
-        }
-    }
-    let mut frontier: BinaryHeap<Reverse<usize>> = (0..n)
-        .filter(|&i| !aborted_flags[i] && indegree[i] == 0)
-        .map(Reverse)
-        .collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(Reverse(i)) = frontier.pop() {
-        order.push(i);
-        for &to in &successors[i] {
-            if aborted_flags[to] {
-                continue;
-            }
-            indegree[to] -= 1;
-            if indegree[to] == 0 {
-                frontier.push(Reverse(to));
-            }
-        }
-    }
-    debug_assert_eq!(
-        order.len(),
-        aborted_flags.iter().filter(|a| !**a).count(),
-        "survivor graph is acyclic after SCC breaking"
-    );
-
-    // Materialize, preserving the original Transaction values.
+    // Materialize, preserving the original Transaction values; what the
+    // order leaves behind is the aborted set, in batch order.
     let mut slots: Vec<Option<Transaction>> = transactions.into_iter().map(Some).collect();
-    let ordered = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("each index used once"))
-        .collect();
+    let ordered = order.into_iter().filter_map(|t| slots[t].take()).collect();
     let aborted = slots.into_iter().flatten().collect();
     ReorderOutcome { ordered, aborted }
 }
 
-/// Iterative Tarjan SCC; returns components in reverse topological
-/// order (irrelevant here — only membership is used).
-fn tarjan_scc(successors: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
-    let n = successors.len();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut components = Vec::new();
-
-    // Explicit DFS state: (node, iterator position over successors).
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
+/// The graph as one edge array: nodes `0..n` are the batch's
+/// transactions, the rest its keys, and `targets[offsets[v]..offsets[v + 1]]`
+/// are the keys transaction `v` reads or the transactions that write
+/// key `v`.
+fn conflict_graph(transactions: &[Transaction]) -> (Vec<usize>, Vec<usize>) {
+    let txs = transactions.len();
+    // Keys become nodes in order of first appearance, so nothing depends
+    // on the map's iteration order.
+    let mut key_nodes: HashMap<&str, usize> = HashMap::new();
+    let mut node_of = |key| {
+        let next = txs + key_nodes.len();
+        *key_nodes.entry(key).or_insert(next)
+    };
+    let mut edges = Vec::new();
+    for (t, tx) in transactions.iter().enumerate() {
+        for (key, _) in tx.rwset.reads.iter() {
+            edges.push((t, node_of(key.as_str())));
         }
-        let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let succ_list: Vec<usize> = successors[root].iter().copied().collect();
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        call_stack.push((root, succ_list, 0));
+        for (key, _) in tx.rwset.writes.iter() {
+            edges.push((node_of(key.as_str()), t));
+        }
+    }
+    // Counting sort by source node.
+    let mut offsets = vec![0; txs + key_nodes.len() + 1];
+    for &(from, _) in &edges {
+        offsets[from + 1] += 1;
+    }
+    for node in 1..offsets.len() {
+        offsets[node] += offsets[node - 1];
+    }
+    let mut next = offsets.clone();
+    let mut targets = vec![0; edges.len()];
+    for (from, to) in edges {
+        targets[next[from]] = to;
+        next[from] += 1;
+    }
+    (offsets, targets)
+}
 
-        while let Some((node, succs, mut pos)) = call_stack.pop() {
-            let mut descended = false;
-            while pos < succs.len() {
-                let next = succs[pos];
-                pos += 1;
-                if index[next] == usize::MAX {
-                    // Descend.
-                    index[next] = next_index;
-                    lowlink[next] = next_index;
-                    next_index += 1;
-                    stack.push(next);
-                    on_stack[next] = true;
-                    call_stack.push((node, succs, pos));
-                    let next_succs: Vec<usize> = successors[next].iter().copied().collect();
-                    call_stack.push((next, next_succs, 0));
-                    descended = true;
-                    break;
-                } else if on_stack[next] {
-                    lowlink[node] = lowlink[node].min(index[next]);
-                }
+/// Iterative Tarjan; marks every node of a strongly connected component
+/// but its smallest (the marks on keys mean nothing). A key is reachable
+/// only from a reader, so the transactions are all the roots there are.
+fn cycle_aborts(txs: usize, offsets: &[usize], targets: &[usize]) -> Vec<bool> {
+    const UNVISITED: usize = usize::MAX;
+    let nodes = offsets.len() - 1;
+    // A node's lowlink is the least index it reaches on the stack; a
+    // node popped with its component reaches none, and says so with a
+    // lowlink no `min` will take.
+    let (mut index, mut lowlink) = (vec![UNVISITED; nodes], vec![0usize; nodes]);
+    let mut visited = 0;
+    let mut aborted = vec![false; nodes];
+    // Explicit DFS state: the stack of open nodes, and per call a node
+    // and its cursor into `targets`.
+    let (mut stack, mut frames) = (Vec::new(), Vec::new());
+    for root in 0..txs {
+        if index[root] == UNVISITED {
+            frames.push((root, offsets[root]));
+        }
+        while let Some(frame) = frames.last_mut() {
+            let (node, cursor) = *frame;
+            if index[node] == UNVISITED {
+                (index[node], lowlink[node]) = (visited, visited);
+                visited += 1;
+                stack.push(node);
             }
-            if descended {
+            if cursor < offsets[node + 1] {
+                let next = targets[cursor];
+                if index[next] == UNVISITED {
+                    // Descend; the cursor stays, so the return reads
+                    // `next`'s lowlink below.
+                    frames.push((next, offsets[next]));
+                } else {
+                    frame.1 += 1;
+                    lowlink[node] = lowlink[node].min(lowlink[next]);
+                }
                 continue;
             }
             // Node finished.
+            frames.pop();
             if lowlink[node] == index[node] {
-                let mut component = Vec::new();
-                loop {
-                    let member = stack.pop().expect("tarjan stack nonempty");
-                    on_stack[member] = false;
-                    component.push(member);
+                // Keys are numbered after transactions, so the smallest
+                // member is a transaction if the component holds one.
+                let mut keep = node;
+                while let Some(member) = stack.pop() {
+                    lowlink[member] = usize::MAX;
+                    aborted[member] = true;
+                    keep = keep.min(member);
                     if member == node {
                         break;
                     }
                 }
-                components.push(component);
-            }
-            if let Some((parent, _, _)) = call_stack.last() {
-                lowlink[*parent] = lowlink[*parent].min(lowlink[node]);
+                aborted[keep] = false;
             }
         }
     }
-    components
+    aborted
 }
 
 #[cfg(test)]

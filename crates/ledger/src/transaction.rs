@@ -65,9 +65,12 @@ pub struct Transaction {
 
 impl Transaction {
     /// Canonical byte encoding of the parts covered by endorsement
-    /// signatures (the proposal response payload).
+    /// signatures (the proposal response payload). Counted, then
+    /// written into one allocation.
     pub fn response_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut len = 0usize;
+        self.write_response_payload(&mut len);
+        let mut out = Vec::with_capacity(len);
         self.write_response_payload(&mut out);
         out
     }
@@ -84,7 +87,9 @@ impl Transaction {
     /// Canonical bytes of the whole transaction, input to block data
     /// hashes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut len = 0usize;
+        self.write_bytes(&mut len);
+        let mut out = Vec::with_capacity(len);
         self.write_bytes(&mut out);
         out
     }
