@@ -26,6 +26,7 @@ use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
 use fabriccrdt_fabric::config::{BlockCutConfig, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_fabric::peer::Peer;
+use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_gossip::GossipNetwork;
@@ -355,27 +356,36 @@ fn state_size_sweep(bench: &Bench) {
         drop(state);
 
         let name = format!("peer/block-25tx-1400B@{label}-keys");
-        if !bench.wants(&name) {
-            continue;
+        let mut rows = vec![(name.clone(), ValidationPipeline::Sequential)];
+        if keys == 100_000 {
+            // The same blocks through the conflict-chain finalize.
+            let chained = ValidationPipeline::pipelined(2);
+            rows.push((format!("{name}/{}", chained.label()), chained));
         }
-        let mut peer = Peer::new(CrdtValidator::new(), EndorsementPolicy::any_of(["org1"]));
-        for (key, value) in &seeds {
-            peer.seed_state(key.clone(), value.clone());
+        for (name, pipeline) in rows {
+            if !bench.wants(&name) {
+                continue;
+            }
+            let mut peer = Peer::new(CrdtValidator::new(), EndorsementPolicy::any_of(["org1"]))
+                .with_pipeline(pipeline);
+            for (key, value) in &seeds {
+                peer.seed_state(key.clone(), value.clone());
+            }
+            let mut nonce = 0;
+            bench.run_timed(&name, Some(25), || {
+                let txs = (0..25)
+                    .map(|_| {
+                        nonce += 1;
+                        document_tx(nonce, probes[nonce as usize % 1024], &endorser)
+                    })
+                    .collect();
+                let block = Block::assemble(peer.chain().height(), peer.chain().tip_hash(), txs);
+                let start = Instant::now();
+                let staged = peer.process_block(block);
+                peer.commit(staged).expect("the block extends the chain");
+                start.elapsed()
+            });
         }
-        let mut nonce = 0;
-        bench.run_timed(&name, Some(25), || {
-            let txs = (0..25)
-                .map(|_| {
-                    nonce += 1;
-                    document_tx(nonce, probes[nonce as usize % 1024], &endorser)
-                })
-                .collect();
-            let block = Block::assemble(peer.chain().height(), peer.chain().tip_hash(), txs);
-            let start = Instant::now();
-            let staged = peer.process_block(block);
-            peer.commit(staged).expect("the block extends the chain");
-            start.elapsed()
-        });
     }
 }
 

@@ -26,7 +26,6 @@ use std::collections::BTreeMap;
 
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::metrics::DecodeCacheMetrics;
-use fabriccrdt_fabric::state::ShardedState;
 use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome};
 use fabriccrdt_jsoncrdt::cache::{self, decode_cached};
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
@@ -217,12 +216,9 @@ impl BlockValidator for CrdtValidator {
         let stats = mvcc::validate_and_commit(block, state, pre_decided, true);
 
         ValidationWork {
-            sigs_verified: 0,
-            reads_checked: stats.reads_checked,
-            writes_applied: stats.writes_applied,
             merge_units,
             merge_quad,
-            successes: stats.successes,
+            ..stats.into()
         }
     }
 
@@ -250,7 +246,7 @@ impl BlockValidator for CrdtValidator {
         block_number: u64,
         transactions: &[Transaction],
         chain: &[usize],
-        state: &ShardedState,
+        state: &WorldState,
     ) -> ChainOutcome {
         let mut merge_units = 0u64;
         let mut merge_quad = 0u64;
@@ -288,13 +284,11 @@ impl BlockValidator for CrdtValidator {
         ChainOutcome {
             codes: commit.codes,
             rewrites,
+            writes: commit.writes,
             work: ValidationWork {
-                sigs_verified: 0,
-                reads_checked: commit.stats.reads_checked,
-                writes_applied: commit.stats.writes_applied,
                 merge_units,
                 merge_quad,
-                successes: commit.stats.successes,
+                ..commit.stats.into()
             },
         }
     }
@@ -577,9 +571,8 @@ mod tests {
         let mut seq_state = seed.clone();
         let seq_work = CrdtValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
 
-        let sharded = ShardedState::from_world(&seed);
         let chain: Vec<usize> = (0..txs.len()).collect();
-        let outcome = CrdtValidator::new().finalize_chain(2, &txs, &chain, &sharded);
+        let outcome = CrdtValidator::new().finalize_chain(2, &txs, &chain, &seed);
 
         assert_eq!(outcome.work, seq_work);
         assert_eq!(
@@ -594,7 +587,9 @@ mod tests {
                 "rewrite bytes diverge at tx {i}"
             );
         }
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut chain_state = seed.clone();
+        mvcc::apply_writes(&mut chain_state, outcome.writes);
+        assert_eq!(chain_state, seq_state);
     }
 
     #[test]
@@ -626,9 +621,8 @@ mod tests {
         let mut seq_state = seed.clone();
         let seq_work = CrdtValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
 
-        let sharded = ShardedState::from_world(&seed);
-        let a = CrdtValidator::new().finalize_chain(3, &txs, &[0, 1], &sharded);
-        let b = CrdtValidator::new().finalize_chain(3, &txs, &[2], &sharded);
+        let a = CrdtValidator::new().finalize_chain(3, &txs, &[0, 1], &seed);
+        let b = CrdtValidator::new().finalize_chain(3, &txs, &[2], &seed);
 
         let mut work = a.work;
         work.absorb(b.work);
@@ -641,7 +635,10 @@ mod tests {
             codes.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
             block.validation_codes
         );
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut chain_state = seed.clone();
+        mvcc::apply_writes(&mut chain_state, a.writes);
+        mvcc::apply_writes(&mut chain_state, b.writes);
+        assert_eq!(chain_state, seq_state);
     }
 
     #[test]

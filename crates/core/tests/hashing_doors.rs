@@ -10,7 +10,7 @@
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
-use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
+use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
@@ -154,10 +154,14 @@ fn replay_rejects_the_same_mutation_and_reports_the_cheapest_failed_check() {
 }
 
 #[test]
-fn decode_chain_and_restore_reject_the_same_mutation() {
-    let (peer, _) = veteran();
+fn decode_chain_rejects_the_same_mutation() {
+    let (peer, committed) = veteran();
     let snapshot = peer.snapshot();
-    Peer::restore(FabricValidator::new(), policy(), &snapshot).expect("intact snapshot restores");
+    let intact = fabriccrdt_ledger::codec::decode_chain(&snapshot.chain).expect("intact chain");
+    assert!(
+        intact.iter().skip(1).eq(&committed),
+        "the chain as committed"
+    );
 
     // The first stored copy of the needle is block 1's first write.
     let at = snapshot
@@ -165,18 +169,13 @@ fn decode_chain_and_restore_reject_the_same_mutation() {
         .windows(NEEDLE.len())
         .position(|window| window == NEEDLE)
         .expect("the written value is stored verbatim");
-    let mut chain = snapshot.chain.clone();
+    let mut chain = snapshot.chain;
     chain[at] ^= 0x01;
     let error = fabriccrdt_ledger::codec::decode_chain(&chain).expect_err("hash no longer covers");
     assert!(
         error.to_string().starts_with("chain integrity violation"),
         "{error}"
     );
-    let forged = PeerSnapshot {
-        chain,
-        state: snapshot.state,
-    };
-    assert!(Peer::restore(FabricValidator::new(), policy(), &forged).is_err());
 }
 
 /// One block of the sweep: CRDT merges into a few hot keys, plain

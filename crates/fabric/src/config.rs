@@ -650,12 +650,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Selects an explicit validation pipeline.
-    pub fn with_validation(mut self, validation: ValidationPipeline) -> Self {
-        self.validation = validation;
-        self
-    }
-
     /// Routes block dissemination through the gossip layer with the
     /// calibrated defaults for this topology (honoured by
     /// `fabriccrdt_channel::assemble`).

@@ -17,6 +17,7 @@
 //! blocks — with 25-tx blocks the quadratic term is negligible, with
 //! 1000-tx blocks it dominates.
 
+use fabriccrdt_ledger::mvcc::CommitStats;
 use fabriccrdt_sim::time::SimTime;
 
 use crate::chaincode::ExecWork;
@@ -37,6 +38,18 @@ pub struct ValidationWork {
     pub merge_quad: u64,
     /// Transactions committed successfully.
     pub successes: u64,
+}
+
+/// An MVCC pass's counters: no signatures, no merges.
+impl From<CommitStats> for ValidationWork {
+    fn from(stats: CommitStats) -> Self {
+        ValidationWork {
+            reads_checked: stats.reads_checked,
+            writes_applied: stats.writes_applied,
+            successes: stats.successes,
+            ..ValidationWork::default()
+        }
+    }
 }
 
 impl ValidationWork {

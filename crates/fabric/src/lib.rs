@@ -37,8 +37,7 @@
 //! - [`schedule`]: the conflict-graph scheduler bucketing a block's
 //!   transactions into key-disjoint chains for the parallel finalize
 //!   stage.
-//! - [`state`]: the key-hash sharded world state those chains commit
-//!   through.
+//! - [`state`]: the name those chains' read-only state goes by.
 //! - [`peer`]: the committing peer: duplicate detection, endorsement
 //!   verification, validator dispatch, staged commits.
 //! - [`storage`]: durable peer storage — backend selection, snapshot
@@ -93,5 +92,4 @@ pub use pipeline::{PipelineRunner, ValidationPipeline};
 pub use policy::EndorsementPolicy;
 pub use schedule::conflict_chains;
 pub use simulation::{OrderingBackend, OrderingOutcome, Simulation, SingleOrderer, TxRequest};
-pub use state::ShardedState;
 pub use validator::{BlockValidator, FabricValidator};

@@ -38,6 +38,7 @@ use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, Validati
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::history::HistoryDb;
+use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
@@ -59,7 +60,6 @@ use crate::metrics::PipelineMetrics;
 use crate::pipeline::{PendingMap, PipelineRunner, ValidationPipeline};
 use crate::policy::EndorsementPolicy;
 use crate::schedule::conflict_chains;
-use crate::state::ShardedState;
 use crate::validator::{BlockValidator, ChainOutcome};
 
 /// Host wall-clock durations of the two `process_block` stages, read by
@@ -216,9 +216,8 @@ impl<V: BlockValidator> Peer<V> {
         )
     }
 
-    /// A sequential, default-channel peer over the given ledger parts —
-    /// what [`Peer::new`], [`Peer::restore`] and
-    /// [`Peer::restore_from_snapshot`] differ in.
+    /// A sequential, default-channel peer over the given ledger parts
+    /// ([`Peer::new`] and [`Peer::restore_from_snapshot`] differ in them).
     fn from_parts(
         validator: V,
         policy: EndorsementPolicy,
@@ -316,40 +315,6 @@ impl<V: BlockValidator> Peer<V> {
             state: codec::encode_state(&self.state),
             chain: codec::encode_chain(&self.chain),
         }
-    }
-
-    /// Rebuilds a peer from a snapshot: the chain is decoded and
-    /// integrity-verified, the duplicate-id set and history index are
-    /// re-derived from it, and the world state is installed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`codec::DecodeError`] for malformed snapshots or
-    /// broken hash chains.
-    pub fn restore(
-        validator: V,
-        policy: EndorsementPolicy,
-        snapshot: &PeerSnapshot,
-    ) -> Result<Self, codec::DecodeError> {
-        let chain = codec::decode_chain(&snapshot.chain)?;
-        let state = codec::decode_state(&snapshot.state)?;
-        let mut committed_ids = HashSet::new();
-        let mut history = HistoryDb::new();
-        let mut merge_frontiers = BTreeMap::new();
-        for block in chain.iter() {
-            committed_ids.extend(block.transactions.iter().map(|t| t.id));
-            history.record_block(block);
-            absorb_frontiers(&mut merge_frontiers, block);
-        }
-        Ok(Peer::from_parts(
-            validator,
-            policy,
-            state,
-            chain,
-            history,
-            committed_ids,
-            merge_frontiers,
-        ))
     }
 
     /// The per-key CRDT merge frontiers ([`VersionVector`] per key):
@@ -739,10 +704,10 @@ impl<V: BlockValidator> Peer<V> {
     /// chain) take the reference path — the untouched seed
     /// [`BlockValidator::validate_and_commit`] over a clone of the
     /// `WorldState` (which shares its tree). Pooled runners instead
-    /// bucket the block into
-    /// key-disjoint conflict chains ([`conflict_chains`]), finalize the
-    /// chains concurrently against a [`ShardedState`], and reassemble
-    /// codes, write-value rewrites and work counters in block order —
+    /// bucket the block into key-disjoint conflict chains
+    /// ([`conflict_chains`]), finalize the chains concurrently against
+    /// the committed state, and fold each chain's codes, write-value
+    /// rewrites, writes and work counters in chain order —
     /// value-identical by construction (DESIGN.md §4.9), and asserted
     /// against a sequential shadow run in debug builds.
     fn finalize(
@@ -772,13 +737,11 @@ impl<V: BlockValidator> Peer<V> {
         let shadow_txs: Vec<Transaction> = transactions.as_ref().clone();
 
         let number = block.header.number;
-        // The published epoch is the sharded base; `into_world` below
-        // copies only the paths the block writes.
-        let sharded = Arc::new(ShardedState::from_world(&self.state));
         let chains = Arc::new(chains);
         let validator = Arc::clone(&self.validator);
         let job_txs = Arc::clone(&transactions);
-        let job_state = Arc::clone(&sharded);
+        // Every chain reads the published epoch; a clone shares its tree.
+        let job_state = self.state.clone();
         // Submitted and joined at once: on the pool when it is free,
         // on this thread when an overlapped pre-validation owns it.
         let pending = self.runner.map_ordered_bg(&chains, move |_, chain| {
@@ -787,7 +750,9 @@ impl<V: BlockValidator> Peer<V> {
         let outcomes: Vec<ChainOutcome> = self.runner.join(pending);
 
         // Reassemble block order. Chains partition the undecided
-        // transactions, so exactly one outcome decides each of them.
+        // transactions, so exactly one outcome decides each of them,
+        // and the keys, so chain order is immaterial to the state.
+        let mut new_state = self.state.clone();
         let mut codes: Vec<Option<ValidationCode>> = pre.to_vec();
         let mut transactions =
             Arc::try_unwrap(transactions).expect("pool released its transaction clones");
@@ -801,6 +766,7 @@ impl<V: BlockValidator> Peer<V> {
                 let updated = transactions[index].rwset.writes.update_value(&key, value);
                 debug_assert!(updated, "rewrite targets an existing write entry");
             }
+            mvcc::apply_writes(&mut new_state, outcome.writes);
             work.absorb(outcome.work);
         }
         block.validation_codes = codes
@@ -808,9 +774,6 @@ impl<V: BlockValidator> Peer<V> {
             .map(|code| code.expect("chains partition the undecided transactions"))
             .collect();
         block.transactions = transactions;
-        let new_state = Arc::try_unwrap(sharded)
-            .expect("pool released its state clones")
-            .into_world();
 
         // Debug-build shadow run: the parallel finalize must match the
         // sequential reference on every block it processes.
@@ -985,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip_and_continue() {
+    fn replayed_chain_roundtrip_and_continue() {
         let mut original = peer();
         original.seed_state("seeded", b"s".to_vec());
         for n in 1..4 {
@@ -994,9 +957,13 @@ mod tests {
             original.commit(staged).unwrap();
         }
 
-        let snapshot = original.snapshot();
-        let mut restored =
-            Peer::restore(FabricValidator::new(), original.policy.clone(), &snapshot).unwrap();
+        // A second peer rebuilt from the serialized chain alone.
+        let chain = codec::decode_chain(&original.snapshot().chain).unwrap();
+        let mut restored = peer();
+        restored.seed_state("seeded", b"s".to_vec());
+        for block in chain.iter().skip(1) {
+            restored.replay_block(block.clone()).unwrap();
+        }
 
         assert_eq!(restored.state(), original.state());
         assert_eq!(restored.chain().tip_hash(), original.chain().tip_hash());
@@ -1006,7 +973,7 @@ mod tests {
         );
 
         // Both peers process the next block identically — including
-        // duplicate detection derived from the restored chain.
+        // duplicate detection derived from the replayed chain.
         let dup = original.chain().block(1).unwrap().transactions[0].clone();
         let next_txs = vec![tx(9, "k9", &["org1", "org2"]), dup];
         let block_a = next_block(&original, next_txs.clone());
@@ -1022,7 +989,7 @@ mod tests {
         );
         original.commit(staged_a).unwrap();
         restored.commit(staged_b).unwrap();
-        assert_eq!(restored.state(), original.state());
+        assert_eq!(restored.snapshot(), original.snapshot());
     }
 
     #[test]
@@ -1058,14 +1025,14 @@ mod tests {
     #[test]
     fn restore_rejects_corrupt_snapshot() {
         let p = peer();
-        let mut snapshot = p.snapshot();
-        snapshot.chain[0] ^= 0xff;
-        assert!(Peer::restore(
-            FabricValidator::new(),
-            EndorsementPolicy::all_of(["org1", "org2"]),
-            &snapshot
-        )
-        .is_err());
+        let restore = |snapshot: &LedgerSnapshot| {
+            Peer::restore_from_snapshot(FabricValidator::new(), p.policy.clone(), snapshot)
+        };
+        let intact = p.ledger_snapshot();
+        assert!(restore(&intact).is_ok());
+        let mut corrupt = intact;
+        corrupt.state[0] ^= 0xff;
+        assert!(restore(&corrupt).is_err());
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! `fabriccrdt` core crate implements the merging path of Algorithm 1.
 
 use fabriccrdt_ledger::block::{Block, ValidationCode};
-use fabriccrdt_ledger::mvcc;
+use fabriccrdt_ledger::mvcc::{self, ChainWrites};
 use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_ledger::worldstate::WorldState;
 
 use crate::cost::ValidationWork;
 use crate::metrics::DecodeCacheMetrics;
-use crate::state::ShardedState;
 
 /// Outcome of finalizing one conflict chain (see
 /// [`BlockValidator::finalize_chain`]): everything the sequential pass
@@ -26,6 +25,8 @@ pub struct ChainOutcome {
     /// second pass of Algorithm 1 applied to this chain's members
     /// (empty for non-CRDT validators).
     pub rewrites: Vec<(usize, String, Vec<u8>)>,
+    /// The chain's writes, for the peer to commit.
+    pub writes: ChainWrites,
     /// Work performed finalizing this chain.
     pub work: ValidationWork,
 }
@@ -69,9 +70,9 @@ pub trait BlockValidator: Send + Sync + 'static {
     /// Finalizes one conflict chain of the block: the restriction of
     /// [`validate_and_commit`](BlockValidator::validate_and_commit) to
     /// the transactions in `chain` (ascending block-global indices from
-    /// [`crate::schedule::conflict_chains`]), committing through the
-    /// sharded state instead of mutating a `WorldState` and *returning*
-    /// write-value rewrites instead of mutating the block.
+    /// [`crate::schedule::conflict_chains`]), validated against the
+    /// pre-block `state` and *returning* its writes and write-value
+    /// rewrites instead of mutating the state and the block.
     ///
     /// The scheduler guarantees chain key sets are disjoint, so the
     /// default implementation — plain MVCC, no merges — and any
@@ -83,21 +84,15 @@ pub trait BlockValidator: Send + Sync + 'static {
         block_number: u64,
         transactions: &[Transaction],
         chain: &[usize],
-        state: &ShardedState,
+        state: &WorldState,
     ) -> ChainOutcome {
         let commit =
             mvcc::validate_chain(block_number, transactions, chain, state, false, |_, _| None);
         ChainOutcome {
             codes: commit.codes,
             rewrites: Vec::new(),
-            work: ValidationWork {
-                sigs_verified: 0,
-                reads_checked: commit.stats.reads_checked,
-                writes_applied: commit.stats.writes_applied,
-                merge_units: 0,
-                merge_quad: 0,
-                successes: commit.stats.successes,
-            },
+            writes: commit.writes,
+            work: commit.stats.into(),
         }
     }
 
@@ -142,15 +137,7 @@ impl BlockValidator for FabricValidator {
         state: &mut WorldState,
         pre_decided: &[Option<ValidationCode>],
     ) -> ValidationWork {
-        let stats = mvcc::validate_and_commit(block, state, pre_decided, false);
-        ValidationWork {
-            sigs_verified: 0,
-            reads_checked: stats.reads_checked,
-            writes_applied: stats.writes_applied,
-            merge_units: 0,
-            merge_quad: 0,
-            successes: stats.successes,
-        }
+        mvcc::validate_and_commit(block, state, pre_decided, false).into()
     }
 
     fn name(&self) -> &str {
@@ -209,9 +196,8 @@ mod tests {
         let mut block = Block::assemble(2, [0; 32], txs.clone());
         let seq_work = FabricValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
 
-        let sharded = ShardedState::from_world(&seed);
         let chain: Vec<usize> = (0..txs.len()).collect();
-        let outcome = FabricValidator::new().finalize_chain(2, &txs, &chain, &sharded);
+        let outcome = FabricValidator::new().finalize_chain(2, &txs, &chain, &seed);
 
         assert_eq!(outcome.work, seq_work);
         assert!(outcome.rewrites.is_empty());
@@ -219,7 +205,9 @@ mod tests {
             outcome.codes.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
             block.validation_codes
         );
-        assert_eq!(sharded.into_world(), seq_state);
+        let mut chain_state = seed.clone();
+        mvcc::apply_writes(&mut chain_state, outcome.writes);
+        assert_eq!(chain_state, seq_state);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! - **Disjoint keys**: no two transactions share a key, so every
 //!   transaction is its own singleton chain — fully parallel. Again the
 //!   ledger must be byte-identical for every worker count.
+//! - **Delete and re-write**: a chain whose members delete a committed
+//!   key, read it as absent, read its old version and write it again —
+//!   every read a later member makes must see the chain's own pending
+//!   writes, not the pre-block state.
 //!
 //! The randomized complement — 100 seeded fault schedules across the
 //! gossip and Raft layers — lives in
@@ -19,14 +23,17 @@
 
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::conflict_chains;
+use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ledger::block::{Block, ValidationCode};
-use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::codec;
+use fabriccrdt_ledger::rwset::{ReadWriteSet, WriteSet};
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
+use fabriccrdt_sim::gen;
 
 fn policy() -> EndorsementPolicy {
     EndorsementPolicy::all_of(vec!["org1".to_string()])
@@ -37,12 +44,17 @@ fn policy() -> EndorsementPolicy {
 /// so MVCC outcomes depend on commit order — exactly the sensitivity
 /// the chain schedule must preserve.
 fn rmw_tx(nonce: u64, key: &str, read_version: Option<Height>) -> Transaction {
-    let client = Identity::new("client", "org1");
     let mut rwset = ReadWriteSet::new();
     rwset.reads.record(key, read_version);
     rwset
         .writes
         .put(key.to_string(), format!("v{nonce}").into_bytes());
+    endorsed(nonce, rwset)
+}
+
+/// `rwset` as a fully endorsed transaction.
+fn endorsed(nonce: u64, rwset: ReadWriteSet) -> Transaction {
+    let client = Identity::new("client", "org1");
     let mut tx = Transaction {
         id: TxId::derive(&client, nonce, "cc"),
         client,
@@ -59,26 +71,28 @@ fn rmw_tx(nonce: u64, key: &str, read_version: Option<Height>) -> Transaction {
 }
 
 /// Replays `blocks` through a fresh peer, returning the snapshot plus
-/// every block's validation codes.
+/// every block's validation codes and work counters.
 fn replay(
     pipeline: ValidationPipeline,
     blocks: &[Block],
-) -> (PeerSnapshot, Vec<Vec<ValidationCode>>) {
+) -> (PeerSnapshot, Vec<Vec<ValidationCode>>, Vec<ValidationWork>) {
     let mut peer = Peer::new(FabricValidator::new(), policy()).with_pipeline(pipeline);
     peer.seed_state("hot", b"0".to_vec());
     let mut codes = Vec::new();
+    let mut work = Vec::new();
     for block in blocks {
         let staged = peer.process_block(block.clone());
         codes.push(staged.block.validation_codes.clone());
+        work.push(staged.work);
         peer.commit(staged).expect("blocks arrive in chain order");
     }
-    (peer.snapshot(), codes)
+    (peer.snapshot(), codes, work)
 }
 
 fn assert_parallel_matches_sequential(blocks: &[Block]) {
-    let (seq_snapshot, seq_codes) = replay(ValidationPipeline::Sequential, blocks);
+    let (seq_snapshot, seq_codes, seq_work) = replay(ValidationPipeline::Sequential, blocks);
     for workers in 2..=8 {
-        let (snapshot, codes) = replay(ValidationPipeline::pipelined(workers), blocks);
+        let (snapshot, codes, work) = replay(ValidationPipeline::pipelined(workers), blocks);
         assert_eq!(
             snapshot.state, seq_snapshot.state,
             "{workers} workers: world state diverged"
@@ -88,6 +102,7 @@ fn assert_parallel_matches_sequential(blocks: &[Block]) {
             "{workers} workers: chain diverged"
         );
         assert_eq!(codes, seq_codes, "{workers} workers: codes diverged");
+        assert_eq!(work, seq_work, "{workers} workers: work diverged");
     }
 }
 
@@ -175,4 +190,72 @@ fn mixed_block_partitions_into_hot_chain_plus_singletons() {
 
     let blocks = vec![Block::assemble(1, [0; 32], txs)];
     assert_parallel_matches_sequential(&blocks);
+}
+
+/// A member of the `hot` chain: reads the key at `read`, then writes.
+fn hot_reader(read: Option<Height>, write: impl FnOnce(&mut WriteSet)) -> ReadWriteSet {
+    let mut rwset = ReadWriteSet::new();
+    rwset.reads.record("hot", read);
+    write(&mut rwset.writes);
+    rwset
+}
+
+/// One chain deletes the seeded key, reads it as absent, reads its old
+/// version (a conflict) and writes it again, at seeded positions among
+/// disjoint singleton chains; the next block does the same to the
+/// re-written key. Every verdict depends on a chain member seeing the
+/// chain's own pending writes — a delete masking the committed entry,
+/// a re-write unmasking it — so a chain that read the pre-block state
+/// instead would diverge from the sequential reference here.
+#[test]
+fn delete_and_rewrite_chain_matches_sequential() {
+    use ValidationCode::{MvccConflict, Valid};
+    gen::cases(24, |g| {
+        let mut nonce = 0u64;
+        let mut committed = Some(Height::genesis());
+        let mut blocks = Vec::new();
+        let mut expected = Vec::new();
+        for number in 1..=2u64 {
+            let chain = [
+                (hot_reader(committed, |w| w.delete("hot")), Valid),
+                (
+                    hot_reader(None, |w| w.put("saw-absent", b"1".to_vec())),
+                    Valid,
+                ),
+                (
+                    hot_reader(committed, |w| w.put("hot", b"stale".to_vec())),
+                    MvccConflict,
+                ),
+                (hot_reader(None, |w| w.put("hot", b"back".to_vec())), Valid),
+            ];
+            let mut txs = Vec::new();
+            let mut codes = Vec::new();
+            for (rwset, code) in chain {
+                for _ in 0..g.size(0, 3) {
+                    nonce += 1;
+                    txs.push(rmw_tx(nonce, &format!("solo{nonce}"), None));
+                    codes.push(Valid);
+                }
+                nonce += 1;
+                txs.push(endorsed(nonce, rwset));
+                codes.push(code);
+            }
+            // One more member reads the re-write at its in-block height.
+            committed = Some(Height::new(number, txs.len() as u64 - 1));
+            nonce += 1;
+            let saw = hot_reader(committed, |w| w.put("saw-rewrite", b"1".to_vec()));
+            txs.push(endorsed(nonce, saw));
+            codes.push(Valid);
+
+            blocks.push(Block::assemble(number, [0; 32], txs));
+            expected.push(codes);
+        }
+
+        let (snapshot, codes, _) = replay(ValidationPipeline::Sequential, &blocks);
+        assert_eq!(codes, expected, "the sequential reference");
+        let state = codec::decode_state(&snapshot.state).expect("own encoding");
+        assert_eq!(state.get("hot").map(|e| e.version), committed);
+        assert_eq!(state.value("hot"), Some(&b"back"[..]));
+        assert_parallel_matches_sequential(&blocks);
+    });
 }

@@ -95,7 +95,8 @@ fn run_with(
     seed: u64,
     schedule: &[(SimTime, TxRequest)],
 ) -> (RunMetrics, PeerSnapshot) {
-    let config = PipelineConfig::paper(block_size, seed).with_validation(pipeline);
+    let mut config = PipelineConfig::paper(block_size, seed);
+    config.validation = pipeline;
     let mut sim = Simulation::new(config, FabricValidator::new(), registry());
     sim.seed_state("hot", b"0".to_vec());
     let metrics = sim.run(schedule.to_vec());

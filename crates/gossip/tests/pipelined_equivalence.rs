@@ -124,10 +124,10 @@ fn run_with(
     faults: &FaultConfig,
     schedule: &[(SimTime, TxRequest)],
 ) -> (RunMetrics, Vec<Option<PeerSnapshot>>) {
-    let config = PipelineConfig::paper(block_size, seed)
+    let mut config = PipelineConfig::paper(block_size, seed)
         .with_gossip()
-        .with_faults(faults.clone())
-        .with_validation(pipeline);
+        .with_faults(faults.clone());
+    config.validation = pipeline;
     let network = Rc::new(RefCell::new(GossipNetwork::new(
         &config,
         CrdtValidator::new,

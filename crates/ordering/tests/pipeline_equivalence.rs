@@ -217,7 +217,8 @@ fn parallel_finalize_matches_sequential_under_raft_faults() {
         config.ordering = Some(raft);
 
         let run = |pipeline: ValidationPipeline| -> (RunMetrics, PeerSnapshot) {
-            let cfg = config.clone().with_validation(pipeline);
+            let mut cfg = config.clone();
+            cfg.validation = pipeline;
             let backend = Box::new(RaftOrderingBackend::new(&cfg));
             let mut sim = ordered_by(cfg, backend);
             sim.seed_state("hot", b"0".to_vec());

@@ -7,7 +7,8 @@
 //! lands on byte-identical state however it catches up:
 //!
 //! 1. run a FabricCRDT network for a while,
-//! 2. bootstrap replica B by **snapshot** (`Peer::snapshot`/`restore`),
+//! 2. bootstrap replica B by **snapshot** (`Peer::ledger_snapshot` /
+//!    `restore_from_snapshot`),
 //! 3. bootstrap replica C by **block replay** from the serialized chain,
 //! 4. verify all three agree, then process one more block on each.
 //!
@@ -44,10 +45,10 @@ fn main() {
         snapshot.state.len(),
         snapshot.chain.len()
     );
-    let replica_b = Peer::restore(
+    let replica_b = Peer::restore_from_snapshot(
         CrdtValidator::new(),
         Topology::paper().default_policy(),
-        &snapshot,
+        &veteran.ledger_snapshot(),
     )
     .expect("snapshot restores");
 
