@@ -39,9 +39,9 @@ echo "==> lock boundary (exactly two .rs files under crates/ and src/ name Mutex
 test "$(grep -rlw --include='*.rs' -e Mutex -e RwLock crates src | LC_ALL=C sort)" = "crates/fabric/src/pool.rs
 crates/jsoncrdt/src/cache.rs"
 
-# A peer hashes a block when it arrives and when Algorithm 1 has
-# rewritten it, and both passes live behind `ledger` constructors
-# (`EncodedTransactions::verify`, `SealedBlock::{seal, verify}`;
+# A peer hashes a transaction at ingress, and again only if Algorithm 1
+# changed its bytes; both passes live behind `ledger` constructors
+# (`EncodedTransactions::verify`, `SealedBlock::{reseal, seal, verify}`;
 # DESIGN.md §4.17). These are the files that name the pass underneath
 # them; `fabric/src/peer.rs` is not one, so a third pass on the commit
 # path cannot come back without this list changing.
@@ -89,7 +89,8 @@ echo "==> cargo test --release (ledger: world-state differential, full count)"
 cargo test -q --release -p fabriccrdt-ledger
 
 # Algorithm 2's lockstep walk as the benchmark builds it, against the
-# operation engine it replaced, at full count (likewise a sixth above).
+# operation engine it replaced, and the singleton walk against a merge
+# into an empty document, at full count (likewise a sixth above).
 echo "==> cargo test --release (jsoncrdt: merge differential, full count)"
 cargo test -q --release -p fabriccrdt-jsoncrdt
 
@@ -97,6 +98,11 @@ cargo test -q --release -p fabriccrdt-jsoncrdt
 # graph it replaced, at full count (likewise a sixth above).
 echo "==> cargo test --release (fabric: reorder differential, full count)"
 cargo test -q --release -p fabriccrdt-fabric --test reorder_differential
+
+# Algorithm 1 with singleton keys taken alone, against the pass that
+# built a CRDT for every key, at full count (likewise a sixth above).
+echo "==> cargo test --release (core: singleton differential, full count)"
+cargo test -q --release -p fabriccrdt --test singleton_differential
 
 # Smoke-run the experiments of the one `bench` binary with tiny configs:
 # they assert their own invariants (convergence, byte-identical ledgers,

@@ -30,6 +30,7 @@ use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_gossip::GossipNetwork;
+use fabriccrdt_jsoncrdt::doc::write_alone;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock};
@@ -526,6 +527,19 @@ fn main() {
             black_box(sealed);
             spent
         });
+        // `bigstate-pipelined`'s re-seal where Algorithm 1 rewrote nothing
+        // (a key written once commits its own bytes): every leaf is the
+        // one ingress hashed, so the pass re-encodes and compares.
+        let small = Block::assemble(1, genesis_hash, padded_txs(1400)[..25].to_vec());
+        let ingress = EncodedTransactions::verify(&small).expect("as assembled");
+        bench.run_timed("block/reseal-25x1400B-unchanged", Some(25), || {
+            let block = small.clone();
+            let start = Instant::now();
+            let sealed = SealedBlock::reseal(block, genesis_hash, &ingress);
+            let spent = start.elapsed();
+            black_box(sealed);
+            spent
+        });
         let sealed = SealedBlock::seal(block.clone(), genesis_hash);
         let fresh_chain = || {
             let mut chain = Blockchain::new();
@@ -608,6 +622,13 @@ fn main() {
             doc
         };
         bench.run("jsoncrdt/merge-1x1400B", Some(1), None, || merged(&big));
+        // What Algorithm 1 does instead for a key written once: the merge
+        // and the conversion below, without the CRDT.
+        bench.run("jsoncrdt/alone-1x1400B", Some(1), None, || {
+            let mut bytes = Vec::new();
+            write_alone(&big[0], &mut bytes).unwrap();
+            bytes
+        });
         bench.run("jsoncrdt/merge-400x47B-one-key", Some(400), None, || {
             merged(&hot)
         });

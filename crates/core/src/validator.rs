@@ -22,12 +22,16 @@
 //! duplicate id) are excluded from merging — only *valid* transactions'
 //! updates survive, per the paper's definition of valid (§4.2).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::metrics::DecodeCacheMetrics;
 use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome};
 use fabriccrdt_jsoncrdt::cache::{self, decode_cached};
+use fabriccrdt_jsoncrdt::doc::write_alone;
+use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::mvcc;
@@ -40,17 +44,26 @@ use crate::types::TypedCrdt;
 /// JSON-document CRDT of the paper's prototype, or one of the typed
 /// CRDTs of [`crate::types`] (the paper's future-work extension).
 enum KeyMerger {
+    /// A key's first JSON document: written once, it needs no CRDT.
+    Alone(Arc<Value>),
     Json(JsonCrdt),
     Typed(TypedCrdt),
 }
 
 impl KeyMerger {
     fn converged_bytes(&mut self, extra_units: &mut u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
         match self {
+            KeyMerger::Alone(value) => {
+                // The merge into the empty CRDT, counted now, and the
+                // conversion's walk over every operation it applied.
+                let work = write_alone(value, &mut bytes).unwrap_or_default();
+                *extra_units += work.units() + work.ops_applied;
+                bytes
+            }
             KeyMerger::Json(doc) => {
                 // Conversion walks the whole document once.
                 *extra_units += doc.applied_len() as u64;
-                let mut bytes = Vec::new();
                 doc.write_bytes(&mut bytes);
                 bytes
             }
@@ -97,7 +110,8 @@ impl CrdtValidator {
     /// (`InitEmptyCRDT`), so its operation-id sequence depends only on
     /// that key's payload sequence — which is why folding one conflict
     /// chain (all touchers of the chain's keys, in block order) yields
-    /// byte-identical converged values to folding the whole block.
+    /// byte-identical converged values to folding the whole block; a key
+    /// written once skips it ([`write_alone`]: same bytes, same work).
     fn merge_pass<'a>(
         &self,
         txs: impl Iterator<Item = (usize, &'a Transaction)>,
@@ -127,11 +141,11 @@ impl CrdtValidator {
                 match TypedCrdt::parse(&value) {
                     Some(Ok(typed)) => {
                         match crdts.entry(key.clone()) {
-                            std::collections::btree_map::Entry::Vacant(slot) => {
+                            Entry::Vacant(slot) => {
                                 *merge_units += typed.work_units();
                                 slot.insert((KeyMerger::Typed(typed), vec![i]));
                             }
-                            std::collections::btree_map::Entry::Occupied(mut slot) => {
+                            Entry::Occupied(mut slot) => {
                                 let (merger, members) = slot.get_mut();
                                 if let KeyMerger::Typed(state) = merger {
                                     if state.merge(&typed).is_ok() {
@@ -147,23 +161,31 @@ impl CrdtValidator {
                     Some(Err(_)) => {
                         // Tagged but malformed: opaque commit.
                     }
-                    None => {
-                        let (merger, members) = crdts.entry(key.clone()).or_insert_with(|| {
-                            (KeyMerger::Json(JsonCrdt::new(self.replica)), Vec::new())
-                        });
-                        if let KeyMerger::Json(doc) = merger {
-                            let ops_before = doc.applied_len() as u64;
-                            if let Ok(work) = doc.merge_value(&value) {
-                                *merge_units += work.units();
-                                // Superlinear apply-cost term: merging into
-                                // a document that already holds earlier
-                                // transactions' operations is proportionally
-                                // more expensive (see fabriccrdt-fabric::cost).
-                                *merge_quad += work.units() * ops_before;
-                                members.push(i);
+                    None => match crdts.entry(key.clone()) {
+                        Entry::Vacant(slot) => {
+                            slot.insert((KeyMerger::Alone(value), vec![i]));
+                        }
+                        Entry::Occupied(mut slot) => {
+                            let (merger, members) = slot.get_mut();
+                            if let KeyMerger::Alone(first) = merger {
+                                // A second document: merge the first now.
+                                let mut doc = JsonCrdt::new(self.replica);
+                                *merge_units += doc.merge_value(first).unwrap_or_default().units();
+                                *merger = KeyMerger::Json(doc);
+                            }
+                            if let KeyMerger::Json(doc) = merger {
+                                let ops_before = doc.applied_len() as u64;
+                                if let Ok(work) = doc.merge_value(&value) {
+                                    *merge_units += work.units();
+                                    // Superlinear apply-cost term: merging
+                                    // into earlier transactions' operations
+                                    // costs more (fabriccrdt-fabric::cost).
+                                    *merge_quad += work.units() * ops_before;
+                                    members.push(i);
+                                }
                             }
                         }
-                    }
+                    },
                 }
             }
         }
@@ -258,17 +280,18 @@ impl BlockValidator for CrdtValidator {
 
         // ----- Second pass (lines 16–22), returned instead of applied:
         // the peer owns the block, so rewrites travel in the outcome.
-        let mut converged: BTreeMap<String, (Vec<u8>, Vec<usize>)> = BTreeMap::new();
-        for (key, (mut merger, members)) in crdts {
-            let bytes = merger.converged_bytes(&mut merge_units);
-            converged.insert(key, (bytes, members));
-        }
-        let mut rewrites: Vec<(usize, String, Vec<u8>)> = Vec::new();
-        for (key, (bytes, members)) in &converged {
-            for &i in members {
-                rewrites.push((i, key.clone(), bytes.clone()));
-            }
-        }
+        let converged: BTreeMap<String, (Vec<u8>, Vec<usize>)> = crdts
+            .into_iter()
+            .map(|(key, (mut merger, members))| {
+                (key, (merger.converged_bytes(&mut merge_units), members))
+            })
+            .collect();
+        let rewrites = converged
+            .iter()
+            .flat_map(|(key, (bytes, members))| {
+                members.iter().map(|&i| (i, key.clone(), bytes.clone()))
+            })
+            .collect();
 
         // ----- MVCC on non-CRDT pairs, then commit. The sequential
         // path validates against already-rewritten write sets; here the

@@ -5,19 +5,23 @@
 //! rests on the routes that build one: the ingress check on a delivered
 //! block, the re-seal, `Peer::replay_block` and `codec::decode_chain`.
 //! Each test here fails if its route stops hashing: the same one-byte
-//! mutation of one write value is offered at every door, and a seeded
-//! sweep recomputes every committed header from scratch.
+//! mutation of one write value is offered at every door, a seeded sweep
+//! recomputes every committed header from scratch, and a validator that
+//! flips a byte after Algorithm 1 checks that the re-seal reuses only
+//! the leaves of bytes it hashed at ingress.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
-use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
+use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome, FabricValidator};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::chain::ChainError;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+use fabriccrdt_ledger::worldstate::WorldState;
 use fabriccrdt_sim::gen::{self, Gen};
 
 const PIPELINES: [ValidationPipeline; 4] = [
@@ -281,5 +285,116 @@ fn every_committed_header_equals_a_from_scratch_hash() {
         flip_one_write_byte(&mut blocks[tampered as usize - 1]);
         sweep(FabricValidator::new, &blocks, tampered);
         sweep(CrdtValidator::new, &blocks, tampered);
+    });
+}
+
+/// Algorithm 1, then one more byte: the first byte of the first value
+/// transaction `k` writes is flipped, if Algorithm 1 decided `k` (a
+/// pre-decided transaction belongs to no conflict chain, so the chain
+/// path could not flip it).
+struct FlipAfterMerge {
+    k: usize,
+}
+
+/// The first key `tx` writes, and the value with its first byte flipped.
+fn flipped_first_write(tx: &Transaction) -> (String, Vec<u8>) {
+    let (key, entry) = tx.rwset.writes.iter().next().expect("it writes");
+    let mut value = entry.value.clone();
+    value[0] ^= 0x01;
+    (key.clone(), value)
+}
+
+impl BlockValidator for FlipAfterMerge {
+    fn validate_and_commit(
+        &self,
+        block: &mut Block,
+        state: &mut WorldState,
+        pre_decided: &[Option<ValidationCode>],
+    ) -> ValidationWork {
+        let work = CrdtValidator::new().validate_and_commit(block, state, pre_decided);
+        let undecided = pre_decided.get(self.k).copied().flatten().is_none();
+        if let Some(tx) = block.transactions.get_mut(self.k).filter(|_| undecided) {
+            let (key, value) = flipped_first_write(tx);
+            tx.rwset.writes.update_value(&key, value);
+        }
+        work
+    }
+
+    fn finalize_chain(
+        &self,
+        block_number: u64,
+        transactions: &[Transaction],
+        chain: &[usize],
+        state: &WorldState,
+    ) -> ChainOutcome {
+        let mut outcome =
+            CrdtValidator::new().finalize_chain(block_number, transactions, chain, state);
+        if chain.contains(&self.k) {
+            // Flipped after the merge's own rewrite, if there is one.
+            let mut tx = transactions[self.k].clone();
+            for (_, key, bytes) in outcome.rewrites.iter().filter(|(i, ..)| *i == self.k) {
+                tx.rwset.writes.update_value(key, bytes.clone());
+            }
+            let (key, value) = flipped_first_write(&tx);
+            outcome.rewrites.push((self.k, key, value));
+        }
+        outcome
+    }
+
+    fn name(&self) -> &str {
+        "flip-after-merge"
+    }
+}
+
+/// The re-seal keeps a leaf hashed at ingress only for bytes it hashed:
+/// whatever a validator changes after Algorithm 1 — here one byte of any
+/// one transaction — is covered by the committed data hash, under every
+/// pipeline, while a block tampered in transit is still rejected
+/// wholesale.
+#[test]
+fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
+    gen::cases(2, |g| {
+        let mut blocks: Vec<Block> = (1..=3).map(|number| mixed_block(g, number)).collect();
+        let tampered = g.range(1, 4);
+        flip_one_write_byte(&mut blocks[tampered as usize - 1]);
+        let merged = run(
+            CrdtValidator::new(),
+            ValidationPipeline::Sequential,
+            false,
+            &blocks,
+        );
+        let longest = blocks.iter().map(Block::len).max().expect("blocks");
+        for k in 0..longest {
+            for pipeline in PIPELINES {
+                for chained in [false, true] {
+                    let peer = run(FlipAfterMerge { k }, pipeline, chained, &blocks);
+                    let cell = format!("k = {k}, {}, chained: {chained}", pipeline.label());
+                    assert_eq!(peer.chain().verify_integrity(), Ok(()), "{cell}");
+                    let committed = peer.chain().iter().zip(merged.chain().iter()).skip(1);
+                    for (block, unflipped) in committed {
+                        let number = block.header.number;
+                        assert_eq!(
+                            block.header.data_hash,
+                            Block::compute_data_hash(&block.transactions),
+                            "{cell}: data hash of block {number}"
+                        );
+                        let codes = &unflipped.validation_codes;
+                        assert_eq!(&block.validation_codes, codes, "{cell}: {number}");
+                        let decided = codes.get(k).is_some_and(|code| {
+                            matches!(
+                                code,
+                                ValidationCode::EndorsementPolicyFailure
+                                    | ValidationCode::DuplicateTxId
+                                    | ValidationCode::TamperedBlock
+                            )
+                        });
+                        let pairs = block.transactions.iter().zip(&unflipped.transactions);
+                        let changed = pairs.filter(|(a, b)| a != b).count();
+                        let expected = usize::from(k < block.len() && !decided);
+                        assert_eq!(changed, expected, "{cell}: flipped in block {number}");
+                    }
+                }
+            }
+        }
     });
 }

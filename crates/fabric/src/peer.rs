@@ -107,11 +107,15 @@ pub struct PreparedBlock {
     block: Block,
     /// The transactions, shared with the in-flight pool job.
     transactions: Arc<Vec<Transaction>>,
-    /// The in-flight endorsement map; `None` marks a tampered block.
-    pending: Option<PendingMap<(Option<ValidationCode>, u64)>>,
+    /// The in-flight endorsement map and the ingress encoding it reads;
+    /// `None` marks a tampered block.
+    pending: Option<(Endorsing, Arc<EncodedTransactions>)>,
     /// When pre-validation started.
     pre_start: Instant,
 }
+
+/// Per transaction: a failed endorsement verdict, signatures checked.
+type Endorsing = PendingMap<(Option<ValidationCode>, u64)>;
 
 /// A [`PreparedBlock`] whose pre-validation has been joined; input to
 /// the finalize half of [`Peer::finish_block`].
@@ -120,7 +124,8 @@ struct JoinedBlock {
     transactions: Arc<Vec<Transaction>>,
     pre: Vec<Option<ValidationCode>>,
     sigs_verified: u64,
-    tampered: bool,
+    /// The bytes hashed at ingress; `None` marks a tampered block.
+    ingress: Option<Arc<EncodedTransactions>>,
     pre_validate_secs: f64,
 }
 
@@ -530,9 +535,10 @@ impl<V: BlockValidator> Peer<V> {
         // any validator-driven rewrite — means tampering in transit;
         // the whole block is rejected and nothing commits. (The later
         // re-seal only legitimizes the peer's *own* deterministic
-        // merge rewrites.) The endorsement MACs below read their
-        // payloads from the encoding hashed here.
-        let Some(encoded) = EncodedTransactions::verify(&block) else {
+        // merge rewrites, and keeps the leaves hashed here for every
+        // transaction they left alone.) The endorsement MACs below read
+        // their payloads from the encoding hashed here.
+        let Some(encoded) = EncodedTransactions::verify(&block).map(Arc::new) else {
             return PreparedBlock {
                 block,
                 transactions: Arc::new(Vec::new()),
@@ -581,6 +587,7 @@ impl<V: BlockValidator> Peer<V> {
         let validator = Arc::clone(&self.validator);
         let policy = self.policy.clone();
         let endorser_keys = Arc::clone(&self.endorser_keys);
+        let ingress = Arc::clone(&encoded);
         let pending = self.runner.map_ordered_bg(&transactions, move |i, tx| {
             if duplicate[i] {
                 return (Some(ValidationCode::DuplicateTxId), 0);
@@ -613,7 +620,7 @@ impl<V: BlockValidator> Peer<V> {
         PreparedBlock {
             block,
             transactions,
-            pending: Some(pending),
+            pending: Some((pending, ingress)),
             pre_start,
         }
     }
@@ -626,13 +633,13 @@ impl<V: BlockValidator> Peer<V> {
             pending,
             pre_start,
         } = prep;
-        let Some(pending) = pending else {
+        let Some((pending, ingress)) = pending else {
             return JoinedBlock {
                 block,
                 transactions,
                 pre: Vec::new(),
                 sigs_verified: 0,
-                tampered: true,
+                ingress: None,
                 pre_validate_secs: 0.0,
             };
         };
@@ -650,7 +657,7 @@ impl<V: BlockValidator> Peer<V> {
             transactions,
             pre,
             sigs_verified,
-            tampered: false,
+            ingress: Some(ingress),
             pre_validate_secs: pre_start.elapsed().as_secs_f64(),
         }
     }
@@ -663,10 +670,10 @@ impl<V: BlockValidator> Peer<V> {
             transactions,
             pre,
             sigs_verified,
-            tampered,
+            ingress,
             pre_validate_secs,
         } = joined;
-        if tampered {
+        let Some(ingress) = ingress else {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
             return StagedBlock {
                 block: SealedBlock::seal(block, self.chain.tip_hash()),
@@ -674,7 +681,7 @@ impl<V: BlockValidator> Peer<V> {
                 work: ValidationWork::default(),
                 timings: StageTimings::default(),
             };
-        }
+        };
         let finalize_start = Instant::now();
         let (new_state, mut work) = self.finalize(&mut block, transactions, &pre);
         work.sigs_verified = sigs_verified;
@@ -683,9 +690,9 @@ impl<V: BlockValidator> Peer<V> {
         // the merged result, and once one block is re-sealed every later
         // block must re-link to the peer's tip. All peers merge
         // deterministically in block order, so every replica re-seals
-        // identically. This is the last pass over the block: `commit`
-        // appends it sealed, without hashing it again.
-        let block = SealedBlock::seal(block, self.chain.tip_hash());
+        // identically, hashing only what changed since ingress. This is
+        // the last pass over the block: `commit` appends it sealed.
+        let block = SealedBlock::reseal(block, self.chain.tip_hash(), &ingress);
 
         StagedBlock {
             block,

@@ -27,6 +27,7 @@
 //! - **Deletes** tombstone everything currently present beneath the
 //!   target; concurrent (unseen) additions survive — add-wins.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -623,10 +624,65 @@ fn mutation_for(value: &Value) -> Mutation {
     match value {
         Value::List(_) => Mutation::MakeList,
         Value::Map(_) => Mutation::MakeMap,
-        Value::String(s) => Mutation::Assign(s.clone()),
-        Value::Number(n) => Mutation::Assign(n.to_string()),
-        Value::Bool(b) => Mutation::Assign(b.to_string()),
-        Value::Null => Mutation::Assign("null".to_owned()),
+        leaf => Mutation::Assign(leaf_text(leaf).into_owned()),
+    }
+}
+
+/// The string form a leaf's register holds (containers never ask).
+fn leaf_text(leaf: &Value) -> Cow<'_, str> {
+    match leaf {
+        Value::String(s) => Cow::Borrowed(s),
+        Value::Number(n) => Cow::Owned(n.to_string()),
+        Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+        _ => Cow::Borrowed("null"),
+    }
+}
+
+/// Appends what [`JsonCrdt::new`], [`JsonCrdt::merge_value`]`(json)` and
+/// [`JsonCrdt::write_bytes`] would, and returns the work that merge
+/// counts (one operation per node, visiting its depth) — without the
+/// document: Algorithm 1 for a key written once (DESIGN.md §4.1).
+///
+/// # Errors
+///
+/// Returns [`DocError::RootNotMap`] if `json` is not a JSON map.
+pub fn write_alone(json: &Value, out: &mut Vec<u8>) -> Result<WorkStats, DocError> {
+    let map = json.as_map().ok_or(DocError::RootNotMap)?;
+    let mut work = WorkStats::new();
+    alone_map(&mut work, map, 1, out);
+    Ok(work)
+}
+
+/// [`merge_map`] into an empty node, then [`MapNode::write_bytes`].
+fn alone_map(work: &mut WorkStats, map: &BTreeMap<String, Value>, depth: u64, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.put("{");
+    for (key, value) in map {
+        ser::write_string(out, key);
+        out.put(":");
+        alone_node(work, value, depth, out);
+        out.put(",");
+    }
+    close(out, start, "}");
+}
+
+/// [`merge_node`] into a new entry, then [`Entry::write_bytes`]: one
+/// branch, items at `(index, hash)` in index order, empty ones kept.
+fn alone_node(work: &mut WorkStats, value: &Value, depth: u64, out: &mut Vec<u8>) {
+    work.ops_applied += 1;
+    work.nodes_visited += depth;
+    match value {
+        Value::List(items) => {
+            let start = out.len();
+            out.put("[");
+            for item in items {
+                alone_node(work, item, depth + 1, out);
+                out.put(",");
+            }
+            close(out, start, "]");
+        }
+        Value::Map(map) => alone_map(work, map, depth + 1, out),
+        leaf => ser::write_string(out, &leaf_text(leaf)),
     }
 }
 
@@ -662,11 +718,7 @@ fn merge_node(log: &mut Log, entry: &mut Entry, value: &Value, depth: u64) {
             let node = entry.map.get_or_insert_with(MapNode::default);
             merge_map(log, node, map, depth + 1);
         }
-        leaf => {
-            if let Mutation::Assign(text) = mutation_for(leaf) {
-                entry.assign(id, text);
-            }
-        }
+        leaf => entry.assign(id, leaf_text(leaf).into_owned()),
     }
     // Every id minted since `id` belongs to this subtree, and each of
     // those operations passes through this entry.

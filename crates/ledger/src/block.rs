@@ -120,13 +120,7 @@ impl Block {
     /// fields are public and a delivery layer may hand over a mutated
     /// block, so a stored digest could vouch for bytes it never covered.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        let mut bytes = Vec::new();
-        let leaves = transactions.iter().map(|tx| {
-            bytes.clear();
-            tx.write_bytes(&mut bytes);
-            merkle::leaf(&bytes)
-        });
-        merkle::root(leaves.collect())
+        data_hash(transactions, |_, _| None)
     }
 
     /// The block hash (header hash).
@@ -159,9 +153,22 @@ impl Block {
     }
 }
 
+/// The one leaf loop: `known(i, bytes)` may hand back transaction `i`'s
+/// leaf if it hashed exactly `bytes` before; other bytes are hashed.
+fn data_hash(txs: &[Transaction], known: impl Fn(usize, &[u8]) -> Option<Digest>) -> Digest {
+    let mut bytes = Vec::new();
+    let leaves = txs.iter().enumerate().map(|(i, tx)| {
+        bytes.clear();
+        tx.write_bytes(&mut bytes);
+        known(i, &bytes).unwrap_or_else(|| merkle::leaf(&bytes))
+    });
+    merkle::root(leaves.collect())
+}
+
 /// A block whose data hash this process computed over the transactions
-/// it holds: built only by [`SealedBlock::seal`] or
-/// [`SealedBlock::verify`] and read-only afterwards, so
+/// it holds: built only by [`SealedBlock::seal`],
+/// [`SealedBlock::reseal`] or [`SealedBlock::verify`] and read-only
+/// afterwards, so
 /// [`Blockchain::append_sealed`](crate::chain::Blockchain::append_sealed)
 /// need not hash it again. A [`Block`] itself remembers nothing.
 ///
@@ -178,11 +185,19 @@ pub struct SealedBlock(Block);
 
 impl SealedBlock {
     /// Links `block` to `previous_hash` and computes its data hash over
-    /// the transactions in hand — the committing peer's re-seal after
-    /// Algorithm 1 (line 22) rewrote the merged write values.
+    /// the transactions in hand.
     pub fn seal(mut block: Block, previous_hash: Digest) -> Self {
         block.header.previous_hash = previous_hash;
         block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        SealedBlock(block)
+    }
+
+    /// [`SealedBlock::seal`] after Algorithm 1 (line 22): a transaction
+    /// whose bytes are still those `ingress` hashed keeps its leaf, any
+    /// other is hashed — whatever a validator did, the seal covers it.
+    pub fn reseal(mut block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
+        block.header.previous_hash = previous_hash;
+        block.header.data_hash = data_hash(&block.transactions, |i, bytes| ingress.leaf(i, bytes));
         SealedBlock(block)
     }
 
@@ -207,34 +222,42 @@ impl Deref for SealedBlock {
 }
 
 /// The canonical bytes of a delivered block's transactions, encoded
-/// once at ingress: the tamper check hashes them, then endorsement
-/// verification MACs their response-payload prefixes.
+/// once at ingress: the tamper check hashes them, endorsement
+/// verification MACs their response-payload prefixes, and
+/// [`SealedBlock::reseal`] reuses the leaves of unchanged ones.
 #[derive(Debug)]
 pub struct EncodedTransactions {
     bytes: Vec<u8>,
-    /// Where each transaction's response payload lies in `bytes`.
-    payloads: Vec<Range<usize>>,
+    /// Per transaction: its response payload in `bytes`, its end, its leaf.
+    spans: Vec<(Range<usize>, usize, Digest)>,
 }
 
 impl EncodedTransactions {
     /// Encodes `block`'s transactions back to back, hashing each as it
     /// lands; `None` when the header's data hash does not cover them.
     pub fn verify(block: &Block) -> Option<Self> {
-        let (mut bytes, mut payloads) = (Vec::new(), Vec::new());
-        let leaves = block.transactions.iter().map(|tx| {
+        let (mut bytes, mut spans) = (Vec::new(), Vec::new());
+        for tx in &block.transactions {
             let start = bytes.len();
             tx.write_response_payload(&mut bytes);
-            payloads.push(start..bytes.len());
+            let payload = start..bytes.len();
             tx.write_endorsements(&mut bytes);
-            merkle::leaf(&bytes[start..])
-        });
-        let covered = merkle::root(leaves.collect()) == block.header.data_hash;
-        covered.then_some(EncodedTransactions { bytes, payloads })
+            spans.push((payload, bytes.len(), merkle::leaf(&bytes[start..])));
+        }
+        let root = merkle::root(spans.iter().map(|(_, _, leaf)| *leaf).collect());
+        (root == block.header.data_hash).then_some(EncodedTransactions { bytes, spans })
     }
 
     /// [`Transaction::response_payload`] of transaction `index`.
     pub fn response_payload(&self, index: usize) -> &[u8] {
-        &self.bytes[self.payloads[index].clone()]
+        &self.bytes[self.spans[index].0.clone()]
+    }
+
+    /// The leaf hashed at ingress for transaction `index`, if `bytes`
+    /// are the bytes it was hashed over.
+    fn leaf(&self, index: usize, bytes: &[u8]) -> Option<Digest> {
+        let (payload, end, leaf) = self.spans.get(index)?;
+        (self.bytes[payload.start..*end] == *bytes).then_some(*leaf)
     }
 }
 

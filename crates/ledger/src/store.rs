@@ -410,17 +410,17 @@ fn frame_at(data: &[u8], pos: usize) -> Option<usize> {
 }
 
 /// Scans `data` as a sequence of records, returning the decodable
-/// prefix (each record with the marker its one decode yields) and its
-/// byte length. Anything after the first short, corrupt
-/// or undecodable record is a torn tail — *unless* a structurally
-/// valid record follows the bad one, which a crashed append cannot
-/// produce: that is in-place corruption and comes back as
+/// prefix (each record with the marker its one decode yields; their
+/// footers back to back) and its byte length. Anything after the first
+/// short, corrupt or undecodable record is a torn tail — *unless* a
+/// structurally valid record follows the bad one, which a crashed
+/// append cannot produce: that is in-place corruption and comes back as
 /// [`StoreError::CorruptRecord`] so the intact suffix is not silently
 /// discarded. (Corruption that destroys the record *header* leaves no
-/// trustworthy claimed length to probe past, so it still recovers as
-/// a torn tail.)
-fn scan_records(data: &[u8]) -> Result<(Vec<Record>, usize), StoreError> {
-    let mut records = Vec::new();
+/// trustworthy claimed length to probe past, so it still recovers as a
+/// torn tail.)
+fn scan_records(data: &[u8]) -> Result<(Vec<Record>, Vec<u8>, usize), StoreError> {
+    let (mut records, mut footers) = (Vec::new(), Vec::new());
     let mut pos = 0;
     while pos < data.len() {
         let Some(total) = frame_at(data, pos) else {
@@ -450,17 +450,23 @@ fn scan_records(data: &[u8]) -> Result<(Vec<Record>, usize), StoreError> {
             break;
         };
         records.push((kind, marker, payload.to_vec()));
+        footers.extend_from_slice(&data[pos + total - FOOTER_LEN..pos + total]);
         pos += total;
     }
-    Ok((records, pos))
+    Ok((records, footers, pos))
 }
 
 fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    frame_record(out, kind, payload, &digest(payload)[..FOOTER_LEN]);
+}
+
+/// [`encode_record`] given the footer.
+fn frame_record(out: &mut Vec<u8>, kind: u8, payload: &[u8], footer: &[u8]) {
     out.reserve(HEADER_LEN + payload.len() + FOOTER_LEN);
     out.push(kind);
     out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&digest(payload)[..FOOTER_LEN]);
+    out.extend_from_slice(footer);
 }
 
 /// The append-only-file backend: a [`MemoryStore`] with one file of
@@ -478,6 +484,8 @@ pub struct AofStore {
     file: fs::File,
     /// What the file holds, record for record.
     log: MemoryStore,
+    /// Each `log` record's footer, back to back, so compaction need not hash.
+    footers: Vec<u8>,
     /// When set, every append (and every compaction rewrite) is
     /// `fsync`ed before the call returns.
     fsync: bool,
@@ -516,7 +524,7 @@ impl AofStore {
             .map_err(|e| io_err("open", e))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data).map_err(|e| io_err("read", e))?;
-        let (records, valid_len) = scan_records(&data)?;
+        let (records, footers, valid_len) = scan_records(&data)?;
         if valid_len < data.len() {
             file.set_len(valid_len as u64)
                 .map_err(|e| io_err("truncate", e))?;
@@ -527,6 +535,7 @@ impl AofStore {
             path,
             file,
             log: MemoryStore { records },
+            footers,
             fsync,
         })
     }
@@ -551,6 +560,8 @@ impl AofStore {
         if self.fsync {
             self.file.sync_data().map_err(|e| io_err("fsync", e))?;
         }
+        self.footers
+            .extend_from_slice(&record[record.len() - FOOTER_LEN..]);
         self.log.records.push((kind, marker, payload));
         Ok(())
     }
@@ -571,9 +582,11 @@ impl LedgerStore for AofStore {
         };
         // The new file's bytes, framed in place: the log describes the
         // old file until the new one is renamed over it and reopened.
-        let mut image = Vec::new();
-        for ((kind, _, payload), _) in self.log.records.iter().zip(&keep).filter(|(_, k)| **k) {
-            encode_record(&mut image, *kind, payload);
+        let (mut image, mut footers) = (Vec::new(), Vec::new());
+        let records = self.log.records.iter().zip(self.footers.chunks(FOOTER_LEN));
+        for (((kind, _, payload), footer), _) in records.zip(&keep).filter(|(_, k)| **k) {
+            frame_record(&mut image, *kind, payload, footer);
+            footers.extend_from_slice(footer);
         }
         // Rewrite through a temp file + rename so a crash mid-compaction
         // leaves either the old or the new file, never a hybrid.
@@ -595,6 +608,7 @@ impl LedgerStore for AofStore {
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err("compact-seek", e))?;
         self.file = file;
+        self.footers = footers;
         Ok(self.log.retain(&keep))
     }
 

@@ -381,6 +381,16 @@ fn assert_backends_agree(tag: &str, blocks: &[Block], steps: &[Step]) {
                 "step {n} {step:?}: has_block({number})"
             );
         }
+        // The file is every record framed afresh, whether it was
+        // appended, reopened or rewritten with its kept footer.
+        let mut framed = Vec::new();
+        for (kind, _, payload) in &memory.records {
+            encode_record(&mut framed, *kind, payload);
+        }
+        assert!(
+            fs::read(&path).unwrap() == framed,
+            "step {n} {step:?}: file bytes"
+        );
     }
     fs::remove_file(&path).unwrap();
 }

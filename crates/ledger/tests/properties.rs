@@ -145,9 +145,10 @@ fn counted_length_equals_encoded_length() {
 }
 
 /// The ingress encoding and the sealed constructors agree with the
-/// streaming data hash — on blocks as assembled and with one byte of
-/// one written value flipped — and hand out the payloads endorsers
-/// signed.
+/// streaming data hash — on blocks as assembled, with one byte of one
+/// written value flipped, and with transactions reordered, dropped,
+/// added or re-signed after ingress — and hand out the payloads
+/// endorsers signed.
 #[test]
 fn hashing_constructors_agree_with_the_streaming_hash() {
     gen::cases(128, |g| {
@@ -158,7 +159,31 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
         }
         let sealed = SealedBlock::seal(block.clone(), block.header.previous_hash);
         assert_eq!(*sealed, block, "sealing an assembled block changes nothing");
-        assert_eq!(SealedBlock::verify(block.clone()), Some(sealed));
+        assert_eq!(SealedBlock::verify(block.clone()), Some(sealed.clone()));
+        let reseal = |block: &Block| SealedBlock::reseal(block.clone(), [7; 32], &encoded);
+        let seal = |block: &Block| SealedBlock::seal(block.clone(), [7; 32]);
+        assert_eq!(reseal(&block).header.data_hash, block.header.data_hash);
+        let mut shuffled = block.clone();
+        shuffled.transactions.reverse();
+        assert_eq!(reseal(&shuffled), seal(&shuffled), "reversed");
+        shuffled.transactions.pop();
+        assert_eq!(reseal(&shuffled), seal(&shuffled), "one fewer");
+        shuffled
+            .transactions
+            .extend(block.transactions.first().cloned());
+        shuffled
+            .transactions
+            .extend(block.transactions.first().cloned());
+        assert_eq!(reseal(&shuffled), seal(&shuffled), "one more");
+        let mut resigned = block.clone();
+        let endorsements = resigned
+            .transactions
+            .iter_mut()
+            .flat_map(|tx| &mut tx.endorsements);
+        if let Some(endorsement) = endorsements.last() {
+            endorsement.signature.0[31] ^= 0x01;
+            assert_eq!(reseal(&resigned), seal(&resigned), "re-signed");
+        }
 
         let written = block.transactions.iter_mut().find_map(|tx| {
             let (key, entry) = tx.rwset.writes.iter().find(|(_, e)| !e.value.is_empty())?;
@@ -171,6 +196,7 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
             assert!(!block.data_hash_is_valid());
             assert!(EncodedTransactions::verify(&block).is_none());
             assert_eq!(SealedBlock::verify(block.clone()), None);
+            assert_eq!(reseal(&block), seal(&block), "flipped");
             let resealed = SealedBlock::seal(block, [7; 32]);
             assert!(resealed.data_hash_is_valid());
             assert_eq!(resealed.header.previous_hash, [7; 32]);
