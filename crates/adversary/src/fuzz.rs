@@ -1,155 +1,16 @@
-//! Hostile CRDT operation fuzzing.
+//! Hostile client input.
 //!
 //! A byzantine client cannot forge blocks — the orderer seals those —
-//! but it *can* submit arbitrary CRDT operation graphs and arbitrary
-//! bytes where JSON is expected. The two invariants that matter:
-//!
-//! 1. **No panic**: every hostile input is either applied, buffered
-//!    (missing dependencies), or rejected with a typed error.
-//! 2. **Determinism**: two replicas fed the same hostile stream end up
-//!    byte-identical — a malformed op must not make replicas diverge,
-//!    or honest peers would fork on a poisoned block.
-//!
-//! [`hostile_ops`] draws operation streams loaded with the nasty
-//! cases — cyclic and dangling dependency graphs, counter gaps and
-//! duplicate ids, cursors into nonexistent structure, head-targeting
-//! mutations (always invalid: the document head is a map), and
-//! oversized payloads. [`apply_identically`] feeds one stream to two
-//! replicas and asserts both invariants.
+//! but it controls its write values outright: arbitrary bytes where
+//! JSON is expected, and arbitrary JSON where a map is expected. No
+//! client ever hands a peer a CRDT operation (every peer derives its
+//! own from the block), so these two are the whole surface:
+//! [`parse_hostile_bytes`] and [`merge_hostile_value`] must never
+//! panic. `crates/core/tests/properties.rs` drives hostile values
+//! through Algorithm 1 itself.
 
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_jsoncrdt::op::ItemKey;
-use fabriccrdt_jsoncrdt::{Cursor, Deps, JsonCrdt, Mutation, OpId, Operation, ReplicaId};
-use fabriccrdt_sim::gen::Gen;
-
-/// What one hostile stream did to a replica pair (both replicas saw
-/// exactly these counts — [`apply_identically`] asserts it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzReport {
-    /// Operations that took effect.
-    pub applied: usize,
-    /// Operations buffered on missing dependencies (includes every op
-    /// of a dependency cycle: none of its members can ever apply).
-    pub buffered: usize,
-    /// Operations rejected with a typed error (e.g. a mutation
-    /// targeting the document head).
-    pub rejected: usize,
-}
-
-/// Draws a hostile operation cursor: empty (targets the head — always
-/// invalid for assign/delete), or a short random path mixing map keys
-/// with list items derived from arbitrary indices and values.
-fn hostile_cursor(g: &mut Gen) -> Cursor {
-    let mut cursor = Cursor::new();
-    for _ in 0..g.size(0, 3) {
-        if g.flip() {
-            cursor.push_key(g.ident(1, 8));
-        } else {
-            let value = Value::String(g.ident(1, 4));
-            cursor.push_item(ItemKey::derive(g.range(0, 1000) as usize, &value));
-        }
-    }
-    cursor
-}
-
-fn hostile_mutation(g: &mut Gen) -> Mutation {
-    match g.range(0, 5) {
-        0 => Mutation::MakeMap,
-        1 => Mutation::MakeList,
-        2 => Mutation::Delete,
-        // Oversized payload: a multi-kilobyte register value.
-        3 => Mutation::Assign("x".repeat(g.size(1024, 8192))),
-        _ => Mutation::Assign(g.ident(1, 16)),
-    }
-}
-
-/// Draws `count` hostile operations. Ids collide and skip counters,
-/// dependency sets dangle, self-reference, and form cycles; cursors
-/// point anywhere; see the module docs for the full menagerie.
-pub fn hostile_ops(g: &mut Gen, count: usize) -> Vec<Operation> {
-    let replicas = [ReplicaId(1), ReplicaId(2), ReplicaId(666)];
-    let mut ops = Vec::with_capacity(count);
-    for _ in 0..count {
-        // Small id space forces duplicates; the occasional huge counter
-        // is a frontier-violating gap.
-        let counter = if g.prob(0.1) {
-            g.range(1_000, u64::MAX / 2)
-        } else {
-            g.range(0, 12)
-        };
-        let id = OpId::new(counter, *g.pick(&replicas));
-        let deps = match g.range(0, 4) {
-            0 => Deps::None,
-            // Dangling: depends on an id almost certainly never sent.
-            1 => Deps::One(OpId::new(g.range(500, 1_000), ReplicaId(g.range(0, 4)))),
-            // Self-dependency: one-op cycle, can never apply.
-            2 => Deps::One(id),
-            _ => Deps::Many(vec![
-                OpId::new(g.range(0, 12), *g.pick(&replicas)),
-                OpId::new(g.range(0, 12), *g.pick(&replicas)),
-            ]),
-        };
-        ops.push(Operation::new(
-            id,
-            deps,
-            hostile_cursor(g),
-            hostile_mutation(g),
-        ));
-    }
-    // Explicit two-op cycle: A depends on B, B depends on A. Neither
-    // may ever apply, and neither may wedge the replica.
-    let a = OpId::new(2_000, ReplicaId(7));
-    let b = OpId::new(2_001, ReplicaId(7));
-    ops.push(Operation::new(
-        a,
-        Deps::One(b),
-        hostile_cursor(g),
-        Mutation::MakeMap,
-    ));
-    ops.push(Operation::new(
-        b,
-        Deps::One(a),
-        hostile_cursor(g),
-        Mutation::MakeMap,
-    ));
-    ops
-}
-
-/// Feeds `ops` to two independent replicas and asserts the fuzzing
-/// invariants: identical per-op outcomes, identical final documents,
-/// identical applied counts, and pending buffers bounded by the stream
-/// length (nothing leaks or multiplies).
-///
-/// # Panics
-///
-/// Panics when the replicas diverge — that is the property under test.
-pub fn apply_identically(ops: &[Operation]) -> FuzzReport {
-    let mut left = JsonCrdt::with_history(ReplicaId(100));
-    let mut right = JsonCrdt::with_history(ReplicaId(100));
-    let mut report = FuzzReport {
-        applied: 0,
-        buffered: 0,
-        rejected: 0,
-    };
-    for op in ops {
-        let a = left.apply(op.clone());
-        let b = right.apply(op.clone());
-        assert_eq!(a, b, "replicas disagreed on {op:?}");
-        match a {
-            Ok(fabriccrdt_jsoncrdt::doc::ApplyOutcome::Buffered) => report.buffered += 1,
-            Ok(_) => report.applied += 1,
-            Err(_) => report.rejected += 1,
-        }
-    }
-    assert_eq!(left.to_value(), right.to_value(), "documents diverged");
-    assert_eq!(left.applied_len(), right.applied_len());
-    assert_eq!(left.frontier(), right.frontier());
-    assert!(
-        left.pending_len() <= ops.len(),
-        "pending buffer grew past the stream length"
-    );
-    report
-}
+use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 
 /// Feeds `bytes` to the JSON parser, returning whether they parsed.
 /// The property is absence of panics; rejection is the expected
@@ -158,12 +19,12 @@ pub fn parse_hostile_bytes(bytes: &[u8]) -> bool {
     Value::from_bytes(bytes).is_ok()
 }
 
-/// Merges a hostile *value* (not ops) into a fresh document the way
-/// chaincode does ([`JsonCrdt::merge_value`]), asserting the merge
-/// path rejects non-map heads with a typed error and never panics.
-/// Returns whether the value merged.
+/// Merges a hostile value into a fresh document the way Algorithm 1
+/// does ([`JsonCrdt::merge_value`]): the merge path rejects non-map
+/// heads with a typed error and never panics. Returns whether the value
+/// merged.
 pub fn merge_hostile_value(value: &Value) -> bool {
-    let mut doc = JsonCrdt::with_history(ReplicaId(3));
+    let mut doc = JsonCrdt::new(ReplicaId(3));
     doc.merge_value(value).is_ok()
 }
 
@@ -171,21 +32,6 @@ pub fn merge_hostile_value(value: &Value) -> bool {
 mod tests {
     use super::*;
     use fabriccrdt_sim::gen;
-
-    #[test]
-    fn hostile_streams_never_split_replicas() {
-        gen::cases(25, |g| {
-            let count = g.size(5, 40);
-            let ops = hostile_ops(g, count);
-            let report = apply_identically(&ops);
-            assert_eq!(
-                report.applied + report.buffered + report.rejected,
-                ops.len()
-            );
-            // The hand-built two-op cycle guarantees buffered ops.
-            assert!(report.buffered >= 2, "cycles must buffer, not apply");
-        });
-    }
 
     #[test]
     fn random_bytes_never_panic_the_parser() {

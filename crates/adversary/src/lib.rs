@@ -14,18 +14,11 @@
 //!   The harness runs the full transaction pipeline under an attack
 //!   schedule and hands back every honest replica's ledger bytes so
 //!   callers can assert byte-identity.
-//! - [`fuzz`] — hostile CRDT operation streams: cyclic and missing
-//!   dependency graphs, counter gaps, bogus cursors, head-targeting
-//!   mutations and oversized payloads, generated from
-//!   [`fabriccrdt_sim::gen`] seeds. Replicas fed the same hostile
-//!   stream must reject-without-panic and stay identical.
-//! - [`offline`] — offline-first clients: a replica accumulates edits
-//!   while disconnected, then rejoins and syncs. The doc-level probe
-//!   measures whether incremental deltas
-//!   ([`JsonCrdt::delta_since`](fabriccrdt_jsoncrdt::JsonCrdt::delta_since))
-//!   keep the merge storm bounded versus full history replay; the
-//!   network-level probe reads gossip catch-up episodes out of a run
-//!   with a scheduled crash window.
+//! - [`fuzz`] — hostile client input: what a client controls is its
+//!   write value, so arbitrary bytes go through the JSON parser and
+//!   arbitrary values through `merge_value`, never panicking.
+//! - [`offline`] — offline peers: the merge-storm probe reads gossip
+//!   catch-up episodes out of a run with a scheduled crash window.
 //!
 //! None of this crate is wired into the honest pipeline: it only
 //! *drives* the public seams (`DeliveryLayer`, `PipelineConfig`,
@@ -40,5 +33,4 @@ pub mod fuzz;
 pub mod offline;
 
 pub use byzantine::{gen_attack_schedule, run_adversarial_pipeline, AdversarialRun};
-pub use fuzz::{apply_identically, hostile_ops, FuzzReport};
-pub use offline::{merge_storm_report, offline_rejoin, MergeStormReport, StormOutcome};
+pub use offline::{merge_storm_report, StormOutcome};

@@ -1,94 +1,11 @@
-//! Offline-first clients and merge-storm reconvergence.
+//! Offline peers and merge-storm reconvergence.
 //!
-//! An offline-first client keeps editing its local CRDT replica while
-//! disconnected, then rejoins and has to sync a giant delta — the
-//! "merge storm". Two probes:
-//!
-//! - **Document level** ([`offline_rejoin`]): a server replica and a
-//!   client replica share a base document; the client goes offline and
-//!   accumulates edits; on rejoin we compare syncing via
-//!   [`JsonCrdt::delta_since`] (ship only operations the server's
-//!   frontier has not seen — the incremental-merge path PR 5
-//!   introduced for block validation) against full history replay.
-//!   Both must reconverge to the same bytes; the incremental path must
-//!   ship no more operations than the full one.
-//! - **Network level** ([`merge_storm_report`]): a gossip run with a
-//!   scheduled crash window models a whole *peer* offline while the
-//!   network keeps committing; the report extracts that peer's
-//!   catch-up episode (duration, bytes shipped, snapshot vs replay)
-//!   from the run's dissemination metrics.
-
-use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
+//! A gossip run with a scheduled crash window models a whole peer
+//! offline while the network keeps committing; [`merge_storm_report`]
+//! extracts that peer's catch-up episode (duration, bytes shipped,
+//! snapshot vs replay) from the run's dissemination metrics.
 
 use crate::byzantine::AdversarialRun;
-
-/// Outcome of a document-level offline/rejoin cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MergeStormReport {
-    /// Edits the client made while offline.
-    pub offline_edits: usize,
-    /// Operations shipped by the incremental path
-    /// ([`JsonCrdt::delta_since`] against the server's frontier).
-    pub incremental_ops: usize,
-    /// Operations shipped by full history replay.
-    pub full_replay_ops: usize,
-    /// Whether both sync paths reconverged the server to the client's
-    /// document, byte-identically.
-    pub reconverged: bool,
-}
-
-/// Runs one offline/rejoin cycle at the document level.
-///
-/// The server replica holds `base` (a JSON map); the client merges the
-/// server's state, goes offline, and read-modify-writes every payload
-/// in `offline_payloads` (JSON maps, merged CRDT-style exactly like
-/// the IoT chaincode). On rejoin, the server is brought up to date
-/// twice — once by applying only `client.delta_since(server.frontier())`,
-/// once by full-history merge — and the two results are compared.
-///
-/// # Panics
-///
-/// Panics when `base` or a payload is not valid JSON-map input — the
-/// harness's inputs are honest here; hostility lives in [`crate::fuzz`].
-pub fn offline_rejoin(base: &str, offline_payloads: &[String]) -> MergeStormReport {
-    let base = Value::parse(base).expect("base document parses");
-    let mut server = JsonCrdt::with_history(ReplicaId(1));
-    server.merge_value(&base).expect("base is a map");
-
-    let mut client = JsonCrdt::with_history(ReplicaId(2));
-    client.merge(&server).expect("initial sync");
-    let rejoin_frontier = server.frontier().clone();
-
-    for payload in offline_payloads {
-        let value = Value::parse(payload).expect("offline payload parses");
-        client.merge_value(&value).expect("offline edit applies");
-    }
-
-    let delta = client
-        .delta_since(&rejoin_frontier)
-        .expect("client keeps history");
-    let full = client.history().expect("client keeps history").len();
-
-    // Sync path 1: ship only the unseen suffix.
-    let mut incremental = server.clone();
-    for op in &delta {
-        incremental.apply(op.clone()).expect("delta op applies");
-    }
-    // Sync path 2: full history replay.
-    let mut replayed = server.clone();
-    replayed.merge(&client).expect("full replay");
-
-    let reconverged = incremental.to_value() == replayed.to_value()
-        && incremental.to_value() == client.to_value()
-        && incremental.frontier() == replayed.frontier();
-    MergeStormReport {
-        offline_edits: offline_payloads.len(),
-        incremental_ops: delta.len(),
-        full_replay_ops: full,
-        reconverged,
-    }
-}
 
 /// A network-level merge storm: what it took gossip anti-entropy to
 /// bring a crashed (offline) peer back to the committed height.
@@ -119,44 +36,4 @@ pub fn merge_storm_report(run: &AdversarialRun, peer: usize) -> Option<StormOutc
             bytes_shipped: episode.bytes_shipped,
             used_snapshot: episode.used_snapshot(),
         })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn payloads(n: usize) -> Vec<String> {
-        (0..n)
-            .map(|i| format!(r#"{{"device":"d0","readings":["off-{i}"]}}"#))
-            .collect()
-    }
-
-    #[test]
-    fn incremental_rejoin_ships_less_and_reconverges() {
-        let report = offline_rejoin(r#"{"device":"d0","readings":["r0","r1"]}"#, &payloads(24));
-        assert!(report.reconverged, "both sync paths must agree");
-        assert!(
-            report.incremental_ops < report.full_replay_ops,
-            "delta {} must undercut full replay {}",
-            report.incremental_ops,
-            report.full_replay_ops
-        );
-        assert_eq!(report.offline_edits, 24);
-    }
-
-    #[test]
-    fn merge_storm_grows_sublinearly_with_shared_history() {
-        // A bigger shared base grows full replay but not the delta:
-        // the storm is bounded by what happened *offline*.
-        let small = offline_rejoin(r#"{"readings":["a"]}"#, &payloads(10));
-        let big = offline_rejoin(
-            r#"{"readings":["a","b","c","d","e","f","g","h"]}"#,
-            &payloads(10),
-        );
-        assert!(big.full_replay_ops > small.full_replay_ops);
-        assert_eq!(
-            big.incremental_ops, small.incremental_ops,
-            "the delta is bounded by the offline edits, not the shared history"
-        );
-    }
 }

@@ -39,24 +39,89 @@ fn arb_doc(g: &mut Gen) -> Value {
     Value::Map(entries)
 }
 
-/// A block of CRDT transactions over a small hot-key space, every read
-/// intentionally stale.
-fn arb_crdt_block(g: &mut Gen) -> Vec<(u64, String, Value)> {
-    g.vec(1, 7, |g| (g.range(0, 4), arb_doc(g)))
-        .into_iter()
-        .enumerate()
-        .map(|(i, (key, doc))| (i as u64, format!("hot-{key}"), doc))
-        .collect()
+/// A write value a client controls outright, beside `arb_doc`'s: bytes
+/// that are not JSON, JSON that is not a map, `_crdt` envelopes that are
+/// malformed or of another type than their neighbours', and documents
+/// with number, bool and null leaves whose few fields flip type from one
+/// transaction to the next.
+fn arb_hostile_value(g: &mut Gen) -> Vec<u8> {
+    const NOT_MAPS: [&str; 6] = [
+        r#"["a",{"b":"c"}]"#,
+        r#""s""#,
+        "-1.5e3",
+        "true",
+        "null",
+        "[]",
+    ];
+    const ENVELOPES: [&str; 10] = [
+        r#"{"_crdt":"g-counter","counts":{"a":"3"}}"#,
+        r#"{"_crdt":"g-set","elements":["x","y"]}"#,
+        r#"{"_crdt":"lww","value":"v","stamp":"7"}"#,
+        r#"{"_crdt":"pn-counter","inc":{"a":"2"},"dec":{"a":"1"}}"#,
+        r#"{"_crdt":"g-counter"}"#,
+        r#"{"_crdt":"g-counter","counts":{"a":"NaN"}}"#,
+        r#"{"_crdt":"g-set","elements":"not-a-list"}"#,
+        r#"{"_crdt":"lww","value":"x"}"#,
+        r#"{"_crdt":"nope"}"#,
+        r#"{"_crdt":7,"counts":{}}"#,
+    ];
+    fn flip(g: &mut Gen, depth: usize) -> Value {
+        match g.range(0, if depth == 0 { 4 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(g.flip()),
+            2 => Value::from(g.range(0, 2_000) as i64 - 1_000),
+            3 => Value::string(g.string_of("xy", 0, 2)),
+            4 => Value::list(g.vec(0, 3, |g| flip(g, depth - 1))),
+            _ => {
+                let fields = g.vec(0, 3, |g| {
+                    (g.pick(&["f", "g"]).to_string(), flip(g, depth - 1))
+                });
+                Value::Map(fields.into_iter().collect())
+            }
+        }
+    }
+    match g.range(0, 5) {
+        0 => {
+            let mut bytes = g.bytes(0, 24);
+            bytes.push(b'{'); // never a complete JSON text
+            bytes
+        }
+        1 => g.pick(&NOT_MAPS).as_bytes().to_vec(),
+        2 => g.pick(&ENVELOPES).as_bytes().to_vec(),
+        _ => {
+            let fields = g.vec(1, 3, |g| (g.pick(&["f", "g"]).to_string(), flip(g, 2)));
+            Value::Map(fields.into_iter().collect()).to_bytes()
+        }
+    }
 }
 
-fn build_block(specs: &[(u64, String, Value)]) -> Block {
+/// A block of CRDT transactions over a small hot-key space, every read
+/// intentionally stale. With `hostile`, half of the write values come
+/// from [`arb_hostile_value`].
+fn arb_crdt_block(g: &mut Gen, hostile: bool) -> Vec<(u64, String, Vec<u8>)> {
+    g.vec(1, 7, |g| {
+        let key = g.range(0, 4);
+        let value = if hostile && g.flip() {
+            arb_hostile_value(g)
+        } else {
+            arb_doc(g).to_bytes()
+        };
+        (key, value)
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, (key, value))| (i as u64, format!("hot-{key}"), value))
+    .collect()
+}
+
+fn build_block(specs: &[(u64, String, Vec<u8>)]) -> Block {
     let txs: Vec<Transaction> = specs
         .iter()
-        .map(|(nonce, key, doc)| {
+        .map(|(nonce, key, value)| {
             let client = Identity::new("client", "org1");
             let mut rwset = ReadWriteSet::new();
             rwset.reads.record(key.clone(), Some(Height::new(0, 0))); // stale
-            rwset.writes.put_crdt(key.clone(), doc.to_bytes());
+            rwset.writes.put_crdt(key.clone(), value.clone());
             Transaction {
                 id: TxId::derive(&client, *nonce, "cc"),
                 client,
@@ -81,12 +146,12 @@ fn seeded_state() -> WorldState {
     state
 }
 
-/// No failure: every CRDT transaction commits, whatever it writes and
-/// however stale its reads are.
+/// No failure: every CRDT transaction commits, whatever it writes —
+/// hostile values included — and however stale its reads are.
 #[test]
 fn crdt_transactions_never_fail() {
     gen::cases(96, |g| {
-        let specs = arb_crdt_block(g);
+        let specs = arb_crdt_block(g, true);
         let mut block = build_block(&specs);
         let mut state = seeded_state();
         let work = CrdtValidator::new().validate_and_commit(&mut block, &mut state, &[]);
@@ -100,11 +165,11 @@ fn crdt_transactions_never_fail() {
 
 /// The committed value of every written key parses as JSON and the
 /// write sets of all transactions on one key are identical (Listing 2's
-/// property).
+/// property). Well-formed input only: an opaque value commits as written.
 #[test]
 fn converged_values_well_formed_and_uniform() {
     gen::cases(96, |g| {
-        let specs = arb_crdt_block(g);
+        let specs = arb_crdt_block(g, false);
         let mut block = build_block(&specs);
         let mut state = seeded_state();
         CrdtValidator::new().validate_and_commit(&mut block, &mut state, &[]);
@@ -130,12 +195,13 @@ fn converged_values_well_formed_and_uniform() {
 #[test]
 fn no_top_level_update_loss() {
     gen::cases(96, |g| {
-        let specs = arb_crdt_block(g);
+        let specs = arb_crdt_block(g, false);
         let mut block = build_block(&specs);
         let mut state = seeded_state();
         CrdtValidator::new().validate_and_commit(&mut block, &mut state, &[]);
-        for (_, key, doc) in &specs {
+        for (_, key, value) in &specs {
             let stored = Value::from_bytes(state.value(key).unwrap()).unwrap();
+            let doc = Value::from_bytes(value).unwrap();
             for field in doc.as_map().unwrap().keys() {
                 assert!(
                     stored.get(field).is_some(),
@@ -146,12 +212,13 @@ fn no_top_level_update_loss() {
     });
 }
 
-/// Determinism: two validators over the same block produce identical
-/// state and codes (what keeps replicas convergent).
+/// Determinism: two validators over the same block, hostile values
+/// included, produce identical state and codes (what keeps replicas
+/// convergent).
 #[test]
 fn merge_validation_is_deterministic() {
     gen::cases(96, |g| {
-        let specs = arb_crdt_block(g);
+        let specs = arb_crdt_block(g, true);
         let run = || {
             let mut block = build_block(&specs);
             let mut state = seeded_state();

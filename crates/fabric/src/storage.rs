@@ -658,14 +658,14 @@ mod tests {
     #[test]
     fn frontier_table_roundtrip_is_total() {
         let mut frontiers = BTreeMap::new();
-        let mut vv = VersionVector::new();
+        let mut vv = VersionVector::default();
         for counter in 1..=3 {
             vv.observe(OpId::new(counter, ReplicaId(7)));
         }
         vv.observe(OpId::new(1, ReplicaId(9)));
         frontiers.insert("doc".to_string(), vv);
         frontiers.insert("k2".to_string(), {
-            let mut vv = VersionVector::new();
+            let mut vv = VersionVector::default();
             vv.observe(OpId::new(1, ReplicaId(1)));
             vv
         });
@@ -1030,7 +1030,7 @@ mod tests {
                 assert_eq!(kept, expected, "entries above the floor survive GC");
             }
             for frontier_vv in live.merge_frontiers().values() {
-                assert!(frontier_vv.iter().all(|(replica, _)| replica.0 > floor));
+                assert!((0..=floor).all(|block| frontier_vv.entry(ReplicaId(block)) == 0));
             }
 
             // The durable store compacts at the same floor (clamped to

@@ -5,12 +5,10 @@
 //! JSON CRDT instantiation. The Lamport clock is incremented by one with
 //! every new operation to ensure the causal order of the operations."*
 //!
-//! [`VersionVector`] summarizes a document's applied-operation set as a
-//! per-replica high-water mark — its causal frontier. Because merge
-//! chains tick the clock by exactly one per operation, the frontier
-//! stays *exact* (covers precisely the applied set) on the hot path,
-//! turning per-op `BTreeSet` membership checks and doc-to-doc merge
-//! filtering into a couple of integer compares.
+//! [`VersionVector`] is a per-replica high-water mark over contiguously
+//! observed counters. Documents do not keep one; the `fabric` crate
+//! does, for its per-key merge frontiers and its acknowledgement
+//! frontier.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,9 +27,7 @@ impl fmt::Display for ReplicaId {
 
 /// A globally unique operation identifier: `(lamport counter, replica)`.
 ///
-/// Ordered lexicographically — counter first, replica as tie-breaker —
-/// which is the arbitration order used when converting multi-value
-/// registers back to plain JSON.
+/// Ordered lexicographically: counter first, replica as tie-breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OpId {
     /// Lamport counter at generation time.
@@ -44,12 +40,6 @@ impl OpId {
     /// Creates an operation id.
     pub fn new(counter: u64, replica: ReplicaId) -> Self {
         OpId { counter, replica }
-    }
-
-    /// The zero id, used for values hydrated from committed ledger state
-    /// (they causally precede everything a block merge generates).
-    pub fn root() -> Self {
-        OpId::new(0, ReplicaId(0))
     }
 }
 
@@ -93,13 +83,6 @@ impl LamportClock {
         OpId::new(self.counter, self.replica)
     }
 
-    /// Merges in an observed id: the counter jumps to
-    /// `max(local, observed)`, preserving the Lamport happened-before
-    /// property when operations from another document are replayed.
-    pub fn observe(&mut self, id: OpId) {
-        self.counter = self.counter.max(id.counter);
-    }
-
     /// Current counter value (the id of the most recent tick).
     pub fn current(&self) -> u64 {
         self.counter
@@ -112,32 +95,26 @@ impl LamportClock {
 }
 
 /// A per-replica high-water mark over *contiguously* observed operation
-/// counters — the document's causal frontier.
+/// counters: a causal frontier.
 ///
 /// The vector only advances a replica's entry when the observed counter
 /// is the direct successor of the current mark ([`VersionVector::observe`]
-/// returns `false` on a gap and records nothing). That conservative rule
-/// keeps `contains` sound as a lower bound in both directions: an id the
-/// vector contains has definitely been observed, so it can substitute
-/// for an exact applied-set membership test, while ids above the mark
-/// fall through to the caller's exact bookkeeping.
-///
-/// Counter `0` is reserved for [`OpId::root`] (state hydrated from the
-/// committed ledger, causally before everything) and is always
-/// contained.
+/// returns `false` on a gap and records nothing), so every counter at or
+/// below a mark was observed. Counter `0` is below every mark and is
+/// never recorded.
 ///
 /// # Examples
 ///
 /// ```
 /// use fabriccrdt_jsoncrdt::{OpId, ReplicaId, VersionVector};
 ///
-/// let mut frontier = VersionVector::new();
+/// let mut frontier = VersionVector::default();
 /// assert!(frontier.observe(OpId::new(1, ReplicaId(3))));
 /// assert!(frontier.observe(OpId::new(2, ReplicaId(3))));
-/// assert!(frontier.contains(OpId::new(1, ReplicaId(3))));
+/// assert_eq!(frontier.entry(ReplicaId(3)), 2);
 /// // A gap is reported, not recorded.
 /// assert!(!frontier.observe(OpId::new(9, ReplicaId(3))));
-/// assert!(!frontier.contains(OpId::new(9, ReplicaId(3))));
+/// assert_eq!(frontier.entry(ReplicaId(3)), 2);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionVector {
@@ -145,20 +122,9 @@ pub struct VersionVector {
 }
 
 impl VersionVector {
-    /// An empty frontier (contains only [`OpId::root`]).
-    pub fn new() -> Self {
-        VersionVector::default()
-    }
-
-    /// Whether `id` is at or below this frontier. Sound: `true` implies
-    /// the id was observed (contiguously), never the converse.
-    pub fn contains(&self, id: OpId) -> bool {
-        id.counter <= self.entry(id.replica)
-    }
-
     /// Records `id` if it is at or directly above the replica's mark.
-    /// Returns `false` — recording nothing — when `id.counter` would
-    /// leave a gap; the caller should then fall back to exact tracking.
+    /// Returns `false`, recording nothing, when `id.counter` would
+    /// leave a gap.
     pub fn observe(&mut self, id: OpId) -> bool {
         if id.counter == 0 {
             return true;
@@ -179,37 +145,9 @@ impl VersionVector {
         self.seen.get(&replica).copied().unwrap_or(0)
     }
 
-    /// Whether every id contained in `other` is also contained here.
-    pub fn dominates(&self, other: &VersionVector) -> bool {
-        other
-            .seen
-            .iter()
-            .all(|(replica, counter)| self.entry(*replica) >= *counter)
-    }
-
-    /// Number of replicas with a non-zero mark.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
     /// Whether no replica has been observed yet.
     pub fn is_empty(&self) -> bool {
         self.seen.is_empty()
-    }
-
-    /// Iterates `(replica, mark)` entries in replica order.
-    pub fn iter(&self) -> impl Iterator<Item = (ReplicaId, u64)> + '_ {
-        self.seen.iter().map(|(r, c)| (*r, *c))
-    }
-
-    /// Pointwise maximum with `other` (frontier join). Sound because
-    /// both inputs are contiguous frontiers: every counter at or below
-    /// either mark was observed, so the join is contiguous too.
-    pub fn join(&mut self, other: &VersionVector) {
-        for (replica, counter) in &other.seen {
-            let slot = self.seen.entry(*replica).or_insert(0);
-            *slot = (*slot).max(*counter);
-        }
     }
 
     /// Keeps only the entries for which the predicate holds — used by
@@ -266,6 +204,8 @@ mod tests {
             assert!(next > prev);
             prev = next;
         }
+        assert_eq!(c.current(), 101);
+        assert_eq!(prev, OpId::new(101, ReplicaId(1)));
     }
 
     #[test]
@@ -275,24 +215,6 @@ mod tests {
         let c = OpId::new(2, ReplicaId(2));
         assert!(a < b);
         assert!(b < c);
-        assert!(OpId::root() < a);
-    }
-
-    #[test]
-    fn observe_advances_counter() {
-        let mut c = LamportClock::new(ReplicaId(1));
-        c.observe(OpId::new(41, ReplicaId(9)));
-        assert_eq!(c.tick(), OpId::new(42, ReplicaId(1)));
-    }
-
-    #[test]
-    fn observe_never_rolls_back() {
-        let mut c = LamportClock::new(ReplicaId(1));
-        for _ in 0..10 {
-            c.tick();
-        }
-        c.observe(OpId::new(3, ReplicaId(2)));
-        assert_eq!(c.current(), 10);
     }
 
     #[test]
@@ -311,19 +233,18 @@ mod tests {
 
     #[test]
     fn version_vector_contiguous_observation() {
-        let mut v = VersionVector::new();
+        let mut v = VersionVector::default();
         assert!(v.observe(OpId::new(1, ReplicaId(1))));
         assert!(v.observe(OpId::new(2, ReplicaId(1))));
         assert!(v.observe(OpId::new(1, ReplicaId(2))));
-        assert!(v.contains(OpId::new(2, ReplicaId(1))));
-        assert!(!v.contains(OpId::new(3, ReplicaId(1))));
         assert_eq!(v.entry(ReplicaId(1)), 2);
-        assert_eq!(v.len(), 2);
+        assert_eq!(v.entry(ReplicaId(2)), 1);
+        assert_eq!(v.entry(ReplicaId(3)), 0);
     }
 
     #[test]
     fn version_vector_rejects_gaps_without_recording() {
-        let mut v = VersionVector::new();
+        let mut v = VersionVector::default();
         assert!(v.observe(OpId::new(1, ReplicaId(1))));
         assert!(!v.observe(OpId::new(5, ReplicaId(1))));
         assert_eq!(v.entry(ReplicaId(1)), 1);
@@ -333,46 +254,27 @@ mod tests {
     }
 
     #[test]
-    fn version_vector_root_always_contained() {
-        let mut v = VersionVector::new();
-        assert!(v.contains(OpId::root()));
-        assert!(v.observe(OpId::root()));
-        assert!(v.is_empty(), "root observation records nothing");
-    }
-
-    #[test]
-    fn version_vector_join_is_pointwise_max() {
-        let mut a = VersionVector::new();
-        let mut b = VersionVector::new();
-        for c in 1..=3 {
-            a.observe(OpId::new(c, ReplicaId(1)));
-        }
-        b.observe(OpId::new(1, ReplicaId(1)));
-        b.observe(OpId::new(1, ReplicaId(2)));
-        a.join(&b);
-        assert_eq!(a.entry(ReplicaId(1)), 3);
-        assert_eq!(a.entry(ReplicaId(2)), 1);
-        assert!(a.dominates(&b));
-        // Joining the empty frontier is the identity.
-        let snapshot = a.clone();
-        a.join(&VersionVector::new());
-        assert_eq!(a, snapshot);
+    fn version_vector_never_records_counter_zero() {
+        let mut v = VersionVector::default();
+        assert!(v.observe(OpId::new(0, ReplicaId(4))));
+        assert!(v.is_empty(), "counter 0 records nothing");
     }
 
     #[test]
     fn version_vector_retain_drops_entries() {
-        let mut v = VersionVector::new();
+        let mut v = VersionVector::default();
         v.observe(OpId::new(1, ReplicaId(1)));
         v.observe(OpId::new(1, ReplicaId(7)));
         v.retain(|replica, _| replica.0 > 3);
         assert_eq!(v.entry(ReplicaId(1)), 0);
         assert_eq!(v.entry(ReplicaId(7)), 1);
-        assert_eq!(v.len(), 1);
+        v.retain(|_, _| false);
+        assert!(v.is_empty());
     }
 
     #[test]
     fn version_vector_byte_roundtrip() {
-        let mut v = VersionVector::new();
+        let mut v = VersionVector::default();
         for c in 1..=4 {
             v.observe(OpId::new(c, ReplicaId(2)));
         }
@@ -381,33 +283,18 @@ mod tests {
         assert_eq!(bytes.len(), 8 + 16 * 2);
         assert_eq!(VersionVector::from_bytes(&bytes), Some(v));
         assert_eq!(
-            VersionVector::from_bytes(&VersionVector::new().to_bytes()),
-            Some(VersionVector::new())
+            VersionVector::from_bytes(&VersionVector::default().to_bytes()),
+            Some(VersionVector::default())
         );
         // Truncated, padded, and zero-counter inputs are rejected.
         assert_eq!(VersionVector::from_bytes(&bytes[..bytes.len() - 1]), None);
         let mut padded = bytes.clone();
         padded.push(0);
         assert_eq!(VersionVector::from_bytes(&padded), None);
-        let mut zeroed = VersionVector::new().to_bytes();
+        let mut zeroed = VersionVector::default().to_bytes();
         zeroed[7] = 1;
         zeroed.extend_from_slice(&[0; 16]);
         assert_eq!(VersionVector::from_bytes(&zeroed), None);
         assert_eq!(VersionVector::from_bytes(b"short"), None);
-    }
-
-    #[test]
-    fn version_vector_dominates_is_pointwise() {
-        let mut a = VersionVector::new();
-        let mut b = VersionVector::new();
-        for c in 1..=3 {
-            a.observe(OpId::new(c, ReplicaId(1)));
-        }
-        b.observe(OpId::new(1, ReplicaId(1)));
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-        b.observe(OpId::new(1, ReplicaId(2)));
-        assert!(!a.dominates(&b));
-        assert!(a.dominates(&VersionVector::new()));
     }
 }

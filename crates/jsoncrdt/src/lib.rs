@@ -8,14 +8,16 @@
 //!   avoids `serde_json`; JSON handling is a substrate the paper's system
 //!   depends on, so it is built from scratch).
 //! - [`clock`]: Lamport clocks and globally unique operation identifiers,
-//!   as required by Section 5.2 of the paper.
-//! - [`op`]: cursors, mutations and operations — the vocabulary of the
-//!   Kleppmann & Beresford JSON CRDT (IEEE TPDS 2017) that the paper builds
-//!   on.
-//! - [`doc`]: the JSON CRDT document itself, including dependency-buffered
-//!   operation application and **Algorithm 2** of the paper
+//!   as required by Section 5.2 of the paper, and the version vector the
+//!   `fabric` crate keeps its frontiers in.
+//! - [`op`]: content-addressed list-element identity ([`op::ItemKey`]).
+//! - [`doc`]: the JSON CRDT document itself (after Kleppmann & Beresford,
+//!   IEEE TPDS 2017), exactly what Algorithms 1 and 2 use: **Algorithm 2**
 //!   ([`JsonCrdt::merge_value`]), which folds a plain JSON object into the
-//!   CRDT, plus the metadata-stripping conversion back to plain JSON.
+//!   CRDT in one walk, the metadata-stripping conversion back to plain
+//!   JSON, and [`doc::write_alone`] for a key written once. Every peer
+//!   derives the same operations from the same block order, so no
+//!   document ships, buffers or deletes an operation.
 //! - [`cache`]: a process-wide memo of decoded MergeTx payloads, so the
 //!   N committing peers of a simulated network parse each distinct
 //!   payload once instead of N times.
@@ -50,5 +52,4 @@ pub mod work;
 
 pub use clock::{LamportClock, OpId, ReplicaId, VersionVector};
 pub use doc::JsonCrdt;
-pub use op::{Cursor, Deps, Mutation, Operation};
 pub use work::WorkStats;

@@ -1,107 +1,137 @@
-//! `JsonCrdt::merge_value`'s lockstep walk against the engine it
-//! replaced, kept here as the oracle in two halves. The generator
-//! (`merge_at` / `emit`) is Algorithm 2 as the parent commit ran it: one
-//! `Operation` per node of the source, each fed to the public `apply`
-//! and descended from the head. The model (`Model`) is the tree the
-//! parent commit kept: a `BTreeMap<OpId, String>` register and
-//! `BTreeSet<OpId>` presence and tombstone sets on every entry, rebuilt
-//! from the operations in the order they took effect. Driven by
-//! `fabriccrdt_sim::gen`.
+//! `JsonCrdt::merge_value`'s lockstep walk against the operation engine
+//! it replaced, kept here as the oracle in two halves. The generator
+//! (`oracle_merge` / `emit`) is Algorithm 2 as stated: one `Operation`
+//! per node of the source, stamped by the oracle's own Lamport clock,
+//! carrying the cursor a descent from the head follows, and costed as
+//! that descent. The model (`Model`) is the tree the engine kept: a
+//! `BTreeMap<OpId, String>` register on every entry, converted by
+//! greatest id, rebuilt from the operations in the order they were
+//! minted. Driven by `fabriccrdt_sim::gen`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use fabriccrdt_jsoncrdt::doc::{ApplyOutcome, DocError};
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_jsoncrdt::op::{CursorElement, ItemKey};
-use fabriccrdt_jsoncrdt::{
-    Cursor, Deps, JsonCrdt, Mutation, OpId, Operation, ReplicaId, WorkStats,
-};
+use fabriccrdt_jsoncrdt::op::ItemKey;
+use fabriccrdt_jsoncrdt::{JsonCrdt, LamportClock, OpId, ReplicaId, WorkStats};
 use fabriccrdt_sim::gen::{self, Gen};
 
-// ------------------------------------------------ the old generator
+// ------------------------------------------------- the operations
 
-/// The parent commit's `merge_value`, through the public API only.
-fn oracle_merge(doc: &mut JsonCrdt, json: &Value) -> WorkStats {
-    let before = doc.work();
-    let mut cursor = Cursor::new();
+/// One step of a cursor (Algorithm 2's `AddCursorElement`).
+#[derive(Clone)]
+enum Step {
+    Key(String),
+    Item(ItemKey),
+}
+
+/// What an operation does at its cursor's target.
+enum Mutation {
+    /// A leaf's string form (`NewInsertMutation`).
+    Assign(String),
+    MakeMap,
+    MakeList,
+}
+
+/// Algorithm 2's `NewOperation`: id, path from the head, mutation.
+struct Operation {
+    id: OpId,
+    cursor: Vec<Step>,
+    mutation: Mutation,
+}
+
+/// Algorithm 2 run as a generator: its clock, the operations it minted
+/// in order, and what applying each from the head costs.
+struct Oracle {
+    clock: LamportClock,
+    history: Vec<Operation>,
+    work: WorkStats,
+}
+
+impl Oracle {
+    fn new(replica: ReplicaId) -> Self {
+        Oracle {
+            clock: LamportClock::new(replica),
+            history: Vec::new(),
+            work: WorkStats::new(),
+        }
+    }
+}
+
+// ------------------------------------------------- the generator
+
+/// Algorithm 2 over `json`, one cursor per top-level key; returns the
+/// work of this merge.
+fn oracle_merge(oracle: &mut Oracle, json: &Value) -> WorkStats {
+    let before = oracle.work;
+    let mut cursor = Vec::new();
     for (key, value) in json.as_map().expect("generated documents are maps") {
-        let mut last_dep = None;
-        cursor.push_key(key.as_str());
-        merge_at(doc, &mut cursor, value, &mut last_dep);
+        cursor.push(Step::Key(key.clone()));
+        merge_at(oracle, &mut cursor, value);
         cursor.pop();
     }
     WorkStats {
-        ops_applied: doc.work().ops_applied - before.ops_applied,
-        nodes_visited: doc.work().nodes_visited - before.nodes_visited,
+        ops_applied: oracle.work.ops_applied - before.ops_applied,
+        nodes_visited: oracle.work.nodes_visited - before.nodes_visited,
     }
 }
 
-/// Generates, applies and chains one operation.
-fn emit(doc: &mut JsonCrdt, cursor: &Cursor, mutation: Mutation, last_dep: &mut Option<OpId>) {
-    // `clock.tick()`: `apply` observes the id, which leaves the clock there.
-    let id = OpId::new(doc.clock().current() + 1, doc.clock().replica());
-    let op = Operation::new(id, Deps::from(*last_dep), cursor.clone(), mutation);
-    assert_eq!(doc.apply(op), Ok(ApplyOutcome::Applied));
-    *last_dep = Some(id);
+/// Mints, costs and records one operation: a descent from the head
+/// visits one entry per step of its cursor.
+fn emit(oracle: &mut Oracle, cursor: &[Step], mutation: Mutation) {
+    let id = oracle.clock.tick();
+    oracle.work.ops_applied += 1;
+    oracle.work.nodes_visited += cursor.len() as u64;
+    oracle.history.push(Operation {
+        id,
+        cursor: cursor.to_vec(),
+        mutation,
+    });
 }
 
-fn merge_at(doc: &mut JsonCrdt, cursor: &mut Cursor, value: &Value, last_dep: &mut Option<OpId>) {
+fn merge_at(oracle: &mut Oracle, cursor: &mut Vec<Step>, value: &Value) {
     match value {
-        Value::String(s) => emit(doc, cursor, Mutation::Assign(s.clone()), last_dep),
-        Value::Number(n) => emit(doc, cursor, Mutation::Assign(n.to_string()), last_dep),
-        Value::Bool(b) => emit(doc, cursor, Mutation::Assign(b.to_string()), last_dep),
-        Value::Null => emit(doc, cursor, Mutation::Assign("null".to_owned()), last_dep),
+        Value::String(s) => emit(oracle, cursor, Mutation::Assign(s.clone())),
+        Value::Number(n) => emit(oracle, cursor, Mutation::Assign(n.to_string())),
+        Value::Bool(b) => emit(oracle, cursor, Mutation::Assign(b.to_string())),
+        Value::Null => emit(oracle, cursor, Mutation::Assign("null".to_owned())),
         Value::List(items) => {
-            emit(doc, cursor, Mutation::MakeList, last_dep);
+            emit(oracle, cursor, Mutation::MakeList);
             for (index, item) in items.iter().enumerate() {
-                cursor.push_item(ItemKey::derive(index, item));
-                merge_at(doc, cursor, item, last_dep);
+                cursor.push(Step::Item(ItemKey::derive(index, item)));
+                merge_at(oracle, cursor, item);
                 cursor.pop();
             }
         }
         Value::Map(map) => {
-            emit(doc, cursor, Mutation::MakeMap, last_dep);
+            emit(oracle, cursor, Mutation::MakeMap);
             for (key, item) in map {
-                cursor.push_key(key.as_str());
-                merge_at(doc, cursor, item, last_dep);
+                cursor.push(Step::Key(key.clone()));
+                merge_at(oracle, cursor, item);
                 cursor.pop();
             }
         }
     }
 }
 
-// ----------------------------------------------------- the old tree
+// ------------------------------------------------------ the model
 
-/// The parent commit's `Entry`: every id in a set.
+/// The engine's `Entry`: every register assignment kept by its id.
 #[derive(Default)]
 struct Model {
     reg: BTreeMap<OpId, String>,
     map: Option<BTreeMap<String, Model>>,
     list: Option<BTreeMap<ItemKey, Model>>,
-    presence: BTreeSet<OpId>,
-    tombstones: BTreeSet<OpId>,
 }
 
 impl Model {
-    /// The head (a map that is always visible) after `history`.
+    /// The head (always a map) after `history`.
     fn replay(history: &[Operation]) -> Value {
         let mut head = Model {
             map: Some(BTreeMap::new()),
             ..Model::default()
         };
         for op in history {
-            let mut target = &mut head;
-            for (i, step) in op.cursor.elements().iter().enumerate() {
-                target = match step {
-                    // The head is a map whatever the first step says:
-                    // `descend` maps a list step onto a synthetic key.
-                    CursorElement::ListItem(item) if i == 0 => {
-                        target.child(&CursorElement::Key(item.to_string().into()))
-                    }
-                    step => target.child(step),
-                };
-                target.presence.insert(op.id);
-            }
+            let target = op.cursor.iter().fold(&mut head, Model::child);
             match &op.mutation {
                 Mutation::Assign(text) => {
                     target.reg.insert(op.id, text.clone());
@@ -112,26 +142,20 @@ impl Model {
                 Mutation::MakeList => {
                     target.list.get_or_insert_with(BTreeMap::new);
                 }
-                Mutation::Delete => {
-                    target.tombstone_all();
-                    target.tombstones.insert(op.id);
-                }
             }
         }
-        head.presence.insert(OpId::root());
-        head.tombstones.clear();
-        head.to_value().expect("the head is visible")
+        head.to_value().expect("the head is a map")
     }
 
     /// The step's child, in the branch the step's type selects.
-    fn child(&mut self, step: &CursorElement) -> &mut Model {
+    fn child<'m>(&'m mut self, step: &Step) -> &'m mut Model {
         match step {
-            CursorElement::Key(key) => self
+            Step::Key(key) => self
                 .map
                 .get_or_insert_with(BTreeMap::new)
-                .entry(key.to_string())
+                .entry(key.clone())
                 .or_default(),
-            CursorElement::ListItem(item) => self
+            Step::Item(item) => self
                 .list
                 .get_or_insert_with(BTreeMap::new)
                 .entry(*item)
@@ -139,16 +163,7 @@ impl Model {
         }
     }
 
-    fn tombstone_all(&mut self) {
-        self.tombstones.extend(self.presence.iter().copied());
-        let children = self.map.iter_mut().flat_map(|m| m.values_mut());
-        children
-            .chain(self.list.iter_mut().flat_map(|l| l.values_mut()))
-            .for_each(Model::tombstone_all);
-    }
-
     fn to_value(&self) -> Option<Value> {
-        self.presence.difference(&self.tombstones).next()?;
         if let Some(map) = &self.map {
             let converted: BTreeMap<String, Value> = map
                 .iter()
@@ -164,8 +179,7 @@ impl Model {
                 return Some(Value::List(converted));
             }
         }
-        let live = |(id, _): &(&OpId, &String)| !self.tombstones.contains(id);
-        self.reg.iter().rfind(live).map(|(_, v)| Value::string(v))
+        self.reg.values().next_back().map(Value::string)
     }
 }
 
@@ -202,100 +216,33 @@ fn arb_map(g: &mut Gen, depth: usize) -> Value {
     Value::Map(entries.into_iter().collect())
 }
 
-/// A hand-fed operation: any replica (the document's own included), a
-/// counter that continues, skips, repeats or is zero, a cursor that may
-/// or may not match the tree, a dependency that may be missing — and,
-/// now and then, the operation an earlier one is waiting for.
-fn arb_foreign(g: &mut Gen, doc: &JsonCrdt, missing: &mut Vec<OpId>) -> Operation {
-    let replica = *g.pick(&[doc.clock().replica(), ReplicaId(7), ReplicaId(9)]);
-    let mark = doc.frontier().entry(replica);
-    let id = match g.range(0, 6) {
-        0 if !missing.is_empty() => missing.swap_remove(g.size(0, missing.len() - 1)),
-        0 | 1 => OpId::new(mark + g.range(2, 6), replica),
-        2 => OpId::new(g.range(0, mark + 1), replica),
-        3 => OpId::new(doc.clock().current() + g.range(1, 4), replica),
-        _ => OpId::new(mark + 1, replica),
-    };
-    let deps = match g.range(0, 5) {
-        0 => {
-            // Unmet; on the document's own replica the next merge mints it.
-            let dep = OpId::new(doc.clock().current() + g.range(1, 6), replica);
-            missing.push(dep);
-            Deps::from(dep)
-        }
-        1 => Deps::from(OpId::new(g.range(0, mark + 1), replica)),
-        _ => Deps::None,
-    };
-    let mut cursor = Cursor::new();
-    for _ in 0..g.size(0, 3) {
-        match g.range(0, 3) {
-            0 => cursor.push_item(ItemKey::derive(g.size(0, 3), &arb_leaf(g))),
-            _ => cursor.push_key(*g.pick(&KEYS)),
-        }
-    }
-    let mutation = match g.range(0, 5) {
-        0 => Mutation::MakeMap,
-        1 => Mutation::MakeList,
-        2 | 3 => Mutation::Delete,
-        _ => Mutation::Assign(g.string_of("xyz", 0, 3)),
-    };
-    Operation::new(id, deps, cursor, mutation)
-}
-
 // ------------------------------------------------------ comparison
 
-fn converged(doc: &JsonCrdt) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    doc.write_bytes(&mut bytes);
-    bytes
+/// `walk` took every document through `merge_value`, `oracle` through
+/// the generator: the same value, converged bytes, work, operation
+/// count and clock.
+fn assert_same(walk: &JsonCrdt, oracle: &Oracle) {
+    let value = Model::replay(&oracle.history);
+    assert_eq!(walk.to_value(), value);
+    let mut converged = Vec::new();
+    walk.write_bytes(&mut converged);
+    assert_eq!(converged, value.to_bytes());
+    assert_eq!(walk.work(), oracle.work);
+    assert_eq!(walk.applied_len(), oracle.history.len());
+    assert_eq!(walk.clock(), &oracle.clock);
 }
 
-/// `walk` took every document through `merge_value` and records no
-/// history; `oracle` took them through the old generator and records
-/// one, which also feeds the old tree.
-fn assert_same(walk: &JsonCrdt, oracle: &JsonCrdt) {
-    assert_eq!(walk.to_value(), oracle.to_value());
-    let history = oracle.history().expect("recorded");
-    assert_eq!(
-        walk.to_value(),
-        Model::replay(history),
-        "against the old tree"
-    );
-    assert_eq!(converged(walk), walk.to_value().to_bytes());
-    assert_eq!(converged(oracle), converged(walk));
-    assert_eq!(walk.work(), oracle.work());
-    assert_eq!(walk.applied_len(), oracle.applied_len());
-    assert_eq!(walk.pending_len(), oracle.pending_len());
-    assert_eq!(walk.frontier(), oracle.frontier());
-    assert_eq!(walk.frontier_is_exact(), oracle.frontier_is_exact());
-    assert_eq!(walk.clock(), oracle.clock());
-}
-
-/// One case: documents and hand-fed operations in any order, every
-/// observable compared after every step.
+/// One case: a run of documents into one document, every observable
+/// compared after every merge.
 fn case(g: &mut Gen) {
     let replica = ReplicaId(g.range(1, 4));
     let mut walk = JsonCrdt::new(replica);
-    let mut oracle = JsonCrdt::with_history(replica);
-    // A recording document whose merges go through `merge_value`: its
-    // history must be the old generator's, operation for operation.
-    let mut recorded = JsonCrdt::with_history(replica);
-    let mut missing = Vec::new();
+    let mut oracle = Oracle::new(replica);
     for _ in 0..g.range(1, 10) {
-        if g.prob(0.35) {
-            let op = arb_foreign(g, &walk, &mut missing);
-            let outcome: Result<ApplyOutcome, DocError> = oracle.apply(op.clone());
-            assert_eq!(walk.apply(op.clone()), outcome);
-            assert_eq!(recorded.apply(op), outcome);
-        } else {
-            let document = arb_map(g, 3);
-            let work = oracle_merge(&mut oracle, &document);
-            assert_eq!(walk.merge_value(&document), Ok(work));
-            assert_eq!(recorded.merge_value(&document), Ok(work));
-        }
+        let document = arb_map(g, 3);
+        let work = oracle_merge(&mut oracle, &document);
+        assert_eq!(walk.merge_value(&document), Ok(work));
         assert_same(&walk, &oracle);
-        assert_eq!(recorded.history(), oracle.history());
-        assert_eq!(recorded.to_value(), oracle.to_value());
     }
 }
 
@@ -307,38 +254,8 @@ fn lockstep_walk_equals_the_operation_engine() {
     gen::cases(seeds, case);
 }
 
-/// What only the old tree can say, since both documents share the new
-/// one: a register assigned before a delete stays dead when a later
-/// operation makes its entry visible again.
-#[test]
-fn a_deleted_register_stays_dead_when_its_entry_comes_back() {
-    let at_a = |id, mutation| {
-        let mut cursor = Cursor::new();
-        cursor.push_key("a");
-        Operation::new(OpId::new(id, ReplicaId(7)), Deps::None, cursor, mutation)
-    };
-    let mut walk = JsonCrdt::new(ReplicaId(1));
-    let mut oracle = JsonCrdt::with_history(ReplicaId(1));
-    for doc in [&mut walk, &mut oracle] {
-        doc.apply(at_a(1, Mutation::Assign("old".into()))).unwrap();
-        doc.apply(at_a(2, Mutation::Delete)).unwrap();
-    }
-    let revived: Value = r#"{"a":[],"b":"kept"}"#.parse().unwrap();
-    let work = oracle_merge(&mut oracle, &revived);
-    assert_eq!(walk.merge_value(&revived), Ok(work));
-    assert_same(&walk, &oracle);
-    assert_eq!(walk.to_value(), r#"{"b":"kept"}"#.parse().unwrap());
-    // A newer assignment is live again.
-    for doc in [&mut walk, &mut oracle] {
-        doc.apply(at_a(3, Mutation::Assign("new".into()))).unwrap();
-    }
-    assert_same(&walk, &oracle);
-    assert_eq!(walk.to_value().get("a"), Some(&Value::string("new")));
-}
-
-/// The paper's own workload shapes, where every merge takes the walk:
-/// `bigstate-pipelined`'s one large document per key and `hotkey-merge`'s
-/// many small ones into one key.
+/// The paper's own workload shapes: `bigstate-pipelined`'s one large
+/// document per key and `hotkey-merge`'s many small ones into one key.
 #[test]
 fn benchmark_documents_merge_identically() {
     let readings = |tx: usize, n: usize| {
@@ -354,7 +271,7 @@ fn benchmark_documents_merge_identically() {
     };
     for (documents, size) in [(2, 32), (400, 1)] {
         let mut walk = JsonCrdt::new(ReplicaId(1));
-        let mut oracle = JsonCrdt::with_history(ReplicaId(1));
+        let mut oracle = Oracle::new(ReplicaId(1));
         for tx in 0..documents {
             let work = oracle_merge(&mut oracle, &document(tx, size));
             assert_eq!(walk.merge_value(&document(tx, size)), Ok(work));
