@@ -54,6 +54,19 @@ crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
 crates/ledger/tests/properties.rs"
 
+# An endorsement is a MAC of its payload's digest (DESIGN.md §4.17):
+# the endorsers' client hashes a response payload once, in
+# `Simulation::endorse`, and a peer verifies from the digest its ingress
+# check hashed into the leaf. This prints every non-test function under
+# crates/fabric/src that reads a response payload or signs or verifies a
+# message whole, so a second payload pass cannot come back unseen.
+echo "==> payload-digest boundary (the one non-test fabric function that hashes a response payload)"
+test "$(find crates/fabric/src -name '*.rs' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+    !cut && /response_payload|\.(sign|verify)\(/ { print FILENAME ": " name }')" = "crates/fabric/src/simulation.rs: endorse"
+
 # The figure every CHANGES.md entry quotes (ROADMAP's command), then the
 # same files cut at their first `#[cfg(test)]`: the first still counts
 # in-module test code, the second does not. Printed, not gated. Third,

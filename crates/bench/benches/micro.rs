@@ -527,11 +527,34 @@ fn main() {
             black_box(sealed);
             spent
         });
-        // `bigstate-pipelined`'s re-seal where Algorithm 1 rewrote nothing
-        // (a key written once commits its own bytes): every leaf is the
-        // one ingress hashed, so the pass re-encodes and compares.
+        // `bigstate-pipelined`'s ingress check and re-seal. Where
+        // Algorithm 1 rewrote nothing (a key written once commits its own
+        // bytes) every leaf is the one ingress hashed, so the re-seal
+        // re-encodes and compares.
         let small = Block::assemble(1, genesis_hash, padded_txs(1400)[..25].to_vec());
+        bench.run("block/verify-25x1400B", Some(25), Some(25 * 1400), || {
+            EncodedTransactions::verify(&small).expect("as assembled")
+        });
         let ingress = EncodedTransactions::verify(&small).expect("as assembled");
+        // One transaction's three endorsements at that size: signed the
+        // way an endorsing client pays (hash the payload once, one MAC
+        // per endorser), verified the way a peer pays (one MAC per
+        // endorsement from the digest ingress hashed into the leaf).
+        let endorsers =
+            ["org1", "org2", "org3"].map(|org| KeyPair::derive(Identity::new("peer0", org)));
+        let tx = &small.transactions[0];
+        let payload = tx.response_payload();
+        bench.run("crypto/endorse-3x1400B", Some(3), None, || {
+            let digest = sha256::digest(&payload);
+            endorsers.each_ref().map(|k| k.sign_digest(&digest))
+        });
+        let verify_all = || {
+            let digest = ingress.payload_digest(0);
+            let mut keys = tx.endorsements.iter().zip(&endorsers);
+            keys.all(|(e, k)| k.verify_digest(digest, &e.signature).is_ok())
+        };
+        assert!(verify_all(), "every endorsement verifies");
+        bench.run("crypto/verify-3x1400B", Some(3), None, verify_all);
         bench.run_timed("block/reseal-25x1400B-unchanged", Some(25), || {
             let block = small.clone();
             let start = Instant::now();

@@ -149,7 +149,7 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "7be1932d2826aceb39766b677ed214c0de4d2e2ab2431ffffa6c02d84e0a5cb0",
+        "b8eb0053ba4ccdbad95e53315cda2acf27a9029a75dce65904ffc5606b600c2d",
         "a replica's ledger or store file changed"
     );
     assert_eq!(

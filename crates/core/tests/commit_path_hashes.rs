@@ -1,6 +1,9 @@
 //! The commit path hashes each block fewer times than it used to
 //! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
-//! headers asserted here were recorded before that change.
+//! headers asserted here were recorded before that change, and
+//! re-recorded once when signatures became MACs of the payload digest
+//! and the Merkle leaf began with that digest — the one change to what
+//! a block's bytes are since.
 //!
 //! Two blocks go through a FabricCRDT peer — one whose CRDT writes merge
 //! (Algorithm 1 line 22 rewrites them, so the peer re-seals the data
@@ -85,7 +88,7 @@ fn policy() -> EndorsementPolicy {
 
 const GENESIS_HASH: &str = "756e2e87f46e31bd3a5841cd74d9588e1aadc5ae4af750ef6cf3b8269614e1a5";
 /// Data hash of [`plain_block`], the same under either validator.
-const PLAIN_DATA_HASH: &str = "ed4e35ab22100eec683efde428156765b7a04b52703e4c1394172850114b396d";
+const PLAIN_DATA_HASH: &str = "d07eaeab566d67a2e90be05aefb32aa60c0bd9b03188935ee1d0a1ebe416f0d5";
 
 fn assert_header(header: &BlockHeader, previous_hash: &str, data_hash: &str) {
     assert_eq!(
@@ -136,7 +139,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_header(
             &tip.header,
             GENESIS_HASH,
-            "a0d1a0377f23d69e453b621df5ee37889b1c5285abd204314feff31f2da41060",
+            "271c64305878d68b656961ba65cc2cabf4cd4bcce220e552791ceba909b2985b",
         );
 
         // The orderer chains to *its* block 1; the peer re-links to the
@@ -149,7 +152,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_eq!(tip.header.data_hash, sealed_by_orderer);
         assert_header(
             &tip.header,
-            "90a2145b630b05522cc61e09bc1a51944f03200f2c516982e5d09cd12e4941e7",
+            "54240e11dc75e3ffbc6fbfa0f9fe74d6944019c1945309c56d51ac9873c1dd27",
             PLAIN_DATA_HASH,
         );
 

@@ -8,7 +8,10 @@
 //! mutation of one write value is offered at every door, a seeded sweep
 //! recomputes every committed header from scratch, and a validator that
 //! flips a byte after Algorithm 1 checks that the re-seal reuses only
-//! the leaves of bytes it hashed at ingress.
+//! the leaves of bytes it hashed at ingress. Two more pin what a leaf
+//! built from the payload digest covers: a flipped endorsement byte is
+//! tampering, and a signature over another payload fails its own
+//! transaction's policy with every signature still counted.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
@@ -112,6 +115,75 @@ fn ingress_rejects_a_flipped_write_byte_under_every_pipeline_and_validator() {
             peer.commit(staged).expect("the rejection is on the record");
             assert!(peer.state().is_empty(), "nothing committed");
             assert_eq!(peer.chain().verify_integrity(), Ok(()));
+        }
+    }
+    check(FabricValidator::new);
+    check(CrdtValidator::new);
+}
+
+/// The leaf covers the endorsements as well as the payload digest: a
+/// byte flipped in a signature or in an endorser's name, with the
+/// payload untouched, is tampering too.
+#[test]
+fn ingress_rejects_a_flipped_endorsement_byte_under_every_pipeline_and_validator() {
+    fn check<V: BlockValidator>(make: impl Fn() -> V) {
+        for what in ["signature", "endorser name"] {
+            for pipeline in PIPELINES {
+                let cell = format!("{what}, {}", pipeline.label());
+                let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
+                let mut delivered = plain_block(1, peer.chain().tip_hash());
+                let endorsement = &mut delivered.transactions[1].endorsements[0];
+                match what {
+                    "signature" => endorsement.signature.0[17] ^= 0x01,
+                    _ => endorsement.endorser.name = "peer1".into(),
+                }
+                let staged = peer.process_block(delivered);
+                assert_eq!(
+                    staged.block.validation_codes,
+                    [ValidationCode::TamperedBlock; 3],
+                    "{cell}"
+                );
+                assert_eq!(staged.work.sigs_verified, 0, "{cell}");
+                peer.commit(staged).expect("the rejection is on the record");
+                assert!(peer.state().is_empty(), "{cell}: nothing committed");
+            }
+        }
+    }
+    check(FabricValidator::new);
+    check(CrdtValidator::new);
+}
+
+/// A block the orderer sealed honestly, carrying one signature over
+/// another transaction's payload: the leaf is intact, so ingress passes,
+/// and the signature check — made from the payload digest ingress hashed
+/// into the leaf — fails that transaction alone, counting every
+/// signature it checked exactly as for an honest block.
+#[test]
+fn a_signature_over_another_payload_fails_policy_with_every_signature_counted() {
+    fn check<V: BlockValidator>(make: impl Fn() -> V) {
+        let honest = plain_block(1, Block::genesis().hash());
+        let mut forged = honest.transactions.clone();
+        let other = endorsed(99, &["org1", "org2"], |rwset| {
+            rwset.writes.put("k1-1", NEEDLE.to_vec());
+        });
+        forged[1].endorsements[1].signature = other.endorsements[1].signature;
+        let forged = Block::assemble(1, Block::genesis().hash(), forged);
+        for pipeline in PIPELINES {
+            let cell = pipeline.label();
+            let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
+            let expected_sigs = peer.process_block(honest.clone()).work.sigs_verified;
+            assert_eq!(expected_sigs, 6, "{cell}: two endorsements per transaction");
+            let staged = peer.process_block(forged.clone());
+            assert_eq!(
+                staged.block.validation_codes,
+                [
+                    ValidationCode::Valid,
+                    ValidationCode::EndorsementPolicyFailure,
+                    ValidationCode::Valid
+                ],
+                "{cell}"
+            );
+            assert_eq!(staged.work.sigs_verified, expected_sigs, "{cell}");
         }
     }
     check(FabricValidator::new);

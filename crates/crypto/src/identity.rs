@@ -6,8 +6,10 @@
 //! identity bound to an organization, (2) endorsements carry verifiable
 //! signatures over the proposal response payload, (3) signing/verifying has
 //! a latency cost (modelled in the simulator, not here). We substitute a
-//! deterministic keyed-hash MAC: `sig = SHA-256(secret || msg)` with
-//! `verify` recomputing under the registered secret. This keeps endorsement
+//! deterministic keyed-hash MAC of the payload's digest,
+//! `sig = SHA-256(K ‖ SHA-256(msg))` with `K` the 32-byte secret zero-padded
+//! to one 64-byte block, so a party that hashed a payload once signs or
+//! verifies it for every endorser from the digest. This keeps endorsement
 //! validation real (bad signatures are rejected) without pulling in a
 //! full signature scheme; the substitution is recorded in `DESIGN.md`.
 
@@ -72,17 +74,21 @@ impl Error for VerifyError {}
 /// # Examples
 ///
 /// ```
-/// use fabriccrdt_crypto::{Identity, KeyPair};
+/// use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 ///
 /// let kp = KeyPair::derive(Identity::new("peer0", "org1"));
 /// let sig = kp.sign(b"payload");
 /// assert!(kp.verify(b"payload", &sig).is_ok());
 /// assert!(kp.verify(b"tampered", &sig).is_err());
+/// let digest = sha256::digest(b"payload"); // hash once, sign for many
+/// assert_eq!(kp.sign_digest(&digest), sig);
+/// assert!(kp.verify_digest(&digest, &sig).is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyPair {
     identity: Identity,
-    secret: Digest,
+    /// SHA-256 after absorbing `K`: each MAC is one compression more.
+    keyed: sha256::Sha256,
 }
 
 impl KeyPair {
@@ -94,8 +100,11 @@ impl KeyPair {
         h.update(identity.org.as_bytes());
         h.update(b"/");
         h.update(identity.name.as_bytes());
-        let secret = h.finalize();
-        KeyPair { identity, secret }
+        let mut key_block = [0u8; 64];
+        key_block[..32].copy_from_slice(&h.finalize());
+        let mut keyed = sha256::Sha256::new();
+        keyed.update(&key_block);
+        KeyPair { identity, keyed }
     }
 
     /// The identity this key pair signs for.
@@ -103,31 +112,41 @@ impl KeyPair {
         &self.identity
     }
 
-    /// Signs `msg`.
+    /// Signs `msg`: [`KeyPair::sign_digest`] of its SHA-256.
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature(self.mac(msg))
+        self.sign_digest(&sha256::digest(msg))
     }
 
-    /// Verifies `sig` over `msg`.
+    /// Signs a message by its SHA-256 `digest`: `SHA-256(K ‖ digest)`.
+    pub fn sign_digest(&self, digest: &Digest) -> Signature {
+        let mut h = self.keyed.clone();
+        h.update(digest);
+        Signature(h.finalize())
+    }
+
+    /// Verifies `sig` over `msg`: [`KeyPair::verify_digest`] of its
+    /// SHA-256.
     ///
     /// # Errors
     ///
     /// Returns [`VerifyError`] when the signature does not match.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> Result<(), VerifyError> {
-        if self.mac(msg) == sig.0 {
+        self.verify_digest(&sha256::digest(msg), sig)
+    }
+
+    /// Verifies `sig` over the message whose SHA-256 is `digest`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VerifyError`] when the signature does not match.
+    pub fn verify_digest(&self, digest: &Digest, sig: &Signature) -> Result<(), VerifyError> {
+        if self.sign_digest(digest) == *sig {
             Ok(())
         } else {
             Err(VerifyError {
                 signer: self.identity.clone(),
             })
         }
-    }
-
-    fn mac(&self, msg: &[u8]) -> Digest {
-        let mut h = sha256::Sha256::new();
-        h.update(&self.secret);
-        h.update(msg);
-        h.finalize()
     }
 }
 

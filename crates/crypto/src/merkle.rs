@@ -3,9 +3,13 @@
 //! Fabric computes a block's data hash over the serialized transactions;
 //! we use a conventional binary Merkle tree (odd nodes promoted) and keep
 //! only what the ledger reads from it — the root. A caller hashes each
-//! leaf with [`leaf`] (so it can serialize every transaction into one
-//! reused buffer) and hands the digests to [`root`], which folds them
-//! pairwise in place.
+//! leaf with [`leaf`] or [`leaf_of`] (so it can serialize every
+//! transaction into one reused buffer) and hands the digests to [`root`],
+//! which folds them pairwise in place.
+//!
+//! A transaction's leaf is `SHA-256(0x00 ‖ SHA-256(response payload) ‖
+//! endorsement bytes)`: its inner digest is the one every endorsement
+//! signs, so a peer hashes each payload once (`fabriccrdt_ledger::block`).
 
 use crate::sha256::{self, Digest};
 
@@ -16,9 +20,17 @@ const NODE_PREFIX: u8 = 0x01;
 
 /// The digest of one leaf: `SHA-256(0x00 ‖ data)`.
 pub fn leaf(data: &[u8]) -> Digest {
+    leaf_of(&[data])
+}
+
+/// The digest of one leaf whose data arrives in pieces:
+/// `SHA-256(0x00 ‖ parts[0] ‖ parts[1] ‖ …)`, without joining them.
+pub fn leaf_of(parts: &[&[u8]]) -> Digest {
     let mut h = sha256::Sha256::new();
     h.update(&[LEAF_PREFIX]);
-    h.update(data);
+    for part in parts {
+        h.update(part);
+    }
     h.finalize()
 }
 
@@ -115,6 +127,16 @@ mod tests {
         ] {
             assert_eq!(hex::encode(&root_of(leaves(n))), expect, "{n} leaves");
         }
+    }
+
+    #[test]
+    fn a_leaf_in_pieces_is_the_leaf_of_the_pieces_joined() {
+        let data = b"response-payload-digest-and-endorsements";
+        for split in 0..=data.len() {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(leaf_of(&[head, tail]), leaf(data), "split at {split}");
+        }
+        assert_eq!(leaf_of(&[]), leaf(b""));
     }
 
     #[test]

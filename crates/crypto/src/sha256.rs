@@ -109,7 +109,7 @@ const K: [u32; 64] = [
 /// let digest = hasher.finalize();
 /// assert_eq!(digest, fabriccrdt_crypto::sha256::digest(b"hello world"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sha256 {
     state: [u32; 8],
     /// Partially filled message block.

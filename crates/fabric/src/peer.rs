@@ -536,8 +536,8 @@ impl<V: BlockValidator> Peer<V> {
         // the whole block is rejected and nothing commits. (The later
         // re-seal only legitimizes the peer's *own* deterministic
         // merge rewrites, and keeps the leaves hashed here for every
-        // transaction they left alone.) The endorsement MACs below read
-        // their payloads from the encoding hashed here.
+        // transaction they left alone.) The endorsement MACs below
+        // verify against the payload digests hashed into the leaves here.
         let Some(encoded) = EncodedTransactions::verify(&block).map(Arc::new) else {
             return PreparedBlock {
                 block,
@@ -595,7 +595,8 @@ impl<V: BlockValidator> Peer<V> {
             // Warm validator-side caches (e.g. CRDT payload decode)
             // off the sequential critical path; value-neutral.
             validator.prepare(tx);
-            let payload = encoded.response_payload(i);
+            // Hashed into the leaf at ingress: no second payload pass.
+            let digest = encoded.payload_digest(i);
             let mut sigs = 0u64;
             let mut valid_orgs: Vec<&str> = Vec::new();
             for endorsement in &tx.endorsements {
@@ -603,7 +604,10 @@ impl<V: BlockValidator> Peer<V> {
                 let keypair = endorser_keys
                     .get(&endorsement.endorser)
                     .expect("stage 1 derived the key of every endorser in this block");
-                if keypair.verify(payload, &endorsement.signature).is_ok() {
+                if keypair
+                    .verify_digest(digest, &endorsement.signature)
+                    .is_ok()
+                {
                     valid_orgs.push(&endorsement.endorser.org);
                 }
             }

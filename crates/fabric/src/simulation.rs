@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_sim::queue::EventQueue;
@@ -662,8 +662,9 @@ impl<V: BlockValidator> Simulation<V> {
         };
 
         // One endorsing peer per organization in the policy; the client
-        // waits for the slowest response.
-        let payload = tx.response_payload();
+        // waits for the slowest response. Every endorser signs the same
+        // payload, so it is hashed once for all of them.
+        let payload_digest = sha256::digest(&tx.response_payload());
         let mut slowest_return = SimTime::ZERO;
         let peer_index = (i / self.config.topology.clients) % self.config.topology.peers_per_org;
         for (org_index, org) in self.config.policy.orgs().iter().enumerate() {
@@ -675,7 +676,7 @@ impl<V: BlockValidator> Simulation<V> {
                 });
             tx.endorsements.push(Endorsement {
                 endorser: keypair.identity().clone(),
-                signature: keypair.sign(&payload),
+                signature: keypair.sign_digest(&payload_digest),
             });
             let ret = self.config.latency.peer_to_client.sample(&mut self.rng);
             slowest_return = slowest_return.max(ret);

@@ -369,7 +369,10 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     // Golden recorded from this schedule under the removed
     // `client_retries = 50` knob (immediate resubmission, no PRNG
     // draw): `immediate` must add no delay and draw nothing, or every
-    // later latency sample (and with it the ledger) shifts.
+    // later latency sample (and with it the ledger) shifts. The counts
+    // are the knob's; the ledger digest was re-recorded once, when
+    // signatures became MACs of the payload digest and the Merkle leaf
+    // began with that digest (DESIGN.md §4.17).
     let snapshot = sim.peer().snapshot();
     let ledger = fabriccrdt_crypto::digest(&[snapshot.state, snapshot.chain].concat());
     assert_eq!(
@@ -383,7 +386,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     );
     assert_eq!(
         fabriccrdt_crypto::hex::encode(&ledger),
-        "1c1a14a69e3747b19faaf7118d1dc31f21705f2651f2a1203389c8ee31f4fef4"
+        "ea7ceafe7ba6230e055c83bcdf45c191c3cbeea7dd9254bce5793821deb69c2d"
     );
 }
 

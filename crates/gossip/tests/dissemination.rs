@@ -476,6 +476,9 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
 /// last commit that had it, for the pipeline test's config under lossy
 /// links and a crash of the observed replica; the lane-0 adapter must
 /// reproduce the run — same draws, same delivery times, same ledger.
+/// The ledger digest was re-recorded once, the counts not, when
+/// signatures became MACs of the payload digest and the Merkle leaf
+/// began with that digest (DESIGN.md §4.17).
 #[test]
 fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     let faults = FaultConfig {
@@ -513,6 +516,6 @@ fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     digest.update(&ledger.chain);
     assert_eq!(
         hex::encode(&digest.finalize()),
-        "fa272e434dfe7401712799a7183bcf45cd1ecbe933f6034f82c958a4efce316a"
+        "56fd1726776e357ec0da83ab94f6845594b54eb034bb9c6b1b2bcbb6233fa513"
     );
 }

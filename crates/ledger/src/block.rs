@@ -115,7 +115,9 @@ impl Block {
         }
     }
 
-    /// Merkle root over the transactions' canonical bytes. Always
+    /// Merkle root over the transactions' canonical bytes, each leaf
+    /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
+    /// so that it shares its inner digest with the signatures. Always
     /// computed from the transactions in hand, never remembered: `Block`'s
     /// fields are public and a delivery layer may hand over a mutated
     /// block, so a stored digest could vouch for bytes it never covered.
@@ -159,10 +161,21 @@ fn data_hash(txs: &[Transaction], known: impl Fn(usize, &[u8]) -> Option<Digest>
     let mut bytes = Vec::new();
     let leaves = txs.iter().enumerate().map(|(i, tx)| {
         bytes.clear();
-        tx.write_bytes(&mut bytes);
-        known(i, &bytes).unwrap_or_else(|| merkle::leaf(&bytes))
+        tx.write_response_payload(&mut bytes);
+        let payload_end = bytes.len();
+        tx.write_endorsements(&mut bytes);
+        known(i, &bytes).unwrap_or_else(|| tx_leaf(&bytes, payload_end).1)
     });
     merkle::root(leaves.collect())
+}
+
+/// The leaf of one transaction's canonical `bytes`, whose response
+/// payload ends at `payload_end`, and that payload's digest:
+/// `SHA-256(0x00 ‖ SHA-256(payload) ‖ endorsement bytes)`.
+fn tx_leaf(bytes: &[u8], payload_end: usize) -> (Digest, Digest) {
+    let (payload, endorsements) = bytes.split_at(payload_end);
+    let digest = sha256::digest(payload);
+    (digest, merkle::leaf_of(&[&digest, endorsements]))
 }
 
 /// A block whose data hash this process computed over the transactions
@@ -223,13 +236,13 @@ impl Deref for SealedBlock {
 
 /// The canonical bytes of a delivered block's transactions, encoded
 /// once at ingress: the tamper check hashes them, endorsement
-/// verification MACs their response-payload prefixes, and
-/// [`SealedBlock::reseal`] reuses the leaves of unchanged ones.
+/// verification MACs the response-payload digests the leaves were built
+/// from, and [`SealedBlock::reseal`] reuses the leaves of unchanged ones.
 #[derive(Debug)]
 pub struct EncodedTransactions {
     bytes: Vec<u8>,
-    /// Per transaction: its response payload in `bytes`, its end, its leaf.
-    spans: Vec<(Range<usize>, usize, Digest)>,
+    /// Per transaction: its bytes in `bytes`, its payload digest, its leaf.
+    spans: Vec<(Range<usize>, Digest, Digest)>,
 }
 
 impl EncodedTransactions {
@@ -240,24 +253,27 @@ impl EncodedTransactions {
         for tx in &block.transactions {
             let start = bytes.len();
             tx.write_response_payload(&mut bytes);
-            let payload = start..bytes.len();
+            let payload_end = bytes.len() - start;
             tx.write_endorsements(&mut bytes);
-            spans.push((payload, bytes.len(), merkle::leaf(&bytes[start..])));
+            let (digest, leaf) = tx_leaf(&bytes[start..], payload_end);
+            spans.push((start..bytes.len(), digest, leaf));
         }
         let root = merkle::root(spans.iter().map(|(_, _, leaf)| *leaf).collect());
         (root == block.header.data_hash).then_some(EncodedTransactions { bytes, spans })
     }
 
-    /// [`Transaction::response_payload`] of transaction `index`.
-    pub fn response_payload(&self, index: usize) -> &[u8] {
-        &self.bytes[self.spans[index].0.clone()]
+    /// The SHA-256 of transaction `index`'s
+    /// [`Transaction::response_payload`], as hashed into its leaf: the
+    /// digest its endorsements sign.
+    pub fn payload_digest(&self, index: usize) -> &Digest {
+        &self.spans[index].1
     }
 
     /// The leaf hashed at ingress for transaction `index`, if `bytes`
     /// are the bytes it was hashed over.
     fn leaf(&self, index: usize, bytes: &[u8]) -> Option<Digest> {
-        let (payload, end, leaf) = self.spans.get(index)?;
-        (self.bytes[payload.start..*end] == *bytes).then_some(*leaf)
+        let (range, _, leaf) = self.spans.get(index)?;
+        (self.bytes[range.clone()] == *bytes).then_some(*leaf)
     }
 }
 

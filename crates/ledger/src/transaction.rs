@@ -44,7 +44,9 @@ impl fmt::Display for TxId {
 pub struct Endorsement {
     /// The endorsing peer.
     pub endorser: Identity,
-    /// Signature over the read-write set bytes.
+    /// The endorser's MAC of the SHA-256 of the transaction's
+    /// [`Transaction::response_payload`] (id, chaincode and read-write
+    /// set): `KeyPair::sign_digest`.
     pub signature: Signature,
 }
 

@@ -2,7 +2,7 @@
 //! roundtrips, MVCC invariants. Driven by the deterministic in-repo
 //! generator (`fabriccrdt_sim::gen`).
 
-use fabriccrdt_crypto::{Identity, Signature};
+use fabriccrdt_crypto::{merkle, sha256, Identity, Signature};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::mvcc;
@@ -147,15 +147,23 @@ fn counted_length_equals_encoded_length() {
 /// The ingress encoding and the sealed constructors agree with the
 /// streaming data hash — on blocks as assembled, with one byte of one
 /// written value flipped, and with transactions reordered, dropped,
-/// added or re-signed after ingress — and hand out the payloads
-/// endorsers signed.
+/// added or re-signed after ingress — and hand out the digests of the
+/// payloads endorsers signed, the ones each leaf is built from.
 #[test]
 fn hashing_constructors_agree_with_the_streaming_hash() {
     gen::cases(128, |g| {
         let mut block = arb_block(g);
         let encoded = EncodedTransactions::verify(&block).expect("as assembled");
         for (i, tx) in block.transactions.iter().enumerate() {
-            assert_eq!(encoded.response_payload(i), tx.response_payload());
+            let payload = tx.response_payload();
+            let digest = sha256::digest(&payload);
+            assert_eq!(*encoded.payload_digest(i), digest);
+            let endorsements = &tx.to_bytes()[payload.len()..];
+            assert_eq!(
+                Block::compute_data_hash(std::slice::from_ref(tx)),
+                merkle::leaf_of(&[&digest, endorsements]),
+                "a one-transaction root is its leaf"
+            );
         }
         let sealed = SealedBlock::seal(block.clone(), block.header.previous_hash);
         assert_eq!(*sealed, block, "sealing an assembled block changes nothing");

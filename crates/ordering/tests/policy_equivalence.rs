@@ -139,7 +139,9 @@ fn run_raft(
 /// Raft fault schedules in the mix. The flag's own runs are gone with
 /// it, so each backend's 50 ledgers (state then chain bytes, in case
 /// order) are folded into one SHA-256 and pinned against the digest
-/// the flag produced on the last commit that had it.
+/// the flag produced on the last commit that had it — re-recorded once,
+/// unchanged otherwise, when signatures became MACs of the payload
+/// digest and the Merkle leaf began with that digest (DESIGN.md §4.17).
 #[test]
 fn reorder_policy_matches_the_legacy_flag_goldens() {
     let mut single = Sha256::new();
@@ -162,12 +164,12 @@ fn reorder_policy_matches_the_legacy_flag_goldens() {
     });
     assert_eq!(
         hex::encode(&single.finalize()),
-        "4d249a4f931a452a13416ea26268b845742792a700f8bda71c7b6b7dc96b47ba",
+        "1cbdcca1685ce2f00d6dc924d650966e7aa1139101145e27c8d422f44d212db9",
         "single orderer: Reorder diverged from the legacy flag"
     );
     assert_eq!(
         hex::encode(&raft.finalize()),
-        "2bc5a4f48f26406f7eb8df5cc41966ec463a0762160203d37f747cb7cf6996c0",
+        "af115314e8050a56b9e4292a0ace1772e2753b15658a6a35bc85ed563f905dcb",
         "raft: Reorder diverged from the legacy flag"
     );
 }
