@@ -34,7 +34,8 @@ crates/fabric/src/peer.rs"
 
 # Two files may take a lock: the worker pool's batch queue and the
 # process-wide decode cache. The commit path outside the pool holds
-# none — a conflict chain owns its writes (DESIGN.md §4.9).
+# none — finalize is one sequential pass over a clone of the committed
+# state, published whole at commit (DESIGN.md §4.9).
 echo "==> lock boundary (exactly two .rs files under crates/ and src/ name Mutex or RwLock)"
 test "$(grep -rlw --include='*.rs' -e Mutex -e RwLock crates src | LC_ALL=C sort)" = "crates/fabric/src/pool.rs
 crates/jsoncrdt/src/cache.rs"
@@ -79,7 +80,7 @@ find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | c
 panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/bench/*' |
     cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
 echo "$panic_sites"
-test "$panic_sites" -le 76
+test "$panic_sites" -le 74
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -359,7 +359,9 @@ fn state_size_sweep(bench: &Bench) {
         let name = format!("peer/block-25tx-1400B@{label}-keys");
         let mut rows = vec![(name.clone(), ValidationPipeline::Sequential)];
         if keys == 100_000 {
-            // The same blocks through the conflict-chain finalize.
+            // The same blocks through a two-worker peer: each block's
+            // signature checks fan out over the pool and are joined at
+            // once, then the same sequential finalize runs.
             let chained = ValidationPipeline::pipelined(2);
             rows.push((format!("{name}/{}", chained.label()), chained));
         }

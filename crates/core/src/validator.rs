@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::metrics::DecodeCacheMetrics;
-use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome};
+use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_jsoncrdt::cache::{self, decode_cached};
 use fabriccrdt_jsoncrdt::doc::write_alone;
 use fabriccrdt_jsoncrdt::json::Value;
@@ -108,10 +108,8 @@ impl CrdtValidator {
     ///
     /// Each key's merger starts from a fresh [`JsonCrdt`]
     /// (`InitEmptyCRDT`), so its operation-id sequence depends only on
-    /// that key's payload sequence — which is why folding one conflict
-    /// chain (all touchers of the chain's keys, in block order) yields
-    /// byte-identical converged values to folding the whole block; a key
-    /// written once skips it ([`write_alone`]: same bytes, same work).
+    /// that key's payload sequence in block order; a key written once
+    /// skips it ([`write_alone`]: same bytes, same work).
     fn merge_pass<'a>(
         &self,
         txs: impl Iterator<Item = (usize, &'a Transaction)>,
@@ -254,65 +252,6 @@ impl BlockValidator for CrdtValidator {
             if entry.is_crdt && !entry.is_delete {
                 let _ = decode_cached(&entry.value);
             }
-        }
-    }
-
-    /// Algorithm 1 restricted to one conflict chain. The scheduler
-    /// guarantees every transaction touching any of the chain's keys is
-    /// *in* the chain (in block order), and `merge_pass` instantiates
-    /// each key's CRDT empty per block, so the per-key folds — and hence
-    /// operation ids, arbitration and converged bytes — are identical to
-    /// the whole-block sequential pass.
-    fn finalize_chain(
-        &self,
-        block_number: u64,
-        transactions: &[Transaction],
-        chain: &[usize],
-        state: &WorldState,
-    ) -> ChainOutcome {
-        let mut merge_units = 0u64;
-        let mut merge_quad = 0u64;
-        let crdts = self.merge_pass(
-            chain.iter().map(|&i| (i, &transactions[i])),
-            &mut merge_units,
-            &mut merge_quad,
-        );
-
-        // ----- Second pass (lines 16–22), returned instead of applied:
-        // the peer owns the block, so rewrites travel in the outcome.
-        let converged: BTreeMap<String, (Vec<u8>, Vec<usize>)> = crdts
-            .into_iter()
-            .map(|(key, (mut merger, members))| {
-                (key, (merger.converged_bytes(&mut merge_units), members))
-            })
-            .collect();
-        let rewrites = converged
-            .iter()
-            .flat_map(|(key, (bytes, members))| {
-                members.iter().map(|&i| (i, key.clone(), bytes.clone()))
-            })
-            .collect();
-
-        // ----- MVCC on non-CRDT pairs, then commit. The sequential
-        // path validates against already-rewritten write sets; here the
-        // override closure substitutes the converged bytes for member
-        // pairs (members ascend, so binary search applies).
-        let commit =
-            mvcc::validate_chain(block_number, transactions, chain, state, true, |i, key| {
-                converged.get(key).and_then(|(bytes, members)| {
-                    members.binary_search(&i).is_ok().then(|| bytes.clone())
-                })
-            });
-
-        ChainOutcome {
-            codes: commit.codes,
-            rewrites,
-            writes: commit.writes,
-            work: ValidationWork {
-                merge_units,
-                merge_quad,
-                ..commit.stats.into()
-            },
         }
     }
 
@@ -566,102 +505,6 @@ mod tests {
     #[test]
     fn validator_name() {
         assert_eq!(CrdtValidator::new().name(), "fabriccrdt");
-    }
-
-    #[test]
-    fn finalize_chain_matches_sequential_merge_pass() {
-        // Hot-key CRDT block (one chain holding every transaction) plus
-        // a stale reader: the chain outcome must carry exactly the
-        // codes, converged rewrites, work and state of the sequential
-        // Algorithm 1 pass.
-        let txs: Vec<Transaction> = (0..6)
-            .map(|n| {
-                tx(n, |rw| {
-                    rw.reads.record("doc", Some(Height::new(0, 0))); // stale
-                    rw.writes
-                        .put_crdt("doc", format!(r#"{{"readings":["r{n}"]}}"#).into_bytes());
-                })
-            })
-            .collect();
-        let mut seed = WorldState::new();
-        seed.put(
-            "doc".into(),
-            br#"{"readings":[]}"#.to_vec(),
-            Height::new(1, 0),
-        );
-
-        let mut block = Block::assemble(2, [0; 32], txs.clone());
-        let mut seq_state = seed.clone();
-        let seq_work = CrdtValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
-
-        let chain: Vec<usize> = (0..txs.len()).collect();
-        let outcome = CrdtValidator::new().finalize_chain(2, &txs, &chain, &seed);
-
-        assert_eq!(outcome.work, seq_work);
-        assert_eq!(
-            outcome.codes.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
-            block.validation_codes
-        );
-        assert_eq!(outcome.rewrites.len(), 6);
-        for (i, key, bytes) in &outcome.rewrites {
-            assert_eq!(
-                &block.transactions[*i].rwset.writes.get(key).unwrap().value,
-                bytes,
-                "rewrite bytes diverge at tx {i}"
-            );
-        }
-        let mut chain_state = seed.clone();
-        mvcc::apply_writes(&mut chain_state, outcome.writes);
-        assert_eq!(chain_state, seq_state);
-    }
-
-    #[test]
-    fn finalize_chain_handles_typed_and_mixed_writes() {
-        // One chain with a typed g-counter fold, one with a plain
-        // (non-CRDT) conflicting pair — summed outcomes must equal the
-        // sequential pass.
-        let mut txs: Vec<Transaction> = [("alice", 3u64), ("bob", 4)]
-            .iter()
-            .enumerate()
-            .map(|(n, (actor, count))| {
-                tx(n as u64, |rw| {
-                    rw.writes.put_crdt(
-                        "meter",
-                        format!(r#"{{"_crdt":"g-counter","counts":{{"{actor}":"{count}"}}}}"#)
-                            .into_bytes(),
-                    );
-                })
-            })
-            .collect();
-        txs.push(tx(7, |rw| {
-            rw.reads.record("plain", Some(Height::new(0, 0))); // stale
-            rw.writes.put("plain", b"x".to_vec());
-        }));
-        let mut seed = WorldState::new();
-        seed.put("plain".into(), b"0".to_vec(), Height::new(1, 0));
-
-        let mut block = Block::assemble(3, [0; 32], txs.clone());
-        let mut seq_state = seed.clone();
-        let seq_work = CrdtValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
-
-        let a = CrdtValidator::new().finalize_chain(3, &txs, &[0, 1], &seed);
-        let b = CrdtValidator::new().finalize_chain(3, &txs, &[2], &seed);
-
-        let mut work = a.work;
-        work.absorb(b.work);
-        assert_eq!(work, seq_work);
-        let mut codes: Vec<(usize, ValidationCode)> = Vec::new();
-        codes.extend(a.codes);
-        codes.extend(b.codes);
-        codes.sort_by_key(|&(i, _)| i);
-        assert_eq!(
-            codes.into_iter().map(|(_, c)| c).collect::<Vec<_>>(),
-            block.validation_codes
-        );
-        let mut chain_state = seed.clone();
-        mvcc::apply_writes(&mut chain_state, a.writes);
-        mvcc::apply_writes(&mut chain_state, b.writes);
-        assert_eq!(chain_state, seq_state);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!
 //! The last test drives a FabricCRDT peer through the chained
 //! `prevalidate` / `finish_block_with_next` / `finish_block` driver over
-//! many-chain CRDT blocks at several worker counts and byte-compares the
-//! ledgers with a sequential peer's.
+//! CRDT blocks of one merged key and many singleton keys at several
+//! worker counts and byte-compares the ledgers with a sequential peer's.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{hex, Identity, KeyPair};
@@ -188,9 +188,9 @@ fn chained_driver_matches_sequential_on_many_chain_crdt_blocks() {
     const PER_BLOCK: u64 = 25;
     for readings in [4, 32, 128] {
         // Per block: transactions 0 and 1 merge into one key (a
-        // two-member chain whose converged value is neither input, so a
-        // lost rewrite changes the chain bytes), the other 23 write keys
-        // of their own (singleton chains).
+        // converged value that is neither input, so a lost rewrite
+        // changes the chain bytes), the other 23 write keys of their
+        // own.
         let blocks: Vec<Block> = (1..=BLOCKS)
             .map(|number| {
                 let txs = (0..PER_BLOCK)
@@ -225,7 +225,15 @@ fn chained_driver_matches_sequential_on_many_chain_crdt_blocks() {
             assert_ne!(converged, document(BLOCKS * PER_BLOCK + i, readings));
         }
 
+        // A pool exists from two workers up, on a host with two threads;
+        // only then does block N+1's pre-validation overlap block N.
+        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
         for workers in [1, 2, 4, 8] {
+            let overlaps = if workers >= 2 && hardware >= 2 {
+                BLOCKS - 1
+            } else {
+                0
+            };
             let pipeline = ValidationPipeline::pipelined(workers);
             let mut peer = Peer::new(CrdtValidator::new(), policy()).with_pipeline(pipeline);
             let mut work = Vec::new();
@@ -250,8 +258,8 @@ fn chained_driver_matches_sequential_on_many_chain_crdt_blocks() {
             assert_eq!(work, expected_work, "{cell}: work per block");
             assert_eq!(
                 peer.take_pipeline_metrics().blocks_overlapped,
-                BLOCKS - 1,
-                "{cell}: every chained block overlapped its predecessor"
+                overlaps,
+                "{cell}: blocks whose pre-validation ran on the pool"
             );
         }
     }

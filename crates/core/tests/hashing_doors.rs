@@ -19,7 +19,7 @@ use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
-use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome, FabricValidator};
+use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::chain::ChainError;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -361,19 +361,10 @@ fn every_committed_header_equals_a_from_scratch_hash() {
 }
 
 /// Algorithm 1, then one more byte: the first byte of the first value
-/// transaction `k` writes is flipped, if Algorithm 1 decided `k` (a
-/// pre-decided transaction belongs to no conflict chain, so the chain
-/// path could not flip it).
+/// transaction `k` writes is flipped, if Algorithm 1 decided `k` (not
+/// a duplicate or an endorsement failure).
 struct FlipAfterMerge {
     k: usize,
-}
-
-/// The first key `tx` writes, and the value with its first byte flipped.
-fn flipped_first_write(tx: &Transaction) -> (String, Vec<u8>) {
-    let (key, entry) = tx.rwset.writes.iter().next().expect("it writes");
-    let mut value = entry.value.clone();
-    value[0] ^= 0x01;
-    (key.clone(), value)
 }
 
 impl BlockValidator for FlipAfterMerge {
@@ -386,31 +377,12 @@ impl BlockValidator for FlipAfterMerge {
         let work = CrdtValidator::new().validate_and_commit(block, state, pre_decided);
         let undecided = pre_decided.get(self.k).copied().flatten().is_none();
         if let Some(tx) = block.transactions.get_mut(self.k).filter(|_| undecided) {
-            let (key, value) = flipped_first_write(tx);
+            let (key, entry) = tx.rwset.writes.iter().next().expect("it writes");
+            let (key, mut value) = (key.clone(), entry.value.clone());
+            value[0] ^= 0x01;
             tx.rwset.writes.update_value(&key, value);
         }
         work
-    }
-
-    fn finalize_chain(
-        &self,
-        block_number: u64,
-        transactions: &[Transaction],
-        chain: &[usize],
-        state: &WorldState,
-    ) -> ChainOutcome {
-        let mut outcome =
-            CrdtValidator::new().finalize_chain(block_number, transactions, chain, state);
-        if chain.contains(&self.k) {
-            // Flipped after the merge's own rewrite, if there is one.
-            let mut tx = transactions[self.k].clone();
-            for (_, key, bytes) in outcome.rewrites.iter().filter(|(i, ..)| *i == self.k) {
-                tx.rwset.writes.update_value(key, bytes.clone());
-            }
-            let (key, value) = flipped_first_write(&tx);
-            outcome.rewrites.push((self.k, key, value));
-        }
-        outcome
     }
 
     fn name(&self) -> &str {

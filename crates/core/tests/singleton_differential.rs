@@ -2,14 +2,14 @@
 //! built a CRDT for every key.
 //!
 //! `oracle` is the parent commit's `KeyMerger` and `merge_pass`
-//! verbatim, wrapped in the two `BlockValidator` entry points exactly
-//! as the parent wrapped them: a fresh `JsonCrdt` per key per block
+//! verbatim, wrapped in `BlockValidator::validate_and_commit` exactly
+//! as the parent wrapped it: a fresh `JsonCrdt` per key per block
 //! (`InitEmptyCRDT`) whether one transaction writes the key or forty.
 //! The rewrite keeps a key's first JSON document as it came and builds
 //! the CRDT only when a second one arrives; codes, rewritten write sets,
-//! world state and every `ValidationWork` counter must be the oracle's,
-//! through `validate_and_commit` and through `finalize_chain` on every
-//! conflict chain of the block. The work counters feed `fabric::cost`,
+//! world state and every `ValidationWork` counter must be the oracle's
+//! through `validate_and_commit`, the one finalize every peer runs. The
+//! work counters feed `fabric::cost`,
 //! so every simulated-time figure hangs on them. Driven by
 //! `fabriccrdt_sim::gen`.
 
@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::Identity;
-use fabriccrdt_fabric::schedule::conflict_chains;
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_ledger::block::{Block, ValidationCode};
@@ -32,7 +31,7 @@ mod oracle {
 
     use fabriccrdt::TypedCrdt;
     use fabriccrdt_fabric::cost::ValidationWork;
-    use fabriccrdt_fabric::validator::{BlockValidator, ChainOutcome};
+    use fabriccrdt_fabric::validator::BlockValidator;
     use fabriccrdt_jsoncrdt::cache::decode_cached;
     use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
     use fabriccrdt_ledger::block::{Block, ValidationCode};
@@ -195,58 +194,6 @@ mod oracle {
             }
         }
 
-        fn finalize_chain(
-            &self,
-            block_number: u64,
-            transactions: &[Transaction],
-            chain: &[usize],
-            state: &WorldState,
-        ) -> ChainOutcome {
-            let mut merge_units = 0u64;
-            let mut merge_quad = 0u64;
-            let crdts = self.merge_pass(
-                chain.iter().map(|&i| (i, &transactions[i])),
-                &mut merge_units,
-                &mut merge_quad,
-            );
-
-            // ----- Second pass (lines 16–22), returned instead of applied:
-            // the peer owns the block, so rewrites travel in the outcome.
-            let mut converged: BTreeMap<String, (Vec<u8>, Vec<usize>)> = BTreeMap::new();
-            for (key, (mut merger, members)) in crdts {
-                let bytes = merger.converged_bytes(&mut merge_units);
-                converged.insert(key, (bytes, members));
-            }
-            let mut rewrites: Vec<(usize, String, Vec<u8>)> = Vec::new();
-            for (key, (bytes, members)) in &converged {
-                for &i in members {
-                    rewrites.push((i, key.clone(), bytes.clone()));
-                }
-            }
-
-            // ----- MVCC on non-CRDT pairs, then commit. The sequential
-            // path validates against already-rewritten write sets; here the
-            // override closure substitutes the converged bytes for member
-            // pairs (members ascend, so binary search applies).
-            let commit =
-                mvcc::validate_chain(block_number, transactions, chain, state, true, |i, key| {
-                    converged.get(key).and_then(|(bytes, members)| {
-                        members.binary_search(&i).is_ok().then(|| bytes.clone())
-                    })
-                });
-
-            ChainOutcome {
-                codes: commit.codes,
-                rewrites,
-                writes: commit.writes,
-                work: ValidationWork {
-                    merge_units,
-                    merge_quad,
-                    ..commit.stats.into()
-                },
-            }
-        }
-
         fn name(&self) -> &str {
             "fabriccrdt"
         }
@@ -373,8 +320,8 @@ fn arb_block(g: &mut Gen) -> (Block, WorldState, Vec<Option<ValidationCode>>) {
 
 // ------------------------------------------------------ comparison
 
-/// Runs `block` through both validators, sequentially and chain by
-/// chain, and asserts every output is the oracle's.
+/// Runs `block` through both validators and asserts every output is
+/// the oracle's.
 fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]) {
     let (new, old) = (CrdtValidator::new(), oracle::CrdtValidator::new());
 
@@ -386,16 +333,6 @@ fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]
     assert_eq!(new_block.transactions, old_block.transactions, "rewrites");
     assert_eq!(new_state, old_state);
     assert_eq!(new_work, old_work);
-
-    let number = block.header.number;
-    for chain in conflict_chains(&block.transactions, pre) {
-        let new = new.finalize_chain(number, &block.transactions, &chain, state);
-        let old = old.finalize_chain(number, &block.transactions, &chain, state);
-        assert_eq!(new.codes, old.codes, "chain {chain:?}");
-        assert_eq!(new.rewrites, old.rewrites, "chain {chain:?}");
-        assert_eq!(new.writes, old.writes, "chain {chain:?}");
-        assert_eq!(new.work, old.work, "chain {chain:?}");
-    }
 }
 
 #[test]

@@ -637,12 +637,11 @@ impl PipelineConfig {
         self
     }
 
-    /// Fans committing-peer validation out over a persistent pool of
-    /// `workers` threads (clamped to at least 1) — pre-validation per
-    /// transaction, finalize per conflict chain — and overlaps blocks:
-    /// block N+1's pure pre-validation runs on the pool while block
-    /// N's finalize commits; the MVCC check runs at finalize, after
-    /// block N committed. Value-identical to the
+    /// Fans committing-peer pre-validation out over a persistent pool
+    /// of `workers` threads (clamped to at least 1), per transaction,
+    /// and overlaps blocks: block N+1's pure pre-validation runs on the
+    /// pool while block N's sequential finalize commits; the MVCC check
+    /// runs at finalize, after block N committed. Value-identical to the
     /// default sequential pipeline (see `crates/fabric/src/pipeline.rs`
     /// for the determinism argument); only host wall-clock changes.
     pub fn with_pipelined_validation(mut self, workers: usize) -> Self {

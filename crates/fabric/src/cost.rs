@@ -52,18 +52,6 @@ impl From<CommitStats> for ValidationWork {
     }
 }
 
-impl ValidationWork {
-    /// Accumulates another work record.
-    pub fn absorb(&mut self, other: ValidationWork) {
-        self.sigs_verified += other.sigs_verified;
-        self.reads_checked += other.reads_checked;
-        self.writes_applied += other.writes_applied;
-        self.merge_units += other.merge_units;
-        self.merge_quad += other.merge_quad;
-        self.successes += other.successes;
-    }
-}
-
 /// Converts work counters into simulated compute time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
@@ -212,22 +200,6 @@ mod tests {
             successes: 100,
         };
         assert_eq!(model.block_cost(&work), SimTime::ZERO);
-    }
-
-    #[test]
-    fn validation_work_absorb() {
-        let mut a = ValidationWork {
-            sigs_verified: 1,
-            reads_checked: 2,
-            writes_applied: 3,
-            merge_units: 4,
-            merge_quad: 5,
-            successes: 6,
-        };
-        a.absorb(a);
-        assert_eq!(a.sigs_verified, 2);
-        assert_eq!(a.merge_quad, 10);
-        assert_eq!(a.successes, 12);
     }
 
     #[test]

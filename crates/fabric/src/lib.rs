@@ -30,16 +30,13 @@
 //!   [`validator::FabricValidator`] is vanilla Fabric MVCC. (FabricCRDT's
 //!   merging validator lives in the `fabriccrdt` core crate.)
 //! - [`pipeline`]: the commit-path validation pipeline seam —
-//!   sequential (seed-identical) or pool-backed pipelined execution
-//!   with an order-preserving join.
+//!   sequential, or block N+1's pre-validation on a worker pool while
+//!   block N finalizes, with an order-preserving join.
 //! - [`pool`]: the persistent worker pool behind pipelined peers
 //!   (threads spawned once per peer, parked between blocks).
-//! - [`schedule`]: the conflict-graph scheduler bucketing a block's
-//!   transactions into key-disjoint chains for the parallel finalize
-//!   stage.
-//! - [`state`]: the name those chains' read-only state goes by.
+//! - [`state`]: a name `perf/` still spells for the world state.
 //! - [`peer`]: the committing peer: duplicate detection, endorsement
-//!   verification, validator dispatch, staged commits.
+//!   verification, Algorithm 1's sequential finalize, staged commits.
 //! - [`storage`]: durable peer storage — backend selection, snapshot
 //!   cadence, frontier-driven GC coordination and crash recovery over
 //!   `fabriccrdt_ledger::store`.
@@ -67,7 +64,6 @@ pub mod pipeline;
 pub mod policy;
 pub mod pool;
 pub mod reorder;
-pub mod schedule;
 pub mod simulation;
 pub mod state;
 pub mod storage;
@@ -90,6 +86,5 @@ pub use orderer::Orderer;
 pub use peer::{Peer, StagedBlock};
 pub use pipeline::{PipelineRunner, ValidationPipeline};
 pub use policy::EndorsementPolicy;
-pub use schedule::conflict_chains;
 pub use simulation::{OrderingBackend, OrderingOutcome, Simulation, SingleOrderer, TxRequest};
 pub use validator::{BlockValidator, FabricValidator};

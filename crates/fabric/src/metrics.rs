@@ -288,8 +288,11 @@ impl AdversaryMetrics {
 /// counters describe how the work was scheduled, not what it decided.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineMetrics {
-    /// Blocks whose pre-validation was issued ahead of time — i.e.
-    /// overlapped with a predecessor's finalize/commit window.
+    /// Blocks whose pre-validation was submitted to the worker pool
+    /// ahead of time, so it ran during a predecessor's finalize. A
+    /// peer without a pool (`Pipelined { workers: 1 }`, or one
+    /// hardware thread), and any one-transaction block, defers it to
+    /// the block's own join and counts nothing here.
     pub blocks_overlapped: u64,
     /// Blocks that arrived while the pipeline was idle: nothing to
     /// overlap with, so they took the plain two-stage path.

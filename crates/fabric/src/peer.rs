@@ -25,7 +25,9 @@
 //! The started stage reads no world state, so the MVCC check at
 //! finalize — against the committed state, after block N's commit — is
 //! the only read verdict there is, and every stage is a pure function
-//! of (transaction, committed-id context): the two pipelines are
+//! of (transaction, committed-id context). Finalize is one body on
+//! every pipeline, Algorithm 1's sequential pass
+//! ([`BlockValidator::validate_and_commit`]), so the two pipelines are
 //! value-identical and only wall-clock differs (DESIGN.md §4.9).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -38,7 +40,6 @@ use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, Validati
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::history::HistoryDb;
-use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
@@ -59,8 +60,7 @@ use crate::cost::ValidationWork;
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{PendingMap, PipelineRunner, ValidationPipeline};
 use crate::policy::EndorsementPolicy;
-use crate::schedule::conflict_chains;
-use crate::validator::{BlockValidator, ChainOutcome};
+use crate::validator::BlockValidator;
 
 /// Host wall-clock durations of the two `process_block` stages, read by
 /// the benchmark package (`perf/`) to attribute block time per stage.
@@ -77,8 +77,8 @@ pub struct StageTimings {
     /// fan-out stage), from the start of the prepare to the end of the
     /// join.
     pub pre_validate_secs: f64,
-    /// MVCC/merge validation, state commit and re-seal (conflict-chain
-    /// stage).
+    /// MVCC/merge validation, state commit and re-seal (Algorithm 1's
+    /// sequential stage).
     pub finalize_secs: f64,
 }
 
@@ -151,8 +151,8 @@ pub struct Peer<V> {
     /// (see [`Peer::merge_frontiers`]). Deterministic from block
     /// content, so every replica derives the same vectors.
     merge_frontiers: BTreeMap<String, VersionVector>,
-    // Arc because parallel stages hand the validator to 'static pool
-    // workers; sequential peers never clone it.
+    // Arc because pre-validation hands the validator to 'static pool
+    // workers.
     validator: Arc<V>,
     policy: EndorsementPolicy,
     /// The verification key of every endorser a delivered block has
@@ -617,7 +617,9 @@ impl<V: BlockValidator> Peer<V> {
             (None, sigs)
         });
 
-        if overlapped && self.runner.mode().is_pipelined() {
+        // Only a batch on the pool runs during the predecessor's
+        // finalize; a deferred one runs at its own join.
+        if overlapped && pending.is_pooled() {
             self.stats.blocks_overlapped += 1;
         }
 
@@ -666,8 +668,9 @@ impl<V: BlockValidator> Peer<V> {
         }
     }
 
-    /// The finalize half: conflict-chain (or sequential) validation and
-    /// state commit, then the re-seal.
+    /// The finalize half, one body for every pipeline: the seed
+    /// [`BlockValidator::validate_and_commit`] over a clone of the
+    /// committed `WorldState` (which shares its tree), then the re-seal.
     fn finalize_joined(&self, joined: JoinedBlock) -> StagedBlock {
         let JoinedBlock {
             mut block,
@@ -687,7 +690,12 @@ impl<V: BlockValidator> Peer<V> {
             };
         };
         let finalize_start = Instant::now();
-        let (new_state, mut work) = self.finalize(&mut block, transactions, &pre);
+        block.transactions =
+            Arc::try_unwrap(transactions).expect("pre-validation released its clones");
+        let mut new_state = self.state.clone();
+        let mut work = self
+            .validator
+            .validate_and_commit(&mut block, &mut new_state, &pre);
         work.sigs_verified = sigs_verified;
 
         // Re-seal: Algorithm 1 (line 22) rewrote CRDT write values with
@@ -707,103 +715,6 @@ impl<V: BlockValidator> Peer<V> {
                 finalize_secs: finalize_start.elapsed().as_secs_f64(),
             },
         }
-    }
-
-    /// The finalize stage: MVCC/merge validation and state commit.
-    ///
-    /// Sequential runners (and blocks whose conflict graph is a single
-    /// chain) take the reference path — the untouched seed
-    /// [`BlockValidator::validate_and_commit`] over a clone of the
-    /// `WorldState` (which shares its tree). Pooled runners instead
-    /// bucket the block into key-disjoint conflict chains
-    /// ([`conflict_chains`]), finalize the chains concurrently against
-    /// the committed state, and fold each chain's codes, write-value
-    /// rewrites, writes and work counters in chain order —
-    /// value-identical by construction (DESIGN.md §4.9), and asserted
-    /// against a sequential shadow run in debug builds.
-    fn finalize(
-        &self,
-        block: &mut Block,
-        transactions: Arc<Vec<Transaction>>,
-        pre: &[Option<ValidationCode>],
-    ) -> (WorldState, ValidationWork) {
-        // Only a pooled runner can use conflict chains; a sequential
-        // one does not build them.
-        let chains = if self.runner.parallel_finalize() {
-            conflict_chains(&transactions, pre)
-        } else {
-            Vec::new()
-        };
-        if chains.len() <= 1 {
-            block.transactions =
-                Arc::try_unwrap(transactions).expect("pre-validation released its clones");
-            let mut new_state = self.state.clone();
-            let work = self
-                .validator
-                .validate_and_commit(block, &mut new_state, pre);
-            return (new_state, work);
-        }
-
-        #[cfg(debug_assertions)]
-        let shadow_txs: Vec<Transaction> = transactions.as_ref().clone();
-
-        let number = block.header.number;
-        let chains = Arc::new(chains);
-        let validator = Arc::clone(&self.validator);
-        let job_txs = Arc::clone(&transactions);
-        // Every chain reads the published epoch; a clone shares its tree.
-        let job_state = self.state.clone();
-        // Submitted and joined at once: on the pool when it is free,
-        // on this thread when an overlapped pre-validation owns it.
-        let pending = self.runner.map_ordered_bg(&chains, move |_, chain| {
-            validator.finalize_chain(number, &job_txs, chain, &job_state)
-        });
-        let outcomes: Vec<ChainOutcome> = self.runner.join(pending);
-
-        // Reassemble block order. Chains partition the undecided
-        // transactions, so exactly one outcome decides each of them,
-        // and the keys, so chain order is immaterial to the state.
-        let mut new_state = self.state.clone();
-        let mut codes: Vec<Option<ValidationCode>> = pre.to_vec();
-        let mut transactions =
-            Arc::try_unwrap(transactions).expect("pool released its transaction clones");
-        let mut work = ValidationWork::default();
-        for outcome in outcomes {
-            for (index, code) in outcome.codes {
-                debug_assert!(codes[index].is_none(), "one code per transaction");
-                codes[index] = Some(code);
-            }
-            for (index, key, value) in outcome.rewrites {
-                let updated = transactions[index].rwset.writes.update_value(&key, value);
-                debug_assert!(updated, "rewrite targets an existing write entry");
-            }
-            mvcc::apply_writes(&mut new_state, outcome.writes);
-            work.absorb(outcome.work);
-        }
-        block.validation_codes = codes
-            .into_iter()
-            .map(|code| code.expect("chains partition the undecided transactions"))
-            .collect();
-        block.transactions = transactions;
-
-        // Debug-build shadow run: the parallel finalize must match the
-        // sequential reference on every block it processes.
-        #[cfg(debug_assertions)]
-        {
-            let mut shadow_block = block.clone();
-            shadow_block.transactions = shadow_txs;
-            shadow_block.validation_codes = Vec::new();
-            let mut shadow_state = self.state.clone();
-            let shadow_work =
-                self.validator
-                    .validate_and_commit(&mut shadow_block, &mut shadow_state, pre);
-            debug_assert_eq!(shadow_block.validation_codes, block.validation_codes);
-            debug_assert_eq!(shadow_block.transactions, block.transactions);
-            debug_assert_eq!(shadow_state, new_state);
-            debug_assert_eq!(shadow_work, work);
-        }
-
-        (new_state, work)
     }
 
     /// Installs a staged block: world state, blockchain, duplicate set.
@@ -1072,10 +983,9 @@ mod tests {
     /// and overlaps nothing.
     #[test]
     fn pipelined_peer_driven_by_process_block_matches_sequential_without_overlap() {
-        // Mixed blocks: a hot-key chain, disjoint singleton chains, an
-        // in-block and a cross-block duplicate and a policy failure —
-        // exercising the conflict-graph path, pre-decided exclusion and
-        // reassembly.
+        // Mixed blocks: a hot key, disjoint keys, an in-block and a
+        // cross-block duplicate and a policy failure — pre-decided codes
+        // from the fan-out meeting Algorithm 1's pass.
         let dup = tx(1, "a", &["org1", "org2"]);
         let streams = vec![
             vec![
@@ -1185,7 +1095,13 @@ mod tests {
 
         assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
         let stats = pip.take_pipeline_metrics();
-        assert_eq!(stats.blocks_overlapped, 2);
+        assert_eq!(stats.blocks_overlapped, 2 * u64::from(has_pool()));
+    }
+
+    /// Whether a `pipelined(2..)` runner spawns its pool on this host;
+    /// without one, no pre-validation runs ahead of its own join.
+    fn has_pool() -> bool {
+        std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
     }
 
     #[test]
@@ -1213,9 +1129,13 @@ mod tests {
         // seeded version. Block 2's pre-validation starts before
         // block 1 commits (when the read still looks fresh); the MVCC
         // check at finalize — after block 1 committed — must flag the
-        // conflict, exactly as the sequential path does.
+        // conflict, exactly as the sequential path does. Block 2 holds
+        // two transactions, so its batch goes to the pool (a one-item
+        // batch runs at its own join).
         let write = tx(1, "k", &["org1", "org2"]);
         let read = reading_tx(2, "other", "k", Some(Height::genesis()), &["org1", "org2"]);
+        let blind = tx(3, "z", &["org1", "org2"]);
+        let codes = vec![ValidationCode::MvccConflict, ValidationCode::Valid];
 
         let mut seq = peer();
         let mut pip = peer().with_pipeline(ValidationPipeline::pipelined(4));
@@ -1225,27 +1145,39 @@ mod tests {
 
         let s1 = seq.process_block(next_block(&seq, vec![write.clone()]));
         seq.commit(s1).unwrap();
-        let s2 = seq.process_block(next_block(&seq, vec![read.clone()]));
-        assert_eq!(
-            s2.block.validation_codes,
-            vec![ValidationCode::MvccConflict]
-        );
+        let s2 = seq.process_block(next_block(&seq, vec![read.clone(), blind.clone()]));
+        assert_eq!(s2.block.validation_codes, codes);
         seq.commit(s2).unwrap();
 
         let prep1 = pip.prevalidate(next_block(&pip, vec![write]));
-        let b2 = Block::assemble(2, [0; 32], vec![read]);
+        let b2 = Block::assemble(2, [0; 32], vec![read, blind]);
         let (staged1, prep2) = pip.finish_block_with_next(prep1, b2);
         pip.commit(staged1).unwrap();
         let staged2 = pip.finish_block(prep2);
-        assert_eq!(
-            staged2.block.validation_codes,
-            vec![ValidationCode::MvccConflict]
-        );
+        assert_eq!(staged2.block.validation_codes, codes);
         pip.commit(staged2).unwrap();
 
         assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
         let stats = pip.take_pipeline_metrics();
-        assert_eq!(stats.blocks_overlapped, 1);
+        assert_eq!(stats.blocks_overlapped, u64::from(has_pool()));
+    }
+
+    /// A `pipelined(1)` peer has no pool: the chained driver defers
+    /// every pre-validation to its own join, and counts no overlap.
+    #[test]
+    fn single_worker_chaining_overlaps_nothing() {
+        let blocks = [
+            vec![tx(1, "a", &["org1", "org2"]), tx(2, "b", &["org1", "org2"])],
+            vec![tx(3, "a", &["org1", "org2"]), tx(4, "c", &["org1", "org2"])],
+        ];
+        let mut p = peer().with_pipeline(ValidationPipeline::pipelined(1));
+        let prep = p.prevalidate(next_block(&p, blocks[0].clone()));
+        let b2 = Block::assemble(2, [0; 32], blocks[1].clone());
+        let (staged1, prep2) = p.finish_block_with_next(prep, b2);
+        p.commit(staged1).unwrap();
+        let staged2 = p.finish_block(prep2);
+        p.commit(staged2).unwrap();
+        assert_eq!(p.take_pipeline_metrics(), PipelineMetrics::default());
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! cross-transaction check, runs *before* this stage). That makes the
 //! stage embarrassingly parallel, and both Javaid et al. (*Optimizing
 //! Validation Phase of Hyperledger Fabric*) and Wang & Chu's bottleneck
-//! study identify it as a dominant commit-path cost. The finalize
-//! stage (MVCC + CRDT merge) is parallelized too, but by conflict
-//! chains rather than per transaction — see [`crate::schedule`].
+//! study identify it as a dominant commit-path cost. The finalize stage
+//! (MVCC + CRDT merge) is Algorithm 1's one sequential pass in block
+//! order on every pipeline, as in Fabric v1.4, which parallelizes only
+//! the per-transaction step.
 //!
 //! [`ValidationPipeline`] is the configuration seam, mirroring the
 //! [`DeliveryLayer`](crate::simulation::DeliveryLayer) /
@@ -32,8 +33,8 @@
 //! Meir et al., arXiv 1911.12711); a synchronous batch is the same two
 //! calls back to back. A `Pipelined` peer driven only through
 //! [`Peer::process_block`](crate::peer::Peer::process_block) therefore
-//! *is* the intra-block-parallel peer: every batch is joined at once
-//! and no block overlaps another.
+//! fans out each block's signature checks, joins them at once, and
+//! overlaps no block with another.
 //!
 //! # Determinism argument
 //!
@@ -46,15 +47,14 @@
 //!    which worker computes it or when.
 //! 2. **Ordered join** — every result lands in its index's slot and
 //!    [`PipelineRunner::join`] reassembles the output vector in index
-//!    order, so downstream consumers (the conflict-chain finalize
-//!    stage, the work counters that drive the cost model) see exactly
-//!    the sequence a sequential map would have produced.
+//!    order, so downstream consumers (the finalize stage, the work
+//!    counters that drive the cost model) see exactly the sequence a
+//!    sequential map would have produced.
 //!
 //! Hence `Pipelined { workers }` is value-identical to `Sequential` for
 //! every `workers >= 1` and under either driver — asserted by the seed
-//! sweeps in `crates/fabric/tests/parallel_validation.rs` and
-//! `crates/fabric/tests/finalize_schedule.rs` — and only the
-//! *wall-clock* time of the commit path changes.
+//! sweeps in `crates/fabric/tests/parallel_validation.rs` — and only
+//! the *wall-clock* time of the commit path changes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -69,8 +69,8 @@ pub enum ValidationPipeline {
     /// byte-for-byte the seed behaviour.
     #[default]
     Sequential,
-    /// Fan work out over a persistent pool of `workers` threads;
-    /// results are joined in item order (see the module-level
+    /// Fan pre-validation out over a persistent pool of `workers`
+    /// threads; results are joined in item order (see the module-level
     /// determinism argument). `workers == 1` still runs on the calling
     /// thread. Under the chained drivers
     /// ([`Peer::finish_block_with_next`](crate::peer::Peer::finish_block_with_next))
@@ -78,8 +78,9 @@ pub enum ValidationPipeline {
     /// ([`PipelineRunner::map_ordered_bg`]) while block N's finalize
     /// runs on the calling thread; a caller of
     /// [`Peer::process_block`](crate::peer::Peer::process_block) gets
-    /// the intra-block fan-out only. Value-identical to `Sequential` —
-    /// only wall-clock changes.
+    /// the intra-block fan-out only. Finalize is the same sequential
+    /// pass as `Sequential`'s. Value-identical to `Sequential` — only
+    /// wall-clock changes.
     Pipelined {
         /// Total worker parallelism (clamped to at least 1).
         workers: usize,
@@ -99,14 +100,6 @@ impl ValidationPipeline {
     /// with finalize of the current one.
     pub fn is_pipelined(&self) -> bool {
         matches!(self, ValidationPipeline::Pipelined { .. })
-    }
-
-    /// Configured worker-thread count (1 for sequential).
-    pub fn workers(&self) -> usize {
-        match *self {
-            ValidationPipeline::Sequential => 1,
-            ValidationPipeline::Pipelined { workers } => workers.max(1),
-        }
     }
 
     /// Short name for reports ("sequential", "pipelined(4)").
@@ -158,12 +151,17 @@ enum PendingInner<U> {
     Deferred(Box<dyn FnOnce() -> Vec<U> + Send>),
 }
 
+impl<U> PendingMap<U> {
+    /// Whether the batch was submitted to the pool — the only case in
+    /// which it runs while the caller does something else.
+    pub(crate) fn is_pooled(&self) -> bool {
+        matches!(self.inner, PendingInner::Pool { .. })
+    }
+}
+
 impl<U> std::fmt::Debug for PendingMap<U> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.inner {
-            PendingInner::Pool { .. } => "Pool",
-            PendingInner::Deferred(_) => "Deferred",
-        };
+        let kind = if self.is_pooled() { "Pool" } else { "Deferred" };
         f.debug_struct("PendingMap").field("kind", &kind).finish()
     }
 }
@@ -175,8 +173,8 @@ impl PipelineRunner {
     /// the hardware can only add context-switch overhead, never
     /// speedup, and results are thread-count-independent by the
     /// determinism argument above — so on a single-core machine
-    /// `Pipelined {{ workers: N }}` runs on the calling thread while
-    /// still taking the parallel (conflict-chain) code path.
+    /// `Pipelined {{ workers: N }}` defers every map to its join on the
+    /// calling thread.
     pub fn new(mode: ValidationPipeline) -> Self {
         let pool = match mode {
             ValidationPipeline::Pipelined { workers } if workers >= 2 => {
@@ -196,15 +194,6 @@ impl PipelineRunner {
     /// The configuration this runner executes.
     pub fn mode(&self) -> ValidationPipeline {
         self.mode
-    }
-
-    /// Whether the finalize stage should use the conflict-chain
-    /// schedule. Keyed on the *configuration*, not the spawned pool, so
-    /// the chain-partitioned path (and its byte-identity machinery) is
-    /// exercised even on machines where the pool is clamped to the
-    /// calling thread.
-    pub fn parallel_finalize(&self) -> bool {
-        matches!(self.mode, ValidationPipeline::Pipelined { workers } if workers >= 2)
     }
 
     /// Starts mapping `f` over `items` and returns a [`PendingMap`] to
@@ -319,10 +308,6 @@ mod tests {
         map_now(&PipelineRunner::new(mode), &Arc::new(items), f)
     }
 
-    fn is_pooled<U>(pending: &PendingMap<U>) -> bool {
-        matches!(pending.inner, PendingInner::Pool { .. })
-    }
-
     #[test]
     fn sequential_matches_plain_map() {
         let items: Vec<u64> = (0..17).collect();
@@ -363,7 +348,10 @@ mod tests {
 
     #[test]
     fn zero_workers_clamps_to_one() {
-        assert_eq!(ValidationPipeline::pipelined(0).workers(), 1);
+        assert_eq!(
+            ValidationPipeline::pipelined(0),
+            ValidationPipeline::Pipelined { workers: 1 }
+        );
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(0));
         assert!(runner.pool.is_none());
         assert_eq!(
@@ -381,15 +369,17 @@ mod tests {
             hardware >= 2,
             "a pool is spawned exactly when the machine can run it"
         );
-        assert!(runner.parallel_finalize());
-        assert!(!PipelineRunner::new(ValidationPipeline::pipelined(1)).parallel_finalize());
-        assert!(!PipelineRunner::new(ValidationPipeline::Sequential).parallel_finalize());
+        assert!(PipelineRunner::new(ValidationPipeline::pipelined(1))
+            .pool
+            .is_none());
+        assert!(PipelineRunner::new(ValidationPipeline::Sequential)
+            .pool
+            .is_none());
     }
 
     #[test]
     fn runner_reuses_one_pool_across_batches() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
-        assert!(runner.parallel_finalize());
         for round in 0..20u64 {
             let items: Vec<u64> = (0..50).collect();
             let got = map_now(&runner, &Arc::new(items), move |_, x| x + round);
@@ -413,7 +403,7 @@ mod tests {
         let ahead: Vec<u64> = (0..64).collect();
         let pending = runner.map_ordered_bg(&Arc::new(ahead.clone()), |_, x| x + 1);
         // While the unjoined batch owns the pool, a synchronous map
-        // (block N's finalize) must still produce ordered results.
+        // must still produce ordered results.
         let now: Vec<u64> = (100..140).collect();
         let got = map_now(&runner, &Arc::new(now.clone()), |_, x| x * 2);
         assert_eq!(got, now.iter().map(|x| x * 2).collect::<Vec<_>>());
@@ -426,13 +416,13 @@ mod tests {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         let a = runner.map_ordered_bg(&Arc::new((0..32u64).collect::<Vec<_>>()), |_, x| x + 1);
         let b = runner.map_ordered_bg(&Arc::new((0..16u64).collect::<Vec<_>>()), |_, x| x + 2);
-        assert!(!is_pooled(&b), "the pool admits one batch at a time");
+        assert!(!b.is_pooled(), "the pool admits one batch at a time");
         assert_eq!(runner.join(a), (1..33u64).collect::<Vec<_>>());
         assert_eq!(runner.join(b), (2..18u64).collect::<Vec<_>>());
         // With the pool released, batches pool again (when the
         // hardware spawned one at all).
         let c = runner.map_ordered_bg(&Arc::new((0..8u64).collect::<Vec<_>>()), |_, x| *x);
-        assert_eq!(is_pooled(&c), runner.pool.is_some());
+        assert_eq!(c.is_pooled(), runner.pool.is_some());
         assert_eq!(runner.join(c), (0..8u64).collect::<Vec<_>>());
     }
 
@@ -454,7 +444,7 @@ mod tests {
         assert!(!runner.busy.load(Ordering::Acquire), "pool released");
 
         let next = runner.map_ordered_bg(&items, |_, x| x + 1);
-        assert_eq!(is_pooled(&next), runner.pool.is_some());
+        assert_eq!(next.is_pooled(), runner.pool.is_some());
         assert_eq!(runner.join(next), (1..33u64).collect::<Vec<_>>());
         assert_eq!(Arc::strong_count(&items), 1, "job clones released");
     }
@@ -463,7 +453,6 @@ mod tests {
     fn pipelined_mode_flags() {
         let runner = PipelineRunner::new(ValidationPipeline::pipelined(4));
         assert!(runner.mode().is_pipelined());
-        assert!(runner.parallel_finalize());
         assert!(!ValidationPipeline::Sequential.is_pipelined());
     }
 

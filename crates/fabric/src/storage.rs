@@ -145,7 +145,7 @@ pub struct DurableLedger {
     /// ledger). The snapshot cadence and compaction key off this
     /// watermark, never off arrival order — under the pipelined commit
     /// path a block can be decoded and pre-validated well before its
-    /// conflict-chain finalize runs, and a snapshot cut at such an
+    /// finalize runs, and a snapshot cut at such an
     /// in-flight height would capture a state the sequential path
     /// never produces.
     appended_tip: u64,

@@ -6,30 +6,18 @@
 //! `fabriccrdt` core crate implements the merging path of Algorithm 1.
 
 use fabriccrdt_ledger::block::{Block, ValidationCode};
-use fabriccrdt_ledger::mvcc::{self, ChainWrites};
+use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_ledger::worldstate::WorldState;
 
 use crate::cost::ValidationWork;
 use crate::metrics::DecodeCacheMetrics;
 
-/// Outcome of finalizing one conflict chain (see
-/// [`BlockValidator::finalize_chain`]): everything the sequential pass
-/// would have produced for these transactions, tagged with block-global
-/// indices so the peer can reassemble block order.
+/// A name only: what [`BlockValidator::finalize_chain`] returns. No
+/// fields, because nothing in the workspace calls that method; kept
+/// because `perf/` forwards the value (DESIGN.md §4.16).
 #[derive(Debug, Clone, Default)]
-pub struct ChainOutcome {
-    /// `(block index, code)` per chain transaction, in block order.
-    pub codes: Vec<(usize, ValidationCode)>,
-    /// `(block index, key, converged bytes)` write-value rewrites — the
-    /// second pass of Algorithm 1 applied to this chain's members
-    /// (empty for non-CRDT validators).
-    pub rewrites: Vec<(usize, String, Vec<u8>)>,
-    /// The chain's writes, for the peer to commit.
-    pub writes: ChainWrites,
-    /// Work performed finalizing this chain.
-    pub work: ValidationWork,
-}
+pub struct ChainOutcome;
 
 /// Validates a block's transactions against the world state and commits
 /// the surviving write sets, filling `block.validation_codes`.
@@ -38,11 +26,10 @@ pub struct ChainOutcome {
 /// (duplicate ids, endorsement-policy failures); those transactions must
 /// be recorded as-is and must not touch the state.
 ///
-/// `Send + Sync + 'static` is required because the peer's parallel
-/// stages fan work out over the persistent pool threads of
+/// `Send + Sync + 'static` is required because a pipelined peer's
+/// pre-validation runs on the persistent pool threads of
 /// [`crate::pipeline::PipelineRunner`], each of which calls
-/// [`BlockValidator::prepare`] and
-/// [`BlockValidator::finalize_chain`] through a shared `Arc`.
+/// [`BlockValidator::prepare`] through a shared `Arc`.
 pub trait BlockValidator: Send + Sync + 'static {
     /// Runs validation and commit, returning the work performed
     /// (excluding signature verification, which the peer accounts for).
@@ -67,33 +54,19 @@ pub trait BlockValidator: Send + Sync + 'static {
     /// no-op implementation (the default) is always value-equivalent.
     fn prepare(&self, _tx: &Transaction) {}
 
-    /// Finalizes one conflict chain of the block: the restriction of
-    /// [`validate_and_commit`](BlockValidator::validate_and_commit) to
-    /// the transactions in `chain` (ascending block-global indices from
-    /// [`crate::schedule::conflict_chains`]), validated against the
-    /// pre-block `state` and *returning* its writes and write-value
-    /// rewrites instead of mutating the state and the block.
-    ///
-    /// The scheduler guarantees chain key sets are disjoint, so the
-    /// default implementation — plain MVCC, no merges — and any
-    /// override must be value-identical to the sequential pass when the
-    /// peer runs every chain and reassembles outcomes in block order
-    /// (asserted in debug builds and by the equivalence sweeps).
+    /// Nothing calls this: every peer finalizes a block with
+    /// [`validate_and_commit`](BlockValidator::validate_and_commit).
+    /// Declared, with this exact signature, only because `perf/`'s
+    /// `TracedValidator` overrides it (DESIGN.md §4.16); no type in the
+    /// workspace does.
     fn finalize_chain(
         &self,
-        block_number: u64,
-        transactions: &[Transaction],
-        chain: &[usize],
-        state: &WorldState,
+        _block_number: u64,
+        _transactions: &[Transaction],
+        _chain: &[usize],
+        _state: &WorldState,
     ) -> ChainOutcome {
-        let commit =
-            mvcc::validate_chain(block_number, transactions, chain, state, false, |_, _| None);
-        ChainOutcome {
-            codes: commit.codes,
-            rewrites: Vec::new(),
-            writes: commit.writes,
-            work: commit.stats.into(),
-        }
+        ChainOutcome
     }
 
     /// Whether every read-set version of `tx` still matches `state`
@@ -181,33 +154,6 @@ mod tests {
     #[test]
     fn fabric_validator_name() {
         assert_eq!(FabricValidator::new().name(), "fabric");
-    }
-
-    #[test]
-    fn default_finalize_chain_matches_sequential_pass() {
-        let seed = {
-            let mut s = WorldState::new();
-            s.put("hot".into(), b"0".to_vec(), Height::new(1, 0));
-            s
-        };
-        let txs: Vec<Transaction> = (0..4).map(conflicting_tx).collect();
-
-        let mut seq_state = seed.clone();
-        let mut block = Block::assemble(2, [0; 32], txs.clone());
-        let seq_work = FabricValidator::new().validate_and_commit(&mut block, &mut seq_state, &[]);
-
-        let chain: Vec<usize> = (0..txs.len()).collect();
-        let outcome = FabricValidator::new().finalize_chain(2, &txs, &chain, &seed);
-
-        assert_eq!(outcome.work, seq_work);
-        assert!(outcome.rewrites.is_empty());
-        assert_eq!(
-            outcome.codes.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
-            block.validation_codes
-        );
-        let mut chain_state = seed.clone();
-        mvcc::apply_writes(&mut chain_state, outcome.writes);
-        assert_eq!(chain_state, seq_state);
     }
 
     #[test]

@@ -11,12 +11,21 @@
 //! reuses the
 //! deterministic in-repo generator (`fabriccrdt_sim::gen`), the same
 //! harness style as the `raft_safety` sweep.
+//!
+//! The last four tests replay directed key-sharing shapes — one hot
+//! key, disjoint keys, a mix with a policy failure, and a key deleted
+//! and re-written within a block — through `pipelined(2..=8)` peers
+//! against `Sequential`. Finalize is one sequential pass on every
+//! pipeline; these hold it there. The randomized complement across
+//! fault schedules lives in `crates/gossip/tests/dissemination.rs` and
+//! `crates/ordering/tests/pipeline_equivalence.rs`.
 
 use std::sync::Arc;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::PipelineConfig;
+use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
 use fabriccrdt_fabric::pipeline::ValidationPipeline;
@@ -24,8 +33,10 @@ use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ledger::block::{Block, ValidationCode};
-use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::codec;
+use fabriccrdt_ledger::rwset::{ReadWriteSet, WriteSet};
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+use fabriccrdt_ledger::version::Height;
 use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::time::SimTime;
 
@@ -148,11 +159,17 @@ fn policy() -> EndorsementPolicy {
 }
 
 fn endorsed_tx(nonce: u64) -> Transaction {
-    let client = Identity::new("client", "org1");
     let mut rwset = ReadWriteSet::new();
     rwset
         .writes
         .put(format!("k{nonce}"), nonce.to_le_bytes().to_vec());
+    endorsed(nonce, rwset)
+}
+
+/// `rwset` as a transaction endorsed by the one organization the policy
+/// names.
+fn endorsed(nonce: u64, rwset: ReadWriteSet) -> Transaction {
+    let client = Identity::new("client", "org1");
     let mut tx = Transaction {
         id: TxId::derive(&client, nonce, "cc"),
         client,
@@ -174,24 +191,24 @@ fn badly_endorsed_tx(nonce: u64) -> Transaction {
     tx
 }
 
-/// Replays a hand-built block stream — including in-block duplicates,
-/// cross-block duplicates and policy failures — through a peer with
-/// the given pipeline, returning snapshot plus per-block codes and
-/// work-derived signature counts.
+/// Replays a hand-built block stream through a peer with the given
+/// pipeline and the key `hot` seeded, returning snapshot plus per-block
+/// codes and work counters.
 fn replay(
     pipeline: ValidationPipeline,
     blocks: &[Block],
-) -> (PeerSnapshot, Vec<Vec<ValidationCode>>, Vec<u64>) {
+) -> (PeerSnapshot, Vec<Vec<ValidationCode>>, Vec<ValidationWork>) {
     let mut peer = Peer::new(FabricValidator::new(), policy()).with_pipeline(pipeline);
+    peer.seed_state("hot", b"0".to_vec());
     let mut codes = Vec::new();
-    let mut sigs = Vec::new();
+    let mut work = Vec::new();
     for block in blocks {
         let staged = peer.process_block(block.clone());
         codes.push(staged.block.validation_codes.clone());
-        sigs.push(staged.work.sigs_verified);
+        work.push(staged.work);
         peer.commit(staged).expect("blocks arrive in chain order");
     }
-    (peer.snapshot(), codes, sigs)
+    (peer.snapshot(), codes, work)
 }
 
 /// Duplicate-id short-circuiting must not drift between pipelines:
@@ -207,7 +224,7 @@ fn duplicates_and_policy_failures_identical_across_worker_counts() {
         // Block 2: cross-block duplicate, a policy failure, a good tx.
         Block::assemble(2, [0; 32], vec![dup, badly_endorsed_tx(3), endorsed_tx(4)]),
     ];
-    let (seq_snap, seq_codes, seq_sigs) = replay(ValidationPipeline::Sequential, &blocks);
+    let (seq_snap, seq_codes, seq_work) = replay(ValidationPipeline::Sequential, &blocks);
     assert_eq!(
         seq_codes[0],
         vec![
@@ -225,12 +242,13 @@ fn duplicates_and_policy_failures_identical_across_worker_counts() {
         ]
     );
     // Duplicates skip signature verification entirely.
+    let seq_sigs: Vec<u64> = seq_work.iter().map(|w| w.sigs_verified).collect();
     assert_eq!(seq_sigs, vec![2, 2]);
     for workers in 1..=8 {
-        let (snap, codes, sigs) = replay(ValidationPipeline::pipelined(workers), &blocks);
+        let (snap, codes, work) = replay(ValidationPipeline::pipelined(workers), &blocks);
         assert_eq!(snap, seq_snap, "{workers} workers: snapshot diverged");
         assert_eq!(codes, seq_codes, "{workers} workers: codes diverged");
-        assert_eq!(sigs, seq_sigs, "{workers} workers: work diverged");
+        assert_eq!(work, seq_work, "{workers} workers: work diverged");
     }
 }
 
@@ -251,4 +269,155 @@ fn tampered_blocks_identical_across_worker_counts() {
     for workers in 1..=8 {
         assert_eq!(run(ValidationPipeline::pipelined(workers)), seq);
     }
+}
+
+// ---- finalize: the same sequential pass under every worker count ----
+
+/// Replays `blocks` sequentially and through `pipelined(2..=8)` peers,
+/// asserting identical ledgers, codes and work counters.
+fn assert_pipelined_matches_sequential(blocks: &[Block]) {
+    let (seq_snapshot, seq_codes, seq_work) = replay(ValidationPipeline::Sequential, blocks);
+    for workers in 2..=8 {
+        let (snapshot, codes, work) = replay(ValidationPipeline::pipelined(workers), blocks);
+        assert_eq!(
+            snapshot.state, seq_snapshot.state,
+            "{workers} workers: world state diverged"
+        );
+        assert_eq!(
+            snapshot.chain, seq_snapshot.chain,
+            "{workers} workers: chain diverged"
+        );
+        assert_eq!(codes, seq_codes, "{workers} workers: codes diverged");
+        assert_eq!(work, seq_work, "{workers} workers: work diverged");
+    }
+}
+
+/// A fully endorsed read-modify-write on `key` that read `read_version`,
+/// so its MVCC verdict depends on what committed before it.
+fn rmw_tx(nonce: u64, key: &str, read_version: Option<Height>) -> Transaction {
+    let mut rwset = ReadWriteSet::new();
+    rwset.reads.record(key, read_version);
+    rwset
+        .writes
+        .put(key.to_string(), format!("v{nonce}").into_bytes());
+    endorsed(nonce, rwset)
+}
+
+/// Every transaction reads and writes the one hot key, so each verdict
+/// depends on every earlier one in block order.
+#[test]
+fn hot_key_blocks_match_sequential() {
+    let blocks: Vec<Block> = (1..=4u64)
+        .map(|number| {
+            let txs: Vec<Transaction> = (0..6)
+                .map(|i| rmw_tx(number * 10 + i, "hot", Some(Height::genesis())))
+                .collect();
+            Block::assemble(number, [0; 32], txs)
+        })
+        .collect();
+    assert_pipelined_matches_sequential(&blocks);
+}
+
+/// No two transactions share a key.
+#[test]
+fn disjoint_key_blocks_match_sequential() {
+    let mut nonce = 0u64;
+    let blocks: Vec<Block> = (1..=4u64)
+        .map(|number| {
+            let txs: Vec<Transaction> = (0..8)
+                .map(|_| {
+                    nonce += 1;
+                    rmw_tx(nonce, &format!("k{nonce}"), None)
+                })
+                .collect();
+            Block::assemble(number, [0; 32], txs)
+        })
+        .collect();
+    assert_pipelined_matches_sequential(&blocks);
+}
+
+/// Hot-key readers interleaved with disjoint writers, and a policy
+/// failure on the hot key that must not touch the state.
+#[test]
+fn mixed_block_with_policy_failure_matches_sequential() {
+    let mut txs: Vec<Transaction> = Vec::new();
+    for i in 0..3 {
+        txs.push(rmw_tx(100 + i, "hot", Some(Height::genesis())));
+        txs.push(rmw_tx(200 + i, &format!("solo{i}"), None));
+    }
+    let mut bad = rmw_tx(300, "hot", Some(Height::genesis()));
+    bad.endorsements[0].signature.0[0] ^= 0xFF;
+    txs.push(bad);
+
+    let blocks = vec![Block::assemble(1, [0; 32], txs)];
+    let (_, codes, _) = replay(ValidationPipeline::Sequential, &blocks);
+    assert_eq!(codes[0][6], ValidationCode::EndorsementPolicyFailure);
+    assert_pipelined_matches_sequential(&blocks);
+}
+
+/// A reader of the hot key at `read` that then writes.
+fn hot_reader(read: Option<Height>, write: impl FnOnce(&mut WriteSet)) -> ReadWriteSet {
+    let mut rwset = ReadWriteSet::new();
+    rwset.reads.record("hot", read);
+    write(&mut rwset.writes);
+    rwset
+}
+
+/// Transactions delete the seeded key, read it as absent, read its old
+/// version (a conflict) and write it again, at seeded positions among
+/// disjoint writers; the next block does the same to the re-written key.
+/// Every verdict depends on a later transaction seeing an earlier one's
+/// write in the same block — a delete masking the committed entry, a
+/// re-write unmasking it.
+#[test]
+fn delete_and_rewrite_matches_sequential() {
+    use ValidationCode::{MvccConflict, Valid};
+    gen::cases(24, |g| {
+        let mut nonce = 0u64;
+        let mut committed = Some(Height::genesis());
+        let mut blocks = Vec::new();
+        let mut expected = Vec::new();
+        for number in 1..=2u64 {
+            let steps = [
+                (hot_reader(committed, |w| w.delete("hot")), Valid),
+                (
+                    hot_reader(None, |w| w.put("saw-absent", b"1".to_vec())),
+                    Valid,
+                ),
+                (
+                    hot_reader(committed, |w| w.put("hot", b"stale".to_vec())),
+                    MvccConflict,
+                ),
+                (hot_reader(None, |w| w.put("hot", b"back".to_vec())), Valid),
+            ];
+            let mut txs = Vec::new();
+            let mut codes = Vec::new();
+            for (rwset, code) in steps {
+                for _ in 0..g.size(0, 3) {
+                    nonce += 1;
+                    txs.push(rmw_tx(nonce, &format!("solo{nonce}"), None));
+                    codes.push(Valid);
+                }
+                nonce += 1;
+                txs.push(endorsed(nonce, rwset));
+                codes.push(code);
+            }
+            // One more reader sees the re-write at its in-block height.
+            committed = Some(Height::new(number, txs.len() as u64 - 1));
+            nonce += 1;
+            let saw = hot_reader(committed, |w| w.put("saw-rewrite", b"1".to_vec()));
+            txs.push(endorsed(nonce, saw));
+            codes.push(Valid);
+
+            blocks.push(Block::assemble(number, [0; 32], txs));
+            expected.push(codes);
+        }
+
+        let (snapshot, codes, _) = replay(ValidationPipeline::Sequential, &blocks);
+        assert_eq!(codes, expected, "the sequential reference");
+        let state = codec::decode_state(&snapshot.state).expect("own encoding");
+        assert_eq!(state.get("hot").map(|e| e.version), committed);
+        assert_eq!(state.value("hot"), Some(&b"back"[..]));
+        assert_pipelined_matches_sequential(&blocks);
+    });
 }

@@ -297,14 +297,14 @@ fn parallel_validation_matches_sequential_under_fault_schedules() {
     });
 }
 
-/// Conflict-graph finalize sweep (gossip half; the Raft half lives in
+/// Mixed-workload pipelined sweep (gossip half; the Raft half lives in
 /// `crates/ordering/tests/pipeline_equivalence.rs`): across 50 random
-/// fault schedules, a workload mixing hot-key CRDT contention (one
-/// multi-member chain per block) with disjoint-key documents (singleton
-/// chains) converges every gossip peer running parallel finalize to the
+/// fault schedules, a workload mixing hot-key CRDT contention (one key
+/// many transactions merge into per block) with disjoint-key documents
+/// converges every gossip peer running a `Pipelined` pipeline to the
 /// byte-identical ledger of the sequential reference replay.
 #[test]
-fn parallel_finalize_matches_sequential_over_fault_sweep() {
+fn pipelined_matches_sequential_over_fault_sweep() {
     gen::cases(50, |g| {
         let block_count = g.size(3, 8);
         let per_block = g.size(2, 6);
@@ -322,8 +322,8 @@ fn parallel_finalize_matches_sequential_over_fault_sweep() {
 }
 
 /// A block stream mixing hot-key contention with per-transaction
-/// disjoint keys, so every block's conflict graph has both a
-/// multi-member chain and singletons.
+/// disjoint keys, so a block typically holds both a key several
+/// transactions merge into and keys written once.
 fn mixed_block_stream(g: &mut Gen, blocks: usize, per_block: usize) -> Vec<Block> {
     let mut nonce = 0u64;
     (1..=blocks as u64)

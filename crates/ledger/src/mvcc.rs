@@ -17,12 +17,9 @@
 //! makes the §6 double-spend caveat real: even a non-CRDT read inside a
 //! CRDT transaction goes unvalidated.
 
-use std::collections::BTreeMap;
-
 use crate::block::{Block, ValidationCode};
-use crate::transaction::Transaction;
 use crate::version::Height;
-use crate::worldstate::{VersionedValue, WorldState};
+use crate::worldstate::WorldState;
 
 /// Work counters from a commit pass, consumed by the simulator's cost
 /// model.
@@ -120,108 +117,6 @@ pub fn validate_and_commit(
 
     block.validation_codes = codes;
     stats
-}
-
-/// A conflict chain's pending writes, owned by the chain: the final
-/// entry per key is what commits, `None` a delete masking the base.
-pub type ChainWrites = BTreeMap<String, Option<VersionedValue>>;
-
-/// Outcome of validating one conflict chain: per-transaction codes
-/// (tagged with the block-global transaction index), work counters and
-/// the writes to commit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChainCommit {
-    /// `(block index, code)` for every transaction in the chain, in
-    /// chain (= block) order.
-    pub codes: Vec<(usize, ValidationCode)>,
-    /// Work counters for this chain.
-    pub stats: CommitStats,
-    /// What the chain's valid transactions wrote.
-    pub writes: ChainWrites,
-}
-
-/// Commits a chain's `writes` to `state`. Chains own disjoint keys, so
-/// a block's chains may be applied in any order.
-pub fn apply_writes(state: &mut WorldState, writes: ChainWrites) {
-    for (key, entry) in writes {
-        let _previous = match entry {
-            Some(versioned) => state.put(key, versioned.value, versioned.version),
-            None => state.delete(&key),
-        };
-    }
-}
-
-/// [`validate_and_commit`] restricted to one conflict chain, against the
-/// pre-block `state`; the chain's own writes are returned, not applied.
-///
-/// `chain` holds block-global transaction indices in ascending block
-/// order; the scheduler guarantees every key any of them reads or
-/// writes is touched *only* by transactions of this chain, so the
-/// per-key version sequence this chain observes — its own pending write
-/// first, the pre-block state otherwise — is exactly the one the
-/// sequential pass would produce. Write heights use
-/// the block-global index (`Height::new(block_number, i)`), read checks
-/// count-then-break on first mismatch, and CRDT transactions skip the
-/// comparison but pay the lookup — instruction-for-instruction the
-/// sequential loop above.
-///
-/// `value_for(i, key)` supplies an override for the written bytes
-/// (the converged CRDT value of Algorithm 1's second pass, which in the
-/// sequential path has already been rewritten into the transaction by
-/// the time MVCC runs); `None` commits the transaction's own bytes.
-pub fn validate_chain(
-    block_number: u64,
-    transactions: &[Transaction],
-    chain: &[usize],
-    state: &WorldState,
-    crdt_aware: bool,
-    mut value_for: impl FnMut(usize, &str) -> Option<Vec<u8>>,
-) -> ChainCommit {
-    let mut commit = ChainCommit::default();
-    for &tx_num in chain {
-        let tx = &transactions[tx_num];
-        let is_crdt_tx = crdt_aware && tx.rwset.writes.has_crdt_writes();
-
-        let mut valid = true;
-        for (key, entry) in tx.rwset.reads.iter() {
-            commit.stats.reads_checked += 1;
-            let current = match commit.writes.get(key) {
-                Some(pending) => pending.as_ref().map(|versioned| versioned.version),
-                None => state.version(key),
-            };
-            if !is_crdt_tx && current != entry.version {
-                valid = false;
-                break;
-            }
-        }
-
-        if !valid {
-            commit.codes.push((tx_num, ValidationCode::MvccConflict));
-            continue;
-        }
-
-        let version = Height::new(block_number, tx_num as u64);
-        let mut wrote_crdt = false;
-        for (key, entry) in tx.rwset.writes.iter() {
-            commit.stats.writes_applied += 1;
-            let pending = (!entry.is_delete).then(|| VersionedValue {
-                value: value_for(tx_num, key).unwrap_or_else(|| entry.value.clone()),
-                version,
-            });
-            commit.writes.insert(key.clone(), pending);
-            wrote_crdt |= entry.is_crdt;
-        }
-        commit.stats.successes += 1;
-        commit.codes.push((
-            tx_num,
-            if crdt_aware && wrote_crdt {
-                ValidationCode::ValidMerged
-            } else {
-                ValidationCode::Valid
-            },
-        ));
-    }
-    commit
 }
 
 #[cfg(test)]
@@ -452,161 +347,5 @@ mod tests {
         assert_eq!(stats.reads_checked, 2);
         assert_eq!(stats.writes_applied, 1);
         assert_eq!(stats.successes, 1);
-    }
-
-    /// `base` with a chain's returned writes committed.
-    fn committed(base: &WorldState, commit: ChainCommit) -> WorldState {
-        let mut state = base.clone();
-        apply_writes(&mut state, commit.writes);
-        state
-    }
-
-    /// A single chain spanning the whole block reproduces the
-    /// sequential pass exactly: same codes, stats, and end state.
-    #[test]
-    fn full_chain_matches_sequential_pass() {
-        let seed = {
-            let mut s = WorldState::new();
-            s.put("hot".into(), b"0".to_vec(), Height::new(1, 0));
-            s
-        };
-        let make = |n: u64| {
-            let mut rw = ReadWriteSet::new();
-            rw.reads.record("hot", Some(Height::new(1, 0)));
-            rw.writes.put("hot", vec![n as u8]);
-            tx(n, rw)
-        };
-        let txs: Vec<Transaction> = (0..5).map(make).collect();
-
-        let mut seq_state = seed.clone();
-        let mut block = Block::assemble(2, [0; 32], txs.clone());
-        let seq_stats = validate_and_commit(&mut block, &mut seq_state, &[], false);
-
-        let chain: Vec<usize> = (0..txs.len()).collect();
-        let commit = validate_chain(2, &txs, &chain, &seed, false, |_, _| None);
-
-        assert_eq!(commit.stats, seq_stats);
-        assert_eq!(
-            commit.codes.iter().map(|(_, c)| *c).collect::<Vec<_>>(),
-            block.validation_codes
-        );
-        assert_eq!(committed(&seed, commit), seq_state);
-    }
-
-    /// Disjoint chains validated separately — each against the
-    /// pre-block state — produce the sequential end state, and heights
-    /// keep the block-global transaction index.
-    #[test]
-    fn disjoint_chains_commit_at_global_heights() {
-        let make = |n: u64| {
-            let mut rw = ReadWriteSet::new();
-            rw.writes.put(format!("k{n}"), vec![n as u8]);
-            tx(n, rw)
-        };
-        let txs: Vec<Transaction> = (0..4).map(make).collect();
-        let base = WorldState::new();
-        // Chains {0, 2} and {1, 3} — interleaved on purpose.
-        let a = validate_chain(7, &txs, &[0, 2], &base, false, |_, _| None);
-        let b = validate_chain(7, &txs, &[1, 3], &base, false, |_, _| None);
-        assert_eq!(a.stats.successes + b.stats.successes, 4);
-        // Folded in either order.
-        let final_state = committed(&committed(&base, b), a);
-        for n in 0..4u64 {
-            assert_eq!(
-                final_state.version(&format!("k{n}")),
-                Some(Height::new(7, n)),
-                "height uses the block-global index"
-            );
-        }
-    }
-
-    /// `value_for` substitutes converged CRDT bytes for the raw payload
-    /// (the sequential pass sees rewritten transactions instead).
-    #[test]
-    fn value_override_replaces_written_bytes() {
-        let mut rw = ReadWriteSet::new();
-        rw.writes.put_crdt("doc", b"raw".to_vec());
-        let txs = vec![tx(1, rw)];
-        let base = WorldState::new();
-        let commit = validate_chain(3, &txs, &[0], &base, true, |i, key| {
-            assert_eq!((i, key), (0, "doc"));
-            Some(b"merged".to_vec())
-        });
-        assert_eq!(commit.codes, vec![(0, ValidationCode::ValidMerged)]);
-        assert_eq!(committed(&base, commit).value("doc"), Some(&b"merged"[..]));
-    }
-
-    /// Chain validation preserves count-then-break and the CRDT skip.
-    #[test]
-    fn chain_read_check_semantics_match_sequential() {
-        let mut seed = WorldState::new();
-        seed.put("a".into(), b"1".to_vec(), Height::new(1, 0));
-        seed.put("b".into(), b"2".to_vec(), Height::new(1, 1));
-        // Stale read of "a" (first in key order) then a read of "b":
-        // the break must stop counting after the first mismatch.
-        let mut rw = ReadWriteSet::new();
-        rw.reads.record("a", Some(Height::new(0, 0)));
-        rw.reads.record("b", Some(Height::new(1, 1)));
-        rw.writes.put("c", b"x".to_vec());
-        let txs = vec![tx(1, rw)];
-
-        let commit = validate_chain(2, &txs, &[0], &seed, false, |_, _| None);
-        assert_eq!(commit.codes, vec![(0, ValidationCode::MvccConflict)]);
-        assert_eq!(commit.stats.reads_checked, 1);
-        assert!(commit.writes.is_empty(), "a conflict writes nothing");
-
-        let mut block = Block::assemble(2, [0; 32], txs);
-        let seq = validate_and_commit(&mut block, &mut seed.clone(), &[], false);
-        assert_eq!(commit.stats, seq);
-    }
-
-    /// Later chain members read the chain's pending writes, not the
-    /// base — an update shows its new version, a delete masks the base
-    /// entry, an untouched key falls through — and committing the
-    /// returned writes is performing the puts and deletes directly.
-    #[test]
-    fn pending_writes_shadow_the_base() {
-        use ValidationCode::{MvccConflict, Valid};
-        let mut base = WorldState::new();
-        for n in 0..4u64 {
-            base.put(format!("key-{n}"), vec![n as u8], Height::new(1, n));
-        }
-        let mut writer = ReadWriteSet::new();
-        writer.writes.put("key-1", b"new".to_vec());
-        writer.writes.put("fresh", b"new".to_vec());
-        writer.writes.delete("key-2");
-        writer.writes.delete("never-there");
-        let mut sees_chain = ReadWriteSet::new();
-        sees_chain.reads.record("key-0", Some(Height::new(1, 0)));
-        sees_chain.reads.record("key-1", Some(Height::new(9, 0)));
-        sees_chain.reads.record("key-2", None);
-        let mut sees_base = ReadWriteSet::new();
-        sees_base.reads.record("key-2", Some(Height::new(1, 2)));
-        sees_base.writes.put("key-2", b"stale".to_vec());
-        let mut rewriter = ReadWriteSet::new();
-        rewriter.reads.record("key-2", None);
-        rewriter.writes.put("key-2", b"back".to_vec());
-        let rwsets = [writer, sees_chain, sees_base, rewriter];
-        let txs: Vec<Transaction> = (0..).zip(rwsets).map(|(n, rw)| tx(n, rw)).collect();
-
-        // Cut after the delete, the mask is what commits...
-        let cut = validate_chain(9, &txs, &[0, 1], &base, false, |_, _| None);
-        assert_eq!(cut.codes, vec![(0, Valid), (1, Valid)]);
-        assert_eq!(cut.stats.writes_applied, 4);
-        assert_eq!(cut.writes["key-2"], None, "delete masks the base");
-        assert!(!cut.writes.contains_key("key-0"), "reads write nothing");
-        let mut expect = base.clone();
-        expect.put("key-1".into(), b"new".to_vec(), Height::new(9, 0));
-        expect.put("fresh".into(), b"new".to_vec(), Height::new(9, 0));
-        expect.delete("key-2");
-        assert_eq!(committed(&base, cut), expect);
-
-        // ...run on, the stale reader conflicts and the re-write unmasks.
-        let commit = validate_chain(9, &txs, &[0, 1, 2, 3], &base, false, |_, _| None);
-        let codes: Vec<_> = commit.codes.iter().map(|(_, code)| *code).collect();
-        assert_eq!(codes, vec![Valid, Valid, MvccConflict, Valid]);
-        expect.put("key-2".into(), b"back".to_vec(), Height::new(9, 3));
-        assert_eq!(committed(&base, commit), expect);
-        assert_eq!(base.len(), 4, "the pre-block state is untouched");
     }
 }

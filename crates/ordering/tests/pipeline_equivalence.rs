@@ -190,14 +190,14 @@ fn leader_kill_recovers_without_losing_transactions() {
         .expect("chain verifies");
 }
 
-/// Conflict-graph finalize sweep (Raft half; the gossip half lives in
+/// Mixed-workload pipelined sweep (Raft half; the gossip half lives in
 /// `crates/gossip/tests/dissemination.rs`): across 50 random Raft
 /// crash/failover schedules and a workload mixing hot-key contention
-/// with disjoint writes, the parallel pipeline replays the sequential
+/// with disjoint writes, the pipelined peer replays the sequential
 /// path bit for bit — same records, same simulated end time, same
 /// ledger bytes.
 #[test]
-fn parallel_finalize_matches_sequential_under_raft_faults() {
+fn pipelined_matches_sequential_under_raft_faults() {
     gen::cases(50, |g| {
         let seed = g.u64();
         let schedule = arb_mixed_schedule(g);
@@ -228,8 +228,8 @@ fn parallel_finalize_matches_sequential_under_raft_faults() {
         };
 
         let (seq_metrics, seq_snapshot) = run(ValidationPipeline::Sequential);
-        // The cross-block pipelined path (pre-validate block N+1 while
-        // block N finalizes, conflict-chain finalize on the pool) must
+        // The cross-block pipelined path (pre-validate block N+1 on the
+        // pool while block N finalizes) must
         // be invisible under ordering faults: failovers reshuffle block
         // boundaries, and pipelined pre-validation must still land on
         // the same codes and times.
