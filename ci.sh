@@ -40,6 +40,20 @@ echo "==> lock boundary (exactly two .rs files under crates/ and src/ name Mutex
 test "$(grep -rlw --include='*.rs' -e Mutex -e RwLock crates src | LC_ALL=C sort)" = "crates/fabric/src/pool.rs
 crates/jsoncrdt/src/cache.rs"
 
+# Only `core` connects the EOV pipeline to the CRDT (DESIGN.md §2): the
+# kernel, hashing, ledger, pipeline and replication crates reach no
+# `jsoncrdt` through a normal dependency edge, direct or transitive.
+# The tree is captured first so `grep` cannot cut `cargo tree` short.
+echo "==> crate-graph boundary (no EOV crate depends on fabriccrdt-jsoncrdt)"
+for crate in sim crypto ledger fabric gossip ordering; do
+    tree=$(cargo tree --offline -q -e normal -p "fabriccrdt-$crate")
+    if grep -q fabriccrdt-jsoncrdt <<<"$tree"; then
+        echo "fabriccrdt-$crate depends on fabriccrdt-jsoncrdt:" >&2
+        echo "$tree" >&2
+        exit 1
+    fi
+done
+
 # A peer hashes a transaction at ingress, and again only if Algorithm 1
 # changed its bytes; both passes live behind `ledger` constructors
 # (`EncodedTransactions::verify`, `SealedBlock::{reseal, seal, verify}`;

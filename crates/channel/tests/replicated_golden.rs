@@ -7,9 +7,11 @@
 //! deterministic counter and simulated-time sample of the two
 //! replication layers are pinned, so a change to how blocks travel
 //! through Raft or gossip (who owns them, who copies them) must leave
-//! all of it untouched. Recorded at the commit before sealed blocks
-//! became shared allocations; a legitimate protocol change re-records
-//! the literals and says so in CHANGES.md.
+//! all of it untouched. Bytes and timing are pinned apart: a change to
+//! what a snapshot or block holds moves the ledger digest and the byte
+//! counters (catch-up bytes included), never the simulated-time digest.
+//! A legitimate protocol change re-records the literals it moves and
+//! says so in CHANGES.md.
 
 use std::sync::Arc;
 
@@ -19,6 +21,7 @@ use fabriccrdt_crypto::sha256::Sha256;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::MultiChannelConfig;
 use fabriccrdt_fabric::config::{CrashSpec, FaultConfig, PipelineConfig, RaftConfig};
+use fabriccrdt_fabric::metrics::CatchUpOutcome;
 use fabriccrdt_fabric::storage::StorageConfig;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::channels::ChannelWorkload;
@@ -113,6 +116,20 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
         // The schedule bites on every layer the change touches.
         assert!(d.messages_duplicated > 0 && !d.catch_up.is_empty());
         assert!(o.leader_changes >= 1 && o.submission_retries > 0);
+        // Per catch-up episode: who caught up and the bytes it took. The
+        // bytes are counters, not timing, so a change to what a snapshot
+        // holds moves them here and leaves the timing digest alone.
+        let catch_up_bytes: Vec<[u64; 3]> = d
+            .catch_up
+            .iter()
+            .map(|episode| {
+                let snapshot_bytes = match episode.outcome {
+                    CatchUpOutcome::Snapshot { snapshot_bytes, .. } => snapshot_bytes,
+                    _ => 0,
+                };
+                [episode.peer as u64, episode.bytes_shipped, snapshot_bytes]
+            })
+            .collect();
         counters.push((
             [
                 d.messages_sent,
@@ -135,40 +152,50 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
                 o.messages_dropped,
                 o.commit_latency.len() as u64,
             ],
+            catch_up_bytes,
         ));
-        // Simulated timing: every block arrival, catch-up episode and
-        // Raft commit latency, to the microsecond.
+        // Simulated timing: every block arrival, Raft commit latency and
+        // catch-up episode (rejoin, end, how it ended), to the microsecond.
         for sample in d.propagation.iter().chain(&o.commit_latency) {
             samples.update(&sample.as_micros().to_be_bytes());
         }
         for episode in &d.catch_up {
-            samples.update(format!("{episode:?}").as_bytes());
+            let kind: u8 = match episode.outcome {
+                CatchUpOutcome::Replay { .. } => 0,
+                CatchUpOutcome::Snapshot { .. } => 1,
+                CatchUpOutcome::Abandoned { .. } => 2,
+            };
+            samples.update(&episode.from.as_micros().to_be_bytes());
+            samples.update(&episode.ended_at().as_micros().to_be_bytes());
+            samples.update(&[kind]);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "b8eb0053ba4ccdbad95e53315cda2acf27a9029a75dce65904ffc5606b600c2d",
+        "65d4347a1d9b80d1002b77625231b49395b7b0ec9373ff2f6ef055b7e4bdfa5a",
         "a replica's ledger or store file changed"
     );
     assert_eq!(
         counters,
         [
             (
-                [450, 467, 0, 108, 1, 1, 52505, 1, 38616, 1],
-                [1, 1, 2, 126, 449, 0, 26]
+                [450, 467, 0, 108, 1, 1, 52372, 1, 38483, 1],
+                [1, 1, 2, 126, 449, 0, 26],
+                vec![[3, 52372, 38483]]
             ),
             (
-                [450, 459, 0, 103, 1, 1, 52505, 1, 38616, 1],
-                [1, 1, 2, 130, 446, 0, 26]
+                [450, 459, 0, 103, 1, 1, 52372, 1, 38483, 1],
+                [1, 1, 2, 130, 446, 0, 26],
+                vec![[3, 52372, 38483]]
             ),
         ],
         "a dissemination or ordering counter changed"
     );
     assert_eq!(
         hex::encode(&samples.finalize()),
-        "e203344d228d9e05fba262c72f6922cc68b731920dfe362dda7cf146075d4441",
+        "d745ae77f12257f132f66ca9049106947ef03a0e0fe46dbc7847687a182ca089",
         "a simulated-time sample changed"
     );
 }

@@ -590,12 +590,13 @@ pub struct PipelineConfig {
     /// Committing-peer validation pipeline. The default,
     /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
     /// commit path; `Pipelined { workers }` fans endorsement/signature
-    /// checks per transaction and MVCC/merge finalize per conflict
-    /// chain over a persistent worker pool with order-preserving joins,
-    /// and overlaps consecutive blocks — value-identical results, less
-    /// wall-clock time. Simulated time
-    /// is unaffected either way (costs come from work counters, which
-    /// are identical under every pipeline).
+    /// checks per transaction over a persistent worker pool with
+    /// order-preserving joins, so block N+1's checks overlap block N's
+    /// finalize. Finalize is Algorithm 1's one sequential pass on every
+    /// pipeline, so results are value-identical and only wall-clock
+    /// time differs. Simulated time is unaffected either way (costs
+    /// come from work counters, which are identical under every
+    /// pipeline).
     pub validation: ValidationPipeline,
 }
 

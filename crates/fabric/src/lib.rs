@@ -38,7 +38,7 @@
 //! - [`peer`]: the committing peer: duplicate detection, endorsement
 //!   verification, Algorithm 1's sequential finalize, staged commits.
 //! - [`storage`]: durable peer storage — backend selection, snapshot
-//!   cadence, frontier-driven GC coordination and crash recovery over
+//!   cadence, acknowledgement-driven GC coordination and crash recovery over
 //!   `fabriccrdt_ledger::store`.
 //! - [`metrics`]: per-transaction lifecycle records and run metrics.
 //! - [`simulation`]: the event-driven pipeline tying it all together.

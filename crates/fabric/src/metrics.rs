@@ -161,7 +161,8 @@ pub struct DisseminationMetrics {
     /// Anti-entropy rounds that shipped a snapshot instead of (or in
     /// addition to) a block suffix.
     pub snapshot_transfers: u64,
-    /// Encoded bytes of shipped snapshots (and their frontier deltas).
+    /// Encoded bytes of shipped snapshots, each charged the
+    /// acknowledgement table's bytes too.
     pub snapshot_bytes: u64,
     /// Catch-up episodes after crashes/partitions, in rejoin order
     /// (abandoned ones included; see [`CatchUpOutcome::Abandoned`]).
@@ -204,9 +205,9 @@ impl DisseminationMetrics {
 }
 
 /// Decode-cache activity attributed to one run: the delta of the
-/// process-wide payload cache counters
-/// ([`fabriccrdt_jsoncrdt::cache::stats`]) over the run, captured by the
-/// simulation for validators that decode CRDT payloads. `None` in
+/// process-wide payload cache counters over the run, read through
+/// [`BlockValidator::decode_cache_stats`](crate::validator::BlockValidator::decode_cache_stats)
+/// by the simulation for validators that decode CRDT payloads. `None` in
 /// [`RunMetrics::decode_cache`] — rendered "n/a", like
 /// [`RunMetrics::avg_latency_secs`] — means the validator never touches
 /// the cache.

@@ -30,12 +30,11 @@
 //! ([`BlockValidator::validate_and_commit`]), so the two pipelines are
 //! value-identical and only wall-clock differs (DESIGN.md §4.9).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
-use fabriccrdt_jsoncrdt::clock::{OpId, ReplicaId, VersionVector};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
@@ -146,11 +145,6 @@ pub struct Peer<V> {
     chain: Blockchain,
     history: HistoryDb,
     committed_ids: HashSet<TxId>,
-    /// Per-key CRDT merge frontier: for key `k`, replica `b` maps to
-    /// the number of successful CRDT writes block `b` merged into `k`
-    /// (see [`Peer::merge_frontiers`]). Deterministic from block
-    /// content, so every replica derives the same vectors.
-    merge_frontiers: BTreeMap<String, VersionVector>,
     // Arc because pre-validation hands the validator to 'static pool
     // workers.
     validator: Arc<V>,
@@ -173,33 +167,6 @@ pub struct Peer<V> {
     stats: PipelineMetrics,
 }
 
-/// Folds a committed, validated block into the per-key merge
-/// frontiers: for each key, block `b` contributes operations
-/// `1..=m @ ReplicaId(b)` where `m` is the number of successful CRDT
-/// (non-delete) writes the block merged into that key. Counters are
-/// contiguous per `(key, block)` by construction, so
-/// [`VersionVector::observe`] never reports a gap.
-fn absorb_frontiers(frontiers: &mut BTreeMap<String, VersionVector>, block: &Block) {
-    let mut merged_per_key: BTreeMap<&str, u64> = BTreeMap::new();
-    for (tx, code) in block.transactions.iter().zip(&block.validation_codes) {
-        if !code.is_success() {
-            continue;
-        }
-        for (key, entry) in tx.rwset.writes.iter() {
-            if entry.is_crdt && !entry.is_delete {
-                *merged_per_key.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
-    for (key, merged) in merged_per_key {
-        let frontier = frontiers.entry(key.to_string()).or_default();
-        for counter in 1..=merged {
-            let observed = frontier.observe(OpId::new(counter, ReplicaId(block.header.number)));
-            debug_assert!(observed, "per-block frontier counters are contiguous");
-        }
-    }
-}
-
 impl<V: BlockValidator> Peer<V> {
     /// Creates a peer with the given validation strategy and endorsement
     /// policy.
@@ -217,7 +184,6 @@ impl<V: BlockValidator> Peer<V> {
             chain,
             HistoryDb::new(),
             HashSet::new(),
-            BTreeMap::new(),
         )
     }
 
@@ -230,14 +196,12 @@ impl<V: BlockValidator> Peer<V> {
         chain: Blockchain,
         history: HistoryDb,
         committed_ids: HashSet<TxId>,
-        merge_frontiers: BTreeMap<String, VersionVector>,
     ) -> Self {
         Peer {
             state,
             chain,
             history,
             committed_ids,
-            merge_frontiers,
             validator: Arc::new(validator),
             policy,
             endorser_keys: Arc::new(HashMap::new()),
@@ -322,20 +286,9 @@ impl<V: BlockValidator> Peer<V> {
         }
     }
 
-    /// The per-key CRDT merge frontiers ([`VersionVector`] per key):
-    /// `frontier(k).entry(ReplicaId(b)) == m` means block `b` merged
-    /// `m` successful CRDT writes into key `k` on this peer. Derived
-    /// deterministically from committed blocks, so identical across
-    /// replicas at equal height — which is what lets gossip acknowledge
-    /// "merged through block `b`" by shipping a single number and GC
-    /// history below the cluster-wide minimum.
-    pub fn merge_frontiers(&self) -> &BTreeMap<String, VersionVector> {
-        &self.merge_frontiers
-    }
-
     /// Exports a [`LedgerSnapshot`] at the current tip: encoded world
-    /// state, history index, committed transaction ids (sorted) and
-    /// merge frontiers, anchored at the tip block's number and hash.
+    /// state, history index and committed transaction ids (sorted),
+    /// anchored at the tip block's number and hash.
     pub fn ledger_snapshot(&self) -> LedgerSnapshot {
         let mut ids: Vec<TxId> = self.committed_ids.iter().copied().collect();
         ids.sort();
@@ -345,15 +298,14 @@ impl<V: BlockValidator> Peer<V> {
             state: codec::encode_state(&self.state),
             history: codec::encode_history(&self.history),
             committed_ids: codec::encode_txids(&ids),
-            frontiers: crate::storage::encode_frontiers(&self.merge_frontiers),
         }
     }
 
     /// Rebuilds a peer from a [`LedgerSnapshot`] alone: world state,
-    /// history, duplicate-id set and merge frontiers are installed
-    /// directly, and the chain *resumes* at the snapshot tip — blocks
-    /// at or below `last_block` are not held. Blocks committed after
-    /// the snapshot are applied by [`Peer::replay_block`] as usual.
+    /// history and duplicate-id set are installed directly, and the
+    /// chain *resumes* at the snapshot tip — blocks at or below
+    /// `last_block` are not held. Blocks committed after the snapshot
+    /// are applied by [`Peer::replay_block`] as usual.
     ///
     /// # Errors
     ///
@@ -367,7 +319,6 @@ impl<V: BlockValidator> Peer<V> {
         let state = codec::decode_state(&snapshot.state)?;
         let history = codec::decode_history(&snapshot.history)?;
         let ids = codec::decode_txids(&snapshot.committed_ids)?;
-        let merge_frontiers = crate::storage::decode_frontiers(&snapshot.frontiers)?;
         Ok(Peer::from_parts(
             validator,
             policy,
@@ -375,25 +326,18 @@ impl<V: BlockValidator> Peer<V> {
             Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
             history,
             ids.into_iter().collect(),
-            merge_frontiers,
         ))
     }
 
-    /// Garbage-collects operation history at or below `block_num`
-    /// (which must be a height every replica has acknowledged merging
-    /// past — see `storage::AckFrontier`): history entries committed at
-    /// or below it are dropped, and frontier marks for those blocks are
-    /// pruned. The in-memory chain is left intact (the durable store
-    /// compacts separately), so ledger byte-identity against
+    /// Garbage-collects key history at or below `block_num` (which
+    /// must be a height every replica has committed — see
+    /// `storage::AckFrontier`): history entries committed at or below it
+    /// are dropped. The in-memory chain is left intact (the durable
+    /// store compacts separately), so ledger byte-identity against
     /// non-GC'd peers is checked on state + chain, not history.
     /// Returns the number of history entries dropped.
     pub fn prune_up_to(&mut self, block_num: u64) -> usize {
-        let dropped = self.history.prune_up_to(block_num);
-        self.merge_frontiers.retain(|_, frontier| {
-            frontier.retain(|replica, _| replica.0 > block_num);
-            !frontier.is_empty()
-        });
-        dropped
+        self.history.prune_up_to(block_num)
     }
 
     /// Replays an already-validated block during catch-up: verifies the
@@ -730,7 +674,6 @@ impl<V: BlockValidator> Peer<V> {
         self.chain.append_sealed(block)?;
         let tip = self.chain.tip().expect("chain nonempty after append");
         self.history.record_block(tip);
-        absorb_frontiers(&mut self.merge_frontiers, tip);
         // Epoch swap: readers holding a clone of the old state keep a
         // consistent pre-block snapshot; new reads see the committed one.
         self.state = new_state;

@@ -1,32 +1,29 @@
-//! Durable peer storage, snapshot cadence and frontier-driven GC.
+//! Durable peer storage, snapshot cadence and acknowledgement-driven GC.
 //!
 //! This is the fabric-layer orchestration above the raw
 //! [`LedgerStore`] backends of `fabriccrdt_ledger::store`:
 //!
 //! - [`StorageConfig`] / [`StorageBackend`] select a backend (in-memory
 //!   or append-only file) and set the snapshot cadence and whether
-//!   frontier-driven GC runs — attached to a pipeline via
+//!   acknowledgement-driven GC runs — attached to a pipeline via
 //!   [`PipelineConfig::with_storage`](crate::config::PipelineConfig::with_storage).
 //! - [`DurableLedger`] wraps one peer's store: it appends every
 //!   committed block, writes a [`LedgerSnapshot`] every
 //!   `snapshot_interval` blocks, compacts records the latest snapshot
 //!   covers, and [`DurableLedger::recover`]s a [`Peer`] after a crash.
 //! - [`AckFrontier`] is the cluster-wide GC coordination point: a
-//!   version vector mapping each peer to the block height it has
-//!   contiguously committed (acknowledged via gossip). History at or
-//!   below the *minimum* acknowledged height is merged everywhere, so
+//!   table mapping each peer to the block height it has contiguously
+//!   committed (acknowledged via gossip). History at or below the
+//!   *minimum* acknowledged height is committed everywhere, so
 //!   [`Peer::prune_up_to`] and [`DurableLedger::compact_up_to`] may
-//!   drop it without any replica ever needing those operations again.
-//! - [`encode_frontiers`] / [`decode_frontiers`] serialize the per-key
-//!   CRDT merge frontiers ([`Peer::merge_frontiers`]) into the opaque
-//!   `frontiers` component of a [`LedgerSnapshot`].
+//!   drop it without any replica ever needing those blocks again.
 //!
 //! Recovery prefers a **full replay** whenever the store retains a
 //! contiguous block run from 1: replaying every block reproduces a
 //! byte-identical ledger (same [`Peer::snapshot`] bytes as a peer that
 //! never crashed). Only when compaction has dropped the prefix does
 //! recovery install the latest snapshot and replay the suffix — then
-//! state, tip hash and frontiers still match, but the encoded chain
+//! state, history and tip hash still match, but the encoded chain
 //! resumes at the snapshot anchor instead of genesis.
 
 use std::collections::BTreeMap;
@@ -34,10 +31,9 @@ use std::fmt;
 use std::fs;
 use std::path::PathBuf;
 
-use fabriccrdt_jsoncrdt::clock::{OpId, ReplicaId, VersionVector};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::ChainError;
-use fabriccrdt_ledger::codec::{DecodeError, Reader, Writer};
+use fabriccrdt_ledger::codec::DecodeError;
 use fabriccrdt_ledger::store::{
     blocks_by_number, AofStore, LedgerSnapshot, LedgerStore, MemoryStore, StoreError,
 };
@@ -46,9 +42,6 @@ use crate::channel::ChannelId;
 use crate::peer::Peer;
 use crate::policy::EndorsementPolicy;
 use crate::validator::BlockValidator;
-
-/// Frontier-table layout version; bump on layout changes.
-const FRONTIER_FORMAT_VERSION: u8 = 1;
 
 // ------------------------------------------------------------- config
 
@@ -112,7 +105,7 @@ impl StorageConfig {
         self
     }
 
-    /// Enables frontier-driven GC (builder style); see
+    /// Enables acknowledgement-driven GC (builder style); see
     /// [`StorageConfig::gc`].
     pub fn with_gc(mut self, gc: bool) -> Self {
         self.gc = gc;
@@ -365,7 +358,7 @@ impl DurableLedger {
         self.latest_snapshot.as_ref()
     }
 
-    /// Whether frontier-driven GC is switched on for this peer.
+    /// Whether acknowledgement-driven GC is switched on for this peer.
     pub fn gc_enabled(&self) -> bool {
         self.gc
     }
@@ -481,17 +474,17 @@ impl DurableLedger {
 /// The cluster-wide GC coordination point: maps each peer (by index)
 /// to the block height it has contiguously committed and acknowledged
 /// over gossip. The *minimum* across all peers is the GC floor — every
-/// replica has merged history up to it, so operations at or below it
-/// can be pruned ([`Peer::prune_up_to`]) and their block records
-/// compacted ([`DurableLedger::compact_up_to`]) without any replica
-/// ever needing them again.
+/// replica has committed history up to it, so history entries at or
+/// below it can be pruned ([`Peer::prune_up_to`]) and their block
+/// records compacted ([`DurableLedger::compact_up_to`]) without any
+/// replica ever needing them again.
 ///
-/// Internally a [`VersionVector`] whose "replica" is the peer index
-/// and whose counter is the acknowledged height, so acknowledgements
-/// commute and stale ones are no-ops.
+/// An acknowledgement keeps the higher of the old and new height, so
+/// acknowledgements commute and stale ones are no-ops.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AckFrontier {
-    acked: VersionVector,
+    /// Acknowledged height per peer; a peer at height 0 has no entry.
+    acked: BTreeMap<usize, u64>,
 }
 
 impl AckFrontier {
@@ -501,17 +494,17 @@ impl AckFrontier {
     }
 
     /// Records that `peer` has contiguously committed through block
-    /// `height`. Lower (stale) acknowledgements are no-ops.
+    /// `height`. Lower (stale) and zero acknowledgements are no-ops.
     pub fn ack(&mut self, peer: usize, height: u64) {
-        let replica = ReplicaId(peer as u64);
-        for h in self.acked.entry(replica) + 1..=height {
-            self.acked.observe(OpId::new(h, replica));
+        if height > 0 {
+            let acked = self.acked.entry(peer).or_default();
+            *acked = (*acked).max(height);
         }
     }
 
     /// The height `peer` has acknowledged (0 if never heard from).
     pub fn acked(&self, peer: usize) -> u64 {
-        self.acked.entry(ReplicaId(peer as u64))
+        self.acked.get(&peer).copied().unwrap_or(0)
     }
 
     /// The GC floor across a cluster of `peers` peers: the minimum
@@ -520,60 +513,12 @@ impl AckFrontier {
         (0..peers).map(|p| self.acked(p)).min().unwrap_or(0)
     }
 
-    /// Serializes the frontier (the version-vector byte layout) — what
-    /// a snapshot transfer is charged for shipping it.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.acked.to_bytes()
+    /// Bytes of the table on the wire — what a snapshot transfer is
+    /// charged for shipping it: a `u64` entry count, then a `u64`
+    /// (peer, height) pair per peer that has acknowledged.
+    pub fn encoded_len(&self) -> usize {
+        8 + 16 * self.acked.len()
     }
-}
-
-// ---------------------------------------------------- frontier codecs
-
-/// Encodes a per-key merge-frontier table
-/// ([`Peer::merge_frontiers`]) as the opaque `frontiers` component of
-/// a [`LedgerSnapshot`]: a version byte, a `u64` entry count, then per
-/// key a length-prefixed UTF-8 key and a length-prefixed
-/// [`VersionVector::to_bytes`] payload. Keys iterate in sorted order,
-/// so the encoding is deterministic.
-pub fn encode_frontiers(frontiers: &BTreeMap<String, VersionVector>) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FRONTIER_FORMAT_VERSION);
-    w.u64(frontiers.len() as u64);
-    for (key, frontier) in frontiers {
-        w.str(key);
-        w.bytes(&frontier.to_bytes());
-    }
-    w.buf
-}
-
-/// Decodes a frontier table written by [`encode_frontiers`]. Total on
-/// arbitrary input: truncated, oversized, non-UTF-8, duplicate-keyed
-/// or malformed-vector tables all yield a structured error.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] with byte-offset context for any
-/// malformed input.
-pub fn decode_frontiers(data: &[u8]) -> Result<BTreeMap<String, VersionVector>, DecodeError> {
-    let mut r = Reader::new(data);
-    if r.u8()? != FRONTIER_FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported frontier format version", 0));
-    }
-    // Each entry takes at least two length prefixes; `len` rejects
-    // counts no input of this size could hold before anything allocates.
-    let mut out = BTreeMap::new();
-    for _ in 0..r.len(16)? {
-        let key_at = r.pos();
-        let key = r.str()?;
-        let vv_at = r.pos();
-        let frontier = VersionVector::from_bytes(&r.bytes()?)
-            .ok_or(DecodeError::new("malformed frontier vector", vv_at))?;
-        if out.insert(key, frontier).is_some() {
-            return Err(DecodeError::new("duplicate frontier key", key_at));
-        }
-    }
-    r.finish()?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -656,50 +601,30 @@ mod tests {
     }
 
     #[test]
-    fn frontier_table_roundtrip_is_total() {
-        let mut frontiers = BTreeMap::new();
-        let mut vv = VersionVector::default();
-        for counter in 1..=3 {
-            vv.observe(OpId::new(counter, ReplicaId(7)));
-        }
-        vv.observe(OpId::new(1, ReplicaId(9)));
-        frontiers.insert("doc".to_string(), vv);
-        frontiers.insert("k2".to_string(), {
-            let mut vv = VersionVector::default();
-            vv.observe(OpId::new(1, ReplicaId(1)));
-            vv
-        });
-
-        let bytes = encode_frontiers(&frontiers);
-        assert_eq!(decode_frontiers(&bytes).unwrap(), frontiers);
-        assert_eq!(
-            decode_frontiers(&encode_frontiers(&BTreeMap::new())).unwrap(),
-            BTreeMap::new()
-        );
-        for cut in 0..bytes.len() {
-            assert!(decode_frontiers(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(decode_frontiers(&trailing).is_err());
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 99;
-        assert!(decode_frontiers(&wrong_version).is_err());
-        let mut huge_count = bytes;
-        huge_count[1..9].copy_from_slice(&u64::MAX.to_be_bytes());
-        assert!(decode_frontiers(&huge_count).is_err());
-    }
-
-    #[test]
     fn ack_frontier_floor() {
+        // The bytes a snapshot transfer is charged for the table: a u64
+        // count, then a (peer, height) pair per peer that has acked.
+        let charged = |acked_peers: usize| 8 + 16 * acked_peers;
         let mut a = AckFrontier::new();
+        assert_eq!(a.encoded_len(), charged(0));
+        a.ack(2, 0);
+        assert_eq!(a.acked(2), 0);
+        assert_eq!(a.encoded_len(), charged(0), "a zero ack records nothing");
         a.ack(0, 5);
         a.ack(1, 3);
+        assert_eq!(a.encoded_len(), charged(2));
         a.ack(1, 2); // stale: no-op
         assert_eq!(a.acked(0), 5);
         assert_eq!(a.acked(1), 3);
         assert_eq!(a.min_acked(2), 3);
         assert_eq!(a.min_acked(3), 0, "silent peer pins the floor");
+        assert_eq!(a.encoded_len(), charged(2));
+        a.ack(3, 1_000_000); // one call from 0
+        a.ack(1, 0);
+        assert_eq!(a.acked(3), 1_000_000);
+        assert_eq!(a.acked(1), 3, "a zero ack is stale too");
+        assert_eq!(a.min_acked(2), 3);
+        assert_eq!(a.encoded_len(), charged(3));
     }
 
     #[test]
@@ -719,7 +644,6 @@ mod tests {
         assert!(!recovery.used_snapshot);
         assert_eq!(recovery.replayed_blocks, 5);
         assert_eq!(recovery.peer.snapshot(), live.snapshot(), "byte-identical");
-        assert_eq!(recovery.peer.merge_frontiers(), live.merge_frontiers());
     }
 
     #[test]
@@ -763,7 +687,6 @@ mod tests {
         assert_eq!(recovered.state(), live.state());
         assert_eq!(recovered.chain().tip_hash(), live.chain().tip_hash());
         assert_eq!(recovered.chain().height(), live.chain().height());
-        assert_eq!(recovered.merge_frontiers(), live.merge_frontiers());
         assert_eq!(
             recovered.history().history("doc"),
             live.history().history("doc")
@@ -1028,9 +951,6 @@ mod tests {
                     .cloned()
                     .collect();
                 assert_eq!(kept, expected, "entries above the floor survive GC");
-            }
-            for frontier_vv in live.merge_frontiers().values() {
-                assert!((0..=floor).all(|block| frontier_vv.entry(ReplicaId(block)) == 0));
             }
 
             // The durable store compacts at the same floor (clamped to

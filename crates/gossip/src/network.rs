@@ -58,9 +58,9 @@
 //! channel: ack payloads are a few bytes and their propagation latency
 //! is irrelevant next to block dissemination, so each lane keeps one
 //! shared frontier rather than simulating its gossip. When GC is
-//! enabled, each replica prunes operation history and compacts its
-//! store up to the frontier's minimum — a height every replica of the
-//! channel has already merged past.
+//! enabled, each replica prunes key history and compacts its store up
+//! to the frontier's minimum — a height every replica of the channel
+//! has already committed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -905,11 +905,11 @@ impl<V: BlockValidator> ChannelLane<V> {
             let replay_suffix = self.replay_suffix(j, mine);
             let replay_bytes =
                 (!replay_suffix.is_empty()).then(|| Self::suffix_bytes(&replay_suffix));
-            // Snapshot cost: the encoded snapshot, a frontier delta's
-            // worth of bytes, and the post-snapshot block suffix.
+            // Snapshot cost: the encoded snapshot, the acknowledgement
+            // table, and the post-snapshot block suffix.
             let snapshot_plan = self.snapshot_offer(j, mine).map(|snapshot| {
                 let snapshot_bytes =
-                    snapshot.encoded_len() as u64 + self.acked.to_bytes().len() as u64;
+                    snapshot.encoded_len() as u64 + self.acked.encoded_len() as u64;
                 let last_block = snapshot.last_block;
                 (last_block, snapshot_bytes)
             });

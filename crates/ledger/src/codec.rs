@@ -37,10 +37,8 @@ pub struct DecodeError {
 }
 
 impl DecodeError {
-    /// Creates a decode error at the given byte offset. Public so
-    /// codecs layered on top of ledger byte strings (e.g. snapshot
-    /// frontier tables) can report failures in the same shape.
-    pub fn new(message: &'static str, offset: usize) -> Self {
+    /// Creates a decode error at the given byte offset.
+    pub(crate) fn new(message: &'static str, offset: usize) -> Self {
         DecodeError { message, offset }
     }
 }
@@ -56,12 +54,10 @@ impl Error for DecodeError {}
 // ---------------------------------------------------------------- writer
 
 /// The write half of the ledger's one byte cursor: big-endian `u64`s,
-/// `u64`-length-prefixed byte strings. Public so formats layered on
-/// ledger bytes (the fabric layer's frontier table inside a
-/// [`LedgerSnapshot`](crate::store::LedgerSnapshot)) are written by the
-/// same code as blocks and snapshots.
+/// `u64`-length-prefixed byte strings, for blocks, chains, state and
+/// snapshots alike.
 #[derive(Debug, Default)]
-pub struct Writer {
+pub(crate) struct Writer {
     /// Everything written so far.
     pub buf: Vec<u8>,
 }
@@ -105,7 +101,7 @@ impl Writer {
 /// a [`DecodeError`] carrying the offset it stopped at, never panics,
 /// and never allocates more than the input it was handed.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
 }

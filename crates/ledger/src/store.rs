@@ -14,8 +14,8 @@
 //! - **block** records — every committed block, appended in commit
 //!   order, encoded with [`codec::encode_block`];
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
-//!   encoded world state, history database, committed transaction ids
-//!   and per-key CRDT merge frontiers at a block height.
+//!   encoded world state, history database and committed transaction
+//!   ids at a block height.
 //!
 //! [`LedgerStore::compact_up_to`] drops block records covered by the
 //! latest snapshot (never beyond it), bounding store growth; recovery
@@ -51,7 +51,7 @@ use crate::block::Block;
 use crate::codec::{self, DecodeError, Reader, Writer};
 
 /// Snapshot record layout version; bump on layout changes.
-const SNAPSHOT_FORMAT_VERSION: u8 = 1;
+const SNAPSHOT_FORMAT_VERSION: u8 = 2;
 
 /// Record kind tag for a block record.
 const KIND_BLOCK: u8 = 1;
@@ -123,9 +123,7 @@ fn io_err(op: &'static str, e: std::io::Error) -> StoreError {
 /// of the block suffix committed after the snapshot.
 ///
 /// The component byte strings are produced by `ledger::codec`
-/// (`encode_state`, `encode_history`, `encode_txids`) except
-/// `frontiers`, which is opaque to this crate — the fabric layer
-/// encodes its per-key CRDT version-vector merge frontiers there.
+/// (`encode_state`, `encode_history`, `encode_txids`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerSnapshot {
     /// Number of the last block the snapshot covers.
@@ -138,8 +136,6 @@ pub struct LedgerSnapshot {
     pub history: Vec<u8>,
     /// Encoded committed transaction ids ([`codec::encode_txids`]).
     pub committed_ids: Vec<u8>,
-    /// Encoded per-key CRDT merge frontiers (fabric-layer format).
-    pub frontiers: Vec<u8>,
 }
 
 impl LedgerSnapshot {
@@ -152,7 +148,6 @@ impl LedgerSnapshot {
         w.bytes(&self.state);
         w.bytes(&self.history);
         w.bytes(&self.committed_ids);
-        w.bytes(&self.frontiers);
         w.buf
     }
 
@@ -175,7 +170,6 @@ impl LedgerSnapshot {
             state: r.bytes()?,
             history: r.bytes()?,
             committed_ids: r.bytes()?,
-            frontiers: r.bytes()?,
         };
         r.finish()?;
         Ok(snapshot)
@@ -184,14 +178,8 @@ impl LedgerSnapshot {
     /// Size of the serialized snapshot in bytes — the cost of shipping
     /// it over the (simulated) wire.
     pub fn encoded_len(&self) -> usize {
-        // version + last_block + tip_hash + four length-prefixed strings.
-        1 + 8
-            + 32
-            + 4 * 8
-            + self.state.len()
-            + self.history.len()
-            + self.committed_ids.len()
-            + self.frontiers.len()
+        // version + last_block + tip_hash + three length-prefixed strings.
+        1 + 8 + 32 + 3 * 8 + self.state.len() + self.history.len() + self.committed_ids.len()
     }
 }
 
