@@ -174,21 +174,21 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "65d4347a1d9b80d1002b77625231b49395b7b0ec9373ff2f6ef055b7e4bdfa5a",
+        "6a592b00107b62c6663b4ec28a29e4da9dadc06a0982edce81933f6fbceef908",
         "a replica's ledger or store file changed"
     );
     assert_eq!(
         counters,
         [
             (
-                [450, 467, 0, 108, 1, 1, 52372, 1, 38483, 1],
+                [450, 467, 0, 108, 1, 1, 22327, 1, 8438, 1],
                 [1, 1, 2, 126, 449, 0, 26],
-                vec![[3, 52372, 38483]]
+                vec![[3, 22327, 8438]]
             ),
             (
-                [450, 459, 0, 103, 1, 1, 52372, 1, 38483, 1],
+                [450, 459, 0, 103, 1, 1, 22327, 1, 8438, 1],
                 [1, 1, 2, 130, 446, 0, 26],
-                vec![[3, 52372, 38483]]
+                vec![[3, 22327, 8438]]
             ),
         ],
         "a dissemination or ordering counter changed"

@@ -15,7 +15,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use fabriccrdt_ledger::history::{HistoryDb, HistoryEntry};
+use fabriccrdt_ledger::chain::{Blockchain, HistoryEntry};
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::worldstate::WorldState;
 
@@ -76,7 +76,7 @@ pub struct ExecWork {
 #[derive(Debug)]
 pub struct ChaincodeStub<'a> {
     state: &'a WorldState,
-    history: Option<&'a HistoryDb>,
+    chain: Option<&'a Blockchain>,
     rwset: ReadWriteSet,
     work: ExecWork,
     event: Option<ChaincodeEvent>,
@@ -87,17 +87,18 @@ impl<'a> ChaincodeStub<'a> {
     pub fn new(state: &'a WorldState) -> Self {
         ChaincodeStub {
             state,
-            history: None,
+            chain: None,
             rwset: ReadWriteSet::new(),
             work: ExecWork::default(),
             event: None,
         }
     }
 
-    /// Creates a stub that can also answer `get_history_for_key`.
-    pub fn with_history(state: &'a WorldState, history: &'a HistoryDb) -> Self {
+    /// Creates a stub that can also answer `get_history_for_key`, from
+    /// the blocks of `chain`.
+    pub fn with_history(state: &'a WorldState, chain: &'a Blockchain) -> Self {
         let mut stub = ChaincodeStub::new(state);
-        stub.history = Some(history);
+        stub.chain = Some(chain);
         stub
     }
 
@@ -159,12 +160,13 @@ impl<'a> ChaincodeStub<'a> {
     }
 
     /// The full modification history of a key — Fabric's
-    /// `GetHistoryForKey`. Returns an empty slice when the peer exposes
-    /// no history index to this execution. Reading history does not
-    /// create MVCC dependencies (it is derived from immutable blocks).
-    pub fn get_history_for_key(&mut self, key: &str) -> &[HistoryEntry] {
+    /// `GetHistoryForKey`, read from the peer's chain
+    /// ([`Blockchain::history`]). Empty when the peer exposes no chain
+    /// to this execution. Reading history does not create MVCC
+    /// dependencies (it is derived from immutable blocks).
+    pub fn get_history_for_key(&mut self, key: &str) -> Vec<HistoryEntry> {
         self.work.reads += 1;
-        self.history.map(|h| h.history(key)).unwrap_or(&[])
+        self.chain.map(|c| c.history(key)).unwrap_or_default()
     }
 
     /// Sets the chaincode event for this invocation (Fabric's
@@ -351,7 +353,6 @@ mod tests {
     fn history_queries_answer_from_index() {
         use fabriccrdt_crypto::Identity;
         use fabriccrdt_ledger::block::{Block, ValidationCode};
-        use fabriccrdt_ledger::history::HistoryDb;
         use fabriccrdt_ledger::transaction::{Transaction, TxId};
 
         let client = Identity::new("client", "org1");
@@ -364,18 +365,19 @@ mod tests {
             rwset,
             endorsements: Vec::new(),
         };
-        let mut block = Block::assemble(1, [0; 32], vec![tx]);
+        let mut block = Block::assemble(0, Blockchain::GENESIS_PREVIOUS_HASH, vec![tx]);
         block.validation_codes = vec![ValidationCode::Valid];
-        let mut history = HistoryDb::new();
-        history.record_block(&block);
+        let mut chain = Blockchain::new();
+        chain.append(block).unwrap();
 
         let state = WorldState::new();
-        let mut stub = ChaincodeStub::with_history(&state, &history);
+        let mut stub = ChaincodeStub::with_history(&state, &chain);
         let entries = stub.get_history_for_key("k");
         assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].height, Height::new(0, 0));
         assert_eq!(entries[0].value.as_deref(), Some(&b"v1"[..]));
 
-        // Without a history index the query is empty, not an error.
+        // Without a chain the query is empty, not an error.
         let mut bare = ChaincodeStub::new(&state);
         assert!(bare.get_history_for_key("k").is_empty());
     }

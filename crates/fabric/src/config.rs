@@ -572,8 +572,8 @@ pub struct PipelineConfig {
     /// snapshots — byte-for-byte the seed behaviour; `Some` attaches a
     /// [`crate::storage::DurableLedger`] per peer (in-memory or
     /// append-only-file backend), takes periodic snapshots, optionally
-    /// GCs history below the cluster-acknowledged frontier, and lets
-    /// anti-entropy ship snapshots to far-behind peers.
+    /// compacts each store below the cluster-acknowledged frontier, and
+    /// lets anti-entropy ship snapshots to far-behind peers.
     pub storage: Option<crate::storage::StorageConfig>,
     /// Byzantine-adversary schedule, applied by the gossip layer's
     /// ingress screen. `None` (the default everywhere) disables both

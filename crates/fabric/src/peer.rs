@@ -38,7 +38,6 @@ use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
-use fabriccrdt_ledger::history::HistoryDb;
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
@@ -143,7 +142,6 @@ pub struct Peer<V> {
     /// long as a reader holds it.
     state: WorldState,
     chain: Blockchain,
-    history: HistoryDb,
     committed_ids: HashSet<TxId>,
     // Arc because pre-validation hands the validator to 'static pool
     // workers.
@@ -177,14 +175,7 @@ impl<V: BlockValidator> Peer<V> {
         chain
             .append(Block::genesis())
             .expect("genesis extends the empty chain");
-        Peer::from_parts(
-            validator,
-            policy,
-            WorldState::new(),
-            chain,
-            HistoryDb::new(),
-            HashSet::new(),
-        )
+        Peer::from_parts(validator, policy, WorldState::new(), chain, HashSet::new())
     }
 
     /// A sequential, default-channel peer over the given ledger parts
@@ -194,13 +185,11 @@ impl<V: BlockValidator> Peer<V> {
         policy: EndorsementPolicy,
         state: WorldState,
         chain: Blockchain,
-        history: HistoryDb,
         committed_ids: HashSet<TxId>,
     ) -> Self {
         Peer {
             state,
             chain,
-            history,
             committed_ids,
             validator: Arc::new(validator),
             policy,
@@ -254,15 +243,10 @@ impl<V: BlockValidator> Peer<V> {
         std::mem::take(&mut self.stats)
     }
 
-    /// The peer's copy of the blockchain.
+    /// The peer's copy of the blockchain, which also answers key history
+    /// ([`Blockchain::history`]).
     pub fn chain(&self) -> &Blockchain {
         &self.chain
-    }
-
-    /// The key-history index (`GetHistoryForKey`), derived from
-    /// committed blocks.
-    pub fn history(&self) -> &HistoryDb {
-        &self.history
     }
 
     /// The validation strategy.
@@ -287,8 +271,9 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// Exports a [`LedgerSnapshot`] at the current tip: encoded world
-    /// state, history index and committed transaction ids (sorted),
-    /// anchored at the tip block's number and hash.
+    /// state and committed transaction ids (sorted), anchored at the tip
+    /// block's number and hash. Key history is not part of it: it lives
+    /// in the chain's blocks.
     pub fn ledger_snapshot(&self) -> LedgerSnapshot {
         let mut ids: Vec<TxId> = self.committed_ids.iter().copied().collect();
         ids.sort();
@@ -296,16 +281,15 @@ impl<V: BlockValidator> Peer<V> {
             last_block: self.chain.height().saturating_sub(1),
             tip_hash: self.chain.tip_hash(),
             state: codec::encode_state(&self.state),
-            history: codec::encode_history(&self.history),
             committed_ids: codec::encode_txids(&ids),
         }
     }
 
-    /// Rebuilds a peer from a [`LedgerSnapshot`] alone: world state,
-    /// history and duplicate-id set are installed directly, and the
-    /// chain *resumes* at the snapshot tip — blocks at or below
-    /// `last_block` are not held. Blocks committed after the snapshot
-    /// are applied by [`Peer::replay_block`] as usual.
+    /// Rebuilds a peer from a [`LedgerSnapshot`] alone: world state and
+    /// duplicate-id set are installed directly, and the chain *resumes*
+    /// at the snapshot tip — blocks at or below `last_block` are not
+    /// held, so key history starts above it. Blocks committed after the
+    /// snapshot are applied by [`Peer::replay_block`] as usual.
     ///
     /// # Errors
     ///
@@ -317,27 +301,14 @@ impl<V: BlockValidator> Peer<V> {
         snapshot: &LedgerSnapshot,
     ) -> Result<Self, codec::DecodeError> {
         let state = codec::decode_state(&snapshot.state)?;
-        let history = codec::decode_history(&snapshot.history)?;
         let ids = codec::decode_txids(&snapshot.committed_ids)?;
         Ok(Peer::from_parts(
             validator,
             policy,
             state,
             Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
-            history,
             ids.into_iter().collect(),
         ))
-    }
-
-    /// Garbage-collects key history at or below `block_num` (which
-    /// must be a height every replica has committed — see
-    /// `storage::AckFrontier`): history entries committed at or below it
-    /// are dropped. The in-memory chain is left intact (the durable
-    /// store compacts separately), so ledger byte-identity against
-    /// non-GC'd peers is checked on state + chain, not history.
-    /// Returns the number of history entries dropped.
-    pub fn prune_up_to(&mut self, block_num: u64) -> usize {
-        self.history.prune_up_to(block_num)
     }
 
     /// Replays an already-validated block during catch-up: verifies the
@@ -671,9 +642,7 @@ impl<V: BlockValidator> Peer<V> {
         let StagedBlock {
             block, new_state, ..
         } = staged;
-        self.chain.append_sealed(block)?;
-        let tip = self.chain.tip().expect("chain nonempty after append");
-        self.history.record_block(tip);
+        let tip = self.chain.append_sealed(block)?;
         // Epoch swap: readers holding a clone of the old state keep a
         // consistent pre-block snapshot; new reads see the committed one.
         self.state = new_state;
@@ -833,8 +802,8 @@ mod tests {
         assert_eq!(restored.state(), original.state());
         assert_eq!(restored.chain().tip_hash(), original.chain().tip_hash());
         assert_eq!(
-            restored.history().history("k1"),
-            original.history().history("k1")
+            restored.chain().history("k1"),
+            original.chain().history("k1")
         );
 
         // Both peers process the next block identically — including
@@ -857,6 +826,40 @@ mod tests {
         assert_eq!(restored.snapshot(), original.snapshot());
     }
 
+    /// A peer restored from a snapshot holds no block at or below the
+    /// snapshot's `last_block`, so its history starts above it.
+    #[test]
+    fn snapshot_restored_peer_answers_history_above_its_base() {
+        let mut original = peer();
+        let mut snapshot = None;
+        for n in 1..=4 {
+            let block = next_block(&original, vec![tx(n, "k", &["org1", "org2"])]);
+            let staged = original.process_block(block);
+            original.commit(staged).unwrap();
+            if n == 2 {
+                snapshot = Some(original.ledger_snapshot());
+            }
+        }
+        let snapshot = snapshot.unwrap();
+        let mut restored =
+            Peer::restore_from_snapshot(FabricValidator::new(), original.policy.clone(), &snapshot)
+                .unwrap();
+        assert!(restored.chain().history("k").is_empty());
+        for number in 3..=4 {
+            let block = original.chain().block(number).unwrap().clone();
+            restored.replay_block(block).unwrap();
+        }
+
+        let full = original.chain().history("k");
+        assert_eq!(full.len(), 4);
+        let above_base: Vec<_> = full
+            .into_iter()
+            .filter(|e| e.height.block_num > snapshot.last_block)
+            .collect();
+        assert_eq!(above_base.len(), 2);
+        assert_eq!(restored.chain().history("k"), above_base);
+    }
+
     #[test]
     fn replay_applies_only_successful_writes() {
         // Build a committed block on one peer, replay it on another.
@@ -873,7 +876,7 @@ mod tests {
         assert_eq!(replica.state().value("good"), Some(&[1u8][..]));
         assert!(replica.state().value("bad").is_none());
         assert_eq!(replica.chain().tip_hash(), source.chain().tip_hash());
-        assert_eq!(replica.history().history("good").len(), 1);
+        assert_eq!(replica.chain().history("good").len(), 1);
     }
 
     #[test]

@@ -638,7 +638,7 @@ impl<V: BlockValidator> Simulation<V> {
             .unwrap_or_else(|| panic!("chaincode {:?} not deployed", request.chaincode))
             .clone();
 
-        let mut stub = ChaincodeStub::with_history(self.peer.state(), self.peer.history());
+        let mut stub = ChaincodeStub::with_history(self.peer.state(), self.peer.chain());
         if chaincode.invoke(&mut stub, &request.args).is_err() {
             // Proposal failed at execution: the client never submits a
             // transaction; the record keeps code = None (a failure).

@@ -13,18 +13,19 @@
 //!   covers, and [`DurableLedger::recover`]s a [`Peer`] after a crash.
 //! - [`AckFrontier`] is the cluster-wide GC coordination point: a
 //!   table mapping each peer to the block height it has contiguously
-//!   committed (acknowledged via gossip). History at or below the
-//!   *minimum* acknowledged height is committed everywhere, so
-//!   [`Peer::prune_up_to`] and [`DurableLedger::compact_up_to`] may
-//!   drop it without any replica ever needing those blocks again.
+//!   committed (acknowledged via gossip). Blocks at or below the
+//!   *minimum* acknowledged height are committed everywhere, so
+//!   [`DurableLedger::compact_up_to`] may drop their records without
+//!   any replica ever needing them again. Store compaction is the whole
+//!   of GC: the peer's in-memory chain is never truncated.
 //!
 //! Recovery prefers a **full replay** whenever the store retains a
 //! contiguous block run from 1: replaying every block reproduces a
 //! byte-identical ledger (same [`Peer::snapshot`] bytes as a peer that
 //! never crashed). Only when compaction has dropped the prefix does
 //! recovery install the latest snapshot and replay the suffix — then
-//! state, history and tip hash still match, but the encoded chain
-//! resumes at the snapshot anchor instead of genesis.
+//! state and tip hash still match, but the encoded chain resumes at the
+//! snapshot anchor instead of genesis, and key history starts above it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,9 +67,8 @@ pub struct StorageConfig {
     /// multiple of this; `0` disables snapshots (and therefore GC and
     /// snapshot catch-up — the store only ever grows).
     pub snapshot_interval: u64,
-    /// When true, peers prune operation history and compact their
-    /// stores up to the minimum height every replica has acknowledged
-    /// (the [`AckFrontier`] floor).
+    /// When true, peers compact their stores up to the minimum height
+    /// every replica has acknowledged (the [`AckFrontier`] floor).
     pub gc: bool,
     /// When true, append-only-file stores `fsync` every appended
     /// record, upgrading the crash model from process loss to power
@@ -275,7 +275,8 @@ impl DurableLedger {
 
     /// Whether the store retains a block record numbered `number` —
     /// how gossip anti-entropy probes whether a helper can serve a
-    /// block its in-memory chain has already pruned.
+    /// block below its in-memory chain's base (a peer recovered through
+    /// a snapshot holds no block at or below it).
     pub fn has_block(&self, number: u64) -> bool {
         self.store.has_block(number)
     }
@@ -474,10 +475,9 @@ impl DurableLedger {
 /// The cluster-wide GC coordination point: maps each peer (by index)
 /// to the block height it has contiguously committed and acknowledged
 /// over gossip. The *minimum* across all peers is the GC floor — every
-/// replica has committed history up to it, so history entries at or
-/// below it can be pruned ([`Peer::prune_up_to`]) and their block
-/// records compacted ([`DurableLedger::compact_up_to`]) without any
-/// replica ever needing them again.
+/// replica has committed the blocks up to it, so their records can be
+/// compacted ([`DurableLedger::compact_up_to`]) without any replica
+/// ever needing them again.
 ///
 /// An acknowledgement keeps the higher of the old and new height, so
 /// acknowledgements commute and stale ones are no-ops.
@@ -687,10 +687,16 @@ mod tests {
         assert_eq!(recovered.state(), live.state());
         assert_eq!(recovered.chain().tip_hash(), live.chain().tip_hash());
         assert_eq!(recovered.chain().height(), live.chain().height());
-        assert_eq!(
-            recovered.history().history("doc"),
-            live.history().history("doc")
-        );
+        // The recovered chain resumes above the snapshot: its history
+        // is the live history above block 6.
+        let above_snapshot: Vec<_> = live
+            .chain()
+            .history("doc")
+            .into_iter()
+            .filter(|e| e.height.block_num > 6)
+            .collect();
+        assert_eq!(above_snapshot.len(), 1);
+        assert_eq!(recovered.chain().history("doc"), above_snapshot);
 
         // Both peers process the next block identically, including
         // duplicate detection from the restored id set.
@@ -894,10 +900,9 @@ mod tests {
     }
 
     /// Property: over randomized CRDT write schedules, snapshot points
-    /// and per-peer acknowledgement heights, pruning at the
-    /// [`AckFrontier`] floor never touches state, tip, or any history
-    /// entry above the floor — and a store compacted at the same floor
-    /// still recovers a peer with identical state and tip.
+    /// and per-peer acknowledgement heights, a store compacted at the
+    /// [`AckFrontier`] floor still recovers a peer with identical state
+    /// and tip.
     #[test]
     fn gc_at_ack_floor_preserves_everything_above_it() {
         let key_pool: Vec<String> = (0..4).map(|k| format!("key{k}")).collect();
@@ -932,29 +937,8 @@ mod tests {
             let floor = frontier.min_acked(3);
             assert!(floor <= block_count);
 
-            let before_state = live.state().clone();
-            let before_tip = live.chain().tip_hash();
-            let full_history: BTreeMap<String, Vec<_>> = live
-                .history()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_vec()))
-                .collect();
-
-            live.prune_up_to(floor);
-            assert_eq!(live.state(), &before_state, "GC never touches state");
-            assert_eq!(live.chain().tip_hash(), before_tip);
-            for (key, entries) in &full_history {
-                let kept = live.history().history(key);
-                let expected: Vec<_> = entries
-                    .iter()
-                    .filter(|e| e.height.block_num > floor)
-                    .cloned()
-                    .collect();
-                assert_eq!(kept, expected, "entries above the floor survive GC");
-            }
-
-            // The durable store compacts at the same floor (clamped to
-            // its snapshot) and still recovers to the live ledger.
+            // The durable store compacts at the floor (clamped to its
+            // snapshot) and still recovers to the live ledger.
             store.compact_up_to(floor).unwrap();
             let recovery = store
                 .recover(

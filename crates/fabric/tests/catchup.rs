@@ -126,8 +126,8 @@ fn snapshot_and_replay_bootstrap_match_the_veteran() {
 
 /// Replay rejects a block whose chain linkage does not fit — a
 /// late-joining peer cannot be fed a forged continuation — and a
-/// rejected block leaves the peer exactly as it was: state, chain,
-/// history and committed ids.
+/// rejected block leaves the peer exactly as it was: state, chain and
+/// committed ids.
 #[test]
 fn replay_rejects_out_of_sequence_blocks() {
     let mut sim = Simulation::new(
@@ -158,7 +158,7 @@ fn replay_rejects_out_of_sequence_blocks() {
             .replay_block(forged)
             .expect_err("a block that does not extend the chain is rejected");
         assert_eq!(replica.state(), &before.0);
-        assert_eq!(replica.ledger_snapshot(), before.1, "history, ids");
+        assert_eq!(replica.ledger_snapshot(), before.1, "tip, ids");
         assert_eq!(replica.chain().height(), 2);
     }
 }

@@ -302,7 +302,7 @@ fn history_and_events_flow_through_the_pipeline() {
         .collect();
     let phase1 = sim.run(writes);
     assert_eq!(phase1.successful(), 3);
-    assert_eq!(sim.peer().history().history("asset").len(), 3);
+    assert_eq!(sim.peer().chain().history("asset").len(), 3);
 
     // Phase 2: the audit chaincode reads the history and emits an event.
     let phase2 = sim.run(vec![(

@@ -58,9 +58,9 @@
 //! channel: ack payloads are a few bytes and their propagation latency
 //! is irrelevant next to block dissemination, so each lane keeps one
 //! shared frontier rather than simulating its gossip. When GC is
-//! enabled, each replica prunes key history and compacts its store up
-//! to the frontier's minimum — a height every replica of the channel
-//! has already committed.
+//! enabled, each replica compacts its store up to the frontier's
+//! minimum — a height every replica of the channel has already
+//! committed. That is the whole of GC: in-memory chains are kept.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -1094,8 +1094,8 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Post-commit bookkeeping for slot `i`: mirror newly committed
     /// blocks into its durable store, write a snapshot when one is
     /// due, acknowledge the committed height on the channel frontier,
-    /// and — with GC enabled — prune history and compact the store up
-    /// to the frontier's minimum.
+    /// and — with GC enabled — compact the store up to the frontier's
+    /// minimum.
     fn note_commit(&mut self, i: usize) {
         let n_members = self.slots.len();
         let slot = &mut self.slots[i];
@@ -1120,9 +1120,8 @@ impl<V: BlockValidator> ChannelLane<V> {
         self.acked.ack(i, height);
         let floor = self.acked.min_acked(n_members);
         let slot = &mut self.slots[i];
-        if floor > slot.gc_floor && slot.store.as_ref().is_some_and(DurableLedger::gc_enabled) {
-            if let (Some(peer), Some(store)) = (slot.peer.as_mut(), slot.store.as_mut()) {
-                peer.prune_up_to(floor);
+        if floor > slot.gc_floor {
+            if let Some(store) = slot.store.as_mut().filter(|s| s.gc_enabled()) {
                 store
                     .compact_up_to(floor)
                     .expect("store compaction succeeds");

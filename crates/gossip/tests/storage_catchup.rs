@@ -321,8 +321,8 @@ fn snapshot_catch_up_ships_fewer_bytes_than_replay() {
 }
 
 /// Frontier-driven GC: once every replica acknowledges a height, the
-/// cluster floor advances and peers prune at it — without disturbing
-/// the committed state or convergence.
+/// cluster floor advances and peers compact their stores at it —
+/// without disturbing the committed state or convergence.
 #[test]
 fn gc_sweep_prunes_at_the_acknowledged_floor_without_divergence() {
     gen::cases(10, |g| {
@@ -383,8 +383,8 @@ fn endorsed_tx_on_key(nonce: u64, key: &str, reading: &str) -> Transaction {
 /// anti-entropy tick, block by block): peer 1 crashes at height 1 and
 /// peer 5 at height 2, pinning the frontier floor; peer 1 recovers
 /// mid-stream, advancing the floor to 2 while commits are still
-/// running, so every live peer prunes its chain and compacts its store
-/// down to `blocks 3.. + snapshots`. Helper peer 3 — holding
+/// running, so every live peer compacts its store down to
+/// `blocks 3.. + snapshots`. Helper peer 3 — holding
 /// `snap(4) + snap(8) + blocks 3..10` — then crashes and recovers from
 /// its own store: a snapshot-path recovery (blocks 3..10 are not
 /// contiguous from 1), leaving its in-memory chain based at block 9

@@ -6,6 +6,7 @@ use std::fmt;
 use fabriccrdt_crypto::Digest;
 
 use crate::block::{Block, SealedBlock};
+use crate::version::Height;
 
 /// Error returned when appending a block that does not extend the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,8 +104,7 @@ impl Blockchain {
         self.blocks.is_empty()
     }
 
-    /// Number of the first block held in memory (0 unless resumed or
-    /// front-truncated).
+    /// Number of the first block held in memory (0 unless resumed).
     pub fn base_number(&self) -> u64 {
         self.base_number
     }
@@ -138,24 +138,6 @@ impl Blockchain {
         self.blocks.iter()
     }
 
-    /// Drops in-memory blocks numbered below `keep_from`, re-anchoring
-    /// the chain at the last dropped block's hash. Returns how many
-    /// blocks were dropped. Appends, `tip_hash` and `verify_integrity`
-    /// are unaffected; `block(n)` for dropped numbers returns `None`.
-    pub fn truncate_front(&mut self, keep_from: u64) -> usize {
-        if keep_from <= self.base_number {
-            return 0;
-        }
-        let drop = ((keep_from - self.base_number) as usize).min(self.blocks.len());
-        if drop == 0 {
-            return 0;
-        }
-        self.base_hash = self.blocks[drop - 1].hash();
-        self.base_number = self.blocks[drop - 1].header.number + 1;
-        self.blocks.drain(..drop);
-        drop
-    }
-
     /// Appends a block from an untrusted source:
     /// [`Blockchain::verify_next`], then [`Blockchain::append_sealed`].
     ///
@@ -165,7 +147,7 @@ impl Blockchain {
     /// the chain; the chain is left unchanged.
     pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
         let sealed = self.verify_next(block)?;
-        self.append_sealed(sealed)
+        self.append_sealed(sealed).map(drop)
     }
 
     /// Checks, without appending, that `block` extends the chain:
@@ -178,12 +160,13 @@ impl Blockchain {
 
     /// Appends a block this process hashed itself, checking only number
     /// and previous hash: the type proves the data hash (debug builds
-    /// recompute it anyway). On error the chain is left unchanged.
-    pub fn append_sealed(&mut self, block: SealedBlock) -> Result<(), ChainError> {
+    /// recompute it anyway). Returns the appended block, now the tip. On
+    /// error the chain is left unchanged.
+    pub fn append_sealed(&mut self, block: SealedBlock) -> Result<&Block, ChainError> {
         check_link(&block, self.height(), self.tip_hash())?;
         debug_assert!(block.data_hash_is_valid(), "a sealed block was hashed");
         self.blocks.push(block.into_block());
-        Ok(())
+        Ok(&self.blocks[self.blocks.len() - 1])
     }
 
     /// Verifies the integrity of all in-memory blocks, anchored at the
@@ -204,6 +187,43 @@ impl Blockchain {
     pub fn total_transactions(&self) -> usize {
         self.blocks.iter().map(Block::len).sum()
     }
+
+    /// Every modification of `key` in the blocks this chain holds,
+    /// oldest first (Fabric's `GetHistoryForKey`): the writes of
+    /// successful transactions in block, then transaction order, a
+    /// delete as `None`. Invalid transactions are in the chain but never
+    /// touched the state, so they are not in the history. A chain
+    /// resumed from a snapshot answers from its base upwards, as a
+    /// Fabric peer that joined a channel from a snapshot does.
+    pub fn history(&self, key: &str) -> Vec<HistoryEntry> {
+        let mut entries = Vec::new();
+        for block in &self.blocks {
+            let coded = block.transactions.iter().zip(&block.validation_codes);
+            for (tx_num, (tx, code)) in coded.enumerate() {
+                if !code.is_success() {
+                    continue;
+                }
+                let Some(write) = tx.rwset.writes.get(key) else {
+                    continue;
+                };
+                entries.push(HistoryEntry {
+                    height: Height::new(block.header.number, tx_num as u64),
+                    value: (!write.is_delete).then(|| write.value.clone()),
+                });
+            }
+        }
+        entries
+    }
+}
+
+/// One committed modification of a key, as [`Blockchain::history`]
+/// reports it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistoryEntry {
+    /// Height of the committing transaction.
+    pub height: Height,
+    /// The written value; `None` records a delete.
+    pub value: Option<Vec<u8>>,
 }
 
 /// The cheap checks: `block` is number `expected` and chains to `previous`.
@@ -340,7 +360,8 @@ mod tests {
         );
         assert_eq!(chain.height(), 1);
         let sealed = SealedBlock::seal(block, chain.tip_hash());
-        assert_eq!(chain.append_sealed(sealed), Ok(()));
+        let tip = chain.append_sealed(sealed).unwrap().clone();
+        assert_eq!(Some(&tip), chain.tip(), "the appended block is the tip");
         chain.verify_integrity().unwrap();
     }
 
@@ -398,29 +419,5 @@ mod tests {
             resumed.append(bad).unwrap_err(),
             ChainError::BrokenHashChain
         );
-    }
-
-    #[test]
-    fn truncate_front_preserves_tip_and_appends() {
-        let mut chain = Blockchain::new();
-        for n in 1..=5 {
-            extend(&mut chain, vec![tx(n)]);
-        }
-        let tip = chain.tip_hash();
-        assert_eq!(chain.truncate_front(3), 3);
-        assert_eq!(chain.base_number(), 3);
-        assert_eq!(chain.height(), 5);
-        assert_eq!(chain.tip_hash(), tip);
-        assert!(chain.block(2).is_none());
-        assert_eq!(chain.block(3).unwrap().header.number, 3);
-        chain.verify_integrity().unwrap();
-        // Idempotent at or below the base; capped at the tip.
-        assert_eq!(chain.truncate_front(3), 0);
-        assert_eq!(chain.truncate_front(100), 2);
-        assert_eq!(chain.height(), 5);
-        assert_eq!(chain.tip_hash(), tip);
-        extend(&mut chain, vec![tx(6)]);
-        chain.verify_integrity().unwrap();
-        assert_eq!(chain.height(), 6);
     }
 }

@@ -458,65 +458,6 @@ pub fn decode_chain(data: &[u8]) -> Result<Blockchain, DecodeError> {
     Ok(chain)
 }
 
-/// Encodes a history database (keys in sorted order).
-pub fn encode_history(history: &crate::history::HistoryDb) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
-    w.u64(history.keys() as u64);
-    for (key, entries) in history.iter() {
-        w.str(key);
-        w.u64(entries.len() as u64);
-        for entry in entries {
-            w.u64(entry.height.block_num);
-            w.u64(entry.height.tx_num);
-            match &entry.value {
-                Some(value) => {
-                    w.u8(1);
-                    w.bytes(value);
-                }
-                None => w.u8(0),
-            }
-        }
-    }
-    w.buf
-}
-
-/// Decodes a history database.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for truncated, malformed or
-/// wrong-version input.
-pub fn decode_history(data: &[u8]) -> Result<crate::history::HistoryDb, DecodeError> {
-    let mut r = Reader::new(data);
-    let version = r.u8()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
-    }
-    let key_count = r.len(25)?;
-    let mut history = crate::history::HistoryDb::new();
-    for _ in 0..key_count {
-        let key = r.str()?;
-        let entry_count = r.len(17)?;
-        let mut entries = Vec::with_capacity(entry_count);
-        for _ in 0..entry_count {
-            let height = Height::new(r.u64()?, r.u64()?);
-            let value = match r.u8()? {
-                0 => None,
-                1 => Some(r.bytes()?),
-                _ => return Err(DecodeError::new("invalid value marker", r.pos() - 1)),
-            };
-            entries.push(crate::history::HistoryEntry { height, value });
-        }
-        if entries.is_empty() {
-            return Err(DecodeError::new("history key without entries", r.pos()));
-        }
-        history.insert_entries(key, entries);
-    }
-    r.finish()?;
-    Ok(history)
-}
-
 /// Encodes a set of transaction ids (callers pass them sorted so the
 /// encoding is deterministic).
 pub fn encode_txids(ids: &[TxId]) -> Vec<u8> {

@@ -11,7 +11,8 @@
 //! - [`transaction`]: endorsed transactions with content-derived ids.
 //! - [`block`]: blocks with hash chaining and per-transaction validation
 //!   codes.
-//! - [`chain`]: the append-only blockchain with integrity verification.
+//! - [`chain`]: the append-only blockchain with integrity verification,
+//!   and the key history (`GetHistoryForKey`) read from its blocks.
 //! - [`mvcc`]: the multi-version concurrency control validator of §3,
 //!   including the worked T1…T5 example as a test.
 //! - [`store`]: pluggable durable storage — a [`store::LedgerStore`]
@@ -36,7 +37,6 @@
 pub mod block;
 pub mod chain;
 pub mod codec;
-pub mod history;
 pub mod mvcc;
 mod pmap;
 pub mod rwset;

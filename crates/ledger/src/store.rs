@@ -1,9 +1,9 @@
 //! Pluggable durable ledger storage.
 //!
 //! Hyperledger Fabric peers persist blocks in an append-only block file
-//! and rebuild the state and history indexes by replay (Androulaki et
-//! al. §4.4). This module provides the equivalent seam for the
-//! simulated peers: a [`LedgerStore`] trait with two backends —
+//! and rebuild the state index by replay (Androulaki et al. §4.4). This
+//! module provides the equivalent seam for the simulated peers: a
+//! [`LedgerStore`] trait with two backends —
 //! [`MemoryStore`], one in-memory record log, and [`AofStore`], that
 //! same log mirrored to a real append-only file with length-prefixed
 //! records, a content-hash footer per record, and
@@ -14,8 +14,8 @@
 //! - **block** records — every committed block, appended in commit
 //!   order, encoded with [`codec::encode_block`];
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
-//!   encoded world state, history database and committed transaction
-//!   ids at a block height.
+//!   encoded world state and committed transaction ids at a block
+//!   height.
 //!
 //! [`LedgerStore::compact_up_to`] drops block records covered by the
 //! latest snapshot (never beyond it), bounding store growth; recovery
@@ -51,7 +51,7 @@ use crate::block::Block;
 use crate::codec::{self, DecodeError, Reader, Writer};
 
 /// Snapshot record layout version; bump on layout changes.
-const SNAPSHOT_FORMAT_VERSION: u8 = 2;
+const SNAPSHOT_FORMAT_VERSION: u8 = 3;
 
 /// Record kind tag for a block record.
 const KIND_BLOCK: u8 = 1;
@@ -123,7 +123,9 @@ fn io_err(op: &'static str, e: std::io::Error) -> StoreError {
 /// of the block suffix committed after the snapshot.
 ///
 /// The component byte strings are produced by `ledger::codec`
-/// (`encode_state`, `encode_history`, `encode_txids`).
+/// (`encode_state`, `encode_txids`). A snapshot holds no key history:
+/// a peer restored from one answers `GetHistoryForKey` from the blocks
+/// it commits above `last_block` ([`crate::Blockchain::history`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerSnapshot {
     /// Number of the last block the snapshot covers.
@@ -132,8 +134,6 @@ pub struct LedgerSnapshot {
     pub tip_hash: Digest,
     /// Encoded world state ([`codec::encode_state`]).
     pub state: Vec<u8>,
-    /// Encoded history database ([`codec::encode_history`]).
-    pub history: Vec<u8>,
     /// Encoded committed transaction ids ([`codec::encode_txids`]).
     pub committed_ids: Vec<u8>,
 }
@@ -146,7 +146,6 @@ impl LedgerSnapshot {
         w.u64(self.last_block);
         w.digest(&self.tip_hash);
         w.bytes(&self.state);
-        w.bytes(&self.history);
         w.bytes(&self.committed_ids);
         w.buf
     }
@@ -168,7 +167,6 @@ impl LedgerSnapshot {
             last_block: r.u64()?,
             tip_hash: r.digest()?,
             state: r.bytes()?,
-            history: r.bytes()?,
             committed_ids: r.bytes()?,
         };
         r.finish()?;
@@ -178,8 +176,8 @@ impl LedgerSnapshot {
     /// Size of the serialized snapshot in bytes — the cost of shipping
     /// it over the (simulated) wire.
     pub fn encoded_len(&self) -> usize {
-        // version + last_block + tip_hash + three length-prefixed strings.
-        1 + 8 + 32 + 3 * 8 + self.state.len() + self.history.len() + self.committed_ids.len()
+        // version + last_block + tip_hash + two length-prefixed strings.
+        1 + 8 + 32 + 2 * 8 + self.state.len() + self.committed_ids.len()
     }
 }
 

@@ -42,7 +42,6 @@ fn sample_snapshot(last_block: u64) -> LedgerSnapshot {
         last_block,
         tip_hash: [last_block as u8; 32],
         state: vec![1, 2, 3],
-        history: vec![4, 5],
         committed_ids: vec![6],
     }
 }
@@ -61,24 +60,42 @@ fn snapshot_byte_roundtrip() {
     assert!(LedgerSnapshot::from_bytes(&wrong_version).is_err());
 }
 
-/// Version 1 carried a fifth length-prefixed component, since dropped.
-/// There is no v1 decoder: such a record is an error, and relabelling
-/// it as the current version does not make it parse as something else.
+/// Version 1 carried a fifth length-prefixed component and version 2 a
+/// fourth (the key history), both since dropped. There is no decoder
+/// for either: each is an error, and relabelling it as the current
+/// version does not make it parse as something else.
 #[test]
 fn version_one_snapshot_is_rejected() {
     let snapshot = sample_snapshot(42);
-    let mut w = Writer::new();
-    w.u8(1);
-    w.u64(snapshot.last_block);
-    w.digest(&snapshot.tip_hash);
-    w.bytes(&snapshot.state);
-    w.bytes(&snapshot.history);
-    w.bytes(&snapshot.committed_ids);
-    w.bytes(&[7, 8, 9, 10]);
-    let mut v1 = w.buf;
-    assert!(LedgerSnapshot::from_bytes(&v1).is_err());
-    v1[0] = SNAPSHOT_FORMAT_VERSION;
-    assert!(LedgerSnapshot::from_bytes(&v1).is_err());
+    let history: &[u8] = &[4, 5];
+    let old_layouts: [(u8, Vec<&[u8]>); 2] = [
+        (
+            1,
+            vec![
+                &snapshot.state,
+                history,
+                &snapshot.committed_ids,
+                &[7, 8, 9, 10],
+            ],
+        ),
+        (2, vec![&snapshot.state, history, &snapshot.committed_ids]),
+    ];
+    for (version, components) in old_layouts {
+        let mut w = Writer::new();
+        w.u8(version);
+        w.u64(snapshot.last_block);
+        w.digest(&snapshot.tip_hash);
+        for component in components {
+            w.bytes(component);
+        }
+        let mut old = w.buf;
+        assert!(LedgerSnapshot::from_bytes(&old).is_err(), "v{version}");
+        old[0] = SNAPSHOT_FORMAT_VERSION;
+        assert!(
+            LedgerSnapshot::from_bytes(&old).is_err(),
+            "v{version} relabelled as current"
+        );
+    }
 }
 
 #[test]
