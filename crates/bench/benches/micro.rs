@@ -30,7 +30,7 @@ use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_gossip::GossipNetwork;
-use fabriccrdt_jsoncrdt::doc::write_alone;
+use fabriccrdt_jsoncrdt::doc::{alone_as_is, write_alone};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock};
@@ -653,6 +653,11 @@ fn main() {
             let mut bytes = Vec::new();
             write_alone(&big[0], &mut bytes).unwrap();
             bytes
+        });
+        // And what it does when the chaincode wrote the document in that
+        // form already: one pass over the bytes, nothing parsed.
+        bench.run("jsoncrdt/alone-as-is-1x1400B", Some(1), bytes, || {
+            alone_as_is(black_box(text.as_bytes())).unwrap()
         });
         bench.run("jsoncrdt/merge-400x47B-one-key", Some(400), None, || {
             merged(&hot)

@@ -24,17 +24,15 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use fabriccrdt_fabric::cost::ValidationWork;
-use fabriccrdt_fabric::metrics::DecodeCacheMetrics;
 use fabriccrdt_fabric::validator::BlockValidator;
-use fabriccrdt_jsoncrdt::cache::{self, decode_cached};
-use fabriccrdt_jsoncrdt::doc::write_alone;
+use fabriccrdt_jsoncrdt::doc::{alone_as_is, write_alone};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::mvcc;
+use fabriccrdt_ledger::rwset::WriteEntry;
 use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_ledger::worldstate::WorldState;
 
@@ -45,7 +43,7 @@ use crate::types::TypedCrdt;
 /// CRDTs of [`crate::types`] (the paper's future-work extension).
 enum KeyMerger {
     /// A key's first JSON document: written once, it needs no CRDT.
-    Alone(Arc<Value>),
+    Alone(Value),
     Json(JsonCrdt),
     Typed(TypedCrdt),
 }
@@ -109,28 +107,36 @@ impl CrdtValidator {
     /// Each key's merger starts from a fresh [`JsonCrdt`]
     /// (`InitEmptyCRDT`), so its operation-id sequence depends only on
     /// that key's payload sequence in block order; a key written once
-    /// skips it ([`write_alone`]: same bytes, same work).
+    /// skips it ([`write_alone`]: same bytes, same work), and is not even
+    /// parsed when its bytes are already what that would write
+    /// ([`alone_as_is`]): it keeps them, so it joins no merger.
     fn merge_pass<'a>(
         &self,
-        txs: impl Iterator<Item = (usize, &'a Transaction)>,
+        txs: impl Iterator<Item = (usize, &'a Transaction)> + Clone,
         merge_units: &mut u64,
         merge_quad: &mut u64,
     ) -> BTreeMap<String, (KeyMerger, Vec<usize>)> {
+        let mut writers: BTreeMap<&str, usize> = BTreeMap::new();
+        for (key, _) in txs.clone().flat_map(|(_, tx)| crdt_writes(tx)) {
+            *writers.entry(key).or_default() += 1;
+        }
         let mut crdts: BTreeMap<String, (KeyMerger, Vec<usize>)> = BTreeMap::new();
         for (i, tx) in txs {
-            for (key, entry) in tx.rwset.writes.iter() {
-                if !entry.is_crdt || entry.is_delete {
-                    continue; // line 14: handled as a non-CRDT pair
+            for (key, entry) in crdt_writes(tx) {
+                if writers[key.as_str()] == 1 {
+                    if let Some(work) = alone_as_is(&entry.value) {
+                        // What `KeyMerger::Alone` counts; line 22 would
+                        // write these very bytes back.
+                        *merge_units += work.units() + work.ops_applied;
+                        continue;
+                    }
                 }
                 // The type of the CRDT object depends on the value's type
                 // (line 9): a `_crdt`-tagged envelope selects a typed
                 // CRDT; any other JSON map is the generic JSON-document
                 // CRDT. Unparsable values stay opaque: they skip MVCC
                 // (the flag is set) and commit in block order unmerged.
-                // The shared decode cache means the N peers of a network
-                // (and the parallel `prepare` pass) parse each distinct
-                // payload once.
-                let Ok(value) = decode_cached(&entry.value) else {
+                let Ok(value) = Value::from_bytes(&entry.value) else {
                     continue;
                 };
                 if value.as_map().is_none() {
@@ -191,6 +197,15 @@ impl CrdtValidator {
     }
 }
 
+/// `tx`'s CRDT value writes (line 14: every other pair, deletes
+/// included, is handled as a non-CRDT pair).
+fn crdt_writes(tx: &Transaction) -> impl Iterator<Item = (&String, &WriteEntry)> {
+    tx.rwset
+        .writes
+        .iter()
+        .filter(|(_, entry)| entry.is_crdt && !entry.is_delete)
+}
+
 impl Default for CrdtValidator {
     fn default() -> Self {
         CrdtValidator::new()
@@ -240,28 +255,6 @@ impl BlockValidator for CrdtValidator {
             merge_quad,
             ..stats.into()
         }
-    }
-
-    /// Pre-parses CRDT write payloads into the shared decode cache.
-    /// Called from the peer's (possibly parallel) pre-validation stage,
-    /// this hoists JSON parsing off the sequential merge path; the
-    /// first-pass `decode_cached` above then hits the warm cache.
-    /// Value-neutral by the cache's determinism argument.
-    fn prepare(&self, tx: &Transaction) {
-        for (_, entry) in tx.rwset.writes.iter() {
-            if entry.is_crdt && !entry.is_delete {
-                let _ = decode_cached(&entry.value);
-            }
-        }
-    }
-
-    fn decode_cache_stats(&self) -> Option<DecodeCacheMetrics> {
-        let stats = cache::stats();
-        Some(DecodeCacheMetrics {
-            hits: stats.hits,
-            misses: stats.misses,
-            evictions: stats.evictions,
-        })
     }
 
     fn name(&self) -> &str {
@@ -505,11 +498,6 @@ mod tests {
     #[test]
     fn validator_name() {
         assert_eq!(CrdtValidator::new().name(), "fabriccrdt");
-    }
-
-    #[test]
-    fn crdt_validator_reports_decode_cache() {
-        assert!(CrdtValidator::new().decode_cache_stats().is_some());
     }
 
     #[test]

@@ -6,18 +6,22 @@
 //! as the parent wrapped it: a fresh `JsonCrdt` per key per block
 //! (`InitEmptyCRDT`) whether one transaction writes the key or forty.
 //! The rewrite keeps a key's first JSON document as it came and builds
-//! the CRDT only when a second one arrives; codes, rewritten write sets,
+//! the CRDT only when a second one arrives, and commits a key written
+//! once without parsing it when its bytes are already in the form the
+//! conversion writes (`alone_as_is`); codes, rewritten write sets,
 //! world state and every `ValidationWork` counter must be the oracle's
 //! through `validate_and_commit`, the one finalize every peer runs. The
 //! work counters feed `fabric::cost`,
 //! so every simulated-time figure hangs on them. Driven by
-//! `fabriccrdt_sim::gen`.
+//! `fabriccrdt_sim::gen`, which writes normal-form singletons often
+//! enough that the as-is path is taken.
 
 use std::collections::BTreeMap;
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::Identity;
 use fabriccrdt_fabric::validator::BlockValidator;
+use fabriccrdt_jsoncrdt::doc::{alone_as_is, write_alone};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -32,7 +36,7 @@ mod oracle {
     use fabriccrdt::TypedCrdt;
     use fabriccrdt_fabric::cost::ValidationWork;
     use fabriccrdt_fabric::validator::BlockValidator;
-    use fabriccrdt_jsoncrdt::cache::decode_cached;
+    use fabriccrdt_jsoncrdt::json::Value;
     use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
     use fabriccrdt_ledger::block::{Block, ValidationCode};
     use fabriccrdt_ledger::mvcc;
@@ -93,10 +97,7 @@ mod oracle {
                     // CRDT; any other JSON map is the generic JSON-document
                     // CRDT. Unparsable values stay opaque: they skip MVCC
                     // (the flag is set) and commit in block order unmerged.
-                    // The shared decode cache means the N peers of a network
-                    // (and the parallel `prepare` pass) parse each distinct
-                    // payload once.
-                    let Ok(value) = decode_cached(&entry.value) else {
+                    let Ok(value) = Value::from_bytes(&entry.value) else {
                         continue;
                     };
                     if value.as_map().is_none() {
@@ -252,6 +253,23 @@ fn arb_payload(g: &mut Gen) -> Vec<u8> {
         7 => format!(r#""s{n}""#),
         // Not JSON at all.
         8 => format!(r#"{{"readings":["r{n}""#),
+        // The form Algorithm 1 converges a key written once to, so it
+        // commits as it came: the conversion's own output, and a
+        // document as `bigstate`'s chaincode builds it.
+        9 | 10 => {
+            let mut bytes = Vec::new();
+            let _ = write_alone(&arb_map(g, 3), &mut bytes);
+            return bytes;
+        }
+        11 => {
+            let readings: Vec<String> = (0..n).map(|j| format!(r#""r{n}-{j}""#)).collect();
+            format!(
+                r#"{{"deviceID":"d{n}","readings":[{}]}}"#,
+                readings.join(",")
+            )
+        }
+        // JSON the parser takes that is not in that form.
+        12 => arb_map(g, 3).to_pretty_string(),
         _ => return arb_map(g, 3).to_bytes(),
     };
     text.into_bytes()
@@ -320,12 +338,26 @@ fn arb_block(g: &mut Gen) -> (Block, WorldState, Vec<Option<ValidationCode>>) {
 
 // ------------------------------------------------------ comparison
 
+/// Where each write of the block keeps its bytes: Algorithm 1's rewrite
+/// replaces a write's `Vec`, so a write whose buffer is the one it came
+/// with was left as it came.
+fn buffers(block: &Block) -> Vec<*const u8> {
+    let writes = block
+        .transactions
+        .iter()
+        .flat_map(|tx| tx.rwset.writes.iter());
+    writes.map(|(_, entry)| entry.value.as_ptr()).collect()
+}
+
 /// Runs `block` through both validators and asserts every output is
-/// the oracle's.
-fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]) {
+/// the oracle's. Returns how many writes took the as-is path: each key
+/// that one merging transaction writes, in normal form, must keep the
+/// very buffer it came in.
+fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]) -> usize {
     let (new, old) = (CrdtValidator::new(), oracle::CrdtValidator::new());
 
     let (mut new_block, mut new_state) = (block.clone(), state.clone());
+    let before = buffers(&new_block);
     let new_work = new.validate_and_commit(&mut new_block, &mut new_state, pre);
     let (mut old_block, mut old_state) = (block.clone(), state.clone());
     let old_work = old.validate_and_commit(&mut old_block, &mut old_state, pre);
@@ -333,16 +365,43 @@ fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]
     assert_eq!(new_block.transactions, old_block.transactions, "rewrites");
     assert_eq!(new_state, old_state);
     assert_eq!(new_work, old_work);
+
+    let merging = |i: usize| pre.get(i).copied().flatten().is_none();
+    let crdt_values = |i: usize| {
+        let writes = block.transactions[i].rwset.writes.iter();
+        writes.filter(|(_, entry)| entry.is_crdt && !entry.is_delete)
+    };
+    let mut writers: BTreeMap<&str, usize> = BTreeMap::new();
+    for i in (0..block.transactions.len()).filter(|&i| merging(i)) {
+        for (key, _) in crdt_values(i) {
+            *writers.entry(key).or_default() += 1;
+        }
+    }
+    let all = block.transactions.iter().enumerate();
+    let writes = all.flat_map(|(i, tx)| tx.rwset.writes.iter().map(move |w| (i, w)));
+    let mut as_is = 0;
+    for ((i, (key, entry)), (before, after)) in
+        writes.zip(before.into_iter().zip(buffers(&new_block)))
+    {
+        let alone = merging(i) && entry.is_crdt && !entry.is_delete && writers[key.as_str()] == 1;
+        if alone && alone_as_is(&entry.value).is_some() {
+            assert_eq!(before, after, "{key} was rewritten");
+            as_is += 1;
+        }
+    }
+    as_is
 }
 
 #[test]
 fn singleton_keys_converge_as_the_oracle_merges_them() {
     // ci.sh runs this in release at full count; the debug run is a sixth.
     let cases = if cfg!(debug_assertions) { 300 } else { 1_800 };
+    let mut as_is = 0;
     gen::cases(cases, |g| {
         let (block, state, pre) = arb_block(g);
-        assert_same(&block, &state, &pre);
+        as_is += assert_same(&block, &state, &pre);
     });
+    assert!(as_is > 0, "no singleton was taken as it came");
 }
 
 /// `bigstate-pipelined`'s shape: 25 transactions, one 32-reading document
@@ -367,5 +426,6 @@ fn benchmark_block_of_singletons_merges_identically() {
         })
         .collect();
     let block = Block::assemble(2, [0; 32], transactions);
-    assert_same(&block, &WorldState::new(), &[]);
+    // Every key but the one written twice commits as it came.
+    assert_eq!(assert_same(&block, &WorldState::new(), &[]), 23);
 }

@@ -204,13 +204,10 @@ impl DisseminationMetrics {
     }
 }
 
-/// Decode-cache activity attributed to one run: the delta of the
-/// process-wide payload cache counters over the run, read through
-/// [`BlockValidator::decode_cache_stats`](crate::validator::BlockValidator::decode_cache_stats)
-/// by the simulation for validators that decode CRDT payloads. `None` in
-/// [`RunMetrics::decode_cache`] — rendered "n/a", like
-/// [`RunMetrics::avg_latency_secs`] — means the validator never touches
-/// the cache.
+/// The type of [`RunMetrics::decode_cache`] and of
+/// [`BlockValidator::decode_cache_stats`](crate::validator::BlockValidator::decode_cache_stats),
+/// both always `None`: there is no payload cache. Kept only because
+/// `perf/` names them (DESIGN.md §4.16).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheMetrics {
     /// Lookups served from the cache during the run.
@@ -221,24 +218,12 @@ pub struct DecodeCacheMetrics {
     pub evictions: u64,
 }
 
-impl DecodeCacheMetrics {
-    /// Fraction of lookups served from the cache, or `None` when the
-    /// run performed no lookups at all.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let lookups = self.hits + self.misses;
-        if lookups == 0 {
-            return None;
-        }
-        Some(self.hits as f64 / lookups as f64)
-    }
-}
-
 /// Detection counters of the byzantine-adversary screen. Only
 /// populated when a run configures an adversary schedule
 /// ([`crate::config::AdversaryConfig`]) on a gossip delivery; honest
 /// runs report `None` in [`RunMetrics::adversary`].
 ///
-/// Unlike [`RunMetrics::decode_cache`], these counters are part of
+/// Unlike [`RunMetrics::pipelined`], these counters are part of
 /// [`RunMetrics`] equality: detection is deterministic, so equivalent
 /// runs must detect identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -282,8 +267,7 @@ impl AdversaryMetrics {
 /// populated for pipelined runs; sequential runs report `None` in
 /// [`RunMetrics::pipelined`].
 ///
-/// Excluded from [`RunMetrics`] equality, like
-/// [`RunMetrics::decode_cache`]: the equivalence sweeps compare a
+/// Excluded from [`RunMetrics`] equality: the equivalence sweeps compare a
 /// sequential run (`pipelined: None`) against a pipelined one
 /// (`pipelined: Some(..)`) and assert *outcome* identity — these
 /// counters describe how the work was scheduled, not what it decided.
@@ -423,8 +407,7 @@ pub struct RunMetrics {
     /// Ordering-cluster metrics when the run used the Raft backend;
     /// `None` under the default single orderer.
     pub ordering: Option<OrderingMetrics>,
-    /// Decode-cache counter deltas over the run; `None` when the
-    /// validator never uses the payload cache.
+    /// Always `None`; pinned for `perf/` (DESIGN.md §4.16).
     pub decode_cache: Option<DecodeCacheMetrics>,
     /// Byzantine-screen detection counters when the run configured an
     /// adversary schedule; `None` for honest runs.
@@ -442,15 +425,10 @@ pub struct RunMetrics {
     pub conflict_policy: Option<ConflictPolicyMetrics>,
 }
 
-/// Equality deliberately ignores [`RunMetrics::decode_cache`]: the
-/// parallel pipeline races pre-validation decodes across pool threads,
-/// so hit/miss counters depend on thread scheduling even though every
-/// validation outcome stays byte-identical. The equivalence sweeps
-/// assert `sequential_metrics == parallel_metrics`, which must hold
-/// regardless of that scheduling noise. [`RunMetrics::pipelined`] is
-/// ignored for the same reason: it describes the overlap schedule, and
-/// the sweeps compare pipelined runs against sequential ones that have
-/// no such schedule at all.
+/// Equality ignores [`RunMetrics::pipelined`]: it describes the overlap
+/// schedule, and the equivalence sweeps compare pipelined runs against
+/// sequential ones that have no such schedule at all. It ignores the
+/// pinned [`RunMetrics::decode_cache`] shell too.
 impl PartialEq for RunMetrics {
     fn eq(&self, other: &Self) -> bool {
         self.channel == other.channel
@@ -707,17 +685,6 @@ mod tests {
             OrderingMetrics::default().commit_latency_summary().count(),
             0
         );
-    }
-
-    #[test]
-    fn decode_cache_hit_ratio() {
-        let stats = DecodeCacheMetrics {
-            hits: 3,
-            misses: 1,
-            evictions: 0,
-        };
-        assert!((stats.hit_ratio().unwrap() - 0.75).abs() < 1e-9);
-        assert_eq!(DecodeCacheMetrics::default().hit_ratio(), None);
     }
 
     #[test]

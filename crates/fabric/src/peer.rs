@@ -507,8 +507,7 @@ impl<V: BlockValidator> Peer<V> {
             if duplicate[i] {
                 return (Some(ValidationCode::DuplicateTxId), 0);
             }
-            // Warm validator-side caches (e.g. CRDT payload decode)
-            // off the sequential critical path; value-neutral.
+            // A no-op on every workspace validator (DESIGN.md §4.16).
             validator.prepare(tx);
             // Hashed into the leaf at ingress: no second payload pass.
             let digest = encoded.payload_digest(i);

@@ -35,8 +35,8 @@ use crate::config::PipelineConfig;
 use crate::conflict::BlockFeedback;
 use crate::latency::LatencyConfig;
 use crate::metrics::{
-    AdversaryMetrics, CommittedEvent, ConflictPolicyMetrics, DecodeCacheMetrics,
-    DisseminationMetrics, OrderingMetrics, RetryMetrics, RunMetrics, TxRecord,
+    AdversaryMetrics, CommittedEvent, ConflictPolicyMetrics, DisseminationMetrics, OrderingMetrics,
+    RetryMetrics, RunMetrics, TxRecord,
 };
 use crate::orderer::{Orderer, TimeoutRequest};
 use crate::peer::{Peer, PreparedBlock, StagedBlock};
@@ -476,23 +476,9 @@ impl<V: BlockValidator> Simulation<V> {
             self.queue.schedule(at, Event::Submit(i));
         }
 
-        // The payload decode cache is process-wide, so this run's share
-        // is a counter delta (saturating: a concurrent test may clear
-        // the cache under us, which must not underflow).
-        let cache_before = self.peer.validator().decode_cache_stats();
-
         while let Some((now, event)) = self.queue.pop() {
             self.handle(now, event);
         }
-
-        let decode_cache = match (cache_before, self.peer.validator().decode_cache_stats()) {
-            (Some(before), Some(after)) => Some(DecodeCacheMetrics {
-                hits: after.hits.saturating_sub(before.hits),
-                misses: after.misses.saturating_sub(before.misses),
-                evictions: after.evictions.saturating_sub(before.evictions),
-            }),
-            _ => None,
-        };
 
         // Overlap/stall counters are scheduling-descriptive (host
         // wall-clock concurrency), never simulation values, so they sit
@@ -513,7 +499,8 @@ impl<V: BlockValidator> Simulation<V> {
             events: std::mem::take(&mut self.committed_events),
             dissemination: self.delivery.take_dissemination(),
             ordering: self.ordering.take_ordering_metrics(),
-            decode_cache,
+            // Pinned for `perf/` (DESIGN.md §4.16): nothing is cached.
+            decode_cache: None,
             adversary: self.delivery.take_adversary(),
             pipelined,
             retry: std::mem::take(&mut self.retry),

@@ -46,12 +46,11 @@ pub trait BlockValidator: Send + Sync + 'static {
     /// [`validate_and_commit`](BlockValidator::validate_and_commit)
     /// stage runs.
     ///
-    /// Implementations may use it to hoist per-transaction decode work
-    /// off the sequential critical path — e.g. FabricCRDT's merging
-    /// validator pre-parses CRDT write payloads into a shared decode
-    /// cache here. The hook must be pure with respect to validation
-    /// outcomes: it must not touch the world state or the block, so a
-    /// no-op implementation (the default) is always value-equivalent.
+    /// No type in the workspace overrides it: FabricCRDT's validator
+    /// parses each CRDT write inline, where it merges. Declared only
+    /// because `perf/`'s `TracedValidator` overrides it (DESIGN.md
+    /// §4.16). It must not touch the world state or the block, so the
+    /// no-op default is always value-equivalent.
     fn prepare(&self, _tx: &Transaction) {}
 
     /// Nothing calls this: every peer finalizes a block with
@@ -80,9 +79,8 @@ pub trait BlockValidator: Send + Sync + 'static {
             .all(|(key, entry)| state.version(key) == entry.version)
     }
 
-    /// Decode-cache counters attributable to this validator, if it uses
-    /// the process-wide payload cache (`None` — rendered "n/a" — for
-    /// validators that never decode, like vanilla Fabric's).
+    /// Always `None`: there is no payload cache. Declared only because
+    /// `perf/`'s `TracedValidator` overrides it (DESIGN.md §4.16).
     fn decode_cache_stats(&self) -> Option<DecodeCacheMetrics> {
         None
     }

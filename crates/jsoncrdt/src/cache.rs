@@ -1,245 +1,7 @@
-//! Process-wide cache of decoded MergeTx payloads.
-//!
-//! FabricCRDT's Algorithm 1 parses every CRDT write-set value from
-//! plain JSON bytes (line 9) before merging it. The same payload bytes
-//! are parsed many times per process: every committing peer of a
-//! simulated network (six in the paper topology) decodes the identical
-//! MergeTx, and a crashed peer re-decodes the whole suffix of the
-//! chain during catch-up. This cache memoizes `bytes → parsed
-//! [`Value`]` so each distinct payload is parsed once.
-//!
-//! # Determinism
-//!
-//! The cached value is a pure function of the key bytes, and entries
-//! are immutable (`Arc<Value>`, handed out by shared reference). A hit
-//! and a miss therefore produce byte-identical downstream results —
-//! the cache can only change wall-clock time, never validation
-//! outcomes, merge results or simulated-time work counters. This is
-//! the same argument that makes the parallel validation pipeline safe
-//! (see `fabriccrdt-fabric`'s `pipeline` module), and it is what lets
-//! the pipeline's `prepare` hook warm this cache from worker threads.
-//!
-//! # Bounds
-//!
-//! The cache holds at most [`MAX_ENTRIES`] payloads and is flushed
-//! wholesale when full (epoch eviction — no LRU bookkeeping on the hot
-//! path). Parse *failures* are not cached: the failing path is rare
-//! (malformed payloads commit opaquely) and caching errors would grow
-//! the map with garbage keys under adversarial input.
+//! A shell kept because `perf/` calls [`clear`] before each timed run
+//! (DESIGN.md §4.16). Nothing is cached: Algorithm 1 parses each CRDT
+//! write inline, once per peer, and commits a key written once in
+//! normal form without parsing it ([`crate::doc::alone_as_is`]).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use crate::json::{ParseError, Value};
-
-/// Maximum number of cached payloads before the cache is flushed.
-pub const MAX_ENTRIES: usize = 8192;
-
-static CACHE: OnceLock<Mutex<HashMap<Vec<u8>, Arc<Value>>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-fn cache() -> &'static Mutex<HashMap<Vec<u8>, Arc<Value>>> {
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Hit/miss/eviction counters of the process-wide decode cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to parse.
-    pub misses: u64,
-    /// Capacity flushes (epoch evictions). An explicit [`clear`] is a
-    /// benchmark reset, not capacity pressure, so it does not count.
-    pub evictions: u64,
-    /// Payloads currently cached.
-    pub entries: usize,
-}
-
-/// Parses `bytes` as JSON, memoizing successful parses process-wide.
-///
-/// Equivalent to [`Value::from_bytes`] followed by `Arc::new`, except
-/// that repeated calls with the same bytes share one parse and one
-/// allocation.
-///
-/// # Errors
-///
-/// Returns the [`ParseError`] of the underlying parse; failures are
-/// never cached.
-pub fn decode_cached(bytes: &[u8]) -> Result<Arc<Value>, ParseError> {
-    if let Some(hit) = cache().lock().expect("decode cache poisoned").get(bytes) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(hit.clone());
-    }
-    // Parse outside the lock (it can be expensive), then re-check under
-    // the lock: two threads missing on the same payload both parse, and
-    // the loser must return the winner's entry — replacing it would
-    // silently break cross-thread `Arc::ptr_eq` sharing. The loser's
-    // lookup counts as a hit (it was served from the cache); a lookup is
-    // a miss only if its own parse result got inserted, so
-    // `hits + misses` still equals total lookups.
-    let parsed = match Value::from_bytes(bytes) {
-        Ok(value) => Arc::new(value),
-        Err(error) => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            return Err(error);
-        }
-    };
-    let mut guard = cache().lock().expect("decode cache poisoned");
-    if let Some(existing) = guard.get(bytes) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(existing.clone());
-    }
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    if guard.len() >= MAX_ENTRIES {
-        EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        guard.clear();
-    }
-    guard.insert(bytes.to_vec(), parsed.clone());
-    Ok(parsed)
-}
-
-/// Current cache statistics.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-        entries: cache().lock().expect("decode cache poisoned").len(),
-    }
-}
-
-/// Empties the cache (for benchmarks that want cold-start numbers).
-/// The hit/miss counters keep running.
-pub fn clear() {
-    cache().lock().expect("decode cache poisoned").clear();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The cache is process-wide; tests that flush it (capacity or
-    /// explicit clear) would race the sharing assertions of their
-    /// neighbours, so every test in this module serializes on one lock.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn repeated_decodes_share_one_parse() {
-        let _guard = serial();
-        let payload = br#"{"cache-test-key":"shared","readings":["1","2"]}"#;
-        let first = decode_cached(payload).unwrap();
-        let second = decode_cached(payload).unwrap();
-        // Same allocation, not merely equal values.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, Value::from_bytes(payload).unwrap());
-    }
-
-    #[test]
-    fn distinct_payloads_do_not_collide() {
-        let _guard = serial();
-        let a = decode_cached(br#"{"k":"a"}"#).unwrap();
-        let b = decode_cached(br#"{"k":"b"}"#).unwrap();
-        assert_ne!(*a, *b);
-    }
-
-    #[test]
-    fn racing_threads_share_one_entry() {
-        // Regression: two threads missing on the same payload both
-        // parsed, and the second insert replaced the first `Arc` —
-        // callers that had already received the first one no longer
-        // shared an allocation with later callers (`Arc::ptr_eq`
-        // false), and the race overcounted misses.
-        use std::sync::Barrier;
-        let _guard = serial();
-        let payload = br#"{"race-probe":"threads should share one allocation"}"#;
-        clear(); // every thread starts from a guaranteed miss
-        let before = stats();
-        const THREADS: usize = 8;
-        let barrier = Arc::new(Barrier::new(THREADS));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    decode_cached(payload).unwrap()
-                })
-            })
-            .collect();
-        let values: Vec<Arc<Value>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for value in &values {
-            assert!(
-                Arc::ptr_eq(&values[0], value),
-                "all racing threads must receive the same allocation"
-            );
-        }
-        let after = stats();
-        // Every lookup is counted exactly once, as a hit or a miss.
-        assert_eq!(
-            (after.hits + after.misses) - (before.hits + before.misses),
-            THREADS as u64
-        );
-        // Exactly one parse result was inserted (the winner's); the
-        // losers' lookups were served from the cache.
-        assert_eq!(after.misses, before.misses + 1);
-    }
-
-    #[test]
-    fn parse_failures_propagate_and_are_not_cached() {
-        let _guard = serial();
-        let before = stats();
-        assert!(decode_cached(b"not json").is_err());
-        assert!(decode_cached(b"not json").is_err());
-        let after = stats();
-        // Both attempts were misses — failures never populate the map.
-        assert!(after.misses >= before.misses + 2);
-    }
-
-    #[test]
-    fn capacity_flush_counts_as_eviction() {
-        let _guard = serial();
-        let before = stats();
-        // Insert enough distinct payloads to force at least one epoch
-        // flush regardless of what is already cached.
-        for i in 0..=MAX_ENTRIES {
-            let payload = format!(r#"{{"evict-probe":"{i}"}}"#);
-            decode_cached(payload.as_bytes()).unwrap();
-        }
-        let after = stats();
-        assert!(after.evictions > before.evictions);
-        // The flush emptied the map; it cannot exceed capacity.
-        assert!(after.entries <= MAX_ENTRIES);
-    }
-
-    #[test]
-    fn explicit_clear_is_not_an_eviction() {
-        let _guard = serial();
-        decode_cached(br#"{"clear-probe":"x"}"#).unwrap();
-        let before = stats();
-        clear();
-        let after = stats();
-        assert_eq!(after.entries, 0);
-        // Counters keep running; only capacity flushes count.
-        assert_eq!(after.evictions, before.evictions);
-        assert!(after.hits >= before.hits);
-    }
-
-    #[test]
-    fn stats_move_on_hits() {
-        let _guard = serial();
-        let payload = br#"{"stats-probe":"x"}"#;
-        decode_cached(payload).unwrap();
-        let before = stats();
-        decode_cached(payload).unwrap();
-        let after = stats();
-        assert!(after.hits > before.hits);
-        assert!(after.entries >= 1);
-    }
-}
+/// Does nothing: there is no cache to empty.
+pub fn clear() {}

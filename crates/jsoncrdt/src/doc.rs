@@ -35,7 +35,7 @@ use std::fmt;
 
 use crate::clock::{LamportClock, ReplicaId};
 use crate::json::ser::{self, Sink};
-use crate::json::Value;
+use crate::json::{Value, MAX_DEPTH};
 use crate::op::ItemKey;
 use crate::work::WorkStats;
 
@@ -345,6 +345,140 @@ fn alone_node(work: &mut WorkStats, value: &Value, depth: u64, out: &mut Vec<u8>
         Value::Map(map) => alone_map(work, map, depth + 1, out),
         leaf => ser::write_string(out, &leaf_text(leaf)),
     }
+}
+
+/// The work [`write_alone`] counts when `bytes` are already what it
+/// would write for `Value::from_bytes(bytes)`, a map without a top-level
+/// `_crdt` key; `None` otherwise, which claims nothing about the bytes.
+/// One pass, no allocation: Algorithm 1 commits a key written once as it
+/// came when the chaincode wrote it in this normal form (DESIGN.md §4.1).
+///
+/// The form is the compact one with every map's keys strictly rising
+/// bytewise (`BTreeMap` order, so no duplicates), every leaf a string
+/// without `\` or a byte below 0x20, valid UTF-8, and no value nested
+/// deeper than the parser accepts.
+pub fn alone_as_is(bytes: &[u8]) -> Option<WorkStats> {
+    let mut scan = AsIs {
+        bytes,
+        pos: 0,
+        work: WorkStats::new(),
+    };
+    scan.map(0, true)?;
+    (scan.pos == bytes.len()).then_some(scan.work)
+}
+
+/// [`alone_as_is`]'s cursor, counting as [`alone_node`] counts.
+struct AsIs<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    work: WorkStats,
+}
+
+impl<'a> AsIs<'a> {
+    fn next(&mut self) -> Option<u8> {
+        let byte = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    fn eat(&mut self, byte: u8) -> bool {
+        let found = self.bytes.get(self.pos) == Some(&byte);
+        self.pos += usize::from(found);
+        found
+    }
+
+    /// A value `depth` below the head, the parser's count.
+    fn value(&mut self, depth: u64) -> Option<()> {
+        if depth > MAX_DEPTH as u64 {
+            return None;
+        }
+        self.work.ops_applied += 1;
+        self.work.nodes_visited += depth;
+        match self.bytes.get(self.pos)? {
+            b'{' => self.map(depth, false),
+            b'[' => self.list(depth),
+            _ => self.string().map(drop),
+        }
+    }
+
+    fn map(&mut self, depth: u64, head: bool) -> Option<()> {
+        if !self.eat(b'{') {
+            return None;
+        }
+        if self.eat(b'}') {
+            return Some(());
+        }
+        let mut last = None;
+        loop {
+            let key = self.string()?;
+            if last.is_some_and(|last| last >= key) || head && key == b"_crdt" || !self.eat(b':') {
+                return None;
+            }
+            last = Some(key);
+            self.value(depth + 1)?;
+            match self.next()? {
+                b',' => {}
+                b'}' => return Some(()),
+                _ => return None,
+            }
+        }
+    }
+
+    fn list(&mut self, depth: u64) -> Option<()> {
+        self.eat(b'[');
+        if self.eat(b']') {
+            return Some(());
+        }
+        loop {
+            self.value(depth + 1)?;
+            match self.next()? {
+                b',' => {}
+                b']' => return Some(()),
+                _ => return None,
+            }
+        }
+    }
+
+    /// A string that serializes as it stands: its bytes between the
+    /// quotes.
+    fn string(&mut self) -> Option<&'a [u8]> {
+        if !self.eat(b'"') {
+            return None;
+        }
+        let rest = &self.bytes[self.pos..];
+        let len = plain_len(rest);
+        if rest.get(len) != Some(&b'"') {
+            return None;
+        }
+        self.pos += len + 1;
+        let text = &rest[..len];
+        (text.is_ascii() || std::str::from_utf8(text).is_ok()).then_some(text)
+    }
+}
+
+/// How many bytes `bytes` starts with that a string holds as they are:
+/// none is `"`, `\` or below 0x20. Eight at a time while no byte of the
+/// word can be one: the zero-byte test on the word XOR each delimiter,
+/// and the below-0x20 test on the word, flag every such byte (and at
+/// worst some byte after it), so a flagged word is counted byte by byte.
+fn plain_len(bytes: &[u8]) -> usize {
+    let splat = |byte: u8| u64::from_ne_bytes([byte; 8]);
+    let below = |word: u64, bound: u8| word.wrapping_sub(splat(bound)) & !word & splat(0x80);
+    let plain = |&byte: &u8| byte != b'"' && byte != b'\\' && byte >= 0x20;
+    let mut len = 0;
+    while let Some(word) = bytes
+        .get(len..len + 8)
+        .and_then(|word| word.try_into().ok())
+    {
+        let word = u64::from_ne_bytes(word);
+        let quote = below(word ^ splat(b'"'), 1);
+        let backslash = below(word ^ splat(b'\\'), 1);
+        if quote | backslash | below(word, 0x20) != 0 {
+            break;
+        }
+        len += 8;
+    }
+    len + bytes[len..].iter().take_while(|byte| plain(byte)).count()
 }
 
 /// Algorithm 2 as one walk over the source and the tree in lockstep:

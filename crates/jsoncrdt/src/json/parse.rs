@@ -8,7 +8,7 @@ use super::{Number, Value};
 
 /// Maximum nesting depth accepted by the parser, guarding against stack
 /// exhaustion on adversarial input.
-const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// A JSON syntax error with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,12 +14,11 @@
 //!   IEEE TPDS 2017), exactly what Algorithms 1 and 2 use: **Algorithm 2**
 //!   ([`JsonCrdt::merge_value`]), which folds a plain JSON object into the
 //!   CRDT in one walk, the metadata-stripping conversion back to plain
-//!   JSON, and [`doc::write_alone`] for a key written once. Every peer
-//!   derives the same operations from the same block order, so no
+//!   JSON, and [`doc::write_alone`] for a key written once, or
+//!   [`doc::alone_as_is`] when its bytes are already in that form. Every
+//!   peer derives the same operations from the same block order, so no
 //!   document ships, buffers or deletes an operation.
-//! - [`cache`]: a process-wide memo of decoded MergeTx payloads, so the
-//!   N committing peers of a simulated network parse each distinct
-//!   payload once instead of N times.
+//! - [`cache`]: an empty shell kept for `perf/`; nothing is cached.
 //!
 //! # Quick example: merging two conflicting transactions (paper Listing 1/2)
 //!

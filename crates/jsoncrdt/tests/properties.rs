@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use fabriccrdt_jsoncrdt::cache;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::op::{fnv1a, ItemKey};
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
@@ -96,26 +95,6 @@ fn crdt_merge_idempotent() {
             many.merge_value(&doc).unwrap();
         }
         assert_eq!(once.to_value(), many.to_value());
-    });
-}
-
-/// Idempotence also holds through the shared decode cache — the
-/// committing-peer path, where N peers merge the same cached
-/// `Arc<Value>` parse of one MergeTx payload instead of N fresh parses.
-#[test]
-fn crdt_merge_idempotent_through_decode_cache() {
-    gen::cases(64, |g| {
-        let doc = arb_string_doc(g);
-        let bytes = doc.to_bytes();
-        let cached = cache::decode_cached(&bytes).unwrap();
-        let again = cache::decode_cached(&bytes).unwrap();
-        let mut fresh = JsonCrdt::new(ReplicaId(1));
-        fresh.merge_value(&doc).unwrap();
-        let mut via_cache = JsonCrdt::new(ReplicaId(1));
-        via_cache.merge_value(&cached).unwrap();
-        via_cache.merge_value(&again).unwrap();
-        via_cache.merge_value(&cached).unwrap();
-        assert_eq!(fresh.to_value(), via_cache.to_value());
     });
 }
 

@@ -10,7 +10,7 @@
 use fabriccrdt::{fabric_simulation, fabriccrdt_simulation};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeRegistry};
 use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig};
-use fabriccrdt_fabric::metrics::{DecodeCacheMetrics, RunMetrics};
+use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_sim::arrivals::{ArrivalKind, ArrivalProcess};
 use fabriccrdt_sim::rng::SimRng;
@@ -188,7 +188,7 @@ impl ExperimentConfig {
 }
 
 /// The three quantities every figure plots, plus context.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentResult {
     /// The configuration that produced this result.
     pub config: ExperimentConfig,
@@ -208,27 +208,6 @@ pub struct ExperimentResult {
     pub blocks: u64,
     /// Total simulated duration, seconds.
     pub duration_secs: f64,
-    /// Decode-cache counter deltas over the run; `None` for validators
-    /// that never decode payloads (rendered "n/a", like
-    /// [`ExperimentResult::avg_latency_secs`]).
-    pub decode_cache: Option<DecodeCacheMetrics>,
-}
-
-/// Equality ignores [`ExperimentResult::decode_cache`] for the same
-/// reason [`RunMetrics`] does: the cache is process-wide, so its
-/// counters depend on what else ran (earlier rounds, parallel tests)
-/// while every validation outcome stays byte-identical.
-impl PartialEq for ExperimentResult {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.successful == other.successful
-            && self.failed == other.failed
-            && self.throughput_tps == other.throughput_tps
-            && self.avg_latency_secs == other.avg_latency_secs
-            && self.p95_latency_secs == other.p95_latency_secs
-            && self.blocks == other.blocks
-            && self.duration_secs == other.duration_secs
-    }
 }
 
 impl ExperimentResult {
@@ -243,7 +222,6 @@ impl ExperimentResult {
             p95_latency_secs: latency.percentile(95.0),
             blocks: metrics.blocks_committed,
             duration_secs: metrics.end_time.as_secs_f64(),
-            decode_cache: metrics.decode_cache,
         }
     }
 }
@@ -489,15 +467,6 @@ mod tests {
         // early-abort the conflict cliques; everything still resolves.
         assert_eq!(result.successful + result.failed, 300);
         assert!(result.failed > 0);
-    }
-
-    #[test]
-    fn decode_cache_reported_only_for_crdt_validators() {
-        let crdt = small(SystemKind::FabricCrdt).run();
-        let cache = crdt.decode_cache.expect("CRDT validator decodes payloads");
-        assert!(cache.hits + cache.misses > 0, "payloads were looked up");
-        let fabric = small(SystemKind::Fabric).run();
-        assert!(fabric.decode_cache.is_none(), "plain MVCC never decodes");
     }
 
     /// DESIGN.md §3's "Workload & sweep" column, row by row.

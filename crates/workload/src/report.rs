@@ -57,16 +57,6 @@ pub fn latency_cell(latency: Option<f64>) -> String {
     }
 }
 
-/// Formats a decode-cache hit percentage as a table cell: one decimal,
-/// or `n/a` when the validator never decodes (no cache metrics) or the
-/// run performed no lookups — same convention as [`latency_cell`].
-pub fn cache_cell(cache: Option<fabriccrdt_fabric::metrics::DecodeCacheMetrics>) -> String {
-    match cache.and_then(|c| c.hit_ratio()) {
-        Some(ratio) => format!("{:.1}", ratio * 100.0),
-        None => "n/a".to_owned(),
-    }
-}
-
 /// Header matching [`figure_row`].
 pub fn figure_headers() -> [&'static str; 6] {
     [
@@ -109,20 +99,5 @@ mod tests {
     #[test]
     fn figure_headers_match_row_len() {
         assert_eq!(figure_headers().len(), 6);
-    }
-
-    #[test]
-    fn cache_cell_follows_the_na_convention() {
-        use fabriccrdt_fabric::metrics::DecodeCacheMetrics;
-        assert_eq!(cache_cell(None), "n/a");
-        assert_eq!(cache_cell(Some(DecodeCacheMetrics::default())), "n/a");
-        assert_eq!(
-            cache_cell(Some(DecodeCacheMetrics {
-                hits: 3,
-                misses: 1,
-                evictions: 0,
-            })),
-            "75.0"
-        );
     }
 }

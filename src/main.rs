@@ -32,7 +32,7 @@ use fabriccrdt_repro::workload::experiment::{run_sweep, Axis, ExperimentConfig, 
 use fabriccrdt_repro::workload::flags::Flags;
 use fabriccrdt_repro::workload::generator::JsonShape;
 use fabriccrdt_repro::workload::iot::IotChaincode;
-use fabriccrdt_repro::workload::report::{cache_cell, latency_cell, render_table};
+use fabriccrdt_repro::workload::report::{latency_cell, render_table};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -173,7 +173,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
                 latency_cell(r.p95_latency_secs),
                 r.successful.to_string(),
                 r.failed.to_string(),
-                cache_cell(r.decode_cache),
             ]
         })
         .collect();
@@ -187,7 +186,6 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         "p95-lat(s)",
         "ok",
         "failed",
-        "cache-hit%",
     ];
     println!("{}", render_table(&headers, &rows));
     Ok(())
