@@ -26,7 +26,6 @@ use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
 use fabriccrdt_fabric::config::{BlockCutConfig, PipelineConfig, RaftConfig};
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_fabric::peer::Peer;
-use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_gossip::GossipNetwork;
@@ -357,20 +356,8 @@ fn state_size_sweep(bench: &Bench) {
         drop(state);
 
         let name = format!("peer/block-25tx-1400B@{label}-keys");
-        let mut rows = vec![(name.clone(), ValidationPipeline::Sequential)];
-        if keys == 100_000 {
-            // The same blocks through a two-worker peer: each block's
-            // signature checks fan out over the pool and are joined at
-            // once, then the same sequential finalize runs.
-            let chained = ValidationPipeline::pipelined(2);
-            rows.push((format!("{name}/{}", chained.label()), chained));
-        }
-        for (name, pipeline) in rows {
-            if !bench.wants(&name) {
-                continue;
-            }
-            let mut peer = Peer::new(CrdtValidator::new(), EndorsementPolicy::any_of(["org1"]))
-                .with_pipeline(pipeline);
+        if bench.wants(&name) {
+            let mut peer = Peer::new(CrdtValidator::new(), EndorsementPolicy::any_of(["org1"]));
             for (key, value) in &seeds {
                 peer.seed_state(key.clone(), value.clone());
             }

@@ -17,16 +17,16 @@
 //! `tampered_block_rejected_wholesale` (`crates/fabric/src/peer.rs`) and
 //! the gossip forgery tests.
 //!
-//! The last test drives a FabricCRDT peer through the chained
-//! `prevalidate` / `finish_block_with_next` / `finish_block` driver over
-//! CRDT blocks of one merged key and many singleton keys at several
-//! worker counts and byte-compares the ledgers with a sequential peer's.
+//! The last test drives a FabricCRDT peer through the names `perf/`
+//! replays a run with — `prevalidate`, `finish_block_with_next`,
+//! `finish_block` — over CRDT blocks of one merged key and many
+//! singleton keys, and byte-compares the ledger with a `process_block`
+//! chain's.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{hex, Identity, KeyPair};
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
-use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_ledger::block::{Block, BlockHeader, ValidationCode};
@@ -182,85 +182,103 @@ fn document(nonce: u64, readings: usize) -> Vec<u8> {
     format!(r#"{{"readings":[{}]}}"#, readings.join(",")).into_bytes()
 }
 
+/// The shells `perf/` replays a run through (DESIGN.md §4.16) are the
+/// one commit path: `prevalidate` → `finish_block_with_next` → `commit`
+/// per block, then `finish_block`, ends in the ledger a `process_block`
+/// chain ends in, with the same work per block. Every block but the
+/// first repeats a transaction of the block before it, which is still
+/// uncommitted when the repeat is handed over; the repeat is a
+/// duplicate all the same.
 #[test]
-fn chained_driver_matches_sequential_on_many_chain_crdt_blocks() {
+fn pinned_chained_shells_match_a_process_block_chain() {
     const BLOCKS: u64 = 8;
     const PER_BLOCK: u64 = 25;
     for readings in [4, 32, 128] {
+        let singleton = |nonce: u64| {
+            endorsed(nonce, |rwset| {
+                rwset
+                    .writes
+                    .put_crdt(format!("k{nonce}"), document(nonce, readings));
+            })
+        };
         // Per block: transactions 0 and 1 merge into one key (a
         // converged value that is neither input, so a lost rewrite
         // changes the chain bytes), the other 23 write keys of their
-        // own.
+        // own, and from block 2 on a repeat of the previous block's
+        // transaction 2 comes last.
         let blocks: Vec<Block> = (1..=BLOCKS)
             .map(|number| {
-                let txs = (0..PER_BLOCK)
+                let mut txs: Vec<Transaction> = (0..PER_BLOCK)
                     .map(|i| {
                         let nonce = number * PER_BLOCK + i;
-                        let key = if i < 2 {
-                            "pair".to_owned()
-                        } else {
-                            format!("k{nonce}")
-                        };
+                        if i >= 2 {
+                            return singleton(nonce);
+                        }
                         endorsed(nonce, |rwset| {
-                            rwset.writes.put_crdt(key, document(nonce, readings));
+                            rwset.writes.put_crdt("pair", document(nonce, readings));
                         })
                     })
                     .collect();
+                if number > 1 {
+                    txs.push(singleton((number - 1) * PER_BLOCK + 2));
+                }
                 Block::assemble(number, [0; 32], txs)
             })
             .collect();
 
-        let mut sequential = Peer::new(CrdtValidator::new(), policy());
+        let mut reference = Peer::new(CrdtValidator::new(), policy());
         let expected_work: Vec<ValidationWork> = blocks
             .iter()
             .map(|block| {
-                let staged = sequential.process_block(block.clone());
+                let staged = reference.process_block(block.clone());
                 let work = staged.work;
-                sequential.commit(staged).expect("block extends the chain");
+                reference.commit(staged).expect("block extends the chain");
                 work
             })
             .collect();
-        let converged = sequential.state().value("pair").expect("pair committed");
+        let converged = reference.state().value("pair").expect("pair committed");
         for i in 0..2 {
             assert_ne!(converged, document(BLOCKS * PER_BLOCK + i, readings));
         }
 
-        // A pool exists from two workers up, on a host with two threads;
-        // only then does block N+1's pre-validation overlap block N.
-        let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for workers in [1, 2, 4, 8] {
-            let overlaps = if workers >= 2 && hardware >= 2 {
-                BLOCKS - 1
-            } else {
-                0
-            };
-            let pipeline = ValidationPipeline::pipelined(workers);
-            let mut peer = Peer::new(CrdtValidator::new(), policy()).with_pipeline(pipeline);
-            let mut work = Vec::new();
-            let mut stream = blocks.iter().cloned();
-            let mut prepared = peer.prevalidate(stream.next().expect("eight blocks"));
-            for next in stream {
-                let (staged, next_prepared) = peer.finish_block_with_next(prepared, next);
-                work.push(staged.work);
-                peer.commit(staged).expect("block extends the chain");
-                prepared = next_prepared;
-            }
-            let staged = peer.finish_block(prepared);
+        let mut peer = Peer::new(CrdtValidator::new(), policy());
+        let mut work = Vec::new();
+        let mut stream = blocks.iter().cloned();
+        let mut prepared = peer.prevalidate(stream.next().expect("eight blocks"));
+        for next in stream {
+            let (staged, next_prepared) = peer.finish_block_with_next(prepared, next);
             work.push(staged.work);
             peer.commit(staged).expect("block extends the chain");
+            prepared = next_prepared;
+        }
+        let staged = peer.finish_block(prepared);
+        work.push(staged.work);
+        peer.commit(staged).expect("block extends the chain");
 
-            let cell = format!("{readings} readings, {}", pipeline.label());
-            // Not `assert_eq!`: a failure would print both ledgers.
-            assert!(
-                peer.snapshot() == sequential.snapshot(),
-                "{cell}: ledger bytes differ from the sequential peer's"
-            );
-            assert_eq!(work, expected_work, "{cell}: work per block");
+        // Not `assert_eq!`: a failure would print both ledgers.
+        assert!(
+            peer.snapshot() == reference.snapshot(),
+            "{readings} readings: ledger bytes differ from the process_block chain's"
+        );
+        assert_eq!(work, expected_work, "{readings} readings: work per block");
+        for block in peer.chain().iter().skip(1) {
+            let duplicates = block
+                .validation_codes
+                .iter()
+                .filter(|code| **code == ValidationCode::DuplicateTxId)
+                .count();
+            let repeat = usize::from(block.header.number > 1);
             assert_eq!(
-                peer.take_pipeline_metrics().blocks_overlapped,
-                overlaps,
-                "{cell}: blocks whose pre-validation ran on the pool"
+                duplicates, repeat,
+                "{readings} readings: block {}",
+                block.header.number
             );
+            if repeat == 1 {
+                assert_eq!(
+                    block.validation_codes.last(),
+                    Some(&ValidationCode::DuplicateTxId)
+                );
+            }
         }
     }
 }

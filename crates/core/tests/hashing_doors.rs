@@ -17,7 +17,6 @@ use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
-use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
@@ -26,13 +25,6 @@ use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::worldstate::WorldState;
 use fabriccrdt_sim::gen::{self, Gen};
-
-const PIPELINES: [ValidationPipeline; 4] = [
-    ValidationPipeline::Sequential,
-    ValidationPipeline::Pipelined { workers: 1 },
-    ValidationPipeline::Pipelined { workers: 2 },
-    ValidationPipeline::Pipelined { workers: 4 },
-];
 
 fn policy() -> EndorsementPolicy {
     EndorsementPolicy::all_of(["org1", "org2"])
@@ -98,24 +90,20 @@ fn veteran() -> (Peer<FabricValidator>, Vec<Block>) {
 }
 
 #[test]
-fn ingress_rejects_a_flipped_write_byte_under_every_pipeline_and_validator() {
+fn ingress_rejects_a_flipped_write_byte_under_every_validator() {
     fn check<V: BlockValidator>(make: impl Fn() -> V) {
-        for pipeline in PIPELINES {
-            let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
-            let mut delivered = plain_block(1, peer.chain().tip_hash());
-            flip_one_write_byte(&mut delivered);
-            let staged = peer.process_block(delivered);
-            assert_eq!(
-                staged.block.validation_codes,
-                [ValidationCode::TamperedBlock; 3],
-                "{}",
-                pipeline.label()
-            );
-            assert_eq!(staged.work.sigs_verified, 0);
-            peer.commit(staged).expect("the rejection is on the record");
-            assert!(peer.state().is_empty(), "nothing committed");
-            assert_eq!(peer.chain().verify_integrity(), Ok(()));
-        }
+        let mut peer = Peer::new(make(), policy());
+        let mut delivered = plain_block(1, peer.chain().tip_hash());
+        flip_one_write_byte(&mut delivered);
+        let staged = peer.process_block(delivered);
+        assert_eq!(
+            staged.block.validation_codes,
+            [ValidationCode::TamperedBlock; 3]
+        );
+        assert_eq!(staged.work.sigs_verified, 0);
+        peer.commit(staged).expect("the rejection is on the record");
+        assert!(peer.state().is_empty(), "nothing committed");
+        assert_eq!(peer.chain().verify_integrity(), Ok(()));
     }
     check(FabricValidator::new);
     check(CrdtValidator::new);
@@ -125,28 +113,25 @@ fn ingress_rejects_a_flipped_write_byte_under_every_pipeline_and_validator() {
 /// byte flipped in a signature or in an endorser's name, with the
 /// payload untouched, is tampering too.
 #[test]
-fn ingress_rejects_a_flipped_endorsement_byte_under_every_pipeline_and_validator() {
+fn ingress_rejects_a_flipped_endorsement_byte_under_every_validator() {
     fn check<V: BlockValidator>(make: impl Fn() -> V) {
         for what in ["signature", "endorser name"] {
-            for pipeline in PIPELINES {
-                let cell = format!("{what}, {}", pipeline.label());
-                let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
-                let mut delivered = plain_block(1, peer.chain().tip_hash());
-                let endorsement = &mut delivered.transactions[1].endorsements[0];
-                match what {
-                    "signature" => endorsement.signature.0[17] ^= 0x01,
-                    _ => endorsement.endorser.name = "peer1".into(),
-                }
-                let staged = peer.process_block(delivered);
-                assert_eq!(
-                    staged.block.validation_codes,
-                    [ValidationCode::TamperedBlock; 3],
-                    "{cell}"
-                );
-                assert_eq!(staged.work.sigs_verified, 0, "{cell}");
-                peer.commit(staged).expect("the rejection is on the record");
-                assert!(peer.state().is_empty(), "{cell}: nothing committed");
+            let mut peer = Peer::new(make(), policy());
+            let mut delivered = plain_block(1, peer.chain().tip_hash());
+            let endorsement = &mut delivered.transactions[1].endorsements[0];
+            match what {
+                "signature" => endorsement.signature.0[17] ^= 0x01,
+                _ => endorsement.endorser.name = "peer1".into(),
             }
+            let staged = peer.process_block(delivered);
+            assert_eq!(
+                staged.block.validation_codes,
+                [ValidationCode::TamperedBlock; 3],
+                "{what}"
+            );
+            assert_eq!(staged.work.sigs_verified, 0, "{what}");
+            peer.commit(staged).expect("the rejection is on the record");
+            assert!(peer.state().is_empty(), "{what}: nothing committed");
         }
     }
     check(FabricValidator::new);
@@ -168,23 +153,19 @@ fn a_signature_over_another_payload_fails_policy_with_every_signature_counted() 
         });
         forged[1].endorsements[1].signature = other.endorsements[1].signature;
         let forged = Block::assemble(1, Block::genesis().hash(), forged);
-        for pipeline in PIPELINES {
-            let cell = pipeline.label();
-            let mut peer = Peer::new(make(), policy()).with_pipeline(pipeline);
-            let expected_sigs = peer.process_block(honest.clone()).work.sigs_verified;
-            assert_eq!(expected_sigs, 6, "{cell}: two endorsements per transaction");
-            let staged = peer.process_block(forged.clone());
-            assert_eq!(
-                staged.block.validation_codes,
-                [
-                    ValidationCode::Valid,
-                    ValidationCode::EndorsementPolicyFailure,
-                    ValidationCode::Valid
-                ],
-                "{cell}"
-            );
-            assert_eq!(staged.work.sigs_verified, expected_sigs, "{cell}");
-        }
+        let mut peer = Peer::new(make(), policy());
+        let expected_sigs = peer.process_block(honest).work.sigs_verified;
+        assert_eq!(expected_sigs, 6, "two endorsements per transaction");
+        let staged = peer.process_block(forged);
+        assert_eq!(
+            staged.block.validation_codes,
+            [
+                ValidationCode::Valid,
+                ValidationCode::EndorsementPolicyFailure,
+                ValidationCode::Valid
+            ]
+        );
+        assert_eq!(staged.work.sigs_verified, expected_sigs);
     }
     check(FabricValidator::new);
     check(CrdtValidator::new);
@@ -289,30 +270,12 @@ fn mixed_block(g: &mut Gen, number: u64) -> Block {
     Block::assemble(number, [0; 32], txs)
 }
 
-/// Drives `blocks` through a peer — block by block, or through the
-/// chained pipelined driver — and returns it.
-fn run<V: BlockValidator>(
-    validator: V,
-    pipeline: ValidationPipeline,
-    chained: bool,
-    blocks: &[Block],
-) -> Peer<V> {
-    let mut peer = Peer::new(validator, policy()).with_pipeline(pipeline);
-    if chained {
-        let mut stream = blocks.iter().cloned();
-        let mut prepared = peer.prevalidate(stream.next().expect("blocks"));
-        for next in stream {
-            let (staged, next_prepared) = peer.finish_block_with_next(prepared, next);
-            peer.commit(staged).expect("extends the chain");
-            prepared = next_prepared;
-        }
-        let staged = peer.finish_block(prepared);
+/// Drives `blocks` through a peer, block by block, and returns it.
+fn run<V: BlockValidator>(validator: V, blocks: &[Block]) -> Peer<V> {
+    let mut peer = Peer::new(validator, policy());
+    for block in blocks {
+        let staged = peer.process_block(block.clone());
         peer.commit(staged).expect("extends the chain");
-    } else {
-        for block in blocks {
-            let staged = peer.process_block(block.clone());
-            peer.commit(staged).expect("extends the chain");
-        }
     }
     peer
 }
@@ -320,35 +283,25 @@ fn run<V: BlockValidator>(
 #[test]
 fn every_committed_header_equals_a_from_scratch_hash() {
     fn sweep<V: BlockValidator>(make: impl Fn() -> V, blocks: &[Block], tampered: u64) {
-        let reference = run(make(), ValidationPipeline::Sequential, false, blocks);
-        for pipeline in PIPELINES {
-            for chained in [false, true] {
-                let peer = run(make(), pipeline, chained, blocks);
-                let cell = format!("{}, chained: {chained}", pipeline.label());
-                assert_eq!(peer.chain().verify_integrity(), Ok(()), "{cell}");
-                let mut previous = Block::genesis().hash();
-                for block in peer.chain().iter().skip(1) {
-                    let number = block.header.number;
-                    assert_eq!(
-                        block.header.data_hash,
-                        Block::compute_data_hash(&block.transactions),
-                        "{cell}: data hash of block {number}"
-                    );
-                    assert_eq!(block.header.previous_hash, previous, "{cell}: {number}");
-                    assert_eq!(
-                        block
-                            .validation_codes
-                            .contains(&ValidationCode::TamperedBlock),
-                        number == tampered,
-                        "{cell}: exactly block {tampered} is rejected wholesale"
-                    );
-                    previous = block.hash();
-                }
-                assert!(
-                    peer.snapshot() == reference.snapshot(),
-                    "{cell}: ledger bytes differ from the sequential peer's"
-                );
-            }
+        let peer = run(make(), blocks);
+        assert_eq!(peer.chain().verify_integrity(), Ok(()));
+        let mut previous = Block::genesis().hash();
+        for block in peer.chain().iter().skip(1) {
+            let number = block.header.number;
+            assert_eq!(
+                block.header.data_hash,
+                Block::compute_data_hash(&block.transactions),
+                "data hash of block {number}"
+            );
+            assert_eq!(block.header.previous_hash, previous, "{number}");
+            assert_eq!(
+                block
+                    .validation_codes
+                    .contains(&ValidationCode::TamperedBlock),
+                number == tampered,
+                "exactly block {tampered} is rejected wholesale"
+            );
+            previous = block.hash();
         }
     }
     gen::cases(6, |g| {
@@ -392,52 +345,41 @@ impl BlockValidator for FlipAfterMerge {
 
 /// The re-seal keeps a leaf hashed at ingress only for bytes it hashed:
 /// whatever a validator changes after Algorithm 1 — here one byte of any
-/// one transaction — is covered by the committed data hash, under every
-/// pipeline, while a block tampered in transit is still rejected
-/// wholesale.
+/// one transaction — is covered by the committed data hash, while a
+/// block tampered in transit is still rejected wholesale.
 #[test]
 fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
     gen::cases(2, |g| {
         let mut blocks: Vec<Block> = (1..=3).map(|number| mixed_block(g, number)).collect();
         let tampered = g.range(1, 4);
         flip_one_write_byte(&mut blocks[tampered as usize - 1]);
-        let merged = run(
-            CrdtValidator::new(),
-            ValidationPipeline::Sequential,
-            false,
-            &blocks,
-        );
+        let merged = run(CrdtValidator::new(), &blocks);
         let longest = blocks.iter().map(Block::len).max().expect("blocks");
         for k in 0..longest {
-            for pipeline in PIPELINES {
-                for chained in [false, true] {
-                    let peer = run(FlipAfterMerge { k }, pipeline, chained, &blocks);
-                    let cell = format!("k = {k}, {}, chained: {chained}", pipeline.label());
-                    assert_eq!(peer.chain().verify_integrity(), Ok(()), "{cell}");
-                    let committed = peer.chain().iter().zip(merged.chain().iter()).skip(1);
-                    for (block, unflipped) in committed {
-                        let number = block.header.number;
-                        assert_eq!(
-                            block.header.data_hash,
-                            Block::compute_data_hash(&block.transactions),
-                            "{cell}: data hash of block {number}"
-                        );
-                        let codes = &unflipped.validation_codes;
-                        assert_eq!(&block.validation_codes, codes, "{cell}: {number}");
-                        let decided = codes.get(k).is_some_and(|code| {
-                            matches!(
-                                code,
-                                ValidationCode::EndorsementPolicyFailure
-                                    | ValidationCode::DuplicateTxId
-                                    | ValidationCode::TamperedBlock
-                            )
-                        });
-                        let pairs = block.transactions.iter().zip(&unflipped.transactions);
-                        let changed = pairs.filter(|(a, b)| a != b).count();
-                        let expected = usize::from(k < block.len() && !decided);
-                        assert_eq!(changed, expected, "{cell}: flipped in block {number}");
-                    }
-                }
+            let peer = run(FlipAfterMerge { k }, &blocks);
+            assert_eq!(peer.chain().verify_integrity(), Ok(()), "k = {k}");
+            let committed = peer.chain().iter().zip(merged.chain().iter()).skip(1);
+            for (block, unflipped) in committed {
+                let number = block.header.number;
+                assert_eq!(
+                    block.header.data_hash,
+                    Block::compute_data_hash(&block.transactions),
+                    "k = {k}: data hash of block {number}"
+                );
+                let codes = &unflipped.validation_codes;
+                assert_eq!(&block.validation_codes, codes, "k = {k}: {number}");
+                let decided = codes.get(k).is_some_and(|code| {
+                    matches!(
+                        code,
+                        ValidationCode::EndorsementPolicyFailure
+                            | ValidationCode::DuplicateTxId
+                            | ValidationCode::TamperedBlock
+                    )
+                });
+                let pairs = block.transactions.iter().zip(&unflipped.transactions);
+                let changed = pairs.filter(|(a, b)| a != b).count();
+                let expected = usize::from(k < block.len() && !decided);
+                assert_eq!(changed, expected, "k = {k}: flipped in block {number}");
             }
         }
     });

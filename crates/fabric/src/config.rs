@@ -5,7 +5,6 @@ use fabriccrdt_sim::time::SimTime;
 
 use crate::channel::ChannelId;
 use crate::latency::LatencyConfig;
-use crate::pipeline::ValidationPipeline;
 use crate::policy::EndorsementPolicy;
 
 /// The logical network topology. The paper's evaluation (§7.2) uses
@@ -587,17 +586,6 @@ pub struct PipelineConfig {
     /// channel with this set to the channel's id, which flows into the
     /// peer, the run metrics and the per-channel ledger file names.
     pub channel: ChannelId,
-    /// Committing-peer validation pipeline. The default,
-    /// [`ValidationPipeline::Sequential`], is byte-for-byte the seed
-    /// commit path; `Pipelined { workers }` fans endorsement/signature
-    /// checks per transaction over a persistent worker pool with
-    /// order-preserving joins, so block N+1's checks overlap block N's
-    /// finalize. Finalize is Algorithm 1's one sequential pass on every
-    /// pipeline, so results are value-identical and only wall-clock
-    /// time differs. Simulated time is unaffected either way (costs
-    /// come from work counters, which are identical under every
-    /// pipeline).
-    pub validation: ValidationPipeline,
 }
 
 impl PipelineConfig {
@@ -619,7 +607,6 @@ impl PipelineConfig {
             storage: None,
             adversary: None,
             channel: ChannelId::DEFAULT,
-            validation: ValidationPipeline::Sequential,
         }
     }
 
@@ -638,15 +625,9 @@ impl PipelineConfig {
         self
     }
 
-    /// Fans committing-peer pre-validation out over a persistent pool
-    /// of `workers` threads (clamped to at least 1), per transaction,
-    /// and overlaps blocks: block N+1's pure pre-validation runs on the
-    /// pool while block N's sequential finalize commits; the MVCC check
-    /// runs at finalize, after block N committed. Value-identical to the
-    /// default sequential pipeline (see `crates/fabric/src/pipeline.rs`
-    /// for the determinism argument); only host wall-clock changes.
-    pub fn with_pipelined_validation(mut self, workers: usize) -> Self {
-        self.validation = ValidationPipeline::pipelined(workers);
+    /// Returns the configuration unchanged: a peer has one commit path.
+    /// Pinned for `perf/` (DESIGN.md §4.16).
+    pub fn with_pipelined_validation(self, _workers: usize) -> Self {
         self
     }
 

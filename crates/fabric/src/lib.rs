@@ -29,11 +29,7 @@
 //! - [`validator`]: the pluggable block-validation trait;
 //!   [`validator::FabricValidator`] is vanilla Fabric MVCC. (FabricCRDT's
 //!   merging validator lives in the `fabriccrdt` core crate.)
-//! - [`pipeline`]: the commit-path validation pipeline seam —
-//!   sequential, or block N+1's pre-validation on a worker pool while
-//!   block N finalizes, with an order-preserving join.
-//! - [`pool`]: the persistent worker pool behind pipelined peers
-//!   (threads spawned once per peer, parked between blocks).
+//! - [`pipeline`]: a name `perf/` still spells for the one commit path.
 //! - [`state`]: a name `perf/` still spells for the world state.
 //! - [`peer`]: the committing peer: duplicate detection, endorsement
 //!   verification, Algorithm 1's sequential finalize, staged commits.
@@ -62,7 +58,6 @@ pub mod orderer;
 pub mod peer;
 pub mod pipeline;
 pub mod policy;
-pub mod pool;
 pub mod reorder;
 pub mod simulation;
 pub mod state;
@@ -84,7 +79,7 @@ pub use latency::LatencyConfig;
 pub use metrics::{OrderingMetrics, RunMetrics, TxRecord};
 pub use orderer::Orderer;
 pub use peer::{Peer, StagedBlock};
-pub use pipeline::{PipelineRunner, ValidationPipeline};
+pub use pipeline::ValidationPipeline;
 pub use policy::EndorsementPolicy;
 pub use simulation::{OrderingBackend, OrderingOutcome, Simulation, SingleOrderer, TxRequest};
 pub use validator::{BlockValidator, FabricValidator};

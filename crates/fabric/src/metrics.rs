@@ -262,25 +262,14 @@ impl AdversaryMetrics {
     }
 }
 
-/// Counters of the cross-block commit pipeline
-/// ([`crate::pipeline::ValidationPipeline::Pipelined`]). Only
-/// populated for pipelined runs; sequential runs report `None` in
-/// [`RunMetrics::pipelined`].
-///
-/// Excluded from [`RunMetrics`] equality: the equivalence sweeps compare a
-/// sequential run (`pipelined: None`) against a pipelined one
-/// (`pipelined: Some(..)`) and assert *outcome* identity — these
-/// counters describe how the work was scheduled, not what it decided.
+/// A name only: what [`RunMetrics::pipelined`] would hold. No run
+/// fills it, because no block overlaps another; kept, with its two
+/// fields, because `perf/` reads them (DESIGN.md §4.16).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineMetrics {
-    /// Blocks whose pre-validation was submitted to the worker pool
-    /// ahead of time, so it ran during a predecessor's finalize. A
-    /// peer without a pool (`Pipelined { workers: 1 }`, or one
-    /// hardware thread), and any one-transaction block, defers it to
-    /// the block's own join and counts nothing here.
+    /// Blocks processed during a predecessor's finalize.
     pub blocks_overlapped: u64,
-    /// Blocks that arrived while the pipeline was idle: nothing to
-    /// overlap with, so they took the plain two-stage path.
+    /// Blocks that arrived with nothing in flight.
     pub blocks_stalled: u64,
 }
 
@@ -412,9 +401,7 @@ pub struct RunMetrics {
     /// Byzantine-screen detection counters when the run configured an
     /// adversary schedule; `None` for honest runs.
     pub adversary: Option<AdversaryMetrics>,
-    /// Cross-block pipelining counters when the run used
-    /// [`crate::pipeline::ValidationPipeline::Pipelined`]; `None`
-    /// otherwise.
+    /// Always `None`; pinned for `perf/` (DESIGN.md §4.16).
     pub pipelined: Option<PipelineMetrics>,
     /// Abort-and-retry loop accounting. All-zero when the run
     /// configured no retry policy and nothing failed.
@@ -425,10 +412,8 @@ pub struct RunMetrics {
     pub conflict_policy: Option<ConflictPolicyMetrics>,
 }
 
-/// Equality ignores [`RunMetrics::pipelined`]: it describes the overlap
-/// schedule, and the equivalence sweeps compare pipelined runs against
-/// sequential ones that have no such schedule at all. It ignores the
-/// pinned [`RunMetrics::decode_cache`] shell too.
+/// Equality ignores the two pinned shells, [`RunMetrics::pipelined`]
+/// and [`RunMetrics::decode_cache`]: no run fills either.
 impl PartialEq for RunMetrics {
     fn eq(&self, other: &Self) -> bool {
         self.channel == other.channel
@@ -706,7 +691,7 @@ mod tests {
         });
         assert_eq!(
             a, b,
-            "overlap-schedule counters must not break equality either"
+            "the pinned pipelined shell must not break equality either"
         );
         a.blocks_committed = 1;
         assert_ne!(a, b);

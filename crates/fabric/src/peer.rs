@@ -13,25 +13,18 @@
 //! `start + cost`, and endorsements arriving in between correctly observe
 //! the pre-block state.
 //!
-//! # Chained blocks
+//! # One commit path
 //!
-//! [`Peer::process_block`] is [`Peer::prevalidate`] joined at once by
-//! [`Peer::finish_block`]. The drivers (`Simulation`, the gossip lanes)
-//! chain instead: [`Peer::finish_block_with_next`] joins block N's
-//! pre-validation, starts block N+1's pure per-transaction stage, then
-//! runs N's finalize. Under [`ValidationPipeline::Pipelined`] N+1's
-//! signature checking runs on pool threads *while* N finalizes on the
-//! calling thread; under `Sequential` it is deferred to N+1's own join.
-//! The started stage reads no world state, so the MVCC check at
-//! finalize — against the committed state, after block N's commit — is
-//! the only read verdict there is, and every stage is a pure function
-//! of (transaction, committed-id context). Finalize is one body on
-//! every pipeline, Algorithm 1's sequential pass
-//! ([`BlockValidator::validate_and_commit`]), so the two pipelines are
-//! value-identical and only wall-clock differs (DESIGN.md §4.9).
+//! A block starts only after its predecessor committed, so the
+//! duplicate screen reads the committed id set and the MVCC check reads
+//! the committed state: every verdict is a pure function of the block
+//! and the ledger before it. Finalize is Algorithm 1's sequential pass
+//! ([`BlockValidator::validate_and_commit`]), as in Fabric v1.4
+//! (DESIGN.md §4.9). [`Peer::prevalidate`], [`Peer::finish_block`] and
+//! [`Peer::finish_block_with_next`] are names `perf/` drives this path
+//! through (DESIGN.md §4.16).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
@@ -39,7 +32,7 @@ use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, Validati
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::store::LedgerSnapshot;
-use fabriccrdt_ledger::transaction::{Transaction, TxId};
+use fabriccrdt_ledger::transaction::TxId;
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::WorldState;
 
@@ -55,8 +48,7 @@ pub struct PeerSnapshot {
 
 use crate::channel::ChannelId;
 use crate::cost::ValidationWork;
-use crate::metrics::PipelineMetrics;
-use crate::pipeline::{PendingMap, PipelineRunner, ValidationPipeline};
+use crate::pipeline::ValidationPipeline;
 use crate::policy::EndorsementPolicy;
 use crate::validator::BlockValidator;
 
@@ -64,16 +56,10 @@ use crate::validator::BlockValidator;
 /// the benchmark package (`perf/`) to attribute block time per stage.
 /// Timings never feed the cost model or any validation outcome, so they
 /// cannot perturb simulation determinism.
-///
-/// Under [`ValidationPipeline::Pipelined`] the stages of consecutive
-/// blocks are **not disjoint** — block N+1's pre-validation runs
-/// concurrently with block N's finalize — so the two durations do not
-/// sum to wall time there.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
-    /// Duplicate detection + endorsement verification (pipeline
-    /// fan-out stage), from the start of the prepare to the end of the
-    /// join.
+    /// Duplicate detection + endorsement verification, after the
+    /// ingress hash check.
     pub pre_validate_secs: f64,
     /// MVCC/merge validation, state commit and re-seal (Algorithm 1's
     /// sequential stage).
@@ -94,37 +80,11 @@ pub struct StagedBlock {
     pub timings: StageTimings,
 }
 
-/// Block N+1 mid-flight: its pure pre-validation stage has been
-/// started (possibly on the worker pool, concurrently with block N's
-/// finalize) but not yet joined. Redeem with [`Peer::finish_block`] —
-/// in arrival order, after every earlier block has been committed.
+/// A delivered block not yet processed; [`Peer::finish_block`] runs
+/// [`Peer::process_block`] on it. Pinned for `perf/` (DESIGN.md §4.16).
 #[derive(Debug)]
 pub struct PreparedBlock {
-    /// The block, transactions taken out (left in place for tampered
-    /// blocks, which skip pre-validation wholesale).
     block: Block,
-    /// The transactions, shared with the in-flight pool job.
-    transactions: Arc<Vec<Transaction>>,
-    /// The in-flight endorsement map and the ingress encoding it reads;
-    /// `None` marks a tampered block.
-    pending: Option<(Endorsing, Arc<EncodedTransactions>)>,
-    /// When pre-validation started.
-    pre_start: Instant,
-}
-
-/// Per transaction: a failed endorsement verdict, signatures checked.
-type Endorsing = PendingMap<(Option<ValidationCode>, u64)>;
-
-/// A [`PreparedBlock`] whose pre-validation has been joined; input to
-/// the finalize half of [`Peer::finish_block`].
-struct JoinedBlock {
-    block: Block,
-    transactions: Arc<Vec<Transaction>>,
-    pre: Vec<Option<ValidationCode>>,
-    sigs_verified: u64,
-    /// The bytes hashed at ingress; `None` marks a tampered block.
-    ingress: Option<Arc<EncodedTransactions>>,
-    pre_validate_secs: f64,
 }
 
 /// A committing peer.
@@ -143,26 +103,18 @@ pub struct Peer<V> {
     state: WorldState,
     chain: Blockchain,
     committed_ids: HashSet<TxId>,
-    // Arc because pre-validation hands the validator to 'static pool
-    // workers.
-    validator: Arc<V>,
+    validator: V,
     policy: EndorsementPolicy,
     /// The verification key of every endorser a delivered block has
-    /// named, derived on first sight in the sequential stage of
-    /// `prepare_block` — never per endorsement. Pre-validation workers
-    /// read it through the `Arc` without a lock. It holds no identity
-    /// the chain does not also store, so it grows no faster than the
-    /// ledger.
-    endorser_keys: Arc<HashMap<Identity, KeyPair>>,
-    runner: PipelineRunner,
+    /// named, derived on first sight — never per endorsement. It holds
+    /// no identity the chain does not also store, so it grows no faster
+    /// than the ledger.
+    endorser_keys: HashMap<Identity, KeyPair>,
     /// Which channel this replica serves; [`ChannelId::DEFAULT`] for
     /// single-channel runs. Purely a label — validation logic is
     /// channel-agnostic — but it keeps multi-channel replicas
     /// attributable in debug output and assertions.
     channel: ChannelId,
-    /// Overlap counters, drained by [`Peer::take_pipeline_metrics`].
-    /// Scheduling-descriptive only — never feeds a validation outcome.
-    stats: PipelineMetrics,
 }
 
 impl<V: BlockValidator> Peer<V> {
@@ -178,7 +130,7 @@ impl<V: BlockValidator> Peer<V> {
         Peer::from_parts(validator, policy, WorldState::new(), chain, HashSet::new())
     }
 
-    /// A sequential, default-channel peer over the given ledger parts
+    /// A default-channel peer over the given ledger parts
     /// ([`Peer::new`] and [`Peer::restore_from_snapshot`] differ in them).
     fn from_parts(
         validator: V,
@@ -191,12 +143,10 @@ impl<V: BlockValidator> Peer<V> {
             state,
             chain,
             committed_ids,
-            validator: Arc::new(validator),
+            validator,
             policy,
-            endorser_keys: Arc::new(HashMap::new()),
-            runner: PipelineRunner::new(ValidationPipeline::Sequential),
+            endorser_keys: HashMap::new(),
             channel: ChannelId::DEFAULT,
-            stats: PipelineMetrics::default(),
         }
     }
 
@@ -211,21 +161,10 @@ impl<V: BlockValidator> Peer<V> {
         self
     }
 
-    /// Selects the validation pipeline (builder style), re-binding the
-    /// worker pool (a replaced pool's threads join on drop). The
-    /// default, [`ValidationPipeline::Sequential`], is byte-for-byte the
-    /// seed commit path; `Pipelined` is value-identical (see
-    /// `crates/fabric/src/pipeline.rs` for the determinism argument) and
-    /// only changes wall-clock time. Pooled runners spawn their
-    /// persistent worker pool here, once per peer.
-    pub fn with_pipeline(mut self, pipeline: ValidationPipeline) -> Self {
-        self.runner = PipelineRunner::new(pipeline);
+    /// Returns the peer unchanged: there is one commit path. Pinned for
+    /// `perf/` (DESIGN.md §4.16).
+    pub fn with_pipeline(self, _pipeline: ValidationPipeline) -> Self {
         self
-    }
-
-    /// The active validation pipeline.
-    pub fn pipeline(&self) -> ValidationPipeline {
-        self.runner.mode()
     }
 
     /// The current world state (committed blocks only). This is the
@@ -234,13 +173,6 @@ impl<V: BlockValidator> Peer<V> {
     /// snapshot for one reference-count bump.
     pub fn state(&self) -> &WorldState {
         &self.state
-    }
-
-    /// Drains the overlap counters accumulated since the last call (or
-    /// construction). Scheduling-descriptive only;
-    /// excluded from [`crate::metrics::RunMetrics`] equality.
-    pub fn take_pipeline_metrics(&mut self) -> PipelineMetrics {
-        std::mem::take(&mut self.stats)
     }
 
     /// The peer's copy of the blockchain, which also answers key history
@@ -364,87 +296,15 @@ impl<V: BlockValidator> Peer<V> {
 
     /// Validates a block against the current state without committing.
     ///
-    /// Performs duplicate-id detection, endorsement verification
-    /// (signatures really are checked) and the validator stage, all
-    /// against a copy of the state; the result is installed later by
-    /// [`Peer::commit`]. Equivalent to [`Peer::prevalidate`]
-    /// immediately followed by [`Peer::finish_block`].
-    pub fn process_block(&mut self, block: Block) -> StagedBlock {
-        let prep = self.prepare_block(block, &HashSet::new(), false);
-        self.finish_block(prep)
-    }
-
-    /// Starts the pure pre-validation stage of a block whose
-    /// predecessors have all committed (no extra duplicate context).
-    pub fn prevalidate(&mut self, block: Block) -> PreparedBlock {
-        self.prepare_block(block, &HashSet::new(), false)
-    }
-
-    /// Starts the pure pre-validation stage of a block *ahead of* its
-    /// predecessors' finalize — the overlap window of
-    /// [`ValidationPipeline::Pipelined`]. With a free pool the
-    /// per-transaction work is submitted to it and runs concurrently
-    /// with whatever the caller does next (block N's finalize);
-    /// otherwise it is deferred to the join inside
-    /// [`Peer::finish_block`] — value-identical either way.
-    ///
-    /// `extra_ids` must hold the ids of **every** transaction of every
-    /// in-flight block (staged or prepared, valid and failed alike):
-    /// [`Peer::commit`] extends the duplicate set with all of them, so
-    /// this is exactly the context `committed_ids` would have carried
-    /// had the predecessors already committed. With that, duplicate
-    /// verdicts — and therefore `sigs_verified` and the simulated
-    /// block cost — are identical to the sequential schedule.
-    pub(crate) fn prevalidate_ahead(
-        &mut self,
-        block: Block,
-        extra_ids: &HashSet<TxId>,
-    ) -> PreparedBlock {
-        self.prepare_block(block, extra_ids, true)
-    }
-
-    /// Joins a block's pre-validation and runs its finalize. Blocks
-    /// must be finished in arrival order, each after its predecessors
-    /// committed (the finalize validates against — and the re-seal
-    /// links to — the committed tip).
-    pub fn finish_block(&mut self, prep: PreparedBlock) -> StagedBlock {
-        let joined = self.join_prevalidation(prep);
-        self.finalize_joined(joined)
-    }
-
-    /// The pipelined chaining step: joins `prep`'s pre-validation
-    /// (freeing the worker pool), submits `next`'s pre-validation to
-    /// the pool, then runs `prep`'s finalize on the calling thread —
-    /// so `next`'s signature checking proceeds concurrently with the
-    /// finalize. The duplicate context for `next` (the ids of `prep`'s
-    /// transactions) is threaded automatically.
-    pub fn finish_block_with_next(
-        &mut self,
-        prep: PreparedBlock,
-        next: Block,
-    ) -> (StagedBlock, PreparedBlock) {
-        let joined = self.join_prevalidation(prep);
-        let extra: HashSet<TxId> = joined
-            .block
-            .transactions
-            .iter()
-            .chain(joined.transactions.iter())
-            .map(|t| t.id)
-            .collect();
-        let next_prep = self.prevalidate_ahead(next, &extra);
-        let staged = self.finalize_joined(joined);
-        (staged, next_prep)
-    }
-
-    /// The shared prepare half: duplicate detection, then the pure
-    /// per-transaction endorsement stage, started via
-    /// [`PipelineRunner::map_ordered_bg`].
-    fn prepare_block(
-        &mut self,
-        mut block: Block,
-        extra_ids: &HashSet<TxId>,
-        overlapped: bool,
-    ) -> PreparedBlock {
+    /// Verifies the ingress hash, screens duplicate ids against the
+    /// committed set and the block itself, checks every endorsement
+    /// (signatures really are checked), then runs the validator stage
+    /// against a copy of the state and re-seals; the result is
+    /// installed later by [`Peer::commit`]. Blocks must be processed in
+    /// arrival order, each after its predecessor committed (the
+    /// finalize validates against — and the re-seal links to — the
+    /// committed tip).
+    pub fn process_block(&mut self, mut block: Block) -> StagedBlock {
         // Integrity pre-check: the data hash of a block fresh from the
         // orderer must cover its transactions. A mismatch here — before
         // any validator-driven rewrite — means tampering in transit;
@@ -453,148 +313,7 @@ impl<V: BlockValidator> Peer<V> {
         // merge rewrites, and keeps the leaves hashed here for every
         // transaction they left alone.) The endorsement MACs below
         // verify against the payload digests hashed into the leaves here.
-        let Some(encoded) = EncodedTransactions::verify(&block).map(Arc::new) else {
-            return PreparedBlock {
-                block,
-                transactions: Arc::new(Vec::new()),
-                pending: None,
-                // Never read: a tampered block reports default timings.
-                pre_start: Instant::now(),
-            };
-        };
-        let pre_start = Instant::now();
-
-        // Stage 1 (sequential, cheap): duplicate-id detection. This is
-        // the one cross-transaction dependency in pre-validation — a
-        // transaction is a duplicate relative to everything committed
-        // (including in-flight predecessors, via `extra_ids`) *and*
-        // everything earlier in this block — so it runs before the
-        // fan-out, keeping the per-transaction stage below pure.
-        let mut seen_in_block: HashSet<TxId> = HashSet::new();
-        let duplicate: Vec<bool> = block
-            .transactions
-            .iter()
-            .map(|tx| {
-                self.committed_ids.contains(&tx.id)
-                    || extra_ids.contains(&tx.id)
-                    || !seen_in_block.insert(tx.id)
-            })
-            .collect();
-        for endorsement in block.transactions.iter().flat_map(|tx| &tx.endorsements) {
-            if !self.endorser_keys.contains_key(&endorsement.endorser) {
-                let keypair = KeyPair::derive(endorsement.endorser.clone());
-                Arc::make_mut(&mut self.endorser_keys)
-                    .insert(endorsement.endorser.clone(), keypair);
-            }
-        }
-
-        // Stage 2 (pipeline fan-out): endorsement validation — every
-        // signature must verify and the endorsing organizations must
-        // satisfy the policy. Each transaction's outcome is a pure
-        // function of the transaction itself, so the pipeline may
-        // evaluate them on worker threads; the join reassembles results
-        // in block order. Duplicates short-circuit *before* any
-        // signature is checked (exactly as the seed's early return did),
-        // so `sigs_verified` — and with it the simulated block cost — is
-        // identical under every pipeline. Pool workers are 'static, so
-        // shared context travels by `Arc`/clone rather than borrow.
-        let transactions = Arc::new(std::mem::take(&mut block.transactions));
-        let validator = Arc::clone(&self.validator);
-        let policy = self.policy.clone();
-        let endorser_keys = Arc::clone(&self.endorser_keys);
-        let ingress = Arc::clone(&encoded);
-        let pending = self.runner.map_ordered_bg(&transactions, move |i, tx| {
-            if duplicate[i] {
-                return (Some(ValidationCode::DuplicateTxId), 0);
-            }
-            // A no-op on every workspace validator (DESIGN.md §4.16).
-            validator.prepare(tx);
-            // Hashed into the leaf at ingress: no second payload pass.
-            let digest = encoded.payload_digest(i);
-            let mut sigs = 0u64;
-            let mut valid_orgs: Vec<&str> = Vec::new();
-            for endorsement in &tx.endorsements {
-                sigs += 1;
-                let keypair = endorser_keys
-                    .get(&endorsement.endorser)
-                    .expect("stage 1 derived the key of every endorser in this block");
-                if keypair
-                    .verify_digest(digest, &endorsement.signature)
-                    .is_ok()
-                {
-                    valid_orgs.push(&endorsement.endorser.org);
-                }
-            }
-            if !policy.is_satisfied_by(&valid_orgs) {
-                return (Some(ValidationCode::EndorsementPolicyFailure), sigs);
-            }
-            (None, sigs)
-        });
-
-        // Only a batch on the pool runs during the predecessor's
-        // finalize; a deferred one runs at its own join.
-        if overlapped && pending.is_pooled() {
-            self.stats.blocks_overlapped += 1;
-        }
-
-        PreparedBlock {
-            block,
-            transactions,
-            pending: Some((pending, ingress)),
-            pre_start,
-        }
-    }
-
-    /// Joins the in-flight pre-validation of a prepared block.
-    fn join_prevalidation(&mut self, prep: PreparedBlock) -> JoinedBlock {
-        let PreparedBlock {
-            block,
-            transactions,
-            pending,
-            pre_start,
-        } = prep;
-        let Some((pending, ingress)) = pending else {
-            return JoinedBlock {
-                block,
-                transactions,
-                pre: Vec::new(),
-                sigs_verified: 0,
-                ingress: None,
-                pre_validate_secs: 0.0,
-            };
-        };
-        let endorsed = self.runner.join(pending);
-        let mut sigs_verified = 0u64;
-        let pre: Vec<Option<ValidationCode>> = endorsed
-            .into_iter()
-            .map(|(code, sigs)| {
-                sigs_verified += sigs;
-                code
-            })
-            .collect();
-        JoinedBlock {
-            block,
-            transactions,
-            pre,
-            sigs_verified,
-            ingress: Some(ingress),
-            pre_validate_secs: pre_start.elapsed().as_secs_f64(),
-        }
-    }
-
-    /// The finalize half, one body for every pipeline: the seed
-    /// [`BlockValidator::validate_and_commit`] over a clone of the
-    /// committed `WorldState` (which shares its tree), then the re-seal.
-    fn finalize_joined(&self, joined: JoinedBlock) -> StagedBlock {
-        let JoinedBlock {
-            mut block,
-            transactions,
-            pre,
-            sigs_verified,
-            ingress,
-            pre_validate_secs,
-        } = joined;
-        let Some(ingress) = ingress else {
+        let Some(ingress) = EncodedTransactions::verify(&block) else {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
             return StagedBlock {
                 block: SealedBlock::seal(block, self.chain.tip_hash()),
@@ -603,9 +322,11 @@ impl<V: BlockValidator> Peer<V> {
                 timings: StageTimings::default(),
             };
         };
+        let pre_start = Instant::now();
+        let (pre, sigs_verified) = self.endorsement_verdicts(&block, &ingress);
+        let pre_validate_secs = pre_start.elapsed().as_secs_f64();
+
         let finalize_start = Instant::now();
-        block.transactions =
-            Arc::try_unwrap(transactions).expect("pre-validation released its clones");
         let mut new_state = self.state.clone();
         let mut work = self
             .validator
@@ -629,6 +350,85 @@ impl<V: BlockValidator> Peer<V> {
                 finalize_secs: finalize_start.elapsed().as_secs_f64(),
             },
         }
+    }
+
+    /// Per transaction of `block`, the code decided before Algorithm 1
+    /// (a duplicate id or a failed endorsement policy), and the number
+    /// of signatures checked.
+    ///
+    /// A transaction is a duplicate of anything committed or earlier in
+    /// the block. Duplicates short-circuit *before* any signature is
+    /// checked, so they add nothing to `sigs_verified`, which drives
+    /// the simulated block cost.
+    fn endorsement_verdicts(
+        &mut self,
+        block: &Block,
+        ingress: &EncodedTransactions,
+    ) -> (Vec<Option<ValidationCode>>, u64) {
+        for endorsement in block.transactions.iter().flat_map(|tx| &tx.endorsements) {
+            if !self.endorser_keys.contains_key(&endorsement.endorser) {
+                let keypair = KeyPair::derive(endorsement.endorser.clone());
+                self.endorser_keys
+                    .insert(endorsement.endorser.clone(), keypair);
+            }
+        }
+        let mut seen_in_block: HashSet<TxId> = HashSet::new();
+        let mut sigs_verified = 0u64;
+        let pre = block
+            .transactions
+            .iter()
+            .enumerate()
+            .map(|(i, tx)| {
+                if self.committed_ids.contains(&tx.id) || !seen_in_block.insert(tx.id) {
+                    return Some(ValidationCode::DuplicateTxId);
+                }
+                // A no-op on every workspace validator (DESIGN.md §4.16).
+                self.validator.prepare(tx);
+                // Hashed into the leaf at ingress: no second payload pass.
+                let digest = ingress.payload_digest(i);
+                let mut valid_orgs: Vec<&str> = Vec::new();
+                for endorsement in &tx.endorsements {
+                    sigs_verified += 1;
+                    let keypair = self
+                        .endorser_keys
+                        .get(&endorsement.endorser)
+                        .expect("derived above for every endorser in this block");
+                    if keypair
+                        .verify_digest(digest, &endorsement.signature)
+                        .is_ok()
+                    {
+                        valid_orgs.push(&endorsement.endorser.org);
+                    }
+                }
+                (!self.policy.is_satisfied_by(&valid_orgs))
+                    .then_some(ValidationCode::EndorsementPolicyFailure)
+            })
+            .collect();
+        (pre, sigs_verified)
+    }
+
+    /// Wraps a delivered block for [`Peer::finish_block`]; nothing runs
+    /// yet. Pinned for `perf/` (DESIGN.md §4.16).
+    pub fn prevalidate(&mut self, block: Block) -> PreparedBlock {
+        PreparedBlock { block }
+    }
+
+    /// [`Peer::process_block`] on a wrapped block. Pinned for `perf/`
+    /// (DESIGN.md §4.16).
+    pub fn finish_block(&mut self, prep: PreparedBlock) -> StagedBlock {
+        self.process_block(prep.block)
+    }
+
+    /// Finishes `prep`, then wraps `next`; `next` runs in its own
+    /// [`Peer::finish_block`], after `prep` commits. Pinned for `perf/`
+    /// (DESIGN.md §4.16).
+    pub fn finish_block_with_next(
+        &mut self,
+        prep: PreparedBlock,
+        next: Block,
+    ) -> (StagedBlock, PreparedBlock) {
+        let staged = self.finish_block(prep);
+        (staged, self.prevalidate(next))
     }
 
     /// Installs a staged block: world state, blockchain, duplicate set.
@@ -922,62 +722,6 @@ mod tests {
         assert!(p.state().value("k").is_none());
     }
 
-    /// The contract that replaces a separate intra-block-parallel
-    /// mode: a `Pipelined` peer driven only by `process_block` joins
-    /// every batch at once, so it ends byte-identical to `Sequential`
-    /// and overlaps nothing.
-    #[test]
-    fn pipelined_peer_driven_by_process_block_matches_sequential_without_overlap() {
-        // Mixed blocks: a hot key, disjoint keys, an in-block and a
-        // cross-block duplicate and a policy failure — pre-decided codes
-        // from the fan-out meeting Algorithm 1's pass.
-        let dup = tx(1, "a", &["org1", "org2"]);
-        let streams = vec![
-            vec![
-                dup.clone(),
-                tx(2, "hot", &["org1", "org2"]),
-                tx(3, "hot", &["org1", "org2"]),
-                dup.clone(),
-                tx(4, "b", &["org1"]),
-                tx(5, "c", &["org1", "org2"]),
-            ],
-            vec![
-                tx(6, "hot", &["org1", "org2"]),
-                dup,
-                tx(7, "d", &["org1", "org2"]),
-            ],
-        ];
-        let mut seq = peer();
-        let mut pip = peer().with_pipeline(ValidationPipeline::pipelined(4));
-        assert_eq!(pip.pipeline(), ValidationPipeline::pipelined(4));
-        for p in [&mut seq, &mut pip] {
-            p.seed_state("hot", b"seed".to_vec());
-        }
-        for txs in streams {
-            let block = next_block(&seq, txs);
-            let staged_seq = seq.process_block(block.clone());
-            let staged_pip = pip.process_block(block);
-            assert_eq!(
-                staged_pip.block.validation_codes,
-                staged_seq.block.validation_codes
-            );
-            assert_eq!(
-                staged_pip.block.header.data_hash,
-                staged_seq.block.header.data_hash
-            );
-            assert_eq!(staged_pip.new_state, staged_seq.new_state);
-            assert_eq!(staged_pip.work, staged_seq.work);
-            seq.commit(staged_seq).unwrap();
-            pip.commit(staged_pip).unwrap();
-        }
-        assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
-        assert_eq!(
-            pip.take_pipeline_metrics(),
-            PipelineMetrics::default(),
-            "process_block never overlaps blocks"
-        );
-    }
-
     fn reading_tx(
         nonce: u64,
         key: &str,
@@ -1000,129 +744,29 @@ mod tests {
         tx
     }
 
+    /// Block 1 writes "k"; block 2 reads "k" at the seeded version. The
+    /// read was fresh when block 2 was cut, and the MVCC check at
+    /// finalize — against the state block 1 committed — flags it.
     #[test]
-    fn pipelined_chaining_matches_sequential() {
-        // Drive the prevalidate / finish_block_with_next chain over a
-        // stream with duplicates, policy failures and a hot-key chain;
-        // the sequential replica processes the same stream one block at
-        // a time. Ledgers must come out byte-identical.
-        let dup = tx(1, "a", &["org1", "org2"]);
-        let blocks: Vec<Vec<Transaction>> = vec![
-            vec![dup.clone(), tx(2, "hot", &["org1", "org2"])],
-            vec![tx(3, "hot", &["org1", "org2"]), tx(4, "b", &["org1"])],
-            vec![dup, tx(5, "c", &["org1", "org2"])],
-        ];
-        let mut seq = peer();
-        let mut pip = peer().with_pipeline(ValidationPipeline::pipelined(4));
-        for p in [&mut seq, &mut pip] {
-            p.seed_state("hot", b"seed".to_vec());
-        }
-
-        // Sequential reference.
-        for txs in &blocks {
-            let block = next_block(&seq, txs.clone());
-            let staged = seq.process_block(block);
-            seq.commit(staged).unwrap();
-        }
-
-        // Pipelined: block N+1 is prepared while block N finalizes.
-        // Blocks are numbered up front (as an orderer would emit them);
-        // the finish-time re-seal links each to the committed tip.
-        let mut prep = pip.prevalidate(next_block(&pip, blocks[0].clone()));
-        for (n, txs) in blocks.iter().enumerate().skip(1) {
-            let block = Block::assemble((n + 1) as u64, [0; 32], txs.clone());
-            let (staged, next_prep) = pip.finish_block_with_next(prep, block);
-            pip.commit(staged).unwrap();
-            prep = next_prep;
-        }
-        let staged = pip.finish_block(prep);
-        pip.commit(staged).unwrap();
-
-        assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
-        let stats = pip.take_pipeline_metrics();
-        assert_eq!(stats.blocks_overlapped, 2 * u64::from(has_pool()));
-    }
-
-    /// Whether a `pipelined(2..)` runner spawns its pool on this host;
-    /// without one, no pre-validation runs ahead of its own join.
-    fn has_pool() -> bool {
-        std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2
-    }
-
-    #[test]
-    fn overlapped_prevalidation_sees_in_flight_duplicates() {
-        // A transaction repeated in the very next block must be flagged
-        // DuplicateTxId even though its first copy has not committed
-        // when the second block's pre-validation starts.
-        let dup = tx(1, "a", &["org1", "org2"]);
-        let mut p = peer().with_pipeline(ValidationPipeline::pipelined(2));
-        let prep = p.prevalidate(next_block(&p, vec![dup.clone()]));
-        let b2 = Block::assemble(2, [0; 32], vec![dup, tx(2, "b", &["org1", "org2"])]);
-        let (staged1, prep2) = p.finish_block_with_next(prep, b2);
-        p.commit(staged1).unwrap();
-        let staged2 = p.finish_block(prep2);
-        assert_eq!(
-            staged2.block.validation_codes,
-            vec![ValidationCode::DuplicateTxId, ValidationCode::Valid]
-        );
-        p.commit(staged2).unwrap();
-    }
-
-    #[test]
-    fn overlapped_read_racing_a_commit_is_caught_at_finalize() {
-        // Directed race: block 1 writes "k"; block 2 reads "k" at the
-        // seeded version. Block 2's pre-validation starts before
-        // block 1 commits (when the read still looks fresh); the MVCC
-        // check at finalize — after block 1 committed — must flag the
-        // conflict, exactly as the sequential path does. Block 2 holds
-        // two transactions, so its batch goes to the pool (a one-item
-        // batch runs at its own join).
+    fn a_predecessors_write_is_caught_by_mvcc_at_finalize() {
+        let mut p = peer();
+        p.seed_state("k", b"seed".to_vec());
         let write = tx(1, "k", &["org1", "org2"]);
         let read = reading_tx(2, "other", "k", Some(Height::genesis()), &["org1", "org2"]);
         let blind = tx(3, "z", &["org1", "org2"]);
-        let codes = vec![ValidationCode::MvccConflict, ValidationCode::Valid];
-
-        let mut seq = peer();
-        let mut pip = peer().with_pipeline(ValidationPipeline::pipelined(4));
-        for p in [&mut seq, &mut pip] {
-            p.seed_state("k", b"seed".to_vec());
-        }
-
-        let s1 = seq.process_block(next_block(&seq, vec![write.clone()]));
-        seq.commit(s1).unwrap();
-        let s2 = seq.process_block(next_block(&seq, vec![read.clone(), blind.clone()]));
-        assert_eq!(s2.block.validation_codes, codes);
-        seq.commit(s2).unwrap();
-
-        let prep1 = pip.prevalidate(next_block(&pip, vec![write]));
+        let b1 = next_block(&p, vec![write]);
         let b2 = Block::assemble(2, [0; 32], vec![read, blind]);
-        let (staged1, prep2) = pip.finish_block_with_next(prep1, b2);
-        pip.commit(staged1).unwrap();
-        let staged2 = pip.finish_block(prep2);
-        assert_eq!(staged2.block.validation_codes, codes);
-        pip.commit(staged2).unwrap();
 
-        assert_eq!(seq.snapshot(), pip.snapshot(), "byte-identical ledgers");
-        let stats = pip.take_pipeline_metrics();
-        assert_eq!(stats.blocks_overlapped, u64::from(has_pool()));
-    }
-
-    /// A `pipelined(1)` peer has no pool: the chained driver defers
-    /// every pre-validation to its own join, and counts no overlap.
-    #[test]
-    fn single_worker_chaining_overlaps_nothing() {
-        let blocks = [
-            vec![tx(1, "a", &["org1", "org2"]), tx(2, "b", &["org1", "org2"])],
-            vec![tx(3, "a", &["org1", "org2"]), tx(4, "c", &["org1", "org2"])],
-        ];
-        let mut p = peer().with_pipeline(ValidationPipeline::pipelined(1));
-        let prep = p.prevalidate(next_block(&p, blocks[0].clone()));
-        let b2 = Block::assemble(2, [0; 32], blocks[1].clone());
-        let (staged1, prep2) = p.finish_block_with_next(prep, b2);
+        let staged1 = p.process_block(b1);
         p.commit(staged1).unwrap();
-        let staged2 = p.finish_block(prep2);
+        let staged2 = p.process_block(b2);
+        assert_eq!(
+            staged2.block.validation_codes,
+            vec![ValidationCode::MvccConflict, ValidationCode::Valid]
+        );
         p.commit(staged2).unwrap();
-        assert_eq!(p.take_pipeline_metrics(), PipelineMetrics::default());
+        assert!(p.state().value("other").is_none());
+        assert_eq!(p.state().value("z"), Some(&[3u8][..]));
     }
 
     #[test]

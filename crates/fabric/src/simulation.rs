@@ -21,7 +21,7 @@
 //! service; endorser CPU is assumed to scale out (the paper's bottleneck
 //! is the commit path).
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 use fabriccrdt_ledger::block::Block;
@@ -39,7 +39,7 @@ use crate::metrics::{
     RetryMetrics, RunMetrics, TxRecord,
 };
 use crate::orderer::{Orderer, TimeoutRequest};
-use crate::peer::{Peer, PreparedBlock, StagedBlock};
+use crate::peer::{Peer, StagedBlock};
 use crate::validator::BlockValidator;
 
 /// The pluggable block-dissemination layer between the orderer and the
@@ -335,17 +335,8 @@ pub struct Simulation<V: BlockValidator> {
     retry: RetryMetrics,
     /// The block being committed, until its `CommitDone`.
     staged: Option<StagedBlock>,
-    /// Delivered blocks behind it, pre-validation started, in arrival
-    /// order.
-    prepared: VecDeque<PreparedBlock>,
-    /// Ids of every transaction of `staged` and `prepared`, valid and
-    /// failed alike: [`Peer::commit`] extends the peer's duplicate set
-    /// with all of them, so this is the context a block prepared ahead
-    /// of them must be screened against.
-    in_flight_ids: HashSet<TxId>,
-    /// Blocks that arrived with the peer idle (no in-flight block to
-    /// overlap with); reported for pipelined runs.
-    stalls: u64,
+    /// Delivered blocks behind it, in arrival order.
+    delivered: VecDeque<Block>,
     delivery: Box<dyn DeliveryLayer>,
     /// Orderer-cut blocks in cut order, recorded when enabled via
     /// [`Simulation::enable_block_log`].
@@ -379,9 +370,7 @@ impl<V: BlockValidator> Simulation<V> {
         ordering: Box<dyn OrderingBackend>,
     ) -> Self {
         let rng = SimRng::seed_from(config.seed);
-        let peer = Peer::new(validator, config.policy.clone())
-            .with_pipeline(config.validation)
-            .with_channel(config.channel);
+        let peer = Peer::new(validator, config.policy.clone()).with_channel(config.channel);
         Simulation {
             config,
             registry,
@@ -401,9 +390,7 @@ impl<V: BlockValidator> Simulation<V> {
             resubmissions: 0,
             retry: RetryMetrics::default(),
             staged: None,
-            prepared: VecDeque::new(),
-            in_flight_ids: HashSet::new(),
-            stalls: 0,
+            delivered: VecDeque::new(),
             delivery,
             block_log: None,
             blocks_committed: 0,
@@ -464,9 +451,7 @@ impl<V: BlockValidator> Simulation<V> {
         self.blocks_committed = 0;
         self.end_time = SimTime::ZERO;
         self.armed_wakeups.clear();
-        self.prepared.clear();
-        self.in_flight_ids.clear();
-        self.stalls = 0;
+        self.delivered.clear();
         for (i, (at, request)) in schedule.into_iter().enumerate() {
             self.requests.push(request);
             self.records.push(TxRecord::default());
@@ -480,16 +465,6 @@ impl<V: BlockValidator> Simulation<V> {
             self.handle(now, event);
         }
 
-        // Overlap/stall counters are scheduling-descriptive (host
-        // wall-clock concurrency), never simulation values, so they sit
-        // outside `RunMetrics` equality — pipelined runs stay
-        // metric-identical to sequential ones.
-        let pipelined = self.config.validation.is_pipelined().then(|| {
-            let mut stats = self.peer.take_pipeline_metrics();
-            stats.blocks_stalled = self.stalls;
-            stats
-        });
-
         RunMetrics {
             channel: self.config.channel,
             records: std::mem::take(&mut self.records),
@@ -502,7 +477,8 @@ impl<V: BlockValidator> Simulation<V> {
             // Pinned for `perf/` (DESIGN.md §4.16): nothing is cached.
             decode_cache: None,
             adversary: self.delivery.take_adversary(),
-            pipelined,
+            // Pinned for `perf/` (DESIGN.md §4.16): no block overlaps another.
+            pipelined: None,
             retry: std::mem::take(&mut self.retry),
             conflict_policy: self.ordering.take_policy_metrics(),
         }
@@ -533,23 +509,7 @@ impl<V: BlockValidator> Simulation<V> {
                 self.apply_ordering(now, outcome);
             }
             Event::DeliverBlock(block) => {
-                // Pre-validation starts on arrival, ahead of any in-flight
-                // block's commit: on the worker pool of a `Pipelined`
-                // peer; deferred to this block's own join on a
-                // `Sequential` one, whose schedule is therefore the
-                // sequential one value for value. The duplicate context
-                // is `in_flight_ids` — what `committed_ids` will hold when
-                // this block finalizes.
-                let ids: Vec<TxId> = block.transactions.iter().map(|tx| tx.id).collect();
-                let prep = if self.staged.is_some() || !self.prepared.is_empty() {
-                    self.peer.prevalidate_ahead(block, &self.in_flight_ids)
-                } else {
-                    // Nothing in flight to overlap with: a stall.
-                    self.stalls += 1;
-                    self.peer.prevalidate(block)
-                };
-                self.in_flight_ids.extend(ids);
-                self.prepared.push_back(prep);
+                self.delivered.push_back(block);
                 self.maybe_start_processing(now);
             }
             Event::CommitDone => {
@@ -559,9 +519,6 @@ impl<V: BlockValidator> Simulation<V> {
                     .peer
                     .commit(staged)
                     .expect("orderer blocks extend the chain in order");
-                for tx in &tip.transactions {
-                    self.in_flight_ids.remove(&tx.id);
-                }
                 let adaptive = self.config.ordering_policy.is_adaptive();
                 let feedback = adaptive.then(|| BlockFeedback::from_block(tip));
                 let updates: Vec<(usize, _, u64)> = tip
@@ -768,18 +725,16 @@ impl<V: BlockValidator> Simulation<V> {
         self.queue.schedule(at, Event::DeliverBlock(block));
     }
 
-    /// Joins and finalizes the next delivered block if the peer is idle.
-    /// The simulated cost derives from the work counters, which are
-    /// value-identical under every pipeline — so commit times, and hence
-    /// every simulation outcome, are too.
+    /// Processes the next delivered block if the peer is idle. The
+    /// simulated cost derives from the work counters.
     fn maybe_start_processing(&mut self, now: SimTime) {
         if self.staged.is_some() {
             return;
         }
-        let Some(prep) = self.prepared.pop_front() else {
+        let Some(block) = self.delivered.pop_front() else {
             return;
         };
-        let staged = self.peer.finish_block(prep);
+        let staged = self.peer.process_block(block);
         let cost = self.config.latency.cost.block_cost(&staged.work);
         self.staged = Some(staged);
         self.queue.schedule(now + cost, Event::CommitDone);

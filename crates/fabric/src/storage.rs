@@ -136,11 +136,9 @@ pub struct DurableLedger {
     /// [`DurableLedger::append_block`] and every installed snapshot's
     /// `last_block` (a donor snapshot is another replica's finalized
     /// ledger). The snapshot cadence and compaction key off this
-    /// watermark, never off arrival order — under the pipelined commit
-    /// path a block can be decoded and pre-validated well before its
-    /// finalize runs, and a snapshot cut at such an
-    /// in-flight height would capture a state the sequential path
-    /// never produces.
+    /// watermark, not off the local block records: a replica that
+    /// installed a donor's snapshot holds no record at or below its
+    /// height, yet that height is finalized.
     appended_tip: u64,
 }
 
@@ -315,12 +313,10 @@ impl DurableLedger {
     /// the cadence is enabled, the height is a positive multiple of
     /// it, no snapshot at or past that height exists yet, **and** the
     /// height is finalized — its block record has actually been
-    /// appended (or a snapshot covering it installed). The last clause
-    /// keys the cadence off finalized height rather than arrival
-    /// order: a pipelined peer may hold block `last_block` fully
-    /// pre-validated while its finalize is still in flight, and
-    /// snapshotting there would capture a state no sequential replica
-    /// produces at that height.
+    /// appended, or a snapshot covering it installed (a donor
+    /// snapshot's height counts, though no local record covers it).
+    /// A block processed but not yet committed and appended does not
+    /// make its height due.
     pub fn snapshot_due(&self, last_block: u64) -> bool {
         self.snapshot_interval > 0
             && last_block > 0
@@ -719,63 +715,36 @@ mod tests {
         assert_eq!(recovered.chain().tip_hash(), live.chain().tip_hash());
     }
 
-    /// The cadence keys off *finalized* height, not arrival order: a
-    /// pipelined peer holding block 2 fully pre-validated (it has
-    /// "arrived") must not trigger the interval-2 snapshot until block
-    /// 2's finalize has actually been appended — and the snapshot it
-    /// then writes is byte-identical to a sequential replica's at the
-    /// same height.
+    /// The cadence keys off *finalized* height: a block staged by
+    /// `process_block` but not yet committed and appended must not
+    /// trigger the interval-2 snapshot. Once it is appended, the
+    /// snapshot captures the committed ledger at that height.
     #[test]
     fn snapshot_cadence_keys_off_finalized_height_not_arrival() {
-        use crate::pipeline::ValidationPipeline;
-
         let config = StorageConfig::memory().with_snapshot_interval(2);
-        // Raw blocks as an ordering service would publish them; both
-        // replicas re-link and re-seal identically.
+        // Raw blocks as an ordering service would publish them; the
+        // peer re-links and re-seals each.
         let blocks: Vec<Block> = (1..=2)
             .map(|n| Block::assemble(n, [0; 32], vec![endorsed_tx(n, &["doc".to_string()])]))
             .collect();
 
-        // Sequential reference replica.
-        let mut seq_store = DurableLedger::open(&config, 0).unwrap();
-        let mut seq = test_peer();
-        for block in &blocks {
-            let staged = seq.process_block(block.clone());
-            let tip = seq.commit(staged).unwrap().clone();
-            seq_store.append_block(&tip).unwrap();
-            if seq_store.snapshot_due(tip.header.number) {
-                seq_store.put_snapshot(seq.ledger_snapshot()).unwrap();
-            }
-        }
-        let reference = seq_store.latest_snapshot().unwrap().clone();
-        assert_eq!(reference.last_block, 2);
-
-        // Pipelined replica: block 2 arrives while block 1 is still
-        // in flight, so its pre-validation overlaps block 1's
-        // finalize. Snapshot-cadence queries at height 2 must refuse
-        // until block 2's finalize lands in the store.
         let mut store = DurableLedger::open(&config, 1).unwrap();
-        let mut peer = test_peer().with_pipeline(ValidationPipeline::pipelined(2));
-        let prep1 = peer.prevalidate(blocks[0].clone());
-        let (staged1, prep2) = peer.finish_block_with_next(prep1, blocks[1].clone());
-        assert!(
-            !store.snapshot_due(2),
-            "a merely-arrived height must not snapshot"
-        );
+        let mut peer = test_peer();
+        let staged1 = peer.process_block(blocks[0].clone());
         let tip1 = peer.commit(staged1).unwrap().clone();
         store.append_block(&tip1).unwrap();
         assert_eq!(store.finalized_tip(), 1);
-        assert!(!store.snapshot_due(2), "block 2 is still mid-pipeline");
-        let staged2 = peer.finish_block(prep2);
+        let staged2 = peer.process_block(blocks[1].clone());
+        assert!(!store.snapshot_due(2), "block 2 is staged, not finalized");
         let tip2 = peer.commit(staged2).unwrap().clone();
+        assert!(!store.snapshot_due(2), "block 2 is committed, not appended");
         store.append_block(&tip2).unwrap();
         assert!(store.snapshot_due(2), "finalized: the cadence fires");
         store.put_snapshot(peer.ledger_snapshot()).unwrap();
-        assert_eq!(
-            store.latest_snapshot().unwrap(),
-            &reference,
-            "pipelined snapshot diverges from the sequential replica's"
-        );
+        let snapshot = store.latest_snapshot().unwrap();
+        assert_eq!(snapshot.last_block, 2);
+        assert_eq!(snapshot.tip_hash, peer.chain().tip_hash());
+        assert!(!store.snapshot_due(2), "one snapshot per height");
     }
 
     #[test]

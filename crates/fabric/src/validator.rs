@@ -26,11 +26,11 @@ pub struct ChainOutcome;
 /// (duplicate ids, endorsement-policy failures); those transactions must
 /// be recorded as-is and must not touch the state.
 ///
-/// `Send + Sync + 'static` is required because a pipelined peer's
-/// pre-validation runs on the persistent pool threads of
-/// [`crate::pipeline::PipelineRunner`], each of which calls
-/// [`BlockValidator::prepare`] through a shared `Arc`.
-pub trait BlockValidator: Send + Sync + 'static {
+/// `'static` because replicated deployments box what holds a validator:
+/// a gossip network keeps its factory as a `Box<dyn Fn() -> V>` and is
+/// itself boxed as a `dyn DeliveryLayer`. Generic callers, `perf/`'s
+/// included, rely on the bound coming with the trait.
+pub trait BlockValidator: 'static {
     /// Runs validation and commit, returning the work performed
     /// (excluding signature verification, which the peer accounts for).
     fn validate_and_commit(
@@ -40,9 +40,8 @@ pub trait BlockValidator: Send + Sync + 'static {
         pre_decided: &[Option<ValidationCode>],
     ) -> ValidationWork;
 
-    /// Per-transaction warm-up hook, invoked from the (possibly
-    /// parallel) pre-validation stage for every non-duplicate
-    /// transaction, *before* the sequential
+    /// Per-transaction warm-up hook, invoked by the endorsement check
+    /// for every non-duplicate transaction, *before* the
     /// [`validate_and_commit`](BlockValidator::validate_and_commit)
     /// stage runs.
     ///

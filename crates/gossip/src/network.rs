@@ -71,7 +71,6 @@ use fabriccrdt_fabric::metrics::{
     AdversaryMetrics, CatchUpEpisode, CatchUpOutcome, DisseminationMetrics,
 };
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
-use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::storage::{AckFrontier, DurableLedger};
 use fabriccrdt_fabric::validator::BlockValidator;
@@ -170,7 +169,6 @@ fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Bloc
 struct Shared {
     topology: Topology,
     policy: EndorsementPolicy,
-    validation: ValidationPipeline,
     faults: FaultConfig,
     /// Orderer → leader delivery latency (from the pipeline calibration).
     orderer_hop: LatencyModel,
@@ -317,7 +315,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
                     .map(|&global| Slot {
                         peer: Some(
                             Peer::new(make_validator(), config.policy.clone())
-                                .with_pipeline(config.validation)
                                 .with_channel(spec.id),
                         ),
                         parked: None,
@@ -383,7 +380,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
             shared: Shared {
                 topology,
                 policy: config.policy.clone(),
-                validation: config.validation,
                 faults,
                 orderer_hop: config.latency.orderer_to_peer,
             },
@@ -1034,7 +1030,6 @@ impl<V: BlockValidator> ChannelLane<V> {
         if self.committed(to) < snapshot.last_block {
             let peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
                 .expect("a donor snapshot restores cleanly")
-                .with_pipeline(shared.validation)
                 .with_channel(self.id);
             let slot = &mut self.slots[to];
             slot.peer = Some(peer);
@@ -1061,32 +1056,15 @@ impl<V: BlockValidator> ChannelLane<V> {
 
     /// Commits buffered raw blocks as long as the next one is present,
     /// then persists, acknowledges, and GCs (see [`Self::note_commit`]).
-    ///
-    /// Each successor is pulled from the buffer *before* its predecessor
-    /// finalizes: a pipelined peer pre-validates it on the worker pool
-    /// during the predecessor's finalize, a sequential peer at its own
-    /// join, byte-identically (`fabriccrdt_fabric::peer`, "Chained
-    /// blocks").
     fn commit_buffered(&mut self, i: usize) {
         let mut next = self.committed(i) + 1;
         let slot = &mut self.slots[i];
         let peer = slot.peer.as_mut().expect("caller checked");
-        let mut prep = take_buffered(&mut slot.buffer, next).map(|first| peer.prevalidate(first));
-        while let Some(current) = prep {
-            next += 1;
-            let staged = match take_buffered(&mut slot.buffer, next) {
-                Some(follow) => {
-                    let (staged, follow_prep) = peer.finish_block_with_next(current, follow);
-                    prep = Some(follow_prep);
-                    staged
-                }
-                None => {
-                    prep = None;
-                    peer.finish_block(current)
-                }
-            };
+        while let Some(block) = take_buffered(&mut slot.buffer, next) {
+            let staged = peer.process_block(block);
             peer.commit(staged)
                 .expect("buffered blocks extend the chain in order");
+            next += 1;
         }
         self.note_commit(i);
     }
@@ -1167,7 +1145,6 @@ impl<V: BlockValidator> ChannelLane<V> {
                     })
                     .expect("a peer's own durable store recovers cleanly")
                     .peer
-                    .with_pipeline(shared.validation)
                     .with_channel(self.id)
             }
             None => self.slots[p]

@@ -275,48 +275,21 @@ fn any_fault_schedule_converges_to_ideal_state() {
     });
 }
 
-/// Satellite property: the pooled validation pipeline is
-/// value-identical to the sequential seed path on the *CRDT merge*
-/// workload too, across random fault schedules — every converged
-/// peer's snapshot matches the sequential reference byte for byte.
-/// (Replicas drain consecutive buffered blocks through the chained
-/// driver, a lone block through `process_block`.)
+/// Across 50 random fault schedules, a workload mixing hot-key CRDT
+/// contention (one key many transactions merge into per block) with
+/// disjoint-key documents converges every gossip peer to the
+/// byte-identical ledger of the reference replay.
 #[test]
-fn parallel_validation_matches_sequential_under_fault_schedules() {
-    gen::cases(16, |g| {
-        let blocks = block_stream(g.size(3, 8), g.size(1, 5));
-        let workers = g.size(2, 8);
-        let config = PipelineConfig::paper(25, g.u64())
-            .with_gossip()
-            .with_faults(arb_faults(g))
-            .with_pipelined_validation(workers);
-        let mut network = seeded_network(&config);
-        run_stream(&mut network, &blocks);
-        // The reference replay inside runs the sequential default.
-        assert_all_match_reference(&network, &blocks);
-    });
-}
-
-/// Mixed-workload pipelined sweep (gossip half; the Raft half lives in
-/// `crates/ordering/tests/pipeline_equivalence.rs`): across 50 random
-/// fault schedules, a workload mixing hot-key CRDT contention (one key
-/// many transactions merge into per block) with disjoint-key documents
-/// converges every gossip peer running a `Pipelined` pipeline to the
-/// byte-identical ledger of the sequential reference replay.
-#[test]
-fn pipelined_matches_sequential_over_fault_sweep() {
+fn mixed_blocks_converge_over_fault_sweep() {
     gen::cases(50, |g| {
         let block_count = g.size(3, 8);
         let per_block = g.size(2, 6);
         let blocks = mixed_block_stream(g, block_count, per_block);
-        let workers = g.size(2, 8);
         let config = PipelineConfig::paper(25, g.u64())
             .with_gossip()
-            .with_faults(arb_faults(g))
-            .with_pipelined_validation(workers);
+            .with_faults(arb_faults(g));
         let mut network = seeded_network(&config);
         run_stream(&mut network, &blocks);
-        // The reference replay inside runs the sequential default.
         assert_all_match_reference(&network, &blocks);
     });
 }

@@ -13,15 +13,11 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
-use fabriccrdt_fabric::metrics::RunMetrics;
-use fabriccrdt_fabric::peer::PeerSnapshot;
-use fabriccrdt_fabric::pipeline::ValidationPipeline;
 use fabriccrdt_fabric::simulation::{
     IdealFifoDelivery, OrderingBackend, Simulation, SingleOrderer, TxRequest,
 };
 use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ordering::RaftOrderingBackend;
-use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::latency::LatencyModel;
 use fabriccrdt_sim::time::SimTime;
 
@@ -39,27 +35,9 @@ impl Chaincode for WriteOnly {
     }
 }
 
-/// Read-modify-write chaincode: args = [key, value]. Conflicting reads
-/// make MVCC outcomes order-sensitive — the workload the conflict-graph
-/// finalize schedule must not perturb.
-struct Rmw;
-
-impl Chaincode for Rmw {
-    fn name(&self) -> &str {
-        "rmw"
-    }
-
-    fn invoke(&self, stub: &mut ChaincodeStub<'_>, args: &[String]) -> Result<(), ChaincodeError> {
-        stub.get_state(&args[0]);
-        stub.put_state(&args[0], args[1].clone().into_bytes());
-        Ok(())
-    }
-}
-
 fn registry() -> ChaincodeRegistry {
     let mut reg = ChaincodeRegistry::new();
     reg.deploy(Arc::new(WriteOnly));
-    reg.deploy(Arc::new(Rmw));
     reg
 }
 
@@ -188,79 +166,4 @@ fn leader_kill_recovers_without_losing_transactions() {
         .chain()
         .verify_integrity()
         .expect("chain verifies");
-}
-
-/// Mixed-workload pipelined sweep (Raft half; the gossip half lives in
-/// `crates/gossip/tests/dissemination.rs`): across 50 random Raft
-/// crash/failover schedules and a workload mixing hot-key contention
-/// with disjoint writes, the pipelined peer replays the sequential
-/// path bit for bit — same records, same simulated end time, same
-/// ledger bytes.
-#[test]
-fn pipelined_matches_sequential_under_raft_faults() {
-    gen::cases(50, |g| {
-        let seed = g.u64();
-        let schedule = arb_mixed_schedule(g);
-        let block_size = g.size(5, 15);
-        let workers = g.size(2, 8);
-
-        let mut config = PipelineConfig::paper(block_size, seed);
-        let mut raft = RaftConfig::calibrated(5);
-        if g.flip() {
-            let at = SimTime::from_millis(g.range(100, 600));
-            raft.faults.crashes.push(CrashSpec {
-                peer: g.range(0, 5) as usize,
-                at,
-                restart_at: at + SimTime::from_millis(g.range(100, 800)),
-            });
-        }
-        config.ordering = Some(raft);
-
-        let run = |pipeline: ValidationPipeline| -> (RunMetrics, PeerSnapshot) {
-            let mut cfg = config.clone();
-            cfg.validation = pipeline;
-            let backend = Box::new(RaftOrderingBackend::new(&cfg));
-            let mut sim = ordered_by(cfg, backend);
-            sim.seed_state("hot", b"0".to_vec());
-            let metrics = sim.run(schedule.clone());
-            let snapshot = sim.peer().snapshot();
-            (metrics, snapshot)
-        };
-
-        let (seq_metrics, seq_snapshot) = run(ValidationPipeline::Sequential);
-        // The cross-block pipelined path (pre-validate block N+1 on the
-        // pool while block N finalizes) must
-        // be invisible under ordering faults: failovers reshuffle block
-        // boundaries, and pipelined pre-validation must still land on
-        // the same codes and times.
-        let (pip_metrics, pip_snapshot) = run(ValidationPipeline::pipelined(workers));
-        assert_eq!(
-            seq_metrics, pip_metrics,
-            "seed {seed}: metrics diverged under pipelining at {workers} workers"
-        );
-        assert_eq!(
-            seq_snapshot.state, pip_snapshot.state,
-            "seed {seed}: world state diverged under pipelining"
-        );
-        assert_eq!(
-            seq_snapshot.chain, pip_snapshot.chain,
-            "seed {seed}: chain diverged under pipelining"
-        );
-    });
-}
-
-/// Hot-key RMW conflicts mixed with disjoint writes, at a random rate.
-fn arb_mixed_schedule(g: &mut Gen) -> Vec<(SimTime, TxRequest)> {
-    let n = g.size(40, 120);
-    let rate = g.f64_in(150.0, 350.0);
-    (0..n)
-        .map(|i| {
-            let request = if g.prob(0.4) {
-                TxRequest::new("rmw", vec!["hot".into(), format!("v{i}")])
-            } else {
-                TxRequest::new("writeonly", vec![format!("k{i}"), format!("v{i}")])
-            };
-            (SimTime::from_secs_f64(i as f64 / rate), request)
-        })
-        .collect()
 }

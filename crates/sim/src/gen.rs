@@ -122,26 +122,18 @@ impl Gen {
 /// reproduced with [`case_gen`].
 pub fn cases(n: usize, mut f: impl FnMut(&mut Gen)) {
     for case in 0..n {
-        let guard = CaseGuard(case);
         let mut g = case_gen(case);
-        f(&mut g);
-        drop(guard);
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut g)));
+        if let Err(payload) = ran {
+            eprintln!("gen::cases: failing case #{case}");
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
 /// The generator used for case number `case` of [`cases`].
 pub fn case_gen(case: usize) -> Gen {
     Gen::new(0x9e37_79b9_7f4a_7c15 ^ (case as u64).wrapping_mul(0xd134_2543_de82_ef95))
-}
-
-struct CaseGuard(usize);
-
-impl Drop for CaseGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("gen::cases: failing case #{}", self.0);
-        }
-    }
 }
 
 #[cfg(test)]
