@@ -20,7 +20,7 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # One module may say `unsafe`: the SHA-NI kernel and its dispatch
-# (DESIGN.md §4.17). Eleven crates `forbid` it; this catches the twelfth
+# (DESIGN.md §4.17). Ten crates `forbid` it; this catches the eleventh
 # growing a second `#[allow(unsafe_code)]`.
 echo "==> unsafe boundary (exactly one .rs file under crates/ and src/ contains the word)"
 test "$(grep -rlw --include='*.rs' unsafe crates src)" = crates/crypto/src/sha256/shani.rs
@@ -51,6 +51,30 @@ for crate in sim crypto ledger fabric gossip ordering; do
         echo "$tree" >&2
         exit 1
     fi
+done
+
+# Every `fabriccrdt-*` entry under a manifest's `[dependencies]` is
+# named as `fabriccrdt_*` in that package's sources, so an edge nothing
+# uses cannot linger after the code that needed it goes. A package's
+# sources are its `src/`; the bench package adds `benches/`, and the
+# root package is `src/`, `examples/` and `tests/`.
+echo "==> dependency edges (every fabriccrdt-* dependency is named in its package's sources)"
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    case $dir in
+        .) sources="src examples tests" ;;
+        crates/bench) sources="$dir/src $dir/benches" ;;
+        *) sources="$dir/src" ;;
+    esac
+    deps=$(awk '/^\[/ { in_deps = ($0 == "[dependencies]") }
+        in_deps && /^fabriccrdt/ { sub(/[ .=].*/, ""); print }' "$manifest")
+    for dep in $deps; do
+        # shellcheck disable=SC2086 # $sources is a list of directories
+        if ! grep -rqE --include='*.rs' "(^|[^a-z_-])${dep//-/_}([^a-z_-]|\$)" $sources; then
+            echo "$manifest: $dep is never named in $sources" >&2
+            exit 1
+        fi
+    done
 done
 
 # A peer hashes a transaction at ingress, and again only if Algorithm 1
@@ -93,7 +117,7 @@ find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | c
 panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/bench/*' |
     cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
 echo "$panic_sites"
-test "$panic_sites" -le 57
+test "$panic_sites" -le 56
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -2,8 +2,12 @@
 //! storms.
 //!
 //! The paper's evaluation (§7) measures honest networks; this bench
-//! measures what the reproduction *survives*, via the
-//! `fabriccrdt-adversary` harness:
+//! measures what the reproduction *survives*. Each run is a one-channel
+//! deployment built through the front door
+//! ([`fabriccrdt_multi_channel`]), so it honours every field of its
+//! [`PipelineConfig`] (the attack and fault schedules, gossip, Raft
+//! ordering), and reads back every replica's ledger once the lane has
+//! drained:
 //!
 //! 1. **Byzantine orderer/network** — a fixed attack schedule
 //!    (equivocating sealed payloads, flipped bytes, duplicated and
@@ -22,13 +26,15 @@
 
 use std::sync::Arc;
 
-use fabriccrdt_adversary::{merge_storm_report, run_adversarial_pipeline, AdversarialRun};
 use fabriccrdt_bench::{obj, report, HarnessOptions};
+use fabriccrdt_channel::fabriccrdt_multi_channel;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
+use fabriccrdt_fabric::channel::MultiChannelConfig;
 use fabriccrdt_fabric::config::{
     AdversaryConfig, AttackSpec, CrashSpec, FaultConfig, PipelineConfig, TamperMode,
 };
-use fabriccrdt_fabric::metrics::AdversaryMetrics;
+use fabriccrdt_fabric::metrics::{AdversaryMetrics, CatchUpEpisode, RunMetrics};
+use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::offline::{offline_payloads, rejoin_schedule};
@@ -43,8 +49,53 @@ fn registry() -> ChaincodeRegistry {
     registry
 }
 
-fn seeds() -> Vec<(String, Vec<u8>)> {
-    vec![("hot".to_owned(), br#"{"readings":[]}"#.to_vec())]
+/// A run's metrics, with every replica's ledger after the lane drained
+/// (`None` for a replica still down), in global peer order.
+struct AdversarialRun {
+    metrics: RunMetrics,
+    snapshots: Vec<Option<PeerSnapshot>>,
+}
+
+impl AdversarialRun {
+    /// The adversary counters (zeroed when the run had no adversary
+    /// schedule).
+    fn adversary(&self) -> AdversaryMetrics {
+        self.metrics.adversary.unwrap_or_default()
+    }
+
+    /// Whether every replica finished up and byte-identical — the
+    /// honest network's safety property under attack.
+    fn honest_replicas_identical(&self) -> bool {
+        let Some(Some(first)) = self.snapshots.first() else {
+            return false;
+        };
+        self.snapshots.iter().all(|s| s.as_ref() == Some(first))
+    }
+
+    /// Peer `peer`'s longest completed catch-up episode: what it took
+    /// gossip anti-entropy to bring the crashed peer back.
+    fn merge_storm_report(&self, peer: usize) -> Option<&CatchUpEpisode> {
+        self.metrics
+            .dissemination
+            .as_ref()?
+            .catch_up
+            .iter()
+            .filter(|e| e.peer == peer && !e.is_abandoned())
+            .max_by_key(|e| e.duration())
+    }
+}
+
+/// Runs `schedule` on a one-channel FabricCRDT deployment of `config`
+/// over the CRDT base document.
+fn run_pipeline(config: PipelineConfig, schedule: Vec<(SimTime, TxRequest)>) -> AdversarialRun {
+    let mut net = fabriccrdt_multi_channel(MultiChannelConfig::uniform(config, 1), registry());
+    net.seed_state(0, "hot", br#"{"readings":[]}"#.to_vec());
+    let metrics = net.run(vec![schedule]).channels.remove(0).metrics;
+    let network = net.network();
+    let snapshots = (0..network.peer_count())
+        .map(|peer| network.snapshot_on(0, peer))
+        .collect();
+    AdversarialRun { metrics, snapshots }
 }
 
 /// The paper's all-conflicting CRDT hot-key workload.
@@ -98,7 +149,7 @@ fn run_byzantine(txs: usize, seed: u64) -> AdversarialRun {
     let config = PipelineConfig::paper(BLOCK_SIZE, seed)
         .with_gossip()
         .with_adversary(attack_schedule());
-    run_adversarial_pipeline(config, registry(), &seeds(), schedule(txs))
+    run_pipeline(config, schedule(txs))
 }
 
 /// Network-scale merge storm: peer 3 is offline (crashed) for the
@@ -127,10 +178,7 @@ fn run_merge_storm(txs: usize, seed: u64) -> (AdversarialRun, usize) {
     let config = PipelineConfig::paper(BLOCK_SIZE, seed)
         .with_gossip()
         .with_faults(faults);
-    (
-        run_adversarial_pipeline(config, registry(), &seeds(), full),
-        total,
-    )
+    (run_pipeline(config, full), total)
 }
 
 pub fn run(options: &HarnessOptions) {
@@ -180,11 +228,14 @@ pub fn run(options: &HarnessOptions) {
         storm_run.honest_replicas_identical(),
         "offline peer failed to reconverge"
     );
-    let episode = merge_storm_report(&storm_run, 3)
+    let episode = storm_run
+        .merge_storm_report(3)
         .expect("the crashed peer records a completed catch-up episode");
+    let catch_up_secs = episode.duration().as_secs_f64();
     println!(
-        "ok — caught up in {:.3} sim secs, {} bytes shipped, snapshot: {}",
-        episode.catch_up_secs, episode.bytes_shipped, episode.used_snapshot
+        "ok — caught up in {catch_up_secs:.3} sim secs, {} bytes shipped, snapshot: {}",
+        episode.bytes_shipped,
+        episode.used_snapshot()
     );
 
     // ---- BENCH_adversarial.json ------------------------------------
@@ -206,12 +257,12 @@ pub fn run(options: &HarnessOptions) {
         ("quarantined_peers", (adv.quarantined_peers as f64).into()),
         ("quarantine_drops", (adv.quarantine_drops as f64).into()),
         ("honest_replicas_converged", converged.into()),
-        ("merge_storm_catch_up_secs", episode.catch_up_secs.into()),
+        ("merge_storm_catch_up_secs", catch_up_secs.into()),
         (
             "merge_storm_bytes_shipped",
             (episode.bytes_shipped as f64).into(),
         ),
-        ("merge_storm_used_snapshot", episode.used_snapshot.into()),
+        ("merge_storm_used_snapshot", episode.used_snapshot().into()),
     ]);
     report(
         "BENCH_adversarial.json",

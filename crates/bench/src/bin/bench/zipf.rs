@@ -123,7 +123,7 @@ fn run_cell(strategy: Strategy, skew: f64, budget: usize, options: &HarnessOptio
         .with_retry_policy(RetryPolicy::calibrated(budget));
     let config = match strategy {
         Strategy::ReorderAbort => config.with_ordering_policy(OrderingPolicy::Reorder),
-        Strategy::Adaptive => config.with_adaptive_ordering(),
+        Strategy::Adaptive => config.with_ordering_policy(OrderingPolicy::Adaptive),
         Strategy::MergeCommit | Strategy::AbortRetry => config,
     };
     let workload = ZipfWorkload {

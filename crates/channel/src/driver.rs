@@ -84,12 +84,7 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
         let sims = (0..config.channel_count())
             .map(|c| {
                 let pipeline = config.pipeline_for(c);
-                let spec = &config.channels[c];
-                let observed = spec
-                    .observed_peer
-                    .unwrap_or_else(|| network.borrow().observed_on(c));
-                let delivery =
-                    Box::new(GossipDelivery::new(network.clone(), c).with_observed(observed));
+                let delivery = Box::new(GossipDelivery::new(network.clone(), c));
                 let ordering = ordering_backend(&pipeline);
                 Simulation::with_layers(
                     pipeline,

@@ -132,7 +132,6 @@ fn partial_membership_channels_converge_on_their_members() {
     // Channel 1 runs on a 4-peer subset that still covers every org
     // (peers 0,1 of org 0; peer 2 of org 1; peer 4 of org 2).
     config.channels[1].members = vec![0, 1, 2, 4];
-    config.channels[1].observed_peer = None;
     config.validate();
     let mut net = fabriccrdt_multi_channel(config, iot_registry());
     for c in 0..2 {

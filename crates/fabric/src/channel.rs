@@ -78,9 +78,6 @@ pub struct ChannelSpec {
     /// base config's ordering backend (single orderer unless the base
     /// itself configures Raft).
     pub ordering: Option<RaftConfig>,
-    /// The member peer whose commits drive this channel's pipeline
-    /// (the gossip `observed_peer`); `None` picks the last member.
-    pub observed_peer: Option<usize>,
 }
 
 impl ChannelSpec {
@@ -92,14 +89,7 @@ impl ChannelSpec {
             members: (0..topology_peers).collect(),
             block_cut: None,
             ordering: None,
-            observed_peer: None,
         }
-    }
-
-    /// The member whose commits drive the channel pipeline.
-    pub fn observed(&self) -> usize {
-        self.observed_peer
-            .unwrap_or_else(|| *self.members.last().expect("non-empty membership"))
     }
 }
 
@@ -161,9 +151,6 @@ impl MultiChannelConfig {
         if let Some(raft) = &spec.ordering {
             config.ordering = Some(raft.clone());
         }
-        if let Some(gossip) = &mut config.gossip {
-            gossip.observed_peer = spec.observed();
-        }
         config
     }
 
@@ -172,8 +159,8 @@ impl MultiChannelConfig {
     /// # Panics
     ///
     /// Panics when a channel's id does not match its position, its
-    /// membership is empty, unsorted, duplicated or out of range, an
-    /// org has no member, or its observed peer is not a member.
+    /// membership is empty, unsorted, duplicated or out of range, or an
+    /// org has no member.
     pub fn validate(&self) {
         assert!(!self.channels.is_empty(), "at least one channel");
         let peers = self.base.topology.total_peers();
@@ -202,11 +189,6 @@ impl MultiChannelConfig {
                     spec.id
                 );
             }
-            assert!(
-                spec.members.contains(&spec.observed()),
-                "{}: observed peer must be a member",
-                spec.id
-            );
         }
     }
 }

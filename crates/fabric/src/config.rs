@@ -107,7 +107,9 @@ pub struct GossipConfig {
     /// Flattened index of the peer whose block arrivals drive the
     /// committing-peer pipeline when gossip is plugged into
     /// [`crate::simulation::Simulation`] (peer `o * peers_per_org + p`
-    /// is peer `p` of org `o`; peer 0 of each org is its leader).
+    /// is peer `p` of org `o`; peer 0 of each org is its leader). A
+    /// channel this peer is not a member of observes its last member
+    /// instead (`GossipNetwork::observed_on` in `fabriccrdt-gossip`).
     pub observed_peer: usize,
 }
 
@@ -191,44 +193,6 @@ impl RaftConfig {
     }
 }
 
-/// Tuning of the adaptive conflict-aware ordering policy
-/// ([`OrderingPolicy::Adaptive`]). Interpreted by the orderer's
-/// [`crate::conflict::ConflictTracker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Per-round EWMA decay of the conflict tracker's key scores
-    /// (must be in `(0, 1)`; closer to 1 = longer memory).
-    pub decay: f64,
-    /// A key is *hot* once its decayed conflict score reaches this
-    /// (scores are in conflicts-per-block units).
-    pub hot_key_threshold: f64,
-    /// Dependency-graph reordering engages for a batch once the
-    /// fraction of its transactions touching a hot key reaches this;
-    /// below it the batch is cut FIFO and the Tarjan/Kahn pass is
-    /// skipped entirely (the cold-traffic hot-path win).
-    pub density_threshold: f64,
-}
-
-impl AdaptiveConfig {
-    /// Calibrated defaults: decay 0.8 (~5-block memory), hot at half a
-    /// conflict/block (uniform-but-contended traffic — a few collisions
-    /// per key per block — must keep the gate open, not just single-key
-    /// hotspots), reorder at 10% hot transactions.
-    pub fn calibrated() -> Self {
-        AdaptiveConfig {
-            decay: 0.8,
-            hot_key_threshold: 0.5,
-            density_threshold: 0.1,
-        }
-    }
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig::calibrated()
-    }
-}
-
 /// How the ordering service treats each pending batch at block cut.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OrderingPolicy {
@@ -240,16 +204,18 @@ pub enum OrderingPolicy {
     /// the paper's §8.
     Reorder,
     /// Conflict-aware routing: reorder only batches whose measured
-    /// conflict density crosses the configured threshold; cut cold
-    /// batches FIFO without paying the graph cost. Driven by finalize
-    /// feedback through the [`crate::conflict::ConflictTracker`].
-    Adaptive(AdaptiveConfig),
+    /// conflict density crosses
+    /// [`DENSITY_THRESHOLD`](crate::conflict::DENSITY_THRESHOLD); cut
+    /// cold batches FIFO without paying the graph cost. Driven by
+    /// finalize feedback through the
+    /// [`crate::conflict::ConflictTracker`].
+    Adaptive,
 }
 
 impl OrderingPolicy {
     /// Whether this policy ever consults finalize feedback.
     pub fn is_adaptive(&self) -> bool {
-        matches!(self, OrderingPolicy::Adaptive(_))
+        matches!(self, OrderingPolicy::Adaptive)
     }
 }
 
@@ -676,13 +642,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Enables conflict-aware adaptive ordering with the calibrated
-    /// thresholds ([`AdaptiveConfig::calibrated`]).
-    pub fn with_adaptive_ordering(mut self) -> Self {
-        self.ordering_policy = OrderingPolicy::Adaptive(AdaptiveConfig::calibrated());
-        self
-    }
-
     /// Enables client-side abort-and-retry (see [`RetryPolicy`]).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -803,7 +762,7 @@ mod tests {
         assert_eq!(cfg.effective_ordering_policy(), OrderingPolicy::Reorder);
         assert_eq!(cfg.retry.budget, 5);
         assert!(cfg
-            .with_adaptive_ordering()
+            .with_ordering_policy(OrderingPolicy::Adaptive)
             .effective_ordering_policy()
             .is_adaptive());
     }

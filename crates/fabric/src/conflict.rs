@@ -85,36 +85,38 @@ impl BlockFeedback {
     }
 }
 
+/// Per-round EWMA decay of the tracker's key scores: about a five-block
+/// memory.
+pub const DECAY: f64 = 0.8;
+
+/// A key is *hot* once its decayed conflict score reaches half a
+/// conflict per block. Uniform-but-contended traffic, a few collisions
+/// per key per block, must keep the gate open, not just single-key
+/// hotspots.
+pub const HOT_KEY_THRESHOLD: f64 = 0.5;
+
+/// The adaptive orderer reorders a batch once this fraction of its
+/// transactions touches a hot key; below it the batch is cut FIFO and
+/// the Tarjan/Kahn pass is skipped entirely.
+pub const DENSITY_THRESHOLD: f64 = 0.1;
+
 /// Decayed per-key write/conflict EWMA at the ordering service.
 ///
 /// One observation round per finalized block: every tracked score is
-/// multiplied by `decay`, then the round's occurrences are added with
-/// weight `1 - decay` each (a standard EWMA, so a key conflicting `c`
-/// times per block converges to a conflict score of `c · (1 − decay)
-/// / (1 − decay) = c`... scores are in units of occurrences-per-block).
-#[derive(Debug, Clone, PartialEq)]
+/// multiplied by [`DECAY`], then the round's occurrences are added with
+/// weight `1 - DECAY` each (a standard EWMA, so a key conflicting `c`
+/// times per block converges to a conflict score of `c · (1 − DECAY)
+/// / (1 − DECAY) = c`... scores are in units of occurrences-per-block).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConflictTracker {
-    decay: f64,
     keys: BTreeMap<String, KeyHeat>,
     blocks_observed: u64,
 }
 
 impl ConflictTracker {
-    /// Creates a tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < decay < 1`.
-    pub fn new(decay: f64) -> Self {
-        assert!(
-            decay > 0.0 && decay < 1.0,
-            "EWMA decay must be in (0, 1), got {decay}"
-        );
-        ConflictTracker {
-            decay,
-            keys: BTreeMap::new(),
-            blocks_observed: 0,
-        }
+    /// Creates an empty tracker.
+    pub fn new() -> Self {
+        ConflictTracker::default()
     }
 
     /// Observation rounds absorbed so far.
@@ -136,7 +138,7 @@ impl ConflictTracker {
     /// fresh write/conflict occurrences.
     pub fn observe(&mut self, feedback: &BlockFeedback) {
         self.decay_round();
-        let fresh = 1.0 - self.decay;
+        let fresh = 1.0 - DECAY;
         for key in &feedback.writes {
             self.keys.entry(key.clone()).or_default().writes += fresh;
         }
@@ -155,7 +157,7 @@ impl ConflictTracker {
     /// Not a decay round: the aborts belong to the batch whose
     /// finalize feedback will perform the round.
     pub fn observe_aborts(&mut self, aborted: &[Transaction]) {
-        let fresh = 1.0 - self.decay;
+        let fresh = 1.0 - DECAY;
         for tx in aborted {
             for (key, _) in tx.rwset.reads.iter() {
                 self.keys.entry(key.to_owned()).or_default().conflicts += fresh;
@@ -164,20 +166,19 @@ impl ConflictTracker {
     }
 
     fn decay_round(&mut self) {
-        let decay = self.decay;
         for heat in self.keys.values_mut() {
-            heat.writes *= decay;
-            heat.conflicts *= decay;
+            heat.writes *= DECAY;
+            heat.conflicts *= DECAY;
         }
         self.keys
             .retain(|_, h| h.writes >= PRUNE_BELOW || h.conflicts >= PRUNE_BELOW);
     }
 
     /// Fraction of `batch` whose transactions touch at least one key
-    /// with a conflict score of `hot_key_threshold` or more. 0.0 for an
-    /// empty batch or a cold tracker — the adaptive orderer then skips
-    /// the reordering pass entirely.
-    pub fn batch_conflict_density(&self, batch: &[Transaction], hot_key_threshold: f64) -> f64 {
+    /// with a conflict score of [`HOT_KEY_THRESHOLD`] or more. 0.0 for
+    /// an empty batch or a cold tracker — the adaptive orderer then
+    /// skips the reordering pass entirely.
+    pub fn batch_conflict_density(&self, batch: &[Transaction]) -> f64 {
         if batch.is_empty() || self.keys.is_empty() {
             return 0.0;
         }
@@ -189,7 +190,7 @@ impl ConflictTracker {
                     .iter()
                     .map(|(key, _)| key)
                     .chain(tx.rwset.writes.iter().map(|(key, _)| key))
-                    .any(|key| self.heat(key).conflicts >= hot_key_threshold)
+                    .any(|key| self.heat(key).conflicts >= HOT_KEY_THRESHOLD)
             })
             .count();
         hot as f64 / batch.len() as f64
@@ -225,30 +226,31 @@ mod tests {
 
     #[test]
     fn conflicts_accumulate_and_decay() {
-        let mut tracker = ConflictTracker::new(0.5);
+        let mut tracker = ConflictTracker::new();
         let feedback = BlockFeedback {
             writes: vec!["w".into()],
             conflicts: vec!["hot".into(), "hot".into()],
         };
         tracker.observe(&feedback);
         let after_one = tracker.heat("hot").conflicts;
-        assert!((after_one - 1.0).abs() < 1e-9); // 2 × (1 − 0.5)
-        assert!((tracker.heat("w").writes - 0.5).abs() < 1e-9);
-        // A quiet round halves the scores.
+        assert!((after_one - 0.4).abs() < 1e-9); // 2 × (1 − 0.8)
+        assert!((tracker.heat("w").writes - 0.2).abs() < 1e-9);
+        // A quiet round scales the scores by the decay.
         tracker.observe(&BlockFeedback::default());
-        assert!((tracker.heat("hot").conflicts - 0.5).abs() < 1e-9);
+        assert!((tracker.heat("hot").conflicts - 0.32).abs() < 1e-9);
         assert_eq!(tracker.blocks_observed(), 2);
     }
 
     #[test]
     fn cold_keys_are_pruned() {
-        let mut tracker = ConflictTracker::new(0.2);
+        let mut tracker = ConflictTracker::new();
         tracker.observe(&BlockFeedback {
             writes: Vec::new(),
             conflicts: vec!["k".into()],
         });
         assert_eq!(tracker.tracked_keys(), 1);
-        for _ in 0..20 {
+        // 0.2 × 0.8^24 is below the pruning floor.
+        for _ in 0..24 {
             tracker.observe(&BlockFeedback::default());
         }
         assert_eq!(tracker.tracked_keys(), 0, "decayed-out keys must not leak");
@@ -257,7 +259,7 @@ mod tests {
 
     #[test]
     fn density_is_fraction_of_hot_transactions() {
-        let mut tracker = ConflictTracker::new(0.5);
+        let mut tracker = ConflictTracker::new();
         for _ in 0..8 {
             tracker.observe(&BlockFeedback {
                 writes: Vec::new(),
@@ -271,14 +273,11 @@ mod tests {
             tx(2, &[], &["hot"]),
             tx(3, &["other"], &["other"]),
         ];
-        let density = tracker.batch_conflict_density(&batch, 1.0);
+        let density = tracker.batch_conflict_density(&batch);
         assert!((density - 0.5).abs() < 1e-9, "2 of 4 touch the hot key");
         // A cold tracker reports zero density without iterating.
-        assert_eq!(
-            ConflictTracker::new(0.5).batch_conflict_density(&batch, 1.0),
-            0.0
-        );
-        assert_eq!(tracker.batch_conflict_density(&[], 1.0), 0.0);
+        assert_eq!(ConflictTracker::new().batch_conflict_density(&batch), 0.0);
+        assert_eq!(tracker.batch_conflict_density(&[]), 0.0);
     }
 
     #[test]
@@ -294,14 +293,8 @@ mod tests {
 
     #[test]
     fn observe_aborts_heats_read_keys() {
-        let mut tracker = ConflictTracker::new(0.5);
+        let mut tracker = ConflictTracker::new();
         tracker.observe_aborts(&[tx(0, &["hot"], &["hot"])]);
-        assert!((tracker.heat("hot").conflicts - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay")]
-    fn bad_decay_panics() {
-        ConflictTracker::new(1.0);
+        assert!((tracker.heat("hot").conflicts - 0.2).abs() < 1e-9);
     }
 }

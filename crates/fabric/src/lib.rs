@@ -70,8 +70,7 @@ pub use channel::{
     TransferOutcome, TransferReport, TransferSpec,
 };
 pub use config::{
-    AdaptiveConfig, BlockCutConfig, OrderingPolicy, PipelineConfig, RaftConfig, RetryPolicy,
-    Topology,
+    BlockCutConfig, OrderingPolicy, PipelineConfig, RaftConfig, RetryPolicy, Topology,
 };
 pub use conflict::{BlockFeedback, ConflictTracker};
 pub use cost::{CostModel, ValidationWork};

@@ -14,7 +14,7 @@ use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_sim::time::SimTime;
 
 use crate::config::{BlockCutConfig, OrderingPolicy};
-use crate::conflict::{BlockFeedback, ConflictTracker};
+use crate::conflict::{BlockFeedback, ConflictTracker, DENSITY_THRESHOLD};
 use crate::metrics::ConflictPolicyMetrics;
 
 /// A timeout the caller must arm: fires at `at` for batch `batch_id`.
@@ -76,10 +76,6 @@ impl Orderer {
     /// Creates an orderer with an explicit [`OrderingPolicy`].
     pub fn with_policy(config: BlockCutConfig, policy: OrderingPolicy) -> Self {
         assert!(config.max_tx_count > 0, "block size must be positive");
-        let tracker = match policy {
-            OrderingPolicy::Adaptive(cfg) => ConflictTracker::new(cfg.decay),
-            _ => ConflictTracker::new(crate::config::AdaptiveConfig::calibrated().decay),
-        };
         // Block 0 is the genesis block every peer starts from; ordered
         // transaction blocks begin at 1 and chain onto it.
         let genesis = Block::genesis();
@@ -92,7 +88,7 @@ impl Orderer {
             previous_hash: genesis.hash(),
             blocks_cut: 0,
             policy,
-            tracker,
+            tracker: ConflictTracker::new(),
             stats: ConflictPolicyMetrics::default(),
             early_aborted: Vec::new(),
         }
@@ -229,7 +225,7 @@ impl Orderer {
                 self.stats.cycle_aborts += outcome.aborted.len() as u64;
                 self.early_aborted.extend(outcome.aborted);
             }
-            OrderingPolicy::Adaptive(cfg) => {
+            OrderingPolicy::Adaptive => {
                 // Until the first finalize feedback arrives the tracker
                 // cannot distinguish cold traffic from hot, so the
                 // bootstrap batches pay the reordering cost rather than
@@ -237,10 +233,8 @@ impl Orderer {
                 // feedback round either proves the traffic cold (the
                 // gate opens and batches cut FIFO) or confirms the heat.
                 let bootstrap = self.tracker.blocks_observed() == 0;
-                let density = self
-                    .tracker
-                    .batch_conflict_density(&transactions, cfg.hot_key_threshold);
-                if bootstrap || density >= cfg.density_threshold {
+                let density = self.tracker.batch_conflict_density(&transactions);
+                if bootstrap || density >= DENSITY_THRESHOLD {
                     let outcome = crate::reorder::reorder_batch(transactions);
                     transactions = outcome.ordered;
                     self.stats.batches_reordered += 1;
@@ -498,13 +492,9 @@ mod tests {
         }
     }
 
-    fn adaptive() -> crate::config::AdaptiveConfig {
-        crate::config::AdaptiveConfig::calibrated()
-    }
-
     #[test]
     fn adaptive_bootstraps_reordering_then_cold_feedback_cuts_fifo() {
-        let mut o = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive(adaptive()));
+        let mut o = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive);
         // No feedback yet: the bootstrap batch pays the reordering cost
         // rather than risk shipping a conflict clique FIFO — the RMW
         // clique on one key collapses to a single survivor.
@@ -535,8 +525,7 @@ mod tests {
 
     #[test]
     fn adaptive_reorders_once_conflicts_accumulate() {
-        let cfg_a = adaptive();
-        let mut o = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive(cfg_a));
+        let mut o = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive);
         // Finalize feedback reports repeated MVCC conflicts on "hot".
         for _ in 0..4 {
             o.observe_finalized(&BlockFeedback {
@@ -544,7 +533,7 @@ mod tests {
                 conflicts: vec!["hot".into(), "hot".into()],
             });
         }
-        assert!(o.tracker().heat("hot").conflicts >= cfg_a.hot_key_threshold);
+        assert!(o.tracker().heat("hot").conflicts >= crate::conflict::HOT_KEY_THRESHOLD);
         // The next hot batch trips the density gate: an RMW clique on a
         // single key is one big SCC, so all but one transaction aborts.
         let _ = o.receive(rmw(1, "hot"), SimTime::ZERO);
@@ -571,8 +560,7 @@ mod tests {
 
     #[test]
     fn install_tracker_carries_heat_across_orderers() {
-        let cfg_a = adaptive();
-        let mut first = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive(cfg_a));
+        let mut first = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive);
         for _ in 0..4 {
             first.observe_finalized(&BlockFeedback {
                 writes: vec![],
@@ -581,12 +569,8 @@ mod tests {
         }
         // Failover: the successor inherits the tracker and keeps the
         // density gate open without relearning.
-        let mut second = Orderer::resuming(
-            cfg(3),
-            OrderingPolicy::Adaptive(cfg_a),
-            5,
-            Block::genesis().hash(),
-        );
+        let mut second =
+            Orderer::resuming(cfg(3), OrderingPolicy::Adaptive, 5, Block::genesis().hash());
         second.install_tracker(first.tracker().clone());
         let _ = second.receive(rmw(1, "hot"), SimTime::ZERO);
         let _ = second.receive(rmw(2, "hot"), SimTime::ZERO);

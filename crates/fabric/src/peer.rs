@@ -89,10 +89,12 @@ pub struct PreparedBlock {
 
 /// A committing peer.
 ///
-/// All peers of the simulated network execute identical deterministic
-/// logic over an identical block stream, so one `Peer` instance stands in
-/// for every replica; per-peer network latencies are modelled separately
-/// by the simulation (DESIGN.md §1).
+/// The pipeline's committing peer is one `Peer`. Under ideal FIFO
+/// delivery it stands in for every replica, since all run the same
+/// deterministic logic over the same block stream. Under gossip
+/// delivery every channel member hosts a `Peer` replica of its own
+/// beside it, and those replicas are what dissemination, faults and
+/// catch-up act on (DESIGN.md §1).
 #[derive(Debug)]
 pub struct Peer<V> {
     /// The committed world state, published as an immutable epoch:

@@ -3,8 +3,8 @@
 //! [`GossipDelivery`] implements the pipeline's [`DeliveryLayer`] over
 //! one lane of a shared [`GossipNetwork`]: every block the orderer cuts
 //! is published into the lane and becomes available to the pipeline's
-//! committing peer once the lane's *observed* replica (default: the
-//! last follower, the farthest from the orderer) has committed it.
+//! committing peer once the lane's *observed* replica
+//! ([`GossipNetwork::observed_on`]) has committed it.
 //! Commit latency measured by the pipeline then includes real
 //! dissemination time — and, under fault injection, the cost of drops,
 //! crashes, and partitions. A single-channel pipeline is lane 0 of a
@@ -67,15 +67,6 @@ impl<V: BlockValidator> GossipDelivery<V> {
             observed,
             last: SimTime::ZERO,
         }
-    }
-
-    /// Overrides the observed replica (a global peer index that must
-    /// be a member of the channel) — e.g. a
-    /// [`ChannelSpec`](fabriccrdt_fabric::channel::ChannelSpec)'s
-    /// per-channel `observed_peer` override.
-    pub fn with_observed(mut self, observed: usize) -> Self {
-        self.observed = observed;
-        self
     }
 }
 

@@ -23,12 +23,12 @@
 //! acknowledgement frontier, metrics and deterministic PRNG stream
 //! (forked per channel from the base seed, channel 0 first so a
 //! 1-channel network is draw-for-draw identical to the historical
-//! single-channel one). Every queued `GossipEvent` carries its
-//! channel tag, and the configured per-peer crash/restart times and
-//! partition windows are applied on every lane a peer is a member of
-//! — the same peer goes down at the same simulated time on all its
-//! channels. The API is lane-indexed (`foo_on(ch, ..)`); a
-//! single-channel network ([`GossipNetwork::new`]) is lane 0.
+//! single-channel one). Each lane owns its event queue, and the
+//! configured per-peer crash/restart times and partition windows are
+//! applied on every lane a peer is a member of — the same peer goes
+//! down at the same simulated time on all its channels. The API is
+//! lane-indexed (`foo_on(ch, ..)`); a single-channel network
+//! ([`GossipNetwork::new`]) is lane 0.
 //!
 //! # Durable storage and snapshot catch-up
 //!
@@ -89,14 +89,8 @@ use crate::adversary::LaneAdversary;
 /// flight and every gap buffer (DESIGN.md §4.7, *Block ownership*).
 type Sealed = Arc<Block>;
 
-/// One queued network event, tagged with the channel lane it belongs
-/// to. Peer fields are member *positions* within that lane.
-#[derive(Debug)]
-struct GossipEvent {
-    channel: ChannelId,
-    kind: EventKind,
-}
-
+/// One queued network event of the lane whose queue holds it. Peer
+/// fields are member *positions* within that lane.
 #[derive(Debug)]
 enum EventKind {
     /// A raw (orderer-sealed) block arrives at a peer; `from` is the
@@ -203,7 +197,7 @@ struct ChannelLane<V> {
     /// `k` is the replica of global peer `members[k]`.
     members: Vec<usize>,
     rng: SimRng,
-    queue: EventQueue<GossipEvent>,
+    queue: EventQueue<EventKind>,
     slots: Vec<Slot<V>>,
     /// The channel's ordering-service log: `(cut time, block)`,
     /// numbers `1..`.
@@ -333,29 +327,11 @@ impl<V: BlockValidator> GossipNetwork<V> {
                     let Ok(pos) = spec.members.binary_search(&crash.peer) else {
                         continue; // not a member of this channel
                     };
-                    queue.schedule(
-                        crash.at,
-                        GossipEvent {
-                            channel: spec.id,
-                            kind: EventKind::Crash { peer: pos },
-                        },
-                    );
-                    queue.schedule(
-                        crash.restart_at,
-                        GossipEvent {
-                            channel: spec.id,
-                            kind: EventKind::Restart { peer: pos },
-                        },
-                    );
+                    queue.schedule(crash.at, EventKind::Crash { peer: pos });
+                    queue.schedule(crash.restart_at, EventKind::Restart { peer: pos });
                 }
                 for (index, partition) in faults.partitions.iter().enumerate() {
-                    queue.schedule(
-                        partition.heal_at,
-                        GossipEvent {
-                            channel: spec.id,
-                            kind: EventKind::Heal { partition: index },
-                        },
-                    );
+                    queue.schedule(partition.heal_at, EventKind::Heal { partition: index });
                 }
                 ChannelLane {
                     id: spec.id,
@@ -633,13 +609,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        self.queue.schedule(
-            at,
-            GossipEvent {
-                channel: self.id,
-                kind,
-            },
-        );
+        self.queue.schedule(at, kind);
     }
 
     fn publish_with_hop(&mut self, shared: &Shared, cut_at: SimTime, hop: SimTime, block: Block) {
@@ -704,9 +674,8 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
-    fn handle(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, event: GossipEvent) {
-        debug_assert_eq!(event.channel, self.id, "event routed to the wrong lane");
-        match event.kind {
+    fn handle(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, event: EventKind) {
+        match event {
             EventKind::RawBlock { to, from, block } => self.raw_block(shared, now, to, from, block),
             EventKind::Transfer { to, blocks } => self.transfer(now, to, blocks),
             EventKind::SnapshotTransfer {

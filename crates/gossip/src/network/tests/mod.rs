@@ -50,11 +50,11 @@ fn network(config: &PipelineConfig) -> GossipNetwork<CrdtValidator> {
     network
 }
 
-fn pop(network: &mut GossipNetwork<CrdtValidator>) -> Option<(SimTime, GossipEvent)> {
+fn pop(network: &mut GossipNetwork<CrdtValidator>) -> Option<(SimTime, EventKind)> {
     network.lanes[0].queue.pop()
 }
 
-fn handle(network: &mut GossipNetwork<CrdtValidator>, now: SimTime, event: GossipEvent) {
+fn handle(network: &mut GossipNetwork<CrdtValidator>, now: SimTime, event: EventKind) {
     let lane = &mut network.lanes[0];
     lane.clock = now;
     lane.handle(&network.shared, network.make_validator.as_ref(), now, event);
@@ -116,7 +116,7 @@ fn a_sealed_block_is_one_allocation_every_replica_copies_out_of_once() {
     // is released when the leader commits its own copy; `fanout`
     // pushes of the same pointer are scheduled.
     let (now, event) = pop(&mut network).expect("a leader delivery");
-    assert!(matches!(event.kind, EventKind::RawBlock { from: None, .. }));
+    assert!(matches!(event, EventKind::RawBlock { from: None, .. }));
     handle(&mut network, now, event);
     assert_eq!(network.lanes[0].committed(0), 1);
     assert_eq!(holders(&network, 1), 1 + (leaders - 1) + fanout);
@@ -183,7 +183,7 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
 
     let mut forged_seen = 0;
     while let Some((now, event)) = pop(&mut network) {
-        if let EventKind::RawBlock { to, block, .. } = &event.kind {
+        if let EventKind::RawBlock { to, block, .. } = &event {
             let sealed = &network.lanes[0].published[0].1;
             if **block != canonical {
                 // Forged from the sealed block, but its own allocation;

@@ -614,10 +614,13 @@ mod tests {
     #[test]
     fn merge_root_must_be_map() {
         let mut doc = JsonCrdt::new(ReplicaId(1));
-        assert_eq!(
-            doc.merge_value(&v(r#"["not","a","map"]"#)).unwrap_err(),
-            DocError::RootNotMap
-        );
+        for head in [r#"["not","a","map"]"#, r#""naked""#, "null"] {
+            assert_eq!(
+                doc.merge_value(&v(head)).unwrap_err(),
+                DocError::RootNotMap,
+                "{head}"
+            );
+        }
     }
 
     #[test]

@@ -261,12 +261,7 @@ impl RaftCluster {
         raft.faults.validate(n, "node");
 
         let policy = config.ordering_policy;
-        let tracker = match policy {
-            OrderingPolicy::Adaptive(cfg) => ConflictTracker::new(cfg.decay),
-            _ => {
-                ConflictTracker::new(fabriccrdt_fabric::config::AdaptiveConfig::calibrated().decay)
-            }
-        };
+        let tracker = ConflictTracker::new();
         let mut root = SimRng::seed_from(config.seed);
         let mut rng = root.fork(0x7261_6674); // "raft"
         let mut nodes: Vec<Node> = (0..n)

@@ -293,7 +293,7 @@ fn adaptive_policy_survives_failover() {
     });
     let config = PipelineConfig::paper(10, 23)
         .with_raft_config(raft)
-        .with_adaptive_ordering();
+        .with_ordering_policy(OrderingPolicy::Adaptive);
 
     let schedule: Vec<(SimTime, TxRequest)> = (0..200)
         .map(|i| {

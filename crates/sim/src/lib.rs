@@ -12,7 +12,7 @@
 //!   processing delays.
 //! - [`arrivals`]: open-loop transaction arrival processes (the Caliper
 //!   clients submit at a configured rate regardless of system backpressure).
-//! - [`stats`]: online statistics and percentile summaries for metrics.
+//! - [`stats`]: percentile summaries and time buckets for metrics.
 //! - [`gen`]: deterministic test-data generation — the in-repo
 //!   replacement for proptest that keeps the workspace offline-buildable.
 //!
@@ -43,5 +43,5 @@ pub use arrivals::ArrivalProcess;
 pub use latency::LatencyModel;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use stats::{OnlineStats, Summary};
+pub use stats::Summary;
 pub use time::SimTime;

@@ -2,55 +2,6 @@
 
 use crate::time::SimTime;
 
-/// Online mean/min/max accumulator (no sample storage).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OnlineStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean, or `None` before the first sample.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
-
 /// A full-sample summary with percentiles, built from stored samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
@@ -204,19 +155,6 @@ impl TimeBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basics() {
-        let mut s = OnlineStats::new();
-        assert_eq!(s.mean(), None);
-        for x in [2.0, 4.0, 6.0] {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert_eq!(s.mean(), Some(4.0));
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(6.0));
-    }
 
     #[test]
     fn summary_percentiles() {

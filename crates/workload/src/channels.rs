@@ -15,12 +15,9 @@
 //! single `Simulation`) accepts directly.
 
 use fabriccrdt_fabric::simulation::TxRequest;
-use fabriccrdt_sim::arrivals::{ArrivalKind, ArrivalProcess};
-use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
 
-use crate::generator::{shaped_payload, JsonShape};
-use crate::iot::IotChaincode;
+use crate::generator::{ConflictWorkload, JsonShape};
 
 /// Configuration of a channel-sharded IoT workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,15 +74,6 @@ impl ChannelWorkload {
         self.channels * self.txs_per_channel()
     }
 
-    /// The hot (shared) keys of channel `channel` — the keys its
-    /// conflicting transactions read-modify-write, and the minimum set
-    /// to pre-seed.
-    pub fn hot_keys(&self, channel: usize) -> Vec<String> {
-        (0..self.read_keys.max(self.write_keys))
-            .map(|j| format!("ch{channel}-shared-{j}"))
-            .collect()
-    }
-
     /// Generates every channel's schedule and seed-key set.
     ///
     /// # Panics
@@ -94,56 +82,28 @@ impl ChannelWorkload {
     /// `channels` is zero.
     pub fn generate(&self) -> Vec<ChannelSchedule> {
         assert!(self.channels >= 1, "at least one channel");
-        assert!(self.conflict_pct <= 100, "conflict_pct is a percentage");
-        assert!(self.write_keys >= 1, "at least one write key");
         (0..self.channels)
-            .map(|c| self.generate_channel(c))
+            .map(|channel| {
+                let (schedule, seed_keys) = ConflictWorkload {
+                    key_prefix: &format!("ch{channel}-"),
+                    chaincode: "iot-crdt",
+                    rate_tps: self.rate_tps_per_client * self.clients_per_channel as f64,
+                    total_txs: self.txs_per_channel(),
+                    read_keys: self.read_keys,
+                    write_keys: self.write_keys,
+                    shape: self.shape,
+                    conflict_pct: self.conflict_pct,
+                    seed: self.seed,
+                    channel,
+                }
+                .generate();
+                ChannelSchedule {
+                    channel,
+                    schedule,
+                    seed_keys,
+                }
+            })
             .collect()
-    }
-
-    fn generate_channel(&self, channel: usize) -> ChannelSchedule {
-        let hot = self.hot_keys(channel);
-        // One arrival-process fork per channel, mixed so channel 0
-        // reproduces the single-channel stream (`c = 0` leaves the
-        // seed untouched, matching `ExperimentConfig`'s mix).
-        let mut rng = SimRng::seed_from(
-            (self.seed ^ 0x9e37_79b9).wrapping_add(0xc2b2_ae35_u64.wrapping_mul(channel as u64)),
-        );
-        let total = self.txs_per_channel();
-        let rate = self.rate_tps_per_client * self.clients_per_channel as f64;
-        let arrivals = ArrivalProcess::new(rate, total, ArrivalKind::Uniform).generate(&mut rng);
-
-        let mut schedule: Vec<(SimTime, TxRequest)> = Vec::with_capacity(total);
-        let mut seed_keys: Vec<String> = hot.clone();
-        for (i, at) in arrivals.into_iter().enumerate() {
-            let conflicting = (i % 100) < self.conflict_pct as usize;
-            let (reads, writes): (Vec<String>, Vec<String>) = if conflicting {
-                (
-                    hot[..self.read_keys].to_vec(),
-                    hot[..self.write_keys].to_vec(),
-                )
-            } else {
-                let private: Vec<String> = (0..self.read_keys.max(self.write_keys))
-                    .map(|j| format!("ch{channel}-priv-{i}-{j}"))
-                    .collect();
-                seed_keys.extend(private[..self.read_keys].iter().cloned());
-                (
-                    private[..self.read_keys].to_vec(),
-                    private[..self.write_keys].to_vec(),
-                )
-            };
-            let device = writes.first().cloned().unwrap_or_default();
-            let payload = shaped_payload(self.shape, &device, i).to_compact_string();
-            schedule.push((
-                at,
-                TxRequest::new("iot-crdt", IotChaincode::args(&reads, &writes, &payload)),
-            ));
-        }
-        ChannelSchedule {
-            channel,
-            schedule,
-            seed_keys,
-        }
     }
 }
 

@@ -11,13 +11,9 @@ use fabriccrdt::{fabric_simulation, fabriccrdt_simulation};
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeRegistry};
 use fabriccrdt_fabric::config::{OrderingPolicy, PipelineConfig};
 use fabriccrdt_fabric::metrics::RunMetrics;
-use fabriccrdt_fabric::simulation::TxRequest;
-use fabriccrdt_sim::arrivals::{ArrivalKind, ArrivalProcess};
-use fabriccrdt_sim::rng::SimRng;
-use fabriccrdt_sim::time::SimTime;
 use std::sync::Arc;
 
-use crate::generator::{shaped_payload, JsonShape};
+use crate::generator::{shaped_payload, ConflictWorkload, JsonShape};
 use crate::iot::IotChaincode;
 
 /// Which system a run exercises.
@@ -109,59 +105,29 @@ impl ExperimentConfig {
     ///
     /// Panics if `conflict_pct > 100` or a key count is zero.
     pub fn run(self) -> ExperimentResult {
-        assert!(self.conflict_pct <= 100, "conflict_pct is a percentage");
-        assert!(self.write_keys >= 1, "at least one write key");
-        let shared_read_keys: Vec<String> = (0..self.read_keys.max(self.write_keys))
-            .map(|j| format!("shared-{j}"))
-            .collect();
-
         let chaincode = match self.system {
             SystemKind::Fabric | SystemKind::FabricReordering => IotChaincode::plain(),
             SystemKind::FabricCrdt => IotChaincode::crdt(),
         };
-        let chaincode_name = chaincode.name().to_owned();
+        let (schedule, seed_keys) = ConflictWorkload {
+            key_prefix: "",
+            chaincode: chaincode.name(),
+            rate_tps: self.rate_tps,
+            total_txs: self.total_txs,
+            read_keys: self.read_keys,
+            write_keys: self.write_keys,
+            shape: self.shape,
+            conflict_pct: self.conflict_pct,
+            seed: self.seed,
+            channel: 0,
+        }
+        .generate();
         let mut registry = ChaincodeRegistry::new();
         registry.deploy(Arc::new(chaincode));
 
         let mut pipeline = PipelineConfig::paper(self.block_size, self.seed);
         if self.system == SystemKind::FabricReordering {
             pipeline = pipeline.with_ordering_policy(OrderingPolicy::Reorder);
-        }
-
-        // Arrival schedule: Caliper's fixed-rate open loop.
-        let mut rng = SimRng::seed_from(self.seed ^ 0x9e37_79b9);
-        let arrivals = ArrivalProcess::new(self.rate_tps, self.total_txs, ArrivalKind::Uniform)
-            .generate(&mut rng);
-
-        let mut schedule: Vec<(SimTime, TxRequest)> = Vec::with_capacity(self.total_txs);
-        let mut seed_keys: Vec<String> = shared_read_keys.clone();
-        for (i, at) in arrivals.into_iter().enumerate() {
-            // Deterministic, exactly-proportional conflict assignment.
-            let conflicting = (i % 100) < self.conflict_pct as usize;
-            let (reads, writes): (Vec<String>, Vec<String>) = if conflicting {
-                (
-                    shared_read_keys[..self.read_keys].to_vec(),
-                    shared_read_keys[..self.write_keys].to_vec(),
-                )
-            } else {
-                let private: Vec<String> = (0..self.read_keys.max(self.write_keys))
-                    .map(|j| format!("priv-{i}-{j}"))
-                    .collect();
-                seed_keys.extend(private[..self.read_keys].iter().cloned());
-                (
-                    private[..self.read_keys].to_vec(),
-                    private[..self.write_keys].to_vec(),
-                )
-            };
-            let device = writes.first().cloned().unwrap_or_default();
-            let payload = shaped_payload(self.shape, &device, i).to_compact_string();
-            schedule.push((
-                at,
-                TxRequest::new(
-                    chaincode_name.clone(),
-                    IotChaincode::args(&reads, &writes, &payload),
-                ),
-            ));
         }
 
         // §7.2: populate the ledger with the keys read during the run.

@@ -1,4 +1,5 @@
-//! JSON payload generation.
+//! JSON payload generation, and the paper's conflict workload built
+//! from it (`ConflictWorkload`).
 //!
 //! Two shapes from the paper:
 //!
@@ -9,7 +10,13 @@
 //! - The "k-d complexity" object (§7.5 Listing 4): `k` top-level keys,
 //!   each value nested `d` levels deep.
 
+use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_jsoncrdt::json::Value;
+use fabriccrdt_sim::arrivals::{ArrivalKind, ArrivalProcess};
+use fabriccrdt_sim::rng::SimRng;
+use fabriccrdt_sim::time::SimTime;
+
+use crate::iot::IotChaincode;
 
 /// Shape parameters for generated JSON payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +84,83 @@ pub fn shaped_payload(shape: JsonShape, device_id: &str, tx_index: usize) -> Val
         map.insert(format!("k{k}"), node);
     }
     map
+}
+
+/// The paper's Caliper conflict workload (§7.2) on one channel: a
+/// fixed-rate open loop in which `conflict_pct` of every 100
+/// transactions read-modify-write the channel's shared hot keys and the
+/// rest touch private keys of their own.
+pub(crate) struct ConflictWorkload<'a> {
+    /// Prefix of every key: `""` for a single-channel run, `"ch{c}-"`
+    /// for channel `c` of a sharded one.
+    pub key_prefix: &'a str,
+    /// The chaincode every transaction invokes.
+    pub chaincode: &'a str,
+    /// Aggregate submission rate, tx/s.
+    pub rate_tps: f64,
+    /// Transactions submitted.
+    pub total_txs: usize,
+    /// Keys read per transaction.
+    pub read_keys: usize,
+    /// Keys written per transaction.
+    pub write_keys: usize,
+    /// Shape of the JSON object written.
+    pub shape: JsonShape,
+    /// Percentage (0–100) of transactions touching the hot keys.
+    pub conflict_pct: u8,
+    /// The run's base seed.
+    pub seed: u64,
+    /// The channel index mixed into the arrival seed; channel 0 leaves
+    /// it untouched, so a sharded channel 0 replays a single-channel
+    /// run's arrivals.
+    pub channel: usize,
+}
+
+impl ConflictWorkload<'_> {
+    /// The submission schedule, and the keys to pre-seed (§7.2: the
+    /// ledger holds every key read): every hot key, then each private
+    /// read key in submission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conflict_pct > 100` or a key count is zero.
+    pub(crate) fn generate(&self) -> (Vec<(SimTime, TxRequest)>, Vec<String>) {
+        assert!(self.conflict_pct <= 100, "conflict_pct is a percentage");
+        assert!(self.write_keys >= 1, "at least one write key");
+        let prefix = self.key_prefix;
+        let width = self.read_keys.max(self.write_keys);
+        let hot: Vec<String> = (0..width).map(|j| format!("{prefix}shared-{j}")).collect();
+        let mut rng = SimRng::seed_from(
+            (self.seed ^ 0x9e37_79b9)
+                .wrapping_add(0xc2b2_ae35_u64.wrapping_mul(self.channel as u64)),
+        );
+        let arrivals = ArrivalProcess::new(self.rate_tps, self.total_txs, ArrivalKind::Uniform)
+            .generate(&mut rng);
+
+        let mut schedule = Vec::with_capacity(self.total_txs);
+        let mut seed_keys = hot.clone();
+        for (i, at) in arrivals.into_iter().enumerate() {
+            // Deterministic, exactly-proportional conflict assignment.
+            let conflicting = (i % 100) < self.conflict_pct as usize;
+            let private: Vec<String>;
+            let (reads, writes) = if conflicting {
+                (&hot[..self.read_keys], &hot[..self.write_keys])
+            } else {
+                private = (0..width)
+                    .map(|j| format!("{prefix}priv-{i}-{j}"))
+                    .collect();
+                seed_keys.extend_from_slice(&private[..self.read_keys]);
+                (&private[..self.read_keys], &private[..self.write_keys])
+            };
+            let device = writes.first().cloned().unwrap_or_default();
+            let payload = shaped_payload(self.shape, &device, i).to_compact_string();
+            schedule.push((
+                at,
+                TxRequest::new(self.chaincode, IotChaincode::args(reads, writes, &payload)),
+            ));
+        }
+        (schedule, seed_keys)
+    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //!   per-channel open-loop arrival processes over channel-prefixed key
 //!   spaces, for `fabriccrdt-channel` deployments.
 //! - [`offline`]: offline-first client edit sequences and rejoin-burst
-//!   schedules, for the merge-storm probes of `fabriccrdt-adversary`.
+//!   schedules, for the merge-storm probe of `bench adversarial`.
 //! - [`zipf`]: Zipf-skewed read-modify-write schedules for the
 //!   conflict-strategy comparison experiment (`bench zipf`).
 //! - [`experiment`]: one-call experiment execution — topology, block

@@ -3,7 +3,7 @@
 //! An offline-first client (a disconnected field device, a mobile
 //! editor) keeps appending readings to its local CRDT replica, then
 //! rejoins and submits the backlog in one burst — the merge-storm
-//! shape the adversarial harness (`fabriccrdt-adversary`) measures.
+//! shape the `adversarial` experiment (`crates/bench`) measures.
 //! This module generates those deterministic edit sequences, both as
 //! raw JSON payloads for document-level probes and as a pipeline
 //! schedule for the rejoin burst.
