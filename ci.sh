@@ -92,6 +92,20 @@ crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
 crates/ledger/tests/properties.rs"
 
+# A ledger layout is written once, against `codec::ByteSink`, whose
+# `u64` is the one big-endian integer writer the stored formats share
+# (DESIGN.md §4.17). Besides it only the block-header hash and
+# `TxId::derive` turn an integer into bytes, so a second, hand-written
+# length prefix cannot come back without this list changing. Files are
+# cut at their first `#[cfg(test)]`, as for the panic-site count below.
+echo "==> byte-layout boundary (the non-test .rs files under crates/ledger/src that write a big-endian integer)"
+test "$(find crates/ledger/src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && /to_be_bytes/ { print FILENAME }' | uniq)" = "crates/ledger/src/block.rs
+crates/ledger/src/codec.rs
+crates/ledger/src/transaction.rs"
+
 # An endorsement is a MAC of its payload's digest (DESIGN.md §4.17):
 # the endorsers' client hashes a response payload once, in
 # `Simulation::endorse`, and a peer verifies from the digest its ingress

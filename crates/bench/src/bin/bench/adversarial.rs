@@ -141,7 +141,6 @@ fn attack_schedule() -> AdversaryConfig {
                 delay: SimTime::from_millis(2 + i as u64),
             })
             .collect(),
-        ..AdversaryConfig::none()
     }
 }
 

@@ -118,10 +118,7 @@ fn gen_attack_schedule(g: &mut Gen, n_peers: usize, max_height: u64) -> Adversar
             delay: SimTime::from_millis(g.range(0, 50)),
         }
     });
-    AdversaryConfig {
-        attacks,
-        ..AdversaryConfig::none()
-    }
+    AdversaryConfig { attacks }
 }
 
 #[test]
@@ -191,7 +188,6 @@ fn fixed_attacks() -> AdversaryConfig {
                 delay: SimTime::from_millis(1),
             },
         ],
-        ..AdversaryConfig::none()
     }
 }
 

@@ -174,7 +174,7 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "6a592b00107b62c6663b4ec28a29e4da9dadc06a0982edce81933f6fbceef908",
+        "07ef23271f4c2b21c370e8ca15750be8c724e064e15495af518f2f7e5c5a5017",
         "a replica's ledger or store file changed"
     );
     assert_eq!(

@@ -78,23 +78,13 @@ impl KeyMerger {
 /// Plug into [`fabriccrdt_fabric::Simulation`] in place of
 /// [`fabriccrdt_fabric::validator::FabricValidator`] to turn the network
 /// into FabricCRDT.
-#[derive(Debug, Clone, Copy)]
-pub struct CrdtValidator {
-    replica: ReplicaId,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrdtValidator;
 
 impl CrdtValidator {
-    /// Creates the validator. All peers deterministically merge blocks in
-    /// the same order, so the replica id only namespaces operation ids.
+    /// Creates the validator.
     pub fn new() -> Self {
-        CrdtValidator {
-            replica: ReplicaId(1),
-        }
-    }
-
-    /// Creates the validator with an explicit replica id.
-    pub fn with_replica(replica: ReplicaId) -> Self {
-        CrdtValidator { replica }
+        CrdtValidator
     }
 
     /// Algorithm 1's first pass (lines 3–14) over `txs` — `(block
@@ -173,7 +163,10 @@ impl CrdtValidator {
                             let (merger, members) = slot.get_mut();
                             if let KeyMerger::Alone(first) = merger {
                                 // A second document: merge the first now.
-                                let mut doc = JsonCrdt::new(self.replica);
+                                // Every peer merges a block in the same
+                                // order and a converged value carries no
+                                // operation ids, so one replica id serves.
+                                let mut doc = JsonCrdt::new(ReplicaId(1));
                                 *merge_units += doc.merge_value(first).unwrap_or_default().units();
                                 *merger = KeyMerger::Json(doc);
                             }
@@ -204,12 +197,6 @@ fn crdt_writes(tx: &Transaction) -> impl Iterator<Item = (&String, &WriteEntry)>
         .writes
         .iter()
         .filter(|(_, entry)| entry.is_crdt && !entry.is_delete)
-}
-
-impl Default for CrdtValidator {
-    fn default() -> Self {
-        CrdtValidator::new()
-    }
 }
 
 impl BlockValidator for CrdtValidator {

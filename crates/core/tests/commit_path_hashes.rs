@@ -1,9 +1,11 @@
 //! The commit path hashes each block fewer times than it used to
 //! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
 //! headers asserted here were recorded before that change, and
-//! re-recorded once when signatures became MACs of the payload digest
-//! and the Merkle leaf began with that digest — the one change to what
-//! a block's bytes are since.
+//! re-recorded twice since: when signatures became MACs of the payload
+//! digest and the Merkle leaf began with that digest, and when the leaf
+//! came to cover the bytes a block stores (client and length-prefixed
+//! identities included) — the two changes to what a block's hashed
+//! bytes are since.
 //!
 //! Two blocks go through a FabricCRDT peer — one whose CRDT writes merge
 //! (Algorithm 1 line 22 rewrites them, so the peer re-seals the data
@@ -88,7 +90,7 @@ fn policy() -> EndorsementPolicy {
 
 const GENESIS_HASH: &str = "756e2e87f46e31bd3a5841cd74d9588e1aadc5ae4af750ef6cf3b8269614e1a5";
 /// Data hash of [`plain_block`], the same under either validator.
-const PLAIN_DATA_HASH: &str = "d07eaeab566d67a2e90be05aefb32aa60c0bd9b03188935ee1d0a1ebe416f0d5";
+const PLAIN_DATA_HASH: &str = "9a4fd096982f62859ef78ebb0ec1b94b87fa5ad6178dcfb50ffe5cca2b6b3092";
 
 fn assert_header(header: &BlockHeader, previous_hash: &str, data_hash: &str) {
     assert_eq!(
@@ -139,7 +141,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_header(
             &tip.header,
             GENESIS_HASH,
-            "271c64305878d68b656961ba65cc2cabf4cd4bcce220e552791ceba909b2985b",
+            "0092e667dfda57f8c7ec1b9cd5c4add6bb1e887575b931ae517f4f8de5178644",
         );
 
         // The orderer chains to *its* block 1; the peer re-links to the
@@ -152,7 +154,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_eq!(tip.header.data_hash, sealed_by_orderer);
         assert_header(
             &tip.header,
-            "54240e11dc75e3ffbc6fbfa0f9fe74d6944019c1945309c56d51ac9873c1dd27",
+            "27f2b14b5f0cd72af0f5c4e3829c10798f21907435af83e550b1a307c832efdd",
             PLAIN_DATA_HASH,
         );
 

@@ -13,7 +13,6 @@ use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::FabricValidator;
-use fabriccrdt_jsoncrdt::ReplicaId;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
@@ -75,10 +74,9 @@ fn crdt_replicas_converge_bytewise() {
     let blocks = ordered_blocks(100, 7);
     assert!(blocks.len() >= 14);
 
-    // Three replicas, each with its own validator instance (different
-    // ReplicaId tags must not affect the converged plain JSON).
+    // Three replicas, each with its own validator instance.
     let mut peers: Vec<Peer<CrdtValidator>> = (1..=3)
-        .map(|r| Peer::new(CrdtValidator::with_replica(ReplicaId(r)), policy()))
+        .map(|_| Peer::new(CrdtValidator::new(), policy()))
         .collect();
     for peer in &mut peers {
         peer.seed_state("hot", br#"{"readings":[]}"#.to_vec());

@@ -383,47 +383,21 @@ pub struct AttackSpec {
 /// an adversarial run is reproducible from its configuration; enabling
 /// it changes nothing about honest message flow (the screen only drops
 /// blocks that fail integrity or digest checks).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdversaryConfig {
     /// Scheduled injections.
     pub attacks: Vec<AttackSpec>,
-    /// Quarantine probation: a quarantined relay is released after
-    /// serving this many *clean* gossip rounds — one round per block
-    /// the lane publishes — in which it triggered no fresh detection
-    /// (any new detection restarts the count). `0` means quarantine is
-    /// permanent. Deterministic — the release decision reads only
-    /// round counters, never a PRNG — so enabling it draws nothing
-    /// extra from the run's streams.
-    ///
-    /// The default, [`AdversaryConfig::DEFAULT_PROBATION_ROUNDS`],
-    /// keeps an honest-but-once-spoofed relay from being silently cut
-    /// out of dissemination forever (its pushes would otherwise count
-    /// as `quarantine_drops` for the rest of the run).
-    pub probation_rounds: u64,
 }
 
 impl AdversaryConfig {
-    /// Default clean gossip rounds (published blocks) before a
-    /// quarantined relay is released on probation.
-    pub const DEFAULT_PROBATION_ROUNDS: u64 = 4;
-
     /// No adversary at all.
     pub fn none() -> Self {
-        AdversaryConfig {
-            attacks: Vec::new(),
-            probation_rounds: Self::DEFAULT_PROBATION_ROUNDS,
-        }
+        Self::default()
     }
 
     /// Whether the schedule injects anything.
     pub fn is_quiescent(&self) -> bool {
         self.attacks.is_empty()
-    }
-}
-
-impl Default for AdversaryConfig {
-    fn default() -> Self {
-        AdversaryConfig::none()
     }
 }
 
@@ -740,15 +714,10 @@ mod tests {
                 via: Some(3),
                 delay: SimTime::from_millis(5),
             }],
-            ..AdversaryConfig::none()
         });
         let adversary = cfg.adversary.as_ref().unwrap();
         assert!(!adversary.is_quiescent());
         assert_eq!(adversary.attacks[0].victims, [4, 5]);
-        assert_eq!(
-            adversary.probation_rounds,
-            AdversaryConfig::DEFAULT_PROBATION_ROUNDS
-        );
     }
 
     #[test]

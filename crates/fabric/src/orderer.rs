@@ -188,7 +188,7 @@ impl Orderer {
         now: SimTime,
     ) -> (Option<Block>, Option<TimeoutRequest>) {
         let started_batch = self.pending.is_empty();
-        // A `usize` sink counts: the canonical length, nothing encoded.
+        // A `usize` sink counts: the stored length, nothing encoded.
         tx.write_bytes(&mut self.pending_bytes);
         self.pending.push(tx);
 
@@ -373,7 +373,7 @@ mod tests {
         assert!(len >= 1 && len as u64 == i + 1);
     }
 
-    /// The byte rule weighs exactly the canonical encoding: a limit
+    /// The byte rule weighs exactly the stored encoding: a limit
     /// equal to the first three transactions' `to_bytes()` cuts at the
     /// third, one byte more cuts at the fourth, and the count restarts
     /// with the next batch.

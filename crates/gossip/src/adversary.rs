@@ -21,19 +21,17 @@
 //!   Liveness survives quarantine because anti-entropy transfers and
 //!   orderer re-requests (which ship committed or canonical blocks)
 //!   bypass the push path.
-//! - **Probation release**: quarantine is no longer a life sentence.
-//!   A quarantined relay that serves
-//!   [`AdversaryConfig::probation_rounds`] consecutive gossip rounds
-//!   (one per block the lane publishes) without a fresh detection is
-//!   released and its pushes count
-//!   again — an honest peer that was spoofed *once* (the attacker named
-//!   it as `via`) recovers, while a genuinely hostile relay re-offends
-//!   on its next forged push and restarts its sentence from zero. The
-//!   release decision reads only the per-relay clean-round counter
-//!   advanced by [`LaneAdversary::end_round`]; it never touches the
-//!   lane's PRNG stream, so enabling or tuning probation changes zero
-//!   random draws. `probation_rounds == 0` restores the permanent
-//!   quarantine of earlier revisions.
+//! - **Probation release**: quarantine is not a life sentence. A
+//!   quarantined relay that serves [`PROBATION_ROUNDS`] consecutive
+//!   gossip rounds (one per block the lane publishes) without a fresh
+//!   detection is released and its pushes count again — an honest peer
+//!   that was spoofed *once* (the attacker named it as `via`) recovers
+//!   instead of being cut out of dissemination for the rest of the run,
+//!   while a genuinely hostile relay re-offends on its next forged push
+//!   and restarts its sentence from zero. The release decision reads
+//!   only the per-relay clean-round counter advanced by
+//!   [`LaneAdversary::end_round`]; it never touches the lane's PRNG
+//!   stream, so probation changes zero random draws.
 //!
 //! With no adversary configured the screen does not exist and the lane
 //! behaves byte-for-byte as before.
@@ -45,6 +43,10 @@ use fabriccrdt_fabric::config::{AdversaryConfig, TamperMode};
 use fabriccrdt_fabric::metrics::AdversaryMetrics;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_sim::time::SimTime;
+
+/// Clean gossip rounds (published blocks) a quarantined relay serves
+/// before it is released on probation.
+pub(crate) const PROBATION_ROUNDS: u64 = 4;
 
 /// One attack resolved to a lane's member positions (victims outside
 /// the member set are dropped at construction).
@@ -75,8 +77,6 @@ pub(crate) struct LaneAdversary {
     /// Quarantined member positions, each mapped to the number of
     /// consecutive clean gossip rounds served so far.
     quarantined: BTreeMap<usize, u64>,
-    /// Clean rounds required before release; 0 = permanent.
-    probation_rounds: u64,
     metrics: AdversaryMetrics,
 }
 
@@ -105,7 +105,6 @@ impl LaneAdversary {
             canonical: BTreeMap::new(),
             evidence: BTreeSet::new(),
             quarantined: BTreeMap::new(),
-            probation_rounds: config.probation_rounds,
             metrics: AdversaryMetrics::default(),
         }
     }
@@ -171,21 +170,17 @@ impl LaneAdversary {
 
     /// Advances every quarantined relay's probation clock by one clean
     /// gossip round and releases those that have served
-    /// `probation_rounds` of them. Called once per lane round (at each
-    /// block publish, before new forgeries are registered); reads only
-    /// counters — no PRNG draws — so probation leaves the lane's
-    /// random stream untouched. With `probation_rounds == 0`
-    /// quarantine is permanent and this is a no-op.
+    /// [`PROBATION_ROUNDS`] of them. Called once per lane round (at
+    /// each block publish, before new forgeries are registered); reads
+    /// only counters — no PRNG draws — so probation leaves the lane's
+    /// random stream untouched.
     pub(crate) fn end_round(&mut self) {
-        if self.probation_rounds == 0 || self.quarantined.is_empty() {
-            return;
-        }
         let released: Vec<usize> = self
             .quarantined
             .iter_mut()
             .filter_map(|(&relay, clean_rounds)| {
                 *clean_rounds += 1;
-                (*clean_rounds >= self.probation_rounds).then_some(relay)
+                (*clean_rounds >= PROBATION_ROUNDS).then_some(relay)
             })
             .collect();
         for relay in released {
@@ -288,7 +283,6 @@ mod tests {
                 via: Some(1),
                 delay: SimTime::from_millis(2),
             }],
-            ..AdversaryConfig::none()
         }
     }
 
@@ -366,10 +360,6 @@ mod tests {
     fn probation_releases_a_spoofed_relay_after_clean_rounds() {
         let members = [0, 1, 3, 5];
         let config = schedule(TamperMode::FlipPayloadByte);
-        assert_eq!(
-            config.probation_rounds,
-            AdversaryConfig::DEFAULT_PROBATION_ROUNDS
-        );
         let mut adv = LaneAdversary::new(&config, &members);
         let canonical = block(1, vec![tx(1), tx(2)]);
         adv.injections_for(&canonical);
@@ -382,7 +372,7 @@ mod tests {
         assert_eq!(adv.take_metrics().quarantine_drops, 1);
 
         // Fewer clean rounds than the probation term: still quarantined.
-        for _ in 1..AdversaryConfig::DEFAULT_PROBATION_ROUNDS {
+        for _ in 1..PROBATION_ROUNDS {
             adv.end_round();
         }
         assert!(!adv.admit(Some(1), &canonical));
@@ -405,24 +395,6 @@ mod tests {
         adv.end_round();
         assert!(!adv.admit(Some(1), &canonical), "one round is not enough");
         assert_eq!(adv.take_metrics().quarantined_peers, 1);
-    }
-
-    #[test]
-    fn zero_probation_rounds_means_permanent_quarantine() {
-        let mut config = schedule(TamperMode::FlipPayloadByte);
-        config.probation_rounds = 0;
-        let mut adv = LaneAdversary::new(&config, &[0, 1, 3, 5]);
-        let canonical = block(1, vec![tx(1), tx(2)]);
-        adv.injections_for(&canonical);
-        let tampered = forge(TamperMode::FlipPayloadByte, &canonical, 1);
-        assert!(!adv.admit(Some(1), &tampered));
-        for _ in 0..100 {
-            adv.end_round();
-        }
-        assert!(!adv.admit(Some(1), &canonical), "no release at K = 0");
-        let metrics = adv.take_metrics();
-        assert_eq!(metrics.quarantine_releases, 0);
-        assert_eq!(metrics.quarantined_peers, 1);
     }
 
     #[test]

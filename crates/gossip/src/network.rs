@@ -830,12 +830,9 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     /// Encoded bytes of a block run — the wire cost of a replay
-    /// transfer.
+    /// transfer — counted without encoding a block.
     fn suffix_bytes(suffix: &[Block]) -> u64 {
-        suffix
-            .iter()
-            .map(|b| codec::encode_block(b).len() as u64)
-            .sum()
+        suffix.iter().map(|b| codec::block_len(b) as u64).sum()
     }
 
     /// Helper `j`'s latest durable snapshot, if it would advance a

@@ -175,7 +175,6 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
                 attack(TamperMode::FlipPayloadByte, &[3], Some(1)),
                 attack(TamperMode::EquivocateValue, &[2, 5], None),
             ],
-            ..AdversaryConfig::none()
         });
     let mut network = network(&config);
     let canonical = sealed_block(1);

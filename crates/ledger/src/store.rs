@@ -12,7 +12,9 @@
 //! A store holds two record kinds:
 //!
 //! - **block** records — every committed block, appended in commit
-//!   order, encoded with [`codec::encode_block`];
+//!   order, encoded with [`codec::encode_block`]: each transaction is
+//!   stored as exactly the bytes the block's data hash covers (the
+//!   validation codes, as in Fabric's block metadata, are not);
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
 //!   encoded world state and committed transaction ids at a block
 //!   height.
@@ -48,7 +50,7 @@ use std::path::{Path, PathBuf};
 use fabriccrdt_crypto::{digest, Digest};
 
 use crate::block::Block;
-use crate::codec::{self, DecodeError, Reader, Writer};
+use crate::codec::{self, ByteSink, DecodeError, Layout, Reader};
 
 /// Snapshot record layout version; bump on layout changes.
 const SNAPSHOT_FORMAT_VERSION: u8 = 3;
@@ -141,13 +143,7 @@ pub struct LedgerSnapshot {
 impl LedgerSnapshot {
     /// Serializes the snapshot as one self-contained byte string.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u8(SNAPSHOT_FORMAT_VERSION);
-        w.u64(self.last_block);
-        w.digest(&self.tip_hash);
-        w.bytes(&self.state);
-        w.bytes(&self.committed_ids);
-        w.buf
+        self.encode()
     }
 
     /// Parses a snapshot serialized by [`LedgerSnapshot::to_bytes`].
@@ -176,8 +172,17 @@ impl LedgerSnapshot {
     /// Size of the serialized snapshot in bytes — the cost of shipping
     /// it over the (simulated) wire.
     pub fn encoded_len(&self) -> usize {
-        // version + last_block + tip_hash + two length-prefixed strings.
-        1 + 8 + 32 + 2 * 8 + self.state.len() + self.committed_ids.len()
+        Layout::encoded_len(self)
+    }
+}
+
+impl Layout for LedgerSnapshot {
+    fn write(&self, out: &mut impl ByteSink) {
+        out.u8(SNAPSHOT_FORMAT_VERSION);
+        out.u64(self.last_block);
+        out.digest(&self.tip_hash);
+        out.bytes(&self.state);
+        out.bytes(&self.committed_ids);
     }
 }
 
@@ -446,13 +451,12 @@ fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     frame_record(out, kind, payload, &digest(payload)[..FOOTER_LEN]);
 }
 
-/// [`encode_record`] given the footer.
-fn frame_record(out: &mut Vec<u8>, kind: u8, payload: &[u8], footer: &[u8]) {
-    out.reserve(HEADER_LEN + payload.len() + FOOTER_LEN);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u64).to_be_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(footer);
+/// [`encode_record`] given the footer: the kind byte, the
+/// length-prefixed payload, the footer — the frame [`frame_at`] reads.
+fn frame_record(out: &mut impl ByteSink, kind: u8, payload: &[u8], footer: &[u8]) {
+    out.u8(kind);
+    out.bytes(payload);
+    out.put(footer);
 }
 
 /// The append-only-file backend: a [`MemoryStore`] with one file of
@@ -537,7 +541,7 @@ impl AofStore {
     }
 
     fn append_record(&mut self, kind: u8, marker: u64, payload: Vec<u8>) -> Result<(), StoreError> {
-        let mut record = Vec::new();
+        let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
         encode_record(&mut record, kind, &payload);
         self.file
             .write_all(&record)

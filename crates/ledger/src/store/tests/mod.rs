@@ -81,14 +81,13 @@ fn version_one_snapshot_is_rejected() {
         (2, vec![&snapshot.state, history, &snapshot.committed_ids]),
     ];
     for (version, components) in old_layouts {
-        let mut w = Writer::new();
-        w.u8(version);
-        w.u64(snapshot.last_block);
-        w.digest(&snapshot.tip_hash);
+        let mut old = Vec::new();
+        old.u8(version);
+        old.u64(snapshot.last_block);
+        old.digest(&snapshot.tip_hash);
         for component in components {
-            w.bytes(component);
+            old.bytes(component);
         }
-        let mut old = w.buf;
         assert!(LedgerSnapshot::from_bytes(&old).is_err(), "v{version}");
         old[0] = SNAPSHOT_FORMAT_VERSION;
         assert!(

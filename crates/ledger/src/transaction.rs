@@ -3,12 +3,18 @@
 //! After collecting endorsements, a Fabric client assembles a transaction
 //! from the proposal payload, the endorsing peers' signatures, and
 //! metadata, then submits it to the ordering service (§2.1, step 2).
+//!
+//! A transaction has one byte layout, [`Transaction::write_bytes`]: a
+//! block stores and ships it, and the block's data hash covers all of
+//! it, client and endorser identities included. Endorsers sign its
+//! prefix, [`Transaction::response_payload`].
 
 use std::fmt;
 
 use fabriccrdt_crypto::{sha256, Identity, Signature};
 
-use crate::rwset::{ByteSink, ReadWriteSet};
+use crate::codec::{ByteSink, DecodeError, Reader};
+use crate::rwset::ReadWriteSet;
 
 /// A transaction identifier: SHA-256 over the client identity, a client
 /// nonce and the chaincode name.
@@ -45,8 +51,8 @@ pub struct Endorsement {
     /// The endorsing peer.
     pub endorser: Identity,
     /// The endorser's MAC of the SHA-256 of the transaction's
-    /// [`Transaction::response_payload`] (id, chaincode and read-write
-    /// set): `KeyPair::sign_digest`.
+    /// [`Transaction::response_payload`] (id, client, chaincode and
+    /// read-write set): `KeyPair::sign_digest`.
     pub signature: Signature,
 }
 
@@ -66,9 +72,9 @@ pub struct Transaction {
 }
 
 impl Transaction {
-    /// Canonical byte encoding of the parts covered by endorsement
-    /// signatures (the proposal response payload). Counted, then
-    /// written into one allocation.
+    /// The bytes endorsement signatures cover (the proposal response
+    /// payload): [`Transaction::to_bytes`] up to the endorsement count.
+    /// Counted, then written into one allocation.
     pub fn response_payload(&self) -> Vec<u8> {
         let mut len = 0usize;
         self.write_response_payload(&mut len);
@@ -77,17 +83,19 @@ impl Transaction {
         out
     }
 
-    /// Appends [`Transaction::response_payload`] to `out`: by
-    /// construction the prefix of [`Transaction::write_bytes`].
+    /// Appends [`Transaction::response_payload`] to `out`: id, client,
+    /// chaincode and read-write set, strings length-prefixed.
     pub(crate) fn write_response_payload(&self, out: &mut impl ByteSink) {
-        out.put(&self.id.0);
-        out.put(self.chaincode.as_bytes());
-        out.put(&[0]);
+        out.digest(&self.id.0);
+        out.str(&self.client.name);
+        out.str(&self.client.org);
+        out.str(&self.chaincode);
         self.rwset.write_bytes(out);
     }
 
-    /// Canonical bytes of the whole transaction, input to block data
-    /// hashes.
+    /// The transaction's one byte layout: what a block stores and ships
+    /// ([`codec::encode_block`](crate::codec::encode_block)) and what
+    /// its data-hash leaf covers.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut len = 0usize;
         self.write_bytes(&mut len);
@@ -97,22 +105,45 @@ impl Transaction {
     }
 
     /// Appends [`Transaction::to_bytes`] to `out`, so a caller hashing
-    /// many transactions can reuse one buffer.
+    /// or encoding many transactions can reuse one buffer, and a `usize`
+    /// sink weighs one for a block cut.
     pub fn write_bytes(&self, out: &mut impl ByteSink) {
         self.write_response_payload(out);
         self.write_endorsements(out);
     }
 
-    /// What [`Transaction::write_bytes`] adds to the response payload.
+    /// What [`Transaction::write_bytes`] adds to the response payload:
+    /// the endorsement count, then each endorser and signature.
     pub(crate) fn write_endorsements(&self, out: &mut impl ByteSink) {
-        out.put(&(self.endorsements.len() as u64).to_be_bytes());
+        out.u64(self.endorsements.len() as u64);
         for e in &self.endorsements {
-            for part in e.endorser.display_parts() {
-                out.put(part);
-            }
-            out.put(&[0]);
-            out.put(&e.signature.0);
+            out.str(&e.endorser.name);
+            out.str(&e.endorser.org);
+            out.digest(&e.signature.0);
         }
+    }
+
+    /// Reads what [`Transaction::write_bytes`] wrote.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let id = TxId(r.digest()?);
+        let client = Identity::new(r.str()?, r.str()?);
+        let chaincode = r.str()?;
+        let rwset = ReadWriteSet::read(r)?;
+        let endorsement_count = r.len(40)?;
+        let mut endorsements = Vec::with_capacity(endorsement_count);
+        for _ in 0..endorsement_count {
+            endorsements.push(Endorsement {
+                endorser: Identity::new(r.str()?, r.str()?),
+                signature: Signature(r.digest()?),
+            });
+        }
+        Ok(Transaction {
+            id,
+            client,
+            chaincode,
+            rwset,
+            endorsements,
+        })
     }
 
     /// Whether any write-set entry is CRDT-flagged — a "CRDT transaction"

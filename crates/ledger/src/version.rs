@@ -37,14 +37,6 @@ impl Height {
     pub fn genesis() -> Self {
         Height::new(0, 0)
     }
-
-    /// Canonical 16-byte encoding, used in transaction hashing.
-    pub fn to_bytes(self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..8].copy_from_slice(&self.block_num.to_be_bytes());
-        out[8..].copy_from_slice(&self.tx_num.to_be_bytes());
-        out
-    }
 }
 
 impl fmt::Display for Height {
@@ -68,15 +60,6 @@ mod tests {
     fn genesis_is_minimal() {
         assert!(Height::genesis() <= Height::new(0, 1));
         assert!(Height::genesis() <= Height::new(1, 0));
-    }
-
-    #[test]
-    fn byte_encoding_is_order_preserving() {
-        let a = Height::new(1, 2);
-        let b = Height::new(1, 3);
-        let c = Height::new(2, 0);
-        assert!(a.to_bytes() < b.to_bytes());
-        assert!(b.to_bytes() < c.to_bytes());
     }
 
     #[test]

@@ -1,16 +1,30 @@
 //! Randomized property tests for the ledger: codec totality and
-//! roundtrips, MVCC invariants. Driven by the deterministic in-repo
-//! generator (`fabriccrdt_sim::gen`).
+//! roundtrips, the one transaction layout (stored, shipped and hashed
+//! alike) against the encoders it replaced, MVCC invariants. Driven by
+//! the deterministic in-repo generator (`fabriccrdt_sim::gen`).
 
 use fabriccrdt_crypto::{merkle, sha256, Identity, Signature};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
+use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::WorldState;
 use fabriccrdt_sim::gen::{self, Gen};
+
+/// A short string over `a`, `b` and `@`, often empty: identities that
+/// name the same `name@org` differently, and the empty fields a
+/// length-free layout would run together.
+fn arb_text(g: &mut Gen) -> String {
+    g.string_of("ab@", 0, 3)
+}
+
+fn arb_identity(g: &mut Gen) -> Identity {
+    Identity::new(arb_text(g), arb_text(g))
+}
 
 fn arb_rwset(g: &mut Gen) -> ReadWriteSet {
     let mut rwset = ReadWriteSet::new();
@@ -38,16 +52,16 @@ fn arb_rwset(g: &mut Gen) -> ReadWriteSet {
 }
 
 fn arb_transaction(g: &mut Gen) -> Transaction {
-    let client = Identity::new("client", "org1");
+    let client = arb_identity(g);
     let nonce = g.u64();
-    let chaincode = g.ident(1, 8);
+    let chaincode = arb_text(g);
     Transaction {
         id: TxId::derive(&client, nonce, &chaincode),
         client,
         chaincode,
         rwset: arb_rwset(g),
-        endorsements: g.vec(0, 2, |g| Endorsement {
-            endorser: Identity::new(g.ident(1, 5), g.ident(1, 5)),
+        endorsements: g.vec(0, 3, |g| Endorsement {
+            endorser: arb_identity(g),
             signature: Signature(g.array32()),
         }),
     }
@@ -121,7 +135,10 @@ fn rwset_bytes_distinguish() {
     gen::cases(256, |g| {
         let a = arb_rwset(g);
         let b = arb_rwset(g);
-        if a.to_bytes() == b.to_bytes() {
+        let (mut a_bytes, mut b_bytes) = (Vec::new(), Vec::new());
+        a.write_bytes(&mut a_bytes);
+        b.write_bytes(&mut b_bytes);
+        if a_bytes == b_bytes {
             assert_eq!(a, b);
         }
     });
@@ -137,9 +154,10 @@ fn counted_length_equals_encoded_length() {
         let mut counted = 0usize;
         tx.write_bytes(&mut counted);
         assert_eq!(counted, tx.to_bytes().len());
-        let mut counted = 0usize;
+        let (mut counted, mut written) = (0usize, Vec::new());
         tx.rwset.write_bytes(&mut counted);
-        assert_eq!(counted, tx.rwset.to_bytes().len());
+        tx.rwset.write_bytes(&mut written);
+        assert_eq!(counted, written.len());
         assert!(tx.to_bytes().starts_with(&tx.response_payload()));
     });
 }
@@ -210,6 +228,264 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
             assert_eq!(resealed.header.previous_hash, [7; 32]);
         }
     });
+}
+
+/// The data hash covers every byte a peer stores: rewriting a sealed
+/// block's client fails the recomputed hash, the verifying constructor
+/// and the ingress encoding alike.
+#[test]
+fn rewriting_a_client_breaks_the_seal() {
+    gen::cases(128, |g| {
+        let txs = g.vec(1, 4, arb_transaction);
+        let sealed = SealedBlock::seal(Block::assemble(1, [0; 32], txs), g.array32());
+        let mut forged = sealed.into_block();
+        let i = g.range(0, forged.transactions.len() as u64) as usize;
+        forged.transactions[i].client.name.push('x');
+        assert!(!forged.data_hash_is_valid());
+        assert_eq!(SealedBlock::verify(forged.clone()), None);
+        assert!(EncodedTransactions::verify(&forged).is_none());
+    });
+}
+
+/// One layout: each transaction's `to_bytes` is exactly its span inside
+/// the stored block, its response payload is that span up to the
+/// endorsement count, and the counted block length is the encoded one.
+#[test]
+fn transaction_bytes_are_their_span_in_the_stored_block() {
+    gen::cases(256, |g| {
+        let block = arb_block(g);
+        let stored = codec::encode_block(&block);
+        assert_eq!(codec::block_len(&block), stored.len());
+        // Version, number, two digests, then the transaction count.
+        let mut at = 1 + 8 + 32 + 32 + 8;
+        for tx in &block.transactions {
+            let bytes = tx.to_bytes();
+            assert_eq!(stored[at..at + bytes.len()], bytes[..]);
+            let payload = tx.response_payload();
+            let count = (tx.endorsements.len() as u64).to_be_bytes();
+            assert_eq!(bytes[..payload.len()], payload[..]);
+            assert_eq!(bytes[payload.len()..payload.len() + 8], count);
+            at += bytes.len();
+        }
+        assert_eq!(stored.len(), at + 8 + block.validation_codes.len());
+    });
+}
+
+/// Identities are length-prefixed, not joined at `@`: two endorsers (or
+/// clients) that display alike still give different leaves.
+#[test]
+fn identities_that_display_alike_give_different_leaves() {
+    let leaf = |client: Identity, endorser: Identity| {
+        let tx = Transaction {
+            id: TxId([1; 32]),
+            client,
+            chaincode: "cc".into(),
+            rwset: ReadWriteSet::new(),
+            endorsements: vec![Endorsement {
+                endorser,
+                signature: Signature([2; 32]),
+            }],
+        };
+        Block::compute_data_hash(&[tx])
+    };
+    let (left, right) = (Identity::new("a@b", "c"), Identity::new("a", "b@c"));
+    assert_eq!(left.to_string(), right.to_string());
+    let client = Identity::new("client", "org1");
+    assert_ne!(
+        leaf(client.clone(), left.clone()),
+        leaf(client.clone(), right.clone())
+    );
+    assert_ne!(leaf(left, client.clone()), leaf(right, client));
+}
+
+/// The layout did not move: for the same value every encoder emits the
+/// bytes of the encoders it replaced, kept here as they were.
+#[test]
+fn stored_layouts_equal_the_replaced_encoders() {
+    gen::cases(128, |g| {
+        let block = arb_block(g);
+        assert_eq!(codec::encode_block(&block), replaced::encode_block(&block));
+
+        let mut chain = if g.flip() {
+            Blockchain::new()
+        } else {
+            Blockchain::resume(g.range(1, 50), g.array32())
+        };
+        for _ in 0..g.size(0, 3) {
+            let txs = g.vec(0, 3, arb_transaction);
+            let next = Block::assemble(chain.height(), chain.tip_hash(), txs);
+            chain.append(next).unwrap();
+        }
+        assert_eq!(codec::encode_chain(&chain), replaced::encode_chain(&chain));
+
+        let mut state = WorldState::new();
+        for _ in 0..g.size(0, 6) {
+            let height = Height::new(g.range(0, 9), g.range(0, 9));
+            state.put(arb_text(g), g.bytes(0, 9), height);
+        }
+        assert_eq!(codec::encode_state(&state), replaced::encode_state(&state));
+
+        let ids = g.vec(0, 5, |g| TxId(g.array32()));
+        assert_eq!(codec::encode_txids(&ids), replaced::encode_txids(&ids));
+
+        let snapshot = LedgerSnapshot {
+            last_block: g.u64(),
+            tip_hash: g.array32(),
+            state: g.bytes(0, 40),
+            committed_ids: g.bytes(0, 40),
+        };
+        let bytes = snapshot.to_bytes();
+        assert_eq!(bytes, replaced::encode_snapshot(&snapshot));
+        assert_eq!(snapshot.encoded_len(), bytes.len());
+    });
+}
+
+/// The stored layouts as the ledger wrote them before a transaction had
+/// one layout: a second byte cursor and per-type writers, block by
+/// block. The oracle for `stored_layouts_equal_the_replaced_encoders`.
+mod replaced {
+    use super::*;
+    use fabriccrdt_ledger::rwset::ReadWriteSet;
+
+    #[derive(Default)]
+    struct Writer {
+        buf: Vec<u8>,
+    }
+
+    impl Writer {
+        fn u8(&mut self, v: u8) {
+            self.buf.push(v);
+        }
+
+        fn u64(&mut self, v: u64) {
+            self.buf.extend_from_slice(&v.to_be_bytes());
+        }
+
+        fn bytes(&mut self, v: &[u8]) {
+            self.u64(v.len() as u64);
+            self.buf.extend_from_slice(v);
+        }
+
+        fn str(&mut self, v: &str) {
+            self.bytes(v.as_bytes());
+        }
+
+        fn digest(&mut self, v: &[u8; 32]) {
+            self.buf.extend_from_slice(v);
+        }
+    }
+
+    fn write_identity(w: &mut Writer, identity: &Identity) {
+        w.str(&identity.name);
+        w.str(&identity.org);
+    }
+
+    fn write_rwset(w: &mut Writer, rwset: &ReadWriteSet) {
+        w.u64(rwset.reads.len() as u64);
+        for (key, entry) in rwset.reads.iter() {
+            w.str(key);
+            match entry.version {
+                Some(h) => {
+                    w.u8(1);
+                    w.u64(h.block_num);
+                    w.u64(h.tx_num);
+                }
+                None => w.u8(0),
+            }
+        }
+        w.u64(rwset.writes.len() as u64);
+        for (key, entry) in rwset.writes.iter() {
+            w.str(key);
+            w.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
+            w.bytes(&entry.value);
+        }
+    }
+
+    fn write_transaction(w: &mut Writer, tx: &Transaction) {
+        w.digest(&tx.id.0);
+        write_identity(w, &tx.client);
+        w.str(&tx.chaincode);
+        write_rwset(w, &tx.rwset);
+        w.u64(tx.endorsements.len() as u64);
+        for e in &tx.endorsements {
+            write_identity(w, &e.endorser);
+            w.digest(&e.signature.0);
+        }
+    }
+
+    fn code_to_byte(code: ValidationCode) -> u8 {
+        match code {
+            ValidationCode::Valid => 0,
+            ValidationCode::MvccConflict => 1,
+            ValidationCode::EndorsementPolicyFailure => 2,
+            ValidationCode::DuplicateTxId => 3,
+            ValidationCode::ValidMerged => 4,
+            ValidationCode::EarlyAborted => 5,
+            ValidationCode::TamperedBlock => 6,
+        }
+    }
+
+    pub fn encode_block(block: &Block) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(1);
+        w.u64(block.header.number);
+        w.digest(&block.header.previous_hash);
+        w.digest(&block.header.data_hash);
+        w.u64(block.transactions.len() as u64);
+        for tx in &block.transactions {
+            write_transaction(&mut w, tx);
+        }
+        w.u64(block.validation_codes.len() as u64);
+        for &code in &block.validation_codes {
+            w.u8(code_to_byte(code));
+        }
+        w.buf
+    }
+
+    pub fn encode_chain(chain: &Blockchain) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(2);
+        w.u64(chain.base_number());
+        w.digest(&chain.anchor_hash());
+        w.u64(chain.height() - chain.base_number());
+        for block in chain.iter() {
+            w.bytes(&encode_block(block));
+        }
+        w.buf
+    }
+
+    pub fn encode_state(state: &WorldState) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(1);
+        w.u64(state.len() as u64);
+        for (key, entry) in state.iter() {
+            w.str(key);
+            w.u64(entry.version.block_num);
+            w.u64(entry.version.tx_num);
+            w.bytes(&entry.value);
+        }
+        w.buf
+    }
+
+    pub fn encode_txids(ids: &[TxId]) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(1);
+        w.u64(ids.len() as u64);
+        for id in ids {
+            w.digest(&id.0);
+        }
+        w.buf
+    }
+
+    pub fn encode_snapshot(snapshot: &LedgerSnapshot) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(3);
+        w.u64(snapshot.last_block);
+        w.digest(&snapshot.tip_hash);
+        w.bytes(&snapshot.state);
+        w.bytes(&snapshot.committed_ids);
+        w.buf
+    }
 }
 
 /// MVCC safety invariant: in any committed block, no two successful

@@ -139,9 +139,10 @@ fn run_raft(
 /// Raft fault schedules in the mix. The flag's own runs are gone with
 /// it, so each backend's 50 ledgers (state then chain bytes, in case
 /// order) are folded into one SHA-256 and pinned against the digest
-/// the flag produced on the last commit that had it — re-recorded once,
-/// unchanged otherwise, when signatures became MACs of the payload
-/// digest and the Merkle leaf began with that digest (DESIGN.md §4.17).
+/// the flag produced on the last commit that had it — re-recorded twice,
+/// unchanged otherwise: when signatures became MACs of the payload
+/// digest and the Merkle leaf began with that digest, and when the leaf
+/// came to cover the bytes a block stores (DESIGN.md §4.17).
 #[test]
 fn reorder_policy_matches_the_legacy_flag_goldens() {
     let mut single = Sha256::new();
@@ -164,12 +165,12 @@ fn reorder_policy_matches_the_legacy_flag_goldens() {
     });
     assert_eq!(
         hex::encode(&single.finalize()),
-        "1cbdcca1685ce2f00d6dc924d650966e7aa1139101145e27c8d422f44d212db9",
+        "491b36a203d9d481e27e5a6f35c05ef447aaf86f62fc8787215c0b34d38590f9",
         "single orderer: Reorder diverged from the legacy flag"
     );
     assert_eq!(
         hex::encode(&raft.finalize()),
-        "af115314e8050a56b9e4292a0ace1772e2753b15658a6a35bc85ed563f905dcb",
+        "1c1f67e681d514e61588559a44edf056efc737f8fb218e28c1cb6cd4b4d43e41",
         "raft: Reorder diverged from the legacy flag"
     );
 }
