@@ -84,12 +84,12 @@ done
 # them; `fabric/src/peer.rs` is not one, so a third pass on the commit
 # path cannot come back without this list changing.
 echo "==> hashing boundary (the .rs files under crates/ and src/ that name a data-hash pass)"
-test "$(grep -rlE --include='*.rs' 'compute_data_hash|data_hash_is_valid' crates src | LC_ALL=C sort)" = "crates/bench/benches/micro.rs
-crates/core/tests/hashing_doors.rs
+test "$(grep -rlE --include='*.rs' 'compute_data_hash|data_hash_is_valid' crates src | LC_ALL=C sort)" = "crates/core/tests/hashing_doors.rs
 crates/gossip/src/adversary.rs
 crates/gossip/src/network/tests/mod.rs
 crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
+crates/ledger/tests/format_v2.rs
 crates/ledger/tests/properties.rs"
 
 # A ledger layout is written once, against `codec::ByteSink`, whose
@@ -132,6 +132,11 @@ panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -pa
     cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
 echo "$panic_sites"
 test "$panic_sites" -le 56
+
+# The documents a contributor reads before changing anything; ROADMAP
+# item 7 tracks their size. Printed, not gated.
+echo "==> document words"
+wc -w EXPERIMENTS.md DESIGN.md CHANGES.md
 
 echo "==> cargo build --release"
 cargo build --release --workspace

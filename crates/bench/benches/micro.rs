@@ -487,31 +487,26 @@ fn main() {
     });
 
     {
-        // The block FabricCRDT re-seals on `hotkey-merge`: 400 transactions
-        // whose merged write brings each to 1 777 canonical bytes.
-        let rewritten = padded_txs(1777);
-        bench.run(
-            "merkle/data-hash-400x1777B",
-            Some(400),
-            Some(400 * 1777),
-            || Block::compute_data_hash(&rewritten),
-        );
-
         // The hashing passes a peer makes per block, each at the size it
         // runs at on `hotkey-merge`: the ingress tamper check on the block
         // as delivered (one encode that also serves the endorsement MACs),
-        // the re-seal of the block as Algorithm 1 left it, and the append —
-        // by type, beside the recomputing append untrusted routes keep.
+        // the re-seal of the block as Algorithm 1 left it — 400 merged
+        // writes referring to one 1 400-byte converged value — and the
+        // append, by type, beside the recomputing append untrusted routes
+        // keep.
         let genesis_hash = Block::genesis().hash();
         let delivered = Block::assemble(1, genesis_hash, padded_txs(370));
         bench.run("block/verify-400x370B", Some(400), Some(400 * 370), || {
             EncodedTransactions::verify(&delivered).expect("as assembled")
         });
-        let block = Block::assemble(1, genesis_hash, rewritten);
-        bench.run_timed("block/seal-400x1777B", Some(400), || {
+        let hot_ingress = EncodedTransactions::verify(&delivered).expect("as assembled");
+        let mut block = delivered.clone();
+        let members: Vec<usize> = (0..block.len()).collect();
+        block.install_converged("hot", vec![b'x'; 1400], &members);
+        bench.run_timed("block/reseal-400x-merged", Some(400), || {
             let block = block.clone();
             let start = Instant::now();
-            let sealed = SealedBlock::seal(block, genesis_hash);
+            let sealed = SealedBlock::reseal(block, genesis_hash, &hot_ingress);
             let spent = start.elapsed();
             black_box(sealed);
             spent
@@ -552,13 +547,14 @@ fn main() {
             black_box(sealed);
             spent
         });
-        let sealed = SealedBlock::seal(block.clone(), genesis_hash);
+        let sealed = SealedBlock::seal(block, genesis_hash);
+        let block = sealed.clone().into_block();
         let fresh_chain = || {
             let mut chain = Blockchain::new();
             chain.append(Block::genesis()).expect("genesis");
             chain
         };
-        bench.run_timed("chain/append-sealed-400x1777B", Some(400), || {
+        bench.run_timed("chain/append-sealed-400x-merged", Some(400), || {
             let (mut chain, sealed) = (fresh_chain(), sealed.clone());
             let start = Instant::now();
             chain.append_sealed(sealed).expect("extends genesis");
@@ -566,7 +562,7 @@ fn main() {
             black_box(chain);
             spent
         });
-        bench.run_timed("chain/append-verify-400x1777B", Some(400), || {
+        bench.run_timed("chain/append-verify-400x-merged", Some(400), || {
             let (mut chain, block) = (fresh_chain(), block.clone());
             let start = Instant::now();
             chain.append(block).expect("extends genesis");

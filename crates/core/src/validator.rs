@@ -15,8 +15,9 @@
 //! 3. **Second pass** (lines 16–22): every CRDT pair's value is replaced
 //!    by the converged document, converted back to plain JSON with all
 //!    CRDT metadata cleaned up — after this pass, conflicting
-//!    transactions of the same key carry identical write values (paper
-//!    Listing 2).
+//!    transactions of the same key commit identical write values (paper
+//!    Listing 2). The block holds that value once and each merged write
+//!    refers to it ([`Block::install_converged`], ledger format v2).
 //!
 //! Transactions that failed earlier stages (endorsement policy,
 //! duplicate id) are excluded from merging — only *valid* transactions'
@@ -207,6 +208,9 @@ impl BlockValidator for CrdtValidator {
         pre_decided: &[Option<ValidationCode>],
     ) -> ValidationWork {
         let decided = |i: usize| pre_decided.get(i).copied().flatten().is_some();
+        // An orderer cuts no converged values; a block that carries some
+        // merges them as the values they stand for.
+        block.inline_converged();
 
         // ----- First pass: collect and merge CRDT values (lines 3–14).
         let mut merge_units = 0u64;
@@ -223,15 +227,11 @@ impl BlockValidator for CrdtValidator {
         );
 
         // ----- Second pass: rewrite CRDT write values with the converged,
-        // metadata-free state (lines 16–22).
+        // metadata-free state (lines 16–22), held once in the block and
+        // referred to by every member's write (ledger format v2).
         for (key, (merger, members)) in &mut crdts {
             let bytes = merger.converged_bytes(&mut merge_units);
-            for &i in members.iter() {
-                block.transactions[i]
-                    .rwset
-                    .writes
-                    .update_value(key, bytes.clone());
-            }
+            block.install_converged(key, bytes, members);
         }
 
         // ----- MVCC on non-CRDT pairs, then commit (line 15 + commit).
@@ -302,10 +302,13 @@ mod tests {
             .iter()
             .all(|c| *c == ValidationCode::ValidMerged));
 
-        // Listing 2: both write-sets now carry the identical merged value.
+        // Listing 2: both write-sets now commit the identical merged
+        // value, which the block holds once.
         let w1 = block.transactions[0].rwset.writes.get("Device1").unwrap();
         let w2 = block.transactions[1].rwset.writes.get("Device1").unwrap();
-        assert_eq!(w1.value, w2.value);
+        assert!(w1.is_converged() && w2.is_converged());
+        assert_eq!(block.value_of("Device1", w1), block.value_of("Device1", w2));
+        assert_eq!(block.converged_values().count(), 1);
 
         let merged = stored_json(&state, "Device1");
         assert_eq!(merged.get("deviceID").unwrap().as_str(), Some("Device1"));
@@ -561,7 +564,7 @@ mod tests {
         let values: Vec<_> = block
             .transactions
             .iter()
-            .map(|t| &t.rwset.writes.get("meter").unwrap().value)
+            .map(|t| block.value_of("meter", t.rwset.writes.get("meter").unwrap()))
             .collect();
         assert_eq!(values[0], values[1]);
         assert_eq!(values[1], values[2]);
@@ -641,7 +644,8 @@ mod tests {
         assert_eq!(committed.get("_crdt").unwrap().as_str(), Some("g-set"));
         // The counter transaction's write set was rewritten with counter
         // semantics, not clobbered by the set.
-        let counter_value = &block.transactions[0].rwset.writes.get("k").unwrap().value;
+        let counter_value =
+            block.value_of("k", block.transactions[0].rwset.writes.get("k").unwrap());
         let parsed = Value::from_bytes(counter_value).unwrap();
         assert_eq!(parsed.get("_crdt").unwrap().as_str(), Some("g-counter"));
     }

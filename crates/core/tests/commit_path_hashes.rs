@@ -1,11 +1,12 @@
 //! The commit path hashes each block fewer times than it used to
 //! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
 //! headers asserted here were recorded before that change, and
-//! re-recorded twice since: when signatures became MACs of the payload
-//! digest and the Merkle leaf began with that digest, and when the leaf
-//! came to cover the bytes a block stores (client and length-prefixed
-//! identities included) — the two changes to what a block's hashed
-//! bytes are since.
+//! re-recorded three times since: when signatures became MACs of the
+//! payload digest and the Merkle leaf began with that digest, when the
+//! leaf came to cover the bytes a block stores (client and
+//! length-prefixed identities included), and when a merged block came
+//! to hold its converged value once, in a table with a leaf of its own
+//! — the three changes to what a block's hashed bytes are since.
 //!
 //! Two blocks go through a FabricCRDT peer — one whose CRDT writes merge
 //! (Algorithm 1 line 22 rewrites them, so the peer re-seals the data
@@ -141,7 +142,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_header(
             &tip.header,
             GENESIS_HASH,
-            "0092e667dfda57f8c7ec1b9cd5c4add6bb1e887575b931ae517f4f8de5178644",
+            "daebce1eebddc55cda3699d34ebe78ad9a762ae5e21ee63f7e68bd226c3bead4",
         );
 
         // The orderer chains to *its* block 1; the peer re-links to the
@@ -154,7 +155,7 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_eq!(tip.header.data_hash, sealed_by_orderer);
         assert_header(
             &tip.header,
-            "27f2b14b5f0cd72af0f5c4e3829c10798f21907435af83e550b1a307c832efdd",
+            "3aa3b9c106f3a3c3b3e149dec1cf920d7544dccb1de01f222fd2c3f183203f8b",
             PLAIN_DATA_HASH,
         );
 

@@ -14,7 +14,7 @@
 //! transaction's policy with every signature still counted.
 
 use fabriccrdt::validator::CrdtValidator;
-use fabriccrdt_crypto::{Identity, KeyPair};
+use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
 use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
@@ -270,6 +270,41 @@ fn mixed_block(g: &mut Gen, number: u64) -> Block {
     Block::assemble(number, [0; 32], txs)
 }
 
+/// A block's data hash from nothing but its parts: each transaction's
+/// leaf `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
+/// over its stored bytes, then, when the block holds converged values,
+/// `SHA-256(0x00 ‖ SHA-256(table bytes))`, the table a count and each
+/// key and value, all `u64`-length-prefixed.
+fn from_scratch(block: &Block) -> [u8; 32] {
+    let mut leaves: Vec<[u8; 32]> = block
+        .transactions
+        .iter()
+        .map(|tx| {
+            let bytes = tx.to_bytes();
+            let (payload, endorsements) = bytes.split_at(tx.response_payload().len());
+            merkle::leaf_of(&[&sha256::digest(payload), endorsements])
+        })
+        .collect();
+    let values: Vec<(&str, &[u8])> = block.converged_values().collect();
+    if values.is_empty() {
+        assert_eq!(
+            merkle::root(leaves.clone()),
+            Block::compute_data_hash(&block.transactions)
+        );
+    } else {
+        let mut table = (values.len() as u64).to_be_bytes().to_vec();
+        for part in values
+            .iter()
+            .flat_map(|(key, value)| [key.as_bytes(), value])
+        {
+            table.extend((part.len() as u64).to_be_bytes());
+            table.extend(part);
+        }
+        leaves.push(merkle::leaf_of(&[&sha256::digest(&table)]));
+    }
+    merkle::root(leaves)
+}
+
 /// Drives `blocks` through a peer, block by block, and returns it.
 fn run<V: BlockValidator>(validator: V, blocks: &[Block]) -> Peer<V> {
     let mut peer = Peer::new(validator, policy());
@@ -290,7 +325,7 @@ fn every_committed_header_equals_a_from_scratch_hash() {
             let number = block.header.number;
             assert_eq!(
                 block.header.data_hash,
-                Block::compute_data_hash(&block.transactions),
+                from_scratch(block),
                 "data hash of block {number}"
             );
             assert_eq!(block.header.previous_hash, previous, "{number}");
@@ -313,9 +348,10 @@ fn every_committed_header_equals_a_from_scratch_hash() {
     });
 }
 
-/// Algorithm 1, then one more byte: the first byte of the first value
-/// transaction `k` writes is flipped, if Algorithm 1 decided `k` (not
-/// a duplicate or an endorsement failure).
+/// Algorithm 1, then one more byte: the first byte of transaction `k`'s
+/// id is flipped, if Algorithm 1 decided `k` (not a duplicate or an
+/// endorsement failure). An id, not a written value: after Algorithm 1
+/// a merged write carries no value bytes of its own.
 struct FlipAfterMerge {
     k: usize,
 }
@@ -330,10 +366,7 @@ impl BlockValidator for FlipAfterMerge {
         let work = CrdtValidator::new().validate_and_commit(block, state, pre_decided);
         let undecided = pre_decided.get(self.k).copied().flatten().is_none();
         if let Some(tx) = block.transactions.get_mut(self.k).filter(|_| undecided) {
-            let (key, entry) = tx.rwset.writes.iter().next().expect("it writes");
-            let (key, mut value) = (key.clone(), entry.value.clone());
-            value[0] ^= 0x01;
-            tx.rwset.writes.update_value(&key, value);
+            tx.id.0[0] ^= 0x01;
         }
         work
     }
@@ -363,7 +396,7 @@ fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
                 let number = block.header.number;
                 assert_eq!(
                     block.header.data_hash,
-                    Block::compute_data_hash(&block.transactions),
+                    from_scratch(block),
                     "k = {k}: data hash of block {number}"
                 );
                 let codes = &unflipped.validation_codes;

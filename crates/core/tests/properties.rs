@@ -1,6 +1,7 @@
 //! Randomized property tests of the FabricCRDT requirements (§4.2): *no
 //! failure* and *no update loss* over arbitrary CRDT workloads, plus
-//! determinism of the merge-validate path. Driven by the deterministic
+//! determinism of the merge-validate path and the size of a merged
+//! hot-key block (ledger format v2). Driven by the deterministic
 //! in-repo generator (`fabriccrdt_sim::gen`).
 
 use std::collections::BTreeMap;
@@ -9,7 +10,8 @@ use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::Identity;
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::block::{Block, SealedBlock, ValidationCode};
+use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
@@ -178,10 +180,10 @@ fn converged_values_well_formed_and_uniform() {
             assert!(Value::from_bytes(stored).is_ok());
         }
         for key in specs.iter().map(|(_, k, _)| k) {
-            let values: Vec<&Vec<u8>> = block
+            let values: Vec<&[u8]> = block
                 .transactions
                 .iter()
-                .filter_map(|tx| tx.rwset.writes.get(key).map(|e| &e.value))
+                .filter_map(|tx| tx.rwset.writes.get(key).map(|e| block.value_of(key, e)))
                 .collect();
             for pair in values.windows(2) {
                 assert_eq!(pair[0], pair[1]);
@@ -231,4 +233,34 @@ fn merge_validation_is_deterministic() {
         };
         assert_eq!(run(), run());
     });
+}
+
+/// Ledger format v2 holds a hot key's converged value once: a
+/// 400-transaction hot-key block re-sealed after Algorithm 1 encodes to
+/// at most the bytes it was delivered as, plus one converged value and
+/// one validation code per transaction. Copying the value into every
+/// write, as format v1 did, would add it 400 times.
+#[test]
+fn a_merged_hot_key_block_holds_its_value_once() {
+    let specs: Vec<(u64, String, Vec<u8>)> = (0..400)
+        .map(|i| {
+            let doc = format!(r#"{{"deviceID":"d1","readings":["r{i}"]}}"#);
+            (i, "hot-0".to_owned(), doc.into_bytes())
+        })
+        .collect();
+    let delivered = build_block(&specs);
+    let mut block = delivered.clone();
+    CrdtValidator::new().validate_and_commit(&mut block, &mut seeded_state(), &[]);
+    let block = SealedBlock::seal(block, [1; 32]);
+
+    let values: Vec<(&str, &[u8])> = block.converged_values().collect();
+    let [(key, value)] = values[..] else {
+        panic!("one converged value, not {}", values.len());
+    };
+    assert_eq!(key, "hot-0");
+    assert!(value.len() > 400 * 4, "it holds every reading");
+    let table_entry = 8 + 8 + key.len() + 8 + value.len();
+    let bound = codec::block_len(&delivered) + table_entry + block.len();
+    let encoded = codec::block_len(&block);
+    assert!(encoded <= bound, "{encoded} B > {bound} B");
 }

@@ -8,7 +8,8 @@
 //! The rewrite keeps a key's first JSON document as it came and builds
 //! the CRDT only when a second one arrives, and commits a key written
 //! once without parsing it when its bytes are already in the form the
-//! conversion writes (`alone_as_is`); codes, rewritten write sets,
+//! conversion writes (`alone_as_is`); codes, rewritten write sets
+//! (with each reference resolved to the block's converged value),
 //! world state and every `ValidationWork` counter must be the oracle's
 //! through `validate_and_commit`, the one finalize every peer runs. The
 //! work counters feed `fabric::cost`,
@@ -362,7 +363,11 @@ fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]
     let (mut old_block, mut old_state) = (block.clone(), state.clone());
     let old_work = old.validate_and_commit(&mut old_block, &mut old_state, pre);
     assert_eq!(new_block.validation_codes, old_block.validation_codes);
-    assert_eq!(new_block.transactions, old_block.transactions, "rewrites");
+    // The oracle copies each converged value into every merged write;
+    // the validator holds it once, and resolves to the same writes.
+    let mut resolved = new_block.clone();
+    resolved.inline_converged();
+    assert_eq!(resolved.transactions, old_block.transactions, "rewrites");
     assert_eq!(new_state, old_state);
     assert_eq!(new_work, old_work);
 

@@ -247,7 +247,8 @@ impl<V: BlockValidator> Peer<V> {
 
     /// Replays an already-validated block during catch-up: verifies the
     /// hash chain and data hash first, then applies the write sets of the
-    /// transactions whose *recorded* validation codes are successful —
+    /// transactions whose *recorded* validation codes are successful,
+    /// each merged write resolved to the block's converged value —
     /// exactly §2.1's "executing all valid transactions included in the
     /// blockchain starting from the genesis block results in the current
     /// state". Endorsements are not re-verified: FabricCRDT's Algorithm 1
@@ -283,7 +284,7 @@ impl<V: BlockValidator> Peer<V> {
                 if entry.is_delete {
                     state.delete(key);
                 } else {
-                    state.put(key.clone(), entry.value.clone(), height);
+                    state.put(key.clone(), block.value_of(key, entry).to_vec(), height);
                 }
             }
         }

@@ -290,8 +290,9 @@ enum Event {
     OrdererReceive(usize),
     /// Batch timeout fired.
     OrdererTimeout(TimeoutRequest),
-    /// A block arrives at the committing peer.
-    DeliverBlock(Block),
+    /// A block arrives at the committing peer. Boxed, so the other
+    /// events, most of a queue, are not as large as a block.
+    DeliverBlock(Box<Block>),
     /// The peer finished processing the staged block.
     CommitDone,
     /// The ordering backend asked to be woken (internal Raft timers,
@@ -509,7 +510,7 @@ impl<V: BlockValidator> Simulation<V> {
                 self.apply_ordering(now, outcome);
             }
             Event::DeliverBlock(block) => {
-                self.delivered.push_back(block);
+                self.delivered.push_back(*block);
                 self.maybe_start_processing(now);
             }
             Event::CommitDone => {
@@ -722,7 +723,8 @@ impl<V: BlockValidator> Simulation<V> {
         let at = self
             .delivery
             .deliver(now, &block, &self.config.latency, &mut self.rng);
-        self.queue.schedule(at, Event::DeliverBlock(block));
+        self.queue
+            .schedule(at, Event::DeliverBlock(Box::new(block)));
     }
 
     /// Processes the next delivered block if the peer is idle. The

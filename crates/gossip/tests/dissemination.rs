@@ -449,9 +449,10 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
 /// last commit that had it, for the pipeline test's config under lossy
 /// links and a crash of the observed replica; the lane-0 adapter must
 /// reproduce the run — same draws, same delivery times, same ledger.
-/// The ledger digest was re-recorded once, the counts not, when
-/// signatures became MACs of the payload digest and the Merkle leaf
-/// began with that digest (DESIGN.md §4.17).
+/// The ledger digest is re-recorded, the counts never, when what a
+/// block's bytes or hash are changes: when signatures became MACs of the
+/// payload digest and the Merkle leaf began with that digest, and when a
+/// block came to hold each converged value once (DESIGN.md §4.17).
 #[test]
 fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     let faults = FaultConfig {
@@ -489,6 +490,6 @@ fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     digest.update(&ledger.chain);
     assert_eq!(
         hex::encode(&digest.finalize()),
-        "a0d63996c8ba485c63856c271fb55759a175ec235046fe5feac7ac3cfd1724d0"
+        "53815a4611603e591e6e124ea2778db5a839552a35341c242843fae83439957f"
     );
 }

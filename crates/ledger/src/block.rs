@@ -3,12 +3,29 @@
 //! Fabric appends *every* transaction of a block — valid or invalid — to
 //! the blockchain and records a per-transaction validation code; only
 //! valid transactions update the world state (§2.1, step 3).
+//!
+//! # Ledger format v2: each converged value once
+//!
+//! Algorithm 1 (line 22) gives every merged write of a key the key's
+//! converged value. A block holds that value once, in a table keyed by
+//! the written key ([`Block::install_converged`]), and each merged write
+//! carries a reference instead: a flag, with no value bytes
+//! ([`WriteEntry::is_converged`]). [`Block::value_of`] resolves it, so
+//! every merged transaction still commits the converged value. The
+//! table is stored and shipped after the transactions
+//! ([`codec::encode_block`](crate::codec::encode_block)), and the data
+//! hash covers it with one extra leaf after theirs. A block with no
+//! merged write — every block an orderer cuts — has an empty table and
+//! no extra leaf, so its hash is the one its transactions alone give.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Deref, Range};
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
+use crate::codec::{ByteSink, DecodeError, Reader};
+use crate::rwset::WriteEntry;
 use crate::transaction::Transaction;
 
 /// Why a transaction was accepted or rejected at commit time.
@@ -66,7 +83,8 @@ pub struct BlockHeader {
     /// Hash of the previous block's header (all zeroes for genesis).
     pub previous_hash: Digest,
     /// Merkle root over the transactions, each leaf covering the bytes
-    /// the block stores it as.
+    /// the block stores it as, then over the converged values if there
+    /// are any.
     pub data_hash: Digest,
 }
 
@@ -91,6 +109,9 @@ pub struct Block {
     /// One code per transaction, filled by the committing peer. Empty for
     /// a block fresh from the orderer.
     pub validation_codes: Vec<ValidationCode>,
+    /// Each key's converged value, which the key's merged writes refer
+    /// to. Empty for a block fresh from the orderer.
+    pub(crate) converged: BTreeMap<String, Vec<u8>>,
 }
 
 impl Block {
@@ -113,18 +134,21 @@ impl Block {
             },
             transactions,
             validation_codes: Vec::new(),
+            converged: BTreeMap::new(),
         }
     }
 
-    /// Merkle root over the bytes each transaction is stored and shipped
-    /// as ([`Transaction::write_bytes`]), each leaf
+    /// The data hash of a block of `transactions` with no converged
+    /// values, as an orderer cuts it: the Merkle root over the bytes
+    /// each transaction is stored and shipped as
+    /// ([`Transaction::write_bytes`]), each leaf
     /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
     /// so that it shares its inner digest with the signatures. Always
     /// computed from the transactions in hand, never remembered: `Block`'s
     /// fields are public and a delivery layer may hand over a mutated
     /// block, so a stored digest could vouch for bytes it never covered.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        data_hash(transactions, |_, _| None)
+        data_hash(transactions, &BTreeMap::new(), |_, _| None)
     }
 
     /// The block hash (header hash).
@@ -132,9 +156,80 @@ impl Block {
         self.header.hash()
     }
 
-    /// Whether the stored data hash matches the transactions.
+    /// Whether the stored data hash matches the transactions and the
+    /// converged values, and those match the references to them.
     pub fn data_hash_is_valid(&self) -> bool {
-        Self::compute_data_hash(&self.transactions) == self.header.data_hash
+        self.references_resolve().is_ok()
+            && data_hash(&self.transactions, &self.converged, |_, _| None) == self.header.data_hash
+    }
+
+    /// The bytes `write`, a write of `key` by one of this block's
+    /// transactions, commits: its own value, or the block's converged
+    /// value it refers to. A reference the block cannot resolve (one no
+    /// data hash vouches for) reads as empty.
+    pub fn value_of<'a>(&'a self, key: &str, write: &'a WriteEntry) -> &'a [u8] {
+        if write.is_converged() {
+            self.converged.get(key).map_or(&[], Vec::as_slice)
+        } else {
+            &write.value
+        }
+    }
+
+    /// The converged values, in key order.
+    pub fn converged_values(&self) -> impl Iterator<Item = (&str, &[u8])> {
+        self.converged
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_slice()))
+    }
+
+    /// Algorithm 1 line 22: `value` becomes `key`'s converged value,
+    /// and the CRDT value write of `key` in each of the transactions
+    /// `members` refers to it instead of carrying a copy.
+    pub fn install_converged(&mut self, key: &str, value: Vec<u8>, members: &[usize]) {
+        let mut referred = false;
+        for &i in members {
+            if let Some(tx) = self.transactions.get_mut(i) {
+                referred |= tx.rwset.writes.refer_to_converged(key);
+            }
+        }
+        if referred {
+            self.converged.insert(key.to_owned(), value);
+        }
+    }
+
+    /// Puts every converged value back into the writes that refer to it
+    /// and empties the table: the block as it was before
+    /// [`Block::install_converged`]. A reference with no value to
+    /// resolve to gets an empty one.
+    pub fn inline_converged(&mut self) {
+        let table = std::mem::take(&mut self.converged);
+        for tx in &mut self.transactions {
+            tx.rwset
+                .writes
+                .inline_converged(|key| table.get(key).cloned());
+        }
+    }
+
+    /// `Ok` when the references and the converged values match one for
+    /// one in keys: the only blocks
+    /// [`codec::decode_block`](crate::codec::decode_block) admits and a
+    /// data hash vouches for.
+    pub(crate) fn references_resolve(&self) -> Result<(), &'static str> {
+        let mut referred = BTreeSet::new();
+        for tx in &self.transactions {
+            for (key, write) in tx.rwset.writes.iter() {
+                if write.is_converged() {
+                    if !self.converged.contains_key(key) {
+                        return Err("reference to a missing converged value");
+                    }
+                    referred.insert(key);
+                }
+            }
+        }
+        match referred.len() == self.converged.len() {
+            true => Ok(()),
+            false => Err("unreferenced converged value"),
+        }
     }
 
     /// Number of transactions.
@@ -157,9 +252,34 @@ impl Block {
     }
 }
 
+/// The converged values' layout: a count, then each key and value,
+/// `u64`-length-prefixed, in key order.
+pub(crate) fn write_converged(table: &BTreeMap<String, Vec<u8>>, out: &mut impl ByteSink) {
+    out.u64(table.len() as u64);
+    for (key, value) in table {
+        out.str(key);
+        out.bytes(value);
+    }
+}
+
+/// Reads what [`write_converged`] wrote, keys strictly rising.
+pub(crate) fn read_converged(r: &mut Reader<'_>) -> Result<BTreeMap<String, Vec<u8>>, DecodeError> {
+    let mut table = BTreeMap::new();
+    for _ in 0..r.len(16)? {
+        let key = r.str_after(table.keys().next_back())?;
+        let value = r.bytes()?;
+        table.insert(key, value);
+    }
+    Ok(table)
+}
+
 /// The one leaf loop: `known(i, bytes)` may hand back transaction `i`'s
 /// leaf if it hashed exactly `bytes` before; other bytes are hashed.
-fn data_hash(txs: &[Transaction], known: impl Fn(usize, &[u8]) -> Option<Digest>) -> Digest {
+fn data_hash(
+    txs: &[Transaction],
+    converged: &BTreeMap<String, Vec<u8>>,
+    known: impl Fn(usize, &[u8]) -> Option<Digest>,
+) -> Digest {
     let mut bytes = Vec::new();
     let leaves = txs.iter().enumerate().map(|(i, tx)| {
         bytes.clear();
@@ -168,7 +288,21 @@ fn data_hash(txs: &[Transaction], known: impl Fn(usize, &[u8]) -> Option<Digest>
         tx.write_endorsements(&mut bytes);
         known(i, &bytes).unwrap_or_else(|| tx_leaf(&bytes, payload_end).1)
     });
-    merkle::root(leaves.collect())
+    root(leaves.collect(), converged)
+}
+
+/// The Merkle root over the transactions' `leaves`, then the converged
+/// values' leaf when there are any:
+/// `SHA-256(0x00 ‖ SHA-256(table bytes))`. That leaf hashes 33 bytes
+/// where a transaction's hashes at least 41, so neither can stand in
+/// for the other.
+fn root(mut leaves: Vec<Digest>, converged: &BTreeMap<String, Vec<u8>>) -> Digest {
+    if !converged.is_empty() {
+        let mut table = sha256::Sha256::new();
+        write_converged(converged, &mut table);
+        leaves.push(merkle::leaf_of(&[&table.finalize()]));
+    }
+    merkle::root(leaves)
 }
 
 /// The leaf of one transaction's `bytes`, whose response
@@ -200,19 +334,30 @@ pub struct SealedBlock(Block);
 
 impl SealedBlock {
     /// Links `block` to `previous_hash` and computes its data hash over
-    /// the transactions in hand.
-    pub fn seal(mut block: Block, previous_hash: Digest) -> Self {
-        block.header.previous_hash = previous_hash;
-        block.header.data_hash = Block::compute_data_hash(&block.transactions);
-        SealedBlock(block)
+    /// the transactions and converged values in hand. References that
+    /// do not resolve are inlined first ([`Block::inline_converged`]), so
+    /// whatever a sealed block holds encodes and decodes.
+    pub fn seal(block: Block, previous_hash: Digest) -> Self {
+        Self::reseal_with(block, previous_hash, |_, _| None)
     }
 
     /// [`SealedBlock::seal`] after Algorithm 1 (line 22): a transaction
     /// whose bytes are still those `ingress` hashed keeps its leaf, any
     /// other is hashed — whatever a validator did, the seal covers it.
-    pub fn reseal(mut block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
+    pub fn reseal(block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
+        Self::reseal_with(block, previous_hash, |i, bytes| ingress.leaf(i, bytes))
+    }
+
+    fn reseal_with(
+        mut block: Block,
+        previous_hash: Digest,
+        known: impl Fn(usize, &[u8]) -> Option<Digest>,
+    ) -> Self {
+        if block.references_resolve().is_err() {
+            block.inline_converged();
+        }
         block.header.previous_hash = previous_hash;
-        block.header.data_hash = data_hash(&block.transactions, |i, bytes| ingress.leaf(i, bytes));
+        block.header.data_hash = data_hash(&block.transactions, &block.converged, known);
         SealedBlock(block)
     }
 
@@ -249,8 +394,11 @@ pub struct EncodedTransactions {
 
 impl EncodedTransactions {
     /// Encodes `block`'s transactions back to back, hashing each as it
-    /// lands; `None` when the header's data hash does not cover them.
+    /// lands; `None` when the header's data hash does not cover them and
+    /// the block's converged values, or those do not match the
+    /// references to them.
     pub fn verify(block: &Block) -> Option<Self> {
+        block.references_resolve().ok()?;
         let (mut bytes, mut spans) = (Vec::new(), Vec::new());
         for tx in &block.transactions {
             let start = bytes.len();
@@ -260,8 +408,9 @@ impl EncodedTransactions {
             let (digest, leaf) = tx_leaf(&bytes[start..], payload_end);
             spans.push((start..bytes.len(), digest, leaf));
         }
-        let root = merkle::root(spans.iter().map(|(_, _, leaf)| *leaf).collect());
-        (root == block.header.data_hash).then_some(EncodedTransactions { bytes, spans })
+        let leaves = spans.iter().map(|(_, _, leaf)| *leaf).collect();
+        (root(leaves, &block.converged) == block.header.data_hash)
+            .then_some(EncodedTransactions { bytes, spans })
     }
 
     /// The SHA-256 of transaction `index`'s

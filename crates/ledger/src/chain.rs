@@ -208,7 +208,7 @@ impl Blockchain {
                 };
                 entries.push(HistoryEntry {
                     height: Height::new(block.header.number, tx_num as u64),
-                    value: (!write.is_delete).then(|| write.value.clone()),
+                    value: (!write.is_delete).then(|| block.value_of(key, write).to_vec()),
                 });
             }
         }

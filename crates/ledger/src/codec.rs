@@ -15,18 +15,32 @@
 //! exactly them too — the response payload its endorsers sign is their
 //! prefix up to the endorsement count — so no byte a peer keeps lies
 //! outside the hash (DESIGN.md §4.17).
+//!
+//! Blocks are format v2: after the transactions comes the block's table
+//! of converged CRDT values, one per key, which every merged write
+//! refers to instead of carrying a copy ([`Block::install_converged`]);
+//! the data hash covers it with one more leaf. A decoded block's
+//! references and table match one for one, and decoding is canonical:
+//! whatever decodes re-encodes to the same bytes.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::block::{Block, BlockHeader, ValidationCode};
+use fabriccrdt_crypto::sha256::Sha256;
+
+use crate::block::{self, Block, BlockHeader, ValidationCode};
 use crate::chain::Blockchain;
 use crate::transaction::{Transaction, TxId};
 use crate::version::Height;
 use crate::worldstate::WorldState;
 
-/// Codec format version; bump on layout changes.
+/// State and transaction-id format version; bump on layout changes.
 const FORMAT_VERSION: u8 = 1;
+
+/// Block format version: 2 since a block holds each converged CRDT
+/// value once, in a table its merged writes refer to (ledger format
+/// v2). There is no v1 decoder: no deployed store holds v1 blocks.
+const BLOCK_FORMAT_VERSION: u8 = 2;
 
 /// Chain-layout format version. Bumped to 2 when chains gained a
 /// resume anchor (`base_number` + `base_hash`) so snapshot-restored
@@ -105,6 +119,13 @@ impl ByteSink for Vec<u8> {
 impl ByteSink for usize {
     fn put(&mut self, bytes: &[u8]) {
         *self += bytes.len();
+    }
+}
+
+/// Hashes a layout as it is written, with no buffer in between.
+impl ByteSink for Sha256 {
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
     }
 }
 
@@ -201,6 +222,17 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| DecodeError::new("invalid UTF-8", at))
     }
 
+    /// Reads a string that sorts strictly after `previous`: the next key
+    /// of a map stored in key order.
+    pub fn str_after(&mut self, previous: Option<&String>) -> Result<String, DecodeError> {
+        let at = self.pos;
+        let key = self.str()?;
+        match previous {
+            Some(previous) if key <= *previous => Err(DecodeError::new("keys out of order", at)),
+            _ => Ok(key),
+        }
+    }
+
     /// Reads an unprefixed 32-byte digest.
     pub fn digest(&mut self) -> Result<[u8; 32], DecodeError> {
         let slice = self.take(32, "unexpected end of input", self.pos)?;
@@ -245,10 +277,11 @@ fn code_from_byte(b: u8, offset: usize) -> Result<ValidationCode, DecodeError> {
 
 /// A block: header, then each transaction's
 /// [`Transaction::write_bytes`] — the bytes its data-hash leaf covers —
-/// then the validation codes.
+/// then the converged values its merged writes refer to (the bytes of
+/// the table's leaf), then the validation codes.
 impl Layout for Block {
     fn write(&self, out: &mut impl ByteSink) {
-        out.u8(FORMAT_VERSION);
+        out.u8(BLOCK_FORMAT_VERSION);
         out.u64(self.header.number);
         out.digest(&self.header.previous_hash);
         out.digest(&self.header.data_hash);
@@ -256,6 +289,7 @@ impl Layout for Block {
         for tx in &self.transactions {
             tx.write_bytes(out);
         }
+        block::write_converged(&self.converged, out);
         out.u64(self.validation_codes.len() as u64);
         for &code in &self.validation_codes {
             out.u8(code_to_byte(code));
@@ -278,11 +312,13 @@ pub fn block_len(block: &Block) -> usize {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for truncated, malformed or
-/// wrong-version input.
+/// wrong-version input, and for a block whose converged values and
+/// references to them do not match one for one in keys: a reference to
+/// a missing value, or a value nothing refers to.
 pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     let mut r = Reader::new(data);
     let version = r.u8()?;
-    if version != FORMAT_VERSION {
+    if version != BLOCK_FORMAT_VERSION {
         return Err(DecodeError::new("unsupported format version", r.pos() - 1));
     }
     let number = r.u64()?;
@@ -293,6 +329,8 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     for _ in 0..tx_count {
         transactions.push(Transaction::read(&mut r)?);
     }
+    let table_at = r.pos();
+    let converged = block::read_converged(&mut r)?;
     let code_count = r.len(1)?;
     let mut validation_codes = Vec::with_capacity(code_count);
     for _ in 0..code_count {
@@ -300,7 +338,7 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
         validation_codes.push(code_from_byte(r.u8()?, at)?);
     }
     r.finish()?;
-    Ok(Block {
+    let block = Block {
         header: BlockHeader {
             number,
             previous_hash,
@@ -308,7 +346,12 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
         },
         transactions,
         validation_codes,
-    })
+        converged,
+    };
+    block
+        .references_resolve()
+        .map_err(|message| DecodeError::new(message, table_at))?;
+    Ok(block)
 }
 
 // ---------------------------------------------------------------- chains

@@ -103,7 +103,7 @@ pub fn validate_and_commit(
             if entry.is_delete {
                 state.delete(key);
             } else {
-                state.put(key.clone(), entry.value.clone(), height);
+                state.put(key.clone(), block.value_of(key, entry).to_vec(), height);
             }
             wrote_crdt |= entry.is_crdt;
         }

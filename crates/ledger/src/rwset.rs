@@ -74,6 +74,28 @@ pub struct WriteEntry {
     pub is_crdt: bool,
     /// Fabric delete marker.
     pub is_delete: bool,
+    /// Ledger format v2: the value is the block's converged value for
+    /// this key ([`Block::value_of`](crate::block::Block::value_of)),
+    /// and `value` is empty.
+    converged: bool,
+}
+
+impl WriteEntry {
+    fn new(value: Vec<u8>, is_crdt: bool, is_delete: bool) -> Self {
+        WriteEntry {
+            value,
+            is_crdt,
+            is_delete,
+            converged: false,
+        }
+    }
+
+    /// Whether this merged write refers to its block's converged value
+    /// for the key instead of carrying a value
+    /// ([`Block::install_converged`](crate::block::Block::install_converged)).
+    pub fn is_converged(&self) -> bool {
+        self.converged
+    }
 }
 
 /// The key-value pairs a transaction will commit.
@@ -91,52 +113,58 @@ impl WriteSet {
     /// Records a plain (non-CRDT) write. Later writes to the same key
     /// overwrite earlier ones, as in Fabric's simulator.
     pub fn put(&mut self, key: impl Into<String>, value: Vec<u8>) {
-        self.entries.insert(
-            key.into(),
-            WriteEntry {
-                value,
-                is_crdt: false,
-                is_delete: false,
-            },
-        );
+        self.entries
+            .insert(key.into(), WriteEntry::new(value, false, false));
     }
 
     /// Records a CRDT-flagged write (the shim's `put_crdt`, §5.2).
     pub fn put_crdt(&mut self, key: impl Into<String>, value: Vec<u8>) {
-        self.entries.insert(
-            key.into(),
-            WriteEntry {
-                value,
-                is_crdt: true,
-                is_delete: false,
-            },
-        );
+        self.entries
+            .insert(key.into(), WriteEntry::new(value, true, false));
     }
 
     /// Records a delete.
     pub fn delete(&mut self, key: impl Into<String>) {
-        self.entries.insert(
-            key.into(),
-            WriteEntry {
-                value: Vec::new(),
-                is_crdt: false,
-                is_delete: true,
-            },
-        );
+        self.entries
+            .insert(key.into(), WriteEntry::new(Vec::new(), false, true));
     }
 
-    /// Replaces the value of an existing entry, preserving its flags —
-    /// Algorithm 1 line 22 (`UpdateWriteSet`) rewrites CRDT values with
-    /// the merged result.
+    /// Replaces the value of an existing entry, preserving its CRDT and
+    /// delete flags; an entry that referred to its block's converged
+    /// value carries `value` itself again.
     ///
     /// Returns `false` if the key has no entry.
     pub fn update_value(&mut self, key: &str, value: Vec<u8>) -> bool {
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.value = value;
+                entry.converged = false;
                 true
             }
             None => false,
+        }
+    }
+
+    /// Makes `key`'s CRDT value write refer to its block's converged
+    /// value (Algorithm 1 line 22 in ledger format v2); `false` when
+    /// the key has no such write.
+    pub(crate) fn refer_to_converged(&mut self, key: &str) -> bool {
+        match self.entries.get_mut(key) {
+            Some(entry) if entry.is_crdt && !entry.is_delete => {
+                entry.value = Vec::new();
+                entry.converged = true;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Turns every reference back into a value: `resolve(key)` is the
+    /// referred converged value, if there is one.
+    pub(crate) fn inline_converged(&mut self, resolve: impl Fn(&str) -> Option<Vec<u8>>) {
+        for (key, entry) in self.entries.iter_mut().filter(|(_, e)| e.converged) {
+            entry.value = resolve(key).unwrap_or_default();
+            entry.converged = false;
         }
     }
 
@@ -184,7 +212,9 @@ impl ReadWriteSet {
     /// Appends the read-write set's layout to `out`: reads, then
     /// writes, each counted and in key order, keys and values
     /// length-prefixed — the middle of
-    /// [`Transaction::write_bytes`](crate::Transaction::write_bytes).
+    /// [`Transaction::write_bytes`](crate::Transaction::write_bytes). A
+    /// write's flag byte is CRDT (bit 0), delete (bit 1) and converged
+    /// reference (bit 2); a reference carries no value bytes.
     pub fn write_bytes(&self, out: &mut impl ByteSink) {
         out.u64(self.reads.len() as u64);
         for (key, entry) in self.reads.iter() {
@@ -201,17 +231,24 @@ impl ReadWriteSet {
         out.u64(self.writes.len() as u64);
         for (key, entry) in self.writes.iter() {
             out.str(key);
-            out.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
-            out.bytes(&entry.value);
+            out.u8(u8::from(entry.is_crdt)
+                | (u8::from(entry.is_delete) << 1)
+                | (u8::from(entry.converged) << 2));
+            if !entry.converged {
+                out.bytes(&entry.value);
+            }
         }
     }
 
-    /// Reads what [`ReadWriteSet::write_bytes`] wrote.
+    /// Reads what [`ReadWriteSet::write_bytes`] wrote, and nothing it
+    /// could not have written: keys strictly rising, a delete with no
+    /// value bytes, no flag combination it never sets — so a decoded
+    /// set re-encodes to the bytes it came from.
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut rwset = ReadWriteSet::new();
-        let reads = r.len(10)?;
+        let reads = r.len(9)?;
         for _ in 0..reads {
-            let key = r.str()?;
+            let key = r.str_after(rwset.reads.entries.keys().next_back())?;
             let version = match r.u8()? {
                 0 => None,
                 1 => Some(Height::new(r.u64()?, r.u64()?)),
@@ -219,21 +256,24 @@ impl ReadWriteSet {
             };
             rwset.reads.record(key, version);
         }
-        let writes = r.len(17)?;
+        let writes = r.len(9)?;
         for _ in 0..writes {
-            let key = r.str()?;
-            let flags = r.u8()?;
-            if flags > 3 {
-                return Err(DecodeError::new("invalid write flags", r.pos() - 1));
-            }
-            let value = r.bytes()?;
-            if flags & 2 != 0 {
-                rwset.writes.delete(key);
-            } else if flags & 1 != 0 {
-                rwset.writes.put_crdt(key, value);
-            } else {
-                rwset.writes.put(key, value);
-            }
+            let key = r.str_after(rwset.writes.entries.keys().next_back())?;
+            let at = r.pos();
+            let entry = match r.u8()? {
+                0 => WriteEntry::new(r.bytes()?, false, false),
+                1 => WriteEntry::new(r.bytes()?, true, false),
+                2 => match r.bytes()?.is_empty() {
+                    true => WriteEntry::new(Vec::new(), false, true),
+                    false => return Err(DecodeError::new("delete with a value", at)),
+                },
+                5 => WriteEntry {
+                    converged: true,
+                    ..WriteEntry::new(Vec::new(), true, false)
+                },
+                _ => return Err(DecodeError::new("invalid write flags", at)),
+            };
+            rwset.writes.entries.insert(key, entry);
         }
         Ok(rwset)
     }

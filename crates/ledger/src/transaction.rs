@@ -7,7 +7,10 @@
 //! A transaction has one byte layout, [`Transaction::write_bytes`]: a
 //! block stores and ships it, and the block's data hash covers all of
 //! it, client and endorser identities included. Endorsers sign its
-//! prefix, [`Transaction::response_payload`].
+//! prefix, [`Transaction::response_payload`]. Once Algorithm 1 has
+//! merged a write, the write refers to its block's converged value and
+//! the layout carries no value bytes for it
+//! ([`Block::install_converged`](crate::block::Block::install_converged)).
 
 use std::fmt;
 

@@ -3,6 +3,8 @@
 //! alike) against the encoders it replaced, MVCC invariants. Driven by
 //! the deterministic in-repo generator (`fabriccrdt_sim::gen`).
 
+use std::collections::BTreeMap;
+
 use fabriccrdt_crypto::{merkle, sha256, Identity, Signature};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::Blockchain;
@@ -67,12 +69,30 @@ fn arb_transaction(g: &mut Gen) -> Transaction {
     }
 }
 
+/// A block as assembled, or, half the time, as Algorithm 1 might leave
+/// it: each key some transactions CRDT-write gets a converged value
+/// that a random subset of those writes refers to, and the block is
+/// sealed again.
 fn arb_block(g: &mut Gen) -> Block {
     let number = g.range(0, 100);
     let prev = g.array32();
     let txs = g.vec(0, 4, arb_transaction);
     let with_codes = g.flip();
     let mut block = Block::assemble(number, prev, txs);
+    if g.flip() {
+        let mut writers: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, tx) in block.transactions.iter().enumerate() {
+            for (key, entry) in tx.rwset.writes.iter() {
+                if entry.is_crdt && !entry.is_delete && g.flip() {
+                    writers.entry(key.clone()).or_default().push(i);
+                }
+            }
+        }
+        for (key, members) in writers {
+            block.install_converged(&key, g.bytes(0, 11), &members);
+        }
+        block = SealedBlock::seal(block, prev).into_block();
+    }
     if with_codes {
         block.validation_codes = block
             .transactions
@@ -249,7 +269,8 @@ fn rewriting_a_client_breaks_the_seal() {
 
 /// One layout: each transaction's `to_bytes` is exactly its span inside
 /// the stored block, its response payload is that span up to the
-/// endorsement count, and the counted block length is the encoded one.
+/// endorsement count, the converged values follow the transactions, and
+/// the counted block length is the encoded one.
 #[test]
 fn transaction_bytes_are_their_span_in_the_stored_block() {
     gen::cases(256, |g| {
@@ -267,6 +288,10 @@ fn transaction_bytes_are_their_span_in_the_stored_block() {
             assert_eq!(bytes[payload.len()..payload.len() + 8], count);
             at += bytes.len();
         }
+        let table = block
+            .converged_values()
+            .map(|(k, v)| 16 + k.len() + v.len());
+        at += 8 + table.sum::<usize>();
         assert_eq!(stored.len(), at + 8 + block.validation_codes.len());
     });
 }
@@ -299,7 +324,8 @@ fn identities_that_display_alike_give_different_leaves() {
 }
 
 /// The layout did not move: for the same value every encoder emits the
-/// bytes of the encoders it replaced, kept here as they were.
+/// bytes of the encoders it replaced, kept here as they were but for
+/// ledger format v2's block additions.
 #[test]
 fn stored_layouts_equal_the_replaced_encoders() {
     gen::cases(128, |g| {
@@ -343,6 +369,10 @@ fn stored_layouts_equal_the_replaced_encoders() {
 /// The stored layouts as the ledger wrote them before a transaction had
 /// one layout: a second byte cursor and per-type writers, block by
 /// block. The oracle for `stored_layouts_equal_the_replaced_encoders`.
+/// Ledger format v2 added three things to a block, written here by
+/// hand: version byte 2, a converged reference (write flag bit 2, no
+/// value bytes), and the table of converged values after the
+/// transactions.
 mod replaced {
     use super::*;
     use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -396,6 +426,10 @@ mod replaced {
         w.u64(rwset.writes.len() as u64);
         for (key, entry) in rwset.writes.iter() {
             w.str(key);
+            if entry.is_converged() {
+                w.u8(5);
+                continue;
+            }
             w.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
             w.bytes(&entry.value);
         }
@@ -427,13 +461,18 @@ mod replaced {
 
     pub fn encode_block(block: &Block) -> Vec<u8> {
         let mut w = Writer::default();
-        w.u8(1);
+        w.u8(2);
         w.u64(block.header.number);
         w.digest(&block.header.previous_hash);
         w.digest(&block.header.data_hash);
         w.u64(block.transactions.len() as u64);
         for tx in &block.transactions {
             write_transaction(&mut w, tx);
+        }
+        w.u64(block.converged_values().count() as u64);
+        for (key, value) in block.converged_values() {
+            w.str(key);
+            w.bytes(value);
         }
         w.u64(block.validation_codes.len() as u64);
         for &code in &block.validation_codes {

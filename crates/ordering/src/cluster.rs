@@ -678,23 +678,29 @@ impl RaftCluster {
         self.advance_commit(leader, now);
     }
 
-    /// Re-attempts delivery of every waiting transaction. Counted as a
-    /// retry only when the sweep actually has to act (no reachable
-    /// leader, or the leader does not hold the transaction).
+    /// Re-attempts delivery of every waiting transaction, in submission
+    /// order, copying only those it re-delivers. Counted as a retry
+    /// only when the sweep actually has to act (no reachable leader, or
+    /// the leader does not hold the transaction).
     fn client_sweep(&mut self, now: SimTime) {
-        let snapshot: Vec<Transaction> = self.pending.iter().cloned().collect();
-        for tx in snapshot {
-            if !self.pending_ids.contains(&tx.id) {
-                continue; // early-aborted mid-sweep
-            }
-            match self.delivery_target() {
-                Some(leader) => {
-                    if !self.nodes[leader].held.contains(&tx.id) {
-                        self.metrics.submission_retries += 1;
-                        self.leader_receive(leader, tx, now);
-                    }
-                }
-                None => self.metrics.submission_retries += 1,
+        let Some(leader) = self.delivery_target() else {
+            self.metrics.submission_retries += self.pending.len() as u64;
+            return;
+        };
+        // A delivery adds only its own id to the leader's `held`, so the
+        // misses can be read up front.
+        let held = &self.nodes[leader].held;
+        let missing: Vec<Transaction> = self
+            .pending
+            .iter()
+            .filter(|tx| !held.contains(&tx.id))
+            .cloned()
+            .collect();
+        for tx in missing {
+            // Committed or early-aborted mid-sweep.
+            if self.pending_ids.contains(&tx.id) {
+                self.metrics.submission_retries += 1;
+                self.leader_receive(leader, tx, now);
             }
         }
     }

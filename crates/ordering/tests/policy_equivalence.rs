@@ -139,10 +139,11 @@ fn run_raft(
 /// Raft fault schedules in the mix. The flag's own runs are gone with
 /// it, so each backend's 50 ledgers (state then chain bytes, in case
 /// order) are folded into one SHA-256 and pinned against the digest
-/// the flag produced on the last commit that had it — re-recorded twice,
-/// unchanged otherwise: when signatures became MACs of the payload
-/// digest and the Merkle leaf began with that digest, and when the leaf
-/// came to cover the bytes a block stores (DESIGN.md §4.17).
+/// the flag produced on the last commit that had it — re-recorded three
+/// times, unchanged otherwise: when signatures became MACs of the
+/// payload digest and the Merkle leaf began with that digest, when the
+/// leaf came to cover the bytes a block stores, and when a block came
+/// to hold each converged value once (DESIGN.md §4.17).
 #[test]
 fn reorder_policy_matches_the_legacy_flag_goldens() {
     let mut single = Sha256::new();
@@ -165,12 +166,12 @@ fn reorder_policy_matches_the_legacy_flag_goldens() {
     });
     assert_eq!(
         hex::encode(&single.finalize()),
-        "491b36a203d9d481e27e5a6f35c05ef447aaf86f62fc8787215c0b34d38590f9",
+        "a1a22d22a02a3e5ba88bbb5533f6f746d0798f0fa65a1967fdaaf2cf1949b78b",
         "single orderer: Reorder diverged from the legacy flag"
     );
     assert_eq!(
         hex::encode(&raft.finalize()),
-        "1c1f67e681d514e61588559a44edf056efc737f8fb218e28c1cb6cd4b4d43e41",
+        "4c4250d7a9c9b57e983fae6d92e2d280f8ea9314161ceb1a071b8a38b0776681",
         "raft: Reorder diverged from the legacy flag"
     );
 }

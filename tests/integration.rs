@@ -68,7 +68,7 @@ fn headline_no_failures_no_update_loss() {
     for block in chain.iter() {
         for tx in &block.transactions {
             if let Some(entry) = tx.rwset.writes.get("d1") {
-                if let Ok(doc) = Value::from_bytes(&entry.value) {
+                if let Ok(doc) = Value::from_bytes(block.value_of("d1", entry)) {
                     if let Some(readings) = doc.get("readings").and_then(Value::as_list) {
                         for r in readings {
                             seen.insert(r.as_str().unwrap().to_owned());
@@ -121,11 +121,12 @@ fn converged_write_sets_identical_within_block() {
     sim.run(hot_key_schedule(name, 50, 2000.0));
     let chain = sim.peer().chain();
     for block in chain.iter().skip(1) {
-        let values: Vec<&Vec<u8>> = block
+        let values: Vec<&[u8]> = block
             .transactions
             .iter()
-            .filter_map(|tx| tx.rwset.writes.get("d1").map(|e| &e.value))
+            .filter_map(|tx| tx.rwset.writes.get("d1").map(|e| block.value_of("d1", e)))
             .collect();
+        assert!(values.iter().all(|v| Value::from_bytes(v).is_ok()));
         for pair in values.windows(2) {
             assert_eq!(pair[0], pair[1], "block {}", block.header.number);
         }
