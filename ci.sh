@@ -133,6 +133,24 @@ panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -pa
 echo "$panic_sites"
 test "$panic_sites" -le 56
 
+# Every settable value multiplies the configurations tests and
+# benchmarks must cover, so a value nothing varies is a constant beside
+# its reader (DESIGN.md §4.7, §4.8). This counts the `pub` fields of the
+# 17 structs reachable from `PipelineConfig` and `MultiChannelConfig`:
+# it may fall, never rise. The awk also counts the structs it found, so
+# a renamed or moved struct fails here instead of dropping out.
+echo "==> options (pub fields of the 17 run-configuration structs)"
+read -r config_structs options < <(awk '
+    /^pub struct (Topology|BlockCutConfig|GossipConfig|RaftConfig|RetryPolicy|LinkFaults|CrashSpec|PartitionSpec|AttackSpec|AdversaryConfig|FaultConfig|PipelineConfig|LatencyConfig|CostModel|StorageConfig|ChannelSpec|MultiChannelConfig) \{/ {
+        structs++; inside = 1; next
+    }
+    inside && /^}/ { inside = 0 }
+    inside && /^    pub [a-z_0-9]+:/ { fields++ }
+    END { print structs + 0, fields + 0 }' crates/fabric/src/*.rs)
+echo "$options"
+test "$config_structs" -eq 17
+test "$options" -le 69
+
 # The documents a contributor reads before changing anything; ROADMAP
 # item 7 tracks their size. Printed, not gated.
 echo "==> document words"

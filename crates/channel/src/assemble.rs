@@ -44,11 +44,11 @@ pub(crate) fn ordering_backend(config: &PipelineConfig) -> Box<dyn OrderingBacke
 /// use fabriccrdt::CrdtValidator;
 /// use fabriccrdt_channel::assemble;
 /// use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
-/// use fabriccrdt_fabric::config::PipelineConfig;
+/// use fabriccrdt_fabric::config::{PipelineConfig, RaftConfig};
 ///
 /// let config = PipelineConfig::paper(25, 42)
 ///     .with_gossip()
-///     .with_raft_ordering();
+///     .with_raft_config(RaftConfig::calibrated(5));
 /// let mut sim = assemble(config, ChaincodeRegistry::new(), CrdtValidator::new);
 /// let metrics = sim.run(vec![]);
 /// assert!(metrics.dissemination.is_some() && metrics.ordering.is_some());

@@ -149,7 +149,6 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
                 self.note_progress(c, metrics.end_time);
                 ChannelRunMetrics {
                     channel: self.config.channels[c].id,
-                    name: self.config.channels[c].name.clone(),
                     metrics,
                 }
             })

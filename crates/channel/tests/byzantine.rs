@@ -15,7 +15,9 @@ use std::sync::Arc;
 use fabriccrdt_channel::fabriccrdt_multi_channel;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::MultiChannelConfig;
-use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, PipelineConfig, TamperMode};
+use fabriccrdt_fabric::config::{
+    AdversaryConfig, AttackSpec, PipelineConfig, RaftConfig, TamperMode,
+};
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, RunMetrics};
 use fabriccrdt_fabric::peer::PeerSnapshot;
 use fabriccrdt_fabric::simulation::TxRequest;
@@ -240,7 +242,7 @@ fn quiescent_adversary_reproduces_the_honest_run() {
 fn raft_ordered_byzantine_run_keeps_replicas_identical() {
     let config = PipelineConfig::paper(BLOCK_SIZE, 42)
         .with_gossip()
-        .with_raft_ordering()
+        .with_raft_config(RaftConfig::calibrated(5))
         .with_adversary(fixed_attacks());
     let run = run_adversarial_pipeline(config);
     assert!(run.metrics.ordering.is_some(), "the Raft cluster ordered");

@@ -15,10 +15,9 @@
 //!   every artifact a run produces is attributable to its channel.
 //! - [`ChannelSpec`] + [`MultiChannelConfig`] describe an N-channel
 //!   deployment over one base [`PipelineConfig`]: per-channel peer
-//!   membership, optional per-channel block-cutting and Raft-ordering
-//!   overrides, and a deterministic per-channel seed derivation under
-//!   which channel 0 reproduces the single-channel seed pipeline
-//!   bit-for-bit.
+//!   membership, an optional per-channel Raft-ordering override, and a
+//!   deterministic per-channel seed derivation under which channel 0
+//!   reproduces the single-channel seed pipeline bit-for-bit.
 //! - [`TransferSpec`] / [`TransferReport`] describe the two-phase
 //!   cross-channel key handoff (prepare on the source channel, commit
 //!   or abort on the destination, reconciled at finalize) that the
@@ -31,7 +30,7 @@ use std::fmt;
 
 use fabriccrdt_sim::time::SimTime;
 
-use crate::config::{BlockCutConfig, PipelineConfig, RaftConfig};
+use crate::config::{PipelineConfig, RaftConfig};
 use crate::metrics::RunMetrics;
 
 /// Identifies one channel of a multi-channel deployment.
@@ -59,21 +58,17 @@ impl fmt::Display for ChannelId {
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One channel of a [`MultiChannelConfig`]: its membership and the
-/// per-channel overrides applied on top of the base pipeline config.
+/// ordering override applied on top of the base pipeline config. Its
+/// [`ChannelId`] is also its name (`ch0`, `ch1`, …).
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     /// The channel's identity (its index in the deployment).
     pub id: ChannelId,
-    /// Human-readable name, used in benchmark output.
-    pub name: String,
     /// Global peer indices (into the flattened `org * peers_per_org +
     /// peer` numbering) that are members of this channel, sorted
     /// ascending. Every org must keep at least one member so
     /// endorsement policies remain satisfiable.
     pub members: Vec<usize>,
-    /// Block-cutting override for this channel; `None` inherits the
-    /// base config.
-    pub block_cut: Option<BlockCutConfig>,
     /// Raft-ordering override for this channel; `None` inherits the
     /// base config's ordering backend (single orderer unless the base
     /// itself configures Raft).
@@ -81,13 +76,11 @@ pub struct ChannelSpec {
 }
 
 impl ChannelSpec {
-    /// A channel with full peer membership and no overrides.
+    /// A channel with full peer membership and no ordering override.
     pub fn full(id: ChannelId, topology_peers: usize) -> Self {
         ChannelSpec {
             id,
-            name: id.to_string(),
             members: (0..topology_peers).collect(),
-            block_cut: None,
             ordering: None,
         }
     }
@@ -109,7 +102,7 @@ pub struct MultiChannelConfig {
 
 impl MultiChannelConfig {
     /// `n` channels over `base`, each with full peer membership and no
-    /// per-channel overrides.
+    /// ordering override.
     ///
     /// # Panics
     ///
@@ -139,15 +132,12 @@ impl MultiChannelConfig {
     }
 
     /// The effective [`PipelineConfig`] for channel `index`: the base
-    /// with the channel's seed, id and per-channel overrides applied.
+    /// with the channel's seed, id and ordering override applied.
     pub fn pipeline_for(&self, index: usize) -> PipelineConfig {
         let spec = &self.channels[index];
         let mut config = self.base.clone();
         config.seed = self.channel_seed(index);
         config.channel = spec.id;
-        if let Some(block_cut) = spec.block_cut {
-            config.block_cut = block_cut;
-        }
         if let Some(raft) = &spec.ordering {
             config.ordering = Some(raft.clone());
         }
@@ -284,8 +274,6 @@ pub struct TransferReport {
 pub struct ChannelRunMetrics {
     /// Which channel these metrics belong to.
     pub channel: ChannelId,
-    /// The channel's configured name.
-    pub name: String,
     /// The channel pipeline's run metrics.
     pub metrics: RunMetrics,
 }
@@ -383,7 +371,6 @@ mod tests {
         };
         let mk = |channel: u32, end_secs: u64, successes: usize| ChannelRunMetrics {
             channel: ChannelId(channel),
-            name: ChannelId(channel).to_string(),
             metrics: RunMetrics {
                 records: (0..successes).map(|_| success(10)).collect(),
                 end_time: SimTime::from_secs(end_secs),

@@ -4,7 +4,7 @@ use fabriccrdt_sim::latency::LatencyModel;
 use fabriccrdt_sim::time::SimTime;
 
 use crate::channel::ChannelId;
-use crate::latency::LatencyConfig;
+use crate::latency::{LatencyConfig, CALIBRATED_HOP};
 use crate::policy::EndorsementPolicy;
 
 /// The logical network topology. The paper's evaluation (§7.2) uses
@@ -91,19 +91,11 @@ impl Default for BlockCutConfig {
 /// forward them; followers receive them via push gossip with periodic
 /// pull-based anti-entropy for state transfer).
 ///
-/// This is plain data so that a whole run — including the gossip
-/// topology and every fault — is reproducible from the seed in
-/// [`PipelineConfig`]. The `fabriccrdt-gossip` crate interprets it.
+/// The fanout, the peer-to-peer link and the anti-entropy period are
+/// constants of the `fabriccrdt-gossip` crate, which interprets this;
+/// the one value a run chooses is which replica it observes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipConfig {
-    /// How many randomly chosen peers a peer forwards a freshly seen
-    /// block to (Fabric's `PropagatePeerNum`, default 3).
-    pub fanout: usize,
-    /// Peer-to-peer gossip hop latency.
-    pub link: LatencyModel,
-    /// Period of the pull-based anti-entropy (state-transfer) loop that
-    /// lets lagging peers request blocks they missed.
-    pub anti_entropy_interval: SimTime,
     /// Flattened index of the peer whose block arrivals drive the
     /// committing-peer pipeline when gossip is plugged into
     /// [`crate::simulation::Simulation`] (peer `o * peers_per_org + p`
@@ -114,19 +106,10 @@ pub struct GossipConfig {
 }
 
 impl GossipConfig {
-    /// Defaults matching the paper topology: fanout 3, 1 ms links,
-    /// 500 ms anti-entropy, observing the last follower peer (the
-    /// farthest from the orderer, so commit latency includes full
-    /// dissemination).
+    /// Observes the last follower peer: the farthest from the orderer,
+    /// so commit latency includes full dissemination.
     pub fn calibrated(topology: &Topology) -> Self {
         GossipConfig {
-            fanout: 3,
-            link: LatencyModel::Normal {
-                mean_secs: 0.0010,
-                std_secs: 0.0002,
-                min: SimTime::from_micros(200),
-            },
-            anti_entropy_interval: SimTime::from_millis(500),
             observed_peer: topology.orgs * topology.peers_per_org - 1,
         }
     }
@@ -135,30 +118,19 @@ impl GossipConfig {
 /// Parameters of the Raft-replicated ordering service (Fabric's
 /// consensus became a pluggable module and migrated to Raft; the
 /// paper's Kafka/ZooKeeper deployment is the same "crash-fault-tolerant
-/// total order" role). Interpreted by the `fabriccrdt-ordering` crate.
+/// total order" role). Interpreted by the `fabriccrdt-ordering` crate,
+/// which holds the election, heartbeat and client-retry timers as
+/// constants.
 ///
-/// Like [`GossipConfig`], this is plain data: the whole cluster —
-/// election timeouts, link delays, every fault coin-flip — is
-/// reproducible from the run seed in [`PipelineConfig`].
+/// This is plain data: the whole cluster — link delays, every fault
+/// coin-flip — is reproducible from the run seed in [`PipelineConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RaftConfig {
     /// Number of ordering nodes (consenters). Tolerates
     /// `(nodes - 1) / 2` simultaneous crashes.
     pub nodes: usize,
-    /// Lower bound of the randomized election timeout.
-    pub election_timeout_min: SimTime,
-    /// Upper bound of the randomized election timeout (exclusive with
-    /// `min == max` allowed, then the timeout is fixed).
-    pub election_timeout_max: SimTime,
-    /// Leader heartbeat (empty `AppendEntries`) period. Must be well
-    /// below the election timeout or followers keep starting elections.
-    pub heartbeat_interval: SimTime,
     /// Orderer-to-orderer link latency for Raft messages.
     pub link: LatencyModel,
-    /// How often clients re-attempt delivery of transactions that are
-    /// not yet held by a reachable leader (leaderless windows, batches
-    /// lost to a deposed leader).
-    pub retry_interval: SimTime,
     /// `Some(i)`: the cluster boots with node `i` already leader of
     /// term 1 — a Fabric channel elects its leader at channel creation,
     /// long before traffic. `None` models a cold start (first election
@@ -172,21 +144,12 @@ pub struct RaftConfig {
 }
 
 impl RaftConfig {
-    /// Calibrated defaults: 150–300 ms election timeouts, 50 ms
-    /// heartbeats, ~1 ms links (the gossip calibration), 100 ms client
-    /// retry, node 0 pre-elected, no faults.
+    /// Calibrated defaults: ~1 ms links ([`CALIBRATED_HOP`]), node 0
+    /// pre-elected, no faults.
     pub fn calibrated(nodes: usize) -> Self {
         RaftConfig {
             nodes,
-            election_timeout_min: SimTime::from_millis(150),
-            election_timeout_max: SimTime::from_millis(300),
-            heartbeat_interval: SimTime::from_millis(50),
-            link: LatencyModel::Normal {
-                mean_secs: 0.0010,
-                std_secs: 0.0002,
-                min: SimTime::from_micros(200),
-            },
-            retry_interval: SimTime::from_millis(100),
+            link: CALIBRATED_HOP,
             preelected_leader: Some(0),
             faults: FaultConfig::none(),
         }
@@ -587,14 +550,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Replicates the ordering service across a Raft cluster with the
-    /// calibrated defaults (5 nodes, node 0 pre-elected; honoured by
-    /// `fabriccrdt_channel::assemble`).
-    pub fn with_raft_ordering(mut self) -> Self {
-        self.ordering = Some(RaftConfig::calibrated(5));
-        self
-    }
-
     /// Replicates the ordering service across a Raft cluster with
     /// explicit parameters (honoured by `fabriccrdt_channel::assemble`).
     pub fn with_raft_config(mut self, raft: RaftConfig) -> Self {
@@ -674,7 +629,6 @@ mod tests {
     fn gossip_defaults_observe_last_peer() {
         let cfg = PipelineConfig::paper(25, 1).with_gossip();
         let gossip = cfg.gossip.as_ref().unwrap();
-        assert_eq!(gossip.fanout, 3);
         assert_eq!(gossip.observed_peer, 5); // 3 orgs × 2 peers − 1
     }
 
@@ -682,12 +636,10 @@ mod tests {
     fn raft_config_defaults() {
         let cfg = PipelineConfig::paper(25, 1);
         assert!(cfg.ordering.is_none());
-        let cfg = cfg.with_raft_ordering();
+        let cfg = cfg.with_raft_config(RaftConfig::calibrated(5));
         let raft = cfg.ordering.as_ref().unwrap();
         assert_eq!(raft.nodes, 5);
         assert_eq!(raft.preelected_leader, Some(0));
-        assert!(raft.heartbeat_interval < raft.election_timeout_min);
-        assert!(raft.election_timeout_min <= raft.election_timeout_max);
         assert!(raft.faults.is_quiescent());
     }
 

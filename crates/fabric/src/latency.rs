@@ -22,6 +22,15 @@ use fabriccrdt_sim::time::SimTime;
 
 use crate::cost::CostModel;
 
+/// The calibrated ~1 ms hop between two machines on the testbed's LAN:
+/// client ↔ endorsing peer, gossip peer ↔ peer and Raft orderer ↔
+/// orderer all sample it.
+pub const CALIBRATED_HOP: LatencyModel = LatencyModel::Normal {
+    mean_secs: 0.0010,
+    std_secs: 0.0002,
+    min: SimTime::from_micros(200),
+};
+
 /// Latency models for every network hop plus the compute-cost model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyConfig {
@@ -42,16 +51,8 @@ impl LatencyConfig {
     /// The calibrated configuration used by every experiment.
     pub fn calibrated() -> Self {
         LatencyConfig {
-            client_to_peer: LatencyModel::Normal {
-                mean_secs: 0.0010,
-                std_secs: 0.0002,
-                min: SimTime::from_micros(200),
-            },
-            peer_to_client: LatencyModel::Normal {
-                mean_secs: 0.0010,
-                std_secs: 0.0002,
-                min: SimTime::from_micros(200),
-            },
+            client_to_peer: CALIBRATED_HOP,
+            peer_to_client: CALIBRATED_HOP,
             client_to_orderer: LatencyModel::Normal {
                 mean_secs: 0.0012,
                 std_secs: 0.0002,

@@ -67,6 +67,7 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::channel::{ChannelId, ChannelSpec, MultiChannelConfig};
 use fabriccrdt_fabric::config::{FaultConfig, GossipConfig, PipelineConfig, Topology};
+use fabriccrdt_fabric::latency::CALIBRATED_HOP;
 use fabriccrdt_fabric::metrics::{
     AdversaryMetrics, CatchUpEpisode, CatchUpOutcome, DisseminationMetrics,
 };
@@ -83,6 +84,17 @@ use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
 
 use crate::adversary::LaneAdversary;
+
+/// How many randomly chosen member replicas a peer forwards a freshly
+/// seen block to: Fabric's `PropagatePeerNum`, whose default is 3.
+const FANOUT: usize = 3;
+
+/// Peer-to-peer gossip hop latency: the calibrated ~1 ms LAN hop.
+const LINK: LatencyModel = CALIBRATED_HOP;
+
+/// Period of the pull-based anti-entropy (state-transfer) loop that
+/// lets a lagging peer request blocks it missed.
+const ANTI_ENTROPY_INTERVAL: SimTime = SimTime::from_millis(500);
 
 /// A block as the ordering service sealed it: immutable, allocated once
 /// at publish and shared by the `published` log, every delivery in
@@ -192,7 +204,8 @@ impl Shared {
 /// timeline, PRNG stream and metrics.
 struct ChannelLane<V> {
     id: ChannelId,
-    gossip: GossipConfig,
+    /// The configured observed peer ([`GossipConfig::observed_peer`]).
+    observed_peer: usize,
     /// Global peer indices that are members, sorted ascending; slot
     /// `k` is the replica of global peer `members[k]`.
     members: Vec<usize>,
@@ -283,6 +296,15 @@ impl<V: BlockValidator> GossipNetwork<V> {
             }
         }
 
+        let observed_peer = match &config.gossip {
+            Some(gossip) => gossip.observed_peer,
+            None => GossipConfig::calibrated(&topology).observed_peer,
+        };
+        assert!(
+            observed_peer < n_peers,
+            "observed peer {observed_peer} out of range (peers: {n_peers})"
+        );
+
         let mut root = SimRng::seed_from(config.seed);
         let storage = config.storage.clone();
         let lanes = multi
@@ -294,15 +316,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
                 // "gossip" label: that reproduces the single-channel
                 // PRNG stream bit-for-bit.
                 let rng = root.fork(0x676f_7373_6970u64.wrapping_add(c as u64));
-                let gossip = config
-                    .gossip
-                    .clone()
-                    .unwrap_or_else(|| GossipConfig::calibrated(&topology));
-                assert!(
-                    gossip.observed_peer < n_peers,
-                    "observed peer {} out of range (peers: {n_peers})",
-                    gossip.observed_peer
-                );
                 let slots = spec
                     .members
                     .iter()
@@ -335,7 +348,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
                 }
                 ChannelLane {
                     id: spec.id,
-                    gossip,
+                    observed_peer,
                     members: spec.members.clone(),
                     rng,
                     queue,
@@ -570,12 +583,8 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// orderer).
     pub fn observed_on(&self, ch: usize) -> usize {
         let lane = &self.lanes[ch];
-        if lane
-            .members
-            .binary_search(&lane.gossip.observed_peer)
-            .is_ok()
-        {
-            lane.gossip.observed_peer
+        if lane.members.binary_search(&lane.observed_peer).is_ok() {
+            lane.observed_peer
         } else {
             *lane.members.last().expect("channel has members")
         }
@@ -736,7 +745,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         let mut candidates: Vec<usize> = (0..self.slots.len())
             .filter(|&j| j != i && Some(j) != sender)
             .collect();
-        for _ in 0..self.gossip.fanout.min(candidates.len()) {
+        for _ in 0..FANOUT.min(candidates.len()) {
             let pick = self.rng.gen_range(0, candidates.len() as u64) as usize;
             let target = candidates.swap_remove(pick);
             self.send_raw(shared, now, i, target, block);
@@ -776,8 +785,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn link_delay(&mut self, shared: &Shared) -> SimTime {
-        self.gossip.link.sample(&mut self.rng)
-            + shared.faults.link.extra_delay.sample(&mut self.rng)
+        LINK.sample(&mut self.rng) + shared.faults.link.extra_delay.sample(&mut self.rng)
     }
 
     /// Whether helper `j` can replay-serve a peer whose committed
@@ -888,7 +896,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                 (Some(_), None) => false,
                 (None, None) => unreachable!("candidate filter guarantees one option"),
             };
-            let delay = self.gossip.link.sample(&mut self.rng);
+            let delay = LINK.sample(&mut self.rng);
             if use_snapshot {
                 let (snapshot_bytes, total, suffix) =
                     snapshot_plan.expect("use_snapshot implies a plan");
@@ -1184,10 +1192,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             return;
         }
         self.slots[i].ticks_pending += 1;
-        self.schedule(
-            now + self.gossip.anti_entropy_interval,
-            EventKind::Tick { peer: i },
-        );
+        self.schedule(now + ANTI_ENTROPY_INTERVAL, EventKind::Tick { peer: i });
     }
 
     /// First time this block's content reaches any given peer: one

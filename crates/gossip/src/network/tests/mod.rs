@@ -103,7 +103,6 @@ fn assert_replicas_own_their_rewrites(network: &GossipNetwork<CrdtValidator>) {
 fn a_sealed_block_is_one_allocation_every_replica_copies_out_of_once() {
     let config = PipelineConfig::paper(TXS, 7).with_gossip();
     let leaders = config.topology.orgs;
-    let fanout = config.gossip.as_ref().expect("gossip on").fanout;
     let mut network = network(&config);
     network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
     assert_eq!(network.lanes[0].slots.len(), 6);
@@ -113,13 +112,13 @@ fn a_sealed_block_is_one_allocation_every_replica_copies_out_of_once() {
     assert_eq!(accounted_holders(&network), 1 + leaders);
 
     // One delivery. Its reference moves into the leader's buffer and
-    // is released when the leader commits its own copy; `fanout`
+    // is released when the leader commits its own copy; `FANOUT`
     // pushes of the same pointer are scheduled.
     let (now, event) = pop(&mut network).expect("a leader delivery");
     assert!(matches!(event, EventKind::RawBlock { from: None, .. }));
     handle(&mut network, now, event);
     assert_eq!(network.lanes[0].committed(0), 1);
-    assert_eq!(holders(&network, 1), 1 + (leaders - 1) + fanout);
+    assert_eq!(holders(&network, 1), 1 + (leaders - 1) + FANOUT);
 
     // Through the rest of the run the count is exactly what the
     // lane can account for — a deep copy on any hop would leave it
@@ -137,7 +136,6 @@ fn a_sealed_block_is_one_allocation_every_replica_copies_out_of_once() {
 #[test]
 fn a_gap_buffered_block_holds_one_reference_until_it_commits() {
     let config = PipelineConfig::paper(TXS, 7).with_gossip();
-    let fanout = config.gossip.as_ref().expect("gossip on").fanout;
     let mut network = network(&config);
     network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
     network.publish_on(0, SimTime::from_millis(101), sealed_block(2));
@@ -151,7 +149,7 @@ fn a_gap_buffered_block_holds_one_reference_until_it_commits() {
     lane.raw_block(&network.shared, SimTime::from_millis(101), 5, None, block);
     assert!(network.lanes[0].slots[5].buffer.contains_key(&2));
     assert_eq!(network.lanes[0].committed(5), 0);
-    assert_eq!(holders(&network, 2), before + 1 + fanout);
+    assert_eq!(holders(&network, 2), before + 1 + FANOUT);
 
     network.drain_on(0);
     assert!(network.fully_converged_on(0));

@@ -11,8 +11,7 @@
 mod parse;
 pub(crate) mod ser;
 
-pub use parse::ParseError;
-pub(crate) use parse::MAX_DEPTH;
+pub use parse::{ParseError, MAX_DEPTH};
 
 use std::collections::BTreeMap;
 use std::fmt;

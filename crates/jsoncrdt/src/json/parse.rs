@@ -7,8 +7,9 @@ use std::fmt;
 use super::{Number, Value};
 
 /// Maximum nesting depth accepted by the parser, guarding against stack
-/// exhaustion on adversarial input.
-pub(crate) const MAX_DEPTH: usize = 256;
+/// exhaustion on adversarial input. The top-level value is at depth 0,
+/// so a value nested below `MAX_DEPTH` maps is the deepest accepted.
+pub const MAX_DEPTH: usize = 256;
 
 /// A JSON syntax error with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -438,7 +438,8 @@ pub fn encode_state(state: &WorldState) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for truncated, malformed or
-/// wrong-version input.
+/// wrong-version input, and for keys not in strictly rising order (the
+/// one order [`encode_state`] writes).
 pub fn decode_state(data: &[u8]) -> Result<WorldState, DecodeError> {
     let mut r = Reader::new(data);
     let version = r.u8()?;
@@ -447,11 +448,13 @@ pub fn decode_state(data: &[u8]) -> Result<WorldState, DecodeError> {
     }
     let count = r.len(25)?;
     let mut state = WorldState::new();
+    let mut previous = None;
     for _ in 0..count {
-        let key = r.str()?;
+        let key = r.str_after(previous.as_ref())?;
         let height = Height::new(r.u64()?, r.u64()?);
         let value = r.bytes()?;
-        state.put(key, value, height);
+        state.put(key.clone(), value, height);
+        previous = Some(key);
     }
     r.finish()?;
     Ok(state)

@@ -112,6 +112,31 @@ fn arb_block(g: &mut Gen) -> Block {
     block
 }
 
+/// A chain from genesis or resumed mid-way, holding up to three blocks
+/// of up to three transactions.
+fn arb_chain(g: &mut Gen) -> Blockchain {
+    let mut chain = if g.flip() {
+        Blockchain::new()
+    } else {
+        Blockchain::resume(g.range(1, 50), g.array32())
+    };
+    for _ in 0..g.size(0, 3) {
+        let txs = g.vec(0, 3, arb_transaction);
+        let next = Block::assemble(chain.height(), chain.tip_hash(), txs);
+        chain.append(next).unwrap();
+    }
+    chain
+}
+
+fn arb_state(g: &mut Gen) -> WorldState {
+    let mut state = WorldState::new();
+    for _ in 0..g.size(0, 6) {
+        let height = Height::new(g.range(0, 9), g.range(0, 9));
+        state.put(arb_text(g), g.bytes(0, 9), height);
+    }
+    state
+}
+
 /// Encode → decode is the identity.
 #[test]
 fn block_codec_roundtrip() {
@@ -132,19 +157,73 @@ fn decode_arbitrary_bytes_is_total() {
     });
 }
 
-/// Decoding a corrupted valid encoding never panics.
+/// Decoding a corrupted valid encoding never panics. For every stored
+/// layout — block, chain, world state, id set and snapshot — each
+/// truncation, sixteen flipped bits and a `u64` inflated at every
+/// offset decode to an error or to a value that encodes back to exactly
+/// the bytes it came from.
 #[test]
 fn decode_corrupted_encoding_is_total() {
-    gen::cases(128, |g| {
-        let block = arb_block(g);
-        let mut bytes = codec::encode_block(&block);
-        for _ in 0..g.size(1, 5) {
-            if !bytes.is_empty() {
-                let i = g.range(0, bytes.len() as u64) as usize;
-                bytes[i] ^= g.byte();
+    /// Decodes, and on success encodes the value again.
+    type Redecode = fn(&[u8]) -> Option<Vec<u8>>;
+    let decoders: [(&str, Redecode); 5] = [
+        ("block", |b| {
+            codec::decode_block(b).ok().map(|v| codec::encode_block(&v))
+        }),
+        ("chain", |b| {
+            codec::decode_chain(b).ok().map(|v| codec::encode_chain(&v))
+        }),
+        ("state", |b| {
+            codec::decode_state(b).ok().map(|v| codec::encode_state(&v))
+        }),
+        ("txids", |b| {
+            codec::decode_txids(b).ok().map(|v| codec::encode_txids(&v))
+        }),
+        ("snapshot", |b| {
+            LedgerSnapshot::from_bytes(b).ok().map(|v| v.to_bytes())
+        }),
+    ];
+    // A sixth of the release count in debug, as the differentials run.
+    let cases = if cfg!(debug_assertions) { 24 } else { 144 };
+    gen::cases(cases, |g| {
+        let ids = g.vec(0, 5, |g| TxId(g.array32()));
+        let encodings = [
+            codec::encode_block(&arb_block(g)),
+            codec::encode_chain(&arb_chain(g)),
+            codec::encode_state(&arb_state(g)),
+            codec::encode_txids(&ids),
+            LedgerSnapshot {
+                last_block: g.u64(),
+                tip_hash: g.array32(),
+                state: codec::encode_state(&arb_state(g)),
+                committed_ids: codec::encode_txids(&ids),
+            }
+            .to_bytes(),
+        ];
+        for ((what, redecode), bytes) in decoders.iter().zip(&encodings) {
+            assert_eq!(redecode(bytes).as_ref(), Some(bytes), "{what} round trip");
+            let err_or_same = |mutated: &[u8], how: String| {
+                if let Some(again) = redecode(mutated) {
+                    assert_eq!(again, mutated, "{what}, {how}: decoded, so canonical");
+                }
+            };
+            for cut in 0..bytes.len() {
+                err_or_same(&bytes[..cut], format!("cut at {cut}"));
+            }
+            for _ in 0..16 {
+                let mut flipped = bytes.clone();
+                let at = g.range(0, bytes.len() as u64) as usize;
+                flipped[at] ^= 1 << g.range(0, 8);
+                err_or_same(&flipped, format!("bit flipped at {at}"));
+            }
+            for at in 0..bytes.len().saturating_sub(8) {
+                let mut inflated = bytes.clone();
+                let was = u64::from_be_bytes(bytes[at..at + 8].try_into().unwrap());
+                let by = [1, 8, 1 << 20, u64::MAX / 2][g.range(0, 4) as usize];
+                inflated[at..at + 8].copy_from_slice(&was.wrapping_add(by).to_be_bytes());
+                err_or_same(&inflated, format!("u64 at {at} inflated by {by}"));
             }
         }
-        let _ = codec::decode_block(&bytes);
     });
 }
 
@@ -332,23 +411,10 @@ fn stored_layouts_equal_the_replaced_encoders() {
         let block = arb_block(g);
         assert_eq!(codec::encode_block(&block), replaced::encode_block(&block));
 
-        let mut chain = if g.flip() {
-            Blockchain::new()
-        } else {
-            Blockchain::resume(g.range(1, 50), g.array32())
-        };
-        for _ in 0..g.size(0, 3) {
-            let txs = g.vec(0, 3, arb_transaction);
-            let next = Block::assemble(chain.height(), chain.tip_hash(), txs);
-            chain.append(next).unwrap();
-        }
+        let chain = arb_chain(g);
         assert_eq!(codec::encode_chain(&chain), replaced::encode_chain(&chain));
 
-        let mut state = WorldState::new();
-        for _ in 0..g.size(0, 6) {
-            let height = Height::new(g.range(0, 9), g.range(0, 9));
-            state.put(arb_text(g), g.bytes(0, 9), height);
-        }
+        let state = arb_state(g);
         assert_eq!(codec::encode_state(&state), replaced::encode_state(&state));
 
         let ids = g.vec(0, 5, |g| TxId(g.array32()));

@@ -30,6 +30,32 @@ use fabriccrdt_sim::queue::EventQueue;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
 
+/// Lower bound `T` of a node's randomized election timeout. The window
+/// is `[T, 2T]` as etcd/raft randomizes it, and 150–300 ms is the range
+/// the Raft paper recommends (§9.3): three heartbeats and far above a
+/// ~1 ms link round trip, so a live leader is not suspected and split
+/// votes are rare.
+const ELECTION_TIMEOUT_MIN: SimTime = SimTime::from_millis(150);
+
+/// Upper bound (inclusive) of a node's randomized election timeout.
+const ELECTION_TIMEOUT_MAX: SimTime = SimTime::from_millis(300);
+
+/// Leader heartbeat (empty `AppendEntries`) period.
+const HEARTBEAT_INTERVAL: SimTime = SimTime::from_millis(50);
+
+/// How often clients re-attempt delivery of transactions that are not
+/// yet held by a reachable leader (leaderless windows, batches lost to
+/// a deposed leader).
+const RETRY_INTERVAL: SimTime = SimTime::from_millis(100);
+
+// The election window is positive and open, and a heartbeat lands
+// well inside it, or followers would keep starting elections.
+const _: () = assert!(
+    0 < ELECTION_TIMEOUT_MIN.as_micros()
+        && ELECTION_TIMEOUT_MIN.as_micros() < ELECTION_TIMEOUT_MAX.as_micros()
+        && HEARTBEAT_INTERVAL.as_micros() < ELECTION_TIMEOUT_MIN.as_micros()
+);
+
 /// Raft roles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -234,10 +260,9 @@ impl RaftCluster {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration: zero nodes, a zero or
-    /// inverted election-timeout window, a heartbeat period at or above
-    /// the minimum election timeout, an out-of-range pre-elected
-    /// leader, or an inconsistent fault schedule
+    /// Panics on inconsistent configuration: zero nodes, an
+    /// out-of-range pre-elected leader, or an inconsistent fault
+    /// schedule
     /// ([`FaultConfig::validate`](fabriccrdt_fabric::config::FaultConfig::validate)).
     pub fn new(config: &PipelineConfig) -> Self {
         let raft = config
@@ -246,15 +271,6 @@ impl RaftCluster {
             .unwrap_or_else(|| RaftConfig::calibrated(5));
         let n = raft.nodes;
         assert!(n > 0, "cluster has no nodes");
-        assert!(
-            SimTime::ZERO < raft.election_timeout_min
-                && raft.election_timeout_min <= raft.election_timeout_max,
-            "election timeout window must be positive and ordered"
-        );
-        assert!(
-            raft.heartbeat_interval < raft.election_timeout_min,
-            "heartbeat period must be below the election timeout"
-        );
         if let Some(leader) = raft.preelected_leader {
             assert!(leader < n, "pre-elected leader {leader} out of range");
         }
@@ -588,7 +604,7 @@ impl RaftCluster {
                             self.send_append(node, peer, now);
                         }
                     }
-                    let at = now + self.raft.heartbeat_interval;
+                    let at = now + HEARTBEAT_INTERVAL;
                     self.queue
                         .schedule(at, RaftEvent::HeartbeatTick { node, epoch });
                 }
@@ -709,7 +725,7 @@ impl RaftCluster {
         if !self.retry_armed && !self.pending.is_empty() {
             self.retry_armed = true;
             self.queue
-                .schedule(now + self.raft.retry_interval, RaftEvent::ClientRetry);
+                .schedule(now + RETRY_INTERVAL, RaftEvent::ClientRetry);
         }
     }
 
@@ -720,15 +736,12 @@ impl RaftCluster {
     /// (Re-)arms a node's randomized election timer, invalidating any
     /// previously armed timer via the epoch bump.
     fn arm_election(&mut self, i: usize, now: SimTime) {
-        let lo = self.raft.election_timeout_min.as_micros();
-        let hi = self.raft.election_timeout_max.as_micros();
         let node = &mut self.nodes[i];
         node.epoch += 1;
-        let jitter = if hi > lo {
-            node.rng.gen_range(lo, hi + 1)
-        } else {
-            lo
-        };
+        let jitter = node.rng.gen_range(
+            ELECTION_TIMEOUT_MIN.as_micros(),
+            ELECTION_TIMEOUT_MAX.as_micros() + 1,
+        );
         let epoch = node.epoch;
         self.queue.schedule(
             now + SimTime::from_micros(jitter),

@@ -192,6 +192,14 @@ mod tests {
     }
 
     #[test]
+    fn the_deepest_shape_is_the_deepest_the_parser_reads() {
+        use fabriccrdt_jsoncrdt::json::MAX_DEPTH;
+        let bytes = |depth| shaped_payload(JsonShape::complexity(1, depth), "d", 0).to_bytes();
+        assert!(Value::from_bytes(&bytes(MAX_DEPTH)).is_ok());
+        assert!(Value::from_bytes(&bytes(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
     fn depth_one_is_flat() {
         let v = shaped_payload(JsonShape::complexity(4, 1), "d", 0);
         assert_eq!(v.as_map().unwrap().len(), 4);

@@ -27,6 +27,7 @@ use std::sync::Arc;
 use fabriccrdt_repro::fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_repro::fabric::config::PipelineConfig;
 use fabriccrdt_repro::fabriccrdt::fabriccrdt_simulation;
+use fabriccrdt_repro::jsoncrdt::json::MAX_DEPTH;
 use fabriccrdt_repro::ledger::codec;
 use fabriccrdt_repro::workload::experiment::{run_sweep, Axis, ExperimentConfig, SystemKind};
 use fabriccrdt_repro::workload::flags::Flags;
@@ -126,6 +127,13 @@ fn cmd_experiment(args: &[String]) -> Result<(), String> {
     }
     if config.write_keys < 1 {
         return Err("--writes must be at least 1".into());
+    }
+    // A deeper payload is one no peer can parse.
+    if config.shape.depth > MAX_DEPTH {
+        return Err(format!(
+            "--json-depth is at most {MAX_DEPTH}, the JSON parser's nesting bound, got {}",
+            config.shape.depth
+        ));
     }
     if config.conflict_pct > 100 {
         return Err(format!(

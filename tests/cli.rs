@@ -96,6 +96,7 @@ fn experiment_rejects_out_of_range_values() {
         ("--rate", "inf"),
         ("--conflicts", "101"),
         ("--writes", "0"),
+        ("--json-depth", "257"),
     ] {
         assert_clean_error(&["experiment", "--txs", "10", flag, value], flag);
     }
