@@ -57,7 +57,8 @@ done
 # named as `fabriccrdt_*` in that package's sources, so an edge nothing
 # uses cannot linger after the code that needed it goes. A package's
 # sources are its `src/`; the bench package adds `benches/`, and the
-# root package is `src/`, `examples/` and `tests/`.
+# root package, a library with no binary, is `src/`, `examples/` and
+# `tests/`.
 echo "==> dependency edges (every fabriccrdt-* dependency is named in its package's sources)"
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     dir=$(dirname "$manifest")
@@ -197,7 +198,7 @@ cargo test -q --release -p fabriccrdt-fabric --test reorder_differential
 echo "==> cargo test --release (core: singleton differential, full count)"
 cargo test -q --release -p fabriccrdt --test singleton_differential
 
-# Smoke-run the experiments of the one `bench` binary with tiny configs:
+# Smoke-run the commands of the one `bench` binary with tiny configs:
 # they assert their own invariants (convergence, byte-identical ledgers,
 # failover recovery), so a panic here fails the gate. Their stdout is a
 # pure function of the seed (simulated time only), so each run is also
@@ -223,6 +224,26 @@ echo "==> paper tables (stdout digests against tests/golden/bin_stdout.sha256)"
 for experiment in fig3 fig4 fig5 fig6 fig7 tables; do
     smoke "$experiment" --txs 300
 done
+
+# One experiment cell and the base cell on all three systems, the
+# commands a reader runs first.
+echo "==> experiment and compare (stdout digests against tests/golden/bin_stdout.sha256)"
+smoke experiment --txs 300
+smoke compare --txs 300
+
+# A chain file is the one artifact another program reads back, so its
+# bytes are held to a digest, and `verify-chain` must accept what
+# `export-chain` wrote. Its stdout names the file, so it is not smoked.
+echo "==> export-chain / verify-chain round trip"
+chain=$(mktemp)
+cargo run --release -q -p fabriccrdt-bench --bin bench -- export-chain "$chain" --txs 120
+digest=$(sha256sum <"$chain" | cut -d' ' -f1)
+if [ "$digest" != f244551e266974d1339d4b925042b119639576a71fc0cf1d5a07aab2e70e121e ]; then
+    echo "export-chain --txs 120 wrote a file with SHA-256 $digest" >&2
+    exit 1
+fi
+cargo run --release -q -p fabriccrdt-bench --bin bench -- verify-chain "$chain"
+rm -f "$chain"
 
 echo "==> extension smoke runs (stdout digests against tests/golden/bin_stdout.sha256)"
 smoke partition_heal

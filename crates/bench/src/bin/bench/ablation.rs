@@ -109,9 +109,9 @@ fn row(system: &str, workload: &str, metrics: &RunMetrics) -> Vec<String> {
     ]
 }
 
-pub fn run(options: &HarnessOptions) {
-    let n = options.total_txs.min(4000); // ablations need no 10k cells
-    let seed = options.seed;
+pub fn run(options: &HarnessOptions) -> Result<(), String> {
+    let n = options.config.total_txs.min(4000); // ablations need no 10k cells
+    let seed = options.config.seed;
 
     println!("=== Ablation A: reordering baseline (Fabric++) vs FabricCRDT ===\n");
     let mut rows = Vec::new();
@@ -302,4 +302,5 @@ pub fn run(options: &HarnessOptions) {
         "Retries buy successes with extra round trips and latency;\n\
          FabricCRDT commits everything in one submission (§1's argument)."
     );
+    Ok(())
 }

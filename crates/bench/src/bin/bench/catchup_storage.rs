@@ -166,15 +166,15 @@ struct Cell {
     saving_ratio: f64,
 }
 
-pub fn run(options: &HarnessOptions) {
-    let per_block = (options.total_txs / 100).clamp(2, 10);
+pub fn run(options: &HarnessOptions) -> Result<(), String> {
+    let per_block = (options.config.total_txs / 100).clamp(2, 10);
 
     println!("Catch-up cost: full block replay vs durable snapshot transfer");
     println!(
         "workload: all-conflicting CRDT txs on one hot key, {per_block} txs/block, \
          snapshot every {SNAPSHOT_INTERVAL} blocks, peer {CRASHED_PEER} crashes \
          after block 1 and restarts after the stream (seed {})",
-        options.seed
+        options.config.seed
     );
     println!(
         "{:>7} {:>6} {:>14} {:>16} {:>9} {:>10}",
@@ -185,7 +185,7 @@ pub fn run(options: &HarnessOptions) {
     for &chain in &CHAIN_LENGTHS {
         let blocks = block_stream(chain, per_block);
         let reference = reference_state(&blocks);
-        let base = PipelineConfig::paper(25, options.seed)
+        let base = PipelineConfig::paper(25, options.config.seed)
             .with_gossip()
             .with_faults(faults(chain));
 
@@ -251,7 +251,7 @@ pub fn run(options: &HarnessOptions) {
     // store must land on exactly the ledgers the memory store does.
     let longest = *CHAIN_LENGTHS.last().expect("chain lengths nonempty");
     let blocks = block_stream(longest, per_block);
-    let base = PipelineConfig::paper(25, options.seed)
+    let base = PipelineConfig::paper(25, options.config.seed)
         .with_gossip()
         .with_faults(faults(longest));
     let dir = temp_dir();
@@ -287,7 +287,7 @@ pub fn run(options: &HarnessOptions) {
     });
     let json = obj([
         ("bench", "catchup_storage".into()),
-        ("seed", (options.seed as f64).into()),
+        ("seed", (options.config.seed as f64).into()),
         ("txs_per_block", (per_block as f64).into()),
         ("snapshot_interval", (SNAPSHOT_INTERVAL as f64).into()),
         ("crashed_peer", (CRASHED_PEER as f64).into()),
@@ -307,7 +307,7 @@ pub fn run(options: &HarnessOptions) {
             "cells.0.snapshot_bytes",
             &format!("cells.{last_cell}.used_snapshot"),
         ],
-    )
-    .unwrap_or_else(|message| crate::fail(message));
+    )?;
     println!("wrote BENCH_catchup_storage.json ({} cells)", cells.len());
+    Ok(())
 }

@@ -188,18 +188,22 @@ fn run_transfers(
     (committed, aborted)
 }
 
-pub fn run(options: &HarnessOptions) {
-    let txs_per_client = (options.total_txs / 100).clamp(10, 100);
+pub fn run(options: &HarnessOptions) -> Result<(), String> {
+    let txs_per_client = (options.config.total_txs / 100).clamp(10, 100);
 
     println!("Multi-channel scaling: aggregate TPS over a shared gossip network");
     println!(
         "workload: per-channel all-conflicting CRDT hot key, {txs_per_client} txs/client \
          at 75 tx/s each, block size {BLOCK_SIZE}, seed {}",
-        options.seed
+        options.config.seed
     );
 
     print!("checking 1-channel identity against the seed gossip pipeline... ");
-    assert_single_channel_identity(*CLIENT_COUNTS.last().unwrap(), txs_per_client, options.seed);
+    assert_single_channel_identity(
+        *CLIENT_COUNTS.last().unwrap(),
+        txs_per_client,
+        options.config.seed,
+    );
     println!("ok");
 
     println!(
@@ -210,8 +214,8 @@ pub fn run(options: &HarnessOptions) {
     for &channels in &CHANNEL_COUNTS {
         for &clients in &CLIENT_COUNTS {
             let cell = run_cell(
-                &workload(channels, clients, txs_per_client, options.seed),
-                options.seed,
+                &workload(channels, clients, txs_per_client, options.config.seed),
+                options.config.seed,
             );
             println!(
                 "{:>9} {:>8} {:>7} {:>10.2} {:>13.1} {:>10.1}",
@@ -249,7 +253,7 @@ pub fn run(options: &HarnessOptions) {
         *CHANNEL_COUNTS.last().unwrap(),
         2,
         txs_per_client.min(20),
-        options.seed,
+        options.config.seed,
     );
     println!("cross-channel transfers after the workload: {committed} committed, {aborted} aborted (injected)");
 
@@ -268,7 +272,7 @@ pub fn run(options: &HarnessOptions) {
     });
     let json = obj([
         ("bench", "multi_channel".into()),
-        ("seed", (options.seed as f64).into()),
+        ("seed", (options.config.seed as f64).into()),
         ("txs_per_client", (txs_per_client as f64).into()),
         ("rate_tps_per_client", 75.0.into()),
         ("block_size", (BLOCK_SIZE as f64).into()),
@@ -290,7 +294,7 @@ pub fn run(options: &HarnessOptions) {
             "cells.0.clients_per_channel",
             &format!("cells.{last_cell}.aggregate_tps"),
         ],
-    )
-    .unwrap_or_else(|message| crate::fail(message));
+    )?;
     println!("wrote BENCH_multi_channel.json ({} cells)", cells.len());
+    Ok(())
 }

@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_bench::{write_csv, HarnessOptions};
+use fabriccrdt_bench::HarnessOptions;
 use fabriccrdt_channel::assemble;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{CrashSpec, PipelineConfig, RaftConfig};
@@ -89,8 +89,8 @@ fn report_run(label: &str, metrics: &RunMetrics) {
     );
 }
 
-pub fn run(options: &HarnessOptions) {
-    let txs = options.total_txs.min(10_000);
+pub fn run(options: &HarnessOptions) -> Result<(), String> {
+    let txs = options.config.total_txs.min(10_000);
     let nominal = SimTime::from_secs_f64(txs as f64 / RATE_TPS);
     let crash_at = SimTime::from_micros(nominal.as_micros() * 2 / 5);
     let restart_at = SimTime::from_micros(nominal.as_micros() * 7 / 10);
@@ -104,7 +104,7 @@ pub fn run(options: &HarnessOptions) {
     );
 
     // 1. Baseline: the default single orderer.
-    let baseline = run_pipeline(PipelineConfig::paper(25, options.seed), txs);
+    let baseline = run_pipeline(PipelineConfig::paper(25, options.config.seed), txs);
     report_run("single orderer (baseline)", &baseline);
     println!();
 
@@ -115,7 +115,7 @@ pub fn run(options: &HarnessOptions) {
         at: crash_at,
         restart_at,
     });
-    let mut config = PipelineConfig::paper(25, options.seed);
+    let mut config = PipelineConfig::paper(25, options.config.seed);
     config.ordering = Some(raft);
     let failover = run_pipeline(config, txs);
     report_run("raft ordering, leader killed", &failover);
@@ -147,8 +147,9 @@ pub fn run(options: &HarnessOptions) {
     let series = failover.throughput_series(bucket);
     let times = commit_times(&failover);
     let window_end = crash_at + SimTime::from_secs(2);
-    let (stall_start, stall) = commit_stall(&times, crash_at, window_end)
-        .expect("the run commits on both sides of the kill");
+    let (stall_start, stall) = commit_stall(&times, crash_at, window_end).ok_or_else(|| {
+        format!("the run commits on both sides of the kill: {txs} txs end before it; raise --txs")
+    })?;
     println!(
         "  largest commit gap in the 2 s after the kill: {:.1} ms \
          (commits paused {:.1}-{:.1} ms); note the pipeline's own \
@@ -181,13 +182,11 @@ pub fn run(options: &HarnessOptions) {
         );
     }
 
-    if let Some(path) = &options.csv {
-        let rows: Vec<Vec<String>> = (0u64..)
-            .zip(series.counts())
-            .map(|(i, count)| vec![(i * BUCKET_MS).to_string(), count.to_string()])
-            .collect();
-        write_csv(path, &["bucket_ms", "commits"], &rows);
-    }
+    let rows: Vec<Vec<String>> = (0u64..)
+        .zip(series.counts())
+        .map(|(i, count)| vec![(i * BUCKET_MS).to_string(), count.to_string()])
+        .collect();
+    options.write_csv(&["bucket_ms", "commits"], &rows)?;
 
     // 4. The failover invariants.
     assert_eq!(
@@ -206,4 +205,5 @@ pub fn run(options: &HarnessOptions) {
          {} re-election(s) ✓",
         ordering.elections_started,
     );
+    Ok(())
 }

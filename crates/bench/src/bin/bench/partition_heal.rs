@@ -25,6 +25,7 @@
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
+use fabriccrdt_bench::HarnessOptions;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::{FaultConfig, PartitionSpec, PipelineConfig};
 use fabriccrdt_fabric::metrics::DisseminationMetrics;
@@ -141,7 +142,7 @@ fn assert_byte_identical(
     );
 }
 
-pub fn run() {
+pub fn run(_: &HarnessOptions) -> Result<(), String> {
     println!("Partition-and-heal: gossip dissemination under FabricCRDT");
     println!(
         "workload: {TXS} conflicting CRDT txs on one key; partition peers [4, 5] \
@@ -197,4 +198,5 @@ pub fn run() {
         worst.peer,
         worst.duration().as_millis_f64(),
     );
+    Ok(())
 }

@@ -17,11 +17,12 @@
 //!   size, rate, read/write key counts, JSON shape, conflict percentage —
 //!   against either system, returning the three metrics every figure
 //!   plots; the paper's five sweeps as one table
-//!   ([`experiment::PAPER_SWEEPS`]) and the runner every front end
-//!   drives them with ([`experiment::run_sweep`]).
-//! - [`report`]: plain-text tables for the CLI and the `bench` binary.
-//! - [`flags`]: the `--key value` parser both front ends (the CLI and
-//!   the `bench` binary) read their arguments with.
+//!   ([`experiment::PAPER_SWEEPS`]) and the runner `bench`'s figures,
+//!   `tables` and `compare` drive them with ([`experiment::run_sweep`]).
+//! - [`report`]: plain-text tables for the `bench` binary.
+//!
+//! The `bench` binary (`fabriccrdt-bench`) is the one command-line front
+//! end to all of it; this crate parses no arguments.
 //!
 //! # Examples
 //!
@@ -42,7 +43,6 @@
 
 pub mod channels;
 pub mod experiment;
-pub mod flags;
 pub mod generator;
 pub mod iot;
 pub mod offline;

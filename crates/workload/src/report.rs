@@ -97,6 +97,11 @@ mod tests {
     }
 
     #[test]
+    fn latency_cell_of_nothing_committed_is_na() {
+        assert_eq!(latency_cell(None), "n/a");
+    }
+
+    #[test]
     fn figure_headers_match_row_len() {
         assert_eq!(figure_headers().len(), 6);
     }
