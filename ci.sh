@@ -78,19 +78,22 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     done
 done
 
-# A peer hashes a transaction at ingress, and again only if Algorithm 1
-# changed its bytes; both passes live behind `ledger` constructors
-# (`EncodedTransactions::verify`, `SealedBlock::{reseal, seal, verify}`;
-# DESIGN.md §4.17). These are the files that name the pass underneath
-# them; `fabric/src/peer.rs` is not one, so a third pass on the commit
-# path cannot come back without this list changing.
+# A peer hashes a transaction once, at ingress: Algorithm 1 writes only
+# the commit record beside the transactions, so the re-seal compares
+# their bytes with the ingress bytes and hashes the record, and hashes a
+# transaction again only if a validator changed one of its bytes. The
+# passes live behind `ledger` constructors (`EncodedTransactions::verify`,
+# `SealedBlock::{reseal, seal, verify}`; DESIGN.md §4.17). These are the
+# files that name the pass underneath them; `fabric/src/peer.rs` is not
+# one, so a second pass on the commit path cannot come back without this
+# list changing.
 echo "==> hashing boundary (the .rs files under crates/ and src/ that name a data-hash pass)"
 test "$(grep -rlE --include='*.rs' 'compute_data_hash|data_hash_is_valid' crates src | LC_ALL=C sort)" = "crates/core/tests/hashing_doors.rs
 crates/gossip/src/adversary.rs
 crates/gossip/src/network/tests/mod.rs
 crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
-crates/ledger/tests/format_v2.rs
+crates/ledger/tests/format_v3.rs
 crates/ledger/tests/properties.rs"
 
 # A ledger layout is written once, against `codec::ByteSink`, whose
@@ -238,7 +241,7 @@ echo "==> export-chain / verify-chain round trip"
 chain=$(mktemp)
 cargo run --release -q -p fabriccrdt-bench --bin bench -- export-chain "$chain" --txs 120
 digest=$(sha256sum <"$chain" | cut -d' ' -f1)
-if [ "$digest" != f244551e266974d1339d4b925042b119639576a71fc0cf1d5a07aab2e70e121e ]; then
+if [ "$digest" != a6fdeed5f610771c332e31b95e4287349e28001b382e17e7988de52627a51c4f ]; then
     echo "export-chain --txs 120 wrote a file with SHA-256 $digest" >&2
     exit 1
 fi

@@ -32,7 +32,7 @@ use fabriccrdt_gossip::GossipNetwork;
 use fabriccrdt_jsoncrdt::doc::{alone_as_is, write_alone};
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
-use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock};
+use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
@@ -490,10 +490,11 @@ fn main() {
         // The hashing passes a peer makes per block, each at the size it
         // runs at on `hotkey-merge`: the ingress tamper check on the block
         // as delivered (one encode that also serves the endorsement MACs),
-        // the re-seal of the block as Algorithm 1 left it — 400 merged
-        // writes referring to one 1 400-byte converged value — and the
-        // append, by type, beside the recomputing append untrusted routes
-        // keep.
+        // the re-seal of the block as Algorithm 1 left it — the 400
+        // transactions as cut, compared against the ingress bytes, and a
+        // commit record of 400 codes and one 1 400-byte converged value
+        // with 400 members, hashed (ledger format v3) — and the append, by
+        // type, beside the recomputing append untrusted routes keep.
         let genesis_hash = Block::genesis().hash();
         let delivered = Block::assemble(1, genesis_hash, padded_txs(370));
         bench.run("block/verify-400x370B", Some(400), Some(400 * 370), || {
@@ -502,7 +503,8 @@ fn main() {
         let hot_ingress = EncodedTransactions::verify(&delivered).expect("as assembled");
         let mut block = delivered.clone();
         let members: Vec<usize> = (0..block.len()).collect();
-        block.install_converged("hot", vec![b'x'; 1400], &members);
+        block.set_converged("hot".into(), vec![b'x'; 1400], members);
+        block.validation_codes = vec![ValidationCode::ValidMerged; block.len()];
         bench.run_timed("block/reseal-400x-merged", Some(400), || {
             let block = block.clone();
             let start = Instant::now();
@@ -512,9 +514,9 @@ fn main() {
             spent
         });
         // `bigstate-pipelined`'s ingress check and re-seal. Where
-        // Algorithm 1 rewrote nothing (a key written once commits its own
-        // bytes) every leaf is the one ingress hashed, so the re-seal
-        // re-encodes and compares.
+        // Algorithm 1 converged nothing (a key written once commits its
+        // own bytes) the record is 25 codes, and the re-seal re-encodes,
+        // compares and hashes those.
         let small = Block::assemble(1, genesis_hash, padded_txs(1400)[..25].to_vec());
         bench.run("block/verify-25x1400B", Some(25), Some(25 * 1400), || {
             EncodedTransactions::verify(&small).expect("as assembled")
@@ -539,6 +541,8 @@ fn main() {
         };
         assert!(verify_all(), "every endorsement verifies");
         bench.run("crypto/verify-3x1400B", Some(3), None, verify_all);
+        let mut small = small;
+        small.validation_codes = vec![ValidationCode::Valid; small.len()];
         bench.run_timed("block/reseal-25x1400B-unchanged", Some(25), || {
             let block = small.clone();
             let start = Instant::now();

@@ -4,8 +4,8 @@
 //! FIFO delivery). This experiment stresses the assumption that makes
 //! FabricCRDT safe to run over Fabric's *real* dissemination substrate
 //! (§4.4 of the Fabric paper: leader pull, push gossip, anti-entropy):
-//! because Algorithm 1 rewrites CRDT write sets deterministically, every
-//! replica re-seals every block identically, so a partitioned minority
+//! because Algorithm 1 merges CRDT write sets deterministically, every
+//! replica seals every block's commit record identically, so a partitioned minority
 //! that catches up via anti-entropy state transfer lands on
 //! **byte-identical** ledgers.
 //!

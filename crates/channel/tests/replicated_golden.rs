@@ -174,21 +174,21 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "4a14321ee6e6371edb933512ff11b81c9806f7c5f50cffd67352e374e33a57d7",
+        "df8d83a01f2400d0218a7dc9e843ff47056ed3bcd9d4a1e9fd66c6b30349eabc",
         "a replica's ledger or store file changed"
     );
     assert_eq!(
         counters,
         [
             (
-                [450, 467, 0, 108, 1, 1, 17003, 1, 8438, 1],
+                [450, 467, 0, 108, 1, 1, 18618, 1, 8438, 1],
                 [1, 1, 2, 126, 449, 0, 26],
-                vec![[3, 17003, 8438]]
+                vec![[3, 18618, 8438]]
             ),
             (
-                [450, 459, 0, 103, 1, 1, 17003, 1, 8438, 1],
+                [450, 459, 0, 103, 1, 1, 18618, 1, 8438, 1],
                 [1, 1, 2, 130, 446, 0, 26],
-                vec![[3, 17003, 8438]]
+                vec![[3, 18618, 8438]]
             ),
         ],
         "a dissemination or ordering counter changed"

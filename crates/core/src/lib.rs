@@ -11,8 +11,8 @@
 //!
 //! - [`validator::CrdtValidator`] implements **Algorithm 1**
 //!   (`ValidateMergeBlock`): collect and merge all CRDT write values per
-//!   key across the block, run MVCC only on non-CRDT reads, rewrite every
-//!   CRDT write with the converged value, commit.
+//!   key across the block, run MVCC only on non-CRDT reads, give every
+//!   merged write the converged value in the block's commit record, commit.
 //! - [`network`] builds complete simulated FabricCRDT and Fabric
 //!   networks from one shared configuration, which is how the paper's
 //!   head-to-head experiments are run.

@@ -12,12 +12,13 @@
 //!    update loss" requirement, §4.2).
 //! 2. **MVCC on non-CRDT transactions** (line 15): plain pairs validate
 //!    exactly as on Fabric.
-//! 3. **Second pass** (lines 16–22): every CRDT pair's value is replaced
-//!    by the converged document, converted back to plain JSON with all
-//!    CRDT metadata cleaned up — after this pass, conflicting
-//!    transactions of the same key commit identical write values (paper
-//!    Listing 2). The block holds that value once and each merged write
-//!    refers to it ([`Block::install_converged`], ledger format v2).
+//! 3. **Second pass** (lines 16–22): every merged CRDT pair commits the
+//!    converged document, converted back to plain JSON with all CRDT
+//!    metadata cleaned up — after this pass, conflicting transactions of
+//!    the same key commit identical write values (paper Listing 2). The
+//!    value goes once into the block's commit record, with the indices of
+//!    the transactions that commit it ([`Block::set_converged`], ledger
+//!    format v3); the transactions stay as endorsed.
 //!
 //! Transactions that failed earlier stages (endorsement policy,
 //! duplicate id) are excluded from merging — only *valid* transactions'
@@ -91,7 +92,7 @@ impl CrdtValidator {
     /// Algorithm 1's first pass (lines 3–14) over `txs` — `(block
     /// index, transaction)` pairs in ascending block order: folds CRDT
     /// write values into per-key mergers, recording the indices that
-    /// participated (only those are rewritten in pass 2, so values that
+    /// participated (only those commit the converged value, so values that
     /// failed to parse or mismatched the key's established type commit
     /// opaquely, in block order, instead of being clobbered).
     ///
@@ -208,14 +209,11 @@ impl BlockValidator for CrdtValidator {
         pre_decided: &[Option<ValidationCode>],
     ) -> ValidationWork {
         let decided = |i: usize| pre_decided.get(i).copied().flatten().is_some();
-        // An orderer cuts no converged values; a block that carries some
-        // merges them as the values they stand for.
-        block.inline_converged();
 
         // ----- First pass: collect and merge CRDT values (lines 3–14).
         let mut merge_units = 0u64;
         let mut merge_quad = 0u64;
-        let mut crdts = self.merge_pass(
+        let crdts = self.merge_pass(
             block
                 .transactions
                 .iter()
@@ -226,12 +224,12 @@ impl BlockValidator for CrdtValidator {
             &mut merge_quad,
         );
 
-        // ----- Second pass: rewrite CRDT write values with the converged,
-        // metadata-free state (lines 16–22), held once in the block and
-        // referred to by every member's write (ledger format v2).
-        for (key, (merger, members)) in &mut crdts {
+        // ----- Second pass: every member commits the converged,
+        // metadata-free state (lines 16–22), held once in the commit
+        // record beside the transactions (ledger format v3).
+        for (key, (mut merger, members)) in crdts {
             let bytes = merger.converged_bytes(&mut merge_units);
-            block.install_converged(key, bytes, members);
+            block.set_converged(key, bytes, members);
         }
 
         // ----- MVCC on non-CRDT pairs, then commit (line 15 + commit).
@@ -303,12 +301,16 @@ mod tests {
             .all(|c| *c == ValidationCode::ValidMerged));
 
         // Listing 2: both write-sets now commit the identical merged
-        // value, which the block holds once.
+        // value, which the commit record holds once.
         let w1 = block.transactions[0].rwset.writes.get("Device1").unwrap();
         let w2 = block.transactions[1].rwset.writes.get("Device1").unwrap();
-        assert!(w1.is_converged() && w2.is_converged());
-        assert_eq!(block.value_of("Device1", w1), block.value_of("Device1", w2));
-        assert_eq!(block.converged_values().count(), 1);
+        assert_ne!(w1.value, w2.value, "the transactions stay as endorsed");
+        assert_eq!(
+            block.value_of(0, "Device1", w1),
+            block.value_of(1, "Device1", w2)
+        );
+        let members: Vec<&[usize]> = block.converged_values().map(|(_, _, m)| m).collect();
+        assert_eq!(members, [&[0, 1][..]]);
 
         let merged = stored_json(&state, "Device1");
         assert_eq!(merged.get("deviceID").unwrap().as_str(), Some("Device1"));
@@ -564,7 +566,8 @@ mod tests {
         let values: Vec<_> = block
             .transactions
             .iter()
-            .map(|t| block.value_of("meter", t.rwset.writes.get("meter").unwrap()))
+            .enumerate()
+            .map(|(i, t)| block.value_of(i, "meter", t.rwset.writes.get("meter").unwrap()))
             .collect();
         assert_eq!(values[0], values[1]);
         assert_eq!(values[1], values[2]);
@@ -642,10 +645,10 @@ mod tests {
         assert_eq!(work.successes, 2);
         let committed = stored_json(&state, "k");
         assert_eq!(committed.get("_crdt").unwrap().as_str(), Some("g-set"));
-        // The counter transaction's write set was rewritten with counter
-        // semantics, not clobbered by the set.
+        // The counter transaction commits its key's counter value, not
+        // the set.
         let counter_value =
-            block.value_of("k", block.transactions[0].rwset.writes.get("k").unwrap());
+            block.value_of(0, "k", block.transactions[0].rwset.writes.get("k").unwrap());
         let parsed = Value::from_bytes(counter_value).unwrap();
         assert_eq!(parsed.get("_crdt").unwrap().as_str(), Some("g-counter"));
     }

@@ -1,19 +1,22 @@
 //! The commit path hashes each block fewer times than it used to
 //! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
 //! headers asserted here were recorded before that change, and
-//! re-recorded three times since: when signatures became MACs of the
+//! re-recorded four times since: when signatures became MACs of the
 //! payload digest and the Merkle leaf began with that digest, when the
 //! leaf came to cover the bytes a block stores (client and
-//! length-prefixed identities included), and when a merged block came
-//! to hold its converged value once, in a table with a leaf of its own
-//! — the three changes to what a block's hashed bytes are since.
+//! length-prefixed identities included), when a merged block came to
+//! hold its converged value once, in a table with a leaf of its own, and
+//! when that table moved into a commit record beside the transactions,
+//! with the codes, under a record hash of its own in the header — the
+//! four changes to what a block's hashed bytes are since.
 //!
 //! Two blocks go through a FabricCRDT peer — one whose CRDT writes merge
-//! (Algorithm 1 line 22 rewrites them, so the peer re-seals the data
-//! hash) and one of plain writes (nothing rewritten, but it must re-link
-//! to the re-sealed tip) — once through `process_block`, once through
-//! `prevalidate` / `finish_block`. The same plain block through a
-//! vanilla-Fabric peer keeps the orderer's seal untouched.
+//! (Algorithm 1 line 22 puts the converged value in the commit record)
+//! and one of plain writes (it must re-link to the re-sealed tip) — once
+//! through `process_block`, once through `prevalidate` /
+//! `finish_block`. Both keep the orderer's data hash: the transactions
+//! stay as cut. The same plain block through a vanilla-Fabric peer
+//! differs from the orderer's header only in its record hash.
 //!
 //! That the ingress and append checks still recompute the data hash from
 //! the transactions in hand is shown elsewhere and left untouched:
@@ -89,23 +92,19 @@ fn policy() -> EndorsementPolicy {
     EndorsementPolicy::all_of(["org1", "org2"])
 }
 
-const GENESIS_HASH: &str = "756e2e87f46e31bd3a5841cd74d9588e1aadc5ae4af750ef6cf3b8269614e1a5";
+const GENESIS_HASH: &str = "57c76ee4e077e9c8564c3bfedeaa7aabe5c42ac9c26c287e2e61620182f1f94d";
 /// Data hash of [`plain_block`], the same under either validator.
 const PLAIN_DATA_HASH: &str = "9a4fd096982f62859ef78ebb0ec1b94b87fa5ad6178dcfb50ffe5cca2b6b3092";
+/// Record hash of [`plain_block`] committed: three `VALID` codes.
+const PLAIN_RECORD_HASH: &str = "5baa128bfa54a922da573888de477972526d11e55e4674bb14a802d5d3739c90";
 
-fn assert_header(header: &BlockHeader, previous_hash: &str, data_hash: &str) {
-    assert_eq!(
-        hex::encode(&header.previous_hash),
-        previous_hash,
-        "previous_hash of block {}",
-        header.number
-    );
-    assert_eq!(
-        hex::encode(&header.data_hash),
-        data_hash,
-        "data_hash of block {}",
-        header.number
-    );
+fn assert_header(header: &BlockHeader, [previous_hash, data_hash, record_hash]: [&str; 3]) {
+    let number = header.number;
+    let hex = [header.previous_hash, header.data_hash, header.record_hash]
+        .map(|digest| hex::encode(&digest));
+    assert_eq!(hex[0], previous_hash, "previous_hash of block {number}");
+    assert_eq!(hex[1], data_hash, "data_hash of block {number}");
+    assert_eq!(hex[2], record_hash, "record_hash of block {number}");
 }
 
 /// Commits `block` through `process_block` or through the staged halves.
@@ -135,14 +134,17 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
             [ValidationCode::ValidMerged; 5],
             "all five documents merge"
         );
-        assert_ne!(
+        assert_eq!(
             tip.header.data_hash, sealed_by_orderer,
-            "merged writes were rewritten, so the peer re-sealed"
+            "the merged transactions stay as cut"
         );
         assert_header(
             &tip.header,
-            GENESIS_HASH,
-            "daebce1eebddc55cda3699d34ebe78ad9a762ae5e21ee63f7e68bd226c3bead4",
+            [
+                GENESIS_HASH,
+                "f4f48c17c7793e0eb0f9db00d64f0b10b5195cc2879a07d2453dbf65cbbb9d82",
+                "1af239ba8da50e9ff8939ba134485a0cae4dd990b09b012734ef4390bafb4b0b",
+            ],
         );
 
         // The orderer chains to *its* block 1; the peer re-links to the
@@ -155,8 +157,11 @@ fn fabriccrdt_peer_seals_the_recorded_headers() {
         assert_eq!(tip.header.data_hash, sealed_by_orderer);
         assert_header(
             &tip.header,
-            "3aa3b9c106f3a3c3b3e149dec1cf920d7544dccb1de01f222fd2c3f183203f8b",
-            PLAIN_DATA_HASH,
+            [
+                "a214eb1d9ffab3bd4226da281e7dc5098ac19aef03f43c37bd59203844032944",
+                PLAIN_DATA_HASH,
+                PLAIN_RECORD_HASH,
+            ],
         );
 
         assert_eq!(peer.chain().verify_integrity(), Ok(()));
@@ -171,8 +176,15 @@ fn vanilla_peer_keeps_the_orderers_seal() {
         let sealed = ordered.header.clone();
         commit(&mut peer, ordered, staged_halves);
         let tip = peer.chain().tip().expect("committed");
-        assert_eq!(tip.header, sealed);
-        assert_header(&tip.header, GENESIS_HASH, PLAIN_DATA_HASH);
+        let recorded = BlockHeader {
+            record_hash: tip.header.record_hash,
+            ..sealed
+        };
+        assert_eq!(tip.header, recorded, "only the record hash is the peer's");
+        assert_header(
+            &tip.header,
+            [GENESIS_HASH, PLAIN_DATA_HASH, PLAIN_RECORD_HASH],
+        );
         assert_eq!(peer.chain().verify_integrity(), Ok(()));
     }
 }

@@ -1,17 +1,19 @@
 //! Every door into a peer's chain still hashes what comes through it.
 //!
 //! Since `Peer::commit` appends a `SealedBlock` without recomputing its
-//! data hash (DESIGN.md §4.17), "nothing enters the chain unverified"
+//! hashes (DESIGN.md §4.17), "nothing enters the chain unverified"
 //! rests on the routes that build one: the ingress check on a delivered
 //! block, the re-seal, `Peer::replay_block` and `codec::decode_chain`.
 //! Each test here fails if its route stops hashing: the same one-byte
 //! mutation of one write value is offered at every door, a seeded sweep
-//! recomputes every committed header from scratch, and a validator that
-//! flips a byte after Algorithm 1 checks that the re-seal reuses only
-//! the leaves of bytes it hashed at ingress. Two more pin what a leaf
-//! built from the payload digest covers: a flipped endorsement byte is
-//! tampering, and a signature over another payload fails its own
-//! transaction's policy with every signature still counted.
+//! recomputes every committed header's data and record hashes from
+//! scratch, a validator that flips a byte after Algorithm 1 checks that
+//! the re-seal keeps the orderer's data hash only for the bytes ingress
+//! hashed, and a replayed block whose commit record changed — a code, a
+//! member index, a converged-value byte — is refused. Two more pin what
+//! a leaf built from the payload digest covers: a flipped endorsement
+//! byte is tampering, and a signature over another payload fails its
+//! own transaction's policy with every signature still counted.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
@@ -235,6 +237,88 @@ fn decode_chain_rejects_the_same_mutation() {
     );
 }
 
+/// Block 1 as a FabricCRDT peer commits it: an under-endorsed CRDT
+/// write of `hot`, then two endorsed ones that merge, so the record
+/// holds the codes `[ENDORSEMENT_POLICY_FAILURE, VALID_MERGED,
+/// VALID_MERGED]` and one converged value of `hot` with members 1
+/// and 2.
+fn merged_and_refused() -> Block {
+    let write = |n: u64| {
+        move |rwset: &mut ReadWriteSet| {
+            let doc = format!(r#"{{"deviceID":"d","readings":["r{n}"]}}"#);
+            rwset.writes.put_crdt("hot", doc.into_bytes());
+        }
+    };
+    let txs = vec![
+        endorsed(1, &["org1"], write(1)),
+        endorsed(2, &["org1", "org2"], write(2)),
+        endorsed(3, &["org1", "org2"], write(3)),
+    ];
+    let mut peer = Peer::new(CrdtValidator::new(), policy());
+    let staged = peer.process_block(Block::assemble(1, peer.chain().tip_hash(), txs));
+    peer.commit(staged).expect("extends genesis").clone()
+}
+
+/// A fresh replica refuses `block` as [`ChainError::BadRecordHash`] and
+/// is left as it was; the block as committed still replays.
+fn assert_replay_refused(block: Block) {
+    let mut replica = Peer::new(CrdtValidator::new(), policy());
+    let before = (replica.state().clone(), replica.ledger_snapshot());
+    assert_eq!(replica.replay_block(block), Err(ChainError::BadRecordHash));
+    assert_eq!(replica.state(), &before.0);
+    assert_eq!(replica.ledger_snapshot(), before.1, "peer untouched");
+    replica
+        .replay_block(merged_and_refused())
+        .expect("the block as committed replays");
+    assert!(replica.state().value("hot").is_some());
+}
+
+/// The encoding of `block`, which ends with its converged table's one
+/// entry: value, member count and members 1 and 2, as `u64`s.
+fn stored_with_members_last(block: &Block) -> Vec<u8> {
+    let bytes = fabriccrdt_ledger::codec::encode_block(block);
+    let tail = [2u64, 1, 2].map(u64::to_be_bytes).concat();
+    assert!(bytes.ends_with(&tail), "the record ends the block");
+    bytes
+}
+
+#[test]
+fn replay_refuses_a_flipped_validation_code() {
+    let mut block = merged_and_refused();
+    assert_eq!(
+        block.validation_codes[0],
+        ValidationCode::EndorsementPolicyFailure
+    );
+    block.validation_codes[0] = ValidationCode::Valid;
+    assert_replay_refused(block);
+}
+
+#[test]
+fn replay_refuses_a_flipped_member_index() {
+    let mut bytes = stored_with_members_last(&merged_and_refused());
+    // Member 1 becomes member 0, a CRDT writer of `hot` too, so the
+    // record still decodes.
+    let at = bytes.len() - 9;
+    bytes[at] ^= 0x01;
+    let forged = fabriccrdt_ledger::codec::decode_block(&bytes).expect("canonical");
+    let members: Vec<&[usize]> = forged.converged_values().map(|(_, _, m)| m).collect();
+    assert_eq!(members, [&[0, 2][..]]);
+    assert_replay_refused(forged);
+}
+
+#[test]
+fn replay_refuses_a_flipped_converged_value_byte() {
+    let block = merged_and_refused();
+    let (_, value, _) = block.converged_values().next().expect("one value");
+    let mut bytes = stored_with_members_last(&block);
+    // The value's last byte comes right before the three `u64`s.
+    let at = bytes.len() - 3 * 8 - 1;
+    assert_eq!(bytes[at], *value.last().expect("non-empty"));
+    bytes[at] ^= 0x01;
+    let forged = fabriccrdt_ledger::codec::decode_block(&bytes).expect("opaque bytes");
+    assert_replay_refused(forged);
+}
+
 /// One block of the sweep: CRDT merges into a few hot keys, plain
 /// read-modify-writes that conflict on theirs, under-endorsed
 /// transactions, an in-block duplicate and a forged signature.
@@ -270,13 +354,11 @@ fn mixed_block(g: &mut Gen, number: u64) -> Block {
     Block::assemble(number, [0; 32], txs)
 }
 
-/// A block's data hash from nothing but its parts: each transaction's
+/// A block's data hash from nothing but its transactions: each one's
 /// leaf `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
-/// over its stored bytes, then, when the block holds converged values,
-/// `SHA-256(0x00 ‖ SHA-256(table bytes))`, the table a count and each
-/// key and value, all `u64`-length-prefixed.
+/// over its stored bytes. The ledger's own pass agrees.
 fn from_scratch(block: &Block) -> [u8; 32] {
-    let mut leaves: Vec<[u8; 32]> = block
+    let leaves: Vec<[u8; 32]> = block
         .transactions
         .iter()
         .map(|tx| {
@@ -285,24 +367,41 @@ fn from_scratch(block: &Block) -> [u8; 32] {
             merkle::leaf_of(&[&sha256::digest(payload), endorsements])
         })
         .collect();
-    let values: Vec<(&str, &[u8])> = block.converged_values().collect();
-    if values.is_empty() {
-        assert_eq!(
-            merkle::root(leaves.clone()),
-            Block::compute_data_hash(&block.transactions)
-        );
-    } else {
-        let mut table = (values.len() as u64).to_be_bytes().to_vec();
-        for part in values
-            .iter()
-            .flat_map(|(key, value)| [key.as_bytes(), value])
-        {
-            table.extend((part.len() as u64).to_be_bytes());
-            table.extend(part);
-        }
-        leaves.push(merkle::leaf_of(&[&sha256::digest(&table)]));
+    let root = merkle::root(leaves);
+    assert_eq!(root, Block::compute_data_hash(&block.transactions));
+    root
+}
+
+/// A block's record hash from nothing but its commit record: SHA-256
+/// over the code count and one byte per code, then the table's count
+/// and each key and value, `u64`-length-prefixed, with its member count
+/// and members as `u64`s.
+fn record_from_scratch(block: &Block) -> [u8; 32] {
+    let mut record = (block.validation_codes.len() as u64).to_be_bytes().to_vec();
+    for code in &block.validation_codes {
+        record.push(match code {
+            ValidationCode::Valid => 0,
+            ValidationCode::MvccConflict => 1,
+            ValidationCode::EndorsementPolicyFailure => 2,
+            ValidationCode::DuplicateTxId => 3,
+            ValidationCode::ValidMerged => 4,
+            ValidationCode::EarlyAborted => 5,
+            ValidationCode::TamperedBlock => 6,
+        });
     }
-    merkle::root(leaves)
+    let table: Vec<(&str, &[u8], &[usize])> = block.converged_values().collect();
+    record.extend((table.len() as u64).to_be_bytes());
+    for (key, value, members) in table {
+        for part in [key.as_bytes(), value] {
+            record.extend((part.len() as u64).to_be_bytes());
+            record.extend(part);
+        }
+        record.extend((members.len() as u64).to_be_bytes());
+        for &member in members {
+            record.extend((member as u64).to_be_bytes());
+        }
+    }
+    sha256::digest(&record)
 }
 
 /// Drives `blocks` through a peer, block by block, and returns it.
@@ -328,6 +427,11 @@ fn every_committed_header_equals_a_from_scratch_hash() {
                 from_scratch(block),
                 "data hash of block {number}"
             );
+            assert_eq!(
+                block.header.record_hash,
+                record_from_scratch(block),
+                "record hash of block {number}"
+            );
             assert_eq!(block.header.previous_hash, previous, "{number}");
             assert_eq!(
                 block
@@ -350,8 +454,7 @@ fn every_committed_header_equals_a_from_scratch_hash() {
 
 /// Algorithm 1, then one more byte: the first byte of transaction `k`'s
 /// id is flipped, if Algorithm 1 decided `k` (not a duplicate or an
-/// endorsement failure). An id, not a written value: after Algorithm 1
-/// a merged write carries no value bytes of its own.
+/// endorsement failure).
 struct FlipAfterMerge {
     k: usize,
 }
@@ -376,10 +479,10 @@ impl BlockValidator for FlipAfterMerge {
     }
 }
 
-/// The re-seal keeps a leaf hashed at ingress only for bytes it hashed:
-/// whatever a validator changes after Algorithm 1 — here one byte of any
-/// one transaction — is covered by the committed data hash, while a
-/// block tampered in transit is still rejected wholesale.
+/// The re-seal keeps the data hash ingress checked only for the bytes
+/// it hashed: whatever a validator changes after Algorithm 1 — here one
+/// byte of any one transaction — is covered by the committed data hash,
+/// while a block tampered in transit is still rejected wholesale.
 #[test]
 fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
     gen::cases(2, |g| {
@@ -398,6 +501,11 @@ fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
                     block.header.data_hash,
                     from_scratch(block),
                     "k = {k}: data hash of block {number}"
+                );
+                assert_eq!(
+                    block.header.record_hash,
+                    record_from_scratch(block),
+                    "k = {k}: record hash of block {number}"
                 );
                 let codes = &unflipped.validation_codes;
                 assert_eq!(&block.validation_codes, codes, "k = {k}: {number}");

@@ -183,7 +183,8 @@ fn converged_values_well_formed_and_uniform() {
             let values: Vec<&[u8]> = block
                 .transactions
                 .iter()
-                .filter_map(|tx| tx.rwset.writes.get(key).map(|e| block.value_of(key, e)))
+                .enumerate()
+                .filter_map(|(i, tx)| Some(block.value_of(i, key, tx.rwset.writes.get(key)?)))
                 .collect();
             for pair in values.windows(2) {
                 assert_eq!(pair[0], pair[1]);
@@ -235,11 +236,12 @@ fn merge_validation_is_deterministic() {
     });
 }
 
-/// Ledger format v2 holds a hot key's converged value once: a
-/// 400-transaction hot-key block re-sealed after Algorithm 1 encodes to
-/// at most the bytes it was delivered as, plus one converged value and
-/// one validation code per transaction. Copying the value into every
-/// write, as format v1 did, would add it 400 times.
+/// Ledger format v3 holds a hot key's converged value once, beside the
+/// transactions: a 400-transaction hot-key block re-sealed after
+/// Algorithm 1 encodes to exactly the bytes it was delivered as, plus
+/// one validation code and one member index per transaction and one
+/// converged value. Copying the value into every write, as format v1
+/// did, would add it 400 times.
 #[test]
 fn a_merged_hot_key_block_holds_its_value_once() {
     let specs: Vec<(u64, String, Vec<u8>)> = (0..400)
@@ -253,14 +255,15 @@ fn a_merged_hot_key_block_holds_its_value_once() {
     CrdtValidator::new().validate_and_commit(&mut block, &mut seeded_state(), &[]);
     let block = SealedBlock::seal(block, [1; 32]);
 
-    let values: Vec<(&str, &[u8])> = block.converged_values().collect();
-    let [(key, value)] = values[..] else {
+    assert_eq!(block.transactions, delivered.transactions, "as endorsed");
+    let values: Vec<(&str, &[u8], &[usize])> = block.converged_values().collect();
+    let [(key, value, members)] = values[..] else {
         panic!("one converged value, not {}", values.len());
     };
     assert_eq!(key, "hot-0");
+    assert_eq!(members.len(), 400);
     assert!(value.len() > 400 * 4, "it holds every reading");
-    let table_entry = 8 + 8 + key.len() + 8 + value.len();
-    let bound = codec::block_len(&delivered) + table_entry + block.len();
-    let encoded = codec::block_len(&block);
-    assert!(encoded <= bound, "{encoded} B > {bound} B");
+    let table_entry = 8 + key.len() + 8 + value.len() + 8 + 8 * members.len();
+    let expected = codec::block_len(&delivered) + table_entry + block.len();
+    assert_eq!(codec::block_len(&block), expected);
 }

@@ -8,9 +8,10 @@
 //! The rewrite keeps a key's first JSON document as it came and builds
 //! the CRDT only when a second one arrives, and commits a key written
 //! once without parsing it when its bytes are already in the form the
-//! conversion writes (`alone_as_is`); codes, rewritten write sets
-//! (with each reference resolved to the block's converged value),
-//! world state and every `ValidationWork` counter must be the oracle's
+//! conversion writes (`alone_as_is`); codes, committed write values
+//! (the oracle's rewritten write sets against each write's value
+//! through the commit record), world state and every `ValidationWork`
+//! counter must be the oracle's
 //! through `validate_and_commit`, the one finalize every peer runs. The
 //! work counters feed `fabric::cost`,
 //! so every simulated-time figure hangs on them. Driven by
@@ -339,35 +340,31 @@ fn arb_block(g: &mut Gen) -> (Block, WorldState, Vec<Option<ValidationCode>>) {
 
 // ------------------------------------------------------ comparison
 
-/// Where each write of the block keeps its bytes: Algorithm 1's rewrite
-/// replaces a write's `Vec`, so a write whose buffer is the one it came
-/// with was left as it came.
-fn buffers(block: &Block) -> Vec<*const u8> {
-    let writes = block
-        .transactions
-        .iter()
-        .flat_map(|tx| tx.rwset.writes.iter());
-    writes.map(|(_, entry)| entry.value.as_ptr()).collect()
-}
-
 /// Runs `block` through both validators and asserts every output is
 /// the oracle's. Returns how many writes took the as-is path: each key
-/// that one merging transaction writes, in normal form, must keep the
-/// very buffer it came in.
+/// that one merging transaction writes, in normal form, must commit its
+/// own bytes and get no converged value in the commit record.
 fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]) -> usize {
     let (new, old) = (CrdtValidator::new(), oracle::CrdtValidator::new());
 
     let (mut new_block, mut new_state) = (block.clone(), state.clone());
-    let before = buffers(&new_block);
     let new_work = new.validate_and_commit(&mut new_block, &mut new_state, pre);
     let (mut old_block, mut old_state) = (block.clone(), state.clone());
     let old_work = old.validate_and_commit(&mut old_block, &mut old_state, pre);
     assert_eq!(new_block.validation_codes, old_block.validation_codes);
     // The oracle copies each converged value into every merged write;
-    // the validator holds it once, and resolves to the same writes.
-    let mut resolved = new_block.clone();
-    resolved.inline_converged();
-    assert_eq!(resolved.transactions, old_block.transactions, "rewrites");
+    // the validator leaves the transactions as they came and commits
+    // each write's value through the record.
+    assert_eq!(new_block.transactions, block.transactions, "as endorsed");
+    let old_writes = old_block
+        .transactions
+        .iter()
+        .flat_map(|tx| tx.rwset.writes.iter());
+    let all = new_block.transactions.iter().enumerate();
+    let writes = all.flat_map(|(i, tx)| tx.rwset.writes.iter().map(move |w| (i, w)));
+    for ((i, (key, entry)), (_, rewritten)) in writes.zip(old_writes) {
+        assert_eq!(new_block.value_of(i, key, entry), rewritten.value, "{key}");
+    }
     assert_eq!(new_state, old_state);
     assert_eq!(new_work, old_work);
 
@@ -382,15 +379,13 @@ fn assert_same(block: &Block, state: &WorldState, pre: &[Option<ValidationCode>]
             *writers.entry(key).or_default() += 1;
         }
     }
+    let converged: Vec<&str> = new_block.converged_values().map(|(k, _, _)| k).collect();
     let all = block.transactions.iter().enumerate();
-    let writes = all.flat_map(|(i, tx)| tx.rwset.writes.iter().map(move |w| (i, w)));
     let mut as_is = 0;
-    for ((i, (key, entry)), (before, after)) in
-        writes.zip(before.into_iter().zip(buffers(&new_block)))
-    {
+    for (i, (key, entry)) in all.flat_map(|(i, tx)| tx.rwset.writes.iter().map(move |w| (i, w))) {
         let alone = merging(i) && entry.is_crdt && !entry.is_delete && writers[key.as_str()] == 1;
         if alone && alone_as_is(&entry.value).is_some() {
-            assert_eq!(before, after, "{key} was rewritten");
+            assert!(!converged.contains(&key.as_str()), "{key} was converged");
             as_is += 1;
         }
     }

@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn history_queries_answer_from_index() {
         use fabriccrdt_crypto::Identity;
-        use fabriccrdt_ledger::block::{Block, ValidationCode};
+        use fabriccrdt_ledger::block::{Block, SealedBlock, ValidationCode};
         use fabriccrdt_ledger::transaction::{Transaction, TxId};
 
         let client = Identity::new("client", "org1");
@@ -368,7 +368,8 @@ mod tests {
         let mut block = Block::assemble(0, Blockchain::GENESIS_PREVIOUS_HASH, vec![tx]);
         block.validation_codes = vec![ValidationCode::Valid];
         let mut chain = Blockchain::new();
-        chain.append(block).unwrap();
+        let sealed = SealedBlock::seal(block, Blockchain::GENESIS_PREVIOUS_HASH);
+        chain.append_sealed(sealed).unwrap();
 
         let state = WorldState::new();
         let mut stub = ChaincodeStub::with_history(&state, &chain);

@@ -30,11 +30,11 @@ use std::time::Instant;
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
-use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::TxId;
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::WorldState;
+use fabriccrdt_ledger::{codec, mvcc};
 
 /// A serialized peer ledger: world-state snapshot plus the full block
 /// chain, as written by [`Peer::snapshot`].
@@ -245,17 +245,16 @@ impl<V: BlockValidator> Peer<V> {
         ))
     }
 
-    /// Replays an already-validated block during catch-up: verifies the
-    /// hash chain and data hash first, then applies the write sets of the
-    /// transactions whose *recorded* validation codes are successful,
-    /// each merged write resolved to the block's converged value —
-    /// exactly §2.1's "executing all valid transactions included in the
-    /// blockchain starting from the genesis block results in the current
-    /// state". Endorsements are not re-verified: FabricCRDT's Algorithm 1
-    /// rewrites CRDT write values after endorsement, so replayed payloads
-    /// no longer match the original signatures; the hash chain (re-sealed
-    /// deterministically by every committing peer) is the integrity
-    /// anchor instead.
+    /// Replays an already-validated block during catch-up: checks the
+    /// link to this peer's tip, the record hash over the block's commit
+    /// record and the data hash over its transactions, then applies the
+    /// write sets of the transactions whose *recorded* validation codes
+    /// are successful, each merged write resolved to the record's
+    /// converged value — exactly §2.1's "executing all valid transactions
+    /// included in the blockchain starting from the genesis block results
+    /// in the current state". Endorsements are not re-verified: the
+    /// verdicts are the source peer's, and the hash chain, whose block
+    /// hash binds the record, is the integrity anchor (DESIGN.md §4.17).
     ///
     /// The successor state is built on a clone that shares the committed
     /// tree and installed by [`Peer::commit`], like any staged block.
@@ -270,22 +269,9 @@ impl<V: BlockValidator> Peer<V> {
         }
         let block = self.chain.verify_next(block)?;
         let mut state = self.state.clone();
-        for (tx_num, (tx, code)) in block
-            .transactions
-            .iter()
-            .zip(&block.validation_codes)
-            .enumerate()
-        {
-            if !code.is_success() {
-                continue;
-            }
-            let height = Height::new(block.header.number, tx_num as u64);
-            for (key, entry) in tx.rwset.writes.iter() {
-                if entry.is_delete {
-                    state.delete(key);
-                } else {
-                    state.put(key.clone(), block.value_of(key, entry).to_vec(), height);
-                }
+        for (tx_num, code) in block.validation_codes.iter().enumerate() {
+            if code.is_success() {
+                mvcc::apply_writes(&block, tx_num, &mut state);
             }
         }
         let staged = StagedBlock {
@@ -302,20 +288,21 @@ impl<V: BlockValidator> Peer<V> {
     /// Verifies the ingress hash, screens duplicate ids against the
     /// committed set and the block itself, checks every endorsement
     /// (signatures really are checked), then runs the validator stage
-    /// against a copy of the state and re-seals; the result is
+    /// against a copy of the state and seals the commit record; the result is
     /// installed later by [`Peer::commit`]. Blocks must be processed in
     /// arrival order, each after its predecessor committed (the
     /// finalize validates against — and the re-seal links to — the
     /// committed tip).
     pub fn process_block(&mut self, mut block: Block) -> StagedBlock {
+        // The commit record is this peer's own: whatever a delivered
+        // block carries beside its transactions is dropped unread.
+        block.clear_record();
         // Integrity pre-check: the data hash of a block fresh from the
-        // orderer must cover its transactions. A mismatch here — before
-        // any validator-driven rewrite — means tampering in transit;
-        // the whole block is rejected and nothing commits. (The later
-        // re-seal only legitimizes the peer's *own* deterministic
-        // merge rewrites, and keeps the leaves hashed here for every
-        // transaction they left alone.) The endorsement MACs below
-        // verify against the payload digests hashed into the leaves here.
+        // orderer must cover its transactions. A mismatch means
+        // tampering in transit; the whole block is rejected and nothing
+        // commits. This is the one pass that hashes a transaction: the
+        // endorsement MACs below verify against the payload digests
+        // hashed into the leaves here, and the re-seal compares bytes.
         let Some(ingress) = EncodedTransactions::verify(&block) else {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
             return StagedBlock {
@@ -336,11 +323,12 @@ impl<V: BlockValidator> Peer<V> {
             .validate_and_commit(&mut block, &mut new_state, &pre);
         work.sigs_verified = sigs_verified;
 
-        // Re-seal: Algorithm 1 (line 22) rewrote CRDT write values with
-        // the merged result, and once one block is re-sealed every later
-        // block must re-link to the peer's tip. All peers merge
-        // deterministically in block order, so every replica re-seals
-        // identically, hashing only what changed since ingress. This is
+        // Re-seal: the validator wrote the commit record (the codes and
+        // Algorithm 1's converged values, line 22), whose hash goes into
+        // the header, and the header re-links to the peer's tip. All
+        // peers merge deterministically in block order, so every replica
+        // seals the same record. The transactions keep the orderer's data
+        // hash unless the validator changed one of their bytes. This is
         // the last pass over the block: `commit` appends it sealed.
         let block = SealedBlock::reseal(block, self.chain.tip_hash(), &ingress);
 

@@ -370,11 +370,12 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     // `client_retries = 50` knob (immediate resubmission, no PRNG
     // draw): `immediate` must add no delay and draw nothing, or every
     // later latency sample (and with it the ledger) shifts. The counts
-    // are the knob's; the ledger digest was re-recorded three times,
+    // are the knob's; the ledger digest was re-recorded four times,
     // when signatures became MACs of the payload digest and the Merkle
     // leaf began with that digest, when the leaf came to cover the bytes
-    // a block stores, and when a block came to hold each converged value
-    // once (DESIGN.md §4.17).
+    // a block stores, when a block came to hold each converged value
+    // once, and when that value moved into a hashed commit record beside
+    // the transactions as cut (DESIGN.md §4.17).
     let snapshot = sim.peer().snapshot();
     let ledger = fabriccrdt_crypto::digest(&[snapshot.state, snapshot.chain].concat());
     assert_eq!(
@@ -388,7 +389,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     );
     assert_eq!(
         fabriccrdt_crypto::hex::encode(&ledger),
-        "7ae2e3a2f62eb150258f995fd24df5526631fb09af86c652beadb7716dc4dd6f"
+        "19885088932afcb1aea005692174f36734481fcd2bec5699f5b130ffed0e688d"
     );
 }
 

@@ -11,7 +11,7 @@ use fabriccrdt_ledger::version::Height;
 const TXS: usize = 25;
 
 /// An orderer-sealed block of 25 fully endorsed CRDT transactions
-/// on one hot key: every replica merges, rewrites and re-seals it.
+/// on one hot key: every replica merges it and seals a record of its own.
 fn sealed_block(number: u64) -> Block {
     let client = Identity::new("client", "org1");
     let txs = (0..TXS as u64)
@@ -80,21 +80,27 @@ fn accounted_holders(network: &GossipNetwork<CrdtValidator>) -> usize {
     1 + (lane.queue.len() - ticks) + buffering
 }
 
-/// Every replica committed its own re-sealed copy of block 1, and
-/// the published block still carries the orderer's seal: no
-/// replica's rewrite leaked into the allocation its peers receive.
-fn assert_replicas_own_their_rewrites(network: &GossipNetwork<CrdtValidator>) {
+/// Every replica committed its own copy of block 1 — the orderer's
+/// transactions under the orderer's data hash, and a sealed commit
+/// record of its own — and the published block still carries an empty
+/// record: no replica's record leaked into the allocation its peers
+/// receive.
+fn assert_replicas_own_their_records(network: &GossipNetwork<CrdtValidator>) {
     let lane = &network.lanes[0];
     let sealed = &lane.published[0].1;
     assert!(sealed.data_hash_is_valid());
     assert!(sealed.validation_codes.is_empty());
+    assert_eq!(sealed.converged_values().count(), 0);
     for (i, slot) in lane.slots.iter().enumerate() {
         let chain = slot.peer.as_ref().expect("replica is up").chain();
         let committed = chain.block(1).expect("block 1 committed");
         assert_eq!(committed.validation_codes.len(), TXS, "replica {i}");
+        assert_eq!(committed.transactions, sealed.transactions, "replica {i}");
+        assert_eq!(committed.header.data_hash, sealed.header.data_hash);
+        assert_eq!(committed.converged_values().count(), 1, "replica {i}");
         assert_ne!(
-            committed.header.data_hash, sealed.header.data_hash,
-            "replica {i} re-sealed over its merged writes"
+            committed.header.record_hash, sealed.header.record_hash,
+            "replica {i} sealed its record"
         );
     }
 }
@@ -130,7 +136,7 @@ fn a_sealed_block_is_one_allocation_every_replica_copies_out_of_once() {
     }
     assert_eq!(holders(&network, 1), 1, "nobody kept a reference");
     assert!(network.fully_converged_on(0));
-    assert_replicas_own_their_rewrites(&network);
+    assert_replicas_own_their_records(&network);
 }
 
 #[test]
@@ -206,5 +212,5 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
     assert_eq!(*network.lanes[0].published[0].1, canonical);
     assert_eq!(holders(&network, 1), 1);
     assert!(network.fully_converged_on(0));
-    assert_replicas_own_their_rewrites(&network);
+    assert_replicas_own_their_records(&network);
 }

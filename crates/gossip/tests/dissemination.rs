@@ -451,8 +451,10 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
 /// reproduce the run — same draws, same delivery times, same ledger.
 /// The ledger digest is re-recorded, the counts never, when what a
 /// block's bytes or hash are changes: when signatures became MACs of the
-/// payload digest and the Merkle leaf began with that digest, and when a
-/// block came to hold each converged value once (DESIGN.md §4.17).
+/// payload digest and the Merkle leaf began with that digest, when a
+/// block came to hold each converged value once, and when that value
+/// moved into a hashed commit record beside the transactions as cut
+/// (DESIGN.md §4.17).
 #[test]
 fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     let faults = FaultConfig {
@@ -490,6 +492,6 @@ fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     digest.update(&ledger.chain);
     assert_eq!(
         hex::encode(&digest.finalize()),
-        "53815a4611603e591e6e124ea2778db5a839552a35341c242843fae83439957f"
+        "f31e0e2f9f1dacb8054fc0440c9abf74ee6abfea38b73df2f1aac0a98634c991"
     );
 }

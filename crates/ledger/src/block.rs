@@ -1,30 +1,29 @@
-//! Blocks: header with hash chaining, transactions, validation codes.
+//! Blocks: header with hash chaining, transactions, and the commit
+//! record a peer keeps beside them.
 //!
 //! Fabric appends *every* transaction of a block — valid or invalid — to
 //! the blockchain and records a per-transaction validation code; only
 //! valid transactions update the world state (§2.1, step 3).
 //!
-//! # Ledger format v2: each converged value once
+//! # Ledger format v3: the ordered block and its commit record
 //!
-//! Algorithm 1 (line 22) gives every merged write of a key the key's
-//! converged value. A block holds that value once, in a table keyed by
-//! the written key ([`Block::install_converged`]), and each merged write
-//! carries a reference instead: a flag, with no value bytes
-//! ([`WriteEntry::is_converged`]). [`Block::value_of`] resolves it, so
-//! every merged transaction still commits the converged value. The
-//! table is stored and shipped after the transactions
-//! ([`codec::encode_block`](crate::codec::encode_block)), and the data
-//! hash covers it with one extra leaf after theirs. A block with no
-//! merged write — every block an orderer cuts — has an empty table and
-//! no extra leaf, so its hash is the one its transactions alone give.
+//! The transactions stay byte for byte as the orderer cut them, under
+//! the orderer's data hash. Beside them, as Fabric keeps its validation
+//! flags (arXiv 1801.10228), the peer keeps a commit record: one
+//! [`ValidationCode`] per transaction, and Algorithm 1's converged
+//! table, each merged key's value once with the transactions that commit
+//! it ([`Block::set_converged`], [`Block::value_of`]). The header's
+//! `record_hash` binds the record into the block hash, so a re-seal
+//! hashes the record and the header, not the transactions.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
-use crate::codec::{ByteSink, DecodeError, Reader};
+use crate::chain::ChainError;
+use crate::codec::{self, ByteSink};
 use crate::rwset::WriteEntry;
 use crate::transaction::Transaction;
 
@@ -75,7 +74,7 @@ impl fmt::Display for ValidationCode {
     }
 }
 
-/// Block header: number, previous block hash, data hash.
+/// Block header: number, previous block hash, data hash, record hash.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Block number; the genesis block is 0.
@@ -83,9 +82,11 @@ pub struct BlockHeader {
     /// Hash of the previous block's header (all zeroes for genesis).
     pub previous_hash: Digest,
     /// Merkle root over the transactions, each leaf covering the bytes
-    /// the block stores it as, then over the converged values if there
-    /// are any.
+    /// the block stores it as: the orderer's, kept by every peer.
     pub data_hash: Digest,
+    /// SHA-256 of the commit record's stored bytes (validation codes,
+    /// then the converged table), filled by the committing peer.
+    pub record_hash: Digest,
 }
 
 impl BlockHeader {
@@ -95,23 +96,34 @@ impl BlockHeader {
         h.update(&self.number.to_be_bytes());
         h.update(&self.previous_hash);
         h.update(&self.data_hash);
+        h.update(&self.record_hash);
         h.finalize()
     }
 }
 
-/// A block: header, transactions and (after commit) validation codes.
+/// A block: header, transactions as ordered, and the commit record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// The header.
     pub header: BlockHeader,
-    /// Ordered transactions.
+    /// Ordered transactions, as the orderer cut them.
     pub transactions: Vec<Transaction>,
     /// One code per transaction, filled by the committing peer. Empty for
     /// a block fresh from the orderer.
     pub validation_codes: Vec<ValidationCode>,
-    /// Each key's converged value, which the key's merged writes refer
-    /// to. Empty for a block fresh from the orderer.
-    pub(crate) converged: BTreeMap<String, Vec<u8>>,
+    /// The converged table, by key. Empty for a block fresh from the
+    /// orderer.
+    pub(crate) converged: BTreeMap<String, Converged>,
+}
+
+/// One entry of the converged table: a key's converged value
+/// (Algorithm 1, line 22) and its members, the indices of the
+/// transactions whose CRDT value write of the key commits it, strictly
+/// rising and never empty.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Converged {
+    pub(crate) value: Vec<u8>,
+    pub(crate) members: Vec<usize>,
 }
 
 impl Block {
@@ -123,24 +135,26 @@ impl Block {
     }
 
     /// Assembles a block from ordered transactions, computing the data
-    /// hash (orderer step 4 in Figure 1).
+    /// hash (orderer step 4 in Figure 1) and the hash of its empty
+    /// commit record.
     pub fn assemble(number: u64, previous_hash: Digest, transactions: Vec<Transaction>) -> Self {
-        let data_hash = Self::compute_data_hash(&transactions);
-        Block {
+        let mut block = Block {
             header: BlockHeader {
                 number,
                 previous_hash,
-                data_hash,
+                data_hash: Self::compute_data_hash(&transactions),
+                record_hash: [0; 32],
             },
             transactions,
             validation_codes: Vec::new(),
             converged: BTreeMap::new(),
-        }
+        };
+        block.header.record_hash = block.compute_record_hash();
+        block
     }
 
-    /// The data hash of a block of `transactions` with no converged
-    /// values, as an orderer cuts it: the Merkle root over the bytes
-    /// each transaction is stored and shipped as
+    /// The data hash of a block of `transactions`: the Merkle root over
+    /// the bytes each transaction is stored and shipped as
     /// ([`Transaction::write_bytes`]), each leaf
     /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
     /// so that it shares its inner digest with the signatures. Always
@@ -148,7 +162,19 @@ impl Block {
     /// fields are public and a delivery layer may hand over a mutated
     /// block, so a stored digest could vouch for bytes it never covered.
     pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        data_hash(transactions, &BTreeMap::new(), |_, _| None)
+        let mut bytes = Vec::new();
+        let leaves = transactions.iter().map(|tx| {
+            bytes.clear();
+            encode_tx(tx, &mut bytes).1
+        });
+        merkle::root(leaves.collect())
+    }
+
+    /// The SHA-256 of the commit record's stored bytes, streamed.
+    fn compute_record_hash(&self) -> Digest {
+        let mut h = sha256::Sha256::new();
+        codec::write_record(self, &mut h);
+        h.finalize()
     }
 
     /// The block hash (header hash).
@@ -156,80 +182,63 @@ impl Block {
         self.header.hash()
     }
 
-    /// Whether the stored data hash matches the transactions and the
-    /// converged values, and those match the references to them.
+    /// Whether the stored data hash matches the transactions.
     pub fn data_hash_is_valid(&self) -> bool {
-        self.references_resolve().is_ok()
-            && data_hash(&self.transactions, &self.converged, |_, _| None) == self.header.data_hash
+        Self::compute_data_hash(&self.transactions) == self.header.data_hash
     }
 
-    /// The bytes `write`, a write of `key` by one of this block's
-    /// transactions, commits: its own value, or the block's converged
-    /// value it refers to. A reference the block cannot resolve (one no
-    /// data hash vouches for) reads as empty.
-    pub fn value_of<'a>(&'a self, key: &str, write: &'a WriteEntry) -> &'a [u8] {
-        if write.is_converged() {
-            self.converged.get(key).map_or(&[], Vec::as_slice)
-        } else {
-            &write.value
+    /// `Ok` when the header's record hash covers the commit record and
+    /// its data hash the transactions; otherwise the first that does
+    /// not, the cheaper record first.
+    pub fn check_hashes(&self) -> Result<(), ChainError> {
+        if self.compute_record_hash() != self.header.record_hash {
+            return Err(ChainError::BadRecordHash);
+        }
+        if !self.data_hash_is_valid() {
+            return Err(ChainError::BadDataHash);
+        }
+        Ok(())
+    }
+
+    /// The bytes `write`, transaction `tx`'s write of `key`, commits:
+    /// the converged value when the record names `tx` among the key's
+    /// members, its own value otherwise.
+    pub fn value_of<'a>(&'a self, tx: usize, key: &str, write: &'a WriteEntry) -> &'a [u8] {
+        match self.converged.get(key) {
+            Some(entry) if entry.members.binary_search(&tx).is_ok() => &entry.value,
+            _ => &write.value,
         }
     }
 
-    /// The converged values, in key order.
-    pub fn converged_values(&self) -> impl Iterator<Item = (&str, &[u8])> {
+    /// The converged table, in key order: each key, its converged value
+    /// and its members.
+    pub fn converged_values(&self) -> impl Iterator<Item = (&str, &[u8], &[usize])> {
         self.converged
             .iter()
-            .map(|(k, v)| (k.as_str(), v.as_slice()))
+            .map(|(k, e)| (k.as_str(), e.value.as_slice(), e.members.as_slice()))
     }
 
-    /// Algorithm 1 line 22: `value` becomes `key`'s converged value,
-    /// and the CRDT value write of `key` in each of the transactions
-    /// `members` refers to it instead of carrying a copy.
-    pub fn install_converged(&mut self, key: &str, value: Vec<u8>, members: &[usize]) {
-        let mut referred = false;
-        for &i in members {
-            if let Some(tx) = self.transactions.get_mut(i) {
-                referred |= tx.rwset.writes.refer_to_converged(key);
-            }
-        }
-        if referred {
-            self.converged.insert(key.to_owned(), value);
-        }
-    }
-
-    /// Puts every converged value back into the writes that refer to it
-    /// and empties the table: the block as it was before
-    /// [`Block::install_converged`]. A reference with no value to
-    /// resolve to gets an empty one.
-    pub fn inline_converged(&mut self) {
-        let table = std::mem::take(&mut self.converged);
-        for tx in &mut self.transactions {
-            tx.rwset
-                .writes
-                .inline_converged(|key| table.get(key).cloned());
+    /// Algorithm 1 line 22: `value` becomes what `key`'s CRDT value
+    /// write commits in each of the transactions `members`, held once in
+    /// the commit record. Members are sorted and deduplicated, one
+    /// without such a write is left out, and a value with no member left
+    /// is not held, so the table is always one the decoder admits.
+    pub fn set_converged(&mut self, key: String, value: Vec<u8>, mut members: Vec<usize>) {
+        members.sort_unstable();
+        members.dedup();
+        members.retain(|&i| self.transactions.get(i).is_some_and(|tx| merges(tx, &key)));
+        if members.is_empty() {
+            self.converged.remove(&key);
+        } else {
+            self.converged.insert(key, Converged { value, members });
         }
     }
 
-    /// `Ok` when the references and the converged values match one for
-    /// one in keys: the only blocks
-    /// [`codec::decode_block`](crate::codec::decode_block) admits and a
-    /// data hash vouches for.
-    pub(crate) fn references_resolve(&self) -> Result<(), &'static str> {
-        let mut referred = BTreeSet::new();
-        for tx in &self.transactions {
-            for (key, write) in tx.rwset.writes.iter() {
-                if write.is_converged() {
-                    if !self.converged.contains_key(key) {
-                        return Err("reference to a missing converged value");
-                    }
-                    referred.insert(key);
-                }
-            }
-        }
-        match referred.len() == self.converged.len() {
-            true => Ok(()),
-            false => Err("unreferenced converged value"),
-        }
+    /// Empties the commit record, leaving the block as the orderer cut
+    /// it: a peer decides every verdict and converged value itself.
+    pub fn clear_record(&mut self) {
+        self.validation_codes.clear();
+        self.converged.clear();
     }
 
     /// Number of transactions.
@@ -252,70 +261,28 @@ impl Block {
     }
 }
 
-/// The converged values' layout: a count, then each key and value,
-/// `u64`-length-prefixed, in key order.
-pub(crate) fn write_converged(table: &BTreeMap<String, Vec<u8>>, out: &mut impl ByteSink) {
-    out.u64(table.len() as u64);
-    for (key, value) in table {
-        out.str(key);
-        out.bytes(value);
-    }
+/// Whether `tx` writes `key` as a CRDT value (not a delete): the writes
+/// a converged value may stand for.
+pub(crate) fn merges(tx: &Transaction, key: &str) -> bool {
+    tx.rwset
+        .writes
+        .get(key)
+        .is_some_and(|write| write.is_crdt && !write.is_delete)
 }
 
-/// Reads what [`write_converged`] wrote, keys strictly rising.
-pub(crate) fn read_converged(r: &mut Reader<'_>) -> Result<BTreeMap<String, Vec<u8>>, DecodeError> {
-    let mut table = BTreeMap::new();
-    for _ in 0..r.len(16)? {
-        let key = r.str_after(table.keys().next_back())?;
-        let value = r.bytes()?;
-        table.insert(key, value);
-    }
-    Ok(table)
+/// Appends `tx`'s bytes to `bytes` and returns its payload's digest
+/// and its leaf, `SHA-256(0x00 ‖ SHA-256(payload) ‖ endorsement bytes)`.
+fn encode_tx(tx: &Transaction, bytes: &mut Vec<u8>) -> (Digest, Digest) {
+    let start = bytes.len();
+    tx.write_response_payload(bytes);
+    let digest = sha256::digest(&bytes[start..]);
+    let endorsements = bytes.len();
+    tx.write_endorsements(bytes);
+    (digest, merkle::leaf_of(&[&digest, &bytes[endorsements..]]))
 }
 
-/// The one leaf loop: `known(i, bytes)` may hand back transaction `i`'s
-/// leaf if it hashed exactly `bytes` before; other bytes are hashed.
-fn data_hash(
-    txs: &[Transaction],
-    converged: &BTreeMap<String, Vec<u8>>,
-    known: impl Fn(usize, &[u8]) -> Option<Digest>,
-) -> Digest {
-    let mut bytes = Vec::new();
-    let leaves = txs.iter().enumerate().map(|(i, tx)| {
-        bytes.clear();
-        tx.write_response_payload(&mut bytes);
-        let payload_end = bytes.len();
-        tx.write_endorsements(&mut bytes);
-        known(i, &bytes).unwrap_or_else(|| tx_leaf(&bytes, payload_end).1)
-    });
-    root(leaves.collect(), converged)
-}
-
-/// The Merkle root over the transactions' `leaves`, then the converged
-/// values' leaf when there are any:
-/// `SHA-256(0x00 ‖ SHA-256(table bytes))`. That leaf hashes 33 bytes
-/// where a transaction's hashes at least 41, so neither can stand in
-/// for the other.
-fn root(mut leaves: Vec<Digest>, converged: &BTreeMap<String, Vec<u8>>) -> Digest {
-    if !converged.is_empty() {
-        let mut table = sha256::Sha256::new();
-        write_converged(converged, &mut table);
-        leaves.push(merkle::leaf_of(&[&table.finalize()]));
-    }
-    merkle::root(leaves)
-}
-
-/// The leaf of one transaction's `bytes`, whose response
-/// payload ends at `payload_end`, and that payload's digest:
-/// `SHA-256(0x00 ‖ SHA-256(payload) ‖ endorsement bytes)`.
-fn tx_leaf(bytes: &[u8], payload_end: usize) -> (Digest, Digest) {
-    let (payload, endorsements) = bytes.split_at(payload_end);
-    let digest = sha256::digest(payload);
-    (digest, merkle::leaf_of(&[&digest, endorsements]))
-}
-
-/// A block whose data hash this process computed over the transactions
-/// it holds: built only by [`SealedBlock::seal`],
+/// A block whose hashes this process computed over the transactions and
+/// record it holds: built only by [`SealedBlock::seal`],
 /// [`SealedBlock::reseal`] or [`SealedBlock::verify`] and read-only
 /// afterwards, so
 /// [`Blockchain::append_sealed`](crate::chain::Blockchain::append_sealed)
@@ -333,38 +300,38 @@ fn tx_leaf(bytes: &[u8], payload_end: usize) -> (Digest, Digest) {
 pub struct SealedBlock(Block);
 
 impl SealedBlock {
-    /// Links `block` to `previous_hash` and computes its data hash over
-    /// the transactions and converged values in hand. References that
-    /// do not resolve are inlined first ([`Block::inline_converged`]), so
-    /// whatever a sealed block holds encodes and decodes.
-    pub fn seal(block: Block, previous_hash: Digest) -> Self {
-        Self::reseal_with(block, previous_hash, |_, _| None)
+    /// Links `block` to `previous_hash` and computes its data hash and
+    /// record hash over the transactions and record in hand.
+    pub fn seal(mut block: Block, previous_hash: Digest) -> Self {
+        block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        Self::link(block, previous_hash)
     }
 
-    /// [`SealedBlock::seal`] after Algorithm 1 (line 22): a transaction
-    /// whose bytes are still those `ingress` hashed keeps its leaf, any
-    /// other is hashed — whatever a validator did, the seal covers it.
-    pub fn reseal(block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
-        Self::reseal_with(block, previous_hash, |i, bytes| ingress.leaf(i, bytes))
-    }
-
-    fn reseal_with(
-        mut block: Block,
-        previous_hash: Digest,
-        known: impl Fn(usize, &[u8]) -> Option<Digest>,
-    ) -> Self {
-        if block.references_resolve().is_err() {
-            block.inline_converged();
+    /// [`SealedBlock::seal`] after Algorithm 1, which writes only the
+    /// record: transactions that still encode to the bytes `ingress`
+    /// hashed keep the data hash it checked, and only the record is
+    /// hashed. A validator may still change a transaction byte (it gets
+    /// `&mut Block`); then the transactions are hashed as they are, so
+    /// the seal covers whatever the block holds.
+    pub fn reseal(mut block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
+        if !ingress.encodes(&block.transactions) {
+            return Self::seal(block, previous_hash);
         }
+        block.header.data_hash = ingress.data_hash;
+        Self::link(block, previous_hash)
+    }
+
+    fn link(mut block: Block, previous_hash: Digest) -> Self {
         block.header.previous_hash = previous_hash;
-        block.header.data_hash = data_hash(&block.transactions, &block.converged, known);
+        block.header.record_hash = block.compute_record_hash();
         SealedBlock(block)
     }
 
     /// Admits a block from anywhere else (a file, another replica) by
-    /// recomputing its data hash; `None` when it does not match.
-    pub fn verify(block: Block) -> Option<Self> {
-        block.data_hash_is_valid().then_some(SealedBlock(block))
+    /// recomputing its record hash and data hash
+    /// ([`Block::check_hashes`], whose error it returns).
+    pub fn verify(block: Block) -> Result<Self, ChainError> {
+        block.check_hashes().map(|()| SealedBlock(block))
     }
 
     /// Gives up the seal.
@@ -382,49 +349,64 @@ impl Deref for SealedBlock {
 }
 
 /// A delivered block's transactions in their one layout, encoded once
-/// at ingress: the tamper check hashes them, endorsement
-/// verification MACs the response-payload digests the leaves were built
-/// from, and [`SealedBlock::reseal`] reuses the leaves of unchanged ones.
+/// at ingress: the tamper check hashes them, endorsement verification
+/// MACs the response-payload digests the leaves were built from, and
+/// [`SealedBlock::reseal`] compares the block's transactions against
+/// these bytes instead of hashing them again.
 #[derive(Debug)]
 pub struct EncodedTransactions {
     bytes: Vec<u8>,
-    /// Per transaction: its bytes in `bytes`, its payload digest, its leaf.
-    spans: Vec<(Range<usize>, Digest, Digest)>,
+    /// Per transaction, the digest of its response payload.
+    digests: Vec<Digest>,
+    /// The data hash the bytes gave, equal to the header's.
+    data_hash: Digest,
 }
 
 impl EncodedTransactions {
     /// Encodes `block`'s transactions back to back, hashing each as it
-    /// lands; `None` when the header's data hash does not cover them and
-    /// the block's converged values, or those do not match the
-    /// references to them.
+    /// lands; `None` when the header's data hash does not cover them.
     pub fn verify(block: &Block) -> Option<Self> {
-        block.references_resolve().ok()?;
-        let (mut bytes, mut spans) = (Vec::new(), Vec::new());
-        for tx in &block.transactions {
-            let start = bytes.len();
-            tx.write_response_payload(&mut bytes);
-            let payload_end = bytes.len() - start;
-            tx.write_endorsements(&mut bytes);
-            let (digest, leaf) = tx_leaf(&bytes[start..], payload_end);
-            spans.push((start..bytes.len(), digest, leaf));
-        }
-        let leaves = spans.iter().map(|(_, _, leaf)| *leaf).collect();
-        (root(leaves, &block.converged) == block.header.data_hash)
-            .then_some(EncodedTransactions { bytes, spans })
+        let mut bytes = Vec::new();
+        let (digests, leaves): (Vec<Digest>, Vec<Digest>) = block
+            .transactions
+            .iter()
+            .map(|tx| encode_tx(tx, &mut bytes))
+            .unzip();
+        let data_hash = merkle::root(leaves);
+        (data_hash == block.header.data_hash).then_some(EncodedTransactions {
+            bytes,
+            digests,
+            data_hash,
+        })
     }
 
     /// The SHA-256 of transaction `index`'s
     /// [`Transaction::response_payload`], as hashed into its leaf: the
     /// digest its endorsements sign.
     pub fn payload_digest(&self, index: usize) -> &Digest {
-        &self.spans[index].1
+        &self.digests[index]
     }
 
-    /// The leaf hashed at ingress for transaction `index`, if `bytes`
-    /// are the bytes it was hashed over.
-    fn leaf(&self, index: usize, bytes: &[u8]) -> Option<Digest> {
-        let (range, _, leaf) = self.spans.get(index)?;
-        (self.bytes[range.clone()] == *bytes).then_some(*leaf)
+    /// Whether `transactions` encode to exactly the bytes hashed at
+    /// ingress: one re-encode compared as it is written, no hash. Each
+    /// transaction's layout is self-delimiting, so one comparison over
+    /// the whole run also covers every boundary between them.
+    fn encodes(&self, transactions: &[Transaction]) -> bool {
+        let mut sink = Matches(Some(&self.bytes));
+        for tx in transactions {
+            tx.write_bytes(&mut sink);
+        }
+        sink.0.is_some_and(<[u8]>::is_empty)
+    }
+}
+
+/// A sink that checks what is written against the bytes still expected
+/// instead of keeping them: `None` from the first byte that differs.
+struct Matches<'a>(Option<&'a [u8]>);
+
+impl ByteSink for Matches<'_> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = self.0.and_then(|rest| rest.strip_prefix(bytes));
     }
 }
 

@@ -22,6 +22,9 @@ pub enum ChainError {
     BrokenHashChain,
     /// The data hash does not cover the block's transactions.
     BadDataHash,
+    /// The record hash does not cover the block's commit record: its
+    /// validation codes and converged values.
+    BadRecordHash,
     /// A replayed block is missing per-transaction validation codes.
     MissingValidationCodes,
 }
@@ -34,6 +37,7 @@ impl fmt::Display for ChainError {
             }
             ChainError::BrokenHashChain => write!(f, "previous-hash does not match chain tip"),
             ChainError::BadDataHash => write!(f, "data hash does not cover transactions"),
+            ChainError::BadRecordHash => write!(f, "record hash does not cover the commit record"),
             ChainError::MissingValidationCodes => {
                 write!(f, "replayed block carries no validation codes")
             }
@@ -151,20 +155,21 @@ impl Blockchain {
     }
 
     /// Checks, without appending, that `block` extends the chain:
-    /// number, previous hash, then (the expensive one, last) a
-    /// recomputed data hash. The error is the first check that failed.
+    /// number, previous hash, a recomputed record hash, then (the
+    /// expensive one, last) a recomputed data hash. The error is the
+    /// first check that failed.
     pub fn verify_next(&self, block: Block) -> Result<SealedBlock, ChainError> {
         check_link(&block, self.height(), self.tip_hash())?;
-        SealedBlock::verify(block).ok_or(ChainError::BadDataHash)
+        SealedBlock::verify(block)
     }
 
     /// Appends a block this process hashed itself, checking only number
-    /// and previous hash: the type proves the data hash (debug builds
-    /// recompute it anyway). Returns the appended block, now the tip. On
+    /// and previous hash: the type proves the data and record hashes
+    /// (debug builds recompute them anyway). Returns the appended block, now the tip. On
     /// error the chain is left unchanged.
     pub fn append_sealed(&mut self, block: SealedBlock) -> Result<&Block, ChainError> {
         check_link(&block, self.height(), self.tip_hash())?;
-        debug_assert!(block.data_hash_is_valid(), "a sealed block was hashed");
+        debug_assert_eq!(block.check_hashes(), Ok(()), "a sealed block was hashed");
         self.blocks.push(block.into_block());
         Ok(&self.blocks[self.blocks.len() - 1])
     }
@@ -175,9 +180,7 @@ impl Blockchain {
         let mut previous = self.base_hash;
         for (i, block) in self.blocks.iter().enumerate() {
             check_link(block, self.base_number + i as u64, previous)?;
-            if !block.data_hash_is_valid() {
-                return Err(ChainError::BadDataHash);
-            }
+            block.check_hashes()?;
             previous = block.hash();
         }
         Ok(())
@@ -208,7 +211,7 @@ impl Blockchain {
                 };
                 entries.push(HistoryEntry {
                     height: Height::new(block.header.number, tx_num as u64),
-                    value: (!write.is_delete).then(|| block.value_of(key, write).to_vec()),
+                    value: (!write.is_delete).then(|| block.value_of(tx_num, key, write).to_vec()),
                 });
             }
         }

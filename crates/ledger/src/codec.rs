@@ -16,19 +16,19 @@
 //! prefix up to the endorsement count — so no byte a peer keeps lies
 //! outside the hash (DESIGN.md §4.17).
 //!
-//! Blocks are format v2: after the transactions comes the block's table
-//! of converged CRDT values, one per key, which every merged write
-//! refers to instead of carrying a copy ([`Block::install_converged`]);
-//! the data hash covers it with one more leaf. A decoded block's
-//! references and table match one for one, and decoding is canonical:
-//! whatever decodes re-encodes to the same bytes.
+//! Blocks are format v3: the transactions as the orderer cut them, then
+//! the commit record — validation codes and Algorithm 1's converged
+//! table ([`Block::set_converged`]) — whose digest the header binds into
+//! the block hash. Decoding is canonical, record included: whatever
+//! decodes re-encodes to the same bytes.
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 use fabriccrdt_crypto::sha256::Sha256;
 
-use crate::block::{self, Block, BlockHeader, ValidationCode};
+use crate::block::{self, Block, BlockHeader, Converged, ValidationCode};
 use crate::chain::Blockchain;
 use crate::transaction::{Transaction, TxId};
 use crate::version::Height;
@@ -37,10 +37,10 @@ use crate::worldstate::WorldState;
 /// State and transaction-id format version; bump on layout changes.
 const FORMAT_VERSION: u8 = 1;
 
-/// Block format version: 2 since a block holds each converged CRDT
-/// value once, in a table its merged writes refer to (ledger format
-/// v2). There is no v1 decoder: no deployed store holds v1 blocks.
-const BLOCK_FORMAT_VERSION: u8 = 2;
+/// Block format version: 3 since the peer's verdicts and converged
+/// values sit in a hashed commit record beside the transactions as cut
+/// (ledger format v3). No deployed store holds older versions.
+const BLOCK_FORMAT_VERSION: u8 = 3;
 
 /// Chain-layout format version. Bumped to 2 when chains gained a
 /// resume anchor (`base_number` + `base_hash`) so snapshot-restored
@@ -277,24 +277,76 @@ fn code_from_byte(b: u8, offset: usize) -> Result<ValidationCode, DecodeError> {
 
 /// A block: header, then each transaction's
 /// [`Transaction::write_bytes`] — the bytes its data-hash leaf covers —
-/// then the converged values its merged writes refer to (the bytes of
-/// the table's leaf), then the validation codes.
+/// then the commit record ([`write_record`], the bytes its record hash
+/// covers).
 impl Layout for Block {
     fn write(&self, out: &mut impl ByteSink) {
         out.u8(BLOCK_FORMAT_VERSION);
         out.u64(self.header.number);
         out.digest(&self.header.previous_hash);
         out.digest(&self.header.data_hash);
+        out.digest(&self.header.record_hash);
         out.u64(self.transactions.len() as u64);
         for tx in &self.transactions {
             tx.write_bytes(out);
         }
-        block::write_converged(&self.converged, out);
-        out.u64(self.validation_codes.len() as u64);
-        for &code in &self.validation_codes {
-            out.u8(code_to_byte(code));
+        write_record(self, out);
+    }
+}
+
+/// A commit record: the validation codes, counted, one byte each; then
+/// the converged table, counted, in key order, each entry its key, its
+/// value and its member indices, counted, as `u64`s.
+pub(crate) fn write_record(block: &Block, out: &mut impl ByteSink) {
+    out.u64(block.validation_codes.len() as u64);
+    for &code in &block.validation_codes {
+        out.u8(code_to_byte(code));
+    }
+    out.u64(block.converged.len() as u64);
+    for (key, entry) in &block.converged {
+        out.str(key);
+        out.bytes(&entry.value);
+        out.u64(entry.members.len() as u64);
+        for &member in &entry.members {
+            out.u64(member as u64);
         }
     }
+}
+
+/// Reads what [`write_record`] wrote into `block`, and nothing it could
+/// not have: no code or one per transaction, keys strictly rising, and
+/// each entry's members non-empty, strictly rising, in range and writing
+/// the key as a CRDT value.
+fn read_record(r: &mut Reader<'_>, block: &mut Block) -> Result<(), DecodeError> {
+    let (at, code_count) = (r.pos(), r.len(1)?);
+    if ![0, block.len()].contains(&code_count) {
+        return Err(DecodeError::new("code count is not the tx count", at));
+    }
+    for _ in 0..code_count {
+        let at = r.pos();
+        block.validation_codes.push(code_from_byte(r.u8()?, at)?);
+    }
+    for _ in 0..r.len(32)? {
+        let key = r.str_after(block.converged.keys().next_back())?;
+        let value = r.bytes()?;
+        let (at, count) = (r.pos(), r.len(8)?);
+        if count == 0 {
+            return Err(DecodeError::new("converged value with no member", at));
+        }
+        let mut members: Vec<usize> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let at = r.pos();
+            let member = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+            let rising = members.last().is_none_or(|&last| member > last);
+            let tx = block.transactions.get(member);
+            if !rising || !tx.is_some_and(|tx| block::merges(tx, &key)) {
+                return Err(DecodeError::new("member not a rising CRDT writer", at));
+            }
+            members.push(member);
+        }
+        block.converged.insert(key, Converged { value, members });
+    }
+    Ok(())
 }
 
 /// Encodes a block.
@@ -312,9 +364,10 @@ pub fn block_len(block: &Block) -> usize {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] for truncated, malformed or
-/// wrong-version input, and for a block whose converged values and
-/// references to them do not match one for one in keys: a reference to
-/// a missing value, or a value nothing refers to.
+/// wrong-version input, and for a commit record that is not canonical:
+/// a code count other than zero or the transaction count, keys out of
+/// order, or a converged value whose members are empty, out of order,
+/// out of range or not CRDT value writers of its key.
 pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     let mut r = Reader::new(data);
     let version = r.u8()?;
@@ -324,33 +377,25 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
     let number = r.u64()?;
     let previous_hash = r.digest()?;
     let data_hash = r.digest()?;
+    let record_hash = r.digest()?;
     let tx_count = r.len(60)?;
     let mut transactions = Vec::with_capacity(tx_count);
     for _ in 0..tx_count {
         transactions.push(Transaction::read(&mut r)?);
     }
-    let table_at = r.pos();
-    let converged = block::read_converged(&mut r)?;
-    let code_count = r.len(1)?;
-    let mut validation_codes = Vec::with_capacity(code_count);
-    for _ in 0..code_count {
-        let at = r.pos();
-        validation_codes.push(code_from_byte(r.u8()?, at)?);
-    }
-    r.finish()?;
-    let block = Block {
+    let mut block = Block {
         header: BlockHeader {
             number,
             previous_hash,
             data_hash,
+            record_hash,
         },
         transactions,
-        validation_codes,
-        converged,
+        validation_codes: Vec::new(),
+        converged: BTreeMap::new(),
     };
-    block
-        .references_resolve()
-        .map_err(|message| DecodeError::new(message, table_at))?;
+    read_record(&mut r, &mut block)?;
+    r.finish()?;
     Ok(block)
 }
 
@@ -602,7 +647,7 @@ mod tests {
     fn corrupt_length_rejected_without_huge_alloc() {
         let mut bytes = encode_block(&sample_block(1, false));
         // Overwrite the transaction count with a huge value.
-        let count_offset = 1 + 8 + 32 + 32;
+        let count_offset = 1 + 8 + 32 + 32 + 32;
         bytes[count_offset..count_offset + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(decode_block(&bytes).is_err());
     }

@@ -95,20 +95,10 @@ pub fn validate_and_commit(
             continue;
         }
 
-        // Commit the write set at this transaction's height.
-        let height = Height::new(block.header.number, tx_num as u64);
-        let mut wrote_crdt = false;
-        for (key, entry) in tx.rwset.writes.iter() {
-            stats.writes_applied += 1;
-            if entry.is_delete {
-                state.delete(key);
-            } else {
-                state.put(key.clone(), block.value_of(key, entry).to_vec(), height);
-            }
-            wrote_crdt |= entry.is_crdt;
-        }
+        stats.writes_applied += tx.rwset.writes.len() as u64;
+        apply_writes(block, tx_num, state);
         stats.successes += 1;
-        codes.push(if crdt_aware && wrote_crdt {
+        codes.push(if is_crdt_tx {
             ValidationCode::ValidMerged
         } else {
             ValidationCode::Valid
@@ -117,6 +107,23 @@ pub fn validate_and_commit(
 
     block.validation_codes = codes;
     stats
+}
+
+/// Commits transaction `tx_num`'s write set to `state` at its height,
+/// each write the value `block` gives it ([`Block::value_of`]).
+pub fn apply_writes(block: &Block, tx_num: usize, state: &mut WorldState) {
+    let height = Height::new(block.header.number, tx_num as u64);
+    for (key, entry) in block.transactions[tx_num].rwset.writes.iter() {
+        if entry.is_delete {
+            state.delete(key);
+        } else {
+            state.put(
+                key.clone(),
+                block.value_of(tx_num, key, entry).to_vec(),
+                height,
+            );
+        }
+    }
 }
 
 #[cfg(test)]

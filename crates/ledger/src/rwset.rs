@@ -7,7 +7,9 @@
 //!
 //! FabricCRDT extends write-set entries with a CRDT flag (§4.3: peers
 //! "flag the key-value pairs in the resulting transaction's write-set as
-//! 'CRDT key-values'"), set by the chaincode shim's `put_crdt`.
+//! 'CRDT key-values'"), set by the chaincode shim's `put_crdt`. A write
+//! keeps the value it was endorsed with; what a merged write commits is
+//! its block's converged value ([`Block::value_of`](crate::block::Block::value_of)).
 
 use std::collections::BTreeMap;
 
@@ -74,10 +76,6 @@ pub struct WriteEntry {
     pub is_crdt: bool,
     /// Fabric delete marker.
     pub is_delete: bool,
-    /// Ledger format v2: the value is the block's converged value for
-    /// this key ([`Block::value_of`](crate::block::Block::value_of)),
-    /// and `value` is empty.
-    converged: bool,
 }
 
 impl WriteEntry {
@@ -86,15 +84,7 @@ impl WriteEntry {
             value,
             is_crdt,
             is_delete,
-            converged: false,
         }
-    }
-
-    /// Whether this merged write refers to its block's converged value
-    /// for the key instead of carrying a value
-    /// ([`Block::install_converged`](crate::block::Block::install_converged)).
-    pub fn is_converged(&self) -> bool {
-        self.converged
     }
 }
 
@@ -130,41 +120,16 @@ impl WriteSet {
     }
 
     /// Replaces the value of an existing entry, preserving its CRDT and
-    /// delete flags; an entry that referred to its block's converged
-    /// value carries `value` itself again.
+    /// delete flags.
     ///
     /// Returns `false` if the key has no entry.
     pub fn update_value(&mut self, key: &str, value: Vec<u8>) -> bool {
         match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.value = value;
-                entry.converged = false;
                 true
             }
             None => false,
-        }
-    }
-
-    /// Makes `key`'s CRDT value write refer to its block's converged
-    /// value (Algorithm 1 line 22 in ledger format v2); `false` when
-    /// the key has no such write.
-    pub(crate) fn refer_to_converged(&mut self, key: &str) -> bool {
-        match self.entries.get_mut(key) {
-            Some(entry) if entry.is_crdt && !entry.is_delete => {
-                entry.value = Vec::new();
-                entry.converged = true;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Turns every reference back into a value: `resolve(key)` is the
-    /// referred converged value, if there is one.
-    pub(crate) fn inline_converged(&mut self, resolve: impl Fn(&str) -> Option<Vec<u8>>) {
-        for (key, entry) in self.entries.iter_mut().filter(|(_, e)| e.converged) {
-            entry.value = resolve(key).unwrap_or_default();
-            entry.converged = false;
         }
     }
 
@@ -213,8 +178,7 @@ impl ReadWriteSet {
     /// writes, each counted and in key order, keys and values
     /// length-prefixed — the middle of
     /// [`Transaction::write_bytes`](crate::Transaction::write_bytes). A
-    /// write's flag byte is CRDT (bit 0), delete (bit 1) and converged
-    /// reference (bit 2); a reference carries no value bytes.
+    /// write's flag byte is CRDT (bit 0) and delete (bit 1).
     pub fn write_bytes(&self, out: &mut impl ByteSink) {
         out.u64(self.reads.len() as u64);
         for (key, entry) in self.reads.iter() {
@@ -231,12 +195,8 @@ impl ReadWriteSet {
         out.u64(self.writes.len() as u64);
         for (key, entry) in self.writes.iter() {
             out.str(key);
-            out.u8(u8::from(entry.is_crdt)
-                | (u8::from(entry.is_delete) << 1)
-                | (u8::from(entry.converged) << 2));
-            if !entry.converged {
-                out.bytes(&entry.value);
-            }
+            out.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
+            out.bytes(&entry.value);
         }
     }
 
@@ -266,10 +226,6 @@ impl ReadWriteSet {
                 2 => match r.bytes()?.is_empty() {
                     true => WriteEntry::new(Vec::new(), false, true),
                     false => return Err(DecodeError::new("delete with a value", at)),
-                },
-                5 => WriteEntry {
-                    converged: true,
-                    ..WriteEntry::new(Vec::new(), true, false)
                 },
                 _ => return Err(DecodeError::new("invalid write flags", at)),
             };

@@ -7,10 +7,10 @@
 //! A transaction has one byte layout, [`Transaction::write_bytes`]: a
 //! block stores and ships it, and the block's data hash covers all of
 //! it, client and endorser identities included. Endorsers sign its
-//! prefix, [`Transaction::response_payload`]. Once Algorithm 1 has
-//! merged a write, the write refers to its block's converged value and
-//! the layout carries no value bytes for it
-//! ([`Block::install_converged`](crate::block::Block::install_converged)).
+//! prefix, [`Transaction::response_payload`]. A committed transaction
+//! keeps exactly the bytes its endorsers signed: Algorithm 1's
+//! converged values live in the block's commit record, beside it
+//! ([`Block::value_of`](crate::block::Block::value_of)).
 
 use std::fmt;
 

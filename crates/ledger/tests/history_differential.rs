@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fabriccrdt_crypto::Identity;
-use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::block::{Block, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, HistoryEntry};
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
@@ -143,7 +143,10 @@ fn arb_chain(g: &mut Gen, count: u64, coverage: &mut Coverage) -> Blockchain {
             })
             .collect();
         coverage.note(&block);
-        chain.append(block).expect("each block extends the chain");
+        let sealed = SealedBlock::seal(block, chain.tip_hash());
+        chain
+            .append_sealed(sealed)
+            .expect("each block extends the chain");
     }
     chain
 }

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use fabriccrdt_crypto::{merkle, sha256, Identity, Signature};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
-use fabriccrdt_ledger::chain::Blockchain;
+use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -69,10 +69,11 @@ fn arb_transaction(g: &mut Gen) -> Transaction {
     }
 }
 
-/// A block as assembled, or, half the time, as Algorithm 1 might leave
-/// it: each key some transactions CRDT-write gets a converged value
-/// that a random subset of those writes refers to, and the block is
-/// sealed again.
+/// A block as assembled, or, half the time, with a commit record as
+/// Algorithm 1 might leave it: each key some transactions CRDT-write
+/// gets a converged value that a random subset of those writes commits;
+/// then, half the time, a validation code per transaction. The block is
+/// sealed again, over its record.
 fn arb_block(g: &mut Gen) -> Block {
     let number = g.range(0, 100);
     let prev = g.array32();
@@ -89,9 +90,8 @@ fn arb_block(g: &mut Gen) -> Block {
             }
         }
         for (key, members) in writers {
-            block.install_converged(&key, g.bytes(0, 11), &members);
+            block.set_converged(key, g.bytes(0, 11), members);
         }
-        block = SealedBlock::seal(block, prev).into_block();
     }
     if with_codes {
         block.validation_codes = block
@@ -109,7 +109,7 @@ fn arb_block(g: &mut Gen) -> Block {
             })
             .collect();
     }
-    block
+    SealedBlock::seal(block, prev).into_block()
 }
 
 /// A chain from genesis or resumed mid-way, holding up to three blocks
@@ -284,7 +284,7 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
         }
         let sealed = SealedBlock::seal(block.clone(), block.header.previous_hash);
         assert_eq!(*sealed, block, "sealing an assembled block changes nothing");
-        assert_eq!(SealedBlock::verify(block.clone()), Some(sealed.clone()));
+        assert_eq!(SealedBlock::verify(block.clone()), Ok(sealed.clone()));
         let reseal = |block: &Block| SealedBlock::reseal(block.clone(), [7; 32], &encoded);
         let seal = |block: &Block| SealedBlock::seal(block.clone(), [7; 32]);
         assert_eq!(reseal(&block).header.data_hash, block.header.data_hash);
@@ -320,7 +320,10 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
             tx.rwset.writes.update_value(&key, value);
             assert!(!block.data_hash_is_valid());
             assert!(EncodedTransactions::verify(&block).is_none());
-            assert_eq!(SealedBlock::verify(block.clone()), None);
+            assert_eq!(
+                SealedBlock::verify(block.clone()),
+                Err(ChainError::BadDataHash)
+            );
             assert_eq!(reseal(&block), seal(&block), "flipped");
             let resealed = SealedBlock::seal(block, [7; 32]);
             assert!(resealed.data_hash_is_valid());
@@ -341,14 +344,17 @@ fn rewriting_a_client_breaks_the_seal() {
         let i = g.range(0, forged.transactions.len() as u64) as usize;
         forged.transactions[i].client.name.push('x');
         assert!(!forged.data_hash_is_valid());
-        assert_eq!(SealedBlock::verify(forged.clone()), None);
+        assert_eq!(
+            SealedBlock::verify(forged.clone()),
+            Err(ChainError::BadDataHash)
+        );
         assert!(EncodedTransactions::verify(&forged).is_none());
     });
 }
 
 /// One layout: each transaction's `to_bytes` is exactly its span inside
 /// the stored block, its response payload is that span up to the
-/// endorsement count, the converged values follow the transactions, and
+/// endorsement count, the commit record follows the transactions, and
 /// the counted block length is the encoded one.
 #[test]
 fn transaction_bytes_are_their_span_in_the_stored_block() {
@@ -356,8 +362,8 @@ fn transaction_bytes_are_their_span_in_the_stored_block() {
         let block = arb_block(g);
         let stored = codec::encode_block(&block);
         assert_eq!(codec::block_len(&block), stored.len());
-        // Version, number, two digests, then the transaction count.
-        let mut at = 1 + 8 + 32 + 32 + 8;
+        // Version, number, three digests, then the transaction count.
+        let mut at = 1 + 8 + 3 * 32 + 8;
         for tx in &block.transactions {
             let bytes = tx.to_bytes();
             assert_eq!(stored[at..at + bytes.len()], bytes[..]);
@@ -367,11 +373,11 @@ fn transaction_bytes_are_their_span_in_the_stored_block() {
             assert_eq!(bytes[payload.len()..payload.len() + 8], count);
             at += bytes.len();
         }
+        at += 8 + block.validation_codes.len();
         let table = block
             .converged_values()
-            .map(|(k, v)| 16 + k.len() + v.len());
-        at += 8 + table.sum::<usize>();
-        assert_eq!(stored.len(), at + 8 + block.validation_codes.len());
+            .map(|(k, v, m)| 24 + k.len() + v.len() + 8 * m.len());
+        assert_eq!(stored.len(), at + 8 + table.sum::<usize>());
     });
 }
 
@@ -404,7 +410,7 @@ fn identities_that_display_alike_give_different_leaves() {
 
 /// The layout did not move: for the same value every encoder emits the
 /// bytes of the encoders it replaced, kept here as they were but for
-/// ledger format v2's block additions.
+/// ledger format v3's block record.
 #[test]
 fn stored_layouts_equal_the_replaced_encoders() {
     gen::cases(128, |g| {
@@ -435,10 +441,10 @@ fn stored_layouts_equal_the_replaced_encoders() {
 /// The stored layouts as the ledger wrote them before a transaction had
 /// one layout: a second byte cursor and per-type writers, block by
 /// block. The oracle for `stored_layouts_equal_the_replaced_encoders`.
-/// Ledger format v2 added three things to a block, written here by
-/// hand: version byte 2, a converged reference (write flag bit 2, no
-/// value bytes), and the table of converged values after the
-/// transactions.
+/// Ledger format v3 changed a block, written here by hand: version
+/// byte 3, the header's record hash, and the commit record after the
+/// transactions — the codes, then the table of converged values with
+/// their member indices.
 mod replaced {
     use super::*;
     use fabriccrdt_ledger::rwset::ReadWriteSet;
@@ -492,10 +498,6 @@ mod replaced {
         w.u64(rwset.writes.len() as u64);
         for (key, entry) in rwset.writes.iter() {
             w.str(key);
-            if entry.is_converged() {
-                w.u8(5);
-                continue;
-            }
             w.u8(u8::from(entry.is_crdt) | (u8::from(entry.is_delete) << 1));
             w.bytes(&entry.value);
         }
@@ -527,22 +529,27 @@ mod replaced {
 
     pub fn encode_block(block: &Block) -> Vec<u8> {
         let mut w = Writer::default();
-        w.u8(2);
+        w.u8(3);
         w.u64(block.header.number);
         w.digest(&block.header.previous_hash);
         w.digest(&block.header.data_hash);
+        w.digest(&block.header.record_hash);
         w.u64(block.transactions.len() as u64);
         for tx in &block.transactions {
             write_transaction(&mut w, tx);
         }
-        w.u64(block.converged_values().count() as u64);
-        for (key, value) in block.converged_values() {
-            w.str(key);
-            w.bytes(value);
-        }
         w.u64(block.validation_codes.len() as u64);
         for &code in &block.validation_codes {
             w.u8(code_to_byte(code));
+        }
+        w.u64(block.converged_values().count() as u64);
+        for (key, value, members) in block.converged_values() {
+            w.str(key);
+            w.bytes(value);
+            w.u64(members.len() as u64);
+            for &member in members {
+                w.u64(member as u64);
+            }
         }
         w.buf
     }

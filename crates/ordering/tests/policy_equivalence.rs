@@ -139,11 +139,13 @@ fn run_raft(
 /// Raft fault schedules in the mix. The flag's own runs are gone with
 /// it, so each backend's 50 ledgers (state then chain bytes, in case
 /// order) are folded into one SHA-256 and pinned against the digest
-/// the flag produced on the last commit that had it — re-recorded three
+/// the flag produced on the last commit that had it — re-recorded four
 /// times, unchanged otherwise: when signatures became MACs of the
 /// payload digest and the Merkle leaf began with that digest, when the
-/// leaf came to cover the bytes a block stores, and when a block came
-/// to hold each converged value once (DESIGN.md §4.17).
+/// leaf came to cover the bytes a block stores, when a block came to
+/// hold each converged value once, and when that value moved into a
+/// hashed commit record beside the transactions as cut (DESIGN.md
+/// §4.17).
 #[test]
 fn reorder_policy_matches_the_legacy_flag_goldens() {
     let mut single = Sha256::new();
@@ -166,12 +168,12 @@ fn reorder_policy_matches_the_legacy_flag_goldens() {
     });
     assert_eq!(
         hex::encode(&single.finalize()),
-        "a1a22d22a02a3e5ba88bbb5533f6f746d0798f0fa65a1967fdaaf2cf1949b78b",
+        "ada7f3f3cc148f5b3786a26aa313a0c8d228afaff6c0bfd702854066131c5902",
         "single orderer: Reorder diverged from the legacy flag"
     );
     assert_eq!(
         hex::encode(&raft.finalize()),
-        "4c4250d7a9c9b57e983fae6d92e2d280f8ea9314161ceb1a071b8a38b0776681",
+        "4b5d77a1ad51cd58961fa20a86ea84d6c0996d5b5e1741a403e12083dfbc9486",
         "raft: Reorder diverged from the legacy flag"
     );
 }

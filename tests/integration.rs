@@ -66,9 +66,9 @@ fn headline_no_failures_no_update_loss() {
     // set (merged values accumulate per block).
     let mut seen = std::collections::HashSet::new();
     for block in chain.iter() {
-        for tx in &block.transactions {
+        for (i, tx) in block.transactions.iter().enumerate() {
             if let Some(entry) = tx.rwset.writes.get("d1") {
-                if let Ok(doc) = Value::from_bytes(block.value_of("d1", entry)) {
+                if let Ok(doc) = Value::from_bytes(block.value_of(i, "d1", entry)) {
                     if let Some(readings) = doc.get("readings").and_then(Value::as_list) {
                         for r in readings {
                             seen.insert(r.as_str().unwrap().to_owned());
@@ -124,7 +124,11 @@ fn converged_write_sets_identical_within_block() {
         let values: Vec<&[u8]> = block
             .transactions
             .iter()
-            .filter_map(|tx| tx.rwset.writes.get("d1").map(|e| block.value_of("d1", e)))
+            .enumerate()
+            .filter_map(|(i, tx)| {
+                let write = tx.rwset.writes.get("d1")?;
+                Some(block.value_of(i, "d1", write))
+            })
             .collect();
         assert!(values.iter().all(|v| Value::from_bytes(v).is_ok()));
         for pair in values.windows(2) {
