@@ -110,6 +110,19 @@ test "$(find crates/ledger/src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C so
 crates/ledger/src/codec.rs
 crates/ledger/src/transaction.rs"
 
+# A block record's footer is the prefix of its block hash, which ingress
+# and the re-seal already bound to every stored byte, so the store hashes
+# no transaction or record byte (DESIGN.md §4.11, §4.17). SHA-256 runs
+# over a snapshot payload only: these are the non-test functions of
+# store.rs that call `digest(`, or `snapshot_footer(`, the one that does.
+echo "==> store-hashing boundary (in ledger/src/store.rs, digest( is reached only on the snapshot path)"
+test "$(awk '
+    /#\[cfg\(test\)\]/ { exit }
+    match($0, /fn [a-z_0-9]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+    /(^|[^.a-z_])(digest|snapshot_footer)\(/ { print name }' crates/ledger/src/store.rs | uniq)" = "snapshot_footer
+valid_record
+put_snapshot"
+
 # An endorsement is a MAC of its payload's digest (DESIGN.md §4.17):
 # the endorsers' client hashes a response payload once, in
 # `Simulation::endorse`, and a peer verifies from the digest its ingress

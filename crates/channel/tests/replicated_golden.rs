@@ -82,7 +82,7 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
     assert_eq!(rollup.total_successful(), CHANNELS * txs);
     net.verify_converged();
 
-    // Every replica's ledger, then every store file, in a fixed order.
+    // Every replica's ledger, then every store segment, in a fixed order.
     let mut ledgers = Sha256::new();
     let mut counters = Vec::new();
     let mut samples = Sha256::new();
@@ -104,7 +104,20 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
         .map(|entry| entry.expect("readable entry").path())
         .collect();
     files.sort();
-    assert_eq!(files.len(), CHANNELS * 6, "one file per channel × peer");
+    // A store is a run of segments, `<store>.aof` then `<store>.aof.<n>`:
+    // one run per channel × peer, and no temp file a compaction left.
+    let mut runs = std::collections::BTreeSet::new();
+    for path in &files {
+        let name = path.file_name().expect("named").to_string_lossy();
+        assert!(!name.contains("compact-tmp"), "stray temp file {name}");
+        let (run, segment) = name.split_once(".aof").expect("a store segment");
+        let numbered = segment
+            .strip_prefix('.')
+            .is_some_and(|n| n.parse::<u64>().is_ok());
+        assert!(segment.is_empty() || numbered, "not a segment: {name}");
+        runs.insert(run.to_owned());
+    }
+    assert_eq!(runs.len(), CHANNELS * 6, "one run per channel × peer");
     for path in &files {
         ledgers.update(path.file_name().expect("named").as_encoded_bytes());
         ledgers.update(&std::fs::read(path).expect("store file reads back"));
@@ -174,7 +187,7 @@ fn faulted_replicated_run_matches_the_recorded_golden() {
 
     assert_eq!(
         hex::encode(&ledgers.finalize()),
-        "df8d83a01f2400d0218a7dc9e843ff47056ed3bcd9d4a1e9fd66c6b30349eabc",
+        "3c052be6897e97d9f45d93f2d88ae6bf0e0a63bb6c75beaa386976c768846396",
         "a replica's ledger or store file changed"
     );
     assert_eq!(

@@ -24,14 +24,14 @@
 //! [`Peer::finish_block_with_next`] are names `perf/` drives this path
 //! through (DESIGN.md §4.16).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::store::LedgerSnapshot;
-use fabriccrdt_ledger::transaction::TxId;
+use fabriccrdt_ledger::transaction::{TxId, TxIdSet};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::WorldState;
 use fabriccrdt_ledger::{codec, mvcc};
@@ -104,14 +104,16 @@ pub struct Peer<V> {
     /// long as a reader holds it.
     state: WorldState,
     chain: Blockchain,
-    committed_ids: HashSet<TxId>,
+    committed_ids: TxIdSet,
     validator: V,
     policy: EndorsementPolicy,
-    /// The verification key of every endorser a delivered block has
-    /// named, derived on first sight — never per endorsement. It holds
-    /// no identity the chain does not also store, so it grows no faster
+    /// The verification key and policy org bit
+    /// ([`EndorsementPolicy::org_bit`]) of every endorser a delivered
+    /// block has named, derived on first sight — never per endorsement.
+    /// Keyed by SipHash: identities are a client's to name. It holds no
+    /// identity the chain does not also store, so it grows no faster
     /// than the ledger.
-    endorser_keys: HashMap<Identity, KeyPair>,
+    endorser_keys: HashMap<Identity, (KeyPair, u64)>,
     /// Which channel this replica serves; [`ChannelId::DEFAULT`] for
     /// single-channel runs. Purely a label — validation logic is
     /// channel-agnostic — but it keeps multi-channel replicas
@@ -129,7 +131,13 @@ impl<V: BlockValidator> Peer<V> {
         chain
             .append(Block::genesis())
             .expect("genesis extends the empty chain");
-        Peer::from_parts(validator, policy, WorldState::new(), chain, HashSet::new())
+        Peer::from_parts(
+            validator,
+            policy,
+            WorldState::new(),
+            chain,
+            TxIdSet::default(),
+        )
     }
 
     /// A default-channel peer over the given ledger parts
@@ -139,7 +147,7 @@ impl<V: BlockValidator> Peer<V> {
         policy: EndorsementPolicy,
         state: WorldState,
         chain: Blockchain,
-        committed_ids: HashSet<TxId>,
+        committed_ids: TxIdSet,
     ) -> Self {
         Peer {
             state,
@@ -350,20 +358,15 @@ impl<V: BlockValidator> Peer<V> {
     /// A transaction is a duplicate of anything committed or earlier in
     /// the block. Duplicates short-circuit *before* any signature is
     /// checked, so they add nothing to `sigs_verified`, which drives
-    /// the simulated block cost.
+    /// the simulated block cost. Each endorsement costs one lookup of
+    /// its endorser, which yields the key to verify with and the org
+    /// bit a valid signature adds to the transaction's org mask.
     fn endorsement_verdicts(
         &mut self,
         block: &Block,
         ingress: &EncodedTransactions,
     ) -> (Vec<Option<ValidationCode>>, u64) {
-        for endorsement in block.transactions.iter().flat_map(|tx| &tx.endorsements) {
-            if !self.endorser_keys.contains_key(&endorsement.endorser) {
-                let keypair = KeyPair::derive(endorsement.endorser.clone());
-                self.endorser_keys
-                    .insert(endorsement.endorser.clone(), keypair);
-            }
-        }
-        let mut seen_in_block: HashSet<TxId> = HashSet::new();
+        let mut seen_in_block = TxIdSet::default();
         let mut sigs_verified = 0u64;
         let pre = block
             .transactions
@@ -377,21 +380,28 @@ impl<V: BlockValidator> Peer<V> {
                 self.validator.prepare(tx);
                 // Hashed into the leaf at ingress: no second payload pass.
                 let digest = ingress.payload_digest(i);
-                let mut valid_orgs: Vec<&str> = Vec::new();
+                let mut orgs = 0u64;
                 for endorsement in &tx.endorsements {
                     sigs_verified += 1;
-                    let keypair = self
-                        .endorser_keys
-                        .get(&endorsement.endorser)
-                        .expect("derived above for every endorser in this block");
+                    let endorser = &endorsement.endorser;
+                    let (keypair, org_bit) = match self.endorser_keys.get(endorser) {
+                        Some(known) => known,
+                        None => {
+                            let known = (
+                                KeyPair::derive(endorser.clone()),
+                                self.policy.org_bit(&endorser.org),
+                            );
+                            &*self.endorser_keys.entry(endorser.clone()).or_insert(known)
+                        }
+                    };
                     if keypair
                         .verify_digest(digest, &endorsement.signature)
                         .is_ok()
                     {
-                        valid_orgs.push(&endorsement.endorser.org);
+                        orgs |= org_bit;
                     }
                 }
-                (!self.policy.is_satisfied_by(&valid_orgs))
+                (!self.policy.is_satisfied_by_mask(orgs))
                     .then_some(ValidationCode::EndorsementPolicyFailure)
             })
             .collect();

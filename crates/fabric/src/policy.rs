@@ -29,8 +29,9 @@ impl EndorsementPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero, the org list is empty, or `n` exceeds the
-    /// number of organizations.
+    /// Panics if `n` is zero, the org list is empty or names more than
+    /// 64 organizations (one bit each of an org mask), or `n` exceeds
+    /// the number of organizations.
     pub fn out_of<I, S>(n: usize, orgs: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -40,6 +41,7 @@ impl EndorsementPolicy {
         orgs.sort_unstable();
         orgs.dedup();
         assert!(!orgs.is_empty(), "policy requires at least one org");
+        assert!(orgs.len() <= 64, "policy names at most 64 orgs");
         assert!(
             n >= 1 && n <= orgs.len(),
             "policy threshold must be in 1..=orgs"
@@ -82,22 +84,34 @@ impl EndorsementPolicy {
         self.required
     }
 
+    /// The bit `org` sets in an org mask: bit `i` for the policy's
+    /// `i`-th organization in name order, 0 for one it does not name.
+    pub fn org_bit(&self, org: &str) -> u64 {
+        self.orgs
+            .binary_search_by(|known| known.as_str().cmp(org))
+            .map_or(0, |i| 1 << i)
+    }
+
+    /// Whether the organizations whose [`EndorsementPolicy::org_bit`]s
+    /// `mask` sets satisfy the policy. Bits it names no org for do not
+    /// count.
+    pub fn is_satisfied_by_mask(&self, mask: u64) -> bool {
+        let named = u64::MAX >> (64 - self.orgs.len());
+        (mask & named).count_ones() as usize >= self.required
+    }
+
     /// Checks whether endorsements from `endorsing_orgs` satisfy the
-    /// policy. Duplicate org entries count once; unknown orgs are ignored.
+    /// policy, through their org mask. Duplicate org entries count once;
+    /// unknown orgs are ignored.
     pub fn is_satisfied_by<I, S>(&self, endorsing_orgs: I) -> bool
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut seen: Vec<&String> = Vec::new();
-        for org in endorsing_orgs {
-            if let Some(known) = self.orgs.iter().find(|o| o.as_str() == org.as_ref()) {
-                if !seen.contains(&known) {
-                    seen.push(known);
-                }
-            }
-        }
-        seen.len() >= self.required
+        let mask = endorsing_orgs
+            .into_iter()
+            .fold(0, |mask, org| mask | self.org_bit(org.as_ref()));
+        self.is_satisfied_by_mask(mask)
     }
 }
 
@@ -170,6 +184,28 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn empty_orgs_panics() {
         EndorsementPolicy::out_of(1, Vec::<&str>::new());
+    }
+
+    #[test]
+    fn org_bits_follow_name_order() {
+        let p = EndorsementPolicy::out_of(2, ["org3", "org1", "org2"]);
+        assert_eq!(
+            ["org1", "org2", "org3", "org9"].map(|o| p.org_bit(o)),
+            [1, 2, 4, 0]
+        );
+        assert!(p.is_satisfied_by_mask(0b101));
+        assert!(!p.is_satisfied_by_mask(0b100));
+        assert!(!p.is_satisfied_by_mask(0b1000 | 0b1), "an unnamed bit");
+        let widest = EndorsementPolicy::all_of((0..64).map(|i| format!("org{i:02}")));
+        assert!(widest.is_satisfied_by_mask(u64::MAX));
+        assert!(!widest.is_satisfied_by_mask(u64::MAX >> 1));
+        assert_eq!(widest.org_bit("org63"), 1 << 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_orgs_than_mask_bits_panics() {
+        EndorsementPolicy::any_of((0..65).map(|i| format!("org{i}")));
     }
 
     #[test]

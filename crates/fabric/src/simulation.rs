@@ -25,7 +25,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 use fabriccrdt_ledger::block::Block;
-use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId, TxIdMap};
 use fabriccrdt_sim::queue::EventQueue;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
@@ -318,7 +318,7 @@ pub struct Simulation<V: BlockValidator> {
     requests: Vec<TxRequest>,
     records: Vec<TxRecord>,
     endorsed: Vec<Option<Transaction>>,
-    index_by_id: HashMap<TxId, usize>,
+    index_by_id: TxIdMap<usize>,
     /// Signing keys of the endorsing peers by (position of the org in the
     /// policy, peer index within the org), each derived the first time
     /// that peer endorses — during the run, not at construction.
@@ -383,7 +383,7 @@ impl<V: BlockValidator> Simulation<V> {
             requests: Vec::new(),
             records: Vec::new(),
             endorsed: Vec::new(),
-            index_by_id: HashMap::new(),
+            index_by_id: TxIdMap::default(),
             endorser_keys: HashMap::new(),
             attempts: Vec::new(),
             pending_events: Vec::new(),

@@ -29,7 +29,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs;
 use std::path::PathBuf;
 
 use fabriccrdt_ledger::block::Block;
@@ -51,9 +50,12 @@ use crate::validator::BlockValidator;
 pub enum StorageBackend {
     /// Encoded records held in memory — the trait-shaped status quo.
     Memory,
-    /// One append-only file per peer, `peer-<index>.aof` under `dir`.
+    /// One run of append-only segment files per peer under `dir`:
+    /// `peer-<index>.aof`, then `peer-<index>.aof.1`, `.2`, …, each
+    /// snapshot starting the next segment, and compaction unlinking the
+    /// segments it leaves empty (the first is emptied in place).
     AppendOnlyFile {
-        /// Directory holding the per-peer files (created on open).
+        /// Directory holding the per-peer segments (created on open).
         dir: PathBuf,
     },
 }
@@ -232,10 +234,9 @@ impl DurableLedger {
     }
 
     /// Opens peer `peer_index`'s store for `channel`. The default
-    /// channel keeps the historical `peer-<index>.aof` file name;
-    /// other channels get `ch<channel>-peer-<index>.aof`, so every
-    /// (channel, peer) pair has its own ledger file under one
-    /// directory.
+    /// channel's run of segments starts at `peer-<index>.aof`; other
+    /// channels' at `ch<channel>-peer-<index>.aof`, so every (channel,
+    /// peer) pair has its own segments under one directory.
     ///
     /// # Errors
     ///
@@ -249,10 +250,6 @@ impl DurableLedger {
         let store: Box<dyn LedgerStore> = match &config.backend {
             StorageBackend::Memory => Box::new(MemoryStore::new()),
             StorageBackend::AppendOnlyFile { dir } => {
-                fs::create_dir_all(dir).map_err(|e| StoreError::Io {
-                    op: "create-dir",
-                    message: e.to_string(),
-                })?;
                 let file = if channel == ChannelId::DEFAULT {
                     format!("peer-{peer_index}.aof")
                 } else {
@@ -526,6 +523,7 @@ mod tests {
     use fabriccrdt_ledger::rwset::ReadWriteSet;
     use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
     use fabriccrdt_sim::gen;
+    use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -865,6 +863,128 @@ mod tests {
         assert!(ch1.has_block(1) && ch1.has_block(2));
         assert_eq!(ch0.retained_blocks().unwrap().len(), 1);
         assert_eq!(ch1.retained_blocks().unwrap().len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file in `dir`, by name.
+    fn files_in(dir: &std::path::Path) -> BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().into_string().unwrap();
+                (name, fs::read(entry.path()).unwrap())
+            })
+            .collect()
+    }
+
+    /// Recovers peer 0 from exactly `files` and checks it against `live`.
+    fn assert_recovers(files: &BTreeMap<String, Vec<u8>>, live: &Peer<FabricValidator>, at: &str) {
+        let dir = temp_dir("crash-point");
+        fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in files {
+            fs::write(dir.join(name), bytes).unwrap();
+        }
+        let recovery = DurableLedger::open(&StorageConfig::append_only(&dir), 0)
+            .unwrap()
+            .recover(
+                FabricValidator::new(),
+                EndorsementPolicy::all_of(["org1", "org2"]),
+            )
+            .unwrap();
+        assert_eq!(recovery.peer.state(), live.state(), "{at}");
+        assert_eq!(
+            recovery.peer.chain().tip_hash(),
+            live.chain().tip_hash(),
+            "{at}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash after any file-system step of the segment lifecycle
+    /// leaves files that recover the same ledger. The steps, in order:
+    /// `put_snapshot` creates the next segment, then writes the
+    /// snapshot into it (torn at any byte); `compact_up_to` goes through
+    /// the segments oldest first, emptying a dead first segment in
+    /// place, unlinking any other dead one, and rewriting a partly
+    /// alive one through a temp file (torn at any byte) and a rename.
+    /// Each prefix of those steps is rebuilt from the files before and
+    /// after the call and recovered in a directory of its own. The GC
+    /// floor lags the tip by one block, so compaction meets every kind
+    /// of step.
+    #[test]
+    fn every_crash_point_of_the_segment_lifecycle_recovers_the_same_ledger() {
+        let dir = temp_dir("lifecycle");
+        let config = StorageConfig::append_only(&dir)
+            .with_snapshot_interval(3)
+            .with_gc(true);
+        let mut store = DurableLedger::open(&config, 0).unwrap();
+        let mut live = test_peer();
+        let mut steps = BTreeMap::new();
+        for n in 1..=8 {
+            let block = Block::assemble(
+                live.chain().height(),
+                live.chain().tip_hash(),
+                vec![endorsed_tx(n, &["doc".to_string()])],
+            );
+            let staged = live.process_block(block);
+            let tip = live.commit(staged).unwrap().clone();
+            store.append_block(&tip).unwrap();
+            assert_recovers(&files_in(&dir), &live, &format!("block {n}"));
+
+            if store.snapshot_due(n) {
+                let before = files_in(&dir);
+                store.put_snapshot(live.ledger_snapshot()).unwrap();
+                let after = files_in(&dir);
+                let (name, bytes) = after
+                    .iter()
+                    .find(|(name, _)| !before.contains_key(*name))
+                    .expect("the snapshot starts a segment");
+                for cut in 0..=bytes.len() {
+                    let mut torn = before.clone();
+                    torn.insert(name.clone(), bytes[..cut].to_vec());
+                    assert_recovers(&torn, &live, &format!("snapshot {n}, {cut} bytes"));
+                }
+            }
+
+            let before = files_in(&dir);
+            store.compact_up_to(n - 1).unwrap();
+            let after = files_in(&dir);
+            let mut state = before.clone();
+            let segment = |name: &String| {
+                name.strip_prefix("peer-0.aof.")
+                    .map_or(0u64, |n| n.parse().unwrap())
+            };
+            let mut names: Vec<&String> = before.keys().collect();
+            names.sort_by_key(|name| segment(name));
+            for name in names {
+                let at = format!("compaction {n}, {name}");
+                let step = match after.get(name) {
+                    Some(bytes) if *bytes == before[name] => continue,
+                    None => {
+                        state.remove(name);
+                        "unlink"
+                    }
+                    Some(bytes) if bytes.is_empty() && segment(name) == 0 => {
+                        state.insert(name.clone(), Vec::new());
+                        "empty"
+                    }
+                    Some(bytes) => {
+                        for cut in [0, bytes.len() / 2, bytes.len()] {
+                            let mut temp = state.clone();
+                            temp.insert(format!("{name}.compact-tmp"), bytes[..cut].to_vec());
+                            assert_recovers(&temp, &live, &format!("{at}, temp"));
+                        }
+                        state.insert(name.clone(), bytes.clone());
+                        "rewrite"
+                    }
+                };
+                assert_recovers(&state, &live, &format!("{at}, {step}"));
+                *steps.entry(step).or_insert(0) += 1;
+            }
+            assert_eq!(state, after, "the steps rebuild the files compaction left");
+        }
+        assert_eq!(steps.len(), 3, "every kind of step ran: {steps:?}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -4,9 +4,14 @@ use super::*;
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, TamperMode};
+use fabriccrdt_fabric::cost::ValidationWork;
+use fabriccrdt_ledger::block::ValidationCode;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
+use fabriccrdt_ledger::worldstate::WorldState;
+use std::cell::Cell;
+use std::rc::Rc;
 
 const TXS: usize = 25;
 
@@ -213,4 +218,72 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
     assert_eq!(holders(&network, 1), 1);
     assert!(network.fully_converged_on(0));
     assert_replicas_own_their_records(&network);
+}
+
+/// FabricCRDT's validator, counting across every replica it is cloned
+/// into the blocks Algorithm 1 runs on and the signatures the peer
+/// checks: `prepare` runs once per transaction that is not a duplicate,
+/// right before each of its endorsements is verified.
+#[derive(Clone, Default)]
+struct Counting {
+    blocks: Rc<Cell<u64>>,
+    signatures: Rc<Cell<u64>>,
+}
+
+impl BlockValidator for Counting {
+    fn validate_and_commit(
+        &self,
+        block: &mut Block,
+        state: &mut WorldState,
+        pre_decided: &[Option<ValidationCode>],
+    ) -> ValidationWork {
+        self.blocks.set(self.blocks.get() + 1);
+        CrdtValidator.validate_and_commit(block, state, pre_decided)
+    }
+
+    fn prepare(&self, tx: &Transaction) {
+        let endorsements = tx.endorsements.len() as u64;
+        self.signatures.set(self.signatures.get() + endorsements);
+    }
+
+    fn name(&self) -> &str {
+        "counting"
+    }
+}
+
+#[test]
+fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
+    let config = PipelineConfig::paper(TXS, 7).with_gossip();
+    let counting = Counting::default();
+    let make = {
+        let counting = counting.clone();
+        move || counting.clone()
+    };
+    let mut network = GossipNetwork::new(&config, make);
+    network.seed_state_on(0, "hot", br#"{"readings":[]}"#);
+    network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
+    network.drain_on(0);
+    assert!(network.fully_converged_on(0));
+    let replicas = network.lanes[0].slots.len() as u64;
+    let work = || (counting.blocks.get(), counting.signatures.get());
+    assert_eq!(work(), (replicas, replicas * TXS as u64 * 3));
+    let metrics = network.metrics_on(0).clone();
+
+    // Replica 0 pushes block 1 to replica 5 once more.
+    let block = Arc::clone(&network.lanes[0].published[0].1);
+    let lane = &mut network.lanes[0];
+    let now = lane.clock;
+    lane.raw_block(&network.shared, now, 5, Some(0), block);
+
+    let after = network.metrics_on(0);
+    assert_eq!(after.redundant_messages, metrics.redundant_messages + 1);
+    assert_eq!(after.messages_sent, metrics.messages_sent, "not forwarded");
+    assert_eq!(
+        work(),
+        (replicas, replicas * TXS as u64 * 3),
+        "not validated"
+    );
+    assert_eq!(network.lanes[0].committed(5), 1);
+    assert!(network.lanes[0].slots[5].buffer.is_empty());
+    assert!(network.lanes[0].queue.is_empty(), "nothing scheduled");
 }

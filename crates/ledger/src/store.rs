@@ -1,20 +1,19 @@
 //! Pluggable durable ledger storage.
 //!
-//! Hyperledger Fabric peers persist blocks in an append-only block file
+//! Hyperledger Fabric peers persist blocks in append-only block files
 //! and rebuild the state index by replay (Androulaki et al. §4.4). This
 //! module provides the equivalent seam for the simulated peers: a
 //! [`LedgerStore`] trait with two backends —
 //! [`MemoryStore`], one in-memory record log, and [`AofStore`], that
-//! same log mirrored to a real append-only file with length-prefixed
-//! records, a content-hash footer per record, and
-//! truncate-on-torn-tail recovery.
+//! same log mirrored to a run of append-only segment files with
+//! length-prefixed, self-validating records and truncate-on-torn-tail
+//! recovery.
 //!
 //! A store holds two record kinds:
 //!
 //! - **block** records — every committed block, appended in commit
-//!   order, encoded with [`codec::encode_block`]: each transaction is
-//!   stored as exactly the bytes the block's data hash covers (the
-//!   validation codes, as in Fabric's block metadata, are not);
+//!   order, encoded with [`codec::encode_block`]: the transactions as
+//!   the orderer cut them and the peer's commit record beside them;
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
 //!   encoded world state and committed transaction ids at a block
 //!   height.
@@ -24,27 +23,45 @@
 //! ([`LedgerStore::load`]) hands back the latest snapshot plus the
 //! retained block records so a peer can replay the suffix.
 //!
+//! # Segments and footers
+//!
+//! An [`AofStore`] opened at `peer-0.aof` writes `peer-0.aof` first;
+//! each snapshot starts the next segment, `peer-0.aof.1`, `peer-0.aof.2`,
+//! …, so the blocks a snapshot covers sit in older segments than it.
+//! Compaction unlinks every segment it leaves empty and rewrites, through
+//! a temp file and a rename, only one it leaves partly alive. The first
+//! segment is emptied in place rather than unlinked: it exists for as
+//! long as the run does, so an open that creates it knows the run is new
+//! and lists nothing. A record
+//! is a kind byte, a `u64` payload length, the payload and an 8-byte
+//! footer. A block record's footer is the first 8 bytes of its block
+//! hash: ingress and the re-seal already bound every stored byte into
+//! that hash, so appending a block hashes no transaction or record byte.
+//! A snapshot record's footer is the first 8 bytes of its payload's
+//! SHA-256.
+//!
 //! # Durability model
 //!
-//! [`AofStore`] flushes after every append but, by default, does not
-//! `fsync`: the simulated crash model is process loss, not power loss,
-//! and the torn-tail scan handles a partially written final record
-//! either way. [`AofStore::open_with_fsync`] upgrades the crash model
-//! to power loss: every appended record (and every compaction rewrite)
-//! is `fsync`ed before the call returns, at the cost of one
-//! `sync_data` per record. On open, records are scanned sequentially
-//! and the file is truncated at the first record that is short, fails
-//! its footer check, or does not decode — exactly Fabric's block-file
-//! recovery behaviour. Truncation is reserved for the *tail*, though:
-//! a bad record with a structurally valid record after it cannot be a
-//! crashed append, so open reports it as
-//! [`StoreError::CorruptRecord`] instead of silently dropping the
-//! intact suffix.
+//! [`AofStore`] writes each record with one `write` but, by default,
+//! does not `fsync`: the simulated crash model is process loss, not
+//! power loss, and the torn-tail scan handles a partially written final
+//! record either way. [`AofStore::open_with_fsync`] upgrades the crash
+//! model to power loss: every appended record and compaction rewrite is
+//! `fsync`ed before the call returns, and so is the directory after a
+//! segment is created, renamed or unlinked. On open, the segments are
+//! scanned in order, each record decoded once: a block record must
+//! decode, pass [`Block::check_hashes`] and match its footer. The last
+//! segment is truncated at the first record that is short or fails —
+//! Fabric's block-file recovery behaviour. Truncation is reserved for
+//! that *tail*, though: a bad record with a valid record after it, or a
+//! bad end to a segment that is not the last, cannot be a crashed
+//! append, so open reports it as [`StoreError::CorruptRecord`] instead
+//! of silently dropping the intact suffix.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use fabriccrdt_crypto::{digest, Digest};
@@ -59,7 +76,7 @@ const SNAPSHOT_FORMAT_VERSION: u8 = 3;
 const KIND_BLOCK: u8 = 1;
 /// Record kind tag for a snapshot record.
 const KIND_SNAPSHOT: u8 = 2;
-/// Bytes of the content-hash footer appended to every record.
+/// Bytes of the footer appended to every record.
 const FOOTER_LEN: usize = 8;
 /// Record header: kind byte + u64 payload length.
 const HEADER_LEN: usize = 9;
@@ -80,13 +97,15 @@ pub enum StoreError {
     /// different layout version) — torn tails are truncated at open,
     /// not reported.
     Corrupt(DecodeError),
-    /// A record *mid-file* failed its content-hash footer or payload
-    /// decode while a structurally valid record follows it. That is
-    /// in-place corruption (bit rot, a hostile edit), not the torn
-    /// tail of a crashed append — truncating here would silently
-    /// discard the intact suffix, so open refuses instead.
+    /// A record failed its footer or payload decode while a valid
+    /// record follows it, or a segment other than the last ends in a
+    /// bad record. That is in-place corruption (bit rot, a hostile
+    /// edit), not the torn tail of a crashed append — truncating here
+    /// would silently discard the intact suffix, so open refuses
+    /// instead.
     CorruptRecord {
-        /// Byte offset of the corrupt record in the file.
+        /// Byte offset of the corrupt record in the segments read end
+        /// to end.
         offset: u64,
     },
 }
@@ -98,8 +117,8 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(e) => write!(f, "store record corrupt: {e}"),
             StoreError::CorruptRecord { offset } => write!(
                 f,
-                "store record at byte {offset} is corrupt but valid records \
-                 follow: in-place corruption, not a torn tail"
+                "store record at byte {offset} is corrupt but not the torn \
+                 tail of the last segment: in-place corruption"
             ),
         }
     }
@@ -307,15 +326,30 @@ impl MemoryStore {
     /// Drops the records `keep` marks false, returning how many of them
     /// were blocks.
     fn retain(&mut self, keep: &[bool]) -> u64 {
-        let mut dropped_blocks = 0;
-        let mut flags = keep.iter();
-        self.records.retain(|(kind, _, _)| {
-            let keep = *flags.next().expect("one flag per record");
-            dropped_blocks += u64::from(!keep && *kind == KIND_BLOCK);
-            keep
-        });
-        dropped_blocks
+        let dropped = dropped_blocks(&self.records, keep);
+        retain_span(&mut self.records, 0, keep);
+        dropped
     }
+}
+
+/// How many of `records` that `keep` marks false are blocks.
+fn dropped_blocks(records: &[Record], keep: &[bool]) -> u64 {
+    let dropped = records
+        .iter()
+        .zip(keep)
+        .filter(|((kind, ..), keep)| !**keep && *kind == KIND_BLOCK);
+    dropped.count() as u64
+}
+
+/// Drops the items of `items[first..first + keep.len()]` that `keep`
+/// marks false.
+fn retain_span<T>(items: &mut Vec<T>, first: usize, keep: &[bool]) {
+    let mut i = 0;
+    items.retain(|_| {
+        let kept = i < first || i >= first + keep.len() || keep[i - first];
+        i += 1;
+        kept
+    });
 }
 
 impl LedgerStore for MemoryStore {
@@ -369,160 +403,320 @@ impl LedgerStore for MemoryStore {
 
 // ------------------------------------------------------------ aof file
 
-/// The total frame length the record header at `pos` claims, when the
-/// header itself is plausible (valid kind tag, in-range length) and
-/// the claimed frame fits inside `data`. The footer is *not* checked.
-fn claimed_frame_len(data: &[u8], pos: usize) -> Option<usize> {
-    if data.len() - pos < HEADER_LEN + FOOTER_LEN {
-        return None;
+/// What a temp file is named after the segment it replaces.
+const TEMP_SUFFIX: &str = ".compact-tmp";
+
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Segment `number` of the run that starts at `base`: `base` itself,
+/// then `base.1`, `base.2`, ….
+fn segment_path(base: &Path, number: u64) -> PathBuf {
+    match number {
+        0 => base.to_path_buf(),
+        n => suffixed(base, &format!(".{n}")),
     }
-    let kind = data[pos];
+}
+
+/// The segment number a file name names after the run's base name is
+/// stripped from it: `""` is 0, `".<n>"` is `n` for a canonical `n ≥ 1`.
+fn segment_number(rest: &[u8]) -> Option<u64> {
+    if rest.is_empty() {
+        return Some(0);
+    }
+    let digits = std::str::from_utf8(rest.strip_prefix(b".")?).ok()?;
+    let number: u64 = digits.parse().ok()?;
+    (number > 0 && number.to_string() == digits).then_some(number)
+}
+
+/// The directory `path` names a file in.
+fn dir_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
+}
+
+/// Lists the directory of the run that starts at `base` once: its
+/// segment numbers, ascending, and the temp files a compaction that
+/// crashed before its rename left behind.
+fn list_run(base: &Path) -> Result<(Vec<u64>, Vec<PathBuf>), StoreError> {
+    let missing_name = || StoreError::Io {
+        op: "open",
+        message: format!("{} names no file", base.display()),
+    };
+    let name = base
+        .file_name()
+        .ok_or_else(missing_name)?
+        .as_encoded_bytes();
+    let (mut numbers, mut temps) = (Vec::new(), Vec::new());
+    for entry in fs::read_dir(dir_of(base)).map_err(|e| io_err("list", e))? {
+        let entry = entry.map_err(|e| io_err("list", e))?;
+        let file_name = entry.file_name();
+        let Some(rest) = file_name.as_encoded_bytes().strip_prefix(name) else {
+            continue;
+        };
+        match rest.strip_suffix(TEMP_SUFFIX.as_bytes()) {
+            Some(segment) if segment_number(segment).is_some() => {
+                if entry.file_type().is_ok_and(|t| t.is_file()) {
+                    temps.push(entry.path());
+                }
+            }
+            _ => numbers.extend(segment_number(rest)),
+        }
+    }
+    numbers.sort_unstable();
+    Ok((numbers, temps))
+}
+
+/// A footer: the first [`FOOTER_LEN`] bytes of `hash`. A block
+/// record's is its block hash's, which ingress and the re-seal already
+/// bound to every stored byte.
+fn footer_of(hash: Digest) -> [u8; FOOTER_LEN] {
+    let mut footer = [0; FOOTER_LEN];
+    footer.copy_from_slice(&hash[..FOOTER_LEN]);
+    footer
+}
+
+/// A snapshot record's footer: its payload's SHA-256, cut to a footer.
+fn snapshot_footer(payload: &[u8]) -> [u8; FOOTER_LEN] {
+    footer_of(digest(payload))
+}
+
+/// The frame the record header at `pos` claims — kind, payload, footer
+/// and total length — when the kind tag is valid, the length in range
+/// and the frame fits inside `data`. Nothing is checked against the
+/// footer.
+fn claimed_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], [u8; FOOTER_LEN], usize)> {
+    let frame = &data[pos..];
+    let kind = *frame.first()?;
     if kind != KIND_BLOCK && kind != KIND_SNAPSHOT {
         return None;
     }
-    let len_bytes: [u8; 8] = data[pos + 1..pos + 9].try_into().expect("8 bytes");
-    let payload_len = usize::try_from(u64::from_be_bytes(len_bytes)).ok()?;
+    let payload_len = usize::try_from(Reader::new(frame.get(1..HEADER_LEN)?).u64().ok()?).ok()?;
     let total = HEADER_LEN
         .checked_add(payload_len)?
         .checked_add(FOOTER_LEN)?;
-    (data.len() - pos >= total).then_some(total)
+    let (payload, footer) = frame.get(HEADER_LEN..total)?.split_at(payload_len);
+    Some((kind, payload, footer.try_into().ok()?, total))
 }
 
-/// The total frame length of a structurally valid record at `pos` —
-/// plausible header *and* matching content-hash footer — or `None`.
-/// A matching 8-byte footer over arbitrary bytes is a 1-in-2^64
-/// accident, so a valid frame right after a bad one means the bad
-/// record was corrupted in place rather than torn by a crash.
-fn frame_at(data: &[u8], pos: usize) -> Option<usize> {
-    let total = claimed_frame_len(data, pos)?;
-    let payload = &data[pos + HEADER_LEN..pos + total - FOOTER_LEN];
-    let footer = &data[pos + total - FOOTER_LEN..pos + total];
-    (footer == &digest(payload)[..FOOTER_LEN]).then_some(total)
+/// The record at `pos` — kind, marker (a block's number or a snapshot's
+/// `last_block`) and payload — with its footer and frame length, when
+/// its frame is whole and vouches for itself. A block frame must
+/// decode, pass [`Block::check_hashes`] and carry its block hash's
+/// prefix as its footer; a snapshot frame must carry its payload's
+/// SHA-256 prefix and decode. Each record is decoded here once. A
+/// footer that matches bytes it was not written for is a 1-in-2^64
+/// accident, so a valid record right after a bad one means the bad one
+/// was corrupted in place rather than torn by a crash.
+fn valid_record(data: &[u8], pos: usize) -> Option<(Record, [u8; FOOTER_LEN], usize)> {
+    let (kind, payload, footer, total) = claimed_frame(data, pos)?;
+    let marker = if kind == KIND_BLOCK {
+        let block = codec::decode_block(payload).ok()?;
+        if footer != footer_of(block.hash()) || block.check_hashes().is_err() {
+            return None;
+        }
+        block.header.number
+    } else {
+        if footer != snapshot_footer(payload) {
+            return None;
+        }
+        LedgerSnapshot::from_bytes(payload).ok()?.last_block
+    };
+    Some(((kind, marker, payload.to_vec()), footer, total))
 }
 
-/// Scans `data` as a sequence of records, returning the decodable
-/// prefix (each record with the marker its one decode yields; their
-/// footers back to back) and its byte length. Anything after the first
-/// short, corrupt or undecodable record is a torn tail — *unless* a
-/// structurally valid record follows the bad one, which a crashed
-/// append cannot produce: that is in-place corruption and comes back as
-/// [`StoreError::CorruptRecord`] so the intact suffix is not silently
-/// discarded. (Corruption that destroys the record *header* leaves no
-/// trustworthy claimed length to probe past, so it still recovers as a
-/// torn tail.)
-fn scan_records(data: &[u8]) -> Result<(Vec<Record>, Vec<u8>, usize), StoreError> {
-    let (mut records, mut footers) = (Vec::new(), Vec::new());
+/// One segment's valid records, read from `data`, appended to `log`
+/// and `footers`; returns the byte length they span. The first record
+/// that is short, fails its footer or does not decode ends the scan:
+/// what follows is a torn tail — *unless* a valid record follows the
+/// bad one, which a crashed append cannot produce. That is in-place
+/// corruption and comes back as [`StoreError::CorruptRecord`] at
+/// `base + pos`, so the intact suffix is not silently discarded.
+/// (Corruption that destroys the record *header* leaves no trustworthy
+/// claimed length to probe past, so it still reads as a torn tail.)
+fn scan_segment(
+    data: &[u8],
+    base: u64,
+    log: &mut Vec<Record>,
+    footers: &mut Vec<[u8; FOOTER_LEN]>,
+) -> Result<usize, StoreError> {
     let mut pos = 0;
     while pos < data.len() {
-        let Some(total) = frame_at(data, pos) else {
-            // Short frame, bad header, or footer mismatch. If the
-            // claimed length points at another valid record, the bytes
-            // here were corrupted in place, not torn off by a crash.
-            if let Some(claimed) = claimed_frame_len(data, pos) {
-                if frame_at(data, pos + claimed).is_some() {
-                    return Err(StoreError::CorruptRecord { offset: pos as u64 });
+        let Some((record, footer, total)) = valid_record(data, pos) else {
+            if let Some((.., claimed)) = claimed_frame(data, pos) {
+                if valid_record(data, pos + claimed).is_some() {
+                    return Err(StoreError::CorruptRecord {
+                        offset: base + pos as u64,
+                    });
                 }
             }
             break;
         };
-        let kind = data[pos];
-        let payload = &data[pos + HEADER_LEN..pos + total - FOOTER_LEN];
-        // Structural checks passed; the payload must also decode, so a
-        // record written by a buggy or mismatched writer is treated as
-        // the torn tail rather than poisoning recovery later.
-        let marker = match kind {
-            KIND_BLOCK => codec::decode_block(payload).map(|b| b.header.number),
-            _ => LedgerSnapshot::from_bytes(payload).map(|s| s.last_block),
-        };
-        let Ok(marker) = marker else {
-            if frame_at(data, pos + total).is_some() {
-                return Err(StoreError::CorruptRecord { offset: pos as u64 });
-            }
-            break;
-        };
-        records.push((kind, marker, payload.to_vec()));
-        footers.extend_from_slice(&data[pos + total - FOOTER_LEN..pos + total]);
+        log.push(record);
+        footers.push(footer);
         pos += total;
     }
-    Ok((records, footers, pos))
+    Ok(pos)
 }
 
-fn encode_record(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    frame_record(out, kind, payload, &digest(payload)[..FOOTER_LEN]);
-}
-
-/// [`encode_record`] given the footer: the kind byte, the
-/// length-prefixed payload, the footer — the frame [`frame_at`] reads.
+/// The kind byte, the length-prefixed payload, the footer: the frame
+/// [`claimed_frame`] reads.
 fn frame_record(out: &mut impl ByteSink, kind: u8, payload: &[u8], footer: &[u8]) {
     out.u8(kind);
     out.bytes(payload);
     out.put(footer);
 }
 
-/// The append-only-file backend: a [`MemoryStore`] with one file of
-/// self-validating records behind it. Every record is written to the
-/// file before it enters the in-memory log, and the log is rebuilt from
-/// the file at open — so reads ([`LedgerStore::load`],
-/// [`LedgerStore::has_block`], [`LedgerStore::head`]) never touch the
-/// file, at the price of holding every retained payload in RAM.
+/// One segment file of an [`AofStore`]: its number in the run and how
+/// many of the store's records, in order, it holds.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    number: u64,
+    records: usize,
+}
+
+/// The append-only-file backend: a [`MemoryStore`] with a run of
+/// segment files of self-validating records behind it. Every record is
+/// written to the last segment before it enters the in-memory log, and
+/// the log is rebuilt from the segments at open — so reads
+/// ([`LedgerStore::load`], [`LedgerStore::has_block`],
+/// [`LedgerStore::head`]) never touch a file, at the price of holding
+/// every retained payload in RAM.
 ///
-/// See the [module docs](self) for the record layout and the
-/// durability model.
+/// The first segment is the path the store is opened with; each
+/// [`LedgerStore::put_snapshot`] starts the next, `<path>.1`, `<path>.2`,
+/// …, with the snapshot as its first record. Compaction unlinks the
+/// segments it leaves empty (emptying the first in place) and rewrites
+/// only one it leaves partly alive. See the [module docs](self) for the
+/// record layout and the durability model.
 #[derive(Debug)]
 pub struct AofStore {
     path: PathBuf,
+    /// The run, oldest first; never empty.
+    segments: Vec<Segment>,
+    /// The last segment, open for appends.
     file: fs::File,
-    /// What the file holds, record for record.
+    /// What the segments hold, record for record, end to end.
     log: MemoryStore,
-    /// Each `log` record's footer, back to back, so compaction need not hash.
-    footers: Vec<u8>,
-    /// When set, every append (and every compaction rewrite) is
-    /// `fsync`ed before the call returns.
+    /// Each `log` record's footer, so compaction need not hash.
+    footers: Vec<[u8; FOOTER_LEN]>,
+    /// When set, every write is `fsync`ed before the call returns.
     fsync: bool,
 }
 
 impl AofStore {
-    /// Opens (creating if absent) the append-only file at `path`,
-    /// truncating any torn tail left by a crash mid-append. Appends
-    /// flush but do not `fsync`; use [`AofStore::open_with_fsync`] for
-    /// power-loss durability.
+    /// Opens (creating it and its directory if absent) the run of
+    /// segment files that starts at `path`, truncating any torn tail a
+    /// crash left on the last segment and removing any temp file a
+    /// crashed compaction left. Appends do not `fsync`; use
+    /// [`AofStore::open_with_fsync`] for power-loss durability.
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] when the file cannot be opened, read
-    /// or truncated.
+    /// Returns a [`StoreError`] when a segment cannot be listed, opened,
+    /// read or truncated, or holds a corrupt record before its end.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::open_with_fsync(path, false)
     }
 
-    /// Opens the append-only file at `path` like [`AofStore::open`],
-    /// additionally `fsync`ing every appended record when `fsync` is
-    /// set so a power loss cannot lose an acknowledged append.
+    /// Opens the run at `path` like [`AofStore::open`], additionally
+    /// `fsync`ing every write (and the directory after a segment is
+    /// created, renamed or unlinked) when `fsync` is set, so a power
+    /// loss cannot lose an acknowledged append.
     ///
     /// # Errors
     ///
-    /// Returns a [`StoreError`] when the file cannot be opened, read
-    /// or truncated.
+    /// Returns a [`StoreError`] when a segment cannot be listed, opened,
+    /// read or truncated, or holds a corrupt record before its end.
     pub fn open_with_fsync(path: impl AsRef<Path>, fsync: bool) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
+        // The first segment exists for as long as the run does, so
+        // creating it means the run is new: nothing to list or read.
+        let create = || {
+            fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&path)
+        };
+        let created = match create() {
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                fs::create_dir_all(dir_of(&path)).map_err(|e| io_err("create-dir", e))?;
+                create()
+            }
+            created => created,
+        };
+        match created {
+            Ok(file) => {
+                let store = AofStore {
+                    path,
+                    segments: vec![Segment {
+                        number: 0,
+                        records: 0,
+                    }],
+                    file,
+                    log: MemoryStore::new(),
+                    footers: Vec::new(),
+                    fsync,
+                };
+                store.sync_dir()?;
+                return Ok(store);
+            }
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(io_err("open", e)),
+        }
+        let (mut numbers, temps) = list_run(&path)?;
+        for temp in temps {
+            fs::remove_file(temp).map_err(|e| io_err("remove-temp", e))?;
+        }
+        let last = numbers.pop().unwrap_or(0);
+        let (mut records, mut footers, mut segments) = (Vec::new(), Vec::new(), Vec::new());
+        let mut offset = 0u64;
+        // A crash tears only the segment being written, the last one:
+        // a sealed segment that ends short was corrupted in place.
+        for number in numbers {
+            let data = fs::read(segment_path(&path, number)).map_err(|e| io_err("read", e))?;
+            let before = records.len();
+            let valid_len = scan_segment(&data, offset, &mut records, &mut footers)?;
+            if valid_len < data.len() {
+                return Err(StoreError::CorruptRecord {
+                    offset: offset + valid_len as u64,
+                });
+            }
+            offset += data.len() as u64;
+            segments.push(Segment {
+                number,
+                records: records.len() - before,
+            });
+        }
         let mut file = fs::OpenOptions::new()
             .read(true)
             .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
+            .open(segment_path(&path, last))
             .map_err(|e| io_err("open", e))?;
         let mut data = Vec::new();
         file.read_to_end(&mut data).map_err(|e| io_err("read", e))?;
-        let (records, footers, valid_len) = scan_records(&data)?;
+        let before = records.len();
+        let valid_len = scan_segment(&data, offset, &mut records, &mut footers)?;
+        // Reading left the cursor at the end; a truncation moves it back.
         if valid_len < data.len() {
             file.set_len(valid_len as u64)
                 .map_err(|e| io_err("truncate", e))?;
+            file.seek(SeekFrom::Start(valid_len as u64))
+                .map_err(|e| io_err("seek", e))?;
         }
-        file.seek(SeekFrom::Start(valid_len as u64))
-            .map_err(|e| io_err("seek", e))?;
+        segments.push(Segment {
+            number: last,
+            records: records.len() - before,
+        });
         Ok(AofStore {
             path,
+            segments,
             file,
             log: MemoryStore { records },
             footers,
@@ -530,76 +724,158 @@ impl AofStore {
         })
     }
 
-    /// The file this store appends to.
+    /// The path the store was opened with, where its run of segments
+    /// starts.
     pub fn path(&self) -> &Path {
         &self.path
     }
 
-    /// Whether appends are `fsync`ed (power-loss durability mode).
+    /// Whether writes are `fsync`ed (power-loss durability mode).
     pub fn fsync_enabled(&self) -> bool {
         self.fsync
     }
 
-    fn append_record(&mut self, kind: u8, marker: u64, payload: Vec<u8>) -> Result<(), StoreError> {
-        let mut record = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
-        encode_record(&mut record, kind, &payload);
+    /// In power-loss mode, makes the directory's entries durable after
+    /// a segment was created, renamed or unlinked.
+    fn sync_dir(&self) -> Result<(), StoreError> {
+        if !self.fsync {
+            return Ok(());
+        }
+        fs::File::open(dir_of(&self.path))
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("fsync-dir", e))
+    }
+
+    fn append_record(
+        &mut self,
+        kind: u8,
+        marker: u64,
+        payload: Vec<u8>,
+        footer: [u8; FOOTER_LEN],
+    ) -> Result<(), StoreError> {
+        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
+        frame_record(&mut frame, kind, &payload, &footer);
         self.file
-            .write_all(&record)
+            .write_all(&frame)
             .map_err(|e| io_err("append", e))?;
-        self.file.flush().map_err(|e| io_err("flush", e))?;
         if self.fsync {
             self.file.sync_data().map_err(|e| io_err("fsync", e))?;
         }
-        self.footers
-            .extend_from_slice(&record[record.len() - FOOTER_LEN..]);
+        self.footers.push(footer);
         self.log.records.push((kind, marker, payload));
+        if let Some(last) = self.segments.last_mut() {
+            last.records += 1;
+        }
+        Ok(())
+    }
+
+    /// Rewrites segment `s`, whose records start at log index `first`,
+    /// with only the records `keep` marks: a temp file, then a rename
+    /// over the segment, so a crash leaves the old segment or the new
+    /// one, never a hybrid. The log follows once the rename lands.
+    fn rewrite(&mut self, s: usize, first: usize, keep: &[bool]) -> Result<(), StoreError> {
+        let path = segment_path(&self.path, self.segments[s].number);
+        let temp_path = suffixed(&path, TEMP_SUFFIX);
+        let mut image = Vec::new();
+        let span = first..first + keep.len();
+        let records = self.log.records[span.clone()]
+            .iter()
+            .zip(&self.footers[span]);
+        for (((kind, _, payload), footer), _) in records.zip(keep).filter(|(_, k)| **k) {
+            frame_record(&mut image, *kind, payload, footer);
+        }
+        let mut temp = fs::File::create(&temp_path).map_err(|e| io_err("compact-create", e))?;
+        temp.write_all(&image)
+            .map_err(|e| io_err("compact-write", e))?;
+        if self.fsync {
+            temp.sync_all().map_err(|e| io_err("compact-fsync", e))?;
+        }
+        fs::rename(&temp_path, &path).map_err(|e| io_err("compact-rename", e))?;
+        retain_span(&mut self.log.records, first, keep);
+        retain_span(&mut self.footers, first, keep);
+        self.segments[s].records = keep.iter().filter(|k| **k).count();
+        if s + 1 == self.segments.len() {
+            // The renamed file is the one this handle wrote, at its end.
+            self.file = temp;
+        }
         Ok(())
     }
 }
 
 impl LedgerStore for AofStore {
     fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
-        self.append_record(KIND_BLOCK, block.header.number, codec::encode_block(block))
+        let footer = footer_of(block.hash());
+        self.append_record(
+            KIND_BLOCK,
+            block.header.number,
+            codec::encode_block(block),
+            footer,
+        )
     }
 
+    /// Starts the next segment with the snapshot as its first record.
     fn put_snapshot(&mut self, snapshot: &LedgerSnapshot) -> Result<(), StoreError> {
-        self.append_record(KIND_SNAPSHOT, snapshot.last_block, snapshot.to_bytes())
+        let payload = snapshot.to_bytes();
+        let footer = snapshot_footer(&payload);
+        let number = self.segments.last().map_or(0, |s| s.number + 1);
+        self.file = fs::File::create(segment_path(&self.path, number))
+            .map_err(|e| io_err("segment-create", e))?;
+        self.segments.push(Segment { number, records: 0 });
+        self.sync_dir()?;
+        self.append_record(KIND_SNAPSHOT, snapshot.last_block, payload, footer)
     }
 
+    /// Applies [`MemoryStore`]'s keep-set segment by segment, oldest
+    /// first: a segment left with no record is unlinked, one left partly
+    /// alive is rewritten, and the rest are not touched. Two are never
+    /// unlinked: the first, which marks that the run exists and is
+    /// emptied in place instead, and the last, which takes appends and
+    /// is rewritten empty. After a failed step the log matches the files
+    /// as they stand.
     fn compact_up_to(&mut self, block_num: u64) -> Result<u64, StoreError> {
         let Some(keep) = self.log.keep_set(block_num) else {
             return Ok(0);
         };
-        // The new file's bytes, framed in place: the log describes the
-        // old file until the new one is renamed over it and reopened.
-        let (mut image, mut footers) = (Vec::new(), Vec::new());
-        let records = self.log.records.iter().zip(self.footers.chunks(FOOTER_LEN));
-        for (((kind, _, payload), footer), _) in records.zip(&keep).filter(|(_, k)| **k) {
-            frame_record(&mut image, *kind, payload, footer);
-            footers.extend_from_slice(footer);
+        let (mut dropped, mut first, mut seen, mut s) = (0, 0, 0, 0);
+        while s < self.segments.len() {
+            let Segment { number, records } = self.segments[s];
+            let flags = &keep[seen..seen + records];
+            seen += records;
+            let live = flags.iter().filter(|k| **k).count();
+            let last = s + 1 == self.segments.len();
+            let gone = dropped_blocks(&self.log.records[first..first + records], flags);
+            let span = first..first + records;
+            if live == 0 && !last && number > 0 {
+                fs::remove_file(segment_path(&self.path, number))
+                    .map_err(|e| io_err("compact-unlink", e))?;
+                self.log.records.drain(span.clone());
+                self.footers.drain(span);
+                self.segments.remove(s);
+                dropped += gone;
+                continue;
+            }
+            if live == 0 && !last && records > 0 {
+                let file = fs::OpenOptions::new().write(true).open(&self.path);
+                file.and_then(|f| {
+                    f.set_len(0)?;
+                    if self.fsync {
+                        f.sync_all()?;
+                    }
+                    Ok(())
+                })
+                .map_err(|e| io_err("compact-truncate", e))?;
+                self.log.records.drain(span.clone());
+                self.footers.drain(span);
+                self.segments[s].records = 0;
+            } else if live < records {
+                self.rewrite(s, first, flags)?;
+            }
+            first += live;
+            s += 1;
+            dropped += gone;
         }
-        // Rewrite through a temp file + rename so a crash mid-compaction
-        // leaves either the old or the new file, never a hybrid.
-        let tmp_path = self.path.with_extension("compact-tmp");
-        let mut tmp = fs::File::create(&tmp_path).map_err(|e| io_err("compact-create", e))?;
-        tmp.write_all(&image)
-            .map_err(|e| io_err("compact-write", e))?;
-        tmp.flush().map_err(|e| io_err("compact-flush", e))?;
-        if self.fsync {
-            tmp.sync_all().map_err(|e| io_err("compact-fsync", e))?;
-        }
-        drop(tmp);
-        fs::rename(&tmp_path, &self.path).map_err(|e| io_err("compact-rename", e))?;
-        let mut file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("compact-reopen", e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err("compact-seek", e))?;
-        self.file = file;
-        self.footers = footers;
-        Ok(self.log.retain(&keep))
+        self.sync_dir()?;
+        Ok(dropped)
     }
 
     fn load(&self) -> Result<StoredLedger, StoreError> {

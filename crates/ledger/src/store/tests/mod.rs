@@ -5,13 +5,56 @@ use crate::transaction::{Transaction, TxId};
 use fabriccrdt_crypto::Identity;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// A store path in a directory of its own: a store is a run of
+/// segment files beside it.
 fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let unique = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "fabriccrdt-store-{}-{tag}-{unique}.aof",
+    let dir = std::env::temp_dir().join(format!(
+        "fabriccrdt-store-{}-{tag}-{unique}",
         std::process::id()
-    ))
+    ));
+    fs::create_dir_all(&dir).unwrap();
+    dir.join("store.aof")
+}
+
+/// Removes the directory [`temp_path`] made.
+fn cleanup(path: &Path) {
+    fs::remove_dir_all(path.parent().unwrap()).unwrap();
+}
+
+/// The run's segment files in order, checking that nothing else (a
+/// temp file, say) sits beside them.
+fn segment_files(path: &Path) -> Vec<PathBuf> {
+    let mut numbered: Vec<(u64, PathBuf)> = fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|entry| {
+            let entry = entry.unwrap();
+            let name = entry.file_name().into_string().unwrap();
+            let number = match name.strip_prefix("store.aof") {
+                Some("") => 0,
+                Some(rest) => rest.strip_prefix('.').unwrap().parse().unwrap(),
+                None => panic!("stray file {name}"),
+            };
+            (number, entry.path())
+        })
+        .collect();
+    numbered.sort();
+    numbered.into_iter().map(|(_, path)| path).collect()
+}
+
+/// Every record framed as the store frames it, footer included: a
+/// block's is its hash prefix, a snapshot's its SHA-256 prefix.
+fn framed(records: &[Record]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (kind, _, payload) in records {
+        let footer = match *kind {
+            KIND_BLOCK => codec::decode_block(payload).unwrap().hash(),
+            _ => digest(payload),
+        };
+        frame_record(&mut out, *kind, payload, &footer[..FOOTER_LEN]);
+    }
+    out
 }
 
 fn tx(n: u64) -> Transaction {
@@ -145,7 +188,7 @@ fn aof_roundtrip_across_reopen() {
     let loaded = store.load().unwrap();
     assert_eq!(loaded.blocks, blocks);
     assert_eq!(loaded.snapshot.unwrap(), sample_snapshot(1));
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -171,7 +214,7 @@ fn aof_truncates_torn_tail_and_stays_appendable() {
     }
     let store = AofStore::open(&path).unwrap();
     assert_eq!(store.load().unwrap().blocks, blocks);
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -196,7 +239,7 @@ fn aof_rejects_flipped_footer_bytes() {
         fs::metadata(&path).unwrap().len() as usize,
         bytes.len() - (HEADER_LEN + codec::encode_block(&blocks[1]).len() + FOOTER_LEN)
     );
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -243,7 +286,7 @@ fn aof_mid_file_corruption_is_a_typed_error_not_truncation() {
         AofStore::open(&path).unwrap().load().unwrap().blocks,
         blocks
     );
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -257,7 +300,7 @@ fn aof_garbage_file_recovers_to_empty() {
     let blocks = chained_blocks(1);
     store.append_block(&blocks[0]).unwrap();
     assert_eq!(store.load().unwrap().blocks, blocks);
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -283,7 +326,7 @@ fn aof_compaction_drops_covered_blocks() {
     let loaded = reopened.load().unwrap();
     assert_eq!(loaded.snapshot.unwrap().last_block, 4);
     assert_eq!(loaded.blocks, blocks[5..].to_vec());
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -297,7 +340,7 @@ fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
     store.put_snapshot(&sample_snapshot(2)).unwrap();
     let before = store.load().unwrap();
     // A directory squatting on the temp path fails the rewrite.
-    let squatter = path.with_extension("compact-tmp");
+    let squatter = suffixed(&path, TEMP_SUFFIX);
     fs::create_dir(&squatter).unwrap();
     assert!(store.compact_up_to(2).is_err());
     assert_eq!(store.load().unwrap(), before);
@@ -305,8 +348,7 @@ fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
     store.append_block(&blocks[4]).unwrap();
     let reopened = AofStore::open(&path).unwrap().load().unwrap();
     assert_eq!(reopened.blocks, blocks);
-    fs::remove_dir(&squatter).unwrap();
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -339,8 +381,8 @@ fn aof_fsync_mode_survives_simulated_crash_reopen() {
         store.compact_up_to(2).unwrap();
     }
     assert_eq!(fs::read(&path).unwrap(), fs::read(&other).unwrap());
-    fs::remove_file(&path).unwrap();
-    fs::remove_file(&other).unwrap();
+    cleanup(&path);
+    cleanup(&other);
 }
 
 #[test]
@@ -361,7 +403,7 @@ fn has_block_probes_record_index() {
         assert_eq!(aof.has_block(n), (2..=3).contains(&n), "aof block {n}");
         assert_eq!(aof.has_block(n), memory.has_block(n), "backends agree");
     }
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 /// One step of a store's life, applied to both backends alike.
@@ -416,18 +458,19 @@ fn assert_backends_agree(tag: &str, blocks: &[Block], steps: &[Step]) {
                 "step {n} {step:?}: has_block({number})"
             );
         }
-        // The file is every record framed afresh, whether it was
-        // appended, reopened or rewritten with its kept footer.
-        let mut framed = Vec::new();
-        for (kind, _, payload) in &memory.records {
-            encode_record(&mut framed, *kind, payload);
-        }
+        // The segments, end to end, are every record framed afresh,
+        // whether it was appended, reopened or rewritten with its kept
+        // footer.
+        let on_disk: Vec<u8> = segment_files(&path)
+            .iter()
+            .flat_map(|segment| fs::read(segment).unwrap())
+            .collect();
         assert!(
-            fs::read(&path).unwrap() == framed,
-            "step {n} {step:?}: file bytes"
+            on_disk == framed(&memory.records),
+            "step {n} {step:?}: segment bytes"
         );
     }
-    fs::remove_file(&path).unwrap();
+    cleanup(&path);
 }
 
 #[test]
@@ -467,4 +510,197 @@ fn blocks_by_number_dedups_last_wins() {
     let by_number = blocks_by_number(doubled);
     assert_eq!(by_number.len(), 3);
     assert_eq!(by_number.keys().copied().collect::<Vec<_>>(), vec![0, 1, 2]);
+}
+
+/// Each snapshot starts a segment; compaction unlinks the segments it
+/// leaves empty — but the first, which it empties in place — rewrites
+/// the one it leaves partly alive, and leaves the rest byte for byte
+/// alone.
+#[test]
+fn snapshots_start_segments_and_compaction_unlinks_them() {
+    let path = temp_path("segments");
+    let blocks = chained_blocks(8);
+    let mut store = AofStore::open(&path).unwrap();
+    for block in &blocks[..4] {
+        store.append_block(block).unwrap();
+    }
+    store.put_snapshot(&sample_snapshot(3)).unwrap();
+    for block in &blocks[4..6] {
+        store.append_block(block).unwrap();
+    }
+    store.put_snapshot(&sample_snapshot(5)).unwrap();
+    for block in &blocks[6..] {
+        store.append_block(block).unwrap();
+    }
+    let names = |path: &Path| -> Vec<String> {
+        segment_files(path)
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect()
+    };
+    assert_eq!(names(&path), ["store.aof", "store.aof.1", "store.aof.2"]);
+    let newest = fs::read(suffixed(&path, ".2")).unwrap();
+
+    // Floor 4: the first segment is dead whole, the second keeps the
+    // block above the floor but not its superseded snapshot.
+    assert_eq!(store.compact_up_to(4).unwrap(), 5);
+    assert_eq!(names(&path), ["store.aof", "store.aof.1", "store.aof.2"]);
+    assert_eq!(fs::read(&path).unwrap(), b"");
+    let mut kept = Vec::new();
+    frame_record(
+        &mut kept,
+        KIND_BLOCK,
+        &codec::encode_block(&blocks[5]),
+        &blocks[5].hash()[..FOOTER_LEN],
+    );
+    assert_eq!(fs::read(suffixed(&path, ".1")).unwrap(), kept);
+    assert_eq!(fs::read(suffixed(&path, ".2")).unwrap(), newest);
+
+    // Floor 5: the second segment goes; appends still land last.
+    assert_eq!(store.compact_up_to(9).unwrap(), 1);
+    assert_eq!(names(&path), ["store.aof", "store.aof.2"]);
+    let extra = Block::assemble(8, blocks[7].hash(), vec![tx(9)]);
+    store.append_block(&extra).unwrap();
+    let expected = store.load().unwrap();
+    assert_eq!(expected.blocks, [&blocks[6..], &[extra]].concat());
+    drop(store);
+
+    // The run reopens past its empty first segment, and a snapshot
+    // after the reopen numbers its segment after the last one.
+    let mut reopened = AofStore::open(&path).unwrap();
+    assert_eq!(reopened.load().unwrap(), expected);
+    reopened.put_snapshot(&sample_snapshot(8)).unwrap();
+    assert_eq!(names(&path), ["store.aof", "store.aof.2", "store.aof.3"]);
+    cleanup(&path);
+}
+
+/// A temp file a crash left between a rewrite's write and its rename is
+/// removed at open; the segment it would have replaced is read as is.
+#[test]
+fn open_removes_a_crashed_rewrites_temp_file() {
+    let path = temp_path("stale-temp");
+    let blocks = chained_blocks(3);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks {
+            store.append_block(block).unwrap();
+        }
+    }
+    let temp = suffixed(&path, TEMP_SUFFIX);
+    fs::write(&temp, b"half a rewrite").unwrap();
+    let store = AofStore::open(&path).unwrap();
+    assert!(!temp.exists());
+    assert_eq!(store.load().unwrap().blocks, blocks);
+    cleanup(&path);
+}
+
+/// A failed unlink is an error, and the store then answers exactly as a
+/// reopen of the files as they stand does: the segments compacted before
+/// the failure are empty or gone, the one that failed and those after it
+/// are not.
+#[test]
+fn a_failed_unlink_leaves_the_store_answering_like_a_reopen() {
+    for failing in [1, 2] {
+        let path = temp_path("unlink-fails");
+        let blocks = chained_blocks(5);
+        let mut store = AofStore::open(&path).unwrap();
+        for (n, block) in blocks.iter().enumerate() {
+            store.append_block(block).unwrap();
+            if n < 3 {
+                store.put_snapshot(&sample_snapshot(n as u64)).unwrap();
+            }
+        }
+        // At floor 2 segments 0-2 are dead: the first is emptied in
+        // place, the others unlinked. A non-empty directory in the way
+        // of one makes its unlink fail.
+        let victim = segment_path(&path, failing);
+        let pristine = fs::read(&victim).unwrap();
+        fs::remove_file(&victim).unwrap();
+        fs::create_dir(&victim).unwrap();
+        fs::write(victim.join("pin"), b"").unwrap();
+        assert!(matches!(
+            store.compact_up_to(2),
+            Err(StoreError::Io {
+                op: "compact-unlink",
+                ..
+            })
+        ));
+        fs::remove_dir_all(&victim).unwrap();
+        fs::write(&victim, &pristine).unwrap();
+        let reopened = AofStore::open(&path).unwrap();
+        assert_eq!(store.load().unwrap(), reopened.load().unwrap(), "{failing}");
+        assert_eq!(store.head().unwrap(), reopened.head().unwrap(), "{failing}");
+        for number in 0..6 {
+            assert_eq!(store.has_block(number), reopened.has_block(number));
+        }
+        assert!(!store.has_block(0) && store.has_block(2));
+        assert_eq!(store.has_block(1), failing == 1);
+        // The next compaction finishes the job.
+        drop(reopened);
+        assert_eq!(store.compact_up_to(2).unwrap(), 3 - failing);
+        assert_eq!(store.load().unwrap().blocks, blocks[3..].to_vec());
+        cleanup(&path);
+    }
+}
+
+/// Hostile bytes over the block records of a two-segment store: every
+/// byte flipped and every segment cut short at every offset. Open
+/// truncates a torn tail or refuses with `CorruptRecord`; it never
+/// panics, and every block it loads is byte for byte one that was
+/// written — and when only the last segment was hit, they are a prefix.
+#[test]
+fn hostile_bytes_in_any_segment_never_load_a_foreign_block() {
+    let path = temp_path("hostile");
+    let blocks = chained_blocks(5);
+    {
+        let mut store = AofStore::open(&path).unwrap();
+        for block in &blocks[..3] {
+            store.append_block(block).unwrap();
+        }
+        store.put_snapshot(&sample_snapshot(2)).unwrap();
+        for block in &blocks[3..] {
+            store.append_block(block).unwrap();
+        }
+    }
+    let segments = segment_files(&path);
+    assert_eq!(segments.len(), 2);
+    let pristine: Vec<Vec<u8>> = segments.iter().map(|s| fs::read(s).unwrap()).collect();
+    let written: Vec<Vec<u8>> = blocks.iter().map(codec::encode_block).collect();
+    let (mut truncated, mut refused) = (0, 0);
+    let mut check = |hit: usize, bytes: &[u8]| {
+        for (segment, data) in segments.iter().zip(&pristine) {
+            fs::write(segment, data).unwrap();
+        }
+        fs::write(&segments[hit], bytes).unwrap();
+        match AofStore::open(&path) {
+            Ok(store) => {
+                let loaded: Vec<Vec<u8>> = store
+                    .load()
+                    .unwrap()
+                    .blocks
+                    .iter()
+                    .map(codec::encode_block)
+                    .collect();
+                if hit + 1 == segments.len() {
+                    assert_eq!(loaded, written[..loaded.len()], "a prefix");
+                } else {
+                    assert!(loaded.iter().all(|b| written.contains(b)));
+                }
+                truncated += usize::from(loaded.len() < written.len());
+            }
+            Err(StoreError::CorruptRecord { .. }) => refused += 1,
+            Err(other) => panic!("segment {hit}: {other}"),
+        }
+    };
+    for (hit, data) in pristine.iter().enumerate() {
+        for at in 0..data.len() {
+            let mut flipped = data.clone();
+            flipped[at] ^= 0xff;
+            check(hit, &flipped);
+            check(hit, &data[..at]);
+        }
+    }
+    // Both outcomes occur: the sweep reaches the tail and the middle.
+    assert!(truncated > 0 && refused > 0, "{truncated} / {refused}");
+    cleanup(&path);
 }

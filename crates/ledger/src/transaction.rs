@@ -12,7 +12,11 @@
 //! converged values live in the block's commit record, beside it
 //! ([`Block::value_of`](crate::block::Block::value_of)).
 
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 use fabriccrdt_crypto::{sha256, Identity, Signature};
 
@@ -21,8 +25,81 @@ use crate::rwset::ReadWriteSet;
 
 /// A transaction identifier: SHA-256 over the client identity, a client
 /// nonce and the chaincode name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TxId(pub [u8; 32]);
+
+/// The digest's bytes, with no length prefix: all a [`TxIdHash`] reads.
+impl Hash for TxId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write(&self.0);
+    }
+}
+
+/// A set of [`TxId`]s under [`TxIdHash`].
+pub type TxIdSet = HashSet<TxId, TxIdHash>;
+
+/// A map keyed by [`TxId`] under [`TxIdHash`].
+pub type TxIdMap<V> = HashMap<TxId, V, TxIdHash>;
+
+/// The hasher of every set and map keyed by [`TxId`]: each 16 bytes of
+/// the digest fold one 128-bit multiply of its two words, each XORed
+/// with a per-process random key — two multiplies per id, where std's
+/// SipHash-1-3 runs eight rounds over the id and its length. The key
+/// keeps it keyed: an id is whatever bytes a client put in its
+/// transaction (no peer re-derives it), so a client can choose ids
+/// freely, but cannot learn which of them share a bucket. Every digest
+/// byte is read, because ids that agree on a prefix the client chose
+/// would otherwise all collide.
+#[derive(Debug, Clone, Copy)]
+pub struct TxIdHash {
+    keys: [u64; 2],
+}
+
+impl Default for TxIdHash {
+    fn default() -> Self {
+        static KEYS: OnceLock<[u64; 2]> = OnceLock::new();
+        let keys = *KEYS.get_or_init(|| {
+            let random = RandomState::new();
+            [random.hash_one(0u8), random.hash_one(1u8)]
+        });
+        TxIdHash { keys }
+    }
+}
+
+impl BuildHasher for TxIdHash {
+    type Hasher = TxIdHasher;
+
+    fn build_hasher(&self) -> TxIdHasher {
+        TxIdHasher {
+            keys: self.keys,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] a [`TxIdHash`] builds.
+#[derive(Debug, Clone)]
+pub struct TxIdHasher {
+    keys: [u64; 2],
+    hash: u64,
+}
+
+impl Hasher for TxIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(16) {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            let words = u128::from_le_bytes(block);
+            let product = u128::from(words as u64 ^ self.keys[0] ^ self.hash)
+                * u128::from((words >> 64) as u64 ^ self.keys[1]);
+            self.hash = (product >> 64) as u64 ^ product as u64;
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
 
 impl TxId {
     /// Derives a transaction id.
@@ -250,6 +327,30 @@ mod tests {
             signature: peer.sign(&endorsed.response_payload()),
         });
         assert_ne!(plain.to_bytes(), endorsed.to_bytes());
+    }
+
+    /// Ids that a client made agree on every byte but one still hash
+    /// apart, whichever byte it is; equal ids hash equal.
+    #[test]
+    fn tx_id_hash_reads_every_digest_byte() {
+        let hash = TxIdHash::default();
+        let base = TxId::derive(&Identity::new("client1", "org1"), 1, "cc");
+        assert_eq!(hash.hash_one(base), hash.hash_one(TxId(base.0)));
+        for byte in 0..32 {
+            let hashes: HashSet<u64> = (0..=255u8)
+                .map(|v| {
+                    let mut id = base;
+                    id.0[byte] = v;
+                    hash.hash_one(id)
+                })
+                .collect();
+            assert_eq!(hashes.len(), 256, "byte {byte}");
+        }
+        let set: TxIdSet = (0..1000u64)
+            .map(|n| TxId::derive(&Identity::new("c", "o"), n, "cc"))
+            .collect();
+        assert_eq!(set.len(), 1000);
+        assert!(set.contains(&TxId::derive(&Identity::new("c", "o"), 999, "cc")));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use fabriccrdt_fabric::conflict::{BlockFeedback, ConflictTracker};
 use fabriccrdt_fabric::metrics::{ConflictPolicyMetrics, OrderingMetrics};
 use fabriccrdt_fabric::orderer::{Orderer, TimeoutRequest};
 use fabriccrdt_ledger::block::Block;
-use fabriccrdt_ledger::transaction::{Transaction, TxId};
+use fabriccrdt_ledger::transaction::{Transaction, TxIdSet};
 use fabriccrdt_sim::queue::EventQueue;
 use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
@@ -189,7 +189,7 @@ struct Node {
     orderer: Option<Orderer>,
     /// Transactions this leader already holds (in its batch or log),
     /// so the client sweep does not re-deliver them.
-    held: HashSet<TxId>,
+    held: TxIdSet,
     /// Per-node PRNG (election timeout jitter).
     rng: SimRng,
 }
@@ -232,7 +232,7 @@ pub struct RaftCluster {
     nodes: Vec<Node>,
     /// Transactions submitted but not yet committed, in arrival order.
     pending: VecDeque<Transaction>,
-    pending_ids: HashSet<TxId>,
+    pending_ids: TxIdSet,
     /// Submissions scheduled via [`RaftCluster::enqueue`] whose arrival
     /// event has not fired yet (they block quiescence).
     outstanding_submissions: usize,
@@ -293,7 +293,7 @@ impl RaftCluster {
                 next_index: vec![0; n],
                 match_index: vec![0; n],
                 orderer: None,
-                held: HashSet::new(),
+                held: TxIdSet::default(),
                 rng: rng.fork(i as u64),
             })
             .collect();
@@ -350,7 +350,7 @@ impl RaftCluster {
             queue,
             nodes,
             pending: VecDeque::new(),
-            pending_ids: HashSet::new(),
+            pending_ids: TxIdSet::default(),
             outstanding_submissions: 0,
             retry_armed: false,
             emitted: Vec::new(),

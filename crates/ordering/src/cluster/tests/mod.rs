@@ -4,6 +4,7 @@ use super::*;
 use fabriccrdt_crypto::Identity;
 use fabriccrdt_fabric::config::PartitionSpec;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
+use fabriccrdt_ledger::transaction::TxId;
 
 fn tx(nonce: u64) -> Transaction {
     let client = Identity::new("client", "org1");
