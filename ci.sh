@@ -123,6 +123,27 @@ test "$(awk '
 valid_record
 put_snapshot"
 
+# A ledger snapshot is a root — a world state and a sorted id list —
+# and its bytes exist only at the store and on the wire (DESIGN.md
+# §4.11): `LedgerSnapshot`'s layout writes them, `from_bytes` parses
+# them. These are the non-test files that name a snapshot component's
+# codec; no `fabric` file, `peer.rs` included, may join them.
+echo "==> snapshot-codec boundary (the non-test .rs files that name decode_state, decode_txids or encode_txids)"
+test "$(find crates src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && /decode_state|decode_txids|encode_txids/ { print FILENAME }' | uniq)" = "crates/ledger/src/codec.rs
+crates/ledger/src/store.rs"
+
+# When a partition is in force, and whom it separates, is written once,
+# on `FaultConfig` (`partitioned`, `cut_off`), and gossip and Raft both
+# read it there (DESIGN.md §4.7).
+echo "==> fault-window boundary (in non-test code, minority.contains( appears only in fabric/src/config.rs)"
+test "$(find crates src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && /minority\.contains\(/ { print FILENAME }' | uniq)" = crates/fabric/src/config.rs
+
 # An endorsement is a MAC of its payload's digest (DESIGN.md §4.17):
 # the endorsers' client hashes a response payload once, in
 # `Simulation::endorse`, and a peer verifies from the digest its ingress
@@ -148,7 +169,7 @@ find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | c
 panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/bench/*' |
     cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
 echo "$panic_sites"
-test "$panic_sites" -le 56
+test "$panic_sites" -le 51
 
 # Every settable value multiplies the configurations tests and
 # benchmarks must cover, so a value nothing varies is a constant beside
@@ -166,7 +187,7 @@ read -r config_structs options < <(awk '
     END { print structs + 0, fields + 0 }' crates/fabric/src/*.rs)
 echo "$options"
 test "$config_structs" -eq 17
-test "$options" -le 69
+test "$options" -le 67
 
 # The documents a contributor reads before changing anything; ROADMAP
 # item 7 tracks their size. Printed, not gated.

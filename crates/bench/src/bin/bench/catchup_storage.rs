@@ -2,7 +2,8 @@
 //! repairing a peer that missed most of the chain.
 //!
 //! A peer crashes right after the first block and restarts after the
-//! whole stream is published. Without durable storage the anti-entropy
+//! whole stream is published. Without snapshots (a storage-free run's
+//! replicas keep in-memory stores that take none) the anti-entropy
 //! layer can only replay the missing block suffix — cost linear in
 //! chain length *and* transaction size. With durable storage, helpers
 //! hold periodic `LedgerSnapshot`s, and the catch-up negotiation

@@ -199,11 +199,11 @@ pub struct RetryPolicy {
     pub budget: usize,
     /// Base backoff before the first retry; doubles per attempt
     /// (capped at `base << 6`).
-    pub backoff_base: SimTime,
+    backoff_base: SimTime,
     /// Uniform jitter fraction: each backoff is scaled by a factor
     /// drawn deterministically from `[1, 1 + jitter)` off the run
     /// seed's PRNG stream.
-    pub jitter: f64,
+    jitter: f64,
 }
 
 impl RetryPolicy {
@@ -268,7 +268,9 @@ impl LinkFaults {
 /// A scheduled peer crash and restart. While down the peer loses its
 /// in-flight messages and receive buffer; its committed ledger persists
 /// (Fabric peers keep the ledger on disk) and is restored on restart,
-/// after which anti-entropy catches the peer up.
+/// after which anti-entropy catches the peer up. A member is down from
+/// a crash until the next restart, so windows may overlap: a crash of
+/// a member that is down, and a restart of one that is up, are no-ops.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashSpec {
     /// Flattened peer index.
@@ -393,6 +395,36 @@ impl FaultConfig {
             && self.link.extra_delay == LatencyModel::zero()
             && self.crashes.is_empty()
             && self.partitions.is_empty()
+    }
+
+    /// Whether an active partition separates members `a` and `b` at
+    /// `now`: one is in its minority and the other is not.
+    pub fn partitioned(&self, now: SimTime, a: usize, b: usize) -> bool {
+        self.active_partitions(now)
+            .any(|p| p.minority.contains(&a) != p.minority.contains(&b))
+    }
+
+    /// Whether member `p` sits in the minority of an active partition
+    /// at `now`, cut off from everything on the majority side — the
+    /// ordering service included.
+    pub fn cut_off(&self, now: SimTime, p: usize) -> bool {
+        self.active_partitions(now)
+            .any(|partition| partition.minority.contains(&p))
+    }
+
+    /// When the last scheduled fault has played out: the latest restart
+    /// and heal time, or zero for a schedule with neither.
+    pub fn settled_at(&self) -> SimTime {
+        let restarts = self.crashes.iter().map(|c| c.restart_at);
+        let heals = self.partitions.iter().map(|p| p.heal_at);
+        restarts.chain(heals).max().unwrap_or(SimTime::ZERO)
+    }
+
+    /// The partitions in force at `now`: those with `at ≤ now < heal_at`.
+    fn active_partitions(&self, now: SimTime) -> impl Iterator<Item = &PartitionSpec> {
+        self.partitions
+            .iter()
+            .filter(move |p| now >= p.at && now < p.heal_at)
     }
 
     /// Checks the schedule against a cluster of `n` members; `what`

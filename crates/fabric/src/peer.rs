@@ -212,18 +212,19 @@ impl<V: BlockValidator> Peer<V> {
         }
     }
 
-    /// Exports a [`LedgerSnapshot`] at the current tip: encoded world
-    /// state and committed transaction ids (sorted), anchored at the tip
-    /// block's number and hash. Key history is not part of it: it lives
-    /// in the chain's blocks.
+    /// Exports a [`LedgerSnapshot`] at the current tip: the world state's
+    /// root (one reference-count bump) and the committed transaction
+    /// ids, sorted, anchored at the tip block's number and hash. Nothing
+    /// is encoded. Key history is not part of it: it lives in the
+    /// chain's blocks.
     pub fn ledger_snapshot(&self) -> LedgerSnapshot {
         let mut ids: Vec<TxId> = self.committed_ids.iter().copied().collect();
         ids.sort();
         LedgerSnapshot {
             last_block: self.chain.height().saturating_sub(1),
             tip_hash: self.chain.tip_hash(),
-            state: codec::encode_state(&self.state),
-            committed_ids: codec::encode_txids(&ids),
+            state: self.state.clone(),
+            committed_ids: ids.into(),
         }
     }
 
@@ -232,25 +233,18 @@ impl<V: BlockValidator> Peer<V> {
     /// at the snapshot tip — blocks at or below `last_block` are not
     /// held, so key history starts above it. Blocks committed after the
     /// snapshot are applied by [`Peer::replay_block`] as usual.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`codec::DecodeError`] for malformed snapshot
-    /// components.
     pub fn restore_from_snapshot(
         validator: V,
         policy: EndorsementPolicy,
         snapshot: &LedgerSnapshot,
-    ) -> Result<Self, codec::DecodeError> {
-        let state = codec::decode_state(&snapshot.state)?;
-        let ids = codec::decode_txids(&snapshot.committed_ids)?;
-        Ok(Peer::from_parts(
+    ) -> Self {
+        Peer::from_parts(
             validator,
             policy,
-            state,
+            snapshot.state.clone(),
             Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
-            ids.into_iter().collect(),
-        ))
+            snapshot.committed_ids.iter().copied().collect(),
+        )
     }
 
     /// Replays an already-validated block during catch-up: checks the
@@ -642,8 +636,7 @@ mod tests {
         }
         let snapshot = snapshot.unwrap();
         let mut restored =
-            Peer::restore_from_snapshot(FabricValidator::new(), original.policy.clone(), &snapshot)
-                .unwrap();
+            Peer::restore_from_snapshot(FabricValidator::new(), original.policy.clone(), &snapshot);
         assert!(restored.chain().history("k").is_empty());
         for number in 3..=4 {
             let block = original.chain().block(number).unwrap().clone();
@@ -688,19 +681,6 @@ mod tests {
             p.replay_block(block).unwrap_err(),
             fabriccrdt_ledger::chain::ChainError::MissingValidationCodes
         );
-    }
-
-    #[test]
-    fn restore_rejects_corrupt_snapshot() {
-        let p = peer();
-        let restore = |snapshot: &LedgerSnapshot| {
-            Peer::restore_from_snapshot(FabricValidator::new(), p.policy.clone(), snapshot)
-        };
-        let intact = p.ledger_snapshot();
-        assert!(restore(&intact).is_ok());
-        let mut corrupt = intact;
-        corrupt.state[0] ^= 0xff;
-        assert!(restore(&corrupt).is_err());
     }
 
     #[test]

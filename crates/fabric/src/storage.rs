@@ -33,7 +33,6 @@ use std::path::PathBuf;
 
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::ChainError;
-use fabriccrdt_ledger::codec::DecodeError;
 use fabriccrdt_ledger::store::{
     blocks_by_number, AofStore, LedgerSnapshot, LedgerStore, MemoryStore, StoreError,
 };
@@ -174,10 +173,9 @@ pub struct Recovery<V> {
 /// Error from [`DurableLedger::recover`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoverError {
-    /// The store could not be read back.
+    /// The store could not be read back (a snapshot record that does
+    /// not decode included).
     Store(StoreError),
-    /// A snapshot component failed to decode.
-    Decode(DecodeError),
     /// A retained block did not extend the rebuilt chain.
     Replay(ChainError),
     /// The retained blocks have a gap the snapshot does not cover:
@@ -192,7 +190,6 @@ impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoverError::Store(e) => write!(f, "recovery load failed: {e}"),
-            RecoverError::Decode(e) => write!(f, "recovery snapshot corrupt: {e}"),
             RecoverError::Replay(e) => write!(f, "recovery replay failed: {e:?}"),
             RecoverError::MissingBlocks { expected } => {
                 write!(f, "recovery missing block {expected}")
@@ -206,12 +203,6 @@ impl std::error::Error for RecoverError {}
 impl From<StoreError> for RecoverError {
     fn from(e: StoreError) -> Self {
         RecoverError::Store(e)
-    }
-}
-
-impl From<DecodeError> for RecoverError {
-    fn from(e: DecodeError) -> Self {
-        RecoverError::Decode(e)
     }
 }
 
@@ -376,9 +367,9 @@ impl DurableLedger {
     ///
     /// # Errors
     ///
-    /// Returns a [`RecoverError`] when the store cannot be read, a
-    /// snapshot component is corrupt, a block fails to replay, or the
-    /// retained blocks have a gap the snapshot does not cover.
+    /// Returns a [`RecoverError`] when the store cannot be read, a block
+    /// fails to replay, or the retained blocks have a gap the snapshot
+    /// does not cover.
     pub fn recover<V: BlockValidator>(
         &self,
         validator: V,
@@ -397,14 +388,13 @@ impl DurableLedger {
     ///
     /// `seed` runs on the fresh peer *before* replay (only on the
     /// full-replay path) to re-apply genesis-height seeded state,
-    /// which lives in no block; a snapshot's encoded state already
-    /// includes it.
+    /// which lives in no block; a snapshot's state already includes it.
     ///
     /// # Errors
     ///
-    /// Returns a [`RecoverError`] when the store cannot be read, a
-    /// snapshot component is corrupt, a block fails to replay, or the
-    /// retained blocks have a gap the snapshot does not cover.
+    /// Returns a [`RecoverError`] when the store cannot be read, a block
+    /// fails to replay, or the retained blocks have a gap the snapshot
+    /// does not cover.
     pub fn recover_seeded<V: BlockValidator>(
         &self,
         validator: V,
@@ -441,7 +431,7 @@ impl DurableLedger {
         let Some(snapshot) = stored.snapshot else {
             return Err(RecoverError::MissingBlocks { expected: 1 });
         };
-        let mut peer = Peer::restore_from_snapshot(validator, policy, &snapshot)?;
+        let mut peer = Peer::restore_from_snapshot(validator, policy, &snapshot);
         let mut expected = snapshot.last_block + 1;
         let mut replayed_blocks = 0u64;
         for (number, block) in blocks {
@@ -518,10 +508,11 @@ impl AckFrontier {
 mod tests {
     use super::*;
     use crate::validator::FabricValidator;
-    use fabriccrdt_crypto::{Identity, KeyPair};
+    use fabriccrdt_crypto::{Digest, Identity, KeyPair};
     use fabriccrdt_ledger::block::ValidationCode;
     use fabriccrdt_ledger::rwset::ReadWriteSet;
     use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
+    use fabriccrdt_ledger::worldstate::WorldState;
     use fabriccrdt_sim::gen;
     use std::fs;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -878,8 +869,14 @@ mod tests {
             .collect()
     }
 
-    /// Recovers peer 0 from exactly `files` and checks it against `live`.
-    fn assert_recovers(files: &BTreeMap<String, Vec<u8>>, live: &Peer<FabricValidator>, at: &str) {
+    /// Recovers peer 0 from exactly `files` and checks its state and tip
+    /// against `state` and `tip_hash`.
+    fn assert_recovers(
+        files: &BTreeMap<String, Vec<u8>>,
+        state: &WorldState,
+        tip_hash: Digest,
+        at: &str,
+    ) {
         let dir = temp_dir("crash-point");
         fs::create_dir_all(&dir).unwrap();
         for (name, bytes) in files {
@@ -892,22 +889,20 @@ mod tests {
                 EndorsementPolicy::all_of(["org1", "org2"]),
             )
             .unwrap();
-        assert_eq!(recovery.peer.state(), live.state(), "{at}");
-        assert_eq!(
-            recovery.peer.chain().tip_hash(),
-            live.chain().tip_hash(),
-            "{at}"
-        );
+        assert_eq!(recovery.peer.state(), state, "{at}");
+        assert_eq!(recovery.peer.chain().tip_hash(), tip_hash, "{at}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A crash after any file-system step of the segment lifecycle
     /// leaves files that recover the same ledger. The steps, in order:
-    /// `put_snapshot` creates the next segment, then writes the
-    /// snapshot into it (torn at any byte); `compact_up_to` goes through
-    /// the segments oldest first, emptying a dead first segment in
-    /// place, unlinking any other dead one, and rewriting a partly
-    /// alive one through a temp file (torn at any byte) and a rename.
+    /// `append_block` writes a block record (torn at any byte, which
+    /// recovers the ledger without that block); `put_snapshot` creates
+    /// the next segment, then writes the snapshot into it (torn at any
+    /// byte); `compact_up_to` goes through the segments oldest first,
+    /// emptying a dead first segment in place, unlinking any other dead
+    /// one, and rewriting a partly alive one through a temp file (torn
+    /// at any byte) and a rename.
     /// Each prefix of those steps is rebuilt from the files before and
     /// after the call and recovered in a directory of its own. The GC
     /// floor lags the tip by one block, so compaction meets every kind
@@ -921,6 +916,9 @@ mod tests {
         let mut store = DurableLedger::open(&config, 0).unwrap();
         let mut live = test_peer();
         let mut steps = BTreeMap::new();
+        let recovers = |files: &BTreeMap<String, Vec<u8>>, live: &Peer<_>, at: &str| {
+            assert_recovers(files, live.state(), live.chain().tip_hash(), at)
+        };
         for n in 1..=8 {
             let block = Block::assemble(
                 live.chain().height(),
@@ -928,9 +926,22 @@ mod tests {
                 vec![endorsed_tx(n, &["doc".to_string()])],
             );
             let staged = live.process_block(block);
+            let (state, tip_hash) = (live.state().clone(), live.chain().tip_hash());
             let tip = live.commit(staged).unwrap().clone();
+            let before = files_in(&dir);
             store.append_block(&tip).unwrap();
-            assert_recovers(&files_in(&dir), &live, &format!("block {n}"));
+            let after = files_in(&dir);
+            let (name, bytes) = after
+                .iter()
+                .find(|(name, bytes)| before.get(*name) != Some(*bytes))
+                .expect("the append grows a segment");
+            for cut in before.get(name).map_or(0, Vec::len)..bytes.len() {
+                let mut torn = before.clone();
+                torn.insert(name.clone(), bytes[..cut].to_vec());
+                let at = format!("block {n}, {cut} bytes");
+                assert_recovers(&torn, &state, tip_hash, &at);
+            }
+            recovers(&after, &live, &format!("block {n}"));
 
             if store.snapshot_due(n) {
                 let before = files_in(&dir);
@@ -943,7 +954,7 @@ mod tests {
                 for cut in 0..=bytes.len() {
                     let mut torn = before.clone();
                     torn.insert(name.clone(), bytes[..cut].to_vec());
-                    assert_recovers(&torn, &live, &format!("snapshot {n}, {cut} bytes"));
+                    recovers(&torn, &live, &format!("snapshot {n}, {cut} bytes"));
                 }
             }
 
@@ -970,16 +981,16 @@ mod tests {
                         "empty"
                     }
                     Some(bytes) => {
-                        for cut in [0, bytes.len() / 2, bytes.len()] {
+                        for cut in 0..=bytes.len() {
                             let mut temp = state.clone();
                             temp.insert(format!("{name}.compact-tmp"), bytes[..cut].to_vec());
-                            assert_recovers(&temp, &live, &format!("{at}, temp"));
+                            recovers(&temp, &live, &format!("{at}, temp at {cut}"));
                         }
                         state.insert(name.clone(), bytes.clone());
                         "rewrite"
                     }
                 };
-                assert_recovers(&state, &live, &format!("{at}, {step}"));
+                recovers(&state, &live, &format!("{at}, {step}"));
                 *steps.entry(step).or_insert(0) += 1;
             }
             assert_eq!(state, after, "the steps rebuild the files compaction left");

@@ -14,7 +14,9 @@ use fabriccrdt_fabric::config::{PipelineConfig, Topology};
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
+use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::codec;
+use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_sim::time::SimTime;
 
 /// Read-modify-write chaincode on a single key: args = [key, value].
@@ -77,8 +79,7 @@ fn snapshot_and_replay_bootstrap_match_the_veteran() {
         FabricValidator::new(),
         Topology::paper().default_policy(),
         &veteran.ledger_snapshot(),
-    )
-    .expect("snapshot restores");
+    );
 
     // Replica C replays the serialized chain block by block. Committed
     // blocks carry the recorded validation codes, so replay reproduces
@@ -122,6 +123,71 @@ fn snapshot_and_replay_bootstrap_match_the_veteran() {
     assert_eq!(replica_c.state(), veteran.state());
     assert_eq!(replica_b.ledger_snapshot(), veteran.ledger_snapshot());
     assert_eq!(replica_c.snapshot(), veteran.snapshot());
+}
+
+/// A ledger snapshot restores the same replica whether it is handed
+/// over as its root or goes through its bytes: same state, tip and ids,
+/// and the same verdicts and ledger for the next block, a duplicate
+/// transaction id included.
+#[test]
+fn a_snapshot_restores_the_same_replica_from_its_root_or_its_bytes() {
+    let mut sim = Simulation::new(
+        PipelineConfig::paper(25, 29),
+        FabricValidator::new(),
+        registry(),
+    );
+    sim.seed_state("hot", b"0".to_vec());
+    sim.run(schedule(100));
+    let snapshot = sim.peer().ledger_snapshot();
+    let bytes = snapshot.to_bytes();
+    assert_eq!(snapshot.encoded_len(), bytes.len());
+    let decoded = LedgerSnapshot::from_bytes(&bytes).expect("its own bytes parse");
+    assert_eq!(decoded, snapshot);
+    let restore = |snapshot: &LedgerSnapshot| {
+        let policy = Topology::paper().default_policy();
+        Peer::restore_from_snapshot(FabricValidator::new(), policy, snapshot)
+    };
+    let mut replicas = [restore(&snapshot), restore(&decoded)];
+    for replica in &replicas {
+        assert_eq!(replica.state(), sim.peer().state());
+        assert_eq!(replica.chain().tip_hash(), sim.peer().chain().tip_hash());
+        assert_eq!(replica.ledger_snapshot(), snapshot, "tip and ids");
+    }
+
+    // The next block: fresh traffic as the orderer cut it, then a
+    // transaction the snapshot already holds.
+    let height = sim.peer().chain().height();
+    let tip_hash = sim.peer().chain().tip_hash();
+    let duplicate = sim.peer().chain().block(1).expect("block 1").transactions[0].clone();
+    sim.run(vec![(
+        SimTime::ZERO,
+        TxRequest::new("rmw", vec!["fresh".into(), "after-restore".into()]),
+    )]);
+    let mut txs = sim
+        .peer()
+        .chain()
+        .block(height)
+        .expect("new block")
+        .transactions
+        .clone();
+    txs.push(duplicate);
+    let next = Block::assemble(height, tip_hash, txs);
+    let [from_root, from_bytes] = &mut replicas;
+    let (staged_root, staged_bytes) = (
+        from_root.process_block(next.clone()),
+        from_bytes.process_block(next),
+    );
+    let codes = &staged_root.block.validation_codes;
+    assert_eq!(codes.last(), Some(&ValidationCode::DuplicateTxId));
+    assert_eq!(&staged_bytes.block.validation_codes, codes);
+    from_root.commit(staged_root).expect("extends the chain");
+    from_bytes.commit(staged_bytes).expect("extends the chain");
+    assert_eq!(from_bytes.snapshot(), from_root.snapshot());
+    assert_eq!(from_bytes.ledger_snapshot(), from_root.ledger_snapshot());
+    assert_eq!(
+        from_root.state().value("fresh"),
+        Some(&b"after-restore"[..])
+    );
 }
 
 /// Replay rejects a block whose chain linkage does not fit — a

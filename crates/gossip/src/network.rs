@@ -32,15 +32,16 @@
 //!
 //! # Durable storage and snapshot catch-up
 //!
-//! With [`PipelineConfig::storage`] set, every replica mirrors its
-//! commits into a [`DurableLedger`] (in-memory or append-only file,
-//! one file per channel × peer), writes a [`LedgerSnapshot`] every
-//! `snapshot_interval` blocks, and restarts by recovering from that
-//! store; without one a crashed replica is parked untouched until its
-//! restart. Anti-entropy then negotiates by byte cost: when a helper's
-//! latest snapshot plus the post-snapshot block suffix is cheaper to
-//! ship than replaying the full missing suffix, the lagging peer
-//! installs the snapshot (charged with the bytes of an
+//! Every replica mirrors its commits into a [`DurableLedger`]: the one
+//! [`PipelineConfig::storage`] configures (in-memory or append-only
+//! file, one run of files per channel × peer), or, when that is unset,
+//! [`StorageConfig::memory`] — no snapshots, no GC, no files. A crash
+//! drops the live replica; a restart recovers it from its store. A
+//! store with a snapshot cadence writes a [`LedgerSnapshot`] every
+//! `snapshot_interval` blocks, and anti-entropy then negotiates by byte
+//! cost: when a helper's latest snapshot plus the post-snapshot block
+//! suffix is cheaper to ship than replaying the full missing suffix,
+//! the lagging peer installs the snapshot (charged with the bytes of an
 //! acknowledgement-frontier delta) and replays only the suffix —
 //! recorded as a [`CatchUpOutcome::Snapshot`] episode with bytes
 //! accounted. Ties go to replay, which keeps the recovered ledger
@@ -73,7 +74,7 @@ use fabriccrdt_fabric::metrics::{
 };
 use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
 use fabriccrdt_fabric::policy::EndorsementPolicy;
-use fabriccrdt_fabric::storage::{AckFrontier, DurableLedger};
+use fabriccrdt_fabric::storage::{AckFrontier, DurableLedger, StorageConfig};
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::codec;
@@ -144,20 +145,16 @@ struct ActiveCatchUp {
 
 /// Per-replica bookkeeping around the replica itself.
 struct Slot<V> {
-    /// The live replica; `None` while crashed.
+    /// The live replica; `None` from a crash until the next restart.
     peer: Option<Peer<V>>,
-    /// The replica while it is crashed *without* a durable store: its
-    /// ledger survives by being set aside untouched until restart. With
-    /// a store, restarts recover from the store instead.
-    parked: Option<Peer<V>>,
     /// Raw blocks received but not yet committable (gaps below them).
     buffer: BTreeMap<u64, Sealed>,
     /// Outstanding `Tick` events for this replica.
     ticks_pending: u32,
     /// Active catch-up episode, if any.
     catch_up: Option<ActiveCatchUp>,
-    /// The replica's durable store, when storage is configured.
-    store: Option<DurableLedger>,
+    /// The replica's durable store: what survives a crash.
+    store: DurableLedger,
     /// Highest frontier floor this replica has GC'd up to.
     gc_floor: u64,
 }
@@ -178,26 +175,6 @@ struct Shared {
     faults: FaultConfig,
     /// Orderer → leader delivery latency (from the pipeline calibration).
     orderer_hop: LatencyModel,
-}
-
-impl Shared {
-    /// Whether an active partition separates global peers `a` and `b`
-    /// at `now`.
-    fn partitioned(&self, now: SimTime, a: usize, b: usize) -> bool {
-        self.faults.partitions.iter().any(|p| {
-            now >= p.at && now < p.heal_at && (p.minority.contains(&a) != p.minority.contains(&b))
-        })
-    }
-
-    /// The ordering service sits on the majority side of every
-    /// partition.
-    fn orderer_reachable(&self, now: SimTime, peer: usize) -> bool {
-        !self
-            .faults
-            .partitions
-            .iter()
-            .any(|p| now >= p.at && now < p.heal_at && p.minority.contains(&peer))
-    }
 }
 
 /// One channel's state: its member replicas, ordering log, event
@@ -244,10 +221,11 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// Builds a single-channel network for a pipeline configuration —
     /// a one-lane [`GossipNetwork::new_multi`]. Uses `config.gossip`
     /// (or [`GossipConfig::calibrated`] when unset), applies
-    /// `config.faults`, opens per-peer durable stores when
-    /// `config.storage` is set, and forks its PRNG from `config.seed`,
-    /// so identical configs replay identical runs. `make_validator`
-    /// constructs one validator per replica (and per restart).
+    /// `config.faults`, opens one durable store per replica
+    /// (`config.storage`, or [`StorageConfig::memory`] when unset), and
+    /// forks its PRNG from `config.seed`, so identical configs replay
+    /// identical runs. `make_validator` constructs one validator per
+    /// replica (and per restart).
     ///
     /// # Panics
     ///
@@ -306,7 +284,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
         );
 
         let mut root = SimRng::seed_from(config.seed);
-        let storage = config.storage.clone();
+        let storage = config.storage.clone().unwrap_or_else(StorageConfig::memory);
         let lanes = multi
             .channels
             .iter()
@@ -324,14 +302,11 @@ impl<V: BlockValidator> GossipNetwork<V> {
                             Peer::new(make_validator(), config.policy.clone())
                                 .with_channel(spec.id),
                         ),
-                        parked: None,
                         buffer: BTreeMap::new(),
                         ticks_pending: 0,
                         catch_up: None,
-                        store: storage.as_ref().map(|cfg| {
-                            DurableLedger::open_channel(cfg, spec.id, global)
-                                .expect("peer storage opens")
-                        }),
+                        store: DurableLedger::open_channel(&storage, spec.id, global)
+                            .expect("peer storage opens"),
                         gc_floor: 0,
                     })
                     .collect();
@@ -474,22 +449,19 @@ impl<V: BlockValidator> GossipNetwork<V> {
     }
 
     /// Channel `ch`'s GC floor: the minimum block height every member
-    /// has acknowledged committing (0 without durable storage, or
-    /// before every member has acknowledged anything).
+    /// has acknowledged committing (0 before every member has
+    /// acknowledged anything).
     pub fn acked_floor_on(&self, ch: usize) -> u64 {
         let lane = &self.lanes[ch];
         lane.acked.min_acked(lane.slots.len())
     }
 
     /// The latest snapshot in the channel-`ch` replica's durable
-    /// store, or `None` while crashed / without storage / before the
-    /// first snapshot.
+    /// store, or `None` before the first snapshot (always, for a store
+    /// with no snapshot cadence).
     pub fn durable_snapshot_on(&self, ch: usize, index: usize) -> Option<&LedgerSnapshot> {
         let lane = &self.lanes[ch];
-        lane.slots[lane.pos(index)]
-            .store
-            .as_ref()
-            .and_then(DurableLedger::latest_snapshot)
+        lane.slots[lane.pos(index)].store.latest_snapshot()
     }
 
     /// Serialized ledger of the channel-`ch` replica at `index` (state
@@ -638,7 +610,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                 continue;
             };
             if self.slots[leader].peer.is_some()
-                && shared.orderer_reachable(cut_at, self.members[leader])
+                && !shared.faults.cut_off(cut_at, self.members[leader])
             {
                 self.schedule(
                     cut_at + hop,
@@ -753,7 +725,10 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn send_raw(&mut self, shared: &Shared, now: SimTime, from: usize, to: usize, block: &Sealed) {
-        if shared.partitioned(now, self.members[from], self.members[to]) {
+        if shared
+            .faults
+            .partitioned(now, self.members[from], self.members[to])
+        {
             return;
         }
         self.metrics.messages_sent += 1;
@@ -798,7 +773,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         slot.peer
             .as_ref()
             .is_some_and(|p| p.chain().block(above + 1).is_some())
-            || slot.store.as_ref().is_some_and(|s| s.has_block(above + 1))
+            || slot.store.has_block(above + 1)
     }
 
     /// The contiguous block run starting at `above + 1` that helper
@@ -814,15 +789,16 @@ impl<V: BlockValidator> ChannelLane<V> {
         let chain = slot.peer.as_ref().expect("helper is up").chain();
         let mut merged: BTreeMap<u64, Block> = BTreeMap::new();
         if chain.block(above + 1).is_none() {
-            if let Some(store) = slot.store.as_ref() {
-                let retained = store.retained_blocks().expect("helper store reads back");
-                merged.extend(
-                    retained
-                        .into_iter()
-                        .filter(|b| b.header.number > above)
-                        .map(|b| (b.header.number, b)),
-                );
-            }
+            let retained = slot
+                .store
+                .retained_blocks()
+                .expect("helper store reads back");
+            merged.extend(
+                retained
+                    .into_iter()
+                    .filter(|b| b.header.number > above)
+                    .map(|b| (b.header.number, b)),
+            );
         }
         for block in chain.iter().filter(|b| b.header.number > above) {
             // Committed blocks: the chain owns plain `Block`s (DESIGN.md §4.7).
@@ -846,7 +822,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Helper `j`'s latest durable snapshot, if it would advance a
     /// peer whose committed height is `above`.
     fn snapshot_offer(&self, j: usize, above: u64) -> Option<&LedgerSnapshot> {
-        let snapshot = self.slots[j].store.as_ref()?.latest_snapshot()?;
+        let snapshot = self.slots[j].store.latest_snapshot()?;
         (snapshot.last_block > above).then_some(snapshot)
     }
 
@@ -865,7 +841,9 @@ impl<V: BlockValidator> ChannelLane<V> {
         let candidates: Vec<usize> = (0..self.slots.len())
             .filter(|&j| {
                 j != i
-                    && !shared.partitioned(now, self.members[i], self.members[j])
+                    && !shared
+                        .faults
+                        .partitioned(now, self.members[i], self.members[j])
                     && self.committed(j) > mine
                     && (self.can_replay_from(j, mine) || self.snapshot_offer(j, mine).is_some())
             })
@@ -938,7 +916,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                     },
                 );
             }
-        } else if mine < published && shared.orderer_reachable(now, self.members[i]) {
+        } else if mine < published && !shared.faults.cut_off(now, self.members[i]) {
             // No peer can help (all behind or unreachable): reconnect to
             // the deliver service and re-request what's missing.
             let missing: Vec<Sealed> = (mine + 1..=published)
@@ -1003,26 +981,23 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
         if self.committed(to) < snapshot.last_block {
             let peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
-                .expect("a donor snapshot restores cleanly")
                 .with_channel(self.id);
+            let last_block = snapshot.last_block;
             let slot = &mut self.slots[to];
             slot.peer = Some(peer);
-            slot.buffer
-                .retain(|number, _| *number > snapshot.last_block);
-            if let Some(store) = slot.store.as_mut() {
-                // Adopt the snapshot locally so this peer's own crash
-                // recovery starts from it. The stale block prefix it
-                // covers is compacted away only under GC: without GC
-                // the prefix stays serveable to other lagging peers
-                // (see `replay_suffix`).
-                store
-                    .put_snapshot(snapshot.clone())
-                    .expect("local store accepts the snapshot");
-                if store.gc_enabled() {
-                    store
-                        .compact_up_to(snapshot.last_block)
-                        .expect("local store compacts");
-                }
+            slot.buffer.retain(|number, _| *number > last_block);
+            // Adopt the snapshot locally so this peer's own crash
+            // recovery starts from it. The stale block prefix it covers
+            // is compacted away only under GC: without GC the prefix
+            // stays serveable to other lagging peers (see
+            // `replay_suffix`).
+            slot.store
+                .put_snapshot(snapshot)
+                .expect("local store accepts the snapshot");
+            if slot.store.gc_enabled() {
+                slot.store
+                    .compact_up_to(last_block)
+                    .expect("local store compacts");
             }
         }
         self.transfer(now, to, suffix);
@@ -1055,43 +1030,37 @@ impl<V: BlockValidator> ChannelLane<V> {
             return;
         };
         let height = peer.chain().height() - 1;
-        if let Some(store) = slot.store.as_mut() {
-            for number in store.finalized_tip() + 1..=height {
-                let block = peer
-                    .chain()
-                    .block(number)
-                    .expect("committed blocks above the store's tip are in the chain");
-                store.append_block(block).expect("store append succeeds");
-            }
-            if store.snapshot_due(height) {
-                store
-                    .put_snapshot(peer.ledger_snapshot())
-                    .expect("store snapshot succeeds");
-            }
+        let store = &mut slot.store;
+        for number in store.finalized_tip() + 1..=height {
+            let block = peer
+                .chain()
+                .block(number)
+                .expect("committed blocks above the store's tip are in the chain");
+            store.append_block(block).expect("store append succeeds");
+        }
+        if store.snapshot_due(height) {
+            store
+                .put_snapshot(peer.ledger_snapshot())
+                .expect("store snapshot succeeds");
         }
         self.acked.ack(i, height);
         let floor = self.acked.min_acked(n_members);
         let slot = &mut self.slots[i];
-        if floor > slot.gc_floor {
-            if let Some(store) = slot.store.as_mut().filter(|s| s.gc_enabled()) {
-                store
-                    .compact_up_to(floor)
-                    .expect("store compaction succeeds");
-                slot.gc_floor = floor;
-            }
+        if floor > slot.gc_floor && slot.store.gc_enabled() {
+            slot.store
+                .compact_up_to(floor)
+                .expect("store compaction succeeds");
+            slot.gc_floor = floor;
         }
     }
 
     fn crash(&mut self, now: SimTime, p: usize) {
         let global = self.members[p];
         let slot = &mut self.slots[p];
-        let Some(peer) = slot.peer.take() else {
+        // The replica and its buffer are lost; its store survives. A
+        // crash of a replica that is already down changes nothing.
+        if slot.peer.take().is_none() {
             return;
-        };
-        // Without a durable store the ledger "persists" by parking the
-        // replica; with one, the store itself survives the crash.
-        if slot.store.is_none() {
-            slot.parked = Some(peer);
         }
         slot.buffer.clear();
         // A crash mid-catch-up ends the episode without reaching the
@@ -1107,25 +1076,23 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
+    /// Recovers a crashed replica from its store and starts its
+    /// catch-up. A restart of a replica that is up changes nothing.
     fn restart(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, p: usize) {
-        let peer = match self.slots[p].store.as_ref() {
-            Some(store) => {
-                let seeds = self.seeds.clone();
-                store
-                    .recover_seeded(mk(), shared.policy.clone(), move |peer| {
-                        for (key, value) in seeds {
-                            peer.seed_state(key, value);
-                        }
-                    })
-                    .expect("a peer's own durable store recovers cleanly")
-                    .peer
-                    .with_channel(self.id)
-            }
-            None => self.slots[p]
-                .parked
-                .take()
-                .expect("restart follows a crash that parked the replica"),
-        };
+        if self.slots[p].peer.is_some() {
+            return;
+        }
+        let seeds = &self.seeds;
+        let peer = self.slots[p]
+            .store
+            .recover_seeded(mk(), shared.policy.clone(), |peer| {
+                for (key, value) in seeds {
+                    peer.seed_state(key.clone(), value.clone());
+                }
+            })
+            .expect("a peer's own durable store recovers cleanly")
+            .peer
+            .with_channel(self.id);
         self.slots[p].peer = Some(peer);
         self.begin_catch_up(now, p);
     }

@@ -223,6 +223,33 @@ fn crashed_peer_restores_ledger_and_catches_up() {
     );
 }
 
+/// Two crash windows of one peer may overlap, [100, 600) and
+/// [300, 500) ms here: the peer is down from the first crash until the
+/// next restart, the crash inside the window finds it down, and the
+/// restart at 600 ms finds it up. Both are no-ops.
+#[test]
+fn overlapping_crash_windows_of_one_peer_converge() {
+    let window = |at, restart_at| CrashSpec {
+        peer: 3,
+        at: SimTime::from_millis(at),
+        restart_at: SimTime::from_millis(restart_at),
+    };
+    let faults = FaultConfig {
+        crashes: vec![window(100, 600), window(300, 500)],
+        ..FaultConfig::none()
+    };
+    let config = PipelineConfig::paper(25, 17)
+        .with_gossip()
+        .with_faults(faults);
+    let blocks = block_stream(8, 4);
+    let mut network = seeded_network(&config);
+    run_stream(&mut network, &blocks);
+    assert_all_match_reference(&network, &blocks);
+    let episodes = &network.metrics_on(0).catch_up;
+    assert_eq!(episodes.len(), 1, "one restart rejoins: {episodes:?}");
+    assert_eq!(episodes[0].from, SimTime::from_millis(500));
+}
+
 #[test]
 fn partition_heals_into_byte_identical_ledgers() {
     // Org 3 (peers 4 and 5) loses the rest of the network — including

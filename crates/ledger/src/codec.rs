@@ -152,6 +152,14 @@ pub(crate) trait Layout {
     }
 }
 
+/// Appends `value`'s layout behind its `u64` length — the bytes
+/// [`ByteSink::bytes`] would write for `value.encode()`, with no buffer
+/// in between.
+pub(crate) fn write_prefixed(out: &mut impl ByteSink, value: &(impl Layout + ?Sized)) {
+    out.u64(value.encoded_len() as u64);
+    value.write(out);
+}
+
 // ---------------------------------------------------------------- reader
 
 /// The read half: every method is total on hostile input — it returns

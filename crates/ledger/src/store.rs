@@ -15,8 +15,8 @@
 //!   order, encoded with [`codec::encode_block`]: the transactions as
 //!   the orderer cut them and the peer's commit record beside them;
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
-//!   encoded world state and committed transaction ids at a block
-//!   height.
+//!   world state and committed transaction ids at a block height,
+//!   encoded by [`LedgerSnapshot::to_bytes`] as the record is written.
 //!
 //! [`LedgerStore::compact_up_to`] drops block records covered by the
 //! latest snapshot (never beyond it), bounding store growth; recovery
@@ -63,11 +63,14 @@ use std::fmt;
 use std::fs;
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use fabriccrdt_crypto::{digest, Digest};
 
 use crate::block::Block;
 use crate::codec::{self, ByteSink, DecodeError, Layout, Reader};
+use crate::transaction::TxId;
+use crate::worldstate::WorldState;
 
 /// Snapshot record layout version; bump on layout changes.
 const SNAPSHOT_FORMAT_VERSION: u8 = 3;
@@ -143,35 +146,41 @@ fn io_err(op: &'static str, e: std::io::Error) -> StoreError {
 /// `last_block`: everything a restarted or catching-up peer needs short
 /// of the block suffix committed after the snapshot.
 ///
-/// The component byte strings are produced by `ledger::codec`
-/// (`encode_state`, `encode_txids`). A snapshot holds no key history:
-/// a peer restored from one answers `GetHistoryForKey` from the blocks
-/// it commits above `last_block` ([`crate::Blockchain::history`]).
+/// A snapshot is a root, not bytes: `state` shares every node with the
+/// state of the peer that took it, and `committed_ids` is shared too,
+/// so a clone copies no key, value or id. Its one byte layout is
+/// written by [`LedgerSnapshot::to_bytes`] (and weighed by
+/// [`LedgerSnapshot::encoded_len`]) and read by
+/// [`LedgerSnapshot::from_bytes`]. A snapshot holds no key history: a
+/// peer restored from one answers `GetHistoryForKey` from the blocks it
+/// commits above `last_block` ([`crate::Blockchain::history`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LedgerSnapshot {
     /// Number of the last block the snapshot covers.
     pub last_block: u64,
     /// Hash of that block — the anchor the retained suffix chains to.
     pub tip_hash: Digest,
-    /// Encoded world state ([`codec::encode_state`]).
-    pub state: Vec<u8>,
-    /// Encoded committed transaction ids ([`codec::encode_txids`]).
-    pub committed_ids: Vec<u8>,
+    /// The world state at `last_block`.
+    pub state: WorldState,
+    /// The committed transaction ids, sorted.
+    pub committed_ids: Arc<[TxId]>,
 }
 
 impl LedgerSnapshot {
-    /// Serializes the snapshot as one self-contained byte string.
+    /// Serializes the snapshot as one self-contained byte string: the
+    /// format version, `last_block`, `tip_hash`, then the encoded state
+    /// and the encoded id list, each length-prefixed.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.encode()
     }
 
-    /// Parses a snapshot serialized by [`LedgerSnapshot::to_bytes`].
+    /// Parses a snapshot serialized by [`LedgerSnapshot::to_bytes`],
+    /// state and ids included.
     ///
     /// # Errors
     ///
     /// Returns a [`DecodeError`] for truncated, malformed or
-    /// wrong-version input. The component byte strings are *not*
-    /// decoded here; their consumers validate them.
+    /// wrong-version input, in the snapshot or in either component.
     pub fn from_bytes(data: &[u8]) -> Result<LedgerSnapshot, DecodeError> {
         let mut r = Reader::new(data);
         let version = r.u8()?;
@@ -181,15 +190,15 @@ impl LedgerSnapshot {
         let snapshot = LedgerSnapshot {
             last_block: r.u64()?,
             tip_hash: r.digest()?,
-            state: r.bytes()?,
-            committed_ids: r.bytes()?,
+            state: codec::decode_state(&r.bytes()?)?,
+            committed_ids: codec::decode_txids(&r.bytes()?)?.into(),
         };
         r.finish()?;
         Ok(snapshot)
     }
 
     /// Size of the serialized snapshot in bytes — the cost of shipping
-    /// it over the (simulated) wire.
+    /// it over the (simulated) wire — counted without encoding.
     pub fn encoded_len(&self) -> usize {
         Layout::encoded_len(self)
     }
@@ -200,8 +209,8 @@ impl Layout for LedgerSnapshot {
         out.u8(SNAPSHOT_FORMAT_VERSION);
         out.u64(self.last_block);
         out.digest(&self.tip_hash);
-        out.bytes(&self.state);
-        out.bytes(&self.committed_ids);
+        codec::write_prefixed(out, &self.state);
+        codec::write_prefixed(out, &*self.committed_ids);
     }
 }
 

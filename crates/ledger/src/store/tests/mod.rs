@@ -81,11 +81,13 @@ fn chained_blocks(count: u64) -> Vec<Block> {
 }
 
 fn sample_snapshot(last_block: u64) -> LedgerSnapshot {
+    let mut state = WorldState::new();
+    state.put("k".into(), vec![1, 2, 3], crate::Height::new(last_block, 0));
     LedgerSnapshot {
         last_block,
         tip_hash: [last_block as u8; 32],
-        state: vec![1, 2, 3],
-        committed_ids: vec![6],
+        state,
+        committed_ids: vec![tx(6).id].into(),
     }
 }
 
@@ -111,17 +113,11 @@ fn snapshot_byte_roundtrip() {
 fn version_one_snapshot_is_rejected() {
     let snapshot = sample_snapshot(42);
     let history: &[u8] = &[4, 5];
+    let state = codec::encode_state(&snapshot.state);
+    let ids = codec::encode_txids(&snapshot.committed_ids);
     let old_layouts: [(u8, Vec<&[u8]>); 2] = [
-        (
-            1,
-            vec![
-                &snapshot.state,
-                history,
-                &snapshot.committed_ids,
-                &[7, 8, 9, 10],
-            ],
-        ),
-        (2, vec![&snapshot.state, history, &snapshot.committed_ids]),
+        (1, vec![&state, history, &ids, &[7, 8, 9, 10]]),
+        (2, vec![&state, history, &ids]),
     ];
     for (version, components) in old_layouts {
         let mut old = Vec::new();

@@ -195,8 +195,8 @@ fn decode_corrupted_encoding_is_total() {
             LedgerSnapshot {
                 last_block: g.u64(),
                 tip_hash: g.array32(),
-                state: codec::encode_state(&arb_state(g)),
-                committed_ids: codec::encode_txids(&ids),
+                state: arb_state(g),
+                committed_ids: ids.clone().into(),
             }
             .to_bytes(),
         ];
@@ -429,8 +429,8 @@ fn stored_layouts_equal_the_replaced_encoders() {
         let snapshot = LedgerSnapshot {
             last_block: g.u64(),
             tip_hash: g.array32(),
-            state: g.bytes(0, 40),
-            committed_ids: g.bytes(0, 40),
+            state,
+            committed_ids: ids.into(),
         };
         let bytes = snapshot.to_bytes();
         assert_eq!(bytes, replaced::encode_snapshot(&snapshot));
@@ -594,8 +594,8 @@ mod replaced {
         w.u8(3);
         w.u64(snapshot.last_block);
         w.digest(&snapshot.tip_hash);
-        w.bytes(&snapshot.state);
-        w.bytes(&snapshot.committed_ids);
+        w.bytes(&encode_state(&snapshot.state));
+        w.bytes(&encode_txids(&snapshot.committed_ids));
         w.buf
     }
 }

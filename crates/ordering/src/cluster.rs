@@ -248,8 +248,6 @@ pub struct RaftCluster {
     metrics: OrderingMetrics,
     leadership: Vec<LeadershipEvent>,
     clock: SimTime,
-    /// No run is quiescent before the last scheduled fault.
-    last_fault_time: SimTime,
 }
 
 impl RaftCluster {
@@ -298,15 +296,10 @@ impl RaftCluster {
             })
             .collect();
 
-        let mut last_fault_time = SimTime::ZERO;
         let mut queue = EventQueue::new();
         for crash in &raft.faults.crashes {
             queue.schedule(crash.at, RaftEvent::Crash { node: crash.peer });
             queue.schedule(crash.restart_at, RaftEvent::Restart { node: crash.peer });
-            last_fault_time = last_fault_time.max(crash.restart_at);
-        }
-        for partition in &raft.faults.partitions {
-            last_fault_time = last_fault_time.max(partition.heal_at);
         }
 
         let mut leadership = Vec::new();
@@ -360,7 +353,6 @@ impl RaftCluster {
             metrics: OrderingMetrics::default(),
             leadership,
             clock: SimTime::ZERO,
-            last_fault_time,
         };
         for i in 0..n {
             if cluster.nodes[i].role != Role::Leader {
@@ -434,7 +426,8 @@ impl RaftCluster {
     /// leader exists whose log is fully committed with an empty batch,
     /// and every replica agrees on the commit index.
     pub fn is_quiescent(&self) -> bool {
-        if self.clock < self.last_fault_time
+        // No run is quiescent before the last scheduled fault.
+        if self.clock < self.raft.faults.settled_at()
             || self.outstanding_submissions > 0
             || !self.pending.is_empty()
             || self.nodes.iter().any(|n| !n.up)
@@ -891,7 +884,7 @@ impl RaftCluster {
     /// Applies link faults and latency, then schedules delivery.
     fn send(&mut self, from: usize, to: usize, payload: Payload, now: SimTime) {
         self.metrics.messages_sent += 1;
-        if self.partitioned(now, from, to) {
+        if self.raft.faults.partitioned(now, from, to) {
             self.metrics.messages_dropped += 1;
             return;
         }
@@ -916,13 +909,6 @@ impl RaftCluster {
         }
         self.queue
             .schedule(now + delay, RaftEvent::Message { from, to, payload });
-    }
-
-    /// Whether an active partition separates nodes `a` and `b` at `now`.
-    fn partitioned(&self, now: SimTime, a: usize, b: usize) -> bool {
-        self.raft.faults.partitions.iter().any(|p| {
-            now >= p.at && now < p.heal_at && (p.minority.contains(&a) != p.minority.contains(&b))
-        })
     }
 
     fn receive(&mut self, to: usize, from: usize, payload: Payload, now: SimTime) {

@@ -49,8 +49,7 @@ fn main() {
         CrdtValidator::new(),
         Topology::paper().default_policy(),
         &veteran.ledger_snapshot(),
-    )
-    .expect("snapshot restores");
+    );
 
     // --- 3. Replica C replays the serialized chain block by block.
     let chain = codec::decode_chain(&snapshot.chain).expect("chain decodes");
