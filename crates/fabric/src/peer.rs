@@ -25,6 +25,7 @@
 //! through (DESIGN.md §4.16).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
@@ -259,13 +260,16 @@ impl<V: BlockValidator> Peer<V> {
     /// hash binds the record, is the integrity anchor (DESIGN.md §4.17).
     ///
     /// The successor state is built on a clone that shares the committed
-    /// tree and installed by [`Peer::commit`], like any staged block.
+    /// tree and installed by [`Peer::commit`], like any staged block. A
+    /// shared block (one an in-memory store kept) enters the chain
+    /// without a copy.
     ///
     /// # Errors
     ///
     /// Returns a [`ChainError`] if the block does not extend this peer's
     /// chain or its validation codes are missing; the peer is unchanged.
-    pub fn replay_block(&mut self, block: Block) -> Result<(), ChainError> {
+    pub fn replay_block(&mut self, block: impl Into<Arc<Block>>) -> Result<(), ChainError> {
+        let block = block.into();
         if block.validation_codes.len() != block.transactions.len() {
             return Err(ChainError::MissingValidationCodes);
         }

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::ChainError;
@@ -47,7 +48,8 @@ use crate::validator::BlockValidator;
 /// Which [`LedgerStore`] backend a peer persists to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageBackend {
-    /// Encoded records held in memory — the trait-shaped status quo.
+    /// A [`MemoryStore`]: the committed blocks themselves, shared with
+    /// the peer's chain, and the latest snapshot root; nothing encoded.
     Memory,
     /// One run of append-only segment files per peer under `dir`:
     /// `peer-<index>.aof`, then `peer-<index>.aof.1`, `.2`, …, each
@@ -173,9 +175,6 @@ pub struct Recovery<V> {
 /// Error from [`DurableLedger::recover`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoverError {
-    /// The store could not be read back (a snapshot record that does
-    /// not decode included).
-    Store(StoreError),
     /// A retained block did not extend the rebuilt chain.
     Replay(ChainError),
     /// The retained blocks have a gap the snapshot does not cover:
@@ -189,7 +188,6 @@ pub enum RecoverError {
 impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RecoverError::Store(e) => write!(f, "recovery load failed: {e}"),
             RecoverError::Replay(e) => write!(f, "recovery replay failed: {e:?}"),
             RecoverError::MissingBlocks { expected } => {
                 write!(f, "recovery missing block {expected}")
@@ -199,12 +197,6 @@ impl fmt::Display for RecoverError {
 }
 
 impl std::error::Error for RecoverError {}
-
-impl From<StoreError> for RecoverError {
-    fn from(e: StoreError) -> Self {
-        RecoverError::Store(e)
-    }
-}
 
 impl From<ChainError> for RecoverError {
     fn from(e: ChainError) -> Self {
@@ -249,7 +241,7 @@ impl DurableLedger {
                 Box::new(AofStore::open_with_fsync(dir.join(file), config.fsync)?)
             }
         };
-        let (appended_tip, latest_snapshot) = store.head()?;
+        let (appended_tip, latest_snapshot) = store.head();
         Ok(DurableLedger {
             store,
             snapshot_interval: config.snapshot_interval,
@@ -270,23 +262,24 @@ impl DurableLedger {
     /// All retained block records, in append order. Gossip anti-entropy
     /// reads these to serve replay suffixes that start below a helper's
     /// in-memory chain base.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when records cannot be read back.
-    pub fn retained_blocks(&self) -> Result<Vec<Block>, StoreError> {
-        Ok(self.store.load()?.blocks)
+    pub fn retained_blocks(&self) -> Vec<Arc<Block>> {
+        self.store.load().blocks
     }
 
     /// Appends a committed block record and advances the finalized
-    /// watermark ([`DurableLedger::finalized_tip`]) to its height.
+    /// watermark ([`DurableLedger::finalized_tip`]) to its height. The
+    /// store keeps the block as handed: the chain's own
+    /// ([`Blockchain::shared`](fabriccrdt_ledger::Blockchain::shared)) is
+    /// held once by both, a borrowed one is copied.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] when the backend cannot persist it.
-    pub fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
+    pub fn append_block(&mut self, block: impl Into<Arc<Block>>) -> Result<(), StoreError> {
+        let block = block.into();
+        let number = block.header.number;
         self.store.append_block(block)?;
-        self.appended_tip = self.appended_tip.max(block.header.number);
+        self.appended_tip = self.appended_tip.max(number);
         Ok(())
     }
 
@@ -367,9 +360,8 @@ impl DurableLedger {
     ///
     /// # Errors
     ///
-    /// Returns a [`RecoverError`] when the store cannot be read, a block
-    /// fails to replay, or the retained blocks have a gap the snapshot
-    /// does not cover.
+    /// Returns a [`RecoverError`] when a block fails to replay or the
+    /// retained blocks have a gap the snapshot does not cover.
     pub fn recover<V: BlockValidator>(
         &self,
         validator: V,
@@ -392,16 +384,15 @@ impl DurableLedger {
     ///
     /// # Errors
     ///
-    /// Returns a [`RecoverError`] when the store cannot be read, a block
-    /// fails to replay, or the retained blocks have a gap the snapshot
-    /// does not cover.
+    /// Returns a [`RecoverError`] when a block fails to replay or the
+    /// retained blocks have a gap the snapshot does not cover.
     pub fn recover_seeded<V: BlockValidator>(
         &self,
         validator: V,
         policy: EndorsementPolicy,
         seed: impl FnOnce(&mut Peer<V>),
     ) -> Result<Recovery<V>, RecoverError> {
-        let stored = self.store.load()?;
+        let stored = self.store.load();
         let blocks = blocks_by_number(stored.blocks);
         let contiguous_from_one = blocks.keys().next() == Some(&1)
             && blocks
@@ -852,8 +843,8 @@ mod tests {
         let ch1 = DurableLedger::open_channel(&config, ChannelId(1), 2).unwrap();
         assert!(ch0.has_block(1) && !ch0.has_block(2));
         assert!(ch1.has_block(1) && ch1.has_block(2));
-        assert_eq!(ch0.retained_blocks().unwrap().len(), 1);
-        assert_eq!(ch1.retained_blocks().unwrap().len(), 2);
+        assert_eq!(ch0.retained_blocks().len(), 1);
+        assert_eq!(ch1.retained_blocks().len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -114,13 +114,13 @@ enum EventKind {
         block: Sealed,
     },
     /// Committed blocks arrive at a pulling peer (anti-entropy).
-    Transfer { to: usize, blocks: Vec<Block> },
+    Transfer { to: usize, blocks: Vec<Arc<Block>> },
     /// A snapshot and the post-snapshot block suffix arrive at a
     /// catching-up peer.
     SnapshotTransfer {
         to: usize,
         snapshot: LedgerSnapshot,
-        suffix: Vec<Block>,
+        suffix: Vec<Arc<Block>>,
     },
     /// Per-peer anti-entropy timer.
     Tick { peer: usize },
@@ -784,25 +784,23 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// back, for the prefix (chain copies win above it; both re-seal
     /// identically). Empty when the helper holds neither source for
     /// `above + 1`.
-    fn replay_suffix(&self, j: usize, above: u64) -> Vec<Block> {
+    fn replay_suffix(&self, j: usize, above: u64) -> Vec<Arc<Block>> {
         let slot = &self.slots[j];
         let chain = slot.peer.as_ref().expect("helper is up").chain();
-        let mut merged: BTreeMap<u64, Block> = BTreeMap::new();
+        let mut merged: BTreeMap<u64, Arc<Block>> = BTreeMap::new();
         if chain.block(above + 1).is_none() {
-            let retained = slot
-                .store
-                .retained_blocks()
-                .expect("helper store reads back");
             merged.extend(
-                retained
+                slot.store
+                    .retained_blocks()
                     .into_iter()
                     .filter(|b| b.header.number > above)
                     .map(|b| (b.header.number, b)),
             );
         }
-        for block in chain.iter().filter(|b| b.header.number > above) {
-            // Committed blocks: the chain owns plain `Block`s (DESIGN.md §4.7).
-            merged.insert(block.header.number, block.clone());
+        // Committed blocks are never written again, so the puller's
+        // chain shares the helper's (DESIGN.md §4.7).
+        for number in above + 1..chain.height() {
+            merged.extend(chain.shared(number).map(|b| (number, Arc::clone(b))));
         }
         let mut suffix = Vec::with_capacity(merged.len());
         let mut next = above + 1;
@@ -815,7 +813,7 @@ impl<V: BlockValidator> ChannelLane<V> {
 
     /// Encoded bytes of a block run — the wire cost of a replay
     /// transfer — counted without encoding a block.
-    fn suffix_bytes(suffix: &[Block]) -> u64 {
+    fn suffix_bytes(suffix: &[Arc<Block>]) -> u64 {
         suffix.iter().map(|b| codec::block_len(b) as u64).sum()
     }
 
@@ -940,7 +938,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
-    fn transfer(&mut self, now: SimTime, to: usize, blocks: Vec<Block>) {
+    fn transfer(&mut self, now: SimTime, to: usize, blocks: Vec<Arc<Block>>) {
         if self.slots[to].peer.is_none() {
             return;
         }
@@ -974,7 +972,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         now: SimTime,
         to: usize,
         snapshot: LedgerSnapshot,
-        suffix: Vec<Block>,
+        suffix: Vec<Arc<Block>>,
     ) {
         if self.slots[to].peer.is_none() {
             return;
@@ -1034,9 +1032,11 @@ impl<V: BlockValidator> ChannelLane<V> {
         for number in store.finalized_tip() + 1..=height {
             let block = peer
                 .chain()
-                .block(number)
+                .shared(number)
                 .expect("committed blocks above the store's tip are in the chain");
-            store.append_block(block).expect("store append succeeds");
+            store
+                .append_block(Arc::clone(block))
+                .expect("store append succeeds");
         }
         if store.snapshot_due(height) {
             store

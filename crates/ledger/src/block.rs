@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
+use std::sync::Arc;
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
@@ -297,7 +298,7 @@ fn encode_tx(tx: &Transaction, bytes: &mut Vec<u8>) -> (Digest, Digest) {
 /// SealedBlock(Block::genesis()); // the field is private
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SealedBlock(Block);
+pub struct SealedBlock(Arc<Block>);
 
 impl SealedBlock {
     /// Links `block` to `previous_hash` and computes its data hash and
@@ -324,19 +325,32 @@ impl SealedBlock {
     fn link(mut block: Block, previous_hash: Digest) -> Self {
         block.header.previous_hash = previous_hash;
         block.header.record_hash = block.compute_record_hash();
-        SealedBlock(block)
+        SealedBlock(Arc::new(block))
     }
 
-    /// Admits a block from anywhere else (a file, another replica) by
-    /// recomputing its record hash and data hash
-    /// ([`Block::check_hashes`], whose error it returns).
-    pub fn verify(block: Block) -> Result<Self, ChainError> {
+    /// Admits a block from anywhere else (a file, another replica, a
+    /// store that shares it) by recomputing its record hash and data
+    /// hash ([`Block::check_hashes`], whose error it returns).
+    pub fn verify(block: impl Into<Arc<Block>>) -> Result<Self, ChainError> {
+        let block = block.into();
         block.check_hashes().map(|()| SealedBlock(block))
     }
 
-    /// Gives up the seal.
+    /// Gives up the seal, copying the block only if it is shared.
     pub fn into_block(self) -> Block {
+        Arc::unwrap_or_clone(self.0)
+    }
+
+    /// Gives up the seal, keeping the block shared.
+    pub fn into_shared(self) -> Arc<Block> {
         self.0
+    }
+}
+
+/// Copies a block no chain holds into an allocation of its own.
+impl From<&Block> for Arc<Block> {
+    fn from(block: &Block) -> Self {
+        Arc::new(block.clone())
     }
 }
 

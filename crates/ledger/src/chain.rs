@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use fabriccrdt_crypto::Digest;
 
@@ -54,6 +55,9 @@ impl Error for ChainError {}
 /// blocks below `base_number` are not held in memory, but the hash they
 /// chained to is, so appends and integrity checks stay anchored.
 ///
+/// Each block sits behind an [`Arc`], so a store can keep a committed
+/// block without copying it ([`Blockchain::shared`]).
+///
 /// # Examples
 ///
 /// ```
@@ -67,7 +71,7 @@ impl Error for ChainError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Blockchain {
-    blocks: Vec<Block>,
+    blocks: Vec<Arc<Block>>,
     /// Number of the first block this chain will hold; blocks below it
     /// were compacted away (0 for a from-genesis chain).
     base_number: u64,
@@ -122,7 +126,7 @@ impl Blockchain {
 
     /// The latest block.
     pub fn tip(&self) -> Option<&Block> {
-        self.blocks.last()
+        self.blocks.last().map(Arc::as_ref)
     }
 
     /// Hash the next block must chain to.
@@ -133,13 +137,19 @@ impl Blockchain {
     /// The block at `number` (`None` when compacted away or not yet
     /// appended).
     pub fn block(&self, number: u64) -> Option<&Block> {
+        self.shared(number).map(Arc::as_ref)
+    }
+
+    /// The block at `number` as the chain holds it, to be kept elsewhere
+    /// without a copy.
+    pub fn shared(&self, number: u64) -> Option<&Arc<Block>> {
         let index = number.checked_sub(self.base_number)?;
         self.blocks.get(index as usize)
     }
 
     /// Iterates the blocks held in memory, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
+        self.blocks.iter().map(Arc::as_ref)
     }
 
     /// Appends a block from an untrusted source:
@@ -158,7 +168,8 @@ impl Blockchain {
     /// number, previous hash, a recomputed record hash, then (the
     /// expensive one, last) a recomputed data hash. The error is the
     /// first check that failed.
-    pub fn verify_next(&self, block: Block) -> Result<SealedBlock, ChainError> {
+    pub fn verify_next(&self, block: impl Into<Arc<Block>>) -> Result<SealedBlock, ChainError> {
+        let block = block.into();
         check_link(&block, self.height(), self.tip_hash())?;
         SealedBlock::verify(block)
     }
@@ -170,7 +181,7 @@ impl Blockchain {
     pub fn append_sealed(&mut self, block: SealedBlock) -> Result<&Block, ChainError> {
         check_link(&block, self.height(), self.tip_hash())?;
         debug_assert_eq!(block.check_hashes(), Ok(()), "a sealed block was hashed");
-        self.blocks.push(block.into_block());
+        self.blocks.push(block.into_shared());
         Ok(&self.blocks[self.blocks.len() - 1])
     }
 
@@ -188,7 +199,7 @@ impl Blockchain {
 
     /// Total transactions across the in-memory blocks.
     pub fn total_transactions(&self) -> usize {
-        self.blocks.iter().map(Block::len).sum()
+        self.iter().map(Block::len).sum()
     }
 
     /// Every modification of `key` in the blocks this chain holds,
@@ -375,7 +386,7 @@ mod tests {
         extend(&mut chain, vec![tx(2)]);
         chain.verify_integrity().unwrap();
         // Tamper with a committed transaction.
-        chain.blocks[0].transactions[0]
+        Arc::make_mut(&mut chain.blocks[0]).transactions[0]
             .rwset
             .writes
             .put("evil", b"x".to_vec());

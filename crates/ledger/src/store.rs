@@ -3,20 +3,25 @@
 //! Hyperledger Fabric peers persist blocks in append-only block files
 //! and rebuild the state index by replay (Androulaki et al. §4.4). This
 //! module provides the equivalent seam for the simulated peers: a
-//! [`LedgerStore`] trait with two backends —
-//! [`MemoryStore`], one in-memory record log, and [`AofStore`], that
-//! same log mirrored to a run of append-only segment files with
-//! length-prefixed, self-validating records and truncate-on-torn-tail
-//! recovery.
+//! [`LedgerStore`] trait with two backends — [`MemoryStore`], one
+//! in-memory record log, and [`AofStore`], that same log mirrored to a
+//! run of append-only segment files with length-prefixed,
+//! self-validating records and truncate-on-torn-tail recovery.
 //!
 //! A store holds two record kinds:
 //!
 //! - **block** records — every committed block, appended in commit
-//!   order, encoded with [`codec::encode_block`]: the transactions as
-//!   the orderer cut them and the peer's commit record beside them;
+//!   order;
 //! - **snapshot** records — periodic [`LedgerSnapshot`]s bundling the
-//!   world state and committed transaction ids at a block height,
-//!   encoded by [`LedgerSnapshot::to_bytes`] as the record is written.
+//!   world state and committed transaction ids at a block height.
+//!
+//! The log holds each record as the value itself: a block as the
+//! [`Arc`] it was appended as — the one the committing chain holds
+//! ([`crate::Blockchain::shared`]) — and a snapshot as its root, so a
+//! store copies no block and decodes nothing to be read. Only an
+//! [`AofStore`] makes bytes: [`codec::encode_block`] (the transactions
+//! as the orderer cut them and the peer's commit record beside them)
+//! and [`LedgerSnapshot::to_bytes`], as it writes a record to a file.
 //!
 //! [`LedgerStore::compact_up_to`] drops block records covered by the
 //! latest snapshot (never beyond it), bounding store growth; recovery
@@ -94,12 +99,6 @@ pub enum StoreError {
         /// The underlying I/O error, rendered.
         message: String,
     },
-    /// A stored payload failed to decode. Only reachable through
-    /// [`LedgerStore::load`] on a store whose *validated* records are
-    /// inconsistent (e.g. a block record that decodes but references a
-    /// different layout version) — torn tails are truncated at open,
-    /// not reported.
-    Corrupt(DecodeError),
     /// A record failed its footer or payload decode while a valid
     /// record follows it, or a segment other than the last ends in a
     /// bad record. That is in-place corruption (bit rot, a hostile
@@ -117,7 +116,6 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io { op, message } => write!(f, "store {op} failed: {message}"),
-            StoreError::Corrupt(e) => write!(f, "store record corrupt: {e}"),
             StoreError::CorruptRecord { offset } => write!(
                 f,
                 "store record at byte {offset} is corrupt but not the torn \
@@ -128,12 +126,6 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<DecodeError> for StoreError {
-    fn from(e: DecodeError) -> Self {
-        StoreError::Corrupt(e)
-    }
-}
 
 fn io_err(op: &'static str, e: std::io::Error) -> StoreError {
     StoreError::Io {
@@ -222,19 +214,19 @@ pub struct StoredLedger {
     /// The most recent snapshot put into the store, if any.
     pub snapshot: Option<LedgerSnapshot>,
     /// Retained blocks, in the order they were appended.
-    pub blocks: Vec<Block>,
+    pub blocks: Vec<Arc<Block>>,
 }
 
 /// Durable ledger storage: append-only block records plus periodic
 /// snapshots, with compaction bounded by the latest snapshot.
 pub trait LedgerStore: Send {
-    /// Appends a committed block record.
+    /// Appends a committed block record, keeping `block` itself.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] when the backend cannot persist the
     /// record.
-    fn append_block(&mut self, block: &Block) -> Result<(), StoreError>;
+    fn append_block(&mut self, block: Arc<Block>) -> Result<(), StoreError>;
 
     /// Stores a snapshot record. The latest snapshot (highest
     /// `last_block`; insertion order breaks ties) supersedes earlier
@@ -257,40 +249,52 @@ pub trait LedgerStore: Send {
     /// Returns a [`StoreError`] when the backend cannot rewrite itself.
     fn compact_up_to(&mut self, block_num: u64) -> Result<u64, StoreError>;
 
-    /// Loads the latest snapshot and all retained blocks.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when records cannot be read back.
-    fn load(&self) -> Result<StoredLedger, StoreError>;
+    /// The latest snapshot and all retained blocks.
+    fn load(&self) -> StoredLedger;
 
-    /// Whether the store retains a block record numbered `number`,
-    /// answered from the record index without decoding anything — how
-    /// gossip anti-entropy picks helpers cheaply.
+    /// Whether the store retains a block record numbered `number` — how
+    /// gossip anti-entropy picks helpers.
     fn has_block(&self, number: u64) -> bool;
 
-    /// The store's head, answered from the record index without
-    /// decoding a block: the highest block number any record names (a
+    /// The store's head: the highest block number any record names (a
     /// block record's number or a snapshot's `last_block`; 0 for an
     /// empty store) and the latest snapshot. Compaction never lowers
     /// the number — it always keeps the latest snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when the snapshot cannot be read back.
-    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError>;
+    fn head(&self) -> (u64, Option<LedgerSnapshot>);
 }
 
 // ------------------------------------------------------------- memory
 
-/// One indexed record: kind tag, marker (a block's number or a
-/// snapshot's `last_block`) and the encoded payload.
-type Record = (u8, u64, Vec<u8>);
+/// One record as a store's log holds it: the value, not its bytes.
+#[derive(Debug, Clone, PartialEq)]
+enum Record {
+    /// A committed block, shared with the chain that committed it.
+    Block(Arc<Block>),
+    /// A snapshot root.
+    Snapshot(LedgerSnapshot),
+}
+
+impl Record {
+    /// A block's number or a snapshot's `last_block`.
+    fn marker(&self) -> u64 {
+        match self {
+            Record::Block(block) => block.header.number,
+            Record::Snapshot(snapshot) => snapshot.last_block,
+        }
+    }
+
+    /// The kind tag and payload a segment file holds for the record.
+    fn encode(&self) -> (u8, Vec<u8>) {
+        match self {
+            Record::Block(block) => (KIND_BLOCK, codec::encode_block(block)),
+            Record::Snapshot(snapshot) => (KIND_SNAPSHOT, snapshot.to_bytes()),
+        }
+    }
+}
 
 /// The in-memory backend, and the record index of [`AofStore`]: every
-/// record in append order. Records are held *encoded*, so both backends
-/// exercise the same codec path and [`LedgerStore::load`] is equally
-/// faithful for both.
+/// record in append order, as the values themselves, so keeping a
+/// peer's blocks costs a pointer each.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     records: Vec<Record>,
@@ -302,15 +306,15 @@ impl MemoryStore {
         Self::default()
     }
 
-    /// Index of the latest snapshot record: highest `last_block`,
-    /// append order breaking ties.
-    fn latest_snapshot(&self) -> Option<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, (kind, _, _))| *kind == KIND_SNAPSHOT)
-            .max_by_key(|(i, (_, marker, _))| (*marker, *i))
-            .map(|(i, _)| i)
+    /// The latest snapshot record and its position: highest
+    /// `last_block`, append order breaking ties.
+    fn latest_snapshot(&self) -> Option<(usize, &LedgerSnapshot)> {
+        let records = self.records.iter().enumerate();
+        let snapshots = records.filter_map(|(i, record)| match record {
+            Record::Snapshot(snapshot) => Some((i, snapshot)),
+            Record::Block(_) => None,
+        });
+        snapshots.max_by_key(|(i, snapshot)| (snapshot.last_block, *i))
     }
 
     /// Which records `compact_up_to(block_num)` keeps, by position: the
@@ -318,26 +322,16 @@ impl MemoryStore {
     /// clamped to that snapshot). `None` when there is no snapshot or
     /// nothing to drop.
     fn keep_set(&self, block_num: u64) -> Option<Vec<bool>> {
-        let latest = self.latest_snapshot()?;
-        let floor = block_num.min(self.records[latest].1);
-        let keep: Vec<bool> = self
-            .records
-            .iter()
-            .enumerate()
-            .map(|(i, (kind, marker, _))| match *kind {
-                KIND_SNAPSHOT => i == latest,
-                _ => *marker > floor,
+        let (latest, snapshot) = self.latest_snapshot()?;
+        let floor = block_num.min(snapshot.last_block);
+        let records = self.records.iter().enumerate();
+        let keep: Vec<bool> = records
+            .map(|(i, record)| match record {
+                Record::Snapshot(_) => i == latest,
+                Record::Block(block) => block.header.number > floor,
             })
             .collect();
         keep.contains(&false).then_some(keep)
-    }
-
-    /// Drops the records `keep` marks false, returning how many of them
-    /// were blocks.
-    fn retain(&mut self, keep: &[bool]) -> u64 {
-        let dropped = dropped_blocks(&self.records, keep);
-        retain_span(&mut self.records, 0, keep);
-        dropped
     }
 }
 
@@ -346,7 +340,7 @@ fn dropped_blocks(records: &[Record], keep: &[bool]) -> u64 {
     let dropped = records
         .iter()
         .zip(keep)
-        .filter(|((kind, ..), keep)| !**keep && *kind == KIND_BLOCK);
+        .filter(|(record, keep)| !**keep && matches!(record, Record::Block(_)));
     dropped.count() as u64
 }
 
@@ -362,51 +356,44 @@ fn retain_span<T>(items: &mut Vec<T>, first: usize, keep: &[bool]) {
 }
 
 impl LedgerStore for MemoryStore {
-    fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
-        let payload = codec::encode_block(block);
-        self.records
-            .push((KIND_BLOCK, block.header.number, payload));
+    fn append_block(&mut self, block: Arc<Block>) -> Result<(), StoreError> {
+        self.records.push(Record::Block(block));
         Ok(())
     }
 
     fn put_snapshot(&mut self, snapshot: &LedgerSnapshot) -> Result<(), StoreError> {
-        self.records
-            .push((KIND_SNAPSHOT, snapshot.last_block, snapshot.to_bytes()));
+        self.records.push(Record::Snapshot(snapshot.clone()));
         Ok(())
     }
 
     fn compact_up_to(&mut self, block_num: u64) -> Result<u64, StoreError> {
-        Ok(self
-            .keep_set(block_num)
-            .map_or(0, |keep| self.retain(&keep)))
+        let Some(keep) = self.keep_set(block_num) else {
+            return Ok(0);
+        };
+        let dropped = dropped_blocks(&self.records, &keep);
+        retain_span(&mut self.records, 0, &keep);
+        Ok(dropped)
     }
 
-    fn load(&self) -> Result<StoredLedger, StoreError> {
-        let blocks = self
-            .records
-            .iter()
-            .filter(|(kind, _, _)| *kind == KIND_BLOCK)
-            .map(|(_, _, payload)| codec::decode_block(payload))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StoredLedger {
-            snapshot: self.head()?.1,
-            blocks,
-        })
+    fn load(&self) -> StoredLedger {
+        let blocks = self.records.iter().filter_map(|record| match record {
+            Record::Block(block) => Some(Arc::clone(block)),
+            Record::Snapshot(_) => None,
+        });
+        StoredLedger {
+            snapshot: self.head().1,
+            blocks: blocks.collect(),
+        }
     }
 
     fn has_block(&self, number: u64) -> bool {
-        self.records
-            .iter()
-            .any(|(kind, marker, _)| *kind == KIND_BLOCK && *marker == number)
+        let named = |r: &Record| matches!(r, Record::Block(b) if b.header.number == number);
+        self.records.iter().any(named)
     }
 
-    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError> {
-        let tip = self.records.iter().map(|r| r.1).max().unwrap_or(0);
-        let snapshot = self
-            .latest_snapshot()
-            .map(|i| LedgerSnapshot::from_bytes(&self.records[i].2))
-            .transpose()?;
-        Ok((tip, snapshot))
+    fn head(&self) -> (u64, Option<LedgerSnapshot>) {
+        let tip = self.records.iter().map(Record::marker).max().unwrap_or(0);
+        (tip, self.latest_snapshot().map(|(_, s)| s.clone()))
     }
 }
 
@@ -514,8 +501,7 @@ fn claimed_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], [u8; FOOTER_LEN]
     Some((kind, payload, footer.try_into().ok()?, total))
 }
 
-/// The record at `pos` — kind, marker (a block's number or a snapshot's
-/// `last_block`) and payload — with its footer and frame length, when
+/// The record at `pos`, decoded, with its footer and frame length, when
 /// its frame is whole and vouches for itself. A block frame must
 /// decode, pass [`Block::check_hashes`] and carry its block hash's
 /// prefix as its footer; a snapshot frame must carry its payload's
@@ -525,19 +511,19 @@ fn claimed_frame(data: &[u8], pos: usize) -> Option<(u8, &[u8], [u8; FOOTER_LEN]
 /// was corrupted in place rather than torn by a crash.
 fn valid_record(data: &[u8], pos: usize) -> Option<(Record, [u8; FOOTER_LEN], usize)> {
     let (kind, payload, footer, total) = claimed_frame(data, pos)?;
-    let marker = if kind == KIND_BLOCK {
+    let record = if kind == KIND_BLOCK {
         let block = codec::decode_block(payload).ok()?;
         if footer != footer_of(block.hash()) || block.check_hashes().is_err() {
             return None;
         }
-        block.header.number
+        Record::Block(Arc::new(block))
     } else {
         if footer != snapshot_footer(payload) {
             return None;
         }
-        LedgerSnapshot::from_bytes(payload).ok()?.last_block
+        Record::Snapshot(LedgerSnapshot::from_bytes(payload).ok()?)
     };
-    Some(((kind, marker, payload.to_vec()), footer, total))
+    Some((record, footer, total))
 }
 
 /// One segment's valid records, read from `data`, appended to `log`
@@ -592,11 +578,11 @@ struct Segment {
 
 /// The append-only-file backend: a [`MemoryStore`] with a run of
 /// segment files of self-validating records behind it. Every record is
-/// written to the last segment before it enters the in-memory log, and
-/// the log is rebuilt from the segments at open — so reads
-/// ([`LedgerStore::load`], [`LedgerStore::has_block`],
-/// [`LedgerStore::head`]) never touch a file, at the price of holding
-/// every retained payload in RAM.
+/// encoded and written to the last segment before it enters the
+/// in-memory log, and the log is decoded from the segments at open — so
+/// reads ([`LedgerStore::load`], [`LedgerStore::has_block`],
+/// [`LedgerStore::head`]) never touch a file or decode, and a block
+/// appended from a chain is held once, by both.
 ///
 /// The first segment is the path the store is opened with; each
 /// [`LedgerStore::put_snapshot`] starts the next, `<path>.1`, `<path>.2`,
@@ -755,13 +741,15 @@ impl AofStore {
             .map_err(|e| io_err("fsync-dir", e))
     }
 
+    /// Writes `record` to the last segment, with the footer `footer`
+    /// makes of its payload, then enters it in the log.
     fn append_record(
         &mut self,
-        kind: u8,
-        marker: u64,
-        payload: Vec<u8>,
-        footer: [u8; FOOTER_LEN],
+        record: Record,
+        footer: impl FnOnce(&[u8]) -> [u8; FOOTER_LEN],
     ) -> Result<(), StoreError> {
+        let (kind, payload) = record.encode();
+        let footer = footer(&payload);
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
         frame_record(&mut frame, kind, &payload, &footer);
         self.file
@@ -771,7 +759,7 @@ impl AofStore {
             self.file.sync_data().map_err(|e| io_err("fsync", e))?;
         }
         self.footers.push(footer);
-        self.log.records.push((kind, marker, payload));
+        self.log.records.push(record);
         if let Some(last) = self.segments.last_mut() {
             last.records += 1;
         }
@@ -790,8 +778,9 @@ impl AofStore {
         let records = self.log.records[span.clone()]
             .iter()
             .zip(&self.footers[span]);
-        for (((kind, _, payload), footer), _) in records.zip(keep).filter(|(_, k)| **k) {
-            frame_record(&mut image, *kind, payload, footer);
+        for ((record, footer), _) in records.zip(keep).filter(|(_, k)| **k) {
+            let (kind, payload) = record.encode();
+            frame_record(&mut image, kind, &payload, footer);
         }
         let mut temp = fs::File::create(&temp_path).map_err(|e| io_err("compact-create", e))?;
         temp.write_all(&image)
@@ -812,26 +801,21 @@ impl AofStore {
 }
 
 impl LedgerStore for AofStore {
-    fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
+    fn append_block(&mut self, block: Arc<Block>) -> Result<(), StoreError> {
         let footer = footer_of(block.hash());
-        self.append_record(
-            KIND_BLOCK,
-            block.header.number,
-            codec::encode_block(block),
-            footer,
-        )
+        self.append_record(Record::Block(block), |_| footer)
     }
 
     /// Starts the next segment with the snapshot as its first record.
     fn put_snapshot(&mut self, snapshot: &LedgerSnapshot) -> Result<(), StoreError> {
-        let payload = snapshot.to_bytes();
-        let footer = snapshot_footer(&payload);
         let number = self.segments.last().map_or(0, |s| s.number + 1);
         self.file = fs::File::create(segment_path(&self.path, number))
             .map_err(|e| io_err("segment-create", e))?;
         self.segments.push(Segment { number, records: 0 });
         self.sync_dir()?;
-        self.append_record(KIND_SNAPSHOT, snapshot.last_block, payload, footer)
+        self.append_record(Record::Snapshot(snapshot.clone()), |payload| {
+            snapshot_footer(payload)
+        })
     }
 
     /// Applies [`MemoryStore`]'s keep-set segment by segment, oldest
@@ -887,7 +871,7 @@ impl LedgerStore for AofStore {
         Ok(dropped)
     }
 
-    fn load(&self) -> Result<StoredLedger, StoreError> {
+    fn load(&self) -> StoredLedger {
         self.log.load()
     }
 
@@ -895,7 +879,7 @@ impl LedgerStore for AofStore {
         self.log.has_block(number)
     }
 
-    fn head(&self) -> Result<(u64, Option<LedgerSnapshot>), StoreError> {
+    fn head(&self) -> (u64, Option<LedgerSnapshot>) {
         self.log.head()
     }
 }
@@ -903,7 +887,7 @@ impl LedgerStore for AofStore {
 /// Groups loaded blocks by number, last append winning, as a
 /// convenience for recovery code that wants ordered, de-duplicated
 /// blocks.
-pub fn blocks_by_number(blocks: Vec<Block>) -> BTreeMap<u64, Block> {
+pub fn blocks_by_number(blocks: Vec<Arc<Block>>) -> BTreeMap<u64, Arc<Block>> {
     let mut by_number = BTreeMap::new();
     for block in blocks {
         by_number.insert(block.header.number, block);

@@ -47,12 +47,13 @@ fn segment_files(path: &Path) -> Vec<PathBuf> {
 /// block's is its hash prefix, a snapshot's its SHA-256 prefix.
 fn framed(records: &[Record]) -> Vec<u8> {
     let mut out = Vec::new();
-    for (kind, _, payload) in records {
-        let footer = match *kind {
-            KIND_BLOCK => codec::decode_block(payload).unwrap().hash(),
-            _ => digest(payload),
+    for record in records {
+        let (kind, payload) = record.encode();
+        let footer = match record {
+            Record::Block(block) => block.hash(),
+            Record::Snapshot(_) => digest(&payload),
         };
-        frame_record(&mut out, *kind, payload, &footer[..FOOTER_LEN]);
+        frame_record(&mut out, kind, &payload, &footer[..FOOTER_LEN]);
     }
     out
 }
@@ -70,14 +71,17 @@ fn tx(n: u64) -> Transaction {
     }
 }
 
-/// A small, properly chained block sequence (numbers 0..count).
-fn chained_blocks(count: u64) -> Vec<Block> {
+/// A small, properly chained block sequence (numbers 0..count), each
+/// block shared as the chain holds it.
+fn chained_blocks(count: u64) -> Vec<Arc<Block>> {
     let mut chain = Blockchain::new();
     for n in 0..count {
         let block = Block::assemble(n, chain.tip_hash(), vec![tx(n + 1)]);
         chain.append(block).unwrap();
     }
-    chain.iter().cloned().collect()
+    (0..count)
+        .map(|n| Arc::clone(chain.shared(n).unwrap()))
+        .collect()
 }
 
 fn sample_snapshot(last_block: u64) -> LedgerSnapshot {
@@ -139,23 +143,23 @@ fn version_one_snapshot_is_rejected() {
 #[test]
 fn memory_store_roundtrip_and_compaction() {
     let mut store = MemoryStore::new();
-    assert_eq!(store.head().unwrap(), (0, None));
+    assert_eq!(store.head(), (0, None));
     let blocks = chained_blocks(6);
     for block in &blocks {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     // No snapshot yet: compaction refuses to drop anything.
     assert_eq!(store.compact_up_to(100).unwrap(), 0);
-    assert_eq!(store.load().unwrap().blocks, blocks);
+    assert_eq!(store.load().blocks, blocks);
 
     store.put_snapshot(&sample_snapshot(3)).unwrap();
     // Clamped to the snapshot even when asked for more.
     assert_eq!(store.compact_up_to(100).unwrap(), 4);
-    let loaded = store.load().unwrap();
+    let loaded = store.load();
     assert_eq!(loaded.snapshot.unwrap().last_block, 3);
     assert_eq!(loaded.blocks, blocks[4..].to_vec());
     // The head comes from the index: highest number any record names.
-    assert_eq!(store.head().unwrap(), (5, Some(sample_snapshot(3))));
+    assert_eq!(store.head(), (5, Some(sample_snapshot(3))));
 }
 
 #[test]
@@ -164,9 +168,9 @@ fn latest_snapshot_wins() {
     store.put_snapshot(&sample_snapshot(2)).unwrap();
     store.put_snapshot(&sample_snapshot(5)).unwrap();
     store.put_snapshot(&sample_snapshot(4)).unwrap();
-    assert_eq!(store.load().unwrap().snapshot.unwrap().last_block, 5);
+    assert_eq!(store.load().snapshot.unwrap().last_block, 5);
     // A store of snapshots alone still has a head: the covered height.
-    assert_eq!(store.head().unwrap(), (5, Some(sample_snapshot(5))));
+    assert_eq!(store.head(), (5, Some(sample_snapshot(5))));
 }
 
 #[test]
@@ -176,12 +180,12 @@ fn aof_roundtrip_across_reopen() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
         store.put_snapshot(&sample_snapshot(1)).unwrap();
     }
     let store = AofStore::open(&path).unwrap();
-    let loaded = store.load().unwrap();
+    let loaded = store.load();
     assert_eq!(loaded.blocks, blocks);
     assert_eq!(loaded.snapshot.unwrap(), sample_snapshot(1));
     cleanup(&path);
@@ -194,7 +198,7 @@ fn aof_truncates_torn_tail_and_stays_appendable() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
     }
     // Simulate a crash mid-append: chop bytes off the last record.
@@ -202,14 +206,14 @@ fn aof_truncates_torn_tail_and_stays_appendable() {
     fs::write(&path, &full[..full.len() - 5]).unwrap();
     {
         let mut store = AofStore::open(&path).unwrap();
-        let loaded = store.load().unwrap();
+        let loaded = store.load();
         assert_eq!(loaded.blocks, blocks[..2].to_vec());
         // The torn bytes are gone from disk, and appends resume
         // cleanly at the truncation point.
-        store.append_block(&blocks[2]).unwrap();
+        store.append_block(Arc::clone(&blocks[2])).unwrap();
     }
     let store = AofStore::open(&path).unwrap();
-    assert_eq!(store.load().unwrap().blocks, blocks);
+    assert_eq!(store.load().blocks, blocks);
     cleanup(&path);
 }
 
@@ -220,7 +224,7 @@ fn aof_rejects_flipped_footer_bytes() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
     }
     let mut bytes = fs::read(&path).unwrap();
@@ -230,7 +234,7 @@ fn aof_rejects_flipped_footer_bytes() {
     bytes[len - FOOTER_LEN - 1] ^= 0xff;
     fs::write(&path, &bytes).unwrap();
     let store = AofStore::open(&path).unwrap();
-    assert_eq!(store.load().unwrap().blocks, blocks[..1].to_vec());
+    assert_eq!(store.load().blocks, blocks[..1].to_vec());
     assert_eq!(
         fs::metadata(&path).unwrap().len() as usize,
         bytes.len() - (HEADER_LEN + codec::encode_block(&blocks[1]).len() + FOOTER_LEN)
@@ -245,7 +249,7 @@ fn aof_mid_file_corruption_is_a_typed_error_not_truncation() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
     }
     let pristine = fs::read(&path).unwrap();
@@ -278,10 +282,7 @@ fn aof_mid_file_corruption_is_a_typed_error_not_truncation() {
 
     // The pristine file still opens to all three blocks.
     fs::write(&path, &pristine).unwrap();
-    assert_eq!(
-        AofStore::open(&path).unwrap().load().unwrap().blocks,
-        blocks
-    );
+    assert_eq!(AofStore::open(&path).unwrap().load().blocks, blocks);
     cleanup(&path);
 }
 
@@ -290,12 +291,12 @@ fn aof_garbage_file_recovers_to_empty() {
     let path = temp_path("garbage");
     fs::write(&path, b"this was never an aof").unwrap();
     let mut store = AofStore::open(&path).unwrap();
-    assert_eq!(store.load().unwrap().blocks, Vec::<Block>::new());
+    assert_eq!(store.load().blocks, Vec::<Arc<Block>>::new());
     assert_eq!(fs::metadata(&path).unwrap().len(), 0);
     // Still usable after recovery.
     let blocks = chained_blocks(1);
-    store.append_block(&blocks[0]).unwrap();
-    assert_eq!(store.load().unwrap().blocks, blocks);
+    store.append_block(Arc::clone(&blocks[0])).unwrap();
+    assert_eq!(store.load().blocks, blocks);
     cleanup(&path);
 }
 
@@ -305,7 +306,7 @@ fn aof_compaction_drops_covered_blocks() {
     let blocks = chained_blocks(6);
     let mut store = AofStore::open(&path).unwrap();
     for block in &blocks {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     assert_eq!(store.compact_up_to(100).unwrap(), 0, "no snapshot yet");
     store.put_snapshot(&sample_snapshot(2)).unwrap();
@@ -313,13 +314,13 @@ fn aof_compaction_drops_covered_blocks() {
     let before = fs::metadata(&path).unwrap().len();
     assert_eq!(store.compact_up_to(4).unwrap(), 5);
     assert!(fs::metadata(&path).unwrap().len() < before);
-    let loaded = store.load().unwrap();
+    let loaded = store.load();
     assert_eq!(loaded.snapshot.unwrap().last_block, 4);
     assert_eq!(loaded.blocks, blocks[5..].to_vec());
     drop(store);
     // The compacted file reopens to the same contents.
     let reopened = AofStore::open(&path).unwrap();
-    let loaded = reopened.load().unwrap();
+    let loaded = reopened.load();
     assert_eq!(loaded.snapshot.unwrap().last_block, 4);
     assert_eq!(loaded.blocks, blocks[5..].to_vec());
     cleanup(&path);
@@ -331,18 +332,18 @@ fn aof_failed_compaction_leaves_the_store_on_the_old_file() {
     let blocks = chained_blocks(5);
     let mut store = AofStore::open(&path).unwrap();
     for block in &blocks[..4] {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     store.put_snapshot(&sample_snapshot(2)).unwrap();
-    let before = store.load().unwrap();
+    let before = store.load();
     // A directory squatting on the temp path fails the rewrite.
     let squatter = suffixed(&path, TEMP_SUFFIX);
     fs::create_dir(&squatter).unwrap();
     assert!(store.compact_up_to(2).is_err());
-    assert_eq!(store.load().unwrap(), before);
+    assert_eq!(store.load(), before);
     // ... and the handle still appends after its last record.
-    store.append_block(&blocks[4]).unwrap();
-    let reopened = AofStore::open(&path).unwrap().load().unwrap();
+    store.append_block(Arc::clone(&blocks[4])).unwrap();
+    let reopened = AofStore::open(&path).unwrap().load();
     assert_eq!(reopened.blocks, blocks);
     cleanup(&path);
 }
@@ -355,14 +356,14 @@ fn aof_fsync_mode_survives_simulated_crash_reopen() {
         let mut store = AofStore::open_with_fsync(&path, true).unwrap();
         assert!(store.fsync_enabled());
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
         store.put_snapshot(&sample_snapshot(2)).unwrap();
         assert_eq!(store.compact_up_to(2).unwrap(), 3);
         // Simulated crash: drop the handle with no clean shutdown.
     }
     let store = AofStore::open(&path).unwrap();
-    let loaded = store.load().unwrap();
+    let loaded = store.load();
     assert_eq!(loaded.snapshot.unwrap().last_block, 2);
     assert_eq!(loaded.blocks, blocks[3..].to_vec());
     // The fsynced file is byte-for-byte what the non-fsync mode
@@ -371,7 +372,7 @@ fn aof_fsync_mode_survives_simulated_crash_reopen() {
     {
         let mut store = AofStore::open(&other).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
         store.put_snapshot(&sample_snapshot(2)).unwrap();
         store.compact_up_to(2).unwrap();
@@ -388,8 +389,8 @@ fn has_block_probes_record_index() {
     let mut aof = AofStore::open(&path).unwrap();
     let mut memory = MemoryStore::new();
     for block in &blocks {
-        aof.append_block(block).unwrap();
-        memory.append_block(block).unwrap();
+        aof.append_block(Arc::clone(block)).unwrap();
+        memory.append_block(Arc::clone(block)).unwrap();
     }
     aof.put_snapshot(&sample_snapshot(1)).unwrap();
     memory.put_snapshot(&sample_snapshot(1)).unwrap();
@@ -413,15 +414,15 @@ enum Step {
 
 /// Applies `steps` to an [`AofStore`] and a [`MemoryStore`] side by
 /// side; after every step the two must answer every query alike.
-fn assert_backends_agree(tag: &str, blocks: &[Block], steps: &[Step]) {
+fn assert_backends_agree(tag: &str, blocks: &[Arc<Block>], steps: &[Step]) {
     let path = temp_path(tag);
     let mut aof = AofStore::open(&path).unwrap();
     let mut memory = MemoryStore::new();
     for (n, step) in steps.iter().enumerate() {
         match step {
             Step::Append(i) => {
-                aof.append_block(&blocks[*i]).unwrap();
-                memory.append_block(&blocks[*i]).unwrap();
+                aof.append_block(Arc::clone(&blocks[*i])).unwrap();
+                memory.append_block(Arc::clone(&blocks[*i])).unwrap();
             }
             Step::Snapshot(at) => {
                 aof.put_snapshot(&sample_snapshot(*at)).unwrap();
@@ -437,16 +438,8 @@ fn assert_backends_agree(tag: &str, blocks: &[Block], steps: &[Step]) {
                 aof = AofStore::open(&path).unwrap();
             }
         }
-        assert_eq!(
-            aof.load().unwrap(),
-            memory.load().unwrap(),
-            "step {n} {step:?}"
-        );
-        assert_eq!(
-            aof.head().unwrap(),
-            memory.head().unwrap(),
-            "step {n} {step:?}"
-        );
+        assert_eq!(aof.load(), memory.load(), "step {n} {step:?}");
+        assert_eq!(aof.head(), memory.head(), "step {n} {step:?}");
         for number in 0..=blocks.len() as u64 {
             assert_eq!(
                 aof.has_block(number),
@@ -518,15 +511,15 @@ fn snapshots_start_segments_and_compaction_unlinks_them() {
     let blocks = chained_blocks(8);
     let mut store = AofStore::open(&path).unwrap();
     for block in &blocks[..4] {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     store.put_snapshot(&sample_snapshot(3)).unwrap();
     for block in &blocks[4..6] {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     store.put_snapshot(&sample_snapshot(5)).unwrap();
     for block in &blocks[6..] {
-        store.append_block(block).unwrap();
+        store.append_block(Arc::clone(block)).unwrap();
     }
     let names = |path: &Path| -> Vec<String> {
         segment_files(path)
@@ -556,15 +549,15 @@ fn snapshots_start_segments_and_compaction_unlinks_them() {
     assert_eq!(store.compact_up_to(9).unwrap(), 1);
     assert_eq!(names(&path), ["store.aof", "store.aof.2"]);
     let extra = Block::assemble(8, blocks[7].hash(), vec![tx(9)]);
-    store.append_block(&extra).unwrap();
-    let expected = store.load().unwrap();
-    assert_eq!(expected.blocks, [&blocks[6..], &[extra]].concat());
+    store.append_block((&extra).into()).unwrap();
+    let expected = store.load();
+    assert_eq!(expected.blocks, [&blocks[6..], &[Arc::new(extra)]].concat());
     drop(store);
 
     // The run reopens past its empty first segment, and a snapshot
     // after the reopen numbers its segment after the last one.
     let mut reopened = AofStore::open(&path).unwrap();
-    assert_eq!(reopened.load().unwrap(), expected);
+    assert_eq!(reopened.load(), expected);
     reopened.put_snapshot(&sample_snapshot(8)).unwrap();
     assert_eq!(names(&path), ["store.aof", "store.aof.2", "store.aof.3"]);
     cleanup(&path);
@@ -579,14 +572,14 @@ fn open_removes_a_crashed_rewrites_temp_file() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
     }
     let temp = suffixed(&path, TEMP_SUFFIX);
     fs::write(&temp, b"half a rewrite").unwrap();
     let store = AofStore::open(&path).unwrap();
     assert!(!temp.exists());
-    assert_eq!(store.load().unwrap().blocks, blocks);
+    assert_eq!(store.load().blocks, blocks);
     cleanup(&path);
 }
 
@@ -601,7 +594,7 @@ fn a_failed_unlink_leaves_the_store_answering_like_a_reopen() {
         let blocks = chained_blocks(5);
         let mut store = AofStore::open(&path).unwrap();
         for (n, block) in blocks.iter().enumerate() {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
             if n < 3 {
                 store.put_snapshot(&sample_snapshot(n as u64)).unwrap();
             }
@@ -624,8 +617,8 @@ fn a_failed_unlink_leaves_the_store_answering_like_a_reopen() {
         fs::remove_dir_all(&victim).unwrap();
         fs::write(&victim, &pristine).unwrap();
         let reopened = AofStore::open(&path).unwrap();
-        assert_eq!(store.load().unwrap(), reopened.load().unwrap(), "{failing}");
-        assert_eq!(store.head().unwrap(), reopened.head().unwrap(), "{failing}");
+        assert_eq!(store.load(), reopened.load(), "{failing}");
+        assert_eq!(store.head(), reopened.head(), "{failing}");
         for number in 0..6 {
             assert_eq!(store.has_block(number), reopened.has_block(number));
         }
@@ -634,7 +627,7 @@ fn a_failed_unlink_leaves_the_store_answering_like_a_reopen() {
         // The next compaction finishes the job.
         drop(reopened);
         assert_eq!(store.compact_up_to(2).unwrap(), 3 - failing);
-        assert_eq!(store.load().unwrap().blocks, blocks[3..].to_vec());
+        assert_eq!(store.load().blocks, blocks[3..].to_vec());
         cleanup(&path);
     }
 }
@@ -651,17 +644,17 @@ fn hostile_bytes_in_any_segment_never_load_a_foreign_block() {
     {
         let mut store = AofStore::open(&path).unwrap();
         for block in &blocks[..3] {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
         store.put_snapshot(&sample_snapshot(2)).unwrap();
         for block in &blocks[3..] {
-            store.append_block(block).unwrap();
+            store.append_block(Arc::clone(block)).unwrap();
         }
     }
     let segments = segment_files(&path);
     assert_eq!(segments.len(), 2);
     let pristine: Vec<Vec<u8>> = segments.iter().map(|s| fs::read(s).unwrap()).collect();
-    let written: Vec<Vec<u8>> = blocks.iter().map(codec::encode_block).collect();
+    let written: Vec<Vec<u8>> = blocks.iter().map(|b| codec::encode_block(b)).collect();
     let (mut truncated, mut refused) = (0, 0);
     let mut check = |hit: usize, bytes: &[u8]| {
         for (segment, data) in segments.iter().zip(&pristine) {
@@ -672,10 +665,9 @@ fn hostile_bytes_in_any_segment_never_load_a_foreign_block() {
             Ok(store) => {
                 let loaded: Vec<Vec<u8>> = store
                     .load()
-                    .unwrap()
                     .blocks
                     .iter()
-                    .map(codec::encode_block)
+                    .map(|b| codec::encode_block(b))
                     .collect();
                 if hit + 1 == segments.len() {
                     assert_eq!(loaded, written[..loaded.len()], "a prefix");
