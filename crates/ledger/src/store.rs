@@ -266,7 +266,7 @@ pub trait LedgerStore: Send {
 // ------------------------------------------------------------- memory
 
 /// One record as a store's log holds it: the value, not its bytes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum Record {
     /// A committed block, shared with the chain that committed it.
     Block(Arc<Block>),
