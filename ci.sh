@@ -169,7 +169,7 @@ find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | c
 panic_sites=$(find crates/*/src src -name '*.rs' -not -path '*/tests/*' -not -path 'crates/bench/*' |
     cut_at_tests | grep -cE 'unwrap\(\)|expect\(|panic!' || true)
 echo "$panic_sites"
-test "$panic_sites" -le 50
+test "$panic_sites" -le 37
 
 # Every settable value multiplies the configurations tests and
 # benchmarks must cover, so a value nothing varies is a constant beside
@@ -190,9 +190,12 @@ test "$config_structs" -eq 17
 test "$options" -le 67
 
 # The documents a contributor reads before changing anything; ROADMAP
-# item 7 tracks their size. Printed, not gated.
+# item 7 tracks their size. EXPERIMENTS.md and DESIGN.md may shrink,
+# never grow; CHANGES.md has its own cap.
 echo "==> document words"
 wc -w EXPERIMENTS.md DESIGN.md CHANGES.md
+test "$(wc -w < EXPERIMENTS.md)" -le 19654
+test "$(wc -w < DESIGN.md)" -le 16663
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -160,9 +160,7 @@ struct Cell {
     blocks: usize,
     txs: usize,
     replay_bytes: u64,
-    replay_ms: f64,
     snapshot_bytes: u64,
-    snapshot_ms: f64,
     used_snapshot: bool,
     saving_ratio: f64,
 }
@@ -222,9 +220,7 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
             blocks: chain,
             txs: chain * per_block,
             replay_bytes: replay_episode.bytes_shipped,
-            replay_ms: replay_episode.duration().as_millis_f64(),
             snapshot_bytes: stored_episode.bytes_shipped,
-            snapshot_ms: stored_episode.duration().as_millis_f64(),
             used_snapshot: stored_episode.used_snapshot(),
             saving_ratio,
         });
@@ -279,9 +275,7 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
             ("blocks", (c.blocks as f64).into()),
             ("txs", (c.txs as f64).into()),
             ("replay_bytes", (c.replay_bytes as f64).into()),
-            ("replay_ms", c.replay_ms.into()),
             ("snapshot_bytes", (c.snapshot_bytes as f64).into()),
-            ("snapshot_ms", c.snapshot_ms.into()),
             ("used_snapshot", c.used_snapshot.into()),
             ("bytes_ratio", c.saving_ratio.into()),
         ])

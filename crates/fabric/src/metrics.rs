@@ -164,6 +164,9 @@ pub struct DisseminationMetrics {
     /// Encoded bytes of shipped snapshots, each charged the
     /// acknowledgement table's bytes too.
     pub snapshot_bytes: u64,
+    /// Failed calls of a replica's own store (an append, a snapshot, a
+    /// compaction or a recovery), each of which crashed that replica.
+    pub store_faults: u64,
     /// Catch-up episodes after crashes/partitions, in rejoin order
     /// (abandoned ones included; see [`CatchUpOutcome::Abandoned`]).
     pub catch_up: Vec<CatchUpEpisode>,

@@ -241,22 +241,22 @@ impl DurableLedger {
                 Box::new(AofStore::open_with_fsync(dir.join(file), config.fsync)?)
             }
         };
+        Ok(Self::with_store(store, config))
+    }
+
+    /// Wraps an opened `store` in `config`'s snapshot cadence and GC
+    /// switch (`config.backend` is not read) and caches its latest
+    /// snapshot. Every `DurableLedger` is built here, so any
+    /// [`LedgerStore`] can stand behind a peer.
+    pub fn with_store(store: Box<dyn LedgerStore>, config: &StorageConfig) -> Self {
         let (appended_tip, latest_snapshot) = store.head();
-        Ok(DurableLedger {
+        DurableLedger {
             store,
             snapshot_interval: config.snapshot_interval,
             gc: config.gc,
             latest_snapshot,
             appended_tip,
-        })
-    }
-
-    /// Whether the store retains a block record numbered `number` —
-    /// how gossip anti-entropy probes whether a helper can serve a
-    /// block below its in-memory chain's base (a peer recovered through
-    /// a snapshot holds no block at or below it).
-    pub fn has_block(&self, number: u64) -> bool {
-        self.store.has_block(number)
+        }
     }
 
     /// All retained block records, in append order. Gossip anti-entropy
@@ -841,10 +841,14 @@ mod tests {
         assert!(dir.join("ch1-peer-2.aof").exists());
         let ch0 = DurableLedger::open_channel(&config, ChannelId::DEFAULT, 2).unwrap();
         let ch1 = DurableLedger::open_channel(&config, ChannelId(1), 2).unwrap();
-        assert!(ch0.has_block(1) && !ch0.has_block(2));
-        assert!(ch1.has_block(1) && ch1.has_block(2));
-        assert_eq!(ch0.retained_blocks().len(), 1);
-        assert_eq!(ch1.retained_blocks().len(), 2);
+        let numbers = |l: &DurableLedger| -> Vec<u64> {
+            l.retained_blocks()
+                .iter()
+                .map(|b| b.header.number)
+                .collect()
+        };
+        assert_eq!(numbers(&ch0), [1]);
+        assert_eq!(numbers(&ch1), [1, 2]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,9 +19,9 @@
 //!   faults described by the run's
 //!   [`FaultConfig`](fabriccrdt_fabric::config::FaultConfig): per-link
 //!   drop/duplication/extra delay, scheduled peer crashes with restart,
-//!   and network partitions with heal. Crashed peers restore their
-//!   persisted ledger ([`Peer::snapshot`](fabriccrdt_fabric::peer::Peer)
-//!   / `restore`) and catch up via anti-entropy block replay.
+//!   and network partitions with heal. A crashed peer, or one whose own
+//!   store failed a call, recovers from that store at its restart and
+//!   catches up through anti-entropy.
 //! - [`GossipDelivery`] — plugs one lane of a shared network into the
 //!   transaction pipeline as a
 //!   [`DeliveryLayer`](fabriccrdt_fabric::simulation::DeliveryLayer):

@@ -5,15 +5,13 @@
 //! Peers are flattened to indices `0..orgs * peers_per_org`; peer
 //! `o * peers_per_org + p` is peer `p` of org `o`, and the
 //! lowest-indexed member of each org on a channel is its leader there.
-//! Every member peer hosts a full
-//! [`Peer`] replica per channel; a
-//! block a replica sees for the first time is buffered (blocks can
-//! arrive out of order), forwarded to `fanout` random peers, and
-//! committed as soon as all its predecessors are in. Lagging replicas
-//! recover through the periodic anti-entropy tick: pull committed
-//! blocks from a random better-off reachable peer, or — when no peer
-//! can help — re-request the raw blocks from the ordering service
-//! (Fabric's deliver-service reconnect).
+//! Every member peer hosts a full [`Peer`] replica per channel; a block
+//! a replica sees for the first time is buffered (blocks can arrive out
+//! of order), forwarded to `fanout` random peers, and committed as soon
+//! as all its predecessors are in. Lagging replicas recover through the
+//! periodic anti-entropy tick: pull from a random better-off reachable
+//! peer, or — when no peer can help — re-request the raw blocks from
+//! the ordering service (Fabric's deliver-service reconnect).
 //!
 //! # Channels
 //!
@@ -30,37 +28,31 @@
 //! lane-indexed (`foo_on(ch, ..)`); a single-channel network
 //! ([`GossipNetwork::new`]) is lane 0.
 //!
-//! # Durable storage and snapshot catch-up
+//! # Storage, faults and catch-up
 //!
 //! Every replica mirrors its commits into a [`DurableLedger`]: the one
-//! [`PipelineConfig::storage`] configures (in-memory or append-only
-//! file, one run of files per channel × peer), or, when that is unset,
-//! [`StorageConfig::memory`] — no snapshots, no GC, no files. A crash
-//! drops the live replica; a restart recovers it from its store. A
-//! store with a snapshot cadence writes a [`LedgerSnapshot`] every
-//! `snapshot_interval` blocks, and anti-entropy then negotiates by byte
-//! cost: when a helper's latest snapshot plus the post-snapshot block
-//! suffix is cheaper to ship than replaying the full missing suffix,
-//! the lagging peer installs the snapshot (charged with the bytes of an
-//! acknowledgement-frontier delta) and replays only the suffix —
-//! recorded as a [`CatchUpOutcome::Snapshot`] episode with bytes
-//! accounted. Ties go to replay, which keeps the recovered ledger
-//! byte-identical to one that never fell behind.
+//! [`PipelineConfig::storage`] configures (in memory or in append-only
+//! files, one run per channel × peer), or else [`StorageConfig::memory`]
+//! — no snapshots, no GC, no files.
 //!
-//! Replay serving reads from the helper's in-memory chain *and* its
-//! durable store: a helper whose chain base moved up (snapshot-path
-//! recovery, or snapshot adoption with GC off) can still serve the
-//! prefix blocks its store retains, so a GC'd helper remains useful
-//! for replay instead of forcing every requester onto the snapshot
-//! path.
+//! A member is up, holding its [`Peer`], gap buffer and catch-up
+//! episode, or down, with only its store left. It goes down one way: a
+//! scheduled crash, or a failed call to its own store (an append, a
+//! snapshot, a compaction, or the recovery itself), which also counts
+//! one [`DisseminationMetrics::store_faults`]. It stays down until the
+//! schedule's next restart, which recovers the peer from its store.
 //!
-//! Acknowledgements (`peer i has contiguously committed through block
-//! h`) are modelled as an instantly convergent [`AckFrontier`] per
-//! channel: ack payloads are a few bytes and their propagation latency
-//! is irrelevant next to block dissemination, so each lane keeps one
-//! shared frontier rather than simulating its gossip. When GC is
-//! enabled, each replica compacts its store up to the frontier's
-//! minimum — a height every replica of the channel has already
+//! Anti-entropy ships one pull: the cheaper in bytes of the missing
+//! block suffix — from the helper's chain, or from its store for a
+//! prefix the chain has moved past — and the helper's latest
+//! [`LedgerSnapshot`] (charged with the acknowledgement table) plus
+//! the suffix above it. Ties go to replay, which keeps the recovered
+//! ledger byte-identical to one that never fell behind.
+//!
+//! Acknowledgements are an instantly convergent [`AckFrontier`] per
+//! channel: a few bytes whose latency is irrelevant next to block
+//! dissemination. With GC on, each replica compacts its store up to
+//! the frontier's minimum, a height every replica of the channel has
 //! committed. That is the whole of GC: in-memory chains are kept.
 
 use std::collections::BTreeMap;
@@ -77,6 +69,7 @@ use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::storage::{AckFrontier, DurableLedger, StorageConfig};
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_ledger::block::Block;
+use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_sim::latency::LatencyModel;
@@ -113,15 +106,9 @@ enum EventKind {
         from: Option<usize>,
         block: Sealed,
     },
-    /// Committed blocks arrive at a pulling peer (anti-entropy).
-    Transfer { to: usize, blocks: Vec<Arc<Block>> },
-    /// A snapshot and the post-snapshot block suffix arrive at a
-    /// catching-up peer.
-    SnapshotTransfer {
-        to: usize,
-        snapshot: LedgerSnapshot,
-        suffix: Vec<Arc<Block>>,
-    },
+    /// An anti-entropy pull arrives at a lagging peer (boxed: a pull
+    /// is rare, and every queued event is as large as the largest).
+    Pull { to: usize, pull: Box<Pull> },
     /// Per-peer anti-entropy timer.
     Tick { peer: usize },
     /// Scheduled fault: the peer goes down.
@@ -130,6 +117,47 @@ enum EventKind {
     Restart { peer: usize },
     /// A partition heals; its minority starts catching up.
     Heal { partition: usize },
+}
+
+/// What one anti-entropy pull ships: a contiguous block run, after a
+/// helper's snapshot when the pull installs one.
+#[derive(Debug)]
+struct Pull {
+    /// The helper's snapshot and its wire bytes, the acknowledgement
+    /// table's included.
+    snapshot: Option<(LedgerSnapshot, u64)>,
+    /// The blocks to replay, from the one above the snapshot, or above
+    /// the puller's tip when there is no snapshot.
+    blocks: Vec<Arc<Block>>,
+    /// Wire bytes of the whole pull.
+    bytes: u64,
+}
+
+impl Pull {
+    /// A replay of `blocks`; `None` for an empty run.
+    fn replay(blocks: Vec<Arc<Block>>) -> Option<Self> {
+        (!blocks.is_empty()).then(|| Pull {
+            snapshot: None,
+            bytes: wire_bytes(&blocks),
+            blocks,
+        })
+    }
+
+    /// The cheaper pull in wire bytes. Ties go to `replay`, which keeps
+    /// the puller's ledger byte-identical to one that never fell behind.
+    /// Pure byte cost: no PRNG draw.
+    fn cheaper(replay: Option<Pull>, snapshot: Option<Pull>) -> Option<Pull> {
+        replay
+            .into_iter()
+            .chain(snapshot)
+            .min_by_key(|pull| pull.bytes)
+    }
+}
+
+/// Encoded bytes of a block run — its wire cost — counted without
+/// encoding a block.
+fn wire_bytes(blocks: &[Arc<Block>]) -> u64 {
+    blocks.iter().map(|b| codec::block_len(b) as u64).sum()
 }
 
 /// A catch-up episode in progress: when the peer rejoined, the height
@@ -143,26 +171,53 @@ struct ActiveCatchUp {
     snapshot_bytes: Option<u64>,
 }
 
-/// Per-replica bookkeeping around the replica itself.
-struct Slot<V> {
-    /// The live replica; `None` from a crash until the next restart.
-    peer: Option<Peer<V>>,
+/// A replica that is up: the peer and what a crash loses with it.
+struct Live<V> {
+    peer: Peer<V>,
     /// Raw blocks received but not yet committable (gaps below them).
     buffer: BTreeMap<u64, Sealed>,
-    /// Outstanding `Tick` events for this replica.
-    ticks_pending: u32,
     /// Active catch-up episode, if any.
     catch_up: Option<ActiveCatchUp>,
+}
+
+impl<V: BlockValidator> Live<V> {
+    fn new(peer: Peer<V>) -> Self {
+        Live {
+            peer,
+            buffer: BTreeMap::new(),
+            catch_up: None,
+        }
+    }
+
+    /// Committed (post-genesis) block count.
+    fn committed(&self) -> u64 {
+        self.peer.chain().height() - 1
+    }
+}
+
+/// Per-replica bookkeeping around the replica itself.
+struct Slot<V> {
+    /// The replica while it is up; `None` from a crash until the
+    /// restart that recovers it.
+    live: Option<Live<V>>,
+    /// Outstanding `Tick` events for this replica.
+    ticks_pending: u32,
     /// The replica's durable store: what survives a crash.
     store: DurableLedger,
     /// Highest frontier floor this replica has GC'd up to.
     gc_floor: u64,
 }
 
+/// A call to the store of the member at this position failed. The
+/// event stops there, and the member crashes ([`ChannelLane::handle`]).
+struct StoreFault(usize);
+
 /// Takes block `number` out of a gap buffer as the replica's own
 /// `Block` — the one deep copy a replica makes of a sealed block.
-/// Algorithm 1 line 22 rewrites merged write values in place and the
-/// peer re-seals, so it cannot commit the shared allocation.
+/// Algorithm 1 writes only the commit record beside the orderer's
+/// bytes, so the copy is not for the data: `Peer::process_block` takes
+/// an owned `Block` and `BlockValidator::validate_and_commit` a
+/// `&mut Block`, and the benchmark package pins both (DESIGN.md §4.16).
 fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Block> {
     buffer.remove(&number).map(Arc::unwrap_or_clone)
 }
@@ -298,13 +353,11 @@ impl<V: BlockValidator> GossipNetwork<V> {
                     .members
                     .iter()
                     .map(|&global| Slot {
-                        peer: Some(
+                        live: Some(Live::new(
                             Peer::new(make_validator(), config.policy.clone())
                                 .with_channel(spec.id),
-                        ),
-                        buffer: BTreeMap::new(),
+                        )),
                         ticks_pending: 0,
-                        catch_up: None,
                         store: DurableLedger::open_channel(&storage, spec.id, global)
                             .expect("peer storage opens"),
                         gc_floor: 0,
@@ -373,10 +426,8 @@ impl<V: BlockValidator> GossipNetwork<V> {
     pub fn seed_state_on(&mut self, ch: usize, key: &str, value: &[u8]) {
         let lane = &mut self.lanes[ch];
         lane.seeds.push((key.to_string(), value.to_vec()));
-        for slot in &mut lane.slots {
-            if let Some(peer) = slot.peer.as_mut() {
-                peer.seed_state(key.to_string(), value.to_vec());
-            }
+        for live in lane.slots.iter_mut().filter_map(|s| s.live.as_mut()) {
+            live.peer.seed_state(key.to_string(), value.to_vec());
         }
     }
 
@@ -393,7 +444,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// Panics when `index` is not a member of the channel.
     pub fn peer_on(&self, ch: usize, index: usize) -> Option<&Peer<V>> {
         let lane = &self.lanes[ch];
-        lane.slots[lane.pos(index)].peer.as_ref()
+        lane.slots[lane.pos(index)].live.as_ref().map(|l| &l.peer)
     }
 
     /// Committed (post-genesis) block count of each channel-`ch`
@@ -418,7 +469,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
     pub fn fully_converged_on(&self, ch: usize) -> bool {
         let lane = &self.lanes[ch];
         let expected = lane.published.len() as u64;
-        (0..lane.slots.len()).all(|i| lane.slots[i].peer.is_some() && lane.committed(i) == expected)
+        (0..lane.slots.len()).all(|i| lane.slots[i].live.is_some() && lane.committed(i) == expected)
     }
 
     /// Time of the last processed event on channel `ch`.
@@ -512,7 +563,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
     pub fn run_until_committed_on(&mut self, ch: usize, peer: usize, number: u64) -> SimTime {
         let lane = &mut self.lanes[ch];
         let pos = lane.pos(peer);
-        while lane.slots[pos].peer.is_none() || lane.committed(pos) < number {
+        while lane.slots[pos].live.is_none() || lane.committed(pos) < number {
             let Some((now, event)) = lane.queue.pop() else {
                 panic!(
                     "gossip network deadlocked: {} peer {peer} never commits block {number}",
@@ -578,15 +629,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Committed (post-genesis) block count of slot `i`; 0 while
     /// crashed.
     fn committed(&self, i: usize) -> u64 {
-        self.slots[i]
-            .peer
-            .as_ref()
-            .map(|p| p.chain().height() - 1)
-            .unwrap_or(0)
-    }
-
-    fn has_block(&self, i: usize, number: u64) -> bool {
-        self.slots[i].buffer.contains_key(&number) || self.committed(i) >= number
+        self.slots[i].live.as_ref().map_or(0, Live::committed)
     }
 
     fn schedule(&mut self, at: SimTime, kind: EventKind) {
@@ -609,7 +652,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             let Some(leader) = (0..self.slots.len()).find(|&k| self.members[k] / ppo == org) else {
                 continue;
             };
-            if self.slots[leader].peer.is_some()
+            if self.slots[leader].live.is_some()
                 && !shared.faults.cut_off(cut_at, self.members[leader])
             {
                 self.schedule(
@@ -655,19 +698,21 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
+    /// Runs one event. If it hits a [`StoreFault`], the member whose
+    /// store failed crashes, as at a scheduled crash, and stays down
+    /// until the schedule restarts it.
     fn handle(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, event: EventKind) {
-        match event {
+        let outcome = match event {
             EventKind::RawBlock { to, from, block } => self.raw_block(shared, now, to, from, block),
-            EventKind::Transfer { to, blocks } => self.transfer(now, to, blocks),
-            EventKind::SnapshotTransfer {
-                to,
-                snapshot,
-                suffix,
-            } => self.snapshot_transfer(shared, mk, now, to, snapshot, suffix),
-            EventKind::Tick { peer } => self.tick(shared, now, peer),
-            EventKind::Crash { peer } => self.crash(now, peer),
+            EventKind::Pull { to, pull } => self.pull(shared, mk, now, to, *pull),
             EventKind::Restart { peer } => self.restart(shared, mk, now, peer),
-            EventKind::Heal { partition } => self.heal(shared, now, partition),
+            EventKind::Tick { peer } => return self.tick(shared, now, peer),
+            EventKind::Crash { peer } => return self.crash(now, peer),
+            EventKind::Heal { partition } => return self.heal(shared, now, partition),
+        };
+        if let Err(StoreFault(p)) = outcome {
+            self.metrics.store_faults += 1;
+            self.crash(now, p);
         }
     }
 
@@ -678,30 +723,31 @@ impl<V: BlockValidator> ChannelLane<V> {
         to: usize,
         from: Option<usize>,
         block: Sealed,
-    ) {
-        if self.slots[to].peer.is_none() {
-            return; // down: the message is lost
-        }
+    ) -> Result<(), StoreFault> {
+        let Some(live) = self.slots[to].live.as_mut() else {
+            return Ok(()); // down: the message is lost
+        };
         // The ingress screen: tampered or forged blocks are rejected
         // before they can be buffered, forwarded, or counted as
         // redundant — honest replicas never see adversarial bytes.
         if let Some(adversary) = self.adversary.as_mut() {
             if !adversary.admit(from, &block) {
-                return;
+                return Ok(());
             }
         }
         let number = block.header.number;
-        if self.has_block(to, number) {
+        if live.buffer.contains_key(&number) || live.committed() >= number {
             if from.is_some() {
                 self.metrics.redundant_messages += 1;
             }
-            return;
+            return Ok(());
         }
+        live.buffer.insert(number, Arc::clone(&block));
         self.record_arrival(now, number);
         self.forward(shared, now, to, from, &block);
-        self.slots[to].buffer.insert(number, block);
-        self.commit_buffered(to);
+        self.advance(to, None)?;
         self.check_catch_up(now, to);
+        Ok(())
     }
 
     /// Push-forwards a freshly seen block to `fanout` random member
@@ -763,34 +809,19 @@ impl<V: BlockValidator> ChannelLane<V> {
         LINK.sample(&mut self.rng) + shared.faults.link.extra_delay.sample(&mut self.rng)
     }
 
-    /// Whether helper `j` can replay-serve a peer whose committed
-    /// height is `above`: block `above + 1` must be in its in-memory
-    /// chain *or* retained in its durable store (a snapshot-installed
-    /// helper's chain may have moved past it, but its store can still
-    /// serve the prefix).
-    fn can_replay_from(&self, j: usize, above: u64) -> bool {
-        let slot = &self.slots[j];
-        slot.peer
-            .as_ref()
-            .is_some_and(|p| p.chain().block(above + 1).is_some())
-            || slot.store.has_block(above + 1)
-    }
-
-    /// The contiguous block run starting at `above + 1` that helper
-    /// `j` can ship. Its in-memory chain is contiguous from base to tip
-    /// and its store only ever holds blocks that chain committed, so a
-    /// chain that holds `above + 1` is the whole answer; only a helper
-    /// whose chain base moved past `above + 1` reads its durable store
-    /// back, for the prefix (chain copies win above it; both re-seal
-    /// identically). Empty when the helper holds neither source for
-    /// `above + 1`.
-    fn replay_suffix(&self, j: usize, above: u64) -> Vec<Arc<Block>> {
-        let slot = &self.slots[j];
-        let chain = slot.peer.as_ref().expect("helper is up").chain();
+    /// The contiguous block run starting at `above + 1` that a helper
+    /// with this chain and store can ship. Its in-memory chain is
+    /// contiguous from base to tip and its store only ever holds blocks
+    /// that chain committed, so a chain that holds `above + 1` is the
+    /// whole answer; only a helper whose chain base moved past
+    /// `above + 1` reads its durable store back, for the prefix (chain
+    /// copies win above it; both re-seal identically). Empty when the
+    /// helper holds neither source for `above + 1`.
+    fn replay_suffix(chain: &Blockchain, store: &DurableLedger, above: u64) -> Vec<Arc<Block>> {
         let mut merged: BTreeMap<u64, Arc<Block>> = BTreeMap::new();
         if chain.block(above + 1).is_none() {
             merged.extend(
-                slot.store
+                store
                     .retained_blocks()
                     .into_iter()
                     .filter(|b| b.header.number > above)
@@ -811,30 +842,44 @@ impl<V: BlockValidator> ChannelLane<V> {
         suffix
     }
 
-    /// Encoded bytes of a block run — the wire cost of a replay
-    /// transfer — counted without encoding a block.
-    fn suffix_bytes(suffix: &[Arc<Block>]) -> u64 {
-        suffix.iter().map(|b| codec::block_len(b) as u64).sum()
-    }
-
-    /// Helper `j`'s latest durable snapshot, if it would advance a
-    /// peer whose committed height is `above`.
-    fn snapshot_offer(&self, j: usize, above: u64) -> Option<&LedgerSnapshot> {
-        let snapshot = self.slots[j].store.latest_snapshot()?;
-        (snapshot.last_block > above).then_some(snapshot)
+    /// The pull helper `j` ships to a peer whose committed height is
+    /// `above`: the cheaper ([`Pull::cheaper`]) of replaying the
+    /// missing block run and installing its latest snapshot — costed
+    /// as the encoded snapshot, the acknowledgement table and the
+    /// block run above the snapshot. `None` only when the helper is
+    /// down or not ahead: a chain's base moves only to a snapshot its
+    /// store keeps, so a helper ahead holds block `above + 1` in its
+    /// chain or store, or a snapshot past `above`.
+    fn pull_from(&self, j: usize, above: u64) -> Option<Pull> {
+        let slot = &self.slots[j];
+        let chain = slot.live.as_ref()?.peer.chain();
+        let replay = Pull::replay(Self::replay_suffix(chain, &slot.store, above));
+        let offer = slot
+            .store
+            .latest_snapshot()
+            .filter(|s| s.last_block > above);
+        let snapshot = offer.map(|snapshot| {
+            let snapshot_bytes = snapshot.encoded_len() as u64 + self.acked.encoded_len() as u64;
+            let blocks = Self::replay_suffix(chain, &slot.store, snapshot.last_block);
+            Pull {
+                bytes: snapshot_bytes + wire_bytes(&blocks),
+                snapshot: Some((snapshot.clone(), snapshot_bytes)),
+                blocks,
+            }
+        });
+        Pull::cheaper(replay, snapshot)
     }
 
     /// Anti-entropy tick: pull missing state from a random better-off
-    /// reachable peer — as a block-suffix replay or, when cheaper in
-    /// bytes, a snapshot install plus suffix — falling back to
+    /// reachable peer ([`Self::pull_from`]), falling back to
     /// re-requesting raw blocks from the ordering service; re-arms
     /// while still behind.
     fn tick(&mut self, shared: &Shared, now: SimTime, i: usize) {
         self.slots[i].ticks_pending -= 1;
-        if self.slots[i].peer.is_none() {
+        let Some(live) = self.slots[i].live.as_ref() else {
             return; // restart re-arms
-        }
-        let mine = self.committed(i);
+        };
+        let mine = live.committed();
         let published = self.published.len() as u64;
         let candidates: Vec<usize> = (0..self.slots.len())
             .filter(|&j| {
@@ -843,82 +888,35 @@ impl<V: BlockValidator> ChannelLane<V> {
                         .faults
                         .partitioned(now, self.members[i], self.members[j])
                     && self.committed(j) > mine
-                    && (self.can_replay_from(j, mine) || self.snapshot_offer(j, mine).is_some())
             })
             .collect();
         if !candidates.is_empty() {
             let j = candidates[self.rng.gen_range(0, candidates.len() as u64) as usize];
-            let replay_suffix = self.replay_suffix(j, mine);
-            let replay_bytes =
-                (!replay_suffix.is_empty()).then(|| Self::suffix_bytes(&replay_suffix));
-            // Snapshot cost: the encoded snapshot, the acknowledgement
-            // table, and the post-snapshot block suffix.
-            let snapshot_plan = self.snapshot_offer(j, mine).map(|snapshot| {
-                let snapshot_bytes =
-                    snapshot.encoded_len() as u64 + self.acked.encoded_len() as u64;
-                let last_block = snapshot.last_block;
-                (last_block, snapshot_bytes)
-            });
-            let snapshot_plan = snapshot_plan.map(|(last_block, snapshot_bytes)| {
-                let suffix = self.replay_suffix(j, last_block);
-                let total = snapshot_bytes + Self::suffix_bytes(&suffix);
-                (snapshot_bytes, total, suffix)
-            });
-            // Pure byte-cost negotiation, no PRNG draws: ties go to
-            // replay, which preserves full-chain byte identity.
-            let use_snapshot = match (replay_bytes, &snapshot_plan) {
-                (Some(replay), Some((_, total, _))) => *total < replay,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => unreachable!("candidate filter guarantees one option"),
-            };
-            let delay = LINK.sample(&mut self.rng);
-            if use_snapshot {
-                let (snapshot_bytes, total, suffix) =
-                    snapshot_plan.expect("use_snapshot implies a plan");
-                let snapshot = self
-                    .snapshot_offer(j, mine)
-                    .expect("plan came from this offer")
-                    .clone();
+            if let Some(pull) = self.pull_from(j, mine) {
+                let delay = LINK.sample(&mut self.rng);
+                let snapshot_bytes = pull.snapshot.as_ref().map(|(_, bytes)| *bytes);
                 self.metrics.anti_entropy_transfers += 1;
-                self.metrics.anti_entropy_blocks += suffix.len() as u64;
-                self.metrics.anti_entropy_bytes += total;
-                self.metrics.snapshot_transfers += 1;
-                self.metrics.snapshot_bytes += snapshot_bytes;
-                if let Some(active) = self.slots[i].catch_up.as_mut() {
-                    active.bytes += total;
-                    active.snapshot_bytes =
-                        Some(active.snapshot_bytes.unwrap_or(0) + snapshot_bytes);
+                self.metrics.anti_entropy_blocks += pull.blocks.len() as u64;
+                self.metrics.anti_entropy_bytes += pull.bytes;
+                if let Some(bytes) = snapshot_bytes {
+                    self.metrics.snapshot_transfers += 1;
+                    self.metrics.snapshot_bytes += bytes;
                 }
-                self.schedule(
-                    now + delay,
-                    EventKind::SnapshotTransfer {
-                        to: i,
-                        snapshot,
-                        suffix,
-                    },
-                );
-            } else {
-                let bytes = replay_bytes.expect("replay branch implies replay is possible");
-                self.metrics.anti_entropy_transfers += 1;
-                self.metrics.anti_entropy_blocks += replay_suffix.len() as u64;
-                self.metrics.anti_entropy_bytes += bytes;
-                if let Some(active) = self.slots[i].catch_up.as_mut() {
-                    active.bytes += bytes;
+                let live = self.slots[i].live.as_mut();
+                if let Some(active) = live.and_then(|live| live.catch_up.as_mut()) {
+                    active.bytes += pull.bytes;
+                    if let Some(bytes) = snapshot_bytes {
+                        *active.snapshot_bytes.get_or_insert(0) += bytes;
+                    }
                 }
-                self.schedule(
-                    now + delay,
-                    EventKind::Transfer {
-                        to: i,
-                        blocks: replay_suffix,
-                    },
-                );
+                let pull = Box::new(pull);
+                self.schedule(now + delay, EventKind::Pull { to: i, pull });
             }
         } else if mine < published && !shared.faults.cut_off(now, self.members[i]) {
             // No peer can help (all behind or unreachable): reconnect to
             // the deliver service and re-request what's missing.
             let missing: Vec<Sealed> = (mine + 1..=published)
-                .filter(|n| !self.has_block(i, *n))
+                .filter(|n| !live.buffer.contains_key(n))
                 .map(|n| Arc::clone(&self.published[n as usize - 1].1))
                 .collect();
             for block in missing {
@@ -938,137 +936,115 @@ impl<V: BlockValidator> ChannelLane<V> {
         }
     }
 
-    fn transfer(&mut self, now: SimTime, to: usize, blocks: Vec<Arc<Block>>) {
-        if self.slots[to].peer.is_none() {
-            return;
-        }
-        for block in blocks {
-            // Locally buffered predecessors commit first; then the
-            // transferred block fills the next hole, if still a hole
-            // (pushes may have raced ahead of the pull).
-            self.commit_buffered(to);
-            let number = block.header.number;
-            if self.committed(to) + 1 != number {
-                continue;
-            }
-            self.record_arrival(now, number);
-            self.slots[to]
-                .peer
-                .as_mut()
-                .expect("checked above")
-                .replay_block(block)
-                .expect("anti-entropy blocks extend the chain: all replicas re-seal identically");
-        }
-        self.commit_buffered(to);
-        self.check_catch_up(now, to);
-    }
-
-    /// Installs a donor snapshot on a catching-up peer (unless it
-    /// raced ahead on its own) and replays the post-snapshot suffix.
-    fn snapshot_transfer(
+    /// Applies a pull at peer `to`: installs its snapshot, unless the
+    /// peer raced past it on its own, then replays each block that
+    /// still fills the peer's next hole (pushes may have raced ahead
+    /// of the pull), committing locally buffered blocks around them.
+    fn pull(
         &mut self,
         shared: &Shared,
         mk: &dyn Fn() -> V,
         now: SimTime,
         to: usize,
-        snapshot: LedgerSnapshot,
-        suffix: Vec<Arc<Block>>,
-    ) {
-        if self.slots[to].peer.is_none() {
-            return;
-        }
-        if self.committed(to) < snapshot.last_block {
-            let peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
-                .with_channel(self.id);
+        pull: Pull,
+    ) -> Result<(), StoreFault> {
+        let slot = &mut self.slots[to];
+        let Some(live) = slot.live.as_mut() else {
+            return Ok(()); // down: the pull is lost
+        };
+        let behind = live.committed();
+        if let Some((snapshot, _)) = pull.snapshot.filter(|(s, _)| behind < s.last_block) {
             let last_block = snapshot.last_block;
-            let slot = &mut self.slots[to];
-            slot.peer = Some(peer);
-            slot.buffer.retain(|number, _| *number > last_block);
+            live.peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
+                .with_channel(self.id);
+            live.buffer.retain(|number, _| *number > last_block);
             // Adopt the snapshot locally so this peer's own crash
             // recovery starts from it. The stale block prefix it covers
             // is compacted away only under GC: without GC the prefix
             // stays serveable to other lagging peers (see
             // `replay_suffix`).
-            slot.store
-                .put_snapshot(snapshot)
-                .expect("local store accepts the snapshot");
+            let fault = |_| StoreFault(to);
+            slot.store.put_snapshot(snapshot).map_err(fault)?;
             if slot.store.gc_enabled() {
-                slot.store
-                    .compact_up_to(last_block)
-                    .expect("local store compacts");
+                slot.store.compact_up_to(last_block).map_err(fault)?;
             }
         }
-        self.transfer(now, to, suffix);
+        self.advance(to, None)?;
+        for block in pull.blocks {
+            let number = block.header.number;
+            let fills = self.committed(to) + 1 == number;
+            if fills {
+                self.record_arrival(now, number);
+            }
+            self.advance(to, fills.then_some(block))?;
+        }
+        self.check_catch_up(now, to);
+        Ok(())
     }
 
-    /// Commits buffered raw blocks as long as the next one is present,
-    /// then persists, acknowledges, and GCs (see [`Self::note_commit`]).
-    fn commit_buffered(&mut self, i: usize) {
-        let mut next = self.committed(i) + 1;
+    /// Commits what replica `i` can — `pulled`, a helper's block that
+    /// fills its next hole, then buffered raw blocks as long as the
+    /// next one is present — and persists it: mirrors the new blocks
+    /// into its store, writes a snapshot when one is due, acknowledges
+    /// its height on the channel frontier and, with GC enabled,
+    /// compacts its store up to the frontier's minimum. The first store
+    /// call that fails stops it.
+    fn advance(&mut self, i: usize, pulled: Option<Arc<Block>>) -> Result<(), StoreFault> {
+        let n_members = self.slots.len();
         let slot = &mut self.slots[i];
-        let peer = slot.peer.as_mut().expect("caller checked");
-        while let Some(block) = take_buffered(&mut slot.buffer, next) {
-            let staged = peer.process_block(block);
-            peer.commit(staged)
+        let Some(live) = slot.live.as_mut() else {
+            return Ok(());
+        };
+        if let Some(block) = pulled {
+            live.peer
+                .replay_block(block)
+                .expect("anti-entropy blocks extend the chain: all replicas re-seal identically");
+        }
+        let mut next = live.committed() + 1;
+        while let Some(block) = take_buffered(&mut live.buffer, next) {
+            let staged = live.peer.process_block(block);
+            live.peer
+                .commit(staged)
                 .expect("buffered blocks extend the chain in order");
             next += 1;
         }
-        self.note_commit(i);
-    }
-
-    /// Post-commit bookkeeping for slot `i`: mirror newly committed
-    /// blocks into its durable store, write a snapshot when one is
-    /// due, acknowledge the committed height on the channel frontier,
-    /// and — with GC enabled — compact the store up to the frontier's
-    /// minimum.
-    fn note_commit(&mut self, i: usize) {
-        let n_members = self.slots.len();
-        let slot = &mut self.slots[i];
-        let Some(peer) = slot.peer.as_ref() else {
-            return;
-        };
-        let height = peer.chain().height() - 1;
-        let store = &mut slot.store;
-        for number in store.finalized_tip() + 1..=height {
-            let block = peer
+        let fault = |_| StoreFault(i);
+        let height = live.committed();
+        for number in slot.store.finalized_tip() + 1..=height {
+            let block = live
+                .peer
                 .chain()
                 .shared(number)
                 .expect("committed blocks above the store's tip are in the chain");
-            store
-                .append_block(Arc::clone(block))
-                .expect("store append succeeds");
+            slot.store.append_block(Arc::clone(block)).map_err(fault)?;
         }
-        if store.snapshot_due(height) {
-            store
-                .put_snapshot(peer.ledger_snapshot())
-                .expect("store snapshot succeeds");
+        if slot.store.snapshot_due(height) {
+            slot.store
+                .put_snapshot(live.peer.ledger_snapshot())
+                .map_err(fault)?;
         }
         self.acked.ack(i, height);
         let floor = self.acked.min_acked(n_members);
-        let slot = &mut self.slots[i];
         if floor > slot.gc_floor && slot.store.gc_enabled() {
-            slot.store
-                .compact_up_to(floor)
-                .expect("store compaction succeeds");
+            slot.store.compact_up_to(floor).map_err(fault)?;
             slot.gc_floor = floor;
         }
+        Ok(())
     }
 
     fn crash(&mut self, now: SimTime, p: usize) {
-        let global = self.members[p];
-        let slot = &mut self.slots[p];
-        // The replica and its buffer are lost; its store survives. A
-        // crash of a replica that is already down changes nothing.
-        if slot.peer.take().is_none() {
+        // The replica, its buffer and its catch-up are lost; its store
+        // survives. A crash of a replica that is already down changes
+        // nothing.
+        let Some(live) = self.slots[p].live.take() else {
             return;
-        }
-        slot.buffer.clear();
+        };
         // A crash mid-catch-up ends the episode without reaching the
         // target; record it as abandoned rather than dropping it, so
         // catch-up statistics stay honest under repeated crashes.
-        if let Some(active) = slot.catch_up.take() {
+        if let Some(active) = live.catch_up {
             self.metrics.catch_up.push(CatchUpEpisode {
-                peer: global,
+                peer: self.members[p],
                 from: active.from,
                 bytes_shipped: active.bytes,
                 outcome: CatchUpOutcome::Abandoned { at: now },
@@ -1077,24 +1053,31 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     /// Recovers a crashed replica from its store and starts its
-    /// catch-up. A restart of a replica that is up changes nothing.
-    fn restart(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, p: usize) {
-        if self.slots[p].peer.is_some() {
-            return;
+    /// catch-up. A restart of a replica that is up changes nothing; a
+    /// store that cannot recover it leaves it down.
+    fn restart(
+        &mut self,
+        shared: &Shared,
+        mk: &dyn Fn() -> V,
+        now: SimTime,
+        p: usize,
+    ) -> Result<(), StoreFault> {
+        let slot = &mut self.slots[p];
+        if slot.live.is_some() {
+            return Ok(());
         }
         let seeds = &self.seeds;
-        let peer = self.slots[p]
+        let recovery = slot
             .store
             .recover_seeded(mk(), shared.policy.clone(), |peer| {
                 for (key, value) in seeds {
                     peer.seed_state(key.clone(), value.clone());
                 }
             })
-            .expect("a peer's own durable store recovers cleanly")
-            .peer
-            .with_channel(self.id);
-        self.slots[p].peer = Some(peer);
+            .map_err(|_| StoreFault(p))?;
+        slot.live = Some(Live::new(recovery.peer.with_channel(self.id)));
         self.begin_catch_up(now, p);
+        Ok(())
     }
 
     fn heal(&mut self, shared: &Shared, now: SimTime, partition: usize) {
@@ -1103,23 +1086,24 @@ impl<V: BlockValidator> ChannelLane<V> {
             let Ok(p) = self.members.binary_search(&global) else {
                 continue; // not a member of this channel
             };
-            if self.slots[p].peer.is_some() {
-                self.begin_catch_up(now, p);
-            }
+            self.begin_catch_up(now, p);
         }
     }
 
-    /// Registers a catch-up episode for a rejoining peer (target: what
-    /// the rest of the channel has committed right now) and pulls
-    /// immediately.
+    /// Registers a catch-up episode for a rejoining peer that is up
+    /// (target: what the rest of the channel has committed right now)
+    /// and pulls immediately.
     fn begin_catch_up(&mut self, now: SimTime, p: usize) {
         let target = (0..self.slots.len())
-            .filter(|&j| j != p && self.slots[j].peer.is_some())
+            .filter(|&j| j != p)
             .map(|j| self.committed(j))
             .max()
             .unwrap_or(0);
-        if target > self.committed(p) && self.slots[p].catch_up.is_none() {
-            self.slots[p].catch_up = Some(ActiveCatchUp {
+        let Some(live) = self.slots[p].live.as_mut() else {
+            return;
+        };
+        if target > live.committed() && live.catch_up.is_none() {
+            live.catch_up = Some(ActiveCatchUp {
                 from: now,
                 target,
                 bytes: 0,
@@ -1131,26 +1115,26 @@ impl<V: BlockValidator> ChannelLane<V> {
     }
 
     fn check_catch_up(&mut self, now: SimTime, i: usize) {
-        let done = self.slots[i]
-            .catch_up
-            .as_ref()
-            .is_some_and(|active| self.committed(i) >= active.target);
-        if done {
-            let active = self.slots[i].catch_up.take().expect("checked above");
-            let outcome = match active.snapshot_bytes {
-                Some(snapshot_bytes) => CatchUpOutcome::Snapshot {
-                    caught_up_at: now,
-                    snapshot_bytes,
-                },
-                None => CatchUpOutcome::Replay { caught_up_at: now },
-            };
-            self.metrics.catch_up.push(CatchUpEpisode {
-                peer: self.members[i],
-                from: active.from,
-                bytes_shipped: active.bytes,
-                outcome,
-            });
-        }
+        let Some(live) = self.slots[i].live.as_mut() else {
+            return;
+        };
+        let committed = live.committed();
+        let Some(active) = live.catch_up.take_if(|active| committed >= active.target) else {
+            return;
+        };
+        let outcome = match active.snapshot_bytes {
+            Some(snapshot_bytes) => CatchUpOutcome::Snapshot {
+                caught_up_at: now,
+                snapshot_bytes,
+            },
+            None => CatchUpOutcome::Replay { caught_up_at: now },
+        };
+        self.metrics.catch_up.push(CatchUpEpisode {
+            peer: self.members[i],
+            from: active.from,
+            bytes_shipped: active.bytes,
+            outcome,
+        });
     }
 
     /// Schedules an anti-entropy tick if none is outstanding.

@@ -1,6 +1,9 @@
 //! Who holds a sealed block, observed through its reference count.
 
 use super::*;
+
+mod store_faults;
+
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_crypto::{Identity, KeyPair};
 use fabriccrdt_fabric::config::{AdversaryConfig, AttackSpec, TamperMode};
@@ -18,10 +21,17 @@ const TXS: usize = 25;
 /// An orderer-sealed block of 25 fully endorsed CRDT transactions
 /// on one hot key: every replica merges it and seals a record of its own.
 fn sealed_block(number: u64) -> Block {
+    hot_block(number, TXS)
+}
+
+/// An orderer-sealed block of `count` fully endorsed CRDT
+/// transactions on the hot key, each with a nonce of its own for a
+/// fixed `count`.
+fn hot_block(number: u64, count: usize) -> Block {
     let client = Identity::new("client", "org1");
-    let txs = (0..TXS as u64)
+    let txs = (0..count as u64)
         .map(|i| {
-            let nonce = number * TXS as u64 + i;
+            let nonce = number * count as u64 + i;
             let mut rwset = ReadWriteSet::new();
             rwset.reads.record("hot", Some(Height::new(0, 0)));
             rwset.writes.put_crdt(
@@ -49,9 +59,12 @@ fn sealed_block(number: u64) -> Block {
     Block::assemble(number, [0; 32], txs)
 }
 
+/// The hot key's document before any block.
+const SEED_DOC: &[u8] = br#"{"readings":[]}"#;
+
 fn network(config: &PipelineConfig) -> GossipNetwork<CrdtValidator> {
     let mut network = GossipNetwork::new(config, CrdtValidator::new);
-    network.seed_state_on(0, "hot", br#"{"readings":[]}"#);
+    network.seed_state_on(0, "hot", SEED_DOC);
     network
 }
 
@@ -63,6 +76,15 @@ fn handle(network: &mut GossipNetwork<CrdtValidator>, now: SimTime, event: Event
     let lane = &mut network.lanes[0];
     lane.clock = now;
     lane.handle(&network.shared, network.make_validator.as_ref(), now, event);
+}
+
+/// The gap buffer of the replica at member position `i`, which is up.
+fn buffer<V: BlockValidator>(network: &GossipNetwork<V>, i: usize) -> &BTreeMap<u64, Sealed> {
+    &network.lanes[0].slots[i]
+        .live
+        .as_ref()
+        .expect("replica is up")
+        .buffer
 }
 
 /// References to published block `number`'s allocation.
@@ -80,7 +102,7 @@ fn accounted_holders(network: &GossipNetwork<CrdtValidator>) -> usize {
     let buffering = lane
         .slots
         .iter()
-        .filter(|s| s.buffer.contains_key(&1))
+        .filter(|s| s.live.as_ref().is_some_and(|l| l.buffer.contains_key(&1)))
         .count();
     1 + (lane.queue.len() - ticks) + buffering
 }
@@ -97,7 +119,7 @@ fn assert_replicas_own_their_records(network: &GossipNetwork<CrdtValidator>) {
     assert!(sealed.validation_codes.is_empty());
     assert_eq!(sealed.converged_values().count(), 0);
     for (i, slot) in lane.slots.iter().enumerate() {
-        let chain = slot.peer.as_ref().expect("replica is up").chain();
+        let chain = slot.live.as_ref().expect("replica is up").peer.chain();
         let committed = chain.block(1).expect("block 1 committed");
         assert_eq!(committed.validation_codes.len(), TXS, "replica {i}");
         assert_eq!(committed.transactions, sealed.transactions, "replica {i}");
@@ -157,8 +179,10 @@ fn a_gap_buffered_block_holds_one_reference_until_it_commits() {
     let before = holders(&network, 2);
     let block = Arc::clone(&network.lanes[0].published[1].1);
     let lane = &mut network.lanes[0];
-    lane.raw_block(&network.shared, SimTime::from_millis(101), 5, None, block);
-    assert!(network.lanes[0].slots[5].buffer.contains_key(&2));
+    assert!(lane
+        .raw_block(&network.shared, SimTime::from_millis(101), 5, None, block)
+        .is_ok());
+    assert!(buffer(&network, 5).contains_key(&2));
     assert_eq!(network.lanes[0].committed(5), 0);
     assert_eq!(holders(&network, 2), before + 1 + FANOUT);
 
@@ -200,7 +224,7 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
                 forged_seen += 1;
                 let (to, before) = (*to, network.lanes[0].committed(*to));
                 handle(&mut network, now, event);
-                assert!(network.lanes[0].slots[to].buffer.is_empty());
+                assert!(buffer(&network, to).is_empty());
                 assert_eq!(network.lanes[0].committed(to), before);
                 continue;
             }
@@ -260,7 +284,7 @@ fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
         move || counting.clone()
     };
     let mut network = GossipNetwork::new(&config, make);
-    network.seed_state_on(0, "hot", br#"{"readings":[]}"#);
+    network.seed_state_on(0, "hot", SEED_DOC);
     network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
     network.drain_on(0);
     assert!(network.fully_converged_on(0));
@@ -273,7 +297,9 @@ fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
     let block = Arc::clone(&network.lanes[0].published[0].1);
     let lane = &mut network.lanes[0];
     let now = lane.clock;
-    lane.raw_block(&network.shared, now, 5, Some(0), block);
+    assert!(lane
+        .raw_block(&network.shared, now, 5, Some(0), block)
+        .is_ok());
 
     let after = network.metrics_on(0);
     assert_eq!(after.redundant_messages, metrics.redundant_messages + 1);
@@ -284,6 +310,6 @@ fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
         "not validated"
     );
     assert_eq!(network.lanes[0].committed(5), 1);
-    assert!(network.lanes[0].slots[5].buffer.is_empty());
+    assert!(buffer(&network, 5).is_empty());
     assert!(network.lanes[0].queue.is_empty(), "nothing scheduled");
 }

@@ -252,8 +252,7 @@ pub trait LedgerStore: Send {
     /// The latest snapshot and all retained blocks.
     fn load(&self) -> StoredLedger;
 
-    /// Whether the store retains a block record numbered `number` — how
-    /// gossip anti-entropy picks helpers.
+    /// Whether the store retains a block record numbered `number`.
     fn has_block(&self, number: u64) -> bool;
 
     /// The store's head: the highest block number any record names (a
