@@ -38,7 +38,7 @@ use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::{VersionedValue, WorldState};
-use fabriccrdt_ordering::RaftCluster;
+use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::rng::{SimRng, ZipfSampler};
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::generator::iot_payload;
@@ -438,7 +438,7 @@ fn replication_layers(bench: &Bench) {
 
     let config = PipelineConfig::paper(25, 42).with_raft_config(RaftConfig::calibrated(3));
     bench.run_timed(raft, Some(STREAM), || {
-        let mut cluster = RaftCluster::new(&config);
+        let mut cluster = RaftOrderingBackend::new(&config);
         let blocks = stream.clone();
         let start = Instant::now();
         for block in blocks {

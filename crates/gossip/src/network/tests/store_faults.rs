@@ -61,10 +61,6 @@ impl LedgerStore for FailingStore {
         self.inner.load()
     }
 
-    fn has_block(&self, number: u64) -> bool {
-        self.inner.has_block(number)
-    }
-
     fn head(&self) -> (u64, Option<LedgerSnapshot>) {
         self.inner.head()
     }
@@ -278,10 +274,6 @@ impl LedgerStore for GappedOnce {
             stored.blocks.remove(0);
         }
         stored
-    }
-
-    fn has_block(&self, number: u64) -> bool {
-        self.inner.has_block(number)
     }
 
     fn head(&self) -> (u64, Option<LedgerSnapshot>) {

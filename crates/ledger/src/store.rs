@@ -252,9 +252,6 @@ pub trait LedgerStore: Send {
     /// The latest snapshot and all retained blocks.
     fn load(&self) -> StoredLedger;
 
-    /// Whether the store retains a block record numbered `number`.
-    fn has_block(&self, number: u64) -> bool;
-
     /// The store's head: the highest block number any record names (a
     /// block record's number or a snapshot's `last_block`; 0 for an
     /// empty store) and the latest snapshot. Compaction never lowers
@@ -383,11 +380,6 @@ impl LedgerStore for MemoryStore {
             snapshot: self.head().1,
             blocks: blocks.collect(),
         }
-    }
-
-    fn has_block(&self, number: u64) -> bool {
-        let named = |r: &Record| matches!(r, Record::Block(b) if b.header.number == number);
-        self.records.iter().any(named)
     }
 
     fn head(&self) -> (u64, Option<LedgerSnapshot>) {
@@ -579,9 +571,9 @@ struct Segment {
 /// segment files of self-validating records behind it. Every record is
 /// encoded and written to the last segment before it enters the
 /// in-memory log, and the log is decoded from the segments at open — so
-/// reads ([`LedgerStore::load`], [`LedgerStore::has_block`],
-/// [`LedgerStore::head`]) never touch a file or decode, and a block
-/// appended from a chain is held once, by both.
+/// reads ([`LedgerStore::load`], [`LedgerStore::head`]) never touch a
+/// file or decode, and a block appended from a chain is held once, by
+/// both.
 ///
 /// The first segment is the path the store is opened with; each
 /// [`LedgerStore::put_snapshot`] starts the next, `<path>.1`, `<path>.2`,
@@ -872,10 +864,6 @@ impl LedgerStore for AofStore {
 
     fn load(&self) -> StoredLedger {
         self.log.load()
-    }
-
-    fn has_block(&self, number: u64) -> bool {
-        self.log.has_block(number)
     }
 
     fn head(&self) -> (u64, Option<LedgerSnapshot>) {

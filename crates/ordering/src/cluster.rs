@@ -1,7 +1,8 @@
 //! The deterministic Raft cluster replicating the ordering service.
 //!
-//! Every consenter node hosts a full Raft state machine — term, voted
-//! ballot, replicated log, commit index — plus, while it is leader, the
+//! Every consenter node keeps Raft's durable state — term, voted
+//! ballot, replicated log, commit index — and is in one [`State`]:
+//! down, follower, candidate, or leader, which alone holds the
 //! block-cutting [`Orderer`] from `fabriccrdt-fabric`. Clients submit
 //! endorsed transactions to the highest-term reachable leader; the
 //! leader's orderer applies Fabric's cutting rules (max count, max
@@ -24,6 +25,7 @@ use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy, PipelineConfig, 
 use fabriccrdt_fabric::conflict::{BlockFeedback, ConflictTracker};
 use fabriccrdt_fabric::metrics::{ConflictPolicyMetrics, OrderingMetrics};
 use fabriccrdt_fabric::orderer::{Orderer, TimeoutRequest};
+use fabriccrdt_fabric::simulation::{OrderingBackend, OrderingOutcome};
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::transaction::{Transaction, TxIdSet};
 use fabriccrdt_sim::queue::EventQueue;
@@ -56,24 +58,13 @@ const _: () = assert!(
         && HEARTBEAT_INTERVAL.as_micros() < ELECTION_TIMEOUT_MIN.as_micros()
 );
 
-/// Raft roles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Passive replica: appends what the leader sends.
-    Follower,
-    /// Election in progress: collecting votes for itself.
-    Candidate,
-    /// Sole block cutter of its term.
-    Leader,
-}
-
 /// One replicated log entry: a cut block, or a `None` "barrier" no-op
 /// a fresh leader appends to force commitment of prior-term entries
 /// (Raft §5.4.2: a leader may only count replicas for entries of its
 /// own term).
 /// Immutable once appended; a clone copies two pointers, so every
-/// log, every message in flight and [`RaftCluster::emitted`] hold the
-/// one block the leader sealed.
+/// log, every message in flight and [`RaftOrderingBackend::emitted`]
+/// hold the one block the leader sealed.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     /// Term of the leader that appended the entry.
@@ -135,6 +126,18 @@ enum Payload {
     },
 }
 
+/// A node's timers. Each belongs to one state and fires only while the
+/// node is still in it, under the epoch it was armed with.
+#[derive(Debug)]
+enum Timer {
+    /// A follower's or candidate's randomized election timeout.
+    Election,
+    /// A leader's heartbeat period.
+    Heartbeat,
+    /// A leader's orderer batch timeout.
+    Batch(TimeoutRequest),
+}
+
 /// Cluster events.
 #[derive(Debug)]
 enum RaftEvent {
@@ -148,15 +151,11 @@ enum RaftEvent {
         to: usize,
         payload: Payload,
     },
-    /// A node's randomized election timer fires.
-    ElectionTimeout { node: usize, epoch: u64 },
-    /// A leader's heartbeat timer fires.
-    HeartbeatTick { node: usize, epoch: u64 },
-    /// The leader's orderer batch timeout fires.
-    BatchTimeout {
+    /// A node's timer, armed under `epoch`, elapses.
+    Timer {
         node: usize,
         epoch: u64,
-        request: TimeoutRequest,
+        timer: Timer,
     },
     /// Scheduled fault: the node crashes.
     Crash { node: usize },
@@ -164,34 +163,22 @@ enum RaftEvent {
     Restart { node: usize },
 }
 
-/// One consenter node.
+/// One consenter node: Raft's durable state, which survives crashes,
+/// beside the one [`State`] a crash resets.
 struct Node {
-    /// Whether the node is running (false between crash and restart).
-    up: bool,
-    /// Durable Raft state: survives crashes.
     term: u64,
     voted_for: Option<usize>,
     log: Vec<LogEntry>,
-    role: Role,
     /// Count of committed entries (commit index as a length).
     commit_index: u64,
     /// Bumped whenever outstanding timers must be invalidated (timer
-    /// re-arm, role change, crash, restart); events carry the epoch
-    /// they were armed under and stale ones are dropped.
+    /// re-arm, a change of state); a timer carries the epoch it was
+    /// armed under. The counter survives crashes, so a timer armed
+    /// before one never matches after the restart.
     epoch: u64,
-    /// Votes received this candidacy (includes self).
-    votes: HashSet<usize>,
-    /// Leader bookkeeping: next entry position to send to each peer.
-    next_index: Vec<usize>,
-    /// Leader bookkeeping: entries known replicated on each peer.
-    match_index: Vec<usize>,
-    /// The block cutter — `Some` only while leader.
-    orderer: Option<Orderer>,
-    /// Transactions this leader already holds (in its batch or log),
-    /// so the client sweep does not re-deliver them.
-    held: TxIdSet,
     /// Per-node PRNG (election timeout jitter).
     rng: SimRng,
+    state: State,
 }
 
 impl Node {
@@ -206,12 +193,46 @@ impl Node {
     }
 }
 
-/// A deterministic, event-driven Raft cluster wrapping the block
-/// cutter. See the crate docs for the protocol summary; drive it with
-/// [`RaftCluster::enqueue`] + [`RaftCluster::advance`] (the
-/// [`crate::RaftOrderingBackend`] does), or [`RaftCluster::drain`] for
-/// standalone runs.
-pub struct RaftCluster {
+/// A node's volatile state, lost on a crash.
+enum State {
+    /// Crashed: receives nothing until the schedule restarts it.
+    Down,
+    /// Passive replica: appends what the leader sends.
+    Follower,
+    /// Election in progress: the votes received this candidacy
+    /// (its own included).
+    Candidate { votes: HashSet<usize> },
+    /// Sole block cutter of its term.
+    Leader(Box<Leader>),
+}
+
+/// What a leader alone holds, built from its log when it is elected
+/// and dropped when it steps down or crashes.
+struct Leader {
+    /// The block cutter.
+    orderer: Orderer,
+    /// Next entry position to send to each peer.
+    next_index: Vec<usize>,
+    /// Entries known replicated on each peer.
+    match_index: Vec<usize>,
+    /// Transactions this leader already holds (in its batch or log),
+    /// so the client sweep does not re-deliver them.
+    held: TxIdSet,
+}
+
+/// The Raft-replicated ordering service: a deterministic, event-driven
+/// cluster wrapping the block cutter, behind the pipeline's
+/// [`OrderingBackend`] seam. See the crate docs for the protocol
+/// summary.
+///
+/// As a backend, submissions enter the cluster immediately (the
+/// pipeline already charged the client→orderer hop) and the cluster's
+/// own timers (heartbeats, elections, batch timeouts, retries) surface
+/// as wakeup requests, so the pipeline's event queue stays the single
+/// clock. Standalone, drive it with [`RaftOrderingBackend::enqueue`]
+/// and [`RaftOrderingBackend::advance`] or
+/// [`RaftOrderingBackend::drain`].
+pub struct RaftOrderingBackend {
     raft: RaftConfig,
     block_cut: BlockCutConfig,
     /// The cut policy every leader's orderer runs (resolved once from
@@ -233,8 +254,8 @@ pub struct RaftCluster {
     /// Transactions submitted but not yet committed, in arrival order.
     pending: VecDeque<Transaction>,
     pending_ids: TxIdSet,
-    /// Submissions scheduled via [`RaftCluster::enqueue`] whose arrival
-    /// event has not fired yet (they block quiescence).
+    /// Submissions scheduled via [`RaftOrderingBackend::enqueue`] whose
+    /// arrival event has not fired yet (they block quiescence).
     outstanding_submissions: usize,
     retry_armed: bool,
     /// Every committed block with its commit time, in commit order.
@@ -250,7 +271,7 @@ pub struct RaftCluster {
     clock: SimTime,
 }
 
-impl RaftCluster {
+impl RaftOrderingBackend {
     /// Builds the cluster for a pipeline configuration. Uses
     /// `config.ordering` (or [`RaftConfig::calibrated`] with 5 nodes
     /// when unset) and forks its PRNG from `config.seed` so identical
@@ -269,75 +290,35 @@ impl RaftCluster {
             .unwrap_or_else(|| RaftConfig::calibrated(5));
         let n = raft.nodes;
         assert!(n > 0, "cluster has no nodes");
-        if let Some(leader) = raft.preelected_leader {
+        let preelected = raft.preelected_leader;
+        if let Some(leader) = preelected {
             assert!(leader < n, "pre-elected leader {leader} out of range");
         }
         raft.faults.validate(n, "node");
 
-        let policy = config.ordering_policy;
-        let tracker = ConflictTracker::new();
-        let mut root = SimRng::seed_from(config.seed);
-        let mut rng = root.fork(0x7261_6674); // "raft"
-        let mut nodes: Vec<Node> = (0..n)
+        let mut rng = SimRng::seed_from(config.seed).fork(0x7261_6674); // "raft"
+        let nodes = (0..n)
             .map(|i| Node {
-                up: true,
                 term: 0,
                 voted_for: None,
                 log: Vec::new(),
-                role: Role::Follower,
                 commit_index: 0,
                 epoch: 0,
-                votes: HashSet::new(),
-                next_index: vec![0; n],
-                match_index: vec![0; n],
-                orderer: None,
-                held: TxIdSet::default(),
                 rng: rng.fork(i as u64),
+                state: State::Follower,
             })
             .collect();
-
         let mut queue = EventQueue::new();
         for crash in &raft.faults.crashes {
             queue.schedule(crash.at, RaftEvent::Crash { node: crash.peer });
             queue.schedule(crash.restart_at, RaftEvent::Restart { node: crash.peer });
         }
 
-        let mut leadership = Vec::new();
-        if let Some(leader) = raft.preelected_leader {
-            // A Fabric channel elects its leader at channel creation,
-            // long before traffic: boot straight into term 1.
-            for node in nodes.iter_mut() {
-                node.term = 1;
-                node.voted_for = Some(leader);
-            }
-            let l = &mut nodes[leader];
-            l.role = Role::Leader;
-            l.epoch += 1;
-            l.next_index = vec![0; n];
-            l.match_index = vec![0; n];
-            let mut orderer = make_orderer(config.block_cut, policy, &l.log);
-            orderer.install_tracker(tracker.clone());
-            l.orderer = Some(orderer);
-            leadership.push(LeadershipEvent {
-                term: 1,
-                node: leader,
-                at: SimTime::ZERO,
-            });
-            let epoch = l.epoch;
-            queue.schedule(
-                SimTime::ZERO,
-                RaftEvent::HeartbeatTick {
-                    node: leader,
-                    epoch,
-                },
-            );
-        }
-
-        let mut cluster = RaftCluster {
+        let mut cluster = RaftOrderingBackend {
             raft,
             block_cut: config.block_cut,
-            policy,
-            tracker,
+            policy: config.ordering_policy,
+            tracker: ConflictTracker::new(),
             policy_stats: ConflictPolicyMetrics::default(),
             rng,
             queue,
@@ -351,11 +332,20 @@ impl RaftCluster {
             emitted_entries: 0,
             early_aborted: Vec::new(),
             metrics: OrderingMetrics::default(),
-            leadership,
+            leadership: Vec::new(),
             clock: SimTime::ZERO,
         };
+        if let Some(leader) = preelected {
+            // A Fabric channel elects its leader at channel creation,
+            // long before traffic: boot straight into term 1.
+            for node in &mut cluster.nodes {
+                node.term = 1;
+                node.voted_for = Some(leader);
+            }
+            cluster.become_leader(leader, SimTime::ZERO);
+        }
         for i in 0..n {
-            if cluster.nodes[i].role != Role::Leader {
+            if Some(i) != preelected {
                 cluster.arm_election(i, SimTime::ZERO);
             }
         }
@@ -363,7 +353,7 @@ impl RaftCluster {
     }
 
     // ------------------------------------------------------------------
-    // Public driving API
+    // Standalone driving API
     // ------------------------------------------------------------------
 
     /// Schedules an endorsed transaction to arrive at the ordering tier
@@ -375,23 +365,27 @@ impl RaftCluster {
     }
 
     /// Processes every event up to and including time `now`, then
-    /// returns the blocks committed since the previous drain, each with
+    /// returns the blocks committed since the previous call, each with
     /// its commit time.
     pub fn advance(&mut self, now: SimTime) -> Vec<(SimTime, Block)> {
-        while let Some(at) = self.queue.peek_time() {
-            if at > now {
-                break;
-            }
-            let (at, event) = self.queue.pop().expect("peeked event");
-            self.clock = self.clock.max(at);
+        while let Some((at, event)) = self.queue.pop_due(now) {
             self.handle(at, event);
         }
         self.clock = self.clock.max(now);
-        self.drain_outbox()
+        // The one copy on this side: `OrderingOutcome::blocks` is owned.
+        let fresh = self.emitted[self.outbox_cursor..]
+            .iter()
+            .map(|(at, block)| (*at, Block::clone(block)))
+            .collect();
+        self.outbox_cursor = self.emitted.len();
+        fresh
     }
 
-    /// Runs until the cluster is quiescent (see
-    /// [`RaftCluster::is_quiescent`]); returns the final clock.
+    /// Runs until the cluster is quiescent: every scheduled fault has
+    /// played out, every node is up, no transaction is waiting, a
+    /// leader exists whose log is fully committed with an empty batch,
+    /// and every replica agrees on the commit index. Returns the final
+    /// clock.
     ///
     /// # Panics
     ///
@@ -400,11 +394,9 @@ impl RaftCluster {
     /// retries re-arm themselves until quiescence.
     pub fn drain(&mut self) -> SimTime {
         while !self.is_quiescent() {
-            let (at, event) = self
-                .queue
-                .pop()
-                .expect("event queue drained before the cluster settled");
-            self.clock = self.clock.max(at);
+            let Some((at, event)) = self.queue.pop() else {
+                panic!("event queue drained before the cluster settled");
+            };
             self.handle(at, event);
         }
         self.clock
@@ -421,28 +413,6 @@ impl RaftCluster {
         }
     }
 
-    /// Whether nothing observable remains: every scheduled fault has
-    /// played out, every node is up, no transaction is waiting, a
-    /// leader exists whose log is fully committed with an empty batch,
-    /// and every replica agrees on the commit index.
-    pub fn is_quiescent(&self) -> bool {
-        // No run is quiescent before the last scheduled fault.
-        if self.clock < self.raft.faults.settled_at()
-            || self.outstanding_submissions > 0
-            || !self.pending.is_empty()
-            || self.nodes.iter().any(|n| !n.up)
-        {
-            return false;
-        }
-        let Some(leader) = self.current_leader() else {
-            return false;
-        };
-        let l = &self.nodes[leader];
-        l.commit_index == l.log.len() as u64
-            && l.orderer.as_ref().is_some_and(|o| o.pending_len() == 0)
-            && self.nodes.iter().all(|n| n.commit_index == l.commit_index)
-    }
-
     /// Current simulated time (max event time processed so far).
     pub fn clock(&self) -> SimTime {
         self.clock
@@ -451,21 +421,6 @@ impl RaftCluster {
     /// Number of consenter nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Transactions submitted but not yet committed (or early-aborted).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The up node with the highest leader term, if any.
-    pub fn current_leader(&self) -> Option<usize> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.up && n.role == Role::Leader)
-            .max_by_key(|(_, n)| n.term)
-            .map(|(i, _)| i)
     }
 
     /// Every committed block with its commit time, in commit order.
@@ -480,57 +435,15 @@ impl RaftCluster {
     }
 
     /// Node `i`'s committed blocks — the non-barrier entries of its
-    /// committed log prefix. Replica convergence means these agree
-    /// across nodes (uncommitted log tails may differ; Raft only
-    /// truncates them on conflict). Deep copies, for tests.
-    pub fn committed_blocks(&self, i: usize) -> Vec<Block> {
+    /// committed log prefix, the allocations [`Self::emitted`] shares.
+    /// Replica convergence means these agree across nodes (uncommitted
+    /// log tails may differ; Raft only truncates them on conflict).
+    pub fn committed_blocks(&self, i: usize) -> Vec<&Arc<Block>> {
         let node = &self.nodes[i];
         node.log[..node.commit_index as usize]
             .iter()
-            .filter_map(|e| e.block.as_deref().cloned())
+            .filter_map(|e| e.block.as_ref())
             .collect()
-    }
-
-    /// Drains transactions early-aborted by the cut policy (always
-    /// empty under [`OrderingPolicy::Fifo`]). An abort only appears
-    /// here once its log entry committed — exactly once, regardless of
-    /// leader crashes in between.
-    pub fn take_early_aborted(&mut self) -> Vec<Transaction> {
-        std::mem::take(&mut self.early_aborted)
-    }
-
-    /// Feeds a committed block's validation outcome back into the
-    /// conflict tracker: the cluster master copy and, when a leader is
-    /// live, its orderer's working copy (kept identical so failover
-    /// hands over exactly the state the deposed leader was using).
-    /// No-op unless the policy is [`OrderingPolicy::Adaptive`].
-    pub fn observe_finalized(&mut self, feedback: &BlockFeedback) {
-        if !self.policy.is_adaptive() {
-            return;
-        }
-        self.tracker.observe(feedback);
-        if let Some(leader) = self.current_leader() {
-            if let Some(orderer) = self.nodes[leader].orderer.as_mut() {
-                orderer.observe_finalized(feedback);
-            }
-        }
-    }
-
-    /// The cut policy every leader runs.
-    pub fn policy(&self) -> OrderingPolicy {
-        self.policy
-    }
-
-    /// Takes the accumulated ordering-policy counters: everything
-    /// harvested from deposed leaders plus the live leader's counters.
-    pub fn take_policy_metrics(&mut self) -> ConflictPolicyMetrics {
-        let mut stats = std::mem::take(&mut self.policy_stats);
-        for node in &mut self.nodes {
-            if let Some(orderer) = node.orderer.as_mut() {
-                stats.absorb(orderer.take_policy_stats());
-            }
-        }
-        stats
     }
 
     /// Read access to the ordering metrics accumulated so far.
@@ -538,20 +451,37 @@ impl RaftCluster {
         &self.metrics
     }
 
-    /// Takes the ordering metrics, stamping the final term.
-    pub fn take_metrics(&mut self) -> OrderingMetrics {
-        self.metrics.final_term = self.nodes.iter().map(|n| n.term).max().unwrap_or(0);
-        std::mem::take(&mut self.metrics)
+    fn is_quiescent(&self) -> bool {
+        // No run is quiescent before the last scheduled fault.
+        if self.clock < self.raft.faults.settled_at()
+            || self.outstanding_submissions > 0
+            || !self.pending.is_empty()
+            || self.nodes.iter().any(|n| matches!(n.state, State::Down))
+        {
+            return false;
+        }
+        let Some((i, leader)) = self.leader() else {
+            return false;
+        };
+        let l = &self.nodes[i];
+        l.commit_index == l.log.len() as u64
+            && leader.orderer.pending_len() == 0
+            && self.nodes.iter().all(|n| n.commit_index == l.commit_index)
     }
 
-    fn drain_outbox(&mut self) -> Vec<(SimTime, Block)> {
-        // The one copy on this side: `OrderingOutcome::blocks` is owned.
-        let fresh = self.emitted[self.outbox_cursor..]
+    /// The up leader with the highest term, and its state: where
+    /// clients deliver (they follow redirects, so a deposed minority
+    /// leader does not hold traffic hostage).
+    fn leader(&self) -> Option<(usize, &Leader)> {
+        self.nodes
             .iter()
-            .map(|(at, block)| (*at, Block::clone(block)))
-            .collect();
-        self.outbox_cursor = self.emitted.len();
-        fresh
+            .enumerate()
+            .filter_map(|(i, n)| match &n.state {
+                State::Leader(leader) => Some((i, n.term, &**leader)),
+                _ => None,
+            })
+            .max_by_key(|&(_, term, _)| term)
+            .map(|(i, _, leader)| (i, leader))
     }
 
     // ------------------------------------------------------------------
@@ -559,17 +489,15 @@ impl RaftCluster {
     // ------------------------------------------------------------------
 
     fn handle(&mut self, now: SimTime, event: RaftEvent) {
+        self.clock = self.clock.max(now);
         match event {
             RaftEvent::Submission(tx) => {
                 self.outstanding_submissions -= 1;
                 if self.pending_ids.insert(tx.id) {
                     self.pending.push_back(tx.clone());
                 }
-                match self.delivery_target() {
-                    Some(leader) if !self.nodes[leader].held.contains(&tx.id) => {
-                        self.leader_receive(leader, tx, now);
-                    }
-                    _ => {}
+                if let Some((leader, _)) = self.leader() {
+                    self.leader_receive(leader, tx, now);
                 }
                 self.ensure_retry(now);
             }
@@ -579,112 +507,82 @@ impl RaftCluster {
                 self.ensure_retry(now);
             }
             RaftEvent::Message { from, to, payload } => {
-                if self.nodes[to].up {
+                if !matches!(self.nodes[to].state, State::Down) {
                     self.receive(to, from, payload, now);
                 }
             }
-            RaftEvent::ElectionTimeout { node, epoch } => {
-                let n = &self.nodes[node];
-                if n.up && n.epoch == epoch && n.role != Role::Leader {
-                    self.start_election(node, now);
+            RaftEvent::Timer { node, epoch, timer } => self.fire(node, epoch, timer, now),
+            RaftEvent::Crash { node } => self.leave_state(node, State::Down),
+            RaftEvent::Restart { node } => {
+                if matches!(self.nodes[node].state, State::Down) {
+                    self.become_follower(node, now);
                 }
             }
-            RaftEvent::HeartbeatTick { node, epoch } => {
-                let n = &self.nodes[node];
-                if n.up && n.epoch == epoch && n.role == Role::Leader {
-                    for peer in 0..self.nodes.len() {
-                        if peer != node {
-                            self.send_append(node, peer, now);
-                        }
-                    }
-                    let at = now + HEARTBEAT_INTERVAL;
-                    self.queue
-                        .schedule(at, RaftEvent::HeartbeatTick { node, epoch });
-                }
-            }
-            RaftEvent::BatchTimeout {
-                node,
-                epoch,
-                request,
-            } => {
-                let n = &mut self.nodes[node];
-                if n.up && n.epoch == epoch && n.role == Role::Leader {
-                    if let Some(block) = n.orderer.as_mut().and_then(|o| o.timeout_fired(request)) {
-                        let aborted = n
-                            .orderer
-                            .as_mut()
-                            .map(|o| o.take_early_aborted())
-                            .unwrap_or_default();
-                        self.append_block(node, block, aborted, now);
-                    }
-                }
-            }
-            RaftEvent::Crash { node } => self.crash(node),
-            RaftEvent::Restart { node } => self.restart(node, now),
         }
     }
 
-    /// Where the client delivers right now: the up leader with the
-    /// highest term (clients follow redirects, so a deposed minority
-    /// leader does not hold traffic hostage).
-    fn delivery_target(&self) -> Option<usize> {
-        self.current_leader()
+    /// Fires node `i`'s timer if it is current: armed under the node's
+    /// present epoch, for the state the node is in.
+    fn fire(&mut self, i: usize, epoch: u64, timer: Timer, now: SimTime) {
+        let node = &mut self.nodes[i];
+        if node.epoch != epoch {
+            return;
+        }
+        match (timer, &mut node.state) {
+            (Timer::Election, State::Follower | State::Candidate { .. }) => {
+                self.start_election(i, now);
+            }
+            (Timer::Heartbeat, State::Leader(_)) => {
+                self.replicate(i, now);
+                self.arm(i, now + HEARTBEAT_INTERVAL, Timer::Heartbeat);
+            }
+            (Timer::Batch(request), State::Leader(leader)) => {
+                let cut = leader.orderer.timeout_fired(request);
+                self.append_cut(i, cut, now);
+            }
+            // Armed for a state the node has since left.
+            _ => {}
+        }
     }
 
-    /// Hands a transaction to the leader's orderer, arming the batch
-    /// timeout and replicating any cut block.
-    fn leader_receive(&mut self, leader: usize, tx: Transaction, now: SimTime) {
-        let node = &mut self.nodes[leader];
-        node.held.insert(tx.id);
-        let epoch = node.epoch;
-        let orderer = node.orderer.as_mut().expect("leaders carry an orderer");
-        let (block, timeout) = orderer.receive(tx, now);
+    /// Hands a transaction to leader `i`'s orderer unless the leader
+    /// already holds it, arming the batch timeout and appending any
+    /// block the orderer cuts.
+    fn leader_receive(&mut self, i: usize, tx: Transaction, now: SimTime) {
+        let node = &mut self.nodes[i];
+        let State::Leader(leader) = &mut node.state else {
+            return;
+        };
+        if !leader.held.insert(tx.id) {
+            return;
+        }
+        let (cut, timeout) = leader.orderer.receive(tx, now);
         if let Some(request) = timeout {
-            self.queue.schedule(
-                request.at,
-                RaftEvent::BatchTimeout {
-                    node: leader,
-                    epoch,
-                    request,
-                },
-            );
+            self.arm(i, request.at, Timer::Batch(request));
         }
-        if let Some(block) = block {
-            let aborted = self.nodes[leader]
-                .orderer
-                .as_mut()
-                .map(|o| o.take_early_aborted())
-                .unwrap_or_default();
-            self.append_block(leader, block, aborted, now);
-        }
+        self.append_cut(i, cut, now);
     }
 
-    /// Appends a cut block — together with the transactions the cut
-    /// policy early-aborted while sealing it — to the leader's log and
-    /// fans out replication. The aborts stay *pending* (and in the
-    /// leader's `held` set, so the client sweep does not re-deliver
-    /// them) until the entry commits; see [`LogEntry::aborted`] for the
-    /// failover semantics.
-    fn append_block(
-        &mut self,
-        leader: usize,
-        block: Block,
-        aborted: Vec<Transaction>,
-        now: SimTime,
-    ) {
-        let term = self.nodes[leader].term;
-        self.nodes[leader].log.push(LogEntry {
-            term,
+    /// Appends the block leader `i`'s orderer just cut, if it cut one,
+    /// together with the transactions its cut policy early-aborted while
+    /// sealing it, and fans out replication. The aborts stay *pending*
+    /// (and in the leader's `held` set, so the client sweep does not
+    /// re-deliver them) until the entry commits; see
+    /// [`LogEntry::aborted`] for the failover semantics.
+    fn append_cut(&mut self, i: usize, cut: Option<Block>, now: SimTime) {
+        let node = &mut self.nodes[i];
+        let (Some(block), State::Leader(leader)) = (cut, &mut node.state) else {
+            return;
+        };
+        let aborted = leader.orderer.take_early_aborted();
+        node.log.push(LogEntry {
+            term: node.term,
             sealed_at: now,
             block: Some(Arc::new(block)),
             aborted: aborted.into(),
         });
-        for peer in 0..self.nodes.len() {
-            if peer != leader {
-                self.send_append(leader, peer, now);
-            }
-        }
-        self.advance_commit(leader, now);
+        self.replicate(i, now);
+        self.advance_commit(i, now);
     }
 
     /// Re-attempts delivery of every waiting transaction, in submission
@@ -692,24 +590,23 @@ impl RaftCluster {
     /// only when the sweep actually has to act (no reachable leader, or
     /// the leader does not hold the transaction).
     fn client_sweep(&mut self, now: SimTime) {
-        let Some(leader) = self.delivery_target() else {
+        let Some((i, leader)) = self.leader() else {
             self.metrics.submission_retries += self.pending.len() as u64;
             return;
         };
         // A delivery adds only its own id to the leader's `held`, so the
         // misses can be read up front.
-        let held = &self.nodes[leader].held;
         let missing: Vec<Transaction> = self
             .pending
             .iter()
-            .filter(|tx| !held.contains(&tx.id))
+            .filter(|tx| !leader.held.contains(&tx.id))
             .cloned()
             .collect();
         for tx in missing {
             // Committed or early-aborted mid-sweep.
             if self.pending_ids.contains(&tx.id) {
                 self.metrics.submission_retries += 1;
-                self.leader_receive(leader, tx, now);
+                self.leader_receive(i, tx, now);
             }
         }
     }
@@ -735,10 +632,20 @@ impl RaftCluster {
             ELECTION_TIMEOUT_MIN.as_micros(),
             ELECTION_TIMEOUT_MAX.as_micros() + 1,
         );
-        let epoch = node.epoch;
+        self.arm(i, now + SimTime::from_micros(jitter), Timer::Election);
+    }
+
+    /// Schedules node `i`'s `timer` at `at`, under the node's present
+    /// epoch.
+    fn arm(&mut self, i: usize, at: SimTime, timer: Timer) {
+        let epoch = self.nodes[i].epoch;
         self.queue.schedule(
-            now + SimTime::from_micros(jitter),
-            RaftEvent::ElectionTimeout { node: i, epoch },
+            at,
+            RaftEvent::Timer {
+                node: i,
+                epoch,
+                timer,
+            },
         );
     }
 
@@ -746,9 +653,10 @@ impl RaftCluster {
         self.metrics.elections_started += 1;
         let node = &mut self.nodes[i];
         node.term += 1;
-        node.role = Role::Candidate;
         node.voted_for = Some(i);
-        node.votes = HashSet::from([i]);
+        node.state = State::Candidate {
+            votes: HashSet::from([i]),
+        };
         let term = node.term;
         let last_len = node.log.len();
         let last_term = node.last_term();
@@ -773,20 +681,18 @@ impl RaftCluster {
         }
     }
 
+    /// Takes leadership of the node's current term — after winning an
+    /// election, or pre-elected at boot.
     fn become_leader(&mut self, i: usize, now: SimTime) {
         let n = self.nodes.len();
         let node = &mut self.nodes[i];
-        node.role = Role::Leader;
-        node.epoch += 1; // invalidate the candidacy timer
-        node.votes.clear();
-        node.next_index = vec![node.log.len(); n];
-        node.match_index = vec![0; n];
-        node.match_index[i] = node.log.len();
+        // A new epoch retires the candidacy timer.
+        node.epoch += 1;
         // Everything in inherited log entries is spoken for: block
         // transactions get their verdict when the entry commits, and so
         // do the entry's early-aborts — re-accepting either into a
         // fresh batch would hand it a second verdict.
-        node.held = node
+        let held = node
             .log
             .iter()
             .flat_map(|e| {
@@ -798,7 +704,7 @@ impl RaftCluster {
             .collect();
         let mut orderer = make_orderer(self.block_cut, self.policy, &node.log);
         orderer.install_tracker(self.tracker.clone());
-        node.orderer = Some(orderer);
+        let next_index = vec![node.log.len(); n];
         let term = node.term;
         if (node.log.len() as u64) > node.commit_index {
             // Barrier no-op (§5.4.2): commit inherited entries by
@@ -809,8 +715,15 @@ impl RaftCluster {
                 block: None,
                 aborted: Arc::from([]),
             });
-            node.match_index[i] = node.log.len();
         }
+        let mut match_index = vec![0; n];
+        match_index[i] = node.log.len();
+        node.state = State::Leader(Box::new(Leader {
+            orderer,
+            next_index,
+            match_index,
+            held,
+        }));
         if !self.leadership.is_empty() {
             self.metrics.leader_changes += 1;
         }
@@ -819,36 +732,33 @@ impl RaftCluster {
             node: i,
             at: now,
         });
-        let epoch = self.nodes[i].epoch;
-        self.queue
-            .schedule(now, RaftEvent::HeartbeatTick { node: i, epoch });
+        self.arm(i, now, Timer::Heartbeat);
         self.advance_commit(i, now); // single-node clusters commit inline
     }
 
-    /// Steps down into follower state (term change or higher-term
-    /// leader observed). The orderer batch dies with the leadership —
-    /// its transactions are still pending and will be re-delivered.
+    /// Steps down into follower state (term change, a current-term
+    /// leader observed, or a restart).
     fn become_follower(&mut self, i: usize, now: SimTime) {
-        self.harvest_orderer(i);
-        let node = &mut self.nodes[i];
-        node.role = Role::Follower;
-        node.held.clear();
-        node.votes.clear();
+        self.leave_state(i, State::Follower);
         self.arm_election(i, now);
     }
 
-    /// Salvages tracker state and policy counters from a node's orderer
-    /// before dropping it (step-down or crash), so the next leader
-    /// inherits both. The tracker copy is deterministic cluster
+    /// Moves node `i` into `next` (follower or down), retiring the old
+    /// state's timers. A leader's batch dies with its leadership — its
+    /// transactions are still pending and will be re-delivered — but its
+    /// orderer's tracker and policy counters are salvaged so the next
+    /// leader inherits both. The tracker copy is deterministic cluster
     /// metadata, *not* replicated state: it only ever influences cut
     /// decisions on the current leader, never the committed log's
     /// interpretation.
-    fn harvest_orderer(&mut self, i: usize) {
-        if let Some(mut orderer) = self.nodes[i].orderer.take() {
+    fn leave_state(&mut self, i: usize, next: State) {
+        let node = &mut self.nodes[i];
+        node.epoch += 1;
+        if let State::Leader(mut leader) = std::mem::replace(&mut node.state, next) {
             if self.policy.is_adaptive() {
-                self.tracker = orderer.tracker().clone();
+                self.tracker = leader.orderer.tracker().clone();
             }
-            self.policy_stats.absorb(orderer.take_policy_stats());
+            self.policy_stats.absorb(leader.orderer.take_policy_stats());
         }
     }
 
@@ -865,11 +775,23 @@ impl RaftCluster {
         self.nodes.len() / 2 + 1
     }
 
+    /// Sends an `AppendEntries` from leader `i` to every other node.
+    fn replicate(&mut self, i: usize, now: SimTime) {
+        for peer in 0..self.nodes.len() {
+            if peer != i {
+                self.send_append(i, peer, now);
+            }
+        }
+    }
+
     /// Sends one `AppendEntries` to `peer` with everything from the
     /// leader's `next_index` onward (empty = heartbeat).
-    fn send_append(&mut self, leader: usize, peer: usize, now: SimTime) {
-        let node = &self.nodes[leader];
-        let ni = node.next_index[peer].min(node.log.len());
+    fn send_append(&mut self, i: usize, peer: usize, now: SimTime) {
+        let node = &self.nodes[i];
+        let State::Leader(leader) = &node.state else {
+            return;
+        };
+        let ni = leader.next_index[peer].min(node.log.len());
         let prev_term = if ni > 0 { node.log[ni - 1].term } else { 0 };
         let payload = Payload::AppendEntries {
             term: node.term,
@@ -878,7 +800,7 @@ impl RaftCluster {
             entries: node.log[ni..].to_vec(),
             leader_commit: node.commit_index,
         };
-        self.send(leader, peer, payload, now);
+        self.send(i, peer, payload, now);
     }
 
     /// Applies link faults and latency, then schedules delivery.
@@ -938,10 +860,10 @@ impl RaftCluster {
                 }
                 // A current-term AppendEntries is authoritative: any
                 // candidacy of ours lost.
-                if node.role != Role::Follower {
-                    self.become_follower(to, now);
-                } else {
+                if matches!(node.state, State::Follower) {
                     self.arm_election(to, now);
+                } else {
+                    self.become_follower(to, now);
                 }
                 let node = &mut self.nodes[to];
                 let consistent = node.log.len() >= prev_len
@@ -995,19 +917,23 @@ impl RaftCluster {
             } => {
                 self.observe_term(to, term, now);
                 let node = &mut self.nodes[to];
-                if node.role != Role::Leader || term < node.term {
+                let State::Leader(leader) = &mut node.state else {
+                    return;
+                };
+                if term < node.term {
                     return;
                 }
                 if success {
-                    node.match_index[from] = node.match_index[from].max(match_len);
-                    node.next_index[from] = node.next_index[from].max(match_len);
-                    let behind = node.next_index[from] < node.log.len();
+                    leader.match_index[from] = leader.match_index[from].max(match_len);
+                    leader.next_index[from] = leader.next_index[from].max(match_len);
+                    let behind = leader.next_index[from] < node.log.len();
                     self.advance_commit(to, now);
                     if behind {
                         self.send_append(to, from, now);
                     }
                 } else {
-                    node.next_index[from] = match_len.min(node.next_index[from].saturating_sub(1));
+                    let next = &mut leader.next_index[from];
+                    *next = match_len.min(next.saturating_sub(1));
                     self.send_append(to, from, now);
                 }
             }
@@ -1041,12 +967,17 @@ impl RaftCluster {
             }
             Payload::VoteResponse { term, granted } => {
                 self.observe_term(to, term, now);
+                let quorum = self.quorum();
                 let node = &mut self.nodes[to];
-                if node.role == Role::Candidate && term == node.term && granted {
-                    node.votes.insert(from);
-                    if node.votes.len() >= self.quorum() {
-                        self.become_leader(to, now);
+                let won = match &mut node.state {
+                    State::Candidate { votes } if granted && term == node.term => {
+                        votes.insert(from);
+                        votes.len() >= quorum
                     }
+                    _ => false,
+                };
+                if won {
+                    self.become_leader(to, now);
                 }
             }
         }
@@ -1055,21 +986,24 @@ impl RaftCluster {
     /// Leader-side commit advancement (§5.3/§5.4.2): an entry commits
     /// once a majority holds it *and* it belongs to the leader's
     /// current term.
-    fn advance_commit(&mut self, leader: usize, now: SimTime) {
+    fn advance_commit(&mut self, i: usize, now: SimTime) {
         let quorum = self.quorum();
-        let node = &self.nodes[leader];
+        let node = &mut self.nodes[i];
+        let State::Leader(leader) = &node.state else {
+            return;
+        };
         let mut best = node.commit_index;
         for n in (node.commit_index as usize + 1)..=node.log.len() {
             if node.log[n - 1].term != node.term {
                 continue;
             }
-            let replicas = node.match_index.iter().filter(|&&m| m >= n).count();
+            let replicas = leader.match_index.iter().filter(|&&m| m >= n).count();
             if replicas >= quorum {
                 best = n as u64;
             }
         }
-        if best > self.nodes[leader].commit_index {
-            self.nodes[leader].commit_index = best;
+        if best > node.commit_index {
+            node.commit_index = best;
             self.note_commit_progress(now);
         }
     }
@@ -1120,31 +1054,73 @@ impl RaftCluster {
             }
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Faults
-    // ------------------------------------------------------------------
-
-    /// Crash: volatile state (role, batch, vote tally) is lost; durable
-    /// Raft state (term, ballot, log) and the committed ledger persist.
-    fn crash(&mut self, node: usize) {
-        self.harvest_orderer(node);
-        let n = &mut self.nodes[node];
-        n.up = false;
-        n.epoch += 1;
-        n.role = Role::Follower;
-        n.held.clear();
-        n.votes.clear();
+impl OrderingBackend for RaftOrderingBackend {
+    fn submit(&mut self, tx: Transaction, now: SimTime) -> OrderingOutcome {
+        self.enqueue(now, tx);
+        self.wakeup(now)
     }
 
-    fn restart(&mut self, node: usize, now: SimTime) {
-        let n = &mut self.nodes[node];
-        if n.up {
+    fn timeout_fired(&mut self, _timeout: TimeoutRequest, now: SimTime) -> OrderingOutcome {
+        // Batch timeouts are armed inside the cluster (per leader); the
+        // pipeline-level hook only ever fires for timeouts this backend
+        // requested — and it requests none.
+        self.wakeup(now)
+    }
+
+    fn wakeup(&mut self, now: SimTime) -> OrderingOutcome {
+        OrderingOutcome {
+            blocks: self.advance(now),
+            timeout: None,
+            wakeup: self.next_event_time(),
+        }
+    }
+
+    /// Drains transactions early-aborted by the cut policy (always
+    /// empty under [`OrderingPolicy::Fifo`]). An abort only appears
+    /// here once its log entry committed — exactly once, regardless of
+    /// leader crashes in between.
+    fn take_early_aborted(&mut self) -> Vec<Transaction> {
+        std::mem::take(&mut self.early_aborted)
+    }
+
+    /// Takes the ordering metrics, stamping the final term.
+    fn take_ordering_metrics(&mut self) -> Option<OrderingMetrics> {
+        self.metrics.final_term = self.nodes.iter().map(|n| n.term).max().unwrap_or(0);
+        Some(std::mem::take(&mut self.metrics))
+    }
+
+    /// Feeds a committed block's validation outcome back into the
+    /// conflict tracker: the cluster master copy and, when a leader is
+    /// live, its orderer's working copy (kept identical so failover
+    /// hands over exactly the state the deposed leader was using).
+    /// No-op unless the policy is [`OrderingPolicy::Adaptive`].
+    fn observe_finalized(&mut self, feedback: &BlockFeedback) {
+        if !self.policy.is_adaptive() {
             return;
         }
-        n.up = true;
-        n.role = Role::Follower;
-        self.arm_election(node, now);
+        self.tracker.observe(feedback);
+        if let Some((i, _)) = self.leader() {
+            if let State::Leader(leader) = &mut self.nodes[i].state {
+                leader.orderer.observe_finalized(feedback);
+            }
+        }
+    }
+
+    /// Takes the accumulated ordering-policy counters: everything
+    /// harvested from deposed leaders plus every live leader's counters.
+    fn take_policy_metrics(&mut self) -> Option<ConflictPolicyMetrics> {
+        if self.policy == OrderingPolicy::Fifo {
+            return None;
+        }
+        let mut stats = std::mem::take(&mut self.policy_stats);
+        for node in &mut self.nodes {
+            if let State::Leader(leader) = &mut node.state {
+                stats.absorb(leader.orderer.take_policy_stats());
+            }
+        }
+        Some(stats)
     }
 }
 

@@ -23,11 +23,11 @@
 //!   (crash/restart, partitions, per-link drop/duplicate/delay) over
 //!   ordering-node indices.
 //!
-//! The cluster plugs into the pipeline behind the
+//! One type, [`RaftOrderingBackend`], is the cluster: it implements the
+//! pipeline's
 //! [`OrderingBackend`](fabriccrdt_fabric::simulation::OrderingBackend)
 //! trait seam — the same pattern as the gossip crate's
-//! `DeliveryLayer` — via [`RaftOrderingBackend`], or runs standalone
-//! via [`RaftCluster`] for protocol-level tests.
+//! `DeliveryLayer` — and runs standalone for protocol-level tests.
 //!
 //! # Examples
 //!
@@ -37,8 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod cluster;
+mod cluster;
 
-pub use backend::RaftOrderingBackend;
-pub use cluster::{LeadershipEvent, LogEntry, RaftCluster, Role};
+pub use cluster::{LeadershipEvent, LogEntry, RaftOrderingBackend};

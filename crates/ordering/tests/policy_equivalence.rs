@@ -25,7 +25,7 @@ use fabriccrdt_fabric::validator::FabricValidator;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
-use fabriccrdt_ordering::{RaftCluster, RaftOrderingBackend};
+use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::time::SimTime;
 
@@ -213,7 +213,7 @@ fn leader_crash_mid_batch_surfaces_each_early_abort_exactly_once() {
         let config = PipelineConfig::paper(5, 17)
             .with_raft_config(raft)
             .with_ordering_policy(OrderingPolicy::Reorder);
-        let mut cluster = RaftCluster::new(&config);
+        let mut cluster = RaftOrderingBackend::new(&config);
 
         // One 5-transaction RMW clique on a single key: reordering must
         // abort all but one member, whoever ends up cutting the block.

@@ -25,7 +25,7 @@ use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction};
 use fabriccrdt_ledger::TxId;
-use fabriccrdt_ordering::RaftCluster;
+use fabriccrdt_ordering::RaftOrderingBackend;
 use fabriccrdt_sim::gen::{self, Gen};
 use fabriccrdt_sim::time::SimTime;
 
@@ -140,7 +140,7 @@ fn safety_over_seeded_fault_schedules() {
             })
             .collect();
 
-        let mut cluster = RaftCluster::new(&config);
+        let mut cluster = RaftOrderingBackend::new(&config);
         for (at, tx) in &schedule {
             cluster.enqueue(*at, tx.clone());
         }
@@ -198,7 +198,7 @@ fn safety_over_seeded_fault_schedules() {
                     cluster_block.hash(),
                     "seed {seed}: node {node} diverged"
                 );
-                assert_eq!(mine, cluster_block, "seed {seed}: hash collision?");
+                assert_eq!(mine.as_ref(), cluster_block, "seed {seed}: hash collision?");
             }
         }
         // ...and replaying it yields the same committed values as the

@@ -1,6 +1,7 @@
 //! The time-ordered event queue.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
@@ -80,6 +81,17 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(s)| (s.at, s.event))
     }
 
+    /// Removes and returns the earliest event if it is due at or before
+    /// `until`.
+    pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let next = self.heap.peek_mut()?;
+        if next.0.at > until {
+            return None;
+        }
+        let Reverse(s) = PeekMut::pop(next);
+        Some((s.at, s.event))
+    }
+
     /// Time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.at)
@@ -131,6 +143,17 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn pop_due_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(5), "due");
+        q.schedule(SimTime::from_millis(6), "later");
+        assert_eq!(q.pop_due(SimTime::from_millis(4)), None);
+        assert_eq!(q.pop_due(SimTime::from_millis(5)).unwrap().1, "due");
+        assert_eq!(q.pop_due(SimTime::from_millis(5)), None);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
