@@ -264,7 +264,7 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
             label.to_owned(),
             metrics.successful().to_string(),
             metrics.failed().to_string(),
-            metrics.resubmissions.to_string(),
+            metrics.retry.retries.to_string(),
             metrics
                 .avg_latency_secs()
                 .map_or_else(|| "n/a".to_owned(), |s| format!("{s:.2}")),
@@ -279,7 +279,7 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
             "FabricCRDT, single shot".to_owned(),
             metrics.successful().to_string(),
             metrics.failed().to_string(),
-            metrics.resubmissions.to_string(),
+            metrics.retry.retries.to_string(),
             metrics
                 .avg_latency_secs()
                 .map_or_else(|| "n/a".to_owned(), |s| format!("{s:.2}")),

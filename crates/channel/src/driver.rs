@@ -147,10 +147,7 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
             .map(|(c, schedule)| {
                 let metrics = self.sims[c].run(schedule);
                 self.note_progress(c, metrics.end_time);
-                ChannelRunMetrics {
-                    channel: self.config.channels[c].id,
-                    metrics,
-                }
+                ChannelRunMetrics { metrics }
             })
             .collect();
         MultiChannelMetrics { channels }

@@ -272,9 +272,8 @@ pub struct TransferReport {
 /// One channel's metrics within a multi-channel run.
 #[derive(Debug, Clone)]
 pub struct ChannelRunMetrics {
-    /// Which channel these metrics belong to.
-    pub channel: ChannelId,
-    /// The channel pipeline's run metrics.
+    /// The channel pipeline's run metrics; [`RunMetrics::channel`] says
+    /// which channel.
     pub metrics: RunMetrics,
 }
 
@@ -370,8 +369,8 @@ mod tests {
             code: Some(fabriccrdt_ledger::block::ValidationCode::Valid),
         };
         let mk = |channel: u32, end_secs: u64, successes: usize| ChannelRunMetrics {
-            channel: ChannelId(channel),
             metrics: RunMetrics {
+                channel: ChannelId(channel),
                 records: (0..successes).map(|_| success(10)).collect(),
                 end_time: SimTime::from_secs(end_secs),
                 ..RunMetrics::default()

@@ -56,7 +56,8 @@ impl Default for Topology {
 
 /// Block-cutting parameters of the ordering service (§3: "the maximum
 /// number of transactions, the maximum total size of transactions in a
-/// block and a timeout period").
+/// block and a timeout period"). The timeout is the orderer's constant
+/// [`BATCH_TIMEOUT`](crate::orderer::BATCH_TIMEOUT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockCutConfig {
     /// Maximum transactions per block (the x-axis of Figure 3).
@@ -64,8 +65,6 @@ pub struct BlockCutConfig {
     /// Maximum bytes per block (128 MB in all the paper's experiments —
     /// effectively never binding).
     pub max_bytes: usize,
-    /// Batch timeout (2 s in the paper's experiments).
-    pub timeout: SimTime,
 }
 
 impl BlockCutConfig {
@@ -74,7 +73,6 @@ impl BlockCutConfig {
         BlockCutConfig {
             max_tx_count,
             max_bytes: 128 * 1024 * 1024,
-            timeout: SimTime::from_secs(2),
         }
     }
 }
@@ -644,7 +642,6 @@ mod tests {
         let b = BlockCutConfig::with_max_tx(400);
         assert_eq!(b.max_tx_count, 400);
         assert_eq!(b.max_bytes, 128 * 1024 * 1024);
-        assert_eq!(b.timeout, SimTime::from_secs(2));
     }
 
     #[test]

@@ -52,29 +52,32 @@ impl From<CommitStats> for ValidationWork {
     }
 }
 
-/// Converts work counters into simulated compute time.
+/// Per endorsement-signature verification, µs.
+pub const PER_SIG_VERIFY_US: f64 = 440.0;
+/// Per MVCC read-version comparison, µs.
+pub const PER_READ_CHECK_US: f64 = 200.0;
+/// Per write-set entry committed to the state database, µs.
+pub const PER_WRITE_COMMIT_US: f64 = 780.0;
+/// Per CRDT merge work unit (linear term), µs.
+pub const PER_MERGE_UNIT_US: f64 = 55.0;
+/// Chaincode execution: fixed cost per invocation, µs.
+pub const EXEC_BASE_US: f64 = 800.0;
+/// Chaincode execution: per `get_state`, µs.
+pub const EXEC_PER_READ_US: f64 = 150.0;
+/// Chaincode execution: per `put_state`/`put_crdt`, µs.
+pub const EXEC_PER_WRITE_US: f64 = 100.0;
+/// Chaincode execution: per KiB moved through the shim, µs.
+pub const EXEC_PER_KIB_US: f64 = 50.0;
+
+/// Converts work counters into simulated compute time. The two terms a
+/// run may vary are fields (`bench ablation` sets both); every other
+/// term is a constant of this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Fixed per-block cost (header hashing, I/O, bookkeeping), µs.
     pub block_overhead_us: f64,
-    /// Per endorsement-signature verification, µs.
-    pub per_sig_verify_us: f64,
-    /// Per MVCC read-version comparison, µs.
-    pub per_read_check_us: f64,
-    /// Per write-set entry committed to the state database, µs.
-    pub per_write_commit_us: f64,
-    /// Per CRDT merge work unit (linear term), µs.
-    pub per_merge_unit_us: f64,
     /// Per `unit × prior-op` product (superlinear term), µs.
     pub per_merge_quad_us: f64,
-    /// Chaincode execution: fixed cost per invocation, µs.
-    pub exec_base_us: f64,
-    /// Chaincode execution: per `get_state`, µs.
-    pub exec_per_read_us: f64,
-    /// Chaincode execution: per `put_state`/`put_crdt`, µs.
-    pub exec_per_write_us: f64,
-    /// Chaincode execution: per KiB moved through the shim, µs.
-    pub exec_per_kib_us: f64,
 }
 
 impl CostModel {
@@ -83,52 +86,18 @@ impl CostModel {
     pub fn calibrated() -> Self {
         CostModel {
             block_overhead_us: 12_000.0,
-            per_sig_verify_us: 440.0,
-            per_read_check_us: 200.0,
-            per_write_commit_us: 780.0,
-            per_merge_unit_us: 55.0,
             per_merge_quad_us: 1.3,
-            exec_base_us: 800.0,
-            exec_per_read_us: 150.0,
-            exec_per_write_us: 100.0,
-            exec_per_kib_us: 50.0,
-        }
-    }
-
-    /// A zero-cost model for logic-only tests.
-    pub fn zero() -> Self {
-        CostModel {
-            block_overhead_us: 0.0,
-            per_sig_verify_us: 0.0,
-            per_read_check_us: 0.0,
-            per_write_commit_us: 0.0,
-            per_merge_unit_us: 0.0,
-            per_merge_quad_us: 0.0,
-            exec_base_us: 0.0,
-            exec_per_read_us: 0.0,
-            exec_per_write_us: 0.0,
-            exec_per_kib_us: 0.0,
         }
     }
 
     /// Simulated time to validate and commit one block.
     pub fn block_cost(&self, work: &ValidationWork) -> SimTime {
         let us = self.block_overhead_us
-            + self.per_sig_verify_us * work.sigs_verified as f64
-            + self.per_read_check_us * work.reads_checked as f64
-            + self.per_write_commit_us * work.writes_applied as f64
-            + self.per_merge_unit_us * work.merge_units as f64
+            + PER_SIG_VERIFY_US * work.sigs_verified as f64
+            + PER_READ_CHECK_US * work.reads_checked as f64
+            + PER_WRITE_COMMIT_US * work.writes_applied as f64
+            + PER_MERGE_UNIT_US * work.merge_units as f64
             + self.per_merge_quad_us * work.merge_quad as f64;
-        SimTime::from_secs_f64(us / 1e6)
-    }
-
-    /// Simulated time for one chaincode execution during endorsement.
-    pub fn exec_cost(&self, work: &ExecWork) -> SimTime {
-        let kib = (work.bytes_read + work.bytes_written) as f64 / 1024.0;
-        let us = self.exec_base_us
-            + self.exec_per_read_us * work.reads as f64
-            + self.exec_per_write_us * work.writes as f64
-            + self.exec_per_kib_us * kib;
         SimTime::from_secs_f64(us / 1e6)
     }
 }
@@ -139,39 +108,58 @@ impl Default for CostModel {
     }
 }
 
+/// Simulated time for one chaincode execution during endorsement.
+pub fn exec_cost(work: &ExecWork) -> SimTime {
+    let kib = (work.bytes_read + work.bytes_written) as f64 / 1024.0;
+    let us = EXEC_BASE_US
+        + EXEC_PER_READ_US * work.reads as f64
+        + EXEC_PER_WRITE_US * work.writes as f64
+        + EXEC_PER_KIB_US * kib;
+    SimTime::from_secs_f64(us / 1e6)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every term's weight, pinned: a changed constant, a dropped or
+    /// doubled term or a rounding change moves the microsecond.
     #[test]
     fn block_cost_sums_terms() {
-        let model = CostModel {
-            block_overhead_us: 1000.0,
-            per_sig_verify_us: 10.0,
-            per_read_check_us: 5.0,
-            per_write_commit_us: 20.0,
-            per_merge_unit_us: 2.0,
-            per_merge_quad_us: 0.5,
-            exec_base_us: 0.0,
-            exec_per_read_us: 0.0,
-            exec_per_write_us: 0.0,
-            exec_per_kib_us: 0.0,
-        };
         let work = ValidationWork {
-            sigs_verified: 3,
-            reads_checked: 2,
-            writes_applied: 1,
-            merge_units: 10,
-            merge_quad: 4,
-            successes: 1,
+            sigs_verified: 75,
+            reads_checked: 40,
+            writes_applied: 25,
+            merge_units: 225,
+            merge_quad: 3_601,
+            successes: 25,
         };
-        // 1000 + 30 + 10 + 20 + 20 + 2 = 1082 µs
-        assert_eq!(model.block_cost(&work), SimTime::from_micros(1082));
+        // 12 000 + 33 000 + 8 000 + 19 500 + 12 375 + 4 681.3 µs
+        assert_eq!(
+            CostModel::calibrated().block_cost(&work),
+            SimTime::from_micros(89_556)
+        );
+        let ablated = CostModel {
+            block_overhead_us: 500.0,
+            per_merge_quad_us: 0.0,
+        };
+        assert_eq!(ablated.block_cost(&work), SimTime::from_micros(73_375));
+    }
+
+    #[test]
+    fn exec_cost_is_pinned() {
+        let work = ExecWork {
+            reads: 3,
+            writes: 2,
+            bytes_read: 1_500,
+            bytes_written: 700,
+        };
+        // 800 + 450 + 200 + 50 × 2 200 / 1 024 = 1 557.42 µs
+        assert_eq!(exec_cost(&work), SimTime::from_micros(1_557));
     }
 
     #[test]
     fn exec_cost_scales_with_shim_traffic() {
-        let model = CostModel::calibrated();
         let light = ExecWork {
             reads: 1,
             writes: 1,
@@ -184,22 +172,8 @@ mod tests {
             bytes_read: 10_000,
             bytes_written: 10_000,
         };
-        assert!(model.exec_cost(&heavy) > model.exec_cost(&light));
-        assert!(model.exec_cost(&light) >= SimTime::from_micros(800));
-    }
-
-    #[test]
-    fn zero_model_charges_nothing() {
-        let model = CostModel::zero();
-        let work = ValidationWork {
-            sigs_verified: 100,
-            reads_checked: 100,
-            writes_applied: 100,
-            merge_units: 100,
-            merge_quad: 100,
-            successes: 100,
-        };
-        assert_eq!(model.block_cost(&work), SimTime::ZERO);
+        assert!(exec_cost(&heavy) > exec_cost(&light));
+        assert!(exec_cost(&light) >= SimTime::from_micros(800));
     }
 
     #[test]

@@ -31,17 +31,30 @@ pub const CALIBRATED_HOP: LatencyModel = LatencyModel::Normal {
     min: SimTime::from_micros(200),
 };
 
-/// Latency models for every network hop plus the compute-cost model.
+/// Client → endorsing peer (proposal submission).
+pub const CLIENT_TO_PEER: LatencyModel = CALIBRATED_HOP;
+
+/// Endorsing peer → client (proposal response).
+pub const PEER_TO_CLIENT: LatencyModel = CALIBRATED_HOP;
+
+/// Client → ordering service (transaction submission).
+pub const CLIENT_TO_ORDERER: LatencyModel = LatencyModel::Normal {
+    mean_secs: 0.0012,
+    std_secs: 0.0002,
+    min: SimTime::from_micros(200),
+};
+
+/// Ordering service → committing peer (block broadcast).
+pub const ORDERER_TO_PEER: LatencyModel = LatencyModel::Normal {
+    mean_secs: 0.0020,
+    std_secs: 0.0004,
+    min: SimTime::from_micros(500),
+};
+
+/// The compute-cost model of a run. The network hops are the constants
+/// above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyConfig {
-    /// Client → endorsing peer (proposal submission).
-    pub client_to_peer: LatencyModel,
-    /// Endorsing peer → client (proposal response).
-    pub peer_to_client: LatencyModel,
-    /// Client → ordering service (transaction submission).
-    pub client_to_orderer: LatencyModel,
-    /// Ordering service → committing peer (block broadcast).
-    pub orderer_to_peer: LatencyModel,
     /// Compute-cost model for endorsement execution and block
     /// validation/commit.
     pub cost: CostModel,
@@ -51,31 +64,7 @@ impl LatencyConfig {
     /// The calibrated configuration used by every experiment.
     pub fn calibrated() -> Self {
         LatencyConfig {
-            client_to_peer: CALIBRATED_HOP,
-            peer_to_client: CALIBRATED_HOP,
-            client_to_orderer: LatencyModel::Normal {
-                mean_secs: 0.0012,
-                std_secs: 0.0002,
-                min: SimTime::from_micros(200),
-            },
-            orderer_to_peer: LatencyModel::Normal {
-                mean_secs: 0.0020,
-                std_secs: 0.0004,
-                min: SimTime::from_micros(500),
-            },
             cost: CostModel::calibrated(),
-        }
-    }
-
-    /// A zero-latency configuration for unit tests that assert logical
-    /// behaviour rather than timing.
-    pub fn zero() -> Self {
-        LatencyConfig {
-            client_to_peer: LatencyModel::zero(),
-            peer_to_client: LatencyModel::zero(),
-            client_to_orderer: LatencyModel::zero(),
-            orderer_to_peer: LatencyModel::zero(),
-            cost: CostModel::zero(),
         }
     }
 }
@@ -93,13 +82,12 @@ mod tests {
 
     #[test]
     fn calibrated_hops_are_sub_10ms() {
-        let cfg = LatencyConfig::calibrated();
         let mut rng = SimRng::seed_from(1);
         for model in [
-            &cfg.client_to_peer,
-            &cfg.peer_to_client,
-            &cfg.client_to_orderer,
-            &cfg.orderer_to_peer,
+            CLIENT_TO_PEER,
+            PEER_TO_CLIENT,
+            CLIENT_TO_ORDERER,
+            ORDERER_TO_PEER,
         ] {
             for _ in 0..100 {
                 let t = model.sample(&mut rng);
@@ -107,13 +95,5 @@ mod tests {
                 assert!(t > SimTime::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn zero_config_is_zero() {
-        let cfg = LatencyConfig::zero();
-        let mut rng = SimRng::seed_from(1);
-        assert_eq!(cfg.client_to_peer.sample(&mut rng), SimTime::ZERO);
-        assert_eq!(cfg.orderer_to_peer.sample(&mut rng), SimTime::ZERO);
     }
 }

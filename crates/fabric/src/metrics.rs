@@ -385,11 +385,6 @@ pub struct RunMetrics {
     pub end_time: SimTime,
     /// Total blocks committed.
     pub blocks_committed: u64,
-    /// Client resubmissions performed (only non-zero when
-    /// `client_retries > 0` — each one is a full extra
-    /// execute/endorse/order round trip, the cost §1 attributes to
-    /// Fabric's failure model).
-    pub resubmissions: u64,
     /// Chaincode events of successfully committed transactions, in
     /// commit order.
     pub events: Vec<CommittedEvent>,
@@ -423,7 +418,6 @@ impl PartialEq for RunMetrics {
             && self.records == other.records
             && self.end_time == other.end_time
             && self.blocks_committed == other.blocks_committed
-            && self.resubmissions == other.resubmissions
             && self.events == other.events
             && self.dissemination == other.dissemination
             && self.ordering == other.ordering
@@ -537,7 +531,6 @@ mod tests {
             ],
             end_time: SimTime::from_secs(2),
             blocks_committed: 2,
-            resubmissions: 0,
             events: Vec::new(),
             dissemination: None,
             ordering: None,
@@ -568,7 +561,6 @@ mod tests {
             ],
             end_time: SimTime::from_secs(2),
             blocks_committed: 2,
-            resubmissions: 0,
             events: Vec::new(),
             dissemination: None,
             ordering: None,

@@ -33,7 +33,9 @@ use fabriccrdt_sim::time::SimTime;
 use crate::chaincode::{ChaincodeEvent, ChaincodeRegistry, ChaincodeStub};
 use crate::config::PipelineConfig;
 use crate::conflict::BlockFeedback;
-use crate::latency::LatencyConfig;
+use crate::latency::{
+    LatencyConfig, CLIENT_TO_ORDERER, CLIENT_TO_PEER, ORDERER_TO_PEER, PEER_TO_CLIENT,
+};
 use crate::metrics::{
     AdversaryMetrics, CommittedEvent, ConflictPolicyMetrics, DisseminationMetrics, OrderingMetrics,
     RetryMetrics, RunMetrics, TxRecord,
@@ -56,6 +58,9 @@ pub trait DeliveryLayer {
     /// becomes available to the committing peer. Implementations must
     /// be monotone: successive calls return non-decreasing times (block
     /// delivery is FIFO per channel, as in Fabric's delivery service).
+    /// No layer reads `latency`: the hops are the constants of
+    /// [`crate::latency`]; the parameter is pinned for `perf/`
+    /// (DESIGN.md §4.16).
     fn deliver(
         &mut self,
         now: SimTime,
@@ -83,7 +88,7 @@ pub trait DeliveryLayer {
 
 /// The original ideal dissemination model: each block takes one sampled
 /// orderer→peer hop, and delivery order is forced FIFO. Draws exactly
-/// one `orderer_to_peer` sample per block from the pipeline rng, so
+/// one [`ORDERER_TO_PEER`] sample per block from the pipeline rng, so
 /// runs with this layer are bit-identical to the pre-gossip pipeline.
 #[derive(Debug, Default)]
 pub struct IdealFifoDelivery {
@@ -102,10 +107,10 @@ impl DeliveryLayer for IdealFifoDelivery {
         &mut self,
         now: SimTime,
         _block: &Block,
-        latency: &LatencyConfig,
+        _latency: &LatencyConfig,
         rng: &mut SimRng,
     ) -> SimTime {
-        let hop = latency.orderer_to_peer.sample(rng);
+        let hop = ORDERER_TO_PEER.sample(rng);
         let at = (now + hop).max(self.last_delivery);
         self.last_delivery = at;
         at
@@ -329,9 +334,6 @@ pub struct Simulation<V: BlockValidator> {
     pending_events: Vec<Option<ChaincodeEvent>>,
     /// Events of successfully committed transactions.
     committed_events: Vec<CommittedEvent>,
-    /// Total resubmissions this run (reported via
-    /// [`RunMetrics::resubmissions`]).
-    resubmissions: u64,
     /// Abort-and-retry accounting (reported via [`RunMetrics::retry`]).
     retry: RetryMetrics,
     /// The block being committed, until its `CommitDone`.
@@ -388,7 +390,6 @@ impl<V: BlockValidator> Simulation<V> {
             attempts: Vec::new(),
             pending_events: Vec::new(),
             committed_events: Vec::new(),
-            resubmissions: 0,
             retry: RetryMetrics::default(),
             staged: None,
             delivered: VecDeque::new(),
@@ -447,7 +448,6 @@ impl<V: BlockValidator> Simulation<V> {
         self.attempts.clear();
         self.pending_events.clear();
         self.committed_events.clear();
-        self.resubmissions = 0;
         self.retry = RetryMetrics::default();
         self.blocks_committed = 0;
         self.end_time = SimTime::ZERO;
@@ -471,7 +471,6 @@ impl<V: BlockValidator> Simulation<V> {
             records: std::mem::take(&mut self.records),
             end_time: self.end_time,
             blocks_committed: self.blocks_committed,
-            resubmissions: self.resubmissions,
             events: std::mem::take(&mut self.committed_events),
             dissemination: self.delivery.take_dissemination(),
             ordering: self.ordering.take_ordering_metrics(),
@@ -489,7 +488,7 @@ impl<V: BlockValidator> Simulation<V> {
         match event {
             Event::Submit(i) => {
                 self.records[i].submitted_at = now;
-                let hop = self.config.latency.client_to_peer.sample(&mut self.rng);
+                let hop = CLIENT_TO_PEER.sample(&mut self.rng);
                 self.queue.schedule(now + hop, Event::Endorse(i));
             }
             Event::Endorse(i) => self.endorse(now, i),
@@ -591,7 +590,7 @@ impl<V: BlockValidator> Simulation<V> {
         }
         let (rwset, exec_work, event) = stub.into_parts();
         self.pending_events[i] = event;
-        let exec_cost = self.config.latency.cost.exec_cost(&exec_work);
+        let exec_cost = crate::cost::exec_cost(&exec_work);
 
         let client_id = i % self.config.topology.clients;
         let client = Identity::new(format!("client{client_id}"), "org1");
@@ -623,7 +622,7 @@ impl<V: BlockValidator> Simulation<V> {
                 endorser: keypair.identity().clone(),
                 signature: keypair.sign_digest(&payload_digest),
             });
-            let ret = self.config.latency.peer_to_client.sample(&mut self.rng);
+            let ret = PEER_TO_CLIENT.sample(&mut self.rng);
             slowest_return = slowest_return.max(ret);
         }
 
@@ -637,7 +636,7 @@ impl<V: BlockValidator> Simulation<V> {
 
         self.index_by_id.insert(tx.id, i);
         self.endorsed[i] = Some(tx);
-        let to_orderer = self.config.latency.client_to_orderer.sample(&mut self.rng);
+        let to_orderer = CLIENT_TO_ORDERER.sample(&mut self.rng);
         let arrival = now + exec_cost + slowest_return + to_orderer;
         self.queue.schedule(arrival, Event::OrdererReceive(i));
     }
@@ -699,13 +698,12 @@ impl<V: BlockValidator> Simulation<V> {
             return;
         }
         self.attempts[idx] += 1;
-        self.resubmissions += 1;
         self.retry.retries += 1;
         // Pending again until the retry resolves.
         self.records[idx].committed_at = None;
         self.records[idx].code = None;
-        let notify = self.config.latency.peer_to_client.sample(&mut self.rng);
-        let resubmit = self.config.latency.client_to_peer.sample(&mut self.rng);
+        let notify = PEER_TO_CLIENT.sample(&mut self.rng);
+        let resubmit = CLIENT_TO_PEER.sample(&mut self.rng);
         let backoff = self
             .config
             .retry

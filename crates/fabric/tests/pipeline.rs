@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy, PipelineConfig, RetryPolicy};
-use fabriccrdt_fabric::latency::LatencyConfig;
 use fabriccrdt_fabric::metrics::RunMetrics;
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
@@ -246,21 +245,6 @@ fn chain_integrity_holds_after_run() {
 }
 
 #[test]
-fn zero_latency_config_still_works() {
-    let mut cfg = config(5, 9);
-    cfg.latency = LatencyConfig::zero();
-    let mut sim = Simulation::new(cfg, FabricValidator::new(), registry());
-    sim.seed_state("hot", b"0".to_vec());
-    let metrics = sim.run(schedule(20, 1000.0, |_| {
-        TxRequest::new("rmw", vec!["hot".into(), "v".into()])
-    }));
-    assert_eq!(metrics.submitted(), 20);
-    // With zero latency, endorsement sees the freshest state more often,
-    // but sequential commits still invalidate same-block conflicts.
-    assert!(metrics.successful() >= 1);
-}
-
-#[test]
 fn larger_blocks_fewer_blocks() {
     let small = run(
         5,
@@ -343,7 +327,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     sim.seed_state("hot", b"0".to_vec());
     let no_retries = sim.run(base_sched());
     assert!(no_retries.successful() < 40);
-    assert_eq!(no_retries.resubmissions, 0);
+    assert_eq!(no_retries.retry.retries, 0);
 
     // With a generous retry budget: clients grind the workload through,
     // at the cost of many resubmissions and far higher latency.
@@ -360,7 +344,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
         with_retries.successful(),
         no_retries.successful()
     );
-    assert!(with_retries.resubmissions > 100, "retries cost round trips");
+    assert!(with_retries.retry.retries > 100, "retries cost round trips");
     assert!(
         with_retries.avg_latency_secs().unwrap() > no_retries.avg_latency_secs().unwrap(),
         "retry latency spans multiple pipeline rounds"
@@ -382,7 +366,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
         (
             with_retries.submitted(),
             with_retries.successful(),
-            with_retries.resubmissions,
+            with_retries.retry.retries,
             with_retries.end_time.as_micros(),
         ),
         (120, 65, 4466, 15_313_924)

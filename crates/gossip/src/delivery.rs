@@ -14,7 +14,7 @@
 //!
 //! To stay comparable with the default
 //! [`IdealFifoDelivery`](fabriccrdt_fabric::simulation::IdealFifoDelivery),
-//! `deliver` draws exactly one `orderer_to_peer` sample from the
+//! `deliver` draws exactly one [`ORDERER_TO_PEER`] sample from the
 //! pipeline PRNG per block (used as the orderer→leader hop), keeping
 //! the pipeline's draw sequence — and therefore its block stream —
 //! identical between the two layers; all gossip-internal randomness
@@ -23,7 +23,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fabriccrdt_fabric::latency::LatencyConfig;
+use fabriccrdt_fabric::latency::{LatencyConfig, ORDERER_TO_PEER};
 use fabriccrdt_fabric::metrics::{AdversaryMetrics, DisseminationMetrics};
 use fabriccrdt_fabric::simulation::DeliveryLayer;
 use fabriccrdt_fabric::validator::BlockValidator;
@@ -75,13 +75,13 @@ impl<V: BlockValidator> DeliveryLayer for GossipDelivery<V> {
         &mut self,
         now: SimTime,
         block: &Block,
-        latency: &LatencyConfig,
+        _latency: &LatencyConfig,
         rng: &mut SimRng,
     ) -> SimTime {
         // One draw, exactly like IdealFifoDelivery, so the pipeline's
         // PRNG sequence (and with it every later endorsement/ordering
         // sample) is unchanged by switching delivery layers.
-        let hop = latency.orderer_to_peer.sample(rng);
+        let hop = ORDERER_TO_PEER.sample(rng);
         let mut network = self.network.borrow_mut();
         // `DeliveryLayer::deliver` lends `&Block`: this copy becomes the
         // lane's one shared allocation.

@@ -60,7 +60,7 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::channel::{ChannelId, ChannelSpec, MultiChannelConfig};
 use fabriccrdt_fabric::config::{FaultConfig, GossipConfig, PipelineConfig, Topology};
-use fabriccrdt_fabric::latency::CALIBRATED_HOP;
+use fabriccrdt_fabric::latency::{CALIBRATED_HOP, ORDERER_TO_PEER};
 use fabriccrdt_fabric::metrics::{
     AdversaryMetrics, CatchUpEpisode, CatchUpOutcome, DisseminationMetrics,
 };
@@ -222,14 +222,12 @@ fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Bloc
     buffer.remove(&number).map(Arc::unwrap_or_clone)
 }
 
-/// Configuration shared by every channel lane: the topology, fault
-/// schedule and latency calibration are one network-wide reality.
+/// Configuration shared by every channel lane: the topology, endorsement
+/// policy and fault schedule are one network-wide reality.
 struct Shared {
     topology: Topology,
     policy: EndorsementPolicy,
     faults: FaultConfig,
-    /// Orderer → leader delivery latency (from the pipeline calibration).
-    orderer_hop: LatencyModel,
 }
 
 /// One channel's state: its member replicas, ordering log, event
@@ -398,7 +396,6 @@ impl<V: BlockValidator> GossipNetwork<V> {
                 topology,
                 policy: config.policy.clone(),
                 faults,
-                orderer_hop: config.latency.orderer_to_peer,
             },
             make_validator: Box::new(make_validator),
             lanes,
@@ -532,7 +529,7 @@ impl<V: BlockValidator> GossipNetwork<V> {
     /// published in order, numbered from 1.
     pub fn publish_on(&mut self, ch: usize, cut_at: SimTime, block: Block) {
         let lane = &mut self.lanes[ch];
-        let hop = self.shared.orderer_hop.sample(&mut lane.rng);
+        let hop = ORDERER_TO_PEER.sample(&mut lane.rng);
         lane.publish_with_hop(&self.shared, cut_at, hop, block);
     }
 
@@ -920,7 +917,7 @@ impl<V: BlockValidator> ChannelLane<V> {
                 .map(|n| Arc::clone(&self.published[n as usize - 1].1))
                 .collect();
             for block in missing {
-                let hop = shared.orderer_hop.sample(&mut self.rng);
+                let hop = ORDERER_TO_PEER.sample(&mut self.rng);
                 self.schedule(
                     now + hop,
                     EventKind::RawBlock {

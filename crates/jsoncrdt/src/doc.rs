@@ -4,7 +4,7 @@
 //! plain JSON values merge into. [`JsonCrdt::merge_value`] implements
 //! **Algorithm 2** of the FabricCRDT paper: it folds a JSON object into
 //! the document, one operation per node of the source value, each
-//! minted and applied at the tree entry in hand, in one walk over both.
+//! applied at the tree entry in hand, in one walk over both.
 //! [`JsonCrdt::to_value`] and [`JsonCrdt::write_bytes`] implement the
 //! paper's `ConvertCRDTToDataType`: they strip all CRDT metadata and
 //! return plain JSON (Algorithm 1, lines 20–21).
@@ -15,10 +15,11 @@
 //!
 //! # Conflict semantics
 //!
-//! - **Registers** (leaf strings) keep the newest assignment. Operation
-//!   ids grow with every merge and every peer merges the transactions of
+//! - **Registers** (leaf strings) keep the newest assignment: each merge
+//!   overwrites the register, and every peer merges the transactions of
 //!   a block in the same block order (the property §5.2 exploits), so
-//!   this is last-writer-wins in block order on every peer.
+//!   this is last-writer-wins in block order on every peer. No operation
+//!   needs an id to say which assignment is newest.
 //! - **Maps** merge key-wise, recursively.
 //! - **Lists** are unions of content-addressed elements (see
 //!   [`crate::op::ItemKey`]) ordered by `(source index, content hash)`:
@@ -33,7 +34,6 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use crate::clock::{LamportClock, ReplicaId};
 use crate::json::ser::{self, Sink};
 use crate::json::{Value, MAX_DEPTH};
 use crate::op::ItemKey;
@@ -178,13 +178,12 @@ impl fmt::Display for DocError {
 
 impl Error for DocError {}
 
-/// What a document records about the operations it applied — apart
-/// from the tree, so the merge walk can hold both at once.
-#[derive(Debug, Clone)]
-struct Log {
-    clock: LamportClock,
-    work: WorkStats,
-}
+/// Names the peer that holds a document. [`JsonCrdt::new`] takes one
+/// and reads nothing of it: every peer derives the same operations from
+/// the same block order, so no operation carries an id (§5.2). The
+/// parameter is pinned for `perf/` (DESIGN.md §4.16).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplicaId(pub u64);
 
 /// A JSON CRDT document (paper §5.2).
 ///
@@ -211,47 +210,28 @@ struct Log {
 #[derive(Debug, Clone)]
 pub struct JsonCrdt {
     root: MapNode,
-    log: Log,
+    /// The operations applied so far, counted (DESIGN.md §4.1).
+    work: WorkStats,
 }
 
 impl JsonCrdt {
-    /// Creates an empty document whose operations will be stamped with
-    /// `replica` (paper Algorithm 1, `InitEmptyCRDT`).
-    pub fn new(replica: ReplicaId) -> Self {
+    /// Creates an empty document (paper Algorithm 1, `InitEmptyCRDT`).
+    /// See [`ReplicaId`] for why `_replica` is unread.
+    pub fn new(_replica: ReplicaId) -> Self {
         JsonCrdt {
             root: MapNode::default(),
-            log: Log {
-                clock: LamportClock::new(replica),
-                work: WorkStats::new(),
-            },
+            work: WorkStats::new(),
         }
-    }
-
-    /// Creates a document hydrated from an existing plain JSON value (for
-    /// example, the committed ledger state of a CRDT key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DocError::RootNotMap`] if `base` is not a JSON map.
-    pub fn from_value(replica: ReplicaId, base: &Value) -> Result<Self, DocError> {
-        let mut doc = JsonCrdt::new(replica);
-        doc.merge_value(base)?;
-        Ok(doc)
-    }
-
-    /// The document's Lamport clock: one tick per applied operation.
-    pub fn clock(&self) -> &LamportClock {
-        &self.log.clock
     }
 
     /// Number of operations applied so far.
     pub fn applied_len(&self) -> usize {
-        self.log.work.ops_applied as usize
+        self.work.ops_applied as usize
     }
 
     /// Accumulated work counters (see [`WorkStats`]).
     pub fn work(&self) -> WorkStats {
-        self.log.work
+        self.work
     }
 
     /// Merges a plain JSON object into the document — **Algorithm 2** of
@@ -266,9 +246,9 @@ impl JsonCrdt {
     /// Returns [`DocError::RootNotMap`] if `json` is not a JSON map.
     pub fn merge_value(&mut self, json: &Value) -> Result<WorkStats, DocError> {
         let map = json.as_map().ok_or(DocError::RootNotMap)?;
-        let before = self.log.work;
-        merge_map(&mut self.log, &mut self.root, map, 1);
-        let after = self.log.work;
+        let before = self.work;
+        merge_map(&mut self.work, &mut self.root, map, 1);
+        let after = self.work;
         Ok(WorkStats {
             ops_applied: after.ops_applied - before.ops_applied,
             nodes_visited: after.nodes_visited - before.nodes_visited,
@@ -484,13 +464,13 @@ fn plain_len(bytes: &[u8]) -> usize {
 /// Algorithm 2 as one walk over the source and the tree in lockstep:
 /// [`merge_node`] for every value of `map`, at the child of `node` under
 /// its key.
-fn merge_map(log: &mut Log, node: &mut MapNode, map: &BTreeMap<String, Value>, depth: u64) {
+fn merge_map(work: &mut WorkStats, node: &mut MapNode, map: &BTreeMap<String, Value>, depth: u64) {
     for (key, value) in map {
         let child = match node.children.get_mut(key) {
             Some(child) => child,
             None => node.children.entry(key.clone()).or_default(),
         };
-        merge_node(log, child, value, depth);
+        merge_node(work, child, value, depth);
     }
 }
 
@@ -499,21 +479,20 @@ fn merge_map(log: &mut Log, node: &mut MapNode, map: &BTreeMap<String, Value>, d
 /// assignment of its string form), then one for every node beneath it.
 /// The work counted is what a descent from the head per operation
 /// would visit.
-fn merge_node(log: &mut Log, entry: &mut Entry, value: &Value, depth: u64) {
-    log.clock.tick();
-    log.work.ops_applied += 1;
-    log.work.nodes_visited += depth;
+fn merge_node(work: &mut WorkStats, entry: &mut Entry, value: &Value, depth: u64) {
+    work.ops_applied += 1;
+    work.nodes_visited += depth;
     match value {
         Value::List(items) => {
             let list = entry.list.get_or_insert_with(ListNode::default);
             for (index, item) in items.iter().enumerate() {
                 let child = list.items.entry(ItemKey::derive(index, item)).or_default();
-                merge_node(log, child, item, depth + 1);
+                merge_node(work, child, item, depth + 1);
             }
         }
         Value::Map(map) => {
             let node = entry.map.get_or_insert_with(MapNode::default);
-            merge_map(log, node, map, depth + 1);
+            merge_map(work, node, map, depth + 1);
         }
         leaf => entry.reg = Some(leaf_text(leaf).into_owned()),
     }
@@ -655,7 +634,8 @@ mod tests {
         // Block 1 commits {"readings":["a"]}; block 2 has two conflicting
         // read-modify-write transactions.
         let committed = v(r#"{"readings":["a"]}"#);
-        let mut doc = JsonCrdt::from_value(ReplicaId(2), &committed).unwrap();
+        let mut doc = JsonCrdt::new(ReplicaId(2));
+        doc.merge_value(&committed).unwrap();
         doc.merge_value(&v(r#"{"readings":["a","b"]}"#)).unwrap();
         doc.merge_value(&v(r#"{"readings":["a","c"]}"#)).unwrap();
         let readings_len = doc
@@ -684,13 +664,11 @@ mod tests {
     }
 
     #[test]
-    fn clock_ticks_once_per_applied_operation() {
+    fn one_operation_per_source_node() {
         let mut doc = JsonCrdt::new(ReplicaId(3));
         doc.merge_value(&v(r#"{"a":"1","b":{"c":"2"}}"#)).unwrap();
         doc.merge_value(&v(r#"{"l":["x","y"]}"#)).unwrap();
         // a, b, b.c; l, l[0], l[1].
         assert_eq!(doc.applied_len(), 6);
-        assert_eq!(doc.clock().current(), 6);
-        assert_eq!(doc.clock().replica(), ReplicaId(3));
     }
 }

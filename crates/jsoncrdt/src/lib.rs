@@ -7,8 +7,6 @@
 //!   parser and compact/pretty serializers (the reproduction deliberately
 //!   avoids `serde_json`; JSON handling is a substrate the paper's system
 //!   depends on, so it is built from scratch).
-//! - [`clock`]: Lamport clocks and globally unique operation identifiers,
-//!   as required by Section 5.2 of the paper.
 //! - [`op`]: content-addressed list-element identity ([`op::ItemKey`]).
 //! - [`doc`]: the JSON CRDT document itself (after Kleppmann & Beresford,
 //!   IEEE TPDS 2017), exactly what Algorithms 1 and 2 use: **Algorithm 2**
@@ -42,12 +40,10 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod clock;
 pub mod doc;
 pub mod json;
 pub mod op;
 pub mod work;
 
-pub use clock::{LamportClock, OpId, ReplicaId};
-pub use doc::JsonCrdt;
+pub use doc::{JsonCrdt, ReplicaId};
 pub use work::WorkStats;
