@@ -79,9 +79,10 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
 done
 
 # A peer hashes a transaction once, at ingress: Algorithm 1 writes only
-# the commit record beside the transactions, so the re-seal compares
-# their bytes with the ingress bytes and hashes the record, and hashes a
-# transaction again only if a validator changed one of its bytes. The
+# the commit record beside the transactions, so the re-seal keeps the
+# ingress data hash for the list ingress hashed and hashes the record,
+# and hashes a transaction again only if a validator put a list of its
+# own in the block. The
 # passes live behind `ledger` constructors (`EncodedTransactions::verify`,
 # `SealedBlock::{reseal, seal, verify}`; DESIGN.md §4.17). These are the
 # files that name the pass underneath them; `fabric/src/peer.rs` is not
@@ -95,6 +96,20 @@ crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
 crates/ledger/tests/format_v3.rs
 crates/ledger/tests/properties.rs"
+
+# A block's transactions are one immutable list that every clone of the
+# block shares (`ledger::block::Transactions`, DESIGN.md §4.7): a
+# replica commits the allocation the orderer cut. Code that needs a list
+# of its own copies it explicitly, and these are the non-test files that
+# do: the adversary's forgeries, and the one conversion to a `Vec`
+# (`From<Transactions>`, which `reorder_batch` takes its batch through).
+# Files are cut at their first `#[cfg(test)]`.
+echo "==> transaction-list boundary (the non-test .rs files under crates/ and src/ that copy a block's transactions)"
+test "$(find crates src -name '*.rs' -not -path '*/tests/*' -not -path '*/benches/*' | LC_ALL=C sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && /transactions\.to_vec\(\)/ { print FILENAME }' | uniq)" = "crates/gossip/src/adversary.rs
+crates/ledger/src/block.rs"
 
 # A ledger layout is written once, against `codec::ByteSink`, whose
 # `u64` is the one big-endian integer writer the stored formats share

@@ -439,13 +439,14 @@ fn replication_layers(bench: &Bench) {
     let config = PipelineConfig::paper(25, 42).with_raft_config(RaftConfig::calibrated(3));
     bench.run_timed(raft, Some(STREAM), || {
         let mut cluster = RaftOrderingBackend::new(&config);
-        let blocks = stream.clone();
+        let batches: Vec<Vec<Transaction>> =
+            stream.iter().map(|b| b.transactions.to_vec()).collect();
         let start = Instant::now();
-        for block in blocks {
+        for batch in batches {
             // 25 submissions fill the leader's batch; the cut block is
             // released once a follower has acknowledged it.
             let now = cluster.clock();
-            for tx in block.transactions {
+            for tx in batch {
                 cluster.enqueue(now, tx);
             }
             let mut committed = cluster.advance(now);
@@ -491,8 +492,8 @@ fn main() {
         // runs at on `hotkey-merge`: the ingress tamper check on the block
         // as delivered (one encode that also serves the endorsement MACs),
         // the re-seal of the block as Algorithm 1 left it — the 400
-        // transactions as cut, compared against the ingress bytes, and a
-        // commit record of 400 codes and one 1 400-byte converged value
+        // transactions as cut, the list ingress hashed, and a commit
+        // record of 400 codes and one 1 400-byte converged value
         // with 400 members, hashed (ledger format v3) — and the append, by
         // type, beside the recomputing append untrusted routes keep.
         let genesis_hash = Block::genesis().hash();
@@ -515,8 +516,8 @@ fn main() {
         });
         // `bigstate-pipelined`'s ingress check and re-seal. Where
         // Algorithm 1 converged nothing (a key written once commits its
-        // own bytes) the record is 25 codes, and the re-seal re-encodes,
-        // compares and hashes those.
+        // own bytes) the record is 25 codes, and the re-seal hashes
+        // those.
         let small = Block::assemble(1, genesis_hash, padded_txs(1400)[..25].to_vec());
         bench.run("block/verify-25x1400B", Some(25), Some(25 * 1400), || {
             EncodedTransactions::verify(&small).expect("as assembled")

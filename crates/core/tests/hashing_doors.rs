@@ -7,8 +7,9 @@
 //! Each test here fails if its route stops hashing: the same one-byte
 //! mutation of one write value is offered at every door, a seeded sweep
 //! recomputes every committed header's data and record hashes from
-//! scratch, a validator that flips a byte after Algorithm 1 checks that
-//! the re-seal keeps the orderer's data hash only for the bytes ingress
+//! scratch, validators that put a list of their own in the block after
+//! Algorithm 1 — one byte flipped, or an equal copy — check that the
+//! re-seal keeps the orderer's data hash only for the list ingress
 //! hashed, and a replayed block whose commit record changed — a code, a
 //! member index, a converged-value byte — is refused. Two more pin what
 //! a leaf built from the payload digest covers: a flipped endorsement
@@ -55,13 +56,16 @@ fn endorsed(nonce: u64, orgs: &[&str], write: impl FnOnce(&mut ReadWriteSet)) ->
     tx
 }
 
-/// Flips one bit of the first byte of the first written value.
+/// Flips one bit of the first byte of the first written value, in a
+/// copy of the block's transactions.
 fn flip_one_write_byte(block: &mut Block) {
-    let writes = &mut block.transactions[0].rwset.writes;
+    let mut transactions = block.transactions.to_vec();
+    let writes = &mut transactions[0].rwset.writes;
     let (key, entry) = writes.iter().next().expect("the transaction writes");
     let (key, mut value) = (key.clone(), entry.value.clone());
     value[0] ^= 0x01;
     assert!(writes.update_value(&key, value));
+    block.transactions = transactions.into();
 }
 
 /// Three plain writes of a value no other byte string in an encoded
@@ -120,11 +124,13 @@ fn ingress_rejects_a_flipped_endorsement_byte_under_every_validator() {
         for what in ["signature", "endorser name"] {
             let mut peer = Peer::new(make(), policy());
             let mut delivered = plain_block(1, peer.chain().tip_hash());
-            let endorsement = &mut delivered.transactions[1].endorsements[0];
+            let mut transactions = delivered.transactions.to_vec();
+            let endorsement = &mut transactions[1].endorsements[0];
             match what {
                 "signature" => endorsement.signature.0[17] ^= 0x01,
                 _ => endorsement.endorser.name = "peer1".into(),
             }
+            delivered.transactions = transactions.into();
             let staged = peer.process_block(delivered);
             assert_eq!(
                 staged.block.validation_codes,
@@ -149,7 +155,7 @@ fn ingress_rejects_a_flipped_endorsement_byte_under_every_validator() {
 fn a_signature_over_another_payload_fails_policy_with_every_signature_counted() {
     fn check<V: BlockValidator>(make: impl Fn() -> V) {
         let honest = plain_block(1, Block::genesis().hash());
-        let mut forged = honest.transactions.clone();
+        let mut forged = honest.transactions.to_vec();
         let other = endorsed(99, &["org1", "org2"], |rwset| {
             rwset.writes.put("k1-1", NEEDLE.to_vec());
         });
@@ -468,8 +474,10 @@ impl BlockValidator for FlipAfterMerge {
     ) -> ValidationWork {
         let work = CrdtValidator::new().validate_and_commit(block, state, pre_decided);
         let undecided = pre_decided.get(self.k).copied().flatten().is_none();
-        if let Some(tx) = block.transactions.get_mut(self.k).filter(|_| undecided) {
-            tx.id.0[0] ^= 0x01;
+        if undecided && self.k < block.len() {
+            let mut transactions = block.transactions.to_vec();
+            transactions[self.k].id.0[0] ^= 0x01;
+            block.transactions = transactions.into();
         }
         work
     }
@@ -522,6 +530,63 @@ fn the_reseal_covers_a_byte_flipped_after_algorithm_1() {
                 let expected = usize::from(k < block.len() && !decided);
                 assert_eq!(changed, expected, "k = {k}: flipped in block {number}");
             }
+        }
+    });
+}
+
+/// Algorithm 1, then the block's transactions replaced by a list of the
+/// validator's own: an equal copy, or one with the first byte of
+/// transaction 0's id flipped.
+struct ReplaceList {
+    flip: bool,
+}
+
+impl BlockValidator for ReplaceList {
+    fn validate_and_commit(
+        &self,
+        block: &mut Block,
+        state: &mut WorldState,
+        pre_decided: &[Option<ValidationCode>],
+    ) -> ValidationWork {
+        let work = CrdtValidator::new().validate_and_commit(block, state, pre_decided);
+        let mut transactions = block.transactions.to_vec();
+        if let Some(tx) = transactions.first_mut().filter(|_| self.flip) {
+            tx.id.0[0] ^= 0x01;
+        }
+        block.transactions = transactions.into();
+        work
+    }
+
+    fn name(&self) -> &str {
+        "replace-list"
+    }
+}
+
+/// A list that is not the one ingress hashed is sealed over as it is:
+/// an equal copy seals to the honest replica's block, and a copy with
+/// one byte changed gets a data hash that covers the change, a block
+/// that passes its own hash checks, and a block hash of its own.
+#[test]
+fn the_reseal_hashes_a_list_the_validator_put_in_the_block() {
+    gen::cases(2, |g| {
+        let blocks: Vec<Block> = (1..=3).map(|number| mixed_block(g, number)).collect();
+        let honest = run(CrdtValidator::new(), &blocks);
+        let equal = run(ReplaceList { flip: false }, &blocks);
+        let flipped = run(ReplaceList { flip: true }, &blocks);
+        assert_eq!(equal.chain().tip_hash(), honest.chain().tip_hash());
+        assert_eq!(equal.state(), honest.state());
+        let committed = honest.chain().iter().zip(equal.chain().iter());
+        for ((honest, equal), flipped) in committed.zip(flipped.chain().iter()).skip(1) {
+            let number = honest.header.number;
+            assert!(honest
+                .transactions
+                .shares(&blocks[number as usize - 1].transactions));
+            assert!(!equal.transactions.shares(&honest.transactions));
+            assert_eq!(equal.hash(), honest.hash(), "block {number}: equal list");
+            assert_eq!(flipped.check_hashes(), Ok(()), "block {number}");
+            assert_eq!(flipped.header.data_hash, from_scratch(flipped));
+            assert_ne!(flipped.header.data_hash, honest.header.data_hash);
+            assert_ne!(flipped.hash(), honest.hash(), "block {number}: flipped");
         }
     });
 }

@@ -176,16 +176,18 @@ mod oracle {
             );
 
             // ----- Second pass: rewrite CRDT write values with the converged,
-            // metadata-free state (lines 16–22).
+            // metadata-free state (lines 16–22), in a copy of the list.
+            let mut transactions = block.transactions.to_vec();
             for (key, (merger, members)) in &mut crdts {
                 let bytes = merger.converged_bytes(&mut merge_units);
                 for &i in members.iter() {
-                    block.transactions[i]
+                    transactions[i]
                         .rwset
                         .writes
                         .update_value(key, bytes.clone());
                 }
             }
+            block.transactions = transactions.into();
 
             // ----- MVCC on non-CRDT pairs, then commit (line 15 + commit).
             let stats = mvcc::validate_and_commit(block, state, pre_decided, true);

@@ -308,7 +308,8 @@ impl<V: BlockValidator> Peer<V> {
         // tampering in transit; the whole block is rejected and nothing
         // commits. This is the one pass that hashes a transaction: the
         // endorsement MACs below verify against the payload digests
-        // hashed into the leaves here, and the re-seal compares bytes.
+        // hashed into the leaves here, and the re-seal keeps the data
+        // hash for the list hashed here.
         let Some(ingress) = EncodedTransactions::verify(&block) else {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
             return StagedBlock {
@@ -334,8 +335,9 @@ impl<V: BlockValidator> Peer<V> {
         // the header, and the header re-links to the peer's tip. All
         // peers merge deterministically in block order, so every replica
         // seals the same record. The transactions keep the orderer's data
-        // hash unless the validator changed one of their bytes. This is
-        // the last pass over the block: `commit` appends it sealed.
+        // hash unless the validator put a list of its own in the block.
+        // This is the last pass over the block: `commit` appends it
+        // sealed.
         let block = SealedBlock::reseal(block, self.chain.tip_hash(), &ingress);
 
         StagedBlock {
@@ -692,10 +694,9 @@ mod tests {
         let mut p = peer();
         let mut block = next_block(&p, vec![tx(1, "k", &["org1", "org2"])]);
         // Tamper with the transaction after the orderer sealed the block.
-        block.transactions[0]
-            .rwset
-            .writes
-            .put("k", b"evil".to_vec());
+        let mut transactions = block.transactions.to_vec();
+        transactions[0].rwset.writes.put("k", b"evil".to_vec());
+        block.transactions = transactions.into();
         let staged = p.process_block(block);
         assert_eq!(
             staged.block.validation_codes,

@@ -47,8 +47,12 @@ pub struct ReorderOutcome {
 }
 
 /// Reorders a batch of transactions to minimize intra-block MVCC
-/// conflicts, early-aborting unsalvageable cycles.
-pub fn reorder_batch(transactions: Vec<Transaction>) -> ReorderOutcome {
+/// conflicts, early-aborting unsalvageable cycles. The batch is taken
+/// apart, so a block's shared list is copied out first; the generic is
+/// kept for `perf/`, which hands over `block.transactions` (DESIGN.md
+/// §4.16).
+pub fn reorder_batch(transactions: impl Into<Vec<Transaction>>) -> ReorderOutcome {
+    let transactions = transactions.into();
     let txs = transactions.len();
     let (offsets, targets) = conflict_graph(&transactions);
     let successors = |node: usize| &targets[offsets[node]..offsets[node + 1]];

@@ -169,7 +169,7 @@ fn a_snapshot_restores_the_same_replica_from_its_root_or_its_bytes() {
         .block(height)
         .expect("new block")
         .transactions
-        .clone();
+        .to_vec();
     txs.push(duplicate);
     let next = Block::assemble(height, tip_hash, txs);
     let [from_root, from_bytes] = &mut replicas;

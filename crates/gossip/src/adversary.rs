@@ -42,6 +42,7 @@ use fabriccrdt_crypto::Digest;
 use fabriccrdt_fabric::config::{AdversaryConfig, TamperMode};
 use fabriccrdt_fabric::metrics::AdversaryMetrics;
 use fabriccrdt_ledger::block::Block;
+use fabriccrdt_ledger::transaction::Transaction;
 use fabriccrdt_sim::time::SimTime;
 
 /// Clean gossip rounds (published blocks) a quarantined relay serves
@@ -207,25 +208,17 @@ fn forge(mode: TamperMode, block: &Block, salt: u64) -> Block {
     // victims get distinct forgeries and the flip is never a no-op.
     let poison = (salt as u8).wrapping_mul(2) | 1;
     match mode {
-        TamperMode::FlipPayloadByte => {
-            let mut forged = block.clone();
-            if let Some(tx) = forged.transactions.first_mut() {
+        TamperMode::FlipPayloadByte => tampered(block, |txs| {
+            if let Some(tx) = txs.first_mut() {
                 tx.id.0[0] ^= poison;
             }
-            forged
-        }
-        TamperMode::DuplicateTx => {
-            let mut forged = block.clone();
-            if let Some(tx) = forged.transactions.first().cloned() {
-                forged.transactions.push(tx);
+        }),
+        TamperMode::DuplicateTx => tampered(block, |txs| {
+            if let Some(tx) = txs.first().cloned() {
+                txs.push(tx);
             }
-            forged
-        }
-        TamperMode::ReorderTxs => {
-            let mut forged = block.clone();
-            forged.transactions.reverse();
-            forged
-        }
+        }),
+        TamperMode::ReorderTxs => tampered(block, |txs| txs.reverse()),
         TamperMode::ForgeTipHash => forge_previous_hash(block, poison),
         TamperMode::EquivocateValue => {
             if block.transactions.is_empty() {
@@ -233,7 +226,7 @@ fn forge(mode: TamperMode, block: &Block, salt: u64) -> Block {
                 // orderer diverges on the chain linkage instead.
                 return forge_previous_hash(block, poison);
             }
-            let mut transactions = block.transactions.clone();
+            let mut transactions = block.transactions.to_vec();
             transactions[0].id.0[0] ^= poison;
             // Re-sealed: the forged payload carries a *valid* data
             // hash, detectable only against the canonical digest.
@@ -246,12 +239,24 @@ fn forge(mode: TamperMode, block: &Block, salt: u64) -> Block {
     }
 }
 
-/// Re-seals the block over a salted previous-block hash — a splice
-/// onto a fork that never existed.
+/// `block` under its own header with its transactions copied out and
+/// edited, so the data hash no longer covers them: the orderer's list is
+/// shared by every honest copy and is never written.
+fn tampered(block: &Block, edit: impl FnOnce(&mut Vec<Transaction>)) -> Block {
+    let mut transactions = block.transactions.to_vec();
+    edit(&mut transactions);
+    let mut forged = block.clone();
+    forged.transactions = transactions.into();
+    forged
+}
+
+/// Re-links the block to a salted previous-block hash — a splice onto
+/// a fork that never existed. Its data and record hashes still cover
+/// what it holds: the orderer's list, shared.
 fn forge_previous_hash(block: &Block, poison: u8) -> Block {
-    let mut previous = block.header.previous_hash;
-    previous[0] ^= poison;
-    Block::assemble(block.header.number, previous, block.transactions.clone())
+    let mut forged = block.clone();
+    forged.header.previous_hash[0] ^= poison;
+    forged
 }
 
 #[cfg(test)]

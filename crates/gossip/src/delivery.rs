@@ -83,8 +83,8 @@ impl<V: BlockValidator> DeliveryLayer for GossipDelivery<V> {
         // sample) is unchanged by switching delivery layers.
         let hop = ORDERER_TO_PEER.sample(rng);
         let mut network = self.network.borrow_mut();
-        // `DeliveryLayer::deliver` lends `&Block`: this copy becomes the
-        // lane's one shared allocation.
+        // `DeliveryLayer::deliver` lends `&Block`: this clone, which
+        // shares the transactions, becomes the lane's one allocation.
         network.publish_with_hop_on(self.channel, now, hop, block.clone());
         let committed_at =
             network.run_until_committed_on(self.channel, self.observed, block.header.number);

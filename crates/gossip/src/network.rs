@@ -213,11 +213,10 @@ struct Slot<V> {
 struct StoreFault(usize);
 
 /// Takes block `number` out of a gap buffer as the replica's own
-/// `Block` — the one deep copy a replica makes of a sealed block.
-/// Algorithm 1 writes only the commit record beside the orderer's
-/// bytes, so the copy is not for the data: `Peer::process_block` takes
-/// an owned `Block` and `BlockValidator::validate_and_commit` a
-/// `&mut Block`, and the benchmark package pins both (DESIGN.md §4.16).
+/// `Block`, for `Peer::process_block`, which takes it owned (pinned by
+/// `perf/`, DESIGN.md §4.16). A clone of a shared block copies only its
+/// header and empty record: the replica commits the published
+/// transaction list itself.
 fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Block> {
     buffer.remove(&number).map(Arc::unwrap_or_clone)
 }

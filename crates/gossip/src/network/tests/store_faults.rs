@@ -248,6 +248,59 @@ fn a_failed_store_call_crashes_only_its_replica_and_the_restart_recovers_it() {
     }
 }
 
+/// Every replica commits the published transaction list itself: after
+/// a crash that ends in a catch-up and a crash and restart of every
+/// replica, on either backend, with snapshots and GC or without, each
+/// block a replica's chain holds shares its transactions with the
+/// published block of its number.
+#[test]
+fn every_replica_commits_the_published_transaction_list() {
+    for (aof, snapshots) in [(false, false), (false, true), (true, false), (true, true)] {
+        let dir = aof.then(temp_dir);
+        let storage = match &dir {
+            Some(dir) => StorageConfig::append_only(dir),
+            None => StorageConfig::memory(),
+        };
+        let mut config = config(storage.clone(), 1);
+        if !snapshots {
+            config.storage = Some(storage);
+        }
+        let mut network = network(&config);
+        for number in 1..=BLOCKS {
+            let at = SimTime::from_millis(100 * number);
+            network.publish_on(0, at, hot_block(number, PER_BLOCK));
+        }
+        network.drain_on(0);
+        assert!(
+            network.fully_converged_on(0),
+            "aof {aof}, snapshots {snapshots}"
+        );
+        let lane = &network.lanes[0];
+        for (i, slot) in lane.slots.iter().enumerate() {
+            let chain = slot
+                .live
+                .as_ref()
+                .expect("up after the restart")
+                .peer
+                .chain();
+            let mut held = 0;
+            for (published, number) in lane.published.iter().zip(1..) {
+                let Some(block) = chain.block(number) else {
+                    continue;
+                };
+                let at = format!("aof {aof}, snapshots {snapshots}, replica {i}, block {number}");
+                assert!(block.transactions.shares(&published.1.transactions), "{at}");
+                held += 1;
+            }
+            let full = if snapshots { 1 } else { BLOCKS };
+            assert!(held >= full, "aof {aof}: replica {i} holds {held} blocks");
+        }
+        if let Some(dir) = dir {
+            std::fs::remove_dir_all(dir).expect("scratch removed");
+        }
+    }
+}
+
 /// A store whose first `load` hides its first block record, so the
 /// recovery that reads it finds a gap.
 struct GappedOnce {

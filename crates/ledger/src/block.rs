@@ -15,16 +15,21 @@
 //! it ([`Block::set_converged`], [`Block::value_of`]). The header's
 //! `record_hash` binds the record into the block hash, so a re-seal
 //! hashes the record and the header, not the transactions.
+//!
+//! The transactions are one immutable [`Transactions`] list: a clone of
+//! a block copies its header and commit record and shares the list, so
+//! every replica commits the allocation the orderer cut.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
+use std::slice;
 use std::sync::Arc;
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
 use crate::chain::ChainError;
-use crate::codec::{self, ByteSink};
+use crate::codec;
 use crate::rwset::WriteEntry;
 use crate::transaction::Transaction;
 
@@ -108,13 +113,71 @@ pub struct Block {
     /// The header.
     pub header: BlockHeader,
     /// Ordered transactions, as the orderer cut them.
-    pub transactions: Vec<Transaction>,
+    pub transactions: Transactions,
     /// One code per transaction, filled by the committing peer. Empty for
     /// a block fresh from the orderer.
     pub validation_codes: Vec<ValidationCode>,
     /// The converged table, by key. Empty for a block fresh from the
     /// orderer.
     pub(crate) converged: BTreeMap<String, Converged>,
+}
+
+/// A block's transactions as the orderer cut them: one immutable list,
+/// shared by every clone of the block. It lends `&[Transaction]` and
+/// never `&mut`, so one allocation always holds the same bytes, and a
+/// forgery or a tamper test builds a list of its own.
+///
+/// ```compile_fail,E0594
+/// # use fabriccrdt_ledger::block::Block;
+/// # let mut block = Block::genesis();
+/// block.transactions[0].chaincode = String::new(); // no `DerefMut`
+/// ```
+/// ```compile_fail,E0599
+/// # use fabriccrdt_ledger::block::Block;
+/// # let mut block = Block::genesis();
+/// # let tx = block.transactions[0].clone();
+/// block.transactions.push(tx); // no `Vec` behind it
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Transactions(Arc<[Transaction]>);
+
+impl Transactions {
+    /// Whether both lists are one allocation: then they hold the same
+    /// bytes, since neither can change.
+    pub fn shares(&self, other: &Transactions) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Transactions {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.0
+    }
+}
+
+impl From<Vec<Transaction>> for Transactions {
+    fn from(transactions: Vec<Transaction>) -> Self {
+        Transactions(transactions.into())
+    }
+}
+
+/// Copies the list out, for a caller that takes the transactions
+/// apart (the reordering orderer's batch).
+impl From<Transactions> for Vec<Transaction> {
+    fn from(transactions: Transactions) -> Self {
+        transactions.to_vec()
+    }
+}
+
+impl<'a> IntoIterator for &'a Transactions {
+    type Item = &'a Transaction;
+    type IntoIter = slice::Iter<'a, Transaction>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
 }
 
 /// One entry of the converged table: a key's converged value
@@ -146,7 +209,7 @@ impl Block {
                 data_hash: Self::compute_data_hash(&transactions),
                 record_hash: [0; 32],
             },
-            transactions,
+            transactions: transactions.into(),
             validation_codes: Vec::new(),
             converged: BTreeMap::new(),
         };
@@ -291,7 +354,7 @@ fn encode_tx(tx: &Transaction, bytes: &mut Vec<u8>) -> (Digest, Digest) {
 ///
 /// ```compile_fail,E0596
 /// # use fabriccrdt_ledger::block::{Block, SealedBlock};
-/// SealedBlock::seal(Block::genesis(), [0; 32]).transactions.clear(); // no `DerefMut`
+/// SealedBlock::seal(Block::genesis(), [0; 32]).validation_codes.clear(); // no `DerefMut`
 /// ```
 /// ```compile_fail,E0423
 /// # use fabriccrdt_ledger::block::{Block, SealedBlock};
@@ -309,13 +372,13 @@ impl SealedBlock {
     }
 
     /// [`SealedBlock::seal`] after Algorithm 1, which writes only the
-    /// record: transactions that still encode to the bytes `ingress`
-    /// hashed keep the data hash it checked, and only the record is
-    /// hashed. A validator may still change a transaction byte (it gets
+    /// record: a block that still holds the list `ingress` hashed keeps
+    /// the data hash it checked, and only the record is hashed. A
+    /// validator may still put a list of its own in the block (it gets
     /// `&mut Block`); then the transactions are hashed as they are, so
     /// the seal covers whatever the block holds.
     pub fn reseal(mut block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
-        if !ingress.encodes(&block.transactions) {
+        if !block.transactions.shares(&ingress.transactions) {
             return Self::seal(block, previous_hash);
         }
         block.header.data_hash = ingress.data_hash;
@@ -336,7 +399,8 @@ impl SealedBlock {
         block.check_hashes().map(|()| SealedBlock(block))
     }
 
-    /// Gives up the seal, copying the block only if it is shared.
+    /// Gives up the seal. A shared block is cloned: its header and
+    /// record are copied, its transactions shared.
     pub fn into_block(self) -> Block {
         Arc::unwrap_or_clone(self.0)
     }
@@ -347,7 +411,8 @@ impl SealedBlock {
     }
 }
 
-/// Copies a block no chain holds into an allocation of its own.
+/// Puts a block no chain holds into an allocation of its own, copying
+/// its header and record and sharing its transactions.
 impl From<&Block> for Arc<Block> {
     fn from(block: &Block) -> Self {
         Arc::new(block.clone())
@@ -362,33 +427,37 @@ impl Deref for SealedBlock {
     }
 }
 
-/// A delivered block's transactions in their one layout, encoded once
-/// at ingress: the tamper check hashes them, endorsement verification
-/// MACs the response-payload digests the leaves were built from, and
-/// [`SealedBlock::reseal`] compares the block's transactions against
-/// these bytes instead of hashing them again.
+/// A delivered block's transactions hashed once at ingress, each in its
+/// one layout: the tamper check compares the root, endorsement
+/// verification MACs the response-payload digests the leaves were built
+/// from, and [`SealedBlock::reseal`] keeps the data hash for a block
+/// that still holds the list hashed here.
 #[derive(Debug)]
 pub struct EncodedTransactions {
-    bytes: Vec<u8>,
+    /// The list hashed, shared with the block it came from.
+    transactions: Transactions,
     /// Per transaction, the digest of its response payload.
     digests: Vec<Digest>,
-    /// The data hash the bytes gave, equal to the header's.
+    /// The data hash the list gave, equal to the header's.
     data_hash: Digest,
 }
 
 impl EncodedTransactions {
-    /// Encodes `block`'s transactions back to back, hashing each as it
-    /// lands; `None` when the header's data hash does not cover them.
+    /// Encodes and hashes `block`'s transactions one at a time; `None`
+    /// when the header's data hash does not cover them.
     pub fn verify(block: &Block) -> Option<Self> {
         let mut bytes = Vec::new();
         let (digests, leaves): (Vec<Digest>, Vec<Digest>) = block
             .transactions
             .iter()
-            .map(|tx| encode_tx(tx, &mut bytes))
+            .map(|tx| {
+                bytes.clear();
+                encode_tx(tx, &mut bytes)
+            })
             .unzip();
         let data_hash = merkle::root(leaves);
-        (data_hash == block.header.data_hash).then_some(EncodedTransactions {
-            bytes,
+        (data_hash == block.header.data_hash).then(|| EncodedTransactions {
+            transactions: block.transactions.clone(),
             digests,
             data_hash,
         })
@@ -399,28 +468,6 @@ impl EncodedTransactions {
     /// digest its endorsements sign.
     pub fn payload_digest(&self, index: usize) -> &Digest {
         &self.digests[index]
-    }
-
-    /// Whether `transactions` encode to exactly the bytes hashed at
-    /// ingress: one re-encode compared as it is written, no hash. Each
-    /// transaction's layout is self-delimiting, so one comparison over
-    /// the whole run also covers every boundary between them.
-    fn encodes(&self, transactions: &[Transaction]) -> bool {
-        let mut sink = Matches(Some(&self.bytes));
-        for tx in transactions {
-            tx.write_bytes(&mut sink);
-        }
-        sink.0.is_some_and(<[u8]>::is_empty)
-    }
-}
-
-/// A sink that checks what is written against the bytes still expected
-/// instead of keeping them: `None` from the first byte that differs.
-struct Matches<'a>(Option<&'a [u8]>);
-
-impl ByteSink for Matches<'_> {
-    fn put(&mut self, bytes: &[u8]) {
-        self.0 = self.0.and_then(|rest| rest.strip_prefix(bytes));
     }
 }
 
@@ -448,11 +495,10 @@ mod tests {
     fn data_hash_commits_to_transactions() {
         let block = Block::assemble(1, [0; 32], vec![tx(1), tx(2)]);
         assert!(block.data_hash_is_valid());
+        let mut transactions = block.transactions.to_vec();
+        transactions[0].rwset.writes.put("evil", b"x".to_vec());
         let mut tampered = block.clone();
-        tampered.transactions[0]
-            .rwset
-            .writes
-            .put("evil", b"x".to_vec());
+        tampered.transactions = transactions.into();
         assert!(!tampered.data_hash_is_valid());
     }
 

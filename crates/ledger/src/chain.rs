@@ -320,10 +320,9 @@ mod tests {
         let mut chain = Blockchain::new();
         extend(&mut chain, vec![]);
         let mut block = Block::assemble(1, chain.tip_hash(), vec![tx(1)]);
-        block.transactions[0]
-            .rwset
-            .writes
-            .put("evil", b"x".to_vec());
+        let mut transactions = block.transactions.to_vec();
+        transactions[0].rwset.writes.put("evil", b"x".to_vec());
+        block.transactions = transactions.into();
         assert_eq!(chain.append(block).unwrap_err(), ChainError::BadDataHash);
     }
 
@@ -386,10 +385,10 @@ mod tests {
         extend(&mut chain, vec![tx(2)]);
         chain.verify_integrity().unwrap();
         // Tamper with a committed transaction.
-        Arc::make_mut(&mut chain.blocks[0]).transactions[0]
-            .rwset
-            .writes
-            .put("evil", b"x".to_vec());
+        let block = Arc::make_mut(&mut chain.blocks[0]);
+        let mut transactions = block.transactions.to_vec();
+        transactions[0].rwset.writes.put("evil", b"x".to_vec());
+        block.transactions = transactions.into();
         assert_eq!(
             chain.verify_integrity().unwrap_err(),
             ChainError::BadDataHash

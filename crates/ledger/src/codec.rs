@@ -398,7 +398,7 @@ pub fn decode_block(data: &[u8]) -> Result<Block, DecodeError> {
             data_hash,
             record_hash,
         },
-        transactions,
+        transactions: transactions.into(),
         validation_codes: Vec::new(),
         converged: BTreeMap::new(),
     };

@@ -372,7 +372,8 @@ impl RaftOrderingBackend {
             self.handle(at, event);
         }
         self.clock = self.clock.max(now);
-        // The one copy on this side: `OrderingOutcome::blocks` is owned.
+        // `OrderingOutcome::blocks` is owned: a clone shares the
+        // transactions and copies the header.
         let fresh = self.emitted[self.outbox_cursor..]
             .iter()
             .map(|(at, block)| (*at, Block::clone(block)))
