@@ -2,14 +2,14 @@
 //! network, with the cross-channel transfer protocol on top.
 //!
 //! Each channel is a full [`Simulation`] — its own ordering service
-//! (single orderer or the Raft cluster, per the channel's
-//! `ChannelSpec` override), committing peer, world state and durable
-//! ledger — whose block dissemination runs through a
-//! [`GossipDelivery`] lane of one shared [`GossipNetwork`]. The
-//! shared network applies the base config's crash / restart /
-//! partition schedule to every channel a faulted peer is a member of,
-//! at the same simulated times, so cross-channel runs see correlated
-//! failures the way one physical peer hosting many channels would.
+//! (single orderer or the Raft cluster, as the base config says),
+//! committing peer, world state and durable ledger — whose block
+//! dissemination runs through a [`GossipDelivery`] lane of one shared
+//! [`GossipNetwork`]. The shared network applies the base config's
+//! crash / restart / partition schedule to every channel a faulted
+//! peer is a member of, at the same simulated times, so cross-channel
+//! runs see correlated failures the way one physical peer hosting many
+//! channels would.
 //!
 //! Channels execute sequentially in host time but concurrently in
 //! simulated time: each lane keeps its own clock, and the rollup's
@@ -23,8 +23,8 @@ use std::sync::Arc;
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::{
-    ChannelRunMetrics, MultiChannelConfig, MultiChannelMetrics, TransferId, TransferOutcome,
-    TransferReport, TransferSpec,
+    ChannelId, ChannelRunMetrics, MultiChannelConfig, MultiChannelMetrics, TransferId,
+    TransferOutcome, TransferReport, TransferSpec,
 };
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::BlockValidator;
@@ -60,8 +60,8 @@ pub struct MultiChannelNetwork<V: BlockValidator> {
 impl<V: BlockValidator> MultiChannelNetwork<V> {
     /// Builds the deployment: one shared gossip network over
     /// `config.base`'s topology and fault schedule, plus one pipeline
-    /// per channel (channel seeds, block-cutting and ordering
-    /// overrides per [`MultiChannelConfig::pipeline_for`]). The
+    /// per channel (channel seed and id per
+    /// [`MultiChannelConfig::pipeline_for`]). The
     /// transfer chaincode is deployed into every channel's registry
     /// automatically.
     ///
@@ -190,15 +190,10 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
             .collect();
 
         // Phase 1: escrow on the source channels.
-        let mut prepares: Vec<Vec<(SimTime, TxRequest)>> = vec![Vec::new(); n];
-        let base = self.horizon + PHASE_MARGIN;
-        for (i, (spec, id)) in specs.iter().zip(&ids).enumerate() {
-            prepares[spec.from.0 as usize].push((
-                base + PHASE_STEP.scale(i as u64 + 1),
-                TxRequest::new(XFER_CHAINCODE, XferChaincode::prepare_args(*id, &spec.key)),
-            ));
-        }
-        self.run_phase(prepares);
+        self.run_phase(specs.iter().zip(&ids).map(|(spec, id)| {
+            let args = XferChaincode::prepare_args(*id, &spec.key);
+            Some((spec.from, TxRequest::new(XFER_CHAINCODE, args)))
+        }));
 
         // Relay: the escrowed bytes, read from each source channel's
         // committed prepare record (absent when the prepare failed —
@@ -207,65 +202,43 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
             .iter()
             .zip(&ids)
             .map(|(spec, id)| {
-                self.sims[spec.from.0 as usize]
-                    .peer()
-                    .state()
-                    .value(&id.prepare_key())
+                self.committed(spec.from, &id.prepare_key())
                     .map(|bytes| String::from_utf8_lossy(bytes).into_owned())
             })
             .collect();
 
-        // Phase 2: commit on the destination channels.
-        let mut commits: Vec<Vec<(SimTime, TxRequest)>> = vec![Vec::new(); n];
-        let base = self.horizon + PHASE_MARGIN;
-        for (i, (spec, id)) in specs.iter().zip(&ids).enumerate() {
-            let Some(hex) = &escrows[i] else { continue };
+        // Phase 2: commit on the destination channels. A transfer whose
+        // destination's endorsers crashed between prepare and commit
+        // submits nothing; finalize finds no commit record and releases
+        // the escrow via abort.
+        self.run_phase(specs.iter().zip(&ids).enumerate().map(|(i, (spec, id))| {
+            let hex = escrows[i].as_ref()?;
             if spec.destination_down {
-                // The destination's endorsers crashed between prepare
-                // and commit: nothing to submit. Finalize will find no
-                // commit record and release the escrow via abort.
-                continue;
+                return None;
             }
-            let mut request = TxRequest::new(
-                XFER_CHAINCODE,
-                XferChaincode::commit_args(*id, &spec.key, hex),
-            );
+            let args = XferChaincode::commit_args(*id, &spec.key, hex);
+            let mut request = TxRequest::new(XFER_CHAINCODE, args);
             if spec.inject_failure {
                 request = request.with_corrupt_endorsement();
             }
-            commits[spec.to.0 as usize].push((base + PHASE_STEP.scale(i as u64 + 1), request));
-        }
-        self.run_phase(commits);
+            Some((spec.to, request))
+        }));
 
         // Finalize: reconcile by the committed records, aborting the
-        // transfers whose commit never validated.
+        // escrowed transfers whose commit never validated.
         let committed: Vec<bool> = specs
             .iter()
             .zip(&ids)
-            .map(|(spec, id)| {
-                self.sims[spec.to.0 as usize]
-                    .peer()
-                    .state()
-                    .value(&id.commit_key())
-                    .is_some()
-            })
+            .map(|(spec, id)| self.committed(spec.to, &id.commit_key()).is_some())
             .collect();
-        let mut aborts: Vec<Vec<(SimTime, TxRequest)>> = vec![Vec::new(); n];
-        let base = self.horizon + PHASE_MARGIN;
-        for (i, (spec, id)) in specs.iter().zip(&ids).enumerate() {
+        self.run_phase(specs.iter().zip(&ids).enumerate().map(|(i, (spec, id))| {
             if committed[i] {
-                continue;
+                return None;
             }
-            let Some(hex) = &escrows[i] else { continue };
-            aborts[spec.from.0 as usize].push((
-                base + PHASE_STEP.scale(i as u64 + 1),
-                TxRequest::new(
-                    XFER_CHAINCODE,
-                    XferChaincode::abort_args(*id, &spec.key, hex),
-                ),
-            ));
-        }
-        self.run_phase(aborts);
+            let hex = escrows[i].as_ref()?;
+            let args = XferChaincode::abort_args(*id, &spec.key, hex);
+            Some((spec.from, TxRequest::new(XFER_CHAINCODE, args)))
+        }));
 
         specs
             .iter()
@@ -316,9 +289,19 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
         }
     }
 
-    /// Runs one transfer-phase schedule per channel, skipping channels
-    /// with nothing to do, and advances the horizon.
-    fn run_phase(&mut self, schedules: Vec<Vec<(SimTime, TxRequest)>>) {
+    /// Runs one transfer phase. The `i`-th request, if any, is submitted
+    /// on its channel at `PHASE_STEP × (i + 1)` past the horizon and its
+    /// margin; channels with nothing to submit stay idle. Advances the
+    /// horizon.
+    fn run_phase(&mut self, requests: impl IntoIterator<Item = Option<(ChannelId, TxRequest)>>) {
+        let base = self.horizon + PHASE_MARGIN;
+        let mut schedules: Vec<Vec<(SimTime, TxRequest)>> = vec![Vec::new(); self.sims.len()];
+        for (i, request) in requests.into_iter().enumerate() {
+            if let Some((channel, request)) = request {
+                let at = base + PHASE_STEP.scale(i as u64 + 1);
+                schedules[channel.0 as usize].push((at, request));
+            }
+        }
         for (c, schedule) in schedules.into_iter().enumerate() {
             if schedule.is_empty() {
                 continue;
@@ -326,6 +309,11 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
             let metrics = self.sims[c].run(schedule);
             self.note_progress(c, metrics.end_time);
         }
+    }
+
+    /// The value `key` holds in `channel`'s committed world state.
+    fn committed(&self, channel: ChannelId, key: &str) -> Option<&[u8]> {
+        self.sims[channel.0 as usize].peer().state().value(key)
     }
 
     /// Folds a finished run's end time and the channel's lane clock

@@ -1,8 +1,7 @@
 //! Integration tests for the multi-channel driver: seed-pipeline
-//! byte-identity, per-channel isolation and reconvergence, per-channel
-//! Raft ordering, and the two-phase cross-channel transfer protocol
-//! (including the seeded crash/partition sweep asserting exactly-once
-//! handoffs).
+//! byte-identity, per-channel isolation and reconvergence, and the
+//! two-phase cross-channel transfer protocol (including the seeded
+//! crash/partition sweep asserting exactly-once handoffs).
 
 use std::sync::Arc;
 
@@ -10,9 +9,7 @@ use fabriccrdt::CrdtValidator;
 use fabriccrdt_channel::{assemble, fabriccrdt_multi_channel, XferChaincode};
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::{ChannelId, MultiChannelConfig, TransferOutcome, TransferSpec};
-use fabriccrdt_fabric::config::{
-    CrashSpec, FaultConfig, PartitionSpec, PipelineConfig, RaftConfig,
-};
+use fabriccrdt_fabric::config::{CrashSpec, FaultConfig, PartitionSpec, PipelineConfig};
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_fabric::storage::StorageConfig;
 use fabriccrdt_jsoncrdt::json::Value;
@@ -139,28 +136,6 @@ fn partial_membership_channels_converge_on_their_members() {
     }
     net.run((0..2).map(|c| channel_schedule(c, 30)).collect());
     assert_eq!(net.network().members(1), &[0, 1, 2, 4]);
-    net.verify_converged();
-}
-
-#[test]
-fn per_channel_raft_ordering_backend() {
-    let base = PipelineConfig::paper(25, 13).with_gossip();
-    let mut config = MultiChannelConfig::uniform(base, 2);
-    config.channels[1].ordering = Some(RaftConfig::calibrated(3));
-    let mut net = fabriccrdt_multi_channel(config, iot_registry());
-    for c in 0..2 {
-        seed_channel_keys(&mut net, c);
-    }
-    let rollup = net.run((0..2).map(|c| channel_schedule(c, 30)).collect());
-    assert!(
-        rollup.channels[0].metrics.ordering.is_none(),
-        "channel 0 keeps the single orderer"
-    );
-    assert!(
-        rollup.channels[1].metrics.ordering.is_some(),
-        "channel 1 orders through the Raft cluster"
-    );
-    assert_eq!(rollup.total_successful(), 60);
     net.verify_converged();
 }
 

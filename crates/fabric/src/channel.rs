@@ -15,9 +15,9 @@
 //!   every artifact a run produces is attributable to its channel.
 //! - [`ChannelSpec`] + [`MultiChannelConfig`] describe an N-channel
 //!   deployment over one base [`PipelineConfig`]: per-channel peer
-//!   membership, an optional per-channel Raft-ordering override, and a
-//!   deterministic per-channel seed derivation under which channel 0
-//!   reproduces the single-channel seed pipeline bit-for-bit.
+//!   membership and a deterministic per-channel seed derivation under
+//!   which channel 0 reproduces the single-channel seed pipeline
+//!   bit-for-bit.
 //! - [`TransferSpec`] / [`TransferReport`] describe the two-phase
 //!   cross-channel key handoff (prepare on the source channel, commit
 //!   or abort on the destination, reconciled at finalize) that the
@@ -30,7 +30,7 @@ use std::fmt;
 
 use fabriccrdt_sim::time::SimTime;
 
-use crate::config::{PipelineConfig, RaftConfig};
+use crate::config::PipelineConfig;
 use crate::metrics::RunMetrics;
 
 /// Identifies one channel of a multi-channel deployment.
@@ -57,8 +57,7 @@ impl fmt::Display for ChannelId {
 /// constant `SimRng` mixes fork labels with.
 const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// One channel of a [`MultiChannelConfig`]: its membership and the
-/// ordering override applied on top of the base pipeline config. Its
+/// One channel of a [`MultiChannelConfig`]: its membership. Its
 /// [`ChannelId`] is also its name (`ch0`, `ch1`, …).
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
@@ -69,19 +68,14 @@ pub struct ChannelSpec {
     /// ascending. Every org must keep at least one member so
     /// endorsement policies remain satisfiable.
     pub members: Vec<usize>,
-    /// Raft-ordering override for this channel; `None` inherits the
-    /// base config's ordering backend (single orderer unless the base
-    /// itself configures Raft).
-    pub ordering: Option<RaftConfig>,
 }
 
 impl ChannelSpec {
-    /// A channel with full peer membership and no ordering override.
+    /// A channel with full peer membership.
     pub fn full(id: ChannelId, topology_peers: usize) -> Self {
         ChannelSpec {
             id,
             members: (0..topology_peers).collect(),
-            ordering: None,
         }
     }
 }
@@ -101,8 +95,7 @@ pub struct MultiChannelConfig {
 }
 
 impl MultiChannelConfig {
-    /// `n` channels over `base`, each with full peer membership and no
-    /// ordering override.
+    /// `n` channels over `base`, each with full peer membership.
     ///
     /// # Panics
     ///
@@ -132,15 +125,11 @@ impl MultiChannelConfig {
     }
 
     /// The effective [`PipelineConfig`] for channel `index`: the base
-    /// with the channel's seed, id and ordering override applied.
+    /// with the channel's seed and id.
     pub fn pipeline_for(&self, index: usize) -> PipelineConfig {
-        let spec = &self.channels[index];
         let mut config = self.base.clone();
         config.seed = self.channel_seed(index);
-        config.channel = spec.id;
-        if let Some(raft) = &spec.ordering {
-            config.ordering = Some(raft.clone());
-        }
+        config.channel = self.channels[index].id;
         config
     }
 

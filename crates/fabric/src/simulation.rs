@@ -24,7 +24,7 @@
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fabriccrdt_crypto::{sha256, Identity, KeyPair};
-use fabriccrdt_ledger::block::Block;
+use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId, TxIdMap};
 use fabriccrdt_sim::queue::EventQueue;
 use fabriccrdt_sim::rng::SimRng;
@@ -48,16 +48,17 @@ use crate::validator::BlockValidator;
 /// committing peer.
 ///
 /// The default, [`IdealFifoDelivery`], reproduces the original pipeline
-/// exactly: one sampled orderer→peer hop per block, delivered in FIFO
-/// order. The `fabriccrdt-gossip` crate provides an alternative that
-/// routes every block through a simulated gossip network (leader pull,
-/// push gossip, anti-entropy) with fault injection, and reports
-/// dissemination metrics.
+/// exactly: one sampled orderer→peer hop per block, which the pipeline
+/// delivers in FIFO order. The `fabriccrdt-gossip` crate provides an
+/// alternative that routes every block through a simulated gossip
+/// network (leader pull, push gossip, anti-entropy) with fault
+/// injection, and reports dissemination metrics.
 pub trait DeliveryLayer {
     /// Returns the time at which `block`, cut by the orderer at `now`,
-    /// becomes available to the committing peer. Implementations must
-    /// be monotone: successive calls return non-decreasing times (block
-    /// delivery is FIFO per channel, as in Fabric's delivery service).
+    /// becomes available to the committing peer. The pipeline keeps
+    /// delivery FIFO per channel, as Fabric's deliver service does: a
+    /// block that the layer returns earlier than the one cut before it
+    /// arrives with that one, so a layer keeps no delivery clock.
     /// No layer reads `latency`: the hops are the constants of
     /// [`crate::latency`]; the parameter is pinned for `perf/`
     /// (DESIGN.md §4.16).
@@ -87,18 +88,16 @@ pub trait DeliveryLayer {
 }
 
 /// The original ideal dissemination model: each block takes one sampled
-/// orderer→peer hop, and delivery order is forced FIFO. Draws exactly
-/// one [`ORDERER_TO_PEER`] sample per block from the pipeline rng, so
-/// runs with this layer are bit-identical to the pre-gossip pipeline.
+/// orderer→peer hop. Draws exactly one [`ORDERER_TO_PEER`] sample per
+/// block from the pipeline rng, so runs with this layer are
+/// bit-identical to the pre-gossip pipeline.
 #[derive(Debug, Default)]
-pub struct IdealFifoDelivery {
-    last_delivery: SimTime,
-}
+pub struct IdealFifoDelivery;
 
 impl IdealFifoDelivery {
     /// Creates the layer.
     pub fn new() -> Self {
-        IdealFifoDelivery::default()
+        IdealFifoDelivery
     }
 }
 
@@ -110,10 +109,7 @@ impl DeliveryLayer for IdealFifoDelivery {
         _latency: &LatencyConfig,
         rng: &mut SimRng,
     ) -> SimTime {
-        let hop = ORDERER_TO_PEER.sample(rng);
-        let at = (now + hop).max(self.last_delivery);
-        self.last_delivery = at;
-        at
+        now + ORDERER_TO_PEER.sample(rng)
     }
 }
 
@@ -285,24 +281,59 @@ impl TxRequest {
     }
 }
 
+/// A pipeline event. Each carries what it acts on: a request index, or
+/// the transaction or block itself.
 #[derive(Debug)]
 enum Event {
-    /// Client submits transaction `i` (records `submitted_at`).
+    /// Client submits request `i` (records `submitted_at`).
     Submit(usize),
-    /// Proposal arrived at the endorsers; execute and endorse.
+    /// Request `i`'s proposal arrived at the endorsers; execute and
+    /// endorse.
     Endorse(usize),
-    /// Endorsed transaction arrives at the orderer.
-    OrdererReceive(usize),
+    /// An endorsed transaction arrives at the orderer. Boxed, like the
+    /// block events, so the other events, most of a queue, stay small.
+    OrdererReceive(Box<Transaction>),
     /// Batch timeout fired.
     OrdererTimeout(TimeoutRequest),
-    /// A block arrives at the committing peer. Boxed, so the other
-    /// events, most of a queue, are not as large as a block.
+    /// A block arrives at the committing peer.
     DeliverBlock(Box<Block>),
-    /// The peer finished processing the staged block.
-    CommitDone,
+    /// The peer finished processing this block; commit it.
+    CommitDone(Box<StagedBlock>),
     /// The ordering backend asked to be woken (internal Raft timers,
     /// in-flight replication). Never scheduled by [`SingleOrderer`].
     OrderingWakeup,
+}
+
+/// One scheduled request and what the run knows about it.
+struct Request {
+    request: TxRequest,
+    record: TxRecord,
+    /// Resubmissions performed (client retries).
+    attempts: usize,
+    /// Chaincode event emitted at endorsement, pending commit.
+    event: Option<ChaincodeEvent>,
+}
+
+/// The state of one [`Simulation::run`]: built fresh from its schedule,
+/// turned into [`RunMetrics`] once the queue drains.
+#[derive(Default)]
+struct Run {
+    requests: Vec<Request>,
+    /// Every transaction id the run endorsed, to its request.
+    index_by_id: TxIdMap<usize>,
+    /// Events of successfully committed transactions.
+    committed_events: Vec<CommittedEvent>,
+    retry: RetryMetrics,
+    blocks_committed: u64,
+    end_time: SimTime,
+    /// Ordering-backend wakeups already scheduled (dedup so each
+    /// internal event time gets exactly one pipeline event).
+    armed_wakeups: BTreeSet<SimTime>,
+    /// Delivered blocks waiting for the peer, in arrival order.
+    delivered: VecDeque<Block>,
+    /// Whether the peer is processing a block (its `CommitDone` is
+    /// queued).
+    committing: bool,
 }
 
 /// The simulated network: peers, orderer, clients, wiring.
@@ -315,37 +346,19 @@ pub struct Simulation<V: BlockValidator> {
     registry: ChaincodeRegistry,
     peer: Peer<V>,
     ordering: Box<dyn OrderingBackend>,
-    /// Ordering-backend wakeups already scheduled (dedup so each
-    /// internal event time gets exactly one pipeline event).
-    armed_wakeups: BTreeSet<SimTime>,
+    delivery: Box<dyn DeliveryLayer>,
     rng: SimRng,
     queue: EventQueue<Event>,
-    requests: Vec<TxRequest>,
-    records: Vec<TxRecord>,
-    endorsed: Vec<Option<Transaction>>,
-    index_by_id: TxIdMap<usize>,
     /// Signing keys of the endorsing peers by (position of the org in the
     /// policy, peer index within the org), each derived the first time
     /// that peer endorses — during the run, not at construction.
     endorser_keys: HashMap<(usize, usize), KeyPair>,
-    /// Resubmissions performed per request (client retries).
-    attempts: Vec<usize>,
-    /// Chaincode event emitted at endorsement, pending commit.
-    pending_events: Vec<Option<ChaincodeEvent>>,
-    /// Events of successfully committed transactions.
-    committed_events: Vec<CommittedEvent>,
-    /// Abort-and-retry accounting (reported via [`RunMetrics::retry`]).
-    retry: RetryMetrics,
-    /// The block being committed, until its `CommitDone`.
-    staged: Option<StagedBlock>,
-    /// Delivered blocks behind it, in arrival order.
-    delivered: VecDeque<Block>,
-    delivery: Box<dyn DeliveryLayer>,
+    /// When the last broadcast block reaches the peer; no later block
+    /// arrives before it.
+    last_delivery: SimTime,
     /// Orderer-cut blocks in cut order, recorded when enabled via
     /// [`Simulation::enable_block_log`].
     block_log: Option<Vec<(SimTime, Block)>>,
-    blocks_committed: u64,
-    end_time: SimTime,
     /// Monotone nonce so transaction ids stay unique across retries and
     /// across multiple `run` calls on the same network.
     next_nonce: u64,
@@ -379,24 +392,12 @@ impl<V: BlockValidator> Simulation<V> {
             registry,
             peer,
             ordering,
-            armed_wakeups: BTreeSet::new(),
+            delivery,
             rng,
             queue: EventQueue::new(),
-            requests: Vec::new(),
-            records: Vec::new(),
-            endorsed: Vec::new(),
-            index_by_id: TxIdMap::default(),
             endorser_keys: HashMap::new(),
-            attempts: Vec::new(),
-            pending_events: Vec::new(),
-            committed_events: Vec::new(),
-            retry: RetryMetrics::default(),
-            staged: None,
-            delivered: VecDeque::new(),
-            delivery,
+            last_delivery: SimTime::ZERO,
             block_log: None,
-            blocks_committed: 0,
-            end_time: SimTime::ZERO,
             next_nonce: 0,
         }
     }
@@ -433,45 +434,36 @@ impl<V: BlockValidator> Simulation<V> {
     ///
     /// Takes `&mut self` so the peer (world state, blockchain) can be
     /// inspected afterwards. Each call is an independent run: records
-    /// and counters reset, but committed ledger state persists, so a
-    /// second call models a later workload phase on the same network.
+    /// and counters start empty, but committed ledger state persists,
+    /// so a second call models a later workload phase on the same
+    /// network.
     ///
     /// # Panics
     ///
     /// Panics if a request names an unknown chaincode — deploy it first
     /// via the registry.
     pub fn run(&mut self, schedule: Vec<(SimTime, TxRequest)>) -> RunMetrics {
-        self.requests.clear();
-        self.records.clear();
-        self.endorsed.clear();
-        self.index_by_id.clear();
-        self.attempts.clear();
-        self.pending_events.clear();
-        self.committed_events.clear();
-        self.retry = RetryMetrics::default();
-        self.blocks_committed = 0;
-        self.end_time = SimTime::ZERO;
-        self.armed_wakeups.clear();
-        self.delivered.clear();
+        let mut run = Run::default();
         for (i, (at, request)) in schedule.into_iter().enumerate() {
-            self.requests.push(request);
-            self.records.push(TxRecord::default());
-            self.endorsed.push(None);
-            self.attempts.push(0);
-            self.pending_events.push(None);
+            run.requests.push(Request {
+                request,
+                record: TxRecord::default(),
+                attempts: 0,
+                event: None,
+            });
             self.queue.schedule(at, Event::Submit(i));
         }
 
         while let Some((now, event)) = self.queue.pop() {
-            self.handle(now, event);
+            self.handle(&mut run, now, event);
         }
 
         RunMetrics {
             channel: self.config.channel,
-            records: std::mem::take(&mut self.records),
-            end_time: self.end_time,
-            blocks_committed: self.blocks_committed,
-            events: std::mem::take(&mut self.committed_events),
+            records: run.requests.into_iter().map(|r| r.record).collect(),
+            end_time: run.end_time,
+            blocks_committed: run.blocks_committed,
+            events: run.committed_events,
             dissemination: self.delivery.take_dissemination(),
             ordering: self.ordering.take_ordering_metrics(),
             // Pinned for `perf/` (DESIGN.md §4.16): nothing is cached.
@@ -479,103 +471,74 @@ impl<V: BlockValidator> Simulation<V> {
             adversary: self.delivery.take_adversary(),
             // Pinned for `perf/` (DESIGN.md §4.16): no block overlaps another.
             pipelined: None,
-            retry: std::mem::take(&mut self.retry),
+            retry: run.retry,
             conflict_policy: self.ordering.take_policy_metrics(),
         }
     }
 
-    fn handle(&mut self, now: SimTime, event: Event) {
+    fn handle(&mut self, run: &mut Run, now: SimTime, event: Event) {
         match event {
             Event::Submit(i) => {
-                self.records[i].submitted_at = now;
+                run.requests[i].record.submitted_at = now;
                 let hop = CLIENT_TO_PEER.sample(&mut self.rng);
                 self.queue.schedule(now + hop, Event::Endorse(i));
             }
-            Event::Endorse(i) => self.endorse(now, i),
-            Event::OrdererReceive(i) => {
-                let tx = self.endorsed[i]
-                    .take()
-                    .expect("transaction endorsed before ordering");
-                let outcome = self.ordering.submit(tx, now);
-                self.apply_ordering(now, outcome);
+            Event::Endorse(i) => self.endorse(run, now, i),
+            Event::OrdererReceive(tx) => {
+                let outcome = self.ordering.submit(*tx, now);
+                self.apply_ordering(run, now, outcome);
             }
             Event::OrdererTimeout(request) => {
                 let outcome = self.ordering.timeout_fired(request, now);
-                self.apply_ordering(now, outcome);
+                self.apply_ordering(run, now, outcome);
             }
             Event::OrderingWakeup => {
-                self.armed_wakeups.remove(&now);
+                run.armed_wakeups.remove(&now);
                 let outcome = self.ordering.wakeup(now);
-                self.apply_ordering(now, outcome);
+                self.apply_ordering(run, now, outcome);
             }
             Event::DeliverBlock(block) => {
-                self.delivered.push_back(*block);
-                self.maybe_start_processing(now);
+                run.delivered.push_back(*block);
+                self.maybe_start_processing(run, now);
             }
-            Event::CommitDone => {
-                let staged = self.staged.take().expect("a block was being processed");
-                // Map validation codes back to request records.
+            Event::CommitDone(staged) => {
                 let tip = self
                     .peer
-                    .commit(staged)
+                    .commit(*staged)
                     .expect("orderer blocks extend the chain in order");
-                let adaptive = self.config.ordering_policy.is_adaptive();
-                let feedback = adaptive.then(|| BlockFeedback::from_block(tip));
-                let updates: Vec<(usize, _, u64)> = tip
+                if self.config.ordering_policy.is_adaptive() {
+                    self.ordering
+                        .observe_finalized(&BlockFeedback::from_block(tip));
+                }
+                // Map validation codes back to requests.
+                let verdicts: Vec<(usize, ValidationCode, u64)> = tip
                     .transactions
                     .iter()
                     .zip(&tip.validation_codes)
-                    .filter_map(|(tx, code)| {
-                        self.index_by_id.get(&tx.id).map(|&idx| {
-                            // Validation work the peer spent on this
-                            // transaction: one unit per endorsement
-                            // signature plus one per read-version check.
-                            // Charged to `wasted_validation_work` when
-                            // the verdict is a failure.
-                            let work = (tx.endorsements.len() + tx.rwset.reads.len()) as u64;
-                            (idx, *code, work)
-                        })
+                    .filter_map(|(tx, &code)| {
+                        // Validation work the peer spent on this
+                        // transaction: one unit per endorsement
+                        // signature plus one per read-version check.
+                        let work = (tx.endorsements.len() + tx.rwset.reads.len()) as u64;
+                        run.index_by_id.get(&tx.id).map(|&idx| (idx, code, work))
                     })
                     .collect();
-                if let Some(feedback) = feedback {
-                    self.ordering.observe_finalized(&feedback);
+                for (idx, code, work) in verdicts {
+                    self.settle(run, now, idx, code, work);
                 }
-                for (idx, code, work) in updates {
-                    self.records[idx].committed_at = Some(now);
-                    self.records[idx].code = Some(code);
-                    // Fabric's event service: chaincode events fire only
-                    // for successfully committed transactions.
-                    if code.is_success() {
-                        if self.attempts[idx] > 0 {
-                            self.retry.retry_success += 1;
-                            self.retry
-                                .retry_latency
-                                .push(now - self.records[idx].submitted_at);
-                        }
-                        if let Some(event) = self.pending_events[idx].take() {
-                            self.committed_events.push(CommittedEvent {
-                                request: idx,
-                                name: event.name,
-                                payload: event.payload,
-                                at: now,
-                            });
-                        }
-                    } else {
-                        self.retry.wasted_validation_work += work;
-                    }
-                    self.maybe_retry(now, idx, code);
-                }
-                self.blocks_committed += 1;
-                self.end_time = self.end_time.max(now);
-                self.maybe_start_processing(now);
+                run.blocks_committed += 1;
+                run.end_time = run.end_time.max(now);
+                run.committing = false;
+                self.maybe_start_processing(run, now);
             }
         }
     }
 
     /// Executes the chaincode once against the committed state, collects
     /// one endorsement per organization, and forwards to the orderer.
-    fn endorse(&mut self, now: SimTime, i: usize) {
-        let request = &self.requests[i];
+    fn endorse(&mut self, run: &mut Run, now: SimTime, i: usize) {
+        let slot = &mut run.requests[i];
+        let request = &slot.request;
         let chaincode = self
             .registry
             .get(&request.chaincode)
@@ -589,7 +552,6 @@ impl<V: BlockValidator> Simulation<V> {
             return;
         }
         let (rwset, exec_work, event) = stub.into_parts();
-        self.pending_events[i] = event;
         let exec_cost = crate::cost::exec_cost(&exec_work);
 
         let client_id = i % self.config.topology.clients;
@@ -626,7 +588,7 @@ impl<V: BlockValidator> Simulation<V> {
             slowest_return = slowest_return.max(ret);
         }
 
-        if self.requests[i].corrupt_endorsement {
+        if request.corrupt_endorsement {
             // Failure injection: a flipped signature bit fails
             // verification on every peer.
             if let Some(endorsement) = tx.endorsements.first_mut() {
@@ -634,109 +596,124 @@ impl<V: BlockValidator> Simulation<V> {
             }
         }
 
-        self.index_by_id.insert(tx.id, i);
-        self.endorsed[i] = Some(tx);
+        slot.event = event;
+        run.index_by_id.insert(tx.id, i);
         let to_orderer = CLIENT_TO_ORDERER.sample(&mut self.rng);
         let arrival = now + exec_cost + slowest_return + to_orderer;
-        self.queue.schedule(arrival, Event::OrdererReceive(i));
+        self.queue
+            .schedule(arrival, Event::OrdererReceive(Box::new(tx)));
     }
 
     /// Applies an [`OrderingOutcome`]: schedules the batch timeout,
-    /// records early aborts and broadcasts cut blocks (in the exact
+    /// settles early aborts and broadcasts cut blocks (in the exact
     /// order the single-orderer path always used), then arms the
     /// backend's next internal wakeup (deduplicated per instant).
-    fn apply_ordering(&mut self, now: SimTime, outcome: OrderingOutcome) {
+    fn apply_ordering(&mut self, run: &mut Run, now: SimTime, outcome: OrderingOutcome) {
         if let Some(timeout) = outcome.timeout {
             self.queue
                 .schedule(timeout.at, Event::OrdererTimeout(timeout));
         }
         if !outcome.blocks.is_empty() {
-            self.record_early_aborts(now);
+            // Transactions the reordering orderer dropped before block
+            // formation (Fabric++ early abort) were never validated.
+            for tx in self.ordering.take_early_aborted() {
+                if let Some(&idx) = run.index_by_id.get(&tx.id) {
+                    self.settle(run, now, idx, ValidationCode::EarlyAborted, 0);
+                }
+            }
             for (at, block) in outcome.blocks {
                 debug_assert!(at <= now, "ordering backends cannot emit into the future");
                 self.broadcast(at, block);
             }
         }
         if let Some(at) = outcome.wakeup {
-            if self.armed_wakeups.insert(at) {
+            if run.armed_wakeups.insert(at) {
                 self.queue.schedule(at, Event::OrderingWakeup);
             }
         }
     }
 
-    /// Records transactions the reordering orderer dropped before block
-    /// formation (Fabric++ early abort).
-    fn record_early_aborts(&mut self, now: SimTime) {
-        let aborted = self.ordering.take_early_aborted();
-        for tx in aborted {
-            if let Some(&idx) = self.index_by_id.get(&tx.id) {
-                let code = fabriccrdt_ledger::block::ValidationCode::EarlyAborted;
-                self.records[idx].committed_at = Some(now);
-                self.records[idx].code = Some(code);
-                self.maybe_retry(now, idx, code);
+    /// Settles request `idx`'s transaction at `now` with `code`, after
+    /// the peer spent `work` validation units on it (0 for an early
+    /// abort). A retryable failure within the retry budget is
+    /// resubmitted and leaves the request pending; any other code is
+    /// the request's verdict.
+    fn settle(&mut self, run: &mut Run, now: SimTime, idx: usize, code: ValidationCode, work: u64) {
+        let slot = &mut run.requests[idx];
+        if code.is_success() {
+            if slot.attempts > 0 {
+                run.retry.retry_success += 1;
+                run.retry.retry_latency.push(now - slot.record.submitted_at);
             }
+            // Fabric's event service: chaincode events fire only for
+            // successfully committed transactions.
+            if let Some(event) = slot.event.take() {
+                run.committed_events.push(CommittedEvent {
+                    request: idx,
+                    name: event.name,
+                    payload: event.payload,
+                    at: now,
+                });
+            }
+        } else {
+            run.retry.wasted_validation_work += work;
         }
-    }
-
-    /// Client-side resubmission (§1): a conflicted transaction is
-    /// re-executed, re-endorsed and re-ordered as a *new* transaction,
-    /// keeping the original submission time so the final latency
-    /// reflects the full retry cost. The retry fires after the client
-    /// learns of the failure (peer → client notification hop).
-    fn maybe_retry(
-        &mut self,
-        now: SimTime,
-        idx: usize,
-        code: fabriccrdt_ledger::block::ValidationCode,
-    ) {
-        use fabriccrdt_ledger::block::ValidationCode;
         let retryable = matches!(
             code,
             ValidationCode::MvccConflict | ValidationCode::EarlyAborted
         );
-        if !retryable || self.attempts[idx] >= self.config.retry.budget {
+        let resubmit = retryable && slot.attempts < self.config.retry.budget;
+        slot.record.committed_at = (!resubmit).then_some(now);
+        slot.record.code = (!resubmit).then_some(code);
+        if !resubmit {
             return;
         }
-        self.attempts[idx] += 1;
-        self.retry.retries += 1;
-        // Pending again until the retry resolves.
-        self.records[idx].committed_at = None;
-        self.records[idx].code = None;
+        // Client-side resubmission (§1): the transaction is re-executed,
+        // re-endorsed and re-ordered as a *new* transaction, keeping the
+        // original submission time so the final latency reflects the
+        // full retry cost. The retry fires after the client learns of
+        // the failure (peer → client notification hop).
+        slot.attempts += 1;
+        run.retry.retries += 1;
         let notify = PEER_TO_CLIENT.sample(&mut self.rng);
-        let resubmit = CLIENT_TO_PEER.sample(&mut self.rng);
+        let to_peer = CLIENT_TO_PEER.sample(&mut self.rng);
         let backoff = self
             .config
             .retry
-            .backoff_delay(self.attempts[idx], &mut self.rng);
+            .backoff_delay(slot.attempts, &mut self.rng);
         self.queue
-            .schedule(now + notify + backoff + resubmit, Event::Endorse(idx));
+            .schedule(now + notify + backoff + to_peer, Event::Endorse(idx));
     }
 
     /// Broadcasts a cut block to the committing peer through the
-    /// dissemination layer.
+    /// dissemination layer, FIFO: a block arrives no earlier than the
+    /// one broadcast before it.
     fn broadcast(&mut self, now: SimTime, block: Block) {
         if let Some(log) = &mut self.block_log {
             log.push((now, block.clone()));
         }
         let at = self
             .delivery
-            .deliver(now, &block, &self.config.latency, &mut self.rng);
+            .deliver(now, &block, &self.config.latency, &mut self.rng)
+            .max(self.last_delivery);
+        self.last_delivery = at;
         self.queue
             .schedule(at, Event::DeliverBlock(Box::new(block)));
     }
 
     /// Processes the next delivered block if the peer is idle. The
     /// simulated cost derives from the work counters.
-    fn maybe_start_processing(&mut self, now: SimTime) {
-        if self.staged.is_some() {
+    fn maybe_start_processing(&mut self, run: &mut Run, now: SimTime) {
+        if run.committing {
             return;
         }
-        let Some(block) = self.delivered.pop_front() else {
+        let Some(block) = run.delivered.pop_front() else {
             return;
         };
         let staged = self.peer.process_block(block);
         let cost = self.config.latency.cost.block_cost(&staged.work);
-        self.staged = Some(staged);
-        self.queue.schedule(now + cost, Event::CommitDone);
+        run.committing = true;
+        self.queue
+            .schedule(now + cost, Event::CommitDone(Box::new(staged)));
     }
 }

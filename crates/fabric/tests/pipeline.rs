@@ -5,10 +5,12 @@ use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
 use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy, PipelineConfig, RetryPolicy};
-use fabriccrdt_fabric::metrics::RunMetrics;
-use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
+use fabriccrdt_fabric::latency::LatencyConfig;
+use fabriccrdt_fabric::metrics::{RetryMetrics, RunMetrics};
+use fabriccrdt_fabric::simulation::{DeliveryLayer, Simulation, SingleOrderer, TxRequest};
 use fabriccrdt_fabric::validator::FabricValidator;
-use fabriccrdt_ledger::block::ValidationCode;
+use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_sim::rng::SimRng;
 use fabriccrdt_sim::time::SimTime;
 
 /// Read-modify-write chaincode on a single key: args = [key, value].
@@ -272,11 +274,20 @@ fn block_cut_config_respected() {
     assert_eq!(cfg.max_tx_count, 7);
 }
 
+/// Two runs on one network: the second run's records, events and retry
+/// counters are its own, while the ledger carries over.
 #[test]
 fn history_and_events_flow_through_the_pipeline() {
-    let mut sim = Simulation::new(config(5, 33), FabricValidator::new(), registry());
-    // Phase 1: three writes to the same key across separate blocks.
-    let writes: Vec<(SimTime, TxRequest)> = (0..3)
+    let mut sim = Simulation::new(
+        config(5, 33).with_retry_policy(RetryPolicy::immediate(10)),
+        FabricValidator::new(),
+        registry(),
+    );
+    sim.seed_state("hot", b"0".to_vec());
+    // Phase 1: three writes to the same key across separate blocks,
+    // four read-modify-writes of one hot key that conflict and retry,
+    // and an audit whose event fires.
+    let mut phase1: Vec<(SimTime, TxRequest)> = (0..3)
         .map(|i| {
             (
                 SimTime::from_millis(i * 400), // one per block (size 5, slow)
@@ -284,21 +295,85 @@ fn history_and_events_flow_through_the_pipeline() {
             )
         })
         .collect();
-    let phase1 = sim.run(writes);
-    assert_eq!(phase1.successful(), 3);
+    phase1.extend((0..4).map(|i| {
+        (
+            SimTime::from_millis(i),
+            TxRequest::new("rmw", vec!["hot".into(), format!("h{i}")]),
+        )
+    }));
+    phase1.push((SimTime::ZERO, TxRequest::new("audit", vec!["hot".into()])));
+    let phase1 = sim.run(phase1);
+    assert_eq!(phase1.successful(), 8);
+    assert!(phase1.retry.retries > 0 && phase1.retry.retry_success > 0);
+    assert_eq!(phase1.events.len(), 1);
     assert_eq!(sim.peer().chain().history("asset").len(), 3);
+    let height = sim.peer().chain().height();
 
     // Phase 2: the audit chaincode reads the history and emits an event.
     let phase2 = sim.run(vec![(
         SimTime::ZERO,
         TxRequest::new("audit", vec!["asset".into()]),
     )]);
+    assert_eq!(phase2.records.len(), 1);
     assert_eq!(phase2.successful(), 1);
+    assert_eq!(phase2.retry, RetryMetrics::default());
     assert_eq!(phase2.events.len(), 1);
+    assert_eq!(phase2.events[0].request, 0);
     assert_eq!(phase2.events[0].name, "audited");
     assert_eq!(phase2.events[0].payload, b"asset");
     // The audit counted the three committed versions.
     assert_eq!(sim.peer().state().value("audit-asset"), Some(&b"3"[..]));
+    assert!(sim.peer().chain().height() > height);
+}
+
+/// A dissemination layer that returns an earlier time for the second
+/// block than for the first.
+struct OvertakingDelivery {
+    calls: u64,
+}
+
+impl DeliveryLayer for OvertakingDelivery {
+    fn deliver(
+        &mut self,
+        now: SimTime,
+        _block: &Block,
+        _latency: &LatencyConfig,
+        _rng: &mut SimRng,
+    ) -> SimTime {
+        self.calls += 1;
+        match self.calls {
+            1 => now + SimTime::from_secs(10),
+            _ => now,
+        }
+    }
+}
+
+/// Block delivery is FIFO per channel whatever the layer returns: the
+/// second block waits for the first.
+#[test]
+fn the_pipeline_delivers_blocks_in_cut_order() {
+    let config = config(1, 8);
+    let ordering = Box::new(SingleOrderer::from_config(&config));
+    let delivery = Box::new(OvertakingDelivery { calls: 0 });
+    let mut sim = Simulation::with_layers(
+        config,
+        FabricValidator::new(),
+        registry(),
+        delivery,
+        ordering,
+    );
+    let metrics = sim.run(
+        (0..2)
+            .map(|i| {
+                let request = TxRequest::new("writeonly", vec![format!("k{i}"), "v".into()]);
+                (SimTime::from_secs(i), request)
+            })
+            .collect(),
+    );
+    assert_eq!(metrics.successful(), 2);
+    let [first, second] = [0, 1].map(|i| metrics.records[i].committed_at.unwrap());
+    assert!(first >= SimTime::from_secs(10), "{first:?}");
+    assert!(second >= first, "{second:?} before {first:?}");
 }
 
 #[test]

@@ -49,7 +49,6 @@ pub struct GossipDelivery<V> {
     channel: usize,
     /// Global index of the channel's observed replica.
     observed: usize,
-    last: SimTime,
 }
 
 impl<V: BlockValidator> GossipDelivery<V> {
@@ -65,7 +64,6 @@ impl<V: BlockValidator> GossipDelivery<V> {
             network,
             channel,
             observed,
-            last: SimTime::ZERO,
         }
     }
 }
@@ -86,11 +84,7 @@ impl<V: BlockValidator> DeliveryLayer for GossipDelivery<V> {
         // `DeliveryLayer::deliver` lends `&Block`: this clone, which
         // shares the transactions, becomes the lane's one allocation.
         network.publish_with_hop_on(self.channel, now, hop, block.clone());
-        let committed_at =
-            network.run_until_committed_on(self.channel, self.observed, block.header.number);
-        let at = committed_at.max(self.last);
-        self.last = at;
-        at
+        network.run_until_committed_on(self.channel, self.observed, block.header.number)
     }
 
     fn seed_state(&mut self, key: &str, value: &[u8]) {
