@@ -20,13 +20,13 @@ echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # One module may say `unsafe`: the SHA-NI kernel and its dispatch
-# (DESIGN.md §4.17). Ten crates `forbid` it; this catches the eleventh
+# (DESIGN.md §4.2). Ten crates `forbid` it; this catches the eleventh
 # growing a second `#[allow(unsafe_code)]`.
 echo "==> unsafe boundary (exactly one .rs file under crates/ and src/ contains the word)"
 test "$(grep -rlw --include='*.rs' unsafe crates src)" = crates/crypto/src/sha256/shani.rs
 
 # Two files may read the host clock: `micro`'s timer loop and the two
-# stage durations `Peer` hands to perf/ (DESIGN.md §4.16). Every other
+# stage durations `Peer` hands to perf/ (DESIGN.md §4.10). Every other
 # host-time figure is measured from outside, by perf/.
 echo "==> host-clock boundary (exactly two .rs files under crates/ and src/ name Instant)"
 test "$(grep -rlw --include='*.rs' Instant crates src | sort)" = "crates/bench/benches/micro.rs
@@ -35,7 +35,7 @@ crates/fabric/src/peer.rs"
 # No file may take a lock. A peer has one commit path on one thread —
 # Algorithm 1 parses inline, with no process-wide cache, and finalize is
 # one sequential pass over a clone of the committed state, published
-# whole at commit (DESIGN.md §4.9).
+# whole at commit (DESIGN.md §4.4).
 echo "==> lock boundary (no .rs file under crates/ or src/ names Mutex or RwLock)"
 test -z "$(grep -rlw --include='*.rs' -e Mutex -e RwLock crates src)"
 
@@ -84,7 +84,7 @@ done
 # and hashes a transaction again only if a validator put a list of its
 # own in the block. The
 # passes live behind `ledger` constructors (`EncodedTransactions::verify`,
-# `SealedBlock::{reseal, seal, verify}`; DESIGN.md §4.17). These are the
+# `SealedBlock::{reseal, seal, verify}`; DESIGN.md §4.2). These are the
 # files that name the pass underneath them; `fabric/src/peer.rs` is not
 # one, so a second pass on the commit path cannot come back without this
 # list changing.
@@ -98,7 +98,7 @@ crates/ledger/tests/format_v3.rs
 crates/ledger/tests/properties.rs"
 
 # A block's transactions are one immutable list that every clone of the
-# block shares (`ledger::block::Transactions`, DESIGN.md §4.7): a
+# block shares (`ledger::block::Transactions`, DESIGN.md §4.5): a
 # replica commits the allocation the orderer cut. Code that needs a list
 # of its own copies it explicitly, and these are the non-test files that
 # do: the adversary's forgeries, and the one conversion to a `Vec`
@@ -113,7 +113,7 @@ crates/ledger/src/block.rs"
 
 # A ledger layout is written once, against `codec::ByteSink`, whose
 # `u64` is the one big-endian integer writer the stored formats share
-# (DESIGN.md §4.17). Besides it only the block-header hash and
+# (DESIGN.md §4.2). Besides it only the block-header hash and
 # `TxId::derive` turn an integer into bytes, so a second, hand-written
 # length prefix cannot come back without this list changing. Files are
 # cut at their first `#[cfg(test)]`, as for the panic-site count below.
@@ -127,7 +127,7 @@ crates/ledger/src/transaction.rs"
 
 # A block record's footer is the prefix of its block hash, which ingress
 # and the re-seal already bound to every stored byte, so the store hashes
-# no transaction or record byte (DESIGN.md §4.11, §4.17). SHA-256 runs
+# no transaction or record byte (DESIGN.md §4.7, §4.2). SHA-256 runs
 # over a snapshot payload only: these are the non-test functions of
 # store.rs that call `digest(`, or `snapshot_footer(`, the one that does.
 echo "==> store-hashing boundary (in ledger/src/store.rs, digest( is reached only on the snapshot path)"
@@ -140,7 +140,7 @@ put_snapshot"
 
 # A ledger snapshot is a root — a world state and a sorted id list —
 # and its bytes exist only at the store and on the wire (DESIGN.md
-# §4.11): `LedgerSnapshot`'s layout writes them, `from_bytes` parses
+# §4.7): `LedgerSnapshot`'s layout writes them, `from_bytes` parses
 # them. These are the non-test files that name a snapshot component's
 # codec; no `fabric` file, `peer.rs` included, may join them.
 echo "==> snapshot-codec boundary (the non-test .rs files that name decode_state, decode_txids or encode_txids)"
@@ -152,14 +152,14 @@ crates/ledger/src/store.rs"
 
 # When a partition is in force, and whom it separates, is written once,
 # on `FaultConfig` (`partitioned`, `cut_off`), and gossip and Raft both
-# read it there (DESIGN.md §4.7).
+# read it there (DESIGN.md §4.5).
 echo "==> fault-window boundary (in non-test code, minority.contains( appears only in fabric/src/config.rs)"
 test "$(find crates src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort | xargs awk '
     FNR == 1 { cut = 0 }
     /#\[cfg\(test\)\]/ { cut = 1 }
     !cut && /minority\.contains\(/ { print FILENAME }' | uniq)" = crates/fabric/src/config.rs
 
-# An endorsement is a MAC of its payload's digest (DESIGN.md §4.17):
+# An endorsement is a MAC of its payload's digest (DESIGN.md §4.2):
 # the endorsers' client hashes a response payload once, in
 # `Simulation::endorse`, and a peer verifies from the digest its ingress
 # check hashed into the leaf. This prints every non-test function under
@@ -188,7 +188,7 @@ test "$panic_sites" -le 33
 
 # Every settable value multiplies the configurations tests and
 # benchmarks must cover, so a value nothing varies is a constant beside
-# its reader (DESIGN.md §4.7, §4.8). This counts the `pub` fields of the
+# its reader (DESIGN.md §4.5, §4.6). This counts the `pub` fields of the
 # 17 structs reachable from `PipelineConfig` and `MultiChannelConfig`:
 # it may fall, never rise. The awk also counts the structs it found, so
 # a renamed or moved struct fails here instead of dropping out.
@@ -205,12 +205,31 @@ test "$config_structs" -eq 17
 test "$options" -le 53
 
 # The documents a contributor reads before changing anything; ROADMAP
-# item 7 tracks their size. EXPERIMENTS.md and DESIGN.md may shrink,
-# never grow; CHANGES.md has its own cap.
+# item 7 tracks their size. EXPERIMENTS.md, DESIGN.md and the verify
+# skill may shrink, never grow; CHANGES.md has its own cap. The skill
+# names this script as the gate instead of restating its checks, so a
+# gate changes here alone.
 echo "==> document words"
-wc -w EXPERIMENTS.md DESIGN.md CHANGES.md
+wc -w EXPERIMENTS.md DESIGN.md CHANGES.md .claude/skills/verify/SKILL.md
 test "$(wc -w < EXPERIMENTS.md)" -le 9614
-test "$(wc -w < DESIGN.md)" -le 14207
+test "$(wc -w < DESIGN.md)" -le 8880
+test "$(wc -w < .claude/skills/verify/SKILL.md)" -le 1041
+
+# DESIGN.md describes the tree as it stands. Every backticked path in it
+# (`a::b`, each name of a `{…}` group) and every backticked call (`f()`)
+# must name a word found under crates/, src/ or perf/src, so a rename or
+# a deletion that leaves the document behind fails here.
+echo "==> DESIGN.md names (each backticked path segment and call is a word in the sources)"
+design_names=$(tr '\n' ' ' <DESIGN.md | grep -o '`[^`]*`' |
+    grep -oE '\b[A-Za-z_][A-Za-z0-9_]*(::([A-Za-z_][A-Za-z0-9_]*|\{[^}]*\}))+|\b[A-Za-z_][A-Za-z0-9_]*\(' |
+    sed -e 's/($//' -e 's/::/\n/g' | tr -d '{}' | tr ',' '\n' |
+    sed -e 's/^ *//' -e 's/[^A-Za-z0-9_].*//' | grep . | LC_ALL=C sort -u)
+missing_names=$(LC_ALL=C comm -23 <(echo "$design_names") \
+    <(grep -rhowF -e "$design_names" crates src perf/src | LC_ALL=C sort -u))
+if [ -n "$missing_names" ]; then
+    echo "DESIGN.md names what no file under crates/, src/ or perf/src does:" $missing_names >&2
+    exit 1
+fi
 
 echo "==> cargo build --release"
 cargo build --release --workspace

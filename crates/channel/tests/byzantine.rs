@@ -4,7 +4,7 @@
 //! (`fabriccrdt_multi_channel`), so it honours every field of its
 //! `PipelineConfig`. 100 generated schedules drive the FabricCRDT
 //! gossip pipeline; every case asserts the three safety properties the
-//! threat model promises (DESIGN.md §4.13): honest commits are
+//! threat model promises (DESIGN.md §4.9): honest commits are
 //! unaffected, honest replicas stay byte-identical, and every injected
 //! forgery is screened out (and accounted for) at ingress. Fixed cases
 //! pin down the detection semantics, the honest-run equivalence, and

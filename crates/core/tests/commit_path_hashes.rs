@@ -1,5 +1,5 @@
 //! The commit path hashes each block fewer times than it used to
-//! (DESIGN.md §4.17) and must seal exactly the bytes it always did: the
+//! (DESIGN.md §4.2) and must seal exactly the bytes it always did: the
 //! headers asserted here were recorded before that change, and
 //! re-recorded four times since: when signatures became MACs of the
 //! payload digest and the Merkle leaf began with that digest, when the
@@ -197,7 +197,7 @@ fn document(nonce: u64, readings: usize) -> Vec<u8> {
     format!(r#"{{"readings":[{}]}}"#, readings.join(",")).into_bytes()
 }
 
-/// The shells `perf/` replays a run through (DESIGN.md §4.16) are the
+/// The shells `perf/` replays a run through (DESIGN.md §4.10) are the
 /// one commit path: `prevalidate` → `finish_block_with_next` → `commit`
 /// per block, then `finish_block`, ends in the ledger a `process_block`
 /// chain ends in, with the same work per block. Every block but the

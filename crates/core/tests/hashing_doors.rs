@@ -1,7 +1,7 @@
 //! Every door into a peer's chain still hashes what comes through it.
 //!
 //! Since `Peer::commit` appends a `SealedBlock` without recomputing its
-//! hashes (DESIGN.md §4.17), "nothing enters the chain unverified"
+//! hashes (DESIGN.md §4.2), "nothing enters the chain unverified"
 //! rests on the routes that build one: the ingress check on a delivered
 //! block, the re-seal, `Peer::replay_block` and `codec::decode_chain`.
 //! Each test here fails if its route stops hashing: the same one-byte

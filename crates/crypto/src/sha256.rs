@@ -7,7 +7,7 @@
 //! the one module of the workspace under `allow(unsafe_code)` — taken
 //! whenever the CPU reports the extensions at run time. The NIST vectors
 //! run against each body, and the hardware body is differential-tested
-//! against the portable one in the unit tests below (DESIGN.md §4.17).
+//! against the portable one in the unit tests below (DESIGN.md §4.2).
 
 mod shani;
 

@@ -1,6 +1,6 @@
 //! The x86-64 SHA-extension compression kernel and its run-time
 //! dispatch — the one module of the workspace that may contain `unsafe`
-//! (DESIGN.md §4.17). Everything the `unsafe` relies on lives here: the
+//! (DESIGN.md §4.2). Everything the `unsafe` relies on lives here: the
 //! feature probe and the only call of the `#[target_feature]` function.
 #![allow(unsafe_code)]
 

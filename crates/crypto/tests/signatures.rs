@@ -1,7 +1,7 @@
 //! The endorsement MAC's format, from outside the crate:
 //! `sig = SHA-256(K ‖ SHA-256(msg))`, `K` the identity's secret
 //! zero-padded to one 64-byte block, computed from the state `KeyPair`
-//! saved after `K` (DESIGN.md §4.17).
+//! saved after `K` (DESIGN.md §4.2).
 
 use fabriccrdt_crypto::{hex, sha256, Digest, Identity, KeyPair, Signature};
 

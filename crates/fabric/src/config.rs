@@ -559,7 +559,7 @@ impl PipelineConfig {
     }
 
     /// Returns the configuration unchanged: a peer has one commit path.
-    /// Pinned for `perf/` (DESIGN.md §4.16).
+    /// Pinned for `perf/` (DESIGN.md §4.10).
     pub fn with_pipelined_validation(self, _workers: usize) -> Self {
         self
     }

@@ -1,4 +1,4 @@
-//! Conflict-aware ordering support: the decayed per-key write/conflict
+//! Conflict-aware ordering support: the decayed per-key conflict
 //! tracker behind [`crate::config::OrderingPolicy::Adaptive`].
 //!
 //! "Performance Optimization of High-Conflict Transactions within the
@@ -8,11 +8,10 @@
 //! the measurement half of that idea:
 //!
 //! - [`ConflictTracker`] keeps one exponentially decayed moving average
-//!   per key for *writes* (how often the key is written by committed
-//!   transactions) and *conflicts* (how often a transaction touching
-//!   the key failed MVCC validation or was early-aborted at the
-//!   orderer). Finalize results flow back from the committing peer as
-//!   [`BlockFeedback`] via `OrderingBackend::observe_finalized`.
+//!   per key: how often a transaction touching the key failed MVCC
+//!   validation or was early-aborted at the orderer. Finalize results
+//!   flow back from the committing peer as [`BlockFeedback`] via
+//!   `OrderingBackend::observe_finalized`.
 //! - [`ConflictTracker::batch_conflict_density`] scores a pending batch
 //!   as the fraction of its transactions touching a hot key — the
 //!   signal the adaptive orderer compares against its density threshold
@@ -27,34 +26,22 @@
 
 use std::collections::BTreeMap;
 
-use fabriccrdt_ledger::block::Block;
+use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::transaction::Transaction;
 
 /// Scores below this are pruned after decay: a key nobody has touched
 /// for a few dozen blocks costs nothing.
 const PRUNE_BELOW: f64 = 1e-3;
 
-/// Decayed per-key activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KeyHeat {
-    /// Decayed writes-per-block EWMA.
-    pub writes: f64,
-    /// Decayed conflicts-per-block EWMA (MVCC failures at finalize plus
-    /// early aborts at the orderer).
-    pub conflicts: f64,
-}
-
 /// Per-block finalize results, reduced to what the conflict tracker
-/// needs: which keys were written by committed transactions and which
-/// keys were touched by transactions that failed MVCC validation.
+/// reads: the keys touched by transactions that failed MVCC
+/// validation.
 ///
 /// Built by the simulation driver from the committed tip block (one
 /// entry per key *occurrence*, so a block with three failures on `hot`
 /// bumps `hot` three times).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockFeedback {
-    /// Keys written by successfully committed transactions.
-    pub writes: Vec<String>,
     /// Keys read or written by transactions that failed MVCC
     /// validation.
     pub conflicts: Vec<String>,
@@ -66,11 +53,7 @@ impl BlockFeedback {
     pub fn from_block(block: &Block) -> Self {
         let mut feedback = BlockFeedback::default();
         for (tx, code) in block.transactions.iter().zip(&block.validation_codes) {
-            if code.is_success() {
-                for (key, _) in tx.rwset.writes.iter() {
-                    feedback.writes.push(key.to_owned());
-                }
-            } else if matches!(code, fabriccrdt_ledger::block::ValidationCode::MvccConflict) {
+            if matches!(code, ValidationCode::MvccConflict) {
                 for (key, _) in tx.rwset.reads.iter() {
                     feedback.conflicts.push(key.to_owned());
                 }
@@ -100,16 +83,16 @@ pub const HOT_KEY_THRESHOLD: f64 = 0.5;
 /// the Tarjan/Kahn pass is skipped entirely.
 pub const DENSITY_THRESHOLD: f64 = 0.1;
 
-/// Decayed per-key write/conflict EWMA at the ordering service.
+/// Decayed per-key conflict EWMA at the ordering service.
 ///
 /// One observation round per finalized block: every tracked score is
 /// multiplied by [`DECAY`], then the round's occurrences are added with
-/// weight `1 - DECAY` each (a standard EWMA, so a key conflicting `c`
-/// times per block converges to a conflict score of `c · (1 − DECAY)
-/// / (1 − DECAY) = c`... scores are in units of occurrences-per-block).
+/// weight `1 - DECAY` each, so a key conflicting `c` times in every
+/// block converges to a score of `c` (scores are in units of
+/// occurrences per block).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConflictTracker {
-    keys: BTreeMap<String, KeyHeat>,
+    heat: BTreeMap<String, f64>,
     blocks_observed: u64,
 }
 
@@ -124,27 +107,24 @@ impl ConflictTracker {
         self.blocks_observed
     }
 
-    /// Number of keys currently tracked (pruned of cold entries).
+    /// Number of keys with conflict heat (pruned of cold entries).
     pub fn tracked_keys(&self) -> usize {
-        self.keys.len()
+        self.heat.len()
     }
 
-    /// The decayed scores for `key` (zeros when untracked).
-    pub fn heat(&self, key: &str) -> KeyHeat {
-        self.keys.get(key).copied().unwrap_or_default()
+    /// The decayed conflict score of `key` (zero when untracked).
+    pub fn heat(&self, key: &str) -> f64 {
+        self.heat.get(key).copied().unwrap_or_default()
     }
 
     /// Absorbs one finalized block's feedback: one decay round plus the
-    /// fresh write/conflict occurrences.
+    /// fresh conflict occurrences.
     pub fn observe(&mut self, feedback: &BlockFeedback) {
-        self.decay_round();
-        let fresh = 1.0 - DECAY;
-        for key in &feedback.writes {
-            self.keys.entry(key.clone()).or_default().writes += fresh;
-        }
-        for key in &feedback.conflicts {
-            self.keys.entry(key.clone()).or_default().conflicts += fresh;
-        }
+        self.heat.retain(|_, heat| {
+            *heat *= DECAY;
+            *heat >= PRUNE_BELOW
+        });
+        self.bump(feedback.conflicts.iter().map(String::as_str));
         self.blocks_observed += 1;
     }
 
@@ -157,21 +137,17 @@ impl ConflictTracker {
     /// Not a decay round: the aborts belong to the batch whose
     /// finalize feedback will perform the round.
     pub fn observe_aborts(&mut self, aborted: &[Transaction]) {
-        let fresh = 1.0 - DECAY;
-        for tx in aborted {
-            for (key, _) in tx.rwset.reads.iter() {
-                self.keys.entry(key.to_owned()).or_default().conflicts += fresh;
-            }
-        }
+        self.bump(
+            aborted
+                .iter()
+                .flat_map(|tx| tx.rwset.reads.iter().map(|(key, _)| key.as_str())),
+        );
     }
 
-    fn decay_round(&mut self) {
-        for heat in self.keys.values_mut() {
-            heat.writes *= DECAY;
-            heat.conflicts *= DECAY;
+    fn bump<'k>(&mut self, keys: impl Iterator<Item = &'k str>) {
+        for key in keys {
+            *self.heat.entry(key.to_owned()).or_default() += 1.0 - DECAY;
         }
-        self.keys
-            .retain(|_, h| h.writes >= PRUNE_BELOW || h.conflicts >= PRUNE_BELOW);
     }
 
     /// Fraction of `batch` whose transactions touch at least one key
@@ -179,7 +155,7 @@ impl ConflictTracker {
     /// an empty batch or a cold tracker — the adaptive orderer then
     /// skips the reordering pass entirely.
     pub fn batch_conflict_density(&self, batch: &[Transaction]) -> f64 {
-        if batch.is_empty() || self.keys.is_empty() {
+        if batch.is_empty() || self.heat.is_empty() {
             return 0.0;
         }
         let hot = batch
@@ -190,7 +166,7 @@ impl ConflictTracker {
                     .iter()
                     .map(|(key, _)| key)
                     .chain(tx.rwset.writes.iter().map(|(key, _)| key))
-                    .any(|key| self.heat(key).conflicts >= HOT_KEY_THRESHOLD)
+                    .any(|key| self.heat(key) >= HOT_KEY_THRESHOLD)
             })
             .count();
         hot as f64 / batch.len() as f64
@@ -201,7 +177,6 @@ impl ConflictTracker {
 mod tests {
     use super::*;
     use fabriccrdt_crypto::Identity;
-    use fabriccrdt_ledger::block::ValidationCode;
     use fabriccrdt_ledger::rwset::ReadWriteSet;
     use fabriccrdt_ledger::transaction::TxId;
     use fabriccrdt_ledger::version::Height;
@@ -227,17 +202,13 @@ mod tests {
     #[test]
     fn conflicts_accumulate_and_decay() {
         let mut tracker = ConflictTracker::new();
-        let feedback = BlockFeedback {
-            writes: vec!["w".into()],
+        tracker.observe(&BlockFeedback {
             conflicts: vec!["hot".into(), "hot".into()],
-        };
-        tracker.observe(&feedback);
-        let after_one = tracker.heat("hot").conflicts;
-        assert!((after_one - 0.4).abs() < 1e-9); // 2 × (1 − 0.8)
-        assert!((tracker.heat("w").writes - 0.2).abs() < 1e-9);
-        // A quiet round scales the scores by the decay.
+        });
+        assert!((tracker.heat("hot") - 0.4).abs() < 1e-9); // 2 × (1 − 0.8)
+                                                           // A quiet round scales the scores by the decay.
         tracker.observe(&BlockFeedback::default());
-        assert!((tracker.heat("hot").conflicts - 0.32).abs() < 1e-9);
+        assert!((tracker.heat("hot") - 0.32).abs() < 1e-9);
         assert_eq!(tracker.blocks_observed(), 2);
     }
 
@@ -245,7 +216,6 @@ mod tests {
     fn cold_keys_are_pruned() {
         let mut tracker = ConflictTracker::new();
         tracker.observe(&BlockFeedback {
-            writes: Vec::new(),
             conflicts: vec!["k".into()],
         });
         assert_eq!(tracker.tracked_keys(), 1);
@@ -254,7 +224,7 @@ mod tests {
             tracker.observe(&BlockFeedback::default());
         }
         assert_eq!(tracker.tracked_keys(), 0, "decayed-out keys must not leak");
-        assert_eq!(tracker.heat("k"), KeyHeat::default());
+        assert_eq!(tracker.heat("k"), 0.0);
     }
 
     #[test]
@@ -262,11 +232,10 @@ mod tests {
         let mut tracker = ConflictTracker::new();
         for _ in 0..8 {
             tracker.observe(&BlockFeedback {
-                writes: Vec::new(),
                 conflicts: vec!["hot".into(), "hot".into()],
             });
         }
-        assert!(tracker.heat("hot").conflicts > 1.0);
+        assert!(tracker.heat("hot") > 1.0);
         let batch = vec![
             tx(0, &["hot"], &["hot"]),
             tx(1, &["cold"], &["cold"]),
@@ -281,13 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn feedback_from_block_splits_writes_and_conflicts() {
+    fn feedback_from_block_names_the_conflicted_keys_only() {
         use fabriccrdt_ledger::block::Block;
         let mut block =
             Block::assemble(1, [0; 32], vec![tx(0, &[], &["a"]), tx(1, &["b"], &["c"])]);
         block.validation_codes = vec![ValidationCode::Valid, ValidationCode::MvccConflict];
         let feedback = BlockFeedback::from_block(&block);
-        assert_eq!(feedback.writes, vec!["a".to_owned()]);
         assert_eq!(feedback.conflicts, vec!["b".to_owned(), "c".to_owned()]);
     }
 
@@ -295,6 +263,6 @@ mod tests {
     fn observe_aborts_heats_read_keys() {
         let mut tracker = ConflictTracker::new();
         tracker.observe_aborts(&[tx(0, &["hot"], &["hot"])]);
-        assert!((tracker.heat("hot").conflicts - 0.2).abs() < 1e-9);
+        assert!((tracker.heat("hot") - 0.2).abs() < 1e-9);
     }
 }

@@ -210,7 +210,7 @@ impl DisseminationMetrics {
 /// The type of [`RunMetrics::decode_cache`] and of
 /// [`BlockValidator::decode_cache_stats`](crate::validator::BlockValidator::decode_cache_stats),
 /// both always `None`: there is no payload cache. Kept only because
-/// `perf/` names them (DESIGN.md §4.16).
+/// `perf/` names them (DESIGN.md §4.10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheMetrics {
     /// Lookups served from the cache during the run.
@@ -267,7 +267,7 @@ impl AdversaryMetrics {
 
 /// A name only: what [`RunMetrics::pipelined`] would hold. No run
 /// fills it, because no block overlaps another; kept, with its two
-/// fields, because `perf/` reads them (DESIGN.md §4.16).
+/// fields, because `perf/` reads them (DESIGN.md §4.10).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineMetrics {
     /// Blocks processed during a predecessor's finalize.
@@ -328,7 +328,9 @@ pub struct ConflictPolicyMetrics {
     /// Transactions early-aborted as conflict-cycle members by the
     /// reordering pass.
     pub cycle_aborts: u64,
-    /// Keys the conflict tracker held when the run ended.
+    /// Keys with conflict heat in the tracker when the run ended: keys
+    /// touched by an MVCC-failed or early-aborted transaction whose
+    /// decayed score has not yet fallen below the pruning floor.
     pub tracked_keys: u64,
 }
 
@@ -394,12 +396,12 @@ pub struct RunMetrics {
     /// Ordering-cluster metrics when the run used the Raft backend;
     /// `None` under the default single orderer.
     pub ordering: Option<OrderingMetrics>,
-    /// Always `None`; pinned for `perf/` (DESIGN.md §4.16).
+    /// Always `None`; pinned for `perf/` (DESIGN.md §4.10).
     pub decode_cache: Option<DecodeCacheMetrics>,
     /// Byzantine-screen detection counters when the run configured an
     /// adversary schedule; `None` for honest runs.
     pub adversary: Option<AdversaryMetrics>,
-    /// Always `None`; pinned for `perf/` (DESIGN.md §4.16).
+    /// Always `None`; pinned for `perf/` (DESIGN.md §4.10).
     pub pipelined: Option<PipelineMetrics>,
     /// Abort-and-retry loop accounting. All-zero when the run
     /// configured no retry policy and nothing failed.

@@ -220,39 +220,37 @@ impl Orderer {
     /// Cuts the pending batch into a block.
     fn cut(&mut self) -> Block {
         let mut transactions = std::mem::take(&mut self.pending);
-        match self.policy {
-            OrderingPolicy::Fifo => {}
-            OrderingPolicy::Reorder => {
-                let outcome = crate::reorder::reorder_batch(transactions);
-                transactions = outcome.ordered;
-                self.stats.batches_reordered += 1;
-                self.stats.cycle_aborts += outcome.aborted.len() as u64;
-                self.early_aborted.extend(outcome.aborted);
-            }
+        let reorder = match self.policy {
+            OrderingPolicy::Fifo => false,
+            OrderingPolicy::Reorder => true,
+            // Until the first finalize feedback arrives the tracker
+            // cannot distinguish cold traffic from hot, so the bootstrap
+            // batches pay the reordering cost rather than risk shipping
+            // a conflict clique FIFO; the first feedback round either
+            // proves the traffic cold (the gate opens and batches cut
+            // FIFO) or confirms the heat.
             OrderingPolicy::Adaptive => {
-                // Until the first finalize feedback arrives the tracker
-                // cannot distinguish cold traffic from hot, so the
-                // bootstrap batches pay the reordering cost rather than
-                // risk shipping a conflict clique FIFO; the first
-                // feedback round either proves the traffic cold (the
-                // gate opens and batches cut FIFO) or confirms the heat.
-                let bootstrap = self.tracker.blocks_observed() == 0;
-                let density = self.tracker.batch_conflict_density(&transactions);
-                if bootstrap || density >= DENSITY_THRESHOLD {
-                    let outcome = crate::reorder::reorder_batch(transactions);
-                    transactions = outcome.ordered;
-                    self.stats.batches_reordered += 1;
-                    self.stats.cycle_aborts += outcome.aborted.len() as u64;
-                    // Reordering converts would-be MVCC conflicts into
-                    // early aborts that never reach finalize feedback;
-                    // record them here so the keys stay hot and the
-                    // density gate doesn't oscillate open and shut.
-                    self.tracker.observe_aborts(&outcome.aborted);
-                    self.early_aborted.extend(outcome.aborted);
-                } else {
+                let hot = self.tracker.blocks_observed() == 0
+                    || self.tracker.batch_conflict_density(&transactions) >= DENSITY_THRESHOLD;
+                if !hot {
                     self.stats.batches_fifo += 1;
                 }
+                hot
             }
+        };
+        if reorder {
+            let outcome = crate::reorder::reorder_batch(transactions);
+            transactions = outcome.ordered;
+            self.stats.batches_reordered += 1;
+            self.stats.cycle_aborts += outcome.aborted.len() as u64;
+            // Reordering converts would-be MVCC conflicts into early
+            // aborts that never reach finalize feedback; the adaptive
+            // tracker records them here so the keys stay hot and the
+            // density gate does not oscillate open and shut.
+            if self.policy.is_adaptive() {
+                self.tracker.observe_aborts(&outcome.aborted);
+            }
+            self.early_aborted.extend(outcome.aborted);
         }
         self.pending_bytes = 0;
         self.batch_id += 1;
@@ -512,10 +510,7 @@ mod tests {
         // density gate opens and subsequent batches ship FIFO intact
         // even though the bootstrap aborts left some residual heat.
         for _ in 0..4 {
-            o.observe_finalized(&BlockFeedback {
-                writes: vec!["elsewhere".into()],
-                conflicts: vec![],
-            });
+            o.observe_finalized(&BlockFeedback::default());
         }
         let _ = o.receive(rmw(4, "k4"), SimTime::ZERO);
         let _ = o.receive(rmw(5, "k5"), SimTime::ZERO);
@@ -533,11 +528,10 @@ mod tests {
         // Finalize feedback reports repeated MVCC conflicts on "hot".
         for _ in 0..4 {
             o.observe_finalized(&BlockFeedback {
-                writes: vec![],
                 conflicts: vec!["hot".into(), "hot".into()],
             });
         }
-        assert!(o.tracker().heat("hot").conflicts >= crate::conflict::HOT_KEY_THRESHOLD);
+        assert!(o.tracker().heat("hot") >= crate::conflict::HOT_KEY_THRESHOLD);
         // The next hot batch trips the density gate: an RMW clique on a
         // single key is one big SCC, so all but one transaction aborts.
         let _ = o.receive(rmw(1, "hot"), SimTime::ZERO);
@@ -555,7 +549,6 @@ mod tests {
         for policy in [OrderingPolicy::Fifo, OrderingPolicy::Reorder] {
             let mut o = Orderer::with_policy(cfg(10), policy);
             o.observe_finalized(&BlockFeedback {
-                writes: vec!["a".into()],
                 conflicts: vec!["b".into()],
             });
             assert_eq!(o.tracker().tracked_keys(), 0);
@@ -567,7 +560,6 @@ mod tests {
         let mut first = Orderer::with_policy(cfg(3), OrderingPolicy::Adaptive);
         for _ in 0..4 {
             first.observe_finalized(&BlockFeedback {
-                writes: vec![],
                 conflicts: vec!["hot".into(), "hot".into()],
             });
         }

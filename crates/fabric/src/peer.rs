@@ -20,9 +20,9 @@
 //! the committed state: every verdict is a pure function of the block
 //! and the ledger before it. Finalize is Algorithm 1's sequential pass
 //! ([`BlockValidator::validate_and_commit`]), as in Fabric v1.4
-//! (DESIGN.md §4.9). [`Peer::prevalidate`], [`Peer::finish_block`] and
+//! (DESIGN.md §4.4). [`Peer::prevalidate`], [`Peer::finish_block`] and
 //! [`Peer::finish_block_with_next`] are names `perf/` drives this path
-//! through (DESIGN.md §4.16).
+//! through (DESIGN.md §4.10).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -82,7 +82,7 @@ pub struct StagedBlock {
 }
 
 /// A delivered block not yet processed; [`Peer::finish_block`] runs
-/// [`Peer::process_block`] on it. Pinned for `perf/` (DESIGN.md §4.16).
+/// [`Peer::process_block`] on it. Pinned for `perf/` (DESIGN.md §4.10).
 #[derive(Debug)]
 pub struct PreparedBlock {
     block: Block,
@@ -173,7 +173,7 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// Returns the peer unchanged: there is one commit path. Pinned for
-    /// `perf/` (DESIGN.md §4.16).
+    /// `perf/` (DESIGN.md §4.10).
     pub fn with_pipeline(self, _pipeline: ValidationPipeline) -> Self {
         self
     }
@@ -257,7 +257,7 @@ impl<V: BlockValidator> Peer<V> {
     /// included in the blockchain starting from the genesis block results
     /// in the current state". Endorsements are not re-verified: the
     /// verdicts are the source peer's, and the hash chain, whose block
-    /// hash binds the record, is the integrity anchor (DESIGN.md §4.17).
+    /// hash binds the record, is the integrity anchor (DESIGN.md §4.2).
     ///
     /// The successor state is built on a clone that shares the committed
     /// tree and installed by [`Peer::commit`], like any staged block. A
@@ -376,7 +376,7 @@ impl<V: BlockValidator> Peer<V> {
                 if self.committed_ids.contains(&tx.id) || !seen_in_block.insert(tx.id) {
                     return Some(ValidationCode::DuplicateTxId);
                 }
-                // A no-op on every workspace validator (DESIGN.md §4.16).
+                // A no-op on every workspace validator (DESIGN.md §4.10).
                 self.validator.prepare(tx);
                 // Hashed into the leaf at ingress: no second payload pass.
                 let digest = ingress.payload_digest(i);
@@ -409,20 +409,20 @@ impl<V: BlockValidator> Peer<V> {
     }
 
     /// Wraps a delivered block for [`Peer::finish_block`]; nothing runs
-    /// yet. Pinned for `perf/` (DESIGN.md §4.16).
+    /// yet. Pinned for `perf/` (DESIGN.md §4.10).
     pub fn prevalidate(&mut self, block: Block) -> PreparedBlock {
         PreparedBlock { block }
     }
 
     /// [`Peer::process_block`] on a wrapped block. Pinned for `perf/`
-    /// (DESIGN.md §4.16).
+    /// (DESIGN.md §4.10).
     pub fn finish_block(&mut self, prep: PreparedBlock) -> StagedBlock {
         self.process_block(prep.block)
     }
 
     /// Finishes `prep`, then wraps `next`; `next` runs in its own
     /// [`Peer::finish_block`], after `prep` commits. Pinned for `perf/`
-    /// (DESIGN.md §4.16).
+    /// (DESIGN.md §4.10).
     pub fn finish_block_with_next(
         &mut self,
         prep: PreparedBlock,

@@ -6,7 +6,7 @@
 //! endorsements, runs the validator and re-seals, one block after its
 //! predecessor commits. [`ValidationPipeline`] names that path and
 //! nothing else; it is kept, with [`ValidationPipeline::pipelined`],
-//! because `perf/` configures peers with it (DESIGN.md §4.16).
+//! because `perf/` configures peers with it (DESIGN.md §4.10).
 
 /// The commit path a peer runs. There is one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,7 +18,7 @@ pub enum ValidationPipeline {
 
 impl ValidationPipeline {
     /// Returns [`ValidationPipeline::Sequential`], whatever `workers`
-    /// says. Pinned for `perf/` (DESIGN.md §4.16).
+    /// says. Pinned for `perf/` (DESIGN.md §4.10).
     pub fn pipelined(_workers: usize) -> Self {
         ValidationPipeline::Sequential
     }

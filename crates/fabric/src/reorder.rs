@@ -50,7 +50,7 @@ pub struct ReorderOutcome {
 /// conflicts, early-aborting unsalvageable cycles. The batch is taken
 /// apart, so a block's shared list is copied out first; the generic is
 /// kept for `perf/`, which hands over `block.transactions` (DESIGN.md
-/// §4.16).
+/// §4.10).
 pub fn reorder_batch(transactions: impl Into<Vec<Transaction>>) -> ReorderOutcome {
     let transactions = transactions.into();
     let txs = transactions.len();

@@ -61,7 +61,7 @@ pub trait DeliveryLayer {
     /// arrives with that one, so a layer keeps no delivery clock.
     /// No layer reads `latency`: the hops are the constants of
     /// [`crate::latency`]; the parameter is pinned for `perf/`
-    /// (DESIGN.md §4.16).
+    /// (DESIGN.md §4.10).
     fn deliver(
         &mut self,
         now: SimTime,
@@ -466,10 +466,10 @@ impl<V: BlockValidator> Simulation<V> {
             events: run.committed_events,
             dissemination: self.delivery.take_dissemination(),
             ordering: self.ordering.take_ordering_metrics(),
-            // Pinned for `perf/` (DESIGN.md §4.16): nothing is cached.
+            // Pinned for `perf/` (DESIGN.md §4.10): nothing is cached.
             decode_cache: None,
             adversary: self.delivery.take_adversary(),
-            // Pinned for `perf/` (DESIGN.md §4.16): no block overlaps another.
+            // Pinned for `perf/` (DESIGN.md §4.10): no block overlaps another.
             pipelined: None,
             retry: run.retry,
             conflict_policy: self.ordering.take_policy_metrics(),

@@ -15,7 +15,7 @@ use crate::metrics::DecodeCacheMetrics;
 
 /// A name only: what [`BlockValidator::finalize_chain`] returns. No
 /// fields, because nothing in the workspace calls that method; kept
-/// because `perf/` forwards the value (DESIGN.md §4.16).
+/// because `perf/` forwards the value (DESIGN.md §4.10).
 #[derive(Debug, Clone, Default)]
 pub struct ChainOutcome;
 
@@ -48,14 +48,14 @@ pub trait BlockValidator: 'static {
     /// No type in the workspace overrides it: FabricCRDT's validator
     /// parses each CRDT write inline, where it merges. Declared only
     /// because `perf/`'s `TracedValidator` overrides it (DESIGN.md
-    /// §4.16). It must not touch the world state or the block, so the
+    /// §4.10). It must not touch the world state or the block, so the
     /// no-op default is always value-equivalent.
     fn prepare(&self, _tx: &Transaction) {}
 
     /// Nothing calls this: every peer finalizes a block with
     /// [`validate_and_commit`](BlockValidator::validate_and_commit).
     /// Declared, with this exact signature, only because `perf/`'s
-    /// `TracedValidator` overrides it (DESIGN.md §4.16); no type in the
+    /// `TracedValidator` overrides it (DESIGN.md §4.10); no type in the
     /// workspace does.
     fn finalize_chain(
         &self,
@@ -70,7 +70,7 @@ pub trait BlockValidator: 'static {
     /// Whether every read-set version of `tx` still matches `state`
     /// (vanilla Fabric's read predicate). No production caller in the
     /// workspace: declared only because `perf/`'s `TracedValidator`
-    /// overrides it (DESIGN.md §4.16).
+    /// overrides it (DESIGN.md §4.10).
     fn speculative_read_check(&self, tx: &Transaction, state: &WorldState) -> bool {
         tx.rwset
             .reads
@@ -79,7 +79,7 @@ pub trait BlockValidator: 'static {
     }
 
     /// Always `None`: there is no payload cache. Declared only because
-    /// `perf/`'s `TracedValidator` overrides it (DESIGN.md §4.16).
+    /// `perf/`'s `TracedValidator` overrides it (DESIGN.md §4.10).
     fn decode_cache_stats(&self) -> Option<DecodeCacheMetrics> {
         None
     }

@@ -1,11 +1,13 @@
 //! Randomized property tests for the ordering service: no transaction
 //! is lost or duplicated across cut blocks, block sizes respect the
 //! configured maximum, and numbering/hash-chaining stay consistent —
-//! for both the vanilla and the reordering orderer. Driven by the
-//! deterministic in-repo generator (`fabriccrdt_sim::gen`).
+//! for both the vanilla and the reordering orderer — and the adaptive
+//! orderer with its gate open takes the reordering orderer's path.
+//! Driven by the deterministic in-repo generator (`fabriccrdt_sim::gen`).
 
 use fabriccrdt_crypto::Identity;
 use fabriccrdt_fabric::config::{BlockCutConfig, OrderingPolicy};
+use fabriccrdt_fabric::metrics::ConflictPolicyMetrics;
 use fabriccrdt_fabric::orderer::Orderer;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::Blockchain;
@@ -127,4 +129,40 @@ fn vanilla_orderer_is_fifo() {
             .collect();
         assert_eq!(order_in, order_out);
     });
+}
+
+/// Before any finalize feedback the adaptive orderer's gate is open, so
+/// it takes the one reorder path the `Reorder` policy takes: the same
+/// blocks, the same early aborts and the same decision counters. Only
+/// its tracker differs, heated by the aborts it saw.
+#[test]
+fn adaptive_before_feedback_cuts_what_reorder_cuts() {
+    let mut aborts = 0;
+    gen::cases(128, |g| {
+        let n = g.size(1, 59);
+        let config = BlockCutConfig::with_max_tx(g.size(1, 11));
+        let txs: Vec<Transaction> = (0..n)
+            .map(|i| {
+                let read = g.flip().then(|| g.range(0, 4) as u8);
+                tx(i as u64, read, g.range(0, 4) as u8)
+            })
+            .collect();
+        let mut reorder = Orderer::with_policy(config, OrderingPolicy::Reorder);
+        let mut adaptive = Orderer::with_policy(config, OrderingPolicy::Adaptive);
+        let reordered = drive(&mut reorder, txs.clone());
+        assert_eq!(drive(&mut adaptive, txs), reordered);
+        let stats = adaptive.policy_stats();
+        assert_eq!(
+            ConflictPolicyMetrics {
+                tracked_keys: 0,
+                ..stats
+            },
+            reorder.policy_stats()
+        );
+        assert_eq!(stats.batches_fifo, 0);
+        assert_eq!(stats.cycle_aborts, reordered.1.len() as u64);
+        assert_eq!(stats.tracked_keys > 0, !reordered.1.is_empty());
+        aborts += reordered.1.len();
+    });
+    assert!(aborts > 0, "the streams make conflict cycles");
 }

@@ -434,7 +434,7 @@ fn client_retries_eventually_commit_conflicting_transactions() {
     // leaf began with that digest, when the leaf came to cover the bytes
     // a block stores, when a block came to hold each converged value
     // once, and when that value moved into a hashed commit record beside
-    // the transactions as cut (DESIGN.md §4.17).
+    // the transactions as cut (DESIGN.md §4.2).
     let snapshot = sim.peer().snapshot();
     let ledger = fabriccrdt_crypto::digest(&[snapshot.state, snapshot.chain].concat());
     assert_eq!(

@@ -71,7 +71,7 @@ use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_ledger::block::Block;
 use fabriccrdt_ledger::chain::Blockchain;
 use fabriccrdt_ledger::codec;
-use fabriccrdt_ledger::store::LedgerSnapshot;
+use fabriccrdt_ledger::store::{LedgerSnapshot, StoreError};
 use fabriccrdt_sim::latency::LatencyModel;
 use fabriccrdt_sim::queue::EventQueue;
 use fabriccrdt_sim::rng::SimRng;
@@ -92,7 +92,7 @@ const ANTI_ENTROPY_INTERVAL: SimTime = SimTime::from_millis(500);
 
 /// A block as the ordering service sealed it: immutable, allocated once
 /// at publish and shared by the `published` log, every delivery in
-/// flight and every gap buffer (DESIGN.md §4.7, *Block ownership*).
+/// flight and every gap buffer (DESIGN.md §4.5, *Sharing*).
 type Sealed = Arc<Block>;
 
 /// One queued network event of the lane whose queue holds it. Peer
@@ -193,6 +193,24 @@ impl<V: BlockValidator> Live<V> {
     fn committed(&self) -> u64 {
         self.peer.chain().height() - 1
     }
+
+    /// Mirrors the committed blocks `store` lacks into it, then writes
+    /// a snapshot when the committed height is due one.
+    fn persist(&self, store: &mut DurableLedger) -> Result<(), StoreError> {
+        let height = self.committed();
+        for number in store.finalized_tip() + 1..=height {
+            let block = self
+                .peer
+                .chain()
+                .shared(number)
+                .expect("committed blocks above the store's tip are in the chain");
+            store.append_block(Arc::clone(block))?;
+        }
+        if store.snapshot_due(height) {
+            store.put_snapshot(self.peer.ledger_snapshot())?;
+        }
+        Ok(())
+    }
 }
 
 /// Per-replica bookkeeping around the replica itself.
@@ -214,7 +232,7 @@ struct StoreFault(usize);
 
 /// Takes block `number` out of a gap buffer as the replica's own
 /// `Block`, for `Peer::process_block`, which takes it owned (pinned by
-/// `perf/`, DESIGN.md §4.16). A clone of a shared block copies only its
+/// `perf/`, DESIGN.md §4.10). A clone of a shared block copies only its
 /// header and empty record: the replica commits the published
 /// transaction list itself.
 fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Block> {
@@ -825,7 +843,7 @@ impl<V: BlockValidator> ChannelLane<V> {
             );
         }
         // Committed blocks are never written again, so the puller's
-        // chain shares the helper's (DESIGN.md §4.7).
+        // chain shares the helper's (DESIGN.md §4.5).
         for number in above + 1..chain.height() {
             merged.extend(chain.shared(number).map(|b| (number, Arc::clone(b))));
         }
@@ -980,45 +998,35 @@ impl<V: BlockValidator> ChannelLane<V> {
 
     /// Commits what replica `i` can — `pulled`, a helper's block that
     /// fills its next hole, then buffered raw blocks as long as the
-    /// next one is present — and persists it: mirrors the new blocks
-    /// into its store, writes a snapshot when one is due, acknowledges
-    /// its height on the channel frontier and, with GC enabled,
-    /// compacts its store up to the frontier's minimum. The first store
-    /// call that fails stops it.
-    fn advance(&mut self, i: usize, pulled: Option<Arc<Block>>) -> Result<(), StoreFault> {
+    /// next one is present — and persists each block as it commits
+    /// ([`Live::persist`]), so every due height gets its snapshot. Then
+    /// it acknowledges its height on the channel frontier and, with GC
+    /// enabled, compacts its store up to the frontier's minimum. The
+    /// first store call that fails stops it.
+    fn advance(&mut self, i: usize, mut pulled: Option<Arc<Block>>) -> Result<(), StoreFault> {
         let n_members = self.slots.len();
         let slot = &mut self.slots[i];
         let Some(live) = slot.live.as_mut() else {
             return Ok(());
         };
-        if let Some(block) = pulled {
-            live.peer
-                .replay_block(block)
-                .expect("anti-entropy blocks extend the chain: all replicas re-seal identically");
-        }
-        let mut next = live.committed() + 1;
-        while let Some(block) = take_buffered(&mut live.buffer, next) {
-            let staged = live.peer.process_block(block);
-            live.peer
-                .commit(staged)
-                .expect("buffered blocks extend the chain in order");
-            next += 1;
-        }
         let fault = |_| StoreFault(i);
+        loop {
+            live.persist(&mut slot.store).map_err(fault)?;
+            let next = live.committed() + 1;
+            if let Some(block) = pulled.take() {
+                live.peer.replay_block(block).expect(
+                    "anti-entropy blocks extend the chain: all replicas re-seal identically",
+                );
+            } else if let Some(block) = take_buffered(&mut live.buffer, next) {
+                let staged = live.peer.process_block(block);
+                live.peer
+                    .commit(staged)
+                    .expect("buffered blocks extend the chain in order");
+            } else {
+                break;
+            }
+        }
         let height = live.committed();
-        for number in slot.store.finalized_tip() + 1..=height {
-            let block = live
-                .peer
-                .chain()
-                .shared(number)
-                .expect("committed blocks above the store's tip are in the chain");
-            slot.store.append_block(Arc::clone(block)).map_err(fault)?;
-        }
-        if slot.store.snapshot_due(height) {
-            slot.store
-                .put_snapshot(live.peer.ledger_snapshot())
-                .map_err(fault)?;
-        }
         self.acked.ack(i, height);
         let floor = self.acked.min_acked(n_members);
         if floor > slot.gc_floor && slot.store.gc_enabled() {

@@ -1,6 +1,6 @@
 //! One way down: a replica whose own store fails a call crashes, and the
 //! schedule's restart recovers it from that store. And the one pull's
-//! tie rule.
+//! tie rule, and the snapshot cadence across one commit batch.
 
 use super::*;
 use fabriccrdt_fabric::config::CrashSpec;
@@ -405,4 +405,37 @@ fn a_snapshot_pull_that_costs_what_the_replay_costs_is_a_replay() {
     assert!(chosen(None, snapshot(tie)).snapshot.is_some());
     assert!(Pull::replay(Vec::new()).is_none());
     assert!(Pull::cheaper(None, None).is_none());
+}
+
+/// A replica persists each block as it commits: when buffered blocks
+/// 9–15 commit in one call, the snapshot due at 10 is written, though
+/// the call ends at 15.
+#[test]
+fn a_commit_batch_that_crosses_a_due_height_snapshots_there() {
+    let config = PipelineConfig::paper(PER_BLOCK, 7)
+        .with_gossip()
+        .with_storage(StorageConfig::memory().with_snapshot_interval(10));
+    let mut network = network(&config);
+    for number in 1..=15 {
+        network.publish_on(
+            0,
+            SimTime::from_millis(100 * number),
+            hot_block(number, PER_BLOCK),
+        );
+    }
+    let lane = &mut network.lanes[0];
+    let replica = 5;
+    for batch in [1..=8, 9..=15] {
+        let live = lane.slots[replica].live.as_mut().expect("replica is up");
+        for number in batch {
+            let block = Arc::clone(&lane.published[number as usize - 1].1);
+            live.buffer.insert(number, block);
+        }
+        assert!(lane.advance(replica, None).is_ok());
+    }
+    assert_eq!(lane.committed(replica), 15);
+    let store = &lane.slots[replica].store;
+    assert_eq!(store.finalized_tip(), 15);
+    let snapshot = store.latest_snapshot().expect("a snapshot at 10");
+    assert_eq!(snapshot.last_block, 10);
 }

@@ -481,7 +481,7 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
 /// payload digest and the Merkle leaf began with that digest, when a
 /// block came to hold each converged value once, and when that value
 /// moved into a hashed commit record beside the transactions as cut
-/// (DESIGN.md §4.17).
+/// (DESIGN.md §4.2).
 #[test]
 fn lane_0_adapter_reproduces_the_removed_single_channel_adapter() {
     let faults = FaultConfig {

@@ -181,7 +181,7 @@ impl Error for DocError {}
 /// Names the peer that holds a document. [`JsonCrdt::new`] takes one
 /// and reads nothing of it: every peer derives the same operations from
 /// the same block order, so no operation carries an id (§5.2). The
-/// parameter is pinned for `perf/` (DESIGN.md §4.16).
+/// parameter is pinned for `perf/` (DESIGN.md §4.10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaId(pub u64);
 

@@ -14,7 +14,7 @@
 //! stores and ships exactly those bytes, and its data-hash leaf covers
 //! exactly them too — the response payload its endorsers sign is their
 //! prefix up to the endorsement count — so no byte a peer keeps lies
-//! outside the hash (DESIGN.md §4.17).
+//! outside the hash (DESIGN.md §4.2).
 //!
 //! Blocks are format v3: the transactions as the orderer cut them, then
 //! the commit record — validation codes and Algorithm 1's converged

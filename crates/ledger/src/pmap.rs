@@ -1,5 +1,5 @@
 //! The persistent ordered map behind [`crate::WorldState`]: a
-//! path-copying B+tree with `Arc` nodes (DESIGN.md §4.18).
+//! path-copying B+tree with `Arc` nodes (DESIGN.md §4.3).
 //!
 //! Entries live in leaves, sorted; inner nodes hold separator keys and
 //! children. A clone shares the root. A write walks root-to-leaf with

@@ -10,7 +10,7 @@
 //! write sets to the clone and publishing it, while readers keep the
 //! pre-block one. That is only affordable when a clone does not copy,
 //! so the entries live in a persistent ordered map (`pmap`, DESIGN.md
-//! §4.18): a clone shares every node, a write copies the root-to-leaf
+//! §4.3): a clone shares every node, a write copies the root-to-leaf
 //! path it changes — or nothing, when no clone is looking.
 
 use crate::pmap::PMap;

@@ -145,7 +145,7 @@ fn run_raft(
 /// leaf came to cover the bytes a block stores, when a block came to
 /// hold each converged value once, and when that value moved into a
 /// hashed commit record beside the transactions as cut (DESIGN.md
-/// §4.17).
+/// §4.2).
 #[test]
 fn reorder_policy_matches_the_legacy_flag_goldens() {
     let mut single = Sha256::new();
