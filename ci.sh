@@ -78,24 +78,31 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     done
 done
 
-# A peer hashes a transaction once, at ingress: Algorithm 1 writes only
-# the commit record beside the transactions, so the re-seal keeps the
-# ingress data hash for the list ingress hashed and hashes the record,
-# and hashes a transaction again only if a validator put a list of its
-# own in the block. The
-# passes live behind `ledger` constructors (`EncodedTransactions::verify`,
-# `SealedBlock::{reseal, seal, verify}`; DESIGN.md §4.2). These are the
-# files that name the pass underneath them; `fabric/src/peer.rs` is not
-# one, so a second pass on the commit path cannot come back without this
-# list changing.
+# A transaction list is hashed once per allocation: `Transactions`
+# keeps its payload digests and data hash, filled by the one
+# `get_or_init` in `ledger/src/block.rs`, which hashes the list's own
+# contents and takes no digest from outside. The orderer's cut fills it
+# (`Block::assemble`); every replica sharing that list reads it at
+# ingress (`fabric/src/peer.rs`), in its endorsement MACs and in the
+# re-seal (`SealedBlock::seal`), which hashes only the commit record
+# unless a validator put a fresh list of its own in the block. A decoded
+# block or a forgery is a fresh list and is hashed from scratch
+# (DESIGN.md §4.2). These are the files that name the pass
+# (`data_hash_is_valid`, `Transactions::data_hash`), so a new caller
+# cannot appear without this list changing; the second check keeps the
+# fill in one place.
 echo "==> hashing boundary (the .rs files under crates/ and src/ that name a data-hash pass)"
-test "$(grep -rlE --include='*.rs' 'compute_data_hash|data_hash_is_valid' crates src | LC_ALL=C sort)" = "crates/core/tests/hashing_doors.rs
+test "$(grep -rlE --include='*.rs' 'data_hash_is_valid|\bdata_hash\(' crates src | LC_ALL=C sort)" = "crates/bench/benches/micro.rs
+crates/core/tests/hashing_doors.rs
+crates/fabric/src/peer.rs
 crates/gossip/src/adversary.rs
 crates/gossip/src/network/tests/mod.rs
 crates/ledger/src/block.rs
 crates/ledger/src/chain.rs
 crates/ledger/tests/format_v3.rs
 crates/ledger/tests/properties.rs"
+echo "==> list-memo boundary (hashed.get_or_init appears only in crates/ledger/src/block.rs)"
+test "$(grep -rlF --include='*.rs' 'hashed.get_or_init' crates src)" = crates/ledger/src/block.rs
 
 # A block's transactions are one immutable list that every clone of the
 # block shares (`ledger::block::Transactions`, DESIGN.md §4.5): a
@@ -162,7 +169,7 @@ test "$(find crates src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort | xa
 # An endorsement is a MAC of its payload's digest (DESIGN.md §4.2):
 # the endorsers' client hashes a response payload once, in
 # `Simulation::endorse`, and a peer verifies from the digest its ingress
-# check hashed into the leaf. This prints every non-test function under
+# check hashed, the one the list keeps beside its leaf. This prints every non-test function under
 # crates/fabric/src that reads a response payload or signs or verifies a
 # message whole, so a second payload pass cannot come back unseen.
 echo "==> payload-digest boundary (the one non-test fabric function that hashes a response payload)"
@@ -211,8 +218,8 @@ test "$options" -le 53
 # gate changes here alone.
 echo "==> document words"
 wc -w EXPERIMENTS.md DESIGN.md CHANGES.md .claude/skills/verify/SKILL.md
-test "$(wc -w < EXPERIMENTS.md)" -le 9614
-test "$(wc -w < DESIGN.md)" -le 8880
+test "$(wc -w < EXPERIMENTS.md)" -le 9544
+test "$(wc -w < DESIGN.md)" -le 8879
 test "$(wc -w < .claude/skills/verify/SKILL.md)" -le 1041
 
 # DESIGN.md describes the tree as it stands. Every backticked path in it

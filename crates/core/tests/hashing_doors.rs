@@ -4,17 +4,21 @@
 //! hashes (DESIGN.md §4.2), "nothing enters the chain unverified"
 //! rests on the routes that build one: the ingress check on a delivered
 //! block, the re-seal, `Peer::replay_block` and `codec::decode_chain`.
-//! Each test here fails if its route stops hashing: the same one-byte
-//! mutation of one write value is offered at every door, a seeded sweep
-//! recomputes every committed header's data and record hashes from
-//! scratch, validators that put a list of their own in the block after
-//! Algorithm 1 — one byte flipped, or an equal copy — check that the
-//! re-seal keeps the orderer's data hash only for the list ingress
-//! hashed, and a replayed block whose commit record changed — a code, a
-//! member index, a converged-value byte — is refused. Two more pin what
-//! a leaf built from the payload digest covers: a flipped endorsement
-//! byte is tampering, and a signature over another payload fails its
-//! own transaction's policy with every signature still counted.
+//! A transaction list keeps the hashes of its one pass, so the doors
+//! that matter are the ones that build a fresh list: a forgery's copy
+//! and a decoded block start unhashed, and a header that lies about a
+//! list already hashed is still compared. Each test here fails if its
+//! route stops hashing: the same one-byte mutation of one write value
+//! is offered at every door, a seeded sweep recomputes every committed
+//! header's data and record hashes from scratch, validators that put a
+//! list of their own in the block after Algorithm 1 — one byte flipped,
+//! or an equal copy — check that the re-seal keeps the orderer's data
+//! hash only for the list the orderer hashed, and a replayed block whose
+//! commit record changed — a code, a member index, a converged-value
+//! byte — is refused. Two more pin what a leaf built from the payload
+//! digest covers: a flipped endorsement byte is tampering, and a
+//! signature over another payload fails its own transaction's policy
+//! with every signature still counted.
 
 use fabriccrdt::validator::CrdtValidator;
 use fabriccrdt_crypto::{merkle, sha256, Identity, KeyPair};
@@ -22,7 +26,7 @@ use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::peer::Peer;
 use fabriccrdt_fabric::policy::EndorsementPolicy;
 use fabriccrdt_fabric::validator::{BlockValidator, FabricValidator};
-use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::block::{Block, Transactions, ValidationCode};
 use fabriccrdt_ledger::chain::ChainError;
 use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
@@ -177,6 +181,54 @@ fn a_signature_over_another_payload_fails_policy_with_every_signature_counted() 
     }
     check(FabricValidator::new);
     check(CrdtValidator::new);
+}
+
+/// A header whose data hash lies about a list the orderer already
+/// hashed, and which every replica shares, is still compared: the list's
+/// kept root is its own, not the header's.
+#[test]
+fn a_flipped_header_over_a_shared_hashed_list_fails_ingress() {
+    let cut = plain_block(1, Block::genesis().hash());
+    assert!(cut.data_hash_is_valid(), "the cut hashed the list");
+    let mut delivered = cut.clone();
+    delivered.header.data_hash[0] ^= 0x01;
+    assert!(delivered.transactions.shares(&cut.transactions));
+    let mut peer = Peer::new(FabricValidator::new(), policy());
+    let staged = peer.process_block(delivered);
+    assert_eq!(
+        staged.block.validation_codes,
+        [ValidationCode::TamperedBlock; 3]
+    );
+    assert_eq!(staged.work.sigs_verified, 0);
+    assert_eq!(staged.block.header.data_hash, cut.header.data_hash);
+    peer.commit(staged).expect("the rejection is on the record");
+    assert!(peer.state().is_empty(), "nothing committed");
+}
+
+/// A block that crossed the wire is a fresh list, hashed from its own
+/// bytes: one transaction byte flipped in the encoding fails ingress,
+/// and the block as encoded passes.
+#[test]
+fn a_decoded_block_with_a_flipped_transaction_byte_fails_ingress() {
+    let cut = plain_block(1, Block::genesis().hash());
+    let bytes = fabriccrdt_ledger::codec::encode_block(&cut);
+    let at = bytes
+        .windows(NEEDLE.len())
+        .position(|window| window == NEEDLE)
+        .expect("the written value is stored verbatim");
+    let mut flipped = bytes.clone();
+    flipped[at] ^= 0x01;
+    for (bytes, expected) in [
+        (bytes, [ValidationCode::Valid; 3]),
+        (flipped, [ValidationCode::TamperedBlock; 3]),
+    ] {
+        let decoded = fabriccrdt_ledger::codec::decode_block(&bytes).expect("decodes");
+        assert!(!decoded.transactions.shares(&cut.transactions));
+        assert_eq!(decoded.header, cut.header, "the header is carried as is");
+        let mut peer = Peer::new(FabricValidator::new(), policy());
+        let staged = peer.process_block(decoded);
+        assert_eq!(staged.block.validation_codes, expected);
+    }
 }
 
 #[test]
@@ -362,7 +414,8 @@ fn mixed_block(g: &mut Gen, number: u64) -> Block {
 
 /// A block's data hash from nothing but its transactions: each one's
 /// leaf `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
-/// over its stored bytes. The ledger's own pass agrees.
+/// over its stored bytes. The ledger's own pass over a fresh copy of the
+/// list agrees.
 fn from_scratch(block: &Block) -> [u8; 32] {
     let leaves: Vec<[u8; 32]> = block
         .transactions
@@ -374,7 +427,8 @@ fn from_scratch(block: &Block) -> [u8; 32] {
         })
         .collect();
     let root = merkle::root(leaves);
-    assert_eq!(root, Block::compute_data_hash(&block.transactions));
+    let fresh = Transactions::from(block.transactions.to_vec());
+    assert_eq!(root, fresh.data_hash());
     root
 }
 
@@ -487,8 +541,8 @@ impl BlockValidator for FlipAfterMerge {
     }
 }
 
-/// The re-seal keeps the data hash ingress checked only for the bytes
-/// it hashed: whatever a validator changes after Algorithm 1 — here one
+/// The re-seal keeps the data hash ingress checked only for the list
+/// that was hashed: whatever a validator changes after Algorithm 1 — here one
 /// byte of any one transaction — is covered by the committed data hash,
 /// while a block tampered in transit is still rejected wholesale.
 #[test]
@@ -562,7 +616,7 @@ impl BlockValidator for ReplaceList {
     }
 }
 
-/// A list that is not the one ingress hashed is sealed over as it is:
+/// A list that is not the one the orderer hashed is sealed over as it is:
 /// an equal copy seals to the honest replica's block, and a copy with
 /// one byte changed gets a data hash that covers the change, a block
 /// that passes its own hash checks, and a block hash of its own.

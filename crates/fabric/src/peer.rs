@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fabriccrdt_crypto::{Identity, KeyPair};
-use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
+use fabriccrdt_ledger::block::{Block, SealedBlock, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::store::LedgerSnapshot;
 use fabriccrdt_ledger::transaction::{TxId, TxIdSet};
@@ -306,11 +306,10 @@ impl<V: BlockValidator> Peer<V> {
         // Integrity pre-check: the data hash of a block fresh from the
         // orderer must cover its transactions. A mismatch means
         // tampering in transit; the whole block is rejected and nothing
-        // commits. This is the one pass that hashes a transaction: the
-        // endorsement MACs below verify against the payload digests
-        // hashed into the leaves here, and the re-seal keeps the data
-        // hash for the list hashed here.
-        let Some(ingress) = EncodedTransactions::verify(&block) else {
+        // commits. The list keeps its hashes: the orderer's cut hashed
+        // the list every replica shares, a list from elsewhere is hashed
+        // here, and the MACs and the re-seal below read the same pass.
+        if block.header.data_hash != block.transactions.data_hash() {
             block.validation_codes = vec![ValidationCode::TamperedBlock; block.transactions.len()];
             return StagedBlock {
                 block: SealedBlock::seal(block, self.chain.tip_hash()),
@@ -318,9 +317,9 @@ impl<V: BlockValidator> Peer<V> {
                 work: ValidationWork::default(),
                 timings: StageTimings::default(),
             };
-        };
+        }
         let pre_start = Instant::now();
-        let (pre, sigs_verified) = self.endorsement_verdicts(&block, &ingress);
+        let (pre, sigs_verified) = self.endorsement_verdicts(&block);
         let pre_validate_secs = pre_start.elapsed().as_secs_f64();
 
         let finalize_start = Instant::now();
@@ -335,10 +334,10 @@ impl<V: BlockValidator> Peer<V> {
         // the header, and the header re-links to the peer's tip. All
         // peers merge deterministically in block order, so every replica
         // seals the same record. The transactions keep the orderer's data
-        // hash unless the validator put a list of its own in the block.
-        // This is the last pass over the block: `commit` appends it
-        // sealed.
-        let block = SealedBlock::reseal(block, self.chain.tip_hash(), &ingress);
+        // hash, read from the list, unless the validator put a list of its
+        // own in the block, which is hashed then. This is the last pass
+        // over the block: `commit` appends it sealed.
+        let block = SealedBlock::seal(block, self.chain.tip_hash());
 
         StagedBlock {
             block,
@@ -361,11 +360,7 @@ impl<V: BlockValidator> Peer<V> {
     /// the simulated block cost. Each endorsement costs one lookup of
     /// its endorser, which yields the key to verify with and the org
     /// bit a valid signature adds to the transaction's org mask.
-    fn endorsement_verdicts(
-        &mut self,
-        block: &Block,
-        ingress: &EncodedTransactions,
-    ) -> (Vec<Option<ValidationCode>>, u64) {
+    fn endorsement_verdicts(&mut self, block: &Block) -> (Vec<Option<ValidationCode>>, u64) {
         let mut seen_in_block = TxIdSet::default();
         let mut sigs_verified = 0u64;
         let pre = block
@@ -378,8 +373,8 @@ impl<V: BlockValidator> Peer<V> {
                 }
                 // A no-op on every workspace validator (DESIGN.md §4.10).
                 self.validator.prepare(tx);
-                // Hashed into the leaf at ingress: no second payload pass.
-                let digest = ingress.payload_digest(i);
+                // Hashed into the leaf: no second payload pass.
+                let digest = block.transactions.payload_digest(i);
                 let mut orgs = 0u64;
                 for endorsement in &tx.endorsements {
                     sigs_verified += 1;

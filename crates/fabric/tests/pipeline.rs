@@ -517,3 +517,26 @@ fn reordering_network_end_to_end() {
         0
     );
 }
+
+/// The adaptive orderer end to end: it reorders its bootstrap batches,
+/// and once the peers' finalize feedback shows the traffic cold — every
+/// transaction read-modify-writes a key of its own — it cuts FIFO, and
+/// every transaction still gets a verdict.
+#[test]
+fn adaptive_ordering_cuts_fifo_once_the_traffic_is_cold() {
+    let mut sim = Simulation::new(
+        config(25, 13).with_ordering_policy(OrderingPolicy::Adaptive),
+        FabricValidator::new(),
+        registry(),
+    );
+    let metrics = sim.run(schedule(600, 200.0, |i| {
+        TxRequest::new("rmw", vec![format!("k{i}"), "v".into()])
+    }));
+    let policy = metrics.conflict_policy.expect("adaptive runs count");
+    assert!(policy.batches_reordered > 0, "the bootstrap reorders");
+    assert!(policy.batches_fifo > 0, "{policy:?}");
+    assert_eq!(policy.cycle_aborts, 0);
+    assert_eq!(metrics.submitted(), 600);
+    assert!(metrics.records.iter().all(|r| r.code.is_some()));
+    assert_eq!(metrics.successful(), 600);
+}

@@ -18,13 +18,14 @@
 //!
 //! The transactions are one immutable [`Transactions`] list: a clone of
 //! a block copies its header and commit record and shares the list, so
-//! every replica commits the allocation the orderer cut.
+//! every replica commits the allocation the orderer cut, and reads the
+//! hashes the cut kept on it.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::slice;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use fabriccrdt_crypto::{merkle, sha256, Digest};
 
@@ -124,8 +125,12 @@ pub struct Block {
 
 /// A block's transactions as the orderer cut them: one immutable list,
 /// shared by every clone of the block. It lends `&[Transaction]` and
-/// never `&mut`, so one allocation always holds the same bytes, and a
-/// forgery or a tamper test builds a list of its own.
+/// never `&mut`, so one allocation always holds the same bytes, and it
+/// keeps what hashing them gave — the payload digests and the root, not
+/// the bytes or the leaves — from the first call of
+/// [`Transactions::data_hash`] or [`Transactions::payload_digest`] on.
+/// Nothing takes a digest from outside: a list built from a `Vec` (a
+/// decoded block, a forgery, a validator's own) is hashed from scratch.
 ///
 /// ```compile_fail,E0594
 /// # use fabriccrdt_ledger::block::Block;
@@ -138,8 +143,19 @@ pub struct Block {
 /// # let tx = block.transactions[0].clone();
 /// block.transactions.push(tx); // no `Vec` behind it
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Transactions(Arc<[Transaction]>);
+#[derive(Clone)]
+pub struct Transactions(Arc<List>);
+
+struct List {
+    transactions: Box<[Transaction]>,
+    hashed: OnceLock<Hashed>,
+}
+
+/// Per transaction, the digest of its response payload; and the root.
+struct Hashed {
+    payload_digests: Box<[Digest]>,
+    data_hash: Digest,
+}
 
 impl Transactions {
     /// Whether both lists are one allocation: then they hold the same
@@ -147,19 +163,78 @@ impl Transactions {
     pub fn shares(&self, other: &Transactions) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
+
+    /// The data hash of a block of these transactions: the Merkle root
+    /// over the bytes each transaction is stored and shipped as
+    /// ([`Transaction::write_bytes`]), each leaf
+    /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
+    /// so that it shares its inner digest with the signatures. Hashed
+    /// once per allocation.
+    pub fn data_hash(&self) -> Digest {
+        self.hashed().data_hash
+    }
+
+    /// The SHA-256 of transaction `index`'s
+    /// [`Transaction::response_payload`], as hashed into its leaf: the
+    /// digest its endorsements sign.
+    pub fn payload_digest(&self, index: usize) -> &Digest {
+        &self.hashed().payload_digests[index]
+    }
+
+    /// The one place the kept hashes are filled: each transaction of
+    /// this allocation encoded and hashed, one at a time.
+    fn hashed(&self) -> &Hashed {
+        self.0.hashed.get_or_init(|| {
+            let mut bytes = Vec::new();
+            let (payload_digests, leaves): (Vec<Digest>, Vec<Digest>) = self
+                .iter()
+                .map(|tx| {
+                    bytes.clear();
+                    tx.write_response_payload(&mut bytes);
+                    let digest = sha256::digest(&bytes);
+                    let endorsements = bytes.len();
+                    tx.write_endorsements(&mut bytes);
+                    (digest, merkle::leaf_of(&[&digest, &bytes[endorsements..]]))
+                })
+                .unzip();
+            Hashed {
+                payload_digests: payload_digests.into(),
+                data_hash: merkle::root(leaves),
+            }
+        })
+    }
+}
+
+/// Equal lists hold equal transactions, whatever each has hashed.
+impl PartialEq for Transactions {
+    fn eq(&self, other: &Transactions) -> bool {
+        self.shares(other) || **self == **other
+    }
+}
+
+impl Eq for Transactions {}
+
+impl fmt::Debug for Transactions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Transactions").field(&&**self).finish()
+    }
 }
 
 impl Deref for Transactions {
     type Target = [Transaction];
 
     fn deref(&self) -> &[Transaction] {
-        &self.0
+        &self.0.transactions
     }
 }
 
+/// A fresh allocation, hashed when first asked.
 impl From<Vec<Transaction>> for Transactions {
     fn from(transactions: Vec<Transaction>) -> Self {
-        Transactions(transactions.into())
+        Transactions(Arc::new(List {
+            transactions: transactions.into(),
+            hashed: OnceLock::new(),
+        }))
     }
 }
 
@@ -176,7 +251,7 @@ impl<'a> IntoIterator for &'a Transactions {
     type IntoIter = slice::Iter<'a, Transaction>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.0.transactions.iter()
     }
 }
 
@@ -199,39 +274,23 @@ impl Block {
     }
 
     /// Assembles a block from ordered transactions, computing the data
-    /// hash (orderer step 4 in Figure 1) and the hash of its empty
-    /// commit record.
+    /// hash (orderer step 4 in Figure 1), which the list keeps for every
+    /// replica that receives it, and the hash of its empty commit record.
     pub fn assemble(number: u64, previous_hash: Digest, transactions: Vec<Transaction>) -> Self {
+        let transactions = Transactions::from(transactions);
         let mut block = Block {
             header: BlockHeader {
                 number,
                 previous_hash,
-                data_hash: Self::compute_data_hash(&transactions),
+                data_hash: transactions.data_hash(),
                 record_hash: [0; 32],
             },
-            transactions: transactions.into(),
+            transactions,
             validation_codes: Vec::new(),
             converged: BTreeMap::new(),
         };
         block.header.record_hash = block.compute_record_hash();
         block
-    }
-
-    /// The data hash of a block of `transactions`: the Merkle root over
-    /// the bytes each transaction is stored and shipped as
-    /// ([`Transaction::write_bytes`]), each leaf
-    /// `SHA-256(0x00 ‖ SHA-256(response payload) ‖ endorsement bytes)`
-    /// so that it shares its inner digest with the signatures. Always
-    /// computed from the transactions in hand, never remembered: `Block`'s
-    /// fields are public and a delivery layer may hand over a mutated
-    /// block, so a stored digest could vouch for bytes it never covered.
-    pub fn compute_data_hash(transactions: &[Transaction]) -> Digest {
-        let mut bytes = Vec::new();
-        let leaves = transactions.iter().map(|tx| {
-            bytes.clear();
-            encode_tx(tx, &mut bytes).1
-        });
-        merkle::root(leaves.collect())
     }
 
     /// The SHA-256 of the commit record's stored bytes, streamed.
@@ -246,9 +305,10 @@ impl Block {
         self.header.hash()
     }
 
-    /// Whether the stored data hash matches the transactions.
+    /// Whether the header's data hash is the one its transactions hash
+    /// to ([`Transactions::data_hash`]).
     pub fn data_hash_is_valid(&self) -> bool {
-        Self::compute_data_hash(&self.transactions) == self.header.data_hash
+        self.transactions.data_hash() == self.header.data_hash
     }
 
     /// `Ok` when the header's record hash covers the commit record and
@@ -334,23 +394,12 @@ pub(crate) fn merges(tx: &Transaction, key: &str) -> bool {
         .is_some_and(|write| write.is_crdt && !write.is_delete)
 }
 
-/// Appends `tx`'s bytes to `bytes` and returns its payload's digest
-/// and its leaf, `SHA-256(0x00 ‖ SHA-256(payload) ‖ endorsement bytes)`.
-fn encode_tx(tx: &Transaction, bytes: &mut Vec<u8>) -> (Digest, Digest) {
-    let start = bytes.len();
-    tx.write_response_payload(bytes);
-    let digest = sha256::digest(&bytes[start..]);
-    let endorsements = bytes.len();
-    tx.write_endorsements(bytes);
-    (digest, merkle::leaf_of(&[&digest, &bytes[endorsements..]]))
-}
-
 /// A block whose hashes this process computed over the transactions and
-/// record it holds: built only by [`SealedBlock::seal`],
-/// [`SealedBlock::reseal`] or [`SealedBlock::verify`] and read-only
-/// afterwards, so
+/// record it holds: built only by [`SealedBlock::seal`] or
+/// [`SealedBlock::verify`] and read-only afterwards, so
 /// [`Blockchain::append_sealed`](crate::chain::Blockchain::append_sealed)
-/// need not hash it again. A [`Block`] itself remembers nothing.
+/// need not hash it again. A [`Block`] itself remembers nothing; its
+/// transaction list keeps its own hashes ([`Transactions`]).
 ///
 /// ```compile_fail,E0596
 /// # use fabriccrdt_ledger::block::{Block, SealedBlock};
@@ -364,36 +413,21 @@ fn encode_tx(tx: &Transaction, bytes: &mut Vec<u8>) -> (Digest, Digest) {
 pub struct SealedBlock(Arc<Block>);
 
 impl SealedBlock {
-    /// Links `block` to `previous_hash` and computes its data hash and
-    /// record hash over the transactions and record in hand.
+    /// Links `block` to `previous_hash`, sets its data hash to its
+    /// list's and hashes its record. Algorithm 1 writes only the record,
+    /// so a block that still holds the list the orderer hashed hashes no
+    /// transaction here; a list a validator put in the block is a fresh
+    /// allocation and is hashed as it is.
     pub fn seal(mut block: Block, previous_hash: Digest) -> Self {
-        block.header.data_hash = Block::compute_data_hash(&block.transactions);
-        Self::link(block, previous_hash)
-    }
-
-    /// [`SealedBlock::seal`] after Algorithm 1, which writes only the
-    /// record: a block that still holds the list `ingress` hashed keeps
-    /// the data hash it checked, and only the record is hashed. A
-    /// validator may still put a list of its own in the block (it gets
-    /// `&mut Block`); then the transactions are hashed as they are, so
-    /// the seal covers whatever the block holds.
-    pub fn reseal(mut block: Block, previous_hash: Digest, ingress: &EncodedTransactions) -> Self {
-        if !block.transactions.shares(&ingress.transactions) {
-            return Self::seal(block, previous_hash);
-        }
-        block.header.data_hash = ingress.data_hash;
-        Self::link(block, previous_hash)
-    }
-
-    fn link(mut block: Block, previous_hash: Digest) -> Self {
+        block.header.data_hash = block.transactions.data_hash();
         block.header.previous_hash = previous_hash;
         block.header.record_hash = block.compute_record_hash();
         SealedBlock(Arc::new(block))
     }
 
     /// Admits a block from anywhere else (a file, another replica, a
-    /// store that shares it) by recomputing its record hash and data
-    /// hash ([`Block::check_hashes`], whose error it returns).
+    /// store that shares it) by recomputing its record hash and checking
+    /// its data hash ([`Block::check_hashes`], whose error it returns).
     pub fn verify(block: impl Into<Arc<Block>>) -> Result<Self, ChainError> {
         let block = block.into();
         block.check_hashes().map(|()| SealedBlock(block))
@@ -427,50 +461,6 @@ impl Deref for SealedBlock {
     }
 }
 
-/// A delivered block's transactions hashed once at ingress, each in its
-/// one layout: the tamper check compares the root, endorsement
-/// verification MACs the response-payload digests the leaves were built
-/// from, and [`SealedBlock::reseal`] keeps the data hash for a block
-/// that still holds the list hashed here.
-#[derive(Debug)]
-pub struct EncodedTransactions {
-    /// The list hashed, shared with the block it came from.
-    transactions: Transactions,
-    /// Per transaction, the digest of its response payload.
-    digests: Vec<Digest>,
-    /// The data hash the list gave, equal to the header's.
-    data_hash: Digest,
-}
-
-impl EncodedTransactions {
-    /// Encodes and hashes `block`'s transactions one at a time; `None`
-    /// when the header's data hash does not cover them.
-    pub fn verify(block: &Block) -> Option<Self> {
-        let mut bytes = Vec::new();
-        let (digests, leaves): (Vec<Digest>, Vec<Digest>) = block
-            .transactions
-            .iter()
-            .map(|tx| {
-                bytes.clear();
-                encode_tx(tx, &mut bytes)
-            })
-            .unzip();
-        let data_hash = merkle::root(leaves);
-        (data_hash == block.header.data_hash).then(|| EncodedTransactions {
-            transactions: block.transactions.clone(),
-            digests,
-            data_hash,
-        })
-    }
-
-    /// The SHA-256 of transaction `index`'s
-    /// [`Transaction::response_payload`], as hashed into its leaf: the
-    /// digest its endorsements sign.
-    pub fn payload_digest(&self, index: usize) -> &Digest {
-        &self.digests[index]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,6 +490,43 @@ mod tests {
         let mut tampered = block.clone();
         tampered.transactions = transactions.into();
         assert!(!tampered.data_hash_is_valid());
+    }
+
+    /// Whether the list's hashes are kept yet.
+    fn hashed(transactions: &Transactions) -> bool {
+        transactions.0.hashed.get().is_some()
+    }
+
+    #[test]
+    fn assemble_fills_the_memo_and_every_clone_shares_it() {
+        let block = Block::assemble(1, [0; 32], vec![tx(1), tx(2), tx(3)]);
+        assert!(hashed(&block.transactions), "the cut hashed the list");
+        let replica = block.clone();
+        assert!(replica.transactions.shares(&block.transactions));
+        assert!(hashed(&replica.transactions));
+        assert_eq!(replica.transactions.data_hash(), block.header.data_hash);
+    }
+
+    #[test]
+    fn a_copied_list_starts_unhashed_and_hashes_to_the_same_root() {
+        let block = Block::assemble(1, [0; 32], vec![tx(1), tx(2), tx(3)]);
+        let copy = Transactions::from(block.transactions.to_vec());
+        assert!(!copy.shares(&block.transactions));
+        assert!(!hashed(&copy), "nothing is carried over");
+        assert_eq!(copy, block.transactions);
+        assert_eq!(copy.data_hash(), block.header.data_hash);
+        assert!(hashed(&copy));
+        for (i, tx) in block.transactions.iter().enumerate() {
+            let digest = sha256::digest(&tx.response_payload());
+            assert_eq!(*copy.payload_digest(i), digest);
+            assert_eq!(*block.transactions.payload_digest(i), digest);
+        }
+    }
+
+    #[test]
+    fn a_list_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Transactions>();
     }
 
     #[test]

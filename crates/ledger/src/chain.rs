@@ -349,7 +349,7 @@ mod tests {
         block.header.previous_hash = chain.tip_hash();
         assert_eq!(chain.append(block.clone()), Err(ChainError::BadDataHash));
         assert_eq!(chain.height(), 1, "a rejected block leaves the chain alone");
-        block.header.data_hash = Block::compute_data_hash(&block.transactions);
+        block.header.data_hash = block.transactions.data_hash();
         assert_eq!(chain.append(block), Ok(()));
     }
 

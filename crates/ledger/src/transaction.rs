@@ -85,10 +85,16 @@ pub struct TxIdHasher {
 }
 
 impl Hasher for TxIdHasher {
+    /// Whole 16-byte blocks are fixed-size loads, and a shorter tail is
+    /// folded once, zero-padded: a 32-byte id copies nothing.
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
+        let (blocks, tail) = bytes.as_chunks::<16>();
+        let mut padded = [0u8; 16];
+        let tail = (!tail.is_empty()).then(|| {
+            padded[..tail.len()].copy_from_slice(tail);
+            &padded
+        });
+        for &block in blocks.iter().chain(tail) {
             let words = u128::from_le_bytes(block);
             let product = u128::from(words as u64 ^ self.keys[0] ^ self.hash)
                 * u128::from((words >> 64) as u64 ^ self.keys[1]);
@@ -266,6 +272,37 @@ mod tests {
             chaincode: "iot".into(),
             rwset,
             endorsements: Vec::new(),
+        }
+    }
+
+    /// The fold as first written: every chunk, the last one short,
+    /// copied into a zeroed block.
+    fn chunked_fold(keys: [u64; 2], bytes: &[u8]) -> u64 {
+        let mut hash = 0u64;
+        for chunk in bytes.chunks(16) {
+            let mut block = [0u8; 16];
+            block[..chunk.len()].copy_from_slice(chunk);
+            let words = u128::from_le_bytes(block);
+            let product = u128::from(words as u64 ^ keys[0] ^ hash)
+                * u128::from((words >> 64) as u64 ^ keys[1]);
+            hash = (product >> 64) as u64 ^ product as u64;
+        }
+        hash
+    }
+
+    #[test]
+    fn the_hasher_folds_as_the_chunked_fold_did() {
+        let bytes: Vec<u8> = (0..64u8).map(|b| b.wrapping_mul(151) ^ 0x5a).collect();
+        for keys in [[0, 0], [1, 2], [u64::MAX, 0x9e37_79b9_7f4a_7c15]] {
+            for len in 0..=64 {
+                let mut hasher = TxIdHash { keys }.build_hasher();
+                hasher.write(&bytes[..len]);
+                assert_eq!(
+                    hasher.finish(),
+                    chunked_fold(keys, &bytes[..len]),
+                    "{len} bytes"
+                );
+            }
         }
     }
 

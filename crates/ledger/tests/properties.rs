@@ -5,8 +5,8 @@
 
 use std::collections::BTreeMap;
 
-use fabriccrdt_crypto::{merkle, sha256, Identity, Signature};
-use fabriccrdt_ledger::block::{Block, EncodedTransactions, SealedBlock, ValidationCode};
+use fabriccrdt_crypto::{merkle, sha256, Digest, Identity, Signature};
+use fabriccrdt_ledger::block::{Block, SealedBlock, Transactions, ValidationCode};
 use fabriccrdt_ledger::chain::{Blockchain, ChainError};
 use fabriccrdt_ledger::codec;
 use fabriccrdt_ledger::mvcc;
@@ -271,25 +271,32 @@ fn edited(block: &Block, edit: impl FnOnce(&mut Vec<Transaction>)) -> Block {
     edited
 }
 
-/// The ingress encoding and the sealed constructors agree with the
-/// streaming data hash — on blocks as assembled, with one byte of one
-/// written value flipped, and with transactions reordered, dropped,
-/// added or re-signed after ingress — and hand out the digests of the
-/// payloads endorsers signed, the ones each leaf is built from. The
-/// re-seal keeps the ingress data hash only for the list ingress hashed;
-/// an equal list of its own seals to the same block.
+/// The data hash of `transactions` from a fresh allocation: nothing
+/// kept, every transaction hashed from scratch.
+fn fresh_data_hash(transactions: &[Transaction]) -> Digest {
+    Transactions::from(transactions.to_vec()).data_hash()
+}
+
+/// The hashes a list keeps and the sealed constructors agree with a
+/// fresh allocation's pass — on blocks as assembled, with one byte of
+/// one written value flipped, and with transactions reordered, dropped,
+/// added or re-signed after the cut — and hand out the digests of the
+/// payloads endorsers signed, the ones each leaf is built from. The seal
+/// of a block that still holds the list the cut hashed keeps the cut's
+/// data hash; an equal fresh list seals to the same block, and any other
+/// list is sealed over as it is.
 #[test]
 fn hashing_constructors_agree_with_the_streaming_hash() {
     gen::cases(128, |g| {
         let block = arb_block(g);
-        let encoded = EncodedTransactions::verify(&block).expect("as assembled");
+        assert_eq!(block.transactions.data_hash(), block.header.data_hash);
         for (i, tx) in block.transactions.iter().enumerate() {
             let payload = tx.response_payload();
             let digest = sha256::digest(&payload);
-            assert_eq!(*encoded.payload_digest(i), digest);
+            assert_eq!(*block.transactions.payload_digest(i), digest);
             let endorsements = &tx.to_bytes()[payload.len()..];
             assert_eq!(
-                Block::compute_data_hash(std::slice::from_ref(tx)),
+                fresh_data_hash(std::slice::from_ref(tx)),
                 merkle::leaf_of(&[&digest, endorsements]),
                 "a one-transaction root is its leaf"
             );
@@ -297,28 +304,34 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
         let sealed = SealedBlock::seal(block.clone(), block.header.previous_hash);
         assert_eq!(*sealed, block, "sealing an assembled block changes nothing");
         assert_eq!(SealedBlock::verify(block.clone()), Ok(sealed.clone()));
-        let reseal = |block: &Block| SealedBlock::reseal(block.clone(), [7; 32], &encoded);
         let seal = |block: &Block| SealedBlock::seal(block.clone(), [7; 32]);
-        assert_eq!(reseal(&block).header.data_hash, block.header.data_hash);
+        // What sealing `block` from scratch gives: its data hash over a
+        // fresh copy of its list.
+        let fresh = |block: &Block| {
+            let mut fresh = seal(block).into_block();
+            fresh.header.data_hash = fresh_data_hash(&block.transactions);
+            fresh
+        };
+        assert_eq!(seal(&block).header.data_hash, block.header.data_hash);
         let copied = edited(&block, |_| ());
         assert!(!copied.transactions.shares(&block.transactions));
-        assert_eq!(reseal(&copied), reseal(&block), "an equal fresh list");
+        assert_eq!(seal(&copied), seal(&block), "an equal fresh list");
         let shuffled = edited(&block, |txs| txs.reverse());
-        assert_eq!(reseal(&shuffled), seal(&shuffled), "reversed");
+        assert_eq!(*seal(&shuffled), fresh(&shuffled), "reversed");
         let shuffled = edited(&shuffled, |txs| drop(txs.pop()));
-        assert_eq!(reseal(&shuffled), seal(&shuffled), "one fewer");
+        assert_eq!(*seal(&shuffled), fresh(&shuffled), "one fewer");
         let shuffled = edited(&shuffled, |txs| {
             txs.extend(block.transactions.first().cloned());
             txs.extend(block.transactions.first().cloned());
         });
-        assert_eq!(reseal(&shuffled), seal(&shuffled), "one more");
+        assert_eq!(*seal(&shuffled), fresh(&shuffled), "one more");
         let resigned = edited(&block, |txs| {
             let endorsements = txs.iter_mut().flat_map(|tx| &mut tx.endorsements);
             if let Some(endorsement) = endorsements.last() {
                 endorsement.signature.0[31] ^= 0x01;
             }
         });
-        assert_eq!(reseal(&resigned), seal(&resigned), "re-signed");
+        assert_eq!(*seal(&resigned), fresh(&resigned), "re-signed");
 
         let mut flipped = false;
         let block = edited(&block, |txs| {
@@ -335,12 +348,12 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
         });
         if flipped {
             assert!(!block.data_hash_is_valid());
-            assert!(EncodedTransactions::verify(&block).is_none());
+            assert_ne!(fresh_data_hash(&block.transactions), block.header.data_hash);
             assert_eq!(
                 SealedBlock::verify(block.clone()),
                 Err(ChainError::BadDataHash)
             );
-            assert_eq!(reseal(&block), seal(&block), "flipped");
+            assert_eq!(*seal(&block), fresh(&block), "flipped");
             let resealed = SealedBlock::seal(block, [7; 32]);
             assert!(resealed.data_hash_is_valid());
             assert_eq!(resealed.header.previous_hash, [7; 32]);
@@ -349,8 +362,8 @@ fn hashing_constructors_agree_with_the_streaming_hash() {
 }
 
 /// The data hash covers every byte a peer stores: rewriting a sealed
-/// block's client fails the recomputed hash, the verifying constructor
-/// and the ingress encoding alike.
+/// block's client fails the kept hash, the verifying constructor and a
+/// fresh pass alike.
 #[test]
 fn rewriting_a_client_breaks_the_seal() {
     gen::cases(128, |g| {
@@ -363,7 +376,10 @@ fn rewriting_a_client_breaks_the_seal() {
             SealedBlock::verify(forged.clone()),
             Err(ChainError::BadDataHash)
         );
-        assert!(EncodedTransactions::verify(&forged).is_none());
+        assert_ne!(
+            fresh_data_hash(&forged.transactions),
+            forged.header.data_hash
+        );
     });
 }
 
@@ -411,7 +427,7 @@ fn identities_that_display_alike_give_different_leaves() {
                 signature: Signature([2; 32]),
             }],
         };
-        Block::compute_data_hash(&[tx])
+        fresh_data_hash(&[tx])
     };
     let (left, right) = (Identity::new("a@b", "c"), Identity::new("a", "b@c"));
     assert_eq!(left.to_string(), right.to_string());
