@@ -32,12 +32,21 @@ echo "==> host-clock boundary (exactly two .rs files under crates/ and src/ name
 test "$(grep -rlw --include='*.rs' Instant crates src | sort)" = "crates/bench/benches/micro.rs
 crates/fabric/src/peer.rs"
 
-# No file may take a lock. A peer has one commit path on one thread —
-# Algorithm 1 parses inline, with no process-wide cache, and finalize is
-# one sequential pass over a clone of the committed state, published
-# whole at commit (DESIGN.md §4.4).
+# No file may take a lock. Each peer still has one commit path on one
+# thread — Algorithm 1 parses inline, with no process-wide cache, and
+# finalize is one sequential pass over a clone of the committed state,
+# published whole at commit (DESIGN.md §4.4) — and a channel's pipeline
+# owns its replicas, so concurrent channels share nothing to lock
+# (DESIGN.md §4.8).
 echo "==> lock boundary (no .rs file under crates/ or src/ names Mutex or RwLock)"
 test -z "$(grep -rlw --include='*.rs' -e Mutex -e RwLock crates src)"
+
+# One file may start a thread: the multi-channel driver, which runs each
+# channel's pipeline on a thread of its own and joins them all before it
+# returns (DESIGN.md §4.8). Test directories are not counted: a test may
+# start a reader thread to prove a type is `Send`.
+echo "==> thread boundary (exactly one non-test .rs file under crates/ and src/ names thread::scope or thread::spawn)"
+test "$(grep -rlE --include='*.rs' --exclude-dir=tests 'thread::(scope|spawn)' crates src)" = crates/channel/src/driver.rs
 
 # Only `core` connects the EOV pipeline to the CRDT (DESIGN.md §2): the
 # kernel, hashing, ledger, pipeline and replication crates reach no

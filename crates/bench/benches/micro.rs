@@ -422,17 +422,17 @@ fn replication_layers(bench: &Bench) {
     let config = PipelineConfig::paper(25, 42).with_gossip();
     bench.run_timed(gossip, Some(STREAM), || {
         let mut network = GossipNetwork::new(&config, FabricValidator::new);
-        let observed = network.observed_on(0);
+        let observed = network.observed();
         let blocks = stream.clone();
         let start = Instant::now();
         for block in blocks {
             let number = block.header.number;
-            network.publish_on(0, SimTime::from_millis(100 * number), block);
-            network.run_until_committed_on(0, observed, number);
+            network.publish(SimTime::from_millis(100 * number), block);
+            network.run_until_committed(observed, number);
         }
         // The pushes still in flight to the other replicas belong to
         // these blocks too.
-        network.drain_on(0);
+        network.drain();
         start.elapsed()
     });
 

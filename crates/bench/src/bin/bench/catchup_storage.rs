@@ -132,10 +132,10 @@ fn run_stream(
     assert!(
         network.fully_converged(),
         "heights: {:?}",
-        network.committed_heights_on(0)
+        network.committed_heights()
     );
     let episode = network
-        .metrics_on(0)
+        .metrics()
         .catch_up
         .iter()
         .find(|e| e.peer == CRASHED_PEER && e.completed_at().is_some())
@@ -196,7 +196,7 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
 
         for network in [&replay_network, &stored_network] {
             for i in 0..network.peer_count() {
-                let snap = network.snapshot_on(0, i).expect("peer up after drain");
+                let snap = network.snapshot(i).expect("peer up after drain");
                 assert_eq!(snap.state, reference, "peer {i} state diverged");
             }
         }
@@ -261,8 +261,8 @@ pub fn run(options: &HarnessOptions) -> Result<(), String> {
     let (mem_network, _) = run_stream(&mem_config, &blocks);
     for i in 0..aof_network.peer_count() {
         assert_eq!(
-            aof_network.snapshot_on(0, i).expect("aof peer up"),
-            mem_network.snapshot_on(0, i).expect("mem peer up"),
+            aof_network.snapshot(i).expect("aof peer up"),
+            mem_network.snapshot(i).expect("mem peer up"),
             "peer {i}: AOF and memory backends diverged"
         );
     }

@@ -5,8 +5,8 @@
 //! (Androulaki et al. §3.3). This bench sweeps channel count ×
 //! clients-per-channel over the `fabriccrdt-channel` driver: every
 //! channel runs the paper's all-conflicting CRDT hot-key workload
-//! (§7.2) at `clients × 75 tx/s` on its own key space, multiplexed over
-//! one shared gossip network, and the sweep reports *aggregate* TPS —
+//! (§7.2) at `clients × 75 tx/s` on its own key space, over a gossip
+//! network of its own, and the sweep reports *aggregate* TPS —
 //! total committed transactions over the slowest channel's span.
 //!
 //! Invariants asserted every run:

@@ -6,9 +6,6 @@
 //! first that sees both, so the selection is written here once and
 //! shared with [`MultiChannelNetwork`](crate::MultiChannelNetwork).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::config::PipelineConfig;
 use fabriccrdt_fabric::simulation::{
@@ -56,13 +53,13 @@ pub(crate) fn ordering_backend(config: &PipelineConfig) -> Box<dyn OrderingBacke
 pub fn assemble<V: BlockValidator>(
     config: PipelineConfig,
     registry: ChaincodeRegistry,
-    make_validator: impl Fn() -> V + 'static,
+    make_validator: impl Fn() -> V,
 ) -> Simulation<V> {
     let validator = make_validator();
     let ordering = ordering_backend(&config);
     let delivery: Box<dyn DeliveryLayer> = if config.gossip.is_some() {
         let network = GossipNetwork::new(&config, make_validator);
-        Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0))
+        Box::new(GossipDelivery::new(network))
     } else {
         Box::new(IdealFifoDelivery::new())
     };

@@ -1,24 +1,29 @@
-//! The multi-channel driver: N pipelines over one shared gossip
+//! The multi-channel driver: N pipelines, each over its own gossip
 //! network, with the cross-channel transfer protocol on top.
 //!
 //! Each channel is a full [`Simulation`] — its own ordering service
 //! (single orderer or the Raft cluster, as the base config says),
 //! committing peer, world state and durable ledger — whose block
-//! dissemination runs through a [`GossipDelivery`] lane of one shared
-//! [`GossipNetwork`]. The shared network applies the base config's
-//! crash / restart / partition schedule to every channel a faulted
-//! peer is a member of, at the same simulated times, so cross-channel
-//! runs see correlated failures the way one physical peer hosting many
-//! channels would.
+//! dissemination runs through a [`GossipDelivery`] that owns the
+//! channel's [`GossipNetwork`]. [`GossipNetwork::new_multi`] installs
+//! the base config's crash / restart / partition schedule in every
+//! channel a faulted peer is a member of, at the same simulated times,
+//! so cross-channel runs see correlated failures the way one physical
+//! peer hosting many channels would.
 //!
-//! Channels execute sequentially in host time but concurrently in
-//! simulated time: each lane keeps its own clock, and the rollup's
-//! aggregate throughput uses the slowest channel's makespan
-//! ([`MultiChannelMetrics::aggregate_tps`]).
+//! Channels share no mutable state, so they run concurrently in host
+//! time as well as in simulated time: every channel with work runs on a
+//! thread of its own (the last on the calling thread), and results are
+//! folded in channel order after the joins, so a run is as
+//! deterministic as a sequential one. Each channel keeps its own
+//! simulated clock, and the rollup's aggregate throughput uses the
+//! slowest channel's makespan ([`MultiChannelMetrics::aggregate_tps`]).
+//! Validators are built only by [`MultiChannelNetwork::new`], on the
+//! calling thread.
 
-use std::cell::{Ref, RefCell};
-use std::rc::Rc;
+use std::panic;
 use std::sync::Arc;
+use std::thread;
 
 use fabriccrdt::CrdtValidator;
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
@@ -26,6 +31,8 @@ use fabriccrdt_fabric::channel::{
     ChannelId, ChannelRunMetrics, MultiChannelConfig, MultiChannelMetrics, TransferId,
     TransferOutcome, TransferReport, TransferSpec,
 };
+use fabriccrdt_fabric::metrics::RunMetrics;
+use fabriccrdt_fabric::peer::{Peer, PeerSnapshot};
 use fabriccrdt_fabric::simulation::{Simulation, TxRequest};
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_gossip::network::GossipNetwork;
@@ -34,6 +41,9 @@ use fabriccrdt_sim::time::SimTime;
 
 use crate::assemble::ordering_backend;
 use crate::xfer::{XferChaincode, XFER_CHAINCODE};
+
+/// One channel's workload: requests with their submission times.
+type Schedule = Vec<(SimTime, TxRequest)>;
 
 /// Gap between consecutive transfer-phase submissions on a channel.
 const PHASE_STEP: SimTime = SimTime::from_millis(10);
@@ -47,23 +57,26 @@ const PHASE_MARGIN: SimTime = SimTime::from_secs(10);
 /// docs for the architecture.
 pub struct MultiChannelNetwork<V: BlockValidator> {
     config: MultiChannelConfig,
-    network: Rc<RefCell<GossipNetwork<V>>>,
     sims: Vec<Simulation<V>>,
     /// Next transfer id (monotone across the network's lifetime).
     next_transfer: u64,
     /// Latest simulated time any channel has reached; phase
-    /// submissions are scheduled past it so per-lane clocks stay
+    /// submissions are scheduled past it so per-channel clocks stay
     /// monotone.
     horizon: SimTime,
 }
 
 impl<V: BlockValidator> MultiChannelNetwork<V> {
-    /// Builds the deployment: one shared gossip network over
-    /// `config.base`'s topology and fault schedule, plus one pipeline
-    /// per channel (channel seed and id per
-    /// [`MultiChannelConfig::pipeline_for`]). The
-    /// transfer chaincode is deployed into every channel's registry
-    /// automatically.
+    /// Builds the deployment: one gossip network per channel over
+    /// `config.base`'s topology and fault schedule, each inside its
+    /// channel's pipeline (channel seed and id per
+    /// [`MultiChannelConfig::pipeline_for`]). The transfer chaincode is
+    /// deployed into every channel's registry automatically.
+    ///
+    /// `make_validator` runs here only, on this thread, and in the
+    /// order [`GossipNetwork::new_multi`] gives: every gossip replica,
+    /// then each channel's committing peer, then one per scheduled
+    /// restart. Runs and transfers build none.
     ///
     /// # Panics
     ///
@@ -72,32 +85,28 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
     pub fn new(
         config: MultiChannelConfig,
         registry: ChaincodeRegistry,
-        make_validator: impl Fn() -> V + Clone + 'static,
+        make_validator: impl Fn() -> V,
     ) -> Self {
         config.validate();
         let mut registry = registry;
         registry.deploy(Arc::new(XferChaincode));
-        let network = Rc::new(RefCell::new(GossipNetwork::new_multi(
-            &config,
-            make_validator.clone(),
-        )));
-        let sims = (0..config.channel_count())
-            .map(|c| {
+        let sims = GossipNetwork::new_multi(&config, make_validator)
+            .into_iter()
+            .enumerate()
+            .map(|(c, (network, validator))| {
                 let pipeline = config.pipeline_for(c);
-                let delivery = Box::new(GossipDelivery::new(network.clone(), c));
                 let ordering = ordering_backend(&pipeline);
                 Simulation::with_layers(
                     pipeline,
-                    make_validator(),
+                    validator,
                     registry.clone(),
-                    delivery,
+                    Box::new(GossipDelivery::new(network)),
                     ordering,
                 )
             })
             .collect();
         MultiChannelNetwork {
             config,
-            network,
             sims,
             next_transfer: 0,
             horizon: SimTime::ZERO,
@@ -126,29 +135,56 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
         self.sims[c].seed_state(key, value);
     }
 
-    /// The shared gossip network (per-channel replicas, metrics,
-    /// clocks).
-    pub fn network(&self) -> Ref<'_, GossipNetwork<V>> {
-        self.network.borrow()
+    /// Returns `self`: the replicas are read through
+    /// [`MultiChannelNetwork::peer_on`] and its siblings. Pinned for
+    /// `perf/` (DESIGN.md §4.10).
+    pub fn network(&self) -> &Self {
+        self
     }
 
-    /// Runs one workload schedule per channel (indexed by channel) and
-    /// rolls the per-channel metrics up. Channels run sequentially in
-    /// host time; their simulated timelines are independent.
+    /// Number of peers in the deployment's topology.
+    pub fn peer_count(&self) -> usize {
+        self.config.base.topology.total_peers()
+    }
+
+    /// The member set (global peer indices) of channel `c`'s gossip
+    /// network.
+    pub fn members(&self, c: usize) -> &[usize] {
+        self.lane(c).map_or(&[], GossipNetwork::members)
+    }
+
+    /// The channel-`c` replica of global peer `index`, or `None` while
+    /// it is crashed.
     ///
     /// # Panics
     ///
-    /// Panics when `schedules.len()` differs from the channel count.
-    pub fn run(&mut self, schedules: Vec<Vec<(SimTime, TxRequest)>>) -> MultiChannelMetrics {
+    /// Panics when `index` is not a member of the channel.
+    pub fn peer_on(&self, c: usize, index: usize) -> Option<&Peer<V>> {
+        self.lane(c)?.peer(index)
+    }
+
+    /// Serialized ledger of the channel-`c` replica of global peer
+    /// `index` (state and chain bytes), or `None` while it is crashed.
+    pub fn snapshot_on(&self, c: usize, index: usize) -> Option<PeerSnapshot> {
+        self.peer_on(c, index).map(Peer::snapshot)
+    }
+
+    /// Runs one workload schedule per channel (indexed by channel) and
+    /// rolls the per-channel metrics up. Channels run concurrently,
+    /// each on a thread of its own; their simulated timelines are
+    /// independent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `schedules.len()` differs from the channel count,
+    /// and with a channel's own panic message when its run panics.
+    pub fn run(&mut self, schedules: Vec<Schedule>) -> MultiChannelMetrics {
         assert_eq!(schedules.len(), self.sims.len(), "one schedule per channel");
-        let channels = schedules
+        let channels = self
+            .run_channels(schedules.into_iter().map(Some).collect())
             .into_iter()
-            .enumerate()
-            .map(|(c, schedule)| {
-                let metrics = self.sims[c].run(schedule);
-                self.note_progress(c, metrics.end_time);
-                ChannelRunMetrics { metrics }
-            })
+            .flatten()
+            .map(|metrics| ChannelRunMetrics { metrics })
             .collect();
         MultiChannelMetrics { channels }
     }
@@ -271,11 +307,10 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
     ///
     /// Panics naming the first diverged or crashed replica.
     pub fn verify_converged(&self) {
-        let network = self.network.borrow();
         for (c, spec) in self.config.channels.iter().enumerate() {
             let reference = self.sims[c].peer();
             for &member in &spec.members {
-                let replica = network
+                let replica = self
                     .peer_on(c, member)
                     .unwrap_or_else(|| panic!("{}: replica {member} is down", spec.id));
                 assert!(
@@ -295,20 +330,55 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
     /// horizon.
     fn run_phase(&mut self, requests: impl IntoIterator<Item = Option<(ChannelId, TxRequest)>>) {
         let base = self.horizon + PHASE_MARGIN;
-        let mut schedules: Vec<Vec<(SimTime, TxRequest)>> = vec![Vec::new(); self.sims.len()];
+        let mut schedules: Vec<Option<Schedule>> = vec![None; self.sims.len()];
         for (i, request) in requests.into_iter().enumerate() {
             if let Some((channel, request)) = request {
                 let at = base + PHASE_STEP.scale(i as u64 + 1);
-                schedules[channel.0 as usize].push((at, request));
+                schedules[channel.0 as usize]
+                    .get_or_insert_default()
+                    .push((at, request));
             }
         }
-        for (c, schedule) in schedules.into_iter().enumerate() {
-            if schedule.is_empty() {
-                continue;
+        self.run_channels(schedules);
+    }
+
+    /// Runs each channel's schedule (`None`: the channel has no work
+    /// and stays idle), every channel with work on a thread of its own
+    /// except the last, which runs on this thread. After the joins it
+    /// folds each channel's progress into the horizon in channel order.
+    /// A channel whose run panics re-raises its panic here, payload
+    /// and all.
+    fn run_channels(&mut self, schedules: Vec<Option<Schedule>>) -> Vec<Option<RunMetrics>> {
+        let mut jobs: Vec<_> = self
+            .sims
+            .iter_mut()
+            .zip(schedules)
+            .map(|(sim, schedule)| Some((sim, schedule?)))
+            .collect();
+        let last = jobs.iter().rposition(Option::is_some);
+        let local = last.and_then(|c| jobs[c].take());
+        let outcomes: Vec<Option<RunMetrics>> = thread::scope(|scope| {
+            let spawned: Vec<_> = jobs
+                .into_iter()
+                .map(|job| job.map(|(sim, schedule)| scope.spawn(move || sim.run(schedule))))
+                .collect();
+            let mut local = local.map(|(sim, schedule)| sim.run(schedule));
+            spawned
+                .into_iter()
+                .enumerate()
+                .map(|(c, handle)| match handle {
+                    Some(handle) => Some(handle.join().unwrap_or_else(|p| panic::resume_unwind(p))),
+                    None if Some(c) == last => local.take(),
+                    None => None,
+                })
+                .collect()
+        });
+        for (c, metrics) in outcomes.iter().enumerate() {
+            if let Some(metrics) = metrics {
+                self.note_progress(c, metrics.end_time);
             }
-            let metrics = self.sims[c].run(schedule);
-            self.note_progress(c, metrics.end_time);
         }
+        outcomes
     }
 
     /// The value `key` holds in `channel`'s committed world state.
@@ -316,10 +386,17 @@ impl<V: BlockValidator> MultiChannelNetwork<V> {
         self.sims[channel.0 as usize].peer().state().value(key)
     }
 
-    /// Folds a finished run's end time and the channel's lane clock
+    /// Channel `c`'s gossip network, which its pipeline's delivery
+    /// layer owns.
+    fn lane(&self, c: usize) -> Option<&GossipNetwork<V>> {
+        let delivery = self.sims[c].delivery::<GossipDelivery<V>>()?;
+        Some(delivery.network())
+    }
+
+    /// Folds a finished run's end time and the channel's network clock
     /// into the horizon.
     fn note_progress(&mut self, c: usize, end_time: SimTime) {
-        let lane_clock = self.network.borrow().clock_on(c);
+        let lane_clock = self.lane(c).map_or(SimTime::ZERO, GossipNetwork::clock);
         self.horizon = self.horizon.max(end_time).max(lane_clock);
     }
 }
@@ -337,6 +414,7 @@ pub fn fabriccrdt_multi_channel(
 mod tests {
     use super::*;
     use fabriccrdt_fabric::config::PipelineConfig;
+    use fabriccrdt_fabric::simulation::DeliveryLayer;
 
     /// The other half of the convergence contract (the healthy
     /// snapshot-recovered case lives in `tests/multi_channel.rs`): a
@@ -346,11 +424,14 @@ mod tests {
     fn verify_converged_rejects_a_replica_whose_state_differs() {
         let base = PipelineConfig::paper(25, 1).with_gossip();
         let config = MultiChannelConfig::uniform(base, 2);
-        let net = fabriccrdt_multi_channel(config, ChaincodeRegistry::new());
+        let mut net = fabriccrdt_multi_channel(config, ChaincodeRegistry::new());
         net.verify_converged();
 
         // A key only channel 1's replicas hold.
-        net.network.borrow_mut().seed_state_on(1, "rogue", b"x");
+        net.sims[1]
+            .delivery_mut::<GossipDelivery<CrdtValidator>>()
+            .expect("channel 1 delivers over gossip")
+            .seed_state("rogue", b"x");
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             net.verify_converged();
         }))

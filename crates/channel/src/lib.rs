@@ -9,10 +9,11 @@
 //! reproduction sideways: [`MultiChannelNetwork`] hosts N complete
 //! pipelines (configured by
 //! [`MultiChannelConfig`](fabriccrdt_fabric::channel::MultiChannelConfig))
-//! whose block dissemination multiplexes over one shared
-//! `fabriccrdt-gossip` network, so one fault schedule — crashes,
-//! restarts, partitions — hits every channel a peer is a member of at
-//! the same simulated times.
+//! each disseminating blocks over a `fabriccrdt-gossip` network of its
+//! own, built under one fault schedule — crashes, restarts, partitions —
+//! that hits every channel a peer is a member of at the same simulated
+//! times. The channels share no mutable state and run on threads of
+//! their own.
 //!
 //! Channels are not silos: [`XferChaincode`] plus the driver's
 //! [`MultiChannelNetwork::execute_transfers`] implement a two-phase

@@ -3,8 +3,6 @@
 //! to the hand-built `Simulation::with_layers` pipeline, and the
 //! gossip + Raft shape commits everything and converges.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
@@ -88,7 +86,7 @@ fn assembler_is_bit_identical_to_hand_built_layers_on_all_four_shapes() {
         let shape = (config.gossip.is_some(), config.ordering.is_some());
         let delivery: Box<dyn DeliveryLayer> = if shape.0 {
             let network = GossipNetwork::new(&config, CrdtValidator::new);
-            Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0))
+            Box::new(GossipDelivery::new(network))
         } else {
             Box::new(IdealFifoDelivery::new())
         };
@@ -138,25 +136,27 @@ fn gossip_plus_raft_commits_everything_and_converges() {
         "the crashed peer catches up after its restart"
     );
 
-    // The same deployment over a gossip network the test keeps a handle
-    // on: every replica ends on the assembled pipeline's ledger.
-    let network = Rc::new(RefCell::new(GossipNetwork::new(
-        &config,
-        CrdtValidator::new,
-    )));
-    let twin = run(Simulation::with_layers(
+    // The same deployment built by hand: every replica of its gossip
+    // network ends on the assembled pipeline's ledger.
+    let mut twin = Simulation::with_layers(
         config.clone(),
         CrdtValidator::new(),
         registry(),
-        Box::new(GossipDelivery::new(network.clone(), 0)),
+        Box::new(GossipDelivery::new(GossipNetwork::new(
+            &config,
+            CrdtValidator::new,
+        ))),
         Box::new(RaftOrderingBackend::new(&config)),
-    ));
-    assert_eq!(twin.0, metrics);
-    let mut network = network.borrow_mut();
-    network.drain();
+    );
+    twin.seed_state("device1", SEED_DOC.to_vec());
+    assert_eq!(twin.run(schedule()), metrics);
+    let network = twin
+        .delivery::<GossipDelivery<CrdtValidator>>()
+        .expect("the twin delivers over gossip")
+        .network();
     for peer in 0..network.peer_count() {
         assert!(
-            network.snapshot_on(0, peer).as_ref() == Some(&ledger),
+            network.snapshot(peer).as_ref() == Some(&ledger),
             "replica {peer} diverged from the pipeline peer"
         );
     }

@@ -3,16 +3,22 @@
 //! two-phase cross-channel transfer protocol (including the seeded
 //! crash/partition sweep asserting exactly-once handoffs).
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
-use fabriccrdt_channel::{assemble, fabriccrdt_multi_channel, XferChaincode};
+use fabriccrdt_channel::{assemble, fabriccrdt_multi_channel, MultiChannelNetwork, XferChaincode};
 use fabriccrdt_fabric::chaincode::ChaincodeRegistry;
 use fabriccrdt_fabric::channel::{ChannelId, MultiChannelConfig, TransferOutcome, TransferSpec};
 use fabriccrdt_fabric::config::{CrashSpec, FaultConfig, PartitionSpec, PipelineConfig};
+use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::simulation::TxRequest;
 use fabriccrdt_fabric::storage::StorageConfig;
+use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_jsoncrdt::json::Value;
+use fabriccrdt_ledger::block::{Block, ValidationCode};
+use fabriccrdt_ledger::worldstate::WorldState;
 use fabriccrdt_sim::time::SimTime;
 use fabriccrdt_workload::iot::IotChaincode;
 
@@ -44,10 +50,7 @@ fn channel_schedule(channel: usize, txs: usize) -> Vec<(SimTime, TxRequest)> {
         .collect()
 }
 
-fn seed_channel_keys(
-    net: &mut fabriccrdt_channel::MultiChannelNetwork<CrdtValidator>,
-    channel: usize,
-) {
+fn seed_channel_keys<V: BlockValidator>(net: &mut MultiChannelNetwork<V>, channel: usize) {
     for k in 0..4 {
         net.seed_state(
             channel,
@@ -182,6 +185,191 @@ fn verify_converged_accepts_a_snapshot_recovered_replica() {
         );
     }
     net.verify_converged();
+}
+
+// ------------------------------------------------------- concurrency
+
+/// Two channels under crashes and restarts of peers both host, one
+/// window long enough that the restarted replica catches up from a
+/// snapshot.
+fn faulted_two_channels() -> MultiChannelConfig {
+    let crash = |peer: usize, at: u64, restart: u64| CrashSpec {
+        peer,
+        at: SimTime::from_millis(at),
+        restart_at: SimTime::from_millis(restart),
+    };
+    let faults = FaultConfig {
+        crashes: vec![crash(3, 150, 3500), crash(1, 400, 900)],
+        ..FaultConfig::none()
+    };
+    let base = PipelineConfig::paper(4, 31)
+        .with_gossip()
+        .with_faults(faults)
+        .with_storage(StorageConfig::memory().with_snapshot_interval(5));
+    MultiChannelConfig::uniform(base, 2)
+}
+
+/// The oracle that makes concurrent channels deterministic: a channel
+/// ends a faulted run with the same metrics, pipeline ledger (state and
+/// chain bytes) and replica ledgers whether or not its sibling had work.
+#[test]
+fn each_channel_runs_as_it_would_alone() {
+    let run = |active: [bool; 2]| {
+        let mut net = fabriccrdt_multi_channel(faulted_two_channels(), iot_registry());
+        for c in 0..2 {
+            seed_channel_keys(&mut net, c);
+        }
+        let schedules = (0..2)
+            .map(|c| match active[c] {
+                true => channel_schedule(c, 200),
+                false => Vec::new(),
+            })
+            .collect();
+        let rollup = net.run(schedules);
+        (net, rollup)
+    };
+    let (both, rollup) = run([true, true]);
+    for c in 0..2 {
+        let dissemination = rollup.channels[c].metrics.dissemination.as_ref();
+        let dissemination = dissemination.expect("gossip ran");
+        assert!(dissemination.snapshot_transfers >= 1, "channel {c}");
+        assert!(dissemination.catch_up.len() >= 2, "channel {c}");
+
+        let (alone, alone_rollup) = run([c == 0, c == 1]);
+        assert_eq!(
+            rollup.channels[c].metrics, alone_rollup.channels[c].metrics,
+            "channel {c}'s metrics depend on its sibling"
+        );
+        assert_eq!(
+            both.simulation(c).peer().snapshot(),
+            alone.simulation(c).peer().snapshot(),
+            "channel {c}'s ledger depends on its sibling"
+        );
+        let (network, alone_network) = (both.network(), alone.network());
+        for peer in 0..network.peer_count() {
+            assert_eq!(
+                network.snapshot_on(c, peer),
+                alone_network.snapshot_on(c, peer),
+                "channel {c}'s replica {peer} depends on its sibling"
+            );
+        }
+    }
+}
+
+/// FabricCRDT's validator, labelled with the call of `make_validator`
+/// that built it.
+struct Numbered {
+    number: usize,
+}
+
+impl BlockValidator for Numbered {
+    fn validate_and_commit(
+        &self,
+        block: &mut Block,
+        state: &mut WorldState,
+        pre_decided: &[Option<ValidationCode>],
+    ) -> ValidationWork {
+        CrdtValidator.validate_and_commit(block, state, pre_decided)
+    }
+
+    fn name(&self) -> &str {
+        "numbered"
+    }
+}
+
+/// Validators are built only by `MultiChannelNetwork::new`, on the
+/// calling thread, so a factory that captures an `Rc` still compiles:
+/// every replica, then each channel's committing peer, then one per
+/// scheduled restart. Runs and transfers build none, through restarts
+/// and a snapshot catch-up, and every replica keeps the validator it
+/// was built or restarted with.
+#[test]
+fn validators_are_built_at_construction_in_role_order() {
+    let built = Rc::new(Cell::new(0usize));
+    let make = {
+        let built = Rc::clone(&built);
+        move || {
+            let number = built.get();
+            built.set(number + 1);
+            Numbered { number }
+        }
+    };
+    let config = faulted_two_channels();
+    let members = config.channels[0].members.len();
+    let restarts = config.base.faults.crashes.len();
+    let crashed: Vec<usize> = config.base.faults.crashes.iter().map(|c| c.peer).collect();
+    let mut net = MultiChannelNetwork::new(config, iot_registry(), make);
+    let (replicas, pipelines) = (2 * members, 2);
+    assert_eq!(built.get(), replicas + pipelines + 2 * restarts);
+    for c in 0..2 {
+        let pipeline = net.simulation(c).peer().validator().number;
+        assert_eq!(pipeline, replicas + c, "channel {c}'s committing peer");
+        for peer in 0..members {
+            let replica = net
+                .network()
+                .peer_on(c, peer)
+                .expect("up")
+                .validator()
+                .number;
+            assert_eq!(replica, c * members + peer, "channel {c}'s replica {peer}");
+        }
+    }
+
+    for c in 0..2 {
+        seed_channel_keys(&mut net, c);
+    }
+    net.seed_state(0, "moved", br#"{"doc":{"n":"1"}}"#.to_vec());
+    let rollup = net.run((0..2).map(|c| channel_schedule(c, 200)).collect());
+    let reports = net.execute_transfers(&[TransferSpec {
+        key: "moved".into(),
+        from: ChannelId(0),
+        to: ChannelId(1),
+        inject_failure: false,
+        destination_down: false,
+    }]);
+    assert_eq!(reports[0].outcome, TransferOutcome::Committed);
+    assert_eq!(
+        built.get(),
+        replicas + pipelines + 2 * restarts,
+        "built after construction"
+    );
+
+    for (c, channel) in rollup.channels.iter().enumerate() {
+        let dissemination = channel.metrics.dissemination.as_ref().expect("gossip ran");
+        assert!(dissemination.snapshot_transfers >= 1, "channel {c}");
+        for peer in 0..members {
+            let replica = net
+                .network()
+                .peer_on(c, peer)
+                .expect("up")
+                .validator()
+                .number;
+            if crashed.contains(&peer) {
+                assert!(
+                    replica >= replicas + pipelines,
+                    "channel {c}'s replica {peer}"
+                );
+            } else {
+                assert_eq!(replica, c * members + peer, "channel {c}'s replica {peer}");
+            }
+        }
+    }
+    net.verify_converged();
+}
+
+/// A channel whose run panics on its own thread re-raises its panic
+/// with its message, not as a generic scoped-thread panic.
+#[test]
+#[should_panic(expected = "not deployed")]
+fn a_panicking_channel_keeps_its_message() {
+    let config = MultiChannelConfig::uniform(PipelineConfig::paper(25, 3).with_gossip(), 2);
+    let mut net = fabriccrdt_multi_channel(config, iot_registry());
+    // Channel 0 runs on a spawned thread; the last channel, here.
+    let undeployed = TxRequest::new("undeployed", Vec::new());
+    net.run(vec![
+        vec![(SimTime::from_millis(20), undeployed)],
+        channel_schedule(1, 10),
+    ]);
 }
 
 // ------------------------------------------------------- transfers

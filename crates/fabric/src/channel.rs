@@ -269,7 +269,7 @@ pub struct ChannelRunMetrics {
 /// Per-channel [`RunMetrics`] rolled up across a sharded deployment.
 ///
 /// Channels progress concurrently in simulated time (each is an
-/// independent pipeline over the shared network), so the deployment's
+/// independent pipeline under one fault schedule), so the deployment's
 /// aggregate throughput is total successful transactions over the
 /// *slowest* channel's makespan — the same wall-clock convention a
 /// multi-channel Fabric benchmark uses.

@@ -99,7 +99,7 @@ pub struct GossipConfig {
     /// [`crate::simulation::Simulation`] (peer `o * peers_per_org + p`
     /// is peer `p` of org `o`; peer 0 of each org is its leader). A
     /// channel this peer is not a member of observes its last member
-    /// instead (`GossipNetwork::observed_on` in `fabriccrdt-gossip`).
+    /// instead (`GossipNetwork::observed` in `fabriccrdt-gossip`).
     pub observed_peer: usize,
 }
 

@@ -239,13 +239,24 @@ impl<V: BlockValidator> Peer<V> {
         policy: EndorsementPolicy,
         snapshot: &LedgerSnapshot,
     ) -> Self {
-        Peer::from_parts(
+        let mut peer = Peer::from_parts(
             validator,
             policy,
-            snapshot.state.clone(),
-            Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash),
-            snapshot.committed_ids.iter().copied().collect(),
-        )
+            WorldState::new(),
+            Blockchain::new(),
+            TxIdSet::default(),
+        );
+        peer.install_snapshot(snapshot);
+        peer
+    }
+
+    /// Replaces this peer's ledger with a [`LedgerSnapshot`], as
+    /// [`Peer::restore_from_snapshot`] builds it, keeping the peer's
+    /// validator, policy and channel.
+    pub fn install_snapshot(&mut self, snapshot: &LedgerSnapshot) {
+        self.state = snapshot.state.clone();
+        self.chain = Blockchain::resume(snapshot.last_block + 1, snapshot.tip_hash);
+        self.committed_ids = snapshot.committed_ids.iter().copied().collect();
     }
 
     /// Replays an already-validated block during catch-up: checks the

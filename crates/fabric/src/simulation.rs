@@ -21,6 +21,7 @@
 //! service; endorser CPU is assumed to scale out (the paper's bottleneck
 //! is the commit path).
 
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use fabriccrdt_crypto::{sha256, Identity, KeyPair};
@@ -53,7 +54,11 @@ use crate::validator::BlockValidator;
 /// alternative that routes every block through a simulated gossip
 /// network (leader pull, push gossip, anti-entropy) with fault
 /// injection, and reports dissemination metrics.
-pub trait DeliveryLayer {
+///
+/// `Send`, because a multi-channel deployment runs each channel's
+/// pipeline on a thread of its own; `Any`, so the deployment that built
+/// a layer can read it back by type ([`Simulation::delivery`]).
+pub trait DeliveryLayer: Any + Send {
     /// Returns the time at which `block`, cut by the orderer at `now`,
     /// becomes available to the committing peer. The pipeline keeps
     /// delivery FIFO per channel, as Fabric's deliver service does: a
@@ -147,7 +152,9 @@ impl OrderingOutcome {
 /// `fabriccrdt-ordering` crate provides a Raft-replicated cluster
 /// (leader election, log replication, crash/partition fault injection)
 /// behind the same seam, reporting [`OrderingMetrics`].
-pub trait OrderingBackend {
+///
+/// `Send` for the same reason as [`DeliveryLayer`].
+pub trait OrderingBackend: Send {
     /// An endorsed transaction reaches the ordering service at `now`.
     fn submit(&mut self, tx: Transaction, now: SimTime) -> OrderingOutcome;
 
@@ -413,6 +420,19 @@ impl<V: BlockValidator> Simulation<V> {
     /// the run and in examples.
     pub fn peer(&self) -> &Peer<V> {
         &self.peer
+    }
+
+    /// The delivery layer, when it is a `D`: how the deployment that
+    /// built the layer reaches the replicas it holds.
+    pub fn delivery<D: DeliveryLayer>(&self) -> Option<&D> {
+        let layer: &dyn Any = self.delivery.as_ref();
+        layer.downcast_ref()
+    }
+
+    /// [`Simulation::delivery`], mutably.
+    pub fn delivery_mut<D: DeliveryLayer>(&mut self) -> Option<&mut D> {
+        let layer: &mut dyn Any = self.delivery.as_mut();
+        layer.downcast_mut()
     }
 
     /// Starts recording every orderer-cut block with its cut time.

@@ -26,11 +26,12 @@ pub struct ChainOutcome;
 /// (duplicate ids, endorsement-policy failures); those transactions must
 /// be recorded as-is and must not touch the state.
 ///
-/// `'static` because replicated deployments box what holds a validator:
-/// a gossip network keeps its factory as a `Box<dyn Fn() -> V>` and is
-/// itself boxed as a `dyn DeliveryLayer`. Generic callers, `perf/`'s
-/// included, rely on the bound coming with the trait.
-pub trait BlockValidator: 'static {
+/// `Send + 'static` because replicated deployments box what holds a
+/// validator: a gossip lane holds its replicas' validators and is boxed
+/// as a `dyn DeliveryLayer`, which a multi-channel deployment runs on a
+/// thread of its own. Generic callers, `perf/`'s included, rely on the
+/// bounds coming with the trait.
+pub trait BlockValidator: Send + 'static {
     /// Runs validation and commit, returning the work performed
     /// (excluding signature verification, which the peer accounts for).
     fn validate_and_commit(

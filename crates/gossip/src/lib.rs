@@ -22,16 +22,16 @@
 //!   and network partitions with heal. A crashed peer, or one whose own
 //!   store failed a call, recovers from that store at its restart and
 //!   catches up through anti-entropy.
-//! - [`GossipDelivery`] — plugs one lane of a shared network into the
-//!   transaction pipeline as a
+//! - [`GossipDelivery`] — plugs a network it owns into the transaction
+//!   pipeline as a
 //!   [`DeliveryLayer`](fabriccrdt_fabric::simulation::DeliveryLayer):
-//!   every orderer-cut block is published into the lane and becomes
+//!   every orderer-cut block is published into the network and becomes
 //!   available to the committing peer when the *observed* replica (by
-//!   default the last follower) has committed it. Single-channel is
-//!   lane 0. With a quiescent fault config this delivers the very same
-//!   blocks in the same order as the default ideal FIFO layer, so
-//!   transaction outcomes are unchanged; under faults, commit latency
-//!   stretches and the dissemination metrics
+//!   default the last follower) has committed it. With a quiescent
+//!   fault config this delivers the very same blocks in the same order
+//!   as the default ideal FIFO layer, so transaction outcomes are
+//!   unchanged; under faults, commit latency stretches and the
+//!   dissemination metrics
 //!   ([`DisseminationMetrics`](fabriccrdt_fabric::metrics::DisseminationMetrics))
 //!   show why.
 //!
@@ -43,7 +43,7 @@
 //! The byzantine threat model lives in the private `adversary` module:
 //! when a run sets
 //! [`PipelineConfig::adversary`](fabriccrdt_fabric::config::PipelineConfig),
-//! each lane injects the scheduled block forgeries (equivocating
+//! each network injects the scheduled block forgeries (equivocating
 //! orderer payloads, in-flight tampering, forged tip hashes) and
 //! screens every raw-block ingress against the canonical digest,
 //! surfacing detections as

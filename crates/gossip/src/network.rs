@@ -15,18 +15,18 @@
 //!
 //! # Channels
 //!
-//! One [`GossipNetwork`] hosts every channel of a deployment
-//! ([`MultiChannelConfig`]) over one topology and one fault schedule:
-//! each channel is a *lane* with its own replica set, ordering log,
-//! acknowledgement frontier, metrics and deterministic PRNG stream
-//! (forked per channel from the base seed, channel 0 first so a
-//! 1-channel network is draw-for-draw identical to the historical
-//! single-channel one). Each lane owns its event queue, and the
-//! configured per-peer crash/restart times and partition windows are
-//! applied on every lane a peer is a member of — the same peer goes
-//! down at the same simulated time on all its channels. The API is
-//! lane-indexed (`foo_on(ch, ..)`); a single-channel network
-//! ([`GossipNetwork::new`]) is lane 0.
+//! A [`GossipNetwork`] serves one channel — one *lane* of a deployment
+//! ([`MultiChannelConfig`]) — with its own replica set, ordering log,
+//! event queue, clock, acknowledgement frontier, metrics and
+//! deterministic PRNG stream. [`GossipNetwork::new_multi`] builds one
+//! network per channel over one topology and one fault schedule: PRNG
+//! streams are forked per channel from the base seed, channel 0 first,
+//! so a 1-channel deployment draws exactly as [`GossipNetwork::new`],
+//! and each configured crash/restart time and partition window is
+//! installed in every channel a peer is a member of — the same peer
+//! goes down at the same simulated time on all its channels. The
+//! networks share no mutable state, so channels can run on separate
+//! threads.
 //!
 //! # Storage, faults and catch-up
 //!
@@ -239,26 +239,75 @@ fn take_buffered(buffer: &mut BTreeMap<u64, Sealed>, number: u64) -> Option<Bloc
     buffer.remove(&number).map(Arc::unwrap_or_clone)
 }
 
-/// Configuration shared by every channel lane: the topology, endorsement
-/// policy and fault schedule are one network-wide reality.
+/// Configuration shared by every channel of a deployment: the topology,
+/// endorsement policy and fault schedule are one network-wide reality.
+#[derive(Clone)]
 struct Shared {
     topology: Topology,
     policy: EndorsementPolicy,
     faults: FaultConfig,
+    /// The configured observed peer ([`GossipConfig::observed_peer`]).
+    observed_peer: usize,
+}
+
+impl Shared {
+    /// Checks `multi` and its fault and attack schedules, and returns
+    /// the shared configuration with the root PRNG the channels fork.
+    fn checked(multi: &MultiChannelConfig) -> (Self, SimRng) {
+        multi.validate();
+        let config = &multi.base;
+        let topology = config.topology.clone();
+        let n_peers = topology.total_peers();
+        assert!(n_peers > 0, "topology has no peers");
+        config.faults.validate(n_peers, "peer");
+        if let Some(adversary) = &config.adversary {
+            for attack in &adversary.attacks {
+                assert!(attack.height >= 1, "blocks are numbered from 1");
+                assert!(
+                    attack.victims.iter().all(|v| *v < n_peers),
+                    "attack victim out of range"
+                );
+                assert!(
+                    attack.via.is_none_or(|v| v < n_peers),
+                    "attack relay out of range"
+                );
+            }
+        }
+        let observed_peer = match &config.gossip {
+            Some(gossip) => gossip.observed_peer,
+            None => GossipConfig::calibrated(&topology).observed_peer,
+        };
+        assert!(
+            observed_peer < n_peers,
+            "observed peer {observed_peer} out of range (peers: {n_peers})"
+        );
+        let shared = Shared {
+            topology,
+            policy: config.policy.clone(),
+            faults: config.faults.clone(),
+            observed_peer,
+        };
+        (shared, SimRng::seed_from(config.seed))
+    }
 }
 
 /// One channel's state: its member replicas, ordering log, event
 /// timeline, PRNG stream and metrics.
 struct ChannelLane<V> {
     id: ChannelId,
-    /// The configured observed peer ([`GossipConfig::observed_peer`]).
-    observed_peer: usize,
+    /// Global index of the replica whose commits the pipeline waits for
+    /// ([`GossipNetwork::observed`]).
+    observed: usize,
     /// Global peer indices that are members, sorted ascending; slot
     /// `k` is the replica of global peer `members[k]`.
     members: Vec<usize>,
     rng: SimRng,
     queue: EventQueue<EventKind>,
     slots: Vec<Slot<V>>,
+    /// Validators for the scheduled restarts, one per `Restart` event,
+    /// built at construction so that none is built while the lane runs
+    /// (`GossipNetwork::stock_restarts`).
+    spares: Vec<V>,
     /// The channel's ordering-service log: `(cut time, block)`,
     /// numbers `1..`.
     published: Vec<(SimTime, Sealed)>,
@@ -278,167 +327,159 @@ struct ChannelLane<V> {
 }
 
 /// A deterministic, event-driven model of Fabric's gossip
-/// block-dissemination layer over the full topology, with fault
-/// injection and multi-channel multiplexing. See the module docs for
-/// the protocol summary.
+/// block-dissemination layer for one channel over the full topology,
+/// with fault injection. See the module docs for the protocol summary.
+///
+/// A network owns its lane outright — replicas, stores, queue and
+/// validators — so it is `Send` and shares nothing with the networks of
+/// sibling channels.
 pub struct GossipNetwork<V> {
     shared: Shared,
-    make_validator: Box<dyn Fn() -> V>,
-    lanes: Vec<ChannelLane<V>>,
+    lane: ChannelLane<V>,
 }
 
 impl<V: BlockValidator> GossipNetwork<V> {
-    /// Builds a single-channel network for a pipeline configuration —
-    /// a one-lane [`GossipNetwork::new_multi`]. Uses `config.gossip`
-    /// (or [`GossipConfig::calibrated`] when unset), applies
-    /// `config.faults`, opens one durable store per replica
-    /// (`config.storage`, or [`StorageConfig::memory`] when unset), and
-    /// forks its PRNG from `config.seed`, so identical configs replay
-    /// identical runs. `make_validator` constructs one validator per
-    /// replica (and per restart).
+    /// Builds a single-channel network for a pipeline configuration.
+    /// Uses `config.gossip` (or [`GossipConfig::calibrated`] when
+    /// unset), applies `config.faults`, opens one durable store per
+    /// replica (`config.storage`, or [`StorageConfig::memory`] when
+    /// unset), and forks its PRNG from `config.seed`, so identical
+    /// configs replay identical runs. `make_validator` runs here only:
+    /// once per replica, then once per scheduled restart.
     ///
     /// # Panics
     ///
     /// See [`GossipNetwork::new_multi`].
-    pub fn new(config: &PipelineConfig, make_validator: impl Fn() -> V + 'static) -> Self {
+    pub fn new(config: &PipelineConfig, make_validator: impl Fn() -> V) -> Self {
         let spec = ChannelSpec::full(ChannelId::DEFAULT, config.topology.total_peers());
         let multi = MultiChannelConfig {
             base: config.clone(),
             channels: vec![spec],
         };
-        Self::new_multi(&multi, make_validator)
+        let (shared, mut root) = Shared::checked(&multi);
+        let mut network = Self::lane(shared, &mut root, &multi, 0, &make_validator);
+        network.stock_restarts(&make_validator);
+        network
     }
 
-    /// Builds one network hosting every channel of `multi` over the
-    /// shared topology and fault schedule. Channel `c`'s PRNG stream
-    /// is fork `c` of the base seed's gossip lane (channel 0 first, so
-    /// a 1-channel network is draw-for-draw identical to
-    /// [`GossipNetwork::new`] on the base config), and each crash /
-    /// restart / heal from the fault schedule is applied on every lane
-    /// the affected peer is a member of, at the same simulated time.
+    /// Builds one network per channel of `multi` over the shared
+    /// topology and fault schedule, each paired with a validator for
+    /// the channel's committing peer. Channel `c`'s PRNG stream is fork
+    /// `c` of the base seed's gossip stream (channel 0 first, so a
+    /// 1-channel deployment draws exactly as [`GossipNetwork::new`] on
+    /// the base config), and each crash / restart / heal of the fault
+    /// schedule is installed in every channel the affected peer is a
+    /// member of, at the same simulated time.
+    ///
+    /// `make_validator` runs here only, in an order a caller can count
+    /// on: every replica (channels in order, members in order), then
+    /// one committing-peer validator per channel, then one per
+    /// scheduled restart.
     ///
     /// # Panics
     ///
     /// Panics on an invalid deployment ([`MultiChannelConfig::validate`])
     /// or an inconsistent fault schedule ([`FaultConfig::validate`]).
     /// Also panics if a configured storage backend cannot be opened.
-    pub fn new_multi(multi: &MultiChannelConfig, make_validator: impl Fn() -> V + 'static) -> Self {
-        multi.validate();
-        let config = &multi.base;
-        let topology = config.topology.clone();
-        let n_peers = topology.total_peers();
-        assert!(n_peers > 0, "topology has no peers");
-        let faults = config.faults.clone();
-        faults.validate(n_peers, "peer");
-        if let Some(adversary) = &config.adversary {
-            for attack in &adversary.attacks {
-                assert!(attack.height >= 1, "blocks are numbered from 1");
-                assert!(
-                    attack.victims.iter().all(|v| *v < n_peers),
-                    "attack victim out of range"
-                );
-                assert!(
-                    attack.via.is_none_or(|v| v < n_peers),
-                    "attack relay out of range"
-                );
-            }
+    pub fn new_multi(multi: &MultiChannelConfig, make_validator: impl Fn() -> V) -> Vec<(Self, V)> {
+        let (shared, mut root) = Shared::checked(multi);
+        let mut networks: Vec<Self> = (0..multi.channels.len())
+            .map(|c| Self::lane(shared.clone(), &mut root, multi, c, &make_validator))
+            .collect();
+        let pipelines: Vec<V> = networks.iter().map(|_| make_validator()).collect();
+        for network in &mut networks {
+            network.stock_restarts(&make_validator);
         }
+        networks.into_iter().zip(pipelines).collect()
+    }
 
-        let observed_peer = match &config.gossip {
-            Some(gossip) => gossip.observed_peer,
-            None => GossipConfig::calibrated(&topology).observed_peer,
-        };
-        assert!(
-            observed_peer < n_peers,
-            "observed peer {observed_peer} out of range (peers: {n_peers})"
-        );
-
-        let mut root = SimRng::seed_from(config.seed);
+    /// Channel `c` of `multi`, its PRNG forked from `root`, with one
+    /// replica per member.
+    fn lane(
+        shared: Shared,
+        root: &mut SimRng,
+        multi: &MultiChannelConfig,
+        c: usize,
+        make_validator: &dyn Fn() -> V,
+    ) -> Self {
+        let config = &multi.base;
+        let spec = &multi.channels[c];
         let storage = config.storage.clone().unwrap_or_else(StorageConfig::memory);
-        let lanes = multi
-            .channels
+        // Channel 0 must be the first fork with the historical "gossip"
+        // label: that reproduces the single-channel PRNG stream
+        // bit-for-bit.
+        let rng = root.fork(0x676f_7373_6970u64.wrapping_add(c as u64));
+        let slots = spec
+            .members
             .iter()
-            .enumerate()
-            .map(|(c, spec)| {
-                // Channel 0 must be the first fork with the historical
-                // "gossip" label: that reproduces the single-channel
-                // PRNG stream bit-for-bit.
-                let rng = root.fork(0x676f_7373_6970u64.wrapping_add(c as u64));
-                let slots = spec
-                    .members
-                    .iter()
-                    .map(|&global| Slot {
-                        live: Some(Live::new(
-                            Peer::new(make_validator(), config.policy.clone())
-                                .with_channel(spec.id),
-                        )),
-                        ticks_pending: 0,
-                        store: DurableLedger::open_channel(&storage, spec.id, global)
-                            .expect("peer storage opens"),
-                        gc_floor: 0,
-                    })
-                    .collect();
-                let mut queue = EventQueue::new();
-                for crash in &faults.crashes {
-                    let Ok(pos) = spec.members.binary_search(&crash.peer) else {
-                        continue; // not a member of this channel
-                    };
-                    queue.schedule(crash.at, EventKind::Crash { peer: pos });
-                    queue.schedule(crash.restart_at, EventKind::Restart { peer: pos });
-                }
-                for (index, partition) in faults.partitions.iter().enumerate() {
-                    queue.schedule(partition.heal_at, EventKind::Heal { partition: index });
-                }
-                ChannelLane {
-                    id: spec.id,
-                    observed_peer,
-                    members: spec.members.clone(),
-                    rng,
-                    queue,
-                    slots,
-                    published: Vec::new(),
-                    seeds: Vec::new(),
-                    acked: AckFrontier::new(),
-                    metrics: DisseminationMetrics::default(),
-                    adversary: config
-                        .adversary
-                        .as_ref()
-                        .map(|a| LaneAdversary::new(a, &spec.members)),
-                    clock: SimTime::ZERO,
-                }
+            .map(|&global| Slot {
+                live: Some(Live::new(
+                    Peer::new(make_validator(), config.policy.clone()).with_channel(spec.id),
+                )),
+                ticks_pending: 0,
+                store: DurableLedger::open_channel(&storage, spec.id, global)
+                    .expect("peer storage opens"),
+                gc_floor: 0,
             })
             .collect();
-        GossipNetwork {
-            shared: Shared {
-                topology,
-                policy: config.policy.clone(),
-                faults,
-            },
-            make_validator: Box::new(make_validator),
-            lanes,
+        let mut queue = EventQueue::new();
+        for crash in &shared.faults.crashes {
+            let Ok(pos) = spec.members.binary_search(&crash.peer) else {
+                continue; // not a member of this channel
+            };
+            queue.schedule(crash.at, EventKind::Crash { peer: pos });
+            queue.schedule(crash.restart_at, EventKind::Restart { peer: pos });
+        }
+        for (index, partition) in shared.faults.partitions.iter().enumerate() {
+            queue.schedule(partition.heal_at, EventKind::Heal { partition: index });
+        }
+        // The configured observed peer when it is a member, otherwise
+        // the channel's last member (the farthest from the orderer).
+        let observed = match spec.members.binary_search(&shared.observed_peer) {
+            Ok(_) => shared.observed_peer,
+            Err(_) => *spec.members.last().expect("channel has members"),
+        };
+        let lane = ChannelLane {
+            id: spec.id,
+            observed,
+            members: spec.members.clone(),
+            rng,
+            queue,
+            slots,
+            spares: Vec::new(),
+            published: Vec::new(),
+            seeds: Vec::new(),
+            acked: AckFrontier::new(),
+            metrics: DisseminationMetrics::default(),
+            adversary: config
+                .adversary
+                .as_ref()
+                .map(|a| LaneAdversary::new(a, &spec.members)),
+            clock: SimTime::ZERO,
+        };
+        GossipNetwork { shared, lane }
+    }
+
+    /// Builds one validator per `Restart` event the lane holds: one
+    /// per scheduled crash of a member.
+    fn stock_restarts(&mut self, make_validator: &dyn Fn() -> V) {
+        let lane = &mut self.lane;
+        for crash in &self.shared.faults.crashes {
+            if lane.members.binary_search(&crash.peer).is_ok() {
+                lane.spares.push(make_validator());
+            }
         }
     }
 
-    /// Number of channel lanes this network hosts.
-    pub fn channel_count(&self) -> usize {
-        self.lanes.len()
+    /// The member set (global peer indices) of the channel.
+    pub fn members(&self) -> &[usize] {
+        &self.lane.members
     }
 
-    /// The member set (global peer indices) of channel `ch`.
-    pub fn members(&self, ch: usize) -> &[usize] {
-        &self.lanes[ch].members
-    }
-
-    /// [`GossipNetwork::seed_state_on`] lane 0; kept for `perf/`.
+    /// Seeds a key into the world state of every replica (mirror of
+    /// `Simulation::seed_state`). Call before any event is processed.
     pub fn seed_state(&mut self, key: &str, value: &[u8]) {
-        self.seed_state_on(0, key, value);
-    }
-
-    /// Seeds a key into the world state of every replica of channel
-    /// `ch` (mirror of `Simulation::seed_state`). Call before any event
-    /// is processed.
-    pub fn seed_state_on(&mut self, ch: usize, key: &str, value: &[u8]) {
-        let lane = &mut self.lanes[ch];
+        let lane = &mut self.lane;
         lane.seeds.push((key.to_string(), value.to_vec()));
         for live in lane.slots.iter_mut().filter_map(|s| s.live.as_mut()) {
             live.peer.seed_state(key.to_string(), value.to_vec());
@@ -450,132 +491,112 @@ impl<V: BlockValidator> GossipNetwork<V> {
         self.shared.topology.total_peers()
     }
 
-    /// The channel-`ch` replica of global peer `index`, or `None`
-    /// while it is crashed.
+    /// The replica of global peer `index`, or `None` while it is
+    /// crashed.
     ///
     /// # Panics
     ///
     /// Panics when `index` is not a member of the channel.
-    pub fn peer_on(&self, ch: usize, index: usize) -> Option<&Peer<V>> {
-        let lane = &self.lanes[ch];
+    pub fn peer(&self, index: usize) -> Option<&Peer<V>> {
+        let lane = &self.lane;
         lane.slots[lane.pos(index)].live.as_ref().map(|l| &l.peer)
     }
 
-    /// Committed (post-genesis) block count of each channel-`ch`
-    /// member, in member order; crashed replicas report 0.
-    pub fn committed_heights_on(&self, ch: usize) -> Vec<u64> {
-        let lane = &self.lanes[ch];
+    /// Committed (post-genesis) block count of each member, in member
+    /// order; crashed replicas report 0.
+    pub fn committed_heights(&self) -> Vec<u64> {
+        let lane = &self.lane;
         (0..lane.slots.len()).map(|i| lane.committed(i)).collect()
     }
 
-    /// Blocks published by channel `ch`'s ordering service so far.
-    pub fn published_count_on(&self, ch: usize) -> u64 {
-        self.lanes[ch].published.len() as u64
+    /// Blocks published by the channel's ordering service so far.
+    pub fn published_count(&self) -> u64 {
+        self.lane.published.len() as u64
     }
 
-    /// [`GossipNetwork::fully_converged_on`] lane 0; kept for `perf/`.
+    /// Whether every replica is up and has committed every block the
+    /// channel published.
     pub fn fully_converged(&self) -> bool {
-        self.fully_converged_on(0)
-    }
-
-    /// Whether every channel-`ch` replica is up and has committed
-    /// every block the channel published.
-    pub fn fully_converged_on(&self, ch: usize) -> bool {
-        let lane = &self.lanes[ch];
+        let lane = &self.lane;
         let expected = lane.published.len() as u64;
         (0..lane.slots.len()).all(|i| lane.slots[i].live.is_some() && lane.committed(i) == expected)
     }
 
-    /// Time of the last processed event on channel `ch`.
-    pub fn clock_on(&self, ch: usize) -> SimTime {
-        self.lanes[ch].clock
+    /// Time of the last processed event.
+    pub fn clock(&self) -> SimTime {
+        self.lane.clock
     }
 
-    /// Channel `ch`'s dissemination metrics accumulated so far.
-    pub fn metrics_on(&self, ch: usize) -> &DisseminationMetrics {
-        &self.lanes[ch].metrics
+    /// The dissemination metrics accumulated so far.
+    pub fn metrics(&self) -> &DisseminationMetrics {
+        &self.lane.metrics
     }
 
-    /// Takes (and resets) channel `ch`'s accumulated dissemination
-    /// metrics.
-    pub fn take_metrics_on(&mut self, ch: usize) -> DisseminationMetrics {
-        std::mem::take(&mut self.lanes[ch].metrics)
+    /// Takes (and resets) the accumulated dissemination metrics.
+    pub fn take_metrics(&mut self) -> DisseminationMetrics {
+        std::mem::take(&mut self.lane.metrics)
     }
 
-    /// Takes (and resets) channel `ch`'s byzantine-screen detection
-    /// counters; `None` when the run configured no adversary. The
+    /// Takes (and resets) the byzantine-screen detection counters;
+    /// `None` when the run configured no adversary. The
     /// canonical-digest registry, equivocation evidence and quarantine
     /// set persist across takes.
-    pub fn take_adversary_on(&mut self, ch: usize) -> Option<AdversaryMetrics> {
-        self.lanes[ch]
+    pub fn take_adversary(&mut self) -> Option<AdversaryMetrics> {
+        self.lane
             .adversary
             .as_mut()
             .map(LaneAdversary::take_metrics)
     }
 
-    /// Channel `ch`'s GC floor: the minimum block height every member
-    /// has acknowledged committing (0 before every member has
-    /// acknowledged anything).
-    pub fn acked_floor_on(&self, ch: usize) -> u64 {
-        let lane = &self.lanes[ch];
+    /// The GC floor: the minimum block height every member has
+    /// acknowledged committing (0 before every member has acknowledged
+    /// anything).
+    pub fn acked_floor(&self) -> u64 {
+        let lane = &self.lane;
         lane.acked.min_acked(lane.slots.len())
     }
 
-    /// The latest snapshot in the channel-`ch` replica's durable
-    /// store, or `None` before the first snapshot (always, for a store
-    /// with no snapshot cadence).
-    pub fn durable_snapshot_on(&self, ch: usize, index: usize) -> Option<&LedgerSnapshot> {
-        let lane = &self.lanes[ch];
+    /// The latest snapshot in the durable store of the replica at
+    /// `index`, or `None` before the first snapshot (always, for a
+    /// store with no snapshot cadence).
+    pub fn durable_snapshot(&self, index: usize) -> Option<&LedgerSnapshot> {
+        let lane = &self.lane;
         lane.slots[lane.pos(index)].store.latest_snapshot()
     }
 
-    /// Serialized ledger of the channel-`ch` replica at `index` (state
-    /// and chain bytes), or `None` while it is crashed. Byte-equal
-    /// snapshots mean byte-equal ledgers — the reconvergence check.
-    pub fn snapshot_on(&self, ch: usize, index: usize) -> Option<PeerSnapshot> {
-        self.peer_on(ch, index).map(Peer::snapshot)
+    /// Serialized ledger of the replica at `index` (state and chain
+    /// bytes), or `None` while it is crashed. Byte-equal snapshots mean
+    /// byte-equal ledgers — the reconvergence check.
+    pub fn snapshot(&self, index: usize) -> Option<PeerSnapshot> {
+        self.peer(index).map(Peer::snapshot)
     }
 
-    /// [`GossipNetwork::publish_on`] lane 0; kept for `perf/`.
+    /// Publishes an orderer-cut block, sampling the orderer→leader hop
+    /// from the network's own PRNG. Blocks must be published in order,
+    /// numbered from 1.
     pub fn publish(&mut self, cut_at: SimTime, block: Block) {
-        self.publish_on(0, cut_at, block);
+        let hop = ORDERER_TO_PEER.sample(&mut self.lane.rng);
+        self.lane.publish_with_hop(&self.shared, cut_at, hop, block);
     }
 
-    /// Publishes an orderer-cut block into channel `ch`, sampling the
-    /// orderer→leader hop from the lane's own PRNG. Blocks must be
-    /// published in order, numbered from 1.
-    pub fn publish_on(&mut self, ch: usize, cut_at: SimTime, block: Block) {
-        let lane = &mut self.lanes[ch];
-        let hop = ORDERER_TO_PEER.sample(&mut lane.rng);
-        lane.publish_with_hop(&self.shared, cut_at, hop, block);
+    /// Publishes with an explicit orderer→leader hop (used by
+    /// [`crate::GossipDelivery`], which samples the hop from the
+    /// pipeline's PRNG to stay draw-for-draw compatible with ideal FIFO
+    /// delivery).
+    pub fn publish_with_hop(&mut self, cut_at: SimTime, hop: SimTime, block: Block) {
+        self.lane.publish_with_hop(&self.shared, cut_at, hop, block);
     }
 
-    /// Publishes into channel `ch` with an explicit orderer→leader hop
-    /// (used by [`crate::GossipDelivery`], which samples the hop from
-    /// the pipeline's PRNG to stay draw-for-draw compatible with ideal
-    /// FIFO delivery).
-    pub fn publish_with_hop_on(&mut self, ch: usize, cut_at: SimTime, hop: SimTime, block: Block) {
-        self.lanes[ch].publish_with_hop(&self.shared, cut_at, hop, block);
-    }
-
-    /// [`GossipNetwork::run_until_committed_on`] lane 0; kept for
-    /// `perf/`.
-    pub fn run_until_committed(&mut self, peer: usize, number: u64) -> SimTime {
-        self.run_until_committed_on(0, peer, number)
-    }
-
-    /// Processes channel-`ch` events until the replica of global peer
-    /// `peer` has committed block `number`, returning the time that
-    /// happened. Events already past that point stay queued for later
-    /// calls.
+    /// Processes events until the replica of global peer `peer` has
+    /// committed block `number`, returning the time that happened.
+    /// Events already past that point stay queued for later calls.
     ///
     /// # Panics
     ///
-    /// Panics if the lane's event queue drains first — a fault
-    /// schedule that never lets the peer recover (e.g. a partition
-    /// without heal).
-    pub fn run_until_committed_on(&mut self, ch: usize, peer: usize, number: u64) -> SimTime {
-        let lane = &mut self.lanes[ch];
+    /// Panics if the event queue drains first — a fault schedule that
+    /// never lets the peer recover (e.g. a partition without heal).
+    pub fn run_until_committed(&mut self, peer: usize, number: u64) -> SimTime {
+        let lane = &mut self.lane;
         let pos = lane.pos(peer);
         while lane.slots[pos].live.is_none() || lane.committed(pos) < number {
             let Some((now, event)) = lane.queue.pop() else {
@@ -585,46 +606,28 @@ impl<V: BlockValidator> GossipNetwork<V> {
                 );
             };
             lane.clock = now;
-            lane.handle(&self.shared, self.make_validator.as_ref(), now, event);
+            lane.handle(&self.shared, now, event);
         }
         lane.clock
     }
 
-    /// [`GossipNetwork::drain_on`] for every lane (fault windows
-    /// close, stragglers catch up, timers expire), returning the latest
-    /// lane clock; kept for `perf/`.
+    /// Processes every remaining event (fault windows close, stragglers
+    /// catch up, timers expire), returning the clock.
     pub fn drain(&mut self) -> SimTime {
-        (0..self.lanes.len())
-            .map(|ch| self.drain_on(ch))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Processes every remaining event on channel `ch` only, leaving
-    /// other lanes' queues untouched — so one channel's simulation can
-    /// finish (fault windows close, stragglers catch up) while its
-    /// siblings are still publishing.
-    pub fn drain_on(&mut self, ch: usize) -> SimTime {
-        let lane = &mut self.lanes[ch];
+        let lane = &mut self.lane;
         while let Some((now, event)) = lane.queue.pop() {
             lane.clock = now;
-            lane.handle(&self.shared, self.make_validator.as_ref(), now, event);
+            lane.handle(&self.shared, now, event);
         }
         lane.clock
     }
 
-    /// The global index of channel `ch`'s *observed* replica — the one
-    /// whose commit time defines block delivery for the channel's
-    /// pipeline: the configured observed peer when it is a member,
-    /// otherwise the channel's last member (the farthest from the
-    /// orderer).
-    pub fn observed_on(&self, ch: usize) -> usize {
-        let lane = &self.lanes[ch];
-        if lane.members.binary_search(&lane.observed_peer).is_ok() {
-            lane.observed_peer
-        } else {
-            *lane.members.last().expect("channel has members")
-        }
+    /// The global index of the *observed* replica — the one whose
+    /// commit time defines block delivery for the channel's pipeline:
+    /// the configured observed peer when it is a member, otherwise the
+    /// channel's last member (the farthest from the orderer).
+    pub fn observed(&self) -> usize {
+        self.lane.observed
     }
 }
 
@@ -715,11 +718,11 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Runs one event. If it hits a [`StoreFault`], the member whose
     /// store failed crashes, as at a scheduled crash, and stays down
     /// until the schedule restarts it.
-    fn handle(&mut self, shared: &Shared, mk: &dyn Fn() -> V, now: SimTime, event: EventKind) {
+    fn handle(&mut self, shared: &Shared, now: SimTime, event: EventKind) {
         let outcome = match event {
             EventKind::RawBlock { to, from, block } => self.raw_block(shared, now, to, from, block),
-            EventKind::Pull { to, pull } => self.pull(shared, mk, now, to, *pull),
-            EventKind::Restart { peer } => self.restart(shared, mk, now, peer),
+            EventKind::Pull { to, pull } => self.pull(now, to, *pull),
+            EventKind::Restart { peer } => self.restart(shared, now, peer),
             EventKind::Tick { peer } => return self.tick(shared, now, peer),
             EventKind::Crash { peer } => return self.crash(now, peer),
             EventKind::Heal { partition } => return self.heal(shared, now, partition),
@@ -954,14 +957,7 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// peer raced past it on its own, then replays each block that
     /// still fills the peer's next hole (pushes may have raced ahead
     /// of the pull), committing locally buffered blocks around them.
-    fn pull(
-        &mut self,
-        shared: &Shared,
-        mk: &dyn Fn() -> V,
-        now: SimTime,
-        to: usize,
-        pull: Pull,
-    ) -> Result<(), StoreFault> {
+    fn pull(&mut self, now: SimTime, to: usize, pull: Pull) -> Result<(), StoreFault> {
         let slot = &mut self.slots[to];
         let Some(live) = slot.live.as_mut() else {
             return Ok(()); // down: the pull is lost
@@ -969,8 +965,7 @@ impl<V: BlockValidator> ChannelLane<V> {
         let behind = live.committed();
         if let Some((snapshot, _)) = pull.snapshot.filter(|(s, _)| behind < s.last_block) {
             let last_block = snapshot.last_block;
-            live.peer = Peer::restore_from_snapshot(mk(), shared.policy.clone(), &snapshot)
-                .with_channel(self.id);
+            live.peer.install_snapshot(&snapshot);
             live.buffer.retain(|number, _| *number > last_block);
             // Adopt the snapshot locally so this peer's own crash
             // recovery starts from it. The stale block prefix it covers
@@ -1059,21 +1054,19 @@ impl<V: BlockValidator> ChannelLane<V> {
     /// Recovers a crashed replica from its store and starts its
     /// catch-up. A restart of a replica that is up changes nothing; a
     /// store that cannot recover it leaves it down.
-    fn restart(
-        &mut self,
-        shared: &Shared,
-        mk: &dyn Fn() -> V,
-        now: SimTime,
-        p: usize,
-    ) -> Result<(), StoreFault> {
+    fn restart(&mut self, shared: &Shared, now: SimTime, p: usize) -> Result<(), StoreFault> {
         let slot = &mut self.slots[p];
         if slot.live.is_some() {
             return Ok(());
         }
+        // Every `Restart` event has its spare, so this finds one.
+        let Some(validator) = self.spares.pop() else {
+            return Ok(());
+        };
         let seeds = &self.seeds;
         let recovery = slot
             .store
-            .recover_seeded(mk(), shared.policy.clone(), |peer| {
+            .recover_seeded(validator, shared.policy.clone(), |peer| {
                 for (key, value) in seeds {
                     peer.seed_state(key.clone(), value.clone());
                 }

@@ -13,8 +13,7 @@ use fabriccrdt_ledger::rwset::ReadWriteSet;
 use fabriccrdt_ledger::transaction::{Endorsement, Transaction, TxId};
 use fabriccrdt_ledger::version::Height;
 use fabriccrdt_ledger::worldstate::WorldState;
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const TXS: usize = 25;
 
@@ -64,23 +63,23 @@ const SEED_DOC: &[u8] = br#"{"readings":[]}"#;
 
 fn network(config: &PipelineConfig) -> GossipNetwork<CrdtValidator> {
     let mut network = GossipNetwork::new(config, CrdtValidator::new);
-    network.seed_state_on(0, "hot", SEED_DOC);
+    network.seed_state("hot", SEED_DOC);
     network
 }
 
 fn pop(network: &mut GossipNetwork<CrdtValidator>) -> Option<(SimTime, EventKind)> {
-    network.lanes[0].queue.pop()
+    network.lane.queue.pop()
 }
 
 fn handle(network: &mut GossipNetwork<CrdtValidator>, now: SimTime, event: EventKind) {
-    let lane = &mut network.lanes[0];
+    let lane = &mut network.lane;
     lane.clock = now;
-    lane.handle(&network.shared, network.make_validator.as_ref(), now, event);
+    lane.handle(&network.shared, now, event);
 }
 
 /// The gap buffer of the replica at member position `i`, which is up.
 fn buffer<V: BlockValidator>(network: &GossipNetwork<V>, i: usize) -> &BTreeMap<u64, Sealed> {
-    &network.lanes[0].slots[i]
+    &network.lane.slots[i]
         .live
         .as_ref()
         .expect("replica is up")
@@ -89,7 +88,7 @@ fn buffer<V: BlockValidator>(network: &GossipNetwork<V>, i: usize) -> &BTreeMap<
 
 /// References to published block `number`'s allocation.
 fn holders(network: &GossipNetwork<CrdtValidator>, number: u64) -> usize {
-    Arc::strong_count(&network.lanes[0].published[number as usize - 1].1)
+    Arc::strong_count(&network.lane.published[number as usize - 1].1)
 }
 
 /// Who the lane's own bookkeeping says holds block 1 when it is the
@@ -97,7 +96,7 @@ fn holders(network: &GossipNetwork<CrdtValidator>, number: u64) -> usize {
 /// log, every queued event that is not an anti-entropy tick (a
 /// raw-block delivery in flight), and every replica buffering it.
 fn accounted_holders(network: &GossipNetwork<CrdtValidator>) -> usize {
-    let lane = &network.lanes[0];
+    let lane = &network.lane;
     let ticks: usize = lane.slots.iter().map(|s| s.ticks_pending as usize).sum();
     let buffering = lane
         .slots
@@ -113,7 +112,7 @@ fn accounted_holders(network: &GossipNetwork<CrdtValidator>) -> usize {
 /// record: no replica's record leaked into the allocation its peers
 /// receive.
 fn assert_replicas_own_their_records(network: &GossipNetwork<CrdtValidator>) {
-    let lane = &network.lanes[0];
+    let lane = &network.lane;
     let sealed = &lane.published[0].1;
     assert!(sealed.data_hash_is_valid());
     assert!(sealed.validation_codes.is_empty());
@@ -140,8 +139,8 @@ fn a_sealed_block_is_one_allocation_every_replica_clones_once() {
     let config = PipelineConfig::paper(TXS, 7).with_gossip();
     let leaders = config.topology.orgs;
     let mut network = network(&config);
-    network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
-    assert_eq!(network.lanes[0].slots.len(), 6);
+    network.publish(SimTime::from_millis(100), sealed_block(1));
+    assert_eq!(network.lane.slots.len(), 6);
 
     // Before any event runs: the log and one delivery per org leader.
     assert_eq!(holders(&network, 1), 1 + leaders);
@@ -153,7 +152,7 @@ fn a_sealed_block_is_one_allocation_every_replica_clones_once() {
     let (now, event) = pop(&mut network).expect("a leader delivery");
     assert!(matches!(event, EventKind::RawBlock { from: None, .. }));
     handle(&mut network, now, event);
-    assert_eq!(network.lanes[0].committed(0), 1);
+    assert_eq!(network.lane.committed(0), 1);
     assert_eq!(holders(&network, 1), 1 + (leaders - 1) + FANOUT);
 
     // Through the rest of the run the count is exactly what the
@@ -165,7 +164,7 @@ fn a_sealed_block_is_one_allocation_every_replica_clones_once() {
         assert_eq!(holders(&network, 1), accounted_holders(&network));
     }
     assert_eq!(holders(&network, 1), 1, "nobody kept a reference");
-    assert!(network.fully_converged_on(0));
+    assert!(network.fully_converged());
     assert_replicas_own_their_records(&network);
 }
 
@@ -173,25 +172,25 @@ fn a_sealed_block_is_one_allocation_every_replica_clones_once() {
 fn a_gap_buffered_block_holds_one_reference_until_it_commits() {
     let config = PipelineConfig::paper(TXS, 7).with_gossip();
     let mut network = network(&config);
-    network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
-    network.publish_on(0, SimTime::from_millis(101), sealed_block(2));
+    network.publish(SimTime::from_millis(100), sealed_block(1));
+    network.publish(SimTime::from_millis(101), sealed_block(2));
 
     // Block 2 reaches replica 5 before block 1 does (an orderer
     // re-request would deliver exactly this): it can only be
     // buffered and pushed on.
     let before = holders(&network, 2);
-    let block = Arc::clone(&network.lanes[0].published[1].1);
-    let lane = &mut network.lanes[0];
+    let block = Arc::clone(&network.lane.published[1].1);
+    let lane = &mut network.lane;
     assert!(lane
         .raw_block(&network.shared, SimTime::from_millis(101), 5, None, block)
         .is_ok());
     assert!(buffer(&network, 5).contains_key(&2));
-    assert_eq!(network.lanes[0].committed(5), 0);
+    assert_eq!(network.lane.committed(5), 0);
     assert_eq!(holders(&network, 2), before + 1 + FANOUT);
 
-    network.drain_on(0);
-    assert!(network.fully_converged_on(0));
-    assert_eq!(network.lanes[0].committed(5), 2);
+    network.drain();
+    assert!(network.fully_converged());
+    assert_eq!(network.lane.committed(5), 2);
     assert_eq!((holders(&network, 1), holders(&network, 2)), (1, 1));
 }
 
@@ -214,21 +213,21 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
         });
     let mut network = network(&config);
     let canonical = sealed_block(1);
-    network.publish_on(0, SimTime::from_millis(100), canonical.clone());
+    network.publish(SimTime::from_millis(100), canonical.clone());
 
     let mut forged_seen = 0;
     while let Some((now, event)) = pop(&mut network) {
         if let EventKind::RawBlock { to, block, .. } = &event {
-            let sealed = &network.lanes[0].published[0].1;
+            let sealed = &network.lane.published[0].1;
             if **block != canonical {
                 // Forged from the sealed block, but its own allocation;
                 // the replica never buffers it.
                 assert!(!Arc::ptr_eq(block, sealed));
                 forged_seen += 1;
-                let (to, before) = (*to, network.lanes[0].committed(*to));
+                let (to, before) = (*to, network.lane.committed(*to));
                 handle(&mut network, now, event);
                 assert!(buffer(&network, to).is_empty());
-                assert_eq!(network.lanes[0].committed(to), before);
+                assert_eq!(network.lane.committed(to), before);
                 continue;
             }
             assert!(Arc::ptr_eq(block, sealed), "honest hops share");
@@ -236,14 +235,14 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
         handle(&mut network, now, event);
     }
     assert_eq!(forged_seen, 3);
-    let screen = network.take_adversary_on(0).expect("adversary configured");
+    let screen = network.take_adversary().expect("adversary configured");
     assert_eq!(screen.forged_blocks_injected, 3);
     assert_eq!(screen.rejected_blocks(), 3);
 
     // Forging read the sealed block and left it as the orderer cut it.
-    assert_eq!(*network.lanes[0].published[0].1, canonical);
+    assert_eq!(*network.lane.published[0].1, canonical);
     assert_eq!(holders(&network, 1), 1);
-    assert!(network.fully_converged_on(0));
+    assert!(network.fully_converged());
     assert_replicas_own_their_records(&network);
 }
 
@@ -251,10 +250,12 @@ fn a_forged_injection_never_aliases_the_sealed_allocation() {
 /// into the blocks Algorithm 1 runs on and the signatures the peer
 /// checks: `prepare` runs once per transaction that is not a duplicate,
 /// right before each of its endorsements is verified.
+/// The counts are statistics that publish no other data, hence
+/// `Relaxed`.
 #[derive(Clone, Default)]
 struct Counting {
-    blocks: Rc<Cell<u64>>,
-    signatures: Rc<Cell<u64>>,
+    blocks: Arc<AtomicU64>,
+    signatures: Arc<AtomicU64>,
 }
 
 impl BlockValidator for Counting {
@@ -264,13 +265,13 @@ impl BlockValidator for Counting {
         state: &mut WorldState,
         pre_decided: &[Option<ValidationCode>],
     ) -> ValidationWork {
-        self.blocks.set(self.blocks.get() + 1);
+        self.blocks.fetch_add(1, Ordering::Relaxed);
         CrdtValidator.validate_and_commit(block, state, pre_decided)
     }
 
     fn prepare(&self, tx: &Transaction) {
         let endorsements = tx.endorsements.len() as u64;
-        self.signatures.set(self.signatures.get() + endorsements);
+        self.signatures.fetch_add(endorsements, Ordering::Relaxed);
     }
 
     fn name(&self) -> &str {
@@ -287,24 +288,29 @@ fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
         move || counting.clone()
     };
     let mut network = GossipNetwork::new(&config, make);
-    network.seed_state_on(0, "hot", SEED_DOC);
-    network.publish_on(0, SimTime::from_millis(100), sealed_block(1));
-    network.drain_on(0);
-    assert!(network.fully_converged_on(0));
-    let replicas = network.lanes[0].slots.len() as u64;
-    let work = || (counting.blocks.get(), counting.signatures.get());
+    network.seed_state("hot", SEED_DOC);
+    network.publish(SimTime::from_millis(100), sealed_block(1));
+    network.drain();
+    assert!(network.fully_converged());
+    let replicas = network.lane.slots.len() as u64;
+    let work = || {
+        (
+            counting.blocks.load(Ordering::Relaxed),
+            counting.signatures.load(Ordering::Relaxed),
+        )
+    };
     assert_eq!(work(), (replicas, replicas * TXS as u64 * 3));
-    let metrics = network.metrics_on(0).clone();
+    let metrics = network.metrics().clone();
 
     // Replica 0 pushes block 1 to replica 5 once more.
-    let block = Arc::clone(&network.lanes[0].published[0].1);
-    let lane = &mut network.lanes[0];
+    let block = Arc::clone(&network.lane.published[0].1);
+    let lane = &mut network.lane;
     let now = lane.clock;
     assert!(lane
         .raw_block(&network.shared, now, 5, Some(0), block)
         .is_ok());
 
-    let after = network.metrics_on(0);
+    let after = network.metrics();
     assert_eq!(after.redundant_messages, metrics.redundant_messages + 1);
     assert_eq!(after.messages_sent, metrics.messages_sent, "not forwarded");
     assert_eq!(
@@ -312,7 +318,7 @@ fn a_redundant_delivery_is_counted_and_dropped_before_any_validation() {
         (replicas, replicas * TXS as u64 * 3),
         "not validated"
     );
-    assert_eq!(network.lanes[0].committed(5), 1);
+    assert_eq!(network.lane.committed(5), 1);
     assert!(buffer(&network, 5).is_empty());
-    assert!(network.lanes[0].queue.is_empty(), "nothing scheduled");
+    assert!(network.lane.queue.is_empty(), "nothing scheduled");
 }

@@ -163,15 +163,15 @@ fn run(
         calls: Arc::clone(&calls),
     };
     let storage = config.storage.as_ref().expect("configured");
-    network.lanes[0].slots[faulted].store = DurableLedger::with_store(Box::new(failing), storage);
+    network.lane.slots[faulted].store = DurableLedger::with_store(Box::new(failing), storage);
     for number in 1..=BLOCKS {
         let at = SimTime::from_millis(100 * number);
-        network.publish_on(0, at, hot_block(number, PER_BLOCK));
+        network.publish(at, hot_block(number, PER_BLOCK));
     }
     let mut checked = false;
     while let Some((now, event)) = pop(&mut network) {
         handle(&mut network, now, event);
-        let lane = &network.lanes[0];
+        let lane = &network.lane;
         if lane.metrics.store_faults > 0 && !checked {
             checked = true;
             assert!(lane.slots[faulted].live.is_none(), "a store fault crashes");
@@ -195,12 +195,12 @@ fn run(
 
 fn assert_converged(network: &GossipNetwork<CrdtValidator>, reference: &[Ledger]) {
     assert!(
-        network.fully_converged_on(0),
+        network.fully_converged(),
         "heights {:?}",
-        network.committed_heights_on(0)
+        network.committed_heights()
     );
     for p in 0..network.peer_count() {
-        let peer = network.peer_on(0, p).expect("up after the restart");
+        let peer = network.peer(p).expect("up after the restart");
         assert_eq!(
             &ledger(peer),
             reference.last().expect("a stream"),
@@ -221,7 +221,7 @@ fn a_failed_store_call_crashes_only_its_replica_and_the_restart_recovers_it() {
             let dir = aof.then(temp_dir);
             let (network, calls) = run(dir.as_deref(), faulted, 0, &reference);
             assert_converged(&network, &reference);
-            let metrics = network.metrics_on(0);
+            let metrics = network.metrics();
             assert_eq!(metrics.store_faults, 0);
             assert!(
                 metrics.snapshot_transfers > 0,
@@ -238,7 +238,7 @@ fn a_failed_store_call_crashes_only_its_replica_and_the_restart_recovers_it() {
                 let dir = aof.then(temp_dir);
                 let (network, _) = run(dir.as_deref(), faulted, fail_at, &reference);
                 let at = format!("aof {aof}, replica {faulted}, call {fail_at}");
-                assert_eq!(network.metrics_on(0).store_faults, 1, "{at}");
+                assert_eq!(network.metrics().store_faults, 1, "{at}");
                 assert_converged(&network, &reference);
                 if let Some(dir) = dir {
                     std::fs::remove_dir_all(dir).expect("scratch removed");
@@ -268,14 +268,14 @@ fn every_replica_commits_the_published_transaction_list() {
         let mut network = network(&config);
         for number in 1..=BLOCKS {
             let at = SimTime::from_millis(100 * number);
-            network.publish_on(0, at, hot_block(number, PER_BLOCK));
+            network.publish(at, hot_block(number, PER_BLOCK));
         }
-        network.drain_on(0);
+        network.drain();
         assert!(
-            network.fully_converged_on(0),
+            network.fully_converged(),
             "aof {aof}, snapshots {snapshots}"
         );
-        let lane = &network.lanes[0];
+        let lane = &network.lane;
         for (i, slot) in lane.slots.iter().enumerate() {
             let chain = slot
                 .live
@@ -352,15 +352,15 @@ fn a_recovery_that_fails_leaves_the_replica_down_until_the_next_restart() {
         loaded: AtomicBool::new(false),
     };
     let storage = config.storage.as_ref().expect("configured");
-    network.lanes[0].slots[1].store = DurableLedger::with_store(Box::new(gapped), storage);
+    network.lane.slots[1].store = DurableLedger::with_store(Box::new(gapped), storage);
     for number in 1..=BLOCKS {
         let at = SimTime::from_millis(100 * number);
-        network.publish_on(0, at, hot_block(number, PER_BLOCK));
+        network.publish(at, hot_block(number, PER_BLOCK));
     }
     let mut seen_down = 0;
     while let Some((now, event)) = pop(&mut network) {
         if now >= SimTime::from_millis(700) && now < SimTime::from_millis(900) {
-            let lane = &network.lanes[0];
+            let lane = &network.lane;
             assert_eq!(lane.metrics.store_faults, 1, "the first restart failed");
             assert!(lane.slots[1].live.is_none(), "and left the replica down");
             seen_down += 1;
@@ -368,7 +368,7 @@ fn a_recovery_that_fails_leaves_the_replica_down_until_the_next_restart() {
         handle(&mut network, now, event);
     }
     assert!(seen_down > 0, "events ran while the replica was down");
-    assert_eq!(network.metrics_on(0).store_faults, 1);
+    assert_eq!(network.metrics().store_faults, 1);
     assert_converged(&network, &reference(&config.policy));
 }
 
@@ -417,13 +417,12 @@ fn a_commit_batch_that_crosses_a_due_height_snapshots_there() {
         .with_storage(StorageConfig::memory().with_snapshot_interval(10));
     let mut network = network(&config);
     for number in 1..=15 {
-        network.publish_on(
-            0,
+        network.publish(
             SimTime::from_millis(100 * number),
             hot_block(number, PER_BLOCK),
         );
     }
-    let lane = &mut network.lanes[0];
+    let lane = &mut network.lane;
     let replica = 5;
     for batch in [1..=8, 9..=15] {
         let live = lane.slots[replica].live.as_mut().expect("replica is up");

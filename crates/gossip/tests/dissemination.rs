@@ -2,8 +2,6 @@
 //! convergence under every fault class, determinism, and pipeline
 //! equivalence with the default ideal-FIFO delivery at zero faults.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
@@ -103,11 +101,11 @@ fn assert_all_match_reference(network: &GossipNetwork<CrdtValidator>, blocks: &[
     assert!(
         network.fully_converged(),
         "heights: {:?}",
-        network.committed_heights_on(0)
+        network.committed_heights()
     );
     let reference = reference_snapshot(blocks);
     for i in 0..network.peer_count() {
-        let snap = network.snapshot_on(0, i).expect("peer up after drain");
+        let snap = network.snapshot(i).expect("peer up after drain");
         assert_eq!(snap.state, reference.state, "peer {i} state diverged");
         assert_eq!(snap.chain, reference.chain, "peer {i} chain diverged");
     }
@@ -121,7 +119,7 @@ fn zero_fault_network_converges_byte_identically() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics_on(0);
+    let metrics = network.metrics();
     // Every (block, peer) pair gets exactly one propagation sample.
     assert_eq!(metrics.propagation.len(), 8 * network.peer_count());
     assert_eq!(metrics.messages_dropped, 0);
@@ -156,9 +154,9 @@ fn identical_configs_replay_identical_runs() {
         let mut network = seeded_network(&config);
         run_stream(&mut network, &blocks);
         let snapshots: Vec<_> = (0..network.peer_count())
-            .map(|i| network.snapshot_on(0, i).unwrap())
+            .map(|i| network.snapshot(i).unwrap())
             .collect();
-        (network.take_metrics_on(0), snapshots)
+        (network.take_metrics(), snapshots)
     };
     assert_eq!(run(), run());
 }
@@ -181,7 +179,7 @@ fn link_faults_recovered_by_anti_entropy() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics_on(0);
+    let metrics = network.metrics();
     assert!(metrics.messages_dropped > 0, "40% drop rate must bite");
     assert!(metrics.messages_duplicated > 0);
     // Regression: the ratio must stay a sane fraction under heavy loss
@@ -208,7 +206,7 @@ fn crashed_peer_restores_ledger_and_catches_up() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics_on(0);
+    let metrics = network.metrics();
     let episode = metrics
         .catch_up
         .iter()
@@ -245,7 +243,7 @@ fn overlapping_crash_windows_of_one_peer_converge() {
     let mut network = seeded_network(&config);
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
-    let episodes = &network.metrics_on(0).catch_up;
+    let episodes = &network.metrics().catch_up;
     assert_eq!(episodes.len(), 1, "one restart rejoins: {episodes:?}");
     assert_eq!(episodes[0].from, SimTime::from_millis(500));
 }
@@ -270,7 +268,7 @@ fn partition_heals_into_byte_identical_ledgers() {
     run_stream(&mut network, &blocks);
     assert_all_match_reference(&network, &blocks);
 
-    let metrics = network.metrics_on(0);
+    let metrics = network.metrics();
     for peer in [4usize, 5] {
         let episode = metrics
             .catch_up
@@ -384,10 +382,10 @@ fn arb_faults(g: &mut Gen) -> FaultConfig {
     faults
 }
 
-/// A vanilla-Fabric pipeline over lane 0 of its own gossip network.
+/// A vanilla-Fabric pipeline over a gossip network of its own.
 fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
     let network = GossipNetwork::new(&config, FabricValidator::new);
-    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
+    let delivery = Box::new(GossipDelivery::new(network));
     let ordering = Box::new(SingleOrderer::from_config(&config));
     Simulation::with_layers(
         config,
@@ -474,7 +472,7 @@ fn zero_fault_gossip_pipeline_matches_ideal_fifo_outcomes() {
 /// beside the lane-indexed one (it owned its network and read the
 /// observed peer from the config). Recorded with that adapter on the
 /// last commit that had it, for the pipeline test's config under lossy
-/// links and a crash of the observed replica; the lane-0 adapter must
+/// links and a crash of the observed replica; today's adapter must
 /// reproduce the run — same draws, same delivery times, same ledger.
 /// The ledger digest is re-recorded, the counts never, when what a
 /// block's bytes or hash are changes: when signatures became MACs of the

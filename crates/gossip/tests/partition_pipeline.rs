@@ -5,8 +5,6 @@
 //! CRDT transaction must still commit, and the dissemination metrics
 //! must show the faults actually happened and were repaired.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt::CrdtValidator;
@@ -54,7 +52,7 @@ fn run(seed: u64) -> RunMetrics {
     let mut registry = ChaincodeRegistry::new();
     registry.deploy(Arc::new(IotChaincode::crdt()));
     let network = GossipNetwork::new(&config, CrdtValidator::new);
-    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
+    let delivery = Box::new(GossipDelivery::new(network));
     let ordering = Box::new(SingleOrderer::from_config(&config));
     let mut sim =
         Simulation::with_layers(config, CrdtValidator::new(), registry, delivery, ordering);

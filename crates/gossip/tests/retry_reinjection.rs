@@ -6,8 +6,6 @@
 //! every transaction ends with exactly one verdict, and the retry
 //! counters stay silent when no policy is configured.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use fabriccrdt_fabric::chaincode::{Chaincode, ChaincodeError, ChaincodeRegistry, ChaincodeStub};
@@ -41,7 +39,7 @@ fn registry() -> ChaincodeRegistry {
 /// A vanilla-Fabric pipeline over this crate's gossip delivery layer.
 fn gossip_simulation(config: PipelineConfig) -> Simulation<FabricValidator> {
     let network = GossipNetwork::new(&config, FabricValidator::new);
-    let delivery = Box::new(GossipDelivery::new(Rc::new(RefCell::new(network)), 0));
+    let delivery = Box::new(GossipDelivery::new(network));
     let ordering = Box::new(SingleOrderer::from_config(&config));
     Simulation::with_layers(
         config,
