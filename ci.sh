@@ -227,8 +227,8 @@ test "$options" -le 53
 # gate changes here alone.
 echo "==> document words"
 wc -w EXPERIMENTS.md DESIGN.md CHANGES.md .claude/skills/verify/SKILL.md
-test "$(wc -w < EXPERIMENTS.md)" -le 9544
-test "$(wc -w < DESIGN.md)" -le 8879
+test "$(wc -w < EXPERIMENTS.md)" -le 9380
+test "$(wc -w < DESIGN.md)" -le 8874
 test "$(wc -w < .claude/skills/verify/SKILL.md)" -le 1041
 
 # DESIGN.md describes the tree as it stands. Every backticked path in it

@@ -226,14 +226,19 @@ fn endorse(mut tx: Transaction, endorsers: &[KeyPair]) -> Transaction {
     tx
 }
 
-/// A 1 400-byte CRDT document written to `key`, endorsed by `endorser`.
-fn document_tx(nonce: u64, key: &str, endorser: &KeyPair) -> Transaction {
-    let client = Identity::new("client", "org1");
+/// A 1 400-byte CRDT document for `key`: `bigstate-pipelined`'s size.
+fn document(key: &str) -> Vec<u8> {
     let mut doc = format!(r#"{{"deviceID":"{key}","readings":[""#);
     doc.push_str(&"7".repeat(1400 - doc.len() - 3));
     doc.push_str(r#""]}"#);
+    doc.into_bytes()
+}
+
+/// A 1 400-byte CRDT document written to `key`, endorsed by `endorser`.
+fn document_tx(nonce: u64, key: &str, endorser: &KeyPair) -> Transaction {
+    let client = Identity::new("client", "org1");
     let mut rwset = ReadWriteSet::new();
-    rwset.writes.put_crdt(key, doc.into_bytes());
+    rwset.writes.put_crdt(key, document(key));
     let tx = Transaction {
         id: TxId::derive(&client, nonce, "iot"),
         client,
@@ -326,14 +331,28 @@ fn state_size_sweep(bench: &Bench) {
                 }
             },
         );
-        let mut turn = 0;
-        bench.run(
-            &format!("worldstate/put-shared/{label}"),
-            None,
-            None,
-            || {
-                // Clone, one write through the shared root, drop: the
-                // path copy and its release.
+        // Clone, one write through the shared root, drop: the path copy
+        // and its release. Then the same where the written key's leaf
+        // holds `bigstate-pipelined`'s documents: every key within 32 of
+        // a probe holds one (at most 65 536 of them, so about 90 MB).
+        let documents = {
+            let doc = document("device");
+            let sorted: Vec<&String> = state.iter().map(|(key, _)| key).collect();
+            let mut documents = state.clone();
+            for probe in &probes {
+                let at = sorted.binary_search(probe).expect("a probe is live");
+                for key in &sorted[at.saturating_sub(32)..(at + 33).min(keys)] {
+                    documents.put((*key).clone(), doc.clone(), Height::genesis());
+                }
+            }
+            documents
+        };
+        for (row, state, value) in [
+            ("put-shared", &state, value),
+            ("put-shared-1400B", &documents, document("device")),
+        ] {
+            let mut turn = 0;
+            bench.run(&format!("worldstate/{row}/{label}"), None, None, || {
                 turn += 1;
                 let mut next = state.clone();
                 next.put(
@@ -342,8 +361,9 @@ fn state_size_sweep(bench: &Bench) {
                     Height::new(1, 0),
                 );
                 next
-            },
-        );
+            });
+        }
+        drop(documents);
         bench.run(&format!("worldstate/clone/{label}"), None, None, || {
             state.clone()
         });

@@ -105,7 +105,7 @@ impl Chaincode for XferChaincode {
                 // MVCC conflict with the first instead of a second
                 // escrow.
                 stub.get_state(&id.prepare_key());
-                stub.put_state(&id.prepare_key(), hex::encode(&value).into_bytes());
+                stub.put_state(&id.prepare_key(), hex::encode(value).into_bytes());
                 stub.put_state(key, XferChaincode::escrow_marker(id));
                 Ok(())
             }

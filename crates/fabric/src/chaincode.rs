@@ -105,14 +105,13 @@ impl<'a> ChaincodeStub<'a> {
     /// Reads a key from the ledger, recording it (and the version
     /// observed) in the read set. Returns `None` for missing keys —
     /// which is also recorded, so that MVCC catches concurrent creation.
-    pub fn get_state(&mut self, key: &str) -> Option<Vec<u8>> {
+    /// The bytes are the committed state's own, borrowed, not a copy.
+    pub fn get_state(&mut self, key: &str) -> Option<&'a [u8]> {
         self.work.reads += 1;
         let entry = self.state.get(key);
         self.rwset.reads.record(key, entry.map(|e| e.version));
-        let value = entry.map(|e| e.value.clone());
-        if let Some(v) = &value {
-            self.work.bytes_read += v.len() as u64;
-        }
+        let value = entry.map(|e| e.value.as_slice());
+        self.work.bytes_read += value.map_or(0, |v| v.len() as u64);
         value
     }
 
@@ -143,18 +142,13 @@ impl<'a> ChaincodeStub<'a> {
     /// with its observed version. (Like Fabric ≤ v1.4, phantom reads —
     /// keys *appearing* in the range after simulation — are not
     /// detected.)
-    pub fn get_state_by_range(&mut self, start: &str, end: &str) -> Vec<(String, Vec<u8>)> {
-        let results: Vec<(String, Vec<u8>)> = self
-            .state
-            .range(start, end)
-            .map(|(k, v)| (k.clone(), v.value.clone()))
-            .collect();
-        for (key, value) in &results {
+    pub fn get_state_by_range(&mut self, start: &str, end: &str) -> Vec<(&'a str, &'a [u8])> {
+        let mut results = Vec::new();
+        for (key, entry) in self.state.range(start, end) {
             self.work.reads += 1;
-            self.work.bytes_read += value.len() as u64;
-            self.rwset
-                .reads
-                .record(key.clone(), self.state.version(key));
+            self.work.bytes_read += entry.value.len() as u64;
+            self.rwset.reads.record(key.as_str(), Some(entry.version));
+            results.push((key.as_str(), entry.value.as_slice()));
         }
         results
     }
@@ -282,7 +276,7 @@ mod tests {
         let mut state = WorldState::new();
         state.put("k".into(), b"v".to_vec(), Height::new(3, 1));
         let mut stub = ChaincodeStub::new(&state);
-        assert_eq!(stub.get_state("k"), Some(b"v".to_vec()));
+        assert_eq!(stub.get_state("k"), Some(&b"v"[..]));
         assert_eq!(stub.get_state("missing"), None);
         let (rwset, work) = stub.into_result();
         assert_eq!(

@@ -1,13 +1,17 @@
 //! The persistent ordered map behind [`crate::WorldState`]: a
-//! path-copying B+tree with `Arc` nodes (DESIGN.md §4.3).
+//! path-copying B+tree with `Arc` nodes and `Arc` entries (DESIGN.md
+//! §4.3).
 //!
-//! Entries live in leaves, sorted; inner nodes hold separator keys and
-//! children. A clone shares the root. A write walks root-to-leaf with
+//! Leaves hold sorted pointers to entries, each key and value one
+//! allocation of its own; inner nodes hold separator keys and children.
+//! A clone shares the root. A write walks root-to-leaf with
 //! [`Arc::make_mut`]: a node nobody else holds is mutated in place, a
 //! shared one is copied first — so a write through a freshly cloned map
-//! copies one path (`height` nodes, one leaf's entries) and every later
-//! write through the same nodes is as cheap as in an unshared tree.
-//! Whatever the old root reached, it still reaches.
+//! copies one path (`height` nodes, a leaf's entry pointers, never their
+//! keys or values) plus the one entry it writes, and every later write
+//! through the same nodes is as cheap as in an unshared tree. An entry
+//! nothing else holds is overwritten in place. Whatever the old root
+//! reached, it still reaches.
 //!
 //! Separators are `Arc<str>` so copying an inner node bumps reference
 //! counts instead of allocating; `seps[i]` is a lower bound of
@@ -26,13 +30,14 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::worldstate::VersionedValue;
+use crate::worldstate::{Previous, VersionedValue};
 
-type Entry = (String, VersionedValue);
+/// One key and its value, shared by every leaf copy that holds it.
+type Entry = Arc<(String, VersionedValue)>;
 
 /// Most entries in a leaf / children of an inner node. Measured with
-/// `micro`'s `worldstate/{seed,get}` rows: 16 adds a level at 100k keys
-/// and 64 makes the in-leaf insert move two kilobytes on average.
+/// `micro`'s `worldstate/{seed,get}` rows: 16 adds a level at 100k keys,
+/// and 64 doubles the pointers a write through a shared node copies.
 const MAX: usize = 32;
 /// Fewest entries / children of a node other than the root. A quarter,
 /// not a half, so a node that was just merged full and then split is
@@ -281,18 +286,28 @@ impl Node {
     }
 }
 
+/// Writes `value` over the entry in `slot`: in place when this leaf is
+/// the entry's only holder, else into a new entry, leaving the old one
+/// to whoever else holds it.
+fn overwrite(slot: &mut Entry, key: String, value: VersionedValue) -> Previous {
+    match Arc::get_mut(slot) {
+        Some((_, old)) => Previous::Value(std::mem::replace(old, value)),
+        None => Previous::Entry(std::mem::replace(slot, Arc::new((key, value)))),
+    }
+}
+
 fn insert(
     node: &mut Arc<Node>,
     key: String,
     value: VersionedValue,
-) -> (Option<VersionedValue>, Option<Split>) {
+) -> (Option<Previous>, Option<Split>) {
     let node = Arc::make_mut(node);
     let found = node.locate(&key);
     let (at, previous) = match &mut node.body {
         Body::Leaf(entries) => match found {
-            Ok(at) => return (Some(std::mem::replace(&mut entries[at].1, value)), None),
+            Ok(at) => return (Some(overwrite(&mut entries[at], key, value)), None),
             Err(at) => {
-                entries.insert(at, (key, value));
+                entries.insert(at, Arc::new((key, value)));
                 (at, None)
             }
         },
@@ -314,7 +329,7 @@ fn insert(
 
 /// Removes `key`, which the caller has checked is present (so a miss
 /// never copies a path).
-fn remove(node: &mut Arc<Node>, key: &str) -> VersionedValue {
+fn remove(node: &mut Arc<Node>, key: &str) -> Previous {
     let node = Arc::make_mut(node);
     let found = node.locate(key);
     match &mut node.body {
@@ -325,7 +340,7 @@ fn remove(node: &mut Arc<Node>, key: &str) -> VersionedValue {
                 // An emptied root leaf: no first key to hold a prefix.
                 node.index.skip = 0;
             }
-            entries.remove(at).1
+            Previous::Entry(entries.remove(at))
         }
         Body::Inner { kids, .. } => {
             let at = child(found);
@@ -369,7 +384,7 @@ impl PMap {
         }
     }
 
-    pub(crate) fn insert(&mut self, key: String, value: VersionedValue) -> Option<VersionedValue> {
+    pub(crate) fn insert(&mut self, key: String, value: VersionedValue) -> Option<Previous> {
         let (previous, split) = insert(&mut self.root, key, value);
         if let Some((sep, right)) = split {
             let mut seps = Vec::with_capacity(MAX + 1);
@@ -382,7 +397,7 @@ impl PMap {
         previous
     }
 
-    pub(crate) fn remove(&mut self, key: &str) -> Option<VersionedValue> {
+    pub(crate) fn remove(&mut self, key: &str) -> Option<Previous> {
         self.get(key)?;
         let removed = remove(&mut self.root, key);
         self.len -= 1;
@@ -610,7 +625,7 @@ impl<'a> Iterator for Cursor<'a> {
         if !self.settle() {
             return None;
         }
-        let (key, value) = &self.leaf[self.at];
+        let (key, value) = &*self.leaf[self.at];
         self.at += 1;
         Some((key, value))
     }

@@ -10,8 +10,12 @@
 //! write sets to the clone and publishing it, while readers keep the
 //! pre-block one. That is only affordable when a clone does not copy,
 //! so the entries live in a persistent ordered map (`pmap`, DESIGN.md
-//! §4.3): a clone shares every node, a write copies the root-to-leaf
-//! path it changes — or nothing, when no clone is looking.
+//! §4.3): a clone shares every node and every entry, a write copies the
+//! root-to-leaf path it changes as pointers and allocates the one entry
+//! it writes — or copies nothing, when no clone is looking.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::pmap::PMap;
 use crate::version::Height;
@@ -23,6 +27,29 @@ pub struct VersionedValue {
     pub value: Vec<u8>,
     /// Height of the committing transaction.
     pub version: Height,
+}
+
+/// The entry a [`WorldState::put`] replaced or a [`WorldState::delete`]
+/// removed, handed back without copying a byte. It reads as the
+/// [`VersionedValue`] it held.
+#[derive(Debug)]
+pub enum Previous {
+    /// The value, moved out of an entry the state held alone.
+    Value(VersionedValue),
+    /// The whole entry, key and value, as the state held it; a clone of
+    /// the state may still share it.
+    Entry(Arc<(String, VersionedValue)>),
+}
+
+impl Deref for Previous {
+    type Target = VersionedValue;
+
+    fn deref(&self) -> &VersionedValue {
+        match self {
+            Previous::Value(value) => value,
+            Previous::Entry(entry) => &entry.1,
+        }
+    }
 }
 
 /// The world state: a versioned key-value store.
@@ -71,13 +98,18 @@ impl WorldState {
     }
 
     /// Writes a value at the given height, returning the previous entry.
-    pub fn put(&mut self, key: String, value: Vec<u8>, version: Height) -> Option<VersionedValue> {
+    ///
+    /// An entry this state holds alone is overwritten in place. One that
+    /// a clone still shares is left to the clone, and the write allocates
+    /// a new entry; the leaf it sits in is copied as pointers, so the
+    /// other entries stay shared (DESIGN.md §4.3).
+    pub fn put(&mut self, key: String, value: Vec<u8>, version: Height) -> Option<Previous> {
         self.entries.insert(key, VersionedValue { value, version })
     }
 
     /// Deletes a key, returning the previous entry (Fabric models deletes
     /// as write-set entries with a delete marker).
-    pub fn delete(&mut self, key: &str) -> Option<VersionedValue> {
+    pub fn delete(&mut self, key: &str) -> Option<Previous> {
         self.entries.remove(key)
     }
 
@@ -99,11 +131,14 @@ impl WorldState {
     /// Range scan over keys in `[start, end)` — Fabric's
     /// `GetStateByRange` equivalent, used by examples. Empty when
     /// `start >= end`.
-    pub fn range<'a>(
+    pub fn range<'a, 'b>(
         &'a self,
         start: &str,
-        end: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a VersionedValue)> {
+        end: &'b str,
+    ) -> impl Iterator<Item = (&'a String, &'a VersionedValue)> + 'b
+    where
+        'a: 'b,
+    {
         self.entries
             .iter_from(start)
             .take_while(move |(key, _)| key.as_str() < end)
@@ -172,5 +207,34 @@ mod tests {
         ws.put("a".into(), b"2".to_vec(), Height::genesis());
         let keys: Vec<&String> = ws.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, ["a", "z"]);
+    }
+
+    /// What a leaf copy copies: pointers. Every entry but the written one
+    /// is the same allocation in both states, the copied leaf's
+    /// neighbours of the written key included.
+    #[test]
+    fn a_write_through_a_clone_shares_every_entry_it_did_not_write() {
+        let mut original = WorldState::new();
+        for n in 0..100_000 {
+            original.put(format!("device-{n}"), b"{}".to_vec(), Height::genesis());
+        }
+        let mut clone = original.clone();
+        let previous = clone.put("device-4242".into(), b"new".to_vec(), Height::new(1, 0));
+        assert!(matches!(previous, Some(Previous::Entry(_))), "{previous:?}");
+        assert_eq!(original.value("device-4242"), Some(&b"{}"[..]));
+        assert_eq!(clone.value("device-4242"), Some(&b"new"[..]));
+        for (key, entry) in original.iter() {
+            let theirs = clone.get(key).expect("same keys");
+            let shared = std::ptr::eq(entry, theirs);
+            assert_eq!(shared, key != "device-4242", "{key}");
+        }
+
+        // Alone again, the written entry is overwritten where it lies.
+        drop(original);
+        let at = clone.get("device-4242").map(std::ptr::from_ref);
+        let previous = clone.put("device-4242".into(), b"newer".to_vec(), Height::new(2, 0));
+        assert!(matches!(previous, Some(Previous::Value(_))), "{previous:?}");
+        assert_eq!(clone.get("device-4242").map(std::ptr::from_ref), at);
+        assert_eq!(clone.value("device-4242"), Some(&b"newer"[..]));
     }
 }

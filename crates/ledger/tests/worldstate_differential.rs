@@ -76,7 +76,7 @@ fn assert_matches(state: &WorldState, oracle: &Oracle) {
 
 fn put(state: &mut WorldState, oracle: &mut Oracle, key: String, entry: VersionedValue) {
     let previous = state.put(key.clone(), entry.value.clone(), entry.version);
-    assert_eq!(previous, oracle.insert(key, entry));
+    assert_eq!(previous.as_deref(), oracle.insert(key, entry).as_ref());
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn random_operations_match_a_btreemap_and_leave_old_roots_alone() {
                 put(&mut state, &mut oracle, key, arb_entry(g));
             } else {
                 let key = live_key(g, &oracle, shape);
-                assert_eq!(state.delete(&key), oracle.remove(&key));
+                assert_eq!(state.delete(&key).as_deref(), oracle.remove(&key).as_ref());
             }
             match g.range(0, 8) {
                 0..=2 => {
@@ -144,7 +144,7 @@ fn random_operations_match_a_btreemap_and_leave_old_roots_alone() {
         let mut doomed: Vec<String> = oracle.keys().cloned().collect();
         while !doomed.is_empty() {
             let key = doomed.swap_remove(g.size(0, doomed.len() - 1));
-            assert_eq!(state.delete(&key), oracle.remove(&key));
+            assert_eq!(state.delete(&key).as_deref(), oracle.remove(&key).as_ref());
         }
         assert_matches(&state, &oracle);
         assert_eq!(state, WorldState::new());

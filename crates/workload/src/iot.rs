@@ -65,6 +65,15 @@ impl IotChaincode {
             })
             .collect()
     }
+
+    /// Buffers one write, CRDT-flagged or plain as the variant says.
+    fn write(&self, stub: &mut ChaincodeStub<'_>, key: &str, payload: Vec<u8>) {
+        if self.crdt {
+            stub.put_crdt(key, payload);
+        } else {
+            stub.put_state(key, payload);
+        }
+    }
 }
 
 fn split_keys(spec: &str) -> impl Iterator<Item = &str> {
@@ -91,20 +100,18 @@ impl Chaincode for IotChaincode {
         for key in split_keys(&args[0]) {
             stub.get_state(key);
         }
-        // Write phase: the JSON payload goes to every write key.
-        let payload = args[2].clone().into_bytes();
-        let mut wrote = false;
-        for key in split_keys(&args[1]) {
-            wrote = true;
-            if self.crdt {
-                stub.put_crdt(key, payload.clone());
-            } else {
-                stub.put_state(key, payload.clone());
-            }
-        }
-        if !wrote {
+        // Write phase: the JSON payload goes to every write key, the
+        // last one taking the bytes built here.
+        let mut keys = split_keys(&args[1]);
+        let Some(mut key) = keys.next() else {
             return Err(ChaincodeError::new("no write keys supplied"));
+        };
+        let payload = args[2].clone().into_bytes();
+        for next in keys {
+            self.write(stub, key, payload.clone());
+            key = next;
         }
+        self.write(stub, key, payload);
         Ok(())
     }
 }

@@ -88,7 +88,7 @@ impl SmallBankChaincode {
         let bytes = stub
             .get_state(account)
             .ok_or_else(|| ChaincodeError::new(format!("unknown account {account}")))?;
-        let value = Value::from_bytes(&bytes)
+        let value = Value::from_bytes(bytes)
             .map_err(|e| ChaincodeError::new(format!("corrupt account: {e}")))?;
         Balances::parse(&value).ok_or_else(|| ChaincodeError::new("malformed balances"))
     }

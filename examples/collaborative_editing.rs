@@ -41,7 +41,7 @@ impl Chaincode for DocEditor {
             return Err(ChaincodeError::new("expected [key, section, paragraph]"));
         };
         let mut doc = match stub.get_state(key) {
-            Some(bytes) => Value::from_bytes(&bytes)
+            Some(bytes) => Value::from_bytes(bytes)
                 .map_err(|e| ChaincodeError::new(format!("stored doc corrupt: {e}")))?,
             None => Value::empty_map(),
         };

@@ -56,7 +56,7 @@ impl Chaincode for Meter {
         // time keeps every owner's latest count.
         let committed = stub
             .get_state(key)
-            .and_then(|bytes| Value::from_bytes(&bytes).ok());
+            .and_then(|bytes| Value::from_bytes(bytes).ok());
         let mut counts = committed
             .as_ref()
             .and_then(|v| v.get("counts"))

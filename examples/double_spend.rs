@@ -48,7 +48,7 @@ impl Chaincode for AssetTransfer {
         let stored = stub
             .get_state(key)
             .ok_or_else(|| ChaincodeError::new("asset does not exist"))?;
-        let mut asset = Value::from_bytes(&stored)
+        let mut asset = Value::from_bytes(stored)
             .map_err(|e| ChaincodeError::new(format!("corrupt asset: {e}")))?;
         let owner = asset.get("owner").and_then(Value::as_str).unwrap_or("");
         if owner != "attacker" {

@@ -39,7 +39,7 @@ impl Chaincode for StockChaincode {
         };
         let current: i64 = stub
             .get_state(key)
-            .and_then(|b| String::from_utf8(b).ok())
+            .and_then(|b| std::str::from_utf8(b).ok())
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
         let delta: i64 = delta
