@@ -227,8 +227,8 @@ test "$options" -le 53
 # gate changes here alone.
 echo "==> document words"
 wc -w EXPERIMENTS.md DESIGN.md CHANGES.md .claude/skills/verify/SKILL.md
-test "$(wc -w < EXPERIMENTS.md)" -le 9380
-test "$(wc -w < DESIGN.md)" -le 8874
+test "$(wc -w < EXPERIMENTS.md)" -le 8654
+test "$(wc -w < DESIGN.md)" -le 8850
 test "$(wc -w < .claude/skills/verify/SKILL.md)" -le 1041
 
 # DESIGN.md describes the tree as it stands. Every backticked path in it
@@ -269,12 +269,15 @@ echo "==> cargo test --release (ledger: world-state and history differentials, f
 cargo test -q --release -p fabriccrdt-ledger
 
 # Algorithm 2's lockstep walk as the benchmark builds it, against the
-# operation-per-node engine the test tree keeps as its oracle; the
-# singleton walk against a merge into an empty document; and the proofs
-# of the as-is recogniser (sound over generated and mutated bytes,
-# complete over every escape-free singleton walk), at full count
-# (likewise a sixth above).
-echo "==> cargo test --release (jsoncrdt: merge differential and as-is proofs, full count)"
+# operation-per-node engine the test tree keeps as its oracle; the byte
+# walk (`merge_bytes`) against the parsed merge, on generated
+# normal-form documents and mutations of them, which it must take as the
+# parser does or leave with the document untouched; the singleton walk
+# against a merge into an empty document; and the proofs of the as-is
+# recogniser (sound over generated and mutated bytes, complete over
+# every escape-free singleton walk), at full count (likewise a sixth
+# above).
+echo "==> cargo test --release (jsoncrdt: merge and byte-walk differentials, as-is proofs, full count)"
 cargo test -q --release -p fabriccrdt-jsoncrdt
 
 # The key-node reorder as the benchmark builds it, against the pair
@@ -283,8 +286,12 @@ echo "==> cargo test --release (fabric: reorder differential, full count)"
 cargo test -q --release -p fabriccrdt-fabric --test reorder_differential
 
 # Algorithm 1 with singleton keys taken alone, or as they came when the
-# recogniser takes them, against the pass that built a CRDT for every
-# key, at full count (likewise a sixth above).
+# recogniser takes them, and normal-form documents merged unparsed,
+# against the pass that parsed every value and built a CRDT for every
+# key; members between plain writes, opaque values and deletes, whose
+# commit moves only a version when the key still holds the previous
+# member's value, must leave the oracle's codes, values, versions and
+# work counters, at full count (likewise a sixth above).
 echo "==> cargo test --release (core: singleton differential, full count)"
 cargo test -q --release -p fabriccrdt --test singleton_differential
 

@@ -680,6 +680,21 @@ fn main() {
         bench.run("jsoncrdt/merge-400x47B-one-key", Some(400), None, || {
             merged(&hot)
         });
+        // The same documents as Algorithm 1 merges them: as the
+        // chaincode wrote them, in the normal form, walked unparsed.
+        let hot_bytes: Vec<Vec<u8>> = hot.iter().map(Value::to_bytes).collect();
+        bench.run(
+            "jsoncrdt/merge-bytes-400x47B-one-key",
+            Some(400),
+            None,
+            || {
+                let mut doc = JsonCrdt::new(ReplicaId(1));
+                for document in &hot_bytes {
+                    doc.merge_bytes(document).unwrap();
+                }
+                doc
+            },
+        );
         let converged = |doc: &JsonCrdt| {
             let mut bytes = Vec::new();
             doc.write_bytes(&mut bytes);

@@ -31,7 +31,7 @@ use fabriccrdt_fabric::cost::ValidationWork;
 use fabriccrdt_fabric::validator::BlockValidator;
 use fabriccrdt_jsoncrdt::doc::{alone_as_is, write_alone};
 use fabriccrdt_jsoncrdt::json::Value;
-use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId};
+use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId, WorkStats};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
 use fabriccrdt_ledger::mvcc;
 use fabriccrdt_ledger::rwset::WriteEntry;
@@ -43,17 +43,28 @@ use crate::types::TypedCrdt;
 /// Per-key merge state during a block's first pass: either the generic
 /// JSON-document CRDT of the paper's prototype, or one of the typed
 /// CRDTs of [`crate::types`] (the paper's future-work extension).
-enum KeyMerger {
-    /// A key's first JSON document: written once, it needs no CRDT.
+enum KeyMerger<'a> {
+    /// A key's first JSON document, as it came, in the normal form
+    /// [`alone_as_is`] takes, with the work it counted: written once,
+    /// it commits these very bytes.
+    AsIs(&'a [u8], WorkStats),
+    /// A key's first JSON document in any other form: written once, it
+    /// needs no CRDT.
     Alone(Value),
     Json(JsonCrdt),
     Typed(TypedCrdt),
 }
 
-impl KeyMerger {
+impl KeyMerger<'_> {
     fn converged_bytes(&mut self, extra_units: &mut u64) -> Vec<u8> {
         let mut bytes = Vec::new();
         match self {
+            KeyMerger::AsIs(first, work) => {
+                // What `KeyMerger::Alone` counts; it would write these
+                // very bytes.
+                *extra_units += work.units() + work.ops_applied;
+                first.to_vec()
+            }
             KeyMerger::Alone(value) => {
                 // The merge into the empty CRDT, counted now, and the
                 // conversion's walk over every operation it applied.
@@ -73,6 +84,74 @@ impl KeyMerger {
             }
         }
     }
+
+    /// The key's JSON CRDT, merged from its first document when a later
+    /// one arrives; `None` for a typed key. The later one may yet stay
+    /// opaque: a CRDT of the first alone converts to the same bytes and
+    /// counts the same work as `AsIs` or `Alone`. Every peer merges a
+    /// block in the same order and a converged value carries no
+    /// operation ids, so one replica id serves.
+    fn crdt(&mut self, merge_units: &mut u64) -> Option<&mut JsonCrdt> {
+        let mut doc = JsonCrdt::new(ReplicaId(1));
+        let work = match self {
+            KeyMerger::AsIs(first, _) => doc.merge_bytes(first),
+            KeyMerger::Alone(first) => doc.merge_value(first).ok(),
+            KeyMerger::Json(_) | KeyMerger::Typed(_) => None,
+        };
+        if let Some(work) = work {
+            *merge_units += work.units();
+            *self = KeyMerger::Json(doc);
+        }
+        match self {
+            KeyMerger::Json(doc) => Some(doc),
+            _ => None,
+        }
+    }
+
+    /// Merges a later CRDT value write of the key, and says whether it
+    /// joined: a value of another kind than the key's first stays opaque.
+    fn merge(&mut self, bytes: &[u8], merge_units: &mut u64, merge_quad: &mut u64) -> bool {
+        if let KeyMerger::Typed(state) = self {
+            let typed = parsed_map(bytes).as_ref().and_then(TypedCrdt::parse);
+            let Some(Ok(typed)) = typed else {
+                return false;
+            };
+            let joined = state.merge(&typed).is_ok();
+            if joined {
+                *merge_units += typed.work_units();
+            }
+            return joined;
+        }
+        let Some(doc) = self.crdt(merge_units) else {
+            return false;
+        };
+        let ops_before = doc.applied_len() as u64;
+        // The bytes as they stand when they are in the normal form, the
+        // parsed value otherwise.
+        let work = match doc.merge_bytes(bytes) {
+            Some(work) => work,
+            None => match parsed_map(bytes) {
+                Some(value) if TypedCrdt::parse(&value).is_none() => {
+                    doc.merge_value(&value).unwrap_or_default()
+                }
+                _ => return false,
+            },
+        };
+        *merge_units += work.units();
+        // Superlinear apply-cost term: merging into earlier transactions'
+        // operations costs more (fabriccrdt-fabric::cost).
+        *merge_quad += work.units() * ops_before;
+        true
+    }
+}
+
+/// `bytes` parsed, when they are a JSON map: the values Algorithm 1
+/// merges. Anything else stays opaque: it skips MVCC (the flag is set)
+/// and commits in block order unmerged.
+fn parsed_map(bytes: &[u8]) -> Option<Value> {
+    Value::from_bytes(bytes)
+        .ok()
+        .filter(|value| value.as_map().is_some())
 }
 
 /// The FabricCRDT block validator (Algorithm 1).
@@ -98,94 +177,63 @@ impl CrdtValidator {
     ///
     /// Each key's merger starts from a fresh [`JsonCrdt`]
     /// (`InitEmptyCRDT`), so its operation-id sequence depends only on
-    /// that key's payload sequence in block order; a key written once
-    /// skips it ([`write_alone`]: same bytes, same work), and is not even
-    /// parsed when its bytes are already what that would write
-    /// ([`alone_as_is`]): it keeps them, so it joins no merger.
+    /// that key's payload sequence in block order. A key's first
+    /// document waits, borrowed as it came when it is in the normal form
+    /// [`alone_as_is`] takes, and the CRDT is built only when a second
+    /// arrives; normal-form documents merge through
+    /// [`JsonCrdt::merge_bytes`], without a parse. A key written once
+    /// in that form joins no merger: it commits its own bytes.
     fn merge_pass<'a>(
         &self,
         txs: impl Iterator<Item = (usize, &'a Transaction)> + Clone,
         merge_units: &mut u64,
         merge_quad: &mut u64,
-    ) -> BTreeMap<String, (KeyMerger, Vec<usize>)> {
+    ) -> BTreeMap<&'a str, (KeyMerger<'a>, Vec<usize>)> {
         let mut writers: BTreeMap<&str, usize> = BTreeMap::new();
         for (key, _) in txs.clone().flat_map(|(_, tx)| crdt_writes(tx)) {
             *writers.entry(key).or_default() += 1;
         }
-        let mut crdts: BTreeMap<String, (KeyMerger, Vec<usize>)> = BTreeMap::new();
+        let mut crdts = BTreeMap::new();
         for (i, tx) in txs {
             for (key, entry) in crdt_writes(tx) {
-                if writers[key.as_str()] == 1 {
-                    if let Some(work) = alone_as_is(&entry.value) {
-                        // What `KeyMerger::Alone` counts; line 22 would
+                let bytes = entry.value.as_slice();
+                let slot = match crdts.entry(key.as_str()) {
+                    Entry::Occupied(slot) => {
+                        let (merger, members): &mut (KeyMerger, Vec<usize>) = slot.into_mut();
+                        if merger.merge(bytes, merge_units, merge_quad) {
+                            members.push(i);
+                        }
+                        continue;
+                    }
+                    Entry::Vacant(slot) => slot,
+                };
+                // The type of the CRDT object depends on the value's type
+                // (line 9): a `_crdt`-tagged envelope selects a typed
+                // CRDT; any other JSON map is the generic JSON-document
+                // CRDT.
+                let merger = if let Some(work) = alone_as_is(bytes) {
+                    if writers[key.as_str()] == 1 {
+                        // What `KeyMerger::AsIs` counts; line 22 would
                         // write these very bytes back.
                         *merge_units += work.units() + work.ops_applied;
                         continue;
                     }
-                }
-                // The type of the CRDT object depends on the value's type
-                // (line 9): a `_crdt`-tagged envelope selects a typed
-                // CRDT; any other JSON map is the generic JSON-document
-                // CRDT. Unparsable values stay opaque: they skip MVCC
-                // (the flag is set) and commit in block order unmerged.
-                let Ok(value) = Value::from_bytes(&entry.value) else {
-                    continue;
-                };
-                if value.as_map().is_none() {
-                    continue;
-                }
-                match TypedCrdt::parse(&value) {
-                    Some(Ok(typed)) => {
-                        match crdts.entry(key.clone()) {
-                            Entry::Vacant(slot) => {
-                                *merge_units += typed.work_units();
-                                slot.insert((KeyMerger::Typed(typed), vec![i]));
-                            }
-                            Entry::Occupied(mut slot) => {
-                                let (merger, members) = slot.get_mut();
-                                if let KeyMerger::Typed(state) = merger {
-                                    if state.merge(&typed).is_ok() {
-                                        *merge_units += typed.work_units();
-                                        members.push(i);
-                                    }
-                                }
-                                // Json/Typed mismatch: leave the value
-                                // opaque (not a member).
-                            }
+                    KeyMerger::AsIs(bytes, work)
+                } else {
+                    let Some(value) = parsed_map(bytes) else {
+                        continue;
+                    };
+                    match TypedCrdt::parse(&value) {
+                        Some(Ok(typed)) => {
+                            *merge_units += typed.work_units();
+                            KeyMerger::Typed(typed)
                         }
-                    }
-                    Some(Err(_)) => {
                         // Tagged but malformed: opaque commit.
+                        Some(Err(_)) => continue,
+                        None => KeyMerger::Alone(value),
                     }
-                    None => match crdts.entry(key.clone()) {
-                        Entry::Vacant(slot) => {
-                            slot.insert((KeyMerger::Alone(value), vec![i]));
-                        }
-                        Entry::Occupied(mut slot) => {
-                            let (merger, members) = slot.get_mut();
-                            if let KeyMerger::Alone(first) = merger {
-                                // A second document: merge the first now.
-                                // Every peer merges a block in the same
-                                // order and a converged value carries no
-                                // operation ids, so one replica id serves.
-                                let mut doc = JsonCrdt::new(ReplicaId(1));
-                                *merge_units += doc.merge_value(first).unwrap_or_default().units();
-                                *merger = KeyMerger::Json(doc);
-                            }
-                            if let KeyMerger::Json(doc) = merger {
-                                let ops_before = doc.applied_len() as u64;
-                                if let Ok(work) = doc.merge_value(&value) {
-                                    *merge_units += work.units();
-                                    // Superlinear apply-cost term: merging
-                                    // into earlier transactions' operations
-                                    // costs more (fabriccrdt-fabric::cost).
-                                    *merge_quad += work.units() * ops_before;
-                                    members.push(i);
-                                }
-                            }
-                        }
-                    },
-                }
+                };
+                slot.insert((merger, vec![i]));
             }
         }
         crdts
@@ -213,9 +261,11 @@ impl BlockValidator for CrdtValidator {
         // ----- First pass: collect and merge CRDT values (lines 3–14).
         let mut merge_units = 0u64;
         let mut merge_quad = 0u64;
+        // The pass borrows each document from a handle on the list (a
+        // count bump), so the block stays free for the record below.
+        let transactions = block.transactions.clone();
         let crdts = self.merge_pass(
-            block
-                .transactions
+            transactions
                 .iter()
                 .enumerate()
                 // Only endorsement-valid transactions merge.
@@ -229,7 +279,7 @@ impl BlockValidator for CrdtValidator {
         // record beside the transactions (ledger format v3).
         for (key, (mut merger, members)) in crdts {
             let bytes = merger.converged_bytes(&mut merge_units);
-            block.set_converged(key, bytes, members);
+            block.set_converged(key.to_owned(), bytes, members);
         }
 
         // ----- MVCC on non-CRDT pairs, then commit (line 15 + commit).

@@ -316,7 +316,13 @@ fn arb_block(g: &mut Gen) -> (Block, WorldState, Vec<Option<ValidationCode>>) {
                 };
                 match g.range(0, 10) {
                     0 | 1 => {
-                        let version = g.flip().then(|| Height::new(g.range(0, 2), 0));
+                        // Seeded, absent, or written earlier in this
+                        // block (between two members of a merged key).
+                        let version = match g.range(0, 3) {
+                            0 => None,
+                            1 => Some(Height::new(g.range(0, 2), 0)),
+                            _ => Some(Height::new(2, g.range(0, nonce.max(1)))),
+                        };
                         rwset.reads.record(key.clone(), version);
                         rwset.writes.put(key, nonce.to_be_bytes().to_vec());
                     }
@@ -430,4 +436,66 @@ fn benchmark_block_of_singletons_merges_identically() {
     let block = Block::assemble(2, [0; 32], transactions);
     // Every key but the one written twice commits as it came.
     assert_eq!(assert_same(&block, &WorldState::new(), &[]), 23);
+}
+
+/// One key merged by members that plain writes, opaque values and a
+/// delete come between, and one typed key that JSON documents follow:
+/// each member after the first commits the converged value whether or
+/// not the state still holds it, and the typed key's first kind holds.
+#[test]
+fn members_between_other_writes_commit_as_the_oracle_does() {
+    let normal = |n: u64| format!(r#"{{"deviceID":"d","readings":["r{n}"]}}"#);
+    let crdt = |key: &str, value: String| {
+        let mut rwset = ReadWriteSet::new();
+        rwset.writes.put_crdt(key, value.into_bytes());
+        rwset
+    };
+    let counter = |n: u64| format!(r#"{{"_crdt":"g-counter","counts":{{"a{n}":"{n}"}}}}"#);
+    let mut plain = ReadWriteSet::new();
+    // Reads `k` at the height the member before it wrote, so it passes
+    // MVCC and writes `k` between two members.
+    plain.reads.record("k", Some(Height::new(2, 5)));
+    plain.writes.put("k", b"plain".to_vec());
+    let mut delete = ReadWriteSet::new();
+    delete.writes.delete("k");
+    let rwsets = vec![
+        crdt("k", normal(0)),
+        // Not in the normal form: parsed, and still a member.
+        crdt("k", r#"{ "readings": ["r1"] }"#.to_owned()),
+        // Opaque: commits its own bytes between members.
+        crdt("k", r#"{"readings":["r2""#.to_owned()),
+        crdt("k", normal(3)),
+        // A typed envelope after JSON documents stays opaque.
+        crdt("k", counter(4)),
+        crdt("k", normal(5)),
+        plain,
+        crdt("k", normal(7)),
+        // The member before still holds the key: a version-only commit.
+        crdt("k", normal(8)),
+        delete,
+        crdt("k", normal(10)),
+        // A typed key, then JSON documents of both forms.
+        crdt("t", counter(11)),
+        crdt("t", normal(12)),
+        crdt("t", r#"{"a": "1"}"#.to_owned()),
+        crdt("t", counter(14)),
+    ];
+    let transactions = (0..).zip(rwsets).map(|(n, rwset)| tx(n, rwset)).collect();
+    let block = Block::assemble(2, [0; 32], transactions);
+    let mut state = WorldState::new();
+    state.put("k".into(), normal(99).into_bytes(), Height::new(1, 0));
+    assert_same(&block, &state, &[]);
+
+    let mut committed = block.clone();
+    let mut after = state.clone();
+    CrdtValidator::new().validate_and_commit(&mut committed, &mut after, &[]);
+    assert_eq!(committed.validation_codes[6], ValidationCode::Valid);
+    let members: Vec<(&str, &[usize])> = committed
+        .converged_values()
+        .map(|(key, _, members)| (key, members))
+        .collect();
+    let k = [0, 1, 3, 5, 7, 8, 10];
+    assert_eq!(members, [("k", &k[..]), ("t", &[11, 14][..])]);
+    assert_eq!(after.version("k"), Some(Height::new(2, 10)));
+    assert_eq!(after.version("t"), Some(Height::new(2, 14)));
 }

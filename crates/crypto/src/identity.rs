@@ -15,21 +15,25 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::sha256::{self, Digest};
 
 /// An identity: a display name plus the organization (MSP) it belongs to.
+///
+/// Both are shared strings: every endorsement and transaction carries
+/// an identity, and cloning one bumps two counts instead of copying.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Identity {
     /// Human-readable identity name, e.g. `"peer0.org1"`.
-    pub name: String,
+    pub name: Arc<str>,
     /// Organization / MSP identifier, e.g. `"org1"`.
-    pub org: String,
+    pub org: Arc<str>,
 }
 
 impl Identity {
-    /// Creates an identity.
-    pub fn new(name: impl Into<String>, org: impl Into<String>) -> Self {
+    /// Creates an identity; a `&str` costs one allocation per field.
+    pub fn new(name: impl Into<Arc<str>>, org: impl Into<Arc<str>>) -> Self {
         Identity {
             name: name.into(),
             org: org.into(),

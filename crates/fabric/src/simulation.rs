@@ -23,6 +23,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use fabriccrdt_crypto::{sha256, Identity, KeyPair};
 use fabriccrdt_ledger::block::{Block, ValidationCode};
@@ -360,6 +361,9 @@ pub struct Simulation<V: BlockValidator> {
     /// policy, peer index within the org), each derived the first time
     /// that peer endorses — during the run, not at construction.
     endorser_keys: HashMap<(usize, usize), KeyPair>,
+    /// Each submitting client's identity, by client index: built once,
+    /// so a transaction's is a clone.
+    clients: Vec<Identity>,
     /// When the last broadcast block reaches the peer; no later block
     /// arrives before it.
     last_delivery: SimTime,
@@ -394,6 +398,10 @@ impl<V: BlockValidator> Simulation<V> {
     ) -> Self {
         let rng = SimRng::seed_from(config.seed);
         let peer = Peer::new(validator, config.policy.clone()).with_channel(config.channel);
+        let org: Arc<str> = Arc::from("org1");
+        let clients = (0..config.topology.clients)
+            .map(|client| Identity::new(format!("client{client}"), Arc::clone(&org)))
+            .collect();
         Simulation {
             config,
             registry,
@@ -403,6 +411,7 @@ impl<V: BlockValidator> Simulation<V> {
             rng,
             queue: EventQueue::new(),
             endorser_keys: HashMap::new(),
+            clients,
             last_delivery: SimTime::ZERO,
             block_log: None,
             next_nonce: 0,
@@ -574,8 +583,7 @@ impl<V: BlockValidator> Simulation<V> {
         let (rwset, exec_work, event) = stub.into_parts();
         let exec_cost = crate::cost::exec_cost(&exec_work);
 
-        let client_id = i % self.config.topology.clients;
-        let client = Identity::new(format!("client{client_id}"), "org1");
+        let client = self.clients[i % self.clients.len()].clone();
         let nonce = self.next_nonce;
         self.next_nonce += 1;
         let id = TxId::derive(&client, nonce, &request.chaincode);

@@ -36,7 +36,7 @@ use std::fmt;
 
 use crate::json::ser::{self, Sink};
 use crate::json::{Value, MAX_DEPTH};
-use crate::op::ItemKey;
+use crate::op::{fnv1a, ItemKey};
 use crate::work::WorkStats;
 
 /// An entry in a map (under a string key) or in a list (under an
@@ -44,7 +44,7 @@ use crate::work::WorkStats;
 /// type so that differently typed writes never clobber each other. The
 /// walk creates an entry only to merge a value into it, so every entry
 /// has at least one branch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Entry {
     /// Register: the newest leaf assigned here, as its string form.
     reg: Option<String>,
@@ -54,12 +54,12 @@ struct Entry {
     list: Option<ListNode>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct MapNode {
     children: BTreeMap<String, Entry>,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct ListNode {
     items: BTreeMap<ItemKey, Entry>,
 }
@@ -207,7 +207,7 @@ pub struct ReplicaId(pub u64);
 /// assert_eq!(merged.get("readings").unwrap().as_list().unwrap().len(), 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonCrdt {
     root: MapNode,
     /// The operations applied so far, counted (DESIGN.md §4.1).
@@ -253,6 +253,25 @@ impl JsonCrdt {
             ops_applied: after.ops_applied - before.ops_applied,
             nodes_visited: after.nodes_visited - before.nodes_visited,
         })
+    }
+
+    /// [`JsonCrdt::merge_value`]`(&Value::from_bytes(bytes)?)` for bytes
+    /// in the normal form [`alone_as_is`] takes, walking them in place:
+    /// keys are looked up as they stand, a list item's [`ItemKey`] hashes
+    /// its own bytes (in this form, its compact serialization), and a
+    /// register is re-assigned only when its text differs. The same
+    /// document results and the same work is returned, and no [`Value`]
+    /// is built (DESIGN.md §4.1).
+    ///
+    /// `None`, with the document untouched, for any other bytes: the
+    /// caller parses them and merges the value.
+    pub fn merge_bytes(&mut self, bytes: &[u8]) -> Option<WorkStats> {
+        let work = alone_as_is(bytes)?;
+        // UTF-8 throughout: its strings are, and the rest is ASCII.
+        let text = std::str::from_utf8(bytes).ok()?;
+        Walk { text, pos: 0 }.map(&mut self.root);
+        self.work.absorb(work);
+        Some(work)
     }
 
     /// Converts the document to plain JSON, stripping all CRDT metadata
@@ -433,6 +452,108 @@ impl<'a> AsIs<'a> {
         self.pos += len + 1;
         let text = &rest[..len];
         (text.is_ascii() || std::str::from_utf8(text).is_ok()).then_some(text)
+    }
+}
+
+/// [`JsonCrdt::merge_bytes`]'s cursor, over text [`alone_as_is`] took:
+/// it checks nothing, because the text is compact, its strings hold no
+/// `"` or `\`, and every delimiter is where it belongs.
+struct Walk<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Walk<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    /// Moves past the delimiter at the cursor and says which it was.
+    fn next(&mut self) -> u8 {
+        self.pos += 1;
+        self.bytes()[self.pos - 1]
+    }
+
+    /// [`merge_map`] of the map at the cursor into `node`.
+    fn map(&mut self, node: &mut MapNode) {
+        self.pos += 1;
+        if self.bytes()[self.pos] == b'}' {
+            self.pos += 1;
+            return;
+        }
+        loop {
+            let key = self.string();
+            self.pos += 1;
+            let child = match node.children.get_mut(key) {
+                Some(child) => child,
+                None => node.children.entry(key.to_owned()).or_default(),
+            };
+            self.value(child);
+            if self.next() == b'}' {
+                return;
+            }
+        }
+    }
+
+    /// [`merge_node`] of the value at the cursor into `entry`, without
+    /// the count (the scan counted it).
+    fn value(&mut self, entry: &mut Entry) {
+        match self.bytes()[self.pos] {
+            b'{' => self.map(entry.map.get_or_insert_with(MapNode::default)),
+            b'[' => self.list(entry.list.get_or_insert_with(ListNode::default)),
+            _ => {
+                let text = self.string();
+                if entry.reg.as_deref() != Some(text) {
+                    entry.reg = Some(text.to_owned());
+                }
+            }
+        }
+    }
+
+    fn list(&mut self, list: &mut ListNode) {
+        self.pos += 1;
+        if self.bytes()[self.pos] == b']' {
+            self.pos += 1;
+            return;
+        }
+        for index in 0.. {
+            let span = &self.bytes()[self.pos..self.end_of_value()];
+            let key = ItemKey {
+                index,
+                hash: fnv1a(span),
+            };
+            self.value(list.items.entry(key).or_default());
+            if self.next() == b']' {
+                return;
+            }
+        }
+    }
+
+    /// The string at the cursor, without its quotes; the cursor moves
+    /// past it.
+    fn string(&mut self) -> &'a str {
+        let start = self.pos + 1;
+        self.pos = start + plain_len(&self.bytes()[start..]) + 1;
+        &self.text[start..self.pos - 1]
+    }
+
+    /// Where the value at the cursor ends: just past a string's closing
+    /// quote, or past the bracket that brings the nesting back to where
+    /// it began.
+    fn end_of_value(&self) -> usize {
+        let (bytes, mut at, mut depth) = (self.bytes(), self.pos, 0usize);
+        loop {
+            match bytes[at] {
+                b'"' => at += 1 + plain_len(&bytes[at + 1..]),
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                _ => {}
+            }
+            at += 1;
+            if depth == 0 {
+                return at;
+            }
+        }
     }
 }
 

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use fabriccrdt_jsoncrdt::doc::write_alone;
 use fabriccrdt_jsoncrdt::json::Value;
 use fabriccrdt_jsoncrdt::op::ItemKey;
 use fabriccrdt_jsoncrdt::{JsonCrdt, ReplicaId, WorkStats};
@@ -306,5 +307,143 @@ fn benchmark_documents_merge_identically() {
             assert_eq!(walk.merge_value(&document(tx, size)), Ok(work));
         }
         assert_same(&walk, &oracle);
+    }
+}
+
+// ------------------------------------------------------- the byte walk
+
+/// The bytes the conversion writes for `json`: the normal form
+/// `merge_bytes` walks, given string-only keys without escapes.
+fn normal(json: &Value) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_alone(json, &mut bytes).expect("generated documents are maps");
+    bytes
+}
+
+/// `walk` took `bytes` through `merge_bytes`, `parsed` the same bytes
+/// parsed through `merge_value`: the same document, conversion, work
+/// and operation count.
+fn assert_walked_as_parsed(walk: &JsonCrdt, parsed: &JsonCrdt) {
+    assert_eq!(walk.to_value(), parsed.to_value());
+    let (mut walked, mut merged) = (Vec::new(), Vec::new());
+    walk.write_bytes(&mut walked);
+    parsed.write_bytes(&mut merged);
+    assert_eq!(walked, merged);
+    assert_eq!(walk.work(), parsed.work());
+    assert_eq!(walk.applied_len(), parsed.applied_len());
+    assert_eq!(walk, parsed, "the same entries, registers and branches");
+}
+
+/// One hostile edit of `bytes`: a bit flipped, a byte dropped or
+/// repeated, or a slice of `other` spliced in.
+fn mutate(g: &mut Gen, bytes: &[u8], other: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = g.size(0, out.len() - 1);
+    match g.range(0, 4) {
+        0 => out[at] ^= 1 << g.range(0, 8),
+        1 => {
+            out.remove(at);
+        }
+        2 => out.insert(at, out[at]),
+        _ => {
+            let from = g.size(0, other.len());
+            let to = g.size(from, other.len());
+            out.splice(at..at, other[from..to].iter().copied());
+        }
+    }
+    out
+}
+
+/// `bytes` into `walk` through `merge_bytes` and into `parsed` through
+/// `merge_value`: either the walk takes them, and both documents merge
+/// alike, or it leaves `walk` as it was and returns `None`.
+fn merge_both(walk: &mut JsonCrdt, parsed: &mut JsonCrdt, bytes: &[u8]) -> bool {
+    let before = walk.clone();
+    let shown = String::from_utf8_lossy(bytes).into_owned();
+    let Some(work) = walk.merge_bytes(bytes) else {
+        assert_eq!(*walk, before, "{shown}");
+        return false;
+    };
+    let value = Value::from_bytes(bytes).unwrap_or_else(|e| panic!("{e}: {shown}"));
+    assert_eq!(parsed.merge_value(&value), Ok(work), "{shown}");
+    assert_walked_as_parsed(walk, parsed);
+    true
+}
+
+#[test]
+fn byte_walk_equals_the_parsed_merge() {
+    // Release (`ci.sh`) at full count, debug a sixth, as above.
+    let seeds = if cfg!(debug_assertions) { 100 } else { 600 };
+    let (mut taken, mut left) = (0, 0);
+    gen::cases(seeds, |g| {
+        let mut walk = JsonCrdt::new(ReplicaId(1));
+        let mut parsed = JsonCrdt::new(ReplicaId(1));
+        for _ in 0..g.range(1, 10) {
+            let document = normal(&arb_map(g, 3));
+            assert!(merge_both(&mut walk, &mut parsed, &document));
+            let other = normal(&arb_map(g, 2));
+            for _ in 0..4 {
+                let edited = mutate(g, &document, &other);
+                if merge_both(&mut walk, &mut parsed, &edited) {
+                    taken += 1;
+                } else {
+                    left += 1;
+                }
+            }
+        }
+    });
+    // Most edits break the form; some (a letter for a letter, a
+    // repeated item) keep it and must merge as parsed.
+    assert!(
+        taken > 0 && left > taken,
+        "{taken} edits taken, {left} left"
+    );
+}
+
+#[test]
+fn byte_walk_leaves_every_other_form_to_the_parser() {
+    let mut doc = JsonCrdt::new(ReplicaId(1));
+    let first = br#"{"a":"1","l":["x",{"k":"v"}],"m":{"n":"2"}}"#;
+    assert!(doc.merge_bytes(first).is_some());
+    let before = doc.clone();
+    for text in [
+        // Escapes, whitespace, numbers and other non-string leaves.
+        r#"{"a":"\u0041"}"#,
+        r#"{"a":"x\"y"}"#,
+        r#"{"a": "1"}"#,
+        "{\"a\":\"1\"}\n",
+        r#"{"a":1}"#,
+        r#"{"l":[true]}"#,
+        r#"{"m":{"n":null}}"#,
+        // Unsorted or duplicate keys, at the head and below it.
+        r#"{"m":{},"a":"1"}"#,
+        r#"{"a":"1","a":"2"}"#,
+        r#"{"m":{"z":"1","n":"2"}}"#,
+        // A typed envelope, not a map, and not JSON.
+        r#"{"_crdt":"g-set","elements":[]}"#,
+        r#"["a"]"#,
+        r#"{"a":"1""#,
+    ] {
+        assert_eq!(doc.merge_bytes(text.as_bytes()), None, "{text}");
+        assert_eq!(doc, before, "{text}");
+    }
+    // A nested `_crdt` is a plain key, and the walk takes it.
+    let nested = br#"{"m":{"_crdt":"x"}}"#;
+    let mut parsed = JsonCrdt::new(ReplicaId(1));
+    parsed
+        .merge_value(&Value::from_bytes(first).unwrap())
+        .unwrap();
+    assert!(merge_both(&mut doc, &mut parsed, nested));
+}
+
+/// `hotkey-merge`'s shape as bytes: 400 small documents into one key,
+/// most of them re-sending the same register and list prefix.
+#[test]
+fn benchmark_bytes_merge_as_parsed() {
+    let mut walk = JsonCrdt::new(ReplicaId(1));
+    let mut parsed = JsonCrdt::new(ReplicaId(1));
+    for tx in 0..400 {
+        let text = format!(r#"{{"deviceID":"device-7","readings":["r{}-0"]}}"#, tx % 50);
+        assert!(merge_both(&mut walk, &mut parsed, text.as_bytes()));
     }
 }

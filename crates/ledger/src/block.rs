@@ -334,6 +334,15 @@ impl Block {
         }
     }
 
+    /// The member before `tx` among those of `key`'s converged value,
+    /// when `tx` is one and not the first: its write committed the very
+    /// bytes `tx`'s does.
+    pub(crate) fn previous_member(&self, tx: usize, key: &str) -> Option<usize> {
+        let members = &self.converged.get(key)?.members;
+        let at = members.binary_search(&tx).ok()?;
+        at.checked_sub(1).map(|before| members[before])
+    }
+
     /// The converged table, in key order: each key, its converged value
     /// and its members.
     pub fn converged_values(&self) -> impl Iterator<Item = (&str, &[u8], &[usize])> {

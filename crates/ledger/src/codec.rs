@@ -217,17 +217,27 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Reads a `u64`-length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    /// Reads a `u64`-length-prefixed byte string, borrowed.
+    fn byte_str(&mut self) -> Result<&'a [u8], DecodeError> {
         let at = self.pos;
         let n = self.u64()? as usize;
-        Ok(self.take(n, "byte string exceeds input", at)?.to_vec())
+        self.take(n, "byte string exceeds input", at)
+    }
+
+    /// Reads a `u64`-length-prefixed byte string.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        self.byte_str().map(<[u8]>::to_vec)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed.
+    pub fn text(&mut self) -> Result<&'a str, DecodeError> {
+        let at = self.pos;
+        std::str::from_utf8(self.byte_str()?).map_err(|_| DecodeError::new("invalid UTF-8", at))
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DecodeError> {
-        let at = self.pos;
-        String::from_utf8(self.bytes()?).map_err(|_| DecodeError::new("invalid UTF-8", at))
+        self.text().map(str::to_owned)
     }
 
     /// Reads a string that sorts strictly after `previous`: the next key

@@ -111,12 +111,23 @@ pub fn validate_and_commit(
 
 /// Commits transaction `tx_num`'s write set to `state` at its height,
 /// each write the value `block` gives it ([`Block::value_of`]).
+///
+/// A converged value is copied into the state once per block: a later
+/// member of the key finds it still stamped with the previous member's
+/// height, so nothing wrote the key in between and the state already
+/// holds the bytes it commits; it moves only the version.
 pub fn apply_writes(block: &Block, tx_num: usize, state: &mut WorldState) {
-    let height = Height::new(block.header.number, tx_num as u64);
+    let number = block.header.number;
+    let height = Height::new(number, tx_num as u64);
     for (key, entry) in block.transactions[tx_num].rwset.writes.iter() {
         if entry.is_delete {
             state.delete(key);
-        } else {
+            continue;
+        }
+        let settled = block.previous_member(tx_num, key).is_some_and(|previous| {
+            state.restamp(key, Height::new(number, previous as u64), height)
+        });
+        if !settled {
             state.put(
                 key.clone(),
                 block.value_of(tx_num, key, entry).to_vec(),

@@ -30,6 +30,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
+use crate::version::Height;
 use crate::worldstate::{Previous, VersionedValue};
 
 /// One key and its value, shared by every leaf copy that holds it.
@@ -327,6 +328,21 @@ fn insert(
     (previous, split)
 }
 
+/// Sets the version of `key`'s entry, which the caller has checked is
+/// present (so a miss never copies a path).
+fn restamp(node: &mut Arc<Node>, key: &str, version: Height) {
+    let node = Arc::make_mut(node);
+    let found = node.locate(key);
+    match &mut node.body {
+        Body::Leaf(entries) => {
+            if let Ok(at) = found {
+                Arc::make_mut(&mut entries[at]).1.version = version;
+            }
+        }
+        Body::Inner { kids, .. } => restamp(&mut kids[child(found)], key, version),
+    }
+}
+
 /// Removes `key`, which the caller has checked is present (so a miss
 /// never copies a path).
 fn remove(node: &mut Arc<Node>, key: &str) -> Previous {
@@ -395,6 +411,14 @@ impl PMap {
         }
         self.len += usize::from(previous.is_none());
         previous
+    }
+
+    pub(crate) fn restamp(&mut self, key: &str, from: Height, to: Height) -> bool {
+        let found = self.get(key).is_some_and(|entry| entry.version == from);
+        if found {
+            restamp(&mut self.root, key, to);
+        }
+        found
     }
 
     pub(crate) fn remove(&mut self, key: &str) -> Option<Previous> {

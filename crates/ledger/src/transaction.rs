@@ -212,14 +212,14 @@ impl Transaction {
     /// Reads what [`Transaction::write_bytes`] wrote.
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let id = TxId(r.digest()?);
-        let client = Identity::new(r.str()?, r.str()?);
+        let client = Identity::new(r.text()?, r.text()?);
         let chaincode = r.str()?;
         let rwset = ReadWriteSet::read(r)?;
         let endorsement_count = r.len(40)?;
         let mut endorsements = Vec::with_capacity(endorsement_count);
         for _ in 0..endorsement_count {
             endorsements.push(Endorsement {
-                endorser: Identity::new(r.str()?, r.str()?),
+                endorser: Identity::new(r.text()?, r.text()?),
                 signature: Signature(r.digest()?),
             });
         }
@@ -240,11 +240,7 @@ impl Transaction {
 
     /// Organizations that endorsed this transaction.
     pub fn endorsing_orgs(&self) -> Vec<&str> {
-        let mut orgs: Vec<&str> = self
-            .endorsements
-            .iter()
-            .map(|e| e.endorser.org.as_str())
-            .collect();
+        let mut orgs: Vec<&str> = self.endorsements.iter().map(|e| &*e.endorser.org).collect();
         orgs.sort_unstable();
         orgs.dedup();
         orgs

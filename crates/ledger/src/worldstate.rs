@@ -107,6 +107,15 @@ impl WorldState {
         self.entries.insert(key, VersionedValue { value, version })
     }
 
+    /// Moves `key`'s version from `from` to `to`, keeping its value, and
+    /// says whether it did: `false`, with nothing copied, when the key is
+    /// absent or at another version. Like [`WorldState::put`], it changes
+    /// an entry this state holds alone in place and copies one a clone
+    /// still shares.
+    pub fn restamp(&mut self, key: &str, from: Height, to: Height) -> bool {
+        self.entries.restamp(key, from, to)
+    }
+
     /// Deletes a key, returning the previous entry (Fabric models deletes
     /// as write-set entries with a delete marker).
     pub fn delete(&mut self, key: &str) -> Option<Previous> {

@@ -370,7 +370,10 @@ fn rewriting_a_client_breaks_the_seal() {
         let txs = g.vec(1, 4, arb_transaction);
         let sealed = SealedBlock::seal(Block::assemble(1, [0; 32], txs), g.array32());
         let i = g.range(0, sealed.transactions.len() as u64) as usize;
-        let forged = edited(&sealed, |txs| txs[i].client.name.push('x'));
+        let forged = edited(&sealed, |txs| {
+            let client = &mut txs[i].client;
+            client.name = format!("{}x", client.name).into();
+        });
         assert!(!forged.data_hash_is_valid());
         assert_eq!(
             SealedBlock::verify(forged.clone()),

@@ -123,6 +123,22 @@ fn random_operations_match_a_btreemap_and_leave_old_roots_alone() {
                     assert!(state.range(&start, &end).eq(expect));
                 }
                 4 => assert_eq!(state.len(), oracle.len()),
+                6 => {
+                    // At the version it holds, mostly: a converged
+                    // member's commit moves it.
+                    let key = live_key(g, &oracle, shape);
+                    let current = oracle.get(&key).map(|entry| entry.version);
+                    let from = match current {
+                        Some(version) if g.prob(0.8) => version,
+                        _ => arb_entry(g).version,
+                    };
+                    let to = arb_entry(g).version;
+                    let moved = current == Some(from);
+                    assert_eq!(state.restamp(&key, from, to), moved);
+                    if let Some(entry) = oracle.get_mut(&key).filter(|_| moved) {
+                        entry.version = to;
+                    }
+                }
                 5 if snapshots.len() < 8 && g.prob(0.05) => {
                     snapshots.push((state.clone(), oracle.clone()));
                 }

@@ -39,10 +39,11 @@ impl SimTime {
         SimTime(secs * 1_000_000)
     }
 
-    /// Constructs from fractional seconds (rounds to microseconds;
-    /// negative values clamp to zero).
+    /// Constructs from fractional seconds (rounds to microseconds, half
+    /// away from zero; negative values and NaN clamp to zero, values past
+    /// `u64::MAX` microseconds saturate).
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs.max(0.0) * 1e6).round() as u64)
+        SimTime(round_to_u64(secs.max(0.0) * 1e6))
     }
 
     /// Value in microseconds.
@@ -74,6 +75,15 @@ impl SimTime {
     pub fn scale(self, factor: u64) -> SimTime {
         SimTime(self.0 * factor)
     }
+}
+
+/// `x.round() as u64`, without the call to a software `round` that
+/// baseline x86-64, lacking `roundsd`, makes: the truncating (and
+/// saturating) conversion, then the fraction it dropped, which is exact
+/// below 2^53 and zero above.
+fn round_to_u64(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 impl Add for SimTime {
@@ -124,6 +134,58 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
         assert_eq!(SimTime::from_secs_f64(0.5).as_millis(), 500);
         assert_eq!(SimTime::from_secs_f64(-1.0), SimTime::ZERO);
+    }
+
+    #[test]
+    fn rounding_is_the_library_round() {
+        let round = |x: f64| x.round() as u64;
+        let two = |e: i32| 2f64.powi(e);
+        let named = [
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -7.25,
+            two(52) - 1.0,
+            two(52) + 1.0,
+            two(52) - 0.5,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64) - 2048.0,
+            two(64),
+            1e30,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for x in named {
+            assert_eq!(round_to_u64(x), round(x), "{x:e}");
+            let secs = x / 1e6;
+            assert_eq!(
+                SimTime::from_secs_f64(secs).as_micros(),
+                round(secs.max(0.0) * 1e6),
+                "{secs:e}"
+            );
+        }
+        let mut halves = 0;
+        crate::gen::cases(2_000, |g| {
+            let k = g.range(0, 1 << 40) as f64;
+            let near = f64::from_bits((k + 0.5).to_bits() + g.range(0, 3) - 1);
+            for x in [f64::from_bits(g.u64()), g.f64_in(0.0, 2e6), k + 0.5, near] {
+                assert_eq!(round_to_u64(x), round(x), "{x:e}");
+                let secs = x / 1e6;
+                let micros = secs.max(0.0) * 1e6;
+                halves += usize::from(micros.fract() == 0.5);
+                assert_eq!(SimTime::from_secs_f64(secs).as_micros(), round(micros));
+            }
+        });
+        assert!(halves > 100, "only {halves} draws landed on a half");
     }
 
     #[test]
